@@ -13,15 +13,18 @@
 //!   (`ClusterEvaluator::with_scan_loop`) across routers, serving modes,
 //!   churn and thread counts — the two dispatch paths must stay report-
 //!   identical;
-//! * the pinned churn scenario against committed per-router digests in
-//!   `tests/fixtures/self_check_digests.txt`. Regenerate after an
+//! * the pinned churn scenarios (per built-in router, a churned
+//!   prefill/decode split, a session-sticky SLO fleet) against committed
+//!   digests in `tests/fixtures/self_check_digests.txt`. Regenerate after an
 //!   *intentional* semantics change with
 //!   `SELF_CHECK_REGEN=1 cargo test --test self_check` and commit the diff.
 
 use moe_lightning::{
     builtin_routers, ClusterEvaluator, ClusterReport, ClusterSpec, EvalSetting, FleetTimeline,
-    NodeSpec, Policy, QueueDepthScaler, ReplicaId, ReplicaSpec, Router, ScaleBounds, Seconds,
-    ServeSpec, ServingMode, SystemEvaluator, SystemKind,
+    InterconnectSpec, LeastOutstandingTokens, NodeSpec, Policy, PrefixAware, QueueDepthScaler,
+    Recorder, ReplicaId, ReplicaRole, ReplicaSpec, Router, ScaleBounds, Seconds, ServeSpec,
+    ServingMode, SloAdmission, SloAttainmentScaler, SloSpec, StickySession, SystemEvaluator,
+    SystemKind,
 };
 use moe_workload::{
     Algorithm2, ArrivalProcess, FcfsPadded, GenLens, Request, Scheduler, ShortestJobFirst,
@@ -423,9 +426,18 @@ fn oversized_requests_abort_up_front_deterministically() {
     }
 }
 
+/// A mid-run failure of `failed`, a delayed unified join and a drain of
+/// `drained` — every control transition the loop handles, in one timeline.
+fn churn_timeline(failed: usize, drained: usize) -> FleetTimeline {
+    FleetTimeline::new()
+        .fail_at(secs(50.0), ReplicaId(failed))
+        .join_at(secs(60.0), ReplicaSpec::new(NodeSpec::t4_single()))
+        .drain_at(secs(90.0), ReplicaId(drained))
+        .with_provisioning_delay(secs(20.0))
+}
+
 /// The pinned seed-11 churn scenario: a 4-replica T4 fleet under Poisson
-/// load with a mid-run failure, a delayed join and a drain — every control
-/// transition the loop handles, in one timeline.
+/// load with the [`churn_timeline`].
 fn churn_spec(mode: ServingMode, router: Arc<dyn Router>) -> ClusterSpec {
     ClusterSpec::homogeneous(
         SystemKind::MoeLightning,
@@ -439,13 +451,116 @@ fn churn_spec(mode: ServingMode, router: Arc<dyn Router>) -> ClusterSpec {
     .with_mode(mode)
     .with_arrivals(ArrivalProcess::Poisson { rate_per_sec: 2.0 })
     .with_router(router)
-    .with_timeline(
-        FleetTimeline::new()
-            .fail_at(secs(50.0), ReplicaId(1))
-            .join_at(secs(60.0), ReplicaSpec::new(NodeSpec::t4_single()))
-            .drain_at(secs(90.0), ReplicaId(0))
-            .with_provisioning_delay(secs(20.0)),
+    .with_timeline(churn_timeline(1, 0))
+}
+
+/// The seed-11 Poisson queue re-sessioned into 8-turn conversations, so
+/// session-affine routers and prefix caches have history to reuse.
+fn session_queue() -> Vec<Request> {
+    WorkloadSpec::mtbench()
+        .synthesize_queue(
+            400,
+            GenLens::MixedDefaults,
+            11,
+            false,
+            &ArrivalProcess::Poisson { rate_per_sec: 2.0 },
+        )
+        .into_iter()
+        .map(|r| {
+            let session = r.id / 8;
+            r.with_session(session)
+        })
+        .collect()
+}
+
+/// The pinned disaggregated scenario: 2 prefill + 2 decode T4 replicas on a
+/// slow link (so KV is always on the wire), churned by the
+/// [`churn_timeline`] — decode replica 3 fails mid-migration and prefill
+/// replica 0 drains.
+fn split_churn_spec(mode: ServingMode, router: Arc<dyn Router>) -> ClusterSpec {
+    let mut spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+        .with_queue(session_queue())
+        .with_seed(11)
+        .with_mode(mode)
+        .with_router(router)
+        .with_interconnect(InterconnectSpec::new(0.05, secs(15.0)))
+        .with_timeline(churn_timeline(3, 0));
+    for role in [
+        ReplicaRole::Prefill,
+        ReplicaRole::Prefill,
+        ReplicaRole::Decode,
+        ReplicaRole::Decode,
+    ] {
+        spec = spec.with_replica(ReplicaSpec::new(NodeSpec::t4_single()).with_role(role));
+    }
+    spec
+}
+
+/// The pinned session-affine control-plane scenario: the churned unified
+/// fleet of [`churn_spec`] on the session queue, routed by
+/// `StickySession(LeastOutstandingTokens)` (which answers through the
+/// router index's fast path), with SLO admission and an SLO-attainment
+/// autoscaler.
+fn sticky_slo_spec(mode: ServingMode) -> ClusterSpec {
+    let ttft = match mode {
+        ServingMode::RoundToCompletion => 2400.0,
+        ServingMode::Continuous => 30.0,
+    };
+    let slo = SloSpec {
+        ttft: secs(ttft),
+        per_token: secs(5.0),
+    };
+    ClusterSpec::homogeneous(
+        SystemKind::MoeLightning,
+        WorkloadSpec::mtbench(),
+        &NodeSpec::t4_single(),
+        4,
     )
+    .with_queue(session_queue())
+    .with_seed(11)
+    .with_mode(mode)
+    .with_router(Arc::new(StickySession::new(Arc::new(
+        LeastOutstandingTokens,
+    ))))
+    .with_slo(slo)
+    .with_admission(Arc::new(SloAdmission::new(slo)))
+    .with_autoscaler(
+        Arc::new(SloAttainmentScaler::new(slo, 95.0)),
+        ScaleBounds::new(2, 6, secs(15.0)),
+    )
+    .with_timeline(churn_timeline(1, 0))
+}
+
+/// Builds a fresh spec per run: session-affine routers are stateful.
+type SpecBuilder = Box<dyn Fn() -> ClusterSpec>;
+
+/// Every digest-pinned scenario, labelled as in the fixture file.
+fn pinned_scenarios() -> Vec<(String, SpecBuilder)> {
+    let mut scenarios: Vec<(String, SpecBuilder)> = Vec::new();
+    for mode in MODES {
+        for router in builtin_routers() {
+            let label = format!("{} [{}]", router.name(), mode.label());
+            scenarios.push((label, Box::new(move || churn_spec(mode, router.clone()))));
+        }
+    }
+    for mode in MODES {
+        let m = mode.label();
+        scenarios.push((
+            format!("split-2p2d least-tokens [{m}]"),
+            Box::new(move || split_churn_spec(mode, Arc::new(LeastOutstandingTokens))),
+        ));
+        scenarios.push((
+            format!("split-2p2d prefix-aware+cache [{m}]"),
+            Box::new(move || {
+                split_churn_spec(mode, Arc::new(PrefixAware::new())).with_prefix_cache(64 * 1024)
+            }),
+        ));
+        scenarios.push((
+            format!("sticky-slo [{m}]"),
+            Box::new(move || sticky_slo_spec(mode)),
+        ));
+    }
+    scenarios
 }
 
 fn assert_reports_identical(a: &ClusterReport, b: &ClusterReport, label: &str) {
@@ -496,9 +611,12 @@ fn assert_digest_matches(got: &str, want: &str) {
     }
 }
 
-/// Tentpole self-check: for every built-in router in both serving modes, the
-/// indexed loop equals the scan loop bit-for-bit on the pinned churn
-/// scenario, and both match the committed digest fixture.
+/// Tentpole self-check: on every pinned scenario — the churn scenario for
+/// every built-in router, the churned 2p+2d split and the sticky SLO fleet,
+/// each in both serving modes — the indexed loop (with a recording sink
+/// attached) equals the scan loop bit-for-bit, and both match the committed
+/// digest fixture. Because both loops share one dispatch path, the digests
+/// are what catches a slip they share.
 ///
 /// `SELF_CHECK_REGEN=1` rewrites `tests/fixtures/self_check_digests.txt`
 /// instead of asserting — commit the diff with the semantics change that
@@ -520,23 +638,35 @@ fn churn_scenario_matches_scan_loop_and_pinned_digests() {
             .collect()
     };
     let mut lines = Vec::new();
-    for mode in MODES {
-        for router in builtin_routers() {
-            let name = router.name();
-            let label = format!("{name} [{}]", mode.label());
-            let want = scan().run(&churn_spec(mode, router.clone())).unwrap();
-            let got = indexed(2).run(&churn_spec(mode, router)).unwrap();
-            assert_reports_identical(&want, &got, &label);
-            let line = digest(&label, &got);
-            if !regen {
-                let want_line = pinned
-                    .iter()
-                    .find(|l| l.starts_with(&format!("{label}|")))
-                    .unwrap_or_else(|| panic!("{label}: no pinned digest line"));
-                assert_digest_matches(&line, want_line);
-            }
-            lines.push(line);
+    for (label, build) in pinned_scenarios() {
+        let want = scan().run(&build()).unwrap();
+        let recorder = Arc::new(Recorder::new());
+        let got = indexed(2)
+            .run(&build().with_telemetry(recorder.clone()))
+            .unwrap();
+        assert_reports_identical(&want, &got, &label);
+        let counters = recorder.counters();
+        if label.starts_with("split") {
+            assert!(
+                counters.migrations_lost > 0,
+                "{label}: the decode failure must catch KV on the wire"
+            );
         }
+        if label.starts_with("sticky-slo") {
+            assert!(
+                counters.rejected > 0 && counters.scale_ups > 0,
+                "{label}: SLO admission and the autoscaler must both act"
+            );
+        }
+        let line = digest(&label, &got);
+        if !regen {
+            let want_line = pinned
+                .iter()
+                .find(|l| l.starts_with(&format!("{label}|")))
+                .unwrap_or_else(|| panic!("{label}: no pinned digest line"));
+            assert_digest_matches(&line, want_line);
+        }
+        lines.push(line);
     }
     if regen {
         std::fs::write(fixture_path, lines.join("\n") + "\n").unwrap();
