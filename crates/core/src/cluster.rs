@@ -658,17 +658,19 @@ impl ClusterReport {
 /// Evaluates cluster serving scenarios: one shared model, per-replica
 /// [`SystemEvaluator`]s built from each replica's node.
 ///
-/// Two dispatch loops produce the identical [`ClusterReport`]:
+/// Two loops produce the identical [`ClusterReport`]. Both dispatch through
+/// one offer → route → admit path and differ only in where events and
+/// routing offers come from:
 ///
 /// * the **indexed loop** (default) — an indexed min-priority event queue
-///   over the fleet, cached router views refreshed only for replicas that
-///   changed, [`Router::route_indexed`] fast paths, and replica stepping
-///   sharded across threads between global synchronization points;
+///   over the fleet, offers from a [`RouterIndex`] of cached views refreshed
+///   only for replicas that changed (with [`Router::route_indexed`] fast
+///   paths), and replica stepping sharded across threads between global
+///   synchronization points;
 /// * the **scan loop** ([`Self::with_scan_loop`]) — a linear scan over every
-///   replica per event and per routing decision, with views rebuilt from
-///   scratch. `O(fleet)` per event; kept as the semantic baseline the indexed
-///   loop's self-check fixtures and the `scale_sweep` speedup gate measure
-///   against.
+///   replica per event, and offers rebuilt from fresh views per routing
+///   decision. `O(fleet)` per event; kept as the test reference the
+///   self-check fixtures and the `scale_sweep` speedup gate measure against.
 #[derive(Debug, Clone)]
 pub struct ClusterEvaluator {
     model: MoeModelConfig,
@@ -934,34 +936,33 @@ impl ClusterEvaluator {
                 plane.dispatch(request, at, true);
                 plane.prof_end(Section::Routing, prof_route);
                 plane.maybe_autoscale(at)?;
-            } else if plane.indexed && internal.is_some() {
-                // Everything strictly before the next arrival or control
-                // event is replica-internal and independent across
-                // replicas: drain it as one sharded window. Sampling first
-                // advances the cursor past the earliest internal event, and
-                // `obs_bound` caps the window at the next sample instant, so
-                // every gauge snapshot is taken from event-exact state.
-                plane.maybe_sample_to(internal.map(|(time, _)| time).unwrap_or(Seconds::ZERO));
-                let bound = match (control.map(|(ct, _)| ct), arrival) {
-                    (Some(c), Some(a)) => Some(c.min(a)),
-                    (c, a) => c.or(a),
-                };
-                let prof_step = plane.prof_start();
-                plane.step_window(plane.obs_bound(bound))?;
-                plane.prof_end(Section::ShardStep, prof_step);
             } else if let Some((t, index)) = internal {
+                // Sampling first advances the cursor past the earliest
+                // internal event, and `obs_bound` caps a window at the next
+                // sample instant, so every gauge snapshot is taken from
+                // event-exact state.
                 plane.maybe_sample_to(t);
                 let prof_step = plane.prof_start();
-                let completed = plane.engines[index].step_to(t)?;
+                // An autoscaler may react to every completion batch, and in a
+                // disaggregated run a completion may start a KV migration
+                // whose landing must be merged in global order: both step
+                // one event at a time, like the scan loop.
+                if plane.indexed && plane.spec.autoscaler.is_none() && !plane.disagg.enabled {
+                    let bound = match (control.map(|(ct, _)| ct), arrival) {
+                        (Some(c), Some(a)) => Some(c.min(a)),
+                        (c, a) => c.or(a),
+                    };
+                    plane.step_window(plane.obs_bound(bound))?;
+                } else {
+                    let had_completions = plane.step_replica(index, t)?;
+                    if plane.engines[index].drain_finished() {
+                        plane.depart(index, t);
+                    }
+                    if had_completions {
+                        plane.maybe_autoscale(t)?;
+                    }
+                }
                 plane.prof_end(Section::ShardStep, prof_step);
-                let had_completions = !completed.is_empty();
-                plane.note_completions(index, completed);
-                if plane.engines[index].drain_finished() {
-                    plane.depart(index, t);
-                }
-                if had_completions {
-                    plane.maybe_autoscale(t)?;
-                }
             } else {
                 break;
             }
@@ -1036,6 +1037,33 @@ enum Ctl {
     Migration,
 }
 
+/// Which serving replicas a request may be placed on: new arrivals go to
+/// the prefill and unified pools, KV migrations to the decode and unified
+/// pools.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Pool {
+    Arrivals,
+    Migrations,
+}
+
+impl Pool {
+    /// Whether a replica of `role` with a per-micro-batch KV budget of
+    /// `budget` tokens may take `request`. A prefill replica only ever holds
+    /// the prompt's KV (it runs a generation-free stub); every other replica
+    /// needs the full context to fit.
+    pub(crate) fn admits(self, role: ReplicaRole, budget: u64, request: &Request) -> bool {
+        let in_pool = match self {
+            Pool::Arrivals => role.takes_arrivals(),
+            Pool::Migrations => role.takes_migrations(),
+        };
+        let held = match role {
+            ReplicaRole::Prefill => request.input_len,
+            _ => request.max_context(),
+        };
+        in_pool && held <= budget
+    }
+}
+
 /// The mutable state of one [`ClusterEvaluator::run`] invocation: the replica
 /// event machines plus the control plane's bookkeeping (membership, admission,
 /// autoscaling, availability accounting).
@@ -1055,8 +1083,8 @@ pub(crate) struct FleetLoop<'a> {
     cancelled_joins: u64,
     recent: Vec<RequestLatency>,
     last_scale: Option<Seconds>,
-    /// `false` runs the original O(fleet) linear scans instead of the
-    /// event heap / router index (see
+    /// Whether events and routing offers come from the event heap and router
+    /// index (`true`) or from O(fleet) scans of every engine (`false`, see
     /// [`ClusterEvaluator::with_scan_loop`]).
     indexed: bool,
     /// Worker threads for sharded replica stepping inside
@@ -1169,7 +1197,7 @@ impl FleetLoop<'_> {
     }
 
     /// Queues replica `index` for re-synchronisation of its event-heap entry
-    /// and router-index view. No-op on the reference loop.
+    /// and router-index view. No-op on the scan loop.
     pub(crate) fn mark_dirty(&mut self, index: usize) {
         if !self.indexed {
             return;
@@ -1196,8 +1224,8 @@ impl FleetLoop<'_> {
             };
             self.events.refresh(index, next);
             if engine.is_serving() {
-                self.index
-                    .upsert(engine.view(), engine.batching.cache_tokens_per_micro_batch);
+                let budget = engine.batching.cache_tokens_per_micro_batch;
+                self.index.upsert(engine.view(), engine.role, budget);
             } else {
                 self.index.remove(index);
             }
@@ -1257,111 +1285,67 @@ impl FleetLoop<'_> {
             }
             self.note_arrival(&request, now);
         }
-        if self.disagg.enabled {
-            // Role pools filter the offer per request, which precludes the
-            // whole-fleet index fast path: both loops dispatch by scan.
-            self.dispatch_disagg(request, now, screen);
-        } else if self.indexed {
-            self.dispatch_indexed(request, now, screen);
-        } else {
-            self.dispatch_scan(request, now, screen);
-        }
-    }
-
-    /// Reference dispatch: scan the fleet, snapshot eligible views into a
-    /// fresh `Vec`, route over the slice.
-    fn dispatch_scan(&mut self, request: Request, now: Seconds, screen: bool) {
-        let views: Vec<ReplicaView> = self
-            .engines
-            .iter()
-            .filter(|e| e.is_serving() && e.can_ever_serve(&request))
-            .map(|e| e.view())
-            .collect();
-        if views.is_empty() {
+        let Some((view, considered)) = self.place(&request, Pool::Arrivals) else {
             self.abort(request, now);
             return;
-        }
-        let chosen = self.spec.router.route(&request, &views, &mut self.ctx);
-        self.ctx.decision += 1;
-        let id = if views.iter().any(|v| v.id == chosen) {
-            chosen
-        } else {
-            views[0].id
         };
-        self.note_routed(&request, id, views.len(), now);
+        let id = view.id;
+        self.note_routed(&request, id, considered, now);
         if screen {
             let projected = self.engines[id.0].projected_ttft(&request);
-            let view = views
-                .iter()
-                .find(|v| v.id == id)
-                .expect("chosen id resolved against the offered views");
-            if !self.spec.admission.admit(&request, projected, view) {
+            if !self.spec.admission.admit(&request, projected, &view) {
                 self.reject(request, id, projected, now);
                 return;
             }
         }
         self.note_admitted(&request, id, now);
-        self.engines[id.0].enqueue(request, now);
-    }
-
-    /// Indexed dispatch: route over the maintained [`RouterIndex`] without
-    /// rebuilding per-replica views or allocating a fresh view buffer. When
-    /// the request fits every indexed replica (the common case — checked
-    /// against the fleet's minimum KV budget in O(1)), routers with an
-    /// incremental index answer in O(log fleet); otherwise the eligible
-    /// subset is materialised exactly like the reference scan.
-    fn dispatch_indexed(&mut self, request: Request, now: Seconds, screen: bool) {
-        self.flush_dirty();
-        if self.index.is_empty() {
-            self.abort(request, now);
-            return;
-        }
-        let router = &self.spec.router;
-        let full = request.max_context() <= self.index.min_budget;
-        let filtered;
-        let offered: &[ReplicaView] = if full {
-            self.index.views()
-        } else {
-            filtered = self.index.eligible_views(&request);
-            if filtered.is_empty() {
-                self.abort(request, now);
-                return;
-            }
-            &filtered
-        };
-        let chosen = if full {
-            router
-                .route_indexed(&request, &self.index, &mut self.ctx)
-                .unwrap_or_else(|| router.route(&request, offered, &mut self.ctx))
-        } else {
-            router.route(&request, offered, &mut self.ctx)
-        };
-        self.ctx.decision += 1;
-        let valid = if full {
-            self.index.contains(chosen)
-        } else {
-            offered.iter().any(|v| v.id == chosen)
-        };
-        let id = if valid { chosen } else { offered[0].id };
-        self.note_routed(&request, id, offered.len(), now);
-        if screen {
-            let projected = self.engines[id.0].projected_ttft(&request);
-            let view = if full {
-                self.index.view_of(id)
-            } else {
-                offered
-                    .iter()
-                    .find(|v| v.id == id)
-                    .expect("chosen id resolved against the offered views")
-            };
-            if !self.spec.admission.admit(&request, projected, view) {
-                self.reject(request, id, projected, now);
-                return;
-            }
-        }
-        self.note_admitted(&request, id, now);
+        let request = self.disagg.stub_for(request, self.engines[id.0].role);
         self.engines[id.0].enqueue(request, now);
         self.mark_dirty(id.0);
+    }
+
+    /// Routes `request` over the serving replicas `pool` admits it to and
+    /// returns the chosen replica's view (the first offered one when the
+    /// router names a replica outside the offer) with the offer size, or
+    /// `None` when no serving replica is eligible.
+    ///
+    /// The indexed loop offers the [`RouterIndex`]; when the run has no role
+    /// pools and the request fits every indexed budget, the whole index is
+    /// the offer and [`Router::route_indexed`] may answer without building
+    /// one. The scan loop offers fresh views of every engine.
+    pub(crate) fn place(&mut self, request: &Request, pool: Pool) -> Option<(ReplicaView, usize)> {
+        let router = &self.spec.router;
+        self.flush_dirty();
+        if self.indexed && !self.disagg.enabled && request.max_context() <= self.index.min_budget {
+            let first = self.index.views().first()?.id;
+            let chosen = router
+                .route_indexed(request, &self.index, &mut self.ctx)
+                .unwrap_or_else(|| router.route(request, self.index.views(), &mut self.ctx));
+            self.ctx.decision += 1;
+            let id = if self.index.contains(chosen) {
+                chosen
+            } else {
+                first
+            };
+            return Some((*self.index.view_of(id), self.index.len()));
+        }
+        let offer: Vec<ReplicaView> = if self.indexed {
+            self.index.eligible_views(request, pool)
+        } else {
+            self.engines
+                .iter()
+                .filter(|e| {
+                    e.is_serving()
+                        && pool.admits(e.role, e.batching.cache_tokens_per_micro_batch, request)
+                })
+                .map(|e| e.view())
+                .collect()
+        };
+        let first = *offer.first()?;
+        let chosen = router.route(request, &offer, &mut self.ctx);
+        self.ctx.decision += 1;
+        let view = offer.iter().find(|v| v.id == chosen).unwrap_or(&first);
+        Some((*view, offer.len()))
     }
 
     /// Fires the router's completion callback (at each request's actual
@@ -1425,6 +1409,11 @@ impl FleetLoop<'_> {
         engine.lifecycle = Lifecycle::Provisioning {
             ready_at: now + self.spec.timeline.provisioning_delay(),
         };
+        // Pools are fixed by the spec: a run without them serves every
+        // joiner unified.
+        if !self.disagg.enabled {
+            engine.role = ReplicaRole::Unified;
+        }
         self.engines.push(engine);
         self.note_lifecycle(index, "provisioning", now);
         self.provisioning += 1;
@@ -1445,19 +1434,15 @@ impl FleetLoop<'_> {
                     Lifecycle::Provisioning { .. } => {
                         // Died before it ever served: the join just never
                         // lands.
-                        self.engines[rid.0].lifecycle = Lifecycle::Departed { at: t };
-                        self.note_lifecycle(rid.0, "failed", t);
-                        self.provisioning = self.provisioning.saturating_sub(1);
+                        self.cancel_join(rid.0, t, "failed");
                         self.failures.push((rid, t));
-                        self.mark_dirty(rid.0);
                         return Ok(());
                     }
                     Lifecycle::Serving | Lifecycle::Draining { .. } => {}
                 }
                 // Settle events due strictly up to the failure instant, then
                 // kill it: whatever completed by t was delivered.
-                let completed = self.engines[rid.0].step_to(t)?;
-                self.note_completions(rid.0, completed);
+                self.step_replica(rid.0, t)?;
                 let lost = self.engines[rid.0].fail(t);
                 self.mark_dirty(rid.0);
                 self.note_lifecycle(rid.0, "failed", t);
@@ -1481,28 +1466,14 @@ impl FleetLoop<'_> {
                     Lifecycle::Provisioning { .. } => {
                         // Draining a replica that never came up cancels the
                         // join.
-                        self.engines[rid.0].lifecycle = Lifecycle::Departed { at: t };
-                        self.note_lifecycle(rid.0, "departed", t);
-                        self.provisioning = self.provisioning.saturating_sub(1);
+                        self.cancel_join(rid.0, t, "departed");
                         self.cancelled_joins += 1;
-                        self.mark_dirty(rid.0);
                         return Ok(());
                     }
                     Lifecycle::Serving => {}
                 }
-                let completed = self.engines[rid.0].step_to(t)?;
-                self.note_completions(rid.0, completed);
-                let queued = self.engines[rid.0].begin_drain(t);
-                self.mark_dirty(rid.0);
-                self.note_lifecycle(rid.0, "draining", t);
-                self.drains.push((rid, t));
-                for request in queued {
-                    let request = self.restore_origin(request);
-                    self.redispatch(request, t);
-                }
-                if self.engines[rid.0].drain_finished() {
-                    self.depart(rid.0, t);
-                }
+                self.step_replica(rid.0, t)?;
+                self.drain_replica(rid.0, t);
             }
             FleetAction::Join(spec) => {
                 self.join_replica(&spec, t)?;
@@ -1566,11 +1537,8 @@ impl FleetLoop<'_> {
                     })
                     .max_by_key(|&(t, i)| (t.key(), i));
                 if let Some((_, index)) = last_provisioning {
-                    self.engines[index].lifecycle = Lifecycle::Departed { at: t };
-                    self.note_lifecycle(index, "departed", t);
-                    self.provisioning = self.provisioning.saturating_sub(1);
+                    self.cancel_join(index, t, "departed");
                     self.cancelled_joins += 1;
-                    self.mark_dirty(index);
                 } else {
                     // Drain the serving replica with the least outstanding
                     // work.
@@ -1584,18 +1552,7 @@ impl FleetLoop<'_> {
                     let Some(index) = victim else {
                         return Ok(());
                     };
-                    let rid = ReplicaId(index);
-                    let queued = self.engines[index].begin_drain(t);
-                    self.mark_dirty(index);
-                    self.note_lifecycle(index, "draining", t);
-                    self.drains.push((rid, t));
-                    for request in queued {
-                        let request = self.restore_origin(request);
-                        self.redispatch(request, t);
-                    }
-                    if self.engines[index].drain_finished() {
-                        self.depart(index, t);
-                    }
+                    self.drain_replica(index, t);
                 }
                 self.last_scale = Some(t);
             }
@@ -1604,46 +1561,58 @@ impl FleetLoop<'_> {
         Ok(())
     }
 
+    /// Settles replica `index`'s internal events due at `t` and delivers
+    /// its completions; returns whether any request completed. The replica
+    /// is marked dirty *before* its completions are delivered: a completing
+    /// prefill stub starts a KV migration that routes over the index.
+    fn step_replica(&mut self, index: usize, t: Seconds) -> Result<bool, EngineError> {
+        let completed = self.engines[index].step_to(t)?;
+        self.mark_dirty(index);
+        let had_completions = !completed.is_empty();
+        self.note_completions(index, completed);
+        Ok(had_completions)
+    }
+
+    /// Starts draining serving replica `index` at `t`: its queued requests
+    /// are re-routed, and it departs at once if nothing is in flight.
+    fn drain_replica(&mut self, index: usize, t: Seconds) {
+        let queued = self.engines[index].begin_drain(t);
+        self.mark_dirty(index);
+        self.note_lifecycle(index, "draining", t);
+        self.drains.push((ReplicaId(index), t));
+        for request in queued {
+            let request = self.restore_origin(request);
+            self.redispatch(request, t);
+        }
+        if self.engines[index].drain_finished() {
+            self.depart(index, t);
+        }
+    }
+
+    /// Cancels the join of provisioning replica `index` at `t`: it departs
+    /// without ever serving, recorded as lifecycle transition `label`.
+    fn cancel_join(&mut self, index: usize, t: Seconds, label: &'static str) {
+        self.engines[index].lifecycle = Lifecycle::Departed { at: t };
+        self.note_lifecycle(index, label, t);
+        self.provisioning = self.provisioning.saturating_sub(1);
+        self.mark_dirty(index);
+    }
+
     /// Processes the replica-internal events due strictly before `bound`
-    /// (all pending events when `bound` is `None`). Indexed loop only.
+    /// (all pending events when `bound` is `None`). Indexed loop only, and
+    /// only in runs without an autoscaler or role pools, which step one
+    /// event at a time (see [`ClusterEvaluator::run`]).
     ///
     /// Between two global sync points (arrivals, timeline actions,
     /// provisioning completions) replicas do not interact, so each due
     /// replica's event chain is drained independently — sharded across
     /// `self.threads` workers when enough replicas are due — and the settled
     /// events are merged back in `(time, replica index)` order. That is
-    /// exactly the reference loop's one-global-min-at-a-time processing
-    /// order: ties go to the lower replica index, and each replica's own
-    /// events stay chronological.
-    ///
-    /// With an autoscaler installed the window degenerates to a single
-    /// event: the autoscaler may react to every completion batch, and its
-    /// actions are global sync points that end the window. Disaggregated
-    /// runs degenerate the same way — a completion may start a KV migration,
-    /// and the migration's landing is a control event that must be merged in
-    /// global order, so no window may run past it.
+    /// exactly the scan loop's one-global-min-at-a-time processing order:
+    /// ties go to the lower replica index, and each replica's own events stay
+    /// chronological.
     fn step_window(&mut self, bound: Option<Seconds>) -> Result<(), EngineError> {
         let before = |t: Seconds| bound.is_none_or(|b| t < b);
-        if self.spec.autoscaler.is_some() || self.disagg.enabled {
-            let Some((t, index)) = self.events.peek() else {
-                return Ok(());
-            };
-            if !before(t) {
-                return Ok(());
-            }
-            let completed = self.engines[index].step_to(t)?;
-            self.mark_dirty(index);
-            let had_completions = !completed.is_empty();
-            self.note_completions(index, completed);
-            if self.engines[index].drain_finished() {
-                self.depart(index, t);
-            }
-            if had_completions {
-                self.maybe_autoscale(t)?;
-            }
-            return Ok(());
-        }
-
         // Claim every replica whose next event falls inside the window,
         // retiring their heap entries up front; the dirty set re-syncs their
         // refreshed state after the drain.

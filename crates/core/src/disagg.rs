@@ -23,13 +23,14 @@
 //! ([`crate::ReplicaView::decode_rate`], an EWMA in tokens/s — speed, not
 //! just backlog).
 //!
-//! The fleet-level migration machinery (`DisaggState` and the
-//! `FleetLoop` methods below) lives here rather than in [`crate::cluster`]
-//! so the cluster module stays within the repository's module-size tripwire;
-//! it is `pub(crate)` plumbing behind [`crate::cluster::ClusterEvaluator`].
+//! Pools are not a dispatch path of their own: arrivals and migration
+//! destinations are placed by the fleet loop's one placement function, whose
+//! offer keeps only the replicas of the request's pool — from the router
+//! index on the indexed loop, from fresh views on the scan loop. The
+//! migration machinery (`DisaggState` and the `FleetLoop` methods below) is
+//! `pub(crate)` plumbing behind [`crate::cluster::ClusterEvaluator`].
 
-use crate::cluster::{ClusterSpec, FleetLoop, ReplicaReport, ReplicaSpec};
-use crate::engine::ReplicaEngine;
+use crate::cluster::{ClusterSpec, FleetLoop, Pool, ReplicaReport, ReplicaSpec};
 use crate::router::{ReplicaId, ReplicaView, Router, RouterCtx, RouterIndex};
 use moe_hardware::{Bandwidth, Seconds};
 use moe_workload::{Request, RequestLatency};
@@ -520,9 +521,9 @@ impl Router for PrefixAware {
 
 impl ReplicaSpec {
     /// Assigns the replica to a disaggregated pool (default
-    /// [`ReplicaRole::Unified`]). Any non-unified role puts the whole run in
-    /// disaggregated dispatch: arrivals go to prefill/unified replicas and
-    /// prefill-pool KV migrates to decode/unified replicas.
+    /// [`ReplicaRole::Unified`]). Any non-unified role gives the run role
+    /// pools: arrivals go to prefill/unified replicas and prefill-pool KV
+    /// migrates to decode/unified replicas.
     pub fn with_role(mut self, role: ReplicaRole) -> Self {
         self.role = role;
         self
@@ -561,7 +562,7 @@ impl ClusterSpec {
     }
 
     /// Whether any replica (or the autoscaler's scale template) is assigned
-    /// to a non-unified pool — the switch into disaggregated dispatch.
+    /// to a non-unified pool — the switch into role pools and KV handoff.
     pub fn has_role_pools(&self) -> bool {
         self.replicas.iter().any(|r| r.role != ReplicaRole::Unified)
             || self
@@ -586,7 +587,7 @@ pub(crate) struct MigrationInFlight {
 /// runs on a prefill replica).
 #[derive(Debug, Default)]
 pub(crate) struct DisaggState {
-    /// Whether the run dispatches disaggregated (any non-unified role).
+    /// Whether the run has role pools (any non-unified role).
     pub(crate) enabled: bool,
     /// KV transfers currently on the wire, unordered (popped by `(at, seq)`).
     pub(crate) migrations: Vec<MigrationInFlight>,
@@ -638,6 +639,22 @@ impl DisaggState {
         self.migrations.swap_remove(i)
     }
 
+    /// The request a replica of `role` is handed for `request`: a
+    /// generation-bearing request on a prefill replica runs as a
+    /// prefill-only stub (`gen_len` 0), its original parked in the handoff
+    /// ledger until the stub's prompt wave completes.
+    pub(crate) fn stub_for(&mut self, request: Request, role: ReplicaRole) -> Request {
+        if role != ReplicaRole::Prefill || request.gen_len == 0 {
+            return request;
+        }
+        self.handoff_origin.insert(request.id, request);
+        self.awaiting.insert(request.id);
+        Request {
+            gen_len: 0,
+            ..request
+        }
+    }
+
     /// Drains every in-flight migration headed to `dest` (its KV dies with
     /// the replica), in request-id order.
     fn take_migrations_to(&mut self, dest: usize) -> Vec<Request> {
@@ -655,68 +672,7 @@ impl DisaggState {
     }
 }
 
-/// Whether an arrival may be routed to `engine` under disaggregated dispatch:
-/// prefill replicas only ever hold the prompt's KV (the stub generates
-/// nothing), unified replicas need the full context to fit.
-fn arrival_fits(engine: &ReplicaEngine, request: &Request) -> bool {
-    match engine.role {
-        ReplicaRole::Prefill => request.input_len <= engine.batching.cache_tokens_per_micro_batch,
-        _ => engine.can_ever_serve(request),
-    }
-}
-
 impl FleetLoop<'_> {
-    /// Disaggregated dispatch: arrivals are offered the prefill∪unified
-    /// serving pool (one linear scan — role filters preclude the router
-    /// index's whole-fleet fast path, and disaggregated fleets are small).
-    /// A generation-bearing request routed to a prefill replica is enqueued
-    /// as a prefill-only *stub* (`gen_len` 0) and its original parked in the
-    /// handoff ledger; everything else is served in place.
-    pub(crate) fn dispatch_disagg(&mut self, request: Request, now: Seconds, screen: bool) {
-        let views: Vec<ReplicaView> = self
-            .engines
-            .iter()
-            .filter(|e| e.is_serving() && e.role.takes_arrivals() && arrival_fits(e, &request))
-            .map(|e| e.view())
-            .collect();
-        if views.is_empty() {
-            self.abort(request, now);
-            return;
-        }
-        let chosen = self.spec.router.route(&request, &views, &mut self.ctx);
-        self.ctx.decision += 1;
-        let id = if views.iter().any(|v| v.id == chosen) {
-            chosen
-        } else {
-            views[0].id
-        };
-        self.note_routed(&request, id, views.len(), now);
-        if screen {
-            let projected = self.engines[id.0].projected_ttft(&request);
-            let view = views
-                .iter()
-                .find(|v| v.id == id)
-                .expect("chosen id resolved against the offered views");
-            if !self.spec.admission.admit(&request, projected, view) {
-                self.reject(request, id, projected, now);
-                return;
-            }
-        }
-        self.note_admitted(&request, id, now);
-        if self.engines[id.0].role == ReplicaRole::Prefill && request.gen_len > 0 {
-            self.disagg.handoff_origin.insert(request.id, request);
-            self.disagg.awaiting.insert(request.id);
-            let stub = Request {
-                gen_len: 0,
-                ..request
-            };
-            self.engines[id.0].enqueue(stub, now);
-        } else {
-            self.engines[id.0].enqueue(request, now);
-        }
-        self.mark_dirty(id.0);
-    }
-
     /// Completion interception for prefill stubs: when a stub's prompt wave
     /// finishes, its KV starts migrating instead of the completion reaching
     /// the router callback or the autoscaler window. Returns whether the
@@ -735,30 +691,18 @@ impl FleetLoop<'_> {
         true
     }
 
-    /// Picks a decode-capable destination with the scenario's router and puts
-    /// the KV slice on the wire: the transfer is priced by the source
+    /// Places the KV slice on a decode-capable replica of the migration pool
+    /// and puts it on the wire: the transfer is priced by the source
     /// replica's cost model over the fleet interconnect, and the destination
     /// reserves `max_context` KV headroom for the whole flight.
     fn start_migration(&mut self, origin: Request, from: usize, t: Seconds) {
-        let views: Vec<ReplicaView> = self
-            .engines
-            .iter()
-            .filter(|e| e.is_serving() && e.role.takes_migrations() && e.can_ever_serve(&origin))
-            .map(|e| e.view())
-            .collect();
-        if views.is_empty() {
+        let Some((dest, _)) = self.place(&origin, Pool::Migrations) else {
             // No decode-capable replica is alive: the prefill was wasted work
             // and the request is aborted at fleet level.
             self.abort(origin, t);
             return;
-        }
-        let chosen = self.spec.router.route(&origin, &views, &mut self.ctx);
-        self.ctx.decision += 1;
-        let dest = if views.iter().any(|v| v.id == chosen) {
-            chosen
-        } else {
-            views[0].id
         };
+        let dest = dest.id;
         let interconnect = self.spec.interconnect;
         let delay = self.engines[from].evaluator.cost_model().kv_migrate(
             origin.input_len,

@@ -468,12 +468,6 @@ impl ReplicaEngine {
         self.kv_migrating_in = self.kv_migrating_in.saturating_sub(tokens);
     }
 
-    /// Whether the request could ever be admitted here: its own prompt +
-    /// generation fits the per-micro-batch KV budget.
-    pub(crate) fn can_ever_serve(&self, request: &Request) -> bool {
-        request.max_context() <= self.batching.cache_tokens_per_micro_batch
-    }
-
     fn kv_capacity(&self) -> u64 {
         self.batching.cache_tokens_per_micro_batch * self.batching.num_micro_batches as u64
     }
@@ -1032,6 +1026,32 @@ impl ReplicaEngine {
         credited
     }
 
+    /// The decode-step latency of micro-batches holding `occupancy` requests
+    /// at mean decode `contexts`, memoized on exactly that pair. `load`
+    /// yields the batch policy and workload shape a miss is costed with; a
+    /// hit never calls it, so the work of deriving them is skipped.
+    fn cost_step(
+        &mut self,
+        occupancy: &[u64],
+        contexts: &[u64],
+        load: impl FnOnce(&Self) -> (Policy, WorkloadShape),
+    ) -> Result<Seconds, EngineError> {
+        let key = (occupancy.to_vec(), contexts.to_vec());
+        if let Some(&step) = self.step_memo.get(&key) {
+            return Ok(step);
+        }
+        let (policy, shape) = load(self);
+        let step = self.evaluator.decode_step_latency_with_loads(
+            self.schedule,
+            &policy,
+            &shape,
+            Some(&key.0),
+            Some(&key.1),
+        )?;
+        self.step_memo.insert(key, step);
+        Ok(step)
+    }
+
     /// Re-derives the decode-step latency for the current occupancy and KV
     /// load, resetting the segment origin (memoized like the single-node
     /// loop).
@@ -1053,13 +1073,17 @@ impl ReplicaEngine {
             .filter(|p| p.requests > 0)
             .map(|p| mean_decode_context(p.prompt_tokens, p.cache_tokens, p.requests as u64))
             .collect();
-        let key = (occupancy.clone(), contexts.clone());
-        if let Some(&step) = self.step_memo.get(&key) {
-            self.step = step;
-            self.recent_step = Some((step, self.active.len() as u64));
-            self.note_decode_rate(step, self.active.len() as u64);
-            return Ok(());
-        }
+        let step = self.cost_step(&occupancy, &contexts, Self::active_load)?;
+        let total_active = self.active.len() as u64;
+        self.step = step;
+        self.recent_step = Some((step, total_active));
+        self.note_decode_rate(step, total_active);
+        Ok(())
+    }
+
+    /// The batch policy and workload shape of the decoding requests, for
+    /// costing a decode step of the continuous pipeline.
+    fn active_load(&self) -> (Policy, WorkloadShape) {
         let total_active = self.active.len() as u64;
         let prompt_sum: u64 = self.active.iter().map(|a| a.request.input_len).sum();
         let mean_prompt = prompt_sum.div_ceil(total_active).max(1);
@@ -1070,24 +1094,12 @@ impl ReplicaEngine {
             .max()
             .unwrap_or(1)
             .max(1);
-        let shape = WorkloadShape::new(mean_prompt, max_gen);
         let policy = Policy {
             batch_size: total_active,
             micro_batch_size: self.policy.micro_batch_size.min(total_active),
             ..self.policy
         };
-        let step = self.evaluator.decode_step_latency_with_loads(
-            self.schedule,
-            &policy,
-            &shape,
-            Some(&occupancy),
-            Some(&contexts),
-        )?;
-        self.step_memo.insert(key, step);
-        self.step = step;
-        self.recent_step = Some((step, self.active.len() as u64));
-        self.note_decode_rate(step, self.active.len() as u64);
-        Ok(())
+        (policy, WorkloadShape::new(mean_prompt, max_gen))
     }
 
     fn step_rtc(&mut self, t: Seconds) -> Result<Vec<RequestLatency>, EngineError> {
@@ -1181,21 +1193,7 @@ impl ReplicaEngine {
             micro_batch_size: self.policy.micro_batch_size.min(requests),
             ..self.policy
         };
-        let key = (occupancy.clone(), contexts.clone());
-        let step = match self.step_memo.get(&key) {
-            Some(&s) => s,
-            None => {
-                let s = self.evaluator.decode_step_latency_with_loads(
-                    self.schedule,
-                    &policy,
-                    &shape,
-                    Some(&occupancy),
-                    Some(&contexts),
-                )?;
-                self.step_memo.insert(key, s);
-                s
-            }
-        };
+        let step = self.cost_step(&occupancy, &contexts, |_| (policy, shape))?;
         // Credited tokens skip the prompt pass only; the decode step above
         // was costed on the full context, which still occupies KV here.
         let credited = self.credit_admitted(

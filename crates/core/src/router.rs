@@ -10,7 +10,8 @@
 //! lives in [`crate::cluster`]; the per-replica state the views are snapshots
 //! of lives in [`crate::engine`].
 
-use crate::disagg::CacheStats;
+use crate::cluster::Pool;
+use crate::disagg::{CacheStats, ReplicaRole};
 use moe_hardware::Seconds;
 use moe_workload::Request;
 use rand::rngs::StdRng;
@@ -134,15 +135,15 @@ type KvHeapEntry = Reverse<(u64, u64, usize, u64)>;
 pub struct RouterIndex {
     /// Cached views of serving replicas, ascending by replica id.
     views: Vec<ReplicaView>,
-    /// Per-micro-batch KV budgets, parallel to `views`.
-    budgets: Vec<u64>,
+    /// Pool role and per-micro-batch KV budget, parallel to `views`.
+    budgets: Vec<(ReplicaRole, u64)>,
     /// Replica id → position in `views` ([`ABSENT`] when not serving).
     pos: Vec<usize>,
     /// Replica id → generation stamp for lazy heap invalidation.
     stamp: Vec<u64>,
-    /// The tightest per-micro-batch KV budget across serving replicas: a
-    /// request at or under it is maskable nowhere, so the full cached slice
-    /// is the offer.
+    /// The tightest per-micro-batch KV budget across serving replicas: in a
+    /// run without role pools a request at or under it is maskable nowhere,
+    /// so the full cached slice is the offer.
     pub(crate) min_budget: u64,
     /// Min-heap on `(outstanding_tokens, id, stamp)`.
     out_heap: RefCell<BinaryHeap<Reverse<(u64, usize, u64)>>>,
@@ -235,7 +236,7 @@ impl RouterIndex {
     }
 
     /// Inserts or refreshes one serving replica's view.
-    pub(crate) fn upsert(&mut self, view: ReplicaView, budget: u64) {
+    pub(crate) fn upsert(&mut self, view: ReplicaView, role: ReplicaRole, budget: u64) {
         let id = view.id.0;
         if self.pos.len() <= id {
             self.pos.resize(id + 1, ABSENT);
@@ -246,11 +247,11 @@ impl RouterIndex {
             // provisioning can finish out of id order, hence the search.
             let at = self.views.partition_point(|v| v.id.0 < id);
             self.views.insert(at, view);
-            self.budgets.insert(at, budget);
+            self.budgets.insert(at, (role, budget));
             for (p, v) in self.views.iter().enumerate().skip(at) {
                 self.pos[v.id.0] = p;
             }
-            self.min_budget = self.budgets.iter().copied().min().unwrap_or(u64::MAX);
+            self.min_budget = self.budgets.iter().map(|b| b.1).min().unwrap_or(u64::MAX);
         } else {
             self.views[self.pos[id]] = view;
         }
@@ -274,7 +275,7 @@ impl RouterIndex {
         for (p, v) in self.views.iter().enumerate().skip(at) {
             self.pos[v.id.0] = p;
         }
-        self.min_budget = self.budgets.iter().copied().min().unwrap_or(u64::MAX);
+        self.min_budget = self.budgets.iter().map(|b| b.1).min().unwrap_or(u64::MAX);
     }
 
     fn push_heaps(&mut self, view: &ReplicaView) {
@@ -308,12 +309,12 @@ impl RouterIndex {
     }
 
     /// The offer for a request some replicas are masked for: every serving
-    /// replica whose per-micro-batch KV budget admits the request alone.
-    pub(crate) fn eligible_views(&self, request: &Request) -> Vec<ReplicaView> {
+    /// replica `pool` admits it to.
+    pub(crate) fn eligible_views(&self, request: &Request, pool: Pool) -> Vec<ReplicaView> {
         self.views
             .iter()
             .zip(&self.budgets)
-            .filter(|(_, &budget)| request.max_context() <= budget)
+            .filter(|(_, &(role, budget))| pool.admits(role, budget, request))
             .map(|(view, _)| *view)
             .collect()
     }

@@ -7,8 +7,9 @@
 
 use moe_lightning::{
     builtin_routers, ClusterEvaluator, ClusterReport, ClusterSpec, EvalSetting, FleetTimeline,
-    InterconnectSpec, LeastOutstandingTokens, NodeSpec, Policy, PrefixAware, ReplicaId,
+    InterconnectSpec, LeastOutstandingTokens, NodeSpec, Policy, PrefixAware, Recorder, ReplicaId,
     ReplicaRole, ReplicaSpec, Router, Seconds, ServingMode, StickySession, SystemKind,
+    TelemetryEvent,
 };
 use moe_workload::{ArrivalProcess, GenLens, Request, WorkloadSpec};
 use proptest::prelude::*;
@@ -152,6 +153,89 @@ fn indexed_loop_matches_scan_in_disagg_mode() {
             assert_reports_identical(&want, &got, &format!("{name} [{mode}] disagg"));
         }
     }
+}
+
+/// With both decode replicas of a 2p+2d fleet dead (short generations, so
+/// they serve before they die), the migration pool is empty: every later
+/// arrival still runs its prompt wave on a prefill replica and is then
+/// aborted at fleet level at handoff. Conservation holds and the scan and
+/// indexed loops agree.
+#[test]
+fn an_empty_migration_pool_aborts_at_handoff() {
+    let last_failure = secs(110.0);
+    for mode in MODES {
+        let label = format!("empty decode pool [{mode}]");
+        let spec = || {
+            split_fleet(2, 300, 11, mode).with_gen_len(8).with_timeline(
+                FleetTimeline::new()
+                    .fail_at(secs(100.0), ReplicaId(2))
+                    .fail_at(last_failure, ReplicaId(3)),
+            )
+        };
+        let want = scan().run(&spec()).unwrap();
+        let recorder = Arc::new(Recorder::new());
+        let got = evaluator()
+            .run(&spec().with_telemetry(recorder.clone()))
+            .unwrap();
+        assert_reports_identical(&want, &got, &label);
+        assert_conserved(&got, 300, &label);
+        let events = recorder.events();
+        let late: Vec<&Request> = got
+            .fleet_aborted
+            .iter()
+            .filter(|r| r.arrival > last_failure)
+            .collect();
+        assert!(
+            got.served_requests() > 0,
+            "{label}: the decode pool must serve before it dies"
+        );
+        assert!(
+            got.latencies()
+                .iter()
+                .all(|l| l.request.arrival <= last_failure),
+            "{label}: no request arriving after the last decode failure may be served"
+        );
+        assert!(
+            !late.is_empty(),
+            "{label}: later arrivals must reach handoff"
+        );
+        for request in late {
+            let prefilled = events.iter().any(|e| {
+                matches!(*e, TelemetryEvent::Admitted { id, replica, .. }
+                    if id == request.id && replica < 2)
+            });
+            let aborted_at = events.iter().find_map(|e| match *e {
+                TelemetryEvent::Aborted { id, at } if id == request.id => Some(at),
+                _ => None,
+            });
+            assert!(
+                prefilled && aborted_at.is_some_and(|at| at > request.arrival.as_secs()),
+                "{label}: request {} must run prefill, then abort at handoff",
+                request.id
+            );
+        }
+    }
+}
+
+/// Role pools are fixed by the spec: in a run without them, a prefill
+/// replica joined by the timeline serves whole requests like a unified one
+/// and hands nothing off.
+#[test]
+fn a_prefill_joiner_in_a_unified_run_serves_unified() {
+    let joiner = ReplicaSpec::new(NodeSpec::t4_single())
+        .with_policy(policy())
+        .with_role(ReplicaRole::Prefill);
+    let spec = split_fleet(0, 200, 11, ServingMode::Continuous).with_timeline(
+        FleetTimeline::new()
+            .join_at(secs(10.0), joiner)
+            .with_provisioning_delay(secs(5.0)),
+    );
+    let report = evaluator().run(&spec).unwrap();
+    assert_conserved(&report, 200, "prefill joiner");
+    assert!(
+        report.replicas[4].report.served_requests() > 0,
+        "the joiner must serve whole requests"
+    );
 }
 
 /// Prefill replicas do real prompt work but never deliver a generation:
