@@ -1,9 +1,9 @@
 //! Cluster-level serving: a fleet of replicas behind a pluggable request
 //! [`Router`].
 //!
-//! The single-node serving loop ([`crate::ServingSession`], driven by a
-//! [`ServeSpec`] through [`SystemEvaluator::run`]) is the one-replica special
-//! case of this layer. A [`ClusterSpec`] describes a fleet of N replicas —
+//! Single-node serving ([`crate::ServingSession`], and a [`crate::ServeSpec`]
+//! through [`SystemEvaluator::run`]) runs as a 1-replica fleet on this
+//! layer's one driver loop. A [`ClusterSpec`] describes a fleet of N replicas —
 //! each an optionally heterogeneous [`moe_hardware::NodeSpec`] with its own
 //! policy and [`Scheduler`] (e.g. a mixed T4/L4 fleet) — plus the fleet-wide
 //! workload: arrivals are sampled **once** for the whole fleet (an
@@ -38,7 +38,7 @@ use crate::engine::{
     batching_for, EngineError, Lifecycle, ReplicaEngine, SystemEvaluator, WindowEvent,
 };
 use crate::observe::ObsState;
-use crate::serving::{ServeSpec, ServingMode, ServingReport};
+use crate::serving::{ServingMode, ServingReport};
 use crate::system::SystemKind;
 use crate::tap::ArrivalTap;
 use moe_hardware::{NodeSpec, Seconds, TimeKey};
@@ -158,9 +158,9 @@ impl ReplicaSpec {
 /// the [`Router`], and an optional [`SloSpec`]. Consumed by
 /// [`ClusterEvaluator::run`].
 ///
-/// A single-node [`ServeSpec`] lifts into a cluster with
-/// [`ServeSpec::into_cluster`]; a one-replica cluster reproduces the
-/// single-node scenario.
+/// A single-node [`crate::ServeSpec`] is this spec without replicas, and
+/// lifts into a cluster with [`crate::ServeSpec::into_cluster`]; a
+/// one-replica cluster reproduces the single-node scenario.
 #[derive(Debug, Clone)]
 pub struct ClusterSpec {
     pub(crate) system: SystemKind,
@@ -186,9 +186,10 @@ pub struct ClusterSpec {
 }
 
 impl ClusterSpec {
-    /// An empty-fleet scenario with the same defaults as [`ServeSpec::new`]:
-    /// 1000 requests, the workload's first default generation length, seed 0,
-    /// round-to-completion mode, immediate arrivals, [`RoundRobin`] routing.
+    /// An empty-fleet scenario with the defaults [`crate::ServeSpec::new`]
+    /// shares: 1000 requests, the workload's first default generation
+    /// length, seed 0, round-to-completion mode, immediate arrivals,
+    /// [`RoundRobin`] routing.
     /// Add replicas with [`Self::with_replica`] / [`Self::with_node`].
     pub fn new(system: SystemKind, workload: WorkloadSpec) -> Self {
         let gen = GenLens::Uniform(workload.default_gen_lens.first().copied().unwrap_or(128));
@@ -407,49 +408,6 @@ impl ClusterSpec {
     /// The injected membership-event schedule.
     pub fn timeline(&self) -> &FleetTimeline {
         &self.timeline
-    }
-}
-
-impl ServeSpec {
-    /// Lifts this single-node scenario into a cluster over `fleet`: every
-    /// replica inherits the spec's scheduler (and policy override, if any),
-    /// and the queue axes (count, generation lengths, seed, mode, arrivals)
-    /// carry over unchanged. Routing defaults to [`RoundRobin`]; a one-node
-    /// fleet reproduces the single-node scenario.
-    pub fn into_cluster(self, fleet: impl IntoIterator<Item = NodeSpec>) -> ClusterSpec {
-        let replicas: Vec<ReplicaSpec> = fleet
-            .into_iter()
-            .map(|node| {
-                let mut replica =
-                    ReplicaSpec::new(node).with_scheduler(Arc::clone(&self.scheduler));
-                if let Some(policy) = self.policy {
-                    replica = replica.with_policy(policy);
-                }
-                replica
-            })
-            .collect();
-        ClusterSpec {
-            system: self.system,
-            workload: self.workload,
-            replicas,
-            count: self.count,
-            gen: self.gen,
-            seed: self.seed,
-            mode: self.mode,
-            arrivals: self.arrivals,
-            router: Arc::new(RoundRobin),
-            slo: None,
-            timeline: FleetTimeline::new(),
-            autoscaler: None,
-            admission: Arc::new(AdmitAll),
-            scale_template: None,
-            fleet_scaled_arrivals: false,
-            queue: self.queue,
-            tap: self.tap,
-            telemetry: self.telemetry,
-            interconnect: InterconnectSpec::default(),
-            prefix_cache: None,
-        }
     }
 }
 
@@ -730,13 +688,13 @@ impl ClusterEvaluator {
         spec: &ClusterSpec,
         replica: &ReplicaSpec,
         index: usize,
-        policy_gen: u64,
         policy_cache: &mut Vec<(NodeSpec, Policy)>,
     ) -> Result<ReplicaEngine, EngineError> {
         let mut evaluator = SystemEvaluator::new(replica.node.clone(), self.model.clone());
         if let Some(layers) = self.simulated_layers {
             evaluator = evaluator.with_simulated_layers(layers);
         }
+        let policy_gen = spec.gen.policy_gen_for(&spec.workload);
         let shape = evaluator.workload_shape(spec.system, &spec.workload, policy_gen);
         // The policy search only depends on the node within one run (system,
         // workload and policy generation are fixed), so a homogeneous
@@ -786,13 +744,28 @@ impl ClusterEvaluator {
     pub fn run(&self, spec: &ClusterSpec) -> Result<ClusterReport, EngineError> {
         spec.validate()
             .map_err(|reason| EngineError::InvalidClusterSpec { reason })?;
-        let policy_gen = spec.gen.policy_gen_for(&spec.workload);
         let mut policy_cache: Vec<(NodeSpec, Policy)> = Vec::new();
         let mut engines: Vec<ReplicaEngine> = Vec::with_capacity(spec.replicas.len());
         for (index, replica) in spec.replicas.iter().enumerate() {
-            engines.push(self.build_engine(spec, replica, index, policy_gen, &mut policy_cache)?);
+            engines.push(self.build_engine(spec, replica, index, &mut policy_cache)?);
         }
+        self.drive(spec, engines, policy_cache)
+    }
 
+    /// The one driver loop: realizes `spec`'s fleet-wide queue, serves it on
+    /// `engines` (replica `i` is `engines[i]`) on a merged global clock, and
+    /// assembles the report. `policy_cache` seeds the per-node policy memo
+    /// that joins share (see [`Self::build_engine`]).
+    ///
+    /// `spec.replicas` is only read for the autoscaler's default scale
+    /// template and the role pools, so single-node serving drives its one
+    /// engine under a replica-less spec.
+    pub(crate) fn drive(
+        &self,
+        spec: &ClusterSpec,
+        engines: Vec<ReplicaEngine>,
+        policy_cache: Vec<(NodeSpec, Policy)>,
+    ) -> Result<ClusterReport, EngineError> {
         // One fleet-wide queue: arrivals are sampled once, not per replica.
         // Under fleet-scaled arrivals the stamp seed matches the pre-stamped
         // path so a static fleet reproduces `with_arrivals(scaled(n))`.
@@ -824,14 +797,9 @@ impl ClusterEvaluator {
         let mut cursor = 0usize;
         let fleet_size = engines.len();
         let indexed = !self.scan_loop;
-        let threads = match self.shard_threads {
-            Some(n) => n,
-            None => std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-        };
         let mut plane = FleetLoop {
             cluster: self,
             spec,
-            policy_gen,
             engines,
             ctx: RouterCtx::new(spec.seed.wrapping_mul(0x9e37_79b9).wrapping_add(0x7f4a)),
             fleet_aborted: Vec::new(),
@@ -845,7 +813,7 @@ impl ClusterEvaluator {
             recent: Vec::new(),
             last_scale: None,
             indexed,
-            threads,
+            threads: self.shard_threads,
             events: EventHeap::default(),
             index: RouterIndex::new(),
             dirty: Vec::new(),
@@ -883,8 +851,7 @@ impl ClusterEvaluator {
             // the dead replica — then arrivals, then replica-internal events,
             // so a batch of co-timed requests (e.g. the offline
             // all-at-time-zero queue, or one burst) is fully routed before any
-            // replica forms a round from it, the same ingest-then-schedule
-            // order as the single-node loop.
+            // replica forms a round from it (ingest, then schedule).
             let timeline_next = (cursor < timeline.len()).then(|| timeline[cursor].0);
             let ready_next = plane.next_provisioning_ready();
             // Timeline actions win ties (an injected failure at the exact
@@ -1027,7 +994,7 @@ impl ClusterEvaluator {
 /// for [`Autoscaler`] observations.
 const RECENT_COMPLETION_WINDOW: usize = 128;
 
-/// Which control-class event fires next in [`ClusterEvaluator::run`]'s merged
+/// Which control-class event fires next in [`ClusterEvaluator::drive`]'s merged
 /// loop: a timeline action, a provisioning completion, or a KV-migration
 /// landing.
 #[derive(Debug, Clone, Copy)]
@@ -1064,13 +1031,12 @@ impl Pool {
     }
 }
 
-/// The mutable state of one [`ClusterEvaluator::run`] invocation: the replica
+/// The mutable state of one [`ClusterEvaluator::drive`] invocation: the replica
 /// event machines plus the control plane's bookkeeping (membership, admission,
 /// autoscaling, availability accounting).
 pub(crate) struct FleetLoop<'a> {
     cluster: &'a ClusterEvaluator,
     pub(crate) spec: &'a ClusterSpec,
-    policy_gen: u64,
     pub(crate) engines: Vec<ReplicaEngine>,
     pub(crate) ctx: RouterCtx,
     pub(crate) fleet_aborted: Vec<Request>,
@@ -1088,8 +1054,9 @@ pub(crate) struct FleetLoop<'a> {
     /// [`ClusterEvaluator::with_scan_loop`]).
     indexed: bool,
     /// Worker threads for sharded replica stepping inside
-    /// [`FleetLoop::step_window`].
-    threads: usize,
+    /// [`FleetLoop::step_window`]: the evaluator's cap, else resolved from
+    /// the machine on first use (see [`FleetLoop::shard_threads`]).
+    threads: Option<usize>,
     /// Min-heap over each replica's next internal event (indexed loop only).
     events: EventHeap,
     /// Incrementally maintained serving-replica views for routing (indexed
@@ -1399,13 +1366,9 @@ impl FleetLoop<'_> {
     /// timeline's provisioning delay.
     fn join_replica(&mut self, template: &ReplicaSpec, now: Seconds) -> Result<(), EngineError> {
         let index = self.engines.len();
-        let mut engine = self.cluster.build_engine(
-            self.spec,
-            template,
-            index,
-            self.policy_gen,
-            &mut self.policy_cache,
-        )?;
+        let mut engine =
+            self.cluster
+                .build_engine(self.spec, template, index, &mut self.policy_cache)?;
         engine.lifecycle = Lifecycle::Provisioning {
             ready_at: now + self.spec.timeline.provisioning_delay(),
         };
@@ -1601,13 +1564,13 @@ impl FleetLoop<'_> {
     /// Processes the replica-internal events due strictly before `bound`
     /// (all pending events when `bound` is `None`). Indexed loop only, and
     /// only in runs without an autoscaler or role pools, which step one
-    /// event at a time (see [`ClusterEvaluator::run`]).
+    /// event at a time (see [`ClusterEvaluator::drive`]).
     ///
     /// Between two global sync points (arrivals, timeline actions,
     /// provisioning completions) replicas do not interact, so each due
     /// replica's event chain is drained independently — sharded across
-    /// `self.threads` workers when enough replicas are due — and the settled
-    /// events are merged back in `(time, replica index)` order. That is
+    /// [`Self::shard_threads`] workers when enough replicas are due — and the
+    /// settled events are merged back in `(time, replica index)` order. That is
     /// exactly the scan loop's one-global-min-at-a-time processing order:
     /// ties go to the lower replica index, and each replica's own events stay
     /// chronological.
@@ -1629,51 +1592,55 @@ impl FleetLoop<'_> {
             return Ok(());
         }
 
-        let batches: Vec<(usize, Vec<WindowEvent>)> =
-            if self.threads <= 1 || due.len() < MIN_SHARD_REPLICAS {
-                let mut out = Vec::with_capacity(due.len());
-                for index in due {
-                    out.push((index, self.engines[index].drain_window(bound)?));
-                }
-                out
-            } else {
-                let mut is_due = vec![false; self.engines.len()];
-                for &index in &due {
-                    is_due[index] = true;
-                }
-                let mut workers: Vec<(usize, &mut ReplicaEngine)> = self
-                    .engines
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, _)| is_due[*i])
-                    .collect();
-                let per_worker = workers.len().div_ceil(self.threads);
-                let results: Vec<ShardOutcome> = crossbeam::thread::scope(|s| {
-                    let handles: Vec<_> = workers
-                        .chunks_mut(per_worker)
-                        .map(|shard| {
-                            s.spawn(move || {
-                                shard
-                                    .iter_mut()
-                                    .map(|(index, engine)| {
-                                        engine.drain_window(bound).map(|events| (*index, events))
-                                    })
-                                    .collect::<ShardOutcome>()
-                            })
+        let threads = if due.len() < MIN_SHARD_REPLICAS {
+            1
+        } else {
+            self.shard_threads()
+        };
+        let batches: Vec<(usize, Vec<WindowEvent>)> = if threads <= 1 {
+            let mut out = Vec::with_capacity(due.len());
+            for index in due {
+                out.push((index, self.engines[index].drain_window(bound)?));
+            }
+            out
+        } else {
+            let mut is_due = vec![false; self.engines.len()];
+            for &index in &due {
+                is_due[index] = true;
+            }
+            let mut workers: Vec<(usize, &mut ReplicaEngine)> = self
+                .engines
+                .iter_mut()
+                .enumerate()
+                .filter(|(i, _)| is_due[*i])
+                .collect();
+            let per_worker = workers.len().div_ceil(threads);
+            let results: Vec<ShardOutcome> = crossbeam::thread::scope(|s| {
+                let handles: Vec<_> = workers
+                    .chunks_mut(per_worker)
+                    .map(|shard| {
+                        s.spawn(move || {
+                            shard
+                                .iter_mut()
+                                .map(|(index, engine)| {
+                                    engine.drain_window(bound).map(|events| (*index, events))
+                                })
+                                .collect::<ShardOutcome>()
                         })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard worker panicked"))
-                        .collect()
-                })
-                .expect("scope never errors");
-                let mut out = Vec::with_capacity(due.len());
-                for result in results {
-                    out.extend(result?);
-                }
-                out
-            };
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("shard worker panicked"))
+                    .collect()
+            })
+            .expect("scope never errors");
+            let mut out = Vec::with_capacity(due.len());
+            for result in results {
+                out.extend(result?);
+            }
+            out
+        };
 
         // Merge the per-replica chronological event lists back into the
         // reference loop's global processing order (stable on equal keys, so
@@ -1690,6 +1657,16 @@ impl FleetLoop<'_> {
             }
         }
         Ok(())
+    }
+
+    /// The shard worker count: the evaluator's cap, else the machine's
+    /// available parallelism capped at 8, resolved on the first window with
+    /// enough due replicas to shard. A run that never shards (every
+    /// 1-replica run) never queries the machine.
+    fn shard_threads(&mut self) -> usize {
+        *self.threads.get_or_insert_with(|| {
+            std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
+        })
     }
 }
 
@@ -1757,7 +1734,7 @@ mod tests {
 
     #[test]
     fn serve_spec_lifts_into_a_cluster() {
-        let spec = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+        let spec = crate::ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
             .with_count(64)
             .with_seed(3)
             .with_mode(ServingMode::Continuous)
@@ -1914,25 +1891,43 @@ mod tests {
         }
     }
 
+    /// The session path (its own engine) and the `into_cluster` path
+    /// (`build_engine`) share the driver loop, so a 1-replica cluster must
+    /// reproduce the single-node report exactly, fleet aborts first.
     #[test]
     fn one_replica_cluster_serves_every_request_like_a_single_node() {
-        let spec = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
-            .with_count(120)
-            .with_gen_len(32)
-            .with_seed(9)
-            .with_mode(ServingMode::Continuous);
-        let single = SystemEvaluator::new(EvalSetting::S1.node(), EvalSetting::S1.model())
-            .run(&spec.clone())
-            .unwrap();
-        let cluster = ClusterEvaluator::new(EvalSetting::S1.model())
-            .run(&spec.into_cluster(vec![EvalSetting::S1.node()]))
-            .unwrap();
-        assert_eq!(cluster.replicas.len(), 1);
-        assert_eq!(cluster.served_requests(), single.served_requests());
-        assert_eq!(
-            cluster.totals.generated_tokens,
-            single.totals.generated_tokens
-        );
-        assert!(cluster.fleet_aborted.is_empty());
+        let workload = WorkloadSpec::mtbench();
+        let single = SystemEvaluator::new(EvalSetting::S1.node(), EvalSetting::S1.model());
+        let fleet = ClusterEvaluator::new(EvalSetting::S1.model());
+        for system in [SystemKind::MoeLightning, SystemKind::MoeLightningPadded] {
+            let mut queue = workload.synthesize_queue(
+                120,
+                GenLens::Uniform(32),
+                9,
+                system.pads_requests(),
+                &ArrivalProcess::Poisson { rate_per_sec: 2.0 },
+            );
+            let mut oversized = Request::new(120, 60_000, 32);
+            oversized.arrival = queue[60].arrival;
+            queue.push(oversized);
+            for mode in [ServingMode::RoundToCompletion, ServingMode::Continuous] {
+                let spec = crate::ServeSpec::new(system, workload.clone())
+                    .with_gen_len(32)
+                    .with_mode(mode)
+                    .with_queue(queue.clone());
+                let expected = single.run(&spec).unwrap();
+                let cluster = fleet
+                    .run(&spec.into_cluster([EvalSetting::S1.node()]))
+                    .unwrap();
+                assert_eq!(cluster.replicas.len(), 1);
+                assert_eq!(cluster.fleet_aborted, vec![oversized]);
+                let mut report = cluster.replicas[0].report.clone();
+                let mut aborted = cluster.fleet_aborted.clone();
+                aborted.append(&mut report.aborted);
+                report.aborted = aborted;
+                assert_eq!(report, expected, "{system:?} [{mode}]");
+                assert_eq!(expected.served_requests(), 120, "{system:?} [{mode}]");
+            }
+        }
     }
 }

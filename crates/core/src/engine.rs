@@ -1,13 +1,10 @@
 //! The one serving engine: [`ReplicaEngine`], the per-replica event machine
 //! every serving path in this crate runs on.
 //!
-//! Both execution layers drive the same machine:
-//!
-//! * the single-node [`crate::ServingSession`] serves a queue on a 1-replica
-//!   engine, interleaving arrivals with the engine's internal events on one
-//!   clock;
-//! * the cluster layer ([`crate::cluster::ClusterEvaluator`]) interleaves many
-//!   engines on one *global* clock behind a [`crate::router::Router`].
+//! One driver loop runs it: the cluster layer
+//! ([`crate::cluster::ClusterEvaluator`]) interleaves the engines on one
+//! *global* clock behind a [`crate::router::Router`], and the single-node
+//! [`crate::ServingSession`] is that loop over a 1-replica fleet.
 //!
 //! The engine exposes serving as a discrete-event interface: [`ReplicaEngine::enqueue`]
 //! accepts a routed request and arms the next admission instant,
@@ -116,10 +113,10 @@ pub(crate) struct WindowEvent {
     pub(crate) departed: bool,
 }
 
-/// The per-replica serving state machine: both single-node serving loops
-/// re-expressed as an event interface ([`Self::next_event`] /
-/// [`Self::step_to`]) so one replica can serve a queue on its own clock and a
-/// cluster can interleave many replicas on one global clock.
+/// The per-replica serving state machine: both serving modes expressed as an
+/// event interface ([`Self::next_event`] / [`Self::step_to`]) so the fleet
+/// loop can interleave any number of replicas, one included, on one global
+/// clock.
 pub struct ReplicaEngine {
     pub(crate) id: ReplicaId,
     pub(crate) evaluator: SystemEvaluator,

@@ -10,8 +10,8 @@
 //!   decode pipeline on the discrete-event simulator and reports generation
 //!   throughput.
 //! * [`engine::ReplicaEngine`] — the one serving engine: the per-replica event
-//!   machine that [`serving::ServingSession`] drives for a single node and
-//!   the cluster layer interleaves per replica.
+//!   machine the cluster layer interleaves per replica; a single-node
+//!   [`serving::ServingSession`] is a 1-replica fleet on that same loop.
 //! * [`router`] — the [`router::Router`] strategy trait, its four built-ins
 //!   and the incremental [`router::RouterIndex`] behind sub-linear dispatch.
 //! * [`cluster::ClusterEvaluator`] — serves one fleet-wide request queue on N

@@ -4,8 +4,9 @@
 //! The design invariant is that observation never perturbs the run:
 //!
 //! * every helper is a no-op (one `Option` check) unless a sink is installed
-//!   via [`ClusterSpec::with_telemetry`] / `ServeSpec::with_telemetry`, so
-//!   the unattached hot path does zero telemetry work;
+//!   via [`ClusterSpec::with_telemetry`] (or `ServeSpec::with_telemetry`,
+//!   whose single-node run is a 1-replica fleet on the same loop), so the
+//!   unattached hot path does zero telemetry work;
 //! * all emissions happen on the driver thread, in deterministic simulation
 //!   order — shard workers never touch the sink;
 //! * nothing here reads back into routing, admission or costing, so an
@@ -41,11 +42,14 @@ impl ClusterSpec {
 }
 
 impl ServeSpec {
-    /// Installs a [`TelemetrySink`] on the single-node run: arrival and
-    /// completion events are emitted (the fleet-level axes — routing,
-    /// lifecycle, sampling — have no single-node counterpart).
+    /// Installs a [`TelemetrySink`] on the single-node run, which is a
+    /// 1-replica fleet: arrival, routed, admitted, completed and aborted
+    /// events, gauge samples (the closing one always) and the self-profiling
+    /// spans. Lifecycle, scaling and migration events have nothing to report
+    /// on one static replica. The report is bit-identical with and without a
+    /// sink.
     pub fn with_telemetry(mut self, sink: Arc<dyn TelemetrySink>) -> Self {
-        self.telemetry = Some(sink);
+        self.cluster = self.cluster.with_telemetry(sink);
         self
     }
 }
@@ -189,7 +193,17 @@ impl FleetLoop<'_> {
     #[inline]
     pub(crate) fn note_completed(&self, replica: usize, latency: &RequestLatency, at: Seconds) {
         if let Some(sink) = self.sink() {
-            sink.event(&completion_event(latency, replica, at));
+            sink.event(&TelemetryEvent::Completed {
+                id: latency.request.id,
+                replica,
+                input_len: latency.request.input_len,
+                gen_len: latency.request.gen_len,
+                class: latency.request.slo_class.label(),
+                arrival_s: latency.request.arrival.as_secs(),
+                ttft_s: latency.ttft.as_secs(),
+                per_token_s: latency.per_token.as_secs(),
+                completion_s: at.as_secs(),
+            });
         }
     }
 
@@ -398,24 +412,5 @@ impl FleetLoop<'_> {
             });
         }
         sample
-    }
-}
-
-/// Builds the [`TelemetryEvent::Completed`] record for a served request.
-pub(crate) fn completion_event(
-    latency: &RequestLatency,
-    replica: usize,
-    at: Seconds,
-) -> TelemetryEvent {
-    TelemetryEvent::Completed {
-        id: latency.request.id,
-        replica,
-        input_len: latency.request.input_len,
-        gen_len: latency.request.gen_len,
-        class: latency.request.slo_class.label(),
-        arrival_s: latency.request.arrival.as_secs(),
-        ttft_s: latency.ttft.as_secs(),
-        per_token_s: latency.per_token.as_secs(),
-        completion_s: at.as_secs(),
     }
 }

@@ -24,37 +24,36 @@
 //!   (`CostModel::backfill_prefill_time`); only the first admission pays the
 //!   cold-start weight stream.
 //!
-//! Since the engine extraction, [`ServingSession::serve`] carries **no loop
-//! of its own**: it drives a single-replica [`crate::engine::ReplicaEngine`]
-//! — the same event machine the cluster layer interleaves per replica —
-//! feeding arrivals into the engine's event stream in arrival order. Wave
+//! Single-node serving carries **no loop of its own**:
+//! [`ServingSession::serve`] runs its one [`crate::engine::ReplicaEngine`] as
+//! a 1-replica fleet on the cluster layer's driver loop, so queue
+//! realization, dispatch, the tap and telemetry are the fleet's. Wave
 //! costing, KV release, backfill and latency bookkeeping exist exactly once,
 //! in [`crate::engine`]; `tests/self_check.rs` pins the reports against
 //! committed fixtures.
 //!
 //! A serving scenario — system, workload, queue size, generation lengths,
 //! seed, mode, arrival process, scheduler — is described declaratively by a
-//! [`ServeSpec`] and executed by [`SystemEvaluator::run`], which replaced the
-//! old `serve` / `serve_with_mode` / `serve_online` entry-point family.
+//! [`ServeSpec`] (a replica-less [`ClusterSpec`] plus the node's scheduler
+//! and policy override) and executed by [`SystemEvaluator::run`].
 //!
 //! In both modes, requests whose `input_len + gen_len` alone exceeds the
-//! per-micro-batch KV budget are classified as aborted *up front* (they could
-//! never be scheduled, so re-offering them every round would only add O(rounds ×
-//! queue) re-batching work), and all latency metrics are measured from each
-//! request's arrival time (queue-aware TTFT). The old single-shot uniform path
-//! ([`crate::SystemEvaluator::evaluate`]) remains as the padded-systems special
-//! case.
+//! per-micro-batch KV budget are aborted at dispatch — no replica can hold
+//! them, so they never reach the scheduler — and all latency metrics are
+//! measured from each request's arrival time (queue-aware TTFT). The old
+//! single-shot uniform path ([`crate::SystemEvaluator::evaluate`]) remains as
+//! the padded-systems special case.
 
+use crate::cluster::{ClusterEvaluator, ClusterReport, ClusterSpec, ReplicaSpec};
 use crate::engine::{batching_for, EngineError, ReplicaEngine, SystemEvaluator};
 use crate::router::ReplicaId;
 use crate::system::SystemKind;
 use crate::tap::ArrivalTap;
-use moe_hardware::Seconds;
+use moe_hardware::{NodeSpec, Seconds};
 use moe_policy::{Policy, WorkloadShape};
 use moe_schedule::ScheduleKind;
-use moe_telemetry::{TelemetryEvent, TelemetrySink};
 use moe_workload::{
-    Algorithm2, ArrivalProcess, BatchRunReport, BatchingConfig, GenLens, LatencySummary, Request,
+    Algorithm2, ArrivalProcess, BatchRunReport, BatchingConfig, LatencySummary, Request,
     RequestLatency, Scheduler, WorkloadSpec,
 };
 use serde::{Deserialize, Serialize};
@@ -135,10 +134,12 @@ pub struct ServingReport {
     pub rounds: Vec<RoundReport>,
     /// Per-request latency records for every served request.
     pub latencies: Vec<RequestLatency>,
-    /// Requests that could never be scheduled, in queue order: those whose
-    /// prompt + generation alone exceeds the per-micro-batch KV-cache budget
-    /// (classified up front), followed by any a scheduler refused on an empty
-    /// pipeline that were still waiting when the run ended.
+    /// Requests that could never be scheduled: those whose prompt +
+    /// generation alone exceeds the per-micro-batch KV-cache budget (aborted
+    /// at dispatch), in `(arrival, id)` order — which is queue order for
+    /// every queue the repo builds — followed by any a scheduler refused on
+    /// an empty pipeline that were still waiting when the run ended. In a
+    /// [`ClusterReport`] the dispatch aborts sit in `fleet_aborted` instead.
     pub aborted: Vec<Request>,
     /// Combined token/time totals across all rounds.
     pub totals: BatchRunReport,
@@ -189,7 +190,6 @@ pub struct ServingSession<'a> {
     pub(crate) batching: BatchingConfig,
     pub(crate) mode: ServingMode,
     pub(crate) scheduler: Arc<dyn Scheduler>,
-    pub(crate) telemetry: Option<Arc<dyn TelemetrySink>>,
 }
 
 impl<'a> ServingSession<'a> {
@@ -226,22 +226,12 @@ impl<'a> ServingSession<'a> {
             batching,
             mode: ServingMode::default(),
             scheduler: Arc::new(Algorithm2),
-            telemetry: None,
         }
     }
 
     /// Sets the scheduling mode (builder style).
     pub fn with_mode(mut self, mode: ServingMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Installs a [`TelemetrySink`] receiving this session's per-request
-    /// completion events (builder style). Single-node runs emit arrivals and
-    /// completions only; the fleet axes — routing, lifecycle, gauge sampling
-    /// — have no one-replica counterpart.
-    pub fn with_telemetry(mut self, sink: Arc<dyn TelemetrySink>) -> Self {
-        self.telemetry = Some(sink);
         self
     }
 
@@ -272,17 +262,17 @@ impl<'a> ServingSession<'a> {
         &self.batching
     }
 
-    /// Serves `queue` to completion in the session's [`ServingMode`] by
-    /// driving a single-replica [`ReplicaEngine`] — the same event machine
-    /// the cluster layer runs per replica — interleaving arrivals with the
-    /// engine's internal events in global time order. Arrivals win ties: a
-    /// batch of co-timed requests is fully ingested before the engine settles
-    /// the instant, the same ingest-then-schedule order as the cluster loop.
+    /// Serves `queue` to completion in the session's [`ServingMode`] as a
+    /// 1-replica fleet: the session's engine runs on the cluster layer's
+    /// driver loop, which ingests arrivals in `(arrival, id)` order and wins
+    /// ties for them, so a batch of co-timed requests is fully ingested
+    /// before the engine settles the instant.
     ///
     /// Every input request appears in the result exactly once: either in
     /// [`ServingReport::latencies`] (served) or [`ServingReport::aborted`].
-    /// Requests whose prompt plus generation alone exceeds the per-micro-batch KV
-    /// budget are classified as aborted up front, in queue order.
+    /// Requests whose prompt plus generation alone exceeds the
+    /// per-micro-batch KV budget are aborted at dispatch and lead the
+    /// aborted list.
     ///
     /// # Errors
     ///
@@ -290,16 +280,21 @@ impl<'a> ServingSession<'a> {
     /// limits can never schedule a request, and propagates simulation errors
     /// from the schedule simulator.
     pub fn serve(&self, queue: Vec<Request>) -> Result<ServingReport, EngineError> {
+        // The queue is explicit, so the workload axes shape nothing here.
+        let spec = ClusterSpec::new(self.system, WorkloadSpec::mtbench())
+            .with_mode(self.mode)
+            .with_queue(queue);
+        self.drive(&spec)
+    }
+
+    /// Drives `spec` (no replicas; its queue axes, tap and telemetry) on this
+    /// session's one engine through [`ClusterEvaluator::drive`], and returns
+    /// the replica's report with the fleet's dispatch aborts in front of its
+    /// own.
+    fn drive(&self, spec: &ClusterSpec) -> Result<ServingReport, EngineError> {
         self.batching
             .validate()
             .map_err(|reason| EngineError::InvalidBatchingConfig { reason })?;
-        // Permanently-oversized requests can never be scheduled; pulling them out
-        // here keeps every later Algorithm 2 pass free of requests it would only
-        // re-sort and re-reject.
-        let budget = self.batching.cache_tokens_per_micro_batch;
-        let (mut feasible, oversized): (Vec<Request>, Vec<Request>) =
-            queue.into_iter().partition(|r| r.max_context() <= budget);
-        feasible.sort_by_key(|r| (r.arrival.key(), r.id));
         let mut engine = ReplicaEngine::new(
             ReplicaId(0),
             self.evaluator.clone(),
@@ -309,37 +304,17 @@ impl<'a> ServingSession<'a> {
             self.mode,
             Arc::clone(&self.scheduler),
         );
-        let mut next = 0usize;
-        loop {
-            let internal = engine.next_event();
-            match feasible.get(next) {
-                Some(r) if internal.is_none_or(|t| r.arrival <= t) => {
-                    let request = *r;
-                    next += 1;
-                    engine.enqueue(request, request.arrival);
-                }
-                _ => match internal {
-                    Some(t) => {
-                        let completed = engine.step_to(t)?;
-                        if let Some(sink) = &self.telemetry {
-                            for latency in &completed {
-                                let at = latency.request.arrival + latency.completion_time;
-                                sink.event(&crate::observe::completion_event(latency, 0, at));
-                            }
-                        }
-                    }
-                    None => break,
-                },
-            }
-        }
-        let mut report = engine.into_report();
-        if !oversized.is_empty() {
-            // Oversized-up-front first, in queue order, then anything the
-            // scheduler refused on an empty pipeline.
-            let mut aborted = oversized;
-            aborted.append(&mut report.aborted);
-            report.aborted = aborted;
-        }
+        engine.profile = spec.telemetry.is_some();
+        let fleet = ClusterEvaluator::new(self.evaluator.model().clone())
+            .with_simulated_layers(self.evaluator.simulated_layers());
+        let ClusterReport {
+            mut replicas,
+            mut fleet_aborted,
+            ..
+        } = fleet.drive(spec, vec![engine], Vec::new())?;
+        let mut report = replicas.pop().expect("one replica").report;
+        fleet_aborted.append(&mut report.aborted);
+        report.aborted = fleet_aborted;
         Ok(report)
     }
 }
@@ -351,7 +326,9 @@ impl<'a> ServingSession<'a> {
 ///
 /// This replaced the `serve` / `serve_with_mode` / `serve_online` entry-point
 /// family: a new scenario axis becomes a new builder method instead of another
-/// positional argument on three signatures.
+/// positional argument on three signatures. It is a replica-less
+/// [`ClusterSpec`] plus the node's scheduler and policy override, so every
+/// axis it shares with a fleet is stored, and built, once.
 ///
 /// # Examples
 ///
@@ -383,18 +360,11 @@ impl<'a> ServingSession<'a> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServeSpec {
-    pub(crate) system: SystemKind,
-    pub(crate) workload: WorkloadSpec,
-    pub(crate) count: usize,
-    pub(crate) gen: GenLens,
-    pub(crate) seed: u64,
-    pub(crate) mode: ServingMode,
-    pub(crate) arrivals: ArrivalProcess,
+    /// Every scenario axis the node shares with a fleet; never holds
+    /// replicas (see [`Self::into_cluster`]).
+    pub(crate) cluster: ClusterSpec,
     pub(crate) scheduler: Arc<dyn Scheduler>,
     pub(crate) policy: Option<Policy>,
-    pub(crate) queue: Option<Vec<Request>>,
-    pub(crate) tap: Option<Arc<dyn ArrivalTap>>,
-    pub(crate) telemetry: Option<Arc<dyn TelemetrySink>>,
 }
 
 impl ServeSpec {
@@ -403,59 +373,49 @@ impl ServeSpec {
     /// none), seed 0, round-to-completion mode, all requests arriving at time
     /// zero, and [`Algorithm2`] batching with the system's searched policy.
     pub fn new(system: SystemKind, workload: WorkloadSpec) -> Self {
-        let gen = GenLens::Uniform(workload.default_gen_lens.first().copied().unwrap_or(128));
         ServeSpec {
-            system,
-            workload,
-            count: 1000,
-            gen,
-            seed: 0,
-            mode: ServingMode::default(),
-            arrivals: ArrivalProcess::Immediate,
+            cluster: ClusterSpec::new(system, workload),
             scheduler: Arc::new(Algorithm2),
             policy: None,
-            queue: None,
-            tap: None,
-            telemetry: None,
         }
     }
 
-    /// Sets the number of requests in the queue.
-    pub fn with_count(mut self, count: usize) -> Self {
-        self.count = count;
+    /// Applies a [`ClusterSpec`] builder to the shared axes.
+    fn map(mut self, f: impl FnOnce(ClusterSpec) -> ClusterSpec) -> Self {
+        self.cluster = f(self.cluster);
         self
     }
 
+    /// Sets the number of requests in the queue.
+    pub fn with_count(self, count: usize) -> Self {
+        self.map(|c| c.with_count(count))
+    }
+
     /// Gives every request the same generation length.
-    pub fn with_gen_len(mut self, gen_len: u64) -> Self {
-        self.gen = GenLens::Uniform(gen_len);
-        self
+    pub fn with_gen_len(self, gen_len: u64) -> Self {
+        self.map(|c| c.with_gen_len(gen_len))
     }
 
     /// Draws each request's generation length uniformly from the workload's
     /// `default_gen_lens` (the heterogeneous queue continuous batching and the
     /// scheduler ablation are designed for).
-    pub fn with_mixed_gen_lens(mut self) -> Self {
-        self.gen = GenLens::MixedDefaults;
-        self
+    pub fn with_mixed_gen_lens(self) -> Self {
+        self.map(ClusterSpec::with_mixed_gen_lens)
     }
 
     /// Sets the queue-synthesis seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+    pub fn with_seed(self, seed: u64) -> Self {
+        self.map(|c| c.with_seed(seed))
     }
 
     /// Sets the scheduling mode.
-    pub fn with_mode(mut self, mode: ServingMode) -> Self {
-        self.mode = mode;
-        self
+    pub fn with_mode(self, mode: ServingMode) -> Self {
+        self.map(|c| c.with_mode(mode))
     }
 
     /// Stamps arrival times from `arrivals` (online serving under load).
-    pub fn with_arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.arrivals = arrivals;
-        self
+    pub fn with_arrivals(self, arrivals: ArrivalProcess) -> Self {
+        self.map(|c| c.with_arrivals(arrivals))
     }
 
     /// Sets the batch-formation strategy.
@@ -476,28 +436,40 @@ impl ServeSpec {
     /// length, and the workload/count/gen/seed/arrival axes no longer shape
     /// the queue itself (the workload and `gen` still size the policy, so a
     /// replay sized like its originating run reproduces it exactly).
-    pub fn with_queue(mut self, queue: Vec<Request>) -> Self {
-        self.count = queue.len();
-        self.queue = Some(queue);
-        self
+    pub fn with_queue(self, queue: Vec<Request>) -> Self {
+        self.map(|c| c.with_queue(queue))
     }
 
     /// Installs an observer of the realized arrival stream (e.g. the
     /// `moe-trace` recorder): every request of the run is reported once, in
     /// arrival order, before feasibility screening.
-    pub fn with_tap(mut self, tap: Arc<dyn ArrivalTap>) -> Self {
-        self.tap = Some(tap);
-        self
+    pub fn with_tap(self, tap: Arc<dyn ArrivalTap>) -> Self {
+        self.map(|c| c.with_tap(tap))
+    }
+
+    /// Lifts this single-node scenario into a cluster over `fleet`: the
+    /// shared axes plus one replica per node, each with the spec's scheduler
+    /// (and policy override, if any). Routing defaults to
+    /// [`crate::RoundRobin`]; a one-node fleet reproduces the single-node
+    /// scenario.
+    pub fn into_cluster(self, fleet: impl IntoIterator<Item = NodeSpec>) -> ClusterSpec {
+        fleet.into_iter().fold(self.cluster, |cluster, node| {
+            let replica = ReplicaSpec::new(node).with_scheduler(Arc::clone(&self.scheduler));
+            cluster.with_replica(match self.policy {
+                Some(policy) => replica.with_policy(policy),
+                None => replica,
+            })
+        })
     }
 
     /// The system this scenario serves on.
     pub fn system(&self) -> SystemKind {
-        self.system
+        self.cluster.system
     }
 
     /// The scheduling mode this scenario runs in.
     pub fn mode(&self) -> ServingMode {
-        self.mode
+        self.cluster.mode
     }
 
     /// The name of the batch-formation strategy this scenario runs with.
@@ -507,63 +479,35 @@ impl ServeSpec {
 }
 
 impl SystemEvaluator {
-    /// Executes one serving scenario: synthesizes the request queue (padded
-    /// systems see every prompt at the maximum length), sizes or adopts the
-    /// policy, and drains the queue through a [`ServingSession`] in the
-    /// scenario's mode with the scenario's scheduler.
+    /// Executes one serving scenario: sizes or adopts the policy, then
+    /// serves the scenario's queue (synthesized unless explicit; padded
+    /// systems see every prompt at the maximum length) through a
+    /// [`ServingSession`] in the scenario's mode with the scenario's
+    /// scheduler.
     ///
     /// # Errors
     ///
     /// Returns an error if no policy fits, the batching configuration is
     /// invalid, or the simulation fails.
     pub fn run(&self, spec: &ServeSpec) -> Result<ServingReport, EngineError> {
+        let cluster = &spec.cluster;
         // Policies (and thus KV budgets) are sized for the scenario's expected
         // generation length — the mean of the defaults for mixed queues, where
         // per-round admission control keeps the long-generation tail within
         // budget and worst-case sizing would forfeit most of the batch.
         let shape = self.workload_shape(
-            spec.system,
-            &spec.workload,
-            spec.gen.policy_gen_for(&spec.workload),
+            cluster.system,
+            &cluster.workload,
+            cluster.gen.policy_gen_for(&cluster.workload),
         );
         let policy = match spec.policy {
             Some(policy) => policy,
-            None => self.policy_for(spec.system, &shape)?,
+            None => self.policy_for(cluster.system, &shape)?,
         };
-        let queue = match &spec.queue {
-            Some(queue) => queue.clone(),
-            None => spec.workload.synthesize_queue(
-                spec.count,
-                spec.gen,
-                spec.seed,
-                spec.system.pads_requests(),
-                &spec.arrivals,
-            ),
-        };
-        if spec.tap.is_some() || spec.telemetry.is_some() {
-            // The realized arrival stream: the whole queue in arrival order
-            // (the order `serve` ingests it), before feasibility screening.
-            let mut ordered = queue.clone();
-            ordered.sort_by_key(|r| (r.arrival.key(), r.id));
-            for request in &ordered {
-                if let Some(tap) = &spec.tap {
-                    tap.record(request);
-                }
-                if let Some(sink) = &spec.telemetry {
-                    sink.event(&TelemetryEvent::Arrival {
-                        id: request.id,
-                        at: request.arrival.as_secs(),
-                    });
-                }
-            }
-        }
-        let mut session = ServingSession::with_policy(self, spec.system, policy, shape)
-            .with_mode(spec.mode)
-            .with_scheduler(Arc::clone(&spec.scheduler));
-        if let Some(sink) = &spec.telemetry {
-            session = session.with_telemetry(Arc::clone(sink));
-        }
-        session.serve(queue)
+        ServingSession::with_policy(self, cluster.system, policy, shape)
+            .with_mode(cluster.mode)
+            .with_scheduler(Arc::clone(&spec.scheduler))
+            .drive(cluster)
     }
 }
 

@@ -325,18 +325,27 @@ fn profiling_spans_cover_the_hot_sections() {
 }
 
 /// Single-node serving sessions emit the same telemetry vocabulary: the
-/// counters reconcile with the `ServingReport` and attaching the sink
+/// counters reconcile with the `ServingReport` — an oversized request
+/// included, which must reach the sink as an abort — and attaching the sink
 /// leaves the report bit-identical.
 #[test]
 fn single_node_serving_reconciles_and_stays_identical() {
+    let workload = WorkloadSpec::mtbench();
+    let mut queue = workload.synthesize_queue(
+        64,
+        GenLens::Uniform(32),
+        7,
+        false,
+        &ArrivalProcess::Immediate,
+    );
+    queue.push(Request::new(64, 60_000, 32));
     let eval = SystemEvaluator::new(EvalSetting::S1.node(), EvalSetting::S1.model());
     let spec = || {
-        ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
-            .with_count(64)
+        ServeSpec::new(SystemKind::MoeLightning, workload.clone())
             .with_gen_len(32)
-            .with_seed(7)
             .with_policy(Policy::offload_default(64, 16))
             .with_mode(ServingMode::Continuous)
+            .with_queue(queue.clone())
     };
     let bare = eval.run(&spec()).unwrap();
     let recorder = Arc::new(Recorder::new());
@@ -347,7 +356,15 @@ fn single_node_serving_reconciles_and_stays_identical() {
         bare, recorded,
         "telemetry must not perturb single-node serving"
     );
+    assert_eq!(recorded.aborted.len(), 1, "the 60k-token request aborts");
     let c = recorder.counters();
+    assert_eq!(c.arrivals, 65);
+    assert_eq!(
+        c.arrivals,
+        c.completed + c.aborted,
+        "one verdict per arrival"
+    );
+    assert_eq!(c.aborted, recorded.aborted.len() as u64);
     assert_eq!(c.completed, recorded.served_requests() as u64);
     assert_eq!(c.completed_tokens, recorded.totals.generated_tokens);
 }
