@@ -63,8 +63,12 @@ fn bench_schedules(c: &mut Criterion) {
         c.bench_function(&format!("schedule/build+simulate/{kind:?}"), |b| {
             b.iter(|| {
                 let graph = builder.build(kind).unwrap();
-                simulate(&graph).unwrap().makespan
+                simulate(&graph).makespan
             })
+        });
+        // What decode-step costing runs: the same schedule, makespan only.
+        c.bench_function(&format!("schedule/build+makespan/{kind:?}"), |b| {
+            b.iter(|| builder.decode_step_makespan(kind).unwrap())
         });
     }
 }

@@ -17,7 +17,6 @@ use moe_policy::{
     WorkloadShape,
 };
 use moe_schedule::{DecodeScheduleBuilder, ScheduleKind};
-use moe_sim::simulate;
 use moe_workload::{BatchRunReport, BatchingConfigError, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -287,16 +286,14 @@ impl SystemEvaluator {
         if let Some(ctx) = contexts {
             builder = builder.with_micro_batch_contexts(ctx);
         }
-        let graph = builder
-            .build(schedule)
-            .map_err(|e| EngineError::Simulation {
-                message: e.to_string(),
-            })?;
-        let result = simulate(&graph).map_err(|e| EngineError::Simulation {
-            message: e.to_string(),
-        })?;
+        let makespan =
+            builder
+                .decode_step_makespan(schedule)
+                .map_err(|e| EngineError::Simulation {
+                    message: e.to_string(),
+                })?;
         let scale = f64::from(self.model.num_layers) / f64::from(layers);
-        Ok(result.makespan.scale(scale))
+        Ok(makespan.scale(scale))
     }
 
     /// Evaluates a system on a workload with an explicit policy (used by the Tab. 5

@@ -10,7 +10,7 @@
 use moe_hardware::Seconds;
 use moe_memory::pages::split_into_pages;
 use moe_policy::{CostModel, Policy, WorkloadShape};
-use moe_sim::{Lane, SimError, TaskGraph, TaskId, TaskKind};
+use moe_sim::{Lane, SimError, TaskGraph, TaskId, TaskKind, TaskLabel};
 use serde::{Deserialize, Serialize};
 
 /// The pipeline schedules compared in Fig. 6.
@@ -229,6 +229,27 @@ impl<'a> DecodeScheduleBuilder<'a> {
         let layers = u64::from(self.num_layers);
         let total = layers * n_ub;
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
+        let whole_layer = self.cost.weight_transfer(streamed);
+        // Every layer repeats the same micro-batches, so each one is costed once
+        // per step: (pre, qkv, attention, hidden, post, next-layer weight page).
+        let pages = split_into_pages(streamed, n_ub as usize);
+        let costs: Vec<[Seconds; 6]> = (0..n_ub)
+            .map(|j| {
+                let tokens = self.micro_batch_tokens(j);
+                [
+                    self.cost.pre_attention_gpu(tokens),
+                    self.cost.qkv_offload(tokens),
+                    self.cost.attention_cpu(tokens, self.ctx_of(j)),
+                    self.cost.hidden_upload(tokens),
+                    if self.policy.ffn_on_gpu {
+                        self.cost.post_attention_gpu(tokens)
+                    } else {
+                        self.cost.post_attention_gpu_without_ffn(tokens)
+                    },
+                    self.cost.weight_transfer(pages[j as usize]),
+                ]
+            })
+            .collect();
 
         // Per global pipeline step g = layer * n_ub + j.
         let layer_of = |g: u64| g / n_ub;
@@ -243,9 +264,9 @@ impl<'a> DecodeScheduleBuilder<'a> {
         if !streamed.is_zero() {
             let t = g.add_task(
                 Lane::HostToDevice,
-                self.cost.weight_transfer(streamed),
+                whole_layer,
                 TaskKind::WeightTransfer,
-                "W(0)",
+                TaskLabel::layer("W", 0),
                 &[],
             )?;
             weights_done[0] = Some(t);
@@ -256,8 +277,6 @@ impl<'a> DecodeScheduleBuilder<'a> {
         // A(0) A(1) C(0) A(2) C(1) A(3) ... which keeps the GPU busy while the CPU
         // attends the in-flight micro-batches. The simpler variants use no stagger.
         let stagger = if two_ahead && n_ub >= 2 { 2u64 } else { 0 };
-        // Weight page sizes for interleaved mode.
-        let pages = split_into_pages(streamed, n_ub as usize);
 
         // Closure creating the GPU post-attention task of global step `gidx`.
         let create_post = |g: &mut TaskGraph,
@@ -266,24 +285,14 @@ impl<'a> DecodeScheduleBuilder<'a> {
                            weights_done: &[Option<TaskId>]|
          -> Result<TaskId, SimError> {
             let (i, j) = (layer_of(gidx), ub_of(gidx));
-            let tokens = self.micro_batch_tokens(j);
-            let mut deps: Vec<TaskId> = Vec::new();
-            if let Some(h) = hidden[gidx as usize] {
-                deps.push(h);
-            }
-            if let Some(w) = weights_done[i as usize] {
-                deps.push(w);
-            }
+            let [.., post, _] = costs[j as usize];
+            let (deps, n_deps) = existing([hidden[gidx as usize], weights_done[i as usize]]);
             g.add_task(
                 Lane::GpuCompute,
-                if self.policy.ffn_on_gpu {
-                    self.cost.post_attention_gpu(tokens)
-                } else {
-                    self.cost.post_attention_gpu_without_ffn(tokens)
-                },
+                post,
                 TaskKind::PostAttention,
-                format!("C({i},{j})"),
-                &deps,
+                TaskLabel::micro_batch("C", i, j),
+                &deps[..n_deps],
             )
         };
 
@@ -299,7 +308,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
                 continue;
             }
             let (i, j) = (layer_of(gidx), ub_of(gidx));
-            let tokens = self.micro_batch_tokens(j);
+            let [pre, qkv, attention, upload, _, page] = costs[j as usize];
 
             // S2-style: whole next-layer weights at the *start* of layer i's H2D traffic.
             if weight_order == WeightOrder::WholeAtStart
@@ -309,73 +318,70 @@ impl<'a> DecodeScheduleBuilder<'a> {
             {
                 let t = g.add_task(
                     Lane::HostToDevice,
-                    self.cost.weight_transfer(streamed),
+                    whole_layer,
                     TaskKind::WeightTransfer,
-                    format!("W({})", i + 1),
+                    TaskLabel::layer("W", i + 1),
                     &[],
                 )?;
                 weights_done[(i + 1) as usize] = Some(t);
             }
 
             // GPU pre-attention.
-            let mut pre_deps: Vec<TaskId> = Vec::new();
-            if i > 0 {
-                if let Some(p) = post[(gidx - n_ub) as usize] {
-                    pre_deps.push(p);
-                }
-            }
-            if let Some(w) = weights_done[i as usize] {
-                pre_deps.push(w);
-            }
+            let prev_post = if i > 0 {
+                post[(gidx - n_ub) as usize]
+            } else {
+                None
+            };
+            let (pre_deps, n_deps) = existing([prev_post, weights_done[i as usize]]);
             let pre_id = g.add_task(
                 Lane::GpuCompute,
-                self.cost.pre_attention_gpu(tokens),
+                pre,
                 TaskKind::PreAttention,
-                format!("A({i},{j})"),
-                &pre_deps,
+                TaskLabel::micro_batch("A", i, j),
+                &pre_deps[..n_deps],
             )?;
 
             // QKV offload to the CPU.
             let qkv_id = g.add_task(
                 Lane::DeviceToHost,
-                self.cost.qkv_offload(tokens),
+                qkv,
                 TaskKind::QkvOffload,
-                format!("QKV({i},{j})"),
+                TaskLabel::micro_batch("QKV", i, j),
                 &[pre_id],
             )?;
 
             // CPU attention, costed at this micro-batch's mean decode context.
             let attn_id = g.add_task(
                 Lane::CpuCompute,
-                self.cost.attention_cpu(tokens, self.ctx_of(j)),
+                attention,
                 TaskKind::Attention,
-                format!("B({i},{j})"),
+                TaskLabel::micro_batch("B", i, j),
                 &[qkv_id],
             )?;
 
             // Hidden states back to the GPU.
             let hidden_id = g.add_task(
                 Lane::HostToDevice,
-                self.cost.hidden_upload(tokens),
+                upload,
                 TaskKind::HiddenTransfer,
-                format!("H({i},{j})"),
+                TaskLabel::micro_batch("H", i, j),
                 &[attn_id],
             )?;
             hidden[gidx as usize] = Some(hidden_id);
 
             // Interleaved weight page for the next layer (CGOPipe).
-            if weight_order == WeightOrder::Interleaved && i + 1 < layers {
-                let page_bytes = pages[j as usize];
-                if !page_bytes.is_zero() {
-                    let t = g.add_task(
-                        Lane::HostToDevice,
-                        self.cost.weight_transfer(page_bytes),
-                        TaskKind::WeightTransfer,
-                        format!("Wp({},{j})", i + 1),
-                        &[],
-                    )?;
-                    weights_done[(i + 1) as usize] = Some(t);
-                }
+            if weight_order == WeightOrder::Interleaved
+                && i + 1 < layers
+                && !pages[j as usize].is_zero()
+            {
+                let t = g.add_task(
+                    Lane::HostToDevice,
+                    page,
+                    TaskKind::WeightTransfer,
+                    TaskLabel::micro_batch("Wp", i + 1, j),
+                    &[],
+                )?;
+                weights_done[(i + 1) as usize] = Some(t);
             }
 
             // S3-style: whole next-layer weights *after* this layer's hidden uploads.
@@ -386,9 +392,9 @@ impl<'a> DecodeScheduleBuilder<'a> {
             {
                 let t = g.add_task(
                     Lane::HostToDevice,
-                    self.cost.weight_transfer(streamed),
+                    whole_layer,
                     TaskKind::WeightTransfer,
-                    format!("W({})", i + 1),
+                    TaskLabel::layer("W", i + 1),
                     &[],
                 )?;
                 weights_done[(i + 1) as usize] = Some(t);
@@ -409,84 +415,91 @@ impl<'a> DecodeScheduleBuilder<'a> {
         let n_ub = self.num_micro_batches();
         let layers = u64::from(self.num_layers);
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
+        let whole_layer = self.cost.weight_transfer(streamed);
         let kv_cpu_fraction = 1.0 - self.policy.kv_gpu_ratio;
+        // Per micro-batch, costed once per step: (KV prefetch, fused GPU
+        // layer, write-back of the new KV entries to the CPU-resident cache).
+        let costs: Vec<[Seconds; 3]> = (0..n_ub)
+            .map(|j| {
+                let tokens = self.micro_batch_tokens(j);
+                let append = self
+                    .cost
+                    .model()
+                    .kv_bytes_per_token_per_layer()
+                    .scale(kv_cpu_fraction)
+                    * tokens;
+                [
+                    self.cost
+                        .kv_transfer(tokens, self.ctx_of(j), kv_cpu_fraction),
+                    self.cost.pre_attention_gpu(tokens)
+                        + self.cost.attention_gpu(tokens, self.ctx_of(j))
+                        + self.cost.post_attention_gpu(tokens),
+                    append / self.cost.node().total_d2h_bandwidth(),
+                ]
+            })
+            .collect();
 
         let mut weights_done: Vec<Option<TaskId>> = vec![None; layers as usize];
         if !streamed.is_zero() {
             weights_done[0] = Some(g.add_task(
                 Lane::HostToDevice,
-                self.cost.weight_transfer(streamed),
+                whole_layer,
                 TaskKind::WeightTransfer,
-                "W(0)",
+                TaskLabel::layer("W", 0),
                 &[],
             )?);
         }
 
         let mut prev_post: Vec<Option<TaskId>> = vec![None; n_ub as usize];
+        let mut kv_ready: Vec<Option<TaskId>> = vec![None; n_ub as usize];
         for i in 0..layers {
-            let mut kv_ready: Vec<Option<TaskId>> = vec![None; n_ub as usize];
             // KV prefetch for every micro-batch of this layer, then the (un-paged)
             // weights of the next layer — the S4 H2D ordering of Fig. 6.
             for j in 0..n_ub {
-                let tokens = self.micro_batch_tokens(j);
-                let duration = self
-                    .cost
-                    .kv_transfer(tokens, self.ctx_of(j), kv_cpu_fraction);
-                if !duration.is_zero() && kv_cpu_fraction > 0.0 {
-                    kv_ready[j as usize] = Some(g.add_task(
+                let [prefetch, ..] = costs[j as usize];
+                kv_ready[j as usize] = if !prefetch.is_zero() && kv_cpu_fraction > 0.0 {
+                    Some(g.add_task(
                         Lane::HostToDevice,
-                        duration,
+                        prefetch,
                         TaskKind::KvTransfer,
-                        format!("KV({i},{j})"),
+                        TaskLabel::micro_batch("KV", i, j),
                         &[],
-                    )?);
-                }
+                    )?)
+                } else {
+                    None
+                };
             }
             if i + 1 < layers && !streamed.is_zero() {
                 weights_done[(i + 1) as usize] = Some(g.add_task(
                     Lane::HostToDevice,
-                    self.cost.weight_transfer(streamed),
+                    whole_layer,
                     TaskKind::WeightTransfer,
-                    format!("W({})", i + 1),
+                    TaskLabel::layer("W", i + 1),
                     &[],
                 )?);
             }
 
             for j in 0..n_ub {
-                let tokens = self.micro_batch_tokens(j);
-                let mut deps: Vec<TaskId> = Vec::new();
-                if let Some(w) = weights_done[i as usize] {
-                    deps.push(w);
-                }
-                if let Some(kv) = kv_ready[j as usize] {
-                    deps.push(kv);
-                }
-                if let Some(p) = prev_post[j as usize] {
-                    deps.push(p);
-                }
-                let duration = self.cost.pre_attention_gpu(tokens)
-                    + self.cost.attention_gpu(tokens, self.ctx_of(j))
-                    + self.cost.post_attention_gpu(tokens);
+                let [_, compute_time, append_time] = costs[j as usize];
+                let (deps, n_deps) = existing([
+                    weights_done[i as usize],
+                    kv_ready[j as usize],
+                    prev_post[j as usize],
+                ]);
                 let compute = g.add_task(
                     Lane::GpuCompute,
-                    duration,
+                    compute_time,
                     TaskKind::PostAttention,
-                    format!("L({i},{j})"),
-                    &deps,
+                    TaskLabel::micro_batch("L", i, j),
+                    &deps[..n_deps],
                 )?;
                 // New KV entries written back to the CPU-resident cache.
                 if kv_cpu_fraction > 0.0 {
-                    let append = self
-                        .cost
-                        .model()
-                        .kv_bytes_per_token_per_layer()
-                        .scale(kv_cpu_fraction)
-                        * tokens;
                     g.add_task(
                         Lane::DeviceToHost,
-                        append / self.cost.node().total_d2h_bandwidth(),
+                        append_time,
                         TaskKind::QkvOffload,
-                        format!("KVout({i},{j})"),
+                        TaskLabel::micro_batch("KVout", i, j),
                         &[compute],
                     )?;
                 }
@@ -504,6 +517,10 @@ impl<'a> DecodeScheduleBuilder<'a> {
         let tokens = self.total_tokens();
         let ctx = self.ctx();
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
+        let whole_layer = self.cost.weight_transfer(streamed);
+        let compute_time = self.cost.pre_attention_gpu(tokens)
+            + self.cost.attention_gpu(tokens, ctx)
+            + self.cost.post_attention_gpu(tokens);
 
         let mut prev_compute: Option<TaskId> = None;
         let mut prev_weights: Option<TaskId> = None;
@@ -513,43 +530,47 @@ impl<'a> DecodeScheduleBuilder<'a> {
             } else {
                 Some(g.add_task(
                     Lane::HostToDevice,
-                    self.cost.weight_transfer(streamed),
+                    whole_layer,
                     TaskKind::WeightTransfer,
-                    format!("W({i})"),
+                    TaskLabel::layer("W", i),
                     &[],
                 )?)
             };
-            let mut deps: Vec<TaskId> = Vec::new();
-            if let Some(w) = weights.or(prev_weights) {
-                deps.push(w);
-            }
-            if let Some(c) = prev_compute {
-                deps.push(c);
-            }
-            let duration = self.cost.pre_attention_gpu(tokens)
-                + self.cost.attention_gpu(tokens, ctx)
-                + self.cost.post_attention_gpu(tokens);
+            let (deps, n_deps) = existing([weights.or(prev_weights), prev_compute]);
             prev_compute = Some(g.add_task(
                 Lane::GpuCompute,
-                duration,
+                compute_time,
                 TaskKind::PostAttention,
-                format!("L({i})"),
-                &deps,
+                TaskLabel::layer("L", i),
+                &deps[..n_deps],
             )?);
             prev_weights = weights;
         }
         Ok(g)
     }
 
-    /// Convenience: simulates one decode step under `kind` and returns the makespan.
+    /// Convenience: plays one decode step under `kind` and returns its makespan
+    /// (the single-pass [`moe_sim::makespan`], equal to
+    /// [`moe_sim::simulate`]'s bit for bit).
     ///
     /// # Errors
     ///
-    /// Propagates simulation errors.
+    /// Propagates task-graph construction errors (see [`Self::build`]).
     pub fn decode_step_makespan(&self, kind: ScheduleKind) -> Result<Seconds, SimError> {
-        let graph = self.build(kind)?;
-        Ok(moe_sim::simulate(&graph)?.makespan)
+        Ok(moe_sim::makespan(&self.build(kind)?))
     }
+}
+
+/// The ids among `ids` that exist, packed in order at the front of a stack
+/// buffer, with their count: optional dependencies without a heap allocation.
+fn existing<const N: usize>(ids: [Option<TaskId>; N]) -> ([TaskId; N], usize) {
+    let mut packed = [TaskId(0); N];
+    let mut n = 0;
+    for id in ids.into_iter().flatten() {
+        packed[n] = id;
+        n += 1;
+    }
+    (packed, n)
 }
 
 /// Placement of the next layer's weight transfer on the H2D lane.
@@ -590,7 +611,7 @@ mod tests {
         for kind in ScheduleKind::all() {
             let graph = b.build(kind).unwrap();
             assert!(!graph.is_empty(), "{} produced no tasks", kind.name());
-            let result = simulate(&graph).unwrap();
+            let result = simulate(&graph);
             assert!(result.makespan.as_secs() > 0.0, "{}", kind.name());
         }
     }
@@ -621,7 +642,7 @@ mod tests {
         let cost = cost();
         let b = builder(&cost);
         let bubbles = |kind: ScheduleKind| {
-            let r = simulate(&b.build(kind).unwrap()).unwrap();
+            let r = simulate(&b.build(kind).unwrap());
             r.lane(Lane::GpuCompute).bubble.as_secs() / r.makespan.as_secs()
         };
         let cgo = bubbles(ScheduleKind::CgoPipe);
@@ -643,7 +664,7 @@ mod tests {
         let b_cgo =
             DecodeScheduleBuilder::new(&cost, Policy::offload_default(256, 32), w).with_layers(4);
         let h2d_busy = |b: &DecodeScheduleBuilder<'_>, kind| {
-            let r = simulate(&b.build(kind).unwrap()).unwrap();
+            let r = simulate(&b.build(kind).unwrap());
             r.lane(Lane::HostToDevice).busy.as_secs()
         };
         assert!(
@@ -666,7 +687,7 @@ mod tests {
         let b =
             DecodeScheduleBuilder::new(&cost, policy, WorkloadShape::new(77, 32)).with_layers(6);
         let graph = b.build(ScheduleKind::LayerStreaming).unwrap();
-        let r = simulate(&graph).unwrap();
+        let r = simulate(&graph);
         let h2d = r.lane(Lane::HostToDevice);
         let gpu = r.lane(Lane::GpuCompute);
         assert!(
@@ -737,7 +758,7 @@ mod tests {
         // micro-batches.
         let b = builder(&cost).with_micro_batch_tokens(&[32, 31, 5]);
         let g = b.build(ScheduleKind::CgoPipe).unwrap();
-        let r = simulate(&g).unwrap();
+        let r = simulate(&g);
         assert!(r.makespan.as_secs() > 0.0);
         // 5 pipeline tasks per (layer, micro-batch): 4 layers × 3 micro-batches.
         let pipeline_tasks = g
@@ -786,6 +807,92 @@ mod tests {
         let _ = builder(&cost)
             .with_micro_batch_tokens(&[32, 32])
             .with_micro_batch_contexts(&[100]);
+    }
+
+    #[test]
+    fn single_pass_makespan_equals_simulate_bit_for_bit() {
+        let cost = cost();
+        let resident_cost = CostModel::new(
+            NodeSpec::a100_case_study(300.0, 4.0),
+            MoeModelConfig::mixtral_8x7b(),
+        );
+        let resident = Policy {
+            weights_gpu_ratio: 1.0,
+            ..Policy::offload_default(64, 32)
+        };
+        let w = WorkloadShape::new(77, 128);
+        for layers in 1..=4 {
+            let cases = [
+                ("uniform", builder(&cost)),
+                (
+                    "skewed occupancy",
+                    builder(&cost).with_micro_batch_tokens(&[120, 60, 40, 20, 10, 3, 2, 1]),
+                ),
+                (
+                    "skewed contexts",
+                    builder(&cost)
+                        .with_micro_batch_tokens(&[32, 32, 32, 32])
+                        .with_micro_batch_contexts(&[420, 48, 48, 48]),
+                ),
+                (
+                    "fully resident weights",
+                    DecodeScheduleBuilder::new(&resident_cost, resident, w),
+                ),
+                (
+                    "one micro-batch",
+                    builder(&cost).with_micro_batch_tokens(&[17]),
+                ),
+            ];
+            for (case, b) in cases {
+                let b = b.with_layers(layers);
+                for kind in ScheduleKind::all() {
+                    let fast = b.decode_step_makespan(kind).unwrap();
+                    let full = simulate(&b.build(kind).unwrap()).makespan;
+                    assert_eq!(
+                        fast.as_secs().to_bits(),
+                        full.as_secs().to_bits(),
+                        "{} / {case} / {layers} layers: {fast} vs {full}",
+                        kind.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rendered_labels_match_the_fig6_names() {
+        let cost = cost();
+        let w = WorkloadShape::new(77, 128);
+        let render = |policy: Policy, kind: ScheduleKind| {
+            let b = DecodeScheduleBuilder::new(&cost, policy, w)
+                .with_layers(2)
+                .with_micro_batch_tokens(&[32, 31, 5]);
+            let g = b.build(kind).unwrap();
+            let labels: Vec<String> = g.tasks().iter().map(|t| t.label.to_string()).collect();
+            labels.join(" ")
+        };
+        let cpu = Policy::offload_default(96, 32);
+        let gpu = Policy {
+            attention_on_gpu: true,
+            ..cpu
+        };
+        assert_eq!(
+            render(cpu, ScheduleKind::CgoPipe),
+            "W(0) A(0,0) QKV(0,0) B(0,0) H(0,0) Wp(1,0) A(0,1) QKV(0,1) B(0,1) H(0,1) Wp(1,1) \
+             C(0,0) A(0,2) QKV(0,2) B(0,2) H(0,2) Wp(1,2) C(0,1) A(1,0) QKV(1,0) B(1,0) H(1,0) \
+             C(0,2) A(1,1) QKV(1,1) B(1,1) H(1,1) C(1,0) A(1,2) QKV(1,2) B(1,2) H(1,2) C(1,1) \
+             C(1,2)"
+        );
+        assert_eq!(
+            render(gpu, ScheduleKind::FlexGenGpuAttention),
+            "W(0) KV(0,0) KV(0,1) KV(0,2) W(1) L(0,0) KVout(0,0) L(0,1) KVout(0,1) L(0,2) \
+             KVout(0,2) KV(1,0) KV(1,1) KV(1,2) L(1,0) KVout(1,0) L(1,1) KVout(1,1) L(1,2) \
+             KVout(1,2)"
+        );
+        assert_eq!(
+            render(gpu, ScheduleKind::LayerStreaming),
+            "W(0) L(0) W(1) L(1)"
+        );
     }
 
     #[test]

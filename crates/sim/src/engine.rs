@@ -2,7 +2,7 @@
 //! reports the resulting timeline, makespan and per-lane utilization / bubble
 //! statistics used throughout the evaluation (e.g. the Fig. 6 schedule comparison).
 
-use crate::task::{Lane, SimError, TaskGraph, TaskId, TaskKind};
+use crate::task::{Lane, Task, TaskGraph, TaskId, TaskKind, TaskLabel};
 use moe_hardware::Seconds;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -17,7 +17,7 @@ pub struct TimelineEntry {
     /// Semantic kind.
     pub kind: TaskKind,
     /// Label copied from the task.
-    pub label: String,
+    pub label: TaskLabel,
     /// Start time.
     pub start: Seconds,
     /// Finish time.
@@ -77,84 +77,58 @@ impl SimulationResult {
     }
 }
 
-/// Simulates the execution of `graph` and returns the timeline and statistics.
+/// Plays `graph` in one pass in insertion order, calling `visit` with each
+/// task's start and finish; returns the makespan.
+///
+/// Dependencies only point backwards and every lane is FIFO in insertion
+/// order, so by the time a task is reached its lane predecessor and its
+/// dependencies have all finished.
+fn play(graph: &TaskGraph, mut visit: impl FnMut(&Task, Seconds, Seconds)) -> Seconds {
+    let mut lane_free = [Seconds::ZERO; 4];
+    let mut finish: Vec<Seconds> = Vec::with_capacity(graph.len());
+    let mut makespan = Seconds::ZERO;
+    for task in graph.tasks() {
+        let deps_ready = graph
+            .deps(task)
+            .iter()
+            .fold(Seconds::ZERO, |ready, dep| ready.max(finish[dep.0]));
+        let lane_available = &mut lane_free[task.lane as usize];
+        let start = lane_available.max(deps_ready);
+        let end = start + task.duration;
+        *lane_available = end;
+        finish.push(end);
+        makespan = makespan.max(end);
+        visit(task, start, end);
+    }
+    makespan
+}
+
+/// Completion time of the last task of `graph`: what [`simulate`] reports as
+/// `makespan`, bit for bit, without building the timeline or its statistics.
 ///
 /// Each lane executes its tasks in enqueue order; a task starts as soon as both the
 /// lane is free and all its dependencies have finished (asynchronous launch with
 /// stream semantics, matching the CUDA-stream execution model the paper's runtime
 /// relies on).
-///
-/// # Errors
-///
-/// Returns [`SimError::Deadlock`] if the graph contains a circular wait.
-pub fn simulate(graph: &TaskGraph) -> Result<SimulationResult, SimError> {
-    let total = graph.len();
-    let mut finish_time: Vec<Option<Seconds>> = vec![None; total];
-    let mut lane_free: HashMap<Lane, Seconds> = HashMap::new();
-    let mut lane_cursor: HashMap<Lane, usize> = HashMap::new();
-    let lane_queues: HashMap<Lane, Vec<TaskId>> = Lane::all()
-        .into_iter()
-        .map(|l| (l, graph.lane_queue(l)))
-        .collect();
+pub fn makespan(graph: &TaskGraph) -> Seconds {
+    play(graph, |_, _, _| {})
+}
 
-    let mut timeline = Vec::with_capacity(total);
-    let mut completed = 0usize;
-
-    while completed < total {
-        let mut progressed = false;
-        for lane in Lane::all() {
-            let queue = &lane_queues[&lane];
-            loop {
-                let cursor = lane_cursor.entry(lane).or_insert(0);
-                if *cursor >= queue.len() {
-                    break;
-                }
-                let task_id = queue[*cursor];
-                let task = graph.task(task_id).expect("queue ids are valid");
-                // All dependencies finished?
-                let mut deps_ready = Seconds::ZERO;
-                let mut ready = true;
-                for dep in &task.deps {
-                    match finish_time[dep.0] {
-                        Some(t) => deps_ready = deps_ready.max(t),
-                        None => {
-                            ready = false;
-                            break;
-                        }
-                    }
-                }
-                if !ready {
-                    break; // head of this lane is blocked; the lane stalls (FIFO)
-                }
-                let lane_available = lane_free.get(&lane).copied().unwrap_or(Seconds::ZERO);
-                let start = lane_available.max(deps_ready);
-                let finish = start + task.duration;
-                finish_time[task_id.0] = Some(finish);
-                lane_free.insert(lane, finish);
-                timeline.push(TimelineEntry {
-                    task: task_id,
-                    lane,
-                    kind: task.kind,
-                    label: task.label.clone(),
-                    start,
-                    finish,
-                });
-                *lane_cursor.get_mut(&lane).expect("cursor inserted above") += 1;
-                completed += 1;
-                progressed = true;
-            }
-        }
-        if !progressed && completed < total {
-            return Err(SimError::Deadlock { completed, total });
-        }
-    }
-
+/// Simulates the execution of `graph` (see [`makespan`] for the semantics) and
+/// returns the timeline and statistics.
+pub fn simulate(graph: &TaskGraph) -> SimulationResult {
+    let mut timeline = Vec::with_capacity(graph.len());
+    let makespan = play(graph, |task, start, finish| {
+        timeline.push(TimelineEntry {
+            task: task.id,
+            lane: task.lane,
+            kind: task.kind,
+            label: task.label,
+            start,
+            finish,
+        });
+    });
     timeline.sort_by_key(|e| (e.start.key(), e.task.0));
-
-    let makespan = timeline
-        .iter()
-        .map(|e| e.finish)
-        .fold(Seconds::ZERO, Seconds::max);
 
     let mut lanes = HashMap::new();
     for lane in Lane::all() {
@@ -195,12 +169,12 @@ pub fn simulate(graph: &TaskGraph) -> Result<SimulationResult, SimError> {
         *slot += e.finish - e.start;
     }
 
-    Ok(SimulationResult {
+    SimulationResult {
         timeline,
         makespan,
         lanes,
         kind_busy,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -213,7 +187,7 @@ mod tests {
 
     #[test]
     fn empty_graph_has_zero_makespan() {
-        let result = simulate(&TaskGraph::new()).unwrap();
+        let result = simulate(&TaskGraph::new());
         assert!(result.makespan.is_zero());
         assert!(result.timeline.is_empty());
         assert_eq!(result.lane(Lane::GpuCompute).tasks, 0);
@@ -240,7 +214,7 @@ mod tests {
             &[],
         )
         .unwrap();
-        let r = simulate(&g).unwrap();
+        let r = simulate(&g);
         assert!(
             (r.makespan.as_millis() - 10.0).abs() < 1e-9,
             "perfect overlap expected"
@@ -259,7 +233,7 @@ mod tests {
         let b = g
             .add_task(Lane::GpuCompute, ms(5.0), TaskKind::Other, "b", &[])
             .unwrap();
-        let r = simulate(&g).unwrap();
+        let r = simulate(&g);
         assert!((r.makespan.as_millis() - 10.0).abs() < 1e-9);
         assert!(r.finish_of(a).unwrap().as_millis() <= r.finish_of(b).unwrap().as_millis());
     }
@@ -285,7 +259,7 @@ mod tests {
                 &[transfer],
             )
             .unwrap();
-        let r = simulate(&g).unwrap();
+        let r = simulate(&g);
         let t_entry = r.timeline.iter().find(|e| e.task == compute).unwrap();
         assert!((t_entry.start.as_millis() - 4.0).abs() < 1e-9);
         assert!((r.makespan.as_millis() - 7.0).abs() < 1e-9);
@@ -305,7 +279,7 @@ mod tests {
         let y = g
             .add_task(Lane::GpuCompute, ms(1.0), TaskKind::Other, "y", &[])
             .unwrap();
-        let r = simulate(&g).unwrap();
+        let r = simulate(&g);
         let y_entry = r.timeline.iter().find(|e| e.task == y).unwrap();
         assert!(
             y_entry.start.as_millis() >= 11.0 - 1e-9,
@@ -330,7 +304,7 @@ mod tests {
             &[slow],
         )
         .unwrap();
-        let r = simulate(&g).unwrap();
+        let r = simulate(&g);
         let gpu = r.lane(Lane::GpuCompute);
         assert!((gpu.busy.as_millis() - 4.0).abs() < 1e-9);
         assert!(
@@ -361,7 +335,7 @@ mod tests {
         .unwrap();
         g.add_task(Lane::GpuCompute, ms(1.0), TaskKind::PreAttention, "a", &[])
             .unwrap();
-        let r = simulate(&g).unwrap();
+        let r = simulate(&g);
         assert!((r.kind_time(TaskKind::WeightTransfer).as_millis() - 5.0).abs() < 1e-9);
         assert!(r.kind_time(TaskKind::KvTransfer).is_zero());
     }
@@ -382,12 +356,19 @@ mod tests {
             };
             let deps: Vec<TaskId> = prev.into_iter().collect();
             prev = Some(
-                g.add_task(lane, ms(1.0), TaskKind::Other, format!("t{i}"), &deps)
-                    .unwrap(),
+                g.add_task(
+                    lane,
+                    ms(1.0),
+                    TaskKind::Other,
+                    TaskLabel::layer("t", i),
+                    &deps,
+                )
+                .unwrap(),
             );
         }
-        let r = simulate(&g).unwrap();
+        let r = simulate(&g);
         assert_eq!(r.timeline.len(), 16);
+        assert_eq!(makespan(&g), r.makespan);
         assert!(
             (r.makespan.as_millis() - 16.0).abs() < 1e-9,
             "strict chain serializes fully"
@@ -416,7 +397,7 @@ mod tests {
         .unwrap();
         g.add_task(Lane::CpuCompute, ms(1.0), TaskKind::Attention, "b", &[])
             .unwrap();
-        let r = simulate(&g).unwrap();
+        let r = simulate(&g);
         for pair in r.timeline.windows(2) {
             assert!(pair[0].start.as_secs() <= pair[1].start.as_secs());
         }

@@ -5,7 +5,8 @@
 //! lanes — GPU compute, CPU compute, host→device and device→host copies — and
 //! [`simulate`] plays them with CUDA-stream (FIFO per lane, cross-lane dependency)
 //! semantics, reporting the makespan, per-lane utilization and the pipeline bubbles
-//! that Fig. 6 of the paper visualizes.
+//! that Fig. 6 of the paper visualizes. [`makespan`] plays the same schedule and
+//! keeps only its completion time, which is all a decode-step costing needs.
 //!
 //! # Examples
 //!
@@ -29,8 +30,9 @@
 //!     "layer-1 FFN",
 //!     &[weights],
 //! )?;
-//! let result = simulate(&g)?;
+//! let result = simulate(&g);
 //! assert_eq!(result.finish_of(ffn).unwrap().as_millis(), 11.0);
+//! assert_eq!(moe_sim::makespan(&g), result.makespan);
 //! # Ok(())
 //! # }
 //! ```
@@ -41,8 +43,8 @@
 pub mod engine;
 pub mod task;
 
-pub use engine::{simulate, LaneStats, SimulationResult, TimelineEntry};
-pub use task::{Lane, SimError, Task, TaskGraph, TaskId, TaskKind};
+pub use engine::{makespan, simulate, LaneStats, SimulationResult, TimelineEntry};
+pub use task::{Lane, SimError, Task, TaskGraph, TaskId, TaskKind, TaskLabel};
 
 #[cfg(test)]
 mod proptests {
@@ -67,26 +69,76 @@ mod proptests {
                 deps.sort();
                 deps.dedup();
             }
-            g.add_task(lane, duration, TaskKind::Other, format!("t{i}"), &deps)
-                .unwrap();
+            g.add_task(
+                lane,
+                duration,
+                TaskKind::Other,
+                TaskLabel::layer("t", i as u64),
+                &deps,
+            )
+            .unwrap();
         }
         g
+    }
+
+    /// Reference player, independent of the single pass: lanes take turns
+    /// running their head task while its dependencies have finished, until
+    /// every task has run.
+    fn round_robin_makespan(g: &TaskGraph) -> Seconds {
+        let queues = Lane::all().map(|lane| g.lane_queue(lane));
+        let mut cursor = [0usize; 4];
+        let mut lane_free = [Seconds::ZERO; 4];
+        let mut finish: Vec<Option<Seconds>> = vec![None; g.len()];
+        let mut done = 0;
+        while done < g.len() {
+            let before = done;
+            for (l, queue) in queues.iter().enumerate() {
+                while let Some(&id) = queue.get(cursor[l]) {
+                    let task = g.task(id).unwrap();
+                    let ready = g.deps(task).iter().try_fold(Seconds::ZERO, |ready, dep| {
+                        finish[dep.0].map(|f| ready.max(f))
+                    });
+                    let Some(ready) = ready else { break };
+                    let end = lane_free[l].max(ready) + task.duration;
+                    lane_free[l] = end;
+                    finish[id.0] = Some(end);
+                    cursor[l] += 1;
+                    done += 1;
+                }
+            }
+            assert!(done > before, "backward-dependency graphs never deadlock");
+        }
+        finish
+            .into_iter()
+            .flatten()
+            .fold(Seconds::ZERO, Seconds::max)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
+        fn single_pass_makespan_matches_simulate_bit_for_bit(
+            seed in 0u64..10_000,
+            n in 0usize..120,
+        ) {
+            let g = random_graph(seed, n);
+            let bits = makespan(&g).as_secs().to_bits();
+            prop_assert_eq!(bits, simulate(&g).makespan.as_secs().to_bits());
+            prop_assert_eq!(bits, round_robin_makespan(&g).as_secs().to_bits());
+        }
+
+        #[test]
         fn every_backward_dependency_graph_completes(seed in 0u64..10_000, n in 1usize..80) {
             let g = random_graph(seed, n);
-            let r = simulate(&g).unwrap();
+            let r = simulate(&g);
             prop_assert_eq!(r.timeline.len(), n);
         }
 
         #[test]
         fn makespan_bounds_hold(seed in 0u64..10_000, n in 1usize..80) {
             let g = random_graph(seed, n);
-            let r = simulate(&g).unwrap();
+            let r = simulate(&g);
             // Lower bound: the busiest lane's total work. Upper bound: sum of all durations.
             let max_lane_work = Lane::all()
                 .into_iter()
@@ -100,13 +152,13 @@ mod proptests {
         #[test]
         fn dependencies_and_lane_order_respected(seed in 0u64..10_000, n in 2usize..80) {
             let g = random_graph(seed, n);
-            let r = simulate(&g).unwrap();
+            let r = simulate(&g);
             let finish = |id: TaskId| r.finish_of(id).unwrap().as_secs();
             let start_of = |id: TaskId| {
                 r.timeline.iter().find(|e| e.task == id).unwrap().start.as_secs()
             };
             for task in g.tasks() {
-                for dep in &task.deps {
+                for dep in g.deps(task) {
                     prop_assert!(finish(*dep) <= start_of(task.id) + 1e-12,
                         "dependency must finish before dependent starts");
                 }
@@ -123,7 +175,7 @@ mod proptests {
         #[test]
         fn lane_utilization_is_a_fraction(seed in 0u64..10_000, n in 1usize..80) {
             let g = random_graph(seed, n);
-            let r = simulate(&g).unwrap();
+            let r = simulate(&g);
             for lane in Lane::all() {
                 let stats = r.lane(lane);
                 prop_assert!((0.0..=1.0 + 1e-9).contains(&stats.utilization));

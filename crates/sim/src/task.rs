@@ -10,6 +10,7 @@
 use moe_hardware::Seconds;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// A serial execution lane of the simulated node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -93,6 +94,60 @@ impl fmt::Display for TaskKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TaskId(pub usize);
 
+/// Human-readable task name: a static tag plus up to two indices (layer and
+/// micro-batch), rendered on demand — `C(2,3)` for post-attention of layer 2,
+/// micro-batch 3. Being `Copy`, it costs nothing to build on the hot path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TaskLabel {
+    tag: &'static str,
+    indices: LabelIndices,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum LabelIndices {
+    None,
+    One(u64),
+    Two(u64, u64),
+}
+
+impl TaskLabel {
+    /// A label with one index, rendered `tag(i)` (e.g. `W(1)`).
+    pub const fn layer(tag: &'static str, layer: u64) -> Self {
+        TaskLabel {
+            tag,
+            indices: LabelIndices::One(layer),
+        }
+    }
+
+    /// A label with two indices, rendered `tag(i,j)` (e.g. `C(2,3)`).
+    pub const fn micro_batch(tag: &'static str, layer: u64, micro_batch: u64) -> Self {
+        TaskLabel {
+            tag,
+            indices: LabelIndices::Two(layer, micro_batch),
+        }
+    }
+}
+
+/// A bare tag, rendered as is.
+impl From<&'static str> for TaskLabel {
+    fn from(tag: &'static str) -> Self {
+        TaskLabel {
+            tag,
+            indices: LabelIndices::None,
+        }
+    }
+}
+
+impl fmt::Display for TaskLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.indices {
+            LabelIndices::None => f.write_str(self.tag),
+            LabelIndices::One(i) => write!(f, "{}({i})", self.tag),
+            LabelIndices::Two(i, j) => write!(f, "{}({i},{j})", self.tag),
+        }
+    }
+}
+
 /// A single unit of work bound to a lane.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Task {
@@ -102,17 +157,16 @@ pub struct Task {
     pub lane: Lane,
     /// Execution time of the task once started.
     pub duration: Seconds,
-    /// Tasks that must finish before this one may start (in addition to earlier tasks
-    /// on the same lane).
-    pub deps: Vec<TaskId>,
     /// Semantic category.
     pub kind: TaskKind,
-    /// Human-readable label, e.g. `"C(2,3)"` for post-attention of layer 2,
+    /// Human-readable label, e.g. `C(2,3)` for post-attention of layer 2,
     /// micro-batch 3.
-    pub label: String,
+    pub label: TaskLabel,
+    /// This task's slice of the graph's dependency pool ([`TaskGraph::deps`]).
+    deps: Range<usize>,
 }
 
-/// Errors produced while building or simulating a task graph.
+/// Errors produced while building a task graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// A dependency refers to a task id that has not been added yet.
@@ -122,13 +176,6 @@ pub enum SimError {
         /// The missing dependency id.
         dependency: usize,
     },
-    /// The graph cannot make progress (circular wait across lanes and dependencies).
-    Deadlock {
-        /// Number of tasks that completed before the deadlock.
-        completed: usize,
-        /// Total number of tasks.
-        total: usize,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -137,10 +184,6 @@ impl fmt::Display for SimError {
             SimError::UnknownDependency { task, dependency } => {
                 write!(f, "task {task} depends on unknown task {dependency}")
             }
-            SimError::Deadlock { completed, total } => write!(
-                f,
-                "schedule deadlocked after {completed} of {total} tasks (dependency cycle across lanes)"
-            ),
         }
     }
 }
@@ -148,9 +191,14 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// A buildable set of tasks with lane bindings and dependencies.
+///
+/// Dependencies may only point at earlier tasks, so insertion order is always
+/// a valid execution order: no graph can deadlock under FIFO lanes.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
+    /// Every task's dependencies, back to back in insertion order.
+    deps: Vec<TaskId>,
 }
 
 impl TaskGraph {
@@ -169,25 +217,25 @@ impl TaskGraph {
         lane: Lane,
         duration: Seconds,
         kind: TaskKind,
-        label: impl Into<String>,
+        label: impl Into<TaskLabel>,
         deps: &[TaskId],
     ) -> Result<TaskId, SimError> {
         let id = TaskId(self.tasks.len());
-        for dep in deps {
-            if dep.0 >= self.tasks.len() {
-                return Err(SimError::UnknownDependency {
-                    task: id.0,
-                    dependency: dep.0,
-                });
-            }
+        if let Some(dep) = deps.iter().find(|dep| dep.0 >= id.0) {
+            return Err(SimError::UnknownDependency {
+                task: id.0,
+                dependency: dep.0,
+            });
         }
+        let start = self.deps.len();
+        self.deps.extend_from_slice(deps);
         self.tasks.push(Task {
             id,
             lane,
             duration,
-            deps: deps.to_vec(),
             kind,
             label: label.into(),
+            deps: start..self.deps.len(),
         });
         Ok(id)
     }
@@ -210,6 +258,12 @@ impl TaskGraph {
     /// Looks up a task.
     pub fn task(&self, id: TaskId) -> Option<&Task> {
         self.tasks.get(id.0)
+    }
+
+    /// Tasks that must finish before `task` may start (in addition to earlier
+    /// tasks on the same lane), in the order they were declared.
+    pub fn deps(&self, task: &Task) -> &[TaskId] {
+        &self.deps[task.deps.clone()]
     }
 
     /// Tasks bound to a given lane, in enqueue (FIFO) order.
@@ -260,7 +314,8 @@ mod tests {
         assert_eq!(b, TaskId(1));
         assert_eq!(g.len(), 2);
         assert!(!g.is_empty());
-        assert_eq!(g.task(b).unwrap().deps, vec![a]);
+        assert_eq!(g.deps(g.task(b).unwrap()), &[a]);
+        assert!(g.deps(g.task(a).unwrap()).is_empty());
         assert!(g.task(TaskId(5)).is_none());
     }
 
@@ -349,15 +404,10 @@ mod tests {
     }
 
     #[test]
-    fn display_of_lanes_kinds_and_errors() {
+    fn display_of_lanes_and_kinds() {
         assert_eq!(Lane::GpuCompute.to_string(), "GPU");
         assert_eq!(Lane::HostToDevice.to_string(), "HtoD");
         assert_eq!(TaskKind::WeightTransfer.to_string(), "weights");
         assert_eq!(Lane::all().len(), 4);
-        let e = SimError::Deadlock {
-            completed: 2,
-            total: 5,
-        };
-        assert!(e.to_string().contains("2 of 5"));
     }
 }

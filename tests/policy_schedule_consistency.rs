@@ -2,11 +2,13 @@
 //! simulation of the schedules, and for the policy optimizer feeding the schedule
 //! builder — the two halves of the system must agree on what they are modeling.
 
-use moe_hardware::NodeSpec;
+use moe_hardware::{NodeSpec, Seconds};
+use moe_lightning::{EvalSetting, SystemEvaluator};
 use moe_model::MoeModelConfig;
 use moe_policy::{CostModel, Policy, PolicyOptimizer, SearchSpace, WorkloadShape};
 use moe_schedule::{DecodeScheduleBuilder, ScheduleKind};
-use moe_sim::{simulate, Lane, TaskKind};
+use moe_sim::{simulate, Lane, TaskGraph, TaskKind};
+use proptest::prelude::*;
 
 #[test]
 fn simulated_cgopipe_step_is_close_to_the_analytic_estimate() {
@@ -47,7 +49,7 @@ fn optimizer_policy_runs_through_every_schedule_without_errors() {
     let builder = DecodeScheduleBuilder::new(&cost, policy, workload).with_layers(3);
     for kind in ScheduleKind::all() {
         let graph = builder.build(kind).unwrap();
-        let result = simulate(&graph).unwrap();
+        let result = simulate(&graph);
         assert_eq!(result.timeline.len(), graph.len());
         assert!(result.makespan.as_secs() > 0.0);
     }
@@ -64,7 +66,7 @@ fn cgopipe_weight_traffic_matches_the_streamed_layer_bytes() {
     let layers = 3u32;
     let builder = DecodeScheduleBuilder::new(&cost, policy, workload).with_layers(layers);
     let graph = builder.build(ScheduleKind::CgoPipe).unwrap();
-    let result = simulate(&graph).unwrap();
+    let result = simulate(&graph);
 
     let weight_time = result.kind_time(TaskKind::WeightTransfer).as_secs();
     let per_layer = cost
@@ -85,7 +87,7 @@ fn gpu_is_busier_under_cgopipe_than_under_flexgen_c() {
     let workload = WorkloadShape::new(418, 128);
     let builder = DecodeScheduleBuilder::new(&cost, policy, workload).with_layers(4);
     let utilization = |kind| {
-        let r = simulate(&builder.build(kind).unwrap()).unwrap();
+        let r = simulate(&builder.build(kind).unwrap());
         r.lane(Lane::GpuCompute).utilization
     };
     let cgo = utilization(ScheduleKind::CgoPipe);
@@ -120,5 +122,94 @@ fn attention_placement_decision_matches_the_hrm_analysis() {
             !best.attention_on_gpu,
             "HRM analysis and optimizer must agree"
         );
+    }
+}
+
+/// Longest dependency chain of `g`, ignoring that tasks share lanes.
+fn critical_path(g: &TaskGraph) -> Seconds {
+    let mut finish: Vec<Seconds> = Vec::with_capacity(g.len());
+    for task in g.tasks() {
+        let ready = g
+            .deps(task)
+            .iter()
+            .fold(Seconds::ZERO, |ready, dep| ready.max(finish[dep.0]));
+        finish.push(ready + task.duration);
+    }
+    finish.into_iter().fold(Seconds::ZERO, Seconds::max)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Model sanity on S1: a decode step never gets cheaper when one
+    /// micro-batch gains sequences or context, and it is never faster than its
+    /// busiest lane or its longest dependency chain. Monotonicity alone cannot
+    /// catch a broken player (any network of `max`, `min` and `+` is monotone);
+    /// the floor can.
+    #[test]
+    fn decode_step_latency_is_monotone_in_load_and_above_its_floor(
+        occupancy in collection::vec(1u64..64, 1..9),
+        contexts in collection::vec(1u64..2048, 8..9),
+        pick in 0usize..8,
+        more_tokens in 1u64..48,
+        more_context in 1u64..1024,
+        weights_on_gpu in any::<bool>(),
+    ) {
+        let setting = EvalSetting::S1;
+        let eval = SystemEvaluator::new(setting.node(), setting.model());
+        let workload = WorkloadShape::new(77, 128);
+        let contexts = &contexts[..occupancy.len()];
+        let k = pick % occupancy.len();
+        let mut more_occ = occupancy.clone();
+        more_occ[k] += more_tokens;
+        let mut more_ctx = contexts.to_vec();
+        more_ctx[k] += more_context;
+        let scale =
+            f64::from(setting.model().num_layers) / f64::from(eval.simulated_layers());
+        for kind in [ScheduleKind::CgoPipe, ScheduleKind::FlexGenGpuAttention] {
+            let policy = Policy {
+                attention_on_gpu: !kind.uses_cpu_attention(),
+                weights_gpu_ratio: if weights_on_gpu { 1.0 } else { 0.0 },
+                ..Policy::offload_default(256, 32)
+            };
+            let latency = |occ: &[u64], ctx: &[u64]| {
+                eval.decode_step_latency_with_loads(
+                    kind,
+                    &policy,
+                    &workload,
+                    Some(occ),
+                    Some(ctx),
+                )
+                .unwrap()
+            };
+            let base = latency(&occupancy, contexts);
+            let grown_occ = latency(&more_occ, contexts);
+            let grown_ctx = latency(&occupancy, &more_ctx);
+            let name = kind.name();
+            prop_assert!(
+                grown_occ >= base,
+                "{name}: occupancy {occupancy:?} -> {more_occ:?}: {base} -> {grown_occ}"
+            );
+            prop_assert!(
+                grown_ctx >= base,
+                "{name}: contexts {contexts:?} -> {more_ctx:?}: {base} -> {grown_ctx}"
+            );
+
+            let graph = DecodeScheduleBuilder::new(eval.cost_model(), policy, workload)
+                .with_layers(eval.simulated_layers())
+                .with_micro_batch_tokens(&occupancy)
+                .with_micro_batch_contexts(contexts)
+                .build(kind)
+                .unwrap();
+            let busiest_lane = Lane::all()
+                .map(|lane| graph.lane_work(lane))
+                .into_iter()
+                .fold(Seconds::ZERO, Seconds::max);
+            let floor = busiest_lane.max(critical_path(&graph)).scale(scale);
+            prop_assert!(
+                base.as_secs() >= floor.as_secs() * (1.0 - 1e-12),
+                "{name}: {base} below its floor {floor}"
+            );
+        }
     }
 }
