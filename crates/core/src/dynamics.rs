@@ -20,8 +20,8 @@
 //!   policies ship: [`QueueDepthScaler`] and [`SloAttainmentScaler`].
 //! * **Admission control** — an [`AdmissionController`] may *reject* (rather
 //!   than queue) an arrival whose projected TTFT — estimated from the target
-//!   replica's backlog and memoized step latencies — already misses the SLO
-//!   ([`SloAdmission`]; [`AdmitAll`] is the default).
+//!   replica's backlog and its last computed decode step — already misses
+//!   the SLO ([`SloAdmission`]; [`AdmitAll`] is the default).
 //!
 //! Outcomes are recorded in the [`AvailabilityReport`] section of a
 //! [`ClusterReport`](crate::cluster::ClusterReport): rejections, re-routed
@@ -381,8 +381,8 @@ impl SloAttainmentScaler {
 /// Decides, per arriving request, whether the chosen replica should queue it
 /// at all. `projected_ttft` is the control plane's queue-aware estimate of the
 /// request's time-to-first-token on `replica`: the replica's outstanding token
-/// backlog divided by its memoized decode rate (optimistically zero for a cold
-/// replica with no step history).
+/// backlog divided by the decode rate of its last computed step
+/// (optimistically zero for a cold replica with no step history).
 ///
 /// Rejected requests never occupy queue or KV space; they are recorded in the
 /// report's [`AvailabilityReport::rejected`] and count as SLO misses.

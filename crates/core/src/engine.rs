@@ -191,7 +191,6 @@ pub struct ReplicaEngine {
     round_step: Seconds,
     in_round: Vec<PendingCompletion>,
     kv_in_round: u64,
-    step_memo: HashMap<(Vec<u64>, Vec<u64>), Seconds>,
     /// The last computed decode-step latency and the concurrency it was
     /// computed at — the admission controller's TTFT estimator.
     recent_step: Option<(Seconds, u64)>,
@@ -263,7 +262,6 @@ impl ReplicaEngine {
             round_step: Seconds::ZERO,
             in_round: Vec::new(),
             kv_in_round: 0,
-            step_memo: HashMap::new(),
             recent_step: None,
             rounds: Vec::new(),
             latencies: Vec::new(),
@@ -332,11 +330,11 @@ impl ReplicaEngine {
     /// Projected queue-aware TTFT for a request routed here: the work ahead
     /// of it in *slot* terms. Every completion frees the slot the queue head
     /// takes, so a request behind `k` queued requests waits for roughly their
-    /// generation tokens to be produced at the replica's memoized decode rate
-    /// (concurrency / step latency). Requests already decoding drain in
-    /// parallel and are not ahead of it in the slot queue. Optimistically
-    /// zero for a cold replica with no step history — admission control
-    /// should not reject into an idle fleet.
+    /// generation tokens to be produced at the decode rate of the last
+    /// computed step (`recent_step`: concurrency / step latency). Requests
+    /// already decoding drain in parallel and are not ahead of it in the slot
+    /// queue. Optimistically zero for a cold replica with no step history —
+    /// admission control should not reject into an idle fleet.
     pub(crate) fn projected_ttft(&self, _request: &Request) -> Seconds {
         let queued_gen: u64 = self.ready_gen;
         if queued_gen == 0 {
@@ -907,11 +905,7 @@ impl ReplicaEngine {
         let to_prefill = prompt.saturating_sub(credited);
         let mean_prompt = to_prefill.div_ceil(count).max(1);
         let shape = WorkloadShape::new(mean_prompt, max_gen.max(1));
-        let policy = Policy {
-            batch_size: count,
-            micro_batch_size: self.policy.micro_batch_size.min(count),
-            ..self.policy
-        };
+        let policy = self.batch_policy(count);
         let prefill = if credited >= prompt && credited > 0 {
             // Every admitted prompt is fully resident: no prompt pass runs.
             Seconds::ZERO
@@ -1023,35 +1017,8 @@ impl ReplicaEngine {
         credited
     }
 
-    /// The decode-step latency of micro-batches holding `occupancy` requests
-    /// at mean decode `contexts`, memoized on exactly that pair. `load`
-    /// yields the batch policy and workload shape a miss is costed with; a
-    /// hit never calls it, so the work of deriving them is skipped.
-    fn cost_step(
-        &mut self,
-        occupancy: &[u64],
-        contexts: &[u64],
-        load: impl FnOnce(&Self) -> (Policy, WorkloadShape),
-    ) -> Result<Seconds, EngineError> {
-        let key = (occupancy.to_vec(), contexts.to_vec());
-        if let Some(&step) = self.step_memo.get(&key) {
-            return Ok(step);
-        }
-        let (policy, shape) = load(self);
-        let step = self.evaluator.decode_step_latency_with_loads(
-            self.schedule,
-            &policy,
-            &shape,
-            Some(&key.0),
-            Some(&key.1),
-        )?;
-        self.step_memo.insert(key, step);
-        Ok(step)
-    }
-
     /// Re-derives the decode-step latency for the current occupancy and KV
-    /// load, resetting the segment origin (memoized like the single-node
-    /// loop).
+    /// load, resetting the segment origin.
     fn refresh_step(&mut self) -> Result<(), EngineError> {
         self.segment_start = self.clock;
         if self.active.is_empty() {
@@ -1070,20 +1037,8 @@ impl ReplicaEngine {
             .filter(|p| p.requests > 0)
             .map(|p| mean_decode_context(p.prompt_tokens, p.cache_tokens, p.requests as u64))
             .collect();
-        let step = self.cost_step(&occupancy, &contexts, Self::active_load)?;
-        let total_active = self.active.len() as u64;
-        self.step = step;
-        self.recent_step = Some((step, total_active));
-        self.note_decode_rate(step, total_active);
-        Ok(())
-    }
-
-    /// The batch policy and workload shape of the decoding requests, for
-    /// costing a decode step of the continuous pipeline.
-    fn active_load(&self) -> (Policy, WorkloadShape) {
         let total_active = self.active.len() as u64;
         let prompt_sum: u64 = self.active.iter().map(|a| a.request.input_len).sum();
-        let mean_prompt = prompt_sum.div_ceil(total_active).max(1);
         let max_gen = self
             .active
             .iter()
@@ -1091,12 +1046,28 @@ impl ReplicaEngine {
             .max()
             .unwrap_or(1)
             .max(1);
-        let policy = Policy {
-            batch_size: total_active,
-            micro_batch_size: self.policy.micro_batch_size.min(total_active),
+        let shape = WorkloadShape::new(prompt_sum.div_ceil(total_active).max(1), max_gen);
+        let step = self.evaluator.decode_step_latency_with_loads(
+            self.schedule,
+            &self.batch_policy(total_active),
+            &shape,
+            Some(&occupancy),
+            Some(&contexts),
+        )?;
+        self.step = step;
+        self.recent_step = Some((step, total_active));
+        self.note_decode_rate(step, total_active);
+        Ok(())
+    }
+
+    /// The replica's policy resized to a batch of `n` requests: micro-batches
+    /// never exceed the batch.
+    fn batch_policy(&self, n: u64) -> Policy {
+        Policy {
+            batch_size: n,
+            micro_batch_size: self.policy.micro_batch_size.min(n),
             ..self.policy
-        };
-        (policy, WorkloadShape::new(mean_prompt, max_gen))
+        }
     }
 
     fn step_rtc(&mut self, t: Seconds) -> Result<Vec<RequestLatency>, EngineError> {
@@ -1185,12 +1156,14 @@ impl ReplicaEngine {
             .unwrap_or(0);
         let mean_prompt = prompt_tokens.div_ceil(requests).max(1);
         let shape = WorkloadShape::new(mean_prompt, max_gen.max(1));
-        let policy = Policy {
-            batch_size: requests,
-            micro_batch_size: self.policy.micro_batch_size.min(requests),
-            ..self.policy
-        };
-        let step = self.cost_step(&occupancy, &contexts, |_| (policy, shape))?;
+        let policy = self.batch_policy(requests);
+        let step = self.evaluator.decode_step_latency_with_loads(
+            self.schedule,
+            &policy,
+            &shape,
+            Some(&occupancy),
+            Some(&contexts),
+        )?;
         // Credited tokens skip the prompt pass only; the decode step above
         // was costed on the full context, which still occupies KV here.
         let credited = self.credit_admitted(

@@ -225,32 +225,15 @@ impl SystemEvaluator {
         policy: &Policy,
         workload: &WorkloadShape,
     ) -> Result<Seconds, EngineError> {
-        self.decode_step_latency_with_occupancy(schedule, policy, workload, None)
-    }
-
-    /// Simulated decode-step latency with explicit per-micro-batch occupancies
-    /// (active sequences per micro-batch). `None` falls back to the policy's
-    /// uniform split; the request-level serving loop passes the actual Algorithm 2
-    /// assignment so pipeline bubbles reflect real imbalance.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Simulation`] if the schedule cannot be simulated.
-    pub fn decode_step_latency_with_occupancy(
-        &self,
-        schedule: ScheduleKind,
-        policy: &Policy,
-        workload: &WorkloadShape,
-        occupancy: Option<&[u64]>,
-    ) -> Result<Seconds, EngineError> {
-        self.decode_step_latency_with_loads(schedule, policy, workload, occupancy, None)
+        self.decode_step_latency_with_loads(schedule, policy, workload, None, None)
     }
 
     /// Simulated decode-step latency with explicit per-micro-batch occupancies
     /// *and* mean decode contexts (KV tokens each active sequence reads), so the
     /// pipeline sees both kinds of imbalance a batch-formation strategy can
     /// produce: sequence-count skew and token-load skew. `contexts` requires
-    /// `occupancy` of the same length.
+    /// `occupancy` of the same length; `None` falls back to the policy's
+    /// uniform split and the workload's uniform average context.
     ///
     /// # Errors
     ///

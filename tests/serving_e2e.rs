@@ -1,6 +1,7 @@
 //! End-to-end tests of the request-level serving core: a variable-length MTBench
 //! queue served through Algorithm 2 micro-batches (the ISSUE 1 acceptance tests).
 
+use moe_hardware::Seconds;
 use moe_lightning::{
     EvalSetting, ServeSpec, ServingMode, ServingSession, SystemEvaluator, SystemKind,
 };
@@ -182,4 +183,45 @@ fn oversized_requests_abort_and_the_rest_are_served() {
     assert_eq!(report.served_requests(), 10);
     assert_eq!(report.aborted.len(), 1);
     assert_eq!(report.aborted[0].id, 10);
+}
+
+#[test]
+fn step_cost_does_not_depend_on_earlier_rounds() {
+    // Queue B's rounds share occupancy [2] and mean decode context [110]
+    // with queue A's, but not A's mean prompt, which DeepSpeed-Zero's
+    // layer-streaming schedule reads. Serving A first must not change the
+    // decode step B is costed at.
+    let eval = evaluator();
+    let spec = WorkloadSpec::mtbench();
+    let late = |id, input_len, gen_len| Request {
+        arrival: Seconds::from_secs(1e6),
+        ..Request::new(id, input_len, gen_len)
+    };
+    let queue_b = vec![late(2, 104, 2), late(3, 100, 30)];
+    let mut a_then_b = vec![Request::new(0, 100, 10), Request::new(1, 100, 30)];
+    a_then_b.extend(queue_b.iter().copied());
+    for mode in [ServingMode::RoundToCompletion, ServingMode::Continuous] {
+        let session = ServingSession::new(&eval, SystemKind::DeepSpeedZero, &spec, 64)
+            .unwrap()
+            .with_mode(mode);
+        let alone = session.serve(queue_b.clone()).unwrap();
+        let after_a = session.serve(a_then_b.clone()).unwrap();
+        assert_eq!(alone.served_requests(), 2);
+        assert_eq!(after_a.served_requests(), 4);
+        for l in &alone.latencies {
+            let other = after_a
+                .latencies
+                .iter()
+                .find(|o| o.request.id == l.request.id)
+                .expect("B's requests are served after A");
+            assert_eq!(
+                l.per_token.as_secs().to_bits(),
+                other.per_token.as_secs().to_bits(),
+                "{mode}: request {} per-token {} alone vs {} after A",
+                l.request.id,
+                l.per_token.as_secs(),
+                other.per_token.as_secs()
+            );
+        }
+    }
 }
