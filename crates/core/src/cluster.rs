@@ -34,9 +34,8 @@ use crate::dynamics::{
     AdmissionController, AdmitAll, Autoscaler, AvailabilityReport, FleetAction, FleetTimeline,
     FleetView, ScaleBounds, ScaleDecision,
 };
-use crate::engine::{
-    batching_for, EngineError, Lifecycle, ReplicaEngine, SystemEvaluator, WindowEvent,
-};
+use crate::engine::{batching_for, Lifecycle, ReplicaEngine, WindowEvent};
+use crate::evaluator::{EngineError, SystemEvaluator};
 use crate::observe::ObsState;
 use crate::serving::{ServingMode, ServingReport};
 use crate::system::SystemKind;
@@ -46,8 +45,8 @@ use moe_model::MoeModelConfig;
 use moe_policy::Policy;
 use moe_telemetry::{Section, TelemetrySink};
 use moe_workload::{
-    Algorithm2, ArrivalClock, ArrivalProcess, BatchRunReport, GenLens, LatencySummary, Request,
-    RequestLatency, Scheduler, SloClass, WorkloadSpec,
+    Algorithm2, ArrivalProcess, BatchRunReport, GenLens, LatencySummary, Request, RequestLatency,
+    Scheduler, SloClass, WorkloadSpec,
 };
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -92,6 +91,12 @@ pub enum ClusterSpecError {
     /// fleet needs at least one replica taking arrivals (prefill or unified)
     /// and one taking migrations (decode or unified).
     IncompletePools,
+    /// The synthesized queue's [`ArrivalProcess`] cannot stamp arrivals: a
+    /// Poisson rate that is not positive (zero, negative or NaN) or a burst
+    /// of zero requests. Checked when the run synthesizes its queue, so a
+    /// scenario with an explicit queue ([`ClusterSpec::with_queue`]) never
+    /// reports it.
+    InvalidArrivals,
 }
 
 impl fmt::Display for ClusterSpecError {
@@ -104,6 +109,9 @@ impl fmt::Display for ClusterSpecError {
             }
             ClusterSpecError::IncompletePools => f.write_str(
                 "disaggregated pools need an arrival-taking and a migration-taking replica",
+            ),
+            ClusterSpecError::InvalidArrivals => f.write_str(
+                "the arrival process needs a positive Poisson rate and a non-empty burst size",
             ),
         }
     }
@@ -177,7 +185,6 @@ pub struct ClusterSpec {
     pub(crate) autoscaler: Option<(Arc<dyn Autoscaler>, ScaleBounds)>,
     pub(crate) admission: Arc<dyn AdmissionController>,
     pub(crate) scale_template: Option<ReplicaSpec>,
-    pub(crate) fleet_scaled_arrivals: bool,
     pub(crate) queue: Option<Vec<Request>>,
     pub(crate) tap: Option<Arc<dyn ArrivalTap>>,
     pub(crate) telemetry: Option<Arc<dyn TelemetrySink>>,
@@ -208,7 +215,6 @@ impl ClusterSpec {
             autoscaler: None,
             admission: Arc::new(AdmitAll),
             scale_template: None,
-            fleet_scaled_arrivals: false,
             queue: None,
             tap: None,
             telemetry: None,
@@ -325,21 +331,11 @@ impl ClusterSpec {
         self
     }
 
-    /// Stamps arrival times *incrementally*, scaling the arrival process's
-    /// instantaneous rate by the number of currently-serving replicas (see
-    /// [`ArrivalClock`]): an open-loop population whose offered load tracks
-    /// the advertised capacity. With a static fleet of `n` replicas this
-    /// reproduces `with_arrivals(process.scaled(n as f64))` exactly.
-    pub fn with_fleet_scaled_arrivals(mut self) -> Self {
-        self.fleet_scaled_arrivals = true;
-        self
-    }
-
     /// Replaces workload synthesis with an explicit, pre-stamped request
     /// queue (the replay side of the trace subsystem). Sets `count` to the
     /// queue length; requests are served in `(arrival, id)` order. Arrival
-    /// stamps are taken as-is, so fleet-scaled arrival stamping is disabled
-    /// for the run (the queue already *is* a realized arrival stream).
+    /// stamps are taken as-is and the scenario's [`ArrivalProcess`] is
+    /// ignored (the queue already *is* a realized arrival stream).
     pub fn with_queue(mut self, queue: Vec<Request>) -> Self {
         self.count = queue.len();
         self.queue = Some(queue);
@@ -632,7 +628,6 @@ impl ClusterReport {
 #[derive(Debug, Clone)]
 pub struct ClusterEvaluator {
     model: MoeModelConfig,
-    simulated_layers: Option<u32>,
     scan_loop: bool,
     shard_threads: Option<usize>,
 }
@@ -643,17 +638,9 @@ impl ClusterEvaluator {
     pub fn new(model: MoeModelConfig) -> Self {
         ClusterEvaluator {
             model,
-            simulated_layers: None,
             scan_loop: false,
             shard_threads: None,
         }
-    }
-
-    /// Overrides how many layers each replica's discrete-event engine
-    /// simulates (see [`SystemEvaluator::with_simulated_layers`]).
-    pub fn with_simulated_layers(mut self, layers: u32) -> Self {
-        self.simulated_layers = Some(layers);
-        self
     }
 
     /// Selects the linear scan loop instead of the indexed fast path (see the
@@ -690,10 +677,7 @@ impl ClusterEvaluator {
         index: usize,
         policy_cache: &mut Vec<(NodeSpec, Policy)>,
     ) -> Result<ReplicaEngine, EngineError> {
-        let mut evaluator = SystemEvaluator::new(replica.node.clone(), self.model.clone());
-        if let Some(layers) = self.simulated_layers {
-            evaluator = evaluator.with_simulated_layers(layers);
-        }
+        let evaluator = SystemEvaluator::new(replica.node.clone(), self.model.clone());
         let policy_gen = spec.gen.policy_gen_for(&spec.workload);
         let shape = evaluator.workload_shape(spec.system, &spec.workload, policy_gen);
         // The policy search only depends on the node within one run (system,
@@ -738,7 +722,8 @@ impl ClusterEvaluator {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::InvalidClusterSpec`] for an unusable fleet,
+    /// Returns [`EngineError::InvalidClusterSpec`] for an unusable fleet or
+    /// an arrival process that cannot stamp the synthesized queue,
     /// [`EngineError::NoFeasiblePolicy`] if some replica cannot run at all,
     /// and propagates batching/simulation errors.
     pub fn run(&self, spec: &ClusterSpec) -> Result<ClusterReport, EngineError> {
@@ -767,31 +752,33 @@ impl ClusterEvaluator {
         policy_cache: Vec<(NodeSpec, Policy)>,
     ) -> Result<ClusterReport, EngineError> {
         // One fleet-wide queue: arrivals are sampled once, not per replica.
-        // Under fleet-scaled arrivals the stamp seed matches the pre-stamped
-        // path so a static fleet reproduces `with_arrivals(scaled(n))`.
-        let arrival_seed = spec.seed.wrapping_add(0x51_7c_c1_b7);
-        let mut arrival_clock = (spec.fleet_scaled_arrivals && spec.queue.is_none())
-            .then(|| ArrivalClock::new(spec.arrivals, arrival_seed));
+        // An explicit queue is already a realized arrival stream, so its
+        // stamps are final and the arrival process is not consulted.
         let mut queue = match &spec.queue {
-            // An explicit queue is already a realized arrival stream: stamps
-            // are final, so fleet-scaled lazy stamping stays off.
             Some(explicit) => explicit.clone(),
-            None => spec.workload.synthesize_queue(
-                spec.count,
-                spec.gen,
-                spec.seed,
-                spec.system.pads_requests(),
-                if spec.fleet_scaled_arrivals {
-                    // Stamped lazily at dispatch, at the then-current fleet size.
-                    &ArrivalProcess::Immediate
-                } else {
-                    &spec.arrivals
-                },
-            ),
+            None => {
+                // The conditions `ArrivalProcess::stamp` asserts, as a typed
+                // error instead of a panic.
+                let stampable = match spec.arrivals {
+                    ArrivalProcess::Immediate => true,
+                    ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec > 0.0,
+                    ArrivalProcess::Burst { size, .. } => size > 0,
+                };
+                if !stampable {
+                    return Err(EngineError::InvalidClusterSpec {
+                        reason: ClusterSpecError::InvalidArrivals,
+                    });
+                }
+                spec.workload.synthesize_queue(
+                    spec.count,
+                    spec.gen,
+                    spec.seed,
+                    spec.system.pads_requests(),
+                    &spec.arrivals,
+                )
+            }
         };
-        if spec.queue.is_some() || !spec.fleet_scaled_arrivals {
-            queue.sort_by_key(|r| (r.arrival.key(), r.id));
-        }
+        queue.sort_by_key(|r| (r.arrival.key(), r.id));
 
         let timeline = spec.timeline.sorted_events();
         let mut cursor = 0usize;
@@ -830,21 +817,12 @@ impl ClusterEvaluator {
         }
 
         let mut next = 0usize;
-        let mut stamped_through = 0usize;
         loop {
             let prof_select = plane.prof_start();
             // Bring the event queue and router index up to date with every
             // replica touched since the last decision (no-op on the scan
             // loop, which scans instead).
             plane.flush_dirty();
-            // Lazily stamp the next arrival at the current fleet size.
-            if let Some(clock) = arrival_clock.as_mut() {
-                if next < queue.len() && next >= stamped_through {
-                    let live = plane.serving_count_fast().max(1);
-                    queue[next].arrival = clock.next(live as f64);
-                    stamped_through = next + 1;
-                }
-            }
             // The earliest pending event across the fleet. Priority at ties:
             // control events (timeline actions, provisioning completions)
             // first — a failure at time t must not route the arrival at t to
@@ -1153,16 +1131,6 @@ impl FleetLoop<'_> {
         self.engines.iter().filter(|e| e.is_serving()).count()
     }
 
-    /// Serving-replica count without the O(fleet) scan when the router index
-    /// is maintained (its membership is exactly the serving replicas).
-    fn serving_count_fast(&self) -> usize {
-        if self.indexed {
-            self.index.len()
-        } else {
-            self.serving_count()
-        }
-    }
-
     /// Queues replica `index` for re-synchronisation of its event-heap entry
     /// and router-index view. No-op on the scan loop.
     pub(crate) fn mark_dirty(&mut self, index: usize) {
@@ -1243,9 +1211,9 @@ impl FleetLoop<'_> {
     /// controller (`screen` true); requests re-routed by churn were already
     /// accepted and are not re-screened.
     pub(crate) fn dispatch(&mut self, request: Request, now: Seconds, screen: bool) {
-        // New arrivals (screen) reach the tap with their final stamp — lazily
-        // stamped fleet-scaled arrivals included. Churn re-routes are the same
-        // request again, not a new arrival, and are not re-recorded.
+        // New arrivals (screen) reach the tap with their arrival stamp. Churn
+        // re-routes are the same request again, not a new arrival, and are not
+        // re-recorded.
         if screen {
             if let Some(tap) = &self.spec.tap {
                 tap.record(&request);

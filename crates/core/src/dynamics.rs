@@ -409,30 +409,17 @@ impl AdmissionController for AdmitAll {
 }
 
 /// Rejects arrivals whose projected TTFT already misses the SLO's TTFT
-/// deadline (scaled by a slack factor): a request that is guaranteed late
-/// wastes queue and KV space that on-time requests could use.
+/// deadline: a request that is guaranteed late wastes queue and KV space that
+/// on-time requests could use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloAdmission {
     slo: SloSpec,
-    slack: f64,
 }
 
 impl SloAdmission {
-    /// Rejects requests projected to miss `slo.ttft` (slack 1.0).
+    /// Rejects requests projected to miss `slo.ttft`.
     pub fn new(slo: SloSpec) -> Self {
-        SloAdmission { slo, slack: 1.0 }
-    }
-
-    /// Scales the TTFT deadline by `slack` before rejecting (e.g. 1.2 keeps
-    /// requests the estimate is only 20% pessimistic about).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slack` is not positive.
-    pub fn with_slack(mut self, slack: f64) -> Self {
-        assert!(slack > 0.0, "admission slack must be positive");
-        self.slack = slack;
-        self
+        SloAdmission { slo }
     }
 
     /// The SLO admissions are judged against.
@@ -447,7 +434,7 @@ impl AdmissionController for SloAdmission {
     }
 
     fn admit(&self, _request: &Request, projected_ttft: Seconds, _replica: &ReplicaView) -> bool {
-        projected_ttft <= self.slo.ttft.scale(self.slack)
+        projected_ttft <= self.slo.ttft
     }
 }
 
@@ -679,23 +666,9 @@ mod tests {
         let target = view(0, 0, 0);
         assert!(admission.admit(&request, Seconds::from_secs(10.0), &target));
         assert!(!admission.admit(&request, Seconds::from_secs(10.1), &target));
-        // Slack stretches the deadline.
-        let slack = SloAdmission::new(slo).with_slack(2.0);
-        assert!(slack.admit(&request, Seconds::from_secs(19.9), &target));
-        assert!(!slack.admit(&request, Seconds::from_secs(20.1), &target));
         // AdmitAll never rejects.
         assert!(AdmitAll.admit(&request, Seconds::from_secs(1e12), &target));
         assert_eq!(AdmitAll.name(), "admit-all");
-    }
-
-    #[test]
-    #[should_panic(expected = "slack must be positive")]
-    fn zero_admission_slack_panics() {
-        let slo = SloSpec {
-            ttft: Seconds::from_secs(1.0),
-            per_token: Seconds::from_secs(1.0),
-        };
-        let _ = SloAdmission::new(slo).with_slack(0.0);
     }
 
     #[test]

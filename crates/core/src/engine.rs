@@ -17,17 +17,9 @@
 //! are implemented here exactly once; wave costing, KV release, backfill and
 //! latency bookkeeping have no second copy (`tests/self_check.rs` pins the
 //! reports against committed fixtures).
-//!
-//! This module also re-exports the costing stack ([`SystemEvaluator`],
-//! [`EngineError`], …) from [`crate::evaluator`], where it moved when the
-//! serving engine took this file — `moe_lightning::engine::SystemEvaluator`
-//! and friends keep resolving.
-
-pub use crate::evaluator::{
-    EngineError, SystemEvaluation, SystemEvaluator, DEFAULT_SIMULATED_LAYERS,
-};
 
 use crate::disagg::{PrefixCache, ReplicaRole};
+use crate::evaluator::{EngineError, SystemEvaluator};
 use crate::router::{ReplicaId, ReplicaView};
 use crate::serving::{RoundReport, ServingMode, ServingReport};
 use crate::system::SystemKind;

@@ -5,8 +5,7 @@
 //! This module holds the *costing* side of the stack — [`SystemEvaluator`]
 //! prices policies, prefills and decode steps. The *serving* side (the
 //! [`crate::engine::ReplicaEngine`] event machine that turns those costs into
-//! request latencies) lives in [`crate::engine`], which re-exports this
-//! module's items for backwards-compatible `moe_lightning::engine::…` paths.
+//! request latencies) lives in [`crate::engine`].
 
 use crate::cluster::ClusterSpecError;
 use crate::system::SystemKind;
@@ -21,12 +20,11 @@ use moe_workload::{BatchRunReport, BatchingConfigError, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Default number of layers actually simulated by the discrete-event engine; the
-/// decode-step makespan is extrapolated linearly to the full depth (layer pipelines
-/// are homogeneous, so the approximation error is limited to the prologue of the
-/// first simulated layer). Override per evaluator with
-/// [`SystemEvaluator::with_simulated_layers`].
-pub const DEFAULT_SIMULATED_LAYERS: u32 = 4;
+/// Number of layers actually simulated by the discrete-event engine (or the full
+/// model if shallower); the decode-step makespan is extrapolated linearly to the
+/// full depth (layer pipelines are homogeneous, so the approximation error is
+/// limited to the prologue of the first simulated layer).
+pub const SIMULATED_LAYERS: u32 = 4;
 
 /// Errors produced by the evaluator.
 ///
@@ -105,45 +103,20 @@ pub struct SystemEvaluator {
     node: NodeSpec,
     model: MoeModelConfig,
     cost: CostModel,
-    simulated_layers: u32,
 }
 
 impl SystemEvaluator {
     /// Creates an evaluator. The discrete-event simulation covers
-    /// [`DEFAULT_SIMULATED_LAYERS`] layers (or the full model if shallower) and is
+    /// [`SIMULATED_LAYERS`] layers (or the full model if shallower) and is
     /// extrapolated linearly to the model's depth.
     pub fn new(node: NodeSpec, model: MoeModelConfig) -> Self {
         let cost = CostModel::new(node.clone(), model.clone());
-        let simulated_layers = DEFAULT_SIMULATED_LAYERS.min(model.num_layers);
-        SystemEvaluator {
-            node,
-            model,
-            cost,
-            simulated_layers,
-        }
-    }
-
-    /// Overrides how many layers the discrete-event engine simulates before the
-    /// makespan is extrapolated to the full depth. More layers cost simulation time
-    /// but shrink the prologue approximation error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layers` is zero or exceeds the model's layer count.
-    pub fn with_simulated_layers(mut self, layers: u32) -> Self {
-        assert!(layers >= 1, "must simulate at least one layer");
-        assert!(
-            layers <= self.model.num_layers,
-            "cannot simulate {layers} layers of a {}-layer model",
-            self.model.num_layers
-        );
-        self.simulated_layers = layers;
-        self
+        SystemEvaluator { node, model, cost }
     }
 
     /// Number of layers the discrete-event engine simulates before extrapolation.
     pub fn simulated_layers(&self) -> u32 {
-        self.simulated_layers
+        SIMULATED_LAYERS.min(self.model.num_layers)
     }
 
     /// The underlying cost model.
@@ -260,7 +233,7 @@ impl SystemEvaluator {
                 });
             }
         }
-        let layers = self.model.num_layers.min(self.simulated_layers);
+        let layers = self.simulated_layers();
         let mut builder =
             DecodeScheduleBuilder::new(&self.cost, *policy, *workload).with_layers(layers);
         if let Some(tokens) = occupancy {
@@ -506,24 +479,24 @@ mod tests {
     }
 
     #[test]
-    fn simulated_layers_knob_is_clamped_and_overridable() {
+    fn simulated_layers_extrapolate_stably_to_full_depth() {
         let eval = s1();
-        assert_eq!(eval.simulated_layers(), DEFAULT_SIMULATED_LAYERS);
-        let deeper = s1().with_simulated_layers(8);
-        assert_eq!(deeper.simulated_layers(), 8);
+        assert_eq!(eval.simulated_layers(), SIMULATED_LAYERS);
         // More simulated layers shrink the extrapolated prologue share, so the
-        // estimate can only move by a bounded amount.
+        // 4-layer estimate can only move by a bounded amount against 8 layers.
         let spec = WorkloadSpec::mtbench();
-        let workload = deeper.workload_shape(SystemKind::MoeLightningPadded, &spec, 64);
-        let policy = deeper
+        let workload = eval.workload_shape(SystemKind::MoeLightningPadded, &spec, 64);
+        let policy = eval
             .policy_for(SystemKind::MoeLightningPadded, &workload)
             .unwrap();
         let coarse = eval
             .decode_step_latency(ScheduleKind::CgoPipe, &policy, &workload)
             .unwrap();
-        let fine = deeper
-            .decode_step_latency(ScheduleKind::CgoPipe, &policy, &workload)
-            .unwrap();
+        let fine = DecodeScheduleBuilder::new(eval.cost_model(), policy, workload)
+            .with_layers(8)
+            .decode_step_makespan(ScheduleKind::CgoPipe)
+            .unwrap()
+            .scale(f64::from(eval.model().num_layers) / 8.0);
         let rel = (coarse.as_secs() - fine.as_secs()).abs() / fine.as_secs();
         assert!(
             rel < 0.35,
@@ -532,17 +505,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot simulate")]
-    fn simulated_layers_above_model_depth_panics() {
-        let eval = s1();
-        let depth = eval.model().num_layers;
-        let _ = eval.with_simulated_layers(depth + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one layer")]
-    fn zero_simulated_layers_panics() {
-        let _ = s1().with_simulated_layers(0);
+    fn a_model_shallower_than_the_simulated_depth_is_simulated_in_full() {
+        let model = MoeModelConfig {
+            num_layers: 2,
+            ..MoeModelConfig::tiny()
+        };
+        let eval = SystemEvaluator::new(EvalSetting::S1.node(), model);
+        assert_eq!(eval.simulated_layers(), 2);
+        let policy = Policy::offload_default(8, 4);
+        let workload = WorkloadShape::new(64, 16);
+        let latency = eval
+            .decode_step_latency(ScheduleKind::CgoPipe, &policy, &workload)
+            .unwrap();
+        let full = DecodeScheduleBuilder::new(eval.cost_model(), policy, workload)
+            .with_layers(2)
+            .decode_step_makespan(ScheduleKind::CgoPipe)
+            .unwrap();
+        assert_eq!(latency.as_secs().to_bits(), full.as_secs().to_bits());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! * [`system::SystemKind`] — MoE-Lightning, MoE-Lightning(p), FlexGen, FlexGen(c)
 //!   and DeepSpeed ZeRO-Inference, each a (policy generator, schedule, padding)
 //!   triple.
-//! * [`engine::SystemEvaluator`] — generates each system's policy, simulates its
+//! * [`evaluator::SystemEvaluator`] — generates each system's policy, simulates its
 //!   decode pipeline on the discrete-event simulator and reports generation
 //!   throughput.
 //! * [`engine::ReplicaEngine`] — the one serving engine: the per-replica event
@@ -71,7 +71,8 @@ pub use dynamics::{
     AdmissionController, AdmitAll, Autoscaler, AvailabilityReport, FleetAction, FleetTimeline,
     FleetView, QueueDepthScaler, ScaleBounds, ScaleDecision, SloAdmission, SloAttainmentScaler,
 };
-pub use engine::{EngineError, ReplicaEngine, SystemEvaluation, SystemEvaluator};
+pub use engine::ReplicaEngine;
+pub use evaluator::{EngineError, SystemEvaluation, SystemEvaluator};
 pub use serving::{RoundReport, ServeSpec, ServingMode, ServingReport, ServingSession};
 pub use settings::EvalSetting;
 pub use system::SystemKind;

@@ -45,7 +45,8 @@
 //! the padded-systems special case.
 
 use crate::cluster::{ClusterEvaluator, ClusterReport, ClusterSpec, ReplicaSpec};
-use crate::engine::{batching_for, EngineError, ReplicaEngine, SystemEvaluator};
+use crate::engine::{batching_for, ReplicaEngine};
+use crate::evaluator::{EngineError, SystemEvaluator};
 use crate::router::ReplicaId;
 use crate::system::SystemKind;
 use crate::tap::ArrivalTap;
@@ -305,8 +306,7 @@ impl<'a> ServingSession<'a> {
             Arc::clone(&self.scheduler),
         );
         engine.profile = spec.telemetry.is_some();
-        let fleet = ClusterEvaluator::new(self.evaluator.model().clone())
-            .with_simulated_layers(self.evaluator.simulated_layers());
+        let fleet = ClusterEvaluator::new(self.evaluator.model().clone());
         let ClusterReport {
             mut replicas,
             mut fleet_aborted,
@@ -488,7 +488,9 @@ impl SystemEvaluator {
     /// # Errors
     ///
     /// Returns an error if no policy fits, the batching configuration is
-    /// invalid, or the simulation fails.
+    /// invalid, the arrival process cannot stamp the synthesized queue
+    /// ([`crate::ClusterSpecError::InvalidArrivals`]), or the simulation
+    /// fails.
     pub fn run(&self, spec: &ServeSpec) -> Result<ServingReport, EngineError> {
         let cluster = &spec.cluster;
         // Policies (and thus KV budgets) are sized for the scenario's expected

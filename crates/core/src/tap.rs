@@ -3,8 +3,7 @@
 //! Both serving entry points — the single-node [`crate::ServeSpec`] path and
 //! the fleet-wide [`crate::ClusterSpec`] path, which share one driver loop —
 //! can carry an [`ArrivalTap`] that sees every request exactly once, in
-//! realized arrival order, with its final arrival stamp (including arrivals
-//! stamped lazily at dispatch under fleet-scaled load). This is the recording
+//! realized arrival order, with its final arrival stamp. This is the recording
 //! side of the trace subsystem: the `moe-trace` crate's `TraceRecorder`
 //! implements the trait and turns any run into a serialized trace that can
 //! be replayed bit-identically through `with_queue`.

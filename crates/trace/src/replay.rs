@@ -1,10 +1,9 @@
 //! Replaying: feed a recorded [`Trace`] back through the serving stack.
 //!
 //! Replay installs the trace as an explicit pre-stamped queue
-//! (`with_queue`), which turns off workload synthesis and fleet-scaled
-//! arrival stamping: the run consumes exactly the recorded stream, so two
-//! replays of the same trace through the same spec produce bit-identical
-//! reports. To reproduce the *originating* run's report exactly, keep the
+//! (`with_queue`), which turns off workload synthesis and arrival stamping:
+//! the run consumes exactly the recorded stream, so two replays of the same
+//! trace through the same spec produce bit-identical reports. To reproduce the *originating* run's report exactly, keep the
 //! non-queue axes (system, policy/replicas, mode, router, generation-length
 //! axis) the same as the run that recorded the trace — the generation-length
 //! axis still sizes policies even though the queue carries its own lengths.

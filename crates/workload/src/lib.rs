@@ -47,7 +47,7 @@ pub use scheduler::{
     builtin_schedulers, Algorithm2, FcfsPadded, QueueOrder, Scheduler, ShortestJobFirst,
     TokenBudget,
 };
-pub use spec::{ArrivalClock, ArrivalProcess, GenLens, Request, SloClass, WorkloadSpec};
+pub use spec::{ArrivalProcess, GenLens, Request, SloClass, WorkloadSpec};
 
 #[cfg(test)]
 mod proptests {

@@ -198,78 +198,6 @@ impl ArrivalProcess {
     }
 }
 
-/// Incremental arrival stamping for dynamic fleets: draws one arrival at a
-/// time, scaling the process's *instantaneous* rate by a caller-supplied
-/// factor (typically the number of currently-serving replicas), so the
-/// offered load tracks fleet capacity as replicas fail, drain and join.
-///
-/// With a constant factor `n` this produces exactly the same arrival sequence
-/// as [`ArrivalProcess::scaled`]`(n)` followed by [`ArrivalProcess::stamp`]
-/// with the same seed: Poisson gaps divide by the factor draw-by-draw, burst
-/// periods divide burst-by-burst, and immediate arrivals stay at time zero.
-#[derive(Debug, Clone)]
-pub struct ArrivalClock {
-    process: ArrivalProcess,
-    rng: StdRng,
-    t: f64,
-    emitted: usize,
-}
-
-impl ArrivalClock {
-    /// A clock drawing from `process`, seeded like [`ArrivalProcess::stamp`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive Poisson rate or a zero burst size.
-    pub fn new(process: ArrivalProcess, seed: u64) -> Self {
-        match process {
-            ArrivalProcess::Poisson { rate_per_sec } => {
-                assert!(rate_per_sec > 0.0, "Poisson rate must be positive");
-            }
-            ArrivalProcess::Burst { size, .. } => {
-                assert!(size > 0, "burst size must be positive");
-            }
-            ArrivalProcess::Immediate => {}
-        }
-        ArrivalClock {
-            process,
-            rng: StdRng::seed_from_u64(seed),
-            t: 0.0,
-            emitted: 0,
-        }
-    }
-
-    /// The next arrival instant, with the process's instantaneous rate scaled
-    /// by `factor` (Poisson rates multiply, burst periods divide; immediate
-    /// arrivals ignore it). Arrival times are non-decreasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not positive.
-    pub fn next(&mut self, factor: f64) -> Seconds {
-        assert!(factor > 0.0, "arrival rate factor must be positive");
-        match self.process {
-            ArrivalProcess::Immediate => {}
-            ArrivalProcess::Poisson { rate_per_sec } => {
-                let u: f64 = self.rng.gen_range(0.0..1.0);
-                self.t += -(1.0 - u).ln() / (rate_per_sec * factor);
-            }
-            ArrivalProcess::Burst { size, period_secs } => {
-                if self.emitted > 0 && self.emitted.is_multiple_of(size) {
-                    self.t += period_secs.max(0.0) / factor;
-                }
-            }
-        }
-        self.emitted += 1;
-        Seconds::from_secs(self.t)
-    }
-
-    /// How many arrivals the clock has emitted.
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-}
-
 /// How generation lengths are assigned when synthesizing a request queue
 /// (the `gen_len` axis of a serving scenario).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -775,60 +703,5 @@ mod tests {
     #[should_panic(expected = "empty workload")]
     fn sampling_zero_requests_panics() {
         WorkloadSpec::mtbench().sample_requests(0, 32, 1);
-    }
-
-    #[test]
-    fn arrival_clock_with_constant_factor_matches_pre_scaled_stamping() {
-        for process in [
-            ArrivalProcess::Poisson { rate_per_sec: 2.0 },
-            ArrivalProcess::Burst {
-                size: 5,
-                period_secs: 12.0,
-            },
-            ArrivalProcess::Immediate,
-        ] {
-            let mut stamped = WorkloadSpec::mtbench().sample_requests(64, 32, 3);
-            process.scaled(4.0).stamp(&mut stamped, 99);
-            let mut clock = ArrivalClock::new(process, 99);
-            for (i, r) in stamped.iter().enumerate() {
-                let t = clock.next(4.0);
-                assert!(
-                    (t.as_secs() - r.arrival.as_secs()).abs() < 1e-9,
-                    "{process:?} arrival {i}: clock {t:?} != stamped {:?}",
-                    r.arrival
-                );
-            }
-            assert_eq!(clock.emitted(), 64);
-        }
-    }
-
-    #[test]
-    fn arrival_clock_speeds_up_when_the_factor_grows() {
-        // Burst periods shrink mid-stream when capacity doubles.
-        let mut clock = ArrivalClock::new(
-            ArrivalProcess::Burst {
-                size: 2,
-                period_secs: 10.0,
-            },
-            0,
-        );
-        let times: Vec<f64> = (0..6)
-            .map(|i| clock.next(if i < 4 { 1.0 } else { 2.0 }).as_secs())
-            .collect();
-        assert_eq!(times, vec![0.0, 0.0, 10.0, 10.0, 15.0, 15.0]);
-        // Poisson arrival times are non-decreasing under any factor schedule.
-        let mut clock = ArrivalClock::new(ArrivalProcess::Poisson { rate_per_sec: 1.0 }, 7);
-        let mut last = Seconds::ZERO;
-        for i in 0..100 {
-            let t = clock.next(1.0 + (i % 5) as f64);
-            assert!(t >= last);
-            last = t;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be positive")]
-    fn arrival_clock_rejects_non_positive_factors() {
-        let _ = ArrivalClock::new(ArrivalProcess::Immediate, 0).next(0.0);
     }
 }

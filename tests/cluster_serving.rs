@@ -324,3 +324,65 @@ fn invalid_cluster_specs_surface_as_typed_errors() {
         _ => unreachable!("typed cluster error expected"),
     }
 }
+
+/// An arrival process that cannot stamp a queue (a Poisson rate that is not
+/// positive, a burst of zero requests) is a typed spec error on both entry
+/// points, not a panic. An explicit queue is already stamped, so the same bad
+/// process is never consulted.
+#[test]
+fn invalid_arrival_processes_surface_as_typed_errors() {
+    let is_invalid_arrivals = |err: EngineError| {
+        matches!(
+            err,
+            EngineError::InvalidClusterSpec {
+                reason: ClusterSpecError::InvalidArrivals
+            }
+        )
+    };
+    let fleet = || {
+        ClusterSpec::homogeneous(
+            SystemKind::MoeLightning,
+            WorkloadSpec::mtbench(),
+            &NodeSpec::t4_single(),
+            2,
+        )
+        .with_count(16)
+        .with_gen_len(16)
+    };
+    let eval = cluster_evaluator();
+    for bad in [
+        ArrivalProcess::Poisson { rate_per_sec: 0.0 },
+        ArrivalProcess::Poisson {
+            rate_per_sec: f64::NAN,
+        },
+        ArrivalProcess::Burst {
+            size: 0,
+            period_secs: 1.0,
+        },
+    ] {
+        let err = eval.run(&fleet().with_arrivals(bad)).unwrap_err();
+        assert!(is_invalid_arrivals(err), "{bad:?}");
+    }
+
+    let setting = EvalSetting::S1;
+    let single = SystemEvaluator::new(setting.node(), setting.model());
+    let serve = || {
+        ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_count(16)
+            .with_gen_len(16)
+    };
+    let negative = ArrivalProcess::Poisson { rate_per_sec: -1.0 };
+    let err = single.run(&serve().with_arrivals(negative)).unwrap_err();
+    assert!(is_invalid_arrivals(err));
+
+    // An explicit queue is served as stamped; the bad process is ignored.
+    let queue: Vec<Request> = (0..16).map(|id| Request::new(id, 64, 16)).collect();
+    let replayed = eval
+        .run(&fleet().with_arrivals(negative).with_queue(queue.clone()))
+        .unwrap();
+    assert_eq!(replayed.served_requests(), 16);
+    let served = single
+        .run(&serve().with_arrivals(negative).with_queue(queue))
+        .unwrap();
+    assert_eq!(served.served_requests(), 16);
+}

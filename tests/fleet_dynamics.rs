@@ -412,42 +412,6 @@ fn slo_admission_with_a_drain_matches_across_loops() {
     assert_eq!(got.availability.drains, vec![(ReplicaId(1), secs(40.0))]);
 }
 
-/// Fleet-scaled arrivals on a *static* fleet reproduce the pre-scaled
-/// stamping exactly; the spec-level axis only changes behaviour once the
-/// fleet actually churns.
-#[test]
-fn fleet_scaled_arrivals_match_pre_scaled_stamping_on_a_static_fleet() {
-    let eval = cluster_evaluator();
-    let base = ArrivalProcess::Poisson { rate_per_sec: 0.6 };
-    let build = || {
-        ClusterSpec::homogeneous(
-            SystemKind::MoeLightning,
-            WorkloadSpec::mtbench(),
-            &NodeSpec::t4_single(),
-            4,
-        )
-        .with_count(200)
-        .with_gen_len(32)
-        .with_seed(31)
-        .with_mode(ServingMode::Continuous)
-    };
-    let pre_scaled = eval.run(&build().with_arrivals(base.scaled(4.0))).unwrap();
-    let dynamic = eval
-        .run(&build().with_arrivals(base).with_fleet_scaled_arrivals())
-        .unwrap();
-    assert_eq!(pre_scaled.served_requests(), dynamic.served_requests());
-    assert_eq!(
-        pre_scaled.totals.generated_tokens,
-        dynamic.totals.generated_tokens
-    );
-    assert!(
-        (pre_scaled.fleet_throughput() - dynamic.fleet_throughput()).abs() < 1e-6,
-        "a static fleet must see identical arrivals either way: {} vs {}",
-        pre_scaled.fleet_throughput(),
-        dynamic.fleet_throughput()
-    );
-}
-
 /// Inverted autoscaler bounds surface as a typed spec error.
 #[test]
 fn invalid_scale_bounds_surface_as_typed_errors() {

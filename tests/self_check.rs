@@ -742,36 +742,6 @@ fn indexed_loop_matches_scan_with_an_autoscaler() {
     }
 }
 
-/// Fleet-scaled arrivals stamp each request lazily at the then-current
-/// serving count; the indexed loop's O(1) serving count must agree with the
-/// scan loop at every stamping instant.
-#[test]
-fn indexed_loop_matches_scan_with_fleet_scaled_arrivals() {
-    let spec = || {
-        ClusterSpec::homogeneous(
-            SystemKind::MoeLightning,
-            WorkloadSpec::mtbench(),
-            &NodeSpec::t4_single(),
-            3,
-        )
-        .with_count(300)
-        .with_gen_len(32)
-        .with_seed(11)
-        .with_mode(ServingMode::Continuous)
-        .with_arrivals(ArrivalProcess::Poisson { rate_per_sec: 0.8 })
-        .with_fleet_scaled_arrivals()
-        .with_timeline(
-            FleetTimeline::new()
-                .fail_at(secs(40.0), ReplicaId(2))
-                .join_at(secs(70.0), ReplicaSpec::new(NodeSpec::t4_single()))
-                .with_provisioning_delay(secs(5.0)),
-        )
-    };
-    let want = scan().run(&spec()).unwrap();
-    let got = indexed(2).run(&spec()).unwrap();
-    assert_reports_identical(&want, &got, "fleet-scaled arrivals");
-}
-
 /// A heterogeneous fleet (different KV budgets per replica) exercises the
 /// indexed dispatch's eligible-subset fallback; the chosen replicas must
 /// still match the scan-loop filter scan.

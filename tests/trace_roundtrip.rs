@@ -5,8 +5,8 @@
 //! `with_queue`, and requires the replay to reproduce the originating
 //! [`ClusterReport`] / [`ServingReport`] field-by-field — across both
 //! dispatch loops (indexed and scan), multiple routers (including the
-//! rng-consuming power-of-two-choices), fleet-scaled lazily-stamped
-//! arrivals, and the single-node path.
+//! rng-consuming power-of-two-choices), churn, disaggregated pools, and the
+//! single-node path.
 
 use moe_lightning::{
     ClusterEvaluator, ClusterSpec, EvalSetting, FleetTimeline, LeastOutstandingTokens,
@@ -75,28 +75,6 @@ fn replay_reproduces_the_cluster_report_across_loops_and_routers() {
             assert_eq!(again, replayed);
         }
     }
-}
-
-#[test]
-fn replay_reproduces_fleet_scaled_lazily_stamped_arrivals() {
-    let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());
-    let recorder = Arc::new(TraceRecorder::new());
-    let spec = base_spec(Arc::new(LeastOutstandingTokens))
-        .with_fleet_scaled_arrivals()
-        .with_tap(Arc::clone(&recorder) as _);
-    let original = evaluator.run(&spec).unwrap();
-    assert_eq!(recorder.len(), original.total_requests());
-    // The tap saw the stamps the arrival clock assigned at dispatch time.
-    let trace = recorder.trace();
-    assert!(trace.duration().as_secs() > 0.0);
-
-    // Replaying an explicit queue must disable lazy stamping even though the
-    // spec still asks for it — the stream is already realized.
-    let replay_spec = trace.replay_into_cluster(
-        base_spec(Arc::new(LeastOutstandingTokens)).with_fleet_scaled_arrivals(),
-    );
-    let replayed = evaluator.run(&replay_spec).unwrap();
-    assert_eq!(replayed, original);
 }
 
 /// Record→replay stays bit-for-bit with the ISSUE 9 serving features on:
