@@ -49,6 +49,10 @@ fn bench_policy_search(c: &mut Criterion) {
             .with_search_space(SearchSpace::coarse());
         b.iter(|| optimizer.search(&workload).unwrap())
     });
+    c.bench_function("policy/search_default_s1", |b| {
+        let optimizer = PolicyOptimizer::new(NodeSpec::t4_single(), MoeModelConfig::mixtral_8x7b());
+        b.iter(|| optimizer.search(&workload).unwrap())
+    });
 }
 
 fn bench_schedules(c: &mut Criterion) {

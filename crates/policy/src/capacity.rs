@@ -40,6 +40,13 @@ impl MemoryRequirement {
     pub fn cpu_total(&self) -> ByteSize {
         self.cpu_weights + self.cpu_kv_cache + self.cpu_staging
     }
+
+    /// The host DRAM of the terms that never shrink as the batch `N` grows with
+    /// `(μ, A_g, F_g, r_w, r_c)` fixed: [`Self::cpu_total`] without the staging
+    /// area, whose weight pages get smaller as `N/μ` grows.
+    pub fn cpu_batch_floor(&self) -> ByteSize {
+        self.cpu_weights + self.cpu_kv_cache
+    }
 }
 
 /// Computes memory requirements and feasibility for policies.
@@ -118,12 +125,34 @@ impl CapacityModel {
 
     /// Whether `policy` fits the node's GPU and CPU memory for `workload`.
     pub fn is_feasible(&self, policy: &Policy, workload: &WorkloadShape) -> bool {
-        let req = self.requirement(policy, workload);
+        self.fits(&self.requirement(policy, workload))
+    }
+
+    /// Whether the requirement `req` fits the node's GPU and CPU memory.
+    pub(crate) fn fits(&self, req: &MemoryRequirement) -> bool {
         req.gpu_total() <= self.node.total_gpu_memory() && req.cpu_total() <= self.node.cpu_memory()
+    }
+
+    /// Whether a part of `req` that only grows with the batch already exceeds the
+    /// node: [`MemoryRequirement::gpu_total`] (every GPU term is flat or grows with
+    /// `N`) or [`MemoryRequirement::cpu_batch_floor`]. When it does, every larger
+    /// batch with the same `(μ, A_g, F_g, r_w, r_c)` is infeasible too, which is
+    /// what lets the policy search end a row of micro-batch counts early.
+    pub(crate) fn exceeds_batch_floor(&self, req: &MemoryRequirement) -> bool {
+        req.gpu_total() > self.node.total_gpu_memory()
+            || req.cpu_batch_floor() > self.node.cpu_memory()
     }
 
     /// The largest batch size (multiple of `micro_batch`) that still fits, or `None`
     /// if even a single micro-batch does not fit.
+    ///
+    /// The scan stops at the first infeasible batch. That is not a sound cut:
+    /// [`MemoryRequirement::cpu_staging`] shrinks as `N/μ` grows, so with host DRAM
+    /// near the model's weight size a larger batch can fit where a smaller one did
+    /// not, and this returns the end of the first feasible run. FlexGen's baseline
+    /// batch is defined by this scan, so it is kept as is. The HRM policy search
+    /// instead cuts where [`MemoryRequirement::gpu_total`] or
+    /// [`MemoryRequirement::cpu_batch_floor`] no longer fits.
     pub fn max_feasible_batch(
         &self,
         template: &Policy,

@@ -9,7 +9,7 @@
 //! the simulated pipelines share one source of truth.
 
 use crate::policy::{Policy, WorkloadShape};
-use moe_hardware::{Bandwidth, ByteSize, ComputeRate, DType, NodeSpec, Seconds};
+use moe_hardware::{Bandwidth, ByteSize, ComputeRate, DType, FlopCount, NodeSpec, Seconds};
 use moe_model::{LayerOps, MoeModelConfig, OpCost};
 use serde::{Deserialize, Serialize};
 
@@ -68,6 +68,24 @@ pub enum BottleneckResource {
     CpuCompute,
     /// GPU kernels.
     GpuCompute,
+}
+
+/// The decode task durations of one micro-batch at one context length: every term
+/// [`CostModel::layer_decode_latency`] sums over micro-batches, for both attention
+/// and FFN placements. The policy search builds one per micro-batch size and
+/// reuses it across every placement, ratio and micro-batch count.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MicroBatchCosts {
+    pre_attention_gpu: Seconds,
+    post_attention_gpu: Seconds,
+    post_attention_gpu_without_ffn: Seconds,
+    attention_gpu: Seconds,
+    attention_cpu: Seconds,
+    ffn_cpu: Seconds,
+    qkv_offload: Seconds,
+    hidden_upload: Seconds,
+    /// KV-cache bytes the decode attention reads (the D4 transfer before `r_c`).
+    kv_bytes: ByteSize,
 }
 
 impl CostModel {
@@ -198,12 +216,8 @@ impl CostModel {
     /// H2D transfer of the KV cache slice needed to run attention on GPU for a
     /// micro-batch (transfer D4). Only the CPU-resident fraction must move.
     pub fn kv_transfer(&self, tokens: u64, context_len: u64, cpu_fraction: f64) -> Seconds {
-        let bytes = self
-            .ops
-            .attention_core_decode(tokens, context_len)
-            .kv_bytes
-            .scale(cpu_fraction.clamp(0.0, 1.0));
-        bytes / self.h2d() + self.link_latency()
+        let kv_bytes = self.ops.attention_core_decode(tokens, context_len).kv_bytes;
+        self.kv_bytes_transfer(kv_bytes, cpu_fraction)
     }
 
     /// H2D transfer time for an arbitrary number of weight bytes (one page or a whole
@@ -242,6 +256,29 @@ impl CostModel {
         needed.scale(1.0 - policy.weights_gpu_ratio.clamp(0.0, 1.0))
     }
 
+    /// Every per-micro-batch task duration of one decode layer for a micro-batch of
+    /// `tokens` tokens at context `context_len`, under any placement.
+    pub(crate) fn micro_batch_costs(&self, tokens: u64, context_len: u64) -> MicroBatchCosts {
+        let attention = self.ops.attention_core_decode(tokens, context_len);
+        MicroBatchCosts {
+            pre_attention_gpu: self.pre_attention_gpu(tokens),
+            post_attention_gpu: self.post_attention_gpu(tokens),
+            post_attention_gpu_without_ffn: self.post_attention_gpu_without_ffn(tokens),
+            attention_gpu: Self::roofline_time(&attention, self.gpu_flops(), self.gpu_bw()),
+            attention_cpu: Self::roofline_time(&attention, self.cpu_flops(), self.cpu_bw()),
+            ffn_cpu: self.ffn_cpu(tokens),
+            qkv_offload: self.qkv_offload(tokens),
+            hidden_upload: self.hidden_upload(tokens),
+            kv_bytes: attention.kv_bytes,
+        }
+    }
+
+    /// [`Self::kv_transfer`] of a micro-batch whose decode attention reads
+    /// `kv_bytes` of KV cache.
+    fn kv_bytes_transfer(&self, kv_bytes: ByteSize, cpu_fraction: f64) -> Seconds {
+        kv_bytes.scale(cpu_fraction.clamp(0.0, 1.0)) / self.h2d() + self.link_latency()
+    }
+
     // --- aggregates ---------------------------------------------------------------
 
     /// Estimated latency of one layer of one decode step under `policy`, following
@@ -252,34 +289,63 @@ impl CostModel {
         policy: &Policy,
         workload: &WorkloadShape,
     ) -> LayerLatencyBreakdown {
-        let mu = policy.micro_batch_size;
-        let n_ub = policy.num_micro_batches();
-        let last = policy.batch_size - mu * (n_ub - 1);
-        let ctx = workload.avg_decode_context();
+        let (full, last) = self.decode_micro_batches(policy, workload);
+        self.layer_latency_from(policy, &full, &last)
+    }
 
-        // Helper that sums a per-micro-batch cost over all micro-batches, handling the
+    /// The cost records of a full micro-batch and of the (possibly smaller) last
+    /// micro-batch of `policy`, at the workload's average decode context.
+    fn decode_micro_batches(
+        &self,
+        policy: &Policy,
+        workload: &WorkloadShape,
+    ) -> (MicroBatchCosts, MicroBatchCosts) {
+        let mu = policy.micro_batch_size;
+        let last = policy.batch_size - mu * (policy.num_micro_batches() - 1);
+        let ctx = workload.avg_decode_context();
+        let full = self.micro_batch_costs(mu, ctx);
+        let last = if last == mu {
+            full
+        } else {
+            self.micro_batch_costs(last, ctx)
+        };
+        (full, last)
+    }
+
+    /// [`Self::layer_decode_latency`] from the cost records of a full micro-batch
+    /// (`full`, repeated `N/μ − 1` times) and of the last one (`last`).
+    pub(crate) fn layer_latency_from(
+        &self,
+        policy: &Policy,
+        full: &MicroBatchCosts,
+        last: &MicroBatchCosts,
+    ) -> LayerLatencyBreakdown {
+        let n_ub = policy.num_micro_batches();
+
+        // Sums a per-micro-batch cost over all micro-batches, handling the
         // (possibly smaller) last micro-batch.
-        let sum_over_ubs =
-            |f: &dyn Fn(u64) -> Seconds| -> Seconds { f(mu).scale((n_ub - 1) as f64) + f(last) };
+        let sum_over_ubs = |f: &dyn Fn(&MicroBatchCosts) -> Seconds| -> Seconds {
+            f(full).scale((n_ub - 1) as f64) + f(last)
+        };
 
         // GPU compute.
-        let mut gpu_compute = sum_over_ubs(&|t| self.pre_attention_gpu(t));
+        let mut gpu_compute = sum_over_ubs(&|c| c.pre_attention_gpu);
         if policy.ffn_on_gpu {
-            gpu_compute += sum_over_ubs(&|t| self.post_attention_gpu(t));
+            gpu_compute += sum_over_ubs(&|c| c.post_attention_gpu);
         } else {
-            gpu_compute += sum_over_ubs(&|t| self.post_attention_gpu_without_ffn(t));
+            gpu_compute += sum_over_ubs(&|c| c.post_attention_gpu_without_ffn);
         }
         if policy.attention_on_gpu {
-            gpu_compute += sum_over_ubs(&|t| self.attention_gpu(t, ctx));
+            gpu_compute += sum_over_ubs(&|c| c.attention_gpu);
         }
 
         // CPU compute.
         let mut cpu_compute = Seconds::ZERO;
         if !policy.attention_on_gpu {
-            cpu_compute += sum_over_ubs(&|t| self.attention_cpu(t, ctx));
+            cpu_compute += sum_over_ubs(&|c| c.attention_cpu);
         }
         if !policy.ffn_on_gpu {
-            cpu_compute += sum_over_ubs(&|t| self.ffn_cpu(t));
+            cpu_compute += sum_over_ubs(&|c| c.ffn_cpu);
         }
 
         // Host→device traffic: weights once per layer, plus per-micro-batch hidden
@@ -287,16 +353,16 @@ impl CostModel {
         let mut comm_h2d = self.weight_transfer(self.streamed_layer_bytes(policy));
         if policy.attention_on_gpu {
             let cpu_fraction = 1.0 - policy.kv_gpu_ratio;
-            comm_h2d += sum_over_ubs(&|t| self.kv_transfer(t, ctx, cpu_fraction));
+            comm_h2d += sum_over_ubs(&|c| self.kv_bytes_transfer(c.kv_bytes, cpu_fraction));
         } else {
-            comm_h2d += sum_over_ubs(&|t| self.hidden_upload(t));
+            comm_h2d += sum_over_ubs(&|c| c.hidden_upload);
         }
 
         // Device→host traffic: QKV offload (CPU attention) and new-KV write-back for
         // the CPU-resident KV fraction.
         let mut comm_d2h = Seconds::ZERO;
         if !policy.attention_on_gpu {
-            comm_d2h += sum_over_ubs(&|t| self.qkv_offload(t));
+            comm_d2h += sum_over_ubs(&|c| c.qkv_offload);
         } else {
             let cpu_fraction = 1.0 - policy.kv_gpu_ratio;
             let append = self.model.kv_bytes_per_token_per_layer() * policy.batch_size;
@@ -315,8 +381,12 @@ impl CostModel {
 
     /// Estimated latency of one full decode step (all layers) for the whole batch.
     pub fn decode_step_latency(&self, policy: &Policy, workload: &WorkloadShape) -> Seconds {
-        let per_layer = self.layer_decode_latency(policy, workload).total;
-        per_layer.scale(f64::from(self.model.num_layers))
+        self.step_latency(&self.layer_decode_latency(policy, workload))
+    }
+
+    /// One decode step (all layers) at the per-layer latency `layer`.
+    fn step_latency(&self, layer: &LayerLatencyBreakdown) -> Seconds {
+        layer.total.scale(f64::from(self.model.num_layers))
     }
 
     /// Estimated decode throughput in generated tokens per second.
@@ -335,7 +405,18 @@ impl CostModel {
     /// footnote 7), so the estimate is the max of compute time and the one-shot
     /// streaming of all non-resident weights.
     pub fn prefill_time(&self, policy: &Policy, workload: &WorkloadShape) -> Seconds {
-        let (compute, kv_offload) = self.prefill_components(policy, workload);
+        let flops = self.prefill_flops_per_layer(policy.batch_size, workload);
+        self.prefill_time_from(policy, workload, flops)
+    }
+
+    /// [`Self::prefill_time`] given the batch's per-layer prefill FLOPs.
+    fn prefill_time_from(
+        &self,
+        policy: &Policy,
+        workload: &WorkloadShape,
+        flops_per_layer: FlopCount,
+    ) -> Seconds {
+        let (compute, kv_offload) = self.prefill_components(policy, workload, flops_per_layer);
         let stream_bytes = self
             .model
             .total_weight_bytes()
@@ -350,17 +431,28 @@ impl CostModel {
     /// [`Self::prefill_time`] there is no one-shot weight-streaming term — only
     /// prompt compute and KV offload bind.
     pub fn backfill_prefill_time(&self, policy: &Policy, workload: &WorkloadShape) -> Seconds {
-        let (compute, kv_offload) = self.prefill_components(policy, workload);
+        let flops = self.prefill_flops_per_layer(policy.batch_size, workload);
+        let (compute, kv_offload) = self.prefill_components(policy, workload, flops);
         compute.max(kv_offload)
+    }
+
+    /// FLOPs of one layer's prefill for a batch of `batch` prompts.
+    pub(crate) fn prefill_flops_per_layer(
+        &self,
+        batch: u64,
+        workload: &WorkloadShape,
+    ) -> FlopCount {
+        self.ops.prefill_layer(batch, workload.prompt_len).flops
     }
 
     /// Prompt-compute and KV-offload terms shared by the cold-start and backfill
     /// prefill estimates.
-    fn prefill_components(&self, policy: &Policy, workload: &WorkloadShape) -> (Seconds, Seconds) {
-        let flops_per_layer = self
-            .ops
-            .prefill_layer(policy.batch_size, workload.prompt_len)
-            .flops;
+    fn prefill_components(
+        &self,
+        policy: &Policy,
+        workload: &WorkloadShape,
+        flops_per_layer: FlopCount,
+    ) -> (Seconds, Seconds) {
         let compute = flops_per_layer.scale(f64::from(self.model.num_layers)) / self.gpu_flops();
         // KV cache produced during prefill is offloaded to the CPU.
         let kv_offload =
@@ -373,10 +465,25 @@ impl CostModel {
     /// End-to-end generation throughput (tokens/s) for one batch: generated tokens
     /// divided by prefill + decode time — the paper's evaluation metric.
     pub fn generation_throughput(&self, policy: &Policy, workload: &WorkloadShape) -> f64 {
+        let (full, last) = self.decode_micro_batches(policy, workload);
+        let prefill_flops = self.prefill_flops_per_layer(policy.batch_size, workload);
+        self.generation_throughput_from(policy, workload, &full, &last, prefill_flops)
+    }
+
+    /// [`Self::generation_throughput`] from the micro-batch cost records of
+    /// [`Self::layer_latency_from`] and the batch's per-layer prefill FLOPs.
+    pub(crate) fn generation_throughput_from(
+        &self,
+        policy: &Policy,
+        workload: &WorkloadShape,
+        full: &MicroBatchCosts,
+        last: &MicroBatchCosts,
+        prefill_flops_per_layer: FlopCount,
+    ) -> f64 {
         let decode = self
-            .decode_step_latency(policy, workload)
+            .step_latency(&self.layer_latency_from(policy, full, last))
             .scale(workload.gen_len as f64);
-        let total = self.prefill_time(policy, workload) + decode;
+        let total = self.prefill_time_from(policy, workload, prefill_flops_per_layer) + decode;
         if total.is_zero() {
             return 0.0;
         }

@@ -6,8 +6,8 @@
 //! * [`cost`] — the [`CostModel`]: roofline-bounded per-task durations and the
 //!   per-layer / per-step / end-to-end latency aggregates of Eqs. 12–14.
 //! * [`capacity`] — the [`CapacityModel`]: GPU/CPU memory feasibility constraints.
-//! * [`optimizer`] — the [`PolicyOptimizer`]: pruned exhaustive search maximizing
-//!   modeled throughput under the capacity constraints.
+//! * [`optimizer`] — the [`PolicyOptimizer`]: an exact search, pruned by a sound
+//!   memory cut, maximizing modeled throughput under the capacity constraints.
 //! * [`baselines`] — FlexGen-, FlexGen(c)- and DeepSpeed-style policy generators
 //!   used by the end-to-end comparison and the Tab. 5 ablation.
 //! * [`generator`] — the [`PolicyGenerator`] trait: one front-end over the
@@ -46,7 +46,7 @@ pub use baselines::{DeepSpeedPolicy, FlexGenPolicy};
 pub use capacity::{CapacityModel, MemoryRequirement};
 pub use cost::{BottleneckResource, CostModel, LayerLatencyBreakdown};
 pub use generator::PolicyGenerator;
-pub use optimizer::{Objective, OptimizerError, PolicyOptimizer, SearchResult, SearchSpace};
+pub use optimizer::{OptimizerError, PolicyOptimizer, SearchResult, SearchSpace};
 pub use policy::{Placement, Policy, WorkloadShape};
 
 #[cfg(test)]
@@ -65,19 +65,35 @@ mod proptests {
 
         #[test]
         fn layer_latency_is_at_least_each_component(
-            mu in 1u64..128,
-            n_ub in 1u64..32,
-            prompt in 1u64..2048,
-            gen in 1u64..256,
+            (mu, n_ub, last) in (1u64..128, 1u64..32, 0u64..128),
+            (prompt, gen) in (1u64..2048, 1u64..256),
+            (attention_on_gpu, ffn_on_gpu) in (any::<bool>(), any::<bool>()),
+            (rw, rc) in (0.0f64..=1.0, 0.0f64..=1.0),
         ) {
             let cm = cost();
-            let p = Policy::offload_default(mu * n_ub, mu);
+            // n_ub micro-batches, the last one ragged (1..=μ tokens); a lone
+            // micro-batch is full, since μ may not exceed N.
+            let p = Policy {
+                batch_size: (mu * (n_ub - 1) + 1 + last % mu).max(mu),
+                micro_batch_size: mu,
+                attention_on_gpu,
+                ffn_on_gpu,
+                weights_gpu_ratio: rw,
+                kv_gpu_ratio: rc,
+            };
+            prop_assert!(p.validate().is_ok());
             let w = WorkloadShape::new(prompt, gen);
             let b = cm.layer_decode_latency(&p, &w);
             prop_assert!(b.total.as_secs() >= b.comm_h2d.as_secs() - 1e-12);
             prop_assert!(b.total.as_secs() >= b.comm_d2h.as_secs() - 1e-12);
             prop_assert!(b.total.as_secs() >= b.cpu_compute.as_secs() - 1e-12);
             prop_assert!(b.total.as_secs() >= b.gpu_compute.as_secs() - 1e-12);
+            // Eq. 12: the layer is exactly its binding term.
+            let binding = b.comm_h2d.max(b.comm_d2h).max(b.cpu_compute).max(b.gpu_compute);
+            prop_assert_eq!(b.total.as_secs().to_bits(), binding.as_secs().to_bits());
+            // The layer's non-resident weights cross PCIe every step.
+            let weight_floor = cm.weight_transfer(cm.streamed_layer_bytes(&p));
+            prop_assert!(b.comm_h2d >= weight_floor, "{} < {} for {}", b.comm_h2d, weight_floor, p);
         }
 
         #[test]

@@ -1,11 +1,27 @@
-//! The policy optimizer of §4.2: a pruned exhaustive search over the policy space
+//! The policy optimizer of §4.2: an exact search over the policy space
 //! `(N, μ, A_g, F_g, r_w, r_c)` that maximizes modeled generation throughput subject
 //! to the GPU/CPU memory constraints.
 //!
-//! The paper solves the same problem with a small MILP; the search space after
-//! pruning is a few tens of thousands of candidates, so exhaustive evaluation of the
-//! closed-form cost model reaches the same optimum in well under a second and keeps
-//! the implementation dependency-free.
+//! The paper solves the same problem with a small MILP. The grid here has a few
+//! tens of thousands of cells, and the search returns exactly what scoring every
+//! cell in enumeration order would: the same policy (the first of equal maxima)
+//! and the same throughput, bit for bit. It does less work in two ways:
+//!
+//! * **A sound row cut.** For each `(μ, A_g, F_g, r_w, r_c)` the micro-batch
+//!   counts run in ascending order, and the row ends at the first count whose
+//!   *batch-monotone* memory floor no longer fits: the GPU total, or host weights
+//!   plus host KV cache. Every term of those grows with `N`, so no later count can
+//!   fit. The row does not end at the first infeasible candidate, because the full
+//!   host requirement is not monotone: the pinned staging pages shrink as `N/μ`
+//!   grows, so near the model's weight size a larger batch can fit where a
+//!   smaller one did not. Candidates that pass the floor but not the full memory
+//!   check are skipped. Each candidate keeps its enumeration index, and a tie goes
+//!   to the lower index, so the cut order picks the same policy.
+//! * **Costs hoisted per micro-batch size.** Every micro-batch of a grid cell has
+//!   `μ` tokens, so the HRM task durations are built once per `μ` and the prefill
+//!   FLOPs once per batch, then shared by every placement and ratio. Scoring goes
+//!   through the same [`CostModel`] code as [`CostModel::generation_throughput`],
+//!   so the floating-point operations are identical.
 
 use crate::capacity::CapacityModel;
 use crate::cost::CostModel;
@@ -13,17 +29,6 @@ use crate::policy::{Policy, WorkloadShape};
 use moe_hardware::NodeSpec;
 use moe_model::MoeModelConfig;
 use serde::{Deserialize, Serialize};
-
-/// Objective optimized by the search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Objective {
-    /// Maximize end-to-end generation throughput (prefill + decode), the paper's
-    /// evaluation metric.
-    GenerationThroughput,
-    /// Maximize decode-only throughput (equivalently, minimize per-layer decode
-    /// latency per token — the optimizer target described in §4.2).
-    DecodeThroughput,
-}
 
 /// Configuration of the search grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,6 +76,28 @@ impl SearchSpace {
             allow_cpu_ffn: false,
         }
     }
+
+    /// The `(A_g, F_g, r_w, r_c)` cells tried for every `(μ, N/μ)`, in enumeration
+    /// order. `r_c` only matters when attention runs on the GPU; when it runs on
+    /// the CPU the KV cache stays there (`r_c = 0`).
+    fn placement_cells(&self) -> Vec<(bool, bool, f64, f64)> {
+        let mut cells = Vec::new();
+        for attention_on_gpu in attention_options(self.allow_gpu_attention) {
+            for ffn_on_gpu in ffn_options(self.allow_cpu_ffn) {
+                for &rw in &self.weight_ratios {
+                    let kv_options: &[f64] = if attention_on_gpu {
+                        &self.kv_ratios
+                    } else {
+                        &[0.0]
+                    };
+                    for &rc in kv_options {
+                        cells.push((attention_on_gpu, ffn_on_gpu, rw, rc));
+                    }
+                }
+            }
+        }
+        cells
+    }
 }
 
 /// The result of a policy search.
@@ -78,12 +105,8 @@ impl SearchSpace {
 pub struct SearchResult {
     /// The best policy found.
     pub policy: Policy,
-    /// Modeled objective value (tokens/s) of the best policy.
+    /// Modeled generation throughput (tokens/s) of the best policy.
     pub throughput: f64,
-    /// Number of candidate policies evaluated (after feasibility filtering).
-    pub evaluated: usize,
-    /// Number of candidates rejected by the memory constraints.
-    pub infeasible: usize,
 }
 
 /// Errors produced by the optimizer.
@@ -91,7 +114,7 @@ pub struct SearchResult {
 pub enum OptimizerError {
     /// No candidate policy satisfied the memory constraints.
     NoFeasiblePolicy {
-        /// Number of candidates examined.
+        /// Number of candidates in the search grid.
         candidates: usize,
     },
 }
@@ -115,7 +138,6 @@ pub struct PolicyOptimizer {
     cost: CostModel,
     capacity: CapacityModel,
     space: SearchSpace,
-    objective: Objective,
 }
 
 impl PolicyOptimizer {
@@ -126,19 +148,12 @@ impl PolicyOptimizer {
             cost: CostModel::new(node.clone(), model.clone()),
             capacity: CapacityModel::new(node, model),
             space: SearchSpace::default(),
-            objective: Objective::GenerationThroughput,
         }
     }
 
     /// Overrides the search space.
     pub fn with_search_space(mut self, space: SearchSpace) -> Self {
         self.space = space;
-        self
-    }
-
-    /// Overrides the objective.
-    pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
         self
     }
 
@@ -152,82 +167,87 @@ impl PolicyOptimizer {
         &self.capacity
     }
 
-    fn score(&self, policy: &Policy, workload: &WorkloadShape) -> f64 {
-        match self.objective {
-            Objective::GenerationThroughput => self.cost.generation_throughput(policy, workload),
-            Objective::DecodeThroughput => self.cost.decode_throughput(policy, workload),
-        }
-    }
-
-    /// Evaluates a single candidate (objective value, or `None` if infeasible).
+    /// Evaluates a single candidate (generation throughput, or `None` if invalid
+    /// or infeasible).
     pub fn evaluate(&self, policy: &Policy, workload: &WorkloadShape) -> Option<f64> {
         if policy.validate().is_err() || !self.capacity.is_feasible(policy, workload) {
             return None;
         }
-        Some(self.score(policy, workload))
+        Some(self.cost.generation_throughput(policy, workload))
     }
 
-    /// Searches the policy space and returns the best feasible policy.
+    /// Searches the policy space and returns the best feasible policy: the same
+    /// policy and throughput as evaluating every grid cell in enumeration order
+    /// and keeping the first maximum (see the module docs for how it skips work).
     ///
     /// # Errors
     ///
     /// Returns [`OptimizerError::NoFeasiblePolicy`] when nothing fits the node.
     pub fn search(&self, workload: &WorkloadShape) -> Result<SearchResult, OptimizerError> {
-        let mut best: Option<(Policy, f64)> = None;
-        let mut evaluated = 0usize;
-        let mut infeasible = 0usize;
-        let mut candidates = 0usize;
+        let space = &self.space;
+        let cells = space.placement_cells();
+        let n_counts = space.micro_batch_counts.len();
+        // Micro-batch counts in ascending value order, each with its grid position.
+        let mut counts: Vec<(usize, u64)> = space
+            .micro_batch_counts
+            .iter()
+            .copied()
+            .enumerate()
+            .collect();
+        counts.sort_by_key(|&(_, n_ub)| n_ub);
 
-        for &mu in &self.space.micro_batch_sizes {
-            for &n_ub in &self.space.micro_batch_counts {
-                let batch = mu * n_ub;
-                for attention_on_gpu in attention_options(self.space.allow_gpu_attention) {
-                    for ffn_on_gpu in ffn_options(self.space.allow_cpu_ffn) {
-                        for &rw in &self.space.weight_ratios {
-                            // r_c only matters when attention runs on the GPU; when it
-                            // runs on the CPU the KV cache stays there (r_c = 0).
-                            let kv_options: &[f64] = if attention_on_gpu {
-                                &self.space.kv_ratios
-                            } else {
-                                &[0.0]
-                            };
-                            for &rc in kv_options {
-                                candidates += 1;
-                                let policy = Policy {
-                                    batch_size: batch,
-                                    micro_batch_size: mu,
-                                    attention_on_gpu,
-                                    ffn_on_gpu,
-                                    weights_gpu_ratio: rw,
-                                    kv_gpu_ratio: rc,
-                                };
-                                match self.evaluate(&policy, workload) {
-                                    Some(score) => {
-                                        evaluated += 1;
-                                        let better = best
-                                            .as_ref()
-                                            .is_none_or(|(_, best_score)| score > *best_score);
-                                        if better {
-                                            best = Some((policy, score));
-                                        }
-                                    }
-                                    None => infeasible += 1,
-                                }
-                            }
-                        }
+        // (enumeration index, policy, throughput) of the best candidate so far.
+        let mut best: Option<(usize, Policy, f64)> = None;
+        for (mu_pos, &mu) in space.micro_batch_sizes.iter().enumerate() {
+            // Every micro-batch of batch μ·(N/μ) is full, so one record serves all.
+            let costs = self
+                .cost
+                .micro_batch_costs(mu, workload.avg_decode_context());
+            let prefill_flops: Vec<_> = space
+                .micro_batch_counts
+                .iter()
+                .map(|&n_ub| self.cost.prefill_flops_per_layer(mu * n_ub, workload))
+                .collect();
+            for (cell_pos, &(attention_on_gpu, ffn_on_gpu, rw, rc)) in cells.iter().enumerate() {
+                for &(count_pos, n_ub) in &counts {
+                    let policy = Policy {
+                        batch_size: mu * n_ub,
+                        micro_batch_size: mu,
+                        attention_on_gpu,
+                        ffn_on_gpu,
+                        weights_gpu_ratio: rw,
+                        kv_gpu_ratio: rc,
+                    };
+                    let req = self.capacity.requirement(&policy, workload);
+                    if self.capacity.exceeds_batch_floor(&req) {
+                        break;
+                    }
+                    if policy.validate().is_err() || !self.capacity.fits(&req) {
+                        continue;
+                    }
+                    let score = self.cost.generation_throughput_from(
+                        &policy,
+                        workload,
+                        &costs,
+                        &costs,
+                        prefill_flops[count_pos],
+                    );
+                    let index = (mu_pos * n_counts + count_pos) * cells.len() + cell_pos;
+                    let better = best.as_ref().is_none_or(|&(best_index, _, best_score)| {
+                        score > best_score || (score == best_score && index < best_index)
+                    });
+                    if better {
+                        best = Some((index, policy, score));
                     }
                 }
             }
         }
 
         match best {
-            Some((policy, throughput)) => Ok(SearchResult {
-                policy,
-                throughput,
-                evaluated,
-                infeasible,
+            Some((_, policy, throughput)) => Ok(SearchResult { policy, throughput }),
+            None => Err(OptimizerError::NoFeasiblePolicy {
+                candidates: space.micro_batch_sizes.len() * n_counts * cells.len(),
             }),
-            None => Err(OptimizerError::NoFeasiblePolicy { candidates }),
         }
     }
 }
@@ -237,8 +257,8 @@ impl crate::generator::PolicyGenerator for PolicyOptimizer {
         "hrm"
     }
 
-    /// Runs the full [`PolicyOptimizer::search`], discarding the search
-    /// statistics: `None` when no feasible policy exists.
+    /// Runs the full [`PolicyOptimizer::search`]: `None` when no feasible policy
+    /// exists.
     fn generate(&self, workload: &WorkloadShape) -> Option<Policy> {
         self.search(workload).ok().map(|r| r.policy)
     }
@@ -263,9 +283,154 @@ fn ffn_options(allow_cpu: bool) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mtbench(gen: u64) -> WorkloadShape {
         WorkloadShape::new(77, gen)
+    }
+
+    /// The reference search: score every grid cell in enumeration order and keep
+    /// the first maximum.
+    fn exhaustive_search(
+        opt: &PolicyOptimizer,
+        workload: &WorkloadShape,
+    ) -> Result<SearchResult, OptimizerError> {
+        let space = &opt.space;
+        let mut best: Option<(Policy, f64)> = None;
+        let mut candidates = 0usize;
+        for &mu in &space.micro_batch_sizes {
+            for &n_ub in &space.micro_batch_counts {
+                for attention_on_gpu in attention_options(space.allow_gpu_attention) {
+                    for ffn_on_gpu in ffn_options(space.allow_cpu_ffn) {
+                        for &rw in &space.weight_ratios {
+                            let kv_options: &[f64] = if attention_on_gpu {
+                                &space.kv_ratios
+                            } else {
+                                &[0.0]
+                            };
+                            for &rc in kv_options {
+                                candidates += 1;
+                                let policy = Policy {
+                                    batch_size: mu * n_ub,
+                                    micro_batch_size: mu,
+                                    attention_on_gpu,
+                                    ffn_on_gpu,
+                                    weights_gpu_ratio: rw,
+                                    kv_gpu_ratio: rc,
+                                };
+                                if let Some(score) = opt.evaluate(&policy, workload) {
+                                    if best.as_ref().is_none_or(|&(_, b)| score > b) {
+                                        best = Some((policy, score));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        match best {
+            Some((policy, throughput)) => Ok(SearchResult { policy, throughput }),
+            None => Err(OptimizerError::NoFeasiblePolicy { candidates }),
+        }
+    }
+
+    /// Asserts that the pruned search returns exactly what the exhaustive one does.
+    fn assert_matches_exhaustive(opt: &PolicyOptimizer, workload: &WorkloadShape) {
+        match (opt.search(workload), exhaustive_search(opt, workload)) {
+            (Ok(pruned), Ok(reference)) => {
+                assert_eq!(pruned.policy, reference.policy, "workload {workload:?}");
+                assert_eq!(
+                    pruned.throughput.to_bits(),
+                    reference.throughput.to_bits(),
+                    "policy {}",
+                    pruned.policy
+                );
+            }
+            (pruned, reference) => assert_eq!(pruned, reference, "workload {workload:?}"),
+        }
+    }
+
+    fn model_preset(index: usize) -> MoeModelConfig {
+        match index {
+            0 => MoeModelConfig::mixtral_8x7b(),
+            1 => MoeModelConfig::mixtral_8x22b(),
+            2 => MoeModelConfig::dbrx(),
+            _ => MoeModelConfig::tiny(),
+        }
+    }
+
+    /// A T4, an L4 or a 2–4×T4 node whose host DRAM is `cpu_factor` times the
+    /// model's weight bytes.
+    fn node_preset(index: usize, model: &MoeModelConfig, cpu_factor: f64) -> NodeSpec {
+        let node = match index {
+            0 => NodeSpec::t4_single(),
+            1 => NodeSpec::l4_single(),
+            n => NodeSpec::t4_multi(n as u32),
+        };
+        node.with_cpu_memory(model.total_weight_bytes().scale(cpu_factor))
+    }
+
+    /// Host DRAM as a multiple of the model's weight bytes, in 0.9–3. Half the
+    /// draws land in 0.99–1.05, where the shrinking staging pages decide whether a
+    /// row's small batches fit.
+    fn cpu_memory_factor() -> impl Strategy<Value = f64> {
+        (any::<bool>(), 0.0f64..1.0)
+            .prop_map(|(near, u)| if near { 0.99 + 0.06 * u } else { 0.9 + 2.1 * u })
+    }
+
+    /// Half the prompts are chat-length (MTBench averages 77 tokens), half up to
+    /// HELM's 1,693. Generation lengths span 0–511, and one draw in eight is 0,
+    /// where every candidate scores 0 and only the enumeration order breaks the tie.
+    fn workload() -> impl Strategy<Value = WorkloadShape> {
+        (any::<bool>(), 1u64..2048, 0u32..8, 0u64..512).prop_map(|(chat, prompt, k, gen)| {
+            let prompt = if chat { 1 + prompt % 256 } else { prompt };
+            WorkloadShape::new(prompt, if k == 0 { 0 } else { gen })
+        })
+    }
+
+    fn ratio() -> impl Strategy<Value = f64> {
+        (0u32..=20).prop_map(|k| f64::from(k) / 20.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn pruned_search_matches_exhaustive_on_random_sub_grids(
+            (model_index, node_index, cpu_factor) in (0usize..4, 0usize..5, cpu_memory_factor()),
+            workload in workload(),
+            micro_batch_sizes in collection::vec(1u64..=256, 1..6),
+            micro_batch_counts in collection::vec(0u64..=160, 1..9),
+            (weight_ratios, kv_ratios) in (collection::vec(ratio(), 1..5), collection::vec(ratio(), 1..4)),
+            (allow_gpu_attention, allow_cpu_ffn) in (any::<bool>(), any::<bool>()),
+        ) {
+            let model = model_preset(model_index);
+            let node = node_preset(node_index, &model, cpu_factor);
+            let opt = PolicyOptimizer::new(node, model).with_search_space(SearchSpace {
+                micro_batch_sizes,
+                micro_batch_counts,
+                weight_ratios,
+                kv_ratios,
+                allow_gpu_attention,
+                allow_cpu_ffn,
+            });
+            assert_matches_exhaustive(&opt, &workload);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn pruned_search_matches_exhaustive_on_the_default_grid(
+            (model_index, node_index, cpu_factor) in (0usize..4, 0usize..5, cpu_memory_factor()),
+            workload in workload(),
+        ) {
+            let model = model_preset(model_index);
+            let opt = PolicyOptimizer::new(node_preset(node_index, &model, cpu_factor), model);
+            assert_matches_exhaustive(&opt, &workload);
+        }
     }
 
     #[test]
@@ -284,7 +449,6 @@ mod tests {
             "pipelining requires several micro-batches"
         );
         assert!(result.throughput > 0.0);
-        assert!(result.evaluated > 0 && result.infeasible > 0);
     }
 
     #[test]
@@ -355,19 +519,6 @@ mod tests {
         assert!(opt
             .evaluate(&Policy::offload_default(128, 32), &w)
             .is_some());
-    }
-
-    #[test]
-    fn decode_objective_ignores_prefill() {
-        let opt_gen = PolicyOptimizer::new(NodeSpec::t4_single(), MoeModelConfig::mixtral_8x7b())
-            .with_search_space(SearchSpace::coarse());
-        let opt_dec = opt_gen.clone().with_objective(Objective::DecodeThroughput);
-        let w = WorkloadShape::new(1693, 64); // long prompts make prefill expensive
-        let gen = opt_gen.search(&w).unwrap();
-        let dec = opt_dec.search(&w).unwrap();
-        // Decode-only throughput is an upper bound on generation throughput for the
-        // same policy, so the decode-objective optimum is at least as large.
-        assert!(dec.throughput >= gen.throughput * 0.999);
     }
 
     #[test]
