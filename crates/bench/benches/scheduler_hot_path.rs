@@ -5,15 +5,15 @@
 //! `TokenBudget` port at 1k and 8k request queues, so scheduler and router
 //! changes have a perf baseline. A fleet-scale case benches the whole
 //! cluster loop (indexed vs linear scan) at a 256-replica fleet, and a
-//! single-node case benches the engine-backed `ServingSession::serve` in
+//! single-node case benches `SystemEvaluator::run` on an explicit queue in
 //! both serving modes.
 //!
 //! Run with `cargo bench -p moe-bench --bench scheduler_hot_path`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use moe_lightning::{
-    ClusterEvaluator, ClusterSpec, EvalSetting, LeastOutstandingTokens, NodeSpec, ServingMode,
-    ServingSession, SystemEvaluator, SystemKind,
+    ClusterEvaluator, ClusterSpec, EvalSetting, LeastOutstandingTokens, NodeSpec, ServeSpec,
+    ServingMode, SystemEvaluator, SystemKind,
 };
 use moe_workload::{
     Algorithm2, ArrivalProcess, BatchingConfig, PartitionState, Request, Scheduler, TokenBudget,
@@ -109,20 +109,20 @@ fn bench_fleet_loop(c: &mut Criterion) {
     });
 }
 
-/// Single-node serving: the engine-backed `ServingSession::serve` (one
-/// `ReplicaEngine` driven by arrival interleaving), in both serving modes on
-/// a 1k mixed-generation Poisson queue.
+/// Single-node serving: `SystemEvaluator::run` (one engine on the fleet's
+/// driver loop, as a 1-replica fleet), in both serving modes on a 1k
+/// mixed-generation Poisson queue.
 fn bench_single_node(c: &mut Criterion) {
     let eval = SystemEvaluator::new(EvalSetting::S1.node(), EvalSetting::S1.model());
-    let workload = WorkloadSpec::mtbench();
     let mut requests = queue(1000);
     ArrivalProcess::Poisson { rate_per_sec: 2.0 }.stamp(&mut requests, 7);
     for mode in [ServingMode::RoundToCompletion, ServingMode::Continuous] {
-        let session = ServingSession::new(&eval, SystemKind::MoeLightning, &workload, 64)
-            .unwrap()
-            .with_mode(mode);
+        let spec = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_gen_len(64)
+            .with_mode(mode)
+            .with_queue(requests.clone());
         c.bench_function(&format!("single_node/engine/{}/1000", mode.label()), |b| {
-            b.iter(|| session.serve(requests.clone()).unwrap().served_requests())
+            b.iter(|| eval.run(&spec).unwrap().served_requests())
         });
     }
 }

@@ -4,14 +4,15 @@
 //! time) of the request-level serving loop.
 //!
 //! Every cell is produced by serving a queue of requests through Algorithm 2
-//! micro-batching (`ServingSession`), not by the single-shot uniform estimate —
-//! padded systems see max-length prompts, the others the variable-length MTBench
-//! distribution. Each system is served in both scheduling modes side by side:
-//! `rtc` (round-to-completion, every request holds its slot for the round's
-//! longest generation) and `cont` (step-level continuous batching, completed
-//! requests release KV immediately and Algorithm 2 backfills mid-flight). A
-//! final table serves an *online* Poisson-arrival queue at S1 to show the
-//! queue-aware latency gap between the modes under load.
+//! micro-batching (`SystemEvaluator::run` on a `ServeSpec`), not by the
+//! single-shot uniform estimate — padded systems see max-length prompts, the
+//! others the variable-length MTBench distribution. Each system is served in
+//! both scheduling modes side by side: `rtc` (round-to-completion, every
+//! request holds its slot for the round's longest generation) and `cont`
+//! (step-level continuous batching, completed requests release KV
+//! immediately and Algorithm 2 backfills mid-flight). A final table serves
+//! an *online* Poisson-arrival queue at S1 to show the queue-aware latency
+//! gap between the modes under load.
 //!
 //! Run with `cargo run --release -p moe-bench --bin fig07_mtbench_e2e`.
 //! Set `FIG07_QUEUE_LEN` (default 1000) to shrink the queues, e.g. for CI smoke

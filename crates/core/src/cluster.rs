@@ -1,9 +1,10 @@
 //! Cluster-level serving: a fleet of replicas behind a pluggable request
 //! [`Router`].
 //!
-//! Single-node serving ([`crate::ServingSession`], and a [`crate::ServeSpec`]
-//! through [`SystemEvaluator::run`]) runs as a 1-replica fleet on this
-//! layer's one driver loop. A [`ClusterSpec`] describes a fleet of N replicas —
+//! Single-node serving (a [`crate::ServeSpec`] through
+//! [`SystemEvaluator::run`]) runs as a 1-replica fleet on this layer's one
+//! driver loop, with its engine built by the same constructor as every
+//! fleet replica's. A [`ClusterSpec`] describes a fleet of N replicas —
 //! each an optionally heterogeneous [`moe_hardware::NodeSpec`] with its own
 //! policy and [`Scheduler`] (e.g. a mixed T4/L4 fleet) — plus the fleet-wide
 //! workload: arrivals are sampled **once** for the whole fleet (an
@@ -668,9 +669,11 @@ impl ClusterEvaluator {
         &self.model
     }
 
-    /// Builds one replica's event machine: sizes (or adopts) its policy for
-    /// the scenario's workload shape and validates the implied batching.
-    fn build_engine(
+    /// Builds one replica's event machine — the only place a
+    /// [`ReplicaEngine`] is constructed, for fleets and single nodes alike:
+    /// sizes (or adopts) its policy for the scenario's workload shape and
+    /// validates the implied batching.
+    pub(crate) fn build_engine(
         &self,
         spec: &ClusterSpec,
         replica: &ReplicaSpec,
@@ -678,6 +681,10 @@ impl ClusterEvaluator {
         policy_cache: &mut Vec<(NodeSpec, Policy)>,
     ) -> Result<ReplicaEngine, EngineError> {
         let evaluator = SystemEvaluator::new(replica.node.clone(), self.model.clone());
+        // Policies (and thus KV budgets) are sized for the scenario's expected
+        // generation length — the mean of the defaults for mixed queues, where
+        // per-round admission control keeps the long-generation tail within
+        // budget and worst-case sizing would forfeit most of the batch.
         let policy_gen = spec.gen.policy_gen_for(&spec.workload);
         let shape = evaluator.workload_shape(spec.system, &spec.workload, policy_gen);
         // The policy search only depends on the node within one run (system,
@@ -743,8 +750,8 @@ impl ClusterEvaluator {
     /// that joins share (see [`Self::build_engine`]).
     ///
     /// `spec.replicas` is only read for the autoscaler's default scale
-    /// template and the role pools, so single-node serving drives its one
-    /// engine under a replica-less spec.
+    /// template and the role pools, so [`SystemEvaluator::run`] drives its
+    /// one engine under a replica-less spec.
     pub(crate) fn drive(
         &self,
         spec: &ClusterSpec,
@@ -1859,9 +1866,11 @@ mod tests {
         }
     }
 
-    /// The session path (its own engine) and the `into_cluster` path
-    /// (`build_engine`) share the driver loop, so a 1-replica cluster must
-    /// reproduce the single-node report exactly, fleet aborts first.
+    /// `SystemEvaluator::run` on a replica-less spec and `ClusterEvaluator::run`
+    /// on its `into_cluster` lift build the one engine with the same
+    /// `build_engine` from the same `ReplicaSpec` and drive it on the same
+    /// loop, so a 1-replica cluster must reproduce the single-node report
+    /// exactly, fleet aborts first.
     #[test]
     fn one_replica_cluster_serves_every_request_like_a_single_node() {
         let workload = WorkloadSpec::mtbench();

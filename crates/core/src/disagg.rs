@@ -556,11 +556,6 @@ impl ClusterSpec {
         self.interconnect
     }
 
-    /// Per-replica prefix-cache capacity in tokens, if caching is enabled.
-    pub fn prefix_cache_capacity(&self) -> Option<u64> {
-        self.prefix_cache
-    }
-
     /// Whether any replica (or the autoscaler's scale template) is assigned
     /// to a non-unified pool — the switch into role pools and KV handoff.
     pub fn has_role_pools(&self) -> bool {

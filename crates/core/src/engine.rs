@@ -1,16 +1,18 @@
-//! The one serving engine: [`ReplicaEngine`], the per-replica event machine
-//! every serving path in this crate runs on.
+//! The one serving engine: `ReplicaEngine`, the crate-private per-replica
+//! event machine every serving path in this crate runs on.
 //!
 //! One driver loop runs it: the cluster layer
 //! ([`crate::cluster::ClusterEvaluator`]) interleaves the engines on one
-//! *global* clock behind a [`crate::router::Router`], and the single-node
-//! [`crate::ServingSession`] is that loop over a 1-replica fleet.
+//! *global* clock behind a [`crate::router::Router`], and single-node serving
+//! ([`crate::SystemEvaluator::run`]) is that loop over a 1-replica fleet.
+//! Every engine, fleet replica or single node, is built by one constructor,
+//! `ClusterEvaluator::build_engine`.
 //!
-//! The engine exposes serving as a discrete-event interface: [`ReplicaEngine::enqueue`]
+//! The engine exposes serving as a discrete-event interface: `enqueue`
 //! accepts a routed request and arms the next admission instant,
-//! [`ReplicaEngine::next_event`] reports the earliest pending internal event
-//! (a per-request completion, a round retirement or a due admission), and
-//! [`ReplicaEngine::step_to`] settles everything due at that instant —
+//! `next_event` reports the earliest pending internal event (a per-request
+//! completion, a round retirement or a due admission), and `step_to`
+//! settles everything due at that instant —
 //! admitting waves through the pluggable [`Scheduler`], costing prefills and
 //! decode steps on the simulated pipeline, and releasing per-request latency
 //! records at each request's own completion step. Both [`crate::ServingMode`]s
@@ -39,8 +41,8 @@ use std::sync::Arc;
 /// `batch_size × max_context` cache tokens, split evenly across the policy's
 /// micro-batches. The total request cap never exceeds the batch the capacity
 /// model admitted, even when `batch_size` is not a multiple of
-/// `micro_batch_size` (n_ub × μ > N). Shared by [`crate::ServingSession`] and
-/// the per-replica engines of the cluster layer ([`crate::cluster`]).
+/// `micro_batch_size` (n_ub × μ > N). Applied once per engine, by
+/// `ClusterEvaluator::build_engine`.
 pub(crate) fn batching_for(policy: &Policy, shape: &WorkloadShape) -> BatchingConfig {
     let n_ub = policy.num_micro_batches();
     BatchingConfig {
@@ -109,7 +111,7 @@ pub(crate) struct WindowEvent {
 /// event interface ([`Self::next_event`] / [`Self::step_to`]) so the fleet
 /// loop can interleave any number of replicas, one included, on one global
 /// clock.
-pub struct ReplicaEngine {
+pub(crate) struct ReplicaEngine {
     pub(crate) id: ReplicaId,
     pub(crate) evaluator: SystemEvaluator,
     pub(crate) system: SystemKind,
@@ -205,7 +207,7 @@ impl ReplicaEngine {
     /// its batch-formation strategy, and `evaluator` the costing stack for its
     /// hardware node. The engine starts in the serving lifecycle at clock zero
     /// with an empty queue.
-    pub fn new(
+    pub(crate) fn new(
         id: ReplicaId,
         evaluator: SystemEvaluator,
         system: SystemKind,
@@ -466,7 +468,7 @@ impl ReplicaEngine {
     /// decode progress between events is not interpolated — which is what
     /// lets the indexed dispatch path cache one view per replica and keep the
     /// routers' incremental indexes exact.
-    pub fn view(&self) -> ReplicaView {
+    pub(crate) fn view(&self) -> ReplicaView {
         let (active_requests, active_tokens, kv_active) = match self.mode {
             ServingMode::Continuous => {
                 let kv: u64 = self.parts.iter().map(|p| p.cache_tokens).sum();
@@ -569,7 +571,7 @@ impl ReplicaEngine {
     /// round's retirement (round-to-completion). When the replica carries a
     /// prefix cache, the request's longest cached session prefix is credited
     /// here — those tokens are skipped at prefill costing.
-    pub fn enqueue(&mut self, request: Request, now: Seconds) {
+    pub(crate) fn enqueue(&mut self, request: Request, now: Seconds) {
         if let Some(cache) = self.prefix_cache.as_mut() {
             let credit = cache.lookup(request.session_id, request.input_len);
             if credit > 0 {
@@ -632,7 +634,7 @@ impl ReplicaEngine {
     /// interleave this with arrivals: every arrival at or before the returned
     /// instant must be [`Self::enqueue`]d before [`Self::step_to`] settles it,
     /// so co-timed requests are fully ingested before a round forms.
-    pub fn next_event(&self) -> Option<Seconds> {
+    pub(crate) fn next_event(&self) -> Option<Seconds> {
         let admission = if self.ready.is_empty() {
             None
         } else {
@@ -666,7 +668,7 @@ impl ReplicaEngine {
     /// # Errors
     ///
     /// Propagates simulation errors from costing a freshly formed wave.
-    pub fn step_to(&mut self, t: Seconds) -> Result<Vec<RequestLatency>, EngineError> {
+    pub(crate) fn step_to(&mut self, t: Seconds) -> Result<Vec<RequestLatency>, EngineError> {
         match self.mode {
             ServingMode::RoundToCompletion => self.step_rtc(t),
             ServingMode::Continuous => self.step_continuous(t),
@@ -1234,7 +1236,7 @@ impl ReplicaEngine {
     /// scheduler's inflated KV charge can overflow the budget) and no further
     /// event can admit them: they are flushed into the report's aborted list,
     /// in queue order.
-    pub fn into_report(mut self) -> ServingReport {
+    pub(crate) fn into_report(mut self) -> ServingReport {
         self.settle_ready();
         let mut leftover = self.take_ready();
         self.aborted.append(&mut leftover);

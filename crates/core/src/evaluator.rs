@@ -4,8 +4,8 @@
 //!
 //! This module holds the *costing* side of the stack — [`SystemEvaluator`]
 //! prices policies, prefills and decode steps. The *serving* side (the
-//! [`crate::engine::ReplicaEngine`] event machine that turns those costs into
-//! request latencies) lives in [`crate::engine`].
+//! per-replica event machine that turns those costs into request latencies)
+//! lives in [`crate::engine`].
 
 use crate::cluster::ClusterSpecError;
 use crate::system::SystemKind;

@@ -9,9 +9,11 @@
 //! * [`evaluator::SystemEvaluator`] — generates each system's policy, simulates its
 //!   decode pipeline on the discrete-event simulator and reports generation
 //!   throughput.
-//! * [`engine::ReplicaEngine`] — the one serving engine: the per-replica event
-//!   machine the cluster layer interleaves per replica; a single-node
-//!   [`serving::ServingSession`] is a 1-replica fleet on that same loop.
+//! * [`engine`] — the one serving engine: the crate-private per-replica event
+//!   machine the cluster layer interleaves per replica.
+//! * [`serving::ServeSpec`] — a single-node serving scenario, run by
+//!   [`evaluator::SystemEvaluator::run`] as a 1-replica fleet on the cluster
+//!   layer's loop.
 //! * [`router`] — the [`router::Router`] strategy trait, its four built-ins
 //!   and the incremental [`router::RouterIndex`] behind sub-linear dispatch.
 //! * [`cluster::ClusterEvaluator`] — serves one fleet-wide request queue on N
@@ -71,9 +73,8 @@ pub use dynamics::{
     AdmissionController, AdmitAll, Autoscaler, AvailabilityReport, FleetAction, FleetTimeline,
     FleetView, QueueDepthScaler, ScaleBounds, ScaleDecision, SloAdmission, SloAttainmentScaler,
 };
-pub use engine::ReplicaEngine;
 pub use evaluator::{EngineError, SystemEvaluation, SystemEvaluator};
-pub use serving::{RoundReport, ServeSpec, ServingMode, ServingReport, ServingSession};
+pub use serving::{RoundReport, ServeSpec, ServingMode, ServingReport};
 pub use settings::EvalSetting;
 pub use system::SystemKind;
 pub use tap::ArrivalTap;

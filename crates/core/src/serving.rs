@@ -24,18 +24,19 @@
 //!   (`CostModel::backfill_prefill_time`); only the first admission pays the
 //!   cold-start weight stream.
 //!
-//! Single-node serving carries **no loop of its own**:
-//! [`ServingSession::serve`] runs its one [`crate::engine::ReplicaEngine`] as
-//! a 1-replica fleet on the cluster layer's driver loop, so queue
-//! realization, dispatch, the tap and telemetry are the fleet's. Wave
-//! costing, KV release, backfill and latency bookkeeping exist exactly once,
-//! in [`crate::engine`]; `tests/self_check.rs` pins the reports against
-//! committed fixtures.
-//!
 //! A serving scenario — system, workload, queue size, generation lengths,
 //! seed, mode, arrival process, scheduler — is described declaratively by a
 //! [`ServeSpec`] (a replica-less [`ClusterSpec`] plus the node's scheduler
-//! and policy override) and executed by [`SystemEvaluator::run`].
+//! and policy override) and executed by [`SystemEvaluator::run`], the one
+//! single-node entry point.
+//!
+//! Single-node serving carries **no loop of its own**: `run` builds the
+//! node's replica and engine the way the fleet builds each of its own
+//! ([`ClusterEvaluator`]) and serves the queue as a 1-replica fleet on the
+//! cluster layer's driver loop, so queue realization, dispatch, the tap and
+//! telemetry are the fleet's. Wave costing, KV release, backfill and latency
+//! bookkeeping exist exactly once, in [`crate::engine`]; `tests/self_check.rs`
+//! pins the reports against committed fixtures.
 //!
 //! In both modes, requests whose `input_len + gen_len` alone exceeds the
 //! per-micro-batch KV budget are aborted at dispatch — no replica can hold
@@ -45,22 +46,20 @@
 //! the padded-systems special case.
 
 use crate::cluster::{ClusterEvaluator, ClusterReport, ClusterSpec, ReplicaSpec};
-use crate::engine::{batching_for, ReplicaEngine};
 use crate::evaluator::{EngineError, SystemEvaluator};
-use crate::router::ReplicaId;
 use crate::system::SystemKind;
 use crate::tap::ArrivalTap;
 use moe_hardware::{NodeSpec, Seconds};
-use moe_policy::{Policy, WorkloadShape};
+use moe_policy::Policy;
 use moe_schedule::ScheduleKind;
 use moe_workload::{
-    Algorithm2, ArrivalProcess, BatchRunReport, BatchingConfig, LatencySummary, Request,
-    RequestLatency, Scheduler, WorkloadSpec,
+    Algorithm2, ArrivalProcess, BatchRunReport, LatencySummary, Request, RequestLatency, Scheduler,
+    WorkloadSpec,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// How a [`ServingSession`] schedules decode work over time.
+/// How a serving node schedules decode work over time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ServingMode {
     /// The scheduler forms a round; every request holds its slot until the
@@ -92,7 +91,7 @@ impl std::fmt::Display for ServingMode {
 }
 
 /// One serving round (round-to-completion mode) or admission wave (continuous
-/// mode): a set of micro-batch assignments produced by the session's
+/// mode): a set of micro-batch assignments produced by the node's
 /// [`Scheduler`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundReport {
@@ -107,7 +106,7 @@ pub struct RoundReport {
     /// decoding).
     pub occupancy: Vec<u64>,
     /// KV-cache tokens reserved per micro-batch right after the assignment; never
-    /// exceeds the session's per-micro-batch budget.
+    /// exceeds the node's per-micro-batch budget.
     pub kv_reserved: Vec<u64>,
     /// Smallest and largest per-micro-batch prompt token counts (imbalance
     /// indicator).
@@ -123,13 +122,13 @@ pub struct RoundReport {
 pub struct ServingReport {
     /// The system that served the queue.
     pub system: SystemKind,
-    /// The scheduling mode the session ran in.
+    /// The scheduling mode the queue was served in.
     pub mode: ServingMode,
     /// Name of the [`Scheduler`] that formed the batches (e.g. `"algo2"`).
     pub scheduler: String,
-    /// The policy the session ran with.
+    /// The policy the queue was served with.
     pub policy: Policy,
-    /// The pipeline schedule the session ran with.
+    /// The pipeline schedule the queue was served with.
     pub schedule: ScheduleKind,
     /// Per-round (or per-admission-wave) accounting, in execution order.
     pub rounds: Vec<RoundReport>,
@@ -178,144 +177,6 @@ impl ServingReport {
     /// arrival.
     pub fn completion(&self) -> LatencySummary {
         LatencySummary::completion(&self.latencies)
-    }
-}
-
-/// A serving session: one (system, policy, schedule) triple bound to an evaluator,
-/// ready to drain request queues in either [`ServingMode`].
-#[derive(Debug, Clone)]
-pub struct ServingSession<'a> {
-    pub(crate) evaluator: &'a SystemEvaluator,
-    pub(crate) system: SystemKind,
-    pub(crate) policy: Policy,
-    pub(crate) batching: BatchingConfig,
-    pub(crate) mode: ServingMode,
-    pub(crate) scheduler: Arc<dyn Scheduler>,
-}
-
-impl<'a> ServingSession<'a> {
-    /// Creates a session for `system` on `spec`, generating the system's policy
-    /// for the workload shape it sees (padded systems see `max_prompt_len`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::NoFeasiblePolicy`] if the system cannot run at all.
-    pub fn new(
-        evaluator: &'a SystemEvaluator,
-        system: SystemKind,
-        spec: &WorkloadSpec,
-        gen_len: u64,
-    ) -> Result<Self, EngineError> {
-        let shape = evaluator.workload_shape(system, spec, gen_len);
-        let policy = evaluator.policy_for(system, &shape)?;
-        Ok(Self::with_policy(evaluator, system, policy, shape))
-    }
-
-    /// Creates a session with an explicit policy sized for `shape` (used by the
-    /// Tab. 5 ablation, which mixes schedules and policies).
-    pub fn with_policy(
-        evaluator: &'a SystemEvaluator,
-        system: SystemKind,
-        policy: Policy,
-        shape: WorkloadShape,
-    ) -> Self {
-        let batching = batching_for(&policy, &shape);
-        ServingSession {
-            evaluator,
-            system,
-            policy,
-            batching,
-            mode: ServingMode::default(),
-            scheduler: Arc::new(Algorithm2),
-        }
-    }
-
-    /// Sets the scheduling mode (builder style).
-    pub fn with_mode(mut self, mode: ServingMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the batch-formation strategy (builder style). Defaults to the
-    /// paper's [`Algorithm2`].
-    pub fn with_scheduler(mut self, scheduler: Arc<dyn Scheduler>) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// The scheduling mode the session serves in.
-    pub fn mode(&self) -> ServingMode {
-        self.mode
-    }
-
-    /// The batch-formation strategy the session serves with.
-    pub fn scheduler(&self) -> &dyn Scheduler {
-        self.scheduler.as_ref()
-    }
-
-    /// The policy the session serves with.
-    pub fn policy(&self) -> &Policy {
-        &self.policy
-    }
-
-    /// The Algorithm 2 parameters the session forms micro-batches with.
-    pub fn batching_config(&self) -> &BatchingConfig {
-        &self.batching
-    }
-
-    /// Serves `queue` to completion in the session's [`ServingMode`] as a
-    /// 1-replica fleet: the session's engine runs on the cluster layer's
-    /// driver loop, which ingests arrivals in `(arrival, id)` order and wins
-    /// ties for them, so a batch of co-timed requests is fully ingested
-    /// before the engine settles the instant.
-    ///
-    /// Every input request appears in the result exactly once: either in
-    /// [`ServingReport::latencies`] (served) or [`ServingReport::aborted`].
-    /// Requests whose prompt plus generation alone exceeds the
-    /// per-micro-batch KV budget are aborted at dispatch and lead the
-    /// aborted list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::InvalidBatchingConfig`] if the session's batching
-    /// limits can never schedule a request, and propagates simulation errors
-    /// from the schedule simulator.
-    pub fn serve(&self, queue: Vec<Request>) -> Result<ServingReport, EngineError> {
-        // The queue is explicit, so the workload axes shape nothing here.
-        let spec = ClusterSpec::new(self.system, WorkloadSpec::mtbench())
-            .with_mode(self.mode)
-            .with_queue(queue);
-        self.drive(&spec)
-    }
-
-    /// Drives `spec` (no replicas; its queue axes, tap and telemetry) on this
-    /// session's one engine through [`ClusterEvaluator::drive`], and returns
-    /// the replica's report with the fleet's dispatch aborts in front of its
-    /// own.
-    fn drive(&self, spec: &ClusterSpec) -> Result<ServingReport, EngineError> {
-        self.batching
-            .validate()
-            .map_err(|reason| EngineError::InvalidBatchingConfig { reason })?;
-        let mut engine = ReplicaEngine::new(
-            ReplicaId(0),
-            self.evaluator.clone(),
-            self.system,
-            self.policy,
-            self.batching,
-            self.mode,
-            Arc::clone(&self.scheduler),
-        );
-        engine.profile = spec.telemetry.is_some();
-        let fleet = ClusterEvaluator::new(self.evaluator.model().clone());
-        let ClusterReport {
-            mut replicas,
-            mut fleet_aborted,
-            ..
-        } = fleet.drive(spec, vec![engine], Vec::new())?;
-        let mut report = replicas.pop().expect("one replica").report;
-        fleet_aborted.append(&mut report.aborted);
-        report.aborted = fleet_aborted;
-        Ok(report)
     }
 }
 
@@ -453,13 +314,21 @@ impl ServeSpec {
     /// [`crate::RoundRobin`]; a one-node fleet reproduces the single-node
     /// scenario.
     pub fn into_cluster(self, fleet: impl IntoIterator<Item = NodeSpec>) -> ClusterSpec {
-        fleet.into_iter().fold(self.cluster, |cluster, node| {
-            let replica = ReplicaSpec::new(node).with_scheduler(Arc::clone(&self.scheduler));
-            cluster.with_replica(match self.policy {
-                Some(policy) => replica.with_policy(policy),
-                None => replica,
-            })
-        })
+        let replicas = fleet.into_iter().map(|node| self.replica(node)).collect();
+        ClusterSpec {
+            replicas,
+            ..self.cluster
+        }
+    }
+
+    /// This scenario's replica on `node`: the spec's scheduler and policy
+    /// override, in the unified pool.
+    fn replica(&self, node: NodeSpec) -> ReplicaSpec {
+        ReplicaSpec {
+            policy: self.policy,
+            scheduler: Arc::clone(&self.scheduler),
+            ..ReplicaSpec::new(node)
+        }
     }
 
     /// The system this scenario serves on.
@@ -479,11 +348,19 @@ impl ServeSpec {
 }
 
 impl SystemEvaluator {
-    /// Executes one serving scenario: sizes or adopts the policy, then
-    /// serves the scenario's queue (synthesized unless explicit; padded
-    /// systems see every prompt at the maximum length) through a
-    /// [`ServingSession`] in the scenario's mode with the scenario's
-    /// scheduler.
+    /// Executes one serving scenario on this evaluator's node as a
+    /// 1-replica fleet: builds the node's replica and its engine as
+    /// [`ClusterEvaluator::run`] builds each replica's (sizing or adopting the
+    /// policy; padded systems see every prompt at the maximum length), serves
+    /// the scenario's queue (synthesized unless explicit) on the fleet's
+    /// driver loop in the scenario's mode with the scenario's scheduler, and
+    /// returns the replica's report.
+    ///
+    /// Every request appears in the result exactly once: either in
+    /// [`ServingReport::latencies`] (served) or [`ServingReport::aborted`].
+    /// Requests whose prompt plus generation alone exceeds the
+    /// per-micro-batch KV budget are aborted at dispatch and lead the aborted
+    /// list.
     ///
     /// # Errors
     ///
@@ -492,24 +369,19 @@ impl SystemEvaluator {
     /// ([`crate::ClusterSpecError::InvalidArrivals`]), or the simulation
     /// fails.
     pub fn run(&self, spec: &ServeSpec) -> Result<ServingReport, EngineError> {
-        let cluster = &spec.cluster;
-        // Policies (and thus KV budgets) are sized for the scenario's expected
-        // generation length — the mean of the defaults for mixed queues, where
-        // per-round admission control keeps the long-generation tail within
-        // budget and worst-case sizing would forfeit most of the batch.
-        let shape = self.workload_shape(
-            cluster.system,
-            &cluster.workload,
-            cluster.gen.policy_gen_for(&cluster.workload),
-        );
-        let policy = match spec.policy {
-            Some(policy) => policy,
-            None => self.policy_for(cluster.system, &shape)?,
-        };
-        ServingSession::with_policy(self, cluster.system, policy, shape)
-            .with_mode(cluster.mode)
-            .with_scheduler(Arc::clone(&spec.scheduler))
-            .drive(cluster)
+        let fleet = ClusterEvaluator::new(self.model().clone());
+        let replica = spec.replica(self.node().clone());
+        let mut policy_cache = Vec::new();
+        let engine = fleet.build_engine(&spec.cluster, &replica, 0, &mut policy_cache)?;
+        let ClusterReport {
+            mut replicas,
+            mut fleet_aborted,
+            ..
+        } = fleet.drive(&spec.cluster, vec![engine], policy_cache)?;
+        let mut report = replicas.pop().expect("one replica").report;
+        fleet_aborted.append(&mut report.aborted);
+        report.aborted = fleet_aborted;
+        Ok(report)
     }
 }
 
@@ -528,6 +400,19 @@ mod tests {
             .with_count(count)
             .with_gen_len(gen_len)
             .with_seed(seed)
+    }
+
+    /// The per-micro-batch KV budget `spec`'s S1 node enforces, read off a
+    /// one-replica fleet serving a single one-token request.
+    fn kv_budget(spec: &ServeSpec) -> u64 {
+        let probe = spec
+            .clone()
+            .with_queue(vec![Request::new(0, 1, 1)])
+            .into_cluster([EvalSetting::S1.node()]);
+        let report = ClusterEvaluator::new(EvalSetting::S1.model())
+            .run(&probe)
+            .unwrap();
+        report.replicas[0].kv_budget_per_micro_batch
     }
 
     #[test]
@@ -633,10 +518,12 @@ mod tests {
         // N=100, μ=36 → n_ub=3 and n_ub×μ=108 > N: the round must still cap at N.
         let eval = s1();
         let policy = Policy::offload_default(100, 36);
-        let shape = WorkloadShape::new(77, 32);
-        let session = ServingSession::with_policy(&eval, SystemKind::MoeLightning, policy, shape);
         let queue: Vec<Request> = (0..150).map(|id| Request::new(id, 77, 32)).collect();
-        let report = session.serve(queue).unwrap();
+        let spec = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_gen_len(32)
+            .with_policy(policy)
+            .with_queue(queue);
+        let report = eval.run(&spec).unwrap();
         assert_eq!(report.served_requests(), 150);
         for round in &report.rounds {
             assert!(
@@ -656,11 +543,13 @@ mod tests {
     fn continuous_mode_caps_concurrent_requests_at_the_policy_batch() {
         let eval = s1();
         let policy = Policy::offload_default(100, 36);
-        let shape = WorkloadShape::new(77, 32);
-        let session = ServingSession::with_policy(&eval, SystemKind::MoeLightning, policy, shape)
-            .with_mode(ServingMode::Continuous);
         let queue: Vec<Request> = (0..150).map(|id| Request::new(id, 77, 32)).collect();
-        let report = session.serve(queue).unwrap();
+        let spec = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_gen_len(32)
+            .with_policy(policy)
+            .with_mode(ServingMode::Continuous)
+            .with_queue(queue);
+        let report = eval.run(&spec).unwrap();
         assert_eq!(report.served_requests(), 150);
         for wave in &report.rounds {
             assert!(
@@ -677,11 +566,11 @@ mod tests {
     #[test]
     fn oversized_request_is_aborted_not_served() {
         let eval = s1();
-        let spec = WorkloadSpec::mtbench();
-        let session = ServingSession::new(&eval, SystemKind::MoeLightning, &spec, 32).unwrap();
-        let budget = session.batching_config().cache_tokens_per_micro_batch;
+        let spec =
+            ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench()).with_gen_len(32);
+        let budget = kv_budget(&spec);
         let queue = vec![Request::new(0, 50, 32), Request::new(1, budget + 1, 32)];
-        let report = session.serve(queue).unwrap();
+        let report = eval.run(&spec.with_queue(queue)).unwrap();
         assert_eq!(report.served_requests(), 1);
         assert_eq!(report.aborted.len(), 1);
         assert_eq!(report.aborted[0].id, 1);
@@ -695,19 +584,18 @@ mod tests {
         // once everything else drained. They are now classified before the first
         // round and keep their queue order.
         let eval = s1();
-        let spec = WorkloadSpec::mtbench();
         for mode in [ServingMode::RoundToCompletion, ServingMode::Continuous] {
-            let session = ServingSession::new(&eval, SystemKind::MoeLightning, &spec, 32)
-                .unwrap()
+            let spec = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+                .with_gen_len(32)
                 .with_mode(mode);
-            let budget = session.batching_config().cache_tokens_per_micro_batch;
+            let budget = kv_budget(&spec);
             let queue = vec![
                 Request::new(0, 120, 32),
                 Request::new(1, budget + 1, 32),
                 Request::new(2, 80, 32),
                 Request::new(3, budget + 500, 32),
             ];
-            let report = session.serve(queue).unwrap();
+            let report = eval.run(&spec.with_queue(queue)).unwrap();
             assert_eq!(report.served_requests(), 2);
             let aborted_ids: Vec<u64> = report.aborted.iter().map(|r| r.id).collect();
             assert_eq!(
@@ -798,14 +686,17 @@ mod tests {
         let eval = s1();
         // A zero-context workload shape sizes a zero KV budget, which used to
         // reach div_ceil/slicing as a nonsense config; it must now surface as a
-        // typed error from serve().
-        let session = ServingSession::with_policy(
-            &eval,
-            SystemKind::MoeLightning,
-            Policy::offload_default(8, 4),
-            WorkloadShape::new(0, 0),
-        );
-        let err = session.serve(vec![Request::new(0, 10, 10)]).unwrap_err();
+        // typed error from run().
+        let empty_prompts = WorkloadSpec {
+            avg_prompt_len: 0,
+            max_prompt_len: 0,
+            ..WorkloadSpec::mtbench()
+        };
+        let spec = ServeSpec::new(SystemKind::MoeLightning, empty_prompts)
+            .with_gen_len(0)
+            .with_policy(Policy::offload_default(8, 4))
+            .with_queue(vec![Request::new(0, 10, 10)]);
+        let err = eval.run(&spec).unwrap_err();
         assert!(matches!(
             err,
             EngineError::InvalidBatchingConfig {

@@ -13,10 +13,6 @@ use moe_hardware::{Bandwidth, ByteSize, ComputeRate, DType, FlopCount, NodeSpec,
 use moe_model::{LayerOps, MoeModelConfig, OpCost};
 use serde::{Deserialize, Serialize};
 
-/// Fixed launch overhead added to every GPU kernel (models CUDA launch latency and
-/// synchronization cost).
-const KERNEL_LAUNCH_OVERHEAD: Seconds = Seconds::ZERO;
-
 /// Per-task durations and aggregate latency estimates for one model on one node.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -146,7 +142,7 @@ impl CostModel {
     fn roofline_time(cost: &OpCost, flops: ComputeRate, bw: Bandwidth) -> Seconds {
         let comp = cost.flops / flops;
         let comm = cost.total_bytes() / bw;
-        comp.max(comm) + KERNEL_LAUNCH_OVERHEAD
+        comp.max(comm)
     }
 
     // --- per-task durations (decode stage) ---------------------------------------
@@ -235,11 +231,6 @@ impl CostModel {
     /// clock by the disaggregation layer.
     pub fn kv_migrate(&self, context_len: u64, bandwidth: Bandwidth, latency: Seconds) -> Seconds {
         self.model.kv_bytes_per_token() * context_len / bandwidth + latency
-    }
-
-    /// Host-side copy from pageable DRAM into the pinned staging buffer.
-    pub fn pinned_copy(&self, bytes: ByteSize) -> Seconds {
-        bytes / self.cpu_bw()
     }
 
     /// Bytes of one layer's weights that must be streamed to the GPU under `policy`.

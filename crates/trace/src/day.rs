@@ -72,12 +72,6 @@ impl DaySpec {
         }
     }
 
-    /// Sets the diurnal swing (0 = flat day).
-    pub fn with_diurnal_amplitude(mut self, amplitude: f64) -> Self {
-        self.diurnal_amplitude = amplitude;
-        self
-    }
-
     /// Adds a rate segment (builder-style; segments may overlap, their
     /// multipliers compound).
     pub fn with_segment(mut self, start: Seconds, duration: Seconds, rate_multiplier: f64) -> Self {

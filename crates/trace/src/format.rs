@@ -198,12 +198,13 @@ impl Trace {
         let duration = self.duration();
         let mut class_requests = [0usize; 3];
         let mut sessions = std::collections::BTreeSet::new();
-        let (mut input_sum, mut gen_sum) = (0u64, 0u64);
+        // Summed in u128: u64 token counts cannot overflow it.
+        let (mut input_sum, mut gen_sum) = (0u128, 0u128);
         for r in &self.requests {
             class_requests[r.slo_class.index()] += 1;
             sessions.insert(r.session_id);
-            input_sum += r.input_len;
-            gen_sum += r.gen_len;
+            input_sum += u128::from(r.input_len);
+            gen_sum += u128::from(r.gen_len);
         }
         TraceStats {
             requests: n,
@@ -258,7 +259,7 @@ impl Trace {
     ///
     /// [`TraceError::BadMagic`] / [`TraceError::UnsupportedVersion`] for a
     /// bad header, [`TraceError::Corrupt`] for a malformed or out-of-order
-    /// record.
+    /// record, or one whose total token count does not fit a `u64`.
     pub fn parse(text: &str) -> Result<Trace, TraceError> {
         let mut lines = text.lines().enumerate();
         let (_, header) = lines.next().ok_or_else(|| TraceError::BadMagic {
@@ -323,6 +324,11 @@ impl Trace {
             let gen_len: u64 = fields[2]
                 .parse()
                 .map_err(|_| corrupt(format!("bad generation length `{}`", fields[2])))?;
+            if input_len.checked_add(gen_len).is_none() {
+                return Err(corrupt(format!(
+                    "input length {input_len} plus generation length {gen_len} overflows u64"
+                )));
+            }
             let session_id: u64 = fields[3]
                 .parse()
                 .map_err(|_| corrupt(format!("bad session id `{}`", fields[3])))?;

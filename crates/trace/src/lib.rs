@@ -126,6 +126,18 @@ mod tests {
     }
 
     #[test]
+    fn token_totals_beyond_u64_are_summarized_without_overflow() {
+        // Each record fits a u64, but the prompt lengths sum past u64::MAX.
+        let text = "MOETRACE 1\n0 18446744073709551615 0 0 batch\n0 1 0 0 batch\n";
+        let trace = Trace::parse(text).unwrap();
+        assert_eq!(trace.stats().mean_input_len, 2f64.powi(63));
+        assert_eq!(Trace::parse(&trace.render()).unwrap(), trace);
+        // One record whose prompt plus generation overflows is corrupt.
+        let err = Trace::parse("MOETRACE 1\n0 18446744073709551615 1 0 batch\n").unwrap_err();
+        assert!(matches!(err, TraceError::Corrupt { line: 2, .. }), "{err}");
+    }
+
+    #[test]
     fn merge_offsets_sessions_and_slice_rebases() {
         let a = Trace::new(vec![stamped(0, 0.0).with_session(3), stamped(1, 2.0)]);
         let b = Trace::new(vec![stamped(0, 1.0).with_session(0)]);
@@ -227,6 +239,84 @@ mod tests {
     mod proptests {
         use super::*;
         use proptest::prelude::*;
+
+        /// Valid documents the mutation half of the parser fuzz starts from.
+        const TRACE_SEED: &str = "MOETRACE 1\n# requests=3 duration=1.5\n\
+            0 77 64 0 standard\n0.25 128 32 0 interactive\n1.5 64 128 1 batch\n";
+        const OUTCOME_SEED: &str =
+            "MOEOUTCOME 1\n# outcomes=3\n0 completed 4.25\n1 rejected 0.5\n2 aborted 6.75\n";
+
+        /// Edge-case tokens the mutations splice in.
+        const TOKENS: [&str; 16] = [
+            "MOETRACE",
+            "MOEOUTCOME",
+            "-0",
+            "-1",
+            "1e308",
+            "1e-320",
+            "inf",
+            "NaN",
+            "18446744073709551615",
+            "18446744073709551616",
+            "batch",
+            "completed",
+            "#",
+            " ",
+            "\n",
+            "\r\n",
+        ];
+
+        /// Applies `edits` to `seed`: each `(op, position, value)` overwrites,
+        /// inserts or deletes one byte, or inserts one of [`TOKENS`].
+        fn mutate(seed: &str, edits: &[(u8, u16, u16)]) -> String {
+            let mut bytes = seed.as_bytes().to_vec();
+            for &(op, position, value) in edits {
+                let at = usize::from(position) % (bytes.len() + 1);
+                match op % 4 {
+                    0 if at < bytes.len() => bytes[at] = value as u8,
+                    1 => bytes.insert(at, value as u8),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => {
+                        let token = TOKENS[usize::from(value) % TOKENS.len()].bytes();
+                        bytes.splice(at..at, token);
+                    }
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Malformed input yields a typed error, never a panic, and any
+            /// text a parser accepts renders and re-parses to an equal value.
+            #[test]
+            fn parsers_reject_or_round_trip_arbitrary_bytes(
+                raw in proptest::collection::vec(any::<u8>(), 0..96),
+                header in any::<bool>(),
+                edits in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>()), 0..8),
+            ) {
+                for (magic, seed) in [(TRACE_MAGIC, TRACE_SEED), (OUTCOME_MAGIC, OUTCOME_SEED)] {
+                    let mut bytes = if header {
+                        format!("{magic} {TRACE_VERSION}\n").into_bytes()
+                    } else {
+                        Vec::new()
+                    };
+                    bytes.extend_from_slice(&raw);
+                    for text in [String::from_utf8_lossy(&bytes).into_owned(), mutate(seed, &edits)] {
+                        if let Ok(trace) = Trace::parse(&text) {
+                            trace.stats();
+                            prop_assert_eq!(Trace::parse(&trace.render()).unwrap(), trace);
+                        }
+                        if let Ok(log) = OutcomeLog::parse(&text) {
+                            prop_assert_eq!(OutcomeLog::parse(&log.render()).unwrap(), log);
+                        }
+                    }
+                }
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]

@@ -3,8 +3,8 @@
 //!
 //! Batch formation — which waiting requests are admitted, and into which
 //! micro-batch — is the paper's central ablation axis (Tab. 5), so it is
-//! factored behind a trait: the serving loop (`ServingSession` in the core
-//! crate) calls [`Scheduler::plan`] to form a round from scratch and
+//! factored behind a trait: the serving engine (each replica's event machine
+//! in the core crate) calls [`Scheduler::plan`] to form a round from scratch and
 //! [`Scheduler::backfill`] to re-fill partially occupied micro-batches
 //! mid-flight (continuous batching), without knowing which strategy runs.
 //!

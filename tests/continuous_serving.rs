@@ -4,7 +4,8 @@
 //! continuous mode over round-to-completion on mixed-`gen_len` queues.
 
 use moe_lightning::{
-    EvalSetting, ServingMode, ServingReport, ServingSession, SystemEvaluator, SystemKind,
+    ClusterEvaluator, EvalSetting, ServeSpec, ServingMode, ServingReport, SystemEvaluator,
+    SystemKind,
 };
 use moe_workload::{ArrivalProcess, Request, WorkloadSpec};
 
@@ -18,13 +19,32 @@ fn mixed_gen_queue(count: usize, seed: u64) -> Vec<Request> {
     WorkloadSpec::mtbench().sample_requests_mixed_gen(count, seed)
 }
 
+/// MoE-Lightning on MTBench with the policy sized for `gen_len`-token
+/// generations, in `mode`; add the queue with `with_queue`.
+fn scenario(gen_len: u64, mode: ServingMode) -> ServeSpec {
+    ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+        .with_gen_len(gen_len)
+        .with_mode(mode)
+}
+
 fn serve(mode: ServingMode, queue: Vec<Request>) -> ServingReport {
-    let eval = evaluator();
-    let spec = WorkloadSpec::mtbench();
-    let session = ServingSession::new(&eval, SystemKind::MoeLightning, &spec, 128)
+    evaluator()
+        .run(&scenario(128, mode).with_queue(queue))
         .unwrap()
-        .with_mode(mode);
-    session.serve(queue).unwrap()
+}
+
+/// The per-micro-batch KV budget `spec`'s S1 node enforces, read off a
+/// one-replica fleet serving a single one-token request.
+fn kv_budget(spec: &ServeSpec) -> u64 {
+    let probe = spec
+        .clone()
+        .with_queue(vec![Request::new(0, 1, 1)])
+        .into_cluster([EvalSetting::S1.node()]);
+    ClusterEvaluator::new(EvalSetting::S1.model())
+        .run(&probe)
+        .unwrap()
+        .replicas[0]
+        .kv_budget_per_micro_batch
 }
 
 fn assert_exactly_once(report: &ServingReport, count: usize) {
@@ -68,13 +88,12 @@ fn every_request_served_or_aborted_exactly_once_under_burst_arrivals() {
 #[test]
 fn kv_reservation_never_exceeds_budget_at_any_scheduling_event() {
     let eval = evaluator();
-    let spec = WorkloadSpec::mtbench();
     for mode in [ServingMode::RoundToCompletion, ServingMode::Continuous] {
-        let session = ServingSession::new(&eval, SystemKind::MoeLightning, &spec, 128)
-            .unwrap()
-            .with_mode(mode);
-        let budget = session.batching_config().cache_tokens_per_micro_batch;
-        let report = session.serve(mixed_gen_queue(1000, 23)).unwrap();
+        let spec = scenario(128, mode);
+        let budget = kv_budget(&spec);
+        let report = eval
+            .run(&spec.with_queue(mixed_gen_queue(1000, 23)))
+            .unwrap();
         assert!(!report.rounds.is_empty());
         for round in &report.rounds {
             for (i, &reserved) in round.kv_reserved.iter().enumerate() {
@@ -93,19 +112,15 @@ fn kv_reservation_never_exceeds_budget_at_any_scheduling_event() {
 #[test]
 fn kv_budget_holds_at_every_event_under_online_arrivals() {
     // The offline KV invariant, repeated under Poisson arrivals: mid-flight
-    // admissions on the engine-backed session must respect the budget at
-    // every admission wave too, not just when the whole queue is present at
-    // time zero.
+    // admissions on the engine must respect the budget at every admission
+    // wave too, not just when the whole queue is present at time zero.
     let eval = evaluator();
-    let spec = WorkloadSpec::mtbench();
     let mut queue = mixed_gen_queue(600, 29);
     ArrivalProcess::Poisson { rate_per_sec: 2.5 }.stamp(&mut queue, 17);
     for mode in [ServingMode::RoundToCompletion, ServingMode::Continuous] {
-        let session = ServingSession::new(&eval, SystemKind::MoeLightning, &spec, 128)
-            .unwrap()
-            .with_mode(mode);
-        let budget = session.batching_config().cache_tokens_per_micro_batch;
-        let report = session.serve(queue.clone()).unwrap();
+        let spec = scenario(128, mode);
+        let budget = kv_budget(&spec);
+        let report = eval.run(&spec.with_queue(queue.clone())).unwrap();
         assert_exactly_once(&report, 600);
         for round in &report.rounds {
             for (i, &reserved) in round.kv_reserved.iter().enumerate() {
@@ -124,16 +139,14 @@ fn oversized_requests_abort_exactly_once_under_online_arrivals() {
     // Permanently oversized requests are classified up front even when they
     // would only have arrived mid-run; the feasible remainder is unaffected.
     let eval = evaluator();
-    let spec = WorkloadSpec::mtbench();
-    let session = ServingSession::new(&eval, SystemKind::MoeLightning, &spec, 64)
-        .unwrap()
-        .with_mode(ServingMode::Continuous);
     let mut queue = mixed_gen_queue(200, 41);
     let next_id = queue.len() as u64;
     queue.push(Request::new(next_id, 1_000_000, 64));
     queue.push(Request::new(next_id + 1, 1_000_000, 64));
     ArrivalProcess::Poisson { rate_per_sec: 3.0 }.stamp(&mut queue, 19);
-    let report = session.serve(queue).unwrap();
+    let report = eval
+        .run(&scenario(64, ServingMode::Continuous).with_queue(queue))
+        .unwrap();
     assert_exactly_once(&report, 202);
     let aborted_ids: Vec<u64> = report.aborted.iter().map(|r| r.id).collect();
     assert_eq!(aborted_ids, vec![next_id, next_id + 1]);
@@ -208,11 +221,10 @@ fn continuous_mode_total_concurrency_and_waves_behave() {
     // batch, then backfills in further waves as requests complete. A small
     // explicit policy (N=60, μ=20) keeps multiple waves guaranteed.
     let eval = evaluator();
-    let policy = moe_lightning::Policy::offload_default(60, 20);
-    let shape = moe_lightning::WorkloadShape::new(77, 256);
-    let session = ServingSession::with_policy(&eval, SystemKind::MoeLightning, policy, shape)
-        .with_mode(ServingMode::Continuous);
-    let report = session.serve(mixed_gen_queue(300, 31)).unwrap();
+    let spec = scenario(256, ServingMode::Continuous)
+        .with_policy(moe_lightning::Policy::offload_default(60, 20))
+        .with_queue(mixed_gen_queue(300, 31));
+    let report = eval.run(&spec).unwrap();
     assert_exactly_once(&report, 300);
     assert!(
         report.rounds.len() > 2,

@@ -5,10 +5,10 @@
 //! admission on generation throughput for the mixed-`gen_len` MTBench queue.
 
 use moe_lightning::{
-    EngineError, EvalSetting, ServeSpec, ServingMode, ServingSession, SystemEvaluator, SystemKind,
+    ClusterEvaluator, EngineError, EvalSetting, ServeSpec, ServingMode, SystemEvaluator, SystemKind,
 };
 use moe_workload::{
-    builtin_schedulers, Algorithm2, FcfsPadded, Scheduler, TokenBudget, WorkloadSpec,
+    builtin_schedulers, Algorithm2, FcfsPadded, Request, Scheduler, TokenBudget, WorkloadSpec,
 };
 use std::sync::Arc;
 
@@ -67,18 +67,29 @@ fn every_scheduler_serves_every_request_exactly_once_in_both_modes() {
 #[test]
 fn every_scheduler_respects_the_kv_budget_at_every_scheduling_event() {
     let eval = evaluator();
-    let spec = WorkloadSpec::mtbench();
-    let queue = spec.sample_requests_mixed_gen(500, 23);
+    let queue = WorkloadSpec::mtbench().sample_requests_mixed_gen(500, 23);
+    let base = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench()).with_gen_len(256);
+    // The node's per-micro-batch KV budget (the same for every scheduler and
+    // mode), read off a one-replica fleet serving a single one-token request.
+    let probe = base
+        .clone()
+        .with_queue(vec![Request::new(0, 1, 1)])
+        .into_cluster([EvalSetting::S1.node()]);
+    let budget = ClusterEvaluator::new(EvalSetting::S1.model())
+        .run(&probe)
+        .unwrap()
+        .replicas[0]
+        .kv_budget_per_micro_batch;
     for mode in MODES {
         for scheduler in builtin_schedulers() {
             let name = scheduler.name();
-            let session = ServingSession::new(&eval, SystemKind::MoeLightning, &spec, 256)
-                .unwrap()
+            let spec = base
+                .clone()
                 .with_mode(mode)
-                .with_scheduler(Arc::from(scheduler));
-            let budget = session.batching_config().cache_tokens_per_micro_batch;
-            let ubs = session.batching_config().max_requests_per_micro_batch as u64;
-            let report = session.serve(queue.clone()).unwrap();
+                .with_scheduler(Arc::from(scheduler))
+                .with_queue(queue.clone());
+            let report = eval.run(&spec).unwrap();
+            let ubs = report.policy.micro_batch_size;
             assert!(!report.rounds.is_empty(), "{name} [{mode}]: nothing served");
             for round in &report.rounds {
                 for (i, &reserved) in round.kv_reserved.iter().enumerate() {
@@ -185,14 +196,16 @@ fn custom_schedulers_plug_in_through_the_trait() {
 #[test]
 fn invalid_batching_configs_surface_as_typed_errors() {
     let eval = evaluator();
-    let session = ServingSession::with_policy(
-        &eval,
-        SystemKind::MoeLightning,
-        moe_lightning::Policy::offload_default(16, 4),
-        moe_lightning::WorkloadShape::new(0, 0),
-    );
-    let err = session
-        .serve(vec![moe_workload::Request::new(0, 10, 10)])
-        .unwrap_err();
+    // Zero prompt and generation lengths size a zero KV budget.
+    let empty_prompts = WorkloadSpec {
+        avg_prompt_len: 0,
+        max_prompt_len: 0,
+        ..WorkloadSpec::mtbench()
+    };
+    let spec = ServeSpec::new(SystemKind::MoeLightning, empty_prompts)
+        .with_gen_len(0)
+        .with_policy(moe_lightning::Policy::offload_default(16, 4))
+        .with_queue(vec![Request::new(0, 10, 10)]);
+    let err = eval.run(&spec).unwrap_err();
     assert!(matches!(err, EngineError::InvalidBatchingConfig { .. }));
 }

@@ -81,9 +81,10 @@ fn close(got: f64, want: f64, what: &str, label: &str) {
     );
 }
 
-/// Pinned fixtures captured from the *pre-refactor* `ServingSession::serve`
+/// Pinned fixtures captured from the *pre-refactor* single-node serving
 /// loops (commit 98a040b) on the seed-11 scenario grid: the engine-backed
-/// session must keep reproducing them even with `crate::reference` retired.
+/// `SystemEvaluator::run` must keep reproducing them even with
+/// `crate::reference` retired.
 /// Counts are exact; throughput and TTFT p50 were recorded to 9 decimal
 /// digits, so they are compared at 1e-6 relative tolerance.
 #[test]
@@ -400,20 +401,12 @@ fn oversized_requests_abort_up_front_deterministically() {
         for (slot, id) in [(3usize, 30u64), (17, 31), (29, 32)] {
             queue.insert(slot, Request::new(id, 60_000, 64));
         }
-        let workload = WorkloadSpec::mtbench();
-        let shape = eval.workload_shape(
-            SystemKind::MoeLightning,
-            &workload,
-            GenLens::MixedDefaults.policy_gen_for(&workload),
-        );
-        let session = moe_lightning::ServingSession::with_policy(
-            &eval,
-            SystemKind::MoeLightning,
-            Policy::offload_default(48, 12),
-            shape,
-        )
-        .with_mode(mode);
-        let report = session.serve(queue.clone()).unwrap();
+        let spec = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_mixed_gen_lens()
+            .with_policy(Policy::offload_default(48, 12))
+            .with_mode(mode)
+            .with_queue(queue);
+        let report = eval.run(&spec).unwrap();
         assert_eq!(report.aborted.len(), 3, "[{mode}] oversized must abort");
         assert_eq!(report.served_requests(), 30);
         assert_eq!(
@@ -421,8 +414,8 @@ fn oversized_requests_abort_up_front_deterministically() {
             vec![30, 31, 32],
             "[{mode}] aborts keep queue order"
         );
-        let again = session.serve(queue).unwrap();
-        assert_eq!(report, again, "[{mode}] serve() must be deterministic");
+        let again = eval.run(&spec).unwrap();
+        assert_eq!(report, again, "[{mode}] run() must be deterministic");
     }
 }
 

@@ -3,7 +3,7 @@
 
 use moe_hardware::Seconds;
 use moe_lightning::{
-    EvalSetting, ServeSpec, ServingMode, ServingSession, SystemEvaluator, SystemKind,
+    ClusterEvaluator, EvalSetting, ServeSpec, ServingMode, SystemEvaluator, SystemKind,
 };
 use moe_workload::{ArrivalProcess, Request, WorkloadSpec};
 
@@ -17,6 +17,14 @@ fn scenario(system: SystemKind, count: usize, gen_len: u64, seed: u64) -> ServeS
         .with_count(count)
         .with_gen_len(gen_len)
         .with_seed(seed)
+}
+
+/// An MTBench scenario serving an explicit `queue`, with the policy sized for
+/// `gen_len`-token generations.
+fn queue_scenario(system: SystemKind, gen_len: u64, mode: ServingMode) -> ServeSpec {
+    ServeSpec::new(system, WorkloadSpec::mtbench())
+        .with_gen_len(gen_len)
+        .with_mode(mode)
 }
 
 #[test]
@@ -124,16 +132,13 @@ fn micro_batch_imbalance_shows_up_in_round_reports() {
 
 #[test]
 fn zero_generation_requests_complete_at_prefill_end() {
-    // The engine-backed session completes gen_len == 0 requests inside the
-    // admission pass (nothing to decode), without stalling the wave loop.
+    // The engine completes gen_len == 0 requests inside the admission pass
+    // (nothing to decode), without stalling the wave loop.
     let eval = evaluator();
-    let spec = WorkloadSpec::mtbench();
-    let session = ServingSession::new(&eval, SystemKind::MoeLightning, &spec, 64)
-        .unwrap()
-        .with_mode(ServingMode::Continuous);
     let mut queue: Vec<Request> = (0..20).map(|i| Request::new(i, 100, 64)).collect();
     queue.extend((20..25).map(|i| Request::new(i, 100, 0)));
-    let report = session.serve(queue).unwrap();
+    let spec = queue_scenario(SystemKind::MoeLightning, 64, ServingMode::Continuous);
+    let report = eval.run(&spec.with_queue(queue)).unwrap();
     assert_eq!(report.served_requests(), 25);
     for l in report.latencies.iter().filter(|l| l.request.gen_len == 0) {
         assert_eq!(l.per_token.as_secs(), 0.0);
@@ -150,14 +155,11 @@ fn admission_events_are_chronological_under_online_arrivals() {
     // execution order with non-decreasing admission instants, and arrivals
     // are never admitted before they exist.
     let eval = evaluator();
-    let spec = WorkloadSpec::mtbench();
-    let mut queue = spec.sample_requests_mixed_gen(300, 7);
+    let mut queue = WorkloadSpec::mtbench().sample_requests_mixed_gen(300, 7);
     ArrivalProcess::Poisson { rate_per_sec: 1.5 }.stamp(&mut queue, 13);
     for mode in [ServingMode::RoundToCompletion, ServingMode::Continuous] {
-        let session = ServingSession::new(&eval, SystemKind::MoeLightning, &spec, 64)
-            .unwrap()
-            .with_mode(mode);
-        let report = session.serve(queue.clone()).unwrap();
+        let spec = queue_scenario(SystemKind::MoeLightning, 64, mode).with_queue(queue.clone());
+        let report = eval.run(&spec).unwrap();
         assert_eq!(report.served_requests() + report.aborted.len(), 300);
         for pair in report.rounds.windows(2) {
             assert!(
@@ -174,12 +176,20 @@ fn admission_events_are_chronological_under_online_arrivals() {
 #[test]
 fn oversized_requests_abort_and_the_rest_are_served() {
     let eval = evaluator();
-    let spec = WorkloadSpec::mtbench();
-    let session = ServingSession::new(&eval, SystemKind::MoeLightning, &spec, 64).unwrap();
-    let budget = session.batching_config().cache_tokens_per_micro_batch;
+    let spec = queue_scenario(SystemKind::MoeLightning, 64, ServingMode::RoundToCompletion);
+    // The node's per-micro-batch KV budget, read off a one-replica fleet.
+    let probe = spec
+        .clone()
+        .with_queue(vec![Request::new(0, 1, 1)])
+        .into_cluster([EvalSetting::S1.node()]);
+    let budget = ClusterEvaluator::new(EvalSetting::S1.model())
+        .run(&probe)
+        .unwrap()
+        .replicas[0]
+        .kv_budget_per_micro_batch;
     let mut queue: Vec<Request> = (0..10).map(|i| Request::new(i, 100, 64)).collect();
     queue.push(Request::new(10, budget, 64));
-    let report = session.serve(queue).unwrap();
+    let report = eval.run(&spec.with_queue(queue)).unwrap();
     assert_eq!(report.served_requests(), 10);
     assert_eq!(report.aborted.len(), 1);
     assert_eq!(report.aborted[0].id, 10);
@@ -192,7 +202,6 @@ fn step_cost_does_not_depend_on_earlier_rounds() {
     // layer-streaming schedule reads. Serving A first must not change the
     // decode step B is costed at.
     let eval = evaluator();
-    let spec = WorkloadSpec::mtbench();
     let late = |id, input_len, gen_len| Request {
         arrival: Seconds::from_secs(1e6),
         ..Request::new(id, input_len, gen_len)
@@ -201,11 +210,9 @@ fn step_cost_does_not_depend_on_earlier_rounds() {
     let mut a_then_b = vec![Request::new(0, 100, 10), Request::new(1, 100, 30)];
     a_then_b.extend(queue_b.iter().copied());
     for mode in [ServingMode::RoundToCompletion, ServingMode::Continuous] {
-        let session = ServingSession::new(&eval, SystemKind::DeepSpeedZero, &spec, 64)
-            .unwrap()
-            .with_mode(mode);
-        let alone = session.serve(queue_b.clone()).unwrap();
-        let after_a = session.serve(a_then_b.clone()).unwrap();
+        let spec = queue_scenario(SystemKind::DeepSpeedZero, 64, mode);
+        let alone = eval.run(&spec.clone().with_queue(queue_b.clone())).unwrap();
+        let after_a = eval.run(&spec.with_queue(a_then_b.clone())).unwrap();
         assert_eq!(alone.served_requests(), 2);
         assert_eq!(after_a.served_requests(), 4);
         for l in &alone.latencies {
