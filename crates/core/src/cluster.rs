@@ -40,7 +40,6 @@ use crate::evaluator::{EngineError, SystemEvaluator};
 use crate::observe::ObsState;
 use crate::serving::{ServingMode, ServingReport};
 use crate::system::SystemKind;
-use crate::tap::ArrivalTap;
 use moe_hardware::{NodeSpec, Seconds, TimeKey};
 use moe_model::MoeModelConfig;
 use moe_policy::Policy;
@@ -98,6 +97,10 @@ pub enum ClusterSpecError {
     /// scenario with an explicit queue ([`ClusterSpec::with_queue`]) never
     /// reports it.
     InvalidArrivals,
+    /// The [`InterconnectSpec`] would land every KV migration at `t = +inf`:
+    /// its bandwidth is not positive (zero, negative or NaN) or its latency
+    /// is not finite.
+    InvalidInterconnect,
 }
 
 impl fmt::Display for ClusterSpecError {
@@ -114,6 +117,9 @@ impl fmt::Display for ClusterSpecError {
             ClusterSpecError::InvalidArrivals => f.write_str(
                 "the arrival process needs a positive Poisson rate and a non-empty burst size",
             ),
+            ClusterSpecError::InvalidInterconnect => {
+                f.write_str("the interconnect needs a positive bandwidth and a finite latency")
+            }
         }
     }
 }
@@ -187,7 +193,6 @@ pub struct ClusterSpec {
     pub(crate) admission: Arc<dyn AdmissionController>,
     pub(crate) scale_template: Option<ReplicaSpec>,
     pub(crate) queue: Option<Vec<Request>>,
-    pub(crate) tap: Option<Arc<dyn ArrivalTap>>,
     pub(crate) telemetry: Option<Arc<dyn TelemetrySink>>,
     pub(crate) interconnect: InterconnectSpec,
     pub(crate) prefix_cache: Option<u64>,
@@ -217,7 +222,6 @@ impl ClusterSpec {
             admission: Arc::new(AdmitAll),
             scale_template: None,
             queue: None,
-            tap: None,
             telemetry: None,
             interconnect: InterconnectSpec::default(),
             prefix_cache: None,
@@ -343,19 +347,12 @@ impl ClusterSpec {
         self
     }
 
-    /// Installs an [`ArrivalTap`] that observes every dispatched arrival
-    /// (the record side of the trace subsystem). See [`crate::tap`].
-    pub fn with_tap(mut self, tap: Arc<dyn ArrivalTap>) -> Self {
-        self.tap = Some(tap);
-        self
-    }
-
     /// Checks that the scenario can serve at least one request.
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint (empty fleet, zero requests,
-    /// inverted autoscaler bounds).
+    /// inverted autoscaler bounds, incomplete pools, unusable interconnect).
     pub fn validate(&self) -> Result<(), ClusterSpecError> {
         if self.replicas.is_empty() {
             return Err(ClusterSpecError::NoReplicas);
@@ -373,6 +370,11 @@ impl ClusterSpec {
                 || !self.replicas.iter().any(|r| r.role.takes_migrations()))
         {
             return Err(ClusterSpecError::IncompletePools);
+        }
+        // `bandwidth()` clamps a negative or NaN rate to zero.
+        let link = self.interconnect;
+        if link.bandwidth().as_bytes_per_sec() <= 0.0 || !link.latency().as_secs().is_finite() {
+            return Err(ClusterSpecError::InvalidInterconnect);
         }
         Ok(())
     }
@@ -701,9 +703,7 @@ impl ClusterEvaluator {
                 }
             },
         };
-        let batching = batching_for(&policy, &shape);
-        batching
-            .validate()
+        let batching = batching_for(&policy, &shape)
             .map_err(|reason| EngineError::InvalidBatchingConfig { reason })?;
         let mut engine = ReplicaEngine::new(
             ReplicaId(index),
@@ -1218,13 +1218,9 @@ impl FleetLoop<'_> {
     /// controller (`screen` true); requests re-routed by churn were already
     /// accepted and are not re-screened.
     pub(crate) fn dispatch(&mut self, request: Request, now: Seconds, screen: bool) {
-        // New arrivals (screen) reach the tap with their arrival stamp. Churn
-        // re-routes are the same request again, not a new arrival, and are not
-        // re-recorded.
+        // Only new arrivals (screen) are observed: a churn re-route is the
+        // same request again, not a new arrival.
         if screen {
-            if let Some(tap) = &self.spec.tap {
-                tap.record(&request);
-            }
             self.note_arrival(&request, now);
         }
         let Some((view, considered)) = self.place(&request, Pool::Arrivals) else {
@@ -1800,11 +1796,26 @@ mod tests {
 
     #[test]
     fn explicit_queues_are_recorded_and_replay_identically() {
+        /// Rebuilds each offered request from its `Arrival` event.
         #[derive(Debug, Default)]
-        struct CollectingTap(std::sync::Mutex<Vec<Request>>);
-        impl ArrivalTap for CollectingTap {
-            fn record(&self, request: &Request) {
-                self.0.lock().unwrap().push(*request);
+        struct ArrivalSink(std::sync::Mutex<Vec<Request>>);
+        impl TelemetrySink for ArrivalSink {
+            fn event(&self, event: &moe_telemetry::TelemetryEvent) {
+                if let moe_telemetry::TelemetryEvent::Arrival {
+                    id,
+                    input_len,
+                    gen_len,
+                    session,
+                    class,
+                    at,
+                } = *event
+                {
+                    let mut request = Request::new(id, input_len, gen_len)
+                        .with_session(session)
+                        .with_slo_class(SloClass::from_label(class).unwrap());
+                    request.arrival = Seconds::from_secs(at);
+                    self.0.lock().unwrap().push(request);
+                }
             }
         }
 
@@ -1817,33 +1828,29 @@ mod tests {
                 r
             })
             .collect();
-        let tap = Arc::new(CollectingTap::default());
-        let spec = ClusterSpec::homogeneous(
-            SystemKind::MoeLightning,
-            WorkloadSpec::mtbench(),
-            &NodeSpec::t4_single(),
-            2,
-        )
-        .with_mode(ServingMode::Continuous)
-        .with_queue(queue.clone())
-        .with_tap(Arc::clone(&tap) as Arc<dyn ArrivalTap>);
+        let fleet = || {
+            ClusterSpec::homogeneous(
+                SystemKind::MoeLightning,
+                WorkloadSpec::mtbench(),
+                &NodeSpec::t4_single(),
+                2,
+            )
+            .with_mode(ServingMode::Continuous)
+        };
+        let sink = Arc::new(ArrivalSink::default());
+        let spec = fleet()
+            .with_queue(queue.clone())
+            .with_telemetry(Arc::clone(&sink) as Arc<dyn TelemetrySink>);
         assert_eq!(spec.count, queue.len());
         let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());
         let report = evaluator.run(&spec).unwrap();
         assert_eq!(report.total_requests(), queue.len());
-        // The tap saw the offered load, in realized arrival order.
-        let recorded = tap.0.lock().unwrap().clone();
+        // The sink saw the offered load, in realized arrival order.
+        let recorded = sink.0.lock().unwrap().clone();
         assert_eq!(recorded, queue);
         // Replaying the recorded stream reproduces the report exactly.
-        let replay_spec = ClusterSpec::homogeneous(
-            SystemKind::MoeLightning,
-            WorkloadSpec::mtbench(),
-            &NodeSpec::t4_single(),
-            2,
-        )
-        .with_mode(ServingMode::Continuous)
-        .with_queue(recorded);
-        assert_eq!(evaluator.run(&replay_spec).unwrap(), report);
+        let replayed = evaluator.run(&fleet().with_queue(recorded)).unwrap();
+        assert_eq!(replayed, report);
         // Per-class attainment is consistent with the overall figure.
         let slo = SloSpec {
             ttft: Seconds::from_secs(1e6),

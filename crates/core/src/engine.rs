@@ -29,7 +29,8 @@ use moe_hardware::Seconds;
 use moe_policy::{Policy, WorkloadShape};
 use moe_schedule::ScheduleKind;
 use moe_workload::{
-    BatchRunReport, BatchingConfig, PartitionState, QueueOrder, Request, RequestLatency, Scheduler,
+    BatchRunReport, BatchingConfig, BatchingConfigError, PartitionState, QueueOrder, Request,
+    RequestLatency, Scheduler,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -42,15 +43,25 @@ use std::sync::Arc;
 /// micro-batches. The total request cap never exceeds the batch the capacity
 /// model admitted, even when `batch_size` is not a multiple of
 /// `micro_batch_size` (n_ub × μ > N). Applied once per engine, by
-/// `ClusterEvaluator::build_engine`.
-pub(crate) fn batching_for(policy: &Policy, shape: &WorkloadShape) -> BatchingConfig {
+/// `ClusterEvaluator::build_engine`, which surfaces an overflowing KV budget
+/// or a limit [`BatchingConfig::validate`] rejects as a typed error.
+pub(crate) fn batching_for(
+    policy: &Policy,
+    shape: &WorkloadShape,
+) -> Result<BatchingConfig, BatchingConfigError> {
     let n_ub = policy.num_micro_batches();
-    BatchingConfig {
+    let cache_tokens = policy
+        .batch_size
+        .checked_mul(shape.max_context())
+        .ok_or(BatchingConfigError::CacheBudgetOverflow)?;
+    let batching = BatchingConfig {
         num_micro_batches: n_ub as usize,
         max_requests_per_micro_batch: policy.micro_batch_size as usize,
         max_scheduled_requests: policy.batch_size as usize,
-        cache_tokens_per_micro_batch: (policy.batch_size * shape.max_context()).div_ceil(n_ub),
-    }
+        cache_tokens_per_micro_batch: cache_tokens.div_ceil(n_ub),
+    };
+    batching.validate()?;
+    Ok(batching)
 }
 
 /// Mean decode context of one micro-batch: `(prompt + end-of-generation KV) /

@@ -26,10 +26,10 @@
 //!   ([`disagg::ReplicaRole`], [`disagg::InterconnectSpec`]), per-replica
 //!   prefix caches ([`disagg::PrefixCache`]) and cache/session/speed-aware
 //!   routing ([`disagg::StickySession`], [`disagg::PrefixAware`]).
-//! * [`observe`] — fleet-wide telemetry: a [`moe_telemetry::TelemetrySink`]
-//!   attached via [`cluster::ClusterSpec::with_telemetry`] receives structured
-//!   events, gauge time-series samples and the simulator's self-profiling
-//!   roll-up, without perturbing the report.
+//! * [`observe`] — fleet-wide telemetry, the one observation hook: a
+//!   [`moe_telemetry::TelemetrySink`] attached via `with_telemetry` receives
+//!   structured events (trace recording included), gauge samples and the
+//!   simulator's self-profiling roll-up, without perturbing the report.
 //!
 //! # Examples
 //!
@@ -59,7 +59,6 @@ pub mod router;
 pub mod serving;
 pub mod settings;
 pub mod system;
-pub mod tap;
 
 pub use cluster::{
     builtin_routers, ClusterEvaluator, ClusterReport, ClusterSpec, ClusterSpecError, KvAware,
@@ -77,7 +76,6 @@ pub use evaluator::{EngineError, SystemEvaluation, SystemEvaluator};
 pub use serving::{RoundReport, ServeSpec, ServingMode, ServingReport};
 pub use settings::EvalSetting;
 pub use system::SystemKind;
-pub use tap::ArrivalTap;
 
 // Re-export the telemetry vocabulary so downstream crates can attach sinks
 // without depending on `moe-telemetry` directly.

@@ -1,5 +1,7 @@
 //! Telemetry wiring for the fleet loop: every [`TelemetrySink`] emission
-//! site in `crates/core` funnels through the helpers here.
+//! site in `crates/core` funnels through the helpers here. A sink is the one
+//! observation hook: `Arrival` carries the whole request, so even trace
+//! recording (`moe_trace::TraceRecorder`) is a sink.
 //!
 //! The design invariant is that observation never perturbs the run:
 //!
@@ -22,7 +24,6 @@
 
 use crate::cluster::{ClusterSpec, FleetLoop, ReplicaId};
 use crate::engine::Lifecycle;
-use crate::serving::ServeSpec;
 use moe_hardware::Seconds;
 use moe_telemetry::{FleetSample, ReplicaSample, Section, TelemetryEvent, TelemetrySink};
 use moe_workload::{Request, RequestLatency};
@@ -37,19 +38,6 @@ impl ClusterSpec {
     /// and without a sink.
     pub fn with_telemetry(mut self, sink: Arc<dyn TelemetrySink>) -> Self {
         self.telemetry = Some(sink);
-        self
-    }
-}
-
-impl ServeSpec {
-    /// Installs a [`TelemetrySink`] on the single-node run, which is a
-    /// 1-replica fleet: arrival, routed, admitted, completed and aborted
-    /// events, gauge samples (the closing one always) and the self-profiling
-    /// spans. Lifecycle, scaling and migration events have nothing to report
-    /// on one static replica. The report is bit-identical with and without a
-    /// sink.
-    pub fn with_telemetry(mut self, sink: Arc<dyn TelemetrySink>) -> Self {
-        self.cluster = self.cluster.with_telemetry(sink);
         self
     }
 }
@@ -103,12 +91,16 @@ impl FleetLoop<'_> {
         self.spec.telemetry.as_ref()
     }
 
-    /// A screened arrival entered the offered load (final stamp applied).
+    /// A new arrival entered the offered load (the whole request, stamped).
     #[inline]
     pub(crate) fn note_arrival(&self, request: &Request, at: Seconds) {
         if let Some(sink) = self.sink() {
             sink.event(&TelemetryEvent::Arrival {
                 id: request.id,
+                input_len: request.input_len,
+                gen_len: request.gen_len,
+                session: request.session_id,
+                class: request.slo_class.label(),
                 at: at.as_secs(),
             });
         }

@@ -33,7 +33,7 @@
 //! Single-node serving carries **no loop of its own**: `run` builds the
 //! node's replica and engine the way the fleet builds each of its own
 //! ([`ClusterEvaluator`]) and serves the queue as a 1-replica fleet on the
-//! cluster layer's driver loop, so queue realization, dispatch, the tap and
+//! cluster layer's driver loop, so queue realization, dispatch and
 //! telemetry are the fleet's. Wave costing, KV release, backfill and latency
 //! bookkeeping exist exactly once, in [`crate::engine`]; `tests/self_check.rs`
 //! pins the reports against committed fixtures.
@@ -48,10 +48,10 @@
 use crate::cluster::{ClusterEvaluator, ClusterReport, ClusterSpec, ReplicaSpec};
 use crate::evaluator::{EngineError, SystemEvaluator};
 use crate::system::SystemKind;
-use crate::tap::ArrivalTap;
 use moe_hardware::{NodeSpec, Seconds};
 use moe_policy::Policy;
 use moe_schedule::ScheduleKind;
+use moe_telemetry::TelemetrySink;
 use moe_workload::{
     Algorithm2, ArrivalProcess, BatchRunReport, LatencySummary, Request, RequestLatency, Scheduler,
     WorkloadSpec,
@@ -301,11 +301,11 @@ impl ServeSpec {
         self.map(|c| c.with_queue(queue))
     }
 
-    /// Installs an observer of the realized arrival stream (e.g. the
-    /// `moe-trace` recorder): every request of the run is reported once, in
-    /// arrival order, before feasibility screening.
-    pub fn with_tap(self, tap: Arc<dyn ArrivalTap>) -> Self {
-        self.map(|c| c.with_tap(tap))
+    /// Installs a [`TelemetrySink`] on the single-node run, a 1-replica fleet
+    /// (see [`ClusterSpec::with_telemetry`]). Lifecycle, scaling and
+    /// migration events have nothing to report on one static replica.
+    pub fn with_telemetry(self, sink: Arc<dyn TelemetrySink>) -> Self {
+        self.map(|c| c.with_telemetry(sink))
     }
 
     /// Lifts this single-node scenario into a cluster over `fleet`: the
@@ -704,6 +704,18 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("cache_tokens_per_micro_batch"));
+    }
+
+    #[test]
+    fn an_overflowing_cache_budget_returns_a_typed_error_instead_of_panicking() {
+        // batch_size × max_context overflows a u64.
+        let spec = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_policy(Policy::offload_default(u64::MAX / 2, 1 << 62))
+            .with_count(4);
+        let err = s1().run(&spec).unwrap_err();
+        let reason = moe_workload::BatchingConfigError::CacheBudgetOverflow;
+        assert_eq!(err, EngineError::InvalidBatchingConfig { reason });
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]

@@ -39,7 +39,14 @@
 //! use moe_telemetry::{Recorder, Section, TelemetryEvent, TelemetrySink};
 //!
 //! let recorder = Recorder::new().with_interval(0.5);
-//! recorder.event(&TelemetryEvent::Arrival { id: 0, at: 0.1 });
+//! recorder.event(&TelemetryEvent::Arrival {
+//!     id: 0,
+//!     input_len: 128,
+//!     gen_len: 32,
+//!     session: 0,
+//!     class: "standard",
+//!     at: 0.1,
+//! });
 //! recorder.event(&TelemetryEvent::Completed {
 //!     id: 0,
 //!     replica: 2,
@@ -74,10 +81,19 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TelemetryEvent {
     /// A request entered the run's offered load (post arrival stamping,
-    /// before routing and admission).
+    /// before routing and admission). Carries the whole request, so the
+    /// arrival stream can be recorded and replayed from events alone.
     Arrival {
         /// Request id.
         id: u64,
+        /// Prompt length in tokens.
+        input_len: u64,
+        /// Tokens to generate.
+        gen_len: u64,
+        /// Session (conversation) id.
+        session: u64,
+        /// SLO class label (`interactive`/`standard`/`batch`).
+        class: &'static str,
         /// Arrival instant.
         at: f64,
     },
@@ -247,9 +263,22 @@ impl TelemetryEvent {
         let mut o = JsonObj::new();
         o.str("kind", self.kind());
         match *self {
-            TelemetryEvent::Arrival { id, at }
-            | TelemetryEvent::Rerouted { id, at }
-            | TelemetryEvent::Aborted { id, at } => {
+            TelemetryEvent::Arrival {
+                id,
+                input_len,
+                gen_len,
+                session,
+                class,
+                at,
+            } => {
+                o.num("id", id as f64);
+                o.num("input_len", input_len as f64);
+                o.num("gen_len", gen_len as f64);
+                o.num("session", session as f64);
+                o.str("class", class);
+                o.num("at", at);
+            }
+            TelemetryEvent::Rerouted { id, at } | TelemetryEvent::Aborted { id, at } => {
                 o.num("id", id as f64);
                 o.num("at", at);
             }
@@ -579,9 +608,9 @@ impl Counters {
 ///
 /// Every method has an empty default, so a sink implements only what it
 /// wants; all methods take `&self` (sinks are shared `Arc`s and use interior
-/// mutability, like `ArrivalTap`). Emission order is the deterministic
-/// simulation event order — sinks never see cross-thread interleaving,
-/// because the fleet loop's driver thread owns every call site.
+/// mutability). Emission order is the deterministic simulation event order —
+/// sinks never see cross-thread interleaving, because the fleet loop's driver
+/// thread owns every call site.
 pub trait TelemetrySink: fmt::Debug + Send + Sync {
     /// Observes one structured event.
     fn event(&self, _event: &TelemetryEvent) {}
@@ -939,6 +968,17 @@ impl JsonObj {
 mod tests {
     use super::*;
 
+    fn arrival(id: u64, at: f64) -> TelemetryEvent {
+        TelemetryEvent::Arrival {
+            id,
+            input_len: 64,
+            gen_len: 16,
+            session: id,
+            class: "standard",
+            at,
+        }
+    }
+
     fn completed(id: u64, gen_len: u64, completion_s: f64) -> TelemetryEvent {
         TelemetryEvent::Completed {
             id,
@@ -956,7 +996,7 @@ mod tests {
     #[test]
     fn recorder_derives_counters_from_the_event_stream() {
         let r = Recorder::new();
-        r.event(&TelemetryEvent::Arrival { id: 0, at: 0.0 });
+        r.event(&arrival(0, 0.0));
         r.event(&TelemetryEvent::Routed {
             id: 0,
             replica: 1,
@@ -1008,10 +1048,7 @@ mod tests {
             .with_event_capacity(2)
             .with_series_capacity(2);
         for i in 0..5 {
-            r.event(&TelemetryEvent::Arrival {
-                id: i,
-                at: i as f64,
-            });
+            r.event(&arrival(i, i as f64));
             r.sample(&FleetSample {
                 at: i as f64,
                 ..FleetSample::default()
@@ -1031,7 +1068,7 @@ mod tests {
     #[test]
     fn jsonl_and_csv_exports_have_one_row_per_record() {
         let r = Recorder::new().with_interval(1.0);
-        r.event(&TelemetryEvent::Arrival { id: 7, at: 0.25 });
+        r.event(&arrival(7, 0.25));
         r.event(&completed(7, 16, 3.5));
         r.sample(&FleetSample {
             at: 1.0,
@@ -1045,6 +1082,7 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"kind\":\"arrival\"") && lines[0].contains("\"id\":7"));
+        assert!(lines[0].contains("\"session\":7") && lines[0].contains("\"class\":\"standard\""));
         assert!(lines[1].contains("\"kind\":\"completed\"") && lines[1].contains("\"gen_len\":16"));
         let csv = r.series_csv();
         let rows: Vec<&str> = csv.lines().collect();
@@ -1057,7 +1095,7 @@ mod tests {
     #[test]
     fn export_json_carries_counters_profile_series_and_events() {
         let r = Recorder::new();
-        r.event(&TelemetryEvent::Arrival { id: 0, at: 0.0 });
+        r.event(&arrival(0, 0.0));
         r.sample(&FleetSample::default());
         r.span(Section::Routing, 10, 1_000);
         r.span(Section::Routing, 5, 500);
@@ -1075,7 +1113,7 @@ mod tests {
     #[test]
     fn noop_sink_accepts_everything() {
         let sink = NoopSink;
-        sink.event(&TelemetryEvent::Arrival { id: 0, at: 0.0 });
+        sink.event(&arrival(0, 0.0));
         sink.sample(&FleetSample::default());
         sink.span(Section::Planning, 1, 1);
         assert!(sink.sample_interval().is_none());
@@ -1084,7 +1122,7 @@ mod tests {
     #[test]
     fn clear_resets_a_recorder_for_reuse() {
         let r = Recorder::new();
-        r.event(&TelemetryEvent::Arrival { id: 0, at: 0.0 });
+        r.event(&arrival(0, 0.0));
         r.clear();
         assert_eq!(r.counters(), Counters::default());
         assert!(r.events().is_empty());

@@ -3,11 +3,12 @@
 //!
 //! * [`mod@format`] — the versioned `MOETRACE` text format: [`Trace`] with
 //!   reader/writer, merge/slice/stats tooling, typed [`TraceError`]s.
-//! * [`record`] — [`TraceRecorder`], an `ArrivalTap` that turns any serving
-//!   run into a serialized trace of its realized arrival stream.
-//! * [`outcome`] — [`OutcomeRecorder`], a `TelemetrySink` that records each
-//!   request's terminal verdict (completed / rejected / aborted, with its
-//!   finish time) into an [`OutcomeLog`] sidecar next to the trace.
+//! * [`record`] — [`TraceRecorder`], a `TelemetrySink` that turns any
+//!   serving run into a serialized trace of its realized arrival stream plus
+//!   an outcome sidecar.
+//! * [`outcome`] — the [`OutcomeLog`] sidecar: each request's terminal
+//!   verdict (completed / rejected / aborted, with its finish time), in a
+//!   versioned text format next to the trace.
 //! * [`replay`] — feeding a trace back through `ClusterSpec::with_queue` /
 //!   `ServeSpec::with_queue`, deterministically: replaying a recorded trace
 //!   through the originating spec reproduces its report bit-for-bit.
@@ -45,7 +46,7 @@ pub mod replay;
 
 pub use day::{DaySegment, DaySpec};
 pub use format::{Trace, TraceError, TraceStats, TRACE_MAGIC, TRACE_VERSION};
-pub use outcome::{OutcomeKind, OutcomeLog, OutcomeRecorder, RequestOutcome, OUTCOME_MAGIC};
+pub use outcome::{OutcomeKind, OutcomeLog, RequestOutcome, OUTCOME_MAGIC};
 pub use phase::{
     estimate_day, sample_phases, DayEstimate, PhaseConfig, PhasePlan, PhaseSlice, PhaseWindow,
 };

@@ -3,9 +3,9 @@
 //! A [`Trace`](crate::Trace) captures what *arrived*; an [`OutcomeLog`]
 //! captures what *happened to it* — for every request id, whether the run
 //! completed, rejected, or aborted it, and when. The log is recorded live by
-//! installing an [`OutcomeRecorder`] (a `TelemetrySink`) on a spec with
-//! `with_telemetry`, and serializes to a versioned sidecar text format next
-//! to the trace itself:
+//! the same [`TraceRecorder`](crate::TraceRecorder) that records the trace
+//! (see [`TraceRecorder::outcomes`](crate::TraceRecorder::outcomes)), and
+//! serializes to a versioned sidecar text format next to the trace itself:
 //!
 //! ```text
 //! MOEOUTCOME 1
@@ -22,8 +22,6 @@
 //! reproduce the outcome log exactly — `tests/trace_roundtrip.rs` pins that.
 
 use crate::format::{TraceError, TRACE_VERSION};
-use moe_lightning::{TelemetryEvent, TelemetrySink};
-use parking_lot::Mutex;
 use std::fmt;
 use std::path::Path;
 
@@ -229,88 +227,5 @@ impl OutcomeLog {
     /// errors as [`OutcomeLog::parse`].
     pub fn load(path: impl AsRef<Path>) -> Result<OutcomeLog, TraceError> {
         OutcomeLog::parse(&std::fs::read_to_string(path)?)
-    }
-}
-
-/// A `TelemetrySink` that collects each request's terminal verdict.
-///
-/// Install it on a spec with `with_telemetry`, run the scenario, then call
-/// [`OutcomeRecorder::log`] for the run's [`OutcomeLog`]:
-///
-/// ```no_run
-/// use moe_lightning::{ClusterEvaluator, ClusterSpec, EvalSetting, SystemKind};
-/// use moe_trace::OutcomeRecorder;
-/// use moe_workload::WorkloadSpec;
-/// use std::sync::Arc;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let outcomes = Arc::new(OutcomeRecorder::new());
-/// let spec = ClusterSpec::homogeneous(
-///     SystemKind::MoeLightning,
-///     WorkloadSpec::mtbench(),
-///     &EvalSetting::S1.node(),
-///     4,
-/// )
-/// .with_telemetry(outcomes.clone());
-/// ClusterEvaluator::new(EvalSetting::S1.model()).run(&spec)?;
-/// outcomes.log().save("run.outcomes")?;
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Default)]
-pub struct OutcomeRecorder {
-    outcomes: Mutex<Vec<RequestOutcome>>,
-}
-
-impl OutcomeRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of verdicts recorded so far.
-    pub fn len(&self) -> usize {
-        self.outcomes.lock().len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.lock().is_empty()
-    }
-
-    /// Discards everything recorded so far (reuse one recorder across runs).
-    pub fn clear(&self) {
-        self.outcomes.lock().clear();
-    }
-
-    /// The recorded verdicts as a canonical [`OutcomeLog`].
-    pub fn log(&self) -> OutcomeLog {
-        OutcomeLog::new(self.outcomes.lock().clone())
-    }
-}
-
-impl TelemetrySink for OutcomeRecorder {
-    fn event(&self, event: &TelemetryEvent) {
-        let outcome = match *event {
-            TelemetryEvent::Completed {
-                id, completion_s, ..
-            } => RequestOutcome {
-                id,
-                kind: OutcomeKind::Completed,
-                finish_secs: completion_s,
-            },
-            TelemetryEvent::Rejected { id, at, .. } => RequestOutcome {
-                id,
-                kind: OutcomeKind::Rejected,
-                finish_secs: at,
-            },
-            TelemetryEvent::Aborted { id, at } => RequestOutcome {
-                id,
-                kind: OutcomeKind::Aborted,
-                finish_secs: at,
-            },
-            _ => return,
-        };
-        self.outcomes.lock().push(outcome);
     }
 }

@@ -1,15 +1,19 @@
-//! Recording: turn any serving run into a [`Trace`].
+//! Recording: turn any serving run into a [`Trace`] and its [`OutcomeLog`].
 
 use crate::format::Trace;
-use moe_lightning::ArrivalTap;
-use moe_workload::Request;
+use crate::outcome::{OutcomeKind, OutcomeLog, RequestOutcome};
+use moe_hardware::Seconds;
+use moe_lightning::{TelemetryEvent, TelemetrySink};
+use moe_workload::{Request, SloClass};
 use parking_lot::Mutex;
 
-/// An [`ArrivalTap`] that collects the realized arrival stream of a run.
+/// A `TelemetrySink` that records a run's realized arrival stream and each
+/// request's terminal verdict.
 ///
-/// Install it on a spec with `with_tap`, run the scenario, then call
-/// [`TraceRecorder::trace`] to get the recorded stream as a serializable
-/// [`Trace`]:
+/// Each `Arrival` event is rebuilt into its [`Request`], once per offered
+/// request; each `Completed`, `Rejected` and `Aborted` event becomes a
+/// [`RequestOutcome`]. Install it with `with_telemetry`, run the scenario,
+/// then save [`TraceRecorder::trace`] and [`TraceRecorder::outcomes`]:
 ///
 /// ```no_run
 /// use moe_lightning::{ClusterEvaluator, ClusterSpec, EvalSetting, SystemKind};
@@ -25,15 +29,17 @@ use parking_lot::Mutex;
 ///     &EvalSetting::S1.node(),
 ///     4,
 /// )
-/// .with_tap(recorder.clone());
+/// .with_telemetry(recorder.clone());
 /// ClusterEvaluator::new(EvalSetting::S1.model()).run(&spec)?;
 /// recorder.trace().save("run.trace")?;
+/// recorder.outcomes().save("run.outcomes")?;
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     requests: Mutex<Vec<Request>>,
+    outcomes: Mutex<Vec<RequestOutcome>>,
 }
 
 impl TraceRecorder {
@@ -47,7 +53,7 @@ impl TraceRecorder {
         self.requests.lock().len()
     }
 
-    /// Whether nothing has been recorded yet.
+    /// Whether no arrival has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.requests.lock().is_empty()
     }
@@ -55,16 +61,51 @@ impl TraceRecorder {
     /// Discards everything recorded so far (reuse one recorder across runs).
     pub fn clear(&self) {
         self.requests.lock().clear();
+        self.outcomes.lock().clear();
     }
 
     /// The recorded stream as a canonical [`Trace`] (sorted, re-numbered).
     pub fn trace(&self) -> Trace {
         Trace::new(self.requests.lock().clone())
     }
+
+    /// The recorded verdicts as a canonical [`OutcomeLog`].
+    pub fn outcomes(&self) -> OutcomeLog {
+        OutcomeLog::new(self.outcomes.lock().clone())
+    }
 }
 
-impl ArrivalTap for TraceRecorder {
-    fn record(&self, request: &Request) {
-        self.requests.lock().push(*request);
+impl TelemetrySink for TraceRecorder {
+    fn event(&self, event: &TelemetryEvent) {
+        let (id, kind, finish_secs) = match *event {
+            TelemetryEvent::Arrival {
+                id,
+                input_len,
+                gen_len,
+                session,
+                class,
+                at,
+            } => {
+                let mut request = Request::new(id, input_len, gen_len)
+                    .with_session(session)
+                    .with_slo_class(
+                        SloClass::from_label(class).expect("arrivals carry an SloClass label"),
+                    );
+                request.arrival = Seconds::from_secs(at);
+                self.requests.lock().push(request);
+                return;
+            }
+            TelemetryEvent::Completed {
+                id, completion_s, ..
+            } => (id, OutcomeKind::Completed, completion_s),
+            TelemetryEvent::Rejected { id, at, .. } => (id, OutcomeKind::Rejected, at),
+            TelemetryEvent::Aborted { id, at } => (id, OutcomeKind::Aborted, at),
+            _ => return,
+        };
+        self.outcomes.lock().push(RequestOutcome {
+            id,
+            kind,
+            finish_secs,
+        });
     }
 }

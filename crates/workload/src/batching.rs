@@ -111,6 +111,9 @@ pub enum BatchingConfigError {
     /// `cache_tokens_per_micro_batch` is zero — no request (every prompt is at
     /// least one token) could ever fit the KV budget.
     ZeroCacheBudget,
+    /// The KV budget a policy implies (`batch_size × max_context` tokens)
+    /// does not fit a `u64`.
+    CacheBudgetOverflow,
 }
 
 impl fmt::Display for BatchingConfigError {
@@ -125,6 +128,9 @@ impl fmt::Display for BatchingConfigError {
             }
             BatchingConfigError::ZeroCacheBudget => {
                 f.write_str("cache_tokens_per_micro_batch is zero")
+            }
+            BatchingConfigError::CacheBudgetOverflow => {
+                f.write_str("the KV cache budget overflows a u64")
             }
         }
     }

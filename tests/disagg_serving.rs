@@ -6,10 +6,10 @@
 //! over random pool splits.
 
 use moe_lightning::{
-    builtin_routers, ClusterEvaluator, ClusterReport, ClusterSpec, EvalSetting, FleetTimeline,
-    InterconnectSpec, LeastOutstandingTokens, NodeSpec, Policy, PrefixAware, Recorder, ReplicaId,
-    ReplicaRole, ReplicaSpec, Router, Seconds, ServingMode, StickySession, SystemKind,
-    TelemetryEvent,
+    builtin_routers, ClusterEvaluator, ClusterReport, ClusterSpec, ClusterSpecError, EngineError,
+    EvalSetting, FleetTimeline, InterconnectSpec, LeastOutstandingTokens, NodeSpec, Policy,
+    PrefixAware, Recorder, ReplicaId, ReplicaRole, ReplicaSpec, Router, Seconds, ServingMode,
+    StickySession, SystemKind, TelemetryEvent,
 };
 use moe_workload::{ArrivalProcess, GenLens, Request, WorkloadSpec};
 use proptest::prelude::*;
@@ -293,6 +293,45 @@ fn migration_latency_lands_on_the_ttft_path() {
     assert_eq!(
         unified_fast, unified_starved,
         "a unified fleet never touches the interconnect"
+    );
+}
+
+/// An interconnect that cannot land a migration in finite time is a typed
+/// spec error, not a run that never returns: zero, NaN and negative
+/// bandwidths and an infinite latency each put every KV handoff at `+inf`.
+#[test]
+fn invalid_interconnects_are_typed_errors() {
+    let node = NodeSpec::t4_single();
+    let spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+        .with_replica(ReplicaSpec::new(node.clone()).with_role(ReplicaRole::Prefill))
+        .with_replica(ReplicaSpec::new(node).with_role(ReplicaRole::Decode))
+        .with_count(16)
+        .with_gen_len(8)
+        .with_mode(ServingMode::Continuous);
+    for link in [
+        InterconnectSpec::new(0.0, secs(1e-5)),
+        InterconnectSpec::new(f64::NAN, secs(1e-5)),
+        InterconnectSpec::new(-25.0, secs(1e-5)),
+        InterconnectSpec::new(25.0, secs(f64::INFINITY)),
+    ] {
+        let err = evaluator()
+            .run(&spec.clone().with_interconnect(link))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::InvalidClusterSpec {
+                reason: ClusterSpecError::InvalidInterconnect
+            },
+            "{link:?}"
+        );
+        assert!(err.to_string().contains("interconnect"), "{err}");
+    }
+    // An infinitely fast link is a valid (free) one.
+    let free = InterconnectSpec::new(f64::INFINITY, secs(0.0));
+    assert_conserved(
+        &evaluator().run(&spec.with_interconnect(free)).unwrap(),
+        16,
+        "infinite bandwidth",
     );
 }
 

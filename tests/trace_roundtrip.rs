@@ -1,6 +1,7 @@
-//! Record→replay determinism gate for the ISSUE 8 trace subsystem.
+//! Record→replay determinism gate for the trace subsystem.
 //!
-//! Records a run's realized arrival stream through [`TraceRecorder`],
+//! Records a run's realized arrival stream through [`TraceRecorder`] (a
+//! `TelemetrySink` installed with `with_telemetry`),
 //! round-trips it through the `MOETRACE` text format, replays it via
 //! `with_queue`, and requires the replay to reproduce the originating
 //! [`ClusterReport`] / [`ServingReport`] field-by-field — across both
@@ -11,14 +12,17 @@
 use moe_lightning::{
     ClusterEvaluator, ClusterSpec, EvalSetting, FleetTimeline, LeastOutstandingTokens,
     PowerOfTwoChoices, ReplicaId, ReplicaRole, ReplicaSpec, Router, Seconds, ServeSpec,
-    ServingMode, StickySession, SystemEvaluator, SystemKind,
+    ServingMode, SloAdmission, SloSpec, StickySession, SystemEvaluator, SystemKind,
 };
-use moe_trace::{OutcomeKind, OutcomeLog, OutcomeRecorder, Trace, TraceRecorder};
+use moe_trace::{OutcomeKind, OutcomeLog, Trace, TraceRecorder};
 use moe_workload::{ArrivalProcess, WorkloadSpec};
 use std::sync::Arc;
 
 const COUNT: usize = 96;
 const SEED: u64 = 17;
+/// The churn scenario's TTFT admission deadline: tight enough to shed part
+/// of the load, loose enough to serve the rest.
+const TTFT_SLO_SECS: f64 = 240.0;
 
 fn base_spec(router: Arc<dyn Router>) -> ClusterSpec {
     ClusterSpec::homogeneous(
@@ -49,12 +53,12 @@ fn replay_reproduces_the_cluster_report_across_loops_and_routers() {
     for router in routers() {
         for (label, runner) in [("indexed", &evaluator), ("scan", &scan)] {
             let recorder = Arc::new(TraceRecorder::new());
-            let spec = base_spec(Arc::clone(&router)).with_tap(Arc::clone(&recorder) as _);
+            let spec = base_spec(Arc::clone(&router)).with_telemetry(Arc::clone(&recorder) as _);
             let original = runner.run(&spec).unwrap();
             assert_eq!(
                 recorder.len(),
                 original.total_requests(),
-                "{label}/{}: the tap must see the whole offered load",
+                "{label}/{}: the recorder must see the whole offered load",
                 router.name()
             );
 
@@ -118,7 +122,7 @@ fn replay_reproduces_disagg_fleets_with_sticky_sessions_and_prefix_caches() {
         .run(
             &spec(sticky())
                 .with_queue(queue.clone())
-                .with_tap(Arc::clone(&recorder) as _),
+                .with_telemetry(Arc::clone(&recorder) as _),
         )
         .unwrap();
     assert_eq!(recorder.len(), original.total_requests());
@@ -148,10 +152,12 @@ fn replay_reproduces_disagg_fleets_with_sticky_sessions_and_prefix_caches() {
 }
 
 /// Outcome sidecar roundtrip: record the arrival stream *and* every
-/// request's terminal verdict on a churny fleet run, round-trip both through
-/// their text formats, replay the trace, and require the replay to produce
-/// the identical outcome log. The log must also reconcile exactly with the
-/// report's served/rejected/aborted accounting.
+/// request's terminal verdict on a churny, load-shedding fleet run,
+/// round-trip both through their text formats, replay the trace, and require
+/// the replay to produce the identical outcome log. Each offered request is
+/// recorded exactly once in both: churn re-routes are not new arrivals, and
+/// rejected requests still arrived. The log must also reconcile exactly with
+/// the report's served/rejected/aborted accounting.
 #[test]
 fn replay_reproduces_the_outcome_sidecar_under_churn() {
     let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());
@@ -163,20 +169,22 @@ fn replay_reproduces_the_outcome_sidecar_under_churn() {
                     .fail_at(Seconds::from_secs(30.0), ReplicaId(1))
                     .drain_at(Seconds::from_secs(60.0), ReplicaId(0)),
             )
+            .with_admission(Arc::new(SloAdmission::new(SloSpec {
+                ttft: Seconds::from_secs(TTFT_SLO_SECS),
+                per_token: Seconds::from_secs(1e6),
+            })))
     };
 
-    let arrivals = Arc::new(TraceRecorder::new());
-    let outcomes = Arc::new(OutcomeRecorder::new());
+    let recorder = Arc::new(TraceRecorder::new());
     let original = evaluator
-        .run(
-            &spec()
-                .with_tap(Arc::clone(&arrivals) as _)
-                .with_telemetry(Arc::clone(&outcomes) as _),
-        )
+        .run(&spec().with_telemetry(Arc::clone(&recorder) as _))
         .unwrap();
 
-    // One terminal verdict per offered request, reconciling with the report.
-    let log = OutcomeLog::parse(&outcomes.log().render()).unwrap();
+    // One arrival and one terminal verdict per offered request, reconciling
+    // with the report.
+    assert_eq!(recorder.trace().len(), original.total_requests());
+    assert_eq!(recorder.outcomes().len(), original.total_requests());
+    let log = OutcomeLog::parse(&recorder.outcomes().render()).unwrap();
     assert_eq!(log.len(), original.total_requests());
     assert_eq!(
         log.count(OutcomeKind::Completed),
@@ -191,19 +199,27 @@ fn replay_reproduces_the_outcome_sidecar_under_churn() {
         original.availability.failures.len() == 1,
         "the timeline's failure must land for the scenario to mean anything"
     );
+    assert!(
+        !original.availability.rerouted.is_empty(),
+        "the failure and the drain must re-route work"
+    );
+    assert!(
+        original.rejected_requests() > 0 && original.served_requests() > 0,
+        "admission must shed some requests and admit others"
+    );
 
     // Replaying the recorded trace reproduces the sidecar verdict-for-verdict.
-    let trace = Trace::parse(&arrivals.trace().render()).unwrap();
-    let replay_outcomes = Arc::new(OutcomeRecorder::new());
+    let trace = Trace::parse(&recorder.trace().render()).unwrap();
+    let replay_recorder = Arc::new(TraceRecorder::new());
     let replayed = evaluator
         .run(
             &trace
                 .replay_into_cluster(spec())
-                .with_telemetry(Arc::clone(&replay_outcomes) as _),
+                .with_telemetry(Arc::clone(&replay_recorder) as _),
         )
         .unwrap();
     assert_eq!(replayed, original);
-    assert_eq!(replay_outcomes.log(), log);
+    assert_eq!(replay_recorder.outcomes(), log);
 }
 
 #[test]
@@ -217,7 +233,7 @@ fn replay_reproduces_the_single_node_serving_report() {
         .with_seed(SEED)
         .with_mode(ServingMode::Continuous)
         .with_arrivals(ArrivalProcess::Poisson { rate_per_sec: 3.0 })
-        .with_tap(Arc::clone(&recorder) as _);
+        .with_telemetry(Arc::clone(&recorder) as _);
     let original = evaluator.run(&spec.clone()).unwrap();
     assert_eq!(recorder.len(), COUNT);
 
