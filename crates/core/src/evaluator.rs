@@ -210,8 +210,9 @@ impl SystemEvaluator {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Simulation`] if `contexts` is given without an
-    /// `occupancy` of the same length, or if the schedule cannot be simulated.
+    /// Returns [`EngineError::Simulation`] if `occupancy` is empty or holds a
+    /// zero, if `contexts` holds a zero or is given without an `occupancy` of
+    /// the same length, or if the schedule cannot be simulated.
     pub fn decode_step_latency_with_loads(
         &self,
         schedule: ScheduleKind,
@@ -220,6 +221,17 @@ impl SystemEvaluator {
         occupancy: Option<&[u64]>,
         contexts: Option<&[u64]>,
     ) -> Result<Seconds, EngineError> {
+        let invalid = |message: String| Err(EngineError::Simulation { message });
+        if occupancy.is_some_and(<[u64]>::is_empty) {
+            return invalid("a decode step needs at least one micro-batch".into());
+        }
+        for (what, loads) in [("occupancies", occupancy), ("contexts", contexts)] {
+            if let Some(loads) = loads.filter(|loads| loads.contains(&0)) {
+                return invalid(format!(
+                    "per-micro-batch {what} must be positive, got {loads:?}"
+                ));
+            }
+        }
         if let Some(ctx) = contexts {
             let matching = occupancy.is_some_and(|occ| occ.len() == ctx.len());
             if !matching {
@@ -426,6 +438,40 @@ mod tests {
             assert!(matches!(err, EngineError::Simulation { .. }));
             assert!(err.to_string().contains("same length"));
         }
+    }
+
+    /// A CGOPipe step on S1 with explicit loads: its error message, if any.
+    fn step_error(occupancy: &[u64], contexts: Option<&[u64]>) -> Option<String> {
+        let err = s1()
+            .decode_step_latency_with_loads(
+                ScheduleKind::CgoPipe,
+                &Policy::offload_default(64, 16),
+                &WorkloadShape::new(77, 64),
+                Some(occupancy),
+                contexts,
+            )
+            .err()?;
+        assert!(matches!(err, EngineError::Simulation { .. }), "{err}");
+        Some(err.to_string())
+    }
+
+    #[test]
+    fn an_empty_occupancy_is_a_typed_error() {
+        assert_eq!(step_error(&[16, 16], Some(&[100, 100])), None);
+        let err = step_error(&[], None).unwrap();
+        assert!(err.contains("at least one micro-batch"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_occupancy_entry_is_a_typed_error() {
+        let err = step_error(&[16, 0, 16], None).unwrap();
+        assert!(err.contains("occupancies must be positive"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_context_is_a_typed_error() {
+        let err = step_error(&[16, 16], Some(&[100, 0])).unwrap();
+        assert!(err.contains("contexts must be positive"), "{err}");
     }
 
     #[test]

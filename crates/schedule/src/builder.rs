@@ -1,17 +1,20 @@
-//! Decode-stage pipeline schedules as task graphs (Fig. 6 and Algorithm 1 of the
-//! paper).
+//! Decode-stage pipeline schedules (Fig. 6 and Algorithm 1 of the paper).
 //!
-//! Each builder turns a policy + workload into a [`TaskGraph`] over the four lanes
-//! of the discrete-event simulator, with task durations taken from the HRM cost
-//! model. The schedules differ only in *ordering and granularity* — which is exactly
-//! the paper's point: CGOPipe's paged-weight interleaving and two-ahead pre-attention
-//! remove the bubbles the baseline orderings leave on the GPU and PCIe lanes.
+//! Each builder turns a policy + workload into tasks over the four lanes of the
+//! discrete-event simulator, with task durations taken from the HRM cost model,
+//! and emits them into a [`TaskSink`]: a [`TaskGraph`] for the Fig. 6 timeline,
+//! or a [`Player`] that prices a decode step without keeping any task. The
+//! schedules differ only in *ordering and granularity* — which is exactly the
+//! paper's point: CGOPipe's paged-weight interleaving and two-ahead
+//! pre-attention remove the bubbles the baseline orderings leave on the GPU and
+//! PCIe lanes.
 
 use moe_hardware::Seconds;
 use moe_memory::pages::split_into_pages;
 use moe_policy::{CostModel, Policy, WorkloadShape};
-use moe_sim::{Lane, SimError, TaskGraph, TaskId, TaskKind, TaskLabel};
+use moe_sim::{Lane, Player, SimError, TaskGraph, TaskId, TaskKind, TaskLabel, TaskSink};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// The pipeline schedules compared in Fig. 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -67,7 +70,7 @@ impl ScheduleKind {
     }
 }
 
-/// Builds decode-step task graphs for a (model, node, policy, workload) combination.
+/// Emits decode-step schedules for a (model, node, policy, workload) combination.
 #[derive(Debug, Clone)]
 pub struct DecodeScheduleBuilder<'a> {
     cost: &'a CostModel,
@@ -78,12 +81,12 @@ pub struct DecodeScheduleBuilder<'a> {
     /// split the policy implies (`μ` per micro-batch, remainder in the last); the
     /// request-level serving loop overrides it with the actual per-micro-batch
     /// occupancy so schedule bubbles reflect real imbalance.
-    ub_tokens: Vec<u64>,
+    ub_tokens: Cow<'a, [u64]>,
     /// Mean decode context per micro-batch (tokens of KV each active sequence
     /// reads per step). `None` falls back to the workload's uniform
     /// `avg_decode_context()`; the serving loop passes per-micro-batch means so
     /// attention load reflects the batcher's actual token balance.
-    ub_ctx: Option<Vec<u64>>,
+    ub_ctx: Option<&'a [u64]>,
 }
 
 impl<'a> DecodeScheduleBuilder<'a> {
@@ -101,7 +104,8 @@ impl<'a> DecodeScheduleBuilder<'a> {
                     mu
                 }
             })
-            .collect();
+            .collect::<Vec<_>>()
+            .into();
         DecodeScheduleBuilder {
             cost,
             policy,
@@ -112,7 +116,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
         }
     }
 
-    /// Restricts the graph to the first `layers` layers (useful for the Fig. 6
+    /// Restricts the schedule to the first `layers` layers (useful for the Fig. 6
     /// single-/few-layer visualization).
     pub fn with_layers(mut self, layers: u32) -> Self {
         self.num_layers = layers.min(self.cost.model().num_layers).max(1);
@@ -126,13 +130,13 @@ impl<'a> DecodeScheduleBuilder<'a> {
     ///
     /// Panics if `tokens` is empty or contains a zero entry — an empty micro-batch
     /// has no tasks and would silently skew the pipeline stagger.
-    pub fn with_micro_batch_tokens(mut self, tokens: &[u64]) -> Self {
+    pub fn with_micro_batch_tokens(mut self, tokens: &'a [u64]) -> Self {
         assert!(!tokens.is_empty(), "need at least one micro-batch");
         assert!(
             tokens.iter().all(|&t| t > 0),
             "micro-batch token counts must be positive"
         );
-        self.ub_tokens = tokens.to_vec();
+        self.ub_tokens = Cow::Borrowed(tokens);
         self
     }
 
@@ -146,7 +150,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
     ///
     /// Panics if `contexts` does not hold exactly one positive entry per
     /// micro-batch.
-    pub fn with_micro_batch_contexts(mut self, contexts: &[u64]) -> Self {
+    pub fn with_micro_batch_contexts(mut self, contexts: &'a [u64]) -> Self {
         assert_eq!(
             contexts.len(),
             self.ub_tokens.len(),
@@ -156,7 +160,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
             contexts.iter().all(|&c| c > 0),
             "micro-batch contexts must be positive"
         );
-        self.ub_ctx = Some(contexts.to_vec());
+        self.ub_ctx = Some(contexts);
         self
     }
 
@@ -165,7 +169,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
         &self.policy
     }
 
-    /// The per-micro-batch decode token counts the graphs are built with.
+    /// The per-micro-batch decode token counts the schedules are built with.
     pub fn micro_batch_tokens_per_batch(&self) -> &[u64] {
         &self.ub_tokens
     }
@@ -177,9 +181,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
     /// Mean decode context of micro-batch `j` (per-micro-batch override, or the
     /// workload's uniform average).
     fn ctx_of(&self, j: u64) -> u64 {
-        self.ub_ctx
-            .as_ref()
-            .map_or_else(|| self.ctx(), |c| c[j as usize])
+        self.ub_ctx.map_or_else(|| self.ctx(), |c| c[j as usize])
     }
 
     fn num_micro_batches(&self) -> u64 {
@@ -194,37 +196,67 @@ impl<'a> DecodeScheduleBuilder<'a> {
         self.ub_tokens.iter().sum()
     }
 
-    /// Builds the task graph of one decode step under the given schedule.
+    /// Builds the task graph of one decode step under the given schedule: the
+    /// timeline Fig. 6 draws.
     ///
     /// # Errors
     ///
     /// Propagates task-graph construction errors (none are expected for valid
     /// policies; they would indicate a bug in the builder).
     pub fn build(&self, kind: ScheduleKind) -> Result<TaskGraph, SimError> {
+        let mut graph = TaskGraph::new();
+        self.emit(kind, &mut graph)?;
+        Ok(graph)
+    }
+
+    /// Plays one decode step under `kind` as its tasks are emitted and returns
+    /// its makespan, without building a graph. It equals
+    /// [`moe_sim::simulate`]`(&self.build(kind)?).makespan` bit for bit: the
+    /// same tasks reach the same lane rule in the same order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates task emission errors (see [`Self::build`]).
+    pub fn decode_step_makespan(&self, kind: ScheduleKind) -> Result<Seconds, SimError> {
+        let mut player = Player::with_capacity(self.max_tasks());
+        self.emit(kind, &mut player)?;
+        Ok(player.makespan())
+    }
+
+    /// An upper bound on the tasks one step emits under any schedule kind: six
+    /// per (layer, micro-batch) and one whole-layer transfer per layer, plus the
+    /// prologue.
+    fn max_tasks(&self) -> usize {
+        self.num_layers as usize * (6 * self.ub_tokens.len() + 1) + 1
+    }
+
+    /// Emits the tasks of one decode step under `kind` into `sink`, in lane
+    /// (FIFO) order.
+    fn emit<S: TaskSink>(&self, kind: ScheduleKind, sink: &mut S) -> Result<(), SimError> {
         match kind {
             ScheduleKind::CgoPipe => {
-                self.build_cpu_attention_pipeline(true, WeightOrder::Interleaved)
+                self.build_cpu_attention_pipeline(sink, true, WeightOrder::Interleaved)
             }
             ScheduleKind::FastDecodeOverlap => {
-                self.build_cpu_attention_pipeline(true, WeightOrder::WholeAtStart)
+                self.build_cpu_attention_pipeline(sink, true, WeightOrder::WholeAtStart)
             }
             ScheduleKind::FlexGenCpuAttention => {
-                self.build_cpu_attention_pipeline(false, WeightOrder::WholeAtEnd)
+                self.build_cpu_attention_pipeline(sink, false, WeightOrder::WholeAtEnd)
             }
-            ScheduleKind::FlexGenGpuAttention => self.build_gpu_attention_pipeline(),
-            ScheduleKind::LayerStreaming => self.build_layer_streaming(),
+            ScheduleKind::FlexGenGpuAttention => self.build_gpu_attention_pipeline(sink),
+            ScheduleKind::LayerStreaming => self.build_layer_streaming(sink),
         }
     }
 
     /// CPU-attention pipelines (CGOPipe, S2, S3). `two_ahead` enables CGOPipe's
     /// pre-attention stagger; `weight_order` selects how the next layer's weights are
     /// placed on the H2D lane.
-    fn build_cpu_attention_pipeline(
+    fn build_cpu_attention_pipeline<S: TaskSink>(
         &self,
+        g: &mut S,
         two_ahead: bool,
         weight_order: WeightOrder,
-    ) -> Result<TaskGraph, SimError> {
-        let mut g = TaskGraph::new();
+    ) -> Result<(), SimError> {
         let n_ub = self.num_micro_batches();
         let layers = u64::from(self.num_layers);
         let total = layers * n_ub;
@@ -251,9 +283,15 @@ impl<'a> DecodeScheduleBuilder<'a> {
             })
             .collect();
 
-        // Per global pipeline step g = layer * n_ub + j.
-        let layer_of = |g: u64| g / n_ub;
-        let ub_of = |g: u64| g % n_ub;
+        // Per global pipeline step g = layer * n_ub + j. Steps are visited in
+        // order, so their (layer, micro-batch) is carried along, not divided out.
+        let next_step = |(i, j): (u64, u64)| {
+            if j + 1 == n_ub {
+                (i + 1, 0)
+            } else {
+                (i, j + 1)
+            }
+        };
         let mut hidden: Vec<Option<TaskId>> = vec![None; total as usize];
         let mut post: Vec<Option<TaskId>> = vec![None; total as usize];
         // Last weight-transfer task of each layer (compute of that layer depends on it).
@@ -278,13 +316,14 @@ impl<'a> DecodeScheduleBuilder<'a> {
         // attends the in-flight micro-batches. The simpler variants use no stagger.
         let stagger = if two_ahead && n_ub >= 2 { 2u64 } else { 0 };
 
-        // Closure creating the GPU post-attention task of global step `gidx`.
-        let create_post = |g: &mut TaskGraph,
+        // Closure creating the GPU post-attention task of global step `gidx`,
+        // which is micro-batch `j` of layer `i`.
+        let create_post = |g: &mut S,
                            gidx: u64,
+                           (i, j): (u64, u64),
                            hidden: &[Option<TaskId>],
                            weights_done: &[Option<TaskId>]|
          -> Result<TaskId, SimError> {
-            let (i, j) = (layer_of(gidx), ub_of(gidx));
             let [.., post, _] = costs[j as usize];
             let (deps, n_deps) = existing([hidden[gidx as usize], weights_done[i as usize]]);
             g.add_task(
@@ -296,18 +335,22 @@ impl<'a> DecodeScheduleBuilder<'a> {
             )
         };
 
+        // (layer, micro-batch) of steps `gidx` and `gidx - stagger`.
+        let (mut step, mut post_step) = ((0, 0), (0, 0));
         for gidx in 0..(total + stagger) {
             // With the stagger, post-attention of step g - 2 is enqueued on the GPU
             // lane *before* pre-attention of step g.
             if stagger > 0 && gidx >= stagger && gidx - stagger < total {
                 let target = gidx - stagger;
-                let id = create_post(&mut g, target, &hidden, &weights_done)?;
+                let id = create_post(g, target, post_step, &hidden, &weights_done)?;
                 post[target as usize] = Some(id);
+                post_step = next_step(post_step);
             }
             if gidx >= total {
                 continue;
             }
-            let (i, j) = (layer_of(gidx), ub_of(gidx));
+            let (i, j) = step;
+            step = next_step(step);
             let [pre, qkv, attention, upload, _, page] = costs[j as usize];
 
             // S2-style: whole next-layer weights at the *start* of layer i's H2D traffic.
@@ -402,16 +445,15 @@ impl<'a> DecodeScheduleBuilder<'a> {
 
             // Without the stagger the post-attention task follows immediately.
             if stagger == 0 {
-                let id = create_post(&mut g, gidx, &hidden, &weights_done)?;
+                let id = create_post(g, gidx, (i, j), &hidden, &weights_done)?;
                 post[gidx as usize] = Some(id);
             }
         }
-        Ok(g)
+        Ok(())
     }
 
     /// S4: GPU attention with per-micro-batch KV prefetch over PCIe.
-    fn build_gpu_attention_pipeline(&self) -> Result<TaskGraph, SimError> {
-        let mut g = TaskGraph::new();
+    fn build_gpu_attention_pipeline<S: TaskSink>(&self, g: &mut S) -> Result<(), SimError> {
         let n_ub = self.num_micro_batches();
         let layers = u64::from(self.num_layers);
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
@@ -506,13 +548,12 @@ impl<'a> DecodeScheduleBuilder<'a> {
                 prev_post[j as usize] = Some(compute);
             }
         }
-        Ok(g)
+        Ok(())
     }
 
     /// DeepSpeed-style layer streaming: a single batch, GPU attention, KV resident on
     /// the GPU, whole-layer weight streaming overlapped with compute.
-    fn build_layer_streaming(&self) -> Result<TaskGraph, SimError> {
-        let mut g = TaskGraph::new();
+    fn build_layer_streaming<S: TaskSink>(&self, g: &mut S) -> Result<(), SimError> {
         let layers = u64::from(self.num_layers);
         let tokens = self.total_tokens();
         let ctx = self.ctx();
@@ -546,18 +587,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
             )?);
             prev_weights = weights;
         }
-        Ok(g)
-    }
-
-    /// Convenience: plays one decode step under `kind` and returns its makespan
-    /// (the single-pass [`moe_sim::makespan`], equal to
-    /// [`moe_sim::simulate`]'s bit for bit).
-    ///
-    /// # Errors
-    ///
-    /// Propagates task-graph construction errors (see [`Self::build`]).
-    pub fn decode_step_makespan(&self, kind: ScheduleKind) -> Result<Seconds, SimError> {
-        Ok(moe_sim::makespan(&self.build(kind)?))
+        Ok(())
     }
 }
 
@@ -590,6 +620,7 @@ mod tests {
     use moe_hardware::NodeSpec;
     use moe_model::MoeModelConfig;
     use moe_sim::simulate;
+    use proptest::prelude::*;
 
     fn cost() -> CostModel {
         CostModel::new(NodeSpec::t4_single(), MoeModelConfig::mixtral_8x7b())
@@ -809,52 +840,68 @@ mod tests {
             .with_micro_batch_contexts(&[100]);
     }
 
-    #[test]
-    fn single_pass_makespan_equals_simulate_bit_for_bit() {
-        let cost = cost();
-        let resident_cost = CostModel::new(
-            NodeSpec::a100_case_study(300.0, 4.0),
-            MoeModelConfig::mixtral_8x7b(),
-        );
-        let resident = Policy {
-            weights_gpu_ratio: 1.0,
-            ..Policy::offload_default(64, 32)
-        };
-        let w = WorkloadShape::new(77, 128);
-        for layers in 1..=4 {
-            let cases = [
-                ("uniform", builder(&cost)),
-                (
-                    "skewed occupancy",
-                    builder(&cost).with_micro_batch_tokens(&[120, 60, 40, 20, 10, 3, 2, 1]),
-                ),
-                (
-                    "skewed contexts",
-                    builder(&cost)
-                        .with_micro_batch_tokens(&[32, 32, 32, 32])
-                        .with_micro_batch_contexts(&[420, 48, 48, 48]),
-                ),
-                (
-                    "fully resident weights",
-                    DecodeScheduleBuilder::new(&resident_cost, resident, w),
-                ),
-                (
-                    "one micro-batch",
-                    builder(&cost).with_micro_batch_tokens(&[17]),
-                ),
-            ];
-            for (case, b) in cases {
-                let b = b.with_layers(layers);
-                for kind in ScheduleKind::all() {
-                    let fast = b.decode_step_makespan(kind).unwrap();
-                    let full = simulate(&b.build(kind).unwrap()).makespan;
-                    assert_eq!(
-                        fast.as_secs().to_bits(),
-                        full.as_secs().to_bits(),
-                        "{} / {case} / {layers} layers: {fast} vs {full}",
-                        kind.name()
-                    );
-                }
+    /// A ratio drawn at either end of `[0, 1]` or strictly inside it.
+    fn ratio(pick: u8, inside: f64) -> f64 {
+        match pick {
+            0 => 0.0,
+            1 => 1.0,
+            _ => inside,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The streamed step costing is the Fig. 6 graph played in full, bit for
+        /// bit: random placements, ratios, ragged last micro-batches, explicit
+        /// loads, depths and both model presets, under every schedule kind.
+        #[test]
+        fn streamed_makespan_equals_simulate_bit_for_bit(
+            tiny in any::<bool>(),
+            (mu, n_ub, ragged) in (1u64..64, 1u64..16, 0u64..64),
+            (attention_on_gpu, ffn_on_gpu) in (any::<bool>(), any::<bool>()),
+            (w_pick, r_w, c_pick, r_c) in (0u8..3, 0.0f64..1.0, 0u8..3, 0.0f64..1.0),
+            loads in collection::vec((1u64..64, 1u64..4096), 1..=16),
+            explicit in 0u8..3,
+            layers in 1u32..=4,
+            (prompt, gen) in (1u64..1024, 1u64..256),
+        ) {
+            let cost = if tiny {
+                CostModel::new(NodeSpec::l4_single(), MoeModelConfig::tiny())
+            } else {
+                CostModel::new(NodeSpec::t4_single(), MoeModelConfig::mixtral_8x7b())
+            };
+            let policy = Policy {
+                batch_size: mu * (n_ub - 1) + 1 + ragged % mu,
+                micro_batch_size: mu,
+                attention_on_gpu,
+                ffn_on_gpu,
+                weights_gpu_ratio: ratio(w_pick, r_w),
+                kv_gpu_ratio: ratio(c_pick, r_c),
+            };
+            let (occupancy, contexts): (Vec<u64>, Vec<u64>) = loads.into_iter().unzip();
+            let mut b = DecodeScheduleBuilder::new(&cost, policy, WorkloadShape::new(prompt, gen))
+                .with_layers(layers);
+            // The policy's own split, explicit occupancies, or both kinds of load.
+            if explicit > 0 {
+                b = b.with_micro_batch_tokens(&occupancy);
+            }
+            if explicit > 1 {
+                b = b.with_micro_batch_contexts(&contexts);
+            }
+            for kind in ScheduleKind::all() {
+                let streamed = b.decode_step_makespan(kind).unwrap();
+                let full = simulate(&b.build(kind).unwrap()).makespan;
+                prop_assert_eq!(
+                    streamed.as_secs().to_bits(),
+                    full.as_secs().to_bits(),
+                    "{} / {:?} / {} layers: {} vs {}",
+                    kind.name(),
+                    b.micro_batch_tokens_per_batch(),
+                    layers,
+                    streamed,
+                    full
+                );
             }
         }
     }

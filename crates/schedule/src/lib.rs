@@ -1,5 +1,5 @@
 //! Pipeline schedules for the decode stage: CGOPipe (Algorithm 1) and the baseline
-//! orderings of Fig. 6, expressed as task graphs over the discrete-event simulator.
+//! orderings of Fig. 6, emitted as tasks into the discrete-event simulator.
 //!
 //! # Examples
 //!

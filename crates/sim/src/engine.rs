@@ -1,8 +1,8 @@
-//! The discrete-event engine: plays a [`TaskGraph`] on the four serial lanes and
+//! The discrete-event engine: plays emitted tasks on the four serial lanes and
 //! reports the resulting timeline, makespan and per-lane utilization / bubble
 //! statistics used throughout the evaluation (e.g. the Fig. 6 schedule comparison).
 
-use crate::task::{Lane, Task, TaskGraph, TaskId, TaskKind, TaskLabel};
+use crate::task::{check_deps, Lane, SimError, TaskGraph, TaskId, TaskKind, TaskLabel, TaskSink};
 use moe_hardware::Seconds;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -77,57 +77,102 @@ impl SimulationResult {
     }
 }
 
-/// Plays `graph` in one pass in insertion order, calling `visit` with each
-/// task's start and finish; returns the makespan.
+/// Plays tasks one at a time, as a schedule emits them, on four FIFO lanes.
 ///
-/// Dependencies only point backwards and every lane is FIFO in insertion
-/// order, so by the time a task is reached its lane predecessor and its
-/// dependencies have all finished.
-fn play(graph: &TaskGraph, mut visit: impl FnMut(&Task, Seconds, Seconds)) -> Seconds {
-    let mut lane_free = [Seconds::ZERO; 4];
-    let mut finish: Vec<Seconds> = Vec::with_capacity(graph.len());
-    let mut makespan = Seconds::ZERO;
-    for task in graph.tasks() {
-        let deps_ready = graph
-            .deps(task)
-            .iter()
-            .fold(Seconds::ZERO, |ready, dep| ready.max(finish[dep.0]));
-        let lane_available = &mut lane_free[task.lane as usize];
-        let start = lane_available.max(deps_ready);
-        let end = start + task.duration;
-        *lane_available = end;
-        finish.push(end);
-        makespan = makespan.max(end);
-        visit(task, start, end);
+/// Each lane executes its tasks in emission order; a task starts as soon as both
+/// the lane is free and all its dependencies have finished (asynchronous launch
+/// with stream semantics, matching the CUDA-stream execution model the paper's
+/// runtime relies on). Dependencies only point backwards, so by the time a task
+/// arrives its lane predecessor and its dependencies have all been played: one
+/// pass in emission order is the whole simulation. The player keeps only the
+/// four lane clocks, one finish time per task and the running makespan, which is
+/// all a decode-step costing needs; [`simulate`] plays a [`TaskGraph`] through it
+/// and keeps the timeline as well.
+#[derive(Debug, Clone, Default)]
+pub struct Player {
+    lane_free: [Seconds; 4],
+    finish: Vec<Seconds>,
+    makespan: Seconds,
+}
+
+impl Player {
+    /// A player at time zero with no tasks played.
+    pub fn new() -> Self {
+        Player::default()
     }
-    makespan
+
+    /// A player with room for `tasks` finish times before it reallocates.
+    pub fn with_capacity(tasks: usize) -> Self {
+        Player {
+            finish: Vec::with_capacity(tasks),
+            ..Player::default()
+        }
+    }
+
+    /// Completion time of the last task played so far.
+    pub fn makespan(&self) -> Seconds {
+        self.makespan
+    }
+
+    /// Plays one task and returns its start and finish.
+    fn advance(
+        &mut self,
+        lane: Lane,
+        duration: Seconds,
+        deps: &[TaskId],
+    ) -> Result<(Seconds, Seconds), SimError> {
+        check_deps(self.finish.len(), deps)?;
+        let deps_ready = deps
+            .iter()
+            .fold(Seconds::ZERO, |ready, dep| ready.max(self.finish[dep.0]));
+        let lane_available = &mut self.lane_free[lane as usize];
+        let start = lane_available.max(deps_ready);
+        let end = start + duration;
+        *lane_available = end;
+        self.finish.push(end);
+        self.makespan = self.makespan.max(end);
+        Ok((start, end))
+    }
 }
 
-/// Completion time of the last task of `graph`: what [`simulate`] reports as
-/// `makespan`, bit for bit, without building the timeline or its statistics.
-///
-/// Each lane executes its tasks in enqueue order; a task starts as soon as both the
-/// lane is free and all its dependencies have finished (asynchronous launch with
-/// stream semantics, matching the CUDA-stream execution model the paper's runtime
-/// relies on).
-pub fn makespan(graph: &TaskGraph) -> Seconds {
-    play(graph, |_, _, _| {})
+impl TaskSink for Player {
+    fn add_task(
+        &mut self,
+        lane: Lane,
+        duration: Seconds,
+        _kind: TaskKind,
+        _label: impl Into<TaskLabel>,
+        deps: &[TaskId],
+    ) -> Result<TaskId, SimError> {
+        let id = TaskId(self.finish.len());
+        self.advance(lane, duration, deps)?;
+        Ok(id)
+    }
 }
 
-/// Simulates the execution of `graph` (see [`makespan`] for the semantics) and
-/// returns the timeline and statistics.
+/// Simulates the execution of `graph` (see [`Player`] for the semantics) and
+/// returns the timeline and statistics. Its makespan is what a [`Player`] fed the
+/// same tasks reports, bit for bit.
 pub fn simulate(graph: &TaskGraph) -> SimulationResult {
-    let mut timeline = Vec::with_capacity(graph.len());
-    let makespan = play(graph, |task, start, finish| {
-        timeline.push(TimelineEntry {
-            task: task.id,
-            lane: task.lane,
-            kind: task.kind,
-            label: task.label,
-            start,
-            finish,
-        });
-    });
+    let mut player = Player::with_capacity(graph.len());
+    let mut timeline: Vec<TimelineEntry> = graph
+        .tasks()
+        .iter()
+        .map(|task| {
+            let (start, finish) = player
+                .advance(task.lane, task.duration, graph.deps(task))
+                .expect("a task graph holds only backward dependencies");
+            TimelineEntry {
+                task: task.id,
+                lane: task.lane,
+                kind: task.kind,
+                label: task.label,
+                start,
+                finish,
+            }
+        })
+        .collect();
+    let makespan = player.makespan();
     timeline.sort_by_key(|e| (e.start.key(), e.task.0));
 
     let mut lanes = HashMap::new();
@@ -345,8 +390,9 @@ mod tests {
         // Because `add_task` only allows dependencies on earlier tasks, every buildable
         // graph is acyclic even with FIFO head-of-line blocking — processing tasks in
         // insertion order is always feasible. Check a densely interleaved ping-pong
-        // pattern completes with the expected makespan.
+        // pattern completes with the expected makespan, kept or streamed.
         let mut g = TaskGraph::new();
+        let mut player = Player::new();
         let mut prev: Option<TaskId> = None;
         for i in 0..16 {
             let lane = if i % 2 == 0 {
@@ -355,20 +401,19 @@ mod tests {
                 Lane::CpuCompute
             };
             let deps: Vec<TaskId> = prev.into_iter().collect();
-            prev = Some(
-                g.add_task(
-                    lane,
-                    ms(1.0),
-                    TaskKind::Other,
-                    TaskLabel::layer("t", i),
-                    &deps,
-                )
-                .unwrap(),
-            );
+            let label = TaskLabel::layer("t", i);
+            let id = g
+                .add_task(lane, ms(1.0), TaskKind::Other, label, &deps)
+                .unwrap();
+            let streamed = player
+                .add_task(lane, ms(1.0), TaskKind::Other, label, &deps)
+                .unwrap();
+            assert_eq!(id, streamed);
+            prev = Some(id);
         }
         let r = simulate(&g);
         assert_eq!(r.timeline.len(), 16);
-        assert_eq!(makespan(&g), r.makespan);
+        assert_eq!(player.makespan(), r.makespan);
         assert!(
             (r.makespan.as_millis() - 16.0).abs() < 1e-9,
             "strict chain serializes fully"

@@ -1,38 +1,51 @@
 //! Discrete-event simulator for a heterogeneous CPU/GPU/PCIe node.
 //!
 //! This crate stands in for the hardware the paper evaluates on: schedules
-//! (CGOPipe and the baselines) are expressed as [`TaskGraph`]s over four serial
-//! lanes — GPU compute, CPU compute, host→device and device→host copies — and
-//! [`simulate`] plays them with CUDA-stream (FIFO per lane, cross-lane dependency)
-//! semantics, reporting the makespan, per-lane utilization and the pipeline bubbles
-//! that Fig. 6 of the paper visualizes. [`makespan`] plays the same schedule and
-//! keeps only its completion time, which is all a decode-step costing needs.
+//! (CGOPipe and the baselines) emit tasks over four serial lanes — GPU compute,
+//! CPU compute, host→device and device→host copies — into a [`TaskSink`], and
+//! the tasks are played with CUDA-stream (FIFO per lane, cross-lane dependency)
+//! semantics. A [`TaskGraph`] keeps every task so that [`simulate`] can report the
+//! makespan, per-lane utilization and the pipeline bubbles that Fig. 6 of the
+//! paper visualizes. A [`Player`] plays each task as it is emitted and keeps only
+//! the lane clocks, which is all a decode-step costing needs; both apply the same
+//! lane rule, so their makespans agree bit for bit.
 //!
 //! # Examples
 //!
 //! ```
 //! use moe_hardware::Seconds;
-//! use moe_sim::{simulate, Lane, TaskGraph, TaskKind};
+//! use moe_sim::{simulate, Lane, Player, TaskGraph, TaskKind, TaskSink};
 //!
 //! # fn main() -> Result<(), moe_sim::SimError> {
-//! let mut g = TaskGraph::new();
-//! let weights = g.add_task(
-//!     Lane::HostToDevice,
-//!     Seconds::from_millis(8.0),
-//!     TaskKind::WeightTransfer,
-//!     "layer-1 weights",
-//!     &[],
-//! )?;
-//! let ffn = g.add_task(
-//!     Lane::GpuCompute,
-//!     Seconds::from_millis(3.0),
-//!     TaskKind::PostAttention,
-//!     "layer-1 FFN",
-//!     &[weights],
-//! )?;
-//! let result = simulate(&g);
-//! assert_eq!(result.finish_of(ffn).unwrap().as_millis(), 11.0);
-//! assert_eq!(moe_sim::makespan(&g), result.makespan);
+//! // Emit the same two tasks into any sink: layer-1 weights, then the FFN
+//! // that needs them.
+//! fn emit(sink: &mut impl TaskSink) -> Result<(), moe_sim::SimError> {
+//!     let weights = sink.add_task(
+//!         Lane::HostToDevice,
+//!         Seconds::from_millis(8.0),
+//!         TaskKind::WeightTransfer,
+//!         "layer-1 weights",
+//!         &[],
+//!     )?;
+//!     sink.add_task(
+//!         Lane::GpuCompute,
+//!         Seconds::from_millis(3.0),
+//!         TaskKind::PostAttention,
+//!         "layer-1 FFN",
+//!         &[weights],
+//!     )?;
+//!     Ok(())
+//! }
+//!
+//! let mut graph = TaskGraph::new();
+//! emit(&mut graph)?;
+//! let result = simulate(&graph);
+//! assert_eq!(result.lane(Lane::GpuCompute).bubble.as_millis(), 0.0);
+//!
+//! let mut player = Player::new();
+//! emit(&mut player)?;
+//! assert_eq!(player.makespan().as_millis(), 11.0);
+//! assert_eq!(player.makespan(), result.makespan);
 //! # Ok(())
 //! # }
 //! ```
@@ -43,8 +56,8 @@
 pub mod engine;
 pub mod task;
 
-pub use engine::{makespan, simulate, LaneStats, SimulationResult, TimelineEntry};
-pub use task::{Lane, SimError, Task, TaskGraph, TaskId, TaskKind, TaskLabel};
+pub use engine::{simulate, LaneStats, Player, SimulationResult, TimelineEntry};
+pub use task::{Lane, SimError, Task, TaskGraph, TaskId, TaskKind, TaskLabel, TaskSink};
 
 #[cfg(test)]
 mod proptests {
@@ -81,7 +94,7 @@ mod proptests {
         g
     }
 
-    /// Reference player, independent of the single pass: lanes take turns
+    /// Reference player, independent of the streaming `Player`: lanes take turns
     /// running their head task while its dependencies have finished, until
     /// every task has run.
     fn round_robin_makespan(g: &TaskGraph) -> Seconds {
@@ -118,14 +131,34 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn single_pass_makespan_matches_simulate_bit_for_bit(
+        fn streamed_makespan_matches_simulate_bit_for_bit(
             seed in 0u64..10_000,
             n in 0usize..120,
+            forward in 0usize..4,
         ) {
             let g = random_graph(seed, n);
-            let bits = makespan(&g).as_secs().to_bits();
+            let mut player = Player::new();
+            for task in g.tasks() {
+                let id = player
+                    .add_task(task.lane, task.duration, task.kind, task.label, g.deps(task))
+                    .unwrap();
+                prop_assert_eq!(id, task.id);
+            }
+            let bits = player.makespan().as_secs().to_bits();
             prop_assert_eq!(bits, simulate(&g).makespan.as_secs().to_bits());
             prop_assert_eq!(bits, round_robin_makespan(&g).as_secs().to_bits());
+
+            // Both sinks reject a dependency on a task not yet emitted, alike.
+            let deps = [TaskId(n + forward)];
+            let mut graph = g.clone();
+            let kept = graph.add_task(Lane::GpuCompute, Seconds::ZERO, TaskKind::Other, "x", &deps);
+            let streamed =
+                player.add_task(Lane::GpuCompute, Seconds::ZERO, TaskKind::Other, "x", &deps);
+            prop_assert_eq!(
+                kept.clone(),
+                Err(SimError::UnknownDependency { task: n, dependency: n + forward })
+            );
+            prop_assert_eq!(kept, streamed);
         }
 
         #[test]

@@ -190,6 +190,38 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// A consumer of an emitted schedule: a [`TaskGraph`] keeps every task, a
+/// [`Player`](crate::Player) plays each one as it arrives and keeps only the
+/// lane clocks. A schedule builder generic over `TaskSink` emits the same tasks
+/// in the same order into either.
+pub trait TaskSink {
+    /// Adds a task; dependencies must reference previously added tasks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownDependency`] if a dependency id is out of range.
+    fn add_task(
+        &mut self,
+        lane: Lane,
+        duration: Seconds,
+        kind: TaskKind,
+        label: impl Into<TaskLabel>,
+        deps: &[TaskId],
+    ) -> Result<TaskId, SimError>;
+}
+
+/// The error a sink holding `len` tasks returns for the first dependency in
+/// `deps` that does not refer to one of them, if any.
+pub(crate) fn check_deps(len: usize, deps: &[TaskId]) -> Result<(), SimError> {
+    match deps.iter().find(|dep| dep.0 >= len) {
+        Some(dep) => Err(SimError::UnknownDependency {
+            task: len,
+            dependency: dep.0,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// A buildable set of tasks with lane bindings and dependencies.
 ///
 /// Dependencies may only point at earlier tasks, so insertion order is always
@@ -205,39 +237,6 @@ impl TaskGraph {
     /// Creates an empty graph.
     pub fn new() -> Self {
         TaskGraph::default()
-    }
-
-    /// Adds a task; dependencies must reference previously added tasks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownDependency`] if a dependency id is out of range.
-    pub fn add_task(
-        &mut self,
-        lane: Lane,
-        duration: Seconds,
-        kind: TaskKind,
-        label: impl Into<TaskLabel>,
-        deps: &[TaskId],
-    ) -> Result<TaskId, SimError> {
-        let id = TaskId(self.tasks.len());
-        if let Some(dep) = deps.iter().find(|dep| dep.0 >= id.0) {
-            return Err(SimError::UnknownDependency {
-                task: id.0,
-                dependency: dep.0,
-            });
-        }
-        let start = self.deps.len();
-        self.deps.extend_from_slice(deps);
-        self.tasks.push(Task {
-            id,
-            lane,
-            duration,
-            kind,
-            label: label.into(),
-            deps: start..self.deps.len(),
-        });
-        Ok(id)
     }
 
     /// Number of tasks in the graph.
@@ -282,6 +281,31 @@ impl TaskGraph {
             .filter(|t| t.lane == lane)
             .map(|t| t.duration)
             .sum()
+    }
+}
+
+impl TaskSink for TaskGraph {
+    fn add_task(
+        &mut self,
+        lane: Lane,
+        duration: Seconds,
+        kind: TaskKind,
+        label: impl Into<TaskLabel>,
+        deps: &[TaskId],
+    ) -> Result<TaskId, SimError> {
+        let id = TaskId(self.tasks.len());
+        check_deps(id.0, deps)?;
+        let start = self.deps.len();
+        self.deps.extend_from_slice(deps);
+        self.tasks.push(Task {
+            id,
+            lane,
+            duration,
+            kind,
+            label: label.into(),
+            deps: start..self.deps.len(),
+        });
+        Ok(id)
     }
 }
 
@@ -331,10 +355,14 @@ mod tests {
                 &[TaskId(3)],
             )
             .unwrap_err();
-        assert!(matches!(
+        assert_eq!(
             err,
-            SimError::UnknownDependency { dependency: 3, .. }
-        ));
+            SimError::UnknownDependency {
+                task: 0,
+                dependency: 3
+            }
+        );
+        assert!(g.is_empty(), "a rejected task is not added");
     }
 
     #[test]
