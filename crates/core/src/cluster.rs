@@ -30,12 +30,12 @@
 //! outright — see [`crate::dynamics`]. The report's
 //! [`ClusterReport::availability`] section records what churn did to the run.
 
-use crate::disagg::{self, CacheStats, DisaggState, InterconnectSpec, PrefixCache, ReplicaRole};
+use crate::disagg::{CacheStats, DisaggState, InterconnectSpec, PrefixCache, ReplicaRole};
 use crate::dynamics::{
     AdmissionController, AdmitAll, Autoscaler, AvailabilityReport, FleetAction, FleetTimeline,
     FleetView, ScaleBounds, ScaleDecision,
 };
-use crate::engine::{batching_for, Lifecycle, ReplicaEngine, WindowEvent};
+use crate::engine::{batching_for, Finished, Lifecycle, ReplicaEngine, WindowEvent};
 use crate::evaluator::{EngineError, SystemEvaluator};
 use crate::observe::ObsState;
 use crate::serving::{ServingMode, ServingReport};
@@ -931,15 +931,9 @@ impl ClusterEvaluator {
             joins,
             departures,
             cancelled_joins,
-            disagg: disagg_state,
             ..
         } = plane;
-        let mut replica_reports: Vec<ReplicaReport> =
-            engines.into_iter().map(replica_report).collect();
-        // Prefill-stub completions are plumbing, not served requests; aborted
-        // stubs are the original request aborted. (Billed totals keep the
-        // prefill replica's prompt work — wasted or not, it ran.)
-        disagg::scrub_handoff_reports(&mut replica_reports, &disagg_state);
+        let replica_reports: Vec<ReplicaReport> = engines.into_iter().map(replica_report).collect();
         let totals = replica_reports
             .iter()
             .fold(BatchRunReport::default(), |acc, r| {
@@ -1001,8 +995,8 @@ pub(crate) enum Pool {
 impl Pool {
     /// Whether a replica of `role` with a per-micro-batch KV budget of
     /// `budget` tokens may take `request`. A prefill replica only ever holds
-    /// the prompt's KV (it runs a generation-free stub); every other replica
-    /// needs the full context to fit.
+    /// the prompt's KV (it runs the request's prefill-only phase); every
+    /// other replica needs the full context to fit.
     pub(crate) fn admits(self, role: ReplicaRole, budget: u64, request: &Request) -> bool {
         let in_pool = match self {
             Pool::Arrivals => role.takes_arrivals(),
@@ -1058,8 +1052,8 @@ pub(crate) struct FleetLoop<'a> {
     /// Per-node memo of the policy search (see
     /// [`ClusterEvaluator::build_engine`]), shared with joins.
     policy_cache: Vec<(NodeSpec, Policy)>,
-    /// Disaggregation bookkeeping: in-flight KV migrations and the
-    /// prefill-stub ledger (see [`crate::disagg`]).
+    /// Disaggregation bookkeeping: the KV migrations in flight (see
+    /// [`crate::disagg`]).
     pub(crate) disagg: DisaggState,
     /// Telemetry sampling cursor and self-profiling accumulators (see
     /// [`crate::observe`]).
@@ -1237,8 +1231,8 @@ impl FleetLoop<'_> {
             }
         }
         self.note_admitted(&request, id, now);
-        let request = self.disagg.stub_for(request, self.engines[id.0].role);
-        self.engines[id.0].enqueue(request, now);
+        let phase = self.engines[id.0].role.phase_for(&request);
+        self.engines[id.0].enqueue(request, phase, now);
         self.mark_dirty(id.0);
     }
 
@@ -1286,21 +1280,26 @@ impl FleetLoop<'_> {
         Some((*view, offer.len()))
     }
 
-    /// Fires the router's completion callback (at each request's actual
-    /// completion instant) and feeds the autoscaler's sliding window.
-    fn note_completions(&mut self, index: usize, completed: Vec<RequestLatency>) {
-        for latency in completed {
-            let at = latency.request.arrival + latency.completion_time;
-            // A prefill stub finishing its prompt wave is a handoff, not a
-            // completion: its KV starts migrating instead.
-            if self.disagg.enabled && self.intercept_handoff(index, &latency, at) {
-                continue;
+    /// Delivers what replica `index` released, in order: a handoff starts
+    /// the request's KV migration; a served request fires the router's
+    /// completion callback (at its actual completion instant) and feeds the
+    /// autoscaler's sliding window.
+    fn note_completions(&mut self, index: usize, finished: Vec<Finished>) {
+        for entry in finished {
+            match entry {
+                Finished::Handoff { request, at } => self.start_migration(request, index, at),
+                Finished::Served(latency) => {
+                    let at = latency.request.arrival + latency.completion_time;
+                    self.note_completed(index, &latency, at);
+                    self.spec.router.on_complete(
+                        &latency.request,
+                        ReplicaId(index),
+                        at,
+                        &mut self.ctx,
+                    );
+                    self.recent.push(latency);
+                }
             }
-            self.note_completed(index, &latency, at);
-            self.spec
-                .router
-                .on_complete(&latency.request, ReplicaId(index), at, &mut self.ctx);
-            self.recent.push(latency);
         }
         if self.recent.len() > RECENT_COMPLETION_WINDOW {
             let excess = self.recent.len() - RECENT_COMPLETION_WINDOW;
@@ -1384,7 +1383,6 @@ impl FleetLoop<'_> {
                 self.departures.push((rid, t));
                 self.spec.router.on_replica_down(rid, t, &mut self.ctx);
                 for request in lost {
-                    let request = self.restore_origin(request);
                     self.redispatch(request, t);
                 }
                 // In-flight migrated KV headed to the dead replica is lost
@@ -1496,14 +1494,14 @@ impl FleetLoop<'_> {
     }
 
     /// Settles replica `index`'s internal events due at `t` and delivers
-    /// its completions; returns whether any request completed. The replica
-    /// is marked dirty *before* its completions are delivered: a completing
-    /// prefill stub starts a KV migration that routes over the index.
+    /// what finished there; returns whether anything did, handoffs included.
+    /// The replica is marked dirty *before* delivery: a handoff starts a KV
+    /// migration that routes over the index.
     fn step_replica(&mut self, index: usize, t: Seconds) -> Result<bool, EngineError> {
-        let completed = self.engines[index].step_to(t)?;
+        let finished = self.engines[index].step_to(t)?;
         self.mark_dirty(index);
-        let had_completions = !completed.is_empty();
-        self.note_completions(index, completed);
+        let had_completions = !finished.is_empty();
+        self.note_completions(index, finished);
         Ok(had_completions)
     }
 
@@ -1515,7 +1513,6 @@ impl FleetLoop<'_> {
         self.note_lifecycle(index, "draining", t);
         self.drains.push((ReplicaId(index), t));
         for request in queued {
-            let request = self.restore_origin(request);
             self.redispatch(request, t);
         }
         if self.engines[index].drain_finished() {
@@ -1622,7 +1619,7 @@ impl FleetLoop<'_> {
             .collect();
         ordered.sort_by_key(|&(t, index, _)| (t.key(), index));
         for (t, index, event) in ordered {
-            self.note_completions(index, event.completed);
+            self.note_completions(index, event.finished);
             if event.departed {
                 self.depart(index, t);
             }

@@ -3,16 +3,21 @@
 //! routing.
 //!
 //! Production MoE serving splits prefill and decode onto separate replica
-//! pools (the DistServe/Splitwise design point): a [`ReplicaRole::Prefill`]
-//! replica runs a request's prompt wave, then hands the KV slice to a
+//! pools (the DistServe/Splitwise design point), and prefill is a *phase* of
+//! one request, not a request of its own. A [`ReplicaRole::Prefill`] replica
+//! queues each generation-bearing request it is routed as prefill-only
+//! work (`ReplicaRole::phase_for`); when the prompt wave finishes, the
+//! engine releases a handoff of the original request instead of a latency
+//! record. The fleet loop turns that handoff into a KV migration to a
 //! [`ReplicaRole::Decode`] (or [`ReplicaRole::Unified`]) replica over the
-//! fleet's [`InterconnectSpec`]. The handoff is a priced, latency-modeled
-//! migration event (`CostModel::kv_migrate`) on the global clock: the
-//! destination reserves headroom for the in-flight KV
-//! ([`crate::ReplicaView::kv_migrating_in`]) the moment the transfer starts
-//! and admits the request with its prefill already credited when it lands.
-//! A destination that fails mid-transfer loses the KV: the request re-enters
-//! at the front door and pays its prefill again.
+//! fleet's [`InterconnectSpec`]: a priced, latency-modeled event
+//! (`CostModel::kv_migrate`) on the global clock. The destination reserves
+//! headroom for the in-flight KV ([`crate::ReplicaView::kv_migrating_in`])
+//! the moment the transfer starts and admits the request with its prefill
+//! already credited when it lands. A destination that fails mid-transfer
+//! loses the KV: the request re-enters at the front door and pays its
+//! prefill again. The request keeps its identity throughout — churn on a
+//! prefill replica returns it, not a copy.
 //!
 //! Orthogonally, every replica may carry a [`PrefixCache`] — a token-prefix
 //! trie with capacity + LRU eviction modeling multi-turn shared history
@@ -30,12 +35,13 @@
 //! migration machinery (`DisaggState` and the `FleetLoop` methods below) is
 //! `pub(crate)` plumbing behind [`crate::cluster::ClusterEvaluator`].
 
-use crate::cluster::{ClusterSpec, FleetLoop, Pool, ReplicaReport, ReplicaSpec};
+use crate::cluster::{ClusterSpec, FleetLoop, Pool, ReplicaSpec};
+use crate::engine::Phase;
 use crate::router::{ReplicaId, ReplicaView, Router, RouterCtx, RouterIndex};
 use moe_hardware::{Bandwidth, Seconds};
-use moe_workload::{Request, RequestLatency};
+use moe_workload::Request;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -71,6 +77,17 @@ impl ReplicaRole {
     /// Whether migrated KV may be handed to a replica of this role.
     pub fn takes_migrations(&self) -> bool {
         matches!(self, ReplicaRole::Unified | ReplicaRole::Decode)
+    }
+
+    /// The phase a replica of this role runs `request` in: a prefill replica
+    /// runs a generation-bearing request's prompt wave only and hands it
+    /// off; everything else is served in full.
+    pub(crate) fn phase_for(&self, request: &Request) -> Phase {
+        if *self == ReplicaRole::Prefill && request.gen_len > 0 {
+            Phase::PrefillOnly
+        } else {
+            Phase::Full
+        }
     }
 }
 
@@ -577,23 +594,16 @@ pub(crate) struct MigrationInFlight {
     pub(crate) dest: usize,
 }
 
-/// The fleet loop's disaggregation bookkeeping: in-flight migrations plus the
-/// prefill-stub ledger (original requests keyed by id while their prompt wave
-/// runs on a prefill replica).
+/// The fleet loop's disaggregation bookkeeping: the KV migrations on the
+/// wire between a prefill replica's handoff and the destination's landing.
+/// Which requests run prefill-only is decided at dispatch
+/// ([`ReplicaRole::phase_for`]) and tracked by the engine.
 #[derive(Debug, Default)]
 pub(crate) struct DisaggState {
     /// Whether the run has role pools (any non-unified role).
     pub(crate) enabled: bool,
     /// KV transfers currently on the wire, unordered (popped by `(at, seq)`).
     pub(crate) migrations: Vec<MigrationInFlight>,
-    /// Original request per handed-off id — kept for the whole run so stub
-    /// completions can be pruned from the final reports and churn-returned
-    /// stubs restored to their originals.
-    pub(crate) handoff_origin: HashMap<u64, Request>,
-    /// Ids whose prefill stub is currently queued or running on a prefill
-    /// replica; its completion starts the migration instead of reaching the
-    /// router's completion callback.
-    pub(crate) awaiting: HashSet<u64>,
     seq: u64,
 }
 
@@ -634,22 +644,6 @@ impl DisaggState {
         self.migrations.swap_remove(i)
     }
 
-    /// The request a replica of `role` is handed for `request`: a
-    /// generation-bearing request on a prefill replica runs as a
-    /// prefill-only stub (`gen_len` 0), its original parked in the handoff
-    /// ledger until the stub's prompt wave completes.
-    pub(crate) fn stub_for(&mut self, request: Request, role: ReplicaRole) -> Request {
-        if role != ReplicaRole::Prefill || request.gen_len == 0 {
-            return request;
-        }
-        self.handoff_origin.insert(request.id, request);
-        self.awaiting.insert(request.id);
-        Request {
-            gen_len: 0,
-            ..request
-        }
-    }
-
     /// Drains every in-flight migration headed to `dest` (its KV dies with
     /// the replica), in request-id order.
     fn take_migrations_to(&mut self, dest: usize) -> Vec<Request> {
@@ -668,29 +662,12 @@ impl DisaggState {
 }
 
 impl FleetLoop<'_> {
-    /// Completion interception for prefill stubs: when a stub's prompt wave
-    /// finishes, its KV starts migrating instead of the completion reaching
-    /// the router callback or the autoscaler window. Returns whether the
-    /// completion was a handoff.
-    pub(crate) fn intercept_handoff(
-        &mut self,
-        from: usize,
-        latency: &RequestLatency,
-        at: Seconds,
-    ) -> bool {
-        if !self.disagg.awaiting.remove(&latency.request.id) {
-            return false;
-        }
-        let origin = self.disagg.handoff_origin[&latency.request.id];
-        self.start_migration(origin, from, at);
-        true
-    }
-
-    /// Places the KV slice on a decode-capable replica of the migration pool
-    /// and puts it on the wire: the transfer is priced by the source
-    /// replica's cost model over the fleet interconnect, and the destination
-    /// reserves `max_context` KV headroom for the whole flight.
-    fn start_migration(&mut self, origin: Request, from: usize, t: Seconds) {
+    /// Starts the KV migration of a request handed off by prefill replica
+    /// `from` at `t`: places the KV slice on a decode-capable replica of the
+    /// migration pool and puts it on the wire. The transfer is priced by the
+    /// source replica's cost model over the fleet interconnect, and the
+    /// destination reserves `max_context` KV headroom for the whole flight.
+    pub(crate) fn start_migration(&mut self, origin: Request, from: usize, t: Seconds) {
         let Some((dest, _)) = self.place(&origin, Pool::Migrations) else {
             // No decode-capable replica is alive: the prefill was wasted work
             // and the request is aborted at fleet level.
@@ -738,44 +715,6 @@ impl FleetLoop<'_> {
         for request in self.disagg.take_migrations_to(dest) {
             self.note_migration_end(&request, dest, false, t);
             self.redispatch(request, t);
-        }
-    }
-
-    /// Maps a churn-returned request back to its original: a prefill stub
-    /// returned by `fail`/`begin_drain` re-enters as the generation-bearing
-    /// request it stood for.
-    pub(crate) fn restore_origin(&mut self, request: Request) -> Request {
-        match self.disagg.handoff_origin.get(&request.id) {
-            Some(&origin) if request.gen_len == 0 && origin.gen_len > 0 => {
-                self.disagg.awaiting.remove(&request.id);
-                origin
-            }
-            _ => request,
-        }
-    }
-}
-
-/// Removes prefill-stub artifacts from the finished per-replica reports: a
-/// handed-off request's stub completion on its prefill replica is plumbing
-/// (the request completes for real on its decode replica), and a stub left
-/// aborted is the original request aborted.
-pub(crate) fn scrub_handoff_reports(reports: &mut [ReplicaReport], disagg: &DisaggState) {
-    if disagg.handoff_origin.is_empty() {
-        return;
-    }
-    let stub_origin = |r: &Request| match disagg.handoff_origin.get(&r.id) {
-        Some(&origin) if r.gen_len == 0 && origin.gen_len > 0 => Some(origin),
-        _ => None,
-    };
-    for replica in reports.iter_mut() {
-        replica
-            .report
-            .latencies
-            .retain(|l| stub_origin(&l.request).is_none());
-        for aborted in replica.report.aborted.iter_mut() {
-            if let Some(origin) = stub_origin(aborted) {
-                *aborted = origin;
-            }
         }
     }
 }

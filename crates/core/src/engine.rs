@@ -15,7 +15,10 @@
 //! settles everything due at that instant —
 //! admitting waves through the pluggable [`Scheduler`], costing prefills and
 //! decode steps on the simulated pipeline, and releasing per-request latency
-//! records at each request's own completion step. Both [`crate::ServingMode`]s
+//! records at each request's own completion step. An entry queued as
+//! `Phase::PrefillOnly` runs its prompt wave only and is released as a
+//! `Finished::Handoff` of the original request, never as a latency record.
+//! Both [`crate::ServingMode`]s
 //! are implemented here exactly once; wave costing, KV release, backfill and
 //! latency bookkeeping have no second copy (`tests/self_check.rs` pins the
 //! reports against committed fixtures).
@@ -109,12 +112,32 @@ pub(crate) enum Lifecycle {
     Departed { at: Seconds },
 }
 
+/// Which part of a request's serving an engine entry runs. The fleet picks
+/// it; the engine never looks at replica roles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Prompt wave and every decode step: the request completes here.
+    Full,
+    /// Prompt wave only: the scheduler and the costing see the request with
+    /// no generation, and its end is a [`Finished::Handoff`].
+    PrefillOnly,
+}
+
+/// One entry released by [`ReplicaEngine::step_to`], in release order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Finished {
+    /// A full-phase request completed here.
+    Served(RequestLatency),
+    /// A prefill-only entry finished its prompt wave at `at`: `request` is
+    /// the original, generation-bearing request, ready for KV migration.
+    Handoff { request: Request, at: Seconds },
+}
+
 /// One settled event from a replica's independent window drain: the instant,
-/// any request completions released at it, and whether the replica's drain
-/// finished there.
+/// anything released at it, and whether the replica's drain finished there.
 pub(crate) struct WindowEvent {
     pub(crate) at: Seconds,
-    pub(crate) completed: Vec<RequestLatency>,
+    pub(crate) finished: Vec<Finished>,
     pub(crate) departed: bool,
 }
 
@@ -136,7 +159,8 @@ pub(crate) struct ReplicaEngine {
     /// The disaggregated pool this replica serves in ([`ReplicaRole::Unified`]
     /// outside disaggregated runs). The engine itself is role-oblivious — the
     /// fleet layer routes arrivals and migrations by role; the only
-    /// engine-side effect is which requests are ever offered here.
+    /// engine-side effects are which requests are ever offered here, and in
+    /// which [`Phase`].
     pub(crate) role: ReplicaRole,
     /// Per-replica prefix cache, when the cluster enables one. Consulted at
     /// [`Self::enqueue`] (a hit credits the matched tokens) and fed at
@@ -147,9 +171,12 @@ pub(crate) struct ReplicaEngine {
     /// cache hit or a completed KV migration. Consumed (removed) at
     /// admission, where the credited tokens are skipped in prefill costing
     /// only: decode still pays the full context. Dropped for requests a
-    /// `fail`/`begin_drain` returns, so a re-route never carries credit for
-    /// KV that lives on the replica it left.
+    /// `fail`/`begin_drain` returns (see `return_unserved`).
     prefill_credit: HashMap<u64, u64>,
+    /// The original request per queued or admitted [`Phase::PrefillOnly`]
+    /// entry (whose engine-side copy carries no generation), until the entry
+    /// is handed off or leaves unserved: no other copy ever leaves.
+    prefill_only: HashMap<u64, Request>,
     /// KV tokens reserved for migrations in flight to this replica; held in
     /// the router-visible projection so nobody over-commits the headroom.
     kv_migrating_in: u64,
@@ -244,6 +271,7 @@ impl ReplicaEngine {
             role: ReplicaRole::Unified,
             prefix_cache: None,
             prefill_credit: HashMap::new(),
+            prefill_only: HashMap::new(),
             kv_migrating_in: 0,
             decode_rate: 0.0,
             clock: Seconds::ZERO,
@@ -426,19 +454,27 @@ impl ReplicaEngine {
         self.pending_admission = None;
         self.lifecycle = Lifecycle::Departed { at: t };
         lost.sort_by_key(|r| r.id);
-        // Prefill credits point at KV that died with the replica: a re-routed
-        // request pays its full prefill wherever it lands.
-        for r in &lost {
-            self.prefill_credit.remove(&r.id);
-        }
+        self.return_unserved(&mut lost);
         lost
+    }
+
+    /// Forgets the engine-side state of requests leaving unserved: their
+    /// prefill credits point at KV left behind here, so a re-routed request
+    /// pays its full prefill wherever it lands, and each prefill-only entry
+    /// becomes its original request again.
+    fn return_unserved(&mut self, requests: &mut [Request]) {
+        for r in requests {
+            self.prefill_credit.remove(&r.id);
+            if let Some(original) = self.prefill_only.remove(&r.id) {
+                *r = original;
+            }
+        }
     }
 
     /// Starts a graceful drain at time `t`: the replica takes no new work (the
     /// dispatch engine stops offering it) and returns its queued-but-unadmitted
-    /// requests for re-routing; in-flight work finishes normally. The
-    /// returned requests' prefill credits are dropped (their cached KV stays
-    /// behind) and every queue aggregate the router-visible view reads
+    /// requests (see `return_unserved`) for re-routing; in-flight work
+    /// finishes normally. Every queue aggregate the router-visible view reads
     /// (`outstanding_tokens`, projected KV, `oldest_queued_arrival`) is
     /// recomputed here, so an admission controller consulted at the drain
     /// instant never screens against the frozen pre-drain snapshot.
@@ -446,10 +482,8 @@ impl ReplicaEngine {
         self.lifecycle = Lifecycle::Draining { since: t };
         self.pending_admission = None;
         self.settle_ready();
-        let returned = self.take_ready();
-        for r in &returned {
-            self.prefill_credit.remove(&r.id);
-        }
+        let mut returned = self.take_ready();
+        self.return_unserved(&mut returned);
         debug_assert!(
             self.ready_tokens == 0 && self.ready_gen == 0 && self.ready_oldest.is_none(),
             "begin_drain must leave the view's queue aggregates zeroed"
@@ -581,15 +615,26 @@ impl ReplicaEngine {
     /// decode-step boundary mid-flight (continuous mode), or at the current
     /// round's retirement (round-to-completion). When the replica carries a
     /// prefix cache, the request's longest cached session prefix is credited
-    /// here — those tokens are skipped at prefill costing.
-    pub(crate) fn enqueue(&mut self, request: Request, now: Seconds) {
+    /// here — those tokens are skipped at prefill costing. A
+    /// [`Phase::PrefillOnly`] entry is queued without its generation.
+    pub(crate) fn enqueue(&mut self, request: Request, phase: Phase, now: Seconds) {
         if let Some(cache) = self.prefix_cache.as_mut() {
             let credit = cache.lookup(request.session_id, request.input_len);
             if credit > 0 {
                 self.prefill_credit.insert(request.id, credit);
             }
         }
-        self.enqueue_uncredited(request, now);
+        let entry = match phase {
+            Phase::Full => request,
+            Phase::PrefillOnly => {
+                self.prefill_only.insert(request.id, request);
+                Request {
+                    gen_len: 0,
+                    ..request
+                }
+            }
+        };
+        self.enqueue_uncredited(entry, now);
     }
 
     /// Accepts a request whose first `credit` prompt tokens are already
@@ -672,14 +717,15 @@ impl ReplicaEngine {
         }
     }
 
-    /// Processes the replica's internal events due at time `t`; returns the
-    /// latency records of the requests that completed there (for the router's
-    /// completion callback and the autoscaler's window).
+    /// Processes the replica's internal events due at time `t`; returns what
+    /// finished there in release order: served requests' latency records
+    /// (for the router's completion callback and the autoscaler's window)
+    /// and prefill-only handoffs (for KV migration).
     ///
     /// # Errors
     ///
     /// Propagates simulation errors from costing a freshly formed wave.
-    pub(crate) fn step_to(&mut self, t: Seconds) -> Result<Vec<RequestLatency>, EngineError> {
+    pub(crate) fn step_to(&mut self, t: Seconds) -> Result<Vec<Finished>, EngineError> {
         match self.mode {
             ServingMode::RoundToCompletion => self.step_rtc(t),
             ServingMode::Continuous => self.step_continuous(t),
@@ -702,12 +748,12 @@ impl ReplicaEngine {
             if bound.is_some_and(|b| t >= b) {
                 break;
             }
-            let completed = self.step_to(t)?;
+            let finished = self.step_to(t)?;
             let departed = self.drain_finished();
-            if !completed.is_empty() || departed {
+            if !finished.is_empty() || departed {
                 out.push(WindowEvent {
                     at: t,
-                    completed,
+                    finished,
                     departed,
                 });
             }
@@ -718,8 +764,8 @@ impl ReplicaEngine {
         Ok(out)
     }
 
-    fn step_continuous(&mut self, t: Seconds) -> Result<Vec<RequestLatency>, EngineError> {
-        let mut completed: Vec<RequestLatency> = Vec::new();
+    fn step_continuous(&mut self, t: Seconds) -> Result<Vec<Finished>, EngineError> {
+        let mut completed: Vec<Finished> = Vec::new();
         if self.active.is_empty() {
             // Idle until the event; idle time is not billed.
             self.clock = self.clock.max(t);
@@ -764,7 +810,7 @@ impl ReplicaEngine {
             self.latencies.push(latency);
             self.totals.per_token_sum += per_token;
             self.rounds[done.wave].report.per_token_sum += per_token;
-            completed.push(latency);
+            completed.push(Finished::Served(latency));
         }
 
         // Backfill freed slots (or run a due admission) with the waiting queue.
@@ -839,10 +885,7 @@ impl ReplicaEngine {
     /// inside the pass and leaves the pipeline empty again, and a padded
     /// scheduler's per-request KV charge shrinks as the queue shrinks, so
     /// the deferred remainder can be admissible immediately.
-    fn admit_continuous(
-        &mut self,
-        completed: &mut Vec<RequestLatency>,
-    ) -> Result<bool, EngineError> {
+    fn admit_continuous(&mut self, completed: &mut Vec<Finished>) -> Result<bool, EngineError> {
         let progressed = self.admit_continuous_once(completed)?;
         if progressed && !self.ready.is_empty() {
             self.pending_admission = Some(match self.pending_admission {
@@ -861,7 +904,7 @@ impl ReplicaEngine {
     /// still waiting ([`Self::into_report`]) or the replica drains/fails.
     fn admit_continuous_once(
         &mut self,
-        completed: &mut Vec<RequestLatency>,
+        completed: &mut Vec<Finished>,
     ) -> Result<bool, EngineError> {
         // Saturation precheck: when the total-admission cap or every request
         // slot is already exhausted the scheduler cannot admit anything, so
@@ -927,7 +970,7 @@ impl ReplicaEngine {
             for request in requests {
                 self.parts[partition].admit(&request);
                 if request.gen_len == 0 {
-                    // Nothing to decode: complete at prefill end.
+                    // Nothing to decode: complete (or hand off) at prefill end.
                     self.parts[partition].release(&request);
                     let latency = RequestLatency {
                         request,
@@ -936,8 +979,7 @@ impl ReplicaEngine {
                         per_token: Seconds::ZERO,
                         completion_time: self.clock - request.arrival,
                     };
-                    self.latencies.push(latency);
-                    completed.push(latency);
+                    completed.push(self.release(latency));
                     continue;
                 }
                 self.active_remaining += request.gen_len;
@@ -1065,6 +1107,21 @@ impl ReplicaEngine {
         Ok(())
     }
 
+    /// Releases an entry finished at `latency`'s completion instant. A
+    /// prefill-only entry hands its original request off at exactly
+    /// `arrival + completion_time`; any other request is served and its
+    /// latency recorded.
+    fn release(&mut self, latency: RequestLatency) -> Finished {
+        if latency.request.gen_len == 0 {
+            if let Some(request) = self.prefill_only.remove(&latency.request.id) {
+                let at = latency.request.arrival + latency.completion_time;
+                return Finished::Handoff { request, at };
+            }
+        }
+        self.latencies.push(latency);
+        Finished::Served(latency)
+    }
+
     /// The replica's policy resized to a batch of `n` requests: micro-batches
     /// never exceed the batch.
     fn batch_policy(&self, n: u64) -> Policy {
@@ -1075,8 +1132,8 @@ impl ReplicaEngine {
         }
     }
 
-    fn step_rtc(&mut self, t: Seconds) -> Result<Vec<RequestLatency>, EngineError> {
-        let mut completed: Vec<RequestLatency> = Vec::new();
+    fn step_rtc(&mut self, t: Seconds) -> Result<Vec<Finished>, EngineError> {
+        let mut completed: Vec<Finished> = Vec::new();
         // Release every pending completion due by `t` — each request finishes
         // at its own step, not in bulk at round retirement (its micro-batch
         // slot and KV stay held until the round ends; that is the
@@ -1087,8 +1144,7 @@ impl ReplicaEngine {
             self.in_round_gen = self
                 .in_round_gen
                 .saturating_sub(done.latency.request.gen_len);
-            self.latencies.push(done.latency);
-            completed.push(done.latency);
+            completed.push(self.release(done.latency));
         }
         if let Some(end) = self.round_end {
             if end <= t {
@@ -1246,11 +1302,14 @@ impl ReplicaEngine {
     /// when the run ends were refused by an empty pipeline (a padded
     /// scheduler's inflated KV charge can overflow the budget) and no further
     /// event can admit them: they are flushed into the report's aborted list,
-    /// in queue order.
+    /// in queue order. Every aborted prefill-only entry is reported as its
+    /// original request.
     pub(crate) fn into_report(mut self) -> ServingReport {
         self.settle_ready();
         let mut leftover = self.take_ready();
         self.aborted.append(&mut leftover);
+        let mut aborted = std::mem::take(&mut self.aborted);
+        self.return_unserved(&mut aborted);
         ServingReport {
             system: self.system,
             mode: self.mode,
@@ -1259,7 +1318,7 @@ impl ReplicaEngine {
             schedule: self.schedule,
             rounds: self.rounds,
             latencies: self.latencies,
-            aborted: self.aborted,
+            aborted,
             totals: self.totals,
         }
     }

@@ -181,7 +181,7 @@ impl FleetLoop<'_> {
         self.dispatch(request, at, false);
     }
 
-    /// A request completed on `replica` (handoff stubs never reach this).
+    /// A request completed on `replica` (a prefill-only handoff never does).
     #[inline]
     pub(crate) fn note_completed(&self, replica: usize, latency: &RequestLatency, at: Seconds) {
         if let Some(sink) = self.sink() {

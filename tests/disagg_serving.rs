@@ -3,7 +3,9 @@
 //! built-in router in both serving modes, indexed==scan loop equivalence
 //! in disaggregated dispatch, migration latency landing on the TTFT path,
 //! prefix-cache + session-sticky routing accounting, and a property sweep
-//! over random pool splits.
+//! over random pool splits. Every served, aborted and rejected request must
+//! come out exactly as it arrived: a prefill-only phase and its handoff never
+//! change a request's shape.
 
 use moe_lightning::{
     builtin_routers, ClusterEvaluator, ClusterReport, ClusterSpec, ClusterSpecError, EngineError,
@@ -11,8 +13,10 @@ use moe_lightning::{
     PrefixAware, Recorder, ReplicaId, ReplicaRole, ReplicaSpec, Router, Seconds, ServingMode,
     StickySession, SystemKind, TelemetryEvent,
 };
+use moe_trace::TraceRecorder;
 use moe_workload::{ArrivalProcess, GenLens, Request, WorkloadSpec};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const MODES: [ServingMode; 2] = [ServingMode::RoundToCompletion, ServingMode::Continuous];
@@ -60,22 +64,43 @@ fn split_fleet(prefill: usize, count: usize, seed: u64, mode: ServingMode) -> Cl
     spec
 }
 
-/// Every synthesized request must land in exactly one of served / aborted /
-/// rejected, exactly once, with token accounting intact.
-fn assert_conserved(report: &ClusterReport, count: usize, label: &str) {
-    let mut ids: Vec<u64> = report
+/// Runs `spec` with a [`TraceRecorder`] attached; returns the report and the
+/// arrivals the recorder rebuilt from its `Arrival` events. The trace numbers
+/// them in arrival order, which is id order for every queue here, so
+/// `arrivals[id]` is request `id` as it arrived.
+fn run_recorded(eval: &ClusterEvaluator, spec: ClusterSpec) -> (ClusterReport, Vec<Request>) {
+    let recorder = Arc::new(TraceRecorder::new());
+    let report = eval.run(&spec.with_telemetry(recorder.clone())).unwrap();
+    (report, recorder.trace().requests().to_vec())
+}
+
+/// Every one of the `count` arrivals must land in exactly one of served /
+/// aborted / rejected, exactly once, field for field as it arrived, with
+/// token accounting intact.
+fn assert_conserved(report: &ClusterReport, arrivals: &[Request], count: usize, label: &str) {
+    assert_eq!(arrivals.len(), count, "{label}: every arrival is recorded");
+    let outcomes: Vec<&Request> = report
         .replicas
         .iter()
         .flat_map(|r| {
             r.report
                 .latencies
                 .iter()
-                .map(|l| l.request.id)
-                .chain(r.report.aborted.iter().map(|req| req.id))
+                .map(|l| &l.request)
+                .chain(r.report.aborted.iter())
         })
-        .chain(report.fleet_aborted.iter().map(|req| req.id))
-        .chain(report.availability.rejected.iter().map(|req| req.id))
+        .chain(report.fleet_aborted.iter())
+        .chain(report.availability.rejected.iter())
         .collect();
+    for request in &outcomes {
+        assert_eq!(
+            Some(*request),
+            arrivals.get(request.id as usize),
+            "{label}: request {} must keep its arrival shape",
+            request.id
+        );
+    }
+    let mut ids: Vec<u64> = outcomes.iter().map(|r| r.id).collect();
     ids.sort_unstable();
     assert_eq!(
         ids,
@@ -90,7 +115,7 @@ fn assert_conserved(report: &ClusterReport, count: usize, label: &str) {
         .sum();
     assert_eq!(
         report.totals.generated_tokens, generated,
-        "{label}: handoff stubs must not leave phantom generated tokens"
+        "{label}: prefill-only work must not leave phantom generated tokens"
     );
 }
 
@@ -121,8 +146,8 @@ fn disagg_churn_conserves_every_request_for_every_router_in_both_modes() {
                         .drain_at(secs(90.0), ReplicaId(0))
                         .with_provisioning_delay(secs(20.0)),
                 );
-            let report = eval.run(&spec).unwrap();
-            assert_conserved(&report, 400, &format!("{name} [{mode}]"));
+            let (report, arrivals) = run_recorded(&eval, spec);
+            assert_conserved(&report, &arrivals, 400, &format!("{name} [{mode}]"));
             assert_eq!(
                 report.availability.failures,
                 vec![(ReplicaId(3), secs(50.0))],
@@ -133,6 +158,25 @@ fn disagg_churn_conserves_every_request_for_every_router_in_both_modes() {
                 "{name} [{mode}]: losing a decode replica mid-run must re-route work"
             );
         }
+    }
+}
+
+/// A prefill replica failing under load returns its queued and in-round
+/// prefill-only work as the original requests: they re-enter at the front
+/// door with their generation intact, in both modes.
+#[test]
+fn a_failed_prefill_replica_returns_original_requests() {
+    for mode in MODES {
+        let label = format!("prefill failure [{mode}]");
+        let spec = split_fleet(2, 400, 17, mode)
+            .with_arrivals(ArrivalProcess::Poisson { rate_per_sec: 8.0 })
+            .with_timeline(FleetTimeline::new().fail_at(secs(30.0), ReplicaId(0)));
+        let (report, arrivals) = run_recorded(&evaluator(), spec);
+        assert_conserved(&report, &arrivals, 400, &label);
+        assert!(
+            !report.availability.rerouted.is_empty(),
+            "{label}: the failure must catch prefill-only work"
+        );
     }
 }
 
@@ -172,13 +216,13 @@ fn an_empty_migration_pool_aborts_at_handoff() {
                     .fail_at(last_failure, ReplicaId(3)),
             )
         };
-        let want = scan().run(&spec()).unwrap();
+        let (want, arrivals) = run_recorded(&scan(), spec());
         let recorder = Arc::new(Recorder::new());
         let got = evaluator()
             .run(&spec().with_telemetry(recorder.clone()))
             .unwrap();
         assert_reports_identical(&want, &got, &label);
-        assert_conserved(&got, 300, &label);
+        assert_conserved(&got, &arrivals, 300, &label);
         let events = recorder.events();
         let late: Vec<&Request> = got
             .fleet_aborted
@@ -230,8 +274,8 @@ fn a_prefill_joiner_in_a_unified_run_serves_unified() {
             .join_at(secs(10.0), joiner)
             .with_provisioning_delay(secs(5.0)),
     );
-    let report = evaluator().run(&spec).unwrap();
-    assert_conserved(&report, 200, "prefill joiner");
+    let (report, arrivals) = run_recorded(&evaluator(), spec);
+    assert_conserved(&report, &arrivals, 200, "prefill joiner");
     assert!(
         report.replicas[4].report.served_requests() > 0,
         "the joiner must serve whole requests"
@@ -239,18 +283,21 @@ fn a_prefill_joiner_in_a_unified_run_serves_unified() {
 }
 
 /// Prefill replicas do real prompt work but never deliver a generation:
-/// after handoff scrubbing, every served latency lives on a decode replica.
+/// every served latency lives on a decode replica. A request with nothing to
+/// generate is the boundary of the phase decision: it is served whole on the
+/// prefill replica it lands on, in both modes, and never migrates.
 #[test]
 fn prefill_replicas_deliver_no_generations() {
-    let report = evaluator()
-        .run(&split_fleet(2, 200, 11, ServingMode::Continuous))
-        .unwrap();
-    assert_conserved(&report, 200, "2p+2d");
+    let (report, arrivals) = run_recorded(
+        &evaluator(),
+        split_fleet(2, 200, 11, ServingMode::Continuous),
+    );
+    assert_conserved(&report, &arrivals, 200, "2p+2d");
     for prefill in &report.replicas[..2] {
         assert!(
             prefill.report.latencies.is_empty(),
-            "replica {:?} is prefill-only: its stub completions are plumbing, \
-             not served requests",
+            "replica {:?} is a prefill replica: it hands requests off, it \
+             does not serve them",
             prefill.id
         );
     }
@@ -260,6 +307,64 @@ fn prefill_replicas_deliver_no_generations() {
         .sum();
     assert_eq!(decode_served, report.served_requests());
     assert!(decode_served > 0, "the decode pool must actually serve");
+
+    // Every fifth request generates nothing.
+    let queue: Vec<Request> = WorkloadSpec::mtbench()
+        .synthesize_queue(
+            200,
+            GenLens::MixedDefaults,
+            11,
+            false,
+            &ArrivalProcess::Poisson { rate_per_sec: 2.0 },
+        )
+        .into_iter()
+        .map(|r| Request {
+            gen_len: if r.id % 5 == 0 { 0 } else { r.gen_len },
+            ..r
+        })
+        .collect();
+    let zero_gen: BTreeSet<u64> = queue
+        .iter()
+        .filter(|r| r.gen_len == 0)
+        .map(|r| r.id)
+        .collect();
+    assert_eq!(zero_gen.len(), 40);
+    for mode in MODES {
+        let label = format!("2p+2d, zero-gen every fifth [{mode}]");
+        let spec = || split_fleet(2, 200, 11, mode).with_queue(queue.clone());
+        let (report, arrivals) = run_recorded(&evaluator(), spec());
+        assert_conserved(&report, &arrivals, 200, &label);
+        let on_prefill: BTreeSet<u64> = report.replicas[..2]
+            .iter()
+            .flat_map(|r| r.report.latencies.iter().map(|l| l.request.id))
+            .collect();
+        assert_eq!(
+            on_prefill, zero_gen,
+            "{label}: prefill replicas serve exactly the zero-gen requests"
+        );
+        let recorder = Arc::new(Recorder::new());
+        let observed = evaluator()
+            .run(&spec().with_telemetry(recorder.clone()))
+            .unwrap();
+        assert_eq!(observed, report, "{label}: sinks never perturb the run");
+        let migrated: Vec<u64> = recorder
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TelemetryEvent::MigrationStart { id, .. } => Some(id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            migrated.len(),
+            200 - zero_gen.len(),
+            "{label}: every generation-bearing request migrates exactly once"
+        );
+        assert!(
+            migrated.iter().all(|id| !zero_gen.contains(id)),
+            "{label}: no zero-gen request may migrate"
+        );
+    }
 }
 
 /// KV migration is priced on the fleet interconnect and lands on the TTFT
@@ -273,9 +378,10 @@ fn migration_latency_lands_on_the_ttft_path() {
         .run(&split_fleet(2, 200, 11, ServingMode::Continuous))
         .unwrap();
     let starved_link = InterconnectSpec::new(0.005, secs(2.0));
-    let starved = eval
-        .run(&split_fleet(2, 200, 11, ServingMode::Continuous).with_interconnect(starved_link))
-        .unwrap();
+    let (starved, arrivals) = run_recorded(
+        &eval,
+        split_fleet(2, 200, 11, ServingMode::Continuous).with_interconnect(starved_link),
+    );
     assert!(
         starved.ttft().p50 > fast.ttft().p50 + secs(1.0),
         "a 2 s/transfer link must add at least its latency floor to median \
@@ -283,7 +389,7 @@ fn migration_latency_lands_on_the_ttft_path() {
         starved.ttft().p50.as_secs(),
         fast.ttft().p50.as_secs()
     );
-    assert_conserved(&starved, 200, "starved link");
+    assert_conserved(&starved, &arrivals, 200, "starved link");
     let unified_fast = eval
         .run(&split_fleet(0, 200, 11, ServingMode::Continuous))
         .unwrap();
@@ -328,11 +434,8 @@ fn invalid_interconnects_are_typed_errors() {
     }
     // An infinitely fast link is a valid (free) one.
     let free = InterconnectSpec::new(f64::INFINITY, secs(0.0));
-    assert_conserved(
-        &evaluator().run(&spec.with_interconnect(free)).unwrap(),
-        16,
-        "infinite bandwidth",
-    );
+    let (report, arrivals) = run_recorded(&evaluator(), spec.with_interconnect(free));
+    assert_conserved(&report, &arrivals, 16, "infinite bandwidth");
 }
 
 /// The multi-turn session queue: `count` requests re-sessioned into
@@ -389,8 +492,8 @@ fn prefix_caches_hit_under_session_affine_routing() {
         "no cache configured, none reported"
     );
     for (name, router) in routers {
-        let report = eval.run(&base().with_router(router)).unwrap();
-        assert_conserved(&report, 240, name);
+        let (report, arrivals) = run_recorded(&eval, base().with_router(router));
+        assert_conserved(&report, &arrivals, 240, name);
         let stats: Vec<_> = report
             .replicas
             .iter()
@@ -426,10 +529,10 @@ fn disagg_with_caches_and_sticky_routing_stays_conserved_and_equivalent() {
                 LeastOutstandingTokens,
             ))))
     };
-    let want = scan().run(&spec()).unwrap();
+    let (want, arrivals) = run_recorded(&scan(), spec());
     let got = evaluator().run(&spec()).unwrap();
     assert_reports_identical(&want, &got, "disagg + cache + sticky");
-    assert_conserved(&got, 200, "disagg + cache + sticky");
+    assert_conserved(&got, &arrivals, 200, "disagg + cache + sticky");
 }
 
 proptest! {
@@ -456,9 +559,9 @@ proptest! {
                 rate_per_sec: rate_x10 as f64 / 10.0,
             })
         };
-        let want = scan().run(&spec()).unwrap();
+        let (want, arrivals) = run_recorded(&scan(), spec());
         let got = evaluator().run(&spec()).unwrap();
         prop_assert_eq!(&want, &got);
-        assert_conserved(&got, count, "random split");
+        assert_conserved(&got, &arrivals, count, "random split");
     }
 }
