@@ -5,7 +5,7 @@
 //! Run with `cargo bench -p moe-bench`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use moe_hardware::NodeSpec;
+use moe_hardware::{DType, NodeSpec};
 use moe_hrm::HierarchicalRoofline;
 use moe_model::MoeModelConfig;
 use moe_policy::{CostModel, Policy, PolicyOptimizer, SearchSpace, WorkloadShape};
@@ -15,15 +15,14 @@ use moe_tensor::{attention::gqa_attention_decode, ops, Tensor};
 use moe_workload::{batch_requests, BatchingConfig, WorkloadSpec};
 
 fn bench_hrm(c: &mut Criterion) {
-    let hrm = HierarchicalRoofline::from_node(&NodeSpec::l4_single());
+    let hrm = HierarchicalRoofline::from_node(&NodeSpec::l4_single(), DType::F16);
     c.bench_function("hrm/attainable_cross", |b| {
         b.iter(|| {
             let mut acc = 0.0;
             for i in 1..200 {
                 let intensity = i as f64 * 0.7;
                 acc += hrm
-                    .attainable_cross(hrm.gpu(), hrm.cpu(), intensity, intensity * 2.0)
-                    .unwrap()
+                    .attainable_cross(intensity, intensity * 2.0)
                     .as_flops_per_sec();
             }
             acc

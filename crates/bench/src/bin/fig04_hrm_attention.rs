@@ -7,15 +7,16 @@
 
 use moe_bench::{fmt3, json_output_path, obj, print_csv, print_header, print_row, JsonValue};
 use moe_hardware::{DType, NodeSpec};
-use moe_hrm::HierarchicalRoofline;
 use moe_model::{LayerOps, MoeModelConfig};
+use moe_policy::CostModel;
 
 fn main() {
-    let node = NodeSpec::l4_single();
-    let hrm = HierarchicalRoofline::from_node(&node);
+    // The HRM the policy search prices with.
+    let cost = CostModel::new(NodeSpec::l4_single(), MoeModelConfig::mixtral_8x7b());
+    let hrm = cost.hrm();
     let context_len = 512;
 
-    let f16 = LayerOps::new(MoeModelConfig::mixtral_8x7b());
+    let f16 = cost.ops();
     let int4 = LayerOps::new(MoeModelConfig::mixtral_8x7b().with_kv_dtype(DType::Int4));
     let i_f16 = f16
         .attention_core_decode(64, context_len)
@@ -23,12 +24,9 @@ fn main() {
     let i_int4 = int4
         .attention_core_decode(64, context_len)
         .operational_intensity();
-    let p1 = hrm
-        .turning_point_p1(hrm.gpu(), hrm.cpu())
-        .expect("two-level HRM");
+    let p1 = hrm.turning_point_p1();
 
-    let mut plot = moe_hrm::plot::hrm_plot(&hrm, hrm.gpu(), hrm.cpu(), "Fig. 4", 0.1, 10_000.0, 41)
-        .expect("valid grid");
+    let mut plot = moe_hrm::plot::hrm_plot(hrm, "Fig. 4", 0.1, 10_000.0, 41);
     plot.add_marker("Attention f16", i_f16);
     plot.add_marker("Attention int4", i_int4);
     plot.add_marker("P1", p1);
@@ -37,6 +35,34 @@ fn main() {
     println!("markers (operational intensity in FLOPs/byte):");
     for m in &plot.markers {
         println!("  {:<16} {}", m.name, fmt3(m.intensity));
+    }
+    // The sentence below, checked: P1 is where the CPU-GPU link roof reaches the
+    // CPU compute roof (Eq. 9), and both attention markers sit below it.
+    let mut failures = Vec::new();
+    let cpu_peak = hrm.cpu.peak_compute.as_flops_per_sec();
+    let link_roof_at_p1 = hrm.link.as_bytes_per_sec() * p1;
+    if (link_roof_at_p1 - cpu_peak).abs() > 1e-9 * cpu_peak {
+        failures.push(format!(
+            "the CPU-GPU roof at P1 = {} is {} GF/s, not the CPU peak {} GF/s",
+            fmt3(p1),
+            fmt3(link_roof_at_p1 / 1e9),
+            fmt3(cpu_peak / 1e9)
+        ));
+    }
+    for (name, intensity) in [("f16", i_f16), ("int4", i_int4)] {
+        if intensity >= p1 {
+            failures.push(format!(
+                "{name} attention intensity {} is not below P1 = {}",
+                fmt3(intensity),
+                fmt3(p1)
+            ));
+        }
+    }
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("fig04: {failure}");
+        }
+        std::process::exit(1);
     }
     println!(
         "\nattention intensity sits below P1 = {} FLOPs/byte for both data types, so the",

@@ -7,27 +7,27 @@
 
 use moe_bench::{fmt3, json_output_path, obj, print_csv, print_header, print_row, JsonValue};
 use moe_hardware::NodeSpec;
-use moe_hrm::HierarchicalRoofline;
-use moe_model::{LayerOps, MoeModelConfig};
+use moe_hrm::BindingRoof;
+use moe_model::MoeModelConfig;
+use moe_policy::CostModel;
 
 fn main() {
-    let node = NodeSpec::l4_single();
-    let hrm = HierarchicalRoofline::from_node(&node);
-    let ops = LayerOps::new(MoeModelConfig::mixtral_8x7b());
+    // The HRM the policy search prices with.
+    let cost = CostModel::new(NodeSpec::l4_single(), MoeModelConfig::mixtral_8x7b());
+    let (hrm, ops) = (cost.hrm(), cost.ops());
     let mu = 128u64;
 
     // Local (GPU-memory) operational intensity of the FFN kernel at micro-batch μ.
     let kernel = ops.moe_ffn(mu);
     let local_intensity = kernel.operational_intensity();
-    let p1 = hrm
-        .turning_point_p1(hrm.gpu(), hrm.cpu())
-        .expect("two-level HRM");
-    let p2 = hrm
-        .turning_point_p2(hrm.gpu(), hrm.cpu(), local_intensity)
-        .expect("two-level HRM");
-    let balance = hrm
-        .balance_point(hrm.gpu(), hrm.cpu(), local_intensity)
-        .expect("two-level HRM");
+    let p1 = hrm.turning_point_p1();
+    let p2 = hrm.turning_point_p2(local_intensity);
+    let balance = hrm.balance_point(local_intensity);
+    // The figure's sentences, checked: a failure is reported after the table.
+    let mut failures = Vec::new();
+    if p1 >= p2 {
+        failures.push(format!("P1 = {} is not below P2 = {}", fmt3(p1), fmt3(p2)));
+    }
 
     println!("== Fig. 5: HRM for the MoE FFN block (decode) on L4, kernel at mu={mu} ==");
     println!(
@@ -39,8 +39,9 @@ fn main() {
     println!(
         "kernel performance at mu=128: {} GFLOPS/s (local intensity {})\n",
         fmt3(
-            hrm.attainable_local(hrm.gpu(), local_intensity)
-                .unwrap()
+            hrm.gpu
+                .roofline()
+                .attainable(local_intensity)
                 .as_gflops_per_sec()
         ),
         fmt3(local_intensity)
@@ -59,16 +60,29 @@ fn main() {
         ("balance_flops_per_byte", balance.into()),
         ("kernel_local_intensity", local_intensity.into()),
     ])];
+    let mut prev_attainable = 0.0;
     for n in [32u64, 128, 512, 1024, 4096, 16384] {
         let batch_cost = ops.moe_ffn(n);
         let cross_intensity = batch_cost.intensity_wrt(ops.ffn_weight_bytes());
         let attainable = hrm
-            .attainable_cross(hrm.gpu(), hrm.cpu(), local_intensity, cross_intensity)
-            .unwrap()
+            .attainable_cross(local_intensity, cross_intensity)
             .as_gflops_per_sec();
-        let roof = hrm
-            .binding_roof(hrm.gpu(), hrm.cpu(), local_intensity, cross_intensity)
-            .unwrap();
+        let roof = hrm.binding_roof(local_intensity, cross_intensity);
+        if (roof == BindingRoof::CrossLevelBandwidth) != (cross_intensity < balance) {
+            failures.push(format!(
+                "N = {n}: I_cpu = {} against balance point {} binds on {roof:?}",
+                fmt3(cross_intensity),
+                fmt3(balance)
+            ));
+        }
+        if attainable < prev_attainable {
+            failures.push(format!(
+                "N = {n}: attainable {} GF/s fell from {} GF/s",
+                fmt3(attainable),
+                fmt3(prev_attainable)
+            ));
+        }
+        prev_attainable = attainable;
         print_row(
             &[
                 n.to_string(),
@@ -99,5 +113,11 @@ fn main() {
 
     if let Some(path) = json_output_path() {
         moe_bench::write_rows(&path, "fig05", json_rows);
+    }
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("fig05: {failure}");
+        }
+        std::process::exit(1);
     }
 }

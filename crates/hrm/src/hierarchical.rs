@@ -1,36 +1,21 @@
-//! The Hierarchical Roofline Model (HRM) of §3.2 of the paper.
+//! The Hierarchical Roofline Model (HRM) of §3.2 of the paper, at the two levels
+//! the paper uses: the GPU (HBM + SMs) executes, the CPU (DRAM + cores) holds the
+//! offloaded data, and the CPU→GPU link joins them.
 //!
-//! The HRM extends the classical roofline to a hierarchy of memory levels, each
-//! coupled with a processor: level 0 is the GPU (HBM + SMs), level 1 the CPU
-//! (DRAM + cores), and further levels (disk, remote memory) can be appended. Besides
-//! each level's local roofline there are *cross-level* memory roofs
-//! `P ≤ B^{j,i}_peak · I^j` for computations executed on level `i` whose data lives
-//! on level `j`, which introduce the additional turning points P1 and P2 and the
-//! balance point that drive MoE-Lightning's policy decisions.
+//! Besides each level's local roofline there is the *cross-level* memory roof
+//! `P ≤ B^{cpu,gpu}_peak · I^cpu` for a computation executed on the GPU whose data
+//! lives in CPU memory. It introduces the turning points P1 and P2 and the balance
+//! point that drive MoE-Lightning's policy decisions.
 
-use crate::roofline::{BoundKind, Roofline};
-use moe_hardware::{Bandwidth, ByteSize, ComputeRate, NodeSpec};
+use crate::roofline::Roofline;
+use moe_hardware::{Bandwidth, ByteSize, ComputeRate, DType, FlopCount, NodeSpec, Seconds};
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Identifies a memory level in the hierarchy (0 = fastest / closest to the compute
-/// units used for dense kernels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct LevelId(pub usize);
-
-impl fmt::Display for LevelId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "L{}", self.0)
-    }
-}
 
 /// One level of the memory hierarchy together with its coupled processor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MemoryLevel {
-    /// Human-readable name, e.g. `"GPU"` or `"CPU"`.
-    pub name: String,
-    /// Memory capacity at this level (`m_i`).
-    pub capacity: ByteSize,
+    /// Human-readable name, `"GPU"` or `"CPU"`.
+    pub name: &'static str,
     /// Peak bandwidth between the level's processor and its own memory (`B^i_peak`).
     pub bandwidth: Bandwidth,
     /// Peak compute rate of the processor coupled to this level (`P^i_peak`).
@@ -42,286 +27,126 @@ impl MemoryLevel {
     pub fn roofline(&self) -> Roofline {
         Roofline::new(self.peak_compute, self.bandwidth)
     }
-}
 
-/// Errors produced by HRM queries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HrmError {
-    /// A referenced level does not exist.
-    UnknownLevel(LevelId),
-    /// A cross-level bandwidth was requested between a level and itself.
-    SameLevel(LevelId),
-}
-
-impl fmt::Display for HrmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HrmError::UnknownLevel(l) => write!(f, "unknown memory level {l}"),
-            HrmError::SameLevel(l) => write!(
-                f,
-                "cross-level query requires two distinct levels, got {l} twice"
-            ),
-        }
+    /// Duration of a task with `flops` FLOPs touching `bytes` bytes of this level's
+    /// memory: `max(comp, comm)` (Eq. 14), the larger of its compute time at the
+    /// peak rate and its memory time at the peak bandwidth.
+    pub fn time(&self, flops: FlopCount, bytes: ByteSize) -> Seconds {
+        (flops / self.peak_compute).max(bytes / self.bandwidth)
     }
 }
 
-impl std::error::Error for HrmError {}
-
-/// A full hierarchical roofline model: an ordered list of memory levels and the
-/// cross-level bandwidths between adjacent pairs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The paper's two-level HRM: the GPU executes, the CPU holds the offloaded data.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct HierarchicalRoofline {
-    levels: Vec<MemoryLevel>,
-    /// `cross[i]` is the bandwidth between level `i+1` and level `i`
-    /// (e.g. `cross[0]` = CPU→GPU link bandwidth).
-    cross: Vec<Bandwidth>,
+    /// The GPU level (HBM + SMs).
+    pub gpu: MemoryLevel,
+    /// The CPU level (DRAM + cores).
+    pub cpu: MemoryLevel,
+    /// CPU→GPU link bandwidth (`B^{cpu,gpu}_peak`).
+    pub link: Bandwidth,
 }
 
 impl HierarchicalRoofline {
-    /// Builds an HRM from explicit levels and cross-level bandwidths.
-    ///
-    /// `cross_bandwidths[i]` connects `levels[i+1]` to `levels[i]`, so its length must
-    /// be `levels.len() - 1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than one level is supplied or the cross-bandwidth count does
-    /// not match.
-    pub fn new(levels: Vec<MemoryLevel>, cross_bandwidths: Vec<Bandwidth>) -> Self {
-        assert!(!levels.is_empty(), "HRM needs at least one memory level");
-        assert_eq!(
-            cross_bandwidths.len(),
-            levels.len() - 1,
-            "need exactly one cross-level bandwidth per adjacent level pair"
-        );
+    /// Builds the HRM of a hardware node from its *effective* (derated) rates. The
+    /// GPU peak is the f32 one for f32 weights and the f16 one for every other
+    /// weight dtype.
+    pub fn from_node(node: &NodeSpec, weight_dtype: DType) -> Self {
+        let gpu_flops = match weight_dtype {
+            DType::F32 => node.total_gpu_flops_f32(),
+            _ => node.total_gpu_flops_f16(),
+        };
         HierarchicalRoofline {
-            levels,
-            cross: cross_bandwidths,
+            gpu: MemoryLevel {
+                name: "GPU",
+                bandwidth: node.total_gpu_memory_bandwidth(),
+                peak_compute: gpu_flops,
+            },
+            cpu: MemoryLevel {
+                name: "CPU",
+                bandwidth: node.cpu_memory_bandwidth(),
+                peak_compute: node.cpu_flops(),
+            },
+            link: node.total_h2d_bandwidth(),
         }
     }
 
-    /// Builds the two-level GPU/CPU HRM used throughout the paper from a hardware
-    /// node description, using *effective* (derated) rates.
-    pub fn from_node(node: &NodeSpec) -> Self {
-        let gpu = MemoryLevel {
-            name: "GPU".to_owned(),
-            capacity: node.total_gpu_memory(),
-            bandwidth: node.total_gpu_memory_bandwidth(),
-            peak_compute: node.total_gpu_flops_f16(),
-        };
-        let cpu = MemoryLevel {
-            name: "CPU".to_owned(),
-            capacity: node.cpu_memory(),
-            bandwidth: node.cpu_memory_bandwidth(),
-            peak_compute: node.cpu_flops(),
-        };
-        HierarchicalRoofline::new(vec![gpu, cpu], vec![node.total_h2d_bandwidth()])
-    }
-
-    /// Number of memory levels.
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Returns a level by id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HrmError::UnknownLevel`] for an out-of-range id.
-    pub fn level(&self, id: LevelId) -> Result<&MemoryLevel, HrmError> {
-        self.levels.get(id.0).ok_or(HrmError::UnknownLevel(id))
-    }
-
-    /// The GPU level of a [`HierarchicalRoofline::from_node`] model.
-    pub fn gpu(&self) -> LevelId {
-        LevelId(0)
-    }
-
-    /// The CPU level of a [`HierarchicalRoofline::from_node`] model.
-    pub fn cpu(&self) -> LevelId {
-        LevelId(1)
-    }
-
-    /// Bandwidth for moving data from level `from` to level `to`
-    /// (`B^{j,i}_peak`). Only adjacent or identical-path transfers are modeled;
-    /// non-adjacent levels use the minimum bandwidth along the path.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either level is unknown or the two levels are the same.
-    pub fn cross_bandwidth(&self, from: LevelId, to: LevelId) -> Result<Bandwidth, HrmError> {
-        self.level(from)?;
-        self.level(to)?;
-        if from == to {
-            return Err(HrmError::SameLevel(from));
+    /// `flops_per_sec / B^{cpu,gpu}`: the cross-level intensity at which the link
+    /// roof reaches `flops_per_sec` (infinite over a zero-bandwidth link).
+    fn over_link(&self, flops_per_sec: f64) -> f64 {
+        if self.link.is_zero() {
+            return f64::INFINITY;
         }
-        let (lo, hi) = if from.0 < to.0 {
-            (from.0, to.0)
-        } else {
-            (to.0, from.0)
-        };
-        let min_bw = self.cross[lo..hi]
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, |acc, b| acc.min(b.as_bytes_per_sec()));
-        Ok(Bandwidth::from_bytes_per_sec(min_bw))
+        flops_per_sec / self.link.as_bytes_per_sec()
     }
 
-    /// Attainable performance for a computation executed on `level` with all data
-    /// resident at that level — Eq. (8): `min(P^i, B^i · I^i)`.
+    /// Attainable performance of a GPU computation that streams its data from CPU
+    /// memory — Eq. (7): `min(P^gpu, B^gpu · I^gpu, B^{cpu,gpu} · I^cpu)`.
     ///
-    /// # Errors
-    ///
-    /// Returns an error for an unknown level.
-    pub fn attainable_local(
-        &self,
-        level: LevelId,
-        intensity: f64,
-    ) -> Result<ComputeRate, HrmError> {
-        Ok(self.level(level)?.roofline().attainable(intensity))
+    /// * `local_intensity` — FLOPs per byte accessed in GPU memory.
+    /// * `cross_intensity` — FLOPs per byte transferred from CPU memory.
+    pub fn attainable_cross(&self, local_intensity: f64, cross_intensity: f64) -> ComputeRate {
+        let local = self.gpu.roofline().attainable(local_intensity);
+        let cross_bound = self.link.as_bytes_per_sec() * cross_intensity.max(0.0);
+        ComputeRate::from_flops_per_sec(local.as_flops_per_sec().min(cross_bound))
     }
 
-    /// Attainable performance for a computation executed on `exec_level` that streams
-    /// its data from `data_level` — Eq. (7):
-    /// `min(P^i, B^i · I^i, B^{j,i} · I^j)`.
+    /// Turning point **P1** (Eq. 9): the cross-level operational intensity `Ī^cpu`
+    /// below which moving the data to the GPU does not pay — executing on the CPU
+    /// is at least as fast.
     ///
-    /// * `local_intensity` — FLOPs per byte accessed in `exec_level`'s own memory.
-    /// * `cross_intensity` — FLOPs per byte transferred from `data_level`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown or identical levels.
-    pub fn attainable_cross(
-        &self,
-        exec_level: LevelId,
-        data_level: LevelId,
-        local_intensity: f64,
-        cross_intensity: f64,
-    ) -> Result<ComputeRate, HrmError> {
-        let local = self.attainable_local(exec_level, local_intensity)?;
-        let link = self.cross_bandwidth(data_level, exec_level)?;
-        let cross_bound = link.as_bytes_per_sec() * cross_intensity.max(0.0);
-        Ok(ComputeRate::from_flops_per_sec(
-            local.as_flops_per_sec().min(cross_bound),
-        ))
+    /// For intensities below the CPU's own ridge point both sides scale linearly and
+    /// the comparison is decided purely by bandwidths; the interesting crossover is
+    /// where the link roof meets the CPU compute roof, `Ī^cpu = P^cpu / B^{cpu,gpu}`.
+    pub fn turning_point_p1(&self) -> f64 {
+        self.over_link(self.cpu.peak_compute.as_flops_per_sec())
     }
 
-    /// Turning point **P1** (Eq. 9): the cross-level operational intensity `Ī^j`
-    /// below which it is *not* beneficial to move the data from `data_level` to
-    /// `exec_level` — executing at `data_level` is at least as fast.
-    ///
-    /// For intensities below the data level's own ridge point both sides scale
-    /// linearly and the comparison is decided purely by bandwidths; the interesting
-    /// crossover happens where the transfer bound meets the data level's compute
-    /// roof, `Ī^j = P^j_peak / B^{j,i}`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown or identical levels.
-    pub fn turning_point_p1(
-        &self,
-        exec_level: LevelId,
-        data_level: LevelId,
-    ) -> Result<f64, HrmError> {
-        let data = self.level(data_level)?;
-        let link = self.cross_bandwidth(data_level, exec_level)?;
-        if link.is_zero() {
-            return Ok(f64::INFINITY);
-        }
-        Ok(data.peak_compute.as_flops_per_sec() / link.as_bytes_per_sec())
+    /// Turning point **P2** (Eq. 10): the cross-level operational intensity `Ī^cpu`
+    /// below which the computation is bound by the CPU→GPU link, given the
+    /// performance the kernel reaches on the GPU (`min(P^gpu, B^gpu · I^gpu)`, set by
+    /// its *local* intensity, e.g. by the micro-batch size `μ` for the MoE FFN).
+    pub fn turning_point_p2(&self, local_intensity: f64) -> f64 {
+        self.over_link(
+            self.gpu
+                .roofline()
+                .attainable(local_intensity)
+                .as_flops_per_sec(),
+        )
     }
 
-    /// Turning point **P2** (Eq. 10): the cross-level operational intensity `Ī^j`
-    /// below which the computation is bound by the `data_level → exec_level`
-    /// transfer, given the performance the kernel can reach at `exec_level`
-    /// (`min(P^i, B^i · I^i)`, determined by its *local* intensity, e.g. by the
-    /// micro-batch size `μ` for the MoE FFN).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown or identical levels.
-    pub fn turning_point_p2(
-        &self,
-        exec_level: LevelId,
-        data_level: LevelId,
-        local_intensity: f64,
-    ) -> Result<f64, HrmError> {
-        let local = self.attainable_local(exec_level, local_intensity)?;
-        let link = self.cross_bandwidth(data_level, exec_level)?;
-        if link.is_zero() {
-            return Ok(f64::INFINITY);
-        }
-        Ok(local.as_flops_per_sec() / link.as_bytes_per_sec())
+    /// Balance point (Eq. 11): given a kernel's local intensity on the GPU, the
+    /// cross-level intensity `I^cpu` at which the GPU memory roof and the link roof
+    /// meet (`B^gpu · I^gpu = B^{cpu,gpu} · I^cpu`). Beyond this point increasing
+    /// `I^cpu` (e.g. by enlarging the batch `N`) no longer helps.
+    pub fn balance_point(&self, local_intensity: f64) -> f64 {
+        self.over_link(self.gpu.bandwidth.as_bytes_per_sec() * local_intensity)
     }
 
-    /// Balance point (Eq. 11): given a kernel's local intensity on `exec_level`, the
-    /// cross-level intensity `I^j` at which the local memory roof and the cross-level
-    /// roof meet (`B^i · I^i = B^{j,i} · I^j`). Beyond this point increasing `I^j`
-    /// (e.g. by enlarging the batch `N`) no longer helps.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown or identical levels.
-    pub fn balance_point(
-        &self,
-        exec_level: LevelId,
-        data_level: LevelId,
-        local_intensity: f64,
-    ) -> Result<f64, HrmError> {
-        let exec = self.level(exec_level)?;
-        let link = self.cross_bandwidth(data_level, exec_level)?;
-        if link.is_zero() {
-            return Ok(f64::INFINITY);
-        }
-        Ok(exec.bandwidth.as_bytes_per_sec() * local_intensity / link.as_bytes_per_sec())
-    }
-
-    /// Classifies which roof binds a cross-level computation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown or identical levels.
-    pub fn binding_roof(
-        &self,
-        exec_level: LevelId,
-        data_level: LevelId,
-        local_intensity: f64,
-        cross_intensity: f64,
-    ) -> Result<BindingRoof, HrmError> {
-        let exec = self.level(exec_level)?;
-        let link = self.cross_bandwidth(data_level, exec_level)?;
-        let compute = exec.peak_compute.as_flops_per_sec();
-        let local_mem = exec.bandwidth.as_bytes_per_sec() * local_intensity;
-        let cross_mem = link.as_bytes_per_sec() * cross_intensity;
+    /// Classifies which roof binds a GPU computation streaming from CPU memory.
+    pub fn binding_roof(&self, local_intensity: f64, cross_intensity: f64) -> BindingRoof {
+        let compute = self.gpu.peak_compute.as_flops_per_sec();
+        let local_mem = self.gpu.bandwidth.as_bytes_per_sec() * local_intensity;
+        let cross_mem = self.link.as_bytes_per_sec() * cross_intensity;
         let min = compute.min(local_mem).min(cross_mem);
         if (min - cross_mem).abs() < f64::EPSILON * min.max(1.0) {
-            Ok(BindingRoof::CrossLevelBandwidth)
+            BindingRoof::CrossLevelBandwidth
         } else if (min - local_mem).abs() < f64::EPSILON * min.max(1.0) {
-            Ok(BindingRoof::LocalBandwidth)
+            BindingRoof::LocalBandwidth
         } else {
-            Ok(BindingRoof::Compute)
+            BindingRoof::Compute
         }
-    }
-
-    /// Whether a purely local kernel is compute- or memory-bound (classical roofline
-    /// classification at the given level).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an unknown level.
-    pub fn local_bound_kind(&self, level: LevelId, intensity: f64) -> Result<BoundKind, HrmError> {
-        Ok(self.level(level)?.roofline().bound_kind(intensity))
     }
 }
 
 /// The roof that limits a cross-level computation (see [`HierarchicalRoofline::binding_roof`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BindingRoof {
-    /// Bounded by the executing processor's peak compute.
+    /// Bounded by the GPU's peak compute.
     Compute,
-    /// Bounded by the executing level's own memory bandwidth.
+    /// Bounded by the GPU's own memory bandwidth.
     LocalBandwidth,
-    /// Bounded by the cross-level (e.g. PCIe) bandwidth.
+    /// Bounded by the CPU→GPU (PCIe) bandwidth.
     CrossLevelBandwidth,
 }
 
@@ -330,42 +155,35 @@ mod tests {
     use super::*;
 
     fn l4_hrm() -> HierarchicalRoofline {
-        HierarchicalRoofline::from_node(&NodeSpec::l4_single())
+        HierarchicalRoofline::from_node(&NodeSpec::l4_single(), DType::F16)
     }
 
     #[test]
     fn from_node_builds_two_levels_with_gpu_faster() {
         let hrm = l4_hrm();
-        assert_eq!(hrm.num_levels(), 2);
-        let gpu = hrm.level(hrm.gpu()).unwrap();
-        let cpu = hrm.level(hrm.cpu()).unwrap();
-        assert!(gpu.peak_compute.as_flops_per_sec() > cpu.peak_compute.as_flops_per_sec());
-        assert!(gpu.bandwidth.as_bytes_per_sec() > cpu.bandwidth.as_bytes_per_sec());
-        assert!(gpu.capacity < cpu.capacity);
+        assert!(hrm.gpu.peak_compute.as_flops_per_sec() > hrm.cpu.peak_compute.as_flops_per_sec());
+        assert!(hrm.gpu.bandwidth.as_bytes_per_sec() > hrm.cpu.bandwidth.as_bytes_per_sec());
     }
 
     #[test]
-    fn cross_bandwidth_is_symmetric_and_rejects_same_level() {
-        let hrm = l4_hrm();
-        let a = hrm.cross_bandwidth(hrm.cpu(), hrm.gpu()).unwrap();
-        let b = hrm.cross_bandwidth(hrm.gpu(), hrm.cpu()).unwrap();
-        assert_eq!(a, b);
-        assert!(matches!(
-            hrm.cross_bandwidth(hrm.gpu(), hrm.gpu()),
-            Err(HrmError::SameLevel(_))
-        ));
-        assert!(matches!(
-            hrm.cross_bandwidth(LevelId(5), hrm.gpu()),
-            Err(HrmError::UnknownLevel(_))
-        ));
+    fn from_node_takes_the_f32_peak_only_for_f32_weights() {
+        let node = NodeSpec::l4_single();
+        let f32 = HierarchicalRoofline::from_node(&node, DType::F32);
+        assert_eq!(f32.gpu.peak_compute, node.total_gpu_flops_f32());
+        for dtype in [DType::F16, DType::Int8, DType::Int4] {
+            let hrm = HierarchicalRoofline::from_node(&node, dtype);
+            assert_eq!(hrm.gpu.peak_compute, node.total_gpu_flops_f16());
+            assert_eq!(hrm.cpu, f32.cpu);
+            assert_eq!(hrm.link, f32.link);
+        }
     }
 
     #[test]
     fn attainable_cross_never_exceeds_local() {
         let hrm = l4_hrm();
         for i in [0.1, 1.0, 10.0, 100.0, 1000.0] {
-            let local = hrm.attainable_local(hrm.gpu(), i).unwrap();
-            let cross = hrm.attainable_cross(hrm.gpu(), hrm.cpu(), i, i).unwrap();
+            let local = hrm.gpu.roofline().attainable(i);
+            let cross = hrm.attainable_cross(i, i);
             assert!(cross.as_flops_per_sec() <= local.as_flops_per_sec() + 1e-6);
         }
     }
@@ -373,12 +191,12 @@ mod tests {
     #[test]
     fn low_cross_intensity_is_link_bound() {
         let hrm = l4_hrm();
-        let roof = hrm.binding_roof(hrm.gpu(), hrm.cpu(), 1000.0, 1.0).unwrap();
-        assert_eq!(roof, BindingRoof::CrossLevelBandwidth);
-        let roof = hrm.binding_roof(hrm.gpu(), hrm.cpu(), 1.0, 1e9).unwrap();
-        assert_eq!(roof, BindingRoof::LocalBandwidth);
-        let roof = hrm.binding_roof(hrm.gpu(), hrm.cpu(), 1e9, 1e9).unwrap();
-        assert_eq!(roof, BindingRoof::Compute);
+        assert_eq!(
+            hrm.binding_roof(1000.0, 1.0),
+            BindingRoof::CrossLevelBandwidth
+        );
+        assert_eq!(hrm.binding_roof(1.0, 1e9), BindingRoof::LocalBandwidth);
+        assert_eq!(hrm.binding_roof(1e9, 1e9), BindingRoof::Compute);
     }
 
     #[test]
@@ -389,8 +207,8 @@ mod tests {
         let hrm = l4_hrm();
         // MoE FFN at μ=128 has local intensity ≈ 128/element-size; large enough to be
         // near the GPU compute roof region — use a representative value.
-        let p1 = hrm.turning_point_p1(hrm.gpu(), hrm.cpu()).unwrap();
-        let p2 = hrm.turning_point_p2(hrm.gpu(), hrm.cpu(), 64.0).unwrap();
+        let p1 = hrm.turning_point_p1();
+        let p2 = hrm.turning_point_p2(64.0);
         assert!(p1 < p2, "P1 ({p1}) must be below P2 ({p2})");
         assert!(
             p1 > 10.0 && p1 < 200.0,
@@ -402,16 +220,15 @@ mod tests {
     fn attention_intensity_sits_below_p1_on_l4() {
         // §3.3: GQA attention (f16) has I ≈ 4 FLOPs/byte, well below P1 on the L4
         // instance — i.e. it is better to run attention on the CPU.
-        let hrm = l4_hrm();
-        let p1 = hrm.turning_point_p1(hrm.gpu(), hrm.cpu()).unwrap();
+        let p1 = l4_hrm().turning_point_p1();
         assert!(4.0 < p1, "attention intensity 4 should be below P1 = {p1}");
     }
 
     #[test]
     fn balance_point_scales_with_local_intensity() {
         let hrm = l4_hrm();
-        let b1 = hrm.balance_point(hrm.gpu(), hrm.cpu(), 8.0).unwrap();
-        let b2 = hrm.balance_point(hrm.gpu(), hrm.cpu(), 16.0).unwrap();
+        let b1 = hrm.balance_point(8.0);
+        let b2 = hrm.balance_point(16.0);
         assert!((b2 / b1 - 2.0).abs() < 1e-9);
         assert!(
             b1 > 8.0,
@@ -421,86 +238,21 @@ mod tests {
 
     #[test]
     fn turning_points_increase_with_slower_links() {
-        let fast = HierarchicalRoofline::from_node(&NodeSpec::l4_single());
-        let slow = HierarchicalRoofline::from_node(&NodeSpec::t4_single());
+        let fast = l4_hrm();
+        let slow = HierarchicalRoofline::from_node(&NodeSpec::t4_single(), DType::F16);
         // T4 has a slower PCIe link than L4, so both turning points move right.
-        assert!(
-            slow.turning_point_p1(slow.gpu(), slow.cpu()).unwrap()
-                > fast.turning_point_p1(fast.gpu(), fast.cpu()).unwrap() * 0.9
-        );
-        assert!(
-            slow.turning_point_p2(slow.gpu(), slow.cpu(), 64.0).unwrap()
-                > fast.turning_point_p2(fast.gpu(), fast.cpu(), 64.0).unwrap() * 0.4
-        );
+        assert!(slow.turning_point_p1() > fast.turning_point_p1() * 0.9);
+        assert!(slow.turning_point_p2(64.0) > fast.turning_point_p2(64.0) * 0.4);
     }
 
     #[test]
     fn zero_link_bandwidth_gives_infinite_turning_points() {
-        let mut levels = vec![
-            MemoryLevel {
-                name: "GPU".into(),
-                capacity: ByteSize::from_gib(16.0),
-                bandwidth: Bandwidth::from_gb_per_sec(300.0),
-                peak_compute: ComputeRate::from_tflops_per_sec(65.0),
-            },
-            MemoryLevel {
-                name: "CPU".into(),
-                capacity: ByteSize::from_gib(192.0),
-                bandwidth: Bandwidth::from_gb_per_sec(100.0),
-                peak_compute: ComputeRate::from_tflops_per_sec(1.3),
-            },
-        ];
-        let hrm = HierarchicalRoofline::new(levels.clone(), vec![Bandwidth::ZERO]);
-        assert!(hrm
-            .turning_point_p1(LevelId(0), LevelId(1))
-            .unwrap()
-            .is_infinite());
-        assert!(hrm
-            .turning_point_p2(LevelId(0), LevelId(1), 10.0)
-            .unwrap()
-            .is_infinite());
-        assert!(hrm
-            .balance_point(LevelId(0), LevelId(1), 10.0)
-            .unwrap()
-            .is_infinite());
-        // Three-level hierarchy: cross bandwidth across non-adjacent levels is the
-        // bottleneck of the path.
-        levels.push(MemoryLevel {
-            name: "Disk".into(),
-            capacity: ByteSize::from_gib(1024.0),
-            bandwidth: Bandwidth::from_gb_per_sec(3.0),
-            peak_compute: ComputeRate::ZERO,
-        });
-        let hrm3 = HierarchicalRoofline::new(
-            levels,
-            vec![
-                Bandwidth::from_gb_per_sec(32.0),
-                Bandwidth::from_gb_per_sec(3.0),
-            ],
-        );
-        let path = hrm3.cross_bandwidth(LevelId(2), LevelId(0)).unwrap();
-        assert!((path.as_gb_per_sec() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "cross-level bandwidth")]
-    fn new_rejects_mismatched_cross_bandwidths() {
-        let level = MemoryLevel {
-            name: "GPU".into(),
-            capacity: ByteSize::from_gib(16.0),
-            bandwidth: Bandwidth::from_gb_per_sec(300.0),
-            peak_compute: ComputeRate::from_tflops_per_sec(65.0),
+        let hrm = HierarchicalRoofline {
+            link: Bandwidth::ZERO,
+            ..l4_hrm()
         };
-        HierarchicalRoofline::new(vec![level], vec![Bandwidth::from_gb_per_sec(16.0)]);
-    }
-
-    #[test]
-    fn error_display_is_informative() {
-        assert!(HrmError::UnknownLevel(LevelId(3))
-            .to_string()
-            .contains("L3"));
-        assert!(HrmError::SameLevel(LevelId(0))
-            .to_string()
-            .contains("distinct"));
+        assert!(hrm.turning_point_p1().is_infinite());
+        assert!(hrm.turning_point_p2(10.0).is_infinite());
+        assert!(hrm.balance_point(10.0).is_infinite());
     }
 }

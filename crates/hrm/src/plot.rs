@@ -4,7 +4,7 @@
 //! plots can be regenerated with any plotting tool; nothing in the workspace depends
 //! on a graphics stack.
 
-use crate::hierarchical::{HierarchicalRoofline, HrmError, LevelId};
+use crate::hierarchical::HierarchicalRoofline;
 use crate::roofline::log_space;
 use serde::{Deserialize, Serialize};
 
@@ -16,22 +16,6 @@ pub struct RoofSeries {
     pub name: String,
     /// `(intensity, gflops_per_sec)` samples.
     pub points: Vec<(f64, f64)>,
-}
-
-impl RoofSeries {
-    /// Performance value at the sample closest to `intensity`.
-    ///
-    /// Returns `None` for an empty series.
-    pub fn value_near(&self, intensity: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .min_by(|a, b| {
-                let da = (a.0 - intensity).abs();
-                let db = (b.0 - intensity).abs();
-                da.total_cmp(&db)
-            })
-            .map(|p| p.1)
-    }
 }
 
 /// A vertical marker: the operational intensity of a specific computation or a
@@ -73,25 +57,17 @@ impl RooflinePlot {
 /// Builds the five-roof HRM plot of the paper (GPU/CPU memory roofs, CPU→GPU link
 /// roof and both compute roofs) over a log-spaced intensity grid.
 ///
-/// # Errors
-///
-/// Returns an error if the HRM does not contain the two referenced levels.
-///
 /// # Panics
 ///
 /// Panics if the grid parameters are invalid (see [`log_space`]).
 pub fn hrm_plot(
     hrm: &HierarchicalRoofline,
-    exec: LevelId,
-    data: LevelId,
     title: impl Into<String>,
     intensity_lo: f64,
     intensity_hi: f64,
     samples: usize,
-) -> Result<RooflinePlot, HrmError> {
-    let exec_level = hrm.level(exec)?.clone();
-    let data_level = hrm.level(data)?.clone();
-    let link = hrm.cross_bandwidth(data, exec)?;
+) -> RooflinePlot {
+    let HierarchicalRoofline { gpu, cpu, link } = *hrm;
     let grid = log_space(intensity_lo, intensity_hi, samples);
 
     let ramp = |bw_bytes_per_sec: f64| -> Vec<(f64, f64)> {
@@ -105,42 +81,42 @@ pub fn hrm_plot(
 
     let series = vec![
         RoofSeries {
-            name: format!("{} Mem Bdw", data_level.name),
-            points: ramp(data_level.bandwidth.as_bytes_per_sec()),
+            name: format!("{} Mem Bdw", cpu.name),
+            points: ramp(cpu.bandwidth.as_bytes_per_sec()),
         },
         RoofSeries {
-            name: format!("{} Mem Bdw", exec_level.name),
-            points: ramp(exec_level.bandwidth.as_bytes_per_sec()),
+            name: format!("{} Mem Bdw", gpu.name),
+            points: ramp(gpu.bandwidth.as_bytes_per_sec()),
         },
         RoofSeries {
-            name: format!("{}-{} Mem Bdw", data_level.name, exec_level.name),
+            name: format!("{}-{} Mem Bdw", cpu.name, gpu.name),
             points: ramp(link.as_bytes_per_sec()),
         },
         RoofSeries {
-            name: format!("{} Peak FLOPS", data_level.name),
-            points: flat(data_level.peak_compute.as_flops_per_sec()),
+            name: format!("{} Peak FLOPS", cpu.name),
+            points: flat(cpu.peak_compute.as_flops_per_sec()),
         },
         RoofSeries {
-            name: format!("{} Peak FLOPS", exec_level.name),
-            points: flat(exec_level.peak_compute.as_flops_per_sec()),
+            name: format!("{} Peak FLOPS", gpu.name),
+            points: flat(gpu.peak_compute.as_flops_per_sec()),
         },
     ];
 
-    Ok(RooflinePlot {
+    RooflinePlot {
         title: title.into(),
         series,
         markers: Vec::new(),
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moe_hardware::NodeSpec;
+    use moe_hardware::{DType, NodeSpec};
 
     fn plot() -> RooflinePlot {
-        let hrm = HierarchicalRoofline::from_node(&NodeSpec::l4_single());
-        hrm_plot(&hrm, hrm.gpu(), hrm.cpu(), "L4", 0.1, 10_000.0, 64).unwrap()
+        let hrm = HierarchicalRoofline::from_node(&NodeSpec::l4_single(), DType::F16);
+        hrm_plot(&hrm, "L4", 0.1, 10_000.0, 64)
     }
 
     #[test]
@@ -184,21 +160,6 @@ mod tests {
         for (l, c) in link.points.iter().zip(&cpu.points) {
             assert!(l.1 <= c.1 + 1e-9);
         }
-    }
-
-    #[test]
-    fn value_near_picks_closest_sample() {
-        let s = RoofSeries {
-            name: "x".into(),
-            points: vec![(1.0, 10.0), (2.0, 20.0), (4.0, 40.0)],
-        };
-        assert_eq!(s.value_near(1.9), Some(20.0));
-        assert_eq!(s.value_near(100.0), Some(40.0));
-        let empty = RoofSeries {
-            name: "e".into(),
-            points: vec![],
-        };
-        assert_eq!(empty.value_near(1.0), None);
     }
 
     #[test]

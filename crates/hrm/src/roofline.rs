@@ -23,15 +23,6 @@ pub struct Roofline {
     pub peak_bandwidth: Bandwidth,
 }
 
-/// Which resource bounds a kernel at a given operational intensity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BoundKind {
-    /// Performance is limited by memory bandwidth (`B·I < P_peak`).
-    MemoryBound,
-    /// Performance is limited by compute throughput.
-    ComputeBound,
-}
-
 impl Roofline {
     /// Creates a roofline from a peak compute rate and bandwidth.
     pub fn new(peak_compute: ComputeRate, peak_bandwidth: Bandwidth) -> Self {
@@ -61,33 +52,6 @@ impl Roofline {
     pub fn attainable(&self, intensity: f64) -> ComputeRate {
         let memory_bound = self.peak_bandwidth.as_bytes_per_sec() * intensity.max(0.0);
         ComputeRate::from_flops_per_sec(memory_bound.min(self.peak_compute.as_flops_per_sec()))
-    }
-
-    /// The ridge point `Ī = P_peak / B_peak` (FLOPs/byte). Returns infinity for a
-    /// zero-bandwidth roofline.
-    pub fn ridge_point(&self) -> f64 {
-        if self.peak_bandwidth.is_zero() {
-            f64::INFINITY
-        } else {
-            self.peak_compute.as_flops_per_sec() / self.peak_bandwidth.as_bytes_per_sec()
-        }
-    }
-
-    /// Classifies a kernel with the given operational intensity.
-    pub fn bound_kind(&self, intensity: f64) -> BoundKind {
-        if intensity < self.ridge_point() {
-            BoundKind::MemoryBound
-        } else {
-            BoundKind::ComputeBound
-        }
-    }
-
-    /// Fraction of peak compute achieved at `intensity` (1.0 when compute-bound).
-    pub fn efficiency(&self, intensity: f64) -> f64 {
-        if self.peak_compute.is_zero() {
-            return 0.0;
-        }
-        self.attainable(intensity).as_flops_per_sec() / self.peak_compute.as_flops_per_sec()
     }
 }
 
@@ -119,27 +83,20 @@ mod tests {
     }
 
     #[test]
-    fn ridge_point_is_peak_over_bandwidth() {
-        assert!((roof().ridge_point() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn attainable_follows_memory_roof_below_ridge() {
         let r = roof();
         let p = r.attainable(10.0);
         assert!((p.as_tflops_per_sec() - 10.0).abs() < 1e-9);
-        assert_eq!(r.bound_kind(10.0), BoundKind::MemoryBound);
     }
 
     #[test]
     fn attainable_clamps_to_compute_roof_above_ridge() {
         let r = roof();
         assert_eq!(r.attainable(500.0).as_tflops_per_sec(), 100.0);
-        assert_eq!(r.bound_kind(500.0), BoundKind::ComputeBound);
         assert_eq!(
-            r.bound_kind(100.0),
-            BoundKind::ComputeBound,
-            "ridge itself is compute bound"
+            r.attainable(100.0).as_tflops_per_sec(),
+            100.0,
+            "the ridge itself"
         );
     }
 
@@ -157,22 +114,6 @@ mod tests {
     #[test]
     fn negative_intensity_is_clamped() {
         assert_eq!(roof().attainable(-5.0).as_flops_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn efficiency_is_bounded_by_one() {
-        let r = roof();
-        assert!((r.efficiency(1e9) - 1.0).abs() < 1e-12);
-        assert!(r.efficiency(1.0) < 0.02);
-        let degenerate = Roofline::new(ComputeRate::ZERO, Bandwidth::from_gb_per_sec(1.0));
-        assert_eq!(degenerate.efficiency(10.0), 0.0);
-    }
-
-    #[test]
-    fn zero_bandwidth_has_infinite_ridge() {
-        let r = Roofline::new(ComputeRate::from_tflops_per_sec(1.0), Bandwidth::ZERO);
-        assert!(r.ridge_point().is_infinite());
-        assert_eq!(r.bound_kind(1e12), BoundKind::MemoryBound);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! The HRM-based cost model (Eqs. 12–14 of the paper).
 //!
 //! For every task of the decode pipeline the model computes the theoretical FLOPs
-//! and bytes (via [`moe_model::ops::LayerOps`]) and bounds its duration with the
-//! appropriate roofs of the node's Hierarchical Roofline Model:
-//! `T_x = max(comm_x, comp_x)` per computation (Eq. 14), per-layer latency
+//! and bytes (via [`moe_model::ops::LayerOps`]) and prices its duration through
+//! `moe_hrm`: the node's [`HierarchicalRoofline`], built once per model, gives
+//! `T_x = max(comm_x, comp_x)` per computation (Eq. 14, [`moe_hrm::MemoryLevel::time`])
+//! and the CPU→GPU link rate; the per-layer latency is
 //! `T = max(comm_cpu_to_gpu, T_cpu, T_gpu)` (Eq. 12). The same per-task durations
 //! feed the discrete-event schedules in `moe-schedule`, so the analytic estimate and
 //! the simulated pipelines share one source of truth.
 
 use crate::policy::{Policy, WorkloadShape};
-use moe_hardware::{Bandwidth, ByteSize, ComputeRate, DType, FlopCount, NodeSpec, Seconds};
-use moe_model::{LayerOps, MoeModelConfig, OpCost};
+use moe_hardware::{Bandwidth, ByteSize, FlopCount, NodeSpec, Seconds};
+use moe_hrm::HierarchicalRoofline;
+use moe_model::{LayerOps, MoeModelConfig};
 use serde::{Deserialize, Serialize};
 
 /// Per-task durations and aggregate latency estimates for one model on one node.
@@ -19,6 +21,7 @@ pub struct CostModel {
     node: NodeSpec,
     model: MoeModelConfig,
     ops: LayerOps,
+    hrm: HierarchicalRoofline,
 }
 
 /// Breakdown of the estimated per-layer decode latency (Eq. 12).
@@ -88,7 +91,13 @@ impl CostModel {
     /// Creates a cost model for `model` running on `node`.
     pub fn new(node: NodeSpec, model: MoeModelConfig) -> Self {
         let ops = LayerOps::new(model.clone());
-        CostModel { node, model, ops }
+        let hrm = HierarchicalRoofline::from_node(&node, model.weight_dtype);
+        CostModel {
+            node,
+            model,
+            ops,
+            hrm,
+        }
     }
 
     /// The node this model describes.
@@ -106,30 +115,13 @@ impl CostModel {
         &self.ops
     }
 
-    // --- device rates -----------------------------------------------------------
-
-    fn gpu_flops(&self) -> ComputeRate {
-        match self.model.weight_dtype {
-            DType::F32 => self.node.total_gpu_flops_f32(),
-            _ => self.node.total_gpu_flops_f16(),
-        }
+    /// The node's Hierarchical Roofline Model, which prices every compute task and
+    /// every host→device transfer.
+    pub fn hrm(&self) -> &HierarchicalRoofline {
+        &self.hrm
     }
 
-    fn gpu_bw(&self) -> Bandwidth {
-        self.node.total_gpu_memory_bandwidth()
-    }
-
-    fn cpu_flops(&self) -> ComputeRate {
-        self.node.cpu_flops()
-    }
-
-    fn cpu_bw(&self) -> Bandwidth {
-        self.node.cpu_memory_bandwidth()
-    }
-
-    fn h2d(&self) -> Bandwidth {
-        self.node.total_h2d_bandwidth()
-    }
+    // --- rates the HRM does not model --------------------------------------------
 
     fn d2h(&self) -> Bandwidth {
         self.node.total_d2h_bandwidth()
@@ -139,30 +131,18 @@ impl CostModel {
         Seconds::from_micros(self.node.link.latency_us)
     }
 
-    fn roofline_time(cost: &OpCost, flops: ComputeRate, bw: Bandwidth) -> Seconds {
-        let comp = cost.flops / flops;
-        let comm = cost.total_bytes() / bw;
-        comp.max(comm)
-    }
-
     // --- per-task durations (decode stage) ---------------------------------------
 
     /// GPU pre-attention task (`A_x`): layer norm + QKV projection for `tokens`.
     pub fn pre_attention_gpu(&self, tokens: u64) -> Seconds {
-        Self::roofline_time(
-            &self.ops.pre_attention(tokens),
-            self.gpu_flops(),
-            self.gpu_bw(),
-        )
+        let cost = self.ops.pre_attention(tokens);
+        self.hrm.gpu.time(cost.flops, cost.total_bytes())
     }
 
     /// GPU post-attention task (`C_x`): O projection + router + MoE FFN for `tokens`.
     pub fn post_attention_gpu(&self, tokens: u64) -> Seconds {
-        Self::roofline_time(
-            &self.ops.post_attention(tokens),
-            self.gpu_flops(),
-            self.gpu_bw(),
-        )
+        let cost = self.ops.post_attention(tokens);
+        self.hrm.gpu.time(cost.flops, cost.total_bytes())
     }
 
     /// GPU post-attention task when the FFN runs on CPU (only the O projection and
@@ -172,30 +152,25 @@ impl CostModel {
             .ops
             .o_projection(tokens)
             .combine(&self.ops.router(tokens));
-        Self::roofline_time(&cost, self.gpu_flops(), self.gpu_bw())
+        self.hrm.gpu.time(cost.flops, cost.total_bytes())
     }
 
     /// CPU attention task (`B_x`): GQA softmax over the CPU-resident KV cache.
     pub fn attention_cpu(&self, tokens: u64, context_len: u64) -> Seconds {
-        Self::roofline_time(
-            &self.ops.attention_core_decode(tokens, context_len),
-            self.cpu_flops(),
-            self.cpu_bw(),
-        )
+        let cost = self.ops.attention_core_decode(tokens, context_len);
+        self.hrm.cpu.time(cost.flops, cost.total_bytes())
     }
 
     /// GPU attention task (for `A_g = 1` policies): same computation against HBM.
     pub fn attention_gpu(&self, tokens: u64, context_len: u64) -> Seconds {
-        Self::roofline_time(
-            &self.ops.attention_core_decode(tokens, context_len),
-            self.gpu_flops(),
-            self.gpu_bw(),
-        )
+        let cost = self.ops.attention_core_decode(tokens, context_len);
+        self.hrm.gpu.time(cost.flops, cost.total_bytes())
     }
 
     /// CPU MoE FFN (for `F_g = 0` policies).
     pub fn ffn_cpu(&self, tokens: u64) -> Seconds {
-        Self::roofline_time(&self.ops.moe_ffn(tokens), self.cpu_flops(), self.cpu_bw())
+        let cost = self.ops.moe_ffn(tokens);
+        self.hrm.cpu.time(cost.flops, cost.total_bytes())
     }
 
     /// D2H transfer of the QKV projections for `tokens` tokens (transfer D1).
@@ -206,7 +181,7 @@ impl CostModel {
     /// H2D transfer of the post-attention hidden states for `tokens` tokens
     /// (transfer D2).
     pub fn hidden_upload(&self, tokens: u64) -> Seconds {
-        self.model.hidden_state_bytes(tokens) / self.h2d() + self.link_latency()
+        self.model.hidden_state_bytes(tokens) / self.hrm.link + self.link_latency()
     }
 
     /// H2D transfer of the KV cache slice needed to run attention on GPU for a
@@ -216,10 +191,17 @@ impl CostModel {
         self.kv_bytes_transfer(kv_bytes, cpu_fraction)
     }
 
+    /// D2H offload of `bytes` of KV cache to the CPU-resident cache: the prefill's
+    /// new KV and the per-layer write-back of decode's new entries. Unlike
+    /// [`Self::qkv_offload`] it adds no per-transfer link latency.
+    pub fn kv_offload(&self, bytes: ByteSize) -> Seconds {
+        bytes / self.d2h()
+    }
+
     /// H2D transfer time for an arbitrary number of weight bytes (one page or a whole
     /// layer, transfer D3).
     pub fn weight_transfer(&self, bytes: ByteSize) -> Seconds {
-        bytes / self.h2d() + self.link_latency()
+        bytes / self.hrm.link + self.link_latency()
     }
 
     /// Replica↔replica migration of `context_len` tokens of KV cache over the
@@ -251,12 +233,13 @@ impl CostModel {
     /// `tokens` tokens at context `context_len`, under any placement.
     pub(crate) fn micro_batch_costs(&self, tokens: u64, context_len: u64) -> MicroBatchCosts {
         let attention = self.ops.attention_core_decode(tokens, context_len);
+        let attention_bytes = attention.total_bytes();
         MicroBatchCosts {
             pre_attention_gpu: self.pre_attention_gpu(tokens),
             post_attention_gpu: self.post_attention_gpu(tokens),
             post_attention_gpu_without_ffn: self.post_attention_gpu_without_ffn(tokens),
-            attention_gpu: Self::roofline_time(&attention, self.gpu_flops(), self.gpu_bw()),
-            attention_cpu: Self::roofline_time(&attention, self.cpu_flops(), self.cpu_bw()),
+            attention_gpu: self.hrm.gpu.time(attention.flops, attention_bytes),
+            attention_cpu: self.hrm.cpu.time(attention.flops, attention_bytes),
             ffn_cpu: self.ffn_cpu(tokens),
             qkv_offload: self.qkv_offload(tokens),
             hidden_upload: self.hidden_upload(tokens),
@@ -267,7 +250,7 @@ impl CostModel {
     /// [`Self::kv_transfer`] of a micro-batch whose decode attention reads
     /// `kv_bytes` of KV cache.
     fn kv_bytes_transfer(&self, kv_bytes: ByteSize, cpu_fraction: f64) -> Seconds {
-        kv_bytes.scale(cpu_fraction.clamp(0.0, 1.0)) / self.h2d() + self.link_latency()
+        kv_bytes.scale(cpu_fraction.clamp(0.0, 1.0)) / self.hrm.link + self.link_latency()
     }
 
     // --- aggregates ---------------------------------------------------------------
@@ -357,7 +340,7 @@ impl CostModel {
         } else {
             let cpu_fraction = 1.0 - policy.kv_gpu_ratio;
             let append = self.model.kv_bytes_per_token_per_layer() * policy.batch_size;
-            comm_d2h += append.scale(cpu_fraction) / self.d2h();
+            comm_d2h += self.kv_offload(append.scale(cpu_fraction));
         }
 
         let total = comm_h2d.max(comm_d2h).max(cpu_compute).max(gpu_compute);
@@ -412,7 +395,7 @@ impl CostModel {
             .model
             .total_weight_bytes()
             .scale(1.0 - policy.weights_gpu_ratio.clamp(0.0, 1.0));
-        let streaming = stream_bytes / self.h2d();
+        let streaming = stream_bytes / self.hrm.link;
         compute.max(streaming).max(kv_offload)
     }
 
@@ -444,12 +427,13 @@ impl CostModel {
         workload: &WorkloadShape,
         flops_per_layer: FlopCount,
     ) -> (Seconds, Seconds) {
-        let compute = flops_per_layer.scale(f64::from(self.model.num_layers)) / self.gpu_flops();
+        let compute =
+            flops_per_layer.scale(f64::from(self.model.num_layers)) / self.hrm.gpu.peak_compute;
         // KV cache produced during prefill is offloaded to the CPU.
-        let kv_offload =
+        let kv_offload = self.kv_offload(
             (self.model.kv_bytes_per_token() * policy.batch_size * workload.prompt_len)
-                .scale(1.0 - policy.kv_gpu_ratio)
-                / self.d2h();
+                .scale(1.0 - policy.kv_gpu_ratio),
+        );
         (compute, kv_offload)
     }
 

@@ -3,8 +3,9 @@
 //!
 //! * [`policy`] — the [`Policy`] 6-tuple `(N, μ, A_g, F_g, r_w, r_c)` and the
 //!   [`WorkloadShape`] it is optimized for.
-//! * [`cost`] — the [`CostModel`]: roofline-bounded per-task durations and the
-//!   per-layer / per-step / end-to-end latency aggregates of Eqs. 12–14.
+//! * [`cost`] — the [`CostModel`]: per-task durations priced through the node's
+//!   two-level `moe_hrm` model ([`CostModel::hrm`]) and the per-layer / per-step /
+//!   end-to-end latency aggregates of Eqs. 12–14.
 //! * [`capacity`] — the [`CapacityModel`]: GPU/CPU memory feasibility constraints.
 //! * [`optimizer`] — the [`PolicyOptimizer`]: an exact search, pruned by a sound
 //!   memory cut, maximizing modeled throughput under the capacity constraints.

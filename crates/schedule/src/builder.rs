@@ -476,7 +476,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
                     self.cost.pre_attention_gpu(tokens)
                         + self.cost.attention_gpu(tokens, self.ctx_of(j))
                         + self.cost.post_attention_gpu(tokens),
-                    append / self.cost.node().total_d2h_bandwidth(),
+                    self.cost.kv_offload(append),
                 ]
             })
             .collect();

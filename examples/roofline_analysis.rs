@@ -6,23 +6,22 @@
 //! Run with `cargo run --release --example roofline_analysis`.
 
 use moe_hardware::NodeSpec;
-use moe_hrm::HierarchicalRoofline;
 use moe_lightning::MoeModelConfig;
-use moe_model::LayerOps;
+use moe_policy::CostModel;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
     for (node, label) in [
         (NodeSpec::t4_single(), "T4 (S1)"),
         (NodeSpec::l4_single(), "L4 (S2)"),
     ] {
-        let hrm = HierarchicalRoofline::from_node(&node);
-        let ops = LayerOps::new(MoeModelConfig::mixtral_8x7b());
+        let cost = CostModel::new(node, MoeModelConfig::mixtral_8x7b());
+        let (hrm, ops) = (cost.hrm(), cost.ops());
 
         let attention = ops.attention_core_decode(64, 512);
         let ffn_small = ops.moe_ffn(16);
         let ffn_large = ops.moe_ffn(256);
-        let p1 = hrm.turning_point_p1(hrm.gpu(), hrm.cpu())?;
-        let p2 = hrm.turning_point_p2(hrm.gpu(), hrm.cpu(), ffn_large.operational_intensity())?;
+        let p1 = hrm.turning_point_p1();
+        let p2 = hrm.turning_point_p2(ffn_large.operational_intensity());
 
         println!("== {label} ==");
         println!("  P1 (don't offload below this intensity): {p1:8.1} FLOPs/byte");
@@ -41,5 +40,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         println!();
     }
-    Ok(())
 }

@@ -102,18 +102,18 @@ fn gpu_is_busier_under_cgopipe_than_under_flexgen_c() {
 fn attention_placement_decision_matches_the_hrm_analysis() {
     // The optimizer's A_g choice must agree with the HRM turning-point analysis: on
     // the memory-constrained T4/L4 nodes the attention intensity (≈4 FLOPs/byte for
-    // f16 GQA) is far below P1, so attention belongs on the CPU.
-    use moe_hrm::HierarchicalRoofline;
-    use moe_model::LayerOps;
+    // f16 GQA) is far below P1, so attention belongs on the CPU. P1 comes from the
+    // HRM the optimizer prices its candidates with.
     for node in [NodeSpec::t4_single(), NodeSpec::l4_single()] {
-        let hrm = HierarchicalRoofline::from_node(&node);
-        let p1 = hrm.turning_point_p1(hrm.gpu(), hrm.cpu()).unwrap();
-        let attention_intensity = LayerOps::new(MoeModelConfig::mixtral_8x7b())
+        let optimizer = PolicyOptimizer::new(node, MoeModelConfig::mixtral_8x7b());
+        let cost = optimizer.cost_model();
+        let p1 = cost.hrm().turning_point_p1();
+        let attention_intensity = cost
+            .ops()
             .attention_core_decode(64, 512)
             .operational_intensity();
         assert!(attention_intensity < p1);
 
-        let optimizer = PolicyOptimizer::new(node, MoeModelConfig::mixtral_8x7b());
         let best = optimizer
             .search(&WorkloadShape::new(77, 128))
             .unwrap()
