@@ -88,7 +88,6 @@ pub use moe_telemetry::{
 pub use moe_hardware::{ByteSize, NodeSpec, Seconds, TimeKey};
 pub use moe_model::MoeModelConfig;
 pub use moe_policy::{Policy, PolicyGenerator, PolicyOptimizer, WorkloadShape};
-pub use moe_runtime::{EngineConfig, PipelinedMoeEngine};
 pub use moe_schedule::ScheduleKind;
 pub use moe_workload::{
     Algorithm2, ArrivalProcess, FcfsPadded, GenLens, Scheduler, ShortestJobFirst, SloClass,

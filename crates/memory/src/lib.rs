@@ -5,15 +5,17 @@
 //!   pageable host DRAM.
 //! * [`pages`] — weight page metadata, the page table and the page chunking used by
 //!   CGOPipe's interleaved weight transfers.
-//! * [`weights`] — [`PagedWeightStore`]: static GPU placement (`r_w`), the `2 × W_L`
-//!   GPU double buffer and the CPU → pinned → GPU staging protocol.
+//! * [`weights`] — [`PagedWeightStore`]: static GPU placement (`r_w`), a ring of
+//!   `W_L`-sized GPU buffer slots and the CPU → pinned → GPU staging protocol. CGOPipe
+//!   with several micro-batches needs three slots, not the paper's `2 × W_L` double
+//!   buffer: it issues layer `l`'s first page before layer `l − 2` has finished.
 //! * [`kv`] — [`PagedKvCache`]: block-granular KV-cache allocation per device.
 //!
 //! # Examples
 //!
 //! ```
 //! use moe_hardware::ByteSize;
-//! use moe_memory::{MemoryPool, PagedWeightStore, WeightLayout, BufferSlot};
+//! use moe_memory::{MemoryPool, PagedWeightStore, WeightLayout};
 //!
 //! # fn main() -> Result<(), moe_memory::MemoryError> {
 //! let gpu = MemoryPool::new("gpu", ByteSize::from_gib(16.0));
@@ -24,9 +26,10 @@
 //!     layer_bytes: ByteSize::from_gib(1.4),
 //!     gpu_static_fraction: 0.1,
 //!     pages_per_layer: 8,
+//!     buffer_slots: 3,
 //! };
 //! let mut store = PagedWeightStore::new(layout, gpu, cpu, pinned)?;
-//! let transfers = store.plan_layer_prefetch(0, BufferSlot::A)?;
+//! let transfers = store.plan_layer_prefetch(0)?;
 //! assert_eq!(transfers.len(), 16); // 8 pages × (CPU→pinned, pinned→GPU)
 //! # Ok(())
 //! # }
@@ -45,7 +48,7 @@ pub use error::MemoryError;
 pub use kv::{KvCacheStats, PagedKvCache, SequenceId};
 pub use pages::{PageId, PageLocation, PageTable, WeightPage};
 pub use pool::{AllocationId, MemoryPool};
-pub use weights::{BufferSlot, PageTransfer, PagedWeightStore, WeightLayout};
+pub use weights::{PageTransfer, PagedWeightStore, WeightLayout};
 
 #[cfg(test)]
 mod proptests {
@@ -129,9 +132,10 @@ mod proptests {
                 layer_bytes: ByteSize::from_mib(layer_mib),
                 gpu_static_fraction: fraction,
                 pages_per_layer: pages,
+                buffer_slots: 3,
             };
             let mut store = PagedWeightStore::new(layout, gpu, cpu, pinned).unwrap();
-            let transfers = store.plan_layer_prefetch(0, BufferSlot::A).unwrap();
+            let transfers = store.plan_layer_prefetch(0).unwrap();
             let h2d: u64 = transfers
                 .iter()
                 .filter(|t| t.to == PageLocation::GpuHbm)

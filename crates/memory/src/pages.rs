@@ -28,7 +28,7 @@ pub enum PageLocation {
     CpuDram,
     /// Pinned host memory, staged for an asynchronous PCIe copy.
     PinnedHost,
-    /// GPU HBM (resident in one of the double-buffer slots or statically placed).
+    /// GPU HBM (resident in one of the prefetch buffer slots or statically placed).
     GpuHbm,
 }
 

@@ -1,45 +1,23 @@
-//! The paged weight store: static GPU placement, double-buffered prefetch and the
-//! pinned-memory staging protocol of Appendix A.1 of the paper.
+//! The paged weight store: static GPU placement, a ring of prefetch buffer slots and
+//! the pinned-memory staging protocol of Appendix A.1 of the paper.
 //!
 //! For every layer, a fraction `r_w` of the weights is placed statically in GPU HBM;
 //! the remaining `W_L` bytes live in CPU DRAM and are streamed to the GPU layer by
-//! layer. To let layer `i+1`'s weights arrive while layer `i` is still computing, the
-//! store allocates a **double buffer** of `2 × W_L` bytes in GPU memory and a pinned
-//! staging area on the host; pages move `CPU DRAM → pinned → GPU` with the two hops
-//! overlapped.
+//! layer. To let later layers' weights arrive while layer `l` is still computing, the
+//! store allocates a ring of `buffer_slots × W_L` bytes in GPU memory (layer `l` uses
+//! slot `l % buffer_slots`) and a pinned staging area on the host; pages move
+//! `CPU DRAM → pinned → GPU` with the two hops overlapped.
+//!
+//! The schedule decides how many slots are safe. CGOPipe with two or more
+//! micro-batches issues layer `l`'s first page before layer `l − 2`'s last
+//! post-attention has finished, so the paper's `2 × W_L` double buffer would overwrite
+//! weights still in use; three slots suffice (see
+//! `moe_schedule::cgopipe_weight_buffers`).
 
 use crate::error::MemoryError;
 use crate::pages::{PageId, PageLocation, PageTable};
 use crate::pool::{AllocationId, MemoryPool};
 use moe_hardware::ByteSize;
-
-/// One of the two GPU-side prefetch buffer slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BufferSlot {
-    /// First slot.
-    A,
-    /// Second slot.
-    B,
-}
-
-impl BufferSlot {
-    /// The other slot.
-    pub fn other(self) -> BufferSlot {
-        match self {
-            BufferSlot::A => BufferSlot::B,
-            BufferSlot::B => BufferSlot::A,
-        }
-    }
-
-    /// Slot used for `layer` under the alternating assignment.
-    pub fn for_layer(layer: usize) -> BufferSlot {
-        if layer.is_multiple_of(2) {
-            BufferSlot::A
-        } else {
-            BufferSlot::B
-        }
-    }
-}
 
 /// A planned page transfer (one PCIe hop).
 #[derive(Debug, Clone, PartialEq)]
@@ -65,6 +43,9 @@ pub struct WeightLayout {
     pub gpu_static_fraction: f64,
     /// Number of pages the streamed portion of a layer is split into.
     pub pages_per_layer: usize,
+    /// GPU buffer slots the streamed layers rotate through (layer `l` uses slot
+    /// `l % buffer_slots`).
+    pub buffer_slots: usize,
 }
 
 impl WeightLayout {
@@ -91,6 +72,9 @@ impl WeightLayout {
         if self.pages_per_layer == 0 {
             return Err("layout needs at least one page per layer".to_owned());
         }
+        if self.buffer_slots == 0 {
+            return Err("layout needs at least one buffer slot".to_owned());
+        }
         if !(0.0..=1.0).contains(&self.gpu_static_fraction) {
             return Err(format!(
                 "gpu_static_fraction must be within [0, 1], got {}",
@@ -109,15 +93,15 @@ pub struct PagedWeightStore {
     gpu_pool: MemoryPool,
     cpu_pool: MemoryPool,
     pinned_pool: MemoryPool,
-    /// GPU allocations: static weights + the two prefetch buffer slots.
+    /// GPU allocations: static weights + one per prefetch buffer slot.
     gpu_static_alloc: AllocationId,
-    buffer_allocs: [AllocationId; 2],
+    buffer_allocs: Vec<AllocationId>,
     /// CPU allocation holding the streamed portions of all layers.
     cpu_alloc: AllocationId,
     /// Pinned staging allocation (two pages for copy/copy overlap, Appendix A.1).
     pinned_alloc: AllocationId,
     /// Which layer currently occupies each buffer slot (if any).
-    slot_contents: [Option<usize>; 2],
+    slot_contents: Vec<Option<usize>>,
 }
 
 impl PagedWeightStore {
@@ -144,10 +128,9 @@ impl PagedWeightStore {
         let static_total = layout.static_bytes_per_layer() * layout.num_layers as u64;
         let streamed_per_layer = layout.streamed_bytes_per_layer();
         let gpu_static_alloc = gpu_pool.allocate(static_total)?;
-        let buffer_allocs = [
-            gpu_pool.allocate(streamed_per_layer)?,
-            gpu_pool.allocate(streamed_per_layer)?,
-        ];
+        let buffer_allocs = (0..layout.buffer_slots)
+            .map(|_| gpu_pool.allocate(streamed_per_layer))
+            .collect::<Result<Vec<_>, _>>()?;
         let cpu_alloc = cpu_pool.allocate(streamed_per_layer * layout.num_layers as u64)?;
         let page_bytes = ByteSize::from_bytes(
             streamed_per_layer.as_bytes() / layout.pages_per_layer.max(1) as u64 + 1,
@@ -155,7 +138,6 @@ impl PagedWeightStore {
         let pinned_alloc = pinned_pool.allocate(page_bytes * 2)?;
 
         Ok(PagedWeightStore {
-            layout,
             table,
             gpu_pool,
             cpu_pool,
@@ -164,7 +146,8 @@ impl PagedWeightStore {
             buffer_allocs,
             cpu_alloc,
             pinned_alloc,
-            slot_contents: [None, None],
+            slot_contents: vec![None; layout.buffer_slots],
+            layout,
         })
     }
 
@@ -178,39 +161,35 @@ impl PagedWeightStore {
         &self.table
     }
 
-    /// Bytes of GPU memory held by the store (static weights + both buffer slots).
+    /// Bytes of GPU memory held by the store (static weights + every buffer slot).
     pub fn gpu_resident_bytes(&self) -> ByteSize {
         self.layout.static_bytes_per_layer() * self.layout.num_layers as u64
-            + self.layout.streamed_bytes_per_layer() * 2
+            + self.layout.streamed_bytes_per_layer() * self.layout.buffer_slots as u64
     }
 
-    /// Plans the prefetch of `layer`'s streamed pages into `slot`, marking the slot
-    /// occupied. Returns one CPU→pinned and one pinned→GPU transfer per page, in the
-    /// order they should be issued (interleaved by the scheduler).
+    /// Plans the prefetch of `layer`'s streamed pages into its buffer slot
+    /// (`layer % buffer_slots`), marking the slot occupied. Returns one CPU→pinned
+    /// and one pinned→GPU transfer per page, in page order.
     ///
     /// # Errors
     ///
-    /// Returns an error if the layer is unknown or the slot still holds another
+    /// Returns an error if the layer is unknown or its slot still holds another
     /// layer whose compute has not been released.
-    pub fn plan_layer_prefetch(
-        &mut self,
-        layer: usize,
-        slot: BufferSlot,
-    ) -> Result<Vec<PageTransfer>, MemoryError> {
+    pub fn plan_layer_prefetch(&mut self, layer: usize) -> Result<Vec<PageTransfer>, MemoryError> {
         if layer >= self.layout.num_layers {
             return Err(MemoryError::UnknownLayer { layer });
         }
-        let slot_idx = slot_index(slot);
-        if let Some(occupant) = self.slot_contents[slot_idx] {
+        let slot = layer % self.layout.buffer_slots;
+        if let Some(occupant) = self.slot_contents[slot] {
             if occupant != layer {
                 return Err(MemoryError::InvalidState {
                     message: format!(
-                        "buffer slot {slot:?} still holds layer {occupant}, release it before prefetching layer {layer}"
+                        "buffer slot {slot} still holds layer {occupant}, release it before prefetching layer {layer}"
                     ),
                 });
             }
         }
-        self.slot_contents[slot_idx] = Some(layer);
+        self.slot_contents[slot] = Some(layer);
 
         let mut transfers = Vec::with_capacity(self.layout.pages_per_layer * 2);
         for &page_id in self.table.layer_pages(layer) {
@@ -273,17 +252,18 @@ impl PagedWeightStore {
     ///
     /// # Errors
     ///
-    /// Returns an error if the layer is unknown or does not occupy any slot.
+    /// Returns an error if the layer is unknown or does not occupy its slot.
     pub fn release_layer(&mut self, layer: usize) -> Result<(), MemoryError> {
         if layer >= self.layout.num_layers {
             return Err(MemoryError::UnknownLayer { layer });
         }
-        let Some(slot_idx) = self.slot_contents.iter().position(|&s| s == Some(layer)) else {
+        let slot = layer % self.layout.buffer_slots;
+        if self.slot_contents[slot] != Some(layer) {
             return Err(MemoryError::InvalidState {
                 message: format!("layer {layer} does not occupy a buffer slot"),
             });
-        };
-        self.slot_contents[slot_idx] = None;
+        }
+        self.slot_contents[slot] = None;
         let pages: Vec<PageId> = self.table.layer_pages(layer).to_vec();
         for page_id in pages {
             self.table.set_location(page_id, PageLocation::CpuDram);
@@ -307,13 +287,6 @@ impl PagedWeightStore {
     }
 }
 
-fn slot_index(slot: BufferSlot) -> usize {
-    match slot {
-        BufferSlot::A => 0,
-        BufferSlot::B => 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,6 +305,7 @@ mod tests {
             layer_bytes: ByteSize::from_mib(1024.0),
             gpu_static_fraction: 0.25,
             pages_per_layer: 8,
+            buffer_slots: 3,
         }
     }
 
@@ -356,6 +330,11 @@ mod tests {
             ..layout()
         };
         assert!(bad.validate().is_err());
+        let bad = WeightLayout {
+            buffer_slots: 0,
+            ..layout()
+        };
+        assert!(bad.validate().is_err());
     }
 
     #[test]
@@ -363,9 +342,9 @@ mod tests {
         let (gpu, cpu, pinned) = pools();
         let store =
             PagedWeightStore::new(layout(), gpu.clone(), cpu.clone(), pinned.clone()).unwrap();
-        // GPU: 4 layers × 256 MiB static + 2 × 768 MiB buffer = 2560 MiB.
-        assert_eq!(gpu.used(), ByteSize::from_mib(2560.0));
-        assert_eq!(store.gpu_resident_bytes(), ByteSize::from_mib(2560.0));
+        // GPU: 4 layers × 256 MiB static + 3 × 768 MiB buffer slots = 3328 MiB.
+        assert_eq!(gpu.used(), ByteSize::from_mib(3328.0));
+        assert_eq!(store.gpu_resident_bytes(), ByteSize::from_mib(3328.0));
         // CPU: 4 × 768 MiB streamed.
         assert_eq!(cpu.used(), ByteSize::from_mib(3072.0));
         assert!(pinned.used() > ByteSize::ZERO);
@@ -385,7 +364,7 @@ mod tests {
     fn prefetch_produces_two_hops_per_page_and_layer_becomes_ready() {
         let (gpu, cpu, pinned) = pools();
         let mut store = PagedWeightStore::new(layout(), gpu, cpu, pinned).unwrap();
-        let transfers = store.plan_layer_prefetch(0, BufferSlot::A).unwrap();
+        let transfers = store.plan_layer_prefetch(0).unwrap();
         assert_eq!(transfers.len(), 16, "8 pages × 2 hops");
         assert!(!store.layer_ready(0));
         for t in &transfers {
@@ -402,23 +381,27 @@ mod tests {
     }
 
     #[test]
-    fn double_buffer_allows_two_layers_then_requires_release() {
+    fn ring_holds_three_layers_then_requires_release() {
         let (gpu, cpu, pinned) = pools();
         let mut store = PagedWeightStore::new(layout(), gpu, cpu, pinned).unwrap();
-        store.plan_layer_prefetch(0, BufferSlot::A).unwrap();
-        store.plan_layer_prefetch(1, BufferSlot::B).unwrap();
-        // Slot A still holds layer 0 — prefetching layer 2 into it must fail.
-        let err = store.plan_layer_prefetch(2, BufferSlot::A).unwrap_err();
+        for layer in 0..3 {
+            store.plan_layer_prefetch(layer).unwrap();
+        }
+        // Layer 3 maps to layer 0's slot: prefetching it errors until layer 0 is
+        // released, and releasing a layer that holds no slot is a protocol error.
+        let err = store.plan_layer_prefetch(3).unwrap_err();
         assert!(matches!(err, MemoryError::InvalidState { .. }));
+        assert!(store.release_layer(3).is_err());
         store.release_layer(0).unwrap();
-        store.plan_layer_prefetch(2, BufferSlot::A).unwrap();
+        store.plan_layer_prefetch(3).unwrap();
+        assert!(store.release_layer(0).is_err());
     }
 
     #[test]
     fn release_resets_page_locations() {
         let (gpu, cpu, pinned) = pools();
         let mut store = PagedWeightStore::new(layout(), gpu, cpu, pinned).unwrap();
-        let transfers = store.plan_layer_prefetch(0, BufferSlot::A).unwrap();
+        let transfers = store.plan_layer_prefetch(0).unwrap();
         for t in &transfers {
             store.complete_transfer(t).unwrap();
         }
@@ -435,7 +418,7 @@ mod tests {
     fn complete_transfer_validates_protocol_order() {
         let (gpu, cpu, pinned) = pools();
         let mut store = PagedWeightStore::new(layout(), gpu, cpu, pinned).unwrap();
-        let transfers = store.plan_layer_prefetch(0, BufferSlot::A).unwrap();
+        let transfers = store.plan_layer_prefetch(0).unwrap();
         // Completing the pinned→GPU hop before the CPU→pinned hop is invalid.
         let second_hop = transfers[1].clone();
         assert!(store.complete_transfer(&second_hop).is_err());
@@ -448,18 +431,9 @@ mod tests {
         let (gpu, cpu, pinned) = pools();
         let mut store = PagedWeightStore::new(layout(), gpu, cpu, pinned).unwrap();
         assert!(matches!(
-            store.plan_layer_prefetch(10, BufferSlot::A),
+            store.plan_layer_prefetch(10),
             Err(MemoryError::UnknownLayer { layer: 10 })
         ));
-    }
-
-    #[test]
-    fn buffer_slot_helpers_alternate() {
-        assert_eq!(BufferSlot::A.other(), BufferSlot::B);
-        assert_eq!(BufferSlot::B.other(), BufferSlot::A);
-        assert_eq!(BufferSlot::for_layer(0), BufferSlot::A);
-        assert_eq!(BufferSlot::for_layer(1), BufferSlot::B);
-        assert_eq!(BufferSlot::for_layer(2), BufferSlot::A);
     }
 
     #[test]
@@ -470,7 +444,7 @@ mod tests {
             ..layout()
         };
         let mut store = PagedWeightStore::new(l, gpu, cpu, pinned).unwrap();
-        let transfers = store.plan_layer_prefetch(0, BufferSlot::A).unwrap();
+        let transfers = store.plan_layer_prefetch(0).unwrap();
         assert!(transfers.is_empty());
         assert!(store.layer_ready(0));
     }

@@ -451,9 +451,18 @@ impl ReferenceMoeModel {
         for layer_idx in 0..self.layers.len() {
             hidden = self.forward_layer_decode(layer_idx, &hidden, cache)?;
         }
-        let h = Tensor::from_vec(&[1, hidden.len()], hidden)?;
+        self.lm_head(&hidden)
+    }
+
+    /// Logits for the last layer's hidden state: the final RMSNorm, then the
+    /// weight-tied LM head (`logits = embedding · h`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor shape errors.
+    pub fn lm_head(&self, hidden: &[f32]) -> Result<Vec<f32>, TensorError> {
+        let h = Tensor::from_vec(&[1, hidden.len()], hidden.to_vec())?;
         let h_norm = rms_norm(&h, &self.final_norm, 1e-6)?;
-        // Weight-tied LM head: logits = embedding · h.
         matvec(&self.embedding, h_norm.row(0)?)
     }
 

@@ -1,22 +1,32 @@
 //! A functional, pipelined offloading engine for the tiny reference MoE model.
 //!
-//! This is the executable counterpart of CGOPipe: real (small) tensors flow through
-//! the same task structure the paper describes — GPU pre-attention, QKV offload,
-//! CPU attention over the KV cache, hidden-state upload, GPU post-attention, with
-//! paged weight prefetch double-buffered two layers ahead — driven by the
-//! multi-threaded [`OffloadExecutor`]. Its output is checked against the purely
-//! sequential [`ReferenceMoeModel`] forward pass, which validates that the pipeline's
-//! dependency structure is correct (no stale hidden states, no missing weights, no
-//! KV-cache races).
+//! This is the executable counterpart of CGOPipe. [`PipelinedMoeEngine::generate`]
+//! builds one decode step's task graph with [`DecodeScheduleBuilder`] — the graph the
+//! simulator times, with one weight page per micro-batch and pre-attention launched
+//! two micro-batches ahead — and plays it on the [`OffloadExecutor`] once per decode
+//! pass. Each task runs the kernel for its [`TaskKind`] on its (layer, micro-batch):
+//! real (small) tensors flow through GPU pre-attention, QKV offload, CPU attention
+//! over the KV cache, hidden-state upload and GPU post-attention, while weight pages
+//! stream into a ring of GPU buffer slots. The ring has three slots once there are two
+//! micro-batches, because the graph starts a layer's pages before the layer two back
+//! has finished. Each micro-batch owns its state, so the CPU and GPU lanes overlap.
+//! The output is checked against the sequential [`ReferenceMoeModel`] forward pass,
+//! which validates the graph's dependency structure (no stale hidden states, no
+//! missing weights, no KV-cache races).
 
-use crate::executor::{JobId, LaneId, OffloadExecutor};
-use moe_hardware::ByteSize;
+use crate::executor::OffloadExecutor;
+use moe_hardware::{ByteSize, NodeSpec};
 use moe_memory::{
-    BufferSlot, MemoryPool, PagedKvCache, PagedWeightStore, SequenceId, WeightLayout,
+    MemoryError, MemoryPool, PageLocation, PageTransfer, PagedKvCache, PagedWeightStore,
+    SequenceId, WeightLayout,
 };
-use moe_model::reference::{argmax, ReferenceMoeModel, SequenceCache};
+use moe_model::reference::{argmax, QkvVectors, ReferenceMoeModel, SequenceCache};
 use moe_model::MoeModelConfig;
+use moe_policy::{CostModel, Policy, WorkloadShape};
+use moe_schedule::{cgopipe_weight_buffers, DecodeScheduleBuilder, ScheduleKind};
+use moe_sim::{Task, TaskKind};
 use parking_lot::Mutex;
+use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -60,8 +70,8 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-impl From<moe_memory::MemoryError> for RuntimeError {
-    fn from(e: moe_memory::MemoryError) -> Self {
+impl From<MemoryError> for RuntimeError {
+    fn from(e: MemoryError) -> Self {
         RuntimeError::Memory {
             message: e.to_string(),
         }
@@ -73,8 +83,6 @@ impl From<moe_memory::MemoryError> for RuntimeError {
 pub struct EngineConfig {
     /// Number of sequences processed per micro-batch.
     pub micro_batch_size: usize,
-    /// Number of pages each layer's streamed weights are split into.
-    pub weight_pages_per_layer: usize,
     /// Fraction of weights held statically in the simulated GPU pool.
     pub weights_gpu_ratio: f64,
     /// Simulated GPU memory capacity.
@@ -87,7 +95,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             micro_batch_size: 2,
-            weight_pages_per_layer: 4,
             weights_gpu_ratio: 0.0,
             gpu_memory: ByteSize::from_mib(64.0),
             cpu_memory: ByteSize::from_mib(512.0),
@@ -104,7 +111,8 @@ pub struct GenerationOutput {
     pub h2d_bytes: ByteSize,
     /// Bytes moved device→host (QKV offloads).
     pub d2h_bytes: ByteSize,
-    /// Total pipeline jobs executed.
+    /// Pipeline jobs executed: the decode-step graph's task count times the
+    /// decode passes.
     pub jobs_executed: u64,
     /// Peak simulated GPU pool usage.
     pub gpu_peak: ByteSize,
@@ -117,11 +125,149 @@ pub struct PipelinedMoeEngine {
     config: EngineConfig,
 }
 
-struct StepState {
+/// What one micro-batch owns: its sequences' KV caches for the whole run and the
+/// activations of the decode pass in flight. The graph orders every task of a
+/// micro-batch after the previous one, so its lock is never contended.
+#[derive(Default)]
+struct MicroBatch {
+    caches: Vec<SequenceCache>,
     hidden: Vec<Vec<f32>>,
-    qkv: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)>,
+    qkv: Vec<QkvVectors>,
     attn: Vec<Vec<f32>>,
     logits: Vec<Vec<f32>>,
+}
+
+/// The weight store plus the planned, not yet completed page hops of the layer
+/// being streamed; each of its page tasks completes one page.
+struct Weights {
+    store: PagedWeightStore,
+    pending: Vec<PageTransfer>,
+}
+
+impl Weights {
+    /// Completes the hops of `layer`'s page `page` (every page when `None`), first
+    /// planning the layer's prefetch into its buffer slot if this is its first page.
+    /// Returns the bytes that reached the GPU.
+    fn stream(&mut self, layer: usize, page: Option<usize>) -> Result<u64, MemoryError> {
+        if page.unwrap_or(0) == 0 {
+            self.pending = self.store.plan_layer_prefetch(layer)?;
+        }
+        let page = page.map(|j| self.store.page_table().layer_pages(layer)[j]);
+        let mut bytes = 0;
+        for hop in self
+            .pending
+            .extract_if(.., |hop| page.is_none_or(|p| hop.page == p))
+        {
+            self.store.complete_transfer(&hop)?;
+            if hop.to == PageLocation::GpuHbm {
+                bytes += hop.bytes.as_bytes();
+            }
+        }
+        Ok(bytes)
+    }
+}
+
+/// The state the kernels of one generation run share.
+struct Kernels {
+    model: Arc<ReferenceMoeModel>,
+    weights: Mutex<Weights>,
+    /// Whether layers stream any bytes (with none, no layer takes a buffer slot).
+    streamed: bool,
+    micro_batches: Vec<Mutex<MicroBatch>>,
+    h2d_bytes: AtomicU64,
+    d2h_bytes: AtomicU64,
+    errors: Mutex<Vec<String>>,
+}
+
+impl Kernels {
+    /// Runs `task`'s kernel, recording a failure under the task's label.
+    fn run(&self, task: &Task) {
+        if let Err(e) = self.kernel(task) {
+            self.errors.lock().push(format!("{}: {e}", task.label));
+        }
+    }
+
+    fn kernel(&self, task: &Task) -> Result<(), Box<dyn Error>> {
+        let (layer, index) = match *task.label.indices() {
+            [layer] => (layer as usize, None),
+            [layer, j] => (layer as usize, Some(j as usize)),
+            _ => return Err("the task label carries no layer".into()),
+        };
+        if task.kind == TaskKind::WeightTransfer {
+            // `W(l)` streams a whole layer, `Wp(l,j)` its page `j`.
+            let bytes = self.weights.lock().stream(layer, index)?;
+            self.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
+            return Ok(());
+        }
+        let j = index.ok_or("the task label carries no micro-batch")?;
+        let cfg = self.model.config();
+        let weights = &self.model.layers[layer];
+        let mb = &mut *self.micro_batches[j].lock();
+        let seqs = mb.hidden.len() as u64;
+        match task.kind {
+            TaskKind::PreAttention => {
+                self.check_resident(layer)?;
+                mb.qkv = mb
+                    .hidden
+                    .iter()
+                    .map(|h| weights.pre_attention(h))
+                    .collect::<Result<_, _>>()?;
+            }
+            TaskKind::QkvOffload => {
+                let bytes = cfg.qkv_bytes(seqs).as_bytes();
+                self.d2h_bytes.fetch_add(bytes, Ordering::Relaxed);
+            }
+            TaskKind::Attention => {
+                let (heads, head_dim) = (cfg.num_q_heads as usize, cfg.head_dim as usize);
+                mb.attn = mb
+                    .caches
+                    .iter_mut()
+                    .zip(&mb.qkv)
+                    .map(|(cache, (q, k, v))| {
+                        let kv = cache.layer_mut(layer);
+                        weights.attention_with_cache(kv, q, k, v, heads, head_dim)
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
+            TaskKind::HiddenTransfer => {
+                let bytes = cfg.hidden_state_bytes(seqs).as_bytes();
+                self.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
+            }
+            TaskKind::PostAttention => {
+                self.check_resident(layer)?;
+                mb.hidden = mb
+                    .hidden
+                    .iter()
+                    .zip(&mb.attn)
+                    .map(|(h, attn)| weights.post_attention(h, attn, cfg.top_k as usize))
+                    .collect::<Result<_, _>>()?;
+                if layer + 1 == self.model.layers.len() {
+                    mb.logits = mb
+                        .hidden
+                        .iter()
+                        .map(|h| self.model.lm_head(h))
+                        .collect::<Result<_, _>>()?;
+                }
+                // The layer's last post-attention frees its buffer slot.
+                if self.streamed && j + 1 == self.micro_batches.len() {
+                    self.weights.lock().store.release_layer(layer)?;
+                }
+            }
+            kind => return Err(format!("no kernel for {kind} tasks").into()),
+        }
+        Ok(())
+    }
+
+    /// Fails unless every streamed page of `layer` is resident on the GPU.
+    fn check_resident(&self, layer: usize) -> Result<(), String> {
+        if self.weights.lock().store.layer_ready(layer) {
+            Ok(())
+        } else {
+            Err(format!(
+                "layer {layer}'s weights are not resident on the GPU"
+            ))
+        }
+    }
 }
 
 impl PipelinedMoeEngine {
@@ -134,11 +280,6 @@ impl PipelinedMoeEngine {
         if config.micro_batch_size == 0 {
             return Err(RuntimeError::InvalidInput {
                 message: "micro_batch_size must be at least 1".to_owned(),
-            });
-        }
-        if config.weight_pages_per_layer == 0 {
-            return Err(RuntimeError::InvalidInput {
-                message: "weight_pages_per_layer must be at least 1".to_owned(),
             });
         }
         if !(0.0..=1.0).contains(&config.weights_gpu_ratio) {
@@ -160,13 +301,13 @@ impl PipelinedMoeEngine {
         self.model.config()
     }
 
-    /// Generates `gen_len` tokens greedily for every prompt, running the decode stage
-    /// through the CGOPipe-style pipeline.
+    /// Generates `gen_len` tokens greedily for every prompt, running each decode
+    /// pass as one play of the CGOPipe decode-step graph.
     ///
     /// # Errors
     ///
     /// Returns an error for empty/invalid prompts, memory protocol violations, or
-    /// failed pipeline tasks.
+    /// failed (or panicked) pipeline tasks.
     pub fn generate(
         &self,
         prompts: &[Vec<u32>],
@@ -192,7 +333,31 @@ impl PipelinedMoeEngine {
             });
         }
 
-        // --- memory substrate -------------------------------------------------------
+        // --- the decode-step graph: CGOPipe over this batch's micro-batches ----------
+        // The T4 prices its tasks, but jobs take as long as their kernels.
+        let num_seqs = prompts.len();
+        let mu = self.config.micro_batch_size;
+        let chunk_sizes: Vec<u64> = prompts.chunks(mu).map(|c| c.len() as u64).collect();
+        let n_ub = chunk_sizes.len();
+        let cost = CostModel::new(NodeSpec::t4_single(), cfg.clone());
+        let policy = Policy {
+            weights_gpu_ratio: self.config.weights_gpu_ratio,
+            ..Policy::offload_default(num_seqs as u64, mu as u64)
+        };
+        let max_prompt = prompts.iter().map(Vec::len).max().unwrap_or(1) as u64;
+        let graph = DecodeScheduleBuilder::new(
+            &cost,
+            policy,
+            WorkloadShape::new(max_prompt, gen_len as u64),
+        )
+        .with_layers(cfg.num_layers)
+        .with_micro_batch_tokens(&chunk_sizes)
+        .build(ScheduleKind::CgoPipe)
+        .map_err(|e| RuntimeError::TaskFailed {
+            messages: vec![e.to_string()],
+        })?;
+
+        // --- memory substrate: one weight page per micro-batch, as in the graph ------
         let gpu_pool = MemoryPool::new("sim-gpu", self.config.gpu_memory);
         let cpu_pool = MemoryPool::new("sim-cpu", self.config.cpu_memory);
         let pinned_pool = MemoryPool::new("sim-pinned", self.config.cpu_memory);
@@ -200,19 +365,15 @@ impl PipelinedMoeEngine {
             num_layers: cfg.num_layers as usize,
             layer_bytes: cfg.layer_weight_bytes(),
             gpu_static_fraction: self.config.weights_gpu_ratio,
-            pages_per_layer: self.config.weight_pages_per_layer,
+            pages_per_layer: n_ub,
+            buffer_slots: cgopipe_weight_buffers(n_ub),
         };
-        let weight_store = Arc::new(Mutex::new(PagedWeightStore::new(
-            layout,
-            gpu_pool.clone(),
-            cpu_pool.clone(),
-            pinned_pool,
-        )?));
-        let mut kv_accounting = PagedKvCache::new(cpu_pool.clone(), 16, cfg.kv_bytes_per_token());
+        let store = PagedWeightStore::new(layout, gpu_pool.clone(), cpu_pool.clone(), pinned_pool)?;
+        let streamed = !store.layout().streamed_bytes_per_layer().is_zero();
+        let mut kv_accounting = PagedKvCache::new(cpu_pool, 16, cfg.kv_bytes_per_token());
 
         // --- prefill (sequential, as in the paper prefill is not pipelined further) --
-        let num_seqs = prompts.len();
-        let mut caches: Vec<SequenceCache> = Vec::with_capacity(num_seqs);
+        let mut caches = Vec::with_capacity(num_seqs);
         let mut last_logits: Vec<Vec<f32>> = Vec::with_capacity(num_seqs);
         for (s, prompt) in prompts.iter().enumerate() {
             let mut cache = SequenceCache::new(&cfg);
@@ -228,25 +389,36 @@ impl PipelinedMoeEngine {
             caches.push(cache);
             last_logits.push(logits);
         }
-
-        // --- pipelined decode --------------------------------------------------------
-        let executor = OffloadExecutor::new();
-        let h2d_bytes = Arc::new(AtomicU64::new(0));
-        let d2h_bytes = Arc::new(AtomicU64::new(0));
-        let errors: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let caches = Arc::new(Mutex::new(caches));
-        // Which layer currently occupies each of the two GPU prefetch buffer slots;
-        // persists across decode steps (the tail layers of step t are evicted by the
-        // head layers of step t+1, exactly like the steady-state of Algorithm 1).
-        let slot_occupancy: Arc<Mutex<[Option<usize>; 2]>> = Arc::new(Mutex::new([None, None]));
-
-        let mut outputs: Vec<Vec<u32>> = vec![Vec::with_capacity(gen_len); num_seqs];
-        let micro_batches: Vec<Vec<usize>> = (0..num_seqs)
-            .collect::<Vec<_>>()
-            .chunks(self.config.micro_batch_size)
-            .map(<[usize]>::to_vec)
+        let mut caches = caches.into_iter();
+        let micro_batches = chunk_sizes
+            .iter()
+            .map(|&n| {
+                Mutex::new(MicroBatch {
+                    caches: caches.by_ref().take(n as usize).collect(),
+                    ..MicroBatch::default()
+                })
+            })
             .collect();
 
+        // --- pipelined decode: one play of the graph per pass -----------------------
+        let kernels = Arc::new(Kernels {
+            model: Arc::clone(&self.model),
+            weights: Mutex::new(Weights {
+                store,
+                pending: Vec::new(),
+            }),
+            streamed,
+            micro_batches,
+            h2d_bytes: AtomicU64::new(0),
+            d2h_bytes: AtomicU64::new(0),
+            errors: Mutex::new(Vec::new()),
+        });
+        let run = {
+            let kernels = Arc::clone(&kernels);
+            Arc::new(move |task: &Task| kernels.run(task))
+        };
+        let executor = OffloadExecutor::new();
+        let mut outputs: Vec<Vec<u32>> = vec![Vec::with_capacity(gen_len); num_seqs];
         for step in 0..gen_len {
             // Greedy next token from the previous logits.
             let next_tokens: Vec<u32> = last_logits.iter().map(|l| argmax(l)).collect();
@@ -258,222 +430,36 @@ impl PipelinedMoeEngine {
                 break; // no need to run another forward pass for logits we discard
             }
 
-            let state = Arc::new(Mutex::new(StepState {
-                hidden: next_tokens
-                    .iter()
+            let mut next = next_tokens.iter();
+            for mb in &kernels.micro_batches {
+                let mb = &mut *mb.lock();
+                mb.hidden = next
+                    .by_ref()
+                    .take(mb.caches.len())
                     .map(|&t| self.model.embed(t).expect("token validated against vocab"))
-                    .collect(),
-                qkv: vec![(Vec::new(), Vec::new(), Vec::new()); num_seqs],
-                attn: vec![Vec::new(); num_seqs],
-                logits: vec![Vec::new(); num_seqs],
-            }));
-
-            self.submit_decode_step(
-                &executor,
-                &state,
-                &caches,
-                &micro_batches,
-                &weight_store,
-                &slot_occupancy,
-                &h2d_bytes,
-                &d2h_bytes,
-                &errors,
-            );
-            executor.wait_all();
-
-            let failures = std::mem::take(&mut *errors.lock());
+                    .collect();
+            }
+            executor.play(&graph, &run);
+            let panics = executor.wait_all().err().unwrap_or_default();
+            let mut failures = std::mem::take(&mut *kernels.errors.lock());
+            failures.extend(panics);
             if !failures.is_empty() {
                 return Err(RuntimeError::TaskFailed { messages: failures });
             }
-            last_logits = std::mem::take(&mut state.lock().logits);
+            last_logits = kernels
+                .micro_batches
+                .iter()
+                .flat_map(|mb| std::mem::take(&mut mb.lock().logits))
+                .collect();
         }
 
-        let jobs = executor.submitted();
-        executor.shutdown();
         Ok(GenerationOutput {
             tokens: outputs,
-            h2d_bytes: ByteSize::from_bytes(h2d_bytes.load(Ordering::SeqCst)),
-            d2h_bytes: ByteSize::from_bytes(d2h_bytes.load(Ordering::SeqCst)),
-            jobs_executed: jobs,
+            h2d_bytes: ByteSize::from_bytes(kernels.h2d_bytes.load(Ordering::SeqCst)),
+            d2h_bytes: ByteSize::from_bytes(kernels.d2h_bytes.load(Ordering::SeqCst)),
+            jobs_executed: executor.submitted(),
             gpu_peak: gpu_pool.peak(),
         })
-    }
-
-    /// Submits all jobs of one decode step (all layers, all micro-batches) plus the
-    /// final-norm/logits job, following the CGOPipe task structure.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_decode_step(
-        &self,
-        executor: &OffloadExecutor,
-        state: &Arc<Mutex<StepState>>,
-        caches: &Arc<Mutex<Vec<SequenceCache>>>,
-        micro_batches: &[Vec<usize>],
-        weight_store: &Arc<Mutex<PagedWeightStore>>,
-        slot_occupancy: &Arc<Mutex<[Option<usize>; 2]>>,
-        h2d_bytes: &Arc<AtomicU64>,
-        d2h_bytes: &Arc<AtomicU64>,
-        errors: &Arc<Mutex<Vec<String>>>,
-    ) {
-        let cfg = self.model.config().clone();
-        let num_layers = cfg.num_layers as usize;
-        let nq = cfg.num_q_heads as usize;
-        let hd = cfg.head_dim as usize;
-        let top_k = cfg.top_k as usize;
-        let qkv_bytes_per_seq = cfg.qkv_bytes(1).as_bytes();
-        let hidden_bytes_per_seq = cfg.hidden_state_bytes(1).as_bytes();
-
-        // Last post-attention job of each layer (double-buffer release dependency).
-        let mut last_post_of_layer: Vec<Option<JobId>> = vec![None; num_layers];
-        // Per-micro-batch post-attention job of the previous layer.
-        let mut prev_post: Vec<Option<JobId>> = vec![None; micro_batches.len()];
-
-        for layer_idx in 0..num_layers {
-            // Weight prefetch job: release the layer that used this slot two layers
-            // ago, then stream this layer's pages through pinned memory.
-            let release_dep: Vec<JobId> = if layer_idx >= 2 {
-                last_post_of_layer[layer_idx - 2].into_iter().collect()
-            } else {
-                Vec::new()
-            };
-            let store = Arc::clone(weight_store);
-            let occupancy = Arc::clone(slot_occupancy);
-            let bytes_counter = Arc::clone(h2d_bytes);
-            let errs = Arc::clone(errors);
-            let weights_job = executor.submit(LaneId::HostToDevice, &release_dep, move || {
-                let mut store = store.lock();
-                let slot = BufferSlot::for_layer(layer_idx);
-                let slot_idx = usize::from(slot == BufferSlot::B);
-                let mut occupancy = occupancy.lock();
-                if let Some(occupant) = occupancy[slot_idx] {
-                    if occupant != layer_idx {
-                        if let Err(e) = store.release_layer(occupant) {
-                            errs.lock().push(format!("release layer {occupant}: {e}"));
-                            return;
-                        }
-                    }
-                }
-                occupancy[slot_idx] = Some(layer_idx);
-                match store.plan_layer_prefetch(layer_idx, BufferSlot::for_layer(layer_idx)) {
-                    Ok(transfers) => {
-                        for t in transfers {
-                            // Simulate the copy: touch a buffer of the page size.
-                            let _staging = vec![0u8; (t.bytes.as_bytes() as usize).min(1 << 20)];
-                            if t.to == moe_memory::PageLocation::GpuHbm {
-                                bytes_counter.fetch_add(t.bytes.as_bytes(), Ordering::Relaxed);
-                            }
-                            if let Err(e) = store.complete_transfer(&t) {
-                                errs.lock().push(format!("complete transfer: {e}"));
-                                return;
-                            }
-                        }
-                    }
-                    Err(e) => errs.lock().push(format!("prefetch layer {layer_idx}: {e}")),
-                }
-            });
-
-            for (mb_idx, members) in micro_batches.iter().enumerate() {
-                // GPU pre-attention.
-                let mut deps: Vec<JobId> = vec![weights_job];
-                if let Some(p) = prev_post[mb_idx] {
-                    deps.push(p);
-                }
-                let model = Arc::clone(&self.model);
-                let st = Arc::clone(state);
-                let errs = Arc::clone(errors);
-                let mb = members.clone();
-                let pre_job = executor.submit(LaneId::Gpu, &deps, move || {
-                    let mut st = st.lock();
-                    for &s in &mb {
-                        let hidden = st.hidden[s].clone();
-                        match model.layers[layer_idx].pre_attention(&hidden) {
-                            Ok(qkv) => st.qkv[s] = qkv,
-                            Err(e) => errs
-                                .lock()
-                                .push(format!("pre-attention({layer_idx},{s}): {e}")),
-                        }
-                    }
-                });
-
-                // QKV offload to host.
-                let counter = Arc::clone(d2h_bytes);
-                let mb_len = members.len() as u64;
-                let qkv_job = executor.submit(LaneId::DeviceToHost, &[pre_job], move || {
-                    counter.fetch_add(qkv_bytes_per_seq * mb_len, Ordering::Relaxed);
-                });
-
-                // CPU attention over the KV cache.
-                let model = Arc::clone(&self.model);
-                let st = Arc::clone(state);
-                let cc = Arc::clone(caches);
-                let errs = Arc::clone(errors);
-                let mb = members.clone();
-                let attn_job = executor.submit(LaneId::Cpu, &[qkv_job], move || {
-                    let mut st = st.lock();
-                    let mut caches = cc.lock();
-                    for &s in &mb {
-                        let (q, k, v) = st.qkv[s].clone();
-                        let result = model.layers[layer_idx].attention_with_cache(
-                            caches[s].layer_mut(layer_idx),
-                            &q,
-                            &k,
-                            &v,
-                            nq,
-                            hd,
-                        );
-                        match result {
-                            Ok(out) => st.attn[s] = out,
-                            Err(e) => errs.lock().push(format!("attention({layer_idx},{s}): {e}")),
-                        }
-                    }
-                });
-
-                // Hidden-state upload back to the GPU.
-                let counter = Arc::clone(h2d_bytes);
-                let hidden_job = executor.submit(LaneId::HostToDevice, &[attn_job], move || {
-                    counter.fetch_add(hidden_bytes_per_seq * mb_len, Ordering::Relaxed);
-                });
-
-                // GPU post-attention (O projection, router, experts, residuals).
-                let model = Arc::clone(&self.model);
-                let st = Arc::clone(state);
-                let errs = Arc::clone(errors);
-                let mb = members.clone();
-                let is_last_layer = layer_idx + 1 == num_layers;
-                let final_norm = self.model.final_norm.clone();
-                let post_job = executor.submit(LaneId::Gpu, &[hidden_job], move || {
-                    let mut st = st.lock();
-                    for &s in &mb {
-                        let hidden = st.hidden[s].clone();
-                        let attn = st.attn[s].clone();
-                        match model.layers[layer_idx].post_attention(&hidden, &attn, top_k) {
-                            Ok(new_hidden) => {
-                                if is_last_layer {
-                                    // Final RMSNorm + weight-tied LM head.
-                                    let logits = moe_tensor::Tensor::from_vec(
-                                        &[1, new_hidden.len()],
-                                        new_hidden.clone(),
-                                    )
-                                    .and_then(|h| moe_tensor::ops::rms_norm(&h, &final_norm, 1e-6))
-                                    .and_then(|h| {
-                                        moe_tensor::ops::matvec(&model.embedding, h.row(0)?)
-                                    });
-                                    match logits {
-                                        Ok(l) => st.logits[s] = l,
-                                        Err(e) => errs.lock().push(format!("lm-head({s}): {e}")),
-                                    }
-                                }
-                                st.hidden[s] = new_hidden;
-                            }
-                            Err(e) => errs
-                                .lock()
-                                .push(format!("post-attention({layer_idx},{s}): {e}")),
-                        }
-                    }
-                });
-                prev_post[mb_idx] = Some(post_job);
-                last_post_of_layer[layer_idx] = Some(post_job);
-            }
-        }
     }
 }
 
@@ -527,6 +513,43 @@ mod tests {
         assert!(out.d2h_bytes > ByteSize::ZERO);
         assert!(out.jobs_executed > 0);
         assert!(out.gpu_peak > ByteSize::ZERO);
+    }
+
+    #[test]
+    fn every_decode_pass_plays_the_cgopipe_graph_once() {
+        // Per pass, the tiny model's 4-layer CGOPipe graph holds 5 tasks per
+        // (layer, micro-batch), plus with streamed weights the prologue W(0) and
+        // one page per micro-batch for layers 1-3.
+        let prompts: Vec<Vec<u32>> = (0..5).map(|s| vec![s + 1, 2]).collect();
+        for micro_batch_size in 1..=3 {
+            let n_ub = 5u64.div_ceil(micro_batch_size as u64);
+            for (weights_gpu_ratio, per_pass) in [(0.0, 1 + 23 * n_ub), (1.0, 20 * n_ub)] {
+                let out = tiny_engine(EngineConfig {
+                    micro_batch_size,
+                    weights_gpu_ratio,
+                    ..EngineConfig::default()
+                })
+                .generate(&prompts, 4)
+                .unwrap();
+                assert_eq!(
+                    out.jobs_executed,
+                    3 * per_pass,
+                    "n_ub {n_ub}, r_w {weights_gpu_ratio}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn weight_ring_has_three_slots_once_there_are_two_micro_batches() {
+        let layer = MoeModelConfig::tiny().layer_weight_bytes();
+        for (prompts, slots) in [(2u32, 2u64), (3, 3), (6, 3)] {
+            let prompts: Vec<Vec<u32>> = (0..prompts).map(|s| vec![s + 1]).collect();
+            let out = tiny_engine(EngineConfig::default())
+                .generate(&prompts, 3)
+                .unwrap();
+            assert_eq!(out.gpu_peak, layer * slots, "{} prompts", prompts.len());
+        }
     }
 
     #[test]
@@ -592,14 +615,6 @@ mod tests {
             model.clone(),
             EngineConfig {
                 micro_batch_size: 0,
-                ..EngineConfig::default()
-            }
-        )
-        .is_err());
-        assert!(PipelinedMoeEngine::new(
-            model.clone(),
-            EngineConfig {
-                weight_pages_per_layer: 0,
                 ..EngineConfig::default()
             }
         )

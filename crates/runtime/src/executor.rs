@@ -1,67 +1,27 @@
 //! A small multi-threaded offloading executor with CUDA-stream-like semantics.
 //!
-//! Four worker threads model the four lanes of the paper's pipeline — GPU compute,
-//! CPU compute, host→device copies and device→host copies. Jobs submitted to a lane
-//! execute strictly in submission order (FIFO), and a job may additionally declare
-//! dependencies on jobs from other lanes; the worker blocks until those have
-//! completed. This is exactly the execution model the CGOPipe task launcher relies
-//! on (Algorithm 1: "all the tasks are executed asynchronously, and necessary
+//! Four worker threads model the four lanes of the paper's pipeline — the
+//! [`moe_sim::Lane`]s GPU compute, CPU compute, host→device and device→host copies.
+//! Jobs submitted to a lane execute strictly in submission order (FIFO), and a job
+//! may additionally declare dependencies on jobs from other lanes; the worker blocks
+//! until those have completed. This is exactly the execution model the simulator
+//! gives a [`TaskGraph`], so [`OffloadExecutor::play`] runs a schedule's graph as is
+//! (Algorithm 1: "all the tasks are executed asynchronously, and necessary
 //! synchronization primitives are added to each task").
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use moe_sim::{Lane, Task, TaskGraph};
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
 use std::collections::HashSet;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// The lane a job executes on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LaneId {
-    /// Simulated GPU compute stream.
-    Gpu,
-    /// Simulated CPU compute pool.
-    Cpu,
-    /// Host-to-device copy engine.
-    HostToDevice,
-    /// Device-to-host copy engine.
-    DeviceToHost,
-}
-
-impl LaneId {
-    /// All lanes.
-    pub fn all() -> [LaneId; 4] {
-        [
-            LaneId::Gpu,
-            LaneId::Cpu,
-            LaneId::HostToDevice,
-            LaneId::DeviceToHost,
-        ]
-    }
-}
-
-impl fmt::Display for LaneId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            LaneId::Gpu => "gpu",
-            LaneId::Cpu => "cpu",
-            LaneId::HostToDevice => "h2d",
-            LaneId::DeviceToHost => "d2h",
-        };
-        f.write_str(s)
-    }
-}
 
 /// Handle to a submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(u64);
-
-impl JobId {
-    /// Raw id (monotonically increasing in submission order).
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
 
 struct Job {
     id: JobId,
@@ -73,6 +33,8 @@ struct Job {
 struct Progress {
     completed: HashSet<u64>,
     submitted: u64,
+    /// Messages of jobs that panicked since the last [`OffloadExecutor::wait_all`].
+    panics: Vec<String>,
 }
 
 struct Shared {
@@ -83,7 +45,8 @@ struct Shared {
 /// The offloading executor. Dropping it shuts the workers down after they drain
 /// their queues.
 pub struct OffloadExecutor {
-    senders: Vec<(LaneId, Sender<Job>)>,
+    /// One sender per lane, indexed by `Lane as usize` (the order of [`Lane::all`]).
+    senders: Vec<Sender<Job>>,
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -100,6 +63,14 @@ impl fmt::Debug for OffloadExecutor {
     }
 }
 
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "job panicked".to_owned())
+}
+
 impl OffloadExecutor {
     /// Spawns the four lane workers.
     pub fn new() -> Self {
@@ -109,7 +80,7 @@ impl OffloadExecutor {
         });
         let mut senders = Vec::new();
         let mut handles = Vec::new();
-        for lane in LaneId::all() {
+        for lane in Lane::all() {
             let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
             let worker_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
@@ -123,14 +94,19 @@ impl OffloadExecutor {
                                 worker_shared.condvar.wait(&mut progress);
                             }
                         }
-                        (job.work)();
+                        // A panicking job still completes, so its dependents and
+                        // `wait_all` go on; the panic is reported by `wait_all`.
+                        let outcome = catch_unwind(AssertUnwindSafe(job.work));
                         let mut progress = worker_shared.progress.lock();
+                        if let Err(payload) = outcome {
+                            progress.panics.push(panic_message(payload.as_ref()));
+                        }
                         progress.completed.insert(job.id.0);
                         worker_shared.condvar.notify_all();
                     }
                 })
                 .expect("failed to spawn lane worker thread");
-            senders.push((lane, tx));
+            senders.push(tx);
             handles.push(handle);
         }
         OffloadExecutor {
@@ -150,7 +126,7 @@ impl OffloadExecutor {
     /// Panics if a dependency id refers to a job that has not been submitted yet.
     pub fn submit(
         &self,
-        lane: LaneId,
+        lane: Lane,
         deps: &[JobId],
         work: impl FnOnce() + Send + 'static,
     ) -> JobId {
@@ -171,51 +147,46 @@ impl OffloadExecutor {
             deps: deps.to_vec(),
             work: Box::new(work),
         };
-        let sender = self
-            .senders
-            .iter()
-            .find(|(l, _)| *l == lane)
-            .map(|(_, s)| s)
-            .expect("all lanes have workers");
-        sender
+        self.senders[lane as usize]
             .send(job)
             .expect("lane worker terminated unexpectedly");
         id
     }
 
-    /// Blocks until the given job has completed.
-    pub fn wait(&self, job: JobId) {
-        let mut progress = self.shared.progress.lock();
-        while !progress.completed.contains(&job.0) {
-            self.shared.condvar.wait(&mut progress);
+    /// Submits every task of `graph` in insertion order, each on its own lane with
+    /// the graph's own dependencies, as a job that runs `kernel` on the task. Task
+    /// durations are ignored: a job takes as long as its kernel.
+    pub fn play<K>(&self, graph: &TaskGraph, kernel: &Arc<K>)
+    where
+        K: Fn(&Task) + Send + Sync + 'static,
+    {
+        let mut jobs: Vec<JobId> = Vec::with_capacity(graph.len());
+        for task in graph.tasks() {
+            let deps: Vec<JobId> = graph.deps(task).iter().map(|d| jobs[d.0]).collect();
+            let (kernel, owned) = (Arc::clone(kernel), task.clone());
+            jobs.push(self.submit(task.lane, &deps, move || kernel(&owned)));
         }
     }
 
     /// Blocks until every job submitted so far has completed.
-    pub fn wait_all(&self) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the messages of the jobs that panicked since the last call.
+    pub fn wait_all(&self) -> Result<(), Vec<String>> {
         let mut progress = self.shared.progress.lock();
         while (progress.completed.len() as u64) < progress.submitted {
             self.shared.condvar.wait(&mut progress);
         }
-    }
-
-    /// Number of completed jobs.
-    pub fn completed(&self) -> usize {
-        self.shared.progress.lock().completed.len()
+        match std::mem::take(&mut progress.panics) {
+            panics if panics.is_empty() => Ok(()),
+            panics => Err(panics),
+        }
     }
 
     /// Number of submitted jobs.
     pub fn submitted(&self) -> u64 {
         self.shared.progress.lock().submitted
-    }
-
-    /// Shuts the executor down, waiting for all queued work to finish.
-    pub fn shutdown(mut self) {
-        self.wait_all();
-        self.senders.clear(); // close channels -> workers exit
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -239,8 +210,12 @@ impl Drop for OffloadExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moe_hardware::Seconds;
+    use moe_sim::{TaskId, TaskKind, TaskSink};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
     use std::sync::Mutex as StdMutex;
+    use std::time::Duration;
 
     #[test]
     fn jobs_on_one_lane_run_in_fifo_order() {
@@ -248,9 +223,9 @@ mod tests {
         let order = Arc::new(StdMutex::new(Vec::new()));
         for i in 0..16 {
             let order = Arc::clone(&order);
-            exec.submit(LaneId::Gpu, &[], move || order.lock().unwrap().push(i));
+            exec.submit(Lane::GpuCompute, &[], move || order.lock().unwrap().push(i));
         }
-        exec.wait_all();
+        exec.wait_all().unwrap();
         assert_eq!(*order.lock().unwrap(), (0..16).collect::<Vec<_>>());
     }
 
@@ -259,17 +234,17 @@ mod tests {
         let exec = OffloadExecutor::new();
         let value = Arc::new(AtomicUsize::new(0));
         let v1 = Arc::clone(&value);
-        let a = exec.submit(LaneId::HostToDevice, &[], move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
+        let a = exec.submit(Lane::HostToDevice, &[], move || {
+            std::thread::sleep(Duration::from_millis(20));
             v1.store(7, Ordering::SeqCst);
         });
         let v2 = Arc::clone(&value);
         let observed = Arc::new(AtomicUsize::new(0));
         let o2 = Arc::clone(&observed);
-        let b = exec.submit(LaneId::Gpu, &[a], move || {
+        exec.submit(Lane::GpuCompute, &[a], move || {
             o2.store(v2.load(Ordering::SeqCst), Ordering::SeqCst);
         });
-        exec.wait(b);
+        exec.wait_all().unwrap();
         assert_eq!(
             observed.load(Ordering::SeqCst),
             7,
@@ -283,17 +258,10 @@ mod tests {
         // well below the sum of their durations.
         let exec = OffloadExecutor::new();
         let start = std::time::Instant::now();
-        for lane in [
-            LaneId::Gpu,
-            LaneId::Cpu,
-            LaneId::HostToDevice,
-            LaneId::DeviceToHost,
-        ] {
-            exec.submit(lane, &[], || {
-                std::thread::sleep(std::time::Duration::from_millis(50))
-            });
+        for lane in Lane::all() {
+            exec.submit(lane, &[], || std::thread::sleep(Duration::from_millis(50)));
         }
-        exec.wait_all();
+        exec.wait_all().unwrap();
         let elapsed = start.elapsed();
         assert!(
             elapsed.as_millis() < 160,
@@ -306,47 +274,90 @@ mod tests {
         let exec = OffloadExecutor::new();
         let counter = Arc::new(AtomicUsize::new(0));
         for i in 0..100 {
-            let lane = LaneId::all()[i % 4];
+            let lane = Lane::all()[i % 4];
             let c = Arc::clone(&counter);
             exec.submit(lane, &[], move || {
                 c.fetch_add(1, Ordering::SeqCst);
             });
         }
-        exec.wait_all();
+        exec.wait_all().unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 100);
-        assert_eq!(exec.completed(), 100);
         assert_eq!(exec.submitted(), 100);
-        exec.shutdown();
+        assert!(format!("{exec:?}").contains("submitted: 100, completed: 100"));
     }
 
     #[test]
     #[should_panic(expected = "forward dependencies")]
     fn forward_dependency_panics() {
         let exec = OffloadExecutor::new();
-        exec.submit(LaneId::Gpu, &[JobId(99)], || {});
+        exec.submit(Lane::GpuCompute, &[JobId(99)], || {});
     }
 
     #[test]
-    fn chained_dependencies_produce_sequential_effects() {
-        let exec = OffloadExecutor::new();
-        let log = Arc::new(StdMutex::new(Vec::new()));
-        let mut prev: Option<JobId> = None;
-        for i in 0..20 {
-            let lane = LaneId::all()[i % 4];
-            let log = Arc::clone(&log);
-            let deps: Vec<JobId> = prev.into_iter().collect();
-            prev = Some(exec.submit(lane, &deps, move || log.lock().unwrap().push(i)));
+    fn a_panicking_job_completes_and_is_reported_by_wait_all() {
+        let exec = Arc::new(OffloadExecutor::new());
+        let first = exec.submit(Lane::CpuCompute, &[], || panic!("kernel exploded"));
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&ran);
+        exec.submit(Lane::GpuCompute, &[first], move || {
+            r.fetch_add(1, Ordering::SeqCst);
+        });
+        let (tx, rx) = mpsc::channel();
+        let waiter = Arc::clone(&exec);
+        std::thread::spawn(move || tx.send(waiter.wait_all()));
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(3))
+            .expect("wait_all must return after a job panics");
+        assert_eq!(outcome, Err(vec!["kernel exploded".to_owned()]));
+        assert_eq!(ran.load(Ordering::SeqCst), 1, "dependents still run");
+        assert_eq!(exec.wait_all(), Ok(()), "a panic is reported once");
+    }
+
+    #[test]
+    fn play_runs_a_graph_on_its_lanes_in_dependency_order() {
+        // A chain that hops across every lane, plus one independent task: each
+        // chained task must see its predecessor's effect.
+        let mut graph = TaskGraph::new();
+        let mut prev: Option<TaskId> = None;
+        for (i, lane) in Lane::all().into_iter().cycle().take(9).enumerate() {
+            let deps: Vec<TaskId> = prev.into_iter().collect();
+            let label = moe_sim::TaskLabel::layer("T", i as u64);
+            prev = Some(
+                graph
+                    .add_task(lane, Seconds::ZERO, TaskKind::Other, label, &deps)
+                    .unwrap(),
+            );
         }
-        exec.wait_all();
-        assert_eq!(*log.lock().unwrap(), (0..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn debug_output_reports_progress() {
+        graph
+            .add_task(
+                Lane::CpuCompute,
+                Seconds::ZERO,
+                TaskKind::Other,
+                "free",
+                &[],
+            )
+            .unwrap();
+        let log = Arc::new(StdMutex::new(Vec::new()));
+        let sink = Arc::clone(&log);
+        let kernel = Arc::new(move |task: &Task| {
+            std::thread::sleep(Duration::from_millis(2));
+            sink.lock().unwrap().push(task.label.indices().to_vec());
+        });
         let exec = OffloadExecutor::new();
-        exec.submit(LaneId::Cpu, &[], || {});
-        exec.wait_all();
-        let dbg = format!("{exec:?}");
-        assert!(dbg.contains("submitted: 1") && dbg.contains("completed: 1"));
+        exec.play(&graph, &kernel);
+        exec.play(&graph, &kernel);
+        exec.wait_all().unwrap();
+        assert_eq!(exec.submitted(), 2 * graph.len() as u64);
+        // The second pass's first task queues behind the first pass's GPU tasks,
+        // so the two chains run back to back, each in order.
+        let chained: Vec<Vec<u64>> = log
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|ix| !ix.is_empty())
+            .cloned()
+            .collect();
+        let expected: Vec<Vec<u64>> = (0..18).map(|i| vec![i % 9]).collect();
+        assert_eq!(chained, expected);
     }
 }

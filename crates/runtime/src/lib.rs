@@ -1,13 +1,17 @@
 //! Functional multi-threaded offloading runtime.
 //!
 //! Everything else in this workspace *models* the paper's pipeline; this crate
-//! *executes* it. [`OffloadExecutor`] provides four FIFO worker lanes (GPU compute,
-//! CPU compute, H2D, D2H) with cross-lane dependencies — the execution model CGOPipe
-//! assumes — and [`PipelinedMoeEngine`] drives a real (tiny) Mixture-of-Experts model
-//! through the CGOPipe task structure with paged, double-buffered weight prefetch and
-//! per-device memory accounting. Its outputs are bit-identical to the sequential
-//! reference forward pass, which is the strongest correctness check available for
-//! the scheduling and paging logic.
+//! *executes* it. [`OffloadExecutor`] provides four FIFO worker lanes (the
+//! simulator's `moe_sim::Lane`s) with cross-lane dependencies — the execution model
+//! CGOPipe assumes — and plays a `moe_sim::TaskGraph` on them as is.
+//! [`PipelinedMoeEngine`] drives a real (tiny) Mixture-of-Experts model through the
+//! graph `moe_schedule::DecodeScheduleBuilder` emits for CGOPipe — the same graph the
+//! simulator times — with one kernel per task kind, paged weights streamed into a ring
+//! of GPU buffer slots, and per-device memory accounting. The ring has three slots
+//! once there are two micro-batches: the graph starts a layer's first page before the
+//! layer two back has finished, so a double buffer would overwrite weights in use.
+//! Its outputs are bit-identical to the sequential reference forward pass, which is
+//! the strongest correctness check available for the schedule and paging logic.
 //!
 //! # Examples
 //!
@@ -31,7 +35,7 @@ pub mod engine;
 pub mod executor;
 
 pub use engine::{EngineConfig, GenerationOutput, PipelinedMoeEngine, RuntimeError};
-pub use executor::{JobId, LaneId, OffloadExecutor};
+pub use executor::{JobId, OffloadExecutor};
 
 #[cfg(test)]
 mod proptests {

@@ -70,6 +70,20 @@ impl ScheduleKind {
     }
 }
 
+/// GPU weight buffer slots a CGOPipe step needs: how many layers' streamed
+/// weights it can hold at once. The graph has no release edge, so a layer's
+/// first page `Wp(l,0)` is ordered after layer `l − 3`'s last post-attention but,
+/// with two or more micro-batches, not after layer `l − 2`'s: a third slot keeps
+/// it from overwriting weights still in use. One micro-batch orders it after
+/// all of layer `l − 2`, so two suffice.
+pub fn cgopipe_weight_buffers(num_micro_batches: usize) -> usize {
+    if num_micro_batches >= 2 {
+        3
+    } else {
+        2
+    }
+}
+
 /// Emits decode-step schedules for a (model, node, policy, workload) combination.
 #[derive(Debug, Clone)]
 pub struct DecodeScheduleBuilder<'a> {
@@ -633,6 +647,79 @@ mod tests {
             WorkloadShape::new(77, 128),
         )
         .with_layers(4)
+    }
+
+    /// Whether `later` starts only after `earlier` finishes: a chain of
+    /// dependency and same-lane FIFO edges leads from `earlier` to `later`.
+    fn ordered_after(graph: &TaskGraph, later: TaskId, earlier: TaskId) -> bool {
+        let mut lane_prev: Vec<Option<TaskId>> = vec![None; graph.len()];
+        let mut last_on_lane = [None; 4];
+        for task in graph.tasks() {
+            lane_prev[task.id.0] = last_on_lane[task.lane as usize].replace(task.id);
+        }
+        let mut seen = vec![false; graph.len()];
+        let mut stack = vec![later];
+        while let Some(id) = stack.pop() {
+            let task = graph.task(id).unwrap();
+            for &pred in graph.deps(task).iter().chain(&lane_prev[id.0]) {
+                if pred == earlier {
+                    return true;
+                }
+                if !std::mem::replace(&mut seen[pred.0], true) {
+                    stack.push(pred);
+                }
+            }
+        }
+        false
+    }
+
+    /// The weight buffer fact the paged weight store relies on: in a CGOPipe
+    /// step, layer `l`'s first page is ordered after the last post-attention of
+    /// layer `l − cgopipe_weight_buffers(n_ub)`, and with two or more
+    /// micro-batches not after layer `l − 2`'s. If the builder gains a release
+    /// edge that orders it after layer `l − 2`, two slots suffice: lower
+    /// `cgopipe_weight_buffers` to 2 and update this test.
+    #[test]
+    fn cgopipe_first_pages_need_three_weight_buffers_with_two_micro_batches() {
+        for model in [MoeModelConfig::tiny(), MoeModelConfig::mixtral_8x7b()] {
+            let cost = CostModel::new(NodeSpec::t4_single(), model);
+            for n_ub in 1..=4u64 {
+                let graph = DecodeScheduleBuilder::new(
+                    &cost,
+                    Policy::offload_default(2 * n_ub, 2),
+                    WorkloadShape::new(8, 8),
+                )
+                .with_layers(8)
+                .build(ScheduleKind::CgoPipe)
+                .unwrap();
+                let id =
+                    |label: TaskLabel| graph.tasks().iter().find(|t| t.label == label).unwrap().id;
+                let first_page = |l: u64| id(TaskLabel::micro_batch("Wp", l, 0));
+                let last_post = |l: u64| id(TaskLabel::micro_batch("C", l, n_ub - 1));
+                let layers = u64::from(cost.model().num_layers.min(8));
+                let slots = cgopipe_weight_buffers(n_ub as usize) as u64;
+                assert_eq!(slots, if n_ub >= 2 { 3 } else { 2 });
+                for l in 1..layers {
+                    if l >= 3 {
+                        assert!(
+                            ordered_after(&graph, first_page(l), last_post(l - 3)),
+                            "n_ub {n_ub}: Wp({l},0) must follow C({},{})",
+                            l - 3,
+                            n_ub - 1
+                        );
+                    }
+                    if l >= 2 {
+                        assert_eq!(
+                            ordered_after(&graph, first_page(l), last_post(l - 2)),
+                            slots == 2,
+                            "n_ub {n_ub}: is Wp({l},0) ordered after C({},{})?",
+                            l - 2,
+                            n_ub - 1
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

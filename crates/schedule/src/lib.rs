@@ -29,7 +29,7 @@
 
 pub mod builder;
 
-pub use builder::{DecodeScheduleBuilder, ScheduleKind};
+pub use builder::{cgopipe_weight_buffers, DecodeScheduleBuilder, ScheduleKind};
 
 #[cfg(test)]
 mod proptests {

@@ -107,7 +107,7 @@ pub struct TaskLabel {
 enum LabelIndices {
     None,
     One(u64),
-    Two(u64, u64),
+    Two([u64; 2]),
 }
 
 impl TaskLabel {
@@ -123,7 +123,18 @@ impl TaskLabel {
     pub const fn micro_batch(tag: &'static str, layer: u64, micro_batch: u64) -> Self {
         TaskLabel {
             tag,
-            indices: LabelIndices::Two(layer, micro_batch),
+            indices: LabelIndices::Two([layer, micro_batch]),
+        }
+    }
+
+    /// The label's indices, so a kernel can recover its position: `[layer]`
+    /// for `W(l)`, `[layer, page or micro-batch]` for `Wp(l,j)` and
+    /// `A/QKV/B/H/C(l,j)`, and none for a bare tag.
+    pub fn indices(&self) -> &[u64] {
+        match &self.indices {
+            LabelIndices::None => &[],
+            LabelIndices::One(i) => std::slice::from_ref(i),
+            LabelIndices::Two(ij) => ij,
         }
     }
 }
@@ -143,7 +154,7 @@ impl fmt::Display for TaskLabel {
         match self.indices {
             LabelIndices::None => f.write_str(self.tag),
             LabelIndices::One(i) => write!(f, "{}({i})", self.tag),
-            LabelIndices::Two(i, j) => write!(f, "{}({i},{j})", self.tag),
+            LabelIndices::Two([i, j]) => write!(f, "{}({i},{j})", self.tag),
         }
     }
 }
@@ -436,6 +447,10 @@ mod tests {
         assert_eq!(Lane::GpuCompute.to_string(), "GPU");
         assert_eq!(Lane::HostToDevice.to_string(), "HtoD");
         assert_eq!(TaskKind::WeightTransfer.to_string(), "weights");
+        assert_eq!(TaskLabel::micro_batch("C", 2, 3).to_string(), "C(2,3)");
+        assert_eq!(TaskLabel::micro_batch("C", 2, 3).indices(), &[2, 3]);
+        assert_eq!(TaskLabel::layer("W", 1).indices(), &[1]);
+        assert!(TaskLabel::from("x").indices().is_empty());
         assert_eq!(Lane::all().len(), 4);
     }
 }

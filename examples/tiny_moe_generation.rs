@@ -1,12 +1,13 @@
 //! Functional end-to-end demo: generate tokens from a tiny Mixture-of-Experts model
-//! through the multi-threaded CGOPipe-style offloading runtime (paged, double-
-//! buffered weight prefetch; CPU attention; GPU projections/experts) and verify the
-//! output against the sequential reference forward pass.
+//! through the multi-threaded offloading runtime, which executes the CGOPipe task
+//! graph of the schedule builder (paged weights in a ring of GPU buffer slots; CPU
+//! attention; GPU projections/experts), and verify the output against the sequential
+//! reference forward pass.
 //!
 //! Run with `cargo run --release --example tiny_moe_generation`.
 
-use moe_lightning::{EngineConfig, MoeModelConfig, PipelinedMoeEngine};
-use moe_model::ReferenceMoeModel;
+use moe_model::{MoeModelConfig, ReferenceMoeModel};
+use moe_runtime::{EngineConfig, PipelinedMoeEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = MoeModelConfig::tiny();
@@ -17,7 +18,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         model,
         EngineConfig {
             micro_batch_size: 2,
-            weight_pages_per_layer: 4,
             ..EngineConfig::default()
         },
     )?;

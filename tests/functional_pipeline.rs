@@ -1,10 +1,11 @@
 //! Integration tests for the functional offloading runtime: the multi-threaded
-//! CGOPipe-style pipeline must produce exactly the same tokens as the sequential
-//! reference model while exercising the paged-weight and KV-cache substrates.
+//! executor playing the CGOPipe task graph must produce exactly the same tokens as
+//! the sequential reference model while exercising the paged-weight and KV-cache
+//! substrates.
 
 use moe_hardware::ByteSize;
-use moe_lightning::{EngineConfig, MoeModelConfig, PipelinedMoeEngine};
-use moe_model::ReferenceMoeModel;
+use moe_model::{MoeModelConfig, ReferenceMoeModel};
+use moe_runtime::{EngineConfig, PipelinedMoeEngine};
 use moe_workload::WorkloadSpec;
 
 #[test]
@@ -16,7 +17,6 @@ fn pipelined_runtime_matches_reference_on_a_sampled_workload() {
         model,
         EngineConfig {
             micro_batch_size: 3,
-            weight_pages_per_layer: 2,
             ..EngineConfig::default()
         },
     )
@@ -67,7 +67,9 @@ fn weight_streaming_traffic_scales_with_decode_steps() {
 
 #[test]
 fn gpu_pool_peak_stays_within_the_double_buffer_budget() {
-    // The paged weight store may hold at most: static fraction + 2 × W_L (double
+    // With one micro-batch (two prompts, micro-batch size 2) the CGOPipe graph
+    // orders each layer's prefetch after the layer two back has finished, so the
+    // paged weight store may hold at most: static fraction + 2 × W_L (double
     // buffer) of GPU memory — the engine's peak must respect that bound (plus the
     // pinned/page rounding slack).
     let cfg = MoeModelConfig::tiny();
