@@ -12,7 +12,7 @@ use moe_policy::{CostModel, Policy, PolicyOptimizer, SearchSpace, WorkloadShape}
 use moe_schedule::{DecodeScheduleBuilder, ScheduleKind};
 use moe_sim::simulate;
 use moe_tensor::{attention::gqa_attention_decode, ops, Tensor};
-use moe_workload::{batch_requests, BatchingConfig, WorkloadSpec};
+use moe_workload::{Algorithm2, BatchingConfig, Scheduler, WorkloadSpec};
 
 fn bench_hrm(c: &mut Criterion) {
     let hrm = HierarchicalRoofline::from_node(&NodeSpec::l4_single(), DType::F16);
@@ -88,7 +88,7 @@ fn bench_batching(c: &mut Criterion) {
     c.bench_function("workload/batch_2048_requests", |b| {
         b.iter_batched(
             || requests.clone(),
-            |reqs| batch_requests(&reqs, &cfg),
+            |reqs| Algorithm2.plan(&reqs, &cfg),
             BatchSize::SmallInput,
         )
     });

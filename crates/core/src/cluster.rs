@@ -46,7 +46,7 @@ use moe_policy::Policy;
 use moe_telemetry::{Section, TelemetrySink};
 use moe_workload::{
     Algorithm2, ArrivalProcess, BatchRunReport, GenLens, LatencySummary, Request, RequestLatency,
-    Scheduler, SloClass, WorkloadSpec,
+    Scheduler, WorkloadSpec,
 };
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -97,6 +97,12 @@ pub enum ClusterSpecError {
     /// scenario with an explicit queue ([`ClusterSpec::with_queue`]) never
     /// reports it.
     InvalidArrivals,
+    /// The [`WorkloadSpec`] cannot sample the synthesized queue: its average
+    /// prompt length is zero or exceeds its maximum, or the scenario asks for
+    /// mixed generation lengths and the workload has no defaults. Checked,
+    /// like [`Self::InvalidArrivals`], only when the run synthesizes its
+    /// queue.
+    InvalidWorkload,
     /// The [`InterconnectSpec`] would land every KV migration at `t = +inf`:
     /// its bandwidth is not positive (zero, negative or NaN) or its latency
     /// is not finite.
@@ -116,6 +122,10 @@ impl fmt::Display for ClusterSpecError {
             ),
             ClusterSpecError::InvalidArrivals => f.write_str(
                 "the arrival process needs a positive Poisson rate and a non-empty burst size",
+            ),
+            ClusterSpecError::InvalidWorkload => f.write_str(
+                "the workload needs an average prompt in 1..=max and, for mixed generation \
+                 lengths, default generation lengths",
             ),
             ClusterSpecError::InvalidInterconnect => {
                 f.write_str("the interconnect needs a positive bandwidth and a finite latency")
@@ -379,11 +389,6 @@ impl ClusterSpec {
         Ok(())
     }
 
-    /// Number of replicas in the fleet.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// The serving mode every replica runs in.
     pub fn mode(&self) -> ServingMode {
         self.mode
@@ -392,16 +397,6 @@ impl ClusterSpec {
     /// The name of the routing strategy.
     pub fn router_name(&self) -> &'static str {
         self.router.name()
-    }
-
-    /// The name of the admission controller.
-    pub fn admission_name(&self) -> &'static str {
-        self.admission.name()
-    }
-
-    /// The name of the autoscaler, if one is installed.
-    pub fn autoscaler_name(&self) -> Option<&'static str> {
-        self.autoscaler.as_ref().map(|(s, _)| s.name())
     }
 
     /// The injected membership-event schedule.
@@ -555,40 +550,6 @@ impl ClusterReport {
         attained_tokens as f64 / span
     }
 
-    /// SLO attainment broken out by [`SloClass`]: for every class with at
-    /// least one request in the run, the percentage (0–100) of that class's
-    /// requests that were served and met `slo` (aborted and
-    /// admission-rejected requests count as missed, like
-    /// [`Self::slo_attainment_pct`]). Classes absent from the run are
-    /// omitted; entries follow [`SloClass::ALL`] order.
-    pub fn slo_attainment_by_class(&self, slo: &SloSpec) -> Vec<(SloClass, f64)> {
-        let mut total = [0usize; SloClass::ALL.len()];
-        let mut attained = [0usize; SloClass::ALL.len()];
-        for request in self
-            .fleet_aborted
-            .iter()
-            .chain(self.availability.rejected.iter())
-            .chain(self.replicas.iter().flat_map(|r| r.report.aborted.iter()))
-        {
-            total[request.slo_class.index()] += 1;
-        }
-        for latency in self.replicas.iter().flat_map(|r| r.report.latencies.iter()) {
-            let class = latency.request.slo_class.index();
-            total[class] += 1;
-            if slo.attained(latency) {
-                attained[class] += 1;
-            }
-        }
-        SloClass::ALL
-            .into_iter()
-            .filter(|class| total[class.index()] > 0)
-            .map(|class| {
-                let idx = class.index();
-                (class, 100.0 * attained[idx] as f64 / total[idx] as f64)
-            })
-            .collect()
-    }
-
     /// Fleet goodput in tokens/s counting only requests churn never touched:
     /// SLO-attaining requests that were not re-routed by a failure or drain.
     /// The gap to [`Self::goodput`] is the goodput churn-displaced requests
@@ -729,8 +690,8 @@ impl ClusterEvaluator {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::InvalidClusterSpec`] for an unusable fleet or
-    /// an arrival process that cannot stamp the synthesized queue,
+    /// Returns [`EngineError::InvalidClusterSpec`] for an unusable fleet, or
+    /// a workload or arrival process that cannot synthesize the queue,
     /// [`EngineError::NoFeasiblePolicy`] if some replica cannot run at all,
     /// and propagates batching/simulation errors.
     pub fn run(&self, spec: &ClusterSpec) -> Result<ClusterReport, EngineError> {
@@ -764,19 +725,31 @@ impl ClusterEvaluator {
         let mut queue = match &spec.queue {
             Some(explicit) => explicit.clone(),
             None => {
-                // The conditions `ArrivalProcess::stamp` asserts, as a typed
-                // error instead of a panic.
+                // The conditions `WorkloadSpec::synthesize_queue` and
+                // `ArrivalProcess::stamp` assert, as typed errors instead of
+                // panics.
+                let workload = &spec.workload;
                 let stampable = match spec.arrivals {
                     ArrivalProcess::Immediate => true,
                     ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec > 0.0,
                     ArrivalProcess::Burst { size, .. } => size > 0,
                 };
-                if !stampable {
-                    return Err(EngineError::InvalidClusterSpec {
-                        reason: ClusterSpecError::InvalidArrivals,
-                    });
+                let invalid = if spec.count == 0 {
+                    Some(ClusterSpecError::ZeroRequests)
+                } else if workload.avg_prompt_len == 0
+                    || workload.avg_prompt_len > workload.max_prompt_len
+                    || (spec.gen == GenLens::MixedDefaults && workload.default_gen_lens.is_empty())
+                {
+                    Some(ClusterSpecError::InvalidWorkload)
+                } else if !stampable {
+                    Some(ClusterSpecError::InvalidArrivals)
+                } else {
+                    None
+                };
+                if let Some(reason) = invalid {
+                    return Err(EngineError::InvalidClusterSpec { reason });
                 }
-                spec.workload.synthesize_queue(
+                workload.synthesize_queue(
                     spec.count,
                     spec.gen,
                     spec.seed,
@@ -1046,8 +1019,10 @@ pub(crate) struct FleetLoop<'a> {
     /// Dedup membership for `dirty`, indexed by replica id.
     is_dirty: Vec<bool>,
     /// Count of engines currently in [`Lifecycle::Provisioning`], maintained
-    /// at every transition so the per-iteration provisioning scan can be
-    /// skipped when nothing is coming up.
+    /// at every transition into or out of it (`join_replica`,
+    /// `finish_provisioning`, `cancel_join`), so the autoscaler reads it and
+    /// the per-iteration provisioning scan is skipped when nothing is coming
+    /// up.
     provisioning: usize,
     /// Per-node memo of the policy search (see
     /// [`ClusterEvaluator::build_engine`]), shared with joins.
@@ -1166,13 +1141,6 @@ impl FleetLoop<'_> {
                 self.index.remove(index);
             }
         }
-    }
-
-    fn provisioning_count(&self) -> usize {
-        self.engines
-            .iter()
-            .filter(|e| matches!(e.lifecycle, Lifecycle::Provisioning { .. }))
-            .count()
     }
 
     fn draining_count(&self) -> usize {
@@ -1435,13 +1403,13 @@ impl FleetLoop<'_> {
         let fleet = FleetView {
             now: t,
             replicas: &views,
-            provisioning: self.provisioning_count(),
+            provisioning: self.provisioning,
             draining: self.draining_count(),
             recent: &self.recent,
         };
         let decision = scaler.observe(&fleet, t);
         drop(views);
-        let target = self.serving_count() + self.provisioning_count();
+        let target = self.serving_count() + self.provisioning;
         match decision {
             ScaleDecision::Hold => {}
             ScaleDecision::Up if target < bounds.max_replicas => {
@@ -1659,6 +1627,7 @@ fn replica_report(engine: ReplicaEngine) -> ReplicaReport {
 mod tests {
     use super::*;
     use crate::settings::EvalSetting;
+    use moe_workload::SloClass;
 
     #[test]
     fn slo_attainment_requires_both_deadlines() {
@@ -1707,7 +1676,7 @@ mod tests {
             .with_seed(3)
             .with_mode(ServingMode::Continuous)
             .into_cluster(vec![NodeSpec::t4_single(), NodeSpec::l4_single()]);
-        assert_eq!(spec.replica_count(), 2);
+        assert_eq!(spec.replicas.len(), 2);
         assert_eq!(spec.mode(), ServingMode::Continuous);
         assert_eq!(spec.router_name(), "round-robin");
         assert_eq!(spec.replicas[0].scheduler.name(), "algo2");
@@ -1723,8 +1692,8 @@ mod tests {
     fn dynamics_spec_axes_have_static_defaults() {
         let spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench());
         assert!(spec.timeline().is_empty());
-        assert_eq!(spec.admission_name(), "admit-all");
-        assert_eq!(spec.autoscaler_name(), None);
+        assert_eq!(spec.admission.name(), "admit-all");
+        assert!(spec.autoscaler.is_none());
         let spec = spec
             .with_node(NodeSpec::t4_single())
             .with_admission(Arc::new(crate::dynamics::SloAdmission::new(SloSpec {
@@ -1736,8 +1705,11 @@ mod tests {
                 crate::dynamics::ScaleBounds::new(1, 4, Seconds::from_secs(5.0)),
             )
             .with_timeline(FleetTimeline::new().fail_at(Seconds::from_secs(1.0), ReplicaId(0)));
-        assert_eq!(spec.admission_name(), "slo-admission");
-        assert_eq!(spec.autoscaler_name(), Some("queue-depth"));
+        assert_eq!(spec.admission.name(), "slo-admission");
+        assert_eq!(
+            spec.autoscaler.as_ref().map(|(s, _)| s.name()),
+            Some("queue-depth")
+        );
         assert_eq!(spec.timeline().len(), 1);
         assert_eq!(spec.validate(), Ok(()));
         // Inverted bounds fail validation.
@@ -1756,7 +1728,7 @@ mod tests {
             &NodeSpec::t4_single(),
             4,
         );
-        assert_eq!(spec.replica_count(), 4);
+        assert_eq!(spec.replicas.len(), 4);
         assert!(spec
             .replicas
             .iter()
@@ -1848,26 +1820,6 @@ mod tests {
         // Replaying the recorded stream reproduces the report exactly.
         let replayed = evaluator.run(&fleet().with_queue(recorded)).unwrap();
         assert_eq!(replayed, report);
-        // Per-class attainment is consistent with the overall figure.
-        let slo = SloSpec {
-            ttft: Seconds::from_secs(1e6),
-            per_token: Seconds::from_secs(1e6),
-        };
-        let by_class = report.slo_attainment_by_class(&slo);
-        assert_eq!(by_class.len(), SloClass::ALL.len());
-        for (class, pct) in &by_class {
-            assert!(
-                (*pct - 100.0).abs() < 1e-9,
-                "unloaded SLO should be attained for {class}: {pct}"
-            );
-        }
-        let strict = SloSpec {
-            ttft: Seconds::ZERO,
-            per_token: Seconds::ZERO,
-        };
-        for (_, pct) in report.slo_attainment_by_class(&strict) {
-            assert_eq!(pct, 0.0);
-        }
     }
 
     /// `SystemEvaluator::run` on a replica-less spec and `ClusterEvaluator::run`

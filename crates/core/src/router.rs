@@ -85,11 +85,6 @@ impl ReplicaView {
     pub fn kv_headroom(&self) -> u64 {
         self.kv_capacity.saturating_sub(self.kv_projected)
     }
-
-    /// Requests on the replica in any state (queued or active).
-    pub fn outstanding_requests(&self) -> usize {
-        self.queued_requests + self.active_requests
-    }
 }
 
 /// Deterministic per-run routing state handed to every [`Router`] call by the
@@ -613,7 +608,6 @@ mod tests {
             oldest_queued_arrival: Some(Seconds::from_secs(3.0)),
             ..ReplicaView::default()
         };
-        assert_eq!(v.outstanding_requests(), 7);
         assert_eq!(v.kv_headroom(), 0, "over-commit saturates at zero");
         assert_eq!(ReplicaId(3).to_string(), "r3");
     }

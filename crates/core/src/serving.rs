@@ -340,11 +340,6 @@ impl ServeSpec {
     pub fn mode(&self) -> ServingMode {
         self.cluster.mode
     }
-
-    /// The name of the batch-formation strategy this scenario runs with.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
-    }
 }
 
 impl SystemEvaluator {
@@ -365,9 +360,11 @@ impl SystemEvaluator {
     /// # Errors
     ///
     /// Returns an error if no policy fits, the batching configuration is
-    /// invalid, the arrival process cannot stamp the synthesized queue
-    /// ([`crate::ClusterSpecError::InvalidArrivals`]), or the simulation
-    /// fails.
+    /// invalid, the synthesized queue is empty
+    /// ([`crate::ClusterSpecError::ZeroRequests`]), the workload cannot
+    /// sample it ([`crate::ClusterSpecError::InvalidWorkload`]), the arrival
+    /// process cannot stamp it ([`crate::ClusterSpecError::InvalidArrivals`]),
+    /// or the simulation fails.
     pub fn run(&self, spec: &ServeSpec) -> Result<ServingReport, EngineError> {
         let fleet = ClusterEvaluator::new(self.model().clone());
         let replica = spec.replica(self.node().clone());
@@ -643,7 +640,7 @@ mod tests {
         let spec = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench());
         assert_eq!(spec.system(), SystemKind::MoeLightning);
         assert_eq!(spec.mode(), ServingMode::RoundToCompletion);
-        assert_eq!(spec.scheduler_name(), "algo2");
+        assert_eq!(spec.scheduler.name(), "algo2");
     }
 
     #[test]

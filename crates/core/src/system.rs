@@ -66,14 +66,6 @@ impl SystemKind {
                 | SystemKind::DeepSpeedZero
         )
     }
-
-    /// Whether the system searches policies with the paper's HRM-based optimizer.
-    pub fn uses_hrm_optimizer(&self) -> bool {
-        matches!(
-            self,
-            SystemKind::MoeLightning | SystemKind::MoeLightningPadded
-        )
-    }
 }
 
 impl fmt::Display for SystemKind {
@@ -104,12 +96,10 @@ mod tests {
     }
 
     #[test]
-    fn padding_and_optimizer_flags() {
+    fn padding_flags_and_names() {
         assert!(!SystemKind::MoeLightning.pads_requests());
         assert!(SystemKind::MoeLightningPadded.pads_requests());
         assert!(SystemKind::FlexGen.pads_requests());
-        assert!(SystemKind::MoeLightning.uses_hrm_optimizer());
-        assert!(!SystemKind::FlexGen.uses_hrm_optimizer());
         assert_eq!(SystemKind::all().len(), 5);
         assert_eq!(SystemKind::FlexGenCpuAttention.to_string(), "FlexGen(c)");
     }

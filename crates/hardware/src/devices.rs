@@ -69,19 +69,6 @@ impl GpuSpec {
         }
     }
 
-    /// NVIDIA A100 40 GB (PCIe).
-    pub fn a100_40g() -> Self {
-        GpuSpec {
-            name: "NVIDIA A100-40G".to_owned(),
-            memory: ByteSize::from_gib(40.0),
-            memory_bandwidth: Bandwidth::from_gb_per_sec(1555.0),
-            peak_flops_f16: ComputeRate::from_tflops_per_sec(312.0),
-            peak_flops_f32: ComputeRate::from_tflops_per_sec(19.5),
-            compute_efficiency: 0.6,
-            bandwidth_efficiency: 0.85,
-        }
-    }
-
     /// Achievable (derated) compute throughput for f16 GEMM-like kernels.
     pub fn effective_flops_f16(&self) -> ComputeRate {
         self.peak_flops_f16.scale(self.compute_efficiency)
@@ -284,12 +271,7 @@ mod tests {
 
     #[test]
     fn gpu_faster_than_cpu_in_all_presets() {
-        for gpu in [
-            GpuSpec::t4(),
-            GpuSpec::l4(),
-            GpuSpec::a100_80g(),
-            GpuSpec::a100_40g(),
-        ] {
+        for gpu in [GpuSpec::t4(), GpuSpec::l4(), GpuSpec::a100_80g()] {
             for cpu in [CpuSpec::xeon_24core_192gb(), CpuSpec::xeon_32core_416gb()] {
                 assert!(
                     gpu.peak_flops_f16.as_flops_per_sec() > cpu.peak_flops.as_flops_per_sec(),

@@ -41,16 +41,6 @@ impl DType {
         }
     }
 
-    /// Width of a single element in bits.
-    pub fn bits_per_element(self) -> u32 {
-        match self {
-            DType::F32 => 32,
-            DType::F16 => 16,
-            DType::Int8 => 8,
-            DType::Int4 => 4,
-        }
-    }
-
     /// Total bytes for `n` elements of this type, rounded up to a whole byte.
     pub fn bytes_for(self, n: u64) -> u64 {
         (n as f64 * self.bytes_per_element()).ceil() as u64
@@ -111,13 +101,6 @@ impl FromStr for DType {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn widths_are_consistent_between_bits_and_bytes() {
-        for dt in DType::all() {
-            assert!((dt.bits_per_element() as f64 / 8.0 - dt.bytes_per_element()).abs() < 1e-12);
-        }
-    }
 
     #[test]
     fn bytes_for_rounds_up_subbyte_types() {

@@ -166,36 +166,10 @@ impl NodeSpec {
         node
     }
 
-    /// Returns a copy of this node with a different GPU count (same GPU/host/link).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gpu_count` is zero.
-    pub fn with_gpu_count(&self, gpu_count: u32) -> NodeSpec {
-        assert!(gpu_count > 0, "a node needs at least one GPU");
-        let mut node = self.clone();
-        node.gpu_count = gpu_count;
-        node.link_contention = if gpu_count <= 1 {
-            1.0
-        } else {
-            self.link_contention.min(0.85)
-        };
-        node
-    }
-
     /// A homogeneous fleet: `n` identical copies of this node, for cluster
     /// serving (one replica per copy).
     pub fn replicated(&self, n: usize) -> Vec<NodeSpec> {
         vec![self.clone(); n]
-    }
-
-    /// A heterogeneous T4 + L4 fleet: `t4s` single-T4 nodes followed by `l4s`
-    /// single-L4 nodes — the mixed fleet used by the cluster router ablations,
-    /// where replica speeds and KV capacities genuinely differ.
-    pub fn mixed_t4_l4_fleet(t4s: usize, l4s: usize) -> Vec<NodeSpec> {
-        let mut fleet = NodeSpec::t4_single().replicated(t4s);
-        fleet.extend(NodeSpec::l4_single().replicated(l4s));
-        fleet
     }
 
     fn contention_factor(&self) -> f64 {
@@ -258,50 +232,9 @@ mod tests {
     }
 
     #[test]
-    fn with_gpu_count_changes_only_count() {
-        let node = NodeSpec::t4_multi(2).with_gpu_count(4);
-        assert_eq!(node.gpu_count, 4);
-        assert_eq!(node.cpu, CpuSpec::xeon_32core_416gb());
-    }
-
-    #[test]
     #[should_panic(expected = "at least one GPU")]
     fn zero_gpu_count_panics() {
         NodeSpec::t4_multi(0);
-    }
-
-    #[test]
-    fn with_gpu_count_scales_aggregates_linearly() {
-        // The cluster layer leans on these scaling paths when sizing
-        // heterogeneous fleets: memory, memory bandwidth and FLOPs must all
-        // grow exactly linearly in the GPU count.
-        let base = NodeSpec::t4_single();
-        for count in [1u32, 2, 3, 4, 8] {
-            let node = base.with_gpu_count(count);
-            assert_eq!(
-                node.total_gpu_memory().as_bytes(),
-                base.total_gpu_memory().as_bytes() * u64::from(count),
-                "{count}x memory"
-            );
-            let bw_ratio = node.total_gpu_memory_bandwidth().as_bytes_per_sec()
-                / base.total_gpu_memory_bandwidth().as_bytes_per_sec();
-            assert!(
-                (bw_ratio - f64::from(count)).abs() < 1e-9,
-                "{count}x bandwidth, got {bw_ratio}"
-            );
-            let f16_ratio = node.total_gpu_flops_f16().as_flops_per_sec()
-                / base.total_gpu_flops_f16().as_flops_per_sec();
-            assert!(
-                (f16_ratio - f64::from(count)).abs() < 1e-9,
-                "{count}x f16 FLOPs, got {f16_ratio}"
-            );
-            let f32_ratio = node.total_gpu_flops_f32().as_flops_per_sec()
-                / base.total_gpu_flops_f32().as_flops_per_sec();
-            assert!(
-                (f32_ratio - f64::from(count)).abs() < 1e-9,
-                "{count}x f32 FLOPs, got {f32_ratio}"
-            );
-        }
     }
 
     #[test]
@@ -319,6 +252,9 @@ mod tests {
             let flops_ratio = node.total_gpu_flops_f16().as_flops_per_sec()
                 / one.total_gpu_flops_f16().as_flops_per_sec();
             assert!((flops_ratio - f64::from(count)).abs() < 1e-9);
+            let f32_ratio = node.total_gpu_flops_f32().as_flops_per_sec()
+                / one.total_gpu_flops_f32().as_flops_per_sec();
+            assert!((f32_ratio - f64::from(count)).abs() < 1e-9);
             // Host DRAM is shared: capacity and bandwidth do not multiply.
             assert_eq!(node.cpu_memory(), one.cpu_memory());
             assert_eq!(node.cpu_memory_bandwidth(), one.cpu_memory_bandwidth());
@@ -326,16 +262,10 @@ mod tests {
     }
 
     #[test]
-    fn fleet_constructors_build_the_requested_mix() {
+    fn replicated_builds_identical_copies() {
         let fleet = NodeSpec::t4_single().replicated(3);
         assert_eq!(fleet.len(), 3);
         assert!(fleet.iter().all(|n| n == &NodeSpec::t4_single()));
-        let mixed = NodeSpec::mixed_t4_l4_fleet(2, 1);
-        assert_eq!(mixed.len(), 3);
-        assert_eq!(mixed[0], NodeSpec::t4_single());
-        assert_eq!(mixed[1], NodeSpec::t4_single());
-        assert_eq!(mixed[2], NodeSpec::l4_single());
-        assert!(NodeSpec::mixed_t4_l4_fleet(0, 0).is_empty());
     }
 
     #[test]

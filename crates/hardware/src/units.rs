@@ -63,16 +63,6 @@ impl ByteSize {
         self.0
     }
 
-    /// Size in kibibytes.
-    pub fn as_kib(self) -> f64 {
-        self.0 as f64 / KIB
-    }
-
-    /// Size in mebibytes.
-    pub fn as_mib(self) -> f64 {
-        self.0 as f64 / MIB
-    }
-
     /// Size in gibibytes.
     pub fn as_gib(self) -> f64 {
         self.0 as f64 / GIB
@@ -175,9 +165,10 @@ impl Sum for ByteSize {
 /// # Examples
 ///
 /// ```
-/// use moe_hardware::FlopCount;
-/// let matmul = FlopCount::from_gflops(2.0);
-/// assert!((matmul.as_flops() - 2.0e9).abs() < 1.0);
+/// use moe_hardware::{ByteSize, FlopCount};
+/// let matmul = FlopCount::from_flops(2.0e9);
+/// // Operational intensity: FLOPs per byte accessed.
+/// assert!((matmul / ByteSize::from_bytes(1_000_000) - 2000.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
 pub struct FlopCount(f64);
@@ -191,29 +182,9 @@ impl FlopCount {
         FlopCount(flops.max(0.0))
     }
 
-    /// Creates a work amount from GFLOPs (10⁹ FLOPs).
-    pub fn from_gflops(gflops: f64) -> Self {
-        FlopCount((gflops * 1e9).max(0.0))
-    }
-
-    /// Creates a work amount from TFLOPs (10¹² FLOPs).
-    pub fn from_tflops(tflops: f64) -> Self {
-        FlopCount((tflops * 1e12).max(0.0))
-    }
-
     /// Raw FLOP count.
     pub fn as_flops(self) -> f64 {
         self.0
-    }
-
-    /// Work in GFLOPs.
-    pub fn as_gflops(self) -> f64 {
-        self.0 / 1e9
-    }
-
-    /// Work in TFLOPs.
-    pub fn as_tflops(self) -> f64 {
-        self.0 / 1e12
     }
 
     /// Scales the work by a factor.
@@ -284,11 +255,6 @@ impl Bandwidth {
     /// Zero bandwidth (useful as an "unreachable" sentinel in tests).
     pub const ZERO: Bandwidth = Bandwidth(0.0);
 
-    /// Creates a bandwidth from bytes per second.
-    pub fn from_bytes_per_sec(bps: f64) -> Self {
-        Bandwidth(bps.max(0.0))
-    }
-
     /// Creates a bandwidth from GB/s (10⁹ bytes per second, vendor convention).
     pub fn from_gb_per_sec(gbps: f64) -> Self {
         Bandwidth((gbps * 1e9).max(0.0))
@@ -342,7 +308,7 @@ impl Mul<f64> for Bandwidth {
 /// ```
 /// use moe_hardware::{ComputeRate, FlopCount};
 /// let t4 = ComputeRate::from_tflops_per_sec(65.0);
-/// let dt = FlopCount::from_tflops(6.5) / t4;
+/// let dt = FlopCount::from_flops(6.5e12) / t4;
 /// assert!((dt.as_secs() - 0.1).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
@@ -355,11 +321,6 @@ impl ComputeRate {
     /// Creates a rate from FLOPs per second.
     pub fn from_flops_per_sec(fps: f64) -> Self {
         ComputeRate(fps.max(0.0))
-    }
-
-    /// Creates a rate from GFLOPs per second.
-    pub fn from_gflops_per_sec(gfps: f64) -> Self {
-        ComputeRate((gfps * 1e9).max(0.0))
     }
 
     /// Creates a rate from TFLOPs per second.
@@ -452,11 +413,6 @@ impl Seconds {
     /// Duration in milliseconds.
     pub fn as_millis(self) -> f64 {
         self.0 * 1e3
-    }
-
-    /// Duration in microseconds.
-    pub fn as_micros(self) -> f64 {
-        self.0 * 1e6
     }
 
     /// Returns the larger of two durations.
@@ -619,8 +575,7 @@ mod tests {
         let b = ByteSize::from_gib(16.0);
         assert_eq!(b.as_bytes(), 16 * 1024 * 1024 * 1024);
         assert!((b.as_gib() - 16.0).abs() < 1e-12);
-        assert!((b.as_mib() - 16.0 * 1024.0).abs() < 1e-9);
-        assert!((ByteSize::from_mib(1.5).as_kib() - 1536.0).abs() < 1e-9);
+        assert_eq!(ByteSize::from_mib(1.5).as_bytes(), 1536 * 1024);
     }
 
     #[test]
@@ -653,14 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn flop_count_conversions() {
-        let f = FlopCount::from_tflops(1.3);
-        assert!((f.as_gflops() - 1300.0).abs() < 1e-6);
-        assert!((f.as_flops() - 1.3e12).abs() < 1.0);
-        assert!((FlopCount::from_gflops(2.0).as_tflops() - 0.002).abs() < 1e-12);
-    }
-
-    #[test]
     fn flop_count_sub_saturates_at_zero() {
         let a = FlopCount::from_flops(10.0);
         let b = FlopCount::from_flops(25.0);
@@ -684,7 +631,7 @@ mod tests {
 
     #[test]
     fn compute_time_is_flops_over_rate() {
-        let t = FlopCount::from_tflops(4.0) / ComputeRate::from_tflops_per_sec(2.0);
+        let t = FlopCount::from_flops(4.0e12) / ComputeRate::from_tflops_per_sec(2.0);
         assert!((t.as_secs() - 2.0).abs() < 1e-12);
     }
 

@@ -74,16 +74,6 @@ impl PagedKvCache {
         self.block_tokens
     }
 
-    /// Maximum number of tokens this cache could hold if the remaining pool capacity
-    /// were used exclusively for KV blocks.
-    pub fn remaining_token_capacity(&self) -> u64 {
-        if self.bytes_per_token.is_zero() {
-            return u64::MAX;
-        }
-        let blocks = self.pool.available().as_bytes() / self.block_bytes().as_bytes().max(1);
-        blocks * self.block_tokens
-    }
-
     /// Registers a new sequence that already holds `initial_tokens` tokens (its
     /// prompt after prefill), allocating the required blocks.
     ///
@@ -139,34 +129,6 @@ impl PagedKvCache {
             seq.blocks.push(alloc);
         }
         seq.tokens += 1;
-        Ok(())
-    }
-
-    /// Number of tokens currently cached for a sequence.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an unknown sequence.
-    pub fn sequence_tokens(&self, id: SequenceId) -> Result<u64, MemoryError> {
-        self.sequences
-            .get(&id)
-            .map(|s| s.tokens)
-            .ok_or(MemoryError::UnknownSequence { sequence: id.0 })
-    }
-
-    /// Removes a finished sequence, freeing its blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an unknown sequence.
-    pub fn remove_sequence(&mut self, id: SequenceId) -> Result<(), MemoryError> {
-        let seq = self
-            .sequences
-            .remove(&id)
-            .ok_or(MemoryError::UnknownSequence { sequence: id.0 })?;
-        for block in seq.blocks {
-            self.pool.free(block)?;
-        }
         Ok(())
     }
 
@@ -234,7 +196,7 @@ mod tests {
             2,
             "fifth token spills into a second block"
         );
-        assert_eq!(kv.sequence_tokens(SequenceId(7)).unwrap(), 5);
+        assert_eq!(kv.stats().tokens, 5);
         for _ in 0..3 {
             kv.append_token(SequenceId(7)).unwrap();
         }
@@ -243,19 +205,6 @@ mod tests {
             2,
             "block is filled before allocating another"
         );
-    }
-
-    #[test]
-    fn remove_sequence_frees_all_blocks() {
-        let mut kv = cache(1.0, 16, 64);
-        kv.add_sequence(SequenceId(1), 40).unwrap();
-        kv.add_sequence(SequenceId(2), 40).unwrap();
-        kv.remove_sequence(SequenceId(1)).unwrap();
-        let stats = kv.stats();
-        assert_eq!(stats.sequences, 1);
-        assert_eq!(stats.blocks, 3);
-        assert!(kv.remove_sequence(SequenceId(1)).is_err());
-        assert!(kv.sequence_tokens(SequenceId(1)).is_err());
     }
 
     #[test]
@@ -272,19 +221,6 @@ mod tests {
             kv.append_token(SequenceId(2)).is_err(),
             "no room for a fourth block"
         );
-    }
-
-    #[test]
-    fn remaining_token_capacity_accounts_for_block_granularity() {
-        let kv = cache(1.0, 16, 64);
-        // 1 MiB / (16*64 bytes per block) = 1024 blocks → 16384 tokens.
-        assert_eq!(kv.remaining_token_capacity(), 16384);
-        let zero = PagedKvCache::new(
-            MemoryPool::new("kv", ByteSize::from_mib(1.0)),
-            16,
-            ByteSize::ZERO,
-        );
-        assert_eq!(zero.remaining_token_capacity(), u64::MAX);
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl PageTable {
         self.by_layer.len()
     }
 
-    /// Total number of pages.
-    pub fn num_pages(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Looks up a page.
     pub fn page(&self, id: PageId) -> Option<&WeightPage> {
         self.pages.get(&id)
@@ -206,7 +201,6 @@ mod tests {
         let l0 = table.add_layer(ByteSize::from_mib(100.0), 4);
         let l1 = table.add_layer(ByteSize::from_mib(100.0), 4);
         assert_eq!(table.num_layers(), 2);
-        assert_eq!(table.num_pages(), 8);
         assert_eq!(table.layer_pages(0), l0.as_slice());
         assert_eq!(table.layer_pages(1), l1.as_slice());
         assert!(table.layer_pages(7).is_empty());

@@ -16,13 +16,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AllocationId(u64);
 
-impl AllocationId {
-    /// The raw numeric id (useful for logging).
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 #[derive(Debug, Default)]
 struct PoolState {
     used: u64,
@@ -73,17 +66,9 @@ impl MemoryPool {
         self.capacity.saturating_sub(self.used())
     }
 
-    /// High-water mark of usage since creation (or the last [`reset_peak`]).
-    ///
-    /// [`reset_peak`]: MemoryPool::reset_peak
+    /// High-water mark of usage since creation.
     pub fn peak(&self) -> ByteSize {
         ByteSize::from_bytes(self.state.lock().peak)
-    }
-
-    /// Resets the high-water mark to the current usage.
-    pub fn reset_peak(&self) {
-        let mut s = self.state.lock();
-        s.peak = s.used;
     }
 
     /// Fraction of the capacity currently in use (0.0–1.0).
@@ -132,16 +117,6 @@ impl MemoryPool {
             None => Err(MemoryError::UnknownAllocation { id: id.0 }),
         }
     }
-
-    /// Returns `true` if an allocation of `size` would currently succeed.
-    pub fn would_fit(&self, size: ByteSize) -> bool {
-        self.available() >= size
-    }
-
-    /// Number of live allocations.
-    pub fn allocation_count(&self) -> usize {
-        self.state.lock().allocations.len()
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +133,6 @@ mod tests {
         let a = p.allocate(ByteSize::from_mib(256.0)).unwrap();
         let b = p.allocate(ByteSize::from_mib(512.0)).unwrap();
         assert_eq!(p.used(), ByteSize::from_mib(768.0));
-        assert_eq!(p.allocation_count(), 2);
         assert_eq!(p.free(a).unwrap(), ByteSize::from_mib(256.0));
         assert_eq!(p.used(), ByteSize::from_mib(512.0));
         p.free(b).unwrap();
@@ -203,18 +177,14 @@ mod tests {
         p.free(a).unwrap();
         let _b = p.allocate(ByteSize::from_mib(100.0)).unwrap();
         assert_eq!(p.peak(), ByteSize::from_mib(600.0));
-        p.reset_peak();
-        assert_eq!(p.peak(), ByteSize::from_mib(100.0));
     }
 
     #[test]
-    fn utilization_and_would_fit() {
+    fn utilization_is_used_over_capacity() {
         let p = pool(1.0);
         assert_eq!(p.utilization(), 0.0);
         p.allocate(ByteSize::from_mib(512.0)).unwrap();
         assert!((p.utilization() - 0.5).abs() < 1e-9);
-        assert!(p.would_fit(ByteSize::from_mib(512.0)));
-        assert!(!p.would_fit(ByteSize::from_mib(513.0)));
         let zero = MemoryPool::new("zero", ByteSize::ZERO);
         assert_eq!(zero.utilization(), 0.0);
     }

@@ -161,12 +161,6 @@ impl PagedWeightStore {
         &self.table
     }
 
-    /// Bytes of GPU memory held by the store (static weights + every buffer slot).
-    pub fn gpu_resident_bytes(&self) -> ByteSize {
-        self.layout.static_bytes_per_layer() * self.layout.num_layers as u64
-            + self.layout.streamed_bytes_per_layer() * self.layout.buffer_slots as u64
-    }
-
     /// Plans the prefetch of `layer`'s streamed pages into its buffer slot
     /// (`layer % buffer_slots`), marking the slot occupied. Returns one CPU→pinned
     /// and one pinned→GPU transfer per page, in page order.
@@ -344,7 +338,6 @@ mod tests {
             PagedWeightStore::new(layout(), gpu.clone(), cpu.clone(), pinned.clone()).unwrap();
         // GPU: 4 layers × 256 MiB static + 3 × 768 MiB buffer slots = 3328 MiB.
         assert_eq!(gpu.used(), ByteSize::from_mib(3328.0));
-        assert_eq!(store.gpu_resident_bytes(), ByteSize::from_mib(3328.0));
         // CPU: 4 × 768 MiB streamed.
         assert_eq!(cpu.used(), ByteSize::from_mib(3072.0));
         assert!(pinned.used() > ByteSize::ZERO);

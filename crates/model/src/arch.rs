@@ -121,14 +121,6 @@ impl MoeModelConfig {
         }
     }
 
-    /// Returns a copy with a different weight data type.
-    pub fn with_weight_dtype(&self, dtype: DType) -> MoeModelConfig {
-        MoeModelConfig {
-            weight_dtype: dtype,
-            ..self.clone()
-        }
-    }
-
     // --- parameter counts -------------------------------------------------------
 
     /// Attention projection parameters per layer: W_Q, W_K, W_V, W_O.
@@ -174,15 +166,6 @@ impl MoeModelConfig {
         self.params_per_layer() * u64::from(self.num_layers) + self.embedding_params()
     }
 
-    /// Parameters activated per token (attention + router + top-k experts), the
-    /// quantity that determines per-token FLOPs.
-    pub fn active_params_per_layer(&self) -> u64 {
-        self.attention_params_per_layer()
-            + self.router_params_per_layer()
-            + self.params_per_expert() * u64::from(self.top_k)
-            + 2 * u64::from(self.d_model)
-    }
-
     // --- byte footprints --------------------------------------------------------
 
     /// Bytes of the attention weights of one layer.
@@ -191,11 +174,6 @@ impl MoeModelConfig {
             self.weight_dtype
                 .bytes_for(self.attention_params_per_layer()),
         )
-    }
-
-    /// Bytes of one expert's weights.
-    pub fn expert_weight_bytes(&self) -> ByteSize {
-        ByteSize::from_bytes(self.weight_dtype.bytes_for(self.params_per_expert()))
     }
 
     /// Bytes of all expert weights of one layer.
@@ -224,12 +202,6 @@ impl MoeModelConfig {
         self.kv_bytes_per_token_per_layer() * u64::from(self.num_layers)
     }
 
-    /// KV-cache bytes for a batch of `batch` sequences with `context_len` tokens each,
-    /// in a single layer.
-    pub fn kv_bytes_per_layer(&self, batch: u64, context_len: u64) -> ByteSize {
-        self.kv_bytes_per_token_per_layer() * batch * context_len
-    }
-
     /// Bytes of the hidden-state activations for `tokens` tokens (one layer boundary).
     pub fn hidden_state_bytes(&self, tokens: u64) -> ByteSize {
         ByteSize::from_bytes(
@@ -244,19 +216,6 @@ impl MoeModelConfig {
         let per_token = u64::from(self.num_q_heads) * u64::from(self.head_dim)
             + 2 * u64::from(self.num_kv_heads) * u64::from(self.head_dim);
         ByteSize::from_bytes(self.weight_dtype.bytes_for(tokens * per_token))
-    }
-
-    /// Query-head to KV-head group size (`n_q / n_kv`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has zero KV heads.
-    pub fn gqa_group_size(&self) -> u32 {
-        assert!(
-            self.num_kv_heads > 0,
-            "model must have at least one KV head"
-        );
-        self.num_q_heads / self.num_kv_heads
     }
 
     /// Validates internal consistency of the configuration.
@@ -329,18 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn mixtral_active_params_close_to_published_12_9b() {
-        let cfg = MoeModelConfig::mixtral_8x7b();
-        let active = (cfg.active_params_per_layer() * u64::from(cfg.num_layers)
-            + cfg.embedding_params()) as f64
-            / 1e9;
-        assert!(
-            (12.0..14.0).contains(&active),
-            "got {active} B active params"
-        );
-    }
-
-    #[test]
     fn mixtral_8x22b_expert_ffn_exceeds_256_gb_in_f32_equivalent() {
         // The paper's intro quotes >256 GB for the 8x22B expert FFN weights; with f16
         // that is ~270 GB of parameters at 2 bytes => check the parameter count.
@@ -376,13 +323,6 @@ mod tests {
             ratio > 0.9,
             "experts should dominate layer weights, got {ratio}"
         );
-    }
-
-    #[test]
-    fn gqa_group_sizes_match_published_architectures() {
-        assert_eq!(MoeModelConfig::mixtral_8x7b().gqa_group_size(), 4);
-        assert_eq!(MoeModelConfig::mixtral_8x22b().gqa_group_size(), 6);
-        assert_eq!(MoeModelConfig::dbrx().gqa_group_size(), 6);
     }
 
     #[test]

@@ -59,8 +59,8 @@ mod proptests {
         fn decode_cost_monotonic_in_context(tokens in 1u64..64, c1 in 1u64..4096, c2 in 1u64..4096) {
             let ops = LayerOps::new(MoeModelConfig::mixtral_8x7b());
             let (lo, hi) = if c1 <= c2 { (c1, c2) } else { (c2, c1) };
-            let a = ops.decode_layer(tokens, lo);
-            let b = ops.decode_layer(tokens, hi);
+            let a = ops.attention_core_decode(tokens, lo);
+            let b = ops.attention_core_decode(tokens, hi);
             prop_assert!(b.flops.as_flops() >= a.flops.as_flops());
             prop_assert!(b.kv_bytes >= a.kv_bytes);
         }
@@ -71,8 +71,8 @@ mod proptests {
             let mut cfg = MoeModelConfig::tiny();
             cfg.num_layers = layers;
             cfg.d_model = d;
-            let f32_cfg = cfg.with_weight_dtype(DType::F32);
-            let f16_cfg = cfg.with_weight_dtype(DType::F16);
+            let f32_cfg = MoeModelConfig { weight_dtype: DType::F32, ..cfg.clone() };
+            let f16_cfg = MoeModelConfig { weight_dtype: DType::F16, ..cfg };
             let ratio = f32_cfg.total_weight_bytes().as_bytes() as f64
                 / f16_cfg.total_weight_bytes().as_bytes() as f64;
             prop_assert!((ratio - 2.0).abs() < 0.01);

@@ -162,11 +162,6 @@ impl PolicyOptimizer {
         &self.cost
     }
 
-    /// The underlying capacity model.
-    pub fn capacity_model(&self) -> &CapacityModel {
-        &self.capacity
-    }
-
     /// Evaluates a single candidate (generation throughput, or `None` if invalid
     /// or infeasible).
     pub fn evaluate(&self, policy: &Policy, workload: &WorkloadShape) -> Option<f64> {
@@ -525,11 +520,12 @@ mod tests {
     fn search_result_policy_is_always_feasible_and_valid() {
         let opt = PolicyOptimizer::new(NodeSpec::l4_single(), MoeModelConfig::mixtral_8x7b())
             .with_search_space(SearchSpace::coarse());
+        let capacity = CapacityModel::new(NodeSpec::l4_single(), MoeModelConfig::mixtral_8x7b());
         for gen in [32, 128, 256] {
             let w = mtbench(gen);
             let r = opt.search(&w).unwrap();
             assert!(r.policy.validate().is_ok());
-            assert!(opt.capacity_model().is_feasible(&r.policy, &w));
+            assert!(capacity.is_feasible(&r.policy, &w));
         }
     }
 }

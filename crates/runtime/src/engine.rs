@@ -21,7 +21,6 @@ use moe_memory::{
     SequenceId, WeightLayout,
 };
 use moe_model::reference::{argmax, QkvVectors, ReferenceMoeModel, SequenceCache};
-use moe_model::MoeModelConfig;
 use moe_policy::{CostModel, Policy, WorkloadShape};
 use moe_schedule::{cgopipe_weight_buffers, DecodeScheduleBuilder, ScheduleKind};
 use moe_sim::{Task, TaskKind};
@@ -296,11 +295,6 @@ impl PipelinedMoeEngine {
         })
     }
 
-    /// The model configuration.
-    pub fn model_config(&self) -> &MoeModelConfig {
-        self.model.config()
-    }
-
     /// Generates `gen_len` tokens greedily for every prompt, running each decode
     /// pass as one play of the CGOPipe decode-step graph.
     ///
@@ -466,6 +460,7 @@ impl PipelinedMoeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moe_model::MoeModelConfig;
 
     fn tiny_engine(config: EngineConfig) -> PipelinedMoeEngine {
         let model =

@@ -183,11 +183,6 @@ impl<'a> DecodeScheduleBuilder<'a> {
         &self.policy
     }
 
-    /// The per-micro-batch decode token counts the schedules are built with.
-    pub fn micro_batch_tokens_per_batch(&self) -> &[u64] {
-        &self.ub_tokens
-    }
-
     fn ctx(&self) -> u64 {
         self.workload.avg_decode_context()
     }
@@ -853,10 +848,7 @@ mod tests {
         let skewed_tokens: Vec<u64> = vec![120, 60, 40, 20, 10, 3, 2, 1];
         assert_eq!(skewed_tokens.iter().sum::<u64>(), 256);
         let skewed = builder(&cost).with_micro_batch_tokens(&skewed_tokens);
-        assert_eq!(
-            skewed.micro_batch_tokens_per_batch(),
-            skewed_tokens.as_slice()
-        );
+        assert_eq!(skewed.ub_tokens, skewed_tokens);
         for kind in [ScheduleKind::CgoPipe, ScheduleKind::FlexGenGpuAttention] {
             let t_uniform = uniform.decode_step_makespan(kind).unwrap();
             let t_skewed = skewed.decode_step_makespan(kind).unwrap();
@@ -984,7 +976,7 @@ mod tests {
                     full.as_secs().to_bits(),
                     "{} / {:?} / {} layers: {} vs {}",
                     kind.name(),
-                    b.micro_batch_tokens_per_batch(),
+                    b.ub_tokens,
                     layers,
                     streamed,
                     full

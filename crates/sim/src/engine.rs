@@ -62,19 +62,6 @@ impl SimulationResult {
     pub fn kind_time(&self, kind: TaskKind) -> Seconds {
         self.kind_busy.get(&kind).copied().unwrap_or(Seconds::ZERO)
     }
-
-    /// Entries of one lane in start-time order.
-    pub fn lane_timeline(&self, lane: Lane) -> Vec<&TimelineEntry> {
-        self.timeline.iter().filter(|e| e.lane == lane).collect()
-    }
-
-    /// Finish time of a specific task, if it ran.
-    pub fn finish_of(&self, task: TaskId) -> Option<Seconds> {
-        self.timeline
-            .iter()
-            .find(|e| e.task == task)
-            .map(|e| e.finish)
-    }
 }
 
 /// Plays tasks one at a time, as a schedule emits them, on four FIFO lanes.
@@ -230,6 +217,10 @@ mod tests {
         Seconds::from_millis(v)
     }
 
+    fn finish_of(r: &SimulationResult, task: TaskId) -> Seconds {
+        r.timeline.iter().find(|e| e.task == task).unwrap().finish
+    }
+
     #[test]
     fn empty_graph_has_zero_makespan() {
         let result = simulate(&TaskGraph::new());
@@ -280,7 +271,7 @@ mod tests {
             .unwrap();
         let r = simulate(&g);
         assert!((r.makespan.as_millis() - 10.0).abs() < 1e-9);
-        assert!(r.finish_of(a).unwrap().as_millis() <= r.finish_of(b).unwrap().as_millis());
+        assert!(finish_of(&r, a) <= finish_of(&r, b));
     }
 
     #[test]
@@ -330,7 +321,7 @@ mod tests {
             y_entry.start.as_millis() >= 11.0 - 1e-9,
             "y must wait behind x"
         );
-        assert!(r.finish_of(x).unwrap().as_millis() <= y_entry.start.as_millis() + 1e-9);
+        assert!(finish_of(&r, x).as_millis() <= y_entry.start.as_millis() + 1e-9);
     }
 
     #[test]
@@ -446,6 +437,12 @@ mod tests {
         for pair in r.timeline.windows(2) {
             assert!(pair[0].start.as_secs() <= pair[1].start.as_secs());
         }
-        assert_eq!(r.lane_timeline(Lane::GpuCompute).len(), 1);
+        assert_eq!(
+            r.timeline
+                .iter()
+                .filter(|e| e.lane == Lane::GpuCompute)
+                .count(),
+            1
+        );
     }
 }

@@ -94,11 +94,20 @@ mod proptests {
         g
     }
 
+    /// Tasks bound to `lane`, in enqueue (FIFO) order.
+    fn lane_queue(g: &TaskGraph, lane: Lane) -> Vec<TaskId> {
+        g.tasks()
+            .iter()
+            .filter(|t| t.lane == lane)
+            .map(|t| t.id)
+            .collect()
+    }
+
     /// Reference player, independent of the streaming `Player`: lanes take turns
     /// running their head task while its dependencies have finished, until
     /// every task has run.
     fn round_robin_makespan(g: &TaskGraph) -> Seconds {
-        let queues = Lane::all().map(|lane| g.lane_queue(lane));
+        let queues = Lane::all().map(|lane| lane_queue(g, lane));
         let mut cursor = [0usize; 4];
         let mut lane_free = [Seconds::ZERO; 4];
         let mut finish: Vec<Option<Seconds>> = vec![None; g.len()];
@@ -186,10 +195,9 @@ mod proptests {
         fn dependencies_and_lane_order_respected(seed in 0u64..10_000, n in 2usize..80) {
             let g = random_graph(seed, n);
             let r = simulate(&g);
-            let finish = |id: TaskId| r.finish_of(id).unwrap().as_secs();
-            let start_of = |id: TaskId| {
-                r.timeline.iter().find(|e| e.task == id).unwrap().start.as_secs()
-            };
+            let entry = |id: TaskId| r.timeline.iter().find(|e| e.task == id).unwrap();
+            let finish = |id: TaskId| entry(id).finish.as_secs();
+            let start_of = |id: TaskId| entry(id).start.as_secs();
             for task in g.tasks() {
                 for dep in g.deps(task) {
                     prop_assert!(finish(*dep) <= start_of(task.id) + 1e-12,
@@ -198,7 +206,7 @@ mod proptests {
             }
             // FIFO order within each lane.
             for lane in Lane::all() {
-                let q = g.lane_queue(lane);
+                let q = lane_queue(&g, lane);
                 for pair in q.windows(2) {
                     prop_assert!(finish(pair[0]) <= start_of(pair[1]) + 1e-12);
                 }

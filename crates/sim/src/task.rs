@@ -276,15 +276,6 @@ impl TaskGraph {
         &self.deps[task.deps.clone()]
     }
 
-    /// Tasks bound to a given lane, in enqueue (FIFO) order.
-    pub fn lane_queue(&self, lane: Lane) -> Vec<TaskId> {
-        self.tasks
-            .iter()
-            .filter(|t| t.lane == lane)
-            .map(|t| t.id)
-            .collect()
-    }
-
     /// Sum of all task durations on a lane (lower bound on that lane's busy time).
     pub fn lane_work(&self, lane: Lane) -> Seconds {
         self.tasks
@@ -374,40 +365,6 @@ mod tests {
             }
         );
         assert!(g.is_empty(), "a rejected task is not added");
-    }
-
-    #[test]
-    fn lane_queue_preserves_fifo_order_and_filters_lane() {
-        let mut g = TaskGraph::new();
-        let a = g
-            .add_task(
-                Lane::HostToDevice,
-                Seconds::from_millis(1.0),
-                TaskKind::WeightTransfer,
-                "w0",
-                &[],
-            )
-            .unwrap();
-        let _b = g
-            .add_task(
-                Lane::GpuCompute,
-                Seconds::from_millis(1.0),
-                TaskKind::PostAttention,
-                "c0",
-                &[],
-            )
-            .unwrap();
-        let c = g
-            .add_task(
-                Lane::HostToDevice,
-                Seconds::from_millis(1.0),
-                TaskKind::HiddenTransfer,
-                "h1",
-                &[],
-            )
-            .unwrap();
-        assert_eq!(g.lane_queue(Lane::HostToDevice), vec![a, c]);
-        assert_eq!(g.lane_queue(Lane::DeviceToHost), vec![]);
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //!
 //! [`Recorder`] is the batteries-included sink: it derives a [`Counters`]
 //! summary, keeps the event log and a ring-buffered time-series, and exports
-//! JSONL (events), CSV (time-series) and a single JSON document
-//! (`--metrics` dumps on the bench bins). All serialization is hand-rolled —
-//! the workspace's serde is an offline API shim.
+//! them as one JSON document (`--metrics` dumps on the bench bins). All
+//! serialization is hand-rolled — the workspace's serde is an offline API
+//! shim.
 //!
 //! # Examples
 //!
@@ -61,7 +61,7 @@
 //! recorder.span(Section::Routing, 1, 1_200);
 //! assert_eq!(recorder.counters().arrivals, 1);
 //! assert_eq!(recorder.counters().completed, 1);
-//! assert!(recorder.events_jsonl().lines().count() == 2);
+//! assert_eq!(recorder.events().len(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -222,7 +222,7 @@ pub enum TelemetryEvent {
 }
 
 impl TelemetryEvent {
-    /// Stable kind label used in the JSONL export.
+    /// Stable kind label used in the JSON export.
     pub fn kind(&self) -> &'static str {
         match self {
             TelemetryEvent::Arrival { .. } => "arrival",
@@ -258,7 +258,7 @@ impl TelemetryEvent {
         }
     }
 
-    /// Renders the event as one JSON object (one JSONL line, no newline).
+    /// Renders the event as one JSON object (no newline).
     pub fn to_json(&self) -> String {
         let mut o = JsonObj::new();
         o.str("kind", self.kind());
@@ -440,16 +440,7 @@ pub struct FleetSample {
 }
 
 impl FleetSample {
-    /// Fraction of cache lookups that hit, over the whole run so far.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            return 0.0;
-        }
-        self.cache_hits as f64 / lookups as f64
-    }
-
-    fn to_json(&self, with_replicas: bool) -> String {
+    fn to_json(&self) -> String {
         let mut o = JsonObj::new();
         o.num("at", self.at);
         o.num("serving", self.serving as f64);
@@ -465,27 +456,25 @@ impl FleetSample {
         o.num("cache_hits", self.cache_hits as f64);
         o.num("cache_misses", self.cache_misses as f64);
         o.num("cache_hit_tokens", self.cache_hit_tokens as f64);
-        if with_replicas {
-            let rows: Vec<String> = self
-                .replicas
-                .iter()
-                .map(|r| {
-                    let mut ro = JsonObj::new();
-                    ro.num("replica", r.replica as f64);
-                    ro.str("lifecycle", r.lifecycle);
-                    ro.num("queued", r.queued as f64);
-                    ro.num("active", r.active as f64);
-                    ro.num("outstanding_tokens", r.outstanding_tokens as f64);
-                    ro.num("kv_projected", r.kv_projected as f64);
-                    ro.num("kv_capacity", r.kv_capacity as f64);
-                    ro.num("kv_migrating_in", r.kv_migrating_in as f64);
-                    ro.num("decode_rate", r.decode_rate);
-                    ro.num("cache_hits", r.cache_hits as f64);
-                    ro.finish()
-                })
-                .collect();
-            o.raw("replicas", &format!("[{}]", rows.join(",")));
-        }
+        let rows: Vec<String> = self
+            .replicas
+            .iter()
+            .map(|r| {
+                let mut ro = JsonObj::new();
+                ro.num("replica", r.replica as f64);
+                ro.str("lifecycle", r.lifecycle);
+                ro.num("queued", r.queued as f64);
+                ro.num("active", r.active as f64);
+                ro.num("outstanding_tokens", r.outstanding_tokens as f64);
+                ro.num("kv_projected", r.kv_projected as f64);
+                ro.num("kv_capacity", r.kv_capacity as f64);
+                ro.num("kv_migrating_in", r.kv_migrating_in as f64);
+                ro.num("decode_rate", r.decode_rate);
+                ro.num("cache_hits", r.cache_hits as f64);
+                ro.finish()
+            })
+            .collect();
+        o.raw("replicas", &format!("[{}]", rows.join(",")));
         o.finish()
     }
 }
@@ -746,48 +735,6 @@ impl Recorder {
         out
     }
 
-    /// The event log as JSONL — one JSON object per line.
-    pub fn events_jsonl(&self) -> String {
-        let state = self.state.lock();
-        let mut out = String::new();
-        for event in &state.events {
-            out.push_str(&event.to_json());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The fleet-level time-series as CSV (header + one row per sample).
-    pub fn series_csv(&self) -> String {
-        let state = self.state.lock();
-        let mut out = String::from(
-            "at,serving,provisioning,draining,departed,queued,active,\
-             outstanding_tokens,kv_projected,kv_migrating_in,\
-             migrations_in_flight,cache_hits,cache_misses,cache_hit_rate\n",
-        );
-        for s in &state.series {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                s.at,
-                s.serving,
-                s.provisioning,
-                s.draining,
-                s.departed,
-                s.queued,
-                s.active,
-                s.outstanding_tokens,
-                s.kv_projected,
-                s.kv_migrating_in,
-                s.migrations_in_flight,
-                s.cache_hits,
-                s.cache_misses,
-                s.cache_hit_rate(),
-            );
-        }
-        out
-    }
-
     /// Everything in one JSON document: counters, profiling roll-up, the
     /// sampled series (with per-replica rows) and the retained events. This
     /// is what the bench bins write for `--metrics <path>`.
@@ -817,7 +764,7 @@ impl Recorder {
             "  \"samples_dropped\": {},\n  \"events_dropped\": {},\n",
             state.samples_dropped, state.events_dropped
         );
-        let samples: Vec<String> = state.series.iter().map(|s| s.to_json(true)).collect();
+        let samples: Vec<String> = state.series.iter().map(|s| s.to_json()).collect();
         let _ = write!(
             out,
             "  \"series\": [\n    {}\n  ],\n",
@@ -1066,7 +1013,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_and_csv_exports_have_one_row_per_record() {
+    fn events_render_one_json_object_each() {
         let r = Recorder::new().with_interval(1.0);
         r.event(&arrival(7, 0.25));
         r.event(&completed(7, 16, 3.5));
@@ -1078,18 +1025,11 @@ mod tests {
             cache_misses: 3,
             ..FleetSample::default()
         });
-        let jsonl = r.events_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
+        let lines: Vec<String> = r.events().iter().map(TelemetryEvent::to_json).collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"kind\":\"arrival\"") && lines[0].contains("\"id\":7"));
         assert!(lines[0].contains("\"session\":7") && lines[0].contains("\"class\":\"standard\""));
         assert!(lines[1].contains("\"kind\":\"completed\"") && lines[1].contains("\"gen_len\":16"));
-        let csv = r.series_csv();
-        let rows: Vec<&str> = csv.lines().collect();
-        assert_eq!(rows.len(), 2, "header + one sample");
-        assert!(rows[0].starts_with("at,serving"));
-        assert!(rows[1].starts_with("1,4,"));
-        assert!(rows[1].ends_with("0.25"), "hit rate 1/(1+3): {}", rows[1]);
     }
 
     #[test]

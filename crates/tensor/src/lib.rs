@@ -5,7 +5,7 @@
 //! of a tiny Mixture-of-Experts transformer to validate that CGOPipe's task graph,
 //! weight paging and dependency tracking are actually executable. This crate provides
 //! the numeric substrate: an owned row-major [`Tensor`], dense kernels
-//! ([`ops::matmul`], [`ops::softmax_rows`], [`ops::rms_norm`], [`ops::silu`],
+//! ([`ops::matmul`], [`ops::softmax_inplace`], [`ops::rms_norm`], [`ops::silu`],
 //! [`ops::top_k`]) and grouped-query attention
 //! ([`attention::gqa_attention_decode`], [`attention::causal_attention_prefill`]).
 //!
@@ -76,10 +76,10 @@ mod proptests {
 
         #[test]
         fn softmax_rows_are_probability_distributions(m in small_matrix(6)) {
-            let s = ops::softmax_rows(&m).unwrap();
-            let (rows, _) = s.as_2d().unwrap();
-            for r in 0..rows {
-                let row = s.row(r).unwrap();
+            let (_, cols) = m.as_2d().unwrap();
+            for row in m.data().chunks(cols) {
+                let mut row = row.to_vec();
+                ops::softmax_inplace(&mut row);
                 prop_assert!(row.iter().all(|&x| (0.0..=1.0 + 1e-6).contains(&x)));
                 prop_assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-4);
             }

@@ -96,20 +96,6 @@ pub fn softmax_inplace(x: &mut [f32]) {
     }
 }
 
-/// Row-wise softmax of a 2-D tensor.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] if the input is not 2-D.
-pub fn softmax_rows(x: &Tensor) -> Result<Tensor, TensorError> {
-    let (rows, _cols) = x.as_2d()?;
-    let mut out = x.clone();
-    for r in 0..rows {
-        softmax_inplace(out.row_mut(r)?);
-    }
-    Ok(out)
-}
-
 /// RMSNorm: `x / sqrt(mean(x²) + eps) * gain`, applied per row.
 ///
 /// Mixtral and DBRX use RMS normalization before attention and FFN blocks.
@@ -142,11 +128,6 @@ pub fn rms_norm(x: &Tensor, gain: &[f32], eps: f32) -> Result<Tensor, TensorErro
 /// SiLU (swish) activation `x * sigmoid(x)`, the activation of Mixtral's experts.
 pub fn silu(x: f32) -> f32 {
     x / (1.0 + (-x).exp())
-}
-
-/// Applies SiLU element-wise.
-pub fn silu_tensor(x: &Tensor) -> Tensor {
-    x.map(silu)
 }
 
 /// Returns the indices and values of the `k` largest entries of `scores`, sorted by
@@ -231,10 +212,9 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_sum_to_one_and_preserve_order() {
-        let x = t(&[1, 4], vec![1.0, 2.0, 3.0, 4.0]);
-        let s = softmax_rows(&x).unwrap();
-        let row = s.row(0).unwrap();
+    fn softmax_sums_to_one_and_preserves_order() {
+        let mut row = vec![1.0, 2.0, 3.0, 4.0];
+        softmax_inplace(&mut row);
         assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-6);
         assert!(row[3] > row[2] && row[2] > row[1] && row[1] > row[0]);
     }
@@ -273,9 +253,6 @@ mod tests {
         assert_eq!(silu(0.0), 0.0);
         assert!(silu(10.0) > 9.99);
         assert!(silu(-10.0).abs() < 1e-3);
-        let t_in = t(&[1, 2], vec![0.0, 10.0]);
-        let out = silu_tensor(&t_in);
-        assert_eq!(out.data()[0], 0.0);
     }
 
     #[test]

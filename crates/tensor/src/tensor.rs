@@ -94,11 +94,6 @@ impl Tensor {
         &self.shape
     }
 
-    /// Number of dimensions.
-    pub fn ndim(&self) -> usize {
-        self.shape.len()
-    }
-
     /// Total number of elements.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -302,7 +297,7 @@ mod tests {
         assert!(z.data().iter().all(|&x| x == 0.0));
         let f = Tensor::full(&[3], 2.5);
         assert!(f.data().iter().all(|&x| x == 2.5));
-        assert_eq!(f.ndim(), 1);
+        assert_eq!(f.shape(), &[3]);
     }
 
     #[test]

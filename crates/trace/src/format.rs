@@ -158,24 +158,6 @@ impl Trace {
         self.requests.last().map_or(Seconds::ZERO, |r| r.arrival)
     }
 
-    /// Merges two traces into one stream on a shared clock. Session ids are
-    /// offset per source so sessions from different traces stay disjoint.
-    pub fn merge(&self, other: &Trace) -> Trace {
-        let offset = self
-            .requests
-            .iter()
-            .map(|r| r.session_id + 1)
-            .max()
-            .unwrap_or(0);
-        let mut combined = self.requests.clone();
-        combined.extend(other.requests.iter().map(|r| {
-            let mut r = *r;
-            r.session_id += offset;
-            r
-        }));
-        Trace::new(combined)
-    }
-
     /// The sub-trace of arrivals in `[start, end)`, rebased so the window
     /// start becomes time zero. Session ids are preserved.
     pub fn slice(&self, start: Seconds, end: Seconds) -> Trace {

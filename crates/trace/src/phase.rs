@@ -90,15 +90,6 @@ pub struct PhasePlan {
 }
 
 impl PhasePlan {
-    /// Sum of the slice weights. Always equals
-    /// [`PhasePlan::windowed_duration`]: every window is a member of exactly
-    /// one slice.
-    pub fn total_weight(&self) -> Seconds {
-        self.slices
-            .iter()
-            .fold(Seconds::ZERO, |acc, s| acc + s.weight)
-    }
-
     /// The duration the windows tile: `windows.len() × window`.
     pub fn windowed_duration(&self) -> Seconds {
         self.window.scale(self.windows.len() as f64)

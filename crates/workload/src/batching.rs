@@ -1,5 +1,4 @@
-//! Request batching — the shared data model of the batch-formation layer, plus
-//! Algorithm 2 of the paper (Appendix A.2) as free-function shorthand.
+//! Request batching — the shared data model of the batch-formation layer.
 //!
 //! For variable-length prompts, Algorithm 2 sorts requests by input length
 //! (descending) and greedily assigns each to the micro-batch with the fewest
@@ -10,12 +9,10 @@
 //! next batch).
 //!
 //! The assignment itself lives behind the [`crate::scheduler::Scheduler`] trait
-//! ([`crate::scheduler::Algorithm2`] is the paper's strategy); [`batch_requests`]
-//! and [`backfill_requests`] are convenience wrappers over it. The serving loop
+//! ([`crate::scheduler::Algorithm2`] is the paper's strategy). The serving loop
 //! in the core crate is generic over the trait, so alternative strategies
 //! (FCFS-padded, token-budget, shortest-job-first) plug in without touching it.
 
-use crate::scheduler::{Algorithm2, Scheduler};
 use crate::spec::Request;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -165,8 +162,9 @@ impl BatchingConfig {
 }
 
 /// Occupancy of one micro-batch that already holds in-flight requests, as seen by
-/// [`backfill_requests`]. The continuous-batching scheduler snapshots one entry per
-/// micro-batch before re-running Algorithm 2 over the waiting queue.
+/// [`crate::scheduler::Scheduler::backfill`]. The continuous-batching scheduler
+/// snapshots one entry per micro-batch before re-running Algorithm 2 over the
+/// waiting queue.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PartitionState {
     /// Requests currently decoding in this micro-batch.
@@ -231,41 +229,10 @@ impl BackfillResult {
     }
 }
 
-/// Runs the Algorithm 2 assignment over micro-batches that may already hold
-/// in-flight requests: each queued request (longest prompt first) goes to the open
-/// micro-batch with the fewest prompt tokens *among those with KV headroom*,
-/// spilling to the next-fewest-token micro-batch instead of deferring when the
-/// token-minimal one is cache-saturated.
-///
-/// `occupied` holds one [`PartitionState`] per micro-batch; its `requests` counts
-/// bind against both `cfg.max_requests_per_micro_batch` and
-/// `cfg.max_scheduled_requests`.
-///
-/// # Panics
-///
-/// Panics if `num_micro_batches` or `max_requests_per_micro_batch` is zero, or if
-/// `occupied.len() != cfg.num_micro_batches`.
-pub fn backfill_requests(
-    queue: &[Request],
-    cfg: &BatchingConfig,
-    occupied: &[PartitionState],
-) -> BackfillResult {
-    Algorithm2.backfill(queue, cfg, occupied)
-}
-
-/// Runs Algorithm 2: balanced assignment of requests to micro-batches.
-/// Shorthand for [`crate::scheduler::Algorithm2`]'s [`Scheduler::plan`].
-///
-/// # Panics
-///
-/// Panics if `num_micro_batches` or `max_requests_per_micro_batch` is zero.
-pub fn batch_requests(queue: &[Request], cfg: &BatchingConfig) -> BatchingResult {
-    Algorithm2.plan(queue, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::{Algorithm2, Scheduler};
     use crate::spec::WorkloadSpec;
 
     fn cfg(n_ub: usize, ubs: usize, cache: u64) -> BatchingConfig {
@@ -284,7 +251,7 @@ mod tests {
     #[test]
     fn balances_tokens_across_micro_batches() {
         let reqs = WorkloadSpec::mtbench().sample_requests(256, 32, 11);
-        let result = batch_requests(&reqs, &cfg(8, 32, u64::MAX));
+        let result = Algorithm2.plan(&reqs, &cfg(8, 32, u64::MAX));
         assert_eq!(result.scheduled_requests(), 256);
         assert!(result.aborted.is_empty());
         assert_eq!(result.micro_batches.len(), 8);
@@ -298,7 +265,7 @@ mod tests {
     #[test]
     fn respects_per_micro_batch_request_cap() {
         let reqs: Vec<Request> = (0..20).map(|i| req(i, 100)).collect();
-        let result = batch_requests(&reqs, &cfg(4, 4, u64::MAX));
+        let result = Algorithm2.plan(&reqs, &cfg(4, 4, u64::MAX));
         // Only 4×4 = 16 requests fit; the remaining 4 are aborted.
         assert_eq!(result.scheduled_requests(), 16);
         assert_eq!(result.aborted.len(), 4);
@@ -309,7 +276,7 @@ mod tests {
     fn respects_cache_size_limit() {
         let reqs: Vec<Request> = (0..8).map(|i| req(i, 1000)).collect();
         // Cache only fits one 1000-token prompt plus generation per micro-batch.
-        let result = batch_requests(&reqs, &cfg(2, 8, 1100));
+        let result = Algorithm2.plan(&reqs, &cfg(2, 8, 1100));
         assert_eq!(result.scheduled_requests(), 2);
         assert_eq!(result.aborted.len(), 6);
         for mb in &result.micro_batches {
@@ -321,7 +288,7 @@ mod tests {
     fn longest_requests_are_spread_over_different_micro_batches() {
         let mut reqs: Vec<Request> = (0..4).map(|i| req(i, 400)).collect();
         reqs.extend((4..12).map(|i| req(i, 10)));
-        let result = batch_requests(&reqs, &cfg(4, 3, u64::MAX));
+        let result = Algorithm2.plan(&reqs, &cfg(4, 3, u64::MAX));
         // The four long requests must land in four different micro-batches.
         let long_counts: Vec<usize> = result
             .micro_batches
@@ -339,12 +306,12 @@ mod tests {
         // One request whose prompt alone blows the per-micro-batch KV budget must be
         // deferred (the paper's "abort"), not crash the batcher.
         let giant = req(0, 10_000);
-        let result = batch_requests(&[giant], &cfg(4, 8, 1000));
+        let result = Algorithm2.plan(&[giant], &cfg(4, 8, 1000));
         assert!(result.micro_batches.is_empty());
         assert_eq!(result.aborted, vec![giant]);
         // Mixed with schedulable requests, only the oversized one is aborted.
         let queue = [giant, req(1, 100), req(2, 200)];
-        let result = batch_requests(&queue, &cfg(4, 8, 1000));
+        let result = Algorithm2.plan(&queue, &cfg(4, 8, 1000));
         assert_eq!(result.scheduled_requests(), 2);
         assert_eq!(result.aborted, vec![giant]);
     }
@@ -360,7 +327,7 @@ mod tests {
         let fillers: Vec<Request> = (1..=2).map(|id| Request::new(id, 500, 1)).collect();
         let small = Request::new(3, 60, 1);
         let queue = [giant, fillers[0], fillers[1], small];
-        let result = batch_requests(&queue, &cfg(2, 8, 1100));
+        let result = Algorithm2.plan(&queue, &cfg(2, 8, 1100));
         assert!(
             result.aborted.is_empty(),
             "small request must spill to the open micro-batch with headroom: {:?}",
@@ -393,7 +360,7 @@ mod tests {
             PartitionState::default(),
         ];
         let queue: Vec<Request> = (0..3).map(|id| Request::new(id, 200, 100)).collect();
-        let fill = backfill_requests(&queue, &cfg(2, 4, 1000), &occupied);
+        let fill = Algorithm2.backfill(&queue, &cfg(2, 4, 1000), &occupied);
         // All three fit the empty micro-batch (3 × 300 = 900 ≤ 1000); the occupied
         // one can only take one more (700 + 300 = 1000).
         assert_eq!(fill.admitted(), 3);
@@ -416,7 +383,7 @@ mod tests {
         let mut config = cfg(1, 8, u64::MAX);
         config.max_scheduled_requests = 4;
         let queue: Vec<Request> = (0..3).map(|id| Request::new(id, 100, 10)).collect();
-        let fill = backfill_requests(&queue, &config, &occupied);
+        let fill = Algorithm2.backfill(&queue, &config, &occupied);
         assert_eq!(fill.admitted(), 1);
         assert_eq!(fill.deferred.len(), 2);
     }
@@ -428,7 +395,7 @@ mod tests {
         // full micro-batches (the pipeline depth was sized for a full batch)
         // instead of spreading thin, and balances perfectly within them.
         let reqs: Vec<Request> = (0..32).map(|i| req(i, 64)).collect();
-        let result = batch_requests(&reqs, &cfg(8, 8, u64::MAX));
+        let result = Algorithm2.plan(&reqs, &cfg(8, 8, u64::MAX));
         assert_eq!(result.scheduled_requests(), 32);
         assert!(result.aborted.is_empty());
         assert_eq!(result.micro_batches.len(), 4);
@@ -438,7 +405,7 @@ mod tests {
         // A saturated queue (64 requests = 8 × 8) opens every micro-batch — the
         // paper's Algorithm 2 setting.
         let reqs: Vec<Request> = (0..64).map(|i| req(i, 64)).collect();
-        let result = batch_requests(&reqs, &cfg(8, 8, u64::MAX));
+        let result = Algorithm2.plan(&reqs, &cfg(8, 8, u64::MAX));
         assert_eq!(result.micro_batches.len(), 8);
         assert!(result.micro_batches.iter().all(|mb| mb.len() == 8));
     }
@@ -449,7 +416,7 @@ mod tests {
         let reqs: Vec<Request> = (0..20).map(|i| req(i, 50)).collect();
         let mut config = cfg(3, 4, u64::MAX);
         config.max_scheduled_requests = 10;
-        let result = batch_requests(&reqs, &config);
+        let result = Algorithm2.plan(&reqs, &config);
         assert_eq!(result.scheduled_requests(), 10);
         assert_eq!(result.aborted.len(), 10);
         assert!(result.micro_batches.iter().all(|mb| mb.len() <= 4));
@@ -457,7 +424,7 @@ mod tests {
 
     #[test]
     fn empty_queue_produces_no_micro_batches() {
-        let result = batch_requests(&[], &cfg(4, 8, 1000));
+        let result = Algorithm2.plan(&[], &cfg(4, 8, 1000));
         assert!(result.micro_batches.is_empty());
         assert!(result.aborted.is_empty());
         assert_eq!(result.prompt_token_spread(), (0, 0));
@@ -466,7 +433,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one micro-batch")]
     fn zero_micro_batches_panics() {
-        batch_requests(&[], &cfg(0, 8, 1000));
+        Algorithm2.plan(&[], &cfg(0, 8, 1000));
     }
 
     #[test]

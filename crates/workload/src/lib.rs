@@ -3,8 +3,7 @@
 //! * [`spec`] — the paper's three workloads (Tab. 3), synthetic request sampling
 //!   and online arrival processes (Poisson/burst) for serving under load.
 //! * [`batching`] — the batch-formation data model (micro-batches, limits,
-//!   partition occupancy) plus Algorithm 2 (Appendix A.2) as free-function
-//!   shorthand.
+//!   partition occupancy).
 //! * [`scheduler`] — the pluggable [`Scheduler`] trait with four strategies:
 //!   the paper's [`Algorithm2`], FlexGen-style [`FcfsPadded`], Orca/vLLM-style
 //!   [`TokenBudget`] and a latency-oriented [`ShortestJobFirst`].
@@ -14,10 +13,10 @@
 //! # Examples
 //!
 //! ```
-//! use moe_workload::{batch_requests, BatchingConfig, WorkloadSpec};
+//! use moe_workload::{Algorithm2, BatchingConfig, Scheduler, WorkloadSpec};
 //!
 //! let requests = WorkloadSpec::mtbench().sample_requests(128, 64, 42);
-//! let result = batch_requests(
+//! let result = Algorithm2.plan(
 //!     &requests,
 //!     &BatchingConfig {
 //!         num_micro_batches: 4,
@@ -39,8 +38,7 @@ pub mod scheduler;
 pub mod spec;
 
 pub use batching::{
-    backfill_requests, batch_requests, BackfillResult, BatchingConfig, BatchingConfigError,
-    BatchingResult, MicroBatch, PartitionState,
+    BackfillResult, BatchingConfig, BatchingConfigError, BatchingResult, MicroBatch, PartitionState,
 };
 pub use metrics::{BatchRunReport, LatencySummary, RequestLatency};
 pub use scheduler::{
@@ -73,7 +71,7 @@ mod proptests {
             ubs in 1usize..64,
             cache in 100u64..100_000,
         ) {
-            let result = batch_requests(&reqs, &BatchingConfig {
+            let result = Algorithm2.plan(&reqs, &BatchingConfig {
                 num_micro_batches: n_ub,
                 max_requests_per_micro_batch: ubs,
                 max_scheduled_requests: usize::MAX,
@@ -103,7 +101,7 @@ mod proptests {
                 max_scheduled_requests: usize::MAX,
                 cache_tokens_per_micro_batch: 1 << 20,
             };
-            let result = batch_requests(&reqs, &cfg);
+            let result = Algorithm2.plan(&reqs, &cfg);
             prop_assert!(result.micro_batches.len() <= n_ub);
             for mb in &result.micro_batches {
                 prop_assert!(mb.len() <= ubs);
@@ -122,7 +120,7 @@ mod proptests {
                 max_scheduled_requests: usize::MAX,
                 cache_tokens_per_micro_batch: cache,
             };
-            let result = batch_requests(&reqs, &cfg);
+            let result = Algorithm2.plan(&reqs, &cfg);
             for mb in &result.micro_batches {
                 let cache_needed = mb.max_cache_tokens();
                 prop_assert!(cache_needed <= cache,

@@ -24,11 +24,10 @@ pub struct BatchRunReport {
     pub prefill_time: Seconds,
     /// Time spent in the decode stage.
     pub decode_time: Seconds,
-    /// Sum over requests of each request's mean per-token decode latency — the
-    /// accumulator behind the request-weighted [`Self::per_token_latency`], which
-    /// stays correct under [`Self::combine`] even when rounds have different
-    /// request counts (dividing the combined decode time by the *global* mean
-    /// tokens-per-request does not).
+    /// Sum over requests of each request's mean per-token decode latency. Its
+    /// request-weighted mean stays correct under [`Self::combine`] even when
+    /// rounds have different request counts (dividing the combined decode time
+    /// by the *global* mean tokens-per-request does not).
     pub per_token_sum: Seconds,
 }
 
@@ -80,28 +79,6 @@ impl BatchRunReport {
             return 0.0;
         }
         self.generated_tokens as f64 / t
-    }
-
-    /// Average latency per generated token per request (seconds/token), as the
-    /// request-weighted mean of each request's own per-token latency.
-    ///
-    /// Reports built by [`Self::uniform_round`] (or with an explicit
-    /// [`Self::per_token_sum`]) keep this exact across [`Self::combine`]; a report
-    /// assembled by hand with a zero accumulator falls back to the single-round
-    /// formula `decode_time / (generated_tokens / requests)`.
-    pub fn per_token_latency(&self) -> Seconds {
-        if self.requests == 0 {
-            return Seconds::ZERO;
-        }
-        if self.per_token_sum > Seconds::ZERO {
-            return self.per_token_sum.scale(1.0 / self.requests as f64);
-        }
-        if self.generated_tokens == 0 {
-            return Seconds::ZERO;
-        }
-        Seconds::from_secs(
-            self.decode_time.as_secs() / (self.generated_tokens as f64 / self.requests as f64),
-        )
     }
 
     /// Combines two reports (e.g. successive batches of one long run).
@@ -228,27 +205,14 @@ mod tests {
     }
 
     #[test]
-    fn per_token_latency_accounts_for_batching() {
-        let r = report();
-        // 128 tokens per request over 1900 s => ~14.8 s per token per request.
-        assert!((r.per_token_latency().as_secs() - 1900.0 / 128.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn degenerate_reports_do_not_divide_by_zero() {
         let zero = BatchRunReport::default();
         assert_eq!(zero.generation_throughput(), 0.0);
         assert_eq!(zero.decode_throughput(), 0.0);
-        assert_eq!(zero.per_token_latency(), Seconds::ZERO);
-        let no_tokens = BatchRunReport {
-            requests: 4,
-            ..BatchRunReport::default()
-        };
-        assert_eq!(no_tokens.per_token_latency(), Seconds::ZERO);
     }
 
     #[test]
-    fn per_token_latency_is_request_weighted_after_combine() {
+    fn per_token_sum_is_request_weighted_after_combine() {
         // Round A: 2 requests × 32 tokens over 64 s of decode → 2 s/token each.
         // Round B: 1 request × 128 tokens over 128 s of decode → 1 s/token.
         // The request-weighted mean is (2·2 + 1·1)/3 = 5/3 s/token; dividing the
@@ -256,19 +220,17 @@ mod tests {
         // formula) gives 192/(192/3) = 3 s/token, overstating it by 80%.
         let a = BatchRunReport::uniform_round(2, 0, 64, Seconds::ZERO, Seconds::from_secs(64.0));
         let b = BatchRunReport::uniform_round(1, 0, 128, Seconds::ZERO, Seconds::from_secs(128.0));
-        assert!((a.per_token_latency().as_secs() - 2.0).abs() < 1e-9);
-        assert!((b.per_token_latency().as_secs() - 1.0).abs() < 1e-9);
+        let mean = |r: &BatchRunReport| r.per_token_sum.as_secs() / r.requests as f64;
+        assert!((mean(&a) - 2.0).abs() < 1e-9);
+        assert!((mean(&b) - 1.0).abs() < 1e-9);
         let combined = a.combine(&b);
         assert!(
-            (combined.per_token_latency().as_secs() - 5.0 / 3.0).abs() < 1e-9,
+            (mean(&combined) - 5.0 / 3.0).abs() < 1e-9,
             "combined per-token latency must be the request-weighted mean, got {}",
-            combined.per_token_latency()
+            mean(&combined)
         );
         // Combining in the other order gives the same answer.
-        assert_eq!(
-            b.combine(&a).per_token_latency(),
-            combined.per_token_latency()
-        );
+        assert_eq!(mean(&b.combine(&a)), mean(&combined));
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
 
     /// The admission order this strategy sorts the queue into, if any.
     ///
-    /// A serving loop that keeps its waiting queue sorted in this order (one
-    /// binary-search insertion per arrival) may call
+    /// A serving loop that keeps its waiting queue sorted in this order
+    /// (re-sorting only after an out-of-order arrival) may call
     /// [`Scheduler::backfill_sorted`] instead of [`Scheduler::backfill`] and
     /// skip the per-event re-sort — the incremental re-planning path. The
     /// default is [`QueueOrder::Unordered`], which forces the sorting path.
@@ -126,8 +126,8 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
 /// Admission order over the waiting queue (see [`Scheduler::queue_order`]).
 ///
 /// Every order is *total* (ties ultimately break by request id), so a queue
-/// maintained in it by binary-search insertion is byte-identical to one
-/// produced by a full sort — the property the incremental
+/// kept in it is byte-identical to a full sort of the same requests, whatever
+/// order they arrived in — the property the incremental
 /// [`Scheduler::backfill_sorted`] path relies on. Arrival comparisons go
 /// through [`moe_hardware::TimeKey`], so a NaN-stamped arrival orders
 /// deterministically instead of comparing equal to everything.
@@ -166,14 +166,6 @@ impl QueueOrder {
         if self != QueueOrder::Unordered {
             queue.sort_by(|a, b| self.cmp(a, b));
         }
-    }
-
-    /// Where to insert `req` to keep an already-sorted `queue` sorted.
-    pub fn insertion_point(self, queue: &[Request], req: &Request) -> usize {
-        if self == QueueOrder::Unordered {
-            return queue.len();
-        }
-        queue.partition_point(|probe| self.cmp(probe, req) == std::cmp::Ordering::Less)
     }
 }
 
@@ -228,8 +220,7 @@ fn run_assignment(
     };
 
     // The incremental path: a caller that kept its queue in admission order
-    // (binary-search insertion per arrival) skips the O(n log n) re-sort every
-    // scheduling event pays otherwise.
+    // skips the O(n log n) re-sort every scheduling event pays otherwise.
     let owned: Vec<Request>;
     let sorted: &[Request] = if presorted {
         debug_assert!(
@@ -801,7 +792,7 @@ mod tests {
         assert_eq!(FcfsPadded.queue_order(), QueueOrder::Arrival);
         assert_eq!(TokenBudget.queue_order(), QueueOrder::Arrival);
         assert_eq!(ShortestJobFirst.queue_order(), QueueOrder::ShortestJobFirst);
-        // Binary-search insertion reproduces the full sort exactly.
+        // A total order sorts every permutation of a queue identically.
         let queue = vec![req(3, 50, 5), req(0, 500, 2), req(1, 50, 9), req(2, 120, 5)];
         for order in [
             QueueOrder::LongestPromptFirst,
@@ -810,13 +801,10 @@ mod tests {
         ] {
             let mut sorted = queue.clone();
             order.sort(&mut sorted);
-            let mut incremental: Vec<Request> = Vec::new();
-            for r in &queue {
-                let at = order.insertion_point(&incremental, r);
-                incremental.insert(at, *r);
-            }
+            let mut reversed: Vec<Request> = queue.iter().rev().copied().collect();
+            order.sort(&mut reversed);
             let ids = |v: &[Request]| v.iter().map(|r| r.id).collect::<Vec<_>>();
-            assert_eq!(ids(&incremental), ids(&sorted), "{order:?}");
+            assert_eq!(ids(&reversed), ids(&sorted), "{order:?}");
         }
     }
 

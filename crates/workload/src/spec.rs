@@ -353,62 +353,12 @@ impl WorkloadSpec {
         requests
     }
 
-    /// Samples requests whose prompts are all padded to the maximum length, the way
-    /// FlexGen (and MoE-Lightning(p)) handle variable-length batches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn padded_requests(&self, count: usize, gen_len: u64) -> Vec<Request> {
-        assert!(count > 0, "cannot sample an empty workload");
-        (0..count)
-            .map(|i| Request::new(i as u64, self.max_prompt_len, gen_len))
-            .collect()
-    }
-
-    /// Synthesizes the request queue a serving system sees for this workload:
-    /// padded systems receive every prompt at `max_prompt_len`, the others a
-    /// variable-length sample matching the workload's length statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero.
-    pub fn request_queue(
-        &self,
-        count: usize,
-        gen_len: u64,
-        seed: u64,
-        padded: bool,
-    ) -> Vec<Request> {
-        if padded {
-            self.padded_requests(count, gen_len)
-        } else {
-            self.sample_requests(count, gen_len, seed)
-        }
-    }
-
-    /// Synthesizes a request queue and stamps it with arrival times from
-    /// `arrivals`, the online-serving counterpart of [`Self::request_queue`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` is zero or the arrival process parameters are invalid.
-    pub fn timed_request_queue(
-        &self,
-        count: usize,
-        gen_len: u64,
-        seed: u64,
-        padded: bool,
-        arrivals: &ArrivalProcess,
-    ) -> Vec<Request> {
-        self.synthesize_queue(count, GenLens::Uniform(gen_len), seed, padded, arrivals)
-    }
-
     /// Synthesizes the full request queue of a serving scenario: prompt lengths
-    /// per the workload (padded systems see `max_prompt_len`), generation
-    /// lengths per `gen` ([`GenLens::Uniform`] or the mixed default lengths),
-    /// and arrival times stamped by `arrivals`. This is the queue-synthesis
-    /// entry point behind the core crate's `ServeSpec`.
+    /// per the workload (padded systems see every prompt at `max_prompt_len`,
+    /// the way FlexGen and MoE-Lightning(p) handle variable-length batches),
+    /// generation lengths per `gen` ([`GenLens::Uniform`] or the mixed default
+    /// lengths), and arrival times stamped by `arrivals`. This is the
+    /// queue-synthesis entry point behind the core crate's `ServeSpec`.
     ///
     /// # Panics
     ///
@@ -424,7 +374,13 @@ impl WorkloadSpec {
         arrivals: &ArrivalProcess,
     ) -> Vec<Request> {
         let mut queue = match gen {
-            GenLens::Uniform(gen_len) => self.request_queue(count, gen_len, seed, padded),
+            GenLens::Uniform(gen_len) if padded => {
+                assert!(count > 0, "cannot sample an empty workload");
+                (0..count as u64)
+                    .map(|i| Request::new(i, self.max_prompt_len, gen_len))
+                    .collect()
+            }
+            GenLens::Uniform(gen_len) => self.sample_requests(count, gen_len, seed),
             GenLens::MixedDefaults => {
                 let mut queue = self.sample_requests_mixed_gen(count, seed);
                 if padded {
@@ -498,11 +454,18 @@ mod tests {
     }
 
     #[test]
-    fn padded_requests_all_use_max_prompt() {
+    fn padded_uniform_queues_use_the_max_prompt() {
         let spec = WorkloadSpec::mtbench();
-        let reqs = spec.padded_requests(10, 128);
+        let reqs = spec.synthesize_queue(
+            10,
+            GenLens::Uniform(128),
+            5,
+            true,
+            &ArrivalProcess::Immediate,
+        );
         assert!(reqs.iter().all(|r| r.input_len == 418));
         assert_eq!(reqs[3].max_context(), 418 + 128);
+        assert!(reqs.iter().enumerate().all(|(i, r)| r.id == i as u64));
     }
 
     #[test]
@@ -511,16 +474,6 @@ mod tests {
         for (i, r) in reqs.iter().enumerate() {
             assert_eq!(r.id, i as u64);
         }
-    }
-
-    #[test]
-    fn request_queue_switches_on_padding() {
-        let spec = WorkloadSpec::mtbench();
-        let padded = spec.request_queue(20, 64, 5, true);
-        assert!(padded.iter().all(|r| r.input_len == spec.max_prompt_len));
-        let sampled = spec.request_queue(20, 64, 5, false);
-        assert_eq!(sampled, spec.sample_requests(20, 64, 5));
-        assert!(sampled.iter().any(|r| r.input_len != spec.max_prompt_len));
     }
 
     #[test]
@@ -547,9 +500,9 @@ mod tests {
     #[test]
     fn poisson_arrivals_are_increasing_and_match_the_rate() {
         let spec = WorkloadSpec::mtbench();
-        let queue = spec.timed_request_queue(
+        let queue = spec.synthesize_queue(
             2000,
-            64,
+            GenLens::Uniform(64),
             11,
             false,
             &ArrivalProcess::Poisson { rate_per_sec: 4.0 },
@@ -645,7 +598,7 @@ mod tests {
     #[test]
     fn synthesize_queue_covers_every_scenario_axis() {
         let spec = WorkloadSpec::mtbench();
-        // Uniform gen, unpadded, immediate: identical to the legacy helper.
+        // Uniform gen, unpadded, immediate: the plain sample.
         let uniform = spec.synthesize_queue(
             30,
             GenLens::Uniform(64),
@@ -653,7 +606,7 @@ mod tests {
             false,
             &ArrivalProcess::Immediate,
         );
-        assert_eq!(uniform, spec.request_queue(30, 64, 5, false));
+        assert_eq!(uniform, spec.sample_requests(30, 64, 5));
         // Mixed gen draws from the workload defaults.
         let mixed = spec.synthesize_queue(
             200,

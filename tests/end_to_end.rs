@@ -2,8 +2,8 @@
 //! evaluated through the full pipeline (policy search → schedule construction →
 //! discrete-event simulation → throughput accounting).
 
-use moe_lightning::{EvalSetting, SystemEvaluator, SystemKind};
-use moe_workload::WorkloadSpec;
+use moe_lightning::{EvalSetting, ServeSpec, ServingMode, SystemEvaluator, SystemKind};
+use moe_workload::{Request, WorkloadSpec};
 
 #[test]
 fn moe_lightning_wins_on_s1_and_s2_for_every_generation_length() {
@@ -140,4 +140,41 @@ fn more_cpu_memory_never_reduces_moe_lightning_throughput() {
         last = t;
     }
     assert!(last > 0.0);
+}
+
+/// The paper layer and the serving layer are one model: serving a uniform
+/// queue of exactly `policy.batch_size` requests at the evaluated workload
+/// shape, with the evaluated policy, reproduces `evaluate`'s saturated
+/// throughput bit for bit, in both serving modes.
+#[test]
+fn evaluate_matches_run_on_the_saturated_uniform_queue_bit_for_bit() {
+    let workload = WorkloadSpec::mtbench();
+    for setting in [EvalSetting::S1, EvalSetting::S2] {
+        let evaluator = SystemEvaluator::new(setting.node(), setting.model());
+        for system in SystemKind::all() {
+            for gen in [32u64, 128] {
+                let evaluation = evaluator
+                    .evaluate(system, &workload, gen)
+                    .expect("every system is feasible on S1 and S2");
+                let shape = evaluator.workload_shape(system, &workload, gen);
+                let queue: Vec<Request> = (0..evaluation.policy.batch_size)
+                    .map(|id| Request::new(id, shape.prompt_len, gen))
+                    .collect();
+                for mode in [ServingMode::RoundToCompletion, ServingMode::Continuous] {
+                    let spec = ServeSpec::new(system, workload.clone())
+                        .with_gen_len(gen)
+                        .with_mode(mode)
+                        .with_policy(evaluation.policy)
+                        .with_queue(queue.clone());
+                    let served = evaluator.run(&spec).unwrap().generation_throughput();
+                    assert_eq!(
+                        served.to_bits(),
+                        evaluation.throughput.to_bits(),
+                        "{setting} {system} gen={gen} {mode}: run {served} vs evaluate {}",
+                        evaluation.throughput
+                    );
+                }
+            }
+        }
+    }
 }

@@ -3,7 +3,8 @@
 
 use moe_hardware::Seconds;
 use moe_lightning::{
-    ClusterEvaluator, EvalSetting, ServeSpec, ServingMode, SystemEvaluator, SystemKind,
+    ClusterEvaluator, ClusterSpecError, EngineError, EvalSetting, ServeSpec, ServingMode,
+    SystemEvaluator, SystemKind,
 };
 use moe_workload::{ArrivalProcess, Request, WorkloadSpec};
 
@@ -231,4 +232,56 @@ fn step_cost_does_not_depend_on_earlier_rounds() {
             );
         }
     }
+}
+
+/// Runs `spec` on the single-node entry point and returns the typed spec
+/// error it must fail with.
+fn spec_error(spec: &ServeSpec) -> ClusterSpecError {
+    match evaluator().run(spec) {
+        Err(EngineError::InvalidClusterSpec { reason }) => reason,
+        other => panic!("expected a typed spec error, got {other:?}"),
+    }
+}
+
+#[test]
+fn zero_request_scenarios_are_typed_errors() {
+    let spec = scenario(SystemKind::MoeLightning, 0, 32, 1);
+    assert_eq!(spec_error(&spec), ClusterSpecError::ZeroRequests);
+}
+
+/// A workload whose maximum prompt sits below its average cannot be sampled.
+/// An explicit queue never samples the workload, so it still serves.
+#[test]
+fn a_max_prompt_below_the_average_is_a_typed_error() {
+    let workload = WorkloadSpec {
+        max_prompt_len: 40,
+        ..WorkloadSpec::mtbench()
+    };
+    let spec = ServeSpec::new(SystemKind::MoeLightning, workload).with_count(8);
+    assert_eq!(spec_error(&spec), ClusterSpecError::InvalidWorkload);
+    let queue = (0..8).map(|id| Request::new(id, 40, 8)).collect();
+    let report = evaluator().run(&spec.with_queue(queue)).unwrap();
+    assert_eq!(report.served_requests(), 8);
+}
+
+#[test]
+fn a_zero_average_prompt_is_a_typed_error() {
+    let workload = WorkloadSpec {
+        avg_prompt_len: 0,
+        ..WorkloadSpec::mtbench()
+    };
+    let spec = ServeSpec::new(SystemKind::MoeLightning, workload).with_count(8);
+    assert_eq!(spec_error(&spec), ClusterSpecError::InvalidWorkload);
+}
+
+#[test]
+fn mixed_gen_lens_without_defaults_are_a_typed_error() {
+    let workload = WorkloadSpec {
+        default_gen_lens: Vec::new(),
+        ..WorkloadSpec::mtbench()
+    };
+    let spec = ServeSpec::new(SystemKind::MoeLightning, workload)
+        .with_count(8)
+        .with_mixed_gen_lens();
+    assert_eq!(spec_error(&spec), ClusterSpecError::InvalidWorkload);
 }
