@@ -49,6 +49,55 @@ impl MemoryRequirement {
     }
 }
 
+/// The part of a [`MemoryRequirement`] shared by every batch size of one
+/// `(μ, A_g, F_g, r_w, r_c)` row, from [`CapacityModel::row`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowRequirement<'a> {
+    model: &'a MoeModelConfig,
+    /// The row's policy; its batch size is ignored.
+    policy: Policy,
+    kv_bytes_per_token: ByteSize,
+    max_context: u64,
+    gpu_static_weights: ByteSize,
+    gpu_weight_buffer: ByteSize,
+    gpu_activations: ByteSize,
+    cpu_weights: ByteSize,
+    /// One layer's streamed weights, split into pinned pages per micro-batch.
+    streamed_per_layer: ByteSize,
+}
+
+impl RowRequirement<'_> {
+    /// The full requirement at batch size `batch`.
+    pub(crate) fn at(&self, batch: u64) -> MemoryRequirement {
+        let m = self.model;
+        let policy = Policy {
+            batch_size: batch,
+            ..self.policy
+        };
+        let rc = policy.kv_gpu_ratio.clamp(0.0, 1.0);
+
+        // KV cache for the whole batch at the maximum context length.
+        let kv_total = self.kv_bytes_per_token * batch * self.max_context;
+
+        // CPU side: the CPU share of the KV cache, pinned staging (two weight
+        // pages) and host copies of per-micro-batch activations.
+        let page = self
+            .streamed_per_layer
+            .scale(1.0 / policy.num_micro_batches().max(1) as f64);
+        let host_act = m.qkv_bytes(batch) + m.hidden_state_bytes(batch);
+
+        MemoryRequirement {
+            gpu_static_weights: self.gpu_static_weights,
+            gpu_weight_buffer: self.gpu_weight_buffer,
+            gpu_kv_cache: kv_total.scale(rc),
+            gpu_activations: self.gpu_activations,
+            cpu_weights: self.cpu_weights,
+            cpu_kv_cache: kv_total.scale(1.0 - rc),
+            cpu_staging: page * 2 + host_act,
+        }
+    }
+}
+
 /// Computes memory requirements and feasibility for policies.
 #[derive(Debug, Clone)]
 pub struct CapacityModel {
@@ -69,10 +118,16 @@ impl CapacityModel {
 
     /// Memory requirement of `policy` under `workload`.
     pub fn requirement(&self, policy: &Policy, workload: &WorkloadShape) -> MemoryRequirement {
+        self.row(policy, workload).at(policy.batch_size)
+    }
+
+    /// The terms of [`Self::requirement`] that `policy.batch_size` does not
+    /// change: everything fixed by `(μ, A_g, F_g, r_w, r_c)` and the workload.
+    /// [`RowRequirement::at`] adds the batch-dependent ones.
+    pub(crate) fn row(&self, policy: &Policy, workload: &WorkloadShape) -> RowRequirement<'_> {
         let m = &self.model;
         let dtype = m.weight_dtype.bytes_per_element();
         let rw = policy.weights_gpu_ratio.clamp(0.0, 1.0);
-        let rc = policy.kv_gpu_ratio.clamp(0.0, 1.0);
 
         let layer_weights_all = m.layer_weight_bytes() * u64::from(m.num_layers);
         let embeddings = ByteSize::from_bytes(m.weight_dtype.bytes_for(m.embedding_params()));
@@ -87,11 +142,6 @@ impl CapacityModel {
         };
         let gpu_weight_buffer = streamed_per_layer * 2;
 
-        // KV cache for the whole batch at the maximum context length.
-        let kv_total = m.kv_bytes_per_token() * policy.batch_size * workload.max_context();
-        let gpu_kv_cache = kv_total.scale(rc);
-        let cpu_kv_cache = kv_total.scale(1.0 - rc);
-
         // Activation workspace. Decode: one micro-batch of hidden/QKV/FFN
         // intermediates (double-buffered). Prefill: a micro-batch of full prompts.
         let mu = policy.micro_batch_size;
@@ -105,21 +155,17 @@ impl CapacityModel {
             ByteSize::from_bytes((mu as f64 * workload.prompt_len as f64 * per_token_act) as u64);
         let gpu_activations = decode_act.max(prefill_act);
 
-        // CPU side: all weights not on the GPU, the CPU share of the KV cache, pinned
-        // staging (two weight pages) and host copies of per-micro-batch activations.
-        let cpu_weights = layer_weights_all.scale(1.0 - rw);
-        let page = streamed_per_layer.scale(1.0 / policy.num_micro_batches().max(1) as f64);
-        let host_act = m.qkv_bytes(policy.batch_size) + m.hidden_state_bytes(policy.batch_size);
-        let cpu_staging = page * 2 + host_act;
-
-        MemoryRequirement {
+        RowRequirement {
+            model: m,
+            policy: *policy,
+            kv_bytes_per_token: m.kv_bytes_per_token(),
+            max_context: workload.max_context(),
             gpu_static_weights,
             gpu_weight_buffer,
-            gpu_kv_cache,
             gpu_activations,
-            cpu_weights,
-            cpu_kv_cache,
-            cpu_staging,
+            // CPU side: all weights not on the GPU.
+            cpu_weights: layer_weights_all.scale(1.0 - rw),
+            streamed_per_layer,
         }
     }
 

@@ -87,6 +87,29 @@ pub(crate) struct MicroBatchCosts {
     kv_bytes: ByteSize,
 }
 
+/// The weight-streaming terms of a policy, fixed by `F_g` and `r_w` alone.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WeightStreams {
+    /// One layer's weight stream (transfer D3).
+    per_layer: Seconds,
+    /// Prefill's one-shot streaming of every non-resident weight.
+    prefill: Seconds,
+}
+
+/// The decode and prefill terms of one policy that its batch size does not
+/// change once the micro-batch records are fixed. The policy search builds one
+/// per `(μ, A_g, F_g, r_w, r_c)` row and reuses it for every micro-batch count.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowCosts {
+    /// A full micro-batch, repeated `N/μ − 1` times.
+    full: MicroBatchCosts,
+    /// The (possibly smaller) last micro-batch.
+    last: MicroBatchCosts,
+    weights: WeightStreams,
+    /// Transfer D4 of the CPU-resident KV fraction, for `full` and for `last`.
+    kv_transfer: (Seconds, Seconds),
+}
+
 impl CostModel {
     /// Creates a cost model for `model` running on `node`.
     pub fn new(node: NodeSpec, model: MoeModelConfig) -> Self {
@@ -253,6 +276,40 @@ impl CostModel {
         kv_bytes.scale(cpu_fraction.clamp(0.0, 1.0)) / self.hrm.link + self.link_latency()
     }
 
+    /// The [`WeightStreams`] of `policy`.
+    pub(crate) fn weight_streams(&self, policy: &Policy) -> WeightStreams {
+        let stream_bytes = self
+            .model
+            .total_weight_bytes()
+            .scale(1.0 - policy.weights_gpu_ratio.clamp(0.0, 1.0));
+        WeightStreams {
+            per_layer: self.weight_transfer(self.streamed_layer_bytes(policy)),
+            prefill: stream_bytes / self.hrm.link,
+        }
+    }
+
+    /// The [`RowCosts`] of `policy`, whose weight streams are `weights` and whose
+    /// full and last micro-batches cost `full` and `last`. The batch size of
+    /// `policy` is not read.
+    pub(crate) fn row_costs(
+        &self,
+        policy: &Policy,
+        weights: WeightStreams,
+        full: MicroBatchCosts,
+        last: MicroBatchCosts,
+    ) -> RowCosts {
+        let cpu_fraction = 1.0 - policy.kv_gpu_ratio;
+        RowCosts {
+            full,
+            last,
+            weights,
+            kv_transfer: (
+                self.kv_bytes_transfer(full.kv_bytes, cpu_fraction),
+                self.kv_bytes_transfer(last.kv_bytes, cpu_fraction),
+            ),
+        }
+    }
+
     // --- aggregates ---------------------------------------------------------------
 
     /// Estimated latency of one layer of one decode step under `policy`, following
@@ -263,17 +320,11 @@ impl CostModel {
         policy: &Policy,
         workload: &WorkloadShape,
     ) -> LayerLatencyBreakdown {
-        let (full, last) = self.decode_micro_batches(policy, workload);
-        self.layer_latency_from(policy, &full, &last)
+        self.layer_latency_from(policy, &self.policy_row_costs(policy, workload))
     }
 
-    /// The cost records of a full micro-batch and of the (possibly smaller) last
-    /// micro-batch of `policy`, at the workload's average decode context.
-    fn decode_micro_batches(
-        &self,
-        policy: &Policy,
-        workload: &WorkloadShape,
-    ) -> (MicroBatchCosts, MicroBatchCosts) {
+    /// The [`RowCosts`] of `policy` at the workload's average decode context.
+    fn policy_row_costs(&self, policy: &Policy, workload: &WorkloadShape) -> RowCosts {
         let mu = policy.micro_batch_size;
         let last = policy.batch_size - mu * (policy.num_micro_batches() - 1);
         let ctx = workload.avg_decode_context();
@@ -283,61 +334,67 @@ impl CostModel {
         } else {
             self.micro_batch_costs(last, ctx)
         };
-        (full, last)
+        self.row_costs(policy, self.weight_streams(policy), full, last)
     }
 
-    /// [`Self::layer_decode_latency`] from the cost records of a full micro-batch
-    /// (`full`, repeated `N/μ − 1` times) and of the last one (`last`).
-    pub(crate) fn layer_latency_from(
+    /// The per-micro-batch parts of Eq. 12's four lanes, `(H2D, D2H, CPU, GPU)`.
+    /// `sum` totals one task over the micro-batches priced, from its duration on
+    /// a full and on the last micro-batch.
+    fn micro_batch_lanes(
         &self,
         policy: &Policy,
-        full: &MicroBatchCosts,
-        last: &MicroBatchCosts,
-    ) -> LayerLatencyBreakdown {
-        let n_ub = policy.num_micro_batches();
-
-        // Sums a per-micro-batch cost over all micro-batches, handling the
-        // (possibly smaller) last micro-batch.
-        let sum_over_ubs = |f: &dyn Fn(&MicroBatchCosts) -> Seconds| -> Seconds {
-            f(full).scale((n_ub - 1) as f64) + f(last)
-        };
+        row: &RowCosts,
+        sum: impl Fn(Seconds, Seconds) -> Seconds,
+    ) -> (Seconds, Seconds, Seconds, Seconds) {
+        let ubs = |f: fn(&MicroBatchCosts) -> Seconds| sum(f(&row.full), f(&row.last));
 
         // GPU compute.
-        let mut gpu_compute = sum_over_ubs(&|c| c.pre_attention_gpu);
+        let mut gpu_compute = ubs(|c| c.pre_attention_gpu);
         if policy.ffn_on_gpu {
-            gpu_compute += sum_over_ubs(&|c| c.post_attention_gpu);
+            gpu_compute += ubs(|c| c.post_attention_gpu);
         } else {
-            gpu_compute += sum_over_ubs(&|c| c.post_attention_gpu_without_ffn);
+            gpu_compute += ubs(|c| c.post_attention_gpu_without_ffn);
         }
         if policy.attention_on_gpu {
-            gpu_compute += sum_over_ubs(&|c| c.attention_gpu);
+            gpu_compute += ubs(|c| c.attention_gpu);
         }
 
         // CPU compute.
         let mut cpu_compute = Seconds::ZERO;
         if !policy.attention_on_gpu {
-            cpu_compute += sum_over_ubs(&|c| c.attention_cpu);
+            cpu_compute += ubs(|c| c.attention_cpu);
         }
         if !policy.ffn_on_gpu {
-            cpu_compute += sum_over_ubs(&|c| c.ffn_cpu);
+            cpu_compute += ubs(|c| c.ffn_cpu);
         }
 
-        // Host→device traffic: weights once per layer, plus per-micro-batch hidden
-        // uploads (CPU attention) or KV transfers (GPU attention with CPU KV).
-        let mut comm_h2d = self.weight_transfer(self.streamed_layer_bytes(policy));
+        // Host→device traffic: KV transfers (GPU attention with CPU KV) or hidden
+        // uploads (CPU attention). Device→host traffic: QKV offload (CPU attention).
+        let (comm_h2d, comm_d2h) = if policy.attention_on_gpu {
+            (sum(row.kv_transfer.0, row.kv_transfer.1), Seconds::ZERO)
+        } else {
+            (ubs(|c| c.hidden_upload), ubs(|c| c.qkv_offload))
+        };
+        (comm_h2d, comm_d2h, cpu_compute, gpu_compute)
+    }
+
+    /// [`Self::layer_decode_latency`] from the policy's [`RowCosts`].
+    pub(crate) fn layer_latency_from(
+        &self,
+        policy: &Policy,
+        row: &RowCosts,
+    ) -> LayerLatencyBreakdown {
+        let n_ub = policy.num_micro_batches();
+        let (h2d, d2h, cpu_compute, gpu_compute) =
+            self.micro_batch_lanes(policy, row, |full, last| {
+                full.scale((n_ub - 1) as f64) + last
+            });
+
+        // Paid once per layer: the weight stream, and under GPU attention the
+        // write-back of the new KV entries for the CPU-resident fraction.
+        let comm_h2d = row.weights.per_layer + h2d;
+        let mut comm_d2h = d2h;
         if policy.attention_on_gpu {
-            let cpu_fraction = 1.0 - policy.kv_gpu_ratio;
-            comm_h2d += sum_over_ubs(&|c| self.kv_bytes_transfer(c.kv_bytes, cpu_fraction));
-        } else {
-            comm_h2d += sum_over_ubs(&|c| c.hidden_upload);
-        }
-
-        // Device→host traffic: QKV offload (CPU attention) and new-KV write-back for
-        // the CPU-resident KV fraction.
-        let mut comm_d2h = Seconds::ZERO;
-        if !policy.attention_on_gpu {
-            comm_d2h += sum_over_ubs(&|c| c.qkv_offload);
-        } else {
             let cpu_fraction = 1.0 - policy.kv_gpu_ratio;
             let append = self.model.kv_bytes_per_token_per_layer() * policy.batch_size;
             comm_d2h += self.kv_offload(append.scale(cpu_fraction));
@@ -355,12 +412,12 @@ impl CostModel {
 
     /// Estimated latency of one full decode step (all layers) for the whole batch.
     pub fn decode_step_latency(&self, policy: &Policy, workload: &WorkloadShape) -> Seconds {
-        self.step_latency(&self.layer_decode_latency(policy, workload))
+        self.step_latency(self.layer_decode_latency(policy, workload).total)
     }
 
     /// One decode step (all layers) at the per-layer latency `layer`.
-    fn step_latency(&self, layer: &LayerLatencyBreakdown) -> Seconds {
-        layer.total.scale(f64::from(self.model.num_layers))
+    fn step_latency(&self, layer: Seconds) -> Seconds {
+        layer.scale(f64::from(self.model.num_layers))
     }
 
     /// Estimated decode throughput in generated tokens per second.
@@ -380,22 +437,20 @@ impl CostModel {
     /// streaming of all non-resident weights.
     pub fn prefill_time(&self, policy: &Policy, workload: &WorkloadShape) -> Seconds {
         let flops = self.prefill_flops_per_layer(policy.batch_size, workload);
-        self.prefill_time_from(policy, workload, flops)
+        let streaming = self.weight_streams(policy).prefill;
+        self.prefill_time_from(policy, workload, flops, streaming)
     }
 
-    /// [`Self::prefill_time`] given the batch's per-layer prefill FLOPs.
+    /// [`Self::prefill_time`] given the batch's per-layer prefill FLOPs and the
+    /// policy's one-shot weight `streaming` ([`WeightStreams`]).
     fn prefill_time_from(
         &self,
         policy: &Policy,
         workload: &WorkloadShape,
         flops_per_layer: FlopCount,
+        streaming: Seconds,
     ) -> Seconds {
         let (compute, kv_offload) = self.prefill_components(policy, workload, flops_per_layer);
-        let stream_bytes = self
-            .model
-            .total_weight_bytes()
-            .scale(1.0 - policy.weights_gpu_ratio.clamp(0.0, 1.0));
-        let streaming = stream_bytes / self.hrm.link;
         compute.max(streaming).max(kv_offload)
     }
 
@@ -419,6 +474,11 @@ impl CostModel {
         self.ops.prefill_layer(batch, workload.prompt_len).flops
     }
 
+    /// GPU time of a prefill whose layers each take `flops_per_layer`.
+    fn prefill_compute(&self, flops_per_layer: FlopCount) -> Seconds {
+        flops_per_layer.scale(f64::from(self.model.num_layers)) / self.hrm.gpu.peak_compute
+    }
+
     /// Prompt-compute and KV-offload terms shared by the cold-start and backfill
     /// prefill estimates.
     fn prefill_components(
@@ -427,8 +487,7 @@ impl CostModel {
         workload: &WorkloadShape,
         flops_per_layer: FlopCount,
     ) -> (Seconds, Seconds) {
-        let compute =
-            flops_per_layer.scale(f64::from(self.model.num_layers)) / self.hrm.gpu.peak_compute;
+        let compute = self.prefill_compute(flops_per_layer);
         // KV cache produced during prefill is offloaded to the CPU.
         let kv_offload = self.kv_offload(
             (self.model.kv_bytes_per_token() * policy.batch_size * workload.prompt_len)
@@ -440,29 +499,65 @@ impl CostModel {
     /// End-to-end generation throughput (tokens/s) for one batch: generated tokens
     /// divided by prefill + decode time — the paper's evaluation metric.
     pub fn generation_throughput(&self, policy: &Policy, workload: &WorkloadShape) -> f64 {
-        let (full, last) = self.decode_micro_batches(policy, workload);
+        let row = self.policy_row_costs(policy, workload);
         let prefill_flops = self.prefill_flops_per_layer(policy.batch_size, workload);
-        self.generation_throughput_from(policy, workload, &full, &last, prefill_flops)
+        self.generation_throughput_from(policy, workload, &row, prefill_flops)
     }
 
-    /// [`Self::generation_throughput`] from the micro-batch cost records of
-    /// [`Self::layer_latency_from`] and the batch's per-layer prefill FLOPs.
+    /// [`Self::generation_throughput`] from the policy's [`RowCosts`] and the
+    /// batch's per-layer prefill FLOPs.
     pub(crate) fn generation_throughput_from(
         &self,
         policy: &Policy,
         workload: &WorkloadShape,
-        full: &MicroBatchCosts,
-        last: &MicroBatchCosts,
+        row: &RowCosts,
         prefill_flops_per_layer: FlopCount,
     ) -> f64 {
         let decode = self
-            .step_latency(&self.layer_latency_from(policy, full, last))
+            .step_latency(self.layer_latency_from(policy, row).total)
             .scale(workload.gen_len as f64);
-        let total = self.prefill_time_from(policy, workload, prefill_flops_per_layer) + decode;
+        let total = self.prefill_time_from(
+            policy,
+            workload,
+            prefill_flops_per_layer,
+            row.weights.prefill,
+        ) + decode;
         if total.is_zero() {
             return 0.0;
         }
         (policy.batch_size as f64 * workload.gen_len as f64) / total.as_secs()
+    }
+
+    /// An upper bound, `μ·g / (P_μ + g·L·s_μ)`, on
+    /// [`Self::generation_throughput_from`] over every batch of `n ≥ 1` full
+    /// micro-batches in `policy`'s `(μ, A_g, F_g, r_w, r_c)` row, where `row` was
+    /// built with `full == last` and `micro_batch_prefill_flops` is one
+    /// micro-batch's per-layer prefill FLOPs (the proof is in the optimizer's
+    /// module docs). Only the per-micro-batch lane terms enter `s_μ`: the terms
+    /// paid once per layer, among them GPU attention's KV write-back, which
+    /// rounds to the byte, are left out, so no lane exceeds the costed one. A
+    /// NaN or infinite bound (zero rates, `g = 0`) is never strictly below an
+    /// incumbent, so it never prunes.
+    pub(crate) fn row_throughput_bound(
+        &self,
+        policy: &Policy,
+        workload: &WorkloadShape,
+        row: &RowCosts,
+        micro_batch_prefill_flops: FlopCount,
+    ) -> f64 {
+        // The bound and the score each take a few dozen IEEE operations on the
+        // same inputs, so each lies within a relative ~1e-14 of its exact value
+        // (the prefill FLOPs of `μ·n` prompts and `n` times those of `μ` differ
+        // by such a rounding too). The exact score never exceeds the exact
+        // bound, so a 1e-9 slack covers the rounding by five orders of
+        // magnitude and loosens the bound by a negligible amount.
+        const SLACK: f64 = 1.0 + 1e-9;
+        let (h2d, d2h, cpu, gpu) = self.micro_batch_lanes(policy, row, |full, _| full);
+        let decode = self
+            .step_latency(h2d.max(d2h).max(cpu).max(gpu))
+            .scale(workload.gen_len as f64);
+        let total = self.prefill_compute(micro_batch_prefill_flops) + decode;
+        (policy.micro_batch_size as f64 * workload.gen_len as f64) / total.as_secs() * SLACK
     }
 }
 

@@ -5,7 +5,7 @@
 //! The paper solves the same problem with a small MILP. The grid here has a few
 //! tens of thousands of cells, and the search returns exactly what scoring every
 //! cell in enumeration order would: the same policy (the first of equal maxima)
-//! and the same throughput, bit for bit. It does less work in two ways:
+//! and the same throughput, bit for bit. It does less work in three ways:
 //!
 //! * **A sound row cut.** For each `(μ, A_g, F_g, r_w, r_c)` the micro-batch
 //!   counts run in ascending order, and the row ends at the first count whose
@@ -17,11 +17,25 @@
 //!   smaller one did not. Candidates that pass the floor but not the full memory
 //!   check are skipped. Each candidate keeps its enumeration index, and a tie goes
 //!   to the lower index, so the cut order picks the same policy.
-//! * **Costs hoisted per micro-batch size.** Every micro-batch of a grid cell has
-//!   `μ` tokens, so the HRM task durations are built once per `μ` and the prefill
-//!   FLOPs once per batch, then shared by every placement and ratio. Scoring goes
-//!   through the same [`CostModel`] code as [`CostModel::generation_throughput`],
-//!   so the floating-point operations are identical.
+//! * **Hoisted costs.** Every micro-batch of a grid cell has `μ` tokens, so the
+//!   HRM task durations are built once per `μ`, the weight streams once per
+//!   `(F_g, r_w)` placement, and the KV transfer and the batch-independent memory
+//!   terms once per row. The prefill FLOPs of a batch are computed on first use.
+//!   Scoring and the memory check go through the same [`CostModel`] and
+//!   [`CapacityModel`] code as [`CostModel::generation_throughput`] and
+//!   [`CapacityModel::requirement`], so the floating-point operations are
+//!   identical.
+//! * **A throughput bound (branch and bound).** Within a row every micro-batch
+//!   costs the same, so with `n = N/μ` each lane of Eq. 12's layer time is at
+//!   least `n` times its per-micro-batch term `s`, and prefill is at least its
+//!   compute, `n · P_μ`. The throughput of every count in the row is therefore at
+//!   most `μ·n·g / (n·P_μ + g·L·n·s_μ) = μ·g / (P_μ + g·L·s_μ)`, where `s_μ` is the
+//!   largest lane. A row whose bound is strictly below the best score found so
+//!   far holds no candidate that could win or tie, and is skipped whole. The
+//!   bound leaves out the terms paid once per layer, carries a `1 + 1e-9` slack
+//!   for rounding, and never prunes when it is NaN or infinite. A critical
+//!   circuit through the lanes is never shorter than any one lane's sum, so the
+//!   bound stays sound for a period-based layer time too.
 
 use crate::capacity::CapacityModel;
 use crate::cost::CostModel;
@@ -78,9 +92,10 @@ impl SearchSpace {
     }
 
     /// The `(A_g, F_g, r_w, r_c)` cells tried for every `(μ, N/μ)`, in enumeration
-    /// order. `r_c` only matters when attention runs on the GPU; when it runs on
-    /// the CPU the KV cache stays there (`r_c = 0`).
-    fn placement_cells(&self) -> Vec<(bool, bool, f64, f64)> {
+    /// order, as policies whose `N` and `μ` the search sets. `r_c` only matters
+    /// when attention runs on the GPU; when it runs on the CPU the KV cache stays
+    /// there (`r_c = 0`).
+    fn placement_cells(&self) -> Vec<Policy> {
         let mut cells = Vec::new();
         for attention_on_gpu in attention_options(self.allow_gpu_attention) {
             for ffn_on_gpu in ffn_options(self.allow_cpu_ffn) {
@@ -91,7 +106,14 @@ impl SearchSpace {
                         &[0.0]
                     };
                     for &rc in kv_options {
-                        cells.push((attention_on_gpu, ffn_on_gpu, rw, rc));
+                        cells.push(Policy {
+                            batch_size: 1,
+                            micro_batch_size: 1,
+                            attention_on_gpu,
+                            ffn_on_gpu,
+                            weights_gpu_ratio: rw,
+                            kv_gpu_ratio: rc,
+                        });
                     }
                 }
             }
@@ -179,8 +201,21 @@ impl PolicyOptimizer {
     ///
     /// Returns [`OptimizerError::NoFeasiblePolicy`] when nothing fits the node.
     pub fn search(&self, workload: &WorkloadShape) -> Result<SearchResult, OptimizerError> {
+        self.search_counted(workload).0
+    }
+
+    /// [`Self::search`], also reporting how much of the grid it costed.
+    fn search_counted(
+        &self,
+        workload: &WorkloadShape,
+    ) -> (Result<SearchResult, OptimizerError>, SearchWork) {
         let space = &self.space;
-        let cells = space.placement_cells();
+        // Each cell with its weight streams, shared by every micro-batch size.
+        let cells: Vec<_> = space
+            .placement_cells()
+            .into_iter()
+            .map(|cell| (cell, self.cost.weight_streams(&cell)))
+            .collect();
         let n_counts = space.micro_batch_counts.len();
         // Micro-batch counts in ascending value order, each with its grid position.
         let mut counts: Vec<(usize, u64)> = space
@@ -191,6 +226,7 @@ impl PolicyOptimizer {
             .collect();
         counts.sort_by_key(|&(_, n_ub)| n_ub);
 
+        let mut work = SearchWork::default();
         // (enumeration index, policy, throughput) of the best candidate so far.
         let mut best: Option<(usize, Policy, f64)> = None;
         for (mu_pos, &mu) in space.micro_batch_sizes.iter().enumerate() {
@@ -198,34 +234,53 @@ impl PolicyOptimizer {
             let costs = self
                 .cost
                 .micro_batch_costs(mu, workload.avg_decode_context());
-            let prefill_flops: Vec<_> = space
-                .micro_batch_counts
-                .iter()
-                .map(|&n_ub| self.cost.prefill_flops_per_layer(mu * n_ub, workload))
-                .collect();
-            for (cell_pos, &(attention_on_gpu, ffn_on_gpu, rw, rc)) in cells.iter().enumerate() {
+            let micro_batch_prefill_flops = self.cost.prefill_flops_per_layer(mu, workload);
+            // Per-layer prefill FLOPs of each batch μ·(N/μ), computed on first use.
+            let mut prefill_flops = vec![None; n_counts];
+            for (cell_pos, &(cell, weights)) in cells.iter().enumerate() {
+                work.rows += 1;
+                let row_policy = Policy {
+                    batch_size: mu,
+                    micro_batch_size: mu,
+                    ..cell
+                };
+                let row = self.cost.row_costs(&row_policy, weights, costs, costs);
+                if let Some((_, _, best_score)) = best {
+                    let bound = self.cost.row_throughput_bound(
+                        &row_policy,
+                        workload,
+                        &row,
+                        micro_batch_prefill_flops,
+                    );
+                    // Strict: a row that could tie the incumbent might hold a
+                    // lower enumeration index, so it is costed.
+                    if bound < best_score {
+                        work.rows_skipped += 1;
+                        continue;
+                    }
+                }
+                let capacity = self.capacity.row(&row_policy, workload);
                 for &(count_pos, n_ub) in &counts {
                     let policy = Policy {
                         batch_size: mu * n_ub,
-                        micro_batch_size: mu,
-                        attention_on_gpu,
-                        ffn_on_gpu,
-                        weights_gpu_ratio: rw,
-                        kv_gpu_ratio: rc,
+                        ..row_policy
                     };
-                    let req = self.capacity.requirement(&policy, workload);
+                    let req = capacity.at(policy.batch_size);
                     if self.capacity.exceeds_batch_floor(&req) {
                         break;
                     }
                     if policy.validate().is_err() || !self.capacity.fits(&req) {
                         continue;
                     }
+                    work.scored += 1;
                     let score = self.cost.generation_throughput_from(
                         &policy,
                         workload,
-                        &costs,
-                        &costs,
-                        prefill_flops[count_pos],
+                        &row,
+                        *prefill_flops[count_pos].get_or_insert_with(|| {
+                            self.cost
+                                .prefill_flops_per_layer(policy.batch_size, workload)
+                        }),
                     );
                     let index = (mu_pos * n_counts + count_pos) * cells.len() + cell_pos;
                     let better = best.as_ref().is_none_or(|&(best_index, _, best_score)| {
@@ -238,13 +293,26 @@ impl PolicyOptimizer {
             }
         }
 
-        match best {
+        let result = match best {
             Some((_, policy, throughput)) => Ok(SearchResult { policy, throughput }),
             None => Err(OptimizerError::NoFeasiblePolicy {
                 candidates: space.micro_batch_sizes.len() * n_counts * cells.len(),
             }),
-        }
+        };
+        (result, work)
     }
+}
+
+/// How much of the grid one [`PolicyOptimizer::search`] costed.
+#[derive(Debug, Default)]
+struct SearchWork {
+    /// `(μ, A_g, F_g, r_w, r_c)` rows in the grid.
+    rows: usize,
+    /// Rows skipped whole because their throughput bound fell below the
+    /// incumbent.
+    rows_skipped: usize,
+    /// Candidates scored.
+    scored: usize,
 }
 
 impl crate::generator::PolicyGenerator for PolicyOptimizer {
@@ -355,12 +423,15 @@ mod tests {
         }
     }
 
-    /// A T4, an L4 or a 2–4×T4 node whose host DRAM is `cpu_factor` times the
-    /// model's weight bytes.
+    /// A T4, an L4, a 2–4×T4 or the §6.3 2×A100 node whose host DRAM is
+    /// `cpu_factor` times the model's weight bytes. On the A100 node the search
+    /// picks GPU attention with part of the KV cache in HBM, which exercises the
+    /// bound's GPU-attention and KV-transfer terms.
     fn node_preset(index: usize, model: &MoeModelConfig, cpu_factor: f64) -> NodeSpec {
         let node = match index {
             0 => NodeSpec::t4_single(),
             1 => NodeSpec::l4_single(),
+            5 => NodeSpec::a100_case_study(300.0, 4.0),
             n => NodeSpec::t4_multi(n as u32),
         };
         node.with_cpu_memory(model.total_weight_bytes().scale(cpu_factor))
@@ -393,7 +464,7 @@ mod tests {
 
         #[test]
         fn pruned_search_matches_exhaustive_on_random_sub_grids(
-            (model_index, node_index, cpu_factor) in (0usize..4, 0usize..5, cpu_memory_factor()),
+            (model_index, node_index, cpu_factor) in (0usize..4, 0usize..6, cpu_memory_factor()),
             workload in workload(),
             micro_batch_sizes in collection::vec(1u64..=256, 1..6),
             micro_batch_counts in collection::vec(0u64..=160, 1..9),
@@ -415,11 +486,11 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
         fn pruned_search_matches_exhaustive_on_the_default_grid(
-            (model_index, node_index, cpu_factor) in (0usize..4, 0usize..5, cpu_memory_factor()),
+            (model_index, node_index, cpu_factor) in (0usize..4, 0usize..6, cpu_memory_factor()),
             workload in workload(),
         ) {
             let model = model_preset(model_index);
@@ -451,8 +522,107 @@ mod tests {
         let node = NodeSpec::t4_single().with_cpu_memory(moe_hardware::ByteSize::from_gib(4.0));
         let opt = PolicyOptimizer::new(node, MoeModelConfig::mixtral_8x7b());
         let err = opt.search(&mtbench(32)).unwrap_err();
-        assert!(matches!(err, OptimizerError::NoFeasiblePolicy { .. }));
+        // The count is the full grid's, although the row cut costs none of it.
+        assert_eq!(
+            err,
+            OptimizerError::NoFeasiblePolicy {
+                candidates: 17 * 17 * 96
+            }
+        );
+        assert_eq!(Err(err.clone()), exhaustive_search(&opt, &mtbench(32)));
         assert!(err.to_string().contains("no feasible policy"));
+    }
+
+    /// [`PolicyOptimizer::search_counted`]'s work, after asserting that the
+    /// search returns what the exhaustive one does.
+    fn work_matching_exhaustive(opt: &PolicyOptimizer, workload: &WorkloadShape) -> SearchWork {
+        assert_matches_exhaustive(opt, workload);
+        opt.search_counted(workload).1
+    }
+
+    #[test]
+    fn the_bound_skips_three_quarters_of_the_s1_mtbench_rows() {
+        // S1 (Mixtral 8x7B on a T4), MTBench, default grid: 17 micro-batch
+        // sizes × 96 placements. The counts are deterministic, and without the
+        // bound no row is skipped.
+        let opt = PolicyOptimizer::new(NodeSpec::t4_single(), MoeModelConfig::mixtral_8x7b());
+        let work = work_matching_exhaustive(&opt, &mtbench(128));
+        assert_eq!(work.rows, 17 * 96);
+        assert!(4 * work.rows_skipped >= 3 * work.rows, "{work:?}");
+        assert!(work.scored < 17 * 17 * 96 / 20, "{work:?}");
+    }
+
+    #[test]
+    fn zero_generation_ties_every_candidate_and_skips_no_row() {
+        // Every score is 0 and every bound is 0 or NaN, neither strictly below
+        // the incumbent, so every row is costed and the lowest index wins.
+        for node in [NodeSpec::t4_single(), NodeSpec::a100_case_study(300.0, 4.0)] {
+            let opt = PolicyOptimizer::new(node, MoeModelConfig::mixtral_8x7b());
+            let workload = mtbench(0);
+            let work = work_matching_exhaustive(&opt, &workload);
+            assert_eq!(work.rows_skipped, 0, "{work:?}");
+            assert_eq!(opt.search(&workload).unwrap().throughput, 0.0);
+        }
+    }
+
+    #[test]
+    fn zero_micro_batch_counts_are_never_scored() {
+        // A count of 0 is a batch of 0, below every μ: invalid, so never scored.
+        let model = MoeModelConfig::mixtral_8x7b();
+        let space = SearchSpace {
+            micro_batch_sizes: vec![256, 1, 8],
+            micro_batch_counts: vec![0, 3, 0, 1],
+            ..SearchSpace::default()
+        };
+        let opt = PolicyOptimizer::new(NodeSpec::t4_single(), model.clone())
+            .with_search_space(space.clone());
+        for workload in [mtbench(128), mtbench(0), WorkloadShape::new(1693, 32)] {
+            work_matching_exhaustive(&opt, &workload);
+        }
+
+        let zeros = SearchSpace {
+            micro_batch_counts: vec![0, 0],
+            ..space
+        };
+        let opt = PolicyOptimizer::new(NodeSpec::t4_single(), model).with_search_space(zeros);
+        assert_eq!(
+            opt.search(&mtbench(128)),
+            Err(OptimizerError::NoFeasiblePolicy {
+                candidates: 3 * 2 * 96
+            })
+        );
+        assert_matches_exhaustive(&opt, &mtbench(128));
+    }
+
+    #[test]
+    fn infinite_times_never_prune_a_feasible_row() {
+        let mut no_link = NodeSpec::t4_single();
+        no_link.link.h2d_bandwidth = moe_hardware::Bandwidth::ZERO;
+        no_link.link.d2h_bandwidth = moe_hardware::Bandwidth::ZERO;
+        let mut no_gpu_flops = NodeSpec::t4_single();
+        no_gpu_flops.gpu.peak_flops_f16 = moe_hardware::ComputeRate::ZERO;
+        let mut no_cpu_flops = NodeSpec::t4_single();
+        no_cpu_flops.cpu.peak_flops = moe_hardware::ComputeRate::ZERO;
+        let workloads = [mtbench(128), mtbench(0), WorkloadShape::new(1693, 32)];
+
+        // Every candidate takes forever and scores 0: nothing may be skipped.
+        for node in [no_link, no_gpu_flops] {
+            let opt = PolicyOptimizer::new(node, MoeModelConfig::mixtral_8x7b());
+            for workload in &workloads {
+                let work = work_matching_exhaustive(&opt, workload);
+                assert_eq!(work.rows_skipped, 0, "{workload:?}: {work:?}");
+                assert_eq!(opt.search(workload).unwrap().throughput, 0.0);
+            }
+        }
+        // Only the CPU-attention and CPU-FFN rows take forever; they may be
+        // skipped, the GPU rows may not.
+        let opt = PolicyOptimizer::new(no_cpu_flops, MoeModelConfig::mixtral_8x7b());
+        for workload in &workloads {
+            work_matching_exhaustive(&opt, workload);
+        }
+        let best = opt.search(&mtbench(128)).unwrap();
+        assert!(best.policy.attention_on_gpu && best.policy.ffn_on_gpu);
+        assert!(best.throughput > 0.0);
     }
 
     #[test]
