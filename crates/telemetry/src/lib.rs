@@ -1068,6 +1068,128 @@ mod tests {
         assert!(r.events().is_empty());
     }
 
+    /// A recorder holding one event of every [`TelemetryEvent`] variant, one
+    /// profiling span and one fleet sample with two replica rows.
+    fn every_shape() -> Recorder {
+        let r = Recorder::new();
+        r.event(&arrival(1, 0.25));
+        r.event(&TelemetryEvent::Routed {
+            id: 1,
+            replica: 2,
+            considered: 4,
+            at: 0.25,
+        });
+        r.event(&TelemetryEvent::Admitted {
+            id: 1,
+            replica: 2,
+            at: 0.25,
+        });
+        r.event(&TelemetryEvent::Rejected {
+            id: 2,
+            replica: 0,
+            projected_ttft_s: 12.5,
+            at: 0.5,
+        });
+        r.event(&TelemetryEvent::Rerouted { id: 3, at: 1.0 });
+        r.event(&TelemetryEvent::Aborted { id: 4, at: 1.5 });
+        r.event(&completed(1, 16, 3.75));
+        r.event(&TelemetryEvent::Lifecycle {
+            replica: 1,
+            to: "draining",
+            at: 2.0,
+        });
+        r.event(&TelemetryEvent::Scale {
+            decision: "up",
+            serving: 3,
+            queued: 40,
+            at: 2.5,
+        });
+        r.event(&TelemetryEvent::MigrationStart {
+            id: 5,
+            from: 0,
+            to: 3,
+            kv_tokens: 256,
+            eta_s: 3.125,
+            at: 3.0,
+        });
+        r.event(&TelemetryEvent::MigrationComplete {
+            id: 5,
+            to: 3,
+            at: 3.125,
+        });
+        r.event(&TelemetryEvent::MigrationLost {
+            id: 6,
+            to: 1,
+            at: 4.0,
+        });
+        r.span(Section::ShardStep, 7, 9_000);
+        let row = |replica: usize, lifecycle: &'static str, decode_rate: f64| ReplicaSample {
+            replica,
+            lifecycle,
+            queued: 2,
+            active: 3,
+            outstanding_tokens: 40,
+            kv_projected: 900,
+            kv_capacity: 4096,
+            kv_migrating_in: 64,
+            decode_rate,
+            cache_hits: 5,
+            cache_misses: 6,
+            cache_hit_tokens: 70,
+        };
+        r.sample(&FleetSample {
+            at: 4.5,
+            serving: 1,
+            provisioning: 0,
+            draining: 1,
+            departed: 0,
+            queued: 4,
+            active: 6,
+            outstanding_tokens: 80,
+            kv_projected: 1800,
+            kv_migrating_in: 128,
+            migrations_in_flight: 1,
+            cache_hits: 10,
+            cache_misses: 12,
+            cache_hit_tokens: 140,
+            // A non-finite gauge exports as `null`.
+            replicas: vec![row(0, "serving", 12.5), row(1, "draining", f64::NAN)],
+        });
+        r
+    }
+
+    /// The exact bytes of the `--metrics` export: every event shape, the
+    /// profile roll-up and a sample's nested `replicas` array.
+    const EVERY_SHAPE_JSON: &str = r#"{
+  "counters": {"arrivals":1,"routed":1,"admitted":1,"rejected":1,"rerouted":1,"aborted":1,"completed":1,"completed_tokens":16,"lifecycle_transitions":1,"failures":0,"drains":1,"joins":0,"scale_ups":1,"scale_downs":0,"migrations_started":1,"migrations_completed":1,"migrations_lost":1},
+  "profile": [{"section":"shard-step","calls":7,"nanos":9000}],
+  "samples_dropped": 0,
+  "events_dropped": 0,
+  "series": [
+    {"at":4.5,"serving":1,"provisioning":0,"draining":1,"departed":0,"queued":4,"active":6,"outstanding_tokens":80,"kv_projected":1800,"kv_migrating_in":128,"migrations_in_flight":1,"cache_hits":10,"cache_misses":12,"cache_hit_tokens":140,"replicas":[{"replica":0,"lifecycle":"serving","queued":2,"active":3,"outstanding_tokens":40,"kv_projected":900,"kv_capacity":4096,"kv_migrating_in":64,"decode_rate":12.5,"cache_hits":5},{"replica":1,"lifecycle":"draining","queued":2,"active":3,"outstanding_tokens":40,"kv_projected":900,"kv_capacity":4096,"kv_migrating_in":64,"decode_rate":null,"cache_hits":5}]}
+  ],
+  "events": [
+    {"kind":"arrival","id":1,"input_len":64,"gen_len":16,"session":1,"class":"standard","at":0.25},
+    {"kind":"routed","id":1,"replica":2,"considered":4,"at":0.25},
+    {"kind":"admitted","id":1,"replica":2,"at":0.25},
+    {"kind":"rejected","id":2,"replica":0,"projected_ttft_s":12.5,"at":0.5},
+    {"kind":"rerouted","id":3,"at":1},
+    {"kind":"aborted","id":4,"at":1.5},
+    {"kind":"completed","id":1,"replica":0,"input_len":64,"gen_len":16,"class":"standard","arrival_s":0,"ttft_s":1,"per_token_s":0.1,"at":3.75},
+    {"kind":"lifecycle","replica":1,"to":"draining","at":2},
+    {"kind":"scale","decision":"up","serving":3,"queued":40,"at":2.5},
+    {"kind":"migration_start","id":5,"from":0,"to":3,"kv_tokens":256,"eta_s":3.125,"at":3},
+    {"kind":"migration_complete","id":5,"to":3,"at":3.125},
+    {"kind":"migration_lost","id":6,"to":1,"at":4}
+  ]
+}
+"#;
+
+    #[test]
+    fn export_json_bytes_are_pinned() {
+        assert_eq!(every_shape().export_json(), EVERY_SHAPE_JSON);
+    }
+
     #[test]
     fn json_strings_are_escaped() {
         let mut o = JsonObj::new();
