@@ -48,7 +48,6 @@ use moe_workload::{
     Algorithm2, ArrivalProcess, BatchRunReport, GenLens, LatencySummary, Request, RequestLatency,
     Scheduler, WorkloadSpec,
 };
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -61,7 +60,7 @@ pub use crate::router::{
 
 /// Per-request service-level objective: deadlines on queue-aware TTFT and mean
 /// per-token latency. A served request *attains* the SLO when it meets both.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloSpec {
     /// Deadline on time-to-first-token, measured from the request's arrival.
     pub ttft: Seconds,
@@ -77,7 +76,7 @@ impl SloSpec {
 }
 
 /// Why a [`ClusterSpec`] is unusable (see [`ClusterSpec::validate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ClusterSpecError {
     /// The fleet is empty — no replica could ever serve a request.
@@ -406,7 +405,7 @@ impl ClusterSpec {
 }
 
 /// One replica's outcome within a [`ClusterReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplicaReport {
     /// Which replica this is.
     pub id: ReplicaId,
@@ -422,7 +421,7 @@ pub struct ReplicaReport {
 }
 
 /// Aggregate outcome of serving one fleet-wide request queue on a cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// Name of the [`Router`] that dispatched the queue.
     pub router: String,
@@ -1192,7 +1191,7 @@ impl FleetLoop<'_> {
         let id = view.id;
         self.note_routed(&request, id, considered, now);
         if screen {
-            let projected = self.engines[id.0].projected_ttft(&request);
+            let projected = self.engines[id.0].projected_ttft();
             if !self.spec.admission.admit(&request, projected, &view) {
                 self.reject(request, id, projected, now);
                 return;
@@ -1551,7 +1550,7 @@ impl FleetLoop<'_> {
                 .filter(|(i, _)| is_due[*i])
                 .collect();
             let per_worker = workers.len().div_ceil(threads);
-            let results: Vec<ShardOutcome> = crossbeam::thread::scope(|s| {
+            let results: Vec<ShardOutcome> = std::thread::scope(|s| {
                 let handles: Vec<_> = workers
                     .chunks_mut(per_worker)
                     .map(|shard| {
@@ -1569,8 +1568,7 @@ impl FleetLoop<'_> {
                     .into_iter()
                     .map(|h| h.join().expect("shard worker panicked"))
                     .collect()
-            })
-            .expect("scope never errors");
+            });
             let mut out = Vec::with_capacity(due.len());
             for result in results {
                 out.extend(result?);

@@ -40,13 +40,12 @@ use crate::engine::Phase;
 use crate::router::{ReplicaId, ReplicaView, Router, RouterCtx, RouterIndex};
 use moe_hardware::{Bandwidth, Seconds};
 use moe_workload::Request;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// Which phase of serving a replica's pool runs (see [`ReplicaSpec::with_role`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReplicaRole {
     /// Runs both phases on one replica — the classic colocated default.
     #[default]
@@ -100,7 +99,7 @@ impl fmt::Display for ReplicaRole {
 /// The replica↔replica interconnect KV migrations move over: a bandwidth plus
 /// a per-transfer latency floor (`CostModel::kv_migrate` prices one handoff
 /// as `kv_bytes(context) / bandwidth + latency`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterconnectSpec {
     gb_per_sec: f64,
     latency: Seconds,
@@ -139,7 +138,7 @@ impl InterconnectSpec {
 /// Router-visible statistics of one replica's [`PrefixCache`] (zeroed when
 /// the replica has no cache). Snapshotted into
 /// [`crate::ReplicaView::cache_stats`] and the per-replica cluster report.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CacheStats {
     /// The cache's capacity in tokens.
     pub capacity_tokens: u64,

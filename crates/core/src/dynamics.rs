@@ -32,7 +32,6 @@
 use crate::cluster::{ReplicaId, ReplicaSpec, ReplicaView, SloSpec};
 use moe_hardware::Seconds;
 use moe_workload::{Request, RequestLatency};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One membership mutation on the cluster's global clock.
@@ -150,7 +149,7 @@ impl FleetTimeline {
 }
 
 /// What an [`Autoscaler`] asks the control plane to do after one observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScaleDecision {
     /// Keep the fleet as it is.
     Hold,
@@ -165,7 +164,7 @@ pub enum ScaleDecision {
 
 /// Fleet-size and rate limits the control plane enforces on every
 /// [`Autoscaler`] decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleBounds {
     /// The fleet never shrinks below this many replicas (serving +
     /// provisioning).
@@ -441,7 +440,7 @@ impl AdmissionController for SloAdmission {
 /// The availability section of a
 /// [`ClusterReport`](crate::cluster::ClusterReport): what churn, autoscaling
 /// and admission control did to the run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AvailabilityReport {
     /// Requests the admission controller rejected (never queued), in arrival
     /// order. Rejections count as SLO misses in attainment percentages.

@@ -368,7 +368,7 @@ impl ReplicaEngine {
     /// already decoding drain in parallel and are not ahead of it in the slot
     /// queue. Optimistically zero for a cold replica with no step history —
     /// admission control should not reject into an idle fleet.
-    pub(crate) fn projected_ttft(&self, _request: &Request) -> Seconds {
+    pub(crate) fn projected_ttft(&self) -> Seconds {
         let queued_gen: u64 = self.ready_gen;
         if queued_gen == 0 {
             return Seconds::ZERO;

@@ -17,7 +17,6 @@ use moe_policy::{
 };
 use moe_schedule::{DecodeScheduleBuilder, ScheduleKind};
 use moe_workload::{BatchRunReport, BatchingConfigError, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of layers actually simulated by the discrete-event engine (or the full
@@ -83,7 +82,7 @@ impl fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// Result of evaluating one system on one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemEvaluation {
     /// The system evaluated.
     pub system: SystemKind,

@@ -16,7 +16,6 @@ use moe_hardware::Seconds;
 use moe_workload::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -24,9 +23,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Identifies one replica within a cluster: its index into the fleet.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ReplicaId(pub usize);
 
 impl fmt::Display for ReplicaId {
@@ -38,7 +35,7 @@ impl fmt::Display for ReplicaId {
 /// Router-visible snapshot of one replica at a routing decision: the request
 /// metadata a production front-end could actually observe (queue depths,
 /// outstanding work, projected KV usage) — never the simulator's internals.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ReplicaView {
     /// The replica this view describes.
     pub id: ReplicaId,

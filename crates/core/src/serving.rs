@@ -56,11 +56,10 @@ use moe_workload::{
     Algorithm2, ArrivalProcess, BatchRunReport, LatencySummary, Request, RequestLatency, Scheduler,
     WorkloadSpec,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// How a serving node schedules decode work over time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ServingMode {
     /// The scheduler forms a round; every request holds its slot until the
     /// round's longest request finishes. The PR-1 behaviour and the default.
@@ -93,7 +92,7 @@ impl std::fmt::Display for ServingMode {
 /// One serving round (round-to-completion mode) or admission wave (continuous
 /// mode): a set of micro-batch assignments produced by the node's
 /// [`Scheduler`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundReport {
     /// Zero-based round / admission-wave index.
     pub round: usize,
@@ -118,7 +117,7 @@ pub struct RoundReport {
 }
 
 /// Aggregate outcome of serving one request queue to completion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
     /// The system that served the queue.
     pub system: SystemKind,

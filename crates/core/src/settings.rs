@@ -2,11 +2,10 @@
 
 use moe_hardware::NodeSpec;
 use moe_model::MoeModelConfig;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One row of Tab. 2 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvalSetting {
     /// Mixtral 8x7B on 1×T4 (16 GB), 24-core Xeon with 192 GB.
     S1,

@@ -1,12 +1,11 @@
 //! The inference systems compared in the paper's evaluation (§5.1).
 
 use moe_schedule::ScheduleKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An end-to-end inference system: a policy generator plus a pipeline schedule plus
 /// a request-padding behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// MoE-Lightning with all optimizations (CGOPipe, HRM policy, variable-length
     /// batching).

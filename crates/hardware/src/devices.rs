@@ -8,10 +8,9 @@
 //! fitting kernels; a constant derating plays the same role here).
 
 use crate::units::{Bandwidth, ByteSize, ComputeRate};
-use serde::{Deserialize, Serialize};
 
 /// Specification of a single GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Human-readable device name, e.g. `"NVIDIA T4"`.
     pub name: String,
@@ -86,7 +85,7 @@ impl GpuSpec {
 }
 
 /// Specification of the host CPU and its DRAM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuSpec {
     /// Human-readable name, e.g. `"Intel Xeon 2.30GHz 24-core"`.
     pub name: String,
@@ -182,7 +181,7 @@ impl CpuSpec {
 }
 
 /// Specification of the CPU↔GPU interconnect (PCIe).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     /// Human-readable name, e.g. `"PCIe 3.0 x16"`.
     pub name: String,

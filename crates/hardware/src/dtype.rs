@@ -4,12 +4,11 @@
 //! (Fig. 4 shows both); data type only enters the system through its byte width,
 //! which is what this module encodes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Element data type for model tensors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DType {
     /// 32-bit IEEE-754 float.
     F32,

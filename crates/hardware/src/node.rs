@@ -9,10 +9,9 @@
 
 use crate::devices::{CpuSpec, GpuSpec, LinkSpec};
 use crate::units::{Bandwidth, ByteSize, ComputeRate};
-use serde::{Deserialize, Serialize};
 
 /// A single-host hardware configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// The (identical) GPU model installed in the node.
     pub gpu: GpuSpec,

@@ -9,7 +9,6 @@
 //! All types are `Copy` and implement the arithmetic operators that are physically
 //! meaningful (e.g. `ByteSize / Bandwidth = Seconds`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -29,9 +28,7 @@ const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 /// assert_eq!(gpu_mem.as_bytes(), 16 * 1024 * 1024 * 1024);
 /// assert!((gpu_mem.as_gib() - 16.0).abs() < 1e-9);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(u64);
 
 impl ByteSize {
@@ -170,7 +167,7 @@ impl Sum for ByteSize {
 /// // Operational intensity: FLOPs per byte accessed.
 /// assert!((matmul / ByteSize::from_bytes(1_000_000) - 2000.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct FlopCount(f64);
 
 impl FlopCount {
@@ -248,7 +245,7 @@ impl Sum for FlopCount {
 /// let t = ByteSize::from_gib(1.0) / pcie;
 /// assert!(t.as_secs() > 0.06 && t.as_secs() < 0.07);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {
@@ -311,7 +308,7 @@ impl Mul<f64> for Bandwidth {
 /// let dt = FlopCount::from_flops(6.5e12) / t4;
 /// assert!((dt.as_secs() - 0.1).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct ComputeRate(f64);
 
 impl ComputeRate {
@@ -382,8 +379,8 @@ impl Mul<f64> for ComputeRate {
 ///
 /// `std::time::Duration` is not used because simulated times routinely need to be
 /// multiplied, divided and compared with full floating point semantics (including
-/// zero-length events), and serde support is required.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+/// zero-length events).
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Seconds(f64);
 
 impl Seconds {

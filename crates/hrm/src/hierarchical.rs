@@ -9,10 +9,9 @@
 
 use crate::roofline::Roofline;
 use moe_hardware::{Bandwidth, ByteSize, ComputeRate, DType, FlopCount, NodeSpec, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// One level of the memory hierarchy together with its coupled processor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryLevel {
     /// Human-readable name, `"GPU"` or `"CPU"`.
     pub name: &'static str,
@@ -37,7 +36,7 @@ impl MemoryLevel {
 }
 
 /// The paper's two-level HRM: the GPU executes, the CPU holds the offloaded data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchicalRoofline {
     /// The GPU level (HBM + SMs).
     pub gpu: MemoryLevel,
@@ -140,7 +139,7 @@ impl HierarchicalRoofline {
 }
 
 /// The roof that limits a cross-level computation (see [`HierarchicalRoofline::binding_roof`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BindingRoof {
     /// Bounded by the GPU's peak compute.
     Compute,

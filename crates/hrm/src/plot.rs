@@ -6,11 +6,10 @@
 
 use crate::hierarchical::HierarchicalRoofline;
 use crate::roofline::log_space;
-use serde::{Deserialize, Serialize};
 
 /// A named line on a roofline plot: performance (GFLOPS/s) as a function of
 /// operational intensity (FLOPs/byte).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoofSeries {
     /// Legend label, e.g. `"CPU-GPU Mem Bdw"`.
     pub name: String,
@@ -20,7 +19,7 @@ pub struct RoofSeries {
 
 /// A vertical marker: the operational intensity of a specific computation or a
 /// turning point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntensityMarker {
     /// Label, e.g. `"Attention f16"` or `"P1"`.
     pub name: String,
@@ -29,7 +28,7 @@ pub struct IntensityMarker {
 }
 
 /// The complete data of a hierarchical roofline plot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RooflinePlot {
     /// Title of the plot.
     pub title: String,

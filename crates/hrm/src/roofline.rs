@@ -12,10 +12,9 @@
 //! `I < Ī` are memory-bound, kernels with `I ≥ Ī` are compute-bound.
 
 use moe_hardware::{Bandwidth, ComputeRate};
-use serde::{Deserialize, Serialize};
 
 /// A single compute-roof / memory-roof pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Peak compute rate (`P_peak`).
     pub peak_compute: ComputeRate,

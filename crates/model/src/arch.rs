@@ -7,10 +7,9 @@
 //! optimizer and the performance model derives from this single struct.
 
 use moe_hardware::{ByteSize, DType};
-use serde::{Deserialize, Serialize};
 
 /// Architecture description of a Mixture-of-Experts transformer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MoeModelConfig {
     /// Human-readable model name.
     pub name: String,

@@ -12,10 +12,9 @@
 
 use crate::arch::MoeModelConfig;
 use moe_hardware::{ByteSize, FlopCount};
-use serde::{Deserialize, Serialize};
 
 /// Generation stage a cost refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Prompt processing: all prompt tokens of a request in one pass.
     Prefill,
@@ -24,7 +23,7 @@ pub enum Stage {
 }
 
 /// FLOPs and byte traffic of one operator invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OpCost {
     /// Floating point operations performed.
     pub flops: FlopCount,

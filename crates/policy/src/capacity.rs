@@ -9,10 +9,9 @@
 use crate::policy::{Policy, WorkloadShape};
 use moe_hardware::{ByteSize, NodeSpec};
 use moe_model::MoeModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Memory requirement breakdown of a policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryRequirement {
     /// Static weights resident on the GPU (`r_w` of all layers plus embeddings).
     pub gpu_static_weights: ByteSize,

@@ -13,7 +13,6 @@ use crate::policy::{Policy, WorkloadShape};
 use moe_hardware::{Bandwidth, ByteSize, FlopCount, NodeSpec, Seconds};
 use moe_hrm::HierarchicalRoofline;
 use moe_model::{LayerOps, MoeModelConfig};
-use serde::{Deserialize, Serialize};
 
 /// Per-task durations and aggregate latency estimates for one model on one node.
 #[derive(Debug, Clone)]
@@ -25,7 +24,7 @@ pub struct CostModel {
 }
 
 /// Breakdown of the estimated per-layer decode latency (Eq. 12).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerLatencyBreakdown {
     /// Total host→device traffic time for one layer of one decode step.
     pub comm_h2d: Seconds,
@@ -57,7 +56,7 @@ impl LayerLatencyBreakdown {
 }
 
 /// The resource that binds a layer's decode latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BottleneckResource {
     /// CPU→GPU PCIe traffic.
     HostToDevice,

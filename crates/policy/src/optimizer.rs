@@ -42,10 +42,9 @@ use crate::cost::CostModel;
 use crate::policy::{Policy, WorkloadShape};
 use moe_hardware::NodeSpec;
 use moe_model::MoeModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the search grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchSpace {
     /// Candidate micro-batch sizes (`μ`).
     pub micro_batch_sizes: Vec<u64>,
@@ -123,7 +122,7 @@ impl SearchSpace {
 }
 
 /// The result of a policy search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchResult {
     /// The best policy found.
     pub policy: Policy,

@@ -1,10 +1,9 @@
 //! The offloading policy: the 6-tuple `(N, μ, A_g, F_g, r_w, r_c)` of §4.2.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where a computation is placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// Executed on the GPU.
     Gpu,
@@ -23,7 +22,7 @@ impl fmt::Display for Placement {
 
 /// The workload shape the policy is optimized for (`W` in Tab. 1): average prompt
 /// length `s` and generation length `n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkloadShape {
     /// Average prompt length in tokens.
     pub prompt_len: u64,
@@ -53,7 +52,7 @@ impl WorkloadShape {
 }
 
 /// An offloading policy (`P` in Tab. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Policy {
     /// Batch size `N`: total tokens processed by one pass of the whole model
     /// (one sequence contributes one token per decode pass).

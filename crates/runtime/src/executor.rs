@@ -9,13 +9,13 @@
 //! (Algorithm 1: "all the tasks are executed asynchronously, and necessary
 //! synchronization primitives are added to each task").
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use moe_sim::{Lane, Task, TaskGraph};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::HashSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -81,7 +81,7 @@ impl OffloadExecutor {
         let mut senders = Vec::new();
         let mut handles = Vec::new();
         for lane in Lane::all() {
-            let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
+            let (tx, rx): (Sender<Job>, Receiver<Job>) = channel();
             let worker_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("moe-lane-{lane}"))

@@ -13,11 +13,10 @@ use moe_hardware::Seconds;
 use moe_memory::pages::split_into_pages;
 use moe_policy::{CostModel, Policy, WorkloadShape};
 use moe_sim::{Lane, Player, SimError, TaskGraph, TaskId, TaskKind, TaskLabel, TaskSink};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 
 /// The pipeline schedules compared in Fig. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScheduleKind {
     /// MoE-Lightning's CGOPipe: CPU attention, paged weights interleaved with hidden
     /// uploads, pre-attention launched two micro-batches ahead (Algorithm 1).

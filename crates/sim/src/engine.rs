@@ -4,11 +4,10 @@
 
 use crate::task::{check_deps, Lane, SimError, TaskGraph, TaskId, TaskKind, TaskLabel, TaskSink};
 use moe_hardware::Seconds;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One executed task on the timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimelineEntry {
     /// The task that ran.
     pub task: TaskId,
@@ -26,7 +25,7 @@ pub struct TimelineEntry {
 
 /// Busy/idle statistics for one lane. `Default` is the all-zero record of a lane
 /// that executed nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LaneStats {
     /// Total time the lane spent executing tasks.
     pub busy: Seconds,
@@ -40,7 +39,7 @@ pub struct LaneStats {
 }
 
 /// The result of simulating a task graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationResult {
     /// Every executed task, sorted by start time.
     pub timeline: Vec<TimelineEntry>,

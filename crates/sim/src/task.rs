@@ -8,12 +8,11 @@
 //! semantics), which is exactly what makes naive orderings leave bubbles.
 
 use moe_hardware::Seconds;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 
 /// A serial execution lane of the simulated node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Lane {
     /// The GPU compute stream.
     GpuCompute,
@@ -51,7 +50,7 @@ impl fmt::Display for Lane {
 
 /// Semantic category of a task, used for per-kind statistics and the Fig. 6 style
 /// timeline output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// GPU pre-attention work (layer norm + QKV projection), `A_x` in Fig. 6.
     PreAttention,
@@ -91,7 +90,7 @@ impl fmt::Display for TaskKind {
 }
 
 /// Identifier of a task within a [`TaskGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub usize);
 
 /// Human-readable task name: a static tag plus up to two indices (layer and
@@ -160,7 +159,7 @@ impl fmt::Display for TaskLabel {
 }
 
 /// A single unit of work bound to a lane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// The task's id (its index in the graph).
     pub id: TaskId,
@@ -237,7 +236,7 @@ pub(crate) fn check_deps(len: usize, deps: &[TaskId]) -> Result<(), SimError> {
 ///
 /// Dependencies may only point at earlier tasks, so insertion order is always
 /// a valid execution order: no graph can deadlock under FIFO lanes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskGraph {
     tasks: Vec<Task>,
     /// Every task's dependencies, back to back in insertion order.

@@ -29,9 +29,9 @@
 //!
 //! [`Recorder`] is the batteries-included sink: it derives a [`Counters`]
 //! summary, keeps the event log and a ring-buffered time-series, and exports
-//! them as one JSON document (`--metrics` dumps on the bench bins). All
-//! serialization is hand-rolled — the workspace's serde is an offline API
-//! shim.
+//! them as one JSON document (`--metrics` dumps on the bench bins). The
+//! export is built from [`JsonValue`], the workspace's one JSON writer, which
+//! the bench binaries' `BENCH_JSON` rows share.
 //!
 //! # Examples
 //!
@@ -66,6 +66,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod json;
+
+pub use json::{obj, JsonValue};
 
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -260,9 +264,8 @@ impl TelemetryEvent {
 
     /// Renders the event as one JSON object (no newline).
     pub fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.str("kind", self.kind());
-        match *self {
+        let mut fields = vec![("kind", self.kind().into())];
+        fields.extend(match *self {
             TelemetryEvent::Arrival {
                 id,
                 input_len,
@@ -270,45 +273,44 @@ impl TelemetryEvent {
                 session,
                 class,
                 at,
-            } => {
-                o.num("id", id as f64);
-                o.num("input_len", input_len as f64);
-                o.num("gen_len", gen_len as f64);
-                o.num("session", session as f64);
-                o.str("class", class);
-                o.num("at", at);
-            }
+            } => vec![
+                ("id", id.into()),
+                ("input_len", input_len.into()),
+                ("gen_len", gen_len.into()),
+                ("session", session.into()),
+                ("class", class.into()),
+                ("at", at.into()),
+            ],
             TelemetryEvent::Rerouted { id, at } | TelemetryEvent::Aborted { id, at } => {
-                o.num("id", id as f64);
-                o.num("at", at);
+                vec![("id", id.into()), ("at", at.into())]
             }
             TelemetryEvent::Routed {
                 id,
                 replica,
                 considered,
                 at,
-            } => {
-                o.num("id", id as f64);
-                o.num("replica", replica as f64);
-                o.num("considered", considered as f64);
-                o.num("at", at);
-            }
-            TelemetryEvent::Admitted { id, replica, at } => {
-                o.num("id", id as f64);
-                o.num("replica", replica as f64);
-                o.num("at", at);
-            }
+            } => vec![
+                ("id", id.into()),
+                ("replica", replica.into()),
+                ("considered", considered.into()),
+                ("at", at.into()),
+            ],
+            TelemetryEvent::Admitted { id, replica, at } => vec![
+                ("id", id.into()),
+                ("replica", replica.into()),
+                ("at", at.into()),
+            ],
             TelemetryEvent::Rejected {
                 id,
                 replica,
                 projected_ttft_s,
                 at,
-            } => {
-                o.num("id", id as f64);
-                o.num("replica", replica as f64);
-                o.num("projected_ttft_s", projected_ttft_s);
-                o.num("at", at);
-            }
+            } => vec![
+                ("id", id.into()),
+                ("replica", replica.into()),
+                ("projected_ttft_s", projected_ttft_s.into()),
+                ("at", at.into()),
+            ],
             TelemetryEvent::Completed {
                 id,
                 replica,
@@ -319,33 +321,33 @@ impl TelemetryEvent {
                 ttft_s,
                 per_token_s,
                 completion_s,
-            } => {
-                o.num("id", id as f64);
-                o.num("replica", replica as f64);
-                o.num("input_len", input_len as f64);
-                o.num("gen_len", gen_len as f64);
-                o.str("class", class);
-                o.num("arrival_s", arrival_s);
-                o.num("ttft_s", ttft_s);
-                o.num("per_token_s", per_token_s);
-                o.num("at", completion_s);
-            }
-            TelemetryEvent::Lifecycle { replica, to, at } => {
-                o.num("replica", replica as f64);
-                o.str("to", to);
-                o.num("at", at);
-            }
+            } => vec![
+                ("id", id.into()),
+                ("replica", replica.into()),
+                ("input_len", input_len.into()),
+                ("gen_len", gen_len.into()),
+                ("class", class.into()),
+                ("arrival_s", arrival_s.into()),
+                ("ttft_s", ttft_s.into()),
+                ("per_token_s", per_token_s.into()),
+                ("at", completion_s.into()),
+            ],
+            TelemetryEvent::Lifecycle { replica, to, at } => vec![
+                ("replica", replica.into()),
+                ("to", to.into()),
+                ("at", at.into()),
+            ],
             TelemetryEvent::Scale {
                 decision,
                 serving,
                 queued,
                 at,
-            } => {
-                o.str("decision", decision);
-                o.num("serving", serving as f64);
-                o.num("queued", queued as f64);
-                o.num("at", at);
-            }
+            } => vec![
+                ("decision", decision.into()),
+                ("serving", serving.into()),
+                ("queued", queued.into()),
+                ("at", at.into()),
+            ],
             TelemetryEvent::MigrationStart {
                 id,
                 from,
@@ -353,22 +355,20 @@ impl TelemetryEvent {
                 kv_tokens,
                 eta_s,
                 at,
-            } => {
-                o.num("id", id as f64);
-                o.num("from", from as f64);
-                o.num("to", to as f64);
-                o.num("kv_tokens", kv_tokens as f64);
-                o.num("eta_s", eta_s);
-                o.num("at", at);
-            }
+            } => vec![
+                ("id", id.into()),
+                ("from", from.into()),
+                ("to", to.into()),
+                ("kv_tokens", kv_tokens.into()),
+                ("eta_s", eta_s.into()),
+                ("at", at.into()),
+            ],
             TelemetryEvent::MigrationComplete { id, to, at }
             | TelemetryEvent::MigrationLost { id, to, at } => {
-                o.num("id", id as f64);
-                o.num("to", to as f64);
-                o.num("at", at);
+                vec![("id", id.into()), ("to", to.into()), ("at", at.into())]
             }
-        }
-        o.finish()
+        });
+        obj(fields).to_string()
     }
 }
 
@@ -440,42 +440,42 @@ pub struct FleetSample {
 }
 
 impl FleetSample {
-    fn to_json(&self) -> String {
-        let mut o = JsonObj::new();
-        o.num("at", self.at);
-        o.num("serving", self.serving as f64);
-        o.num("provisioning", self.provisioning as f64);
-        o.num("draining", self.draining as f64);
-        o.num("departed", self.departed as f64);
-        o.num("queued", self.queued as f64);
-        o.num("active", self.active as f64);
-        o.num("outstanding_tokens", self.outstanding_tokens as f64);
-        o.num("kv_projected", self.kv_projected as f64);
-        o.num("kv_migrating_in", self.kv_migrating_in as f64);
-        o.num("migrations_in_flight", self.migrations_in_flight as f64);
-        o.num("cache_hits", self.cache_hits as f64);
-        o.num("cache_misses", self.cache_misses as f64);
-        o.num("cache_hit_tokens", self.cache_hit_tokens as f64);
-        let rows: Vec<String> = self
+    fn to_json(&self) -> JsonValue {
+        let replicas = self
             .replicas
             .iter()
             .map(|r| {
-                let mut ro = JsonObj::new();
-                ro.num("replica", r.replica as f64);
-                ro.str("lifecycle", r.lifecycle);
-                ro.num("queued", r.queued as f64);
-                ro.num("active", r.active as f64);
-                ro.num("outstanding_tokens", r.outstanding_tokens as f64);
-                ro.num("kv_projected", r.kv_projected as f64);
-                ro.num("kv_capacity", r.kv_capacity as f64);
-                ro.num("kv_migrating_in", r.kv_migrating_in as f64);
-                ro.num("decode_rate", r.decode_rate);
-                ro.num("cache_hits", r.cache_hits as f64);
-                ro.finish()
+                obj(vec![
+                    ("replica", r.replica.into()),
+                    ("lifecycle", r.lifecycle.into()),
+                    ("queued", r.queued.into()),
+                    ("active", r.active.into()),
+                    ("outstanding_tokens", r.outstanding_tokens.into()),
+                    ("kv_projected", r.kv_projected.into()),
+                    ("kv_capacity", r.kv_capacity.into()),
+                    ("kv_migrating_in", r.kv_migrating_in.into()),
+                    ("decode_rate", r.decode_rate.into()),
+                    ("cache_hits", r.cache_hits.into()),
+                ])
             })
             .collect();
-        o.raw("replicas", &format!("[{}]", rows.join(",")));
-        o.finish()
+        obj(vec![
+            ("at", self.at.into()),
+            ("serving", self.serving.into()),
+            ("provisioning", self.provisioning.into()),
+            ("draining", self.draining.into()),
+            ("departed", self.departed.into()),
+            ("queued", self.queued.into()),
+            ("active", self.active.into()),
+            ("outstanding_tokens", self.outstanding_tokens.into()),
+            ("kv_projected", self.kv_projected.into()),
+            ("kv_migrating_in", self.kv_migrating_in.into()),
+            ("migrations_in_flight", self.migrations_in_flight.into()),
+            ("cache_hits", self.cache_hits.into()),
+            ("cache_misses", self.cache_misses.into()),
+            ("cache_hit_tokens", self.cache_hit_tokens.into()),
+            ("replicas", JsonValue::Arr(replicas)),
+        ])
     }
 }
 
@@ -570,26 +570,26 @@ pub struct Counters {
 }
 
 impl Counters {
-    fn to_json(self) -> String {
-        let mut o = JsonObj::new();
-        o.num("arrivals", self.arrivals as f64);
-        o.num("routed", self.routed as f64);
-        o.num("admitted", self.admitted as f64);
-        o.num("rejected", self.rejected as f64);
-        o.num("rerouted", self.rerouted as f64);
-        o.num("aborted", self.aborted as f64);
-        o.num("completed", self.completed as f64);
-        o.num("completed_tokens", self.completed_tokens as f64);
-        o.num("lifecycle_transitions", self.lifecycle_transitions as f64);
-        o.num("failures", self.failures as f64);
-        o.num("drains", self.drains as f64);
-        o.num("joins", self.joins as f64);
-        o.num("scale_ups", self.scale_ups as f64);
-        o.num("scale_downs", self.scale_downs as f64);
-        o.num("migrations_started", self.migrations_started as f64);
-        o.num("migrations_completed", self.migrations_completed as f64);
-        o.num("migrations_lost", self.migrations_lost as f64);
-        o.finish()
+    fn to_json(self) -> JsonValue {
+        obj(vec![
+            ("arrivals", self.arrivals.into()),
+            ("routed", self.routed.into()),
+            ("admitted", self.admitted.into()),
+            ("rejected", self.rejected.into()),
+            ("rerouted", self.rerouted.into()),
+            ("aborted", self.aborted.into()),
+            ("completed", self.completed.into()),
+            ("completed_tokens", self.completed_tokens.into()),
+            ("lifecycle_transitions", self.lifecycle_transitions.into()),
+            ("failures", self.failures.into()),
+            ("drains", self.drains.into()),
+            ("joins", self.joins.into()),
+            ("scale_ups", self.scale_ups.into()),
+            ("scale_downs", self.scale_downs.into()),
+            ("migrations_started", self.migrations_started.into()),
+            ("migrations_completed", self.migrations_completed.into()),
+            ("migrations_lost", self.migrations_lost.into()),
+        ])
     }
 }
 
@@ -742,7 +742,7 @@ impl Recorder {
         let state = self.state.lock();
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"counters\": {},", state.counters.to_json());
-        let spans: Vec<String> = Section::ALL
+        let spans = Section::ALL
             .iter()
             .filter_map(|section| {
                 state
@@ -750,21 +750,25 @@ impl Recorder {
                     .iter()
                     .find(|(s, _)| s == section)
                     .map(|(s, r)| {
-                        let mut o = JsonObj::new();
-                        o.str("section", s.label());
-                        o.num("calls", r.calls as f64);
-                        o.num("nanos", r.nanos as f64);
-                        o.finish()
+                        obj(vec![
+                            ("section", s.label().into()),
+                            ("calls", r.calls.into()),
+                            ("nanos", r.nanos.into()),
+                        ])
                     })
             })
             .collect();
-        let _ = writeln!(out, "  \"profile\": [{}],", spans.join(","));
+        let _ = writeln!(out, "  \"profile\": {},", JsonValue::Arr(spans));
         let _ = write!(
             out,
             "  \"samples_dropped\": {},\n  \"events_dropped\": {},\n",
             state.samples_dropped, state.events_dropped
         );
-        let samples: Vec<String> = state.series.iter().map(|s| s.to_json()).collect();
+        let samples: Vec<String> = state
+            .series
+            .iter()
+            .map(|s| s.to_json().to_string())
+            .collect();
         let _ = write!(
             out,
             "  \"series\": [\n    {}\n  ],\n",
@@ -848,66 +852,6 @@ impl TelemetrySink for Recorder {
 
     fn sample_interval(&self) -> Option<f64> {
         self.interval
-    }
-}
-
-/// Minimal hand-rolled JSON object writer (serde is an offline shim in this
-/// workspace). Keys here are static identifiers; string values are escaped.
-struct JsonObj {
-    out: String,
-    first: bool,
-}
-
-impl JsonObj {
-    fn new() -> Self {
-        JsonObj {
-            out: String::from("{"),
-            first: true,
-        }
-    }
-
-    fn key(&mut self, key: &str) {
-        if !self.first {
-            self.out.push(',');
-        }
-        self.first = false;
-        let _ = write!(self.out, "\"{key}\":");
-    }
-
-    fn num(&mut self, key: &str, value: f64) {
-        self.key(key);
-        if value.is_finite() {
-            let _ = write!(self.out, "{value}");
-        } else {
-            self.out.push_str("null");
-        }
-    }
-
-    fn str(&mut self, key: &str, value: &str) {
-        self.key(key);
-        self.out.push('"');
-        for ch in value.chars() {
-            match ch {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(self.out, "\\u{:04x}", c as u32);
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
-    }
-
-    fn raw(&mut self, key: &str, value: &str) {
-        self.key(key);
-        self.out.push_str(value);
-    }
-
-    fn finish(mut self) -> String {
-        self.out.push('}');
-        self.out
     }
 }
 
@@ -1188,12 +1132,5 @@ mod tests {
     #[test]
     fn export_json_bytes_are_pinned() {
         assert_eq!(every_shape().export_json(), EVERY_SHAPE_JSON);
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        let mut o = JsonObj::new();
-        o.str("k", "a\"b\\c\nd");
-        assert_eq!(o.finish(), "{\"k\":\"a\\\"b\\\\c\\nd\"}");
     }
 }

@@ -14,11 +14,10 @@
 //! (FCFS-padded, token-budget, shortest-job-first) plug in without touching it.
 
 use crate::spec::Request;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One micro-batch produced by the batching algorithm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MicroBatch {
     /// The requests assigned to this micro-batch.
     pub requests: Vec<Request>,
@@ -47,7 +46,7 @@ impl MicroBatch {
 }
 
 /// Result of running Algorithm 2 on a request queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchingResult {
     /// The formed micro-batches.
     pub micro_batches: Vec<MicroBatch>,
@@ -80,7 +79,7 @@ impl BatchingResult {
 /// The paper's pseudo-code also takes a uniform `gen_len`; here each [`Request`]
 /// carries its own, so the KV-cache projection uses the per-request
 /// `max_context()` instead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchingConfig {
     /// Number of micro-batches to form (`n_ub`).
     pub num_micro_batches: usize,
@@ -94,7 +93,7 @@ pub struct BatchingConfig {
 }
 
 /// Why a [`BatchingConfig`] is unusable (see [`BatchingConfig::validate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BatchingConfigError {
     /// `num_micro_batches` is zero — nothing could ever be scheduled, and the
     /// assignment engine would index an empty partition vector.
@@ -165,7 +164,7 @@ impl BatchingConfig {
 /// [`crate::scheduler::Scheduler::backfill`]. The continuous-batching scheduler
 /// snapshots one entry per micro-batch before re-running Algorithm 2 over the
 /// waiting queue.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionState {
     /// Requests currently decoding in this micro-batch.
     pub requests: usize,

@@ -8,11 +8,10 @@
 
 use crate::spec::Request;
 use moe_hardware::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of running (or simulating) one batch of requests. `Default` is the
 /// all-zero report, the identity of [`BatchRunReport::combine`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BatchRunReport {
     /// Number of requests in the batch.
     pub requests: u64,
@@ -95,7 +94,7 @@ impl BatchRunReport {
 }
 
 /// Per-request latency record produced by the serving loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestLatency {
     /// The request this record describes.
     pub request: Request,
@@ -114,7 +113,7 @@ pub struct RequestLatency {
 }
 
 /// Summary statistics over a set of latency samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,

@@ -183,20 +183,74 @@ enum Placement {
     CountBalanced,
 }
 
-/// The shared assignment engine behind every [`Scheduler`] implementation.
-///
-/// `padded` charges each request the KV footprint of the longest prompt in the
-/// queue instead of its own (`FcfsPadded`'s padding waste); the charge is an
-/// upper bound on real usage, so budget invariants hold for actual sizes too.
+/// A built-in scheduler's whole strategy: the triple [`run_assignment`]
+/// executes.
+#[derive(Debug, Clone, Copy)]
+struct Rule {
+    /// Admission order over the queue.
+    order: QueueOrder,
+    /// Which eligible micro-batch an admitted request joins.
+    placement: Placement,
+    /// Charge each request the KV footprint of the longest prompt in the
+    /// queue instead of its own (`FcfsPadded`'s padding waste); the charge is
+    /// an upper bound on real usage, so budget invariants hold for actual
+    /// sizes too.
+    padded: bool,
+}
+
+/// Implements [`Scheduler`] for a built-in strategy from its one [`Rule`]:
+/// `queue_order` reports the rule's order, and `backfill` and
+/// `backfill_sorted` run it with and without the sort.
+macro_rules! rule_scheduler {
+    ($ty:ty, $name:literal, $rule:expr) => {
+        impl $ty {
+            const RULE: Rule = $rule;
+        }
+
+        impl Scheduler for $ty {
+            fn name(&self) -> &'static str {
+                $name
+            }
+
+            fn queue_order(&self) -> QueueOrder {
+                Self::RULE.order
+            }
+
+            fn backfill(
+                &self,
+                queue: &[Request],
+                cfg: &BatchingConfig,
+                occupied: &[PartitionState],
+            ) -> BackfillResult {
+                run_assignment(queue, cfg, occupied, Self::RULE, false)
+            }
+
+            fn backfill_sorted(
+                &self,
+                queue: &[Request],
+                cfg: &BatchingConfig,
+                occupied: &[PartitionState],
+            ) -> BackfillResult {
+                run_assignment(queue, cfg, occupied, Self::RULE, true)
+            }
+        }
+    };
+}
+
+/// The shared assignment engine behind every built-in [`Scheduler`]:
+/// admits `queue` under `rule`, sorting it first unless `presorted`.
 fn run_assignment(
     queue: &[Request],
     cfg: &BatchingConfig,
     occupied: &[PartitionState],
-    order: QueueOrder,
-    placement: Placement,
-    padded: bool,
+    rule: Rule,
     presorted: bool,
 ) -> BackfillResult {
+    let Rule {
+        order,
+        placement,
+        padded,
+    } = rule;
     assert!(cfg.num_micro_batches > 0, "need at least one micro-batch");
     assert!(
         cfg.max_requests_per_micro_batch > 0,
@@ -361,49 +415,15 @@ fn run_assignment(
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Algorithm2;
 
-impl Scheduler for Algorithm2 {
-    fn name(&self) -> &'static str {
-        "algo2"
+rule_scheduler!(
+    Algorithm2,
+    "algo2",
+    Rule {
+        order: QueueOrder::LongestPromptFirst,
+        placement: Placement::Balanced,
+        padded: false,
     }
-
-    fn queue_order(&self) -> QueueOrder {
-        QueueOrder::LongestPromptFirst
-    }
-
-    fn backfill(
-        &self,
-        queue: &[Request],
-        cfg: &BatchingConfig,
-        occupied: &[PartitionState],
-    ) -> BackfillResult {
-        run_assignment(
-            queue,
-            cfg,
-            occupied,
-            QueueOrder::LongestPromptFirst,
-            Placement::Balanced,
-            false,
-            false,
-        )
-    }
-
-    fn backfill_sorted(
-        &self,
-        queue: &[Request],
-        cfg: &BatchingConfig,
-        occupied: &[PartitionState],
-    ) -> BackfillResult {
-        run_assignment(
-            queue,
-            cfg,
-            occupied,
-            QueueOrder::LongestPromptFirst,
-            Placement::Balanced,
-            false,
-            true,
-        )
-    }
-}
+);
 
 /// FlexGen-style fixed padded batches: requests admitted first come, first
 /// served, each micro-batch filled to its request cap before the next opens,
@@ -419,49 +439,15 @@ impl Scheduler for Algorithm2 {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FcfsPadded;
 
-impl Scheduler for FcfsPadded {
-    fn name(&self) -> &'static str {
-        "fcfs-pad"
+rule_scheduler!(
+    FcfsPadded,
+    "fcfs-pad",
+    Rule {
+        order: QueueOrder::Arrival,
+        placement: Placement::FirstFit,
+        padded: true,
     }
-
-    fn queue_order(&self) -> QueueOrder {
-        QueueOrder::Arrival
-    }
-
-    fn backfill(
-        &self,
-        queue: &[Request],
-        cfg: &BatchingConfig,
-        occupied: &[PartitionState],
-    ) -> BackfillResult {
-        run_assignment(
-            queue,
-            cfg,
-            occupied,
-            QueueOrder::Arrival,
-            Placement::FirstFit,
-            true,
-            false,
-        )
-    }
-
-    fn backfill_sorted(
-        &self,
-        queue: &[Request],
-        cfg: &BatchingConfig,
-        occupied: &[PartitionState],
-    ) -> BackfillResult {
-        run_assignment(
-            queue,
-            cfg,
-            occupied,
-            QueueOrder::Arrival,
-            Placement::FirstFit,
-            true,
-            true,
-        )
-    }
-}
+);
 
 /// Orca/vLLM-style greedy token-budget admission: requests admitted first come,
 /// first served at their real (unpadded) KV footprint, each placed in the
@@ -472,49 +458,15 @@ impl Scheduler for FcfsPadded {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TokenBudget;
 
-impl Scheduler for TokenBudget {
-    fn name(&self) -> &'static str {
-        "token-budget"
+rule_scheduler!(
+    TokenBudget,
+    "token-budget",
+    Rule {
+        order: QueueOrder::Arrival,
+        placement: Placement::CountBalanced,
+        padded: false,
     }
-
-    fn queue_order(&self) -> QueueOrder {
-        QueueOrder::Arrival
-    }
-
-    fn backfill(
-        &self,
-        queue: &[Request],
-        cfg: &BatchingConfig,
-        occupied: &[PartitionState],
-    ) -> BackfillResult {
-        run_assignment(
-            queue,
-            cfg,
-            occupied,
-            QueueOrder::Arrival,
-            Placement::CountBalanced,
-            false,
-            false,
-        )
-    }
-
-    fn backfill_sorted(
-        &self,
-        queue: &[Request],
-        cfg: &BatchingConfig,
-        occupied: &[PartitionState],
-    ) -> BackfillResult {
-        run_assignment(
-            queue,
-            cfg,
-            occupied,
-            QueueOrder::Arrival,
-            Placement::CountBalanced,
-            false,
-            true,
-        )
-    }
-}
+);
 
 /// Shortest-job-first: requests with the fewest tokens still to generate are
 /// admitted first (ties broken by shorter prompt), with Algorithm 2's balanced
@@ -523,49 +475,15 @@ impl Scheduler for TokenBudget {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShortestJobFirst;
 
-impl Scheduler for ShortestJobFirst {
-    fn name(&self) -> &'static str {
-        "sjf"
+rule_scheduler!(
+    ShortestJobFirst,
+    "sjf",
+    Rule {
+        order: QueueOrder::ShortestJobFirst,
+        placement: Placement::Balanced,
+        padded: false,
     }
-
-    fn queue_order(&self) -> QueueOrder {
-        QueueOrder::ShortestJobFirst
-    }
-
-    fn backfill(
-        &self,
-        queue: &[Request],
-        cfg: &BatchingConfig,
-        occupied: &[PartitionState],
-    ) -> BackfillResult {
-        run_assignment(
-            queue,
-            cfg,
-            occupied,
-            QueueOrder::ShortestJobFirst,
-            Placement::Balanced,
-            false,
-            false,
-        )
-    }
-
-    fn backfill_sorted(
-        &self,
-        queue: &[Request],
-        cfg: &BatchingConfig,
-        occupied: &[PartitionState],
-    ) -> BackfillResult {
-        run_assignment(
-            queue,
-            cfg,
-            occupied,
-            QueueOrder::ShortestJobFirst,
-            Placement::Balanced,
-            false,
-            true,
-        )
-    }
-}
+);
 
 /// All built-in schedulers, in the order used by the Tab. 5 ablation.
 pub fn builtin_schedulers() -> Vec<Box<dyn Scheduler>> {

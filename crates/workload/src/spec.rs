@@ -14,15 +14,12 @@
 use moe_hardware::Seconds;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The service-level-objective class a request is judged (and, in later
 /// scheduling work, prioritized) under. Trace files carry the class per
 /// request; reports can break SLO attainment down by class.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SloClass {
     /// Latency-critical interactive traffic (chat front-ends).
     Interactive,
@@ -68,7 +65,7 @@ impl fmt::Display for SloClass {
 }
 
 /// A single inference request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Unique id within a generated batch.
     pub id: u64,
@@ -120,7 +117,7 @@ impl Request {
 }
 
 /// How requests arrive at the serving queue over time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Every request is queued at time zero (offline batch serving, the paper's
     /// evaluation setup).
@@ -200,7 +197,7 @@ impl ArrivalProcess {
 
 /// How generation lengths are assigned when synthesizing a request queue
 /// (the `gen_len` axis of a serving scenario).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GenLens {
     /// Every request generates exactly this many tokens.
     Uniform(u64),
@@ -232,7 +229,7 @@ impl GenLens {
 }
 
 /// A benchmark workload description (Tab. 3 of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Workload name, e.g. `"MTBench"`.
     pub name: String,
