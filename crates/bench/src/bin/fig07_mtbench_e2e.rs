@@ -18,12 +18,13 @@
 //! Set `FIG07_QUEUE_LEN` (default 1000) to shrink the queues, e.g. for CI smoke
 //! runs.
 
+use moe_bench::fleet::{calibrate, Calibration};
 use moe_bench::{
     fmt3, json_output_path, obj, print_csv, print_header, print_row, write_rows, JsonValue,
 };
 use moe_lightning::{
-    builtin_routers, ClusterEvaluator, ClusterSpec, EvalSetting, Policy, ReplicaSpec, Seconds,
-    ServeSpec, ServingMode, ServingReport, SloSpec, SystemEvaluator, SystemKind,
+    builtin_routers, ClusterEvaluator, ClusterSpec, EvalSetting, Policy, ReplicaSpec, ServeSpec,
+    ServingMode, ServingReport, SystemEvaluator, SystemKind,
 };
 use moe_workload::{ArrivalProcess, WorkloadSpec};
 
@@ -214,38 +215,14 @@ fn router_ablation_table(spec: &WorkloadSpec, queue_len: usize, json_rows: &mut 
     // control genuinely queues at the offered load (the searched S1 policy
     // admits thousands and would never differentiate routers).
     let policy = Policy::offload_default(64, 16);
-    let evaluator = SystemEvaluator::new(setting.node(), setting.model());
-    let offline = match evaluator.run(
-        &ServeSpec::new(system, spec.clone())
-            .with_count(queue_len.min(300))
-            .with_gen_len(gen)
-            .with_seed(SEED)
-            .with_policy(policy)
-            .with_mode(ServingMode::Continuous),
-    ) {
-        Ok(report) => report,
-        Err(e) => {
-            println!("\n-- router ablation @ {setting}: n/a ({e}) --");
-            return;
-        }
-    };
-    let per_replica_rate =
-        offline.served_requests() as f64 / offline.total_time().as_secs().max(1e-9);
-    // SLO deadlines come from an *unloaded* replica — a queue that fits one
-    // admission wave — so attainment measures queueing, not raw service time
-    // (the offline calibration run's TTFT is queue-dominated by design).
-    let slo = match evaluator.run(
-        &ServeSpec::new(system, spec.clone())
-            .with_count(policy.batch_size as usize)
-            .with_gen_len(gen)
-            .with_seed(SEED)
-            .with_policy(policy)
-            .with_mode(ServingMode::Continuous),
-    ) {
-        Ok(unloaded) => SloSpec {
-            ttft: unloaded.ttft().p50.scale(4.0),
-            per_token: Seconds::from_secs(unloaded.per_token().mean.as_secs() * 1.5),
-        },
+    // SLO deadlines come from an *unloaded* replica, so attainment measures
+    // queueing, not raw service time (the offline calibration run's TTFT is
+    // queue-dominated by design).
+    let Calibration {
+        per_replica_rate,
+        slo,
+    } = match calibrate(spec, gen, SEED, policy, queue_len, (4.0, 1.5)) {
+        Ok(calibration) => calibration,
         Err(e) => {
             println!("\n-- router ablation @ {setting}: n/a ({e}) --");
             return;

@@ -25,13 +25,14 @@
 //! migrations-in-flight and per-pool queue gauges show the prefill→decode
 //! handoff pipeline directly.
 
+use moe_bench::fleet::{self, Calibration};
 use moe_bench::{
     fmt3, json_output_path, metrics_output_path, obj, print_csv, print_header, print_row, JsonValue,
 };
 use moe_lightning::{
     ClusterEvaluator, ClusterReport, ClusterSpec, EvalSetting, InterconnectSpec,
     LeastOutstandingTokens, Policy, PrefixAware, Recorder, ReplicaRole, ReplicaSpec, Router,
-    Seconds, ServeSpec, ServingMode, SloSpec, StickySession, SystemEvaluator, SystemKind,
+    Seconds, ServingMode, StickySession, SystemKind,
 };
 use moe_workload::{ArrivalProcess, Request, WorkloadSpec};
 use std::sync::Arc;
@@ -93,45 +94,20 @@ fn mixes() -> Vec<Mix> {
     ]
 }
 
-/// A mix calibrated to a service rate and SLO, fig09-style.
-struct Calibrated {
-    per_replica_rate: f64,
-    slo: SloSpec,
-}
-
-fn calibrate(mix: &Mix, count: usize) -> Result<Calibrated, moe_lightning::EngineError> {
-    let setting = EvalSetting::S1;
-    let evaluator = SystemEvaluator::new(setting.node(), setting.model());
-    let offline = evaluator.run(
-        &ServeSpec::new(SystemKind::MoeLightning, mix.workload.clone())
-            .with_count(count.min(300))
-            .with_gen_len(mix.gen_len)
-            .with_seed(SEED)
-            .with_policy(policy())
-            .with_mode(ServingMode::Continuous),
-    )?;
-    let per_replica_rate =
-        offline.served_requests() as f64 / offline.total_time().as_secs().max(1e-9);
-    let unloaded = evaluator.run(
-        &ServeSpec::new(SystemKind::MoeLightning, mix.workload.clone())
-            .with_count(policy().batch_size as usize)
-            .with_gen_len(mix.gen_len)
-            .with_seed(SEED)
-            .with_policy(policy())
-            .with_mode(ServingMode::Continuous),
-    )?;
-    // Tight enough to price interference: a request's prompt may wait 1.5x
-    // the unloaded single-wave median before first token, and its decode
-    // steps may stretch 1.25x over the unloaded mean — about the slowdown a
-    // colocated prompt wave inflicts on active decodes.
-    let slo = SloSpec {
-        ttft: unloaded.ttft().p50.scale(1.5),
-        per_token: Seconds::from_secs(unloaded.per_token().mean.as_secs() * 1.25),
-    };
-    Ok(Calibrated {
-        per_replica_rate,
-        slo,
-    })
+/// Calibrates a mix to a service rate and SLO, fig09-style. Tight enough to
+/// price interference: a request's prompt may wait 1.5x the unloaded
+/// single-wave median before first token, and its decode steps may stretch
+/// 1.25x over the unloaded mean — about the slowdown a colocated prompt wave
+/// inflicts on active decodes.
+fn calibrate(mix: &Mix, count: usize) -> Result<Calibration, moe_lightning::EngineError> {
+    fleet::calibrate(
+        &mix.workload,
+        mix.gen_len,
+        SEED,
+        policy(),
+        count,
+        (1.5, 1.25),
+    )
 }
 
 /// One fleet shape: `prefill` prefill replicas, the rest decode — or fully
@@ -162,7 +138,7 @@ fn splits() -> Vec<Split> {
     ]
 }
 
-fn fleet_spec(mix: &Mix, cal: &Calibrated, count: usize, split: &Split) -> ClusterSpec {
+fn fleet_spec(mix: &Mix, cal: &Calibration, count: usize, split: &Split) -> ClusterSpec {
     let node = EvalSetting::S1.node();
     let mut spec = ClusterSpec::new(SystemKind::MoeLightning, mix.workload.clone())
         .with_count(count)
@@ -196,7 +172,7 @@ fn report_row(
     mix: &str,
     split: &str,
     ic: &str,
-    cal: &Calibrated,
+    cal: &Calibration,
     report: &ClusterReport,
     widths: &[usize],
     json_rows: &mut Vec<JsonValue>,

@@ -10,6 +10,10 @@
 //! attainment measures queueing rather than service time. A mid-run failure
 //! kills one replica at 25% of the expected span; recovery is judged on SLO
 //! goodput against the no-failure run.
+//!
+//! [`calibrate`] is the one service-rate and SLO calibration the pinned
+//! scenario, the fig07 router ablation and the fig12 disaggregation sweep
+//! share; each passes its own workload, policy and SLO multipliers.
 
 use moe_lightning::{
     ClusterSpec, EngineError, EvalSetting, FleetTimeline, Policy, ReplicaId, ReplicaSpec,
@@ -30,6 +34,60 @@ pub const REPLICAS: usize = 4;
 /// offered load.
 pub fn pinned_policy() -> Policy {
     Policy::offload_default(64, 16)
+}
+
+/// One S1 replica's measured service rate and the SLO scaled from its
+/// unloaded latency (see [`calibrate`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Calibration {
+    /// Measured single-replica service rate (requests/s) under the policy.
+    pub per_replica_rate: f64,
+    /// TTFT + per-token deadlines scaled from an unloaded replica.
+    pub slo: SloSpec,
+}
+
+/// Calibrates one S1 replica serving `workload` with `gen_len`-token
+/// generations under `policy` in continuous mode. The service rate comes
+/// from a saturating offline run of `count.min(300)` requests. The SLO comes
+/// from an *unloaded* run of one batch (a queue that fits one admission
+/// wave), so attainment measures queueing rather than raw service time: its
+/// TTFT p50 scaled by `ttft_scale` and its mean per-token latency by
+/// `per_token_scale`.
+///
+/// # Errors
+///
+/// Propagates engine errors from the two calibration runs.
+pub fn calibrate(
+    workload: &WorkloadSpec,
+    gen_len: u64,
+    seed: u64,
+    policy: Policy,
+    count: usize,
+    (ttft_scale, per_token_scale): (f64, f64),
+) -> Result<Calibration, EngineError> {
+    let setting = EvalSetting::S1;
+    let evaluator = SystemEvaluator::new(setting.node(), setting.model());
+    let run = |count: usize| {
+        evaluator.run(
+            &ServeSpec::new(SystemKind::MoeLightning, workload.clone())
+                .with_count(count)
+                .with_gen_len(gen_len)
+                .with_seed(seed)
+                .with_policy(policy)
+                .with_mode(ServingMode::Continuous),
+        )
+    };
+    let offline = run(count.min(300))?;
+    let per_replica_rate =
+        offline.served_requests() as f64 / offline.total_time().as_secs().max(1e-9);
+    let unloaded = run(policy.batch_size as usize)?;
+    Ok(Calibration {
+        per_replica_rate,
+        slo: SloSpec {
+            ttft: unloaded.ttft().p50.scale(ttft_scale),
+            per_token: Seconds::from_secs(unloaded.per_token().mean.as_secs() * per_token_scale),
+        },
+    })
 }
 
 /// The pinned scenario with its calibrated service rate, SLO and failure
@@ -59,31 +117,18 @@ impl FleetScenario {
     ///
     /// Propagates engine errors from the two calibration runs.
     pub fn pinned(count: usize) -> Result<Self, EngineError> {
-        let setting = EvalSetting::S1;
         let policy = pinned_policy();
-        let evaluator = SystemEvaluator::new(setting.node(), setting.model());
-        let offline = evaluator.run(
-            &ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
-                .with_count(count.min(300))
-                .with_gen_len(GEN_LEN)
-                .with_seed(SEED)
-                .with_policy(policy)
-                .with_mode(ServingMode::Continuous),
+        let Calibration {
+            per_replica_rate,
+            slo,
+        } = calibrate(
+            &WorkloadSpec::mtbench(),
+            GEN_LEN,
+            SEED,
+            policy,
+            count,
+            (12.0, 3.0),
         )?;
-        let per_replica_rate =
-            offline.served_requests() as f64 / offline.total_time().as_secs().max(1e-9);
-        let unloaded = evaluator.run(
-            &ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
-                .with_count(policy.batch_size as usize)
-                .with_gen_len(GEN_LEN)
-                .with_seed(SEED)
-                .with_policy(policy)
-                .with_mode(ServingMode::Continuous),
-        )?;
-        let slo = SloSpec {
-            ttft: unloaded.ttft().p50.scale(12.0),
-            per_token: Seconds::from_secs(unloaded.per_token().mean.as_secs() * 3.0),
-        };
         // Expected span of the no-failure run: count requests at the
         // fleet-wide rate; the failure lands a quarter of the way in.
         let expected_span = count as f64 / (REPLICAS as f64 * per_replica_rate);

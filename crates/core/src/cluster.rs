@@ -2,9 +2,11 @@
 //! [`Router`].
 //!
 //! Single-node serving (a [`crate::ServeSpec`] through
-//! [`SystemEvaluator::run`]) runs as a 1-replica fleet on this layer's one
-//! driver loop, with its engine built by the same constructor as every
-//! fleet replica's. A [`ClusterSpec`] describes a fleet of N replicas —
+//! [`SystemEvaluator::run`]) is a 1-replica fleet: it lifts its spec with
+//! [`crate::ServeSpec::into_cluster`] and calls [`ClusterEvaluator::run`],
+//! the one entry into this layer's driver loop, so [`ClusterSpec::validate`]
+//! checks every scenario before any policy search. A [`ClusterSpec`]
+//! describes a fleet of N replicas —
 //! each an optionally heterogeneous [`moe_hardware::NodeSpec`] with its own
 //! policy and [`Scheduler`] (e.g. a mixed T4/L4 fleet) — plus the fleet-wide
 //! workload: arrivals are sampled **once** for the whole fleet (an
@@ -90,17 +92,16 @@ pub enum ClusterSpecError {
     /// fleet needs at least one replica taking arrivals (prefill or unified)
     /// and one taking migrations (decode or unified).
     IncompletePools,
-    /// The synthesized queue's [`ArrivalProcess`] cannot stamp arrivals: a
-    /// Poisson rate that is not positive (zero, negative or NaN) or a burst
-    /// of zero requests. Checked when the run synthesizes its queue, so a
-    /// scenario with an explicit queue ([`ClusterSpec::with_queue`]) never
-    /// reports it.
+    /// Some arrival stamp would not be finite, or could not be drawn at all:
+    /// the synthesized queue's [`ArrivalProcess`] has a Poisson rate that is
+    /// not positive (zero, negative or NaN), a burst of zero requests or a
+    /// non-finite burst period, or an explicit queue
+    /// ([`ClusterSpec::with_queue`]) carries a non-finite arrival.
     InvalidArrivals,
     /// The [`WorkloadSpec`] cannot sample the synthesized queue: its average
     /// prompt length is zero or exceeds its maximum, or the scenario asks for
-    /// mixed generation lengths and the workload has no defaults. Checked,
-    /// like [`Self::InvalidArrivals`], only when the run synthesizes its
-    /// queue.
+    /// mixed generation lengths and the workload has no defaults. Checked
+    /// only when the run synthesizes its queue: an explicit queue is exempt.
     InvalidWorkload,
     /// The [`InterconnectSpec`] would land every KV migration at `t = +inf`:
     /// its bandwidth is not positive (zero, negative or NaN) or its latency
@@ -120,7 +121,8 @@ impl fmt::Display for ClusterSpecError {
                 "disaggregated pools need an arrival-taking and a migration-taking replica",
             ),
             ClusterSpecError::InvalidArrivals => f.write_str(
-                "the arrival process needs a positive Poisson rate and a non-empty burst size",
+                "arrivals need finite stamps: a positive Poisson rate, a non-empty burst with a \
+                 finite period, and no non-finite explicit arrival",
             ),
             ClusterSpecError::InvalidWorkload => f.write_str(
                 "the workload needs an average prompt in 1..=max and, for mixed generation \
@@ -201,7 +203,8 @@ pub struct ClusterSpec {
     pub(crate) autoscaler: Option<(Arc<dyn Autoscaler>, ScaleBounds)>,
     pub(crate) admission: Arc<dyn AdmissionController>,
     pub(crate) scale_template: Option<ReplicaSpec>,
-    pub(crate) queue: Option<Vec<Request>>,
+    /// Shared, so cloning a spec never copies an explicit queue.
+    pub(crate) queue: Option<Arc<Vec<Request>>>,
     pub(crate) telemetry: Option<Arc<dyn TelemetrySink>>,
     pub(crate) interconnect: InterconnectSpec,
     pub(crate) prefix_cache: Option<u64>,
@@ -352,16 +355,19 @@ impl ClusterSpec {
     /// ignored (the queue already *is* a realized arrival stream).
     pub fn with_queue(mut self, queue: Vec<Request>) -> Self {
         self.count = queue.len();
-        self.queue = Some(queue);
+        self.queue = Some(Arc::new(queue));
         self
     }
 
-    /// Checks that the scenario can serve at least one request.
+    /// Checks that the scenario can serve at least one request — the one
+    /// place a scenario is checked, before any policy search.
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint (empty fleet, zero requests,
-    /// inverted autoscaler bounds, incomplete pools, unusable interconnect).
+    /// inverted autoscaler bounds, incomplete pools, unusable interconnect,
+    /// a workload that cannot synthesize the queue, arrivals that cannot be
+    /// stamped or are not finite).
     pub fn validate(&self) -> Result<(), ClusterSpecError> {
         if self.replicas.is_empty() {
             return Err(ClusterSpecError::NoReplicas);
@@ -385,22 +391,39 @@ impl ClusterSpec {
         if link.bandwidth().as_bytes_per_sec() <= 0.0 || !link.latency().as_secs().is_finite() {
             return Err(ClusterSpecError::InvalidInterconnect);
         }
+        // A stamp at `+inf` would park its request, and continuous serving's
+        // clock, there forever. An explicit queue is already a realized
+        // arrival stream, so only its stamps are checked; a synthesized one
+        // must meet what `WorkloadSpec::synthesize_queue` and
+        // `ArrivalProcess::stamp` assert.
+        let arrivals_ok = match &self.queue {
+            Some(queue) => queue.iter().all(|r| r.arrival.as_secs().is_finite()),
+            None => {
+                let workload = &self.workload;
+                if workload.avg_prompt_len == 0
+                    || workload.avg_prompt_len > workload.max_prompt_len
+                    || (self.gen == GenLens::MixedDefaults && workload.default_gen_lens.is_empty())
+                {
+                    return Err(ClusterSpecError::InvalidWorkload);
+                }
+                match self.arrivals {
+                    ArrivalProcess::Immediate => true,
+                    ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec > 0.0,
+                    ArrivalProcess::Burst { size, period_secs } => {
+                        size > 0 && period_secs.is_finite()
+                    }
+                }
+            }
+        };
+        if !arrivals_ok {
+            return Err(ClusterSpecError::InvalidArrivals);
+        }
         Ok(())
-    }
-
-    /// The serving mode every replica runs in.
-    pub fn mode(&self) -> ServingMode {
-        self.mode
     }
 
     /// The name of the routing strategy.
     pub fn router_name(&self) -> &'static str {
         self.router.name()
-    }
-
-    /// The injected membership-event schedule.
-    pub fn timeline(&self) -> &FleetTimeline {
-        &self.timeline
     }
 }
 
@@ -632,10 +655,10 @@ impl ClusterEvaluator {
     }
 
     /// Builds one replica's event machine — the only place a
-    /// [`ReplicaEngine`] is constructed, for fleets and single nodes alike:
-    /// sizes (or adopts) its policy for the scenario's workload shape and
-    /// validates the implied batching.
-    pub(crate) fn build_engine(
+    /// [`ReplicaEngine`] is constructed, for the initial fleet and joiners
+    /// alike: sizes (or adopts) its policy for the scenario's workload shape
+    /// and validates the implied batching.
+    fn build_engine(
         &self,
         spec: &ClusterSpec,
         replica: &ReplicaSpec,
@@ -680,82 +703,42 @@ impl ClusterEvaluator {
         Ok(engine)
     }
 
-    /// Executes one cluster scenario: synthesizes the fleet-wide request queue
-    /// (arrivals sampled once), sizes or adopts each replica's policy, routes
-    /// every request through the scenario's [`Router`] at its arrival instant,
-    /// and drains each replica's stream on a merged global clock — executing
-    /// the scenario's [`FleetTimeline`], [`Autoscaler`] and
-    /// [`AdmissionController`] along the way.
+    /// Executes one cluster scenario — the one entry into the driver loop,
+    /// for fleets and single nodes alike: checks the spec, sizes or adopts
+    /// each replica's policy, realizes the fleet-wide request queue (arrivals
+    /// sampled once), routes every request through the scenario's [`Router`]
+    /// at its arrival instant, and drains each replica's stream on a merged
+    /// global clock — executing the scenario's [`FleetTimeline`],
+    /// [`Autoscaler`] and [`AdmissionController`] along the way.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::InvalidClusterSpec`] for an unusable fleet, or
-    /// a workload or arrival process that cannot synthesize the queue,
-    /// [`EngineError::NoFeasiblePolicy`] if some replica cannot run at all,
-    /// and propagates batching/simulation errors.
+    /// Spec errors come first: [`EngineError::InvalidClusterSpec`] for any
+    /// constraint [`ClusterSpec::validate`] rejects, before any policy
+    /// search. Then [`EngineError::NoFeasiblePolicy`] if some replica cannot
+    /// run at all, and batching/simulation errors.
     pub fn run(&self, spec: &ClusterSpec) -> Result<ClusterReport, EngineError> {
         spec.validate()
             .map_err(|reason| EngineError::InvalidClusterSpec { reason })?;
+        // The per-node policy memo `build_engine` fills; joins share it.
         let mut policy_cache: Vec<(NodeSpec, Policy)> = Vec::new();
         let mut engines: Vec<ReplicaEngine> = Vec::with_capacity(spec.replicas.len());
         for (index, replica) in spec.replicas.iter().enumerate() {
             engines.push(self.build_engine(spec, replica, index, &mut policy_cache)?);
         }
-        self.drive(spec, engines, policy_cache)
-    }
 
-    /// The one driver loop: realizes `spec`'s fleet-wide queue, serves it on
-    /// `engines` (replica `i` is `engines[i]`) on a merged global clock, and
-    /// assembles the report. `policy_cache` seeds the per-node policy memo
-    /// that joins share (see [`Self::build_engine`]).
-    ///
-    /// `spec.replicas` is only read for the autoscaler's default scale
-    /// template and the role pools, so [`SystemEvaluator::run`] drives its
-    /// one engine under a replica-less spec.
-    pub(crate) fn drive(
-        &self,
-        spec: &ClusterSpec,
-        engines: Vec<ReplicaEngine>,
-        policy_cache: Vec<(NodeSpec, Policy)>,
-    ) -> Result<ClusterReport, EngineError> {
         // One fleet-wide queue: arrivals are sampled once, not per replica.
         // An explicit queue is already a realized arrival stream, so its
         // stamps are final and the arrival process is not consulted.
         let mut queue = match &spec.queue {
-            Some(explicit) => explicit.clone(),
-            None => {
-                // The conditions `WorkloadSpec::synthesize_queue` and
-                // `ArrivalProcess::stamp` assert, as typed errors instead of
-                // panics.
-                let workload = &spec.workload;
-                let stampable = match spec.arrivals {
-                    ArrivalProcess::Immediate => true,
-                    ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec > 0.0,
-                    ArrivalProcess::Burst { size, .. } => size > 0,
-                };
-                let invalid = if spec.count == 0 {
-                    Some(ClusterSpecError::ZeroRequests)
-                } else if workload.avg_prompt_len == 0
-                    || workload.avg_prompt_len > workload.max_prompt_len
-                    || (spec.gen == GenLens::MixedDefaults && workload.default_gen_lens.is_empty())
-                {
-                    Some(ClusterSpecError::InvalidWorkload)
-                } else if !stampable {
-                    Some(ClusterSpecError::InvalidArrivals)
-                } else {
-                    None
-                };
-                if let Some(reason) = invalid {
-                    return Err(EngineError::InvalidClusterSpec { reason });
-                }
-                workload.synthesize_queue(
-                    spec.count,
-                    spec.gen,
-                    spec.seed,
-                    spec.system.pads_requests(),
-                    &spec.arrivals,
-                )
-            }
+            Some(explicit) => explicit.to_vec(),
+            None => spec.workload.synthesize_queue(
+                spec.count,
+                spec.gen,
+                spec.seed,
+                spec.system.pads_requests(),
+                &spec.arrivals,
+            ),
         };
         queue.sort_by_key(|r| (r.arrival.key(), r.id));
 
@@ -945,7 +928,7 @@ impl ClusterEvaluator {
 /// for [`Autoscaler`] observations.
 const RECENT_COMPLETION_WINDOW: usize = 128;
 
-/// Which control-class event fires next in [`ClusterEvaluator::drive`]'s merged
+/// Which control-class event fires next in [`ClusterEvaluator::run`]'s merged
 /// loop: a timeline action, a provisioning completion, or a KV-migration
 /// landing.
 #[derive(Debug, Clone, Copy)]
@@ -982,7 +965,7 @@ impl Pool {
     }
 }
 
-/// The mutable state of one [`ClusterEvaluator::drive`] invocation: the replica
+/// The mutable state of one [`ClusterEvaluator::run`] invocation: the replica
 /// event machines plus the control plane's bookkeeping (membership, admission,
 /// autoscaling, availability accounting).
 pub(crate) struct FleetLoop<'a> {
@@ -1499,7 +1482,7 @@ impl FleetLoop<'_> {
     /// Processes the replica-internal events due strictly before `bound`
     /// (all pending events when `bound` is `None`). Indexed loop only, and
     /// only in runs without an autoscaler or role pools, which step one
-    /// event at a time (see [`ClusterEvaluator::drive`]).
+    /// event at a time (see [`ClusterEvaluator::run`]).
     ///
     /// Between two global sync points (arrivals, timeline actions,
     /// provisioning completions) replicas do not interact, so each due
@@ -1651,8 +1634,41 @@ mod tests {
         assert_eq!(spec.validate(), Err(ClusterSpecError::NoReplicas));
         let spec = spec.with_node(NodeSpec::t4_single());
         assert_eq!(spec.validate(), Ok(()));
-        let spec = spec.with_count(0);
-        assert_eq!(spec.validate(), Err(ClusterSpecError::ZeroRequests));
+        // Queue synthesis is checked here too: the workload must sample the
+        // queue and the arrival process stamp it at finite instants. An
+        // explicit queue is exempt from both, but its own stamps must be
+        // finite.
+        use ClusterSpecError::{InvalidArrivals as Arrivals, InvalidWorkload, ZeroRequests};
+        let (s, inf) = (|| spec.clone(), f64::INFINITY);
+        let burst = |size, period_secs| ArrivalProcess::Burst { size, period_secs };
+        let at = |secs| Request {
+            arrival: Seconds::from_secs(secs),
+            ..Request::new(0, 10, 10)
+        };
+        let mut no_prompts = s();
+        no_prompts.workload.avg_prompt_len = 0;
+        let cases = [
+            (s().with_count(0), Err(ZeroRequests)),
+            (s().with_queue(Vec::new()), Err(ZeroRequests)),
+            (no_prompts.clone(), Err(InvalidWorkload)),
+            (
+                s().with_arrivals(ArrivalProcess::Poisson { rate_per_sec: 0.0 }),
+                Err(Arrivals),
+            ),
+            (s().with_arrivals(burst(0, 1.0)), Err(Arrivals)),
+            (s().with_arrivals(burst(4, inf)), Err(Arrivals)),
+            (s().with_arrivals(burst(4, f64::NAN)), Err(Arrivals)),
+            (s().with_queue(vec![at(inf)]), Err(Arrivals)),
+            (
+                no_prompts
+                    .with_arrivals(burst(0, inf))
+                    .with_queue(vec![at(1.0)]),
+                Ok(()),
+            ),
+        ];
+        for (i, (spec, expected)) in cases.into_iter().enumerate() {
+            assert_eq!(spec.validate(), expected, "case {i}");
+        }
         // And the evaluator surfaces the typed error.
         let empty = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench());
         let err = ClusterEvaluator::new(EvalSetting::S1.model())
@@ -1675,7 +1691,7 @@ mod tests {
             .with_mode(ServingMode::Continuous)
             .into_cluster(vec![NodeSpec::t4_single(), NodeSpec::l4_single()]);
         assert_eq!(spec.replicas.len(), 2);
-        assert_eq!(spec.mode(), ServingMode::Continuous);
+        assert_eq!(spec.mode, ServingMode::Continuous);
         assert_eq!(spec.router_name(), "round-robin");
         assert_eq!(spec.replicas[0].scheduler.name(), "algo2");
         assert_eq!(
@@ -1689,7 +1705,7 @@ mod tests {
     #[test]
     fn dynamics_spec_axes_have_static_defaults() {
         let spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench());
-        assert!(spec.timeline().is_empty());
+        assert!(spec.timeline.is_empty());
         assert_eq!(spec.admission.name(), "admit-all");
         assert!(spec.autoscaler.is_none());
         let spec = spec
@@ -1708,7 +1724,7 @@ mod tests {
             spec.autoscaler.as_ref().map(|(s, _)| s.name()),
             Some("queue-depth")
         );
-        assert_eq!(spec.timeline().len(), 1);
+        assert_eq!(spec.timeline.len(), 1);
         assert_eq!(spec.validate(), Ok(()));
         // Inverted bounds fail validation.
         let bad = spec.with_autoscaler(
@@ -1820,11 +1836,9 @@ mod tests {
         assert_eq!(replayed, report);
     }
 
-    /// `SystemEvaluator::run` on a replica-less spec and `ClusterEvaluator::run`
-    /// on its `into_cluster` lift build the one engine with the same
-    /// `build_engine` from the same `ReplicaSpec` and drive it on the same
-    /// loop, so a 1-replica cluster must reproduce the single-node report
-    /// exactly, fleet aborts first.
+    /// `SystemEvaluator::run` is `ClusterEvaluator::run` on the spec's
+    /// one-node `into_cluster` lift, unpacked: a 1-replica cluster must
+    /// reproduce the single-node report exactly, fleet aborts first.
     #[test]
     fn one_replica_cluster_serves_every_request_like_a_single_node() {
         let workload = WorkloadSpec::mtbench();

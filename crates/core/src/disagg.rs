@@ -544,11 +544,6 @@ impl ReplicaSpec {
         self.role = role;
         self
     }
-
-    /// The pool this replica serves in.
-    pub fn role(&self) -> ReplicaRole {
-        self.role
-    }
 }
 
 impl ClusterSpec {
@@ -565,11 +560,6 @@ impl ClusterSpec {
     pub fn with_prefix_cache(mut self, capacity_tokens: u64) -> Self {
         self.prefix_cache = Some(capacity_tokens);
         self
-    }
-
-    /// The interconnect KV migrations move over.
-    pub fn interconnect(&self) -> InterconnectSpec {
-        self.interconnect
     }
 
     /// Whether any replica (or the autoscaler's scale template) is assigned

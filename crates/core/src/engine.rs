@@ -1,12 +1,12 @@
 //! The one serving engine: `ReplicaEngine`, the crate-private per-replica
 //! event machine every serving path in this crate runs on.
 //!
-//! One driver loop runs it: the cluster layer
-//! ([`crate::cluster::ClusterEvaluator`]) interleaves the engines on one
-//! *global* clock behind a [`crate::router::Router`], and single-node serving
-//! ([`crate::SystemEvaluator::run`]) is that loop over a 1-replica fleet.
-//! Every engine, fleet replica or single node, is built by one constructor,
-//! `ClusterEvaluator::build_engine`.
+//! One driver loop runs it: [`crate::cluster::ClusterEvaluator::run`], the
+//! one entry into the fleet layer, interleaves the engines on one *global*
+//! clock behind a [`crate::router::Router`]; single-node serving
+//! ([`crate::SystemEvaluator::run`]) calls it on a 1-replica fleet. Every
+//! engine is built by the loop's one private constructor, for the initial
+//! fleet and for joiners alike.
 //!
 //! The engine exposes serving as a discrete-event interface: `enqueue`
 //! accepts a routed request and arms the next admission instant,
@@ -45,9 +45,9 @@ use std::sync::Arc;
 /// `batch_size × max_context` cache tokens, split evenly across the policy's
 /// micro-batches. The total request cap never exceeds the batch the capacity
 /// model admitted, even when `batch_size` is not a multiple of
-/// `micro_batch_size` (n_ub × μ > N). Applied once per engine, by
-/// `ClusterEvaluator::build_engine`, which surfaces an overflowing KV budget
-/// or a limit [`BatchingConfig::validate`] rejects as a typed error.
+/// `micro_batch_size` (n_ub × μ > N). Applied once per engine, by the fleet
+/// loop's engine constructor, which surfaces an overflowing KV budget or a
+/// limit [`BatchingConfig::validate`] rejects as a typed error.
 pub(crate) fn batching_for(
     policy: &Policy,
     shape: &WorkloadShape,

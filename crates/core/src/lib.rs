@@ -12,8 +12,8 @@
 //! * [`engine`] — the one serving engine: the crate-private per-replica event
 //!   machine the cluster layer interleaves per replica.
 //! * [`serving::ServeSpec`] — a single-node serving scenario, run by
-//!   [`evaluator::SystemEvaluator::run`] as a 1-replica fleet on the cluster
-//!   layer's loop.
+//!   [`evaluator::SystemEvaluator::run`] as a 1-replica fleet through
+//!   [`cluster::ClusterEvaluator::run`], the fleet loop's one entry.
 //! * [`router`] — the [`router::Router`] strategy trait, its four built-ins
 //!   and the incremental [`router::RouterIndex`] behind sub-linear dispatch.
 //! * [`cluster::ClusterEvaluator`] — serves one fleet-wide request queue on N

@@ -30,13 +30,13 @@
 //! and policy override) and executed by [`SystemEvaluator::run`], the one
 //! single-node entry point.
 //!
-//! Single-node serving carries **no loop of its own**: `run` builds the
-//! node's replica and engine the way the fleet builds each of its own
-//! ([`ClusterEvaluator`]) and serves the queue as a 1-replica fleet on the
-//! cluster layer's driver loop, so queue realization, dispatch and
-//! telemetry are the fleet's. Wave costing, KV release, backfill and latency
-//! bookkeeping exist exactly once, in [`crate::engine`]; `tests/self_check.rs`
-//! pins the reports against committed fixtures.
+//! Single-node serving carries **no loop and no checks of its own**: `run`
+//! lifts the spec into a 1-replica fleet ([`ServeSpec::into_cluster`]) and
+//! calls [`ClusterEvaluator::run`], so spec validation, engine construction,
+//! queue realization, dispatch and telemetry are the fleet's. Wave costing,
+//! KV release, backfill and latency bookkeeping exist exactly once, in
+//! [`crate::engine`]; `tests/self_check.rs` pins the reports against
+//! committed fixtures.
 //!
 //! In both modes, requests whose `input_len + gen_len` alone exceeds the
 //! per-micro-batch KV budget are aborted at dispatch — no replica can hold
@@ -313,42 +313,28 @@ impl ServeSpec {
     /// [`crate::RoundRobin`]; a one-node fleet reproduces the single-node
     /// scenario.
     pub fn into_cluster(self, fleet: impl IntoIterator<Item = NodeSpec>) -> ClusterSpec {
-        let replicas = fleet.into_iter().map(|node| self.replica(node)).collect();
+        let replicas = fleet
+            .into_iter()
+            .map(|node| ReplicaSpec {
+                policy: self.policy,
+                scheduler: Arc::clone(&self.scheduler),
+                ..ReplicaSpec::new(node)
+            })
+            .collect();
         ClusterSpec {
             replicas,
             ..self.cluster
         }
     }
-
-    /// This scenario's replica on `node`: the spec's scheduler and policy
-    /// override, in the unified pool.
-    fn replica(&self, node: NodeSpec) -> ReplicaSpec {
-        ReplicaSpec {
-            policy: self.policy,
-            scheduler: Arc::clone(&self.scheduler),
-            ..ReplicaSpec::new(node)
-        }
-    }
-
-    /// The system this scenario serves on.
-    pub fn system(&self) -> SystemKind {
-        self.cluster.system
-    }
-
-    /// The scheduling mode this scenario runs in.
-    pub fn mode(&self) -> ServingMode {
-        self.cluster.mode
-    }
 }
 
 impl SystemEvaluator {
     /// Executes one serving scenario on this evaluator's node as a
-    /// 1-replica fleet: builds the node's replica and its engine as
-    /// [`ClusterEvaluator::run`] builds each replica's (sizing or adopting the
-    /// policy; padded systems see every prompt at the maximum length), serves
-    /// the scenario's queue (synthesized unless explicit) on the fleet's
-    /// driver loop in the scenario's mode with the scenario's scheduler, and
-    /// returns the replica's report.
+    /// 1-replica fleet: runs the spec's [`ServeSpec::into_cluster`] lift over
+    /// this node through [`ClusterEvaluator::run`] (which sizes or adopts the
+    /// policy; padded systems see every prompt at the maximum length, and
+    /// the queue is synthesized unless explicit) and returns the replica's
+    /// report.
     ///
     /// Every request appears in the result exactly once: either in
     /// [`ServingReport::latencies`] (served) or [`ServingReport::aborted`].
@@ -358,22 +344,22 @@ impl SystemEvaluator {
     ///
     /// # Errors
     ///
-    /// Returns an error if no policy fits, the batching configuration is
-    /// invalid, the synthesized queue is empty
-    /// ([`crate::ClusterSpecError::ZeroRequests`]), the workload cannot
-    /// sample it ([`crate::ClusterSpecError::InvalidWorkload`]), the arrival
-    /// process cannot stamp it ([`crate::ClusterSpecError::InvalidArrivals`]),
-    /// or the simulation fails.
+    /// Spec errors come first, before any policy search: an
+    /// [`EngineError::InvalidClusterSpec`] if the queue is empty
+    /// ([`crate::ClusterSpecError::ZeroRequests`], an empty explicit queue
+    /// included), the workload cannot sample it
+    /// ([`crate::ClusterSpecError::InvalidWorkload`]), or its arrivals cannot
+    /// be stamped or are not finite
+    /// ([`crate::ClusterSpecError::InvalidArrivals`]). Then an error if no
+    /// policy fits, the batching configuration is invalid, or the simulation
+    /// fails.
     pub fn run(&self, spec: &ServeSpec) -> Result<ServingReport, EngineError> {
-        let fleet = ClusterEvaluator::new(self.model().clone());
-        let replica = spec.replica(self.node().clone());
-        let mut policy_cache = Vec::new();
-        let engine = fleet.build_engine(&spec.cluster, &replica, 0, &mut policy_cache)?;
         let ClusterReport {
             mut replicas,
             mut fleet_aborted,
             ..
-        } = fleet.drive(&spec.cluster, vec![engine], policy_cache)?;
+        } = ClusterEvaluator::new(self.model().clone())
+            .run(&spec.clone().into_cluster([self.node().clone()]))?;
         let mut report = replicas.pop().expect("one replica").report;
         fleet_aborted.append(&mut report.aborted);
         report.aborted = fleet_aborted;
@@ -637,8 +623,8 @@ mod tests {
     #[test]
     fn serve_spec_defaults_match_the_offline_evaluation() {
         let spec = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench());
-        assert_eq!(spec.system(), SystemKind::MoeLightning);
-        assert_eq!(spec.mode(), ServingMode::RoundToCompletion);
+        assert_eq!(spec.cluster.system, SystemKind::MoeLightning);
+        assert_eq!(spec.cluster.mode, ServingMode::RoundToCompletion);
         assert_eq!(spec.scheduler.name(), "algo2");
     }
 

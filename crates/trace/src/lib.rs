@@ -9,9 +9,10 @@
 //! * [`outcome`] — the [`OutcomeLog`] sidecar: each request's terminal
 //!   verdict (completed / rejected / aborted, with its finish time), in a
 //!   versioned text format next to the trace.
-//! * [`replay`] — feeding a trace back through `ClusterSpec::with_queue` /
-//!   `ServeSpec::with_queue`, deterministically: replaying a recorded trace
-//!   through the originating spec reproduces its report bit-for-bit.
+//! * [`replay`] — feeding a trace back as an explicit queue
+//!   ([`Trace::replay_into_cluster`] for a fleet, `ServeSpec::with_queue` of
+//!   [`Trace::queue`] for one node), deterministically: replaying a recorded
+//!   trace through the originating spec reproduces its report bit-for-bit.
 //! * [`phase`] — the phase sampler: window a day-long trace, featurize and
 //!   k-means the windows into K representative slices, and reconstitute
 //!   whole-day estimates from weighted per-slice runs ([`estimate_day`]).

@@ -1,7 +1,7 @@
 //! End-to-end tests of the request-level serving core: a variable-length MTBench
 //! queue served through Algorithm 2 micro-batches (the ISSUE 1 acceptance tests).
 
-use moe_hardware::Seconds;
+use moe_hardware::{ByteSize, NodeSpec, Seconds};
 use moe_lightning::{
     ClusterEvaluator, ClusterSpecError, EngineError, EvalSetting, ServeSpec, ServingMode,
     SystemEvaluator, SystemKind,
@@ -234,18 +234,32 @@ fn step_cost_does_not_depend_on_earlier_rounds() {
     }
 }
 
-/// Runs `spec` on the single-node entry point and returns the typed spec
-/// error it must fail with.
-fn spec_error(spec: &ServeSpec) -> ClusterSpecError {
-    match evaluator().run(spec) {
+/// Runs `spec` on `node` through both entry points — `SystemEvaluator::run`
+/// and `ClusterEvaluator::run` on its one-node lift — and returns the typed
+/// spec error both must fail with.
+fn spec_error_on(spec: &ServeSpec, node: NodeSpec) -> ClusterSpecError {
+    let model = EvalSetting::S1.model();
+    let single = SystemEvaluator::new(node.clone(), model.clone()).run(spec);
+    let fleet = ClusterEvaluator::new(model).run(&spec.clone().into_cluster([node]));
+    let reason = |outcome: Result<(), EngineError>| match outcome {
         Err(EngineError::InvalidClusterSpec { reason }) => reason,
         other => panic!("expected a typed spec error, got {other:?}"),
-    }
+    };
+    let reasons = [reason(single.map(drop)), reason(fleet.map(drop))];
+    assert_eq!(reasons[0], reasons[1], "the entry points disagree");
+    reasons[0]
 }
 
+fn spec_error(spec: &ServeSpec) -> ClusterSpecError {
+    spec_error_on(spec, EvalSetting::S1.node())
+}
+
+/// Both a zero count and an empty explicit queue.
 #[test]
 fn zero_request_scenarios_are_typed_errors() {
     let spec = scenario(SystemKind::MoeLightning, 0, 32, 1);
+    assert_eq!(spec_error(&spec), ClusterSpecError::ZeroRequests);
+    let spec = spec.with_queue(Vec::new());
     assert_eq!(spec_error(&spec), ClusterSpecError::ZeroRequests);
 }
 
@@ -264,6 +278,9 @@ fn a_max_prompt_below_the_average_is_a_typed_error() {
     assert_eq!(report.served_requests(), 8);
 }
 
+/// Spec errors come before the policy search: on a node where no policy
+/// fits, the unsampleable workload is still `InvalidWorkload`, not
+/// `NoFeasiblePolicy`.
 #[test]
 fn a_zero_average_prompt_is_a_typed_error() {
     let workload = WorkloadSpec {
@@ -272,6 +289,17 @@ fn a_zero_average_prompt_is_a_typed_error() {
     };
     let spec = ServeSpec::new(SystemKind::MoeLightning, workload).with_count(8);
     assert_eq!(spec_error(&spec), ClusterSpecError::InvalidWorkload);
+    let tiny_host = NodeSpec::t4_single().with_cpu_memory(ByteSize::from_gib(4.0));
+    let valid = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench()).with_count(8);
+    let infeasible = SystemEvaluator::new(tiny_host.clone(), EvalSetting::S1.model()).run(&valid);
+    assert!(
+        matches!(infeasible, Err(EngineError::NoFeasiblePolicy { .. })),
+        "nothing fits a 4 GiB host: {infeasible:?}"
+    );
+    assert_eq!(
+        spec_error_on(&spec, tiny_host),
+        ClusterSpecError::InvalidWorkload
+    );
 }
 
 #[test]
@@ -284,4 +312,33 @@ fn mixed_gen_lens_without_defaults_are_a_typed_error() {
         .with_count(8)
         .with_mixed_gen_lens();
     assert_eq!(spec_error(&spec), ClusterSpecError::InvalidWorkload);
+}
+
+/// A non-finite arrival stamp — from a burst process with an infinite period
+/// or in an explicit queue — is a typed error in both modes. Continuous
+/// serving used to spin forever on it.
+#[test]
+fn non_finite_arrivals_are_typed_errors_in_both_modes() {
+    let mut late = Request::new(9, 40, 8);
+    late.arrival = Seconds::from_secs(f64::INFINITY);
+    let explicit: Vec<Request> = (0..9)
+        .map(|id| Request::new(id, 40, 8))
+        .chain([late])
+        .collect();
+    for mode in [ServingMode::RoundToCompletion, ServingMode::Continuous] {
+        let burst = scenario(SystemKind::MoeLightning, 10, 8, 1)
+            .with_mode(mode)
+            .with_arrivals(ArrivalProcess::Burst {
+                size: 4,
+                period_secs: f64::INFINITY,
+            });
+        let replay = queue_scenario(SystemKind::MoeLightning, 8, mode).with_queue(explicit.clone());
+        for spec in [burst, replay] {
+            assert_eq!(
+                spec_error(&spec),
+                ClusterSpecError::InvalidArrivals,
+                "{mode}"
+            );
+        }
+    }
 }

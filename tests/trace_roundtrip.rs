@@ -238,12 +238,11 @@ fn replay_reproduces_the_single_node_serving_report() {
     assert_eq!(recorder.len(), COUNT);
 
     let trace = Trace::parse(&recorder.trace().render()).unwrap();
-    let replay_spec = trace.replay_into_serve(
-        ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
-            .with_mixed_gen_lens()
-            .with_seed(SEED)
-            .with_mode(ServingMode::Continuous),
-    );
+    let replay_spec = ServeSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+        .with_mixed_gen_lens()
+        .with_seed(SEED)
+        .with_mode(ServingMode::Continuous)
+        .with_queue(trace.queue());
     let replayed = evaluator.run(&replay_spec).unwrap();
     assert_eq!(replayed, original);
 }
