@@ -78,7 +78,7 @@ fn bench_backfill(c: &mut Criterion) {
 
 /// Fleet-scale serving: 256 T4 replicas draining 4096 Poisson arrivals under
 /// least-outstanding-tokens routing. `indexed` is the production loop (event
-/// heap + router index + sharded stepping); `scan` is the O(fleet)
+/// heap + router index); `scan` is the O(fleet)
 /// per-event scan it replaced — the pair tracks the cluster-loop speedup.
 fn bench_fleet_loop(c: &mut Criterion) {
     let spec = || {

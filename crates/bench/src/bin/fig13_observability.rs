@@ -18,7 +18,7 @@
 //!   scaler's recovery are visible;
 //! * the derived counter summary, reconciled against the `ClusterReport`;
 //! * the simulator's self-profiling roll-up (wall-clock time in event
-//!   selection, routing, sharded stepping, scheduler planning).
+//!   selection, routing, replica stepping, scheduler planning).
 //!
 //! The run **asserts** the dip and the recovery at full queue length: some
 //! post-failure window's SLO attainment drops below 75% of the pre-failure

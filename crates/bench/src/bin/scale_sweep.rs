@@ -1,9 +1,10 @@
 //! Fleet-scale hot-path sweep: wall-clock cost of simulating large fleets
 //! under heavy online load, up to 1000 replicas × 1,000,000 requests, on the
-//! indexed fleet loop (event heap + incremental router indexes + sharded
-//! replica stepping) — with a head-to-head against the O(fleet)-per-event
-//! linear scan loop at the largest fleet size, and a telemetry-overhead leg
-//! that re-runs the same scenario with a recording `TelemetrySink` attached.
+//! indexed fleet loop (event heap + incremental router indexes, one replica
+//! event settled per iteration) — with a head-to-head against the
+//! O(fleet)-per-event linear scan loop at the largest fleet size, and a
+//! telemetry-overhead leg that re-runs the same scenario with a recording
+//! `TelemetrySink` attached.
 //!
 //! Three assertions gate the run (exit code 1 on violation):
 //!
@@ -20,8 +21,7 @@
 //! Smoke knobs: `SCALE_SWEEP_MAX_REQUESTS` caps the largest request count
 //! (default 1,000,000), `SCALE_SWEEP_SCAN_REQUESTS` sizes the scan
 //! head-to-head (default 20,000 — the scan loop is quadratic-ish in
-//! fleet size, so it gets a smaller queue), `SCALE_SWEEP_THREADS` pins the
-//! shard worker count.
+//! fleet size, so it gets a smaller queue).
 //!
 //! Run with `cargo run --release -p moe-bench --bin scale_sweep`;
 //! pass `--json <path>` (or set `BENCH_JSON`) for machine-readable output.
@@ -81,17 +81,8 @@ fn main() {
     let max_requests = env_usize("SCALE_SWEEP_MAX_REQUESTS", 1_000_000);
     let scan_requests = env_usize("SCALE_SWEEP_SCAN_REQUESTS", 20_000);
     let telemetry_pct = env_f64("SCALE_SWEEP_TELEMETRY_OVERHEAD_PCT", 10.0);
-    let threads = std::env::var("SCALE_SWEEP_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok());
 
-    let evaluator = || {
-        let e = ClusterEvaluator::new(EvalSetting::S1.model());
-        match threads {
-            Some(t) => e.with_shard_threads(t),
-            None => e,
-        }
-    };
+    let evaluator = || ClusterEvaluator::new(EvalSetting::S1.model());
     let started = Instant::now();
     let mut json_rows: Vec<JsonValue> = Vec::new();
     let mut failed = false;

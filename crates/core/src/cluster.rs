@@ -37,7 +37,7 @@ use crate::dynamics::{
     AdmissionController, AdmitAll, Autoscaler, AvailabilityReport, FleetAction, FleetTimeline,
     FleetView, ScaleBounds, ScaleDecision,
 };
-use crate::engine::{batching_for, Finished, Lifecycle, ReplicaEngine, WindowEvent};
+use crate::engine::{batching_for, Finished, Lifecycle, ReplicaEngine};
 use crate::evaluator::{EngineError, SystemEvaluator};
 use crate::observe::ObsState;
 use crate::serving::{ServingMode, ServingReport};
@@ -598,15 +598,15 @@ impl ClusterReport {
 /// Evaluates cluster serving scenarios: one shared model, per-replica
 /// [`SystemEvaluator`]s built from each replica's node.
 ///
-/// Two loops produce the identical [`ClusterReport`]. Both dispatch through
-/// one offer → route → admit path and differ only in where events and
-/// routing offers come from:
+/// Two loops produce the identical [`ClusterReport`]. Both settle one event
+/// per iteration through one offer → route → admit path and one replica
+/// step, and differ only in where the next event and the routing offer come
+/// from:
 ///
 /// * the **indexed loop** (default) — an indexed min-priority event queue
-///   over the fleet, offers from a [`RouterIndex`] of cached views refreshed
-///   only for replicas that changed (with [`Router::route_indexed`] fast
-///   paths), and replica stepping sharded across threads between global
-///   synchronization points;
+///   over the fleet, and offers from a [`RouterIndex`] of cached views
+///   refreshed only for replicas that changed (with
+///   [`Router::route_indexed`] fast paths);
 /// * the **scan loop** ([`Self::with_scan_loop`]) — a linear scan over every
 ///   replica per event, and offers rebuilt from fresh views per routing
 ///   decision. `O(fleet)` per event; kept as the test reference the
@@ -615,7 +615,6 @@ impl ClusterReport {
 pub struct ClusterEvaluator {
     model: MoeModelConfig,
     scan_loop: bool,
-    shard_threads: Option<usize>,
 }
 
 impl ClusterEvaluator {
@@ -625,7 +624,6 @@ impl ClusterEvaluator {
         ClusterEvaluator {
             model,
             scan_loop: false,
-            shard_threads: None,
         }
     }
 
@@ -639,13 +637,10 @@ impl ClusterEvaluator {
         self
     }
 
-    /// Caps the worker threads the indexed loop uses to shard independent
-    /// replica stepping between global synchronization points. `1` forces
-    /// serial stepping; the default is the machine's available parallelism,
-    /// capped at 8. The report is deterministic and identical for every
-    /// thread count.
-    pub fn with_shard_threads(mut self, threads: usize) -> Self {
-        self.shard_threads = Some(threads.max(1));
+    /// Does nothing: the fleet loop settles one replica event per iteration
+    /// on the calling thread, so there are no shard threads to cap.
+    #[deprecated(note = "the fleet loop no longer shards replica stepping; remove the call")]
+    pub fn with_shard_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -762,7 +757,6 @@ impl ClusterEvaluator {
             recent: Vec::new(),
             last_scale: None,
             indexed,
-            threads: self.shard_threads,
             events: EventHeap::default(),
             index: RouterIndex::new(),
             dirty: Vec::new(),
@@ -844,30 +838,16 @@ impl ClusterEvaluator {
                 plane.prof_end(Section::Routing, prof_route);
                 plane.maybe_autoscale(at)?;
             } else if let Some((t, index)) = internal {
-                // Sampling first advances the cursor past the earliest
-                // internal event, and `obs_bound` caps a window at the next
-                // sample instant, so every gauge snapshot is taken from
-                // event-exact state.
+                // Sampling first advances the cursor to this event, so every
+                // gauge snapshot is taken from event-exact state.
                 plane.maybe_sample_to(t);
                 let prof_step = plane.prof_start();
-                // An autoscaler may react to every completion batch, and in a
-                // disaggregated run a completion may start a KV migration
-                // whose landing must be merged in global order: both step
-                // one event at a time, like the scan loop.
-                if plane.indexed && plane.spec.autoscaler.is_none() && !plane.disagg.enabled {
-                    let bound = match (control.map(|(ct, _)| ct), arrival) {
-                        (Some(c), Some(a)) => Some(c.min(a)),
-                        (c, a) => c.or(a),
-                    };
-                    plane.step_window(plane.obs_bound(bound))?;
-                } else {
-                    let had_completions = plane.step_replica(index, t)?;
-                    if plane.engines[index].drain_finished() {
-                        plane.depart(index, t);
-                    }
-                    if had_completions {
-                        plane.maybe_autoscale(t)?;
-                    }
+                let had_completions = plane.step_replica(index, t)?;
+                if plane.engines[index].drain_finished() {
+                    plane.depart(index, t);
+                }
+                if had_completions {
+                    plane.maybe_autoscale(t)?;
                 }
                 plane.prof_end(Section::ShardStep, prof_step);
             } else {
@@ -987,10 +967,6 @@ pub(crate) struct FleetLoop<'a> {
     /// index (`true`) or from O(fleet) scans of every engine (`false`, see
     /// [`ClusterEvaluator::with_scan_loop`]).
     indexed: bool,
-    /// Worker threads for sharded replica stepping inside
-    /// [`FleetLoop::step_window`]: the evaluator's cap, else resolved from
-    /// the machine on first use (see [`FleetLoop::shard_threads`]).
-    threads: Option<usize>,
     /// Min-heap over each replica's next internal event (indexed loop only).
     events: EventHeap,
     /// Incrementally maintained serving-replica views for routing (indexed
@@ -1075,14 +1051,6 @@ impl EventHeap {
         None
     }
 }
-
-/// Below this many due replicas a sharded window falls back to serial
-/// stepping — thread spawn overhead would exceed the work.
-const MIN_SHARD_REPLICAS: usize = 4;
-
-/// One shard worker's outcome: `(replica index, its drained events)` per
-/// claimed replica, or the first engine error the shard hit.
-type ShardOutcome = Result<Vec<(usize, Vec<WindowEvent>)>, EngineError>;
 
 impl FleetLoop<'_> {
     fn serving_count(&self) -> usize {
@@ -1477,113 +1445,6 @@ impl FleetLoop<'_> {
         self.note_lifecycle(index, label, t);
         self.provisioning = self.provisioning.saturating_sub(1);
         self.mark_dirty(index);
-    }
-
-    /// Processes the replica-internal events due strictly before `bound`
-    /// (all pending events when `bound` is `None`). Indexed loop only, and
-    /// only in runs without an autoscaler or role pools, which step one
-    /// event at a time (see [`ClusterEvaluator::run`]).
-    ///
-    /// Between two global sync points (arrivals, timeline actions,
-    /// provisioning completions) replicas do not interact, so each due
-    /// replica's event chain is drained independently — sharded across
-    /// [`Self::shard_threads`] workers when enough replicas are due — and the
-    /// settled events are merged back in `(time, replica index)` order. That is
-    /// exactly the scan loop's one-global-min-at-a-time processing order:
-    /// ties go to the lower replica index, and each replica's own events stay
-    /// chronological.
-    fn step_window(&mut self, bound: Option<Seconds>) -> Result<(), EngineError> {
-        let before = |t: Seconds| bound.is_none_or(|b| t < b);
-        // Claim every replica whose next event falls inside the window,
-        // retiring their heap entries up front; the dirty set re-syncs their
-        // refreshed state after the drain.
-        let mut due: Vec<usize> = Vec::new();
-        while let Some((t, index)) = self.events.peek() {
-            if !before(t) {
-                break;
-            }
-            self.events.refresh(index, None);
-            self.mark_dirty(index);
-            due.push(index);
-        }
-        if due.is_empty() {
-            return Ok(());
-        }
-
-        let threads = if due.len() < MIN_SHARD_REPLICAS {
-            1
-        } else {
-            self.shard_threads()
-        };
-        let batches: Vec<(usize, Vec<WindowEvent>)> = if threads <= 1 {
-            let mut out = Vec::with_capacity(due.len());
-            for index in due {
-                out.push((index, self.engines[index].drain_window(bound)?));
-            }
-            out
-        } else {
-            let mut is_due = vec![false; self.engines.len()];
-            for &index in &due {
-                is_due[index] = true;
-            }
-            let mut workers: Vec<(usize, &mut ReplicaEngine)> = self
-                .engines
-                .iter_mut()
-                .enumerate()
-                .filter(|(i, _)| is_due[*i])
-                .collect();
-            let per_worker = workers.len().div_ceil(threads);
-            let results: Vec<ShardOutcome> = std::thread::scope(|s| {
-                let handles: Vec<_> = workers
-                    .chunks_mut(per_worker)
-                    .map(|shard| {
-                        s.spawn(move || {
-                            shard
-                                .iter_mut()
-                                .map(|(index, engine)| {
-                                    engine.drain_window(bound).map(|events| (*index, events))
-                                })
-                                .collect::<ShardOutcome>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-            let mut out = Vec::with_capacity(due.len());
-            for result in results {
-                out.extend(result?);
-            }
-            out
-        };
-
-        // Merge the per-replica chronological event lists back into the
-        // reference loop's global processing order (stable on equal keys, so
-        // each replica's own events keep their order).
-        let mut ordered: Vec<(Seconds, usize, WindowEvent)> = batches
-            .into_iter()
-            .flat_map(|(index, events)| events.into_iter().map(move |e| (e.at, index, e)))
-            .collect();
-        ordered.sort_by_key(|&(t, index, _)| (t.key(), index));
-        for (t, index, event) in ordered {
-            self.note_completions(index, event.finished);
-            if event.departed {
-                self.depart(index, t);
-            }
-        }
-        Ok(())
-    }
-
-    /// The shard worker count: the evaluator's cap, else the machine's
-    /// available parallelism capped at 8, resolved on the first window with
-    /// enough due replicas to shard. A run that never shards (every
-    /// 1-replica run) never queries the machine.
-    fn shard_threads(&mut self) -> usize {
-        *self.threads.get_or_insert_with(|| {
-            std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
-        })
     }
 }
 

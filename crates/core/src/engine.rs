@@ -133,14 +133,6 @@ pub(crate) enum Finished {
     Handoff { request: Request, at: Seconds },
 }
 
-/// One settled event from a replica's independent window drain: the instant,
-/// anything released at it, and whether the replica's drain finished there.
-pub(crate) struct WindowEvent {
-    pub(crate) at: Seconds,
-    pub(crate) finished: Vec<Finished>,
-    pub(crate) departed: bool,
-}
-
 /// The per-replica serving state machine: both serving modes expressed as an
 /// event interface ([`Self::next_event`] / [`Self::step_to`]) so the fleet
 /// loop can interleave any number of replicas, one included, on one global
@@ -664,8 +656,8 @@ impl ReplicaEngine {
                 if self.active.is_empty() {
                     effective
                 } else {
-                    // Mid-flight admissions land on decode-step boundaries,
-                    // like the single-node loop's arrival-capped segments.
+                    // Mid-flight admissions land on decode-step boundaries:
+                    // a running batch's step is never split.
                     self.next_step_boundary(effective)
                 }
             }
@@ -730,38 +722,6 @@ impl ReplicaEngine {
             ServingMode::RoundToCompletion => self.step_rtc(t),
             ServingMode::Continuous => self.step_continuous(t),
         }
-    }
-
-    /// Settles every internal event due strictly before `bound` (all pending
-    /// events when `bound` is `None`), independently of the rest of the
-    /// fleet. Returns the settled events in chronological order, keeping
-    /// only the ones the control plane must observe (completions or a drain
-    /// finishing); stops at a finished drain — the departure is a
-    /// fleet-level transition the control plane applies first.
-    pub(crate) fn drain_window(
-        &mut self,
-        bound: Option<Seconds>,
-    ) -> Result<Vec<WindowEvent>, EngineError> {
-        let mut out = Vec::new();
-        while self.has_events() {
-            let Some(t) = self.next_event() else { break };
-            if bound.is_some_and(|b| t >= b) {
-                break;
-            }
-            let finished = self.step_to(t)?;
-            let departed = self.drain_finished();
-            if !finished.is_empty() || departed {
-                out.push(WindowEvent {
-                    at: t,
-                    finished,
-                    departed,
-                });
-            }
-            if departed {
-                break;
-            }
-        }
-        Ok(out)
     }
 
     fn step_continuous(&mut self, t: Seconds) -> Result<Vec<Finished>, EngineError> {
@@ -833,11 +793,10 @@ impl ReplicaEngine {
                 // Another admission pass is armed at this very instant (the
                 // re-pass cadence of `admit_continuous`): no decode can run
                 // before the cascade settles, so only the settled membership
-                // is worth costing — exactly the states the single-node loop
-                // costed. Re-anchoring the segment keeps the stale step
-                // harmless: the pending admission is never later than any
-                // projected completion, so it is the next event settled, and
-                // `step_stale` guarantees the refresh still happens there
+                // is worth costing. Re-anchoring the segment keeps the stale
+                // step harmless: the pending admission is never later than
+                // any projected completion, so it is the next event settled,
+                // and `step_stale` guarantees the refresh still happens there
                 // even if that pass admits nothing.
                 self.step_stale = true;
                 self.segment_start = self.clock;
@@ -874,17 +833,15 @@ impl ReplicaEngine {
     }
 
     /// Runs one admission wave over the waiting queue; returns whether
-    /// anything was admitted. Mirrors the single-node continuous loop's
-    /// admission cadence, including the cold-start-vs-overlapped prefill
-    /// distinction: after a wave that made progress but left requests
-    /// waiting, the pending admission is re-armed at the post-prefill clock
-    /// so the *next* event is another pass at the same instant — with the
-    /// driver ingesting any arrivals that landed during the prefill stall in
-    /// between, exactly like the loop's ingest-then-backfill iteration. The
-    /// re-pass matters beyond arrivals: a zero-generation wave completes
-    /// inside the pass and leaves the pipeline empty again, and a padded
-    /// scheduler's per-request KV charge shrinks as the queue shrinks, so
-    /// the deferred remainder can be admissible immediately.
+    /// anything was admitted. After a wave that made progress but left
+    /// requests waiting, the pending admission is re-armed at the
+    /// post-prefill clock, so the *next* event is another pass at that
+    /// instant and every arrival that landed during the prefill stall is
+    /// ingested before it (ingest, then backfill). The re-pass matters
+    /// beyond arrivals: a zero-generation wave completes inside the pass and
+    /// leaves the pipeline empty again, and a padded scheduler's per-request
+    /// KV charge shrinks as the queue shrinks, so the deferred remainder can
+    /// be admissible immediately.
     fn admit_continuous(&mut self, completed: &mut Vec<Finished>) -> Result<bool, EngineError> {
         let progressed = self.admit_continuous_once(completed)?;
         if progressed && !self.ready.is_empty() {
@@ -1094,17 +1051,41 @@ impl ReplicaEngine {
             .unwrap_or(1)
             .max(1);
         let shape = WorkloadShape::new(prompt_sum.div_ceil(total_active).max(1), max_gen);
-        let step = self.evaluator.decode_step_latency_with_loads(
-            self.schedule,
-            &self.batch_policy(total_active),
-            &shape,
-            Some(&occupancy),
-            Some(&contexts),
-        )?;
+        let policy = self.batch_policy(total_active);
+        let step = self.decode_step(&policy, &shape, &occupancy, &contexts, self.clock)?;
         self.step = step;
         self.recent_step = Some((step, total_active));
         self.note_decode_rate(step, total_active);
         Ok(())
+    }
+
+    /// Costs one decode step for micro-batches of `occupancy` requests at
+    /// mean decode `contexts`, for a batch that starts decoding at `start`.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::ClockStalled`] if a positive step does not advance the
+    /// clock at `start`: every later event would land on `start` itself and
+    /// the run would never finish.
+    fn decode_step(
+        &self,
+        policy: &Policy,
+        shape: &WorkloadShape,
+        occupancy: &[u64],
+        contexts: &[u64],
+        start: Seconds,
+    ) -> Result<Seconds, EngineError> {
+        let step = self.evaluator.decode_step_latency_with_loads(
+            self.schedule,
+            policy,
+            shape,
+            Some(occupancy),
+            Some(contexts),
+        )?;
+        if step.as_secs() > 0.0 && start + step == start {
+            return Err(EngineError::ClockStalled { at: start, step });
+        }
+        Ok(step)
     }
 
     /// Releases an entry finished at `latency`'s completion instant. A
@@ -1164,8 +1145,9 @@ impl ReplicaEngine {
         Ok(completed)
     }
 
-    /// Forms one round-to-completion round from the waiting queue; mirrors the
-    /// single-node round loop's costing and latency bookkeeping.
+    /// Forms one round-to-completion round from the waiting queue. Every
+    /// request's first-token and completion instants are fixed here, from one
+    /// decode step costed on the round's full membership.
     fn admit_round(&mut self) -> Result<(), EngineError> {
         self.settle_ready();
         let t0 = self.profile.then(std::time::Instant::now);
@@ -1218,15 +1200,8 @@ impl ReplicaEngine {
         let mean_prompt = prompt_tokens.div_ceil(requests).max(1);
         let shape = WorkloadShape::new(mean_prompt, max_gen.max(1));
         let policy = self.batch_policy(requests);
-        let step = self.evaluator.decode_step_latency_with_loads(
-            self.schedule,
-            &policy,
-            &shape,
-            Some(&occupancy),
-            Some(&contexts),
-        )?;
-        // Credited tokens skip the prompt pass only; the decode step above
-        // was costed on the full context, which still occupies KV here.
+        // Credited tokens skip the prompt pass only; the decode step below
+        // is costed on the full context, which still occupies KV here.
         let credited = self.credit_admitted(
             formed
                 .micro_batches
@@ -1245,6 +1220,13 @@ impl ReplicaEngine {
                 .cost_model()
                 .prefill_time(&policy, &prefill_shape)
         };
+        let step = self.decode_step(
+            &policy,
+            &shape,
+            &occupancy,
+            &contexts,
+            self.clock + prefill_time,
+        )?;
         let decode_time = step.scale(max_gen as f64);
         // Every request's completion instant is known at admission; each is
         // released (latency recorded, router told) at its own step instead of

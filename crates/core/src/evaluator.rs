@@ -55,6 +55,16 @@ pub enum EngineError {
         /// The violated constraint.
         reason: ClusterSpecError,
     },
+    /// A positive decode step does not advance the simulated clock at the
+    /// instant decode starts: `at` is so large (an arrival stamp far in the
+    /// future) that `at + step == at` in `f64`, so serving could never
+    /// finish the batch.
+    ClockStalled {
+        /// The instant decode would start.
+        at: Seconds,
+        /// The decode-step latency the clock cannot resolve there.
+        step: Seconds,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -75,6 +85,11 @@ impl fmt::Display for EngineError {
             EngineError::InvalidClusterSpec { reason } => {
                 write!(f, "invalid cluster specification: {reason}")
             }
+            EngineError::ClockStalled { at, step } => write!(
+                f,
+                "a {step} decode step does not advance the clock at {:e} s",
+                at.as_secs()
+            ),
         }
     }
 }

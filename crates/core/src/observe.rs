@@ -9,18 +9,18 @@
 //!   via [`ClusterSpec::with_telemetry`] (or `ServeSpec::with_telemetry`,
 //!   whose single-node run is a 1-replica fleet on the same loop), so the
 //!   unattached hot path does zero telemetry work;
-//! * all emissions happen on the driver thread, in deterministic simulation
-//!   order — shard workers never touch the sink;
+//! * all emissions happen in deterministic simulation order, one settled
+//!   event at a time;
 //! * nothing here reads back into routing, admission or costing, so an
 //!   attached sink (recording or [`moe_telemetry::NoopSink`]) produces a
 //!   bit-identical [`crate::ClusterReport`] to an unattached run (pinned by
 //!   `tests/telemetry_conservation.rs` and the `scale_sweep` overhead gate).
 //!
 //! Time-series sampling rides the global clock: when the sink asks for an
-//! interval, `FleetLoop::obs_bound` caps each sharded step window at the
-//! next sample instant so gauge snapshots are taken from exact event-ordered
-//! state, and one closing snapshot is always emitted so end-of-run gauges
-//! (e.g. cumulative prefix-cache hits) reconcile with the report.
+//! interval, the fleet loop emits every sample due before it settles the
+//! next event, so gauge snapshots are taken from exact event-ordered state,
+//! and one closing snapshot is always emitted so end-of-run gauges (e.g.
+//! cumulative prefix-cache hits) reconcile with the report.
 
 use crate::cluster::{ClusterSpec, FleetLoop, ReplicaId};
 use crate::engine::Lifecycle;
@@ -295,17 +295,6 @@ impl FleetLoop<'_> {
         }
     }
 
-    /// Caps a step-window bound at the next sample instant, so gauge
-    /// snapshots are taken from exact event-ordered state. Identity without
-    /// interval sampling; never changes which events run, only how the
-    /// windows partition them (the merged order is invariant).
-    pub(crate) fn obs_bound(&self, bound: Option<Seconds>) -> Option<Seconds> {
-        match (bound, self.obs.next_sample_at) {
-            (Some(b), Some(s)) => Some(b.min(s)),
-            (b, s) => b.or(s),
-        }
-    }
-
     /// Emits every periodic gauge sample due at or before `t` (state as of
     /// the last settled event, which is exact — nothing changes between
     /// events) and advances the sampling cursor past `t`.
@@ -328,7 +317,7 @@ impl FleetLoop<'_> {
     /// End-of-run observation: flushes leftover-queued aborts (the requests
     /// `into_report` will classify as aborted), emits the closing gauge
     /// snapshot, and hands the sink the self-profiling roll-up — including
-    /// the engines' scheduler-planning time accumulated inside shard workers.
+    /// the scheduler-planning time each engine accumulated.
     pub(crate) fn finish_observation(&mut self) {
         let Some(sink) = self.sink().map(Arc::clone) else {
             return;

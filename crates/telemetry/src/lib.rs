@@ -24,8 +24,8 @@
 //!   [`TelemetrySink::sample_interval`] simulated seconds plus once at the
 //!   end of the run.
 //! * [`Section`] self-profiling roll-ups — wall-clock nanoseconds the
-//!   simulator itself spent in event selection, routing, sharded replica
-//!   stepping and scheduler planning, aggregated per run.
+//!   simulator itself spent in event selection, routing, replica stepping
+//!   and scheduler planning, aggregated per run.
 //!
 //! [`Recorder`] is the batteries-included sink: it derives a [`Counters`]
 //! summary, keeps the event log and a ring-buffered time-series, and exports
@@ -486,7 +486,8 @@ pub enum Section {
     EventSelection,
     /// Routing + admission over the fleet (dispatch).
     Routing,
-    /// Sharded replica stepping between global sync points.
+    /// Replica stepping: settling one replica's internal event (the label
+    /// keeps its historical `shard-step` name).
     ShardStep,
     /// Scheduler planning inside the engines (backfill/plan calls).
     Planning,
@@ -691,11 +692,6 @@ impl Recorder {
     pub fn with_event_capacity(mut self, capacity: usize) -> Self {
         self.event_capacity = capacity.max(1);
         self
-    }
-
-    /// Discards everything recorded so far (reuse one recorder across runs).
-    pub fn clear(&self) {
-        *self.state.lock() = RecorderState::default();
     }
 
     /// The derived counter summary.
@@ -1001,15 +997,6 @@ mod tests {
         sink.sample(&FleetSample::default());
         sink.span(Section::Planning, 1, 1);
         assert!(sink.sample_interval().is_none());
-    }
-
-    #[test]
-    fn clear_resets_a_recorder_for_reuse() {
-        let r = Recorder::new();
-        r.event(&arrival(0, 0.0));
-        r.clear();
-        assert_eq!(r.counters(), Counters::default());
-        assert!(r.events().is_empty());
     }
 
     /// A recorder holding one event of every [`TelemetryEvent`] variant, one

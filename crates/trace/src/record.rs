@@ -58,12 +58,6 @@ impl TraceRecorder {
         self.requests.lock().is_empty()
     }
 
-    /// Discards everything recorded so far (reuse one recorder across runs).
-    pub fn clear(&self) {
-        self.requests.lock().clear();
-        self.outcomes.lock().clear();
-    }
-
     /// The recorded stream as a canonical [`Trace`] (sorted, re-numbered).
     pub fn trace(&self) -> Trace {
         Trace::new(self.requests.lock().clone())

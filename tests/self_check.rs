@@ -11,7 +11,7 @@
 //!   them bit-for-bit forever;
 //! * the indexed fleet loop against the linear scan loop
 //!   (`ClusterEvaluator::with_scan_loop`) across routers, serving modes,
-//!   churn and thread counts — the two dispatch paths must stay report-
+//!   churn and autoscaling — the two dispatch paths must stay report-
 //!   identical;
 //! * the pinned churn scenarios (per built-in router, a churned
 //!   prefill/decode split, a session-sticky SLO fleet) against committed
@@ -66,8 +66,8 @@ fn scan() -> ClusterEvaluator {
     ClusterEvaluator::new(EvalSetting::S1.model()).with_scan_loop()
 }
 
-fn indexed(threads: usize) -> ClusterEvaluator {
-    ClusterEvaluator::new(EvalSetting::S1.model()).with_shard_threads(threads)
+fn indexed() -> ClusterEvaluator {
+    ClusterEvaluator::new(EvalSetting::S1.model())
 }
 
 fn secs(s: f64) -> Seconds {
@@ -634,7 +634,7 @@ fn churn_scenario_matches_scan_loop_and_pinned_digests() {
     for (label, build) in pinned_scenarios() {
         let want = scan().run(&build()).unwrap();
         let recorder = Arc::new(Recorder::new());
-        let got = indexed(2)
+        let got = indexed()
             .run(&build().with_telemetry(recorder.clone()))
             .unwrap();
         assert_reports_identical(&want, &got, &label);
@@ -666,11 +666,11 @@ fn churn_scenario_matches_scan_loop_and_pinned_digests() {
     }
 }
 
-/// Sharded stepping is deterministic and thread-count-independent: 1, 2 and
-/// 4 worker threads all reproduce the scan-loop report on a fleet large
-/// enough that windows actually shard.
+/// An eight-replica fleet under every built-in router and both serving
+/// modes: many replicas hold co-pending events at once, and the indexed
+/// loop must settle them in the scan loop's `(time, replica index)` order.
 #[test]
-fn sharded_stepping_matches_scan_at_every_thread_count() {
+fn indexed_loop_matches_scan_on_an_eight_replica_fleet() {
     for mode in MODES {
         for router in builtin_routers() {
             let name = router.name();
@@ -689,21 +689,15 @@ fn sharded_stepping_matches_scan_at_every_thread_count() {
                 .with_router(r)
             };
             let want = scan().run(&spec(router.clone())).unwrap();
-            for threads in [1, 2, 4] {
-                let got = indexed(threads).run(&spec(router.clone())).unwrap();
-                assert_reports_identical(
-                    &want,
-                    &got,
-                    &format!("{name} [{mode}] threads={threads}"),
-                );
-            }
+            let got = indexed().run(&spec(router.clone())).unwrap();
+            assert_reports_identical(&want, &got, &format!("{name} [{mode}]"));
         }
     }
 }
 
-/// With an autoscaler installed the indexed loop degenerates to per-event
-/// stepping so the scaler observes every completion batch — and still
-/// matches the scan loop exactly, including the scale decisions.
+/// With an autoscaler installed, the scaler observes every completion batch
+/// as the indexed loop settles it, and the run still matches the scan loop
+/// exactly, including the scale decisions.
 #[test]
 fn indexed_loop_matches_scan_with_an_autoscaler() {
     for mode in MODES {
@@ -726,7 +720,7 @@ fn indexed_loop_matches_scan_with_an_autoscaler() {
             )
         };
         let want = scan().run(&spec()).unwrap();
-        let got = indexed(4).run(&spec()).unwrap();
+        let got = indexed().run(&spec()).unwrap();
         assert_reports_identical(&want, &got, &format!("autoscaled [{mode}]"));
         assert!(
             !want.availability.joins.is_empty() || !want.availability.drains.is_empty(),
@@ -762,7 +756,7 @@ fn indexed_loop_matches_scan_on_heterogeneous_budgets() {
                 .with_arrivals(ArrivalProcess::Poisson { rate_per_sec: 1.5 })
         };
         let want = scan().run(&spec()).unwrap();
-        let got = indexed(2).run(&spec()).unwrap();
+        let got = indexed().run(&spec()).unwrap();
         assert_reports_identical(&want, &got, &format!("heterogeneous [{mode}]"));
     }
 }
@@ -771,8 +765,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Property form of the tentpole guarantee: over random seeds, fleet
-    /// sizes, loads and serving modes, the indexed sharded loop and the
-    /// linear scan loop produce identical reports.
+    /// sizes, loads and serving modes, the indexed loop and the linear scan
+    /// loop produce identical reports.
     #[test]
     fn indexed_loop_matches_scan_on_random_scenarios(
         seed in 0u64..1000,
@@ -780,7 +774,6 @@ proptest! {
         count in 50usize..250,
         rate_x10 in 5u64..40,
         mode_seed in 0u8..2,
-        threads in 1usize..4,
     ) {
         let mode = if mode_seed == 0 {
             ServingMode::RoundToCompletion
@@ -803,7 +796,7 @@ proptest! {
             })
         };
         let want = scan().run(&spec()).unwrap();
-        let got = indexed(threads).run(&spec()).unwrap();
+        let got = indexed().run(&spec()).unwrap();
         prop_assert_eq!(&want, &got);
     }
 }

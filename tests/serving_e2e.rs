@@ -342,3 +342,38 @@ fn non_finite_arrivals_are_typed_errors_in_both_modes() {
         }
     }
 }
+
+/// Arrival stamps so far in the future that a decode step no longer moves
+/// the `f64` clock — one explicit request at 1e300 s, or a Poisson process
+/// at 1e-300 req/s — are a typed error in both modes, on both entry points.
+/// Continuous serving used to stall on them forever, and round-to-completion
+/// reported a zero TTFT.
+#[test]
+fn far_future_arrivals_are_typed_errors_in_both_modes() {
+    let mut late = Request::new(9, 40, 8);
+    late.arrival = Seconds::from_secs(1e300);
+    let explicit: Vec<Request> = (0..9)
+        .map(|id| Request::new(id, 40, 8))
+        .chain([late])
+        .collect();
+    let (node, model) = (EvalSetting::S1.node(), EvalSetting::S1.model());
+    for mode in [ServingMode::RoundToCompletion, ServingMode::Continuous] {
+        let poisson = scenario(SystemKind::MoeLightning, 10, 8, 1)
+            .with_mode(mode)
+            .with_arrivals(ArrivalProcess::Poisson {
+                rate_per_sec: 1e-300,
+            });
+        let replay = queue_scenario(SystemKind::MoeLightning, 8, mode).with_queue(explicit.clone());
+        for (input, spec) in [("poisson", poisson), ("explicit", replay)] {
+            let single = SystemEvaluator::new(node.clone(), model.clone()).run(&spec);
+            let fleet =
+                ClusterEvaluator::new(model.clone()).run(&spec.into_cluster([node.clone()]));
+            for (entry, outcome) in [("single", single.map(drop)), ("fleet", fleet.map(drop))] {
+                assert!(
+                    matches!(outcome, Err(EngineError::ClockStalled { .. })),
+                    "{input} [{mode}] via {entry}: {outcome:?}"
+                );
+            }
+        }
+    }
+}
