@@ -95,18 +95,49 @@ pub(crate) struct WeightStreams {
     prefill: Seconds,
 }
 
-/// The decode and prefill terms of one policy that its batch size does not
-/// change once the micro-batch records are fixed. The policy search builds one
-/// per `(μ, A_g, F_g, r_w, r_c)` row and reuses it for every micro-batch count.
+/// The placement terms that the per-micro-batch lanes of Eq. 12 read: where
+/// attention and the MoE FFN run (`A_g`, `F_g`) and the fraction of the KV cache
+/// held on the GPU (`r_c`). The static weight ratio `r_w` is not among them: it
+/// changes only the per-layer weight stream and the memory footprint.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct LaneClass {
+    pub(crate) attention_on_gpu: bool,
+    pub(crate) ffn_on_gpu: bool,
+    pub(crate) kv_gpu_ratio: f64,
+}
+
+impl LaneClass {
+    /// The lane class of `policy`.
+    pub(crate) fn of(policy: &Policy) -> Self {
+        LaneClass {
+            attention_on_gpu: policy.attention_on_gpu,
+            ffn_on_gpu: policy.ffn_on_gpu,
+            kv_gpu_ratio: policy.kv_gpu_ratio,
+        }
+    }
+}
+
+/// The per-micro-batch lane terms of one [`LaneClass`] once the micro-batch
+/// records are fixed. The policy search builds one per `(μ, A_g, F_g, r_c)` and
+/// shares it across every weight ratio and micro-batch count.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RowCosts {
+pub(crate) struct LaneCosts {
     /// A full micro-batch, repeated `N/μ − 1` times.
     full: MicroBatchCosts,
     /// The (possibly smaller) last micro-batch.
     last: MicroBatchCosts,
-    weights: WeightStreams,
     /// Transfer D4 of the CPU-resident KV fraction, for `full` and for `last`.
     kv_transfer: (Seconds, Seconds),
+}
+
+/// The decode and prefill terms of one policy that its batch size does not
+/// change once the micro-batch records are fixed: its lanes and its weight
+/// streams. The policy search pairs one per `(μ, A_g, F_g, r_w, r_c)` row and
+/// reuses it for every micro-batch count.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowCosts {
+    pub(crate) lanes: LaneCosts,
+    pub(crate) weights: WeightStreams,
 }
 
 impl CostModel {
@@ -287,21 +318,18 @@ impl CostModel {
         }
     }
 
-    /// The [`RowCosts`] of `policy`, whose weight streams are `weights` and whose
-    /// full and last micro-batches cost `full` and `last`. The batch size of
-    /// `policy` is not read.
-    pub(crate) fn row_costs(
+    /// The [`LaneCosts`] of `class`, whose full and last micro-batches cost
+    /// `full` and `last`.
+    pub(crate) fn lane_costs(
         &self,
-        policy: &Policy,
-        weights: WeightStreams,
+        class: LaneClass,
         full: MicroBatchCosts,
         last: MicroBatchCosts,
-    ) -> RowCosts {
-        let cpu_fraction = 1.0 - policy.kv_gpu_ratio;
-        RowCosts {
+    ) -> LaneCosts {
+        let cpu_fraction = 1.0 - class.kv_gpu_ratio;
+        LaneCosts {
             full,
             last,
-            weights,
             kv_transfer: (
                 self.kv_bytes_transfer(full.kv_bytes, cpu_fraction),
                 self.kv_bytes_transfer(last.kv_bytes, cpu_fraction),
@@ -333,7 +361,10 @@ impl CostModel {
         } else {
             self.micro_batch_costs(last, ctx)
         };
-        self.row_costs(policy, self.weight_streams(policy), full, last)
+        RowCosts {
+            lanes: self.lane_costs(LaneClass::of(policy), full, last),
+            weights: self.weight_streams(policy),
+        }
     }
 
     /// The per-micro-batch parts of Eq. 12's four lanes, `(H2D, D2H, CPU, GPU)`.
@@ -341,36 +372,36 @@ impl CostModel {
     /// a full and on the last micro-batch.
     fn micro_batch_lanes(
         &self,
-        policy: &Policy,
-        row: &RowCosts,
+        class: LaneClass,
+        lanes: &LaneCosts,
         sum: impl Fn(Seconds, Seconds) -> Seconds,
     ) -> (Seconds, Seconds, Seconds, Seconds) {
-        let ubs = |f: fn(&MicroBatchCosts) -> Seconds| sum(f(&row.full), f(&row.last));
+        let ubs = |f: fn(&MicroBatchCosts) -> Seconds| sum(f(&lanes.full), f(&lanes.last));
 
         // GPU compute.
         let mut gpu_compute = ubs(|c| c.pre_attention_gpu);
-        if policy.ffn_on_gpu {
+        if class.ffn_on_gpu {
             gpu_compute += ubs(|c| c.post_attention_gpu);
         } else {
             gpu_compute += ubs(|c| c.post_attention_gpu_without_ffn);
         }
-        if policy.attention_on_gpu {
+        if class.attention_on_gpu {
             gpu_compute += ubs(|c| c.attention_gpu);
         }
 
         // CPU compute.
         let mut cpu_compute = Seconds::ZERO;
-        if !policy.attention_on_gpu {
+        if !class.attention_on_gpu {
             cpu_compute += ubs(|c| c.attention_cpu);
         }
-        if !policy.ffn_on_gpu {
+        if !class.ffn_on_gpu {
             cpu_compute += ubs(|c| c.ffn_cpu);
         }
 
         // Host→device traffic: KV transfers (GPU attention with CPU KV) or hidden
         // uploads (CPU attention). Device→host traffic: QKV offload (CPU attention).
-        let (comm_h2d, comm_d2h) = if policy.attention_on_gpu {
-            (sum(row.kv_transfer.0, row.kv_transfer.1), Seconds::ZERO)
+        let (comm_h2d, comm_d2h) = if class.attention_on_gpu {
+            (sum(lanes.kv_transfer.0, lanes.kv_transfer.1), Seconds::ZERO)
         } else {
             (ubs(|c| c.hidden_upload), ubs(|c| c.qkv_offload))
         };
@@ -385,7 +416,7 @@ impl CostModel {
     ) -> LayerLatencyBreakdown {
         let n_ub = policy.num_micro_batches();
         let (h2d, d2h, cpu_compute, gpu_compute) =
-            self.micro_batch_lanes(policy, row, |full, last| {
+            self.micro_batch_lanes(LaneClass::of(policy), &row.lanes, |full, last| {
                 full.scale((n_ub - 1) as f64) + last
             });
 
@@ -529,20 +560,23 @@ impl CostModel {
 
     /// An upper bound, `μ·g / (P_μ + g·L·s_μ)`, on
     /// [`Self::generation_throughput_from`] over every batch of `n ≥ 1` full
-    /// micro-batches in `policy`'s `(μ, A_g, F_g, r_w, r_c)` row, where `row` was
-    /// built with `full == last` and `micro_batch_prefill_flops` is one
-    /// micro-batch's per-layer prefill FLOPs (the proof is in the optimizer's
-    /// module docs). Only the per-micro-batch lane terms enter `s_μ`: the terms
-    /// paid once per layer, among them GPU attention's KV write-back, which
-    /// rounds to the byte, are left out, so no lane exceeds the costed one. A
-    /// NaN or infinite bound (zero rates, `g = 0`) is never strictly below an
-    /// incumbent, so it never prunes.
-    pub(crate) fn row_throughput_bound(
+    /// micro-batches of `micro_batch_size` tokens under any policy in `class`,
+    /// whatever its weight ratio `r_w`. `costs` is one such micro-batch at the
+    /// workload's average decode context, `micro_batch_prefill_flops` its
+    /// per-layer prefill FLOPs and `gen_len` the generated tokens per request
+    /// (the proof is in the optimizer's module docs). Only the per-micro-batch
+    /// lane terms enter `s_μ`: the terms paid once per layer, among them the
+    /// weight stream and GPU attention's KV write-back, which rounds to the
+    /// byte, are left out, so no lane exceeds the costed one. A NaN or infinite
+    /// bound (zero rates, `g = 0`) is never strictly below an incumbent, so it
+    /// never prunes.
+    pub(crate) fn class_throughput_bound(
         &self,
-        policy: &Policy,
-        workload: &WorkloadShape,
-        row: &RowCosts,
+        micro_batch_size: u64,
+        class: LaneClass,
+        costs: MicroBatchCosts,
         micro_batch_prefill_flops: FlopCount,
+        gen_len: u64,
     ) -> f64 {
         // The bound and the score each take a few dozen IEEE operations on the
         // same inputs, so each lies within a relative ~1e-14 of its exact value
@@ -551,12 +585,13 @@ impl CostModel {
         // bound, so a 1e-9 slack covers the rounding by five orders of
         // magnitude and loosens the bound by a negligible amount.
         const SLACK: f64 = 1.0 + 1e-9;
-        let (h2d, d2h, cpu, gpu) = self.micro_batch_lanes(policy, row, |full, _| full);
+        let lanes = self.lane_costs(class, costs, costs);
+        let (h2d, d2h, cpu, gpu) = self.micro_batch_lanes(class, &lanes, |full, _| full);
         let decode = self
             .step_latency(h2d.max(d2h).max(cpu).max(gpu))
-            .scale(workload.gen_len as f64);
+            .scale(gen_len as f64);
         let total = self.prefill_compute(micro_batch_prefill_flops) + decode;
-        (policy.micro_batch_size as f64 * workload.gen_len as f64) / total.as_secs() * SLACK
+        (micro_batch_size as f64 * gen_len as f64) / total.as_secs() * SLACK
     }
 }
 

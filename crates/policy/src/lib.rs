@@ -8,7 +8,8 @@
 //!   end-to-end latency aggregates of Eqs. 12–14.
 //! * [`capacity`] — the [`CapacityModel`]: GPU/CPU memory feasibility constraints.
 //! * [`optimizer`] — the [`PolicyOptimizer`]: an exact search, pruned by a sound
-//!   memory cut, maximizing modeled throughput under the capacity constraints.
+//!   memory cut and a best-first throughput bound, maximizing modeled throughput
+//!   under the capacity constraints.
 //! * [`baselines`] — FlexGen-, FlexGen(c)- and DeepSpeed-style policy generators
 //!   used by the end-to-end comparison and the Tab. 5 ablation.
 //! * [`generator`] — the [`PolicyGenerator`] trait: one front-end over the

@@ -5,7 +5,8 @@
 //! The paper solves the same problem with a small MILP. The grid here has a few
 //! tens of thousands of cells, and the search returns exactly what scoring every
 //! cell in enumeration order would: the same policy (the first of equal maxima)
-//! and the same throughput, bit for bit. It does less work in three ways:
+//! and the same throughput, bit for bit. It does less work in three ways, and a
+//! fourth point shows why the order it works in does not matter:
 //!
 //! * **A sound row cut.** For each `(μ, A_g, F_g, r_w, r_c)` the micro-batch
 //!   counts run in ascending order, and the row ends at the first count whose
@@ -18,30 +19,46 @@
 //!   check are skipped. Each candidate keeps its enumeration index, and a tie goes
 //!   to the lower index, so the cut order picks the same policy.
 //! * **Hoisted costs.** Every micro-batch of a grid cell has `μ` tokens, so the
-//!   HRM task durations are built once per `μ`, the weight streams once per
-//!   `(F_g, r_w)` placement, and the KV transfer and the batch-independent memory
-//!   terms once per row. The prefill FLOPs of a batch are computed on first use.
-//!   Scoring and the memory check go through the same [`CostModel`] and
-//!   [`CapacityModel`] code as [`CostModel::generation_throughput`] and
-//!   [`CapacityModel::requirement`], so the floating-point operations are
-//!   identical.
-//! * **A throughput bound (branch and bound).** Within a row every micro-batch
-//!   costs the same, so with `n = N/μ` each lane of Eq. 12's layer time is at
-//!   least `n` times its per-micro-batch term `s`, and prefill is at least its
-//!   compute, `n · P_μ`. The throughput of every count in the row is therefore at
-//!   most `μ·n·g / (n·P_μ + g·L·n·s_μ) = μ·g / (P_μ + g·L·s_μ)`, where `s_μ` is the
-//!   largest lane. A row whose bound is strictly below the best score found so
-//!   far holds no candidate that could win or tie, and is skipped whole. The
-//!   bound leaves out the terms paid once per layer, carries a `1 + 1e-9` slack
-//!   for rounding, and never prunes when it is NaN or infinite. A critical
+//!   HRM task durations are built once per `μ`, the KV transfer once per
+//!   `(μ, A_g, F_g, r_c)` class, and the weight streams and the
+//!   batch-independent memory terms once per row. The prefill FLOPs of a batch
+//!   are computed on first use. Scoring and the memory check go through the
+//!   same [`CostModel`] and [`CapacityModel`] code as
+//!   [`CostModel::generation_throughput`] and [`CapacityModel::requirement`], so
+//!   the floating-point operations are identical.
+//! * **A class bound, visited best first (branch and bound).** Within a row every
+//!   micro-batch costs the same, so with `n = N/μ` each lane of Eq. 12's layer
+//!   time is at least `n` times its per-micro-batch term `s`, and prefill is at
+//!   least its compute, `n · P_μ`. The throughput of every count in the row is
+//!   therefore at most `μ·n·g / (n·P_μ + g·L·n·s_μ) = μ·g / (P_μ + g·L·s_μ)`,
+//!   where `s_μ` is the largest lane. The per-micro-batch lanes depend on
+//!   `(μ, A_g, F_g, r_c)` alone: `r_w` enters only the weight stream, which is
+//!   paid once per layer and left out of the bound, and the memory check. So
+//!   one bound covers every `r_w` row of a `(μ, A_g, F_g, r_c)` class, and the
+//!   default grid needs 17 × 12 bounds for its 1,632 rows. The classes go into
+//!   a max-heap by bound (Land and Doig's best-first order), a NaN bound
+//!   ordering as +∞. They are popped in decreasing order, and each expands into
+//!   its `r_w` rows, which go through the row cut and the hoisted costs above.
+//!   The search stops at the first bound strictly below the best score found
+//!   so far: no class left could win or tie. The bound carries a `1 + 1e-9`
+//!   slack for rounding, and a NaN or infinite bound never prunes. A critical
 //!   circuit through the lanes is never shorter than any one lane's sum, so the
-//!   bound stays sound for a period-based layer time too.
+//!   bound stays sound for a period-based layer time too, as long as it keeps
+//!   leaving out the weight stream.
+//! * **Visiting order cannot change the winner.** A candidate replaces the
+//!   incumbent when it scores higher, or scores the same at a lower enumeration
+//!   index. Scores are never NaN, because `Seconds::scale` clamps at zero, so
+//!   this is a strict total order on candidates, and its maximum is the same
+//!   whichever order the candidates are met in: the first maximum of the
+//!   enumeration order, as the exhaustive search keeps it.
 
 use crate::capacity::CapacityModel;
-use crate::cost::CostModel;
+use crate::cost::{CostModel, LaneClass, RowCosts};
 use crate::policy::{Policy, WorkloadShape};
 use moe_hardware::NodeSpec;
 use moe_model::MoeModelConfig;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Configuration of the search grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,36 +107,53 @@ impl SearchSpace {
         }
     }
 
-    /// The `(A_g, F_g, r_w, r_c)` cells tried for every `(μ, N/μ)`, in enumeration
-    /// order, as policies whose `N` and `μ` the search sets. `r_c` only matters
-    /// when attention runs on the GPU; when it runs on the CPU the KV cache stays
-    /// there (`r_c = 0`).
-    fn placement_cells(&self) -> Vec<Policy> {
-        let mut cells = Vec::new();
+    /// The `(A_g, F_g, r_w, r_c)` cells tried for every `(μ, N/μ)`, grouped by
+    /// their [`LaneClass`] `(A_g, F_g, r_c)`: one class per `r_c` position, each
+    /// holding one cell per `r_w`. A cell is a policy whose `N` and `μ` the search
+    /// sets, with its position in the enumeration order, and the second value is
+    /// the number of cells. `r_c` only matters when attention runs on the GPU;
+    /// when it runs on the CPU the KV cache stays there (`r_c = 0`).
+    fn placement_classes(&self) -> (Vec<ClassCells>, usize) {
+        let mut classes: Vec<ClassCells> = Vec::new();
+        let mut cell_pos = 0;
         for attention_on_gpu in attention_options(self.allow_gpu_attention) {
+            let kv_options: &[f64] = if attention_on_gpu {
+                &self.kv_ratios
+            } else {
+                &[0.0]
+            };
             for ffn_on_gpu in ffn_options(self.allow_cpu_ffn) {
-                for &rw in &self.weight_ratios {
-                    let kv_options: &[f64] = if attention_on_gpu {
-                        &self.kv_ratios
-                    } else {
-                        &[0.0]
+                let first = classes.len();
+                classes.extend(kv_options.iter().map(|&kv_gpu_ratio| {
+                    let class = LaneClass {
+                        attention_on_gpu,
+                        ffn_on_gpu,
+                        kv_gpu_ratio,
                     };
-                    for &rc in kv_options {
-                        cells.push(Policy {
+                    (class, Vec::new())
+                }));
+                for &rw in &self.weight_ratios {
+                    for (kv_pos, &rc) in kv_options.iter().enumerate() {
+                        let cell = Policy {
                             batch_size: 1,
                             micro_batch_size: 1,
                             attention_on_gpu,
                             ffn_on_gpu,
                             weights_gpu_ratio: rw,
                             kv_gpu_ratio: rc,
-                        });
+                        };
+                        classes[first + kv_pos].1.push((cell_pos, cell));
+                        cell_pos += 1;
                     }
                 }
             }
         }
-        cells
+        (classes, cell_pos)
     }
 }
+
+/// A lane class of the grid with its cells, each with its enumeration position.
+type ClassCells = (LaneClass, Vec<(usize, Policy)>);
 
 /// The result of a policy search.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,12 +243,7 @@ impl PolicyOptimizer {
         workload: &WorkloadShape,
     ) -> (Result<SearchResult, OptimizerError>, SearchWork) {
         let space = &self.space;
-        // Each cell with its weight streams, shared by every micro-batch size.
-        let cells: Vec<_> = space
-            .placement_cells()
-            .into_iter()
-            .map(|cell| (cell, self.cost.weight_streams(&cell)))
-            .collect();
+        let (classes, n_cells) = space.placement_classes();
         let n_counts = space.micro_batch_counts.len();
         // Micro-batch counts in ascending value order, each with its grid position.
         let mut counts: Vec<(usize, u64)> = space
@@ -225,39 +254,72 @@ impl PolicyOptimizer {
             .collect();
         counts.sort_by_key(|&(_, n_ub)| n_ub);
 
-        let mut work = SearchWork::default();
+        let mut work = SearchWork {
+            rows: space.micro_batch_sizes.len() * n_cells,
+            ..SearchWork::default()
+        };
+        // Every row counts as skipped until a popped class expands it.
+        work.rows_skipped = work.rows;
+        // Every micro-batch of batch μ·(N/μ) is full, so one record per μ serves
+        // all of them; the bound of each (μ, class) reads it.
+        let micro_batches: Vec<_> = space
+            .micro_batch_sizes
+            .iter()
+            .map(|&mu| {
+                let costs = self
+                    .cost
+                    .micro_batch_costs(mu, workload.avg_decode_context());
+                (mu, costs, self.cost.prefill_flops_per_layer(mu, workload))
+            })
+            .collect();
+        let mut queue = Vec::with_capacity(micro_batches.len() * classes.len());
+        for (mu_pos, &(mu, costs, prefill)) in micro_batches.iter().enumerate() {
+            for (class_pos, &(class, _)) in classes.iter().enumerate() {
+                let bound =
+                    self.cost
+                        .class_throughput_bound(mu, class, costs, prefill, workload.gen_len);
+                queue.push(Bounded {
+                    // +∞ orders a NaN first and, like NaN, is never strictly
+                    // below an incumbent, so it never prunes.
+                    bound: if bound.is_nan() { f64::INFINITY } else { bound },
+                    mu_pos,
+                    class_pos,
+                });
+            }
+        }
+        work.bounds = queue.len();
+        let mut queue = BinaryHeap::from(queue);
+
+        // Per-layer prefill FLOPs of each batch μ·(N/μ), computed on first use.
+        let mut prefill_flops = vec![None; micro_batches.len() * n_counts];
         // (enumeration index, policy, throughput) of the best candidate so far.
         let mut best: Option<(usize, Policy, f64)> = None;
-        for (mu_pos, &mu) in space.micro_batch_sizes.iter().enumerate() {
-            // Every micro-batch of batch μ·(N/μ) is full, so one record serves all.
-            let costs = self
-                .cost
-                .micro_batch_costs(mu, workload.avg_decode_context());
-            let micro_batch_prefill_flops = self.cost.prefill_flops_per_layer(mu, workload);
-            // Per-layer prefill FLOPs of each batch μ·(N/μ), computed on first use.
-            let mut prefill_flops = vec![None; n_counts];
-            for (cell_pos, &(cell, weights)) in cells.iter().enumerate() {
-                work.rows += 1;
+        while let Some(Bounded {
+            bound,
+            mu_pos,
+            class_pos,
+        }) = queue.pop()
+        {
+            // Strict: a class that could tie the incumbent might hold a lower
+            // enumeration index, so it is costed. Every class left has a bound no
+            // higher, so none of them can win either.
+            if best.is_some_and(|(_, _, best_score)| bound < best_score) {
+                break;
+            }
+            let (mu, costs, _) = micro_batches[mu_pos];
+            let (class, ref cells) = classes[class_pos];
+            let lanes = self.cost.lane_costs(class, costs, costs);
+            for &(cell_pos, cell) in cells {
+                work.rows_skipped -= 1;
                 let row_policy = Policy {
                     batch_size: mu,
                     micro_batch_size: mu,
                     ..cell
                 };
-                let row = self.cost.row_costs(&row_policy, weights, costs, costs);
-                if let Some((_, _, best_score)) = best {
-                    let bound = self.cost.row_throughput_bound(
-                        &row_policy,
-                        workload,
-                        &row,
-                        micro_batch_prefill_flops,
-                    );
-                    // Strict: a row that could tie the incumbent might hold a
-                    // lower enumeration index, so it is costed.
-                    if bound < best_score {
-                        work.rows_skipped += 1;
-                        continue;
-                    }
-                }
+                let row = RowCosts {
+                    lanes,
+                    weights: self.cost.weight_streams(&cell),
+                };
                 let capacity = self.capacity.row(&row_policy, workload);
                 for &(count_pos, n_ub) in &counts {
                     let policy = Policy {
@@ -276,12 +338,12 @@ impl PolicyOptimizer {
                         &policy,
                         workload,
                         &row,
-                        *prefill_flops[count_pos].get_or_insert_with(|| {
+                        *prefill_flops[mu_pos * n_counts + count_pos].get_or_insert_with(|| {
                             self.cost
                                 .prefill_flops_per_layer(policy.batch_size, workload)
                         }),
                     );
-                    let index = (mu_pos * n_counts + count_pos) * cells.len() + cell_pos;
+                    let index = (mu_pos * n_counts + count_pos) * n_cells + cell_pos;
                     let better = best.as_ref().is_none_or(|&(best_index, _, best_score)| {
                         score > best_score || (score == best_score && index < best_index)
                     });
@@ -291,25 +353,56 @@ impl PolicyOptimizer {
                 }
             }
         }
-
         let result = match best {
             Some((_, policy, throughput)) => Ok(SearchResult { policy, throughput }),
             None => Err(OptimizerError::NoFeasiblePolicy {
-                candidates: space.micro_batch_sizes.len() * n_counts * cells.len(),
+                candidates: space.micro_batch_sizes.len() * n_counts * n_cells,
             }),
         };
         (result, work)
     }
 }
 
+/// A `(μ, lane class)` entry of the best-first search, ordered by its
+/// throughput bound, which is never NaN. Equal bounds pop in no particular
+/// order: the winner rule, not the visiting order, settles ties.
+#[derive(Debug, Clone, Copy)]
+struct Bounded {
+    bound: f64,
+    mu_pos: usize,
+    class_pos: usize,
+}
+
+impl Ord for Bounded {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.bound.total_cmp(&other.bound)
+    }
+}
+
+impl PartialOrd for Bounded {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Bounded {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Bounded {}
+
 /// How much of the grid one [`PolicyOptimizer::search`] costed.
 #[derive(Debug, Default)]
 struct SearchWork {
     /// `(μ, A_g, F_g, r_w, r_c)` rows in the grid.
     rows: usize,
-    /// Rows skipped whole because their throughput bound fell below the
+    /// Rows never costed because their class's throughput bound fell below the
     /// incumbent.
     rows_skipped: usize,
+    /// `(μ, A_g, F_g, r_c)` class bounds computed.
+    bounds: usize,
     /// Candidates scored.
     scored: usize,
 }
@@ -549,6 +642,38 @@ mod tests {
         assert_eq!(work.rows, 17 * 96);
         assert!(4 * work.rows_skipped >= 3 * work.rows, "{work:?}");
         assert!(work.scored < 17 * 17 * 96 / 20, "{work:?}");
+    }
+
+    #[test]
+    fn best_first_order_costs_one_class_on_s1_mtbench() {
+        // One bound per (μ, A_g, F_g, r_c) class, 17 × 12 on the default grid,
+        // never one per r_w row. The best class is popped first, and its 8 r_w
+        // rows leave every other class's bound below the incumbent.
+        let opt = PolicyOptimizer::new(NodeSpec::t4_single(), MoeModelConfig::mixtral_8x7b());
+        let work = work_matching_exhaustive(&opt, &mtbench(128));
+        assert_eq!(work.bounds, 17 * 12, "{work:?}");
+        assert!(work.rows - work.rows_skipped <= 8, "{work:?}");
+        assert!(work.scored <= 20, "{work:?}");
+    }
+
+    #[test]
+    fn visiting_order_never_changes_the_winner() {
+        // Duplicate, unsorted grid values give equal bounds and equal scores at
+        // different enumeration indices. The heap pops equal bounds in no
+        // particular order, and the tie must still go to the lowest index.
+        let space = SearchSpace {
+            micro_batch_sizes: vec![64, 16, 64],
+            weight_ratios: vec![0.5, 0.0, 0.5],
+            kv_ratios: vec![1.0, 0.25, 1.0],
+            ..SearchSpace::default()
+        };
+        for node in [NodeSpec::t4_single(), NodeSpec::a100_case_study(300.0, 4.0)] {
+            let opt = PolicyOptimizer::new(node, MoeModelConfig::mixtral_8x7b())
+                .with_search_space(space.clone());
+            for gen in [0, 128] {
+                assert_matches_exhaustive(&opt, &mtbench(gen));
+            }
+        }
     }
 
     #[test]
