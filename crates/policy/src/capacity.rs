@@ -125,25 +125,59 @@ impl CapacityModel {
     /// [`RowRequirement::at`] adds the batch-dependent ones.
     pub(crate) fn row(&self, policy: &Policy, workload: &WorkloadShape) -> RowRequirement<'_> {
         let m = &self.model;
-        let dtype = m.weight_dtype.bytes_per_element();
-        let rw = policy.weights_gpu_ratio.clamp(0.0, 1.0);
+        let rw = policy.weights_gpu_ratio;
+        let (gpu_static_weights, cpu_weights) = self.resident_weights(rw);
+        RowRequirement {
+            model: m,
+            policy: *policy,
+            kv_bytes_per_token: m.kv_bytes_per_token(),
+            max_context: workload.max_context(),
+            gpu_static_weights,
+            gpu_weight_buffer: self.weight_buffer(policy.ffn_on_gpu, rw),
+            gpu_activations: self.activations(policy.micro_batch_size, workload),
+            cpu_weights,
+            streamed_per_layer: self.streamed_per_layer(policy.ffn_on_gpu, rw),
+        }
+    }
 
+    /// The weights resident on each side at weight ratio `r_w`: on the GPU,
+    /// `r_w` of the decoder weights plus the embedding/LM head, which the
+    /// implementation always keeps there; in host DRAM, the rest of the
+    /// decoder weights.
+    pub(crate) fn resident_weights(&self, rw: f64) -> (ByteSize, ByteSize) {
+        let m = &self.model;
+        let rw = rw.clamp(0.0, 1.0);
         let layer_weights_all = m.layer_weight_bytes() * u64::from(m.num_layers);
         let embeddings = ByteSize::from_bytes(m.weight_dtype.bytes_for(m.embedding_params()));
+        (
+            layer_weights_all.scale(rw) + embeddings,
+            layer_weights_all.scale(1.0 - rw),
+        )
+    }
 
-        // Static GPU weights: r_w of the decoder weights plus the embedding/LM head,
-        // which the implementation always keeps on the GPU.
-        let gpu_static_weights = layer_weights_all.scale(rw) + embeddings;
-        let streamed_per_layer = if policy.ffn_on_gpu {
+    /// One layer's weights streamed to the GPU at `(F_g, r_w)`: the whole
+    /// layer when the FFN runs there, its attention weights otherwise.
+    fn streamed_per_layer(&self, ffn_on_gpu: bool, rw: f64) -> ByteSize {
+        let m = &self.model;
+        let rw = rw.clamp(0.0, 1.0);
+        if ffn_on_gpu {
             m.layer_weight_bytes().scale(1.0 - rw)
         } else {
             m.attention_weight_bytes().scale(1.0 - rw)
-        };
-        let gpu_weight_buffer = streamed_per_layer * 2;
+        }
+    }
 
-        // Activation workspace. Decode: one micro-batch of hidden/QKV/FFN
-        // intermediates (double-buffered). Prefill: a micro-batch of full prompts.
-        let mu = policy.micro_batch_size;
+    /// The `2 × W_L` GPU double buffer for the weights streamed at `(F_g, r_w)`.
+    pub(crate) fn weight_buffer(&self, ffn_on_gpu: bool, rw: f64) -> ByteSize {
+        self.streamed_per_layer(ffn_on_gpu, rw) * 2
+    }
+
+    /// The GPU activation workspace of micro-batch size `mu`. Decode: one
+    /// micro-batch of hidden/QKV/FFN intermediates (double-buffered).
+    /// Prefill: a micro-batch of full prompts. The peak of the two.
+    pub(crate) fn activations(&self, mu: u64, workload: &WorkloadShape) -> ByteSize {
+        let m = &self.model;
+        let dtype = m.weight_dtype.bytes_per_element();
         let per_token_act = (2 * u64::from(m.d_model)
             + u64::from(m.num_q_heads) * u64::from(m.head_dim)
             + 2 * u64::from(m.num_kv_heads) * u64::from(m.head_dim)
@@ -152,20 +186,24 @@ impl CapacityModel {
         let decode_act = ByteSize::from_bytes((2.0 * mu as f64 * per_token_act) as u64);
         let prefill_act =
             ByteSize::from_bytes((mu as f64 * workload.prompt_len as f64 * per_token_act) as u64);
-        let gpu_activations = decode_act.max(prefill_act);
+        decode_act.max(prefill_act)
+    }
 
-        RowRequirement {
-            model: m,
-            policy: *policy,
-            kv_bytes_per_token: m.kv_bytes_per_token(),
-            max_context: workload.max_context(),
-            gpu_static_weights,
-            gpu_weight_buffer,
-            gpu_activations,
-            // CPU side: all weights not on the GPU.
-            cpu_weights: layer_weights_all.scale(1.0 - rw),
-            streamed_per_layer,
-        }
+    /// Whether a row's batch-independent floor fits the node: GPU static
+    /// weights + weight buffer + activations, and host weights. Every other
+    /// term of [`MemoryRequirement::gpu_total`] and
+    /// [`MemoryRequirement::cpu_batch_floor`] is a byte count, never below 0,
+    /// so a row whose floor does not fit fails [`Self::exceeds_batch_floor`]
+    /// at every batch size, `A_g` and `r_c`.
+    pub(crate) fn floor_fits(
+        &self,
+        gpu_static_weights: ByteSize,
+        gpu_weight_buffer: ByteSize,
+        gpu_activations: ByteSize,
+        cpu_weights: ByteSize,
+    ) -> bool {
+        gpu_static_weights + gpu_weight_buffer + gpu_activations <= self.node.total_gpu_memory()
+            && cpu_weights <= self.node.cpu_memory()
     }
 
     /// Whether `policy` fits the node's GPU and CPU memory for `workload`.
@@ -333,6 +371,60 @@ mod tests {
         let cap = CapacityModel::new(node, MoeModelConfig::mixtral_8x7b());
         let template = Policy::offload_default(32, 32);
         assert_eq!(cap.max_feasible_batch(&template, &mtbench(), 1 << 16), None);
+    }
+
+    #[test]
+    fn row_floor_terms_are_the_requirement_terms() {
+        // The search's memory cut and the requirement are one computation:
+        // the floor's terms equal the requirement's, bit for bit, for every
+        // preset model, μ, F_g, r_w (clamped or not) and prompt.
+        for model in [
+            MoeModelConfig::mixtral_8x7b(),
+            MoeModelConfig::mixtral_8x22b(),
+            MoeModelConfig::dbrx(),
+            MoeModelConfig::tiny(),
+        ] {
+            let cap = CapacityModel::new(NodeSpec::t4_single(), model);
+            for workload in [
+                mtbench(),
+                WorkloadShape::new(1984, 64),
+                WorkloadShape::new(1, 0),
+            ] {
+                for mu in [1, 36, 256] {
+                    for ffn_on_gpu in [false, true] {
+                        for rw in [-0.5, 0.0, 0.3, 1.0, 1.5] {
+                            let policy = Policy {
+                                ffn_on_gpu,
+                                weights_gpu_ratio: rw,
+                                ..Policy::offload_default(4 * mu, mu)
+                            };
+                            let req = cap.requirement(&policy, &workload);
+                            let (gpu_static_weights, cpu_weights) = cap.resident_weights(rw);
+                            let gpu_weight_buffer = cap.weight_buffer(ffn_on_gpu, rw);
+                            let gpu_activations = cap.activations(mu, &workload);
+                            assert_eq!(gpu_static_weights, req.gpu_static_weights, "{policy}");
+                            assert_eq!(cpu_weights, req.cpu_weights, "{policy}");
+                            assert_eq!(gpu_weight_buffer, req.gpu_weight_buffer, "{policy}");
+                            assert_eq!(gpu_activations, req.gpu_activations, "{policy}");
+                            assert_eq!(
+                                cap.floor_fits(
+                                    gpu_static_weights,
+                                    gpu_weight_buffer,
+                                    gpu_activations,
+                                    cpu_weights
+                                ),
+                                req.gpu_static_weights
+                                    + req.gpu_weight_buffer
+                                    + req.gpu_activations
+                                    <= cap.node().total_gpu_memory()
+                                    && req.cpu_weights <= cap.node().cpu_memory(),
+                                "{policy}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

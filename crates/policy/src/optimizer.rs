@@ -5,9 +5,25 @@
 //! The paper solves the same problem with a small MILP. The grid here has a few
 //! tens of thousands of cells, and the search returns exactly what scoring every
 //! cell in enumeration order would: the same policy (the first of equal maxima)
-//! and the same throughput, bit for bit. It does less work in three ways, and a
-//! fourth point shows why the order it works in does not matter:
+//! and the same throughput, bit for bit. It does less work in four ways, and a
+//! fifth point shows why the order it works in does not matter:
 //!
+//! * **A memory cut before any cost (MILP presolve).** A row's static GPU
+//!   weights and host weights depend on `r_w` alone, its weight buffer on
+//!   `(F_g, r_w)` and its activation workspace on `μ`. Every other term of the
+//!   GPU total and of the host floor below is a byte count, never below 0. So
+//!   when static weights + weight buffer + activations overflow the GPU, or the
+//!   host weights overflow the host, no micro-batch count, `A_g` or `r_c` of
+//!   that `(μ, F_g, r_w)` fits, and the row cut below would end the row at its
+//!   first count. The search checks this floor for every `(μ, F_g, r_w)` before
+//!   it costs anything, with the same [`CapacityModel`] helpers that build the
+//!   row's memory terms, so the two checks cannot drift apart. A `μ` with no
+//!   row that fits gets no HRM task durations and no bounds, a
+//!   `(μ, A_g, F_g, r_c)` class with none never enters the heap, and a popped
+//!   class expands only the rows that fit. The cut drops only rows without a
+//!   feasible candidate, so it stays exact under any objective (Savelsbergh,
+//!   *Preprocessing and Probing Techniques for Mixed Integer Programming
+//!   Problems*, 1994).
 //! * **A sound row cut.** For each `(μ, A_g, F_g, r_w, r_c)` the micro-batch
 //!   counts run in ascending order, and the row ends at the first count whose
 //!   *batch-monotone* memory floor no longer fits: the GPU total, or host weights
@@ -35,10 +51,11 @@
 //!   `(μ, A_g, F_g, r_c)` alone: `r_w` enters only the weight stream, which is
 //!   paid once per layer and left out of the bound, and the memory check. So
 //!   one bound covers every `r_w` row of a `(μ, A_g, F_g, r_c)` class, and the
-//!   default grid needs 17 × 12 bounds for its 1,632 rows. The classes go into
-//!   a max-heap by bound (Land and Doig's best-first order), a NaN bound
-//!   ordering as +∞. They are popped in decreasing order, and each expands into
-//!   its `r_w` rows, which go through the row cut and the hoisted costs above.
+//!   default grid needs at most 17 × 12 bounds for its 1,632 rows. The classes
+//!   go into a max-heap by bound (Land and Doig's best-first order), a NaN
+//!   bound ordering as +∞. They are popped in decreasing order, and each
+//!   expands into its `r_w` rows that pass the memory cut, which go through the
+//!   row cut and the hoisted costs above.
 //!   The search stops at the first bound strictly below the best score found
 //!   so far: no class left could win or tie. The bound carries a `1 + 1e-9`
 //!   slack for rounding, and a NaN or infinite bound never prunes. A critical
@@ -109,10 +126,11 @@ impl SearchSpace {
 
     /// The `(A_g, F_g, r_w, r_c)` cells tried for every `(μ, N/μ)`, grouped by
     /// their [`LaneClass`] `(A_g, F_g, r_c)`: one class per `r_c` position, each
-    /// holding one cell per `r_w`. A cell is a policy whose `N` and `μ` the search
-    /// sets, with its position in the enumeration order, and the second value is
-    /// the number of cells. `r_c` only matters when attention runs on the GPU;
-    /// when it runs on the CPU the KV cache stays there (`r_c = 0`).
+    /// holding one cell per `r_w`, in `weight_ratios` order. A cell is a policy
+    /// whose `N` and `μ` the search sets, with its position in the enumeration
+    /// order, and the second value is the number of cells. `r_c` only matters
+    /// when attention runs on the GPU; when it runs on the CPU the KV cache
+    /// stays there (`r_c = 0`).
     fn placement_classes(&self) -> (Vec<ClassCells>, usize) {
         let mut classes: Vec<ClassCells> = Vec::new();
         let mut cell_pos = 0;
@@ -258,23 +276,31 @@ impl PolicyOptimizer {
             rows: space.micro_batch_sizes.len() * n_cells,
             ..SearchWork::default()
         };
-        // Every row counts as skipped until a popped class expands it.
+        // Every row counts as skipped until the memory cut drops it or a popped
+        // class expands it.
         work.rows_skipped = work.rows;
+        let floor = RowFloors::new(space, &self.capacity, workload);
+
         // Every micro-batch of batch μ·(N/μ) is full, so one record per μ serves
-        // all of them; the bound of each (μ, class) reads it.
-        let micro_batches: Vec<_> = space
-            .micro_batch_sizes
-            .iter()
-            .map(|&mu| {
-                let costs = self
-                    .cost
-                    .micro_batch_costs(mu, workload.avg_decode_context());
-                (mu, costs, self.cost.prefill_flops_per_layer(mu, workload))
-            })
-            .collect();
+        // all of them; the bound of each (μ, class) reads it. A μ none of whose
+        // rows fits gets no record, and a (μ, class) none of whose rows fits
+        // never enters the heap.
+        let mut micro_batches = vec![None; space.micro_batch_sizes.len()];
         let mut queue = Vec::with_capacity(micro_batches.len() * classes.len());
-        for (mu_pos, &(mu, costs, prefill)) in micro_batches.iter().enumerate() {
-            for (class_pos, &(class, _)) in classes.iter().enumerate() {
+        for (mu_pos, &mu) in space.micro_batch_sizes.iter().enumerate() {
+            let mut prefill = None;
+            for (class_pos, &(class, ref cells)) in classes.iter().enumerate() {
+                if !floor.fits(mu_pos, class.ffn_on_gpu).contains(&true) {
+                    work.rows_skipped -= cells.len();
+                    work.rows_unfit += cells.len();
+                    continue;
+                }
+                let costs = *micro_batches[mu_pos].get_or_insert_with(|| {
+                    self.cost
+                        .micro_batch_costs(mu, workload.avg_decode_context())
+                });
+                let prefill =
+                    *prefill.get_or_insert_with(|| self.cost.prefill_flops_per_layer(mu, workload));
                 let bound =
                     self.cost
                         .class_throughput_bound(mu, class, costs, prefill, workload.gen_len);
@@ -306,11 +332,17 @@ impl PolicyOptimizer {
             if best.is_some_and(|(_, _, best_score)| bound < best_score) {
                 break;
             }
-            let (mu, costs, _) = micro_batches[mu_pos];
+            let mu = space.micro_batch_sizes[mu_pos];
+            let costs = micro_batches[mu_pos].expect("a queued μ has its costs");
             let (class, ref cells) = classes[class_pos];
             let lanes = self.cost.lane_costs(class, costs, costs);
-            for &(cell_pos, cell) in cells {
-                work.rows_skipped -= 1;
+            work.rows_skipped -= cells.len();
+            for (&(cell_pos, cell), &fits) in cells.iter().zip(floor.fits(mu_pos, class.ffn_on_gpu))
+            {
+                if !fits {
+                    work.rows_unfit += 1;
+                    continue;
+                }
                 let row_policy = Policy {
                     batch_size: mu,
                     micro_batch_size: mu,
@@ -363,6 +395,55 @@ impl PolicyOptimizer {
     }
 }
 
+/// Whether the batch-independent memory floor of each `(μ, F_g, r_w)` row of
+/// the grid fits the node ([`CapacityModel::floor_fits`]). A row whose floor
+/// does not fit has no micro-batch count, `A_g` or `r_c` that fits.
+struct RowFloors {
+    /// Indexed `[μ][F_g][r_w]` by grid position.
+    fits: Vec<bool>,
+    weight_ratios: usize,
+}
+
+impl RowFloors {
+    /// Checks every row: the weight terms once per `(F_g, r_w)`, the activation
+    /// workspace once per `μ`.
+    fn new(space: &SearchSpace, capacity: &CapacityModel, workload: &WorkloadShape) -> Self {
+        let resident: Vec<_> = space
+            .weight_ratios
+            .iter()
+            .map(|&rw| capacity.resident_weights(rw))
+            .collect();
+        let buffers = [false, true].map(|ffn_on_gpu| {
+            space
+                .weight_ratios
+                .iter()
+                .map(|&rw| capacity.weight_buffer(ffn_on_gpu, rw))
+                .collect::<Vec<_>>()
+        });
+        let mut fits = Vec::with_capacity(space.micro_batch_sizes.len() * 2 * resident.len());
+        for &mu in &space.micro_batch_sizes {
+            let activations = capacity.activations(mu, workload);
+            for buffers in &buffers {
+                fits.extend(resident.iter().zip(buffers).map(
+                    |(&(static_weights, host_weights), &buffer)| {
+                        capacity.floor_fits(static_weights, buffer, activations, host_weights)
+                    },
+                ));
+            }
+        }
+        RowFloors {
+            fits,
+            weight_ratios: resident.len(),
+        }
+    }
+
+    /// The verdicts of the `r_w` rows of `(μ, F_g)`, in `weight_ratios` order.
+    fn fits(&self, mu_pos: usize, ffn_on_gpu: bool) -> &[bool] {
+        let start = (mu_pos * 2 + usize::from(ffn_on_gpu)) * self.weight_ratios;
+        &self.fits[start..start + self.weight_ratios]
+    }
+}
+
 /// A `(μ, lane class)` entry of the best-first search, ordered by its
 /// throughput bound, which is never NaN. Equal bounds pop in no particular
 /// order: the winner rule, not the visiting order, settles ties.
@@ -401,6 +482,11 @@ struct SearchWork {
     /// Rows never costed because their class's throughput bound fell below the
     /// incumbent.
     rows_skipped: usize,
+    /// Rows of the classes the bound did not skip that were never costed
+    /// because their batch-independent memory floor exceeds the node, counting
+    /// every row of a `(μ, class)` that never entered the heap. The rows costed
+    /// are `rows - rows_skipped - rows_unfit`.
+    rows_unfit: usize,
     /// `(μ, A_g, F_g, r_c)` class bounds computed.
     bounds: usize,
     /// Candidates scored.
@@ -623,6 +709,12 @@ mod tests {
         );
         assert_eq!(Err(err.clone()), exhaustive_search(&opt, &mtbench(32)));
         assert!(err.to_string().contains("no feasible policy"));
+        // No row's host weights fit, so the memory cut drops every row before
+        // a bound is computed.
+        let work = opt.search_counted(&mtbench(32)).1;
+        assert_eq!(work.bounds, 0, "{work:?}");
+        assert_eq!(work.rows_unfit, work.rows, "{work:?}");
+        assert_eq!(work.scored, 0, "{work:?}");
     }
 
     /// [`PolicyOptimizer::search_counted`]'s work, after asserting that the
@@ -654,6 +746,97 @@ mod tests {
         assert_eq!(work.bounds, 17 * 12, "{work:?}");
         assert!(work.rows - work.rows_skipped <= 8, "{work:?}");
         assert!(work.scored <= 20, "{work:?}");
+    }
+
+    #[test]
+    fn the_memory_cut_costs_two_of_the_eight_s1_mtbench_rows() {
+        // The popped class's r_w ≥ 0.2 rows overflow the T4 with their static
+        // weights alone, so only r_w ∈ {0, 0.1} are costed. Without the cut
+        // all 8 rows are.
+        let opt = PolicyOptimizer::new(NodeSpec::t4_single(), MoeModelConfig::mixtral_8x7b());
+        let work = work_matching_exhaustive(&opt, &mtbench(128));
+        assert_eq!(work.bounds, 17 * 12, "{work:?}");
+        assert_eq!(work.rows_unfit, 6, "{work:?}");
+        assert_eq!(
+            work.rows - work.rows_skipped - work.rows_unfit,
+            2,
+            "{work:?}"
+        );
+        assert_eq!(work.scored, 20, "{work:?}");
+    }
+
+    #[test]
+    fn the_memory_cut_drops_whole_classes_on_padded_t4_prompts() {
+        // Prompts padded to 1,984 tokens: for the large μ the prefill workspace
+        // plus even the smallest weight buffer overflows the T4, so those
+        // (μ, class) pairs get no bound. Without the cut the search computes
+        // all 204 bounds and costs 440 rows.
+        let opt = PolicyOptimizer::new(NodeSpec::t4_single(), MoeModelConfig::mixtral_8x7b());
+        let work = work_matching_exhaustive(&opt, &WorkloadShape::new(1984, 64));
+        assert_eq!(work.bounds, 138, "{work:?}");
+        assert!(
+            work.rows - work.rows_skipped - work.rows_unfit <= 20,
+            "{work:?}"
+        );
+    }
+
+    /// The first policy of the `(μ, F_g, r_w)` row with a grid count, `A_g`
+    /// and `r_c` that fits, if any.
+    fn fitting_policy_of_row(
+        capacity: &CapacityModel,
+        space: &SearchSpace,
+        workload: &WorkloadShape,
+        (mu, ffn_on_gpu, rw): (u64, bool, f64),
+    ) -> Option<Policy> {
+        let mut policies = space.micro_batch_counts.iter().flat_map(|&n_ub| {
+            [false, true].into_iter().flat_map(move |attention_on_gpu| {
+                space.kv_ratios.iter().map(move |&rc| Policy {
+                    batch_size: mu * n_ub,
+                    micro_batch_size: mu,
+                    attention_on_gpu,
+                    ffn_on_gpu,
+                    weights_gpu_ratio: rw,
+                    kv_gpu_ratio: rc,
+                })
+            })
+        });
+        policies.find(|policy| capacity.is_feasible(policy, workload))
+    }
+
+    #[test]
+    fn the_memory_cut_drops_only_rows_nothing_fits() {
+        // Every (μ, F_g, r_w) the cut drops has no count, A_g or r_c that
+        // fits, on every preset near and well above the model's weight size.
+        let space = SearchSpace::default();
+        let mut dropped = 0;
+        for model_index in 0..4 {
+            let model = model_preset(model_index);
+            for (node_index, cpu_factor) in (0..6).flat_map(|n| [(n, 0.95), (n, 2.0)]) {
+                let node = node_preset(node_index, &model, cpu_factor);
+                let capacity = CapacityModel::new(node, model.clone());
+                for workload in [mtbench(128), WorkloadShape::new(1984, 64)] {
+                    let floor = RowFloors::new(&space, &capacity, &workload);
+                    for (mu_pos, &mu) in space.micro_batch_sizes.iter().enumerate() {
+                        for ffn_on_gpu in [false, true] {
+                            let rows = space
+                                .weight_ratios
+                                .iter()
+                                .zip(floor.fits(mu_pos, ffn_on_gpu));
+                            for (&rw, _) in rows.filter(|&(_, &fits)| !fits) {
+                                dropped += 1;
+                                let row = (mu, ffn_on_gpu, rw);
+                                assert_eq!(
+                                    fitting_policy_of_row(&capacity, &space, &workload, row),
+                                    None,
+                                    "model {model_index}, node {node_index} at {cpu_factor}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(dropped > 0, "the cut never fired");
     }
 
     #[test]
