@@ -114,38 +114,45 @@ pub struct SystemEvaluation {
 /// Evaluates inference systems on a (model, node) pair.
 #[derive(Debug, Clone)]
 pub struct SystemEvaluator {
-    node: NodeSpec,
-    model: MoeModelConfig,
-    cost: CostModel,
+    /// MoE-Lightning's policy search; its cost model prices every system.
+    optimizer: PolicyOptimizer,
+    flexgen: FlexGenPolicy,
+    flexgen_cpu_attention: FlexGenPolicy,
+    deepspeed: DeepSpeedPolicy,
 }
 
 impl SystemEvaluator {
-    /// Creates an evaluator. The discrete-event simulation covers
-    /// [`SIMULATED_LAYERS`] layers (or the full model if shallower) and is
-    /// extrapolated linearly to the model's depth.
+    /// Creates an evaluator and the policy generator of every system. The
+    /// discrete-event simulation covers [`SIMULATED_LAYERS`] layers (or the
+    /// full model if shallower) and is extrapolated linearly to the model's
+    /// depth.
     pub fn new(node: NodeSpec, model: MoeModelConfig) -> Self {
-        let cost = CostModel::new(node.clone(), model.clone());
-        SystemEvaluator { node, model, cost }
+        SystemEvaluator {
+            flexgen: FlexGenPolicy::new(node.clone(), model.clone()),
+            flexgen_cpu_attention: FlexGenPolicy::with_cpu_attention(node.clone(), model.clone()),
+            deepspeed: DeepSpeedPolicy::new(node.clone(), model.clone()),
+            optimizer: PolicyOptimizer::new(node, model),
+        }
     }
 
     /// Number of layers the discrete-event engine simulates before extrapolation.
     pub fn simulated_layers(&self) -> u32 {
-        SIMULATED_LAYERS.min(self.model.num_layers)
+        SIMULATED_LAYERS.min(self.model().num_layers)
     }
 
     /// The underlying cost model.
     pub fn cost_model(&self) -> &CostModel {
-        &self.cost
+        self.optimizer.cost_model()
     }
 
     /// The node this evaluator targets.
     pub fn node(&self) -> &NodeSpec {
-        &self.node
+        self.cost_model().node()
     }
 
     /// The model this evaluator targets.
     pub fn model(&self) -> &MoeModelConfig {
-        &self.model
+        self.cost_model().model()
     }
 
     /// The workload shape a system sees for a given workload spec: padded systems
@@ -167,21 +174,12 @@ impl SystemEvaluator {
     /// optimizer for MoE-Lightning, the mimicking baseline generators for
     /// FlexGen / FlexGen(c) / DeepSpeed. Returned as a trait object so callers
     /// (e.g. the Tab. 4 binary) iterate over systems generically.
-    pub fn policy_generator(&self, system: SystemKind) -> Box<dyn PolicyGenerator> {
+    pub fn policy_generator(&self, system: SystemKind) -> &dyn PolicyGenerator {
         match system {
-            SystemKind::MoeLightning | SystemKind::MoeLightningPadded => {
-                Box::new(PolicyOptimizer::new(self.node.clone(), self.model.clone()))
-            }
-            SystemKind::FlexGen => {
-                Box::new(FlexGenPolicy::new(self.node.clone(), self.model.clone()))
-            }
-            SystemKind::FlexGenCpuAttention => Box::new(FlexGenPolicy::with_cpu_attention(
-                self.node.clone(),
-                self.model.clone(),
-            )),
-            SystemKind::DeepSpeedZero => {
-                Box::new(DeepSpeedPolicy::new(self.node.clone(), self.model.clone()))
-            }
+            SystemKind::MoeLightning | SystemKind::MoeLightningPadded => &self.optimizer,
+            SystemKind::FlexGen => &self.flexgen,
+            SystemKind::FlexGenCpuAttention => &self.flexgen_cpu_attention,
+            SystemKind::DeepSpeedZero => &self.deepspeed,
         }
     }
 
@@ -261,7 +259,7 @@ impl SystemEvaluator {
         }
         let layers = self.simulated_layers();
         let mut builder =
-            DecodeScheduleBuilder::new(&self.cost, *policy, *workload).with_layers(layers);
+            DecodeScheduleBuilder::new(self.cost_model(), *policy, *workload).with_layers(layers);
         if let Some(tokens) = occupancy {
             builder = builder.with_micro_batch_tokens(tokens);
         }
@@ -274,7 +272,7 @@ impl SystemEvaluator {
                 .map_err(|e| EngineError::Simulation {
                     message: e.to_string(),
                 })?;
-        let scale = f64::from(self.model.num_layers) / f64::from(layers);
+        let scale = f64::from(self.model().num_layers) / f64::from(layers);
         Ok(makespan.scale(scale))
     }
 
@@ -295,7 +293,7 @@ impl SystemEvaluator {
         let schedule = system.schedule();
         let step = self.decode_step_latency(schedule, &policy, &workload)?;
         let decode_time = step.scale(gen_len as f64);
-        let prefill_time = self.cost.prefill_time(&policy, &workload);
+        let prefill_time = self.cost_model().prefill_time(&policy, &workload);
         let report = BatchRunReport::uniform_round(
             policy.batch_size,
             policy.batch_size * workload.prompt_len,

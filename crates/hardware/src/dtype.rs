@@ -41,8 +41,25 @@ impl DType {
     }
 
     /// Total bytes for `n` elements of this type, rounded up to a whole byte.
+    ///
+    /// Computed in exact integer arithmetic and saturating at `u64::MAX`. It
+    /// equals `(n as f64 * self.bytes_per_element()).ceil() as u64` wherever
+    /// that product is exact, which is every `n < 2^50`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use moe_hardware::DType;
+    /// assert_eq!(DType::Int4.bytes_for(3), 2);
+    /// assert_eq!(DType::F32.bytes_for(u64::MAX), u64::MAX);
+    /// ```
     pub fn bytes_for(self, n: u64) -> u64 {
-        (n as f64 * self.bytes_per_element()).ceil() as u64
+        match self {
+            DType::F32 => n.saturating_mul(4),
+            DType::F16 => n.saturating_mul(2),
+            DType::Int8 => n,
+            DType::Int4 => n.div_ceil(2),
+        }
     }
 
     /// All supported data types, in decreasing width order.
@@ -100,6 +117,7 @@ impl FromStr for DType {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bytes_for_rounds_up_subbyte_types() {
@@ -107,6 +125,37 @@ mod tests {
         assert_eq!(DType::Int4.bytes_for(4), 2);
         assert_eq!(DType::F16.bytes_for(3), 6);
         assert_eq!(DType::F32.bytes_for(0), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The integer byte count is the `f64` reference formula, bit for bit,
+        /// at every magnitude below 2^50: the bit width is drawn first, so
+        /// small counts are as likely as large ones.
+        #[test]
+        fn bytes_for_equals_the_rounded_up_float_product(
+            (bits, raw) in (0u32..=50, any::<u64>()),
+        ) {
+            let n = raw & ((1u64 << bits) - 1);
+            for dt in DType::all() {
+                let reference = (n as f64 * dt.bytes_per_element()).ceil() as u64;
+                prop_assert_eq!(dt.bytes_for(n), reference, "{} x {}", n, dt);
+            }
+        }
+    }
+
+    #[test]
+    fn bytes_for_saturates_like_the_float_cast() {
+        for n in [u64::MAX, 1 << 63] {
+            for dt in DType::all() {
+                let reference = (n as f64 * dt.bytes_per_element()).ceil() as u64;
+                assert_eq!(dt.bytes_for(n), reference, "{n} x {dt}");
+            }
+        }
+        assert_eq!(DType::F32.bytes_for(u64::MAX), u64::MAX);
+        assert_eq!(DType::F16.bytes_for(u64::MAX), u64::MAX);
+        assert_eq!(DType::Int4.bytes_for(u64::MAX), 1 << 63);
     }
 
     #[test]

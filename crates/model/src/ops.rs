@@ -90,15 +90,32 @@ impl LayerOps {
         ByteSize::from_bytes(self.cfg.weight_dtype.bytes_for(elems))
     }
 
+    /// `(d_model, q_dim, kv_dim)`: the widths of the hidden state and of the
+    /// query and key/value projections.
+    fn widths(&self) -> (u64, u64, u64) {
+        let hd = u64::from(self.cfg.head_dim);
+        (
+            u64::from(self.cfg.d_model),
+            u64::from(self.cfg.num_q_heads) * hd,
+            u64::from(self.cfg.num_kv_heads) * hd,
+        )
+    }
+
+    /// FLOPs of [`Self::pre_attention`].
+    fn pre_attention_flops(&self, tokens: u64) -> FlopCount {
+        let (d, q_dim, kv_dim) = self.widths();
+        let proj_params = d * (q_dim + 2 * kv_dim);
+        FlopCount::from_flops(
+            2.0 * tokens as f64 * proj_params as f64 + 4.0 * tokens as f64 * d as f64,
+        )
+    }
+
     /// Pre-attention task: RMSNorm + QKV projection for `tokens` tokens.
     pub fn pre_attention(&self, tokens: u64) -> OpCost {
-        let d = u64::from(self.cfg.d_model);
-        let q_dim = u64::from(self.cfg.num_q_heads) * u64::from(self.cfg.head_dim);
-        let kv_dim = u64::from(self.cfg.num_kv_heads) * u64::from(self.cfg.head_dim);
+        let (d, q_dim, kv_dim) = self.widths();
         let proj_params = d * (q_dim + 2 * kv_dim);
-        let flops = 2.0 * tokens as f64 * proj_params as f64 + 4.0 * tokens as f64 * d as f64;
         OpCost {
-            flops: FlopCount::from_flops(flops),
+            flops: self.pre_attention_flops(tokens),
             weight_bytes: self.wbytes(proj_params + d),
             activation_bytes: self.abytes(tokens * (d + q_dim + 2 * kv_dim)),
             kv_bytes: ByteSize::ZERO,
@@ -132,17 +149,28 @@ impl LayerOps {
         self.cfg.kv_bytes_per_token_per_layer() * tokens
     }
 
+    /// FLOPs of [`Self::o_projection`].
+    fn o_projection_flops(&self, tokens: u64) -> FlopCount {
+        let (d, q_dim, _) = self.widths();
+        FlopCount::from_flops(2.0 * tokens as f64 * (q_dim * d) as f64)
+    }
+
     /// Output projection for `tokens` tokens.
     pub fn o_projection(&self, tokens: u64) -> OpCost {
-        let d = u64::from(self.cfg.d_model);
-        let q_dim = u64::from(self.cfg.num_q_heads) * u64::from(self.cfg.head_dim);
-        let params = q_dim * d;
+        let (d, q_dim, _) = self.widths();
         OpCost {
-            flops: FlopCount::from_flops(2.0 * tokens as f64 * params as f64),
-            weight_bytes: self.wbytes(params),
+            flops: self.o_projection_flops(tokens),
+            weight_bytes: self.wbytes(q_dim * d),
             activation_bytes: self.abytes(tokens * (q_dim + d)),
             kv_bytes: ByteSize::ZERO,
         }
+    }
+
+    /// FLOPs of [`Self::router`].
+    fn router_flops(&self, tokens: u64) -> FlopCount {
+        let d = u64::from(self.cfg.d_model);
+        let e = u64::from(self.cfg.num_experts);
+        FlopCount::from_flops(2.0 * (tokens * d * e) as f64)
     }
 
     /// Router (gating network) for `tokens` tokens.
@@ -150,7 +178,7 @@ impl LayerOps {
         let d = u64::from(self.cfg.d_model);
         let e = u64::from(self.cfg.num_experts);
         OpCost {
-            flops: FlopCount::from_flops(2.0 * (tokens * d * e) as f64),
+            flops: self.router_flops(tokens),
             weight_bytes: self.wbytes(d * e),
             activation_bytes: self.abytes(tokens * (d + e)),
             kv_bytes: ByteSize::ZERO,
@@ -172,6 +200,15 @@ impl LayerOps {
         ne * (1.0 - (1.0 - k / ne).powf(tokens as f64))
     }
 
+    /// FLOPs of [`Self::moe_ffn`]: `top_k` experts per token.
+    fn moe_ffn_flops(&self, tokens: u64) -> FlopCount {
+        let top_k = f64::from(self.cfg.top_k);
+        FlopCount::from_flops(
+            2.0 * (tokens as f64) * top_k * self.cfg.params_per_expert() as f64
+                + 3.0 * (tokens as f64) * top_k * f64::from(self.cfg.d_ff),
+        )
+    }
+
     /// MoE FFN for `tokens` tokens.
     ///
     /// FLOPs scale with `top_k · tokens`; weight bytes scale with the number of
@@ -179,8 +216,6 @@ impl LayerOps {
     /// grow with micro-batch size (Fig. 5 of the paper).
     pub fn moe_ffn(&self, tokens: u64) -> OpCost {
         let per_expert = self.cfg.params_per_expert();
-        let flops = 2.0 * (tokens as f64) * f64::from(self.cfg.top_k) * per_expert as f64
-            + 3.0 * (tokens as f64) * f64::from(self.cfg.top_k) * f64::from(self.cfg.d_ff);
         let experts_touched = self.expected_experts_touched(tokens);
         let weight_bytes = ByteSize::from_bytes(
             (self.cfg.weight_dtype.bytes_for(per_expert) as f64 * experts_touched).round() as u64,
@@ -189,7 +224,7 @@ impl LayerOps {
             * (u64::from(self.cfg.d_model) * 2
                 + u64::from(self.cfg.top_k) * u64::from(self.cfg.d_ff));
         OpCost {
-            flops: FlopCount::from_flops(flops),
+            flops: self.moe_ffn_flops(tokens),
             weight_bytes,
             activation_bytes: self.abytes(act_elems),
             kv_bytes: ByteSize::ZERO,
@@ -210,10 +245,6 @@ impl LayerOps {
     /// linear in the total token count.
     pub fn prefill_layer(&self, batch: u64, prompt_len: u64) -> OpCost {
         let tokens = batch * prompt_len;
-        let nq = u64::from(self.cfg.num_q_heads);
-        let hd = u64::from(self.cfg.head_dim);
-        // Causal attention: sum over positions ≈ prompt_len²/2 per sequence.
-        let attn_flops = 4.0 * (batch * nq * hd) as f64 * (prompt_len as f64).powi(2) / 2.0;
         let base = self
             .pre_attention(tokens)
             .combine(&self.o_projection(tokens))
@@ -221,11 +252,30 @@ impl LayerOps {
             .combine(&self.moe_ffn(tokens));
         let kv_write = self.kv_append(tokens);
         OpCost {
-            flops: base.flops + FlopCount::from_flops(attn_flops),
+            flops: base.flops + self.prefill_attention_flops(batch, prompt_len),
             weight_bytes: base.weight_bytes,
             activation_bytes: base.activation_bytes,
             kv_bytes: base.kv_bytes + kv_write,
         }
+    }
+
+    /// `prefill_layer(batch, prompt_len).flops`, bit for bit, without the
+    /// byte counts: the operators' FLOPs summed in the same order.
+    pub fn prefill_layer_flops(&self, batch: u64, prompt_len: u64) -> FlopCount {
+        let tokens = batch * prompt_len;
+        self.pre_attention_flops(tokens)
+            + self.o_projection_flops(tokens)
+            + self.router_flops(tokens)
+            + self.moe_ffn_flops(tokens)
+            + self.prefill_attention_flops(batch, prompt_len)
+    }
+
+    /// Causal attention FLOPs of a prefill: the sum over positions is about
+    /// `prompt_len²/2` per sequence.
+    fn prefill_attention_flops(&self, batch: u64, prompt_len: u64) -> FlopCount {
+        let nq = u64::from(self.cfg.num_q_heads);
+        let hd = u64::from(self.cfg.head_dim);
+        FlopCount::from_flops(4.0 * (batch * nq * hd) as f64 * (prompt_len as f64).powi(2) / 2.0)
     }
 
     /// Bytes of layer weights that must be present on the executing device for the
@@ -250,6 +300,7 @@ impl LayerOps {
 mod tests {
     use super::*;
     use moe_hardware::DType;
+    use proptest::prelude::*;
 
     fn mixtral_ops() -> LayerOps {
         LayerOps::new(MoeModelConfig::mixtral_8x7b())
@@ -378,6 +429,34 @@ mod tests {
             f1024 > 3.5 * f512,
             "attention term should be quadratic: {f512} -> {f1024}"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The FLOPs-only prefill count is the full prefill cost's FLOPs, as
+        /// bits, for every model preset.
+        #[test]
+        fn prefill_layer_flops_equals_the_full_cost_bit_for_bit(
+            preset in 0usize..4,
+            (batch, prompt_len) in (0u64..4096, 0u64..8192),
+        ) {
+            let presets = [
+                MoeModelConfig::mixtral_8x7b(),
+                MoeModelConfig::mixtral_8x22b(),
+                MoeModelConfig::dbrx(),
+                MoeModelConfig::tiny(),
+            ];
+            let ops = LayerOps::new(presets[preset].clone());
+            prop_assert_eq!(
+                ops.prefill_layer_flops(batch, prompt_len).as_flops().to_bits(),
+                ops.prefill_layer(batch, prompt_len).flops.as_flops().to_bits(),
+                "preset {}, batch {}, prompt {}",
+                preset,
+                batch,
+                prompt_len
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,6 @@ use moe_model::MoeModelConfig;
 #[derive(Debug, Clone)]
 pub struct FlexGenPolicy {
     capacity: CapacityModel,
-    model: MoeModelConfig,
     cpu_attention: bool,
 }
 
@@ -30,8 +29,7 @@ impl FlexGenPolicy {
     /// configuration).
     pub fn new(node: NodeSpec, model: MoeModelConfig) -> Self {
         FlexGenPolicy {
-            capacity: CapacityModel::new(node, model.clone()),
-            model,
+            capacity: CapacityModel::new(node, model),
             cpu_attention: false,
         }
     }
@@ -39,15 +37,14 @@ impl FlexGenPolicy {
     /// Creates a generator for FlexGen(c), the variant with CPU attention enabled.
     pub fn with_cpu_attention(node: NodeSpec, model: MoeModelConfig) -> Self {
         FlexGenPolicy {
-            capacity: CapacityModel::new(node, model.clone()),
-            model,
+            capacity: CapacityModel::new(node, model),
             cpu_attention: true,
         }
     }
 
     fn capacity_kv_bytes(&self, micro: u64, workload: &WorkloadShape) -> ByteSize {
         // KV bytes of one micro-batch for one layer (what S4 prefetches ahead).
-        self.model.kv_bytes_per_token_per_layer() * micro * workload.max_context()
+        self.capacity.model().kv_bytes_per_token_per_layer() * micro * workload.max_context()
     }
 
     fn fits_with_extra_gpu(

@@ -115,6 +115,11 @@ impl CapacityModel {
         &self.node
     }
 
+    /// The model whose memory this sizes.
+    pub fn model(&self) -> &MoeModelConfig {
+        &self.model
+    }
+
     /// Memory requirement of `policy` under `workload`.
     pub fn requirement(&self, policy: &Policy, workload: &WorkloadShape) -> MemoryRequirement {
         self.row(policy, workload).at(policy.batch_size)
@@ -243,14 +248,11 @@ impl CapacityModel {
         limit: u64,
     ) -> Option<u64> {
         let mu = template.micro_batch_size;
+        let row = self.row(template, workload);
         let mut best = None;
         let mut n = mu;
         while n <= limit {
-            let candidate = Policy {
-                batch_size: n,
-                ..*template
-            };
-            if self.is_feasible(&candidate, workload) {
+            if self.fits(&row.at(n)) {
                 best = Some(n);
             } else {
                 break;

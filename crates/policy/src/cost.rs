@@ -8,6 +8,13 @@
 //! `T = max(comm_cpu_to_gpu, T_cpu, T_gpu)` (Eq. 12). The same per-task durations
 //! feed the discrete-event schedules in `moe-schedule`, so the analytic estimate and
 //! the simulated pipelines share one source of truth.
+//!
+//! Each operator is priced once per call. A micro-batch's task record builds
+//! its O projection, router and MoE FFN costs once and derives every task that
+//! contains them, and the prefill FLOPs come from
+//! [`LayerOps::prefill_layer_flops`] without any byte count. The shortcuts
+//! combine the same terms in the same order as the per-task functions, so the
+//! durations are the same bits.
 
 use crate::policy::{Policy, WorkloadShape};
 use moe_hardware::{Bandwidth, ByteSize, FlopCount, NodeSpec, Seconds};
@@ -283,17 +290,32 @@ impl CostModel {
     }
 
     /// Every per-micro-batch task duration of one decode layer for a micro-batch of
-    /// `tokens` tokens at context `context_len`, under any placement.
+    /// `tokens` tokens at context `context_len`, under any placement. Each
+    /// operator is priced once: the post-attention tasks with and without the
+    /// FFN and the CPU FFN share one O projection, router and MoE FFN cost,
+    /// combined in the order the per-task functions combine them.
     pub(crate) fn micro_batch_costs(&self, tokens: u64, context_len: u64) -> MicroBatchCosts {
         let attention = self.ops.attention_core_decode(tokens, context_len);
         let attention_bytes = attention.total_bytes();
+        let without_ffn = self
+            .ops
+            .o_projection(tokens)
+            .combine(&self.ops.router(tokens));
+        let ffn = self.ops.moe_ffn(tokens);
+        let post_attention = without_ffn.combine(&ffn);
         MicroBatchCosts {
             pre_attention_gpu: self.pre_attention_gpu(tokens),
-            post_attention_gpu: self.post_attention_gpu(tokens),
-            post_attention_gpu_without_ffn: self.post_attention_gpu_without_ffn(tokens),
+            post_attention_gpu: self
+                .hrm
+                .gpu
+                .time(post_attention.flops, post_attention.total_bytes()),
+            post_attention_gpu_without_ffn: self
+                .hrm
+                .gpu
+                .time(without_ffn.flops, without_ffn.total_bytes()),
             attention_gpu: self.hrm.gpu.time(attention.flops, attention_bytes),
             attention_cpu: self.hrm.cpu.time(attention.flops, attention_bytes),
-            ffn_cpu: self.ffn_cpu(tokens),
+            ffn_cpu: self.hrm.cpu.time(ffn.flops, ffn.total_bytes()),
             qkv_offload: self.qkv_offload(tokens),
             hidden_upload: self.hidden_upload(tokens),
             kv_bytes: attention.kv_bytes,
@@ -501,7 +523,7 @@ impl CostModel {
         batch: u64,
         workload: &WorkloadShape,
     ) -> FlopCount {
-        self.ops.prefill_layer(batch, workload.prompt_len).flops
+        self.ops.prefill_layer_flops(batch, workload.prompt_len)
     }
 
     /// GPU time of a prefill whose layers each take `flops_per_layer`.
@@ -598,6 +620,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn s1_cost() -> CostModel {
         CostModel::new(NodeSpec::t4_single(), MoeModelConfig::mixtral_8x7b())
@@ -605,6 +628,63 @@ mod tests {
 
     fn mtbench() -> WorkloadShape {
         WorkloadShape::new(77, 128)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every field of the shared micro-batch record is the matching
+        /// per-task function, bit for bit, on every model preset and on a
+        /// T4, an L4 and a 4×T4 node.
+        #[test]
+        fn micro_batch_costs_equal_the_per_task_functions(
+            (preset, node) in (0usize..4, 0usize..3),
+            (tokens, context_len) in (0u64..1024, 0u64..8192),
+            kv_gpu_ratio in 0.0f64..=1.0,
+        ) {
+            let model = [
+                MoeModelConfig::mixtral_8x7b(),
+                MoeModelConfig::mixtral_8x22b(),
+                MoeModelConfig::dbrx(),
+                MoeModelConfig::tiny(),
+            ][preset]
+                .clone();
+            let node = [NodeSpec::t4_single(), NodeSpec::l4_single(), NodeSpec::t4_multi(4)][node]
+                .clone();
+            let cm = CostModel::new(node, model);
+            let c = cm.micro_batch_costs(tokens, context_len);
+            let bits = |t: Seconds| t.as_secs().to_bits();
+            let pairs = [
+                (c.pre_attention_gpu, cm.pre_attention_gpu(tokens)),
+                (c.post_attention_gpu, cm.post_attention_gpu(tokens)),
+                (
+                    c.post_attention_gpu_without_ffn,
+                    cm.post_attention_gpu_without_ffn(tokens),
+                ),
+                (c.attention_gpu, cm.attention_gpu(tokens, context_len)),
+                (c.attention_cpu, cm.attention_cpu(tokens, context_len)),
+                (c.ffn_cpu, cm.ffn_cpu(tokens)),
+                (c.qkv_offload, cm.qkv_offload(tokens)),
+                (c.hidden_upload, cm.hidden_upload(tokens)),
+            ];
+            for (field, (shared, per_task)) in pairs.into_iter().enumerate() {
+                prop_assert_eq!(bits(shared), bits(per_task), "field {}", field);
+            }
+            prop_assert_eq!(
+                c.kv_bytes,
+                cm.ops().attention_core_decode(tokens, context_len).kv_bytes
+            );
+            let class = LaneClass {
+                attention_on_gpu: true,
+                ffn_on_gpu: true,
+                kv_gpu_ratio,
+            };
+            let lanes = cm.lane_costs(class, c, c);
+            prop_assert_eq!(
+                bits(lanes.kv_transfer.0),
+                bits(cm.kv_transfer(tokens, context_len, 1.0 - kv_gpu_ratio))
+            );
+        }
     }
 
     #[test]

@@ -38,10 +38,13 @@
 //!   HRM task durations are built once per `μ`, the KV transfer once per
 //!   `(μ, A_g, F_g, r_c)` class, and the weight streams and the
 //!   batch-independent memory terms once per row. The prefill FLOPs of a batch
-//!   are computed on first use. Scoring and the memory check go through the
-//!   same [`CostModel`] and [`CapacityModel`] code as
-//!   [`CostModel::generation_throughput`] and [`CapacityModel::requirement`], so
-//!   the floating-point operations are identical.
+//!   are computed on first use, as FLOPs alone, without the prefill's byte
+//!   counts. Scoring and the memory check go through the same [`CostModel`]
+//!   and [`CapacityModel`] code as [`CostModel::generation_throughput`] and
+//!   [`CapacityModel::requirement`], so the floating-point operations are
+//!   identical. The placement classes are built without heap: a class is its
+//!   lane terms plus the position and stride of its cells, and the cells are
+//!   generated as they are costed.
 //! * **A class bound, visited best first (branch and bound).** Within a row every
 //!   micro-batch costs the same, so with `n = N/μ` each lane of Eq. 12's layer
 //!   time is at least `n` times its per-micro-batch term `s`, and prefill is at
@@ -127,51 +130,72 @@ impl SearchSpace {
     /// The `(A_g, F_g, r_w, r_c)` cells tried for every `(μ, N/μ)`, grouped by
     /// their [`LaneClass`] `(A_g, F_g, r_c)`: one class per `r_c` position, each
     /// holding one cell per `r_w`, in `weight_ratios` order. A cell is a policy
-    /// whose `N` and `μ` the search sets, with its position in the enumeration
-    /// order, and the second value is the number of cells. `r_c` only matters
-    /// when attention runs on the GPU; when it runs on the CPU the KV cache
-    /// stays there (`r_c = 0`).
-    fn placement_classes(&self) -> (Vec<ClassCells>, usize) {
-        let mut classes: Vec<ClassCells> = Vec::new();
-        let mut cell_pos = 0;
-        for attention_on_gpu in attention_options(self.allow_gpu_attention) {
-            let kv_options: &[f64] = if attention_on_gpu {
-                &self.kv_ratios
-            } else {
-                &[0.0]
-            };
-            for ffn_on_gpu in ffn_options(self.allow_cpu_ffn) {
-                let first = classes.len();
-                classes.extend(kv_options.iter().map(|&kv_gpu_ratio| {
-                    let class = LaneClass {
-                        attention_on_gpu,
-                        ffn_on_gpu,
-                        kv_gpu_ratio,
-                    };
-                    (class, Vec::new())
-                }));
-                for &rw in &self.weight_ratios {
-                    for (kv_pos, &rc) in kv_options.iter().enumerate() {
-                        let cell = Policy {
-                            batch_size: 1,
-                            micro_batch_size: 1,
-                            attention_on_gpu,
-                            ffn_on_gpu,
-                            weights_gpu_ratio: rw,
-                            kv_gpu_ratio: rc,
-                        };
-                        classes[first + kv_pos].1.push((cell_pos, cell));
-                        cell_pos += 1;
-                    }
-                }
-            }
+    /// whose `N` and `μ` the search sets. `r_c` only matters when attention runs
+    /// on the GPU; when it runs on the CPU the KV cache stays there (`r_c = 0`).
+    /// The enumeration order runs `A_g`, `F_g`, `r_w`, `r_c` from outermost to
+    /// innermost, so a class's cells sit one `r_c` block apart.
+    fn placement_classes(&self) -> impl Iterator<Item = ClassCells> + '_ {
+        let n_ffn = ffn_options(self.allow_cpu_ffn).count();
+        let n_rw = self.weight_ratios.len();
+        attention_options(self.allow_gpu_attention).flat_map(move |attention_on_gpu| {
+            let kv_options = self.kv_options(attention_on_gpu);
+            // The CPU-attention block, with its one `r_c`, comes first.
+            let block = if attention_on_gpu { n_ffn * n_rw } else { 0 };
+            ffn_options(self.allow_cpu_ffn)
+                .enumerate()
+                .flat_map(move |(ffn_pos, ffn_on_gpu)| {
+                    let start = block + ffn_pos * n_rw * kv_options.len();
+                    kv_options
+                        .iter()
+                        .enumerate()
+                        .map(move |(kv_pos, &kv_gpu_ratio)| ClassCells {
+                            class: LaneClass {
+                                attention_on_gpu,
+                                ffn_on_gpu,
+                                kv_gpu_ratio,
+                            },
+                            first: start + kv_pos,
+                            stride: kv_options.len(),
+                        })
+                })
+        })
+    }
+
+    /// The `r_c` values tried at placement `A_g`.
+    fn kv_options(&self, attention_on_gpu: bool) -> &[f64] {
+        if attention_on_gpu {
+            &self.kv_ratios
+        } else {
+            &[0.0]
         }
-        (classes, cell_pos)
     }
 }
 
-/// A lane class of the grid with its cells, each with its enumeration position.
-type ClassCells = (LaneClass, Vec<(usize, Policy)>);
+/// A lane class of the grid. Its `r_w` cells, in `weight_ratios` order, sit
+/// at enumeration positions `first`, `first + stride`, `first + 2·stride`, ...
+#[derive(Debug, Clone, Copy)]
+struct ClassCells {
+    class: LaneClass,
+    first: usize,
+    stride: usize,
+}
+
+impl ClassCells {
+    /// The class's cells at `weight_ratios`, each with its enumeration position.
+    fn cells(self, weight_ratios: &[f64]) -> impl Iterator<Item = (usize, Policy)> + '_ {
+        weight_ratios.iter().enumerate().map(move |(rw_pos, &rw)| {
+            let cell = Policy {
+                batch_size: 1,
+                micro_batch_size: 1,
+                attention_on_gpu: self.class.attention_on_gpu,
+                ffn_on_gpu: self.class.ffn_on_gpu,
+                weights_gpu_ratio: rw,
+                kv_gpu_ratio: self.class.kv_gpu_ratio,
+            };
+            (self.first + rw_pos * self.stride, cell)
+        })
+    }
+}
 
 /// The result of a policy search.
 #[derive(Debug, Clone, PartialEq)]
@@ -261,7 +285,10 @@ impl PolicyOptimizer {
         workload: &WorkloadShape,
     ) -> (Result<SearchResult, OptimizerError>, SearchWork) {
         let space = &self.space;
-        let (classes, n_cells) = space.placement_classes();
+        let n_rw = space.weight_ratios.len();
+        let n_classes = space.placement_classes().count();
+        // The (A_g, F_g, r_w, r_c) cells of every (μ, N/μ).
+        let n_cells = n_classes * n_rw;
         let n_counts = space.micro_batch_counts.len();
         // Micro-batch counts in ascending value order, each with its grid position.
         let mut counts: Vec<(usize, u64)> = space
@@ -286,13 +313,14 @@ impl PolicyOptimizer {
         // rows fits gets no record, and a (μ, class) none of whose rows fits
         // never enters the heap.
         let mut micro_batches = vec![None; space.micro_batch_sizes.len()];
-        let mut queue = Vec::with_capacity(micro_batches.len() * classes.len());
+        let mut queue = Vec::with_capacity(micro_batches.len() * n_classes);
         for (mu_pos, &mu) in space.micro_batch_sizes.iter().enumerate() {
             let mut prefill = None;
-            for (class_pos, &(class, ref cells)) in classes.iter().enumerate() {
+            for cells in space.placement_classes() {
+                let class = cells.class;
                 if !floor.fits(mu_pos, class.ffn_on_gpu).contains(&true) {
-                    work.rows_skipped -= cells.len();
-                    work.rows_unfit += cells.len();
+                    work.rows_skipped -= n_rw;
+                    work.rows_unfit += n_rw;
                     continue;
                 }
                 let costs = *micro_batches[mu_pos].get_or_insert_with(|| {
@@ -309,7 +337,7 @@ impl PolicyOptimizer {
                     // below an incumbent, so it never prunes.
                     bound: if bound.is_nan() { f64::INFINITY } else { bound },
                     mu_pos,
-                    class_pos,
+                    cells,
                 });
             }
         }
@@ -323,7 +351,7 @@ impl PolicyOptimizer {
         while let Some(Bounded {
             bound,
             mu_pos,
-            class_pos,
+            cells,
         }) = queue.pop()
         {
             // Strict: a class that could tie the incumbent might hold a lower
@@ -334,11 +362,11 @@ impl PolicyOptimizer {
             }
             let mu = space.micro_batch_sizes[mu_pos];
             let costs = micro_batches[mu_pos].expect("a queued μ has its costs");
-            let (class, ref cells) = classes[class_pos];
+            let class = cells.class;
             let lanes = self.cost.lane_costs(class, costs, costs);
-            work.rows_skipped -= cells.len();
-            for (&(cell_pos, cell), &fits) in cells.iter().zip(floor.fits(mu_pos, class.ffn_on_gpu))
-            {
+            work.rows_skipped -= n_rw;
+            let rows = cells.cells(&space.weight_ratios);
+            for ((cell_pos, cell), &fits) in rows.zip(floor.fits(mu_pos, class.ffn_on_gpu)) {
                 if !fits {
                     work.rows_unfit += 1;
                     continue;
@@ -451,7 +479,7 @@ impl RowFloors {
 struct Bounded {
     bound: f64,
     mu_pos: usize,
-    class_pos: usize,
+    cells: ClassCells,
 }
 
 impl Ord for Bounded {
@@ -505,20 +533,14 @@ impl crate::generator::PolicyGenerator for PolicyOptimizer {
     }
 }
 
-fn attention_options(allow_gpu: bool) -> Vec<bool> {
-    if allow_gpu {
-        vec![false, true]
-    } else {
-        vec![false]
-    }
+/// The `A_g` values tried: CPU attention, then GPU attention if allowed.
+fn attention_options(allow_gpu: bool) -> impl Iterator<Item = bool> {
+    [false, true].into_iter().take(1 + usize::from(allow_gpu))
 }
 
-fn ffn_options(allow_cpu: bool) -> Vec<bool> {
-    if allow_cpu {
-        vec![true, false]
-    } else {
-        vec![true]
-    }
+/// The `F_g` values tried: GPU FFN, then CPU FFN if allowed.
+fn ffn_options(allow_cpu: bool) -> impl Iterator<Item = bool> {
+    [true, false].into_iter().take(1 + usize::from(allow_cpu))
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@ use moe_hardware::Seconds;
 use moe_memory::pages::split_into_pages;
 use moe_policy::{CostModel, Policy, WorkloadShape};
 use moe_sim::{Lane, Player, SimError, TaskGraph, TaskId, TaskKind, TaskLabel, TaskSink};
-use std::borrow::Cow;
 
 /// The pipeline schedules compared in Fig. 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,11 +89,11 @@ pub struct DecodeScheduleBuilder<'a> {
     policy: Policy,
     workload: WorkloadShape,
     num_layers: u32,
-    /// Decode tokens (= active sequences) per micro-batch. Defaults to the uniform
+    /// Decode tokens (= active sequences) per micro-batch. `None` is the uniform
     /// split the policy implies (`μ` per micro-batch, remainder in the last); the
     /// request-level serving loop overrides it with the actual per-micro-batch
     /// occupancy so schedule bubbles reflect real imbalance.
-    ub_tokens: Cow<'a, [u64]>,
+    ub_tokens: Option<&'a [u64]>,
     /// Mean decode context per micro-batch (tokens of KV each active sequence
     /// reads per step). `None` falls back to the workload's uniform
     /// `avg_decode_context()`; the serving loop passes per-micro-batch means so
@@ -106,25 +105,12 @@ impl<'a> DecodeScheduleBuilder<'a> {
     /// Creates a builder. The policy and workload are copied; micro-batch token
     /// counts default to the policy's uniform split.
     pub fn new(cost: &'a CostModel, policy: Policy, workload: WorkloadShape) -> Self {
-        let num_layers = cost.model().num_layers;
-        let mu = policy.micro_batch_size;
-        let n_ub = policy.num_micro_batches();
-        let ub_tokens = (0..n_ub)
-            .map(|j| {
-                if j + 1 == n_ub {
-                    policy.batch_size - mu * (n_ub - 1)
-                } else {
-                    mu
-                }
-            })
-            .collect::<Vec<_>>()
-            .into();
         DecodeScheduleBuilder {
             cost,
             policy,
             workload,
-            num_layers,
-            ub_tokens,
+            num_layers: cost.model().num_layers,
+            ub_tokens: None,
             ub_ctx: None,
         }
     }
@@ -149,7 +135,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
             tokens.iter().all(|&t| t > 0),
             "micro-batch token counts must be positive"
         );
-        self.ub_tokens = Cow::Borrowed(tokens);
+        self.ub_tokens = Some(tokens);
         self
     }
 
@@ -165,8 +151,8 @@ impl<'a> DecodeScheduleBuilder<'a> {
     /// micro-batch.
     pub fn with_micro_batch_contexts(mut self, contexts: &'a [u64]) -> Self {
         assert_eq!(
-            contexts.len(),
-            self.ub_tokens.len(),
+            contexts.len() as u64,
+            self.num_micro_batches(),
             "need one context entry per micro-batch"
         );
         assert!(
@@ -193,15 +179,49 @@ impl<'a> DecodeScheduleBuilder<'a> {
     }
 
     fn num_micro_batches(&self) -> u64 {
-        self.ub_tokens.len() as u64
+        self.ub_tokens
+            .map_or_else(|| self.policy.num_micro_batches(), |t| t.len() as u64)
     }
 
+    /// Decode tokens of micro-batch `j`: the override, or the policy's split.
     fn micro_batch_tokens(&self, j: u64) -> u64 {
-        self.ub_tokens[j as usize]
+        match self.ub_tokens {
+            Some(tokens) => tokens[j as usize],
+            None if j + 1 == self.policy.num_micro_batches() => {
+                self.policy.batch_size - self.policy.micro_batch_size * j
+            }
+            None => self.policy.micro_batch_size,
+        }
     }
 
+    /// Decode tokens of the whole step; the policy's split covers its batch.
     fn total_tokens(&self) -> u64 {
-        self.ub_tokens.iter().sum()
+        self.ub_tokens
+            .map_or(self.policy.batch_size, |t| t.iter().sum())
+    }
+
+    /// The durations of each micro-batch, from `price` of its `key`. Equal
+    /// keys price equal durations, so a micro-batch whose key equals its
+    /// predecessor's reuses its durations: a uniform split is priced twice,
+    /// once for its full micro-batches and once for the last.
+    fn price_micro_batches<K: Copy + PartialEq, T: Copy>(
+        &self,
+        key: impl Fn(u64) -> K,
+        price: impl Fn(K) -> T,
+    ) -> Vec<T> {
+        let n_ub = self.num_micro_batches();
+        let mut priced = Vec::with_capacity(n_ub as usize);
+        let mut last: Option<(K, T)> = None;
+        for j in 0..n_ub {
+            let key = key(j);
+            let durations = match last {
+                Some((last_key, durations)) if last_key == key => durations,
+                _ => price(key),
+            };
+            priced.push(durations);
+            last = Some((key, durations));
+        }
+        priced
     }
 
     /// Builds the task graph of one decode step under the given schedule: the
@@ -235,7 +255,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
     /// per (layer, micro-batch) and one whole-layer transfer per layer, plus the
     /// prologue.
     fn max_tasks(&self) -> usize {
-        self.num_layers as usize * (6 * self.ub_tokens.len() + 1) + 1
+        self.num_layers as usize * (6 * self.num_micro_batches() as usize + 1) + 1
     }
 
     /// Emits the tasks of one decode step under `kind` into `sink`, in lane
@@ -270,26 +290,33 @@ impl<'a> DecodeScheduleBuilder<'a> {
         let total = layers * n_ub;
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
         let whole_layer = self.cost.weight_transfer(streamed);
-        // Every layer repeats the same micro-batches, so each one is costed once
-        // per step: (pre, qkv, attention, hidden, post, next-layer weight page).
+        // Every layer repeats the same micro-batches, so each distinct one is
+        // costed once per step: (pre, qkv, attention, hidden, post, next-layer
+        // weight page), keyed by its tokens, context and page.
         let pages = split_into_pages(streamed, n_ub as usize);
-        let costs: Vec<[Seconds; 6]> = (0..n_ub)
-            .map(|j| {
-                let tokens = self.micro_batch_tokens(j);
+        let costs: Vec<[Seconds; 6]> = self.price_micro_batches(
+            |j| {
+                (
+                    self.micro_batch_tokens(j),
+                    self.ctx_of(j),
+                    pages[j as usize],
+                )
+            },
+            |(tokens, ctx, page)| {
                 [
                     self.cost.pre_attention_gpu(tokens),
                     self.cost.qkv_offload(tokens),
-                    self.cost.attention_cpu(tokens, self.ctx_of(j)),
+                    self.cost.attention_cpu(tokens, ctx),
                     self.cost.hidden_upload(tokens),
                     if self.policy.ffn_on_gpu {
                         self.cost.post_attention_gpu(tokens)
                     } else {
                         self.cost.post_attention_gpu_without_ffn(tokens)
                     },
-                    self.cost.weight_transfer(pages[j as usize]),
+                    self.cost.weight_transfer(page),
                 ]
-            })
-            .collect();
+            },
+        );
 
         // Per global pipeline step g = layer * n_ub + j. Steps are visited in
         // order, so their (layer, micro-batch) is carried along, not divided out.
@@ -467,11 +494,12 @@ impl<'a> DecodeScheduleBuilder<'a> {
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
         let whole_layer = self.cost.weight_transfer(streamed);
         let kv_cpu_fraction = 1.0 - self.policy.kv_gpu_ratio;
-        // Per micro-batch, costed once per step: (KV prefetch, fused GPU
-        // layer, write-back of the new KV entries to the CPU-resident cache).
-        let costs: Vec<[Seconds; 3]> = (0..n_ub)
-            .map(|j| {
-                let tokens = self.micro_batch_tokens(j);
+        // Per distinct micro-batch, keyed by its tokens and context, costed
+        // once per step: (KV prefetch, fused GPU layer, write-back of the new
+        // KV entries to the CPU-resident cache).
+        let costs: Vec<[Seconds; 3]> = self.price_micro_batches(
+            |j| (self.micro_batch_tokens(j), self.ctx_of(j)),
+            |(tokens, ctx)| {
                 let append = self
                     .cost
                     .model()
@@ -479,15 +507,14 @@ impl<'a> DecodeScheduleBuilder<'a> {
                     .scale(kv_cpu_fraction)
                     * tokens;
                 [
-                    self.cost
-                        .kv_transfer(tokens, self.ctx_of(j), kv_cpu_fraction),
+                    self.cost.kv_transfer(tokens, ctx, kv_cpu_fraction),
                     self.cost.pre_attention_gpu(tokens)
-                        + self.cost.attention_gpu(tokens, self.ctx_of(j))
+                        + self.cost.attention_gpu(tokens, ctx)
                         + self.cost.post_attention_gpu(tokens),
                     self.cost.kv_offload(append),
                 ]
-            })
-            .collect();
+            },
+        );
 
         let mut weights_done: Vec<Option<TaskId>> = vec![None; layers as usize];
         if !streamed.is_zero() {
@@ -847,7 +874,7 @@ mod tests {
         let skewed_tokens: Vec<u64> = vec![120, 60, 40, 20, 10, 3, 2, 1];
         assert_eq!(skewed_tokens.iter().sum::<u64>(), 256);
         let skewed = builder(&cost).with_micro_batch_tokens(&skewed_tokens);
-        assert_eq!(skewed.ub_tokens, skewed_tokens);
+        assert_eq!(skewed.ub_tokens, Some(skewed_tokens.as_slice()));
         for kind in [ScheduleKind::CgoPipe, ScheduleKind::FlexGenGpuAttention] {
             let t_uniform = uniform.decode_step_makespan(kind).unwrap();
             let t_skewed = skewed.decode_step_makespan(kind).unwrap();
@@ -980,6 +1007,126 @@ mod tests {
                     streamed,
                     full
                 );
+            }
+        }
+    }
+
+    /// A fresh pricing of the task `label` of a `kind` step whose micro-batches
+    /// hold `tokens` decode tokens at mean contexts `contexts`, straight from the
+    /// per-task [`CostModel`] functions.
+    fn fresh_price(
+        cost: &CostModel,
+        policy: &Policy,
+        workload: &WorkloadShape,
+        (tokens, contexts): (&[u64], &[u64]),
+        kind: ScheduleKind,
+        label: TaskLabel,
+    ) -> Seconds {
+        let rendered = label.to_string();
+        let tag = &rendered[..rendered.find('(').unwrap()];
+        let streamed = cost.streamed_layer_bytes(policy);
+        if let [_layer] = label.indices() {
+            return match tag {
+                "W" => cost.weight_transfer(streamed),
+                "L" => {
+                    let (total, ctx) = (tokens.iter().sum(), workload.avg_decode_context());
+                    cost.pre_attention_gpu(total)
+                        + cost.attention_gpu(total, ctx)
+                        + cost.post_attention_gpu(total)
+                }
+                _ => panic!("unexpected {rendered}"),
+            };
+        }
+        let j = label.indices()[1] as usize;
+        let (t, ctx) = (tokens[j], contexts[j]);
+        let kv_cpu_fraction = 1.0 - policy.kv_gpu_ratio;
+        match (kind, tag) {
+            (ScheduleKind::FlexGenGpuAttention, "KV") => cost.kv_transfer(t, ctx, kv_cpu_fraction),
+            (ScheduleKind::FlexGenGpuAttention, "L") => {
+                cost.pre_attention_gpu(t) + cost.attention_gpu(t, ctx) + cost.post_attention_gpu(t)
+            }
+            (ScheduleKind::FlexGenGpuAttention, "KVout") => cost.kv_offload(
+                cost.model()
+                    .kv_bytes_per_token_per_layer()
+                    .scale(kv_cpu_fraction)
+                    * t,
+            ),
+            (_, "A") => cost.pre_attention_gpu(t),
+            (_, "QKV") => cost.qkv_offload(t),
+            (_, "B") => cost.attention_cpu(t, ctx),
+            (_, "H") => cost.hidden_upload(t),
+            (_, "C") if policy.ffn_on_gpu => cost.post_attention_gpu(t),
+            (_, "C") => cost.post_attention_gpu_without_ffn(t),
+            (_, "Wp") => cost.weight_transfer(split_into_pages(streamed, tokens.len())[j]),
+            _ => panic!("unexpected {rendered} under {}", kind.name()),
+        }
+    }
+
+    #[test]
+    fn every_task_duration_is_a_fresh_pricing_of_its_micro_batch() {
+        // Micro-batches whose durations are reused from a neighbour must be
+        // priced as if they were not: neighbours that share tokens but not
+        // context, share context but not tokens, or share both; skewed
+        // occupancies; and the policy's own split with a ragged last
+        // micro-batch.
+        let workload = WorkloadShape::new(77, 128);
+        let loads: [(&[u64], Option<&[u64]>); 5] = [
+            (
+                &[32, 32, 32, 7, 7, 7, 1],
+                Some(&[90, 90, 400, 400, 400, 50, 50]),
+            ),
+            (&[16, 16, 16, 16], Some(&[300, 20, 300, 20])),
+            (&[64, 8, 8, 64, 3], Some(&[141, 141, 141, 141, 141])),
+            (&[120, 60, 40, 20, 10, 3, 2, 1], None),
+            (&[5], Some(&[2000])),
+        ];
+        for model in [MoeModelConfig::tiny(), MoeModelConfig::mixtral_8x7b()] {
+            let cost = CostModel::new(NodeSpec::t4_single(), model);
+            for (attention_on_gpu, ffn_on_gpu) in [(false, true), (false, false), (true, true)] {
+                let policy = Policy {
+                    batch_size: 7 * 32 + 5,
+                    micro_batch_size: 32,
+                    attention_on_gpu,
+                    ffn_on_gpu,
+                    weights_gpu_ratio: 0.1,
+                    kv_gpu_ratio: 0.25,
+                };
+                let uniform: Vec<u64> = (0..8).map(|j| if j == 7 { 5 } else { 32 }).collect();
+                let avg = [workload.avg_decode_context(); 8];
+                let cases = loads
+                    .iter()
+                    .map(|&(tokens, contexts)| (Some(tokens), contexts))
+                    .chain([(None, None)]);
+                for (tokens, contexts) in cases {
+                    let mut b = DecodeScheduleBuilder::new(&cost, policy, workload).with_layers(3);
+                    if let Some(tokens) = tokens {
+                        b = b.with_micro_batch_tokens(tokens);
+                    }
+                    if let Some(contexts) = contexts {
+                        b = b.with_micro_batch_contexts(contexts);
+                    }
+                    let tokens = tokens.unwrap_or(&uniform);
+                    let contexts = contexts.unwrap_or(&avg[..tokens.len()]);
+                    for kind in ScheduleKind::all() {
+                        for task in b.build(kind).unwrap().tasks() {
+                            let fresh = fresh_price(
+                                &cost,
+                                &policy,
+                                &workload,
+                                (tokens, contexts),
+                                kind,
+                                task.label,
+                            );
+                            assert_eq!(
+                                task.duration.as_secs().to_bits(),
+                                fresh.as_secs().to_bits(),
+                                "{} {} with {tokens:?} at {contexts:?}",
+                                kind.name(),
+                                task.label
+                            );
+                        }
+                    }
+                }
             }
         }
     }
