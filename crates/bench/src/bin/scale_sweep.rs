@@ -2,11 +2,13 @@
 //! under heavy online load, up to 1000 replicas × 1,000,000 requests, on the
 //! indexed fleet loop (event heap + incremental router indexes, one replica
 //! event settled per iteration) — with a head-to-head against the
-//! O(fleet)-per-event linear scan loop at the largest fleet size, and a
+//! O(fleet)-per-event linear scan loop at the largest fleet size, a
 //! telemetry-overhead leg that re-runs the same scenario with a recording
-//! `TelemetrySink` attached.
+//! `TelemetrySink` attached, and a disaggregated leg that splits the largest
+//! fleet into a prefill half and a decode half and runs the head-to-head's
+//! queue on both loops.
 //!
-//! Three assertions gate the run (exit code 1 on violation):
+//! Four assertions gate the run (exit code 1 on violation):
 //!
 //! * the whole sweep finishes inside `SCALE_SWEEP_BUDGET_S` seconds
 //!   (default 600),
@@ -16,12 +18,15 @@
 //! * with a `Recorder` sink attached (events + sampled time-series +
 //!   profiling spans) the indexed loop stays within
 //!   `SCALE_SWEEP_TELEMETRY_OVERHEAD_PCT` percent (default 10) of the
-//!   no-sink wall clock, and produces a bit-identical `ClusterReport`.
+//!   no-sink wall clock, and produces a bit-identical `ClusterReport`, and
+//! * on the split fleet the indexed loop, which routes each pool from its
+//!   own router index, produces a `ClusterReport` bit-identical to the scan
+//!   loop's. Its simulated req/s prints beside the unified fleet's.
 //!
 //! Smoke knobs: `SCALE_SWEEP_MAX_REQUESTS` caps the largest request count
 //! (default 1,000,000), `SCALE_SWEEP_SCAN_REQUESTS` sizes the scan
-//! head-to-head (default 20,000 — the scan loop is quadratic-ish in
-//! fleet size, so it gets a smaller queue).
+//! head-to-head and the disaggregated leg (default 20,000 — the scan loop
+//! is quadratic-ish in fleet size, so it gets a smaller queue).
 //!
 //! Run with `cargo run --release -p moe-bench --bin scale_sweep`;
 //! pass `--json <path>` (or set `BENCH_JSON`) for machine-readable output.
@@ -29,7 +34,7 @@
 use moe_bench::{fmt3, json_output_path, obj, print_csv, print_header, print_row, JsonValue};
 use moe_lightning::{
     ClusterEvaluator, ClusterSpec, EvalSetting, LeastOutstandingTokens, NodeSpec, Recorder,
-    ServingMode, SystemKind,
+    ReplicaRole, ReplicaSpec, ServingMode, SystemKind,
 };
 use moe_workload::{ArrivalProcess, WorkloadSpec};
 use std::sync::Arc;
@@ -59,20 +64,43 @@ fn env_f64(key: &str, default: f64) -> f64 {
 }
 
 fn spec(replicas: usize, count: usize) -> ClusterSpec {
-    ClusterSpec::homogeneous(
-        SystemKind::MoeLightning,
-        WorkloadSpec::mtbench(),
-        &NodeSpec::t4_single(),
+    fleet(
+        ClusterSpec::homogeneous(
+            SystemKind::MoeLightning,
+            WorkloadSpec::mtbench(),
+            &NodeSpec::t4_single(),
+            replicas,
+        ),
         replicas,
+        count,
     )
-    .with_count(count)
-    .with_gen_len(GEN_LEN)
-    .with_seed(SEED)
-    .with_mode(ServingMode::Continuous)
-    .with_router(Arc::new(LeastOutstandingTokens))
-    .with_arrivals(ArrivalProcess::Poisson {
-        rate_per_sec: RATE_PER_REPLICA * replicas as f64,
-    })
+}
+
+/// The same scenario on a fleet split into a prefill pool (the first half)
+/// and a decode pool (the rest): every request is routed twice, once on
+/// arrival and once for its KV migration.
+fn split_spec(replicas: usize, count: usize) -> ClusterSpec {
+    let mut spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench());
+    for i in 0..replicas {
+        let role = if i < replicas / 2 {
+            ReplicaRole::Prefill
+        } else {
+            ReplicaRole::Decode
+        };
+        spec = spec.with_replica(ReplicaSpec::new(NodeSpec::t4_single()).with_role(role));
+    }
+    fleet(spec, replicas, count)
+}
+
+fn fleet(spec: ClusterSpec, replicas: usize, count: usize) -> ClusterSpec {
+    spec.with_count(count)
+        .with_gen_len(GEN_LEN)
+        .with_seed(SEED)
+        .with_mode(ServingMode::Continuous)
+        .with_router(Arc::new(LeastOutstandingTokens))
+        .with_arrivals(ArrivalProcess::Poisson {
+            rate_per_sec: RATE_PER_REPLICA * replicas as f64,
+        })
 }
 
 fn main() {
@@ -252,6 +280,63 @@ fn main() {
         (r, i) => {
             eprintln!(
                 "scale_sweep: head-to-head failed: scan={:?} indexed={:?}",
+                r.err(),
+                i.err()
+            );
+            failed = true;
+        }
+    }
+
+    // Disaggregated leg: the head-to-head's queue on the split fleet, on both
+    // loops. Only report identity gates it; the rate is printed beside the
+    // unified fleet's.
+    println!("\n-- disaggregated ({0} prefill + {0} decode), scan vs indexed @ {replicas} replicas, {count} requests --", replicas / 2);
+    let t0 = Instant::now();
+    let split_scan = evaluator()
+        .with_scan_loop()
+        .run(&split_spec(replicas, count));
+    let split_scan_wall = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let split_indexed = evaluator().run(&split_spec(replicas, count));
+    let split_wall = t0.elapsed().as_secs_f64();
+    match (split_scan, split_indexed) {
+        (Ok(want), Ok(got)) => {
+            let split_rate = count as f64 / split_wall.max(1e-9);
+            let unified_rate = count as f64 / indexed_wall.max(1e-9);
+            println!(
+                "scan: {split_scan_wall:.2}s   indexed: {split_wall:.2}s   \
+                 sim req/s: {split_rate:.0} (unified: {unified_rate:.0})"
+            );
+            print_csv(&[
+                "disagg".to_owned(),
+                replicas.to_string(),
+                count.to_string(),
+                fmt3(split_scan_wall),
+                fmt3(split_wall),
+                fmt3(split_rate),
+                fmt3(unified_rate),
+            ]);
+            json_rows.push(obj(vec![
+                ("table", "disagg".into()),
+                ("replicas", replicas.into()),
+                ("requests", count.into()),
+                ("served", got.served_requests().into()),
+                ("scan_wall_s", split_scan_wall.into()),
+                ("indexed_wall_s", split_wall.into()),
+                ("sim_requests_per_sec", split_rate.into()),
+                ("unified_sim_requests_per_sec", unified_rate.into()),
+                ("reports_identical", JsonValue::Bool(want == got)),
+            ]));
+            if want != got {
+                eprintln!(
+                    "scale_sweep: FAIL — disaggregated indexed report diverged from the scan loop"
+                );
+                failed = true;
+            }
+        }
+        (r, i) => {
+            eprintln!(
+                "scale_sweep: disaggregated leg failed: scan={:?} indexed={:?}",
                 r.err(),
                 i.err()
             );

@@ -604,9 +604,13 @@ impl ClusterReport {
 /// from:
 ///
 /// * the **indexed loop** (default) — an indexed min-priority event queue
-///   over the fleet, and offers from a [`RouterIndex`] of cached views
-///   refreshed only for replicas that changed (with
-///   [`Router::route_indexed`] fast paths);
+///   over the fleet, KV-migration landings from a heap in landing order, and
+///   offers from one [`RouterIndex`] of cached views per pool (arrivals and
+///   migrations on a fleet with role pools, one for the whole fleet
+///   otherwise), refreshed only for replicas whose state changed. A request
+///   that fits every budget in its pool is routed from the whole index (with
+///   [`Router::route_indexed`] fast paths); only a request masked for part of
+///   its pool gets a filtered copy of the cached views;
 /// * the **scan loop** ([`Self::with_scan_loop`]) — a linear scan over every
 ///   replica per event, and offers rebuilt from fresh views per routing
 ///   decision. `O(fleet)` per event; kept as the test reference the
@@ -741,6 +745,7 @@ impl ClusterEvaluator {
         let mut cursor = 0usize;
         let fleet_size = engines.len();
         let indexed = !self.scan_loop;
+        let pools = spec.has_role_pools();
         let mut plane = FleetLoop {
             cluster: self,
             spec,
@@ -758,12 +763,14 @@ impl ClusterEvaluator {
             last_scale: None,
             indexed,
             events: EventHeap::default(),
-            index: RouterIndex::new(),
+            indexes: (0..if pools { 2 } else { 1 })
+                .map(|_| RouterIndex::new())
+                .collect(),
             dirty: Vec::new(),
             is_dirty: vec![false; fleet_size],
             provisioning: 0,
             policy_cache,
-            disagg: DisaggState::new(spec.has_role_pools()),
+            disagg: DisaggState::new(pools),
             obs: ObsState::new(spec),
         };
         if indexed {
@@ -933,15 +940,19 @@ impl Pool {
     /// the prompt's KV (it runs the request's prefill-only phase); every
     /// other replica needs the full context to fit.
     pub(crate) fn admits(self, role: ReplicaRole, budget: u64, request: &Request) -> bool {
-        let in_pool = match self {
-            Pool::Arrivals => role.takes_arrivals(),
-            Pool::Migrations => role.takes_migrations(),
-        };
         let held = match role {
             ReplicaRole::Prefill => request.input_len,
             _ => request.max_context(),
         };
-        in_pool && held <= budget
+        self.takes(role) && held <= budget
+    }
+
+    /// Whether replicas of `role` belong to this pool at all.
+    pub(crate) fn takes(self, role: ReplicaRole) -> bool {
+        match self {
+            Pool::Arrivals => role.takes_arrivals(),
+            Pool::Migrations => role.takes_migrations(),
+        }
     }
 }
 
@@ -969,9 +980,11 @@ pub(crate) struct FleetLoop<'a> {
     indexed: bool,
     /// Min-heap over each replica's next internal event (indexed loop only).
     events: EventHeap,
-    /// Incrementally maintained serving-replica views for routing (indexed
-    /// loop only).
-    index: RouterIndex,
+    /// Incrementally maintained serving-replica views for routing, one
+    /// index per pool (indexed loop only): `[arrivals, migrations]` on a
+    /// fleet with role pools, and one index over the whole fleet, which is
+    /// both pools, on a fleet without.
+    indexes: Vec<RouterIndex>,
     /// Replicas touched since the last [`FleetLoop::flush_dirty`].
     dirty: Vec<usize>,
     /// Dedup membership for `dirty`, indexed by replica id.
@@ -1018,9 +1031,13 @@ impl EventHeap {
     }
 
     /// Records that replica `index`'s next internal event is now `next`,
-    /// invalidating any entry previously pushed for it.
+    /// invalidating any entry previously pushed for it. An unchanged event
+    /// (same [`TimeKey`]) keeps the entry already in the heap.
     fn refresh(&mut self, index: usize, next: Option<Seconds>) {
         self.grow(index + 1);
+        if self.next_at[index].map(Seconds::key) == next.map(Seconds::key) {
+            return;
+        }
         self.stamp[index] += 1;
         self.next_at[index] = next;
         if let Some(t) = next {
@@ -1072,8 +1089,9 @@ impl FleetLoop<'_> {
         }
     }
 
-    /// Brings the event heap and router index up to date with every replica
-    /// marked dirty since the last flush.
+    /// Brings the event heap and the router indexes up to date with every
+    /// replica marked dirty since the last flush. A serving replica sits in
+    /// the index of every pool its role belongs to.
     fn flush_dirty(&mut self) {
         while let Some(index) = self.dirty.pop() {
             self.is_dirty[index] = false;
@@ -1084,11 +1102,18 @@ impl FleetLoop<'_> {
                 None
             };
             self.events.refresh(index, next);
-            if engine.is_serving() {
-                let budget = engine.batching.cache_tokens_per_micro_batch;
-                self.index.upsert(engine.view(), engine.role, budget);
-            } else {
-                self.index.remove(index);
+            let view = engine.is_serving().then(|| engine.view());
+            let budget = engine.batching.cache_tokens_per_micro_batch;
+            for (pool, router_index) in [Pool::Arrivals, Pool::Migrations]
+                .into_iter()
+                .zip(self.indexes.iter_mut())
+            {
+                match view {
+                    Some(view) if pool.takes(engine.role) => {
+                        router_index.upsert(view, engine.role, budget)
+                    }
+                    _ => router_index.remove(index),
+                }
             }
         }
     }
@@ -1159,28 +1184,35 @@ impl FleetLoop<'_> {
     /// router names a replica outside the offer) with the offer size, or
     /// `None` when no serving replica is eligible.
     ///
-    /// The indexed loop offers the [`RouterIndex`]; when the run has no role
-    /// pools and the request fits every indexed budget, the whole index is
-    /// the offer and [`Router::route_indexed`] may answer without building
-    /// one. The scan loop offers fresh views of every engine.
+    /// The indexed loop offers the [`RouterIndex`] of the request's pool;
+    /// when the request's full context fits every budget in that pool, the
+    /// whole index is the offer and [`Router::route_indexed`] may answer
+    /// without building one. Only a request some replica of the pool is
+    /// masked for gets a filtered copy of the cached views. The scan loop
+    /// offers fresh views of every engine.
     pub(crate) fn place(&mut self, request: &Request, pool: Pool) -> Option<(ReplicaView, usize)> {
         let router = &self.spec.router;
         self.flush_dirty();
-        if self.indexed && !self.disagg.enabled && request.max_context() <= self.index.min_budget {
-            let first = self.index.views().first()?.id;
+        let index = match pool {
+            _ if !self.indexed => None,
+            Pool::Arrivals => self.indexes.first(),
+            Pool::Migrations => self.indexes.last(),
+        };
+        if let Some(index) = index.filter(|i| request.max_context() <= i.min_budget) {
+            let first = index.views().first()?.id;
             let chosen = router
-                .route_indexed(request, &self.index, &mut self.ctx)
-                .unwrap_or_else(|| router.route(request, self.index.views(), &mut self.ctx));
+                .route_indexed(request, index, &mut self.ctx)
+                .unwrap_or_else(|| router.route(request, index.views(), &mut self.ctx));
             self.ctx.decision += 1;
-            let id = if self.index.contains(chosen) {
+            let id = if index.contains(chosen) {
                 chosen
             } else {
                 first
             };
-            return Some((*self.index.view_of(id), self.index.len()));
+            return Some((*index.view_of(id), index.len()));
         }
-        let offer: Vec<ReplicaView> = if self.indexed {
-            self.index.eligible_views(request, pool)
+        let offer: Vec<ReplicaView> = if let Some(index) = index {
+            index.eligible_views(request, pool)
         } else {
             self.engines
                 .iter()
@@ -1470,6 +1502,21 @@ mod tests {
     use super::*;
     use crate::settings::EvalSetting;
     use moe_workload::SloClass;
+
+    #[test]
+    fn an_unchanged_next_event_pushes_nothing() {
+        let mut events = EventHeap::default();
+        let at = Seconds::from_secs(2.5);
+        events.refresh(0, Some(Seconds::from_secs(4.0)));
+        events.refresh(1, Some(at));
+        let (len, stamp) = (events.heap.len(), events.stamp[1]);
+        events.refresh(1, Some(at));
+        assert_eq!(events.heap.len(), len);
+        assert_eq!(events.stamp[1], stamp);
+        assert_eq!(events.peek(), Some((at, 1)));
+        events.refresh(1, None);
+        assert_eq!(events.peek(), Some((Seconds::from_secs(4.0), 0)));
+    }
 
     #[test]
     fn slo_attainment_requires_both_deadlines() {

@@ -109,23 +109,57 @@ impl RouterCtx {
 /// Marker for "replica id not present" in [`RouterIndex`] position tables.
 const ABSENT: usize = usize::MAX;
 
-/// Lazily-invalidated min-heap entry: `(key..., replica id, stamp)`.
+/// Lazily-invalidated min-heap entries: `(key..., replica id, stamp)`.
+type OutHeapEntry = Reverse<(u64, usize, u64)>;
 type KvHeapEntry = Reverse<(u64, u64, usize, u64)>;
 
-/// Incrementally-maintained routing index over the serving fleet, fed by the
-/// indexed dispatch path of [`crate::cluster::ClusterEvaluator::run`]: one
-/// cached [`ReplicaView`] per serving replica (refreshed only when that
-/// replica's state changed) plus two lazily-invalidated min-heaps answering
-/// the built-in routers' arg-min queries in `O(log n)` instead of the
-/// reference path's `O(n)` scan. Routers consume it through
-/// [`Router::route_indexed`].
+fn out_entry(view: &ReplicaView, stamp: u64) -> OutHeapEntry {
+    Reverse((view.outstanding_tokens, view.id.0, stamp))
+}
+
+fn kv_entry(view: &ReplicaView, stamp: u64) -> KvHeapEntry {
+    Reverse((
+        u64::MAX - view.kv_headroom(),
+        view.outstanding_tokens,
+        view.id.0,
+        stamp,
+    ))
+}
+
+/// Pushes `entry` into a heap that has been built. A heap that stale
+/// entries have grown past `cap` is dropped instead; its next query rebuilds
+/// it from the cached views in `O(n)`, so heap memory stays bounded through
+/// long stretches without queries.
+fn push_built<T: Ord>(heap: &mut Option<BinaryHeap<T>>, entry: T, cap: usize) {
+    if let Some(built) = heap {
+        built.push(entry);
+        if built.len() > cap {
+            *heap = None;
+        }
+    }
+}
+
+/// Incrementally-maintained routing index over one pool of the serving
+/// fleet, fed by the indexed dispatch path of
+/// [`crate::cluster::ClusterEvaluator::run`]. A fleet with role pools keeps
+/// one index for arrivals (prefill and unified replicas) and one for KV
+/// migrations (decode and unified replicas); a fleet without keeps one over
+/// every serving replica. Each index holds one cached [`ReplicaView`] per
+/// replica of its pool (refreshed only when that replica's state changed)
+/// plus two lazily-invalidated min-heaps answering the built-in routers'
+/// arg-min queries in `O(log n)` instead of the reference path's `O(n)`
+/// scan. Routers consume it through [`Router::route_indexed`].
 ///
-/// Staleness is handled by generation stamps: every refresh bumps the
-/// replica's stamp and pushes a fresh heap entry; entries whose stamp no
-/// longer matches are dropped when they surface at a query.
+/// A heap is built from the cached views the first time its query runs and
+/// maintained only from then on, so a router that never asks for it costs
+/// nothing. Staleness is handled by generation stamps: every refresh that
+/// changes a replica's view bumps its stamp and pushes fresh entries into the
+/// built heaps; entries whose stamp no longer matches are dropped when they
+/// surface at a query. A refresh that changes nothing pushes nothing, so the
+/// entry already in a heap stays fresh.
 #[derive(Debug)]
 pub struct RouterIndex {
-    /// Cached views of serving replicas, ascending by replica id.
+    /// Cached views of the pool's serving replicas, ascending by replica id.
     views: Vec<ReplicaView>,
     /// Pool role and per-micro-batch KV budget, parallel to `views`.
     budgets: Vec<(ReplicaRole, u64)>,
@@ -133,15 +167,17 @@ pub struct RouterIndex {
     pos: Vec<usize>,
     /// Replica id → generation stamp for lazy heap invalidation.
     stamp: Vec<u64>,
-    /// The tightest per-micro-batch KV budget across serving replicas: in a
-    /// run without role pools a request at or under it is maskable nowhere,
-    /// so the full cached slice is the offer.
+    /// The tightest per-micro-batch KV budget across the pool: a request
+    /// whose full context fits it is masked nowhere in the pool, so the full
+    /// cached slice is the offer.
     pub(crate) min_budget: u64,
-    /// Min-heap on `(outstanding_tokens, id, stamp)`.
-    out_heap: RefCell<BinaryHeap<Reverse<(u64, usize, u64)>>>,
+    /// Min-heap on `(outstanding_tokens, id, stamp)`; `None` until the first
+    /// [`Self::least_outstanding`] query.
+    out_heap: RefCell<Option<BinaryHeap<OutHeapEntry>>>,
     /// Min-heap on `(!kv_headroom, outstanding_tokens, id, stamp)` — i.e. a
-    /// max-heap on headroom with [`KvAware`]'s exact tie-breaks.
-    kv_heap: RefCell<BinaryHeap<KvHeapEntry>>,
+    /// max-heap on headroom with [`KvAware`]'s exact tie-breaks; `None`
+    /// until the first [`Self::most_kv_headroom`] query.
+    kv_heap: RefCell<Option<BinaryHeap<KvHeapEntry>>>,
 }
 
 impl RouterIndex {
@@ -152,14 +188,14 @@ impl RouterIndex {
             pos: Vec::new(),
             stamp: Vec::new(),
             min_budget: u64::MAX,
-            out_heap: RefCell::new(BinaryHeap::new()),
-            kv_heap: RefCell::new(BinaryHeap::new()),
+            out_heap: RefCell::new(None),
+            kv_heap: RefCell::new(None),
         }
     }
 
-    /// The cached views of every serving replica, ordered by replica id —
-    /// exactly the slice [`Router::route`] is offered when no replica is
-    /// masked for the request.
+    /// The cached views of the pool's serving replicas, ordered by replica
+    /// id — exactly the slice [`Router::route`] is offered when no replica
+    /// in the pool is masked for the request.
     pub fn views(&self) -> &[ReplicaView] {
         &self.views
     }
@@ -174,7 +210,8 @@ impl RouterIndex {
         self.views.is_empty()
     }
 
-    /// Whether `replica` is currently serving (and thus routable).
+    /// Whether `replica` is currently serving in this index's pool (and thus
+    /// routable).
     pub fn contains(&self, replica: ReplicaId) -> bool {
         self.pos.get(replica.0).is_some_and(|&p| p != ABSENT)
     }
@@ -196,6 +233,12 @@ impl RouterIndex {
     /// Panics if the index is empty.
     pub fn least_outstanding(&self) -> ReplicaId {
         let mut heap = self.out_heap.borrow_mut();
+        let heap = heap.get_or_insert_with(|| {
+            self.views
+                .iter()
+                .map(|v| out_entry(v, self.stamp[v.id.0]))
+                .collect()
+        });
         loop {
             let &Reverse((_, id, stamp)) = heap
                 .peek()
@@ -216,6 +259,12 @@ impl RouterIndex {
     /// Panics if the index is empty.
     pub fn most_kv_headroom(&self) -> ReplicaId {
         let mut heap = self.kv_heap.borrow_mut();
+        let heap = heap.get_or_insert_with(|| {
+            self.views
+                .iter()
+                .map(|v| kv_entry(v, self.stamp[v.id.0]))
+                .collect()
+        });
         loop {
             let &Reverse((_, _, id, stamp)) = heap
                 .peek()
@@ -227,14 +276,16 @@ impl RouterIndex {
         }
     }
 
-    /// Inserts or refreshes one serving replica's view.
+    /// Inserts or refreshes one serving replica's view. Refreshing a replica
+    /// with the view, role and budget it already has is a no-op.
     pub(crate) fn upsert(&mut self, view: ReplicaView, role: ReplicaRole, budget: u64) {
         let id = view.id.0;
         if self.pos.len() <= id {
             self.pos.resize(id + 1, ABSENT);
             self.stamp.resize(id + 1, 0);
         }
-        if self.pos[id] == ABSENT {
+        let at = self.pos[id];
+        if at == ABSENT {
             // Ids are assigned in join order so inserts usually append;
             // provisioning can finish out of id order, hence the search.
             let at = self.views.partition_point(|v| v.id.0 < id);
@@ -244,12 +295,16 @@ impl RouterIndex {
                 self.pos[v.id.0] = p;
             }
             self.min_budget = self.budgets.iter().map(|b| b.1).min().unwrap_or(u64::MAX);
+        } else if self.views[at] == view && self.budgets[at] == (role, budget) {
+            return;
         } else {
-            self.views[self.pos[id]] = view;
+            self.views[at] = view;
         }
-        self.stamp[id] += 1;
-        self.push_heaps(&view);
-        self.maybe_compact();
+        let stamp = self.stamp[id] + 1;
+        self.stamp[id] = stamp;
+        let cap = 4 * self.views.len() + 1024;
+        push_built(self.out_heap.get_mut(), out_entry(&view, stamp), cap);
+        push_built(self.kv_heap.get_mut(), kv_entry(&view, stamp), cap);
     }
 
     /// Drops a replica that stopped serving (drain, failure, departure).
@@ -268,36 +323,6 @@ impl RouterIndex {
             self.pos[v.id.0] = p;
         }
         self.min_budget = self.budgets.iter().map(|b| b.1).min().unwrap_or(u64::MAX);
-    }
-
-    fn push_heaps(&mut self, view: &ReplicaView) {
-        let stamp = self.stamp[view.id.0];
-        self.out_heap
-            .get_mut()
-            .push(Reverse((view.outstanding_tokens, view.id.0, stamp)));
-        self.kv_heap.get_mut().push(Reverse((
-            u64::MAX - view.kv_headroom(),
-            view.outstanding_tokens,
-            view.id.0,
-            stamp,
-        )));
-    }
-
-    /// Stale heap entries are dropped lazily at queries; long event-only
-    /// stretches (many refreshes, no routing decisions) rebuild here instead
-    /// so heap memory stays bounded by the fleet size.
-    fn maybe_compact(&mut self) {
-        let cap = 4 * self.views.len() + 1024;
-        if self.out_heap.get_mut().len() <= cap && self.kv_heap.get_mut().len() <= cap {
-            return;
-        }
-        self.out_heap.get_mut().clear();
-        self.kv_heap.get_mut().clear();
-        let views = std::mem::take(&mut self.views);
-        for view in &views {
-            self.push_heaps(view);
-        }
-        self.views = views;
     }
 
     /// The offer for a request some replicas are masked for: every serving
@@ -336,8 +361,10 @@ pub trait Router: fmt::Debug + Send + Sync {
     fn route(&self, request: &Request, replicas: &[ReplicaView], ctx: &mut RouterCtx) -> ReplicaId;
 
     /// Sub-linear fast path consulted *instead of* [`Router::route`] when the
-    /// dispatch engine maintains a [`RouterIndex`] and no replica is masked
-    /// for the request (every serving replica could take it). Return
+    /// dispatch engine maintains a [`RouterIndex`] per pool and no replica in
+    /// the request's pool is masked for it (every serving replica of the
+    /// pool could take it; on a fleet with role pools, `index` holds only
+    /// that pool's replicas). Return
     /// `Some(id)` to decide from the index's incremental aggregates in
     /// `O(log n)`, or `None` (the default) to fall back to `route` over the
     /// index's cached views — which is still allocation-free, just a linear
@@ -582,6 +609,79 @@ mod tests {
             PowerOfTwoChoices.route(&request, &views[..1], &mut ctx),
             ReplicaId(0)
         );
+    }
+
+    fn heap_lens(index: &RouterIndex) -> (usize, usize) {
+        (
+            index.out_heap.borrow().as_ref().map_or(0, BinaryHeap::len),
+            index.kv_heap.borrow().as_ref().map_or(0, BinaryHeap::len),
+        )
+    }
+
+    fn indexed(views: &[ReplicaView]) -> RouterIndex {
+        let mut index = RouterIndex::new();
+        for v in views {
+            index.upsert(*v, ReplicaRole::Unified, 4_096);
+        }
+        index
+    }
+
+    #[test]
+    fn an_identical_upsert_pushes_nothing_and_keeps_the_stamp() {
+        let views = [view(0, 50, 10), view(1, 20, 900), view(2, 20, 30)];
+        let mut index = indexed(&views);
+        assert_eq!(index.least_outstanding(), ReplicaId(1));
+        assert_eq!(index.most_kv_headroom(), ReplicaId(1));
+        let (lens, stamp) = (heap_lens(&index), index.stamp[1]);
+        index.upsert(views[1], ReplicaRole::Unified, 4_096);
+        assert_eq!(heap_lens(&index), lens);
+        assert_eq!(index.stamp[1], stamp);
+        // A changed view is a refresh: a new stamp and one push per heap.
+        index.upsert(view(1, 21, 900), ReplicaRole::Unified, 4_096);
+        assert_eq!(heap_lens(&index), (lens.0 + 1, lens.1 + 1));
+        assert_eq!(index.stamp[1], stamp + 1);
+        assert_eq!(index.least_outstanding(), ReplicaId(2));
+    }
+
+    #[test]
+    fn router_heaps_are_built_on_their_first_query() {
+        let views = [
+            view(3, 70, 500),
+            view(0, 40, 100),
+            view(5, 40, 500),
+            view(1, 90, 800),
+        ];
+        let mut index = indexed(&views);
+        for (i, v) in views.iter().enumerate() {
+            index.upsert(
+                view(v.id.0, v.outstanding_tokens + i as u64, 300),
+                ReplicaRole::Unified,
+                4_096,
+            );
+        }
+        assert_eq!(heap_lens(&index), (0, 0), "no query, no heap");
+        let least = |index: &RouterIndex| {
+            index
+                .views()
+                .iter()
+                .min_by_key(|v| (v.outstanding_tokens, v.id))
+                .map(|v| v.id)
+        };
+        assert_eq!(Some(index.least_outstanding()), least(&index));
+        assert_eq!(heap_lens(&index), (views.len(), 0), "only the queried heap");
+        let roomiest = |index: &RouterIndex| {
+            index
+                .views()
+                .iter()
+                .min_by_key(|v| (Reverse(v.kv_headroom()), v.outstanding_tokens, v.id))
+                .map(|v| v.id)
+        };
+        assert_eq!(Some(index.most_kv_headroom()), roomiest(&index));
+        // Both heaps answer the scans through later refreshes and removals.
+        index.upsert(view(1, 10, 50), ReplicaRole::Unified, 4_096);
+        index.remove(5);
+        assert_eq!(Some(index.least_outstanding()), least(&index));
+        assert_eq!(Some(index.most_kv_headroom()), roomiest(&index));
     }
 
     #[test]

@@ -7,16 +7,18 @@
 //! come out exactly as it arrived: a prefill-only phase and its handoff never
 //! change a request's shape.
 
+use moe_lightning::router::RouterIndex;
 use moe_lightning::{
     builtin_routers, ClusterEvaluator, ClusterReport, ClusterSpec, ClusterSpecError, EngineError,
     EvalSetting, FleetTimeline, InterconnectSpec, LeastOutstandingTokens, NodeSpec, Policy,
-    PrefixAware, Recorder, ReplicaId, ReplicaRole, ReplicaSpec, Router, Seconds, ServingMode,
-    StickySession, SystemKind, TelemetryEvent,
+    PrefixAware, Recorder, ReplicaId, ReplicaRole, ReplicaSpec, ReplicaView, RoundRobin, Router,
+    RouterCtx, Seconds, ServingMode, StickySession, SystemKind, TelemetryEvent,
 };
 use moe_trace::TraceRecorder;
 use moe_workload::{ArrivalProcess, GenLens, Request, WorkloadSpec};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 const MODES: [ServingMode; 2] = [ServingMode::RoundToCompletion, ServingMode::Continuous];
@@ -180,22 +182,191 @@ fn a_failed_prefill_replica_returns_original_requests() {
     }
 }
 
-/// The indexed fleet loop must reproduce the linear scan loop bit-for-bit
-/// in disaggregated dispatch (where migrations force per-event stepping),
-/// for every built-in router in both serving modes.
+/// Every router the disaggregated scan-vs-indexed oracle covers, built
+/// fresh per run because the session maps are stateful: the built-ins, then
+/// the session-affine ones, one sticky router over an inner router with an
+/// indexed fast path and one over an inner router without.
+fn oracle_routers() -> Vec<Arc<dyn Router>> {
+    let mut routers = builtin_routers();
+    routers.push(Arc::new(PrefixAware::new()));
+    routers.push(Arc::new(StickySession::new(Arc::new(
+        LeastOutstandingTokens,
+    ))));
+    routers.push(Arc::new(StickySession::new(Arc::new(RoundRobin))));
+    routers
+}
+
+/// Runs `spec` under the `k`-th oracle router on the scan loop and on the
+/// indexed loop (each with a fresh router) and asserts the reports are
+/// bit-identical. Returns the indexed report.
+fn assert_loops_agree(spec: impl Fn() -> ClusterSpec, k: usize, label: &str) -> ClusterReport {
+    let want = scan()
+        .run(&spec().with_router(oracle_routers().swap_remove(k)))
+        .unwrap();
+    let got = evaluator()
+        .run(&spec().with_router(oracle_routers().swap_remove(k)))
+        .unwrap();
+    let name = want.router.clone();
+    assert_reports_identical(&want, &got, &format!("{label}: {name} (router {k})"));
+    got
+}
+
+/// The indexed fleet loop, which routes each pool from its own router
+/// index, must reproduce the linear scan loop bit-for-bit in disaggregated
+/// dispatch (where migrations force per-event stepping), for every built-in
+/// and session-affine router in both serving modes, on one-turn requests and
+/// on a multi-turn session queue.
 #[test]
 fn indexed_loop_matches_scan_in_disagg_mode() {
+    let sessions = session_queue(200, 8, 11);
     for mode in MODES {
-        for router in builtin_routers() {
-            let name = router.name();
-            let want = scan()
-                .run(&split_fleet(1, 200, 11, mode).with_router(router.clone()))
-                .unwrap();
-            let got = evaluator()
-                .run(&split_fleet(1, 200, 11, mode).with_router(router))
-                .unwrap();
-            assert_reports_identical(&want, &got, &format!("{name} [{mode}] disagg"));
+        for k in 0..oracle_routers().len() {
+            assert_loops_agree(
+                || split_fleet(1, 200, 11, mode),
+                k,
+                &format!("[{mode}] disagg"),
+            );
+            assert_loops_agree(
+                || split_fleet(1, 200, 11, mode).with_queue(sessions.clone()),
+                k,
+                &format!("[{mode}] disagg sessions"),
+            );
         }
+    }
+}
+
+/// Counts how each decision reached the router: `route_indexed` (the whole
+/// pool index was the offer) or `route` over a filtered offer.
+#[derive(Debug)]
+struct OfferProbe {
+    inner: Arc<dyn Router>,
+    indexed: AtomicUsize,
+    filtered: AtomicUsize,
+}
+
+impl Router for OfferProbe {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn route(&self, request: &Request, replicas: &[ReplicaView], ctx: &mut RouterCtx) -> ReplicaId {
+        self.filtered.fetch_add(1, AtomicOrdering::Relaxed);
+        self.inner.route(request, replicas, ctx)
+    }
+
+    fn route_indexed(
+        &self,
+        request: &Request,
+        index: &RouterIndex,
+        ctx: &mut RouterCtx,
+    ) -> Option<ReplicaId> {
+        self.indexed.fetch_add(1, AtomicOrdering::Relaxed);
+        self.inner.route_indexed(request, index, ctx)
+    }
+}
+
+/// A split fleet with mixed KV budgets: in each pool one replica holds
+/// sixteen contexts of the policy's shape per micro-batch and the others
+/// hold one, so long requests are masked for the small replicas. The
+/// unified replica sits in both pools.
+fn mixed_budget_fleet(mode: ServingMode) -> ClusterSpec {
+    let small = Policy::offload_default(2, 2);
+    let mut spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+        .with_count(200)
+        .with_mixed_gen_lens()
+        .with_seed(23)
+        .with_mode(mode)
+        .with_arrivals(ArrivalProcess::Poisson { rate_per_sec: 2.0 });
+    for (role, policy) in [
+        (ReplicaRole::Prefill, policy()),
+        (ReplicaRole::Prefill, small),
+        (ReplicaRole::Decode, policy()),
+        (ReplicaRole::Decode, small),
+        (ReplicaRole::Unified, small),
+    ] {
+        spec = spec.with_replica(
+            ReplicaSpec::new(NodeSpec::t4_single())
+                .with_policy(policy)
+                .with_role(role),
+        );
+    }
+    spec
+}
+
+/// Requests masked for part of their pool take the filtered-offer fallback
+/// while the rest route from the pool index, and the indexed loop still
+/// equals the scan loop for every router in both modes.
+#[test]
+fn indexed_loop_matches_scan_with_budget_masked_requests() {
+    for mode in MODES {
+        for k in 0..oracle_routers().len() {
+            let report = assert_loops_agree(
+                || mixed_budget_fleet(mode),
+                k,
+                &format!("[{mode}] mixed budgets"),
+            );
+            assert_eq!(report.served_requests() + report.fleet_aborted.len(), 200);
+        }
+        let probe = Arc::new(OfferProbe {
+            inner: Arc::new(LeastOutstandingTokens),
+            indexed: AtomicUsize::new(0),
+            filtered: AtomicUsize::new(0),
+        });
+        evaluator()
+            .run(&mixed_budget_fleet(mode).with_router(probe.clone()))
+            .unwrap();
+        let (indexed, filtered) = (
+            probe.indexed.load(AtomicOrdering::Relaxed),
+            probe.filtered.load(AtomicOrdering::Relaxed),
+        );
+        assert!(
+            indexed > 0 && filtered > 0,
+            "[{mode}]: both kinds of decision must occur (indexed {indexed}, filtered {filtered})"
+        );
+    }
+}
+
+/// A decode replica fails while KV migrations to it are on the wire (a slow
+/// link keeps each one in flight for over a second, and the failure lands
+/// midway through one): the lost migrations re-enter at the front door
+/// identically on both loops, for every router in both modes.
+#[test]
+fn indexed_loop_matches_scan_when_a_decode_replica_fails_mid_migration() {
+    let base = |mode| {
+        split_fleet(2, 200, 13, mode).with_interconnect(InterconnectSpec::new(0.05, secs(1.0)))
+    };
+    for mode in MODES {
+        // Events before the failure do not depend on it, so a migration in
+        // flight at this instant without the failure is in flight with it.
+        let recorder = Arc::new(Recorder::new());
+        evaluator()
+            .run(&base(mode).with_telemetry(recorder.clone()))
+            .unwrap();
+        let fail_at = recorder
+            .events()
+            .iter()
+            .find_map(|e| match *e {
+                TelemetryEvent::MigrationStart {
+                    to: 3, eta_s, at, ..
+                } if at >= 20.0 => Some(secs((at + eta_s) / 2.0)),
+                _ => None,
+            })
+            .expect("replica 3 receives migrations");
+        let spec = || base(mode).with_timeline(FleetTimeline::new().fail_at(fail_at, ReplicaId(3)));
+        for k in 0..oracle_routers().len() {
+            assert_loops_agree(spec, k, &format!("[{mode}] decode failure"));
+        }
+        let recorder = Arc::new(Recorder::new());
+        evaluator()
+            .run(&spec().with_telemetry(recorder.clone()))
+            .unwrap();
+        assert!(
+            recorder.events().iter().any(|e| matches!(
+                *e,
+                TelemetryEvent::MigrationLost { to: 3, at, .. } if at == fail_at.as_secs()
+            )),
+            "[{mode}]: the failure must catch migrations in flight"
+        );
     }
 }
 
