@@ -4,11 +4,12 @@
 //! event settled per iteration) — with a head-to-head against the
 //! O(fleet)-per-event linear scan loop at the largest fleet size, a
 //! telemetry-overhead leg that re-runs the same scenario with a recording
-//! `TelemetrySink` attached, and a disaggregated leg that splits the largest
+//! `TelemetrySink` attached, a disaggregated leg that splits the largest
 //! fleet into a prefill half and a decode half and runs the head-to-head's
-//! queue on both loops.
+//! queue on both loops, and an autoscaled leg that runs the same queue on
+//! the largest fleet under an `SloAttainmentScaler`, on both loops.
 //!
-//! Four assertions gate the run (exit code 1 on violation):
+//! Five assertions gate the run (exit code 1 on violation):
 //!
 //! * the whole sweep finishes inside `SCALE_SWEEP_BUDGET_S` seconds
 //!   (default 600),
@@ -21,11 +22,16 @@
 //!   no-sink wall clock, and produces a bit-identical `ClusterReport`, and
 //! * on the split fleet the indexed loop, which routes each pool from its
 //!   own router index, produces a `ClusterReport` bit-identical to the scan
-//!   loop's. Its simulated req/s prints beside the unified fleet's.
+//!   loop's. Its simulated req/s prints beside the unified fleet's, and
+//! * on the autoscaled fleet, whose scaler observes the fleet at every
+//!   arrival and completion, the indexed loop produces a `ClusterReport`
+//!   bit-identical to the scan loop's. Its simulated req/s prints beside
+//!   the static fleet's.
 //!
 //! Smoke knobs: `SCALE_SWEEP_MAX_REQUESTS` caps the largest request count
 //! (default 1,000,000), `SCALE_SWEEP_SCAN_REQUESTS` sizes the scan
-//! head-to-head and the disaggregated leg (default 20,000 — the scan loop
+//! head-to-head and the disaggregated and autoscaled legs (default 20,000 —
+//! the scan loop
 //! is quadratic-ish in fleet size, so it gets a smaller queue).
 //!
 //! Run with `cargo run --release -p moe-bench --bin scale_sweep`;
@@ -33,8 +39,9 @@
 
 use moe_bench::{fmt3, json_output_path, obj, print_csv, print_header, print_row, JsonValue};
 use moe_lightning::{
-    ClusterEvaluator, ClusterSpec, EvalSetting, LeastOutstandingTokens, NodeSpec, Recorder,
-    ReplicaRole, ReplicaSpec, ServingMode, SystemKind,
+    ClusterEvaluator, ClusterReport, ClusterSpec, EvalSetting, FleetTimeline,
+    LeastOutstandingTokens, NodeSpec, Recorder, ReplicaRole, ReplicaSpec, ScaleBounds, Seconds,
+    ServingMode, SloAttainmentScaler, SloSpec, SystemKind,
 };
 use moe_workload::{ArrivalProcess, WorkloadSpec};
 use std::sync::Arc;
@@ -90,6 +97,28 @@ fn split_spec(replicas: usize, count: usize) -> ClusterSpec {
         spec = spec.with_replica(ReplicaSpec::new(NodeSpec::t4_single()).with_role(role));
     }
     fleet(spec, replicas, count)
+}
+
+/// The same scenario under an [`SloAttainmentScaler`] that may grow the
+/// fleet by a tenth. The SLO is the static indexed run's TTFT p90 and
+/// per-token p99, so the scaler sees misses and acts; joins take half a
+/// simulated second to come up.
+fn autoscaled_spec(replicas: usize, count: usize, slo: SloSpec) -> ClusterSpec {
+    spec(replicas, count)
+        .with_slo(slo)
+        .with_autoscaler(
+            Arc::new(SloAttainmentScaler::new(slo, 95.0)),
+            ScaleBounds::new(replicas, replicas + replicas / 10, Seconds::from_secs(0.1)),
+        )
+        .with_timeline(FleetTimeline::new().with_provisioning_delay(Seconds::from_secs(0.5)))
+}
+
+/// The autoscaled leg's SLO, read off the static indexed run.
+fn observed_slo(report: &ClusterReport) -> SloSpec {
+    SloSpec {
+        ttft: report.ttft().p90,
+        per_token: report.per_token().p99,
+    }
 }
 
 fn fleet(spec: ClusterSpec, replicas: usize, count: usize) -> ClusterSpec {
@@ -191,6 +220,7 @@ fn main() {
     let t0 = Instant::now();
     let indexed = evaluator().run(&spec(replicas, count));
     let indexed_wall = t0.elapsed().as_secs_f64();
+    let slo = indexed.as_ref().ok().map(observed_slo);
     match (scan, indexed) {
         (Ok(want), Ok(got)) => {
             let speedup = scan_wall / indexed_wall.max(1e-9);
@@ -341,6 +371,76 @@ fn main() {
                 i.err()
             );
             failed = true;
+        }
+    }
+
+    // Autoscaled leg: the head-to-head's queue on the unified fleet with an
+    // SLO-attainment scaler, on both loops. Only report identity gates it;
+    // the rate is printed beside the static fleet's.
+    if let Some(slo) = slo {
+        println!(
+            "\n-- autoscaled (slo-attainment, {replicas}..{} replicas), scan vs indexed, \
+             {count} requests --",
+            replicas + replicas / 10
+        );
+        let t0 = Instant::now();
+        let scaled_scan = evaluator()
+            .with_scan_loop()
+            .run(&autoscaled_spec(replicas, count, slo));
+        let scaled_scan_wall = t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        let scaled_indexed = evaluator().run(&autoscaled_spec(replicas, count, slo));
+        let scaled_wall = t0.elapsed().as_secs_f64();
+        match (scaled_scan, scaled_indexed) {
+            (Ok(want), Ok(got)) => {
+                let scaled_rate = count as f64 / scaled_wall.max(1e-9);
+                let static_rate = count as f64 / indexed_wall.max(1e-9);
+                let joins = got.availability.joins.len();
+                println!(
+                    "scan: {scaled_scan_wall:.2}s   indexed: {scaled_wall:.2}s   \
+                     sim req/s: {scaled_rate:.0} (static: {static_rate:.0}, {:.2}x)   \
+                     joins: {joins}   drains: {}",
+                    scaled_rate / static_rate.max(1e-9),
+                    got.availability.drains.len()
+                );
+                print_csv(&[
+                    "autoscaled".to_owned(),
+                    replicas.to_string(),
+                    count.to_string(),
+                    fmt3(scaled_scan_wall),
+                    fmt3(scaled_wall),
+                    fmt3(scaled_rate),
+                    fmt3(static_rate),
+                    joins.to_string(),
+                ]);
+                json_rows.push(obj(vec![
+                    ("table", "autoscaled".into()),
+                    ("replicas", replicas.into()),
+                    ("requests", count.into()),
+                    ("served", got.served_requests().into()),
+                    ("joins", joins.into()),
+                    ("drains", got.availability.drains.len().into()),
+                    ("scan_wall_s", scaled_scan_wall.into()),
+                    ("indexed_wall_s", scaled_wall.into()),
+                    ("sim_requests_per_sec", scaled_rate.into()),
+                    ("static_sim_requests_per_sec", static_rate.into()),
+                    ("reports_identical", JsonValue::Bool(want == got)),
+                ]));
+                if want != got {
+                    eprintln!(
+                        "scale_sweep: FAIL — autoscaled indexed report diverged from the scan loop"
+                    );
+                    failed = true;
+                }
+            }
+            (r, i) => {
+                eprintln!(
+                    "scale_sweep: autoscaled leg failed: scan={:?} indexed={:?}",
+                    r.err(),
+                    i.err()
+                );
+                failed = true;
+            }
         }
     }
 

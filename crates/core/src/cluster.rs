@@ -746,6 +746,7 @@ impl ClusterEvaluator {
         let fleet_size = engines.len();
         let indexed = !self.scan_loop;
         let pools = spec.has_role_pools();
+        let membership = Membership::count(&engines);
         let mut plane = FleetLoop {
             cluster: self,
             spec,
@@ -768,7 +769,8 @@ impl ClusterEvaluator {
                 .collect(),
             dirty: Vec::new(),
             is_dirty: vec![false; fleet_size],
-            provisioning: 0,
+            membership,
+            pooled_views: Vec::new(),
             policy_cache,
             disagg: DisaggState::new(pools),
             obs: ObsState::new(spec),
@@ -989,12 +991,14 @@ pub(crate) struct FleetLoop<'a> {
     dirty: Vec<usize>,
     /// Dedup membership for `dirty`, indexed by replica id.
     is_dirty: Vec<bool>,
-    /// Count of engines currently in [`Lifecycle::Provisioning`], maintained
-    /// at every transition into or out of it (`join_replica`,
-    /// `finish_provisioning`, `cancel_join`), so the autoscaler reads it and
+    /// Replicas per lifecycle state, kept at every transition by
+    /// [`FleetLoop::set_lifecycle`], so the autoscaler reads the counts and
     /// the per-iteration provisioning scan is skipped when nothing is coming
     /// up.
-    provisioning: usize,
+    membership: Membership,
+    /// Reused buffer for the autoscaler's serving views on a fleet with role
+    /// pools: the id-ordered union of the two router indexes.
+    pooled_views: Vec<ReplicaView>,
     /// Per-node memo of the policy search (see
     /// [`ClusterEvaluator::build_engine`]), shared with joins.
     policy_cache: Vec<(NodeSpec, Policy)>,
@@ -1004,6 +1008,48 @@ pub(crate) struct FleetLoop<'a> {
     /// Telemetry sampling cursor and self-profiling accumulators (see
     /// [`crate::observe`]).
     pub(crate) obs: ObsState,
+}
+
+/// How many replicas are in each counted lifecycle state (departed ones are
+/// not counted).
+#[derive(Debug, Default, Clone, Copy)]
+struct Membership {
+    provisioning: usize,
+    serving: usize,
+    draining: usize,
+}
+
+impl Membership {
+    /// Counts `engines` by scanning them: the starting counts, and the
+    /// scan loop's reference for the kept ones.
+    fn count(engines: &[ReplicaEngine]) -> Self {
+        let mut membership = Membership::default();
+        for engine in engines {
+            membership.enter(engine.lifecycle);
+        }
+        membership
+    }
+
+    fn count_of(&mut self, lifecycle: Lifecycle) -> Option<&mut usize> {
+        match lifecycle {
+            Lifecycle::Provisioning { .. } => Some(&mut self.provisioning),
+            Lifecycle::Serving => Some(&mut self.serving),
+            Lifecycle::Draining { .. } => Some(&mut self.draining),
+            Lifecycle::Departed { .. } => None,
+        }
+    }
+
+    fn enter(&mut self, lifecycle: Lifecycle) {
+        if let Some(n) = self.count_of(lifecycle) {
+            *n += 1;
+        }
+    }
+
+    fn leave(&mut self, lifecycle: Lifecycle) {
+        if let Some(n) = self.count_of(lifecycle) {
+            *n -= 1;
+        }
+    }
 }
 
 /// Fleet-wide min-priority queue over each replica's next internal event,
@@ -1070,8 +1116,13 @@ impl EventHeap {
 }
 
 impl FleetLoop<'_> {
-    fn serving_count(&self) -> usize {
-        self.engines.iter().filter(|e| e.is_serving()).count()
+    /// Moves replica `index` to lifecycle state `to`, keeping the
+    /// per-state counts. The caller marks it dirty and records the
+    /// transition.
+    fn set_lifecycle(&mut self, index: usize, to: Lifecycle) {
+        let from = std::mem::replace(&mut self.engines[index].lifecycle, to);
+        self.membership.leave(from);
+        self.membership.enter(to);
     }
 
     /// Queues replica `index` for re-synchronisation of its event-heap entry
@@ -1118,16 +1169,9 @@ impl FleetLoop<'_> {
         }
     }
 
-    fn draining_count(&self) -> usize {
-        self.engines
-            .iter()
-            .filter(|e| matches!(e.lifecycle, Lifecycle::Draining { .. }))
-            .count()
-    }
-
     /// The earliest provisioning completion, if any replica is coming up.
     fn next_provisioning_ready(&self) -> Option<(Seconds, usize)> {
-        if self.provisioning == 0 {
+        if self.membership.provisioning == 0 {
             return None;
         }
         self.engines
@@ -1260,7 +1304,7 @@ impl FleetLoop<'_> {
     /// Marks a replica as gone (failure, drain completion, or cancelled join)
     /// and tells the router.
     fn depart(&mut self, index: usize, at: Seconds) {
-        self.engines[index].lifecycle = Lifecycle::Departed { at };
+        self.set_lifecycle(index, Lifecycle::Departed { at });
         self.note_lifecycle(index, "departed", at);
         self.departures.push((ReplicaId(index), at));
         self.mark_dirty(index);
@@ -1272,9 +1316,8 @@ impl FleetLoop<'_> {
     /// A provisioning replica finished coming up: it starts serving and the
     /// router learns about it.
     fn finish_provisioning(&mut self, index: usize, at: Seconds) {
-        self.engines[index].lifecycle = Lifecycle::Serving;
+        self.set_lifecycle(index, Lifecycle::Serving);
         self.note_lifecycle(index, "serving", at);
-        self.provisioning = self.provisioning.saturating_sub(1);
         self.joins.push((ReplicaId(index), at));
         self.mark_dirty(index);
         self.spec
@@ -1297,9 +1340,9 @@ impl FleetLoop<'_> {
         if !self.disagg.enabled {
             engine.role = ReplicaRole::Unified;
         }
+        self.membership.enter(engine.lifecycle);
         self.engines.push(engine);
         self.note_lifecycle(index, "provisioning", now);
-        self.provisioning += 1;
         self.mark_dirty(index);
         Ok(())
     }
@@ -1327,6 +1370,7 @@ impl FleetLoop<'_> {
                 // kill it: whatever completed by t was delivered.
                 self.step_replica(rid.0, t)?;
                 let lost = self.engines[rid.0].fail(t);
+                self.set_lifecycle(rid.0, Lifecycle::Departed { at: t });
                 self.mark_dirty(rid.0);
                 self.note_lifecycle(rid.0, "failed", t);
                 self.failures.push((rid, t));
@@ -1366,6 +1410,15 @@ impl FleetLoop<'_> {
 
     /// One autoscaler observation at time `t`, gated by the cooldown and
     /// executed within the configured [`ScaleBounds`].
+    ///
+    /// Cost per observation on the indexed loop: flushing the replicas
+    /// touched since the last flush, then `O(1)` to build the [`FleetView`]
+    /// on a fleet without role pools — its serving views are a borrow of the
+    /// router index's cached slice and the membership counts are kept at
+    /// every lifecycle transition. A fleet with role pools copies the union
+    /// of its two indexes into a reused buffer (`O(fleet)`, no allocation).
+    /// The scan loop builds fresh views and counts the fleet, as the
+    /// reference. The scaler's own reads come on top.
     fn maybe_autoscale(&mut self, t: Seconds) -> Result<(), EngineError> {
         let Some((scaler, bounds)) = self.spec.autoscaler.as_ref() else {
             return Ok(());
@@ -1376,22 +1429,34 @@ impl FleetLoop<'_> {
                 return Ok(());
             }
         }
-        let views: Vec<ReplicaView> = self
-            .engines
-            .iter()
-            .filter(|e| e.is_serving())
-            .map(|e| e.view())
-            .collect();
+        self.flush_dirty();
+        let fresh: Vec<ReplicaView>;
+        let (replicas, membership): (&[ReplicaView], Membership) = match self.indexes.as_slice() {
+            _ if !self.indexed => {
+                fresh = self
+                    .engines
+                    .iter()
+                    .filter(|e| e.is_serving())
+                    .map(|e| e.view())
+                    .collect();
+                (&fresh, Membership::count(&self.engines))
+            }
+            [fleet] => (fleet.views(), self.membership),
+            [arrivals, migrations] => {
+                union_by_id(arrivals.views(), migrations.views(), &mut self.pooled_views);
+                (&self.pooled_views, self.membership)
+            }
+            _ => unreachable!("a fleet keeps one router index, or one per pool"),
+        };
         let fleet = FleetView {
             now: t,
-            replicas: &views,
-            provisioning: self.provisioning,
-            draining: self.draining_count(),
+            replicas,
+            provisioning: membership.provisioning,
+            draining: membership.draining,
             recent: &self.recent,
         };
         let decision = scaler.observe(&fleet, t);
-        drop(views);
-        let target = self.serving_count() + self.provisioning;
+        let target = membership.serving + membership.provisioning;
         match decision {
             ScaleDecision::Hold => {}
             ScaleDecision::Up if target < bounds.max_replicas => {
@@ -1458,7 +1523,8 @@ impl FleetLoop<'_> {
     /// Starts draining serving replica `index` at `t`: its queued requests
     /// are re-routed, and it departs at once if nothing is in flight.
     fn drain_replica(&mut self, index: usize, t: Seconds) {
-        let queued = self.engines[index].begin_drain(t);
+        self.set_lifecycle(index, Lifecycle::Draining { since: t });
+        let queued = self.engines[index].begin_drain();
         self.mark_dirty(index);
         self.note_lifecycle(index, "draining", t);
         self.drains.push((ReplicaId(index), t));
@@ -1473,11 +1539,37 @@ impl FleetLoop<'_> {
     /// Cancels the join of provisioning replica `index` at `t`: it departs
     /// without ever serving, recorded as lifecycle transition `label`.
     fn cancel_join(&mut self, index: usize, t: Seconds, label: &'static str) {
-        self.engines[index].lifecycle = Lifecycle::Departed { at: t };
+        self.set_lifecycle(index, Lifecycle::Departed { at: t });
         self.note_lifecycle(index, label, t);
-        self.provisioning = self.provisioning.saturating_sub(1);
         self.mark_dirty(index);
     }
+}
+
+/// Writes the union of two id-ordered view slices into `out`, in id order; a
+/// replica in both (a unified replica of a fleet with role pools) appears
+/// once.
+fn union_by_id(a: &[ReplicaView], b: &[ReplicaView], out: &mut Vec<ReplicaView>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].id.cmp(&b[j].id) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 /// Wraps a finished engine into its per-replica report, capturing the

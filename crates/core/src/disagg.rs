@@ -42,8 +42,9 @@ use crate::router::{ReplicaId, ReplicaView, Router, RouterCtx, RouterIndex};
 use moe_hardware::{Bandwidth, Seconds, TimeKey};
 use moe_workload::Request;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex};
 
 /// Which phase of serving a replica's pool runs (see [`ReplicaSpec::with_role`]).
@@ -193,15 +194,41 @@ pub const PREFIX_BLOCK_TOKENS: u64 = 32;
 /// Arena slot of one cached block in the trie.
 #[derive(Debug, Clone)]
 struct CacheNode {
-    children: HashMap<u64, usize>,
     parent: usize,
     key: u64,
     last_used: u64,
-    in_use: bool,
+    /// Number of cached child blocks; a node with none is an evictable leaf.
+    children: u32,
 }
 
 /// Index of the trie root (a sentinel holding no tokens).
 const CACHE_ROOT: usize = 0;
+
+/// Hasher for the trie's `(parent slot, block key)` edges. Block keys are
+/// already splitmix-mixed, so one multiply-xor round per word spreads them;
+/// the edge map is never iterated, so the hash cannot change any result.
+#[derive(Debug, Clone, Copy, Default)]
+struct EdgeHasher(u64);
+
+impl std::hash::Hasher for EdgeHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
 
 /// A per-replica prefix cache: a block-granular prefix trie with a token
 /// capacity and LRU leaf eviction. A hit skips the matched prefix's prefill
@@ -211,10 +238,21 @@ const CACHE_ROOT: usize = 0;
 /// `(session, block index)`: the cache models multi-turn shared history
 /// within a session — exactly the reuse [`StickySession`] and
 /// [`PrefixAware`] routing make reachable — not cross-session sharing.
+///
+/// Cost: a lookup or insert of a `b`-block prompt takes `O(b)` edge-map
+/// probes plus `O(log n)` per touched leaf and per evicted block, `n` the
+/// resident blocks. Evictable leaves sit in a set ordered by
+/// `(last_used, slot)`, so the victim is always the least recently used
+/// leaf, ties to the lowest arena slot, without scanning the arena.
 #[derive(Debug, Clone)]
 pub struct PrefixCache {
     capacity_tokens: u64,
     nodes: Vec<CacheNode>,
+    /// Trie edges: `(parent slot, block key)` → child slot.
+    edges: HashMap<(usize, u64), usize, BuildHasherDefault<EdgeHasher>>,
+    /// Every evictable leaf (a resident non-root node without children),
+    /// keyed `(last_used, slot)`.
+    leaves: BTreeSet<(u64, usize)>,
     free: Vec<usize>,
     resident_tokens: u64,
     tick: u64,
@@ -237,12 +275,13 @@ impl PrefixCache {
         PrefixCache {
             capacity_tokens,
             nodes: vec![CacheNode {
-                children: HashMap::new(),
                 parent: CACHE_ROOT,
                 key: 0,
                 last_used: 0,
-                in_use: true,
+                children: 0,
             }],
+            edges: HashMap::default(),
+            leaves: BTreeSet::new(),
             free: Vec::new(),
             resident_tokens: 0,
             tick: 0,
@@ -264,10 +303,10 @@ impl PrefixCache {
         let mut node = CACHE_ROOT;
         let mut matched = 0u64;
         for i in 0..blocks {
-            match self.nodes[node].children.get(&block_key(session, i)) {
+            match self.edges.get(&(node, block_key(session, i))) {
                 Some(&child) => {
                     node = child;
-                    self.nodes[node].last_used = self.tick;
+                    self.touch(node);
                     matched += 1;
                 }
                 None => break,
@@ -294,28 +333,37 @@ impl PrefixCache {
         let mut node = CACHE_ROOT;
         for i in 0..blocks {
             let key = block_key(session, i);
-            if let Some(&child) = self.nodes[node].children.get(&key) {
+            if let Some(&child) = self.edges.get(&(node, key)) {
                 node = child;
-                self.nodes[node].last_used = self.tick;
+                self.touch(node);
             } else {
-                let child = self.alloc(node, key);
-                self.nodes[node].children.insert(key, child);
-                node = child;
+                node = self.alloc(node, key);
                 self.resident_tokens += PREFIX_BLOCK_TOKENS;
             }
         }
         self.evict_over_capacity();
     }
 
+    /// Stamps `node` as used now, re-keying it in the leaf set if it is a
+    /// leaf.
+    fn touch(&mut self, node: usize) {
+        let n = &mut self.nodes[node];
+        if n.children == 0 {
+            self.leaves.remove(&(n.last_used, node));
+            self.leaves.insert((self.tick, node));
+        }
+        n.last_used = self.tick;
+    }
+
+    /// Adds a leaf block under `parent`; the parent stops being a leaf.
     fn alloc(&mut self, parent: usize, key: u64) -> usize {
         let node = CacheNode {
-            children: HashMap::new(),
             parent,
             key,
             last_used: self.tick,
-            in_use: true,
+            children: 0,
         };
-        match self.free.pop() {
+        let slot = match self.free.pop() {
             Some(slot) => {
                 self.nodes[slot] = node;
                 slot
@@ -324,25 +372,32 @@ impl PrefixCache {
                 self.nodes.push(node);
                 self.nodes.len() - 1
             }
+        };
+        let p = &mut self.nodes[parent];
+        if p.children == 0 && parent != CACHE_ROOT {
+            self.leaves.remove(&(p.last_used, parent));
         }
+        p.children += 1;
+        self.edges.insert((parent, key), slot);
+        self.leaves.insert((self.tick, slot));
+        slot
     }
 
     /// Evicts least-recently-used leaves (deepest blocks first, since only
-    /// leaves are evictable) until resident tokens fit the capacity.
+    /// leaves are evictable) until resident tokens fit the capacity. A
+    /// parent left without children becomes a leaf itself.
     fn evict_over_capacity(&mut self) {
         while self.resident_tokens > self.capacity_tokens {
-            let victim = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(i, n)| *i != CACHE_ROOT && n.in_use && n.children.is_empty())
-                .min_by_key(|(i, n)| (n.last_used, *i))
-                .map(|(i, _)| i);
-            let Some(victim) = victim else { break };
-            let parent = self.nodes[victim].parent;
-            let key = self.nodes[victim].key;
-            self.nodes[parent].children.remove(&key);
-            self.nodes[victim].in_use = false;
+            let Some((_, victim)) = self.leaves.pop_first() else {
+                break;
+            };
+            let CacheNode { parent, key, .. } = self.nodes[victim];
+            self.edges.remove(&(parent, key));
+            let p = &mut self.nodes[parent];
+            p.children -= 1;
+            if p.children == 0 && parent != CACHE_ROOT {
+                self.leaves.insert((p.last_used, parent));
+            }
             self.free.push(victim);
             self.resident_tokens -= PREFIX_BLOCK_TOKENS;
         }
@@ -887,8 +942,182 @@ mod tests {
             .map(|(i, _)| i)
     }
 
+    /// The prefix cache as it was before the ordered leaf set: one
+    /// `HashMap` of children per trie node and an arena scan for the LRU
+    /// leaf on every eviction — the reference the [`PrefixCache`] must
+    /// agree with, return value for return value.
+    struct ScanCache {
+        capacity_tokens: u64,
+        nodes: Vec<ScanNode>,
+        free: Vec<usize>,
+        resident_tokens: u64,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+        hit_tokens: u64,
+    }
+
+    struct ScanNode {
+        children: HashMap<u64, usize>,
+        parent: usize,
+        key: u64,
+        last_used: u64,
+        in_use: bool,
+    }
+
+    impl ScanCache {
+        fn new(capacity_tokens: u64) -> Self {
+            ScanCache {
+                capacity_tokens,
+                nodes: vec![ScanNode {
+                    children: HashMap::new(),
+                    parent: CACHE_ROOT,
+                    key: 0,
+                    last_used: 0,
+                    in_use: true,
+                }],
+                free: Vec::new(),
+                resident_tokens: 0,
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                hit_tokens: 0,
+            }
+        }
+
+        fn lookup(&mut self, session: u64, input_len: u64) -> u64 {
+            let blocks = input_len / PREFIX_BLOCK_TOKENS;
+            if blocks == 0 {
+                return 0;
+            }
+            self.tick += 1;
+            let mut node = CACHE_ROOT;
+            let mut matched = 0u64;
+            for i in 0..blocks {
+                match self.nodes[node].children.get(&block_key(session, i)) {
+                    Some(&child) => {
+                        node = child;
+                        self.nodes[node].last_used = self.tick;
+                        matched += 1;
+                    }
+                    None => break,
+                }
+            }
+            if matched > 0 {
+                self.hits += 1;
+                self.hit_tokens += matched * PREFIX_BLOCK_TOKENS;
+            } else {
+                self.misses += 1;
+            }
+            matched * PREFIX_BLOCK_TOKENS
+        }
+
+        fn insert(&mut self, session: u64, input_len: u64) {
+            let blocks = input_len / PREFIX_BLOCK_TOKENS;
+            if blocks == 0 || self.capacity_tokens == 0 {
+                return;
+            }
+            self.tick += 1;
+            let mut node = CACHE_ROOT;
+            for i in 0..blocks {
+                let key = block_key(session, i);
+                if let Some(&child) = self.nodes[node].children.get(&key) {
+                    node = child;
+                    self.nodes[node].last_used = self.tick;
+                } else {
+                    let fresh = ScanNode {
+                        children: HashMap::new(),
+                        parent: node,
+                        key,
+                        last_used: self.tick,
+                        in_use: true,
+                    };
+                    let child = match self.free.pop() {
+                        Some(slot) => {
+                            self.nodes[slot] = fresh;
+                            slot
+                        }
+                        None => {
+                            self.nodes.push(fresh);
+                            self.nodes.len() - 1
+                        }
+                    };
+                    self.nodes[node].children.insert(key, child);
+                    node = child;
+                    self.resident_tokens += PREFIX_BLOCK_TOKENS;
+                }
+            }
+            while self.resident_tokens > self.capacity_tokens {
+                let victim = self
+                    .nodes
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, n)| *i != CACHE_ROOT && n.in_use && n.children.is_empty())
+                    .min_by_key(|(i, n)| (n.last_used, *i))
+                    .map(|(i, _)| i);
+                let Some(victim) = victim else { break };
+                let (parent, key) = (self.nodes[victim].parent, self.nodes[victim].key);
+                self.nodes[parent].children.remove(&key);
+                self.nodes[victim].in_use = false;
+                self.free.push(victim);
+                self.resident_tokens -= PREFIX_BLOCK_TOKENS;
+            }
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats {
+                capacity_tokens: self.capacity_tokens,
+                resident_tokens: self.resident_tokens,
+                hits: self.hits,
+                misses: self.misses,
+                hit_tokens: self.hit_tokens,
+            }
+        }
+    }
+
+    /// Capacities drawn by the cache oracle: none, under one block, exactly
+    /// one block, three blocks, and one that rarely fills.
+    const ORACLE_CAPACITIES: [u64; 5] = [0, 16, 32, 96, 8192];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random lookups and inserts over a few sessions, prompt lengths
+        /// 0–600 and every oracle capacity: after each operation the cache
+        /// returns, counts and holds exactly what the arena-scan reference
+        /// does, so eviction picks the same victims in the same order.
+        #[test]
+        fn prefix_cache_matches_the_scan_eviction_reference(
+            capacity in 0usize..5,
+            ops in collection::vec((0u8..2, 0u64..6, 0u64..=600), 1..200),
+        ) {
+            let capacity = ORACLE_CAPACITIES[capacity];
+            let mut cache = PrefixCache::new(capacity);
+            let mut model = ScanCache::new(capacity);
+            for (op, session, input_len) in ops {
+                if op == 0 {
+                    prop_assert_eq!(
+                        cache.lookup(session, input_len),
+                        model.lookup(session, input_len)
+                    );
+                } else {
+                    cache.insert(session, input_len);
+                    model.insert(session, input_len);
+                }
+                prop_assert_eq!(cache.stats(), model.stats());
+                prop_assert_eq!(cache.stats().resident_tokens, model.resident_tokens);
+                // The leaf set is exactly the scan's candidates, in its order.
+                let mut candidates: Vec<(u64, usize)> = model
+                    .nodes
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, n)| *i != CACHE_ROOT && n.in_use && n.children.is_empty())
+                    .map(|(i, n)| (n.last_used, i))
+                    .collect();
+                candidates.sort_unstable();
+                prop_assert_eq!(cache.leaves.iter().copied().collect::<Vec<_>>(), candidates);
+            }
+        }
 
         /// Random pushes onto four instants (so most landings tie), landings
         /// and destination failures: the heap peeks, lands and drains exactly

@@ -190,6 +190,13 @@ impl ScaleBounds {
 /// Everything an [`Autoscaler`] may observe at a decision instant: the live
 /// (serving) replicas' router-visible views, in-progress membership changes,
 /// and a sliding window of the fleet's most recent completions.
+///
+/// Building one is `O(1)` on the indexed fleet loop without role pools:
+/// `replicas` borrows the router index's cached views, and the membership
+/// counts are kept at every lifecycle transition. With role pools the two
+/// indexes are merged by id into a reused buffer (`O(fleet)`, no
+/// allocation); the scan loop builds fresh views. The helpers below that
+/// read `replicas` are `O(fleet)` per call.
 #[derive(Debug)]
 pub struct FleetView<'a> {
     /// The global-clock instant of the observation.

@@ -391,7 +391,8 @@ impl ReplicaEngine {
     /// decoding, or pending in an unfinished round) is returned for
     /// re-routing and its token accounting unwound — the KV state died with
     /// the replica, so nothing it was still generating was delivered. Billed
-    /// time is truncated to what actually elapsed.
+    /// time is truncated to what actually elapsed. The fleet loop moves the
+    /// lifecycle to departed (it keeps the per-state replica counts).
     pub(crate) fn fail(&mut self, t: Seconds) -> Vec<Request> {
         let mut lost: Vec<Request> = self.take_ready();
         match self.mode {
@@ -444,7 +445,6 @@ impl ReplicaEngine {
             }
         }
         self.pending_admission = None;
-        self.lifecycle = Lifecycle::Departed { at: t };
         lost.sort_by_key(|r| r.id);
         self.return_unserved(&mut lost);
         lost
@@ -463,15 +463,15 @@ impl ReplicaEngine {
         }
     }
 
-    /// Starts a graceful drain at time `t`: the replica takes no new work (the
+    /// Starts a graceful drain: the replica takes no new work (the
     /// dispatch engine stops offering it) and returns its queued-but-unadmitted
     /// requests (see `return_unserved`) for re-routing; in-flight work
     /// finishes normally. Every queue aggregate the router-visible view reads
     /// (`outstanding_tokens`, projected KV, `oldest_queued_arrival`) is
     /// recomputed here, so an admission controller consulted at the drain
-    /// instant never screens against the frozen pre-drain snapshot.
-    pub(crate) fn begin_drain(&mut self, t: Seconds) -> Vec<Request> {
-        self.lifecycle = Lifecycle::Draining { since: t };
+    /// instant never screens against the frozen pre-drain snapshot. The
+    /// fleet loop moves the lifecycle to draining.
+    pub(crate) fn begin_drain(&mut self) -> Vec<Request> {
         self.pending_admission = None;
         self.settle_ready();
         let mut returned = self.take_ready();

@@ -1,0 +1,137 @@
+//! Allocation gate for the fleet control path: an autoscaled fleet with
+//! prefix caches, SLO admission and prefix-aware routing must stay under a
+//! fixed number of heap allocations per offered request.
+//!
+//! Allocations are counted by a thread-local counting global allocator, so
+//! only the thread running the simulation is measured (the fleet loop is
+//! single-threaded) and tests running in parallel do not leak into the
+//! count. A fresh allocation and a reallocation each count once. The count
+//! is deterministic for a fixed scenario, so the gate cannot flake on a slow
+//! host.
+
+use moe_bench::fleet::FleetScenario;
+use moe_lightning::{
+    ClusterEvaluator, ClusterSpec, EvalSetting, FleetTimeline, GenLens, NodeSpec, PrefixAware,
+    ReplicaId, ReplicaSpec, ScaleBounds, Seconds, ServingMode, SloAdmission, SloAttainmentScaler,
+    SystemKind,
+};
+use moe_workload::{ArrivalProcess, WorkloadSpec};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts this thread's allocations and reallocations, then defers to the
+/// system allocator.
+struct CountingAllocator;
+
+fn count_one() {
+    // `try_with`: the slot may already be gone while a thread shuts down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; counting touches
+// only a thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+const REPLICAS: usize = 16;
+const REQUESTS: usize = 2_000;
+
+/// The most allocations one offered request may cost on the fleet path
+/// (routing, admission, autoscaling, prefix caches, stepping, reporting).
+/// The scenario reads 16.79; copying the serving views into a fresh vector
+/// at every autoscaler observation takes it to 21.82.
+const MAX_ALLOCATIONS_PER_REQUEST: f64 = 19.0;
+
+/// A 16-replica fleet-day-shaped run: multi-turn sessions at 1.1x the
+/// calibrated fleet rate, prefix-aware routing over 8192-token prefix
+/// caches, SLO admission, an SLO-attainment autoscaler and one failure. Only
+/// the simulation is counted: calibration and queue synthesis come first.
+#[test]
+fn the_autoscaled_fleet_path_stays_under_its_allocation_budget() {
+    let scenario = FleetScenario::pinned(600).unwrap();
+    let rate = 1.1 * REPLICAS as f64 * scenario.per_replica_rate;
+    let span = REQUESTS as f64 / rate;
+    let queue: Vec<_> = WorkloadSpec::mtbench()
+        .synthesize_queue(
+            REQUESTS,
+            GenLens::Uniform(64),
+            11,
+            false,
+            &ArrivalProcess::Poisson { rate_per_sec: rate },
+        )
+        .into_iter()
+        .map(|r| r.with_session(r.id / 4))
+        .collect();
+    let mut spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+        .with_gen_len(64)
+        .with_seed(11)
+        .with_mode(ServingMode::Continuous)
+        .with_queue(queue)
+        .with_prefix_cache(8192)
+        .with_router(Arc::new(PrefixAware::new()))
+        .with_slo(scenario.slo)
+        .with_admission(Arc::new(SloAdmission::new(scenario.slo)))
+        .with_autoscaler(
+            Arc::new(SloAttainmentScaler::new(scenario.slo, 95.0)),
+            ScaleBounds::new(REPLICAS, 2 * REPLICAS, Seconds::from_secs(0.02 * span)),
+        )
+        .with_timeline(
+            FleetTimeline::new()
+                .fail_at(Seconds::from_secs(0.3 * span), ReplicaId(1))
+                .with_provisioning_delay(Seconds::from_secs(0.02 * span)),
+        );
+    for _ in 0..REPLICAS {
+        spec =
+            spec.with_replica(ReplicaSpec::new(NodeSpec::t4_single()).with_policy(scenario.policy));
+    }
+    let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());
+
+    let before = allocations();
+    let report = evaluator.run(&spec).unwrap();
+    let per_request = (allocations() - before) as f64 / REQUESTS as f64;
+
+    assert_eq!(report.total_requests(), REQUESTS);
+    assert!(
+        !report.availability.joins.is_empty(),
+        "the scenario must exercise the autoscaler"
+    );
+    assert!(report
+        .replicas
+        .iter()
+        .any(|r| r.cache.is_some_and(|c| c.hits > 0)));
+    assert!(
+        per_request <= MAX_ALLOCATIONS_PER_REQUEST,
+        "{per_request:.2} allocations per offered request, over the budget of \
+         {MAX_ALLOCATIONS_PER_REQUEST}"
+    );
+}

@@ -7,12 +7,13 @@
 
 use moe_bench::fleet::FleetScenario;
 use moe_lightning::{
-    builtin_routers, ClusterEvaluator, ClusterReport, ClusterSpec, ClusterSpecError, EngineError,
-    EvalSetting, FleetTimeline, NodeSpec, Policy, QueueDepthScaler, ReplicaId, ReplicaSpec,
-    ReplicaView, Router, RouterCtx, ScaleBounds, Seconds, ServingMode, SloAdmission, SloSpec,
+    builtin_routers, Autoscaler, ClusterEvaluator, ClusterReport, ClusterSpec, ClusterSpecError,
+    EngineError, EvalSetting, FleetTimeline, FleetView, GenLens, NodeSpec, Policy, PrefixAware,
+    QueueDepthScaler, ReplicaId, ReplicaRole, ReplicaSpec, ReplicaView, Router, RouterCtx,
+    ScaleBounds, ScaleDecision, Seconds, ServingMode, SloAdmission, SloAttainmentScaler, SloSpec,
     SystemEvaluator, SystemKind,
 };
-use moe_workload::{ArrivalProcess, Request, WorkloadSpec};
+use moe_workload::{ArrivalProcess, Request, RequestLatency, WorkloadSpec};
 use std::sync::{Arc, Mutex};
 
 const MODES: [ServingMode; 2] = [ServingMode::RoundToCompletion, ServingMode::Continuous];
@@ -478,4 +479,195 @@ fn slo_attainment_scaler_recovers_goodput_a_static_fleet_cannot() {
     // Conservation under churn, both runs.
     assert_eq!(static_failure.total_requests(), 600);
     assert_eq!(autoscaled.total_requests(), 600);
+}
+
+/// One [`FleetView`] as an autoscaler saw it, copied out of the borrow.
+#[derive(Debug, Clone, PartialEq)]
+struct Observation {
+    now: Seconds,
+    replicas: Vec<ReplicaView>,
+    provisioning: usize,
+    draining: usize,
+    recent: Vec<RequestLatency>,
+}
+
+/// An autoscaler that records every observation and decides like the
+/// wrapped one.
+#[derive(Debug)]
+struct RecordingScaler {
+    inner: Arc<dyn Autoscaler>,
+    seen: Mutex<Vec<Observation>>,
+}
+
+impl RecordingScaler {
+    fn new(inner: Arc<dyn Autoscaler>) -> Arc<Self> {
+        Arc::new(RecordingScaler {
+            inner,
+            seen: Mutex::new(Vec::new()),
+        })
+    }
+}
+
+impl Autoscaler for RecordingScaler {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn observe(&self, fleet: &FleetView<'_>, now: Seconds) -> ScaleDecision {
+        self.seen.lock().unwrap().push(Observation {
+            now: fleet.now,
+            replicas: fleet.replicas.to_vec(),
+            provisioning: fleet.provisioning,
+            draining: fleet.draining,
+            recent: fleet.recent.to_vec(),
+        });
+        self.inner.observe(fleet, now)
+    }
+}
+
+/// Runs `spec` (built around the given recording scaler) on the scan loop
+/// and on the indexed loop in both serving modes, and asserts the two loops
+/// showed the autoscaler the identical sequence of fleet views, each with
+/// its serving replicas strictly ascending by id. Returns every observation
+/// for the caller's coverage checks.
+fn assert_fleet_views_match(
+    spec: impl Fn(ServingMode, Arc<RecordingScaler>) -> ClusterSpec,
+    inner: impl Fn() -> Arc<dyn Autoscaler>,
+    label: &str,
+) -> Vec<Observation> {
+    let mut all = Vec::new();
+    for mode in MODES {
+        let mut runs = Vec::new();
+        for evaluator in [cluster_evaluator().with_scan_loop(), cluster_evaluator()] {
+            let scaler = RecordingScaler::new(inner());
+            let report = evaluator.run(&spec(mode, scaler.clone())).unwrap();
+            let seen = std::mem::take(&mut *scaler.seen.lock().unwrap());
+            runs.push((report, seen));
+        }
+        let (indexed_report, indexed) = runs.pop().unwrap();
+        let (scan_report, scan) = runs.pop().unwrap();
+        assert_eq!(scan_report, indexed_report, "{label} [{mode}]: reports");
+        assert_eq!(
+            scan.len(),
+            indexed.len(),
+            "{label} [{mode}]: observation count"
+        );
+        for (k, (want, got)) in scan.iter().zip(&indexed).enumerate() {
+            assert_eq!(want, got, "{label} [{mode}]: observation {k}");
+            assert!(
+                got.replicas.windows(2).all(|w| w[0].id < w[1].id),
+                "{label} [{mode}]: observation {k} is not strictly ascending by id"
+            );
+        }
+        all.extend(indexed);
+    }
+    all
+}
+
+/// The scan-loop session queue re-stamped into `turns`-turn conversations.
+fn session_queue(count: usize, rate_per_sec: f64, turns: u64) -> Vec<Request> {
+    WorkloadSpec::mtbench()
+        .synthesize_queue(
+            count,
+            GenLens::Uniform(64),
+            11,
+            false,
+            &ArrivalProcess::Poisson { rate_per_sec },
+        )
+        .into_iter()
+        .map(|r| r.with_session(r.id / turns))
+        .collect()
+}
+
+/// The autoscaler sees the same fleet on both loops. An 8-replica,
+/// fleet-day-shaped scenario — prefix-aware routing over prefix caches,
+/// SLO admission, an SLO-attainment scaler, one failure, one drain and a
+/// provisioning delay — yields the identical observation sequence on the
+/// scan loop (fresh views per observation) and the indexed loop (the router
+/// index's cached views, lifecycle counters), in both serving modes.
+#[test]
+fn fleet_views_match_across_loops_on_a_fleet_day_shaped_scenario() {
+    const REPLICAS: usize = 8;
+    let scenario = FleetScenario::pinned(600).unwrap();
+    let rate = 1.2 * REPLICAS as f64 * scenario.per_replica_rate;
+    let queue = session_queue(600, rate, 4);
+    let span = 600.0 / rate;
+    let spec = |mode: ServingMode, scaler: Arc<RecordingScaler>| {
+        let mut spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_gen_len(64)
+            .with_seed(11)
+            .with_mode(mode)
+            .with_queue(queue.clone())
+            .with_prefix_cache(8192)
+            .with_router(Arc::new(PrefixAware::new()))
+            .with_slo(scenario.slo)
+            .with_admission(Arc::new(SloAdmission::new(scenario.slo)))
+            .with_autoscaler(
+                scaler,
+                ScaleBounds::new(REPLICAS, 2 * REPLICAS, secs(0.02 * span)),
+            )
+            .with_timeline(
+                FleetTimeline::new()
+                    .fail_at(secs(0.3 * span), ReplicaId(1))
+                    .drain_at(secs(0.5 * span), ReplicaId(2))
+                    .with_provisioning_delay(secs(0.05 * span)),
+            );
+        for _ in 0..REPLICAS {
+            spec = spec
+                .with_replica(ReplicaSpec::new(NodeSpec::t4_single()).with_policy(scenario.policy));
+        }
+        spec
+    };
+    let inner = || Arc::new(SloAttainmentScaler::new(scenario.slo, 95.0)) as Arc<dyn Autoscaler>;
+    let seen = assert_fleet_views_match(spec, inner, "fleet-day shaped");
+    // The oracle saw membership in motion, not a static fleet.
+    assert!(seen.iter().any(|o| o.provisioning > 0), "no join in flight");
+    assert!(seen.iter().any(|o| o.draining > 0), "no drain in flight");
+    assert!(
+        seen.iter().any(|o| o.replicas.len() > REPLICAS),
+        "no scale-up"
+    );
+    assert!(seen
+        .iter()
+        .any(|o| o.replicas.iter().any(|v| v.cache_stats.hits > 0)));
+}
+
+/// The same oracle on a fleet with role pools: 2 prefill + 2 decode
+/// replicas whose autoscaler joins unified replicas, which sit in both
+/// router indexes and must appear once in each view.
+#[test]
+fn fleet_views_match_across_loops_on_a_pooled_fleet() {
+    let scenario = FleetScenario::pinned(300).unwrap();
+    let rate = 4.0 * scenario.per_replica_rate;
+    let spec = |mode: ServingMode, scaler: Arc<RecordingScaler>| {
+        let node = NodeSpec::t4_single();
+        let mut spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_count(300)
+            .with_gen_len(64)
+            .with_seed(11)
+            .with_mode(mode)
+            .with_arrivals(ArrivalProcess::Poisson { rate_per_sec: rate })
+            .with_slo(scenario.slo)
+            .with_scale_template(ReplicaSpec::new(node.clone()).with_policy(scenario.policy))
+            .with_autoscaler(scaler, ScaleBounds::new(4, 8, secs(1.0)));
+        for role in [
+            ReplicaRole::Prefill,
+            ReplicaRole::Prefill,
+            ReplicaRole::Decode,
+            ReplicaRole::Decode,
+        ] {
+            spec = spec.with_replica(
+                ReplicaSpec::new(node.clone())
+                    .with_policy(scenario.policy)
+                    .with_role(role),
+            );
+        }
+        spec
+    };
+    let inner = || Arc::new(SloAttainmentScaler::new(scenario.slo, 95.0)) as Arc<dyn Autoscaler>;
+    let seen = assert_fleet_views_match(spec, inner, "pooled");
+    assert!(
+        seen.iter().any(|o| o.replicas.len() > 4),
+        "a unified joiner must serve in both pools and appear once"
+    );
 }
