@@ -7,10 +7,9 @@
 
 use crate::error::MemoryError;
 use moe_hardware::ByteSize;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Handle to a live allocation in a [`MemoryPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,6 +45,10 @@ impl MemoryPool {
         }
     }
 
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().expect("memory pool state lock poisoned")
+    }
+
     /// The pool's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -58,7 +61,7 @@ impl MemoryPool {
 
     /// Bytes currently allocated.
     pub fn used(&self) -> ByteSize {
-        ByteSize::from_bytes(self.state.lock().used)
+        ByteSize::from_bytes(self.state().used)
     }
 
     /// Bytes still available.
@@ -68,7 +71,7 @@ impl MemoryPool {
 
     /// High-water mark of usage since creation.
     pub fn peak(&self) -> ByteSize {
-        ByteSize::from_bytes(self.state.lock().peak)
+        ByteSize::from_bytes(self.state().peak)
     }
 
     /// Fraction of the capacity currently in use (0.0–1.0).
@@ -85,7 +88,7 @@ impl MemoryPool {
     ///
     /// Returns [`MemoryError::OutOfMemory`] if the allocation does not fit.
     pub fn allocate(&self, size: ByteSize) -> Result<AllocationId, MemoryError> {
-        let mut s = self.state.lock();
+        let mut s = self.state();
         let new_used = s.used + size.as_bytes();
         if new_used > self.capacity.as_bytes() {
             return Err(MemoryError::OutOfMemory {
@@ -108,7 +111,7 @@ impl MemoryPool {
     /// Returns [`MemoryError::UnknownAllocation`] for an unknown (or already freed)
     /// handle.
     pub fn free(&self, id: AllocationId) -> Result<ByteSize, MemoryError> {
-        let mut s = self.state.lock();
+        let mut s = self.state();
         match s.allocations.remove(&id.0) {
             Some(size) => {
                 s.used -= size;

@@ -24,11 +24,10 @@ use moe_model::reference::{argmax, QkvVectors, ReferenceMoeModel, SequenceCache}
 use moe_policy::{CostModel, Policy, WorkloadShape};
 use moe_schedule::{cgopipe_weight_buffers, DecodeScheduleBuilder, ScheduleKind};
 use moe_sim::{Task, TaskKind};
-use parking_lot::Mutex;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Errors produced by the pipelined engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,6 +165,12 @@ impl Weights {
     }
 }
 
+/// Locks state the kernels share. A kernel that panics under the lock has
+/// already failed the pass: [`OffloadExecutor::wait_all`] reports its panic.
+fn lock<T>(state: &Mutex<T>) -> MutexGuard<'_, T> {
+    state.lock().expect("kernel state lock poisoned")
+}
+
 /// The state the kernels of one generation run share.
 struct Kernels {
     model: Arc<ReferenceMoeModel>,
@@ -182,7 +187,7 @@ impl Kernels {
     /// Runs `task`'s kernel, recording a failure under the task's label.
     fn run(&self, task: &Task) {
         if let Err(e) = self.kernel(task) {
-            self.errors.lock().push(format!("{}: {e}", task.label));
+            lock(&self.errors).push(format!("{}: {e}", task.label));
         }
     }
 
@@ -194,14 +199,14 @@ impl Kernels {
         };
         if task.kind == TaskKind::WeightTransfer {
             // `W(l)` streams a whole layer, `Wp(l,j)` its page `j`.
-            let bytes = self.weights.lock().stream(layer, index)?;
+            let bytes = lock(&self.weights).stream(layer, index)?;
             self.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
             return Ok(());
         }
         let j = index.ok_or("the task label carries no micro-batch")?;
         let cfg = self.model.config();
         let weights = &self.model.layers[layer];
-        let mb = &mut *self.micro_batches[j].lock();
+        let mb = &mut *lock(&self.micro_batches[j]);
         let seqs = mb.hidden.len() as u64;
         match task.kind {
             TaskKind::PreAttention => {
@@ -249,7 +254,7 @@ impl Kernels {
                 }
                 // The layer's last post-attention frees its buffer slot.
                 if self.streamed && j + 1 == self.micro_batches.len() {
-                    self.weights.lock().store.release_layer(layer)?;
+                    lock(&self.weights).store.release_layer(layer)?;
                 }
             }
             kind => return Err(format!("no kernel for {kind} tasks").into()),
@@ -259,7 +264,7 @@ impl Kernels {
 
     /// Fails unless every streamed page of `layer` is resident on the GPU.
     fn check_resident(&self, layer: usize) -> Result<(), String> {
-        if self.weights.lock().store.layer_ready(layer) {
+        if lock(&self.weights).store.layer_ready(layer) {
             Ok(())
         } else {
             Err(format!(
@@ -426,7 +431,7 @@ impl PipelinedMoeEngine {
 
             let mut next = next_tokens.iter();
             for mb in &kernels.micro_batches {
-                let mb = &mut *mb.lock();
+                let mb = &mut *lock(mb);
                 mb.hidden = next
                     .by_ref()
                     .take(mb.caches.len())
@@ -435,7 +440,7 @@ impl PipelinedMoeEngine {
             }
             executor.play(&graph, &run);
             let panics = executor.wait_all().err().unwrap_or_default();
-            let mut failures = std::mem::take(&mut *kernels.errors.lock());
+            let mut failures = std::mem::take(&mut *lock(&kernels.errors));
             failures.extend(panics);
             if !failures.is_empty() {
                 return Err(RuntimeError::TaskFailed { messages: failures });
@@ -443,7 +448,7 @@ impl PipelinedMoeEngine {
             last_logits = kernels
                 .micro_batches
                 .iter()
-                .flat_map(|mb| std::mem::take(&mut mb.lock().logits))
+                .flat_map(|mb| std::mem::take(&mut lock(mb).logits))
                 .collect();
         }
 

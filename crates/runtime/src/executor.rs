@@ -10,13 +10,12 @@
 //! synchronization primitives are added to each task").
 
 use moe_sim::{Lane, Task, TaskGraph};
-use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::HashSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Handle to a submitted job.
@@ -42,6 +41,23 @@ struct Shared {
     condvar: Condvar,
 }
 
+impl Shared {
+    /// Locks `progress`, recovering the guard if a panic poisoned it:
+    /// [`OffloadExecutor::submit`] asserts under this lock before it updates
+    /// anything, and a caller that catches that panic must still be able to
+    /// submit, wait and drop.
+    fn progress(&self) -> MutexGuard<'_, Progress> {
+        self.progress.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks `progress` once `blocked` no longer holds.
+    fn wait_while(&self, blocked: impl FnMut(&mut Progress) -> bool) -> MutexGuard<'_, Progress> {
+        self.condvar
+            .wait_while(self.progress(), blocked)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// The offloading executor. Dropping it shuts the workers down after they drain
 /// their queues.
 pub struct OffloadExecutor {
@@ -53,7 +69,7 @@ pub struct OffloadExecutor {
 
 impl fmt::Debug for OffloadExecutor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let p = self.shared.progress.lock();
+        let p = self.shared.progress();
         write!(
             f,
             "OffloadExecutor(submitted: {}, completed: {})",
@@ -88,16 +104,13 @@ impl OffloadExecutor {
                 .spawn(move || {
                     while let Ok(job) = rx.recv() {
                         // Wait for cross-lane dependencies.
-                        {
-                            let mut progress = worker_shared.progress.lock();
-                            while !job.deps.iter().all(|d| progress.completed.contains(&d.0)) {
-                                worker_shared.condvar.wait(&mut progress);
-                            }
-                        }
+                        let blocked =
+                            |p: &mut Progress| !job.deps.iter().all(|d| p.completed.contains(&d.0));
+                        drop(worker_shared.wait_while(blocked));
                         // A panicking job still completes, so its dependents and
                         // `wait_all` go on; the panic is reported by `wait_all`.
                         let outcome = catch_unwind(AssertUnwindSafe(job.work));
-                        let mut progress = worker_shared.progress.lock();
+                        let mut progress = worker_shared.progress();
                         if let Err(payload) = outcome {
                             progress.panics.push(panic_message(payload.as_ref()));
                         }
@@ -131,7 +144,7 @@ impl OffloadExecutor {
         work: impl FnOnce() + Send + 'static,
     ) -> JobId {
         let id = {
-            let mut progress = self.shared.progress.lock();
+            let mut progress = self.shared.progress();
             for dep in deps {
                 assert!(
                     dep.0 < progress.submitted,
@@ -174,10 +187,9 @@ impl OffloadExecutor {
     ///
     /// Returns the messages of the jobs that panicked since the last call.
     pub fn wait_all(&self) -> Result<(), Vec<String>> {
-        let mut progress = self.shared.progress.lock();
-        while (progress.completed.len() as u64) < progress.submitted {
-            self.shared.condvar.wait(&mut progress);
-        }
+        let mut progress = self
+            .shared
+            .wait_while(|p| (p.completed.len() as u64) < p.submitted);
         match std::mem::take(&mut progress.panics) {
             panics if panics.is_empty() => Ok(()),
             panics => Err(panics),
@@ -186,7 +198,7 @@ impl OffloadExecutor {
 
     /// Number of submitted jobs.
     pub fn submitted(&self) -> u64 {
-        self.shared.progress.lock().submitted
+        self.shared.progress().submitted
     }
 }
 
@@ -214,13 +226,12 @@ mod tests {
     use moe_sim::{TaskId, TaskKind, TaskSink};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc;
-    use std::sync::Mutex as StdMutex;
     use std::time::Duration;
 
     #[test]
     fn jobs_on_one_lane_run_in_fifo_order() {
         let exec = OffloadExecutor::new();
-        let order = Arc::new(StdMutex::new(Vec::new()));
+        let order = Arc::new(Mutex::new(Vec::new()));
         for i in 0..16 {
             let order = Arc::clone(&order);
             exec.submit(Lane::GpuCompute, &[], move || order.lock().unwrap().push(i));
@@ -294,6 +305,33 @@ mod tests {
     }
 
     #[test]
+    fn a_caught_submit_panic_leaves_the_executor_usable() {
+        // `submit` asserts while it holds the progress lock, so the panic poisons
+        // it; later submits, `wait_all` and the drop must recover the lock.
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let exec = OffloadExecutor::new();
+            let forward = catch_unwind(AssertUnwindSafe(|| {
+                exec.submit(Lane::GpuCompute, &[JobId(99)], || {});
+            }));
+            assert!(forward.is_err(), "a forward dependency must panic");
+            let ran = Arc::new(AtomicUsize::new(0));
+            let r = Arc::clone(&ran);
+            exec.submit(Lane::CpuCompute, &[], move || {
+                r.fetch_add(1, Ordering::SeqCst);
+            });
+            let outcome = exec.wait_all();
+            drop(exec);
+            tx.send((outcome, ran.load(Ordering::SeqCst))).unwrap();
+        });
+        let (outcome, ran) = rx
+            .recv_timeout(Duration::from_secs(3))
+            .expect("the executor must submit, wait and drop after a caught submit panic");
+        assert_eq!(outcome, Ok(()));
+        assert_eq!(ran, 1);
+    }
+
+    #[test]
     fn a_panicking_job_completes_and_is_reported_by_wait_all() {
         let exec = Arc::new(OffloadExecutor::new());
         let first = exec.submit(Lane::CpuCompute, &[], || panic!("kernel exploded"));
@@ -337,7 +375,7 @@ mod tests {
                 &[],
             )
             .unwrap();
-        let log = Arc::new(StdMutex::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&log);
         let kernel = Arc::new(move |task: &Task| {
             std::thread::sleep(Duration::from_millis(2));

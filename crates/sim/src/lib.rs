@@ -192,6 +192,31 @@ mod proptests {
         }
 
         #[test]
+        fn makespan_is_monotone_in_every_task_duration(
+            seed in 0u64..10_000,
+            n in 1usize..80,
+            extra_us in 1.0f64..2_000.0,
+        ) {
+            // With FIFO lanes every start time is a max over earlier finishes, so
+            // lengthening one task can delay others but never hasten them.
+            let g = random_graph(seed, n);
+            let extra = Seconds::from_micros(extra_us);
+            let base = simulate(&g).makespan.as_secs();
+            for k in 0..n {
+                let mut grown = TaskGraph::new();
+                let mut player = Player::new();
+                for task in g.tasks() {
+                    let duration = if task.id.0 == k { task.duration + extra } else { task.duration };
+                    let deps = g.deps(task);
+                    grown.add_task(task.lane, duration, task.kind, task.label, deps).unwrap();
+                    player.add_task(task.lane, duration, task.kind, task.label, deps).unwrap();
+                }
+                prop_assert!(simulate(&grown).makespan.as_secs() >= base, "task {} grown", k);
+                prop_assert!(player.makespan().as_secs() >= base, "task {} grown", k);
+            }
+        }
+
+        #[test]
         fn dependencies_and_lane_order_respected(seed in 0u64..10_000, n in 2usize..80) {
             let g = random_graph(seed, n);
             let r = simulate(&g);

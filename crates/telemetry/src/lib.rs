@@ -71,11 +71,11 @@ mod json;
 
 pub use json::{obj, JsonValue};
 
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::{Mutex, MutexGuard};
 
 /// One structured simulation event, emitted in deterministic event order.
 ///
@@ -694,34 +694,38 @@ impl Recorder {
         self
     }
 
+    fn state(&self) -> MutexGuard<'_, RecorderState> {
+        self.state.lock().expect("recorder state lock poisoned")
+    }
+
     /// The derived counter summary.
     pub fn counters(&self) -> Counters {
-        self.state.lock().counters
+        self.state().counters
     }
 
     /// Retained events, oldest first (see [`Self::events_dropped`]).
     pub fn events(&self) -> Vec<TelemetryEvent> {
-        self.state.lock().events.iter().copied().collect()
+        self.state().events.iter().copied().collect()
     }
 
     /// Events evicted from the ring buffer so far.
     pub fn events_dropped(&self) -> u64 {
-        self.state.lock().events_dropped
+        self.state().events_dropped
     }
 
     /// Retained time-series samples, oldest first.
     pub fn series(&self) -> Vec<FleetSample> {
-        self.state.lock().series.iter().cloned().collect()
+        self.state().series.iter().cloned().collect()
     }
 
     /// Samples evicted from the ring buffer so far.
     pub fn samples_dropped(&self) -> u64 {
-        self.state.lock().samples_dropped
+        self.state().samples_dropped
     }
 
     /// The wall-clock profiling roll-up, in [`Section::ALL`] order.
     pub fn profile(&self) -> Vec<(Section, SpanReport)> {
-        let state = self.state.lock();
+        let state = self.state();
         let mut out = Vec::new();
         for section in Section::ALL {
             if let Some((_, r)) = state.spans.iter().find(|(s, _)| *s == section) {
@@ -735,7 +739,7 @@ impl Recorder {
     /// sampled series (with per-replica rows) and the retained events. This
     /// is what the bench bins write for `--metrics <path>`.
     pub fn export_json(&self) -> String {
-        let state = self.state.lock();
+        let state = self.state();
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"counters\": {},", state.counters.to_json());
         let spans = Section::ALL
@@ -782,7 +786,7 @@ impl Recorder {
 
 impl TelemetrySink for Recorder {
     fn event(&self, event: &TelemetryEvent) {
-        let mut state = self.state.lock();
+        let mut state = self.state();
         let c = &mut state.counters;
         match *event {
             TelemetryEvent::Arrival { .. } => c.arrivals += 1,
@@ -828,7 +832,7 @@ impl TelemetrySink for Recorder {
     }
 
     fn sample(&self, sample: &FleetSample) {
-        let mut state = self.state.lock();
+        let mut state = self.state();
         if state.series.len() == self.series_capacity {
             state.series.pop_front();
             state.samples_dropped += 1;
@@ -837,7 +841,7 @@ impl TelemetrySink for Recorder {
     }
 
     fn span(&self, section: Section, calls: u64, nanos: u64) {
-        let mut state = self.state.lock();
+        let mut state = self.state();
         if let Some((_, r)) = state.spans.iter_mut().find(|(s, _)| *s == section) {
             r.calls += calls;
             r.nanos += nanos;

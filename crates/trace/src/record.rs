@@ -5,7 +5,7 @@ use crate::outcome::{OutcomeKind, OutcomeLog, RequestOutcome};
 use moe_hardware::Seconds;
 use moe_lightning::{TelemetryEvent, TelemetrySink};
 use moe_workload::{Request, SloClass};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// A `TelemetrySink` that records a run's realized arrival stream and each
 /// request's terminal verdict.
@@ -50,22 +50,22 @@ impl TraceRecorder {
 
     /// Number of arrivals recorded so far.
     pub fn len(&self) -> usize {
-        self.requests.lock().len()
+        lock(&self.requests).len()
     }
 
     /// Whether no arrival has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.requests.lock().is_empty()
+        lock(&self.requests).is_empty()
     }
 
     /// The recorded stream as a canonical [`Trace`] (sorted, re-numbered).
     pub fn trace(&self) -> Trace {
-        Trace::new(self.requests.lock().clone())
+        Trace::new(lock(&self.requests).clone())
     }
 
     /// The recorded verdicts as a canonical [`OutcomeLog`].
     pub fn outcomes(&self) -> OutcomeLog {
-        OutcomeLog::new(self.outcomes.lock().clone())
+        OutcomeLog::new(lock(&self.outcomes).clone())
     }
 }
 
@@ -86,7 +86,7 @@ impl TelemetrySink for TraceRecorder {
                         SloClass::from_label(class).expect("arrivals carry an SloClass label"),
                     );
                 request.arrival = Seconds::from_secs(at);
-                self.requests.lock().push(request);
+                lock(&self.requests).push(request);
                 return;
             }
             TelemetryEvent::Completed {
@@ -96,10 +96,14 @@ impl TelemetrySink for TraceRecorder {
             TelemetryEvent::Aborted { id, at } => (id, OutcomeKind::Aborted, at),
             _ => return,
         };
-        self.outcomes.lock().push(RequestOutcome {
+        lock(&self.outcomes).push(RequestOutcome {
             id,
             kind,
             finish_secs,
         });
     }
+}
+
+fn lock<T>(log: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
+    log.lock().expect("trace recorder lock poisoned")
 }
