@@ -218,6 +218,10 @@ pub(crate) struct ReplicaEngine {
     /// The last computed decode-step latency and the concurrency it was
     /// computed at — the admission controller's TTFT estimator.
     recent_step: Option<(Seconds, u64)>,
+    /// The per-micro-batch occupancies and mean contexts `refresh_step`
+    /// fills, kept so that pricing a step allocates nothing.
+    step_occupancy: Vec<u64>,
+    step_contexts: Vec<u64>,
     // Accounting.
     rounds: Vec<RoundReport>,
     latencies: Vec<RequestLatency>,
@@ -288,6 +292,8 @@ impl ReplicaEngine {
             in_round: Vec::new(),
             kv_in_round: 0,
             recent_step: None,
+            step_occupancy: Vec::new(),
+            step_contexts: Vec::new(),
             rounds: Vec::new(),
             latencies: Vec::new(),
             aborted: Vec::new(),
@@ -1029,18 +1035,18 @@ impl ReplicaEngine {
             self.step = Seconds::ZERO;
             return Ok(());
         }
-        let occupancy: Vec<u64> = self
-            .parts
-            .iter()
-            .filter(|p| p.requests > 0)
-            .map(|p| p.requests as u64)
-            .collect();
-        let contexts: Vec<u64> = self
-            .parts
-            .iter()
-            .filter(|p| p.requests > 0)
-            .map(|p| mean_decode_context(p.prompt_tokens, p.cache_tokens, p.requests as u64))
-            .collect();
+        let mut occupancy = std::mem::take(&mut self.step_occupancy);
+        let mut contexts = std::mem::take(&mut self.step_contexts);
+        occupancy.clear();
+        contexts.clear();
+        for p in self.parts.iter().filter(|p| p.requests > 0) {
+            occupancy.push(p.requests as u64);
+            contexts.push(mean_decode_context(
+                p.prompt_tokens,
+                p.cache_tokens,
+                p.requests as u64,
+            ));
+        }
         let total_active = self.active.len() as u64;
         let prompt_sum: u64 = self.active.iter().map(|a| a.request.input_len).sum();
         let max_gen = self
@@ -1052,7 +1058,10 @@ impl ReplicaEngine {
             .max(1);
         let shape = WorkloadShape::new(prompt_sum.div_ceil(total_active).max(1), max_gen);
         let policy = self.batch_policy(total_active);
-        let step = self.decode_step(&policy, &shape, &occupancy, &contexts, self.clock)?;
+        let step = self.decode_step(&policy, &shape, &occupancy, &contexts, self.clock);
+        self.step_occupancy = occupancy;
+        self.step_contexts = contexts;
+        let step = step?;
         self.step = step;
         self.recent_step = Some((step, total_active));
         self.note_decode_rate(step, total_active);

@@ -15,8 +15,9 @@ use moe_policy::{
     CostModel, DeepSpeedPolicy, FlexGenPolicy, Policy, PolicyGenerator, PolicyOptimizer,
     WorkloadShape,
 };
-use moe_schedule::{DecodeScheduleBuilder, ScheduleKind};
+use moe_schedule::{DecodeScheduleBuilder, ScheduleKind, StepBuffers};
 use moe_workload::{BatchRunReport, BatchingConfigError, WorkloadSpec};
+use std::cell::RefCell;
 use std::fmt;
 
 /// Number of layers actually simulated by the discrete-event engine (or the full
@@ -216,15 +217,16 @@ impl SystemEvaluator {
     /// Simulated decode-step latency with explicit per-micro-batch occupancies
     /// *and* mean decode contexts (KV tokens each active sequence reads), so the
     /// pipeline sees both kinds of imbalance a batch-formation strategy can
-    /// produce: sequence-count skew and token-load skew. `contexts` requires
-    /// `occupancy` of the same length; `None` falls back to the policy's
-    /// uniform split and the workload's uniform average context.
+    /// produce: sequence-count skew and token-load skew. `None` falls back to
+    /// the policy's uniform split and the workload's uniform average context.
+    /// It prices in buffers kept per thread, so it allocates nothing once
+    /// they are warm.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError::Simulation`] if `occupancy` is empty or holds a
-    /// zero, if `contexts` holds a zero or is given without an `occupancy` of
-    /// the same length, or if the schedule cannot be simulated.
+    /// zero, or if `contexts` holds a zero or does not have one entry per
+    /// micro-batch.
     pub fn decode_step_latency_with_loads(
         &self,
         schedule: ScheduleKind,
@@ -233,29 +235,8 @@ impl SystemEvaluator {
         occupancy: Option<&[u64]>,
         contexts: Option<&[u64]>,
     ) -> Result<Seconds, EngineError> {
-        let invalid = |message: String| Err(EngineError::Simulation { message });
-        if occupancy.is_some_and(<[u64]>::is_empty) {
-            return invalid("a decode step needs at least one micro-batch".into());
-        }
-        for (what, loads) in [("occupancies", occupancy), ("contexts", contexts)] {
-            if let Some(loads) = loads.filter(|loads| loads.contains(&0)) {
-                return invalid(format!(
-                    "per-micro-batch {what} must be positive, got {loads:?}"
-                ));
-            }
-        }
-        if let Some(ctx) = contexts {
-            let matching = occupancy.is_some_and(|occ| occ.len() == ctx.len());
-            if !matching {
-                return Err(EngineError::Simulation {
-                    message: format!(
-                        "per-micro-batch contexts ({} entries) require occupancies of the same \
-                         length, got {:?}",
-                        ctx.len(),
-                        occupancy.map(<[u64]>::len),
-                    ),
-                });
-            }
+        thread_local! {
+            static BUFFERS: RefCell<StepBuffers> = RefCell::default();
         }
         let layers = self.simulated_layers();
         let mut builder =
@@ -266,12 +247,11 @@ impl SystemEvaluator {
         if let Some(ctx) = contexts {
             builder = builder.with_micro_batch_contexts(ctx);
         }
-        let makespan =
-            builder
-                .decode_step_makespan(schedule)
-                .map_err(|e| EngineError::Simulation {
-                    message: e.to_string(),
-                })?;
+        let makespan = BUFFERS
+            .with_borrow_mut(|buffers| builder.decode_step_makespan_in(schedule, buffers))
+            .map_err(|e| EngineError::Simulation {
+                message: e.to_string(),
+            })?;
         let scale = f64::from(self.model().num_layers) / f64::from(layers);
         Ok(makespan.scale(scale))
     }

@@ -20,6 +20,7 @@ use crate::policy::{Policy, WorkloadShape};
 use moe_hardware::{Bandwidth, ByteSize, FlopCount, NodeSpec, Seconds};
 use moe_hrm::HierarchicalRoofline;
 use moe_model::{LayerOps, MoeModelConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-task durations and aggregate latency estimates for one model on one node.
 #[derive(Debug, Clone)]
@@ -28,6 +29,9 @@ pub struct CostModel {
     model: MoeModelConfig,
     ops: LayerOps,
     hrm: HierarchicalRoofline,
+    /// Unique to the [`Self::new`] call that built this model (clones share
+    /// it): see [`Self::pricing_id`].
+    pricing_id: u64,
 }
 
 /// Breakdown of the estimated per-layer decode latency (Eq. 12).
@@ -152,12 +156,22 @@ impl CostModel {
     pub fn new(node: NodeSpec, model: MoeModelConfig) -> Self {
         let ops = LayerOps::new(model.clone());
         let hrm = HierarchicalRoofline::from_node(&node, model.weight_dtype);
+        static NEXT_PRICING_ID: AtomicU64 = AtomicU64::new(0);
         CostModel {
             node,
             model,
             ops,
             hrm,
+            pricing_id: NEXT_PRICING_ID.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// An id two cost models share only if one is a clone of the other. A
+    /// cost model never changes after [`Self::new`], so models with one id
+    /// price every operator alike, and a price memoized under the id stays
+    /// valid.
+    pub fn pricing_id(&self) -> u64 {
+        self.pricing_id
     }
 
     /// The node this model describes.

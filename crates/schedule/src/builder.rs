@@ -1,18 +1,24 @@
 //! Decode-stage pipeline schedules (Fig. 6 and Algorithm 1 of the paper).
 //!
 //! Each builder turns a policy + workload into tasks over the four lanes of the
-//! discrete-event simulator, with task durations taken from the HRM cost model,
-//! and emits them into a [`TaskSink`]: a [`TaskGraph`] for the Fig. 6 timeline,
-//! or a [`Player`] that prices a decode step without keeping any task. The
-//! schedules differ only in *ordering and granularity* — which is exactly the
-//! paper's point: CGOPipe's paged-weight interleaving and two-ahead
+//! discrete-event simulator, with task durations taken from the HRM cost model.
+//! Every layer of a step is the same, so each schedule kind describes one layer
+//! once, as a [`LayerTemplate`]; the step is that template replayed once per
+//! layer, unrolled into a [`TaskGraph`] for the Fig. 6 timeline or played by a
+//! [`TemplatePlayer`] that prices a decode step from a few layers' finish
+//! times. The schedules differ only in *ordering and granularity* — which is
+//! exactly the paper's point: CGOPipe's paged-weight interleaving and two-ahead
 //! pre-attention remove the bubbles the baseline orderings leave on the GPU and
 //! PCIe lanes.
 
-use moe_hardware::Seconds;
-use moe_memory::pages::split_into_pages;
+use moe_hardware::{ByteSize, Seconds};
 use moe_policy::{CostModel, Policy, WorkloadShape};
-use moe_sim::{Lane, Player, SimError, TaskGraph, TaskId, TaskKind, TaskLabel, TaskSink};
+use moe_sim::{
+    Dep, Lane, LayerTemplate, SimError, TaskGraph, TaskKind, TemplateLabel, TemplatePlayer,
+};
+
+#[cfg(test)]
+mod reference;
 
 /// The pipeline schedules compared in Fig. 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,42 +129,22 @@ impl<'a> DecodeScheduleBuilder<'a> {
     }
 
     /// Overrides the per-micro-batch token counts with heterogeneous occupancies
-    /// (one entry per micro-batch, each the number of active sequences).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` is empty or contains a zero entry — an empty micro-batch
-    /// has no tasks and would silently skew the pipeline stagger.
+    /// (one entry per micro-batch, each the number of active sequences). An
+    /// empty list or a zero entry — an empty micro-batch has no tasks and
+    /// would silently skew the pipeline stagger — fails the step's pricing
+    /// with a typed [`SimError`].
     pub fn with_micro_batch_tokens(mut self, tokens: &'a [u64]) -> Self {
-        assert!(!tokens.is_empty(), "need at least one micro-batch");
-        assert!(
-            tokens.iter().all(|&t| t > 0),
-            "micro-batch token counts must be positive"
-        );
         self.ub_tokens = Some(tokens);
         self
     }
 
-    /// Overrides the mean decode context per micro-batch (call after
-    /// [`Self::with_micro_batch_tokens`]): attention and KV-transfer tasks of
-    /// micro-batch `j` are costed at `contexts[j]` instead of the workload's
-    /// uniform average, so imbalanced token assignments produce straggler
-    /// micro-batches in the simulated pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `contexts` does not hold exactly one positive entry per
-    /// micro-batch.
+    /// Overrides the mean decode context per micro-batch: attention and
+    /// KV-transfer tasks of micro-batch `j` are costed at `contexts[j]`
+    /// instead of the workload's uniform average, so imbalanced token
+    /// assignments produce straggler micro-batches in the simulated pipeline.
+    /// Anything but one positive entry per micro-batch fails the step's
+    /// pricing with a typed [`SimError`].
     pub fn with_micro_batch_contexts(mut self, contexts: &'a [u64]) -> Self {
-        assert_eq!(
-            contexts.len() as u64,
-            self.num_micro_batches(),
-            "need one context entry per micro-batch"
-        );
-        assert!(
-            contexts.iter().all(|&c| c > 0),
-            "micro-batch contexts must be positive"
-        );
         self.ub_ctx = Some(contexts);
         self
     }
@@ -200,306 +186,334 @@ impl<'a> DecodeScheduleBuilder<'a> {
             .map_or(self.policy.batch_size, |t| t.iter().sum())
     }
 
-    /// The durations of each micro-batch, from `price` of its `key`. Equal
-    /// keys price equal durations, so a micro-batch whose key equals its
-    /// predecessor's reuses its durations: a uniform split is priced twice,
-    /// once for its full micro-batches and once for the last.
-    fn price_micro_batches<K: Copy + PartialEq, T: Copy>(
-        &self,
-        key: impl Fn(u64) -> K,
-        price: impl Fn(K) -> T,
-    ) -> Vec<T> {
-        let n_ub = self.num_micro_batches();
-        let mut priced = Vec::with_capacity(n_ub as usize);
-        let mut last: Option<(K, T)> = None;
-        for j in 0..n_ub {
-            let key = key(j);
-            let durations = match last {
-                Some((last_key, durations)) if last_key == key => durations,
-                _ => price(key),
-            };
-            priced.push(durations);
-            last = Some((key, durations));
+    /// The typed error for per-micro-batch loads a step cannot run: no
+    /// micro-batch, an empty one, or contexts that are not one positive entry
+    /// per micro-batch.
+    fn check_loads(&self) -> Result<(), SimError> {
+        let n_ub = self.num_micro_batches() as usize;
+        if n_ub == 0 {
+            return Err(SimError::NoMicroBatches);
         }
-        priced
+        if let Some(j) = self.ub_tokens.and_then(|t| t.iter().position(|&t| t == 0)) {
+            return Err(SimError::ZeroOccupancy { micro_batch: j });
+        }
+        if let Some(contexts) = self.ub_ctx {
+            if contexts.len() != n_ub {
+                return Err(SimError::ContextCount {
+                    micro_batches: n_ub,
+                    contexts: contexts.len(),
+                });
+            }
+            if let Some(j) = contexts.iter().position(|&c| c == 0) {
+                return Err(SimError::ZeroContext { micro_batch: j });
+            }
+        }
+        Ok(())
+    }
+
+    /// Prices every micro-batch of a `kind` step into `buffers.prices`, each
+    /// operator keyed by the inputs it reads: `by_tokens` once per token
+    /// count for as long as `buffers` prices this kind on this cost model and
+    /// placement, `by_context` once per run of equal (tokens, context) pairs.
+    fn price_micro_batches(
+        &self,
+        kind: ScheduleKind,
+        buffers: &mut StepBuffers,
+        by_tokens: impl Fn(u64) -> [Seconds; 4],
+        by_context: impl Fn(u64, u64) -> [Seconds; 2],
+    ) {
+        let StepBuffers {
+            prices, by_token, ..
+        } = buffers;
+        let key = (
+            self.cost.pricing_id(),
+            kind,
+            self.policy.ffn_on_gpu,
+            self.policy.kv_gpu_ratio.to_bits(),
+        );
+        if by_token.key != Some(key) {
+            by_token.key = Some(key);
+            by_token.generation += 1;
+        }
+        let generation = by_token.generation;
+        prices.clear();
+        prices.reserve(self.num_micro_batches() as usize);
+        for j in 0..self.num_micro_batches() {
+            let (tokens, context) = (self.micro_batch_tokens(j), self.ctx_of(j));
+            let slot = &mut by_token.slots[tokens as usize % TOKEN_SLOTS];
+            let by_tokens = match *slot {
+                (seen, at, priced) if (seen, at) == (generation, tokens) => priced,
+                _ => {
+                    *slot = (generation, tokens, by_tokens(tokens));
+                    slot.2
+                }
+            };
+            let by_context = match prices.last() {
+                Some(p) if (p.tokens, p.context) == (tokens, context) => p.by_context,
+                _ => by_context(tokens, context),
+            };
+            prices.push(Priced {
+                tokens,
+                context,
+                by_tokens,
+                by_context,
+            });
+        }
     }
 
     /// Builds the task graph of one decode step under the given schedule: the
-    /// timeline Fig. 6 draws.
+    /// timeline Fig. 6 draws, the layer template unrolled over every layer.
     ///
     /// # Errors
     ///
-    /// Propagates task-graph construction errors (none are expected for valid
-    /// policies; they would indicate a bug in the builder).
+    /// A typed [`SimError`] for per-micro-batch loads the step cannot run
+    /// (see [`Self::with_micro_batch_tokens`]).
     pub fn build(&self, kind: ScheduleKind) -> Result<TaskGraph, SimError> {
+        let mut buffers = StepBuffers::default();
+        self.fill_template(kind, &mut buffers)?;
         let mut graph = TaskGraph::new();
-        self.emit(kind, &mut graph)?;
+        buffers.template.unroll(self.num_layers, &mut graph)?;
         Ok(graph)
     }
 
-    /// Plays one decode step under `kind` as its tasks are emitted and returns
-    /// its makespan, without building a graph. It equals
-    /// [`moe_sim::simulate`]`(&self.build(kind)?).makespan` bit for bit: the
-    /// same tasks reach the same lane rule in the same order.
+    /// The makespan of one decode step under `kind`, in fresh buffers (see
+    /// [`Self::decode_step_makespan_in`]).
     ///
     /// # Errors
     ///
-    /// Propagates task emission errors (see [`Self::build`]).
+    /// As [`Self::build`].
     pub fn decode_step_makespan(&self, kind: ScheduleKind) -> Result<Seconds, SimError> {
-        let mut player = Player::with_capacity(self.max_tasks());
-        self.emit(kind, &mut player)?;
-        Ok(player.makespan())
+        self.decode_step_makespan_in(kind, &mut StepBuffers::default())
     }
 
-    /// An upper bound on the tasks one step emits under any schedule kind: six
-    /// per (layer, micro-batch) and one whole-layer transfer per layer, plus the
-    /// prologue.
-    fn max_tasks(&self) -> usize {
-        self.num_layers as usize * (6 * self.num_micro_batches() as usize + 1) + 1
+    /// Plays one decode step under `kind` from its layer template and returns
+    /// its makespan, without building a graph. It equals
+    /// [`moe_sim::simulate`]`(&self.build(kind)?).makespan` bit for bit. Once
+    /// `buffers` has priced a step with as many micro-batches, it allocates
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::build`].
+    pub fn decode_step_makespan_in(
+        &self,
+        kind: ScheduleKind,
+        buffers: &mut StepBuffers,
+    ) -> Result<Seconds, SimError> {
+        self.fill_template(kind, buffers)?;
+        buffers.player.play(&buffers.template, self.num_layers)
     }
 
-    /// Emits the tasks of one decode step under `kind` into `sink`, in lane
-    /// (FIFO) order.
-    fn emit<S: TaskSink>(&self, kind: ScheduleKind, sink: &mut S) -> Result<(), SimError> {
+    /// Prices one layer of `kind` into `buffers.template`.
+    fn fill_template(&self, kind: ScheduleKind, buffers: &mut StepBuffers) -> Result<(), SimError> {
+        self.check_loads()?;
+        // At most six tasks per micro-batch and a whole-layer transfer.
+        buffers
+            .template
+            .clear_for(6 * self.num_micro_batches() as usize + 1);
+        let streamed = self.cost.streamed_layer_bytes(&self.policy);
+        if !streamed.is_zero() && kind != ScheduleKind::LayerStreaming {
+            buffers
+                .template
+                .set_prologue(self.cost.weight_transfer(streamed));
+        }
         match kind {
-            ScheduleKind::CgoPipe => {
-                self.build_cpu_attention_pipeline(sink, true, WeightOrder::Interleaved)
-            }
-            ScheduleKind::FastDecodeOverlap => {
-                self.build_cpu_attention_pipeline(sink, true, WeightOrder::WholeAtStart)
-            }
-            ScheduleKind::FlexGenCpuAttention => {
-                self.build_cpu_attention_pipeline(sink, false, WeightOrder::WholeAtEnd)
-            }
-            ScheduleKind::FlexGenGpuAttention => self.build_gpu_attention_pipeline(sink),
-            ScheduleKind::LayerStreaming => self.build_layer_streaming(sink),
+            ScheduleKind::FlexGenGpuAttention => self.gpu_attention_layer(buffers),
+            ScheduleKind::LayerStreaming => self.layer_streaming_layer(&mut buffers.template),
+            cpu_attention => self.cpu_attention_layer(cpu_attention, buffers),
         }
     }
 
-    /// CPU-attention pipelines (CGOPipe, S2, S3). `two_ahead` enables CGOPipe's
-    /// pre-attention stagger; `weight_order` selects how the next layer's weights are
-    /// placed on the H2D lane.
-    fn build_cpu_attention_pipeline<S: TaskSink>(
+    /// One layer of a CPU-attention pipeline (CGOPipe, S2, S3). CGOPipe and
+    /// S2 use the pre-attention stagger; the kind also selects how the next
+    /// layer's weights are placed on the H2D lane.
+    ///
+    /// Each micro-batch `j` contributes pre-attention `A`, QKV offload, CPU
+    /// attention `B`, hidden upload `H` and post-attention `C`, in that lane
+    /// order except under the stagger. CGOPipe launches pre-attention two
+    /// micro-batches ahead of the corresponding post-attention (Algorithm 1):
+    /// the GPU lane order becomes `A(0) A(1) C(0) A(2) C(1) A(3) ...`, which
+    /// keeps the GPU busy while the CPU attends the in-flight micro-batches.
+    /// So micro-batch `j`'s group opens with the post-attention of micro-batch
+    /// `j − 2`, and the first two groups carry the previous layer's last two.
+    fn cpu_attention_layer(
         &self,
-        g: &mut S,
-        two_ahead: bool,
-        weight_order: WeightOrder,
+        kind: ScheduleKind,
+        buffers: &mut StepBuffers,
     ) -> Result<(), SimError> {
-        let n_ub = self.num_micro_batches();
-        let layers = u64::from(self.num_layers);
-        let total = layers * n_ub;
+        let (two_ahead, weight_order) = match kind {
+            ScheduleKind::CgoPipe => (true, WeightOrder::Interleaved),
+            ScheduleKind::FastDecodeOverlap => (true, WeightOrder::WholeAtStart),
+            _ => (false, WeightOrder::WholeAtEnd),
+        };
+        let n_ub = self.num_micro_batches() as usize;
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
-        let whole_layer = self.cost.weight_transfer(streamed);
-        // Every layer repeats the same micro-batches, so each distinct one is
-        // costed once per step: (pre, qkv, attention, hidden, post, next-layer
-        // weight page), keyed by its tokens, context and page.
-        let pages = split_into_pages(streamed, n_ub as usize);
-        let costs: Vec<[Seconds; 6]> = self.price_micro_batches(
-            |j| {
-                (
-                    self.micro_batch_tokens(j),
-                    self.ctx_of(j),
-                    pages[j as usize],
-                )
-            },
-            |(tokens, ctx, page)| {
+        self.price_micro_batches(
+            kind,
+            buffers,
+            |tokens| {
                 [
                     self.cost.pre_attention_gpu(tokens),
                     self.cost.qkv_offload(tokens),
-                    self.cost.attention_cpu(tokens, ctx),
                     self.cost.hidden_upload(tokens),
                     if self.policy.ffn_on_gpu {
                         self.cost.post_attention_gpu(tokens)
                     } else {
                         self.cost.post_attention_gpu_without_ffn(tokens)
                     },
-                    self.cost.weight_transfer(page),
                 ]
             },
+            |tokens, ctx| [self.cost.attention_cpu(tokens, ctx), Seconds::ZERO],
         );
-
-        // Per global pipeline step g = layer * n_ub + j. Steps are visited in
-        // order, so their (layer, micro-batch) is carried along, not divided out.
-        let next_step = |(i, j): (u64, u64)| {
-            if j + 1 == n_ub {
-                (i + 1, 0)
+        let (prices, t) = (&buffers.prices, &mut buffers.template);
+        let whole = !streamed.is_zero();
+        let whole_at_start = weight_order == WeightOrder::WholeAtStart && whole;
+        let whole_at_end = weight_order == WeightOrder::WholeAtEnd && whole;
+        // CGOPipe splits the next layer's weights into one page per
+        // micro-batch; the first `bytes % n_ub` are a byte larger, and with
+        // fewer bytes than micro-batches the rest are empty and not sent.
+        let paged = weight_order == WeightOrder::Interleaved;
+        let (base, larger) = (
+            streamed.as_bytes() / n_ub as u64,
+            (streamed.as_bytes() % n_ub as u64) as usize,
+        );
+        let pages = if base > 0 { n_ub } else { larger };
+        let [larger_page, page] =
+            [base + 1, base].map(|bytes| self.cost.weight_transfer(ByteSize::from_bytes(bytes)));
+        let stagger = if two_ahead && n_ub >= 2 { 2 } else { 0 };
+        // Local indices of micro-batch j's post-attention, pre-attention and
+        // hidden upload: five tasks per micro-batch, plus the whole-layer
+        // transfer before the first micro-batch's pre-attention and after the
+        // last one's upload, and a page after each of the first `pages`
+        // uploads.
+        let at = |j: usize| {
+            let start =
+                5 * j + usize::from(whole_at_start && j > 0) + if paged { j.min(pages) } else { 0 };
+            let pre = start + usize::from(stagger > 0) + usize::from(whole_at_start && j == 0);
+            let post = if stagger > 0 {
+                start
             } else {
-                (i, j + 1)
-            }
+                pre + 4
+                    + usize::from(paged && j < pages)
+                    + usize::from(whole_at_end && j + 1 == n_ub)
+            };
+            (post as u16, pre as u16, pre as u16 + 3)
         };
-        let mut hidden: Vec<Option<TaskId>> = vec![None; total as usize];
-        let mut post: Vec<Option<TaskId>> = vec![None; total as usize];
-        // Last weight-transfer task of each layer (compute of that layer depends on it).
-        let mut weights_done: Vec<Option<TaskId>> = vec![None; layers as usize];
-
-        // Prologue: layer 0 weights arrive before the step starts (steady state keeps
-        // the H2D lane one layer ahead); model them as an initial transfer.
-        if !streamed.is_zero() {
-            let t = g.add_task(
+        // Pre-attention of micro-batch j follows the previous layer's
+        // post-attention of j: one block back, or, carried over, in this one.
+        let prev_post = |j: usize| match j + stagger {
+            group if group < n_ub => Dep::Task {
+                back: 1,
+                index: at(group).0,
+            },
+            group => Dep::Task {
+                back: 0,
+                index: at(group - n_ub).0,
+            },
+        };
+        let whole_layer = self.cost.weight_transfer(streamed);
+        let next_weights = |t: &mut LayerTemplate| {
+            t.push(
                 Lane::HostToDevice,
                 whole_layer,
                 TaskKind::WeightTransfer,
-                TaskLabel::layer("W", 0),
+                TemplateLabel::layer("W", 1),
                 &[],
-            )?;
-            weights_done[0] = Some(t);
-        }
-
-        // CGOPipe launches pre-attention two micro-batches ahead of the corresponding
-        // post-attention (Algorithm 1): the GPU lane order becomes
-        // A(0) A(1) C(0) A(2) C(1) A(3) ... which keeps the GPU busy while the CPU
-        // attends the in-flight micro-batches. The simpler variants use no stagger.
-        let stagger = if two_ahead && n_ub >= 2 { 2u64 } else { 0 };
-
-        // Closure creating the GPU post-attention task of global step `gidx`,
-        // which is micro-batch `j` of layer `i`.
-        let create_post = |g: &mut S,
-                           gidx: u64,
-                           (i, j): (u64, u64),
-                           hidden: &[Option<TaskId>],
-                           weights_done: &[Option<TaskId>]|
-         -> Result<TaskId, SimError> {
-            let [.., post, _] = costs[j as usize];
-            let (deps, n_deps) = existing([hidden[gidx as usize], weights_done[i as usize]]);
-            g.add_task(
-                Lane::GpuCompute,
-                post,
-                TaskKind::PostAttention,
-                TaskLabel::micro_batch("C", i, j),
-                &deps[..n_deps],
             )
         };
-
-        // (layer, micro-batch) of steps `gidx` and `gidx - stagger`.
-        let (mut step, mut post_step) = ((0, 0), (0, 0));
-        for gidx in 0..(total + stagger) {
-            // With the stagger, post-attention of step g - 2 is enqueued on the GPU
-            // lane *before* pre-attention of step g.
-            if stagger > 0 && gidx >= stagger && gidx - stagger < total {
-                let target = gidx - stagger;
-                let id = create_post(g, target, post_step, &hidden, &weights_done)?;
-                post[target as usize] = Some(id);
-                post_step = next_step(post_step);
-            }
-            if gidx >= total {
-                continue;
-            }
-            let (i, j) = step;
-            step = next_step(step);
-            let [pre, qkv, attention, upload, _, page] = costs[j as usize];
-
-            // S2-style: whole next-layer weights at the *start* of layer i's H2D traffic.
-            if weight_order == WeightOrder::WholeAtStart
-                && j == 0
-                && i + 1 < layers
-                && !streamed.is_zero()
-            {
-                let t = g.add_task(
-                    Lane::HostToDevice,
-                    whole_layer,
-                    TaskKind::WeightTransfer,
-                    TaskLabel::layer("W", i + 1),
-                    &[],
-                )?;
-                weights_done[(i + 1) as usize] = Some(t);
-            }
-
-            // GPU pre-attention.
-            let prev_post = if i > 0 {
-                post[(gidx - n_ub) as usize]
-            } else {
-                None
+        let post = |t: &mut LayerTemplate, k: usize, offset: i8| {
+            let hidden = Dep::Task {
+                back: u8::from(offset < 0),
+                index: at(k).2,
             };
-            let (pre_deps, n_deps) = existing([prev_post, weights_done[i as usize]]);
-            let pre_id = g.add_task(
+            t.push(
+                Lane::GpuCompute,
+                prices[k].by_tokens[3],
+                TaskKind::PostAttention,
+                TemplateLabel::micro_batch("C", offset, k as u64),
+                &[hidden, Dep::Weights],
+            )
+        };
+        for (j, priced) in prices.iter().enumerate() {
+            let [pre, qkv, upload, _] = priced.by_tokens;
+            let mb = j as u64;
+            if stagger > 0 {
+                // With the stagger, post-attention of step g − 2 is enqueued
+                // on the GPU lane before pre-attention of step g.
+                match j.checked_sub(stagger) {
+                    Some(k) => post(t, k, 0)?,
+                    None => post(t, n_ub - stagger + j, -1)?,
+                };
+            }
+            if whole_at_start && j == 0 {
+                next_weights(t)?;
+            }
+            let a = t.push(
                 Lane::GpuCompute,
                 pre,
                 TaskKind::PreAttention,
-                TaskLabel::micro_batch("A", i, j),
-                &pre_deps[..n_deps],
+                TemplateLabel::micro_batch("A", 0, mb),
+                &[prev_post(j), Dep::Weights],
             )?;
-
-            // QKV offload to the CPU.
-            let qkv_id = g.add_task(
+            debug_assert_eq!(a, at(j).1);
+            let qkv = t.push(
                 Lane::DeviceToHost,
                 qkv,
                 TaskKind::QkvOffload,
-                TaskLabel::micro_batch("QKV", i, j),
-                &[pre_id],
+                TemplateLabel::micro_batch("QKV", 0, mb),
+                &[Dep::Task { back: 0, index: a }],
             )?;
-
-            // CPU attention, costed at this micro-batch's mean decode context.
-            let attn_id = g.add_task(
+            let attention = t.push(
                 Lane::CpuCompute,
-                attention,
+                priced.by_context[0],
                 TaskKind::Attention,
-                TaskLabel::micro_batch("B", i, j),
-                &[qkv_id],
+                TemplateLabel::micro_batch("B", 0, mb),
+                &[Dep::Task {
+                    back: 0,
+                    index: qkv,
+                }],
             )?;
-
-            // Hidden states back to the GPU.
-            let hidden_id = g.add_task(
+            t.push(
                 Lane::HostToDevice,
                 upload,
                 TaskKind::HiddenTransfer,
-                TaskLabel::micro_batch("H", i, j),
-                &[attn_id],
+                TemplateLabel::micro_batch("H", 0, mb),
+                &[Dep::Task {
+                    back: 0,
+                    index: attention,
+                }],
             )?;
-            hidden[gidx as usize] = Some(hidden_id);
-
-            // Interleaved weight page for the next layer (CGOPipe).
-            if weight_order == WeightOrder::Interleaved
-                && i + 1 < layers
-                && !pages[j as usize].is_zero()
-            {
-                let t = g.add_task(
+            if paged && j < pages {
+                t.push(
                     Lane::HostToDevice,
-                    page,
+                    if j < larger { larger_page } else { page },
                     TaskKind::WeightTransfer,
-                    TaskLabel::micro_batch("Wp", i + 1, j),
+                    TemplateLabel::micro_batch("Wp", 1, mb),
                     &[],
                 )?;
-                weights_done[(i + 1) as usize] = Some(t);
             }
-
-            // S3-style: whole next-layer weights *after* this layer's hidden uploads.
-            if weight_order == WeightOrder::WholeAtEnd
-                && j + 1 == n_ub
-                && i + 1 < layers
-                && !streamed.is_zero()
-            {
-                let t = g.add_task(
-                    Lane::HostToDevice,
-                    whole_layer,
-                    TaskKind::WeightTransfer,
-                    TaskLabel::layer("W", i + 1),
-                    &[],
-                )?;
-                weights_done[(i + 1) as usize] = Some(t);
+            if whole_at_end && j + 1 == n_ub {
+                next_weights(t)?;
             }
-
-            // Without the stagger the post-attention task follows immediately.
             if stagger == 0 {
-                let id = create_post(g, gidx, (i, j), &hidden, &weights_done)?;
-                post[gidx as usize] = Some(id);
+                post(t, j, 0)?;
             }
         }
         Ok(())
     }
 
-    /// S4: GPU attention with per-micro-batch KV prefetch over PCIe.
-    fn build_gpu_attention_pipeline<S: TaskSink>(&self, g: &mut S) -> Result<(), SimError> {
-        let n_ub = self.num_micro_batches();
-        let layers = u64::from(self.num_layers);
+    /// One layer of S4: GPU attention with per-micro-batch KV prefetch over
+    /// PCIe — every micro-batch's prefetch, then the next layer's (un-paged)
+    /// weights, the S4 H2D ordering of Fig. 6 — then each micro-batch's fused
+    /// GPU layer and the write-back of its new KV entries to the CPU-resident
+    /// cache.
+    fn gpu_attention_layer(&self, buffers: &mut StepBuffers) -> Result<(), SimError> {
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
-        let whole_layer = self.cost.weight_transfer(streamed);
         let kv_cpu_fraction = 1.0 - self.policy.kv_gpu_ratio;
-        // Per distinct micro-batch, keyed by its tokens and context, costed
-        // once per step: (KV prefetch, fused GPU layer, write-back of the new
-        // KV entries to the CPU-resident cache).
-        let costs: Vec<[Seconds; 3]> = self.price_micro_batches(
-            |j| (self.micro_batch_tokens(j), self.ctx_of(j)),
-            |(tokens, ctx)| {
+        self.price_micro_batches(
+            ScheduleKind::FlexGenGpuAttention,
+            buffers,
+            |tokens| {
                 let append = self
                     .cost
                     .model()
@@ -507,135 +521,168 @@ impl<'a> DecodeScheduleBuilder<'a> {
                     .scale(kv_cpu_fraction)
                     * tokens;
                 [
-                    self.cost.kv_transfer(tokens, ctx, kv_cpu_fraction),
-                    self.cost.pre_attention_gpu(tokens)
-                        + self.cost.attention_gpu(tokens, ctx)
-                        + self.cost.post_attention_gpu(tokens),
+                    self.cost.pre_attention_gpu(tokens),
+                    self.cost.post_attention_gpu(tokens),
                     self.cost.kv_offload(append),
+                    Seconds::ZERO,
+                ]
+            },
+            |tokens, ctx| {
+                [
+                    self.cost.kv_transfer(tokens, ctx, kv_cpu_fraction),
+                    self.cost.attention_gpu(tokens, ctx),
                 ]
             },
         );
-
-        let mut weights_done: Vec<Option<TaskId>> = vec![None; layers as usize];
-        if !streamed.is_zero() {
-            weights_done[0] = Some(g.add_task(
-                Lane::HostToDevice,
-                whole_layer,
-                TaskKind::WeightTransfer,
-                TaskLabel::layer("W", 0),
-                &[],
-            )?);
-        }
-
-        let mut prev_post: Vec<Option<TaskId>> = vec![None; n_ub as usize];
-        let mut kv_ready: Vec<Option<TaskId>> = vec![None; n_ub as usize];
-        for i in 0..layers {
-            // KV prefetch for every micro-batch of this layer, then the (un-paged)
-            // weights of the next layer — the S4 H2D ordering of Fig. 6.
-            for j in 0..n_ub {
-                let [prefetch, ..] = costs[j as usize];
-                kv_ready[j as usize] = if !prefetch.is_zero() && kv_cpu_fraction > 0.0 {
-                    Some(g.add_task(
-                        Lane::HostToDevice,
-                        prefetch,
-                        TaskKind::KvTransfer,
-                        TaskLabel::micro_batch("KV", i, j),
-                        &[],
-                    )?)
-                } else {
-                    None
-                };
-            }
-            if i + 1 < layers && !streamed.is_zero() {
-                weights_done[(i + 1) as usize] = Some(g.add_task(
+        let (prices, t) = (&buffers.prices, &mut buffers.template);
+        let prefetched = |p: &Priced| !p.by_context[0].is_zero() && kv_cpu_fraction > 0.0;
+        for (j, priced) in prices.iter().enumerate() {
+            if prefetched(priced) {
+                t.push(
                     Lane::HostToDevice,
-                    whole_layer,
-                    TaskKind::WeightTransfer,
-                    TaskLabel::layer("W", i + 1),
+                    priced.by_context[0],
+                    TaskKind::KvTransfer,
+                    TemplateLabel::micro_batch("KV", 0, j as u64),
                     &[],
-                )?);
-            }
-
-            for j in 0..n_ub {
-                let [_, compute_time, append_time] = costs[j as usize];
-                let (deps, n_deps) = existing([
-                    weights_done[i as usize],
-                    kv_ready[j as usize],
-                    prev_post[j as usize],
-                ]);
-                let compute = g.add_task(
-                    Lane::GpuCompute,
-                    compute_time,
-                    TaskKind::PostAttention,
-                    TaskLabel::micro_batch("L", i, j),
-                    &deps[..n_deps],
                 )?;
-                // New KV entries written back to the CPU-resident cache.
-                if kv_cpu_fraction > 0.0 {
-                    g.add_task(
-                        Lane::DeviceToHost,
-                        append_time,
-                        TaskKind::QkvOffload,
-                        TaskLabel::micro_batch("KVout", i, j),
-                        &[compute],
-                    )?;
-                }
-                prev_post[j as usize] = Some(compute);
+            }
+        }
+        if !streamed.is_zero() {
+            t.push(
+                Lane::HostToDevice,
+                self.cost.weight_transfer(streamed),
+                TaskKind::WeightTransfer,
+                TemplateLabel::layer("W", 1),
+                &[],
+            )?;
+        }
+        // The prefetches are the block's first tasks, in micro-batch order.
+        let mut next_kv = 0;
+        for (j, priced) in prices.iter().enumerate() {
+            let [pre, post, append, _] = priced.by_tokens;
+            // The same micro-batch's layer one block back sits at this index.
+            let prev = Dep::Task {
+                back: 1,
+                index: t.next_index(),
+            };
+            let kv_ready = Dep::Task {
+                back: 0,
+                index: next_kv,
+            };
+            let deps: &[Dep] = if prefetched(priced) {
+                next_kv += 1;
+                &[Dep::Weights, kv_ready, prev]
+            } else {
+                &[Dep::Weights, prev]
+            };
+            let compute = t.push(
+                Lane::GpuCompute,
+                pre + priced.by_context[1] + post,
+                TaskKind::PostAttention,
+                TemplateLabel::micro_batch("L", 0, j as u64),
+                deps,
+            )?;
+            if kv_cpu_fraction > 0.0 {
+                t.push(
+                    Lane::DeviceToHost,
+                    append,
+                    TaskKind::QkvOffload,
+                    TemplateLabel::micro_batch("KVout", 0, j as u64),
+                    &[Dep::Task {
+                        back: 0,
+                        index: compute,
+                    }],
+                )?;
             }
         }
         Ok(())
     }
 
-    /// DeepSpeed-style layer streaming: a single batch, GPU attention, KV resident on
-    /// the GPU, whole-layer weight streaming overlapped with compute.
-    fn build_layer_streaming<S: TaskSink>(&self, g: &mut S) -> Result<(), SimError> {
-        let layers = u64::from(self.num_layers);
+    /// One layer of DeepSpeed-style layer streaming: a single batch, GPU
+    /// attention, KV resident on the GPU, the layer's whole weights streamed
+    /// in ahead of its compute.
+    fn layer_streaming_layer(&self, t: &mut LayerTemplate) -> Result<(), SimError> {
         let tokens = self.total_tokens();
         let ctx = self.ctx();
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
-        let whole_layer = self.cost.weight_transfer(streamed);
-        let compute_time = self.cost.pre_attention_gpu(tokens)
-            + self.cost.attention_gpu(tokens, ctx)
-            + self.cost.post_attention_gpu(tokens);
-
-        let mut prev_compute: Option<TaskId> = None;
-        let mut prev_weights: Option<TaskId> = None;
-        for i in 0..layers {
-            let weights = if streamed.is_zero() {
-                None
-            } else {
-                Some(g.add_task(
-                    Lane::HostToDevice,
-                    whole_layer,
-                    TaskKind::WeightTransfer,
-                    TaskLabel::layer("W", i),
-                    &[],
-                )?)
-            };
-            let (deps, n_deps) = existing([weights.or(prev_weights), prev_compute]);
-            prev_compute = Some(g.add_task(
-                Lane::GpuCompute,
-                compute_time,
-                TaskKind::PostAttention,
-                TaskLabel::layer("L", i),
-                &deps[..n_deps],
-            )?);
-            prev_weights = weights;
+        if !streamed.is_zero() {
+            t.push(
+                Lane::HostToDevice,
+                self.cost.weight_transfer(streamed),
+                TaskKind::WeightTransfer,
+                TemplateLabel::layer("W", 0),
+                &[],
+            )?;
         }
+        let prev = Dep::Task {
+            back: 1,
+            index: t.next_index(),
+        };
+        t.push(
+            Lane::GpuCompute,
+            self.cost.pre_attention_gpu(tokens)
+                + self.cost.attention_gpu(tokens, ctx)
+                + self.cost.post_attention_gpu(tokens),
+            TaskKind::PostAttention,
+            TemplateLabel::layer("L", 0),
+            &[Dep::Weights, prev],
+        )?;
         Ok(())
     }
 }
 
-/// The ids among `ids` that exist, packed in order at the front of a stack
-/// buffer, with their count: optional dependencies without a heap allocation.
-fn existing<const N: usize>(ids: [Option<TaskId>; N]) -> ([TaskId; N], usize) {
-    let mut packed = [TaskId(0); N];
-    let mut n = 0;
-    for id in ids.into_iter().flatten() {
-        packed[n] = id;
-        n += 1;
+/// The priced operators of one micro-batch and the inputs they read.
+#[derive(Debug, Clone, Copy)]
+struct Priced {
+    tokens: u64,
+    context: u64,
+    /// Operators that read only the micro-batch's tokens.
+    by_tokens: [Seconds; 4],
+    /// Operators that read its tokens and mean context.
+    by_context: [Seconds; 2],
+}
+
+/// Slots of the token-keyed price memo: a token count shares its slot with
+/// counts that differ by a multiple of this.
+const TOKEN_SLOTS: usize = 64;
+
+/// The prices of the operators that read only a micro-batch's tokens, kept
+/// across steps in slot `tokens % TOKEN_SLOTS`, for the cost model, schedule
+/// kind and placement in `key`.
+#[derive(Debug, Clone)]
+struct TokenPrices {
+    /// Cost-model pricing id, kind, FFN placement and KV split bits.
+    key: Option<(u64, ScheduleKind, bool, u64)>,
+    /// Counts the keys priced so far; a slot holds prices for the current
+    /// key only if it was filled in this generation, so a new key empties
+    /// the memo in O(1).
+    generation: u64,
+    /// (generation, tokens, prices); generation 0 is never current.
+    slots: [(u64, u64, [Seconds; 4]); TOKEN_SLOTS],
+}
+
+impl Default for TokenPrices {
+    fn default() -> Self {
+        TokenPrices {
+            key: None,
+            generation: 0,
+            slots: [(0, 0, [Seconds::ZERO; 4]); TOKEN_SLOTS],
+        }
     }
-    (packed, n)
+}
+
+/// The buffers one step pricing works in: the layer template, the player's
+/// finish times, the per-micro-batch prices and a memo of the prices that
+/// depend only on a micro-batch's tokens. Keep one and pass it to every
+/// [`DecodeScheduleBuilder::decode_step_makespan_in`], for any cost model,
+/// kind or policy; once it has priced a step with as many micro-batches, a
+/// pricing allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct StepBuffers {
+    template: LayerTemplate,
+    player: TemplatePlayer,
+    prices: Vec<Priced>,
+    by_token: TokenPrices,
 }
 
 /// Placement of the next layer's weight transfer on the H2D lane.
@@ -653,8 +700,9 @@ enum WeightOrder {
 mod tests {
     use super::*;
     use moe_hardware::NodeSpec;
+    use moe_memory::pages::split_into_pages;
     use moe_model::MoeModelConfig;
-    use moe_sim::simulate;
+    use moe_sim::{simulate, TaskId, TaskLabel};
     use proptest::prelude::*;
 
     fn cost() -> CostModel {
@@ -906,10 +954,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_occupancy_micro_batch_panics() {
+    fn a_zero_occupancy_micro_batch_is_a_typed_error() {
         let cost = cost();
-        let _ = builder(&cost).with_micro_batch_tokens(&[32, 0, 5]);
+        let b = builder(&cost).with_micro_batch_tokens(&[32, 0, 5]);
+        for kind in ScheduleKind::all() {
+            let err = SimError::ZeroOccupancy { micro_batch: 1 };
+            assert_eq!(b.decode_step_makespan(kind), Err(err.clone()));
+            assert_eq!(b.build(kind), Err(err));
+        }
+        let none = builder(&cost).with_micro_batch_tokens(&[]);
+        assert_eq!(
+            none.decode_step_makespan(ScheduleKind::CgoPipe),
+            Err(SimError::NoMicroBatches)
+        );
     }
 
     #[test]
@@ -937,38 +994,130 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one context entry per micro-batch")]
-    fn mismatched_context_count_panics() {
-        let cost = cost();
-        let _ = builder(&cost)
-            .with_micro_batch_tokens(&[32, 32])
-            .with_micro_batch_contexts(&[100]);
+    fn one_reused_buffer_prices_like_fresh_ones_across_policies_and_kinds() {
+        // The token-keyed memo must not carry a price over to a cost model,
+        // kind, FFN placement or KV split that prices it differently: each
+        // step below changes one of them at a time, for every kind in turn.
+        let costs = [
+            cost(),
+            CostModel::new(NodeSpec::l4_single(), MoeModelConfig::mixtral_8x7b()),
+        ];
+        let steps = [
+            (0, true, 0.0),
+            (1, true, 0.0),
+            (1, false, 0.0),
+            (1, false, 0.5),
+            (0, false, 0.5),
+            (0, true, 0.0),
+        ];
+        let workload = WorkloadShape::new(77, 128);
+        let loads: [&[u64]; 3] = [&[16, 16, 9], &[16, 9, 3, 16], &[9]];
+        let mut buffers = StepBuffers::default();
+        for kind in ScheduleKind::all() {
+            for (c, ffn_on_gpu, kv_gpu_ratio) in steps {
+                let policy = Policy {
+                    ffn_on_gpu,
+                    kv_gpu_ratio,
+                    weights_gpu_ratio: 0.2,
+                    ..Policy::offload_default(64, 16)
+                };
+                for tokens in loads {
+                    let b = DecodeScheduleBuilder::new(&costs[c], policy, workload)
+                        .with_layers(3)
+                        .with_micro_batch_tokens(tokens);
+                    let reused = b.decode_step_makespan_in(kind, &mut buffers).unwrap();
+                    let fresh = b.decode_step_makespan(kind).unwrap();
+                    assert_eq!(
+                        reused.as_secs().to_bits(),
+                        fresh.as_secs().to_bits(),
+                        "{} on cost model {c}, {tokens:?}, FFN on GPU {ffn_on_gpu}, \
+                         KV on GPU {kv_gpu_ratio}",
+                        kind.name()
+                    );
+                }
+            }
+        }
     }
 
-    /// A ratio drawn at either end of `[0, 1]` or strictly inside it.
+    #[test]
+    fn mismatched_or_zero_contexts_are_typed_errors() {
+        let cost = cost();
+        let tokens = [32, 32];
+        let priced = |contexts: &[u64]| {
+            builder(&cost)
+                .with_micro_batch_tokens(&tokens)
+                .with_micro_batch_contexts(contexts)
+                .decode_step_makespan(ScheduleKind::CgoPipe)
+        };
+        let count = SimError::ContextCount {
+            micro_batches: 2,
+            contexts: 1,
+        };
+        assert_eq!(priced(&[100]), Err(count));
+        assert_eq!(
+            priced(&[100, 0]),
+            Err(SimError::ZeroContext { micro_batch: 1 })
+        );
+        assert!(priced(&[100, 100]).is_ok());
+    }
+
+    /// A ratio drawn at either end of `[0, 1]`, at its middle or strictly
+    /// inside it: zero, partial and full pages all occur.
     fn ratio(pick: u8, inside: f64) -> f64 {
         match pick {
             0 => 0.0,
             1 => 1.0,
+            2 => 0.5,
             _ => inside,
         }
+    }
+
+    /// Whether two graphs hold the same tasks in the same order: lanes,
+    /// duration bits, kinds, labels and dependency ids.
+    fn same_stream(unrolled: &TaskGraph, reference: &TaskGraph) -> Result<(), String> {
+        if unrolled.len() != reference.len() {
+            return Err(format!("{} tasks vs {}", unrolled.len(), reference.len()));
+        }
+        for (u, r) in unrolled.tasks().iter().zip(reference.tasks()) {
+            let key = |g: &TaskGraph, t: &moe_sim::Task| {
+                let deps: Vec<usize> = g.deps(t).iter().map(|d| d.0).collect();
+                (
+                    t.lane,
+                    t.duration.as_secs().to_bits(),
+                    t.kind,
+                    t.label,
+                    deps,
+                )
+            };
+            if key(unrolled, u) != key(reference, r) {
+                return Err(format!(
+                    "task {}: {:?} vs {:?}",
+                    u.id.0,
+                    key(unrolled, u),
+                    key(reference, r)
+                ));
+            }
+        }
+        Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The streamed step costing is the Fig. 6 graph played in full, bit for
-        /// bit: random placements, ratios, ragged last micro-batches, explicit
-        /// loads, depths and both model presets, under every schedule kind.
+        /// The layer template is the pre-template emitters' stream, task for
+        /// task, and its player is the Fig. 6 graph played in full, bit for
+        /// bit: random placements, ratios, ragged last micro-batches, 1–16
+        /// micro-batches with occupancy and context skew, every depth of the
+        /// model and both model presets, under every schedule kind.
         #[test]
-        fn streamed_makespan_equals_simulate_bit_for_bit(
+        fn unrolled_template_is_the_reference_stream_and_plays_bit_for_bit(
             tiny in any::<bool>(),
-            (mu, n_ub, ragged) in (1u64..64, 1u64..16, 0u64..64),
+            (mu, n_ub, ragged) in (1u64..64, 1u64..=16, 0u64..64),
             (attention_on_gpu, ffn_on_gpu) in (any::<bool>(), any::<bool>()),
-            (w_pick, r_w, c_pick, r_c) in (0u8..3, 0.0f64..1.0, 0u8..3, 0.0f64..1.0),
+            (w_pick, r_w, c_pick, r_c) in (0u8..4, 0.0f64..1.0, 0u8..4, 0.0f64..1.0),
             loads in collection::vec((1u64..64, 1u64..4096), 1..=16),
             explicit in 0u8..3,
-            layers in 1u32..=4,
+            depth in 0.0f64..1.0,
             (prompt, gen) in (1u64..1024, 1u64..256),
         ) {
             let cost = if tiny {
@@ -984,6 +1133,8 @@ mod tests {
                 weights_gpu_ratio: ratio(w_pick, r_w),
                 kv_gpu_ratio: ratio(c_pick, r_c),
             };
+            let max_layers = cost.model().num_layers;
+            let layers = 1 + (depth * f64::from(max_layers)) as u32 % max_layers;
             let (occupancy, contexts): (Vec<u64>, Vec<u64>) = loads.into_iter().unzip();
             let mut b = DecodeScheduleBuilder::new(&cost, policy, WorkloadShape::new(prompt, gen))
                 .with_layers(layers);
@@ -994,17 +1145,23 @@ mod tests {
             if explicit > 1 {
                 b = b.with_micro_batch_contexts(&contexts);
             }
+            let mut buffers = StepBuffers::default();
             for kind in ScheduleKind::all() {
-                let streamed = b.decode_step_makespan(kind).unwrap();
-                let full = simulate(&b.build(kind).unwrap()).makespan;
+                let unrolled = b.build(kind).unwrap();
+                let mut reference = TaskGraph::new();
+                b.emit_reference(kind, &mut reference).unwrap();
+                let same = same_stream(&unrolled, &reference);
+                prop_assert!(same.is_ok(), "{} / {} layers: {:?}", kind.name(), layers, same);
+                let played = b.decode_step_makespan_in(kind, &mut buffers).unwrap();
+                let full = simulate(&reference).makespan;
                 prop_assert_eq!(
-                    streamed.as_secs().to_bits(),
+                    played.as_secs().to_bits(),
                     full.as_secs().to_bits(),
                     "{} / {:?} / {} layers: {} vs {}",
                     kind.name(),
                     b.ub_tokens,
                     layers,
-                    streamed,
+                    played,
                     full
                 );
             }

@@ -1,5 +1,7 @@
 //! Pipeline schedules for the decode stage: CGOPipe (Algorithm 1) and the baseline
-//! orderings of Fig. 6, emitted as tasks into the discrete-event simulator.
+//! orderings of Fig. 6. Each schedule kind describes one layer once, as a
+//! `moe_sim::LayerTemplate`, which the discrete-event simulator unrolls into a
+//! full task graph or plays straight from the template.
 //!
 //! # Examples
 //!
@@ -7,7 +9,7 @@
 //! use moe_hardware::NodeSpec;
 //! use moe_model::MoeModelConfig;
 //! use moe_policy::{CostModel, Policy, WorkloadShape};
-//! use moe_schedule::{DecodeScheduleBuilder, ScheduleKind};
+//! use moe_schedule::{DecodeScheduleBuilder, ScheduleKind, StepBuffers};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let cost = CostModel::new(NodeSpec::t4_single(), MoeModelConfig::mixtral_8x7b());
@@ -20,6 +22,14 @@
 //! let cgo = builder.decode_step_makespan(ScheduleKind::CgoPipe)?;
 //! let flexgen = builder.decode_step_makespan(ScheduleKind::FlexGenGpuAttention)?;
 //! assert!(cgo.as_secs() <= flexgen.as_secs());
+//!
+//! // Pricing step after step in one set of buffers allocates nothing once
+//! // they are warm, and gives the same bits.
+//! let mut buffers = StepBuffers::default();
+//! for _ in 0..3 {
+//!     let again = builder.decode_step_makespan_in(ScheduleKind::CgoPipe, &mut buffers)?;
+//!     assert_eq!(again, cgo);
+//! }
 //! # Ok(())
 //! # }
 //! ```
@@ -29,7 +39,7 @@
 
 pub mod builder;
 
-pub use builder::{cgopipe_weight_buffers, DecodeScheduleBuilder, ScheduleKind};
+pub use builder::{cgopipe_weight_buffers, DecodeScheduleBuilder, ScheduleKind, StepBuffers};
 
 #[cfg(test)]
 mod proptests {

@@ -1,51 +1,57 @@
 //! Discrete-event simulator for a heterogeneous CPU/GPU/PCIe node.
 //!
 //! This crate stands in for the hardware the paper evaluates on: schedules
-//! (CGOPipe and the baselines) emit tasks over four serial lanes — GPU compute,
-//! CPU compute, host→device and device→host copies — into a [`TaskSink`], and
-//! the tasks are played with CUDA-stream (FIFO per lane, cross-lane dependency)
-//! semantics. A [`TaskGraph`] keeps every task so that [`simulate`] can report the
+//! (CGOPipe and the baselines) are tasks over four serial lanes — GPU compute,
+//! CPU compute, host→device and device→host copies — played with CUDA-stream
+//! (FIFO per lane, cross-lane dependency) semantics. A decode step repeats one
+//! layer's tasks once per layer, so a schedule is described once, as a
+//! [`LayerTemplate`] whose tasks name their inputs relative to their own layer.
+//! [`LayerTemplate::unroll`] emits the whole step into any [`TaskSink`], such as
+//! a [`TaskGraph`] that keeps every task so that [`simulate`] can report the
 //! makespan, per-lane utilization and the pipeline bubbles that Fig. 6 of the
-//! paper visualizes. A [`Player`] plays each task as it is emitted and keeps only
-//! the lane clocks, which is all a decode-step costing needs; both apply the same
-//! lane rule, so their makespans agree bit for bit.
+//! paper visualizes. A [`TemplatePlayer`] plays the template from the finish
+//! times of the last few layers alone, in a buffer it reuses: pricing a step
+//! that way allocates nothing once the buffer is warm, and its makespan equals
+//! [`simulate`]'s on the unrolled graph bit for bit.
 //!
 //! # Examples
 //!
 //! ```
 //! use moe_hardware::Seconds;
-//! use moe_sim::{simulate, Lane, Player, TaskGraph, TaskKind, TaskSink};
+//! use moe_sim::{
+//!     simulate, Dep, Lane, LayerTemplate, TaskGraph, TaskKind, TemplateLabel, TemplatePlayer,
+//! };
 //!
 //! # fn main() -> Result<(), moe_sim::SimError> {
-//! // Emit the same two tasks into any sink: layer-1 weights, then the FFN
-//! // that needs them.
-//! fn emit(sink: &mut impl TaskSink) -> Result<(), moe_sim::SimError> {
-//!     let weights = sink.add_task(
-//!         Lane::HostToDevice,
-//!         Seconds::from_millis(8.0),
-//!         TaskKind::WeightTransfer,
-//!         "layer-1 weights",
-//!         &[],
-//!     )?;
-//!     sink.add_task(
-//!         Lane::GpuCompute,
-//!         Seconds::from_millis(3.0),
-//!         TaskKind::PostAttention,
-//!         "layer-1 FFN",
-//!         &[weights],
-//!     )?;
-//!     Ok(())
-//! }
+//! // One layer: its FFN waits for its weights and the previous layer's FFN,
+//! // while the next layer's weights stream in; layer 0's arrive first.
+//! let mut layer = LayerTemplate::default();
+//! layer.set_prologue(Seconds::from_secs(8.0));
+//! let ffn = layer.push(
+//!     Lane::GpuCompute,
+//!     Seconds::from_secs(3.0),
+//!     TaskKind::PostAttention,
+//!     TemplateLabel::layer("FFN", 0),
+//!     &[Dep::Weights, Dep::Task { back: 1, index: 0 }],
+//! )?;
+//! assert_eq!(ffn, 0);
+//! layer.push(
+//!     Lane::HostToDevice,
+//!     Seconds::from_secs(8.0),
+//!     TaskKind::WeightTransfer,
+//!     TemplateLabel::layer("W", 1),
+//!     &[],
+//! )?;
 //!
 //! let mut graph = TaskGraph::new();
-//! emit(&mut graph)?;
+//! layer.unroll(3, &mut graph)?;
+//! let labels: Vec<String> = graph.tasks().iter().map(|t| t.label.to_string()).collect();
+//! assert_eq!(labels, ["W(0)", "FFN(0)", "W(1)", "FFN(1)", "W(2)", "FFN(2)"]);
 //! let result = simulate(&graph);
-//! assert_eq!(result.lane(Lane::GpuCompute).bubble.as_millis(), 0.0);
+//! assert_eq!(result.makespan.as_secs(), 27.0);
 //!
-//! let mut player = Player::new();
-//! emit(&mut player)?;
-//! assert_eq!(player.makespan().as_millis(), 11.0);
-//! assert_eq!(player.makespan(), result.makespan);
+//! let mut player = TemplatePlayer::default();
+//! assert_eq!(player.play(&layer, 3)?, result.makespan);
 //! # Ok(())
 //! # }
 //! ```
@@ -55,9 +61,11 @@
 
 pub mod engine;
 pub mod task;
+pub mod template;
 
-pub use engine::{simulate, LaneStats, Player, SimulationResult, TimelineEntry};
+pub use engine::{simulate, LaneStats, SimulationResult, TimelineEntry};
 pub use task::{Lane, SimError, Task, TaskGraph, TaskId, TaskKind, TaskLabel, TaskSink};
+pub use template::{Dep, LayerTemplate, TemplateLabel, TemplatePlayer, MAX_BACK};
 
 #[cfg(test)]
 mod proptests {
@@ -94,6 +102,44 @@ mod proptests {
         g
     }
 
+    /// Builds a random layer template: random lanes, durations and label
+    /// offsets, some weight transfers, with or without a prologue, and up to
+    /// three inputs per task: an earlier task of its block, any task up to
+    /// `MAX_BACK` blocks back, or its layer's weight slot.
+    fn random_template(seed: u64, width: usize) -> LayerTemplate {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lanes = Lane::all();
+        let mut t = LayerTemplate::default();
+        if rng.gen_range(0..2) == 0 {
+            t.set_prologue(Seconds::from_micros(rng.gen_range(1.0..500.0)));
+        }
+        for k in 0..width {
+            let lane = lanes[rng.gen_range(0..lanes.len())];
+            let kind = if rng.gen_range(0..3) == 0 {
+                TaskKind::WeightTransfer
+            } else {
+                TaskKind::Other
+            };
+            let label = TemplateLabel::micro_batch("t", rng.gen_range(-1i8..=1), k as u64);
+            let deps: Vec<Dep> = (0..rng.gen_range(0..=3))
+                .map(|_| match rng.gen_range(0..3) {
+                    0 if k > 0 => Dep::Task {
+                        back: 0,
+                        index: rng.gen_range(0..k) as u16,
+                    },
+                    1 => Dep::Task {
+                        back: rng.gen_range(1..=MAX_BACK),
+                        index: rng.gen_range(0..width) as u16,
+                    },
+                    _ => Dep::Weights,
+                })
+                .collect();
+            let duration = Seconds::from_micros(rng.gen_range(0.0..500.0));
+            t.push(lane, duration, kind, label, &deps).unwrap();
+        }
+        t
+    }
+
     /// Tasks bound to `lane`, in enqueue (FIFO) order.
     fn lane_queue(g: &TaskGraph, lane: Lane) -> Vec<TaskId> {
         g.tasks()
@@ -103,7 +149,7 @@ mod proptests {
             .collect()
     }
 
-    /// Reference player, independent of the streaming `Player`: lanes take turns
+    /// Reference player, independent of `simulate`: lanes take turns
     /// running their head task while its dependencies have finished, until
     /// every task has run.
     fn round_robin_makespan(g: &TaskGraph) -> Seconds {
@@ -140,34 +186,42 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn streamed_makespan_matches_simulate_bit_for_bit(
+        fn simulate_matches_a_round_robin_reference_bit_for_bit(
             seed in 0u64..10_000,
             n in 0usize..120,
             forward in 0usize..4,
         ) {
             let g = random_graph(seed, n);
-            let mut player = Player::new();
-            for task in g.tasks() {
-                let id = player
-                    .add_task(task.lane, task.duration, task.kind, task.label, g.deps(task))
-                    .unwrap();
-                prop_assert_eq!(id, task.id);
-            }
-            let bits = player.makespan().as_secs().to_bits();
-            prop_assert_eq!(bits, simulate(&g).makespan.as_secs().to_bits());
-            prop_assert_eq!(bits, round_robin_makespan(&g).as_secs().to_bits());
+            prop_assert_eq!(
+                simulate(&g).makespan.as_secs().to_bits(),
+                round_robin_makespan(&g).as_secs().to_bits()
+            );
 
-            // Both sinks reject a dependency on a task not yet emitted, alike.
+            // A dependency on a task not yet added is rejected.
             let deps = [TaskId(n + forward)];
             let mut graph = g.clone();
-            let kept = graph.add_task(Lane::GpuCompute, Seconds::ZERO, TaskKind::Other, "x", &deps);
-            let streamed =
-                player.add_task(Lane::GpuCompute, Seconds::ZERO, TaskKind::Other, "x", &deps);
             prop_assert_eq!(
-                kept.clone(),
+                graph.add_task(Lane::GpuCompute, Seconds::ZERO, TaskKind::Other, "x", &deps),
                 Err(SimError::UnknownDependency { task: n, dependency: n + forward })
             );
-            prop_assert_eq!(kept, streamed);
+            prop_assert_eq!(graph, g);
+        }
+
+        #[test]
+        fn template_player_matches_simulate_on_the_unrolled_graph(
+            seed in 0u64..10_000,
+            width in 1usize..24,
+            layers in 1u32..9,
+        ) {
+            let t = random_template(seed, width);
+            let mut graph = TaskGraph::new();
+            t.unroll(layers, &mut graph).unwrap();
+            let bits = simulate(&graph).makespan.as_secs().to_bits();
+            prop_assert_eq!(bits, round_robin_makespan(&graph).as_secs().to_bits());
+            let mut player = TemplatePlayer::default();
+            for _ in 0..2 {
+                prop_assert_eq!(player.play(&t, layers).unwrap().as_secs().to_bits(), bits);
+            }
         }
 
         #[test]
@@ -204,15 +258,11 @@ mod proptests {
             let base = simulate(&g).makespan.as_secs();
             for k in 0..n {
                 let mut grown = TaskGraph::new();
-                let mut player = Player::new();
                 for task in g.tasks() {
                     let duration = if task.id.0 == k { task.duration + extra } else { task.duration };
-                    let deps = g.deps(task);
-                    grown.add_task(task.lane, duration, task.kind, task.label, deps).unwrap();
-                    player.add_task(task.lane, duration, task.kind, task.label, deps).unwrap();
+                    grown.add_task(task.lane, duration, task.kind, task.label, g.deps(task)).unwrap();
                 }
                 prop_assert!(simulate(&grown).makespan.as_secs() >= base, "task {} grown", k);
-                prop_assert!(player.makespan().as_secs() >= base, "task {} grown", k);
             }
         }
 

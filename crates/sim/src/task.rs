@@ -176,7 +176,7 @@ pub struct Task {
     deps: Range<usize>,
 }
 
-/// Errors produced while building a task graph.
+/// Errors produced while building a task graph or a layer template.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// A dependency refers to a task id that has not been added yet.
@@ -186,6 +186,37 @@ pub enum SimError {
         /// The missing dependency id.
         dependency: usize,
     },
+    /// A layer-template task names an input the template cannot reach (see
+    /// [`LayerTemplate::push`](crate::LayerTemplate::push)).
+    TemplateDependency {
+        /// Local index of the task declaring the input.
+        task: usize,
+    },
+    /// A layer-template task has a NaN duration.
+    InvalidDuration {
+        /// Local index of the task.
+        task: usize,
+    },
+    /// A decode step was given no micro-batches.
+    NoMicroBatches,
+    /// A micro-batch of a decode step holds no sequences.
+    ZeroOccupancy {
+        /// The empty micro-batch.
+        micro_batch: usize,
+    },
+    /// A micro-batch of a decode step reads no context.
+    ZeroContext {
+        /// The micro-batch.
+        micro_batch: usize,
+    },
+    /// The per-micro-batch contexts of a decode step do not match its
+    /// micro-batches one to one.
+    ContextCount {
+        /// Micro-batches in the step.
+        micro_batches: usize,
+        /// Contexts given.
+        contexts: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -194,16 +225,38 @@ impl fmt::Display for SimError {
             SimError::UnknownDependency { task, dependency } => {
                 write!(f, "task {task} depends on unknown task {dependency}")
             }
+            SimError::TemplateDependency { task } => {
+                write!(f, "layer-template task {task} names an unreachable input")
+            }
+            SimError::InvalidDuration { task } => {
+                write!(f, "layer-template task {task} has a NaN duration")
+            }
+            SimError::NoMicroBatches => f.write_str("a decode step needs at least one micro-batch"),
+            SimError::ZeroOccupancy { micro_batch } => write!(
+                f,
+                "per-micro-batch occupancies must be positive, micro-batch {micro_batch} is empty"
+            ),
+            SimError::ZeroContext { micro_batch } => write!(
+                f,
+                "per-micro-batch contexts must be positive, micro-batch {micro_batch} reads none"
+            ),
+            SimError::ContextCount {
+                micro_batches,
+                contexts,
+            } => write!(
+                f,
+                "per-micro-batch contexts need the same length as the micro-batches: \
+                 {contexts} contexts for {micro_batches} micro-batches"
+            ),
         }
     }
 }
 
 impl std::error::Error for SimError {}
 
-/// A consumer of an emitted schedule: a [`TaskGraph`] keeps every task, a
-/// [`Player`](crate::Player) plays each one as it arrives and keeps only the
-/// lane clocks. A schedule builder generic over `TaskSink` emits the same tasks
-/// in the same order into either.
+/// A consumer of an emitted schedule, such as a [`TaskGraph`] that keeps every
+/// task; [`LayerTemplate::unroll`](crate::LayerTemplate::unroll) emits a step
+/// into any sink.
 pub trait TaskSink {
     /// Adds a task; dependencies must reference previously added tasks.
     ///
@@ -218,18 +271,6 @@ pub trait TaskSink {
         label: impl Into<TaskLabel>,
         deps: &[TaskId],
     ) -> Result<TaskId, SimError>;
-}
-
-/// The error a sink holding `len` tasks returns for the first dependency in
-/// `deps` that does not refer to one of them, if any.
-pub(crate) fn check_deps(len: usize, deps: &[TaskId]) -> Result<(), SimError> {
-    match deps.iter().find(|dep| dep.0 >= len) {
-        Some(dep) => Err(SimError::UnknownDependency {
-            task: len,
-            dependency: dep.0,
-        }),
-        None => Ok(()),
-    }
 }
 
 /// A buildable set of tasks with lane bindings and dependencies.
@@ -295,7 +336,12 @@ impl TaskSink for TaskGraph {
         deps: &[TaskId],
     ) -> Result<TaskId, SimError> {
         let id = TaskId(self.tasks.len());
-        check_deps(id.0, deps)?;
+        if let Some(dep) = deps.iter().find(|dep| dep.0 >= id.0) {
+            return Err(SimError::UnknownDependency {
+                task: id.0,
+                dependency: dep.0,
+            });
+        }
         let start = self.deps.len();
         self.deps.extend_from_slice(deps);
         self.tasks.push(Task {

@@ -1,6 +1,7 @@
-//! Allocation gate for the fleet control path: an autoscaled fleet with
-//! prefix caches, SLO admission and prefix-aware routing must stay under a
-//! fixed number of heap allocations per offered request.
+//! Allocation gates. Step pricing must make no heap allocation once its
+//! buffers are warm, and a fleet must stay under a fixed number of heap
+//! allocations per offered request: a static fleet, and an autoscaled one
+//! with prefix caches, SLO admission and prefix-aware routing.
 //!
 //! Allocations are counted by a thread-local counting global allocator, so
 //! only the thread running the simulation is measured (the fleet loop is
@@ -11,9 +12,9 @@
 
 use moe_bench::fleet::FleetScenario;
 use moe_lightning::{
-    ClusterEvaluator, ClusterSpec, EvalSetting, FleetTimeline, GenLens, NodeSpec, PrefixAware,
-    ReplicaId, ReplicaSpec, ScaleBounds, Seconds, ServingMode, SloAdmission, SloAttainmentScaler,
-    SystemKind,
+    ClusterEvaluator, ClusterSpec, EvalSetting, FleetTimeline, GenLens, NodeSpec, Policy,
+    PrefixAware, ReplicaId, ReplicaSpec, ScaleBounds, ScheduleKind, Seconds, ServingMode,
+    SloAdmission, SloAttainmentScaler, SystemEvaluator, SystemKind, WorkloadShape,
 };
 use moe_workload::{ArrivalProcess, WorkloadSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,9 +69,10 @@ const REQUESTS: usize = 2_000;
 
 /// The most allocations one offered request may cost on the fleet path
 /// (routing, admission, autoscaling, prefix caches, stepping, reporting).
-/// The scenario reads 16.79; copying the serving views into a fresh vector
-/// at every autoscaler observation takes it to 21.82.
-const MAX_ALLOCATIONS_PER_REQUEST: f64 = 19.0;
+/// The scenario reads 7.46; step pricing into fresh buffers took it to
+/// 16.79, and copying the serving views into a fresh vector at every
+/// autoscaler observation on top of that to 21.82.
+const MAX_ALLOCATIONS_PER_REQUEST: f64 = 8.4;
 
 /// A 16-replica fleet-day-shaped run: multi-turn sessions at 1.1x the
 /// calibrated fleet rate, prefix-aware routing over 8192-token prefix
@@ -133,5 +135,84 @@ fn the_autoscaled_fleet_path_stays_under_its_allocation_budget() {
         per_request <= MAX_ALLOCATIONS_PER_REQUEST,
         "{per_request:.2} allocations per offered request, over the budget of \
          {MAX_ALLOCATIONS_PER_REQUEST}"
+    );
+}
+
+/// Step pricing — `decode_step_latency_with_loads`, the call a serving
+/// engine makes, in the buffers it keeps per thread — makes no heap
+/// allocation once it has priced one step: every schedule kind at 1, 4 and
+/// 16 micro-batches, with skewed occupancies and contexts that change from
+/// step to step, as a serving engine's do.
+#[test]
+fn step_pricing_allocates_nothing_after_one_warm_up_step() {
+    let evaluator = SystemEvaluator::new(EvalSetting::S1.node(), EvalSetting::S1.model());
+    let workload = WorkloadShape::new(77, 64);
+    for kind in ScheduleKind::all() {
+        for n_ub in [1u64, 4, 16] {
+            let policy = Policy::offload_default(16 * n_ub, 16);
+            let occupancy: Vec<u64> = (0..n_ub).map(|j| 16 - j % 5).collect();
+            let mut contexts: Vec<u64> = (0..n_ub).map(|j| 90 + 37 * j).collect();
+            for step in 0..4 {
+                let before = allocations();
+                evaluator
+                    .decode_step_latency_with_loads(
+                        kind,
+                        &policy,
+                        &workload,
+                        Some(&occupancy),
+                        Some(&contexts),
+                    )
+                    .unwrap();
+                let made = allocations() - before;
+                assert!(
+                    step == 0 || made == 0,
+                    "{} at {n_ub} micro-batches, step {step}: {made} allocations",
+                    kind.name()
+                );
+                contexts.iter_mut().for_each(|c| *c += 1);
+            }
+        }
+    }
+}
+
+/// The most allocations one offered request may cost on a static fleet
+/// (routing, stepping, reporting). The scenario reads 8.72; step pricing
+/// into fresh buffers took it to 20.42.
+const MAX_STATIC_ALLOCATIONS_PER_REQUEST: f64 = 9.5;
+
+/// A static 16-replica fleet on the pinned policy at 1.1x the calibrated
+/// fleet rate: no autoscaler, no admission control, no prefix caches and no
+/// failures. Only the simulation is counted.
+#[test]
+fn a_static_fleet_stays_under_its_allocation_budget() {
+    let scenario = FleetScenario::pinned(600).unwrap();
+    let rate = 1.1 * REPLICAS as f64 * scenario.per_replica_rate;
+    let queue = WorkloadSpec::mtbench().synthesize_queue(
+        REQUESTS,
+        GenLens::Uniform(64),
+        11,
+        false,
+        &ArrivalProcess::Poisson { rate_per_sec: rate },
+    );
+    let mut spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+        .with_gen_len(64)
+        .with_seed(11)
+        .with_mode(ServingMode::Continuous)
+        .with_queue(queue);
+    for _ in 0..REPLICAS {
+        spec =
+            spec.with_replica(ReplicaSpec::new(NodeSpec::t4_single()).with_policy(scenario.policy));
+    }
+    let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());
+
+    let before = allocations();
+    let report = evaluator.run(&spec).unwrap();
+    let per_request = (allocations() - before) as f64 / REQUESTS as f64;
+
+    assert_eq!(report.total_requests(), REQUESTS);
+    assert!(
+        per_request <= MAX_STATIC_ALLOCATIONS_PER_REQUEST,
+        "{per_request:.2} allocations per offered request, over the budget of \
+         {MAX_STATIC_ALLOCATIONS_PER_REQUEST}"
     );
 }
