@@ -595,6 +595,10 @@ impl ClusterReport {
     }
 }
 
+/// One distinct node's evaluator and, once searched, its policy: every
+/// replica of the node gets a clone of the evaluator.
+type NodeCosting = (SystemEvaluator, Option<Policy>);
+
 /// Evaluates cluster serving scenarios: one shared model, per-replica
 /// [`SystemEvaluator`]s built from each replica's node.
 ///
@@ -662,9 +666,22 @@ impl ClusterEvaluator {
         spec: &ClusterSpec,
         replica: &ReplicaSpec,
         index: usize,
-        policy_cache: &mut Vec<(NodeSpec, Policy)>,
+        node_cache: &mut Vec<NodeCosting>,
     ) -> Result<ReplicaEngine, EngineError> {
-        let evaluator = SystemEvaluator::new(replica.node.clone(), self.model.clone());
+        // Replicas of one node share its evaluator, so their steps are priced
+        // by one cost model and share its token-keyed price memo.
+        let at = match node_cache
+            .iter()
+            .position(|(evaluator, _)| *evaluator.node() == replica.node)
+        {
+            Some(at) => at,
+            None => {
+                let evaluator = SystemEvaluator::new(replica.node.clone(), self.model.clone());
+                node_cache.push((evaluator, None));
+                node_cache.len() - 1
+            }
+        };
+        let (evaluator, searched) = &mut node_cache[at];
         // Policies (and thus KV budgets) are sized for the scenario's expected
         // generation length — the mean of the defaults for mixed queues, where
         // per-round admission control keeps the long-generation tail within
@@ -674,17 +691,11 @@ impl ClusterEvaluator {
         // The policy search only depends on the node within one run (system,
         // workload and policy generation are fixed), so a homogeneous
         // 1000-replica fleet searches once, not 1000 times.
-        let policy = match replica.policy {
-            Some(policy) => policy,
-            None => match policy_cache.iter().find(|(node, _)| *node == replica.node) {
-                Some(&(_, policy)) => policy,
-                None => {
-                    let policy = evaluator.policy_for(spec.system, &shape)?;
-                    policy_cache.push((replica.node.clone(), policy));
-                    policy
-                }
-            },
+        let policy = match (replica.policy, *searched) {
+            (Some(policy), _) | (None, Some(policy)) => policy,
+            (None, None) => *searched.insert(evaluator.policy_for(spec.system, &shape)?),
         };
+        let evaluator = evaluator.clone();
         let batching = batching_for(&policy, &shape)
             .map_err(|reason| EngineError::InvalidBatchingConfig { reason })?;
         let mut engine = ReplicaEngine::new(
@@ -719,11 +730,11 @@ impl ClusterEvaluator {
     pub fn run(&self, spec: &ClusterSpec) -> Result<ClusterReport, EngineError> {
         spec.validate()
             .map_err(|reason| EngineError::InvalidClusterSpec { reason })?;
-        // The per-node policy memo `build_engine` fills; joins share it.
-        let mut policy_cache: Vec<(NodeSpec, Policy)> = Vec::new();
+        // The per-node costing `build_engine` fills; joins share it.
+        let mut node_cache: Vec<NodeCosting> = Vec::new();
         let mut engines: Vec<ReplicaEngine> = Vec::with_capacity(spec.replicas.len());
         for (index, replica) in spec.replicas.iter().enumerate() {
-            engines.push(self.build_engine(spec, replica, index, &mut policy_cache)?);
+            engines.push(self.build_engine(spec, replica, index, &mut node_cache)?);
         }
 
         // One fleet-wide queue: arrivals are sampled once, not per replica.
@@ -771,7 +782,7 @@ impl ClusterEvaluator {
             is_dirty: vec![false; fleet_size],
             membership,
             pooled_views: Vec::new(),
-            policy_cache,
+            node_cache,
             disagg: DisaggState::new(pools),
             obs: ObsState::new(spec),
         };
@@ -999,9 +1010,9 @@ pub(crate) struct FleetLoop<'a> {
     /// Reused buffer for the autoscaler's serving views on a fleet with role
     /// pools: the id-ordered union of the two router indexes.
     pooled_views: Vec<ReplicaView>,
-    /// Per-node memo of the policy search (see
+    /// Per-node evaluators and policy searches (see
     /// [`ClusterEvaluator::build_engine`]), shared with joins.
-    policy_cache: Vec<(NodeSpec, Policy)>,
+    node_cache: Vec<NodeCosting>,
     /// Disaggregation bookkeeping: the KV migrations in flight (see
     /// [`crate::disagg`]).
     pub(crate) disagg: DisaggState,
@@ -1331,7 +1342,7 @@ impl FleetLoop<'_> {
         let index = self.engines.len();
         let mut engine =
             self.cluster
-                .build_engine(self.spec, template, index, &mut self.policy_cache)?;
+                .build_engine(self.spec, template, index, &mut self.node_cache)?;
         engine.lifecycle = Lifecycle::Provisioning {
             ready_at: now + self.spec.timeline.provisioning_delay(),
         };
@@ -1681,6 +1692,28 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("zero replicas"));
+    }
+
+    #[test]
+    fn replicas_of_one_node_share_its_cost_model() {
+        let spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_node(NodeSpec::t4_single())
+            .with_node(NodeSpec::l4_single())
+            .with_node(NodeSpec::t4_single());
+        let cluster = ClusterEvaluator::new(EvalSetting::S1.model());
+        let mut node_cache = Vec::new();
+        let ids: Vec<u64> = (spec.replicas.iter().enumerate())
+            .map(|(index, replica)| {
+                let engine = cluster
+                    .build_engine(&spec, replica, index, &mut node_cache)
+                    .unwrap();
+                engine.evaluator.cost_model().pricing_id()
+            })
+            .collect();
+        // One price memo serves both T4 replicas; the L4 prices apart.
+        assert_eq!(ids[0], ids[2]);
+        assert_ne!(ids[0], ids[1]);
+        assert_eq!(node_cache.len(), 2);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! Every layer of a step is the same, so each schedule kind describes one layer
 //! once, as a [`LayerTemplate`]; the step is that template replayed once per
 //! layer, unrolled into a [`TaskGraph`] for the Fig. 6 timeline or played by a
-//! [`TemplatePlayer`] that prices a decode step from a few layers' finish
-//! times. The schedules differ only in *ordering and granularity* — which is
+//! [`TemplatePlayer`] that prices a decode step from finish times alone. The
+//! schedules differ only in *ordering and granularity* — which is
 //! exactly the paper's point: CGOPipe's paged-weight interleaving and two-ahead
 //! pre-attention remove the bubbles the baseline orderings leave on the GPU and
 //! PCIe lanes.

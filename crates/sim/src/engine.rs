@@ -72,8 +72,8 @@ impl SimulationResult {
 /// time a task comes up its lane predecessor and its dependencies have all been
 /// played: one pass in insertion order is the whole simulation. Pricing a
 /// decode step plays its layer template instead, with a
-/// [`TemplatePlayer`](crate::TemplatePlayer) that applies the same rule from a
-/// few layers' finish times.
+/// [`TemplatePlayer`](crate::TemplatePlayer) that applies the same lane rule
+/// to finish times alone.
 pub fn simulate(graph: &TaskGraph) -> SimulationResult {
     let mut lane_free = [Seconds::ZERO; 4];
     let mut finish: Vec<Seconds> = Vec::with_capacity(graph.len());
@@ -85,11 +85,8 @@ pub fn simulate(graph: &TaskGraph) -> SimulationResult {
             let ready = graph
                 .deps(task)
                 .iter()
-                .fold(Seconds::ZERO, |ready, dep| ready.max(finish[dep.0]));
-            let lane_available = &mut lane_free[task.lane as usize];
-            let start = lane_available.max(ready);
-            let end = start + task.duration;
-            *lane_available = end;
+                .fold(Seconds::ZERO, |ready, dep| later(ready, finish[dep.0]));
+            let (start, end) = occupy(&mut lane_free[task.lane as usize], ready, task.duration);
             finish.push(end);
             makespan = makespan.max(end);
             TimelineEntry {
@@ -148,6 +145,30 @@ pub fn simulate(graph: &TaskGraph) -> SimulationResult {
         makespan,
         lanes,
         kind_busy,
+    }
+}
+
+/// The lane rule: a task starts once its lane is free and its inputs are
+/// `ready`, and holds the lane for its duration. Returns its start and
+/// finish.
+pub(crate) fn occupy(
+    lane_free: &mut Seconds,
+    ready: Seconds,
+    duration: Seconds,
+) -> (Seconds, Seconds) {
+    let start = later(*lane_free, ready);
+    *lane_free = start + duration;
+    (start, *lane_free)
+}
+
+/// The later of two times. Every time is a sum of durations, and no task
+/// sink accepts a NaN one, so a plain comparison is [`Seconds::max`] without
+/// its NaN handling.
+pub(crate) fn later(a: Seconds, b: Seconds) -> Seconds {
+    if a < b {
+        b
+    } else {
+        a
     }
 }
 

@@ -9,10 +9,10 @@
 //! [`LayerTemplate::unroll`] emits the whole step into any [`TaskSink`], such as
 //! a [`TaskGraph`] that keeps every task so that [`simulate`] can report the
 //! makespan, per-lane utilization and the pipeline bubbles that Fig. 6 of the
-//! paper visualizes. A [`TemplatePlayer`] plays the template from the finish
-//! times of the last few layers alone, in a buffer it reuses: pricing a step
-//! that way allocates nothing once the buffer is warm, and its makespan equals
-//! [`simulate`]'s on the unrolled graph bit for bit.
+//! paper visualizes. A [`TemplatePlayer`] plays the template into finish times
+//! alone, in a buffer it reuses: pricing a step that way allocates nothing once
+//! the buffer is warm, and its makespan equals [`simulate`]'s on the unrolled
+//! graph bit for bit, since both apply one lane rule.
 //!
 //! # Examples
 //!
@@ -65,12 +65,12 @@ pub mod template;
 
 pub use engine::{simulate, LaneStats, SimulationResult, TimelineEntry};
 pub use task::{Lane, SimError, Task, TaskGraph, TaskId, TaskKind, TaskLabel, TaskSink};
-pub use template::{Dep, LayerTemplate, TemplateLabel, TemplatePlayer, MAX_BACK};
+pub use template::{Dep, LayerTemplate, TemplateLabel, TemplatePlayer};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use moe_hardware::Seconds;
+    use moe_hardware::{ComputeRate, FlopCount, Seconds};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -105,7 +105,7 @@ mod proptests {
     /// Builds a random layer template: random lanes, durations and label
     /// offsets, some weight transfers, with or without a prologue, and up to
     /// three inputs per task: an earlier task of its block, any task up to
-    /// `MAX_BACK` blocks back, or its layer's weight slot.
+    /// four blocks back, or its layer's weight slot.
     fn random_template(seed: u64, width: usize) -> LayerTemplate {
         let mut rng = StdRng::seed_from_u64(seed);
         let lanes = Lane::all();
@@ -128,7 +128,7 @@ mod proptests {
                         index: rng.gen_range(0..k) as u16,
                     },
                     1 => Dep::Task {
-                        back: rng.gen_range(1..=MAX_BACK),
+                        back: rng.gen_range(1..=4),
                         index: rng.gen_range(0..width) as u16,
                     },
                     _ => Dep::Weights,
@@ -203,6 +203,13 @@ mod proptests {
             prop_assert_eq!(
                 graph.add_task(Lane::GpuCompute, Seconds::ZERO, TaskKind::Other, "x", &deps),
                 Err(SimError::UnknownDependency { task: n, dependency: n + forward })
+            );
+            // So is a NaN duration, which no start time could follow.
+            let nan = FlopCount::from_flops(f64::INFINITY)
+                / ComputeRate::from_flops_per_sec(f64::INFINITY);
+            prop_assert_eq!(
+                graph.add_task(Lane::GpuCompute, nan, TaskKind::Other, "x", &[]),
+                Err(SimError::InvalidDuration { task: n })
             );
             prop_assert_eq!(graph, g);
         }

@@ -192,9 +192,9 @@ pub enum SimError {
         /// Local index of the task declaring the input.
         task: usize,
     },
-    /// A layer-template task has a NaN duration.
+    /// A task has a NaN duration.
     InvalidDuration {
-        /// Local index of the task.
+        /// The task's id, or its local index in a layer template.
         task: usize,
     },
     /// A decode step was given no micro-batches.
@@ -228,9 +228,7 @@ impl fmt::Display for SimError {
             SimError::TemplateDependency { task } => {
                 write!(f, "layer-template task {task} names an unreachable input")
             }
-            SimError::InvalidDuration { task } => {
-                write!(f, "layer-template task {task} has a NaN duration")
-            }
+            SimError::InvalidDuration { task } => write!(f, "task {task} has a NaN duration"),
             SimError::NoMicroBatches => f.write_str("a decode step needs at least one micro-batch"),
             SimError::ZeroOccupancy { micro_batch } => write!(
                 f,
@@ -262,7 +260,8 @@ pub trait TaskSink {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownDependency`] if a dependency id is out of range.
+    /// Returns [`SimError::UnknownDependency`] if a dependency id is out of
+    /// range, [`SimError::InvalidDuration`] if the duration is NaN.
     fn add_task(
         &mut self,
         lane: Lane,
@@ -341,6 +340,9 @@ impl TaskSink for TaskGraph {
                 task: id.0,
                 dependency: dep.0,
             });
+        }
+        if duration.as_secs().is_nan() {
+            return Err(SimError::InvalidDuration { task: id.0 });
         }
         let start = self.deps.len();
         self.deps.extend_from_slice(deps);

@@ -3,30 +3,22 @@
 //! Every layer of a decode step runs the same tasks in the same lane order,
 //! so a schedule is one layer's tasks — a [`LayerTemplate`] — replayed once
 //! per layer. A template task names its inputs relative to its own layer: a
-//! task of the same or one of the [`MAX_BACK`] previous layers' blocks, or the
-//! weight slot of the layer it computes. Because every layer is identical,
-//! the step is a max-plus recurrence over the layers, and playing it needs
-//! only the finish times of the last few blocks: a [`TemplatePlayer`] keeps
-//! those in a buffer it reuses, while [`LayerTemplate::unroll`] emits the
+//! task of the same or an earlier layer's block, or the weight slot of the
+//! layer it computes. A [`TemplatePlayer`] replays it into finish times
+//! alone, in a buffer it reuses, while [`LayerTemplate::unroll`] emits the
 //! same tasks into any [`TaskSink`] for a full timeline. Both replay the
 //! template the same way, so their makespans agree bit for bit.
 
+use crate::engine::{later, occupy};
 use crate::task::{Lane, SimError, TaskId, TaskKind, TaskLabel, TaskSink};
 use moe_hardware::Seconds;
-
-/// How many layers back a template task may reach for an input.
-pub const MAX_BACK: u8 = 3;
-
-/// Blocks (and weight slots) a replay keeps: the current one and
-/// [`MAX_BACK`] before it.
-const RING: usize = MAX_BACK as usize + 1;
 
 /// Inputs one template task may wait for.
 const MAX_DEPS: usize = 3;
 
-/// A replay keeps one row of handles per block in its ring: a cell that is
-/// never written, so an unused input reads as absent; the weight slot of the
-/// row's layer; then the block's tasks, from `FIRST_TASK` on.
+/// A replay keeps one row of handles per block: a cell that is never
+/// written, so an unused input reads as absent; the weight slot of the row's
+/// layer; then the block's tasks, from `FIRST_TASK` on.
 const NOWHERE: u16 = 0;
 const WEIGHT_SLOT: u16 = 1;
 const FIRST_TASK: u16 = 2;
@@ -39,7 +31,7 @@ pub enum Dep {
     /// not emit (see [`TemplateLabel`]) or a block before the first is no
     /// input at all.
     Task {
-        /// Blocks back, at most [`MAX_BACK`].
+        /// Blocks back.
         back: u8,
         /// Local index of the task in its block.
         index: u16,
@@ -101,8 +93,9 @@ struct TemplateTask {
     kind: TaskKind,
     /// The label's layer offset.
     offset: i8,
-    /// Each input as (rows back in the ring, cell), unused ones `NOWHERE`.
-    deps: [(u8, u16); MAX_DEPS],
+    /// Each input as (rows back, cell), unused ones `NOWHERE`; a weight slot
+    /// of a task for the next layer is a row ahead.
+    deps: [(i16, u16); MAX_DEPS],
 }
 
 /// The tasks of one layer, in lane (FIFO) order, plus the step's first-layer
@@ -120,7 +113,7 @@ pub struct LayerTemplate {
     carries: bool,
     /// The largest local index a dependency on an earlier block names, and
     /// the task naming it: checked against the finished template once per
-    /// replay.
+    /// replay, since a row's cells run into the next row's.
     max_back: Option<(u16, u16)>,
 }
 
@@ -154,10 +147,9 @@ impl LayerTemplate {
     /// # Errors
     ///
     /// [`SimError::TemplateDependency`] if the task has more than three
-    /// inputs, one of them reaches more than [`MAX_BACK`] blocks back or a
-    /// task not yet pushed to its own block, or its label's layer offset is
-    /// outside `-1..=1`; [`SimError::InvalidDuration`] if its duration is
-    /// NaN.
+    /// inputs, one of them names a task not yet pushed to its own block, or
+    /// its label's layer offset is outside `-1..=1`;
+    /// [`SimError::InvalidDuration`] if its duration is NaN.
     pub fn push(
         &mut self,
         lane: Lane,
@@ -183,17 +175,16 @@ impl LayerTemplate {
         for (slot, &dep) in packed.iter_mut().zip(deps) {
             *slot = match dep {
                 Dep::Task { back: 0, index: i } if i >= index => return Err(invalid),
-                Dep::Task { back, .. } if back > MAX_BACK => return Err(invalid),
                 Dep::Task { back, index: i } => {
                     if back > 0 {
                         max_back = max_back.max(Some((i, index)));
                     }
                     // Past the end only if `i` is, which a replay rejects.
-                    (back, i.saturating_add(FIRST_TASK))
+                    (i16::from(back), i.saturating_add(FIRST_TASK))
                 }
                 // The weight slot of layer `b + offset` is in the row of
                 // block `b + offset`.
-                Dep::Weights => ((-label.offset).rem_euclid(RING as i8) as u8, WEIGHT_SLOT),
+                Dep::Weights => (-i16::from(label.offset), WEIGHT_SLOT),
             };
         }
         self.max_back = max_back;
@@ -223,12 +214,12 @@ impl LayerTemplate {
     }
 
     /// Replays the template over `layers` layers into `replay`, keeping each
-    /// task's handle in `ring` for the [`MAX_BACK`] blocks after it.
+    /// task's handle in `rows`, one row per block.
     fn replay<R: Replay>(
         &self,
         layers: u32,
         replay: &mut R,
-        ring: &mut Vec<R::Handle>,
+        rows: &mut Vec<R::Handle>,
     ) -> Result<(), SimError> {
         let width = self.tasks.len() + usize::from(FIRST_TASK);
         if let Some((_, task)) = self
@@ -240,9 +231,10 @@ impl LayerTemplate {
             });
         }
         let absent = R::absent();
-        ring.clear();
-        ring.resize(RING * width, absent);
-        let weight_slot = |row: usize| row * width + usize::from(WEIGHT_SLOT);
+        let blocks = u64::from(layers) + u64::from(self.carries);
+        rows.clear();
+        rows.resize(blocks as usize * width, absent);
+        let weight_slot = |row: u64| row as usize * width + usize::from(WEIGHT_SLOT);
         if let Some(duration) = self.prologue {
             let prologue = TemplateTask {
                 lane: Lane::HostToDevice,
@@ -252,35 +244,29 @@ impl LayerTemplate {
                 deps: [(0, NOWHERE); MAX_DEPS],
             };
             let label = || TemplateLabel::layer("W", 0);
-            ring[weight_slot(0)] = replay.task(&prologue, label, 0, [absent; MAX_DEPS])?;
+            rows[weight_slot(0)] = replay.task(&prologue, label, 0, [absent; MAX_DEPS])?;
         }
-        let layers = u64::from(layers);
-        for block in 0..layers + u64::from(self.carries) {
-            // Where the rows 0..=MAX_BACK blocks back start.
-            let rows: [usize; RING] =
-                std::array::from_fn(|back| (block as usize + RING - back) % RING * width);
-            // The block fills its own layer's or the next one's weights; the
-            // next one's slot still holds a layer MAX_BACK back.
-            ring[weight_slot((block as usize + 1) % RING)] = absent;
+        let layers = i64::from(layers);
+        for block in 0..blocks as i64 {
             // The label offsets this block emits: none carried into the
             // first, none ahead of the last, only carried ones after it.
             let lowest = if block == 0 { 0 } else { -1 };
-            let highest = (layers as i64 - 1 - block as i64).min(1);
+            let highest = (layers - 1 - block).min(1);
             for (k, task) in self.tasks.iter().enumerate() {
-                let cell = rows[0] + usize::from(FIRST_TASK) + k;
-                let offset = task.offset;
-                if !(lowest..=highest).contains(&i64::from(offset)) {
-                    ring[cell] = absent;
+                let offset = i64::from(task.offset);
+                if !(lowest..=highest).contains(&offset) {
                     continue;
                 }
-                let deps = task
-                    .deps
-                    .map(|(back, at)| ring[rows[usize::from(back) % RING] + usize::from(at)]);
-                let layer = block.wrapping_add_signed(i64::from(offset));
+                // An input in a block before the first is absent.
+                let deps = task.deps.map(|(back, at)| match block - i64::from(back) {
+                    row if row < 0 => absent,
+                    row => rows[row as usize * width + usize::from(at)],
+                });
+                let layer = (block + offset) as u64;
                 let handle = replay.task(task, || self.labels[k], layer, deps)?;
-                ring[cell] = handle;
+                rows[block as usize * width + usize::from(FIRST_TASK) + k] = handle;
                 if task.kind == TaskKind::WeightTransfer {
-                    ring[weight_slot(layer as usize % RING)] = handle;
+                    rows[weight_slot(layer)] = handle;
                 }
             }
         }
@@ -357,26 +343,19 @@ impl Replay for Clocks {
         _layer: u64,
         [a, b, c]: [Seconds; MAX_DEPS],
     ) -> Result<Seconds, SimError> {
-        // Every time here is a sum of durations, which are never negative
-        // (`Seconds` clamps at zero) or NaN (`push` rejects it), so a plain
-        // comparison picks the maximum `Seconds::max` would.
-        // Inputs are listed newest first and padded at the back: the newest
-        // one and the lane clock meet the fewest maxima on the way to `end`.
-        let later = |x: Seconds, y: Seconds| if x < y { y } else { x };
-        let lane = &mut self.0[task.lane as usize];
-        let end = later(*lane, later(later(c, b), a)) + task.duration;
-        *lane = end;
+        let ready = later(later(a, b), c);
+        let (_, end) = occupy(&mut self.0[task.lane as usize], ready, task.duration);
         Ok(end)
     }
 }
 
-/// Plays a [`LayerTemplate`] with the semantics of [`crate::Player`] and
-/// returns the step's makespan, keeping only the finish times of the last
-/// [`MAX_BACK`]` + 1` blocks in a buffer it reuses: after the first play of a
-/// template as wide, a play allocates nothing.
+/// Plays a [`LayerTemplate`] with the lane rule of [`crate::simulate`] and
+/// returns the step's makespan, keeping only finish times, in a buffer it
+/// reuses: after the first play of a step as large, a play allocates
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct TemplatePlayer {
-    ring: Vec<Seconds>,
+    finish: Vec<Seconds>,
 }
 
 impl TemplatePlayer {
@@ -390,7 +369,7 @@ impl TemplatePlayer {
     /// template's end.
     pub fn play(&mut self, template: &LayerTemplate, layers: u32) -> Result<Seconds, SimError> {
         let mut clocks = Clocks([Seconds::ZERO; 4]);
-        template.replay(layers, &mut clocks, &mut self.ring)?;
+        template.replay(layers, &mut clocks, &mut self.finish)?;
         // A lane's clock is its last finish, the latest on that lane.
         Ok(clocks.0.into_iter().fold(Seconds::ZERO, Seconds::max))
     }
@@ -486,14 +465,6 @@ mod tests {
         let own = [Dep::Task { back: 0, index: 0 }];
         assert_eq!(
             push(&mut t, x, &own),
-            Err(SimError::TemplateDependency { task: 0 })
-        );
-        let far = [Dep::Task {
-            back: MAX_BACK + 1,
-            index: 0,
-        }];
-        assert_eq!(
-            push(&mut t, x, &far),
             Err(SimError::TemplateDependency { task: 0 })
         );
         let two_back = TemplateLabel::layer("x", -2);

@@ -69,7 +69,7 @@ const REQUESTS: usize = 2_000;
 
 /// The most allocations one offered request may cost on the fleet path
 /// (routing, admission, autoscaling, prefix caches, stepping, reporting).
-/// The scenario reads 7.46; step pricing into fresh buffers took it to
+/// The scenario reads 7.48; step pricing into fresh buffers took it to
 /// 16.79, and copying the serving views into a fresh vector at every
 /// autoscaler observation on top of that to 21.82.
 const MAX_ALLOCATIONS_PER_REQUEST: f64 = 8.4;
@@ -176,7 +176,7 @@ fn step_pricing_allocates_nothing_after_one_warm_up_step() {
 }
 
 /// The most allocations one offered request may cost on a static fleet
-/// (routing, stepping, reporting). The scenario reads 8.72; step pricing
+/// (routing, stepping, reporting). The scenario reads 8.74; step pricing
 /// into fresh buffers took it to 20.42.
 const MAX_STATIC_ALLOCATIONS_PER_REQUEST: f64 = 9.5;
 
