@@ -180,16 +180,6 @@ fn report_row(
     let goodput = report.goodput(&cal.slo);
     let ttft = report.ttft();
     let per_token = report.per_token();
-    if std::env::var("FIG12_DEBUG").is_ok() {
-        eprintln!(
-            "[debug] {mix}/{split}/{ic}: ttft p50 {:.2} p99 {:.2}; ptok mean {:.3} p50 {:.3} p99 {:.3}",
-            ttft.p50.as_secs(),
-            ttft.p99.as_secs(),
-            per_token.mean.as_secs(),
-            per_token.p50.as_secs(),
-            per_token.p99.as_secs()
-        );
-    }
     let row = [
         mix.to_owned(),
         split.to_owned(),
@@ -266,15 +256,6 @@ fn main() {
                 return;
             }
         };
-        if std::env::var("FIG12_DEBUG").is_ok() {
-            eprintln!(
-                "[debug] mix {}: rate {:.4} req/s/replica, slo ttft {:.2}s per-token {:.3}s",
-                mix.label,
-                cal.per_replica_rate,
-                cal.slo.ttft.as_secs(),
-                cal.slo.per_token.as_secs()
-            );
-        }
         for split in splits() {
             let ics: &[(&str, InterconnectSpec)] = if split.prefill == 0 {
                 // A unified fleet never migrates; one row covers both links.

@@ -13,13 +13,12 @@
 //!
 //! * the whole sweep finishes inside `SCALE_SWEEP_BUDGET_S` seconds
 //!   (default 600),
-//! * at the largest fleet the indexed loop is at least
-//!   `SCALE_SWEEP_MIN_SPEEDUP`× (default 5×) faster than the scan loop
-//!   on the pinned comparison scenario, and
+//! * at the largest fleet the indexed loop is at least `MIN_SPEEDUP`×
+//!   (5×) faster than the scan loop on the pinned comparison scenario, and
 //! * with a `Recorder` sink attached (events + sampled time-series +
 //!   profiling spans) the indexed loop stays within
-//!   `SCALE_SWEEP_TELEMETRY_OVERHEAD_PCT` percent (default 10) of the
-//!   no-sink wall clock, and produces a bit-identical `ClusterReport`, and
+//!   `MAX_TELEMETRY_OVERHEAD_PCT` percent (10) of the no-sink wall clock,
+//!   and produces a bit-identical `ClusterReport`, and
 //! * on the split fleet the indexed loop, which routes each pool from its
 //!   own router index, produces a `ClusterReport` bit-identical to the scan
 //!   loop's. Its simulated req/s prints beside the unified fleet's, and
@@ -55,6 +54,10 @@ const GEN_LEN: u64 = 16;
 /// size, so every fleet runs at the same per-replica utilisation.
 const RATE_PER_REPLICA: f64 = 4.0;
 const SEED: u64 = 11;
+/// The least indexed-over-scan speedup the head-to-head must show.
+const MIN_SPEEDUP: f64 = 5.0;
+/// The most wall-clock overhead, in percent, a recording sink may add.
+const MAX_TELEMETRY_OVERHEAD_PCT: f64 = 10.0;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -134,10 +137,8 @@ fn fleet(spec: ClusterSpec, replicas: usize, count: usize) -> ClusterSpec {
 
 fn main() {
     let budget_s = env_f64("SCALE_SWEEP_BUDGET_S", 600.0);
-    let min_speedup = env_f64("SCALE_SWEEP_MIN_SPEEDUP", 5.0);
     let max_requests = env_usize("SCALE_SWEEP_MAX_REQUESTS", 1_000_000);
     let scan_requests = env_usize("SCALE_SWEEP_SCAN_REQUESTS", 20_000);
-    let telemetry_pct = env_f64("SCALE_SWEEP_TELEMETRY_OVERHEAD_PCT", 10.0);
 
     let evaluator = || ClusterEvaluator::new(EvalSetting::S1.model());
     let started = Instant::now();
@@ -249,9 +250,9 @@ fn main() {
                 eprintln!("scale_sweep: FAIL — indexed report diverged from the scan loop");
                 failed = true;
             }
-            if speedup < min_speedup {
+            if speedup < MIN_SPEEDUP {
                 eprintln!(
-                    "scale_sweep: FAIL — speedup {speedup:.1}x under the {min_speedup:.1}x bar"
+                    "scale_sweep: FAIL — speedup {speedup:.1}x under the {MIN_SPEEDUP:.1}x bar"
                 );
                 failed = true;
             }
@@ -266,7 +267,7 @@ fn main() {
                 evaluator().run(&spec(replicas, count).with_telemetry(recorder.clone() as Arc<_>));
             let telemetry_wall = t0.elapsed().as_secs_f64();
             let overhead_pct = 100.0 * (telemetry_wall - indexed_wall) / indexed_wall.max(1e-9);
-            let allowed = indexed_wall * (1.0 + telemetry_pct / 100.0) + 0.15;
+            let allowed = indexed_wall * (1.0 + MAX_TELEMETRY_OVERHEAD_PCT / 100.0) + 0.15;
             match telemetry {
                 Ok(observed) => {
                     let counters = recorder.counters();
@@ -283,7 +284,7 @@ fn main() {
                         ("indexed_wall_s", indexed_wall.into()),
                         ("telemetry_wall_s", telemetry_wall.into()),
                         ("overhead_pct", overhead_pct.into()),
-                        ("allowed_pct", telemetry_pct.into()),
+                        ("allowed_pct", MAX_TELEMETRY_OVERHEAD_PCT.into()),
                         ("samples", recorder.series().len().into()),
                         ("reports_identical", JsonValue::Bool(observed == got)),
                     ]));
@@ -296,7 +297,7 @@ fn main() {
                     if telemetry_wall > allowed {
                         eprintln!(
                             "scale_sweep: FAIL — telemetry wall {telemetry_wall:.2}s over the \
-                             {telemetry_pct:.0}% overhead bar ({allowed:.2}s)"
+                             {MAX_TELEMETRY_OVERHEAD_PCT:.0}% overhead bar ({allowed:.2}s)"
                         );
                         failed = true;
                     }

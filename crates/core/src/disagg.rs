@@ -19,14 +19,14 @@
 //! prefill again. The request keeps its identity throughout — churn on a
 //! prefill replica returns it, not a copy.
 //!
-//! Orthogonally, every replica may carry a [`PrefixCache`] — a token-prefix
-//! trie with capacity + LRU eviction modeling multi-turn shared history
-//! within a session; a hit skips the cached prefix's prefill tokens. Two
-//! routers exploit it: [`StickySession`] pins sessions to their previous
-//! replica, and [`PrefixAware`] trades the estimated cache benefit against
-//! queue imbalance using the router-visible measured decode rate
-//! ([`crate::ReplicaView::decode_rate`], an EWMA in tokens/s — speed, not
-//! just backlog).
+//! Orthogonally, every replica may carry a [`PrefixCache`] — per-session runs
+//! of cached blocks with a token capacity and LRU eviction, modeling
+//! multi-turn shared history within a session; a hit skips the cached
+//! prefix's prefill tokens. Two routers exploit it: [`StickySession`] pins
+//! sessions to their previous replica, and [`PrefixAware`] trades the
+//! estimated cache benefit against queue imbalance using the router-visible
+//! measured decode rate ([`crate::ReplicaView::decode_rate`], an EWMA in
+//! tokens/s — speed, not just backlog).
 //!
 //! Pools are not a dispatch path of their own: arrivals and migration
 //! destinations are placed by the fleet loop's one placement function, whose
@@ -44,7 +44,6 @@ use moe_workload::Request;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::fmt;
-use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex};
 
 /// Which phase of serving a replica's pool runs (see [`ReplicaSpec::with_role`]).
@@ -191,69 +190,34 @@ impl CacheStats {
 /// paged KV cache reusing full pages only.
 pub const PREFIX_BLOCK_TOKENS: u64 = 32;
 
-/// Arena slot of one cached block in the trie.
-#[derive(Debug, Clone)]
-struct CacheNode {
-    parent: usize,
-    key: u64,
-    last_used: u64,
-    /// Number of cached child blocks; a node with none is an evictable leaf.
-    children: u32,
-}
-
-/// Index of the trie root (a sentinel holding no tokens).
-const CACHE_ROOT: usize = 0;
-
-/// Hasher for the trie's `(parent slot, block key)` edges. Block keys are
-/// already splitmix-mixed, so one multiply-xor round per word spreads them;
-/// the edge map is never iterated, so the hash cannot change any result.
-#[derive(Debug, Clone, Copy, Default)]
-struct EdgeHasher(u64);
-
-impl std::hash::Hasher for EdgeHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517C_C1B7_2722_0A95);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-/// A per-replica prefix cache: a block-granular prefix trie with a token
-/// capacity and LRU leaf eviction. A hit skips the matched prefix's prefill
-/// tokens (the engine credits them at admission).
+/// A per-replica prefix cache: each session's cached history as a run of
+/// whole blocks, with a token capacity and LRU eviction of a run's last
+/// block. A hit skips the matched prefix's prefill tokens (the engine
+/// credits them at admission).
 ///
-/// The simulator has no token *content*, so blocks are keyed by
+/// The simulator has no token *content*, so a block is identified by
 /// `(session, block index)`: the cache models multi-turn shared history
 /// within a session — exactly the reuse [`StickySession`] and
-/// [`PrefixAware`] routing make reachable — not cross-session sharing.
+/// [`PrefixAware`] routing make reachable — not cross-session sharing. Every
+/// lookup or insert stamps a prefix of one session's blocks with a fresh
+/// tick, so ticks never rise along a session's history and block-level LRU
+/// always evicts a session's last resident block: what a session has
+/// resident is a prefix `0..n` of its blocks, its run.
 ///
-/// Cost: a lookup or insert of a `b`-block prompt takes `O(b)` edge-map
-/// probes plus `O(log n)` per touched leaf and per evicted block, `n` the
-/// resident blocks. Evictable leaves sit in a set ordered by
-/// `(last_used, slot)`, so the victim is always the least recently used
-/// leaf, ties to the lowest arena slot, without scanning the arena.
+/// Cost: a lookup or insert of a `b`-block prompt takes one map probe,
+/// `O(b)` tick stamps, and `O(log n)` per re-keyed run and per evicted
+/// block, `n` the resident sessions. Runs sit in a set ordered by
+/// `(tick of the last block, session)`, so the victim is always the least
+/// recently used block without a scan. No two runs' last blocks share a
+/// tick, so the session never breaks a tie.
 #[derive(Debug, Clone)]
 pub struct PrefixCache {
     capacity_tokens: u64,
-    nodes: Vec<CacheNode>,
-    /// Trie edges: `(parent slot, block key)` → child slot.
-    edges: HashMap<(usize, u64), usize, BuildHasherDefault<EdgeHasher>>,
-    /// Every evictable leaf (a resident non-root node without children),
-    /// keyed `(last_used, slot)`.
-    leaves: BTreeSet<(u64, usize)>,
-    free: Vec<usize>,
+    /// Each session's resident blocks' last-use ticks, in prefix order.
+    runs: HashMap<u64, Vec<u64>>,
+    /// Every resident run, keyed `(tick of its last block, session)`: the
+    /// first entry holds the least recently used block.
+    lru: BTreeSet<(u64, u64)>,
     resident_tokens: u64,
     tick: u64,
     hits: u64,
@@ -261,28 +225,13 @@ pub struct PrefixCache {
     hit_tokens: u64,
 }
 
-/// Mixes a session id and block index into one trie edge key (splitmix64).
-fn block_key(session: u64, index: u64) -> u64 {
-    let mut z = session ^ index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl PrefixCache {
     /// An empty cache holding at most `capacity_tokens` tokens.
     pub fn new(capacity_tokens: u64) -> Self {
         PrefixCache {
             capacity_tokens,
-            nodes: vec![CacheNode {
-                parent: CACHE_ROOT,
-                key: 0,
-                last_used: 0,
-                children: 0,
-            }],
-            edges: HashMap::default(),
-            leaves: BTreeSet::new(),
-            free: Vec::new(),
+            runs: HashMap::new(),
+            lru: BTreeSet::new(),
             resident_tokens: 0,
             tick: 0,
             hits: 0,
@@ -292,7 +241,7 @@ impl PrefixCache {
     }
 
     /// Longest cached prefix of a `input_len`-token prompt from `session`, in
-    /// tokens (whole blocks). Touches the matched path for LRU and records
+    /// tokens (whole blocks). Touches the matched blocks for LRU and records
     /// the hit/miss.
     pub fn lookup(&mut self, session: u64, input_len: u64) -> u64 {
         let blocks = input_len / PREFIX_BLOCK_TOKENS;
@@ -300,18 +249,18 @@ impl PrefixCache {
             return 0;
         }
         self.tick += 1;
-        let mut node = CACHE_ROOT;
-        let mut matched = 0u64;
-        for i in 0..blocks {
-            match self.edges.get(&(node, block_key(session, i))) {
-                Some(&child) => {
-                    node = child;
-                    self.touch(node);
-                    matched += 1;
+        let matched = match self.runs.get_mut(&session) {
+            Some(run) => {
+                let matched = run.len().min(blocks as usize);
+                if matched == run.len() {
+                    self.lru.remove(&(run[matched - 1], session));
+                    self.lru.insert((self.tick, session));
                 }
-                None => break,
+                run[..matched].fill(self.tick);
+                matched as u64
             }
-        }
+            None => 0,
+        };
         let hit_tokens = matched * PREFIX_BLOCK_TOKENS;
         if matched > 0 {
             self.hits += 1;
@@ -323,82 +272,49 @@ impl PrefixCache {
     }
 
     /// Inserts the whole-block prefix of a `input_len`-token prompt from
-    /// `session`, evicting least-recently-used leaves while over capacity.
+    /// `session`, evicting least-recently-used blocks while over capacity.
     pub fn insert(&mut self, session: u64, input_len: u64) {
         let blocks = input_len / PREFIX_BLOCK_TOKENS;
         if blocks == 0 || self.capacity_tokens == 0 {
             return;
         }
         self.tick += 1;
-        let mut node = CACHE_ROOT;
-        for i in 0..blocks {
-            let key = block_key(session, i);
-            if let Some(&child) = self.edges.get(&(node, key)) {
-                node = child;
-                self.touch(node);
-            } else {
-                node = self.alloc(node, key);
-                self.resident_tokens += PREFIX_BLOCK_TOKENS;
+        let blocks = blocks as usize;
+        let run = self
+            .runs
+            .entry(session)
+            .or_insert_with(|| Vec::with_capacity(blocks));
+        if blocks < run.len() {
+            run[..blocks].fill(self.tick);
+        } else {
+            if let Some(&last) = run.last() {
+                self.lru.remove(&(last, session));
             }
+            self.resident_tokens += (blocks - run.len()) as u64 * PREFIX_BLOCK_TOKENS;
+            run.fill(self.tick);
+            run.resize(blocks, self.tick);
+            self.lru.insert((self.tick, session));
         }
         self.evict_over_capacity();
     }
 
-    /// Stamps `node` as used now, re-keying it in the leaf set if it is a
-    /// leaf.
-    fn touch(&mut self, node: usize) {
-        let n = &mut self.nodes[node];
-        if n.children == 0 {
-            self.leaves.remove(&(n.last_used, node));
-            self.leaves.insert((self.tick, node));
-        }
-        n.last_used = self.tick;
-    }
-
-    /// Adds a leaf block under `parent`; the parent stops being a leaf.
-    fn alloc(&mut self, parent: usize, key: u64) -> usize {
-        let node = CacheNode {
-            parent,
-            key,
-            last_used: self.tick,
-            children: 0,
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot] = node;
-                slot
-            }
-            None => {
-                self.nodes.push(node);
-                self.nodes.len() - 1
-            }
-        };
-        let p = &mut self.nodes[parent];
-        if p.children == 0 && parent != CACHE_ROOT {
-            self.leaves.remove(&(p.last_used, parent));
-        }
-        p.children += 1;
-        self.edges.insert((parent, key), slot);
-        self.leaves.insert((self.tick, slot));
-        slot
-    }
-
-    /// Evicts least-recently-used leaves (deepest blocks first, since only
-    /// leaves are evictable) until resident tokens fit the capacity. A
-    /// parent left without children becomes a leaf itself.
+    /// Evicts least-recently-used blocks — always the last block of the run
+    /// whose last block is oldest — until resident tokens fit the capacity.
     fn evict_over_capacity(&mut self) {
         while self.resident_tokens > self.capacity_tokens {
-            let Some((_, victim)) = self.leaves.pop_first() else {
+            let Some((_, session)) = self.lru.pop_first() else {
                 break;
             };
-            let CacheNode { parent, key, .. } = self.nodes[victim];
-            self.edges.remove(&(parent, key));
-            let p = &mut self.nodes[parent];
-            p.children -= 1;
-            if p.children == 0 && parent != CACHE_ROOT {
-                self.leaves.insert((p.last_used, parent));
+            let run = self
+                .runs
+                .get_mut(&session)
+                .expect("every `lru` entry names a resident run");
+            run.pop();
+            if let Some(&last) = run.last() {
+                self.lru.insert((last, session));
+            } else {
+                self.runs.remove(&session);
             }
-            self.free.push(victim);
             self.resident_tokens -= PREFIX_BLOCK_TOKENS;
         }
     }
@@ -942,10 +858,21 @@ mod tests {
             .map(|(i, _)| i)
     }
 
-    /// The prefix cache as it was before the ordered leaf set: one
-    /// `HashMap` of children per trie node and an arena scan for the LRU
-    /// leaf on every eviction — the reference the [`PrefixCache`] must
-    /// agree with, return value for return value.
+    /// Index of the reference trie's root (a sentinel holding no tokens).
+    const CACHE_ROOT: usize = 0;
+
+    /// Mixes a session id and block index into one trie edge key (splitmix64).
+    fn block_key(session: u64, index: u64) -> u64 {
+        let mut z = session ^ index.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The prefix cache as a block-granular token-prefix trie: one `HashMap`
+    /// of children per trie node and an arena scan for the LRU leaf on every
+    /// eviction, ties to the lowest arena slot — the reference the
+    /// [`PrefixCache`] must agree with, return value for return value.
     struct ScanCache {
         capacity_tokens: u64,
         nodes: Vec<ScanNode>,
@@ -1080,21 +1007,24 @@ mod tests {
     const ORACLE_CAPACITIES: [u64; 5] = [0, 16, 32, 96, 8192];
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random lookups and inserts over a few sessions, prompt lengths
-        /// 0–600 and every oracle capacity: after each operation the cache
-        /// returns, counts and holds exactly what the arena-scan reference
-        /// does, so eviction picks the same victims in the same order.
+        /// Random lookups and inserts over six sessions — three small ids and
+        /// three arbitrary `u64`s — prompt lengths 0–600 and every oracle
+        /// capacity: after each operation the cache returns, counts and holds
+        /// exactly what the trie-scan reference does, so eviction picks the
+        /// same victims in the same order.
         #[test]
         fn prefix_cache_matches_the_scan_eviction_reference(
             capacity in 0usize..5,
-            ops in collection::vec((0u8..2, 0u64..6, 0u64..=600), 1..200),
+            wide in collection::vec(any::<u64>(), 3),
+            ops in collection::vec((0u8..2, 0usize..6, 0u64..=600), 1..200),
         ) {
             let capacity = ORACLE_CAPACITIES[capacity];
             let mut cache = PrefixCache::new(capacity);
             let mut model = ScanCache::new(capacity);
             for (op, session, input_len) in ops {
+                let session = if session < 3 { session as u64 } else { wide[session - 3] };
                 if op == 0 {
                     prop_assert_eq!(
                         cache.lookup(session, input_len),
@@ -1106,18 +1036,26 @@ mod tests {
                 }
                 prop_assert_eq!(cache.stats(), model.stats());
                 prop_assert_eq!(cache.stats().resident_tokens, model.resident_tokens);
-                // The leaf set is exactly the scan's candidates, in its order.
-                let mut candidates: Vec<(u64, usize)> = model
+                // The trie's leaves carry distinct ticks, so `(tick, slot)`
+                // and `(tick, session)` order them alike...
+                let mut candidates: Vec<u64> = model
                     .nodes
                     .iter()
                     .enumerate()
                     .filter(|(i, n)| *i != CACHE_ROOT && n.in_use && n.children.is_empty())
-                    .map(|(i, n)| (n.last_used, i))
+                    .map(|(_, n)| n.last_used)
                     .collect();
                 candidates.sort_unstable();
-                prop_assert_eq!(cache.leaves.iter().copied().collect::<Vec<_>>(), candidates);
+                prop_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "tied leaf ticks");
+                // ...and the cache's runs end in exactly those leaves.
+                let leaves: Vec<u64> = cache.lru.iter().map(|&(tick, _)| tick).collect();
+                prop_assert_eq!(leaves, candidates);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random pushes onto four instants (so most landings tie), landings
         /// and destination failures: the heap peeks, lands and drains exactly
