@@ -312,6 +312,7 @@ impl SystemEvaluator {
 mod tests {
     use super::*;
     use crate::settings::EvalSetting;
+    use proptest::prelude::*;
 
     fn s1() -> SystemEvaluator {
         SystemEvaluator::new(EvalSetting::S1.node(), EvalSetting::S1.model())
@@ -386,6 +387,39 @@ mod tests {
         assert!(e.report.decode_time.as_secs() > 0.0);
         assert!((e.throughput - e.report.generation_throughput()).abs() < 1e-9);
         assert_eq!(e.schedule, ScheduleKind::CgoPipe);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Fleets share one evaluator per node by cloning it. The policy
+        /// search builds its tables on its first search, so a clone taken
+        /// before that search and one taken after evaluate like the
+        /// original, bit for bit.
+        #[test]
+        fn clones_before_and_after_the_first_search_evaluate_alike(
+            setting in 0usize..6,
+            cells in collection::vec((0usize..3, 1u64..300), 1..4),
+        ) {
+            let setting = EvalSetting::all()[setting];
+            let eval = SystemEvaluator::new(setting.node(), setting.model());
+            let before = eval.clone();
+            eval.evaluate(SystemKind::MoeLightning, &WorkloadSpec::mtbench(), 32).ok();
+            let after = eval.clone();
+            let specs = WorkloadSpec::all();
+            for (spec, gen) in cells {
+                for system in [SystemKind::MoeLightning, SystemKind::MoeLightningPadded] {
+                    let reference = eval.evaluate(system, &specs[spec], gen);
+                    for clone in [&before, &after] {
+                        let evaluation = clone.evaluate(system, &specs[spec], gen);
+                        prop_assert_eq!(&evaluation, &reference);
+                        if let (Ok(a), Ok(b)) = (&evaluation, &reference) {
+                            prop_assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,18 @@ impl MemoryRequirement {
     }
 }
 
+/// The weight terms of a [`MemoryRequirement`] that only `(F_g, r_w)` fixes,
+/// from [`CapacityModel::row_weights`]: neither the batch, `μ`, `A_g`, `r_c`
+/// nor the workload moves them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowWeights {
+    pub(crate) gpu_static_weights: ByteSize,
+    pub(crate) gpu_weight_buffer: ByteSize,
+    pub(crate) cpu_weights: ByteSize,
+    /// One layer's streamed weights, split into pinned pages per micro-batch.
+    streamed_per_layer: ByteSize,
+}
+
 /// The part of a [`MemoryRequirement`] shared by every batch size of one
 /// `(μ, A_g, F_g, r_w, r_c)` row, from [`CapacityModel::row`].
 #[derive(Debug, Clone, Copy)]
@@ -57,12 +69,8 @@ pub(crate) struct RowRequirement<'a> {
     policy: Policy,
     kv_bytes_per_token: ByteSize,
     max_context: u64,
-    gpu_static_weights: ByteSize,
-    gpu_weight_buffer: ByteSize,
+    weights: RowWeights,
     gpu_activations: ByteSize,
-    cpu_weights: ByteSize,
-    /// One layer's streamed weights, split into pinned pages per micro-batch.
-    streamed_per_layer: ByteSize,
 }
 
 impl RowRequirement<'_> {
@@ -81,16 +89,17 @@ impl RowRequirement<'_> {
         // CPU side: the CPU share of the KV cache, pinned staging (two weight
         // pages) and host copies of per-micro-batch activations.
         let page = self
+            .weights
             .streamed_per_layer
             .scale(1.0 / policy.num_micro_batches().max(1) as f64);
         let host_act = m.qkv_bytes(batch) + m.hidden_state_bytes(batch);
 
         MemoryRequirement {
-            gpu_static_weights: self.gpu_static_weights,
-            gpu_weight_buffer: self.gpu_weight_buffer,
+            gpu_static_weights: self.weights.gpu_static_weights,
+            gpu_weight_buffer: self.weights.gpu_weight_buffer,
             gpu_kv_cache: kv_total.scale(rc),
             gpu_activations: self.gpu_activations,
-            cpu_weights: self.cpu_weights,
+            cpu_weights: self.weights.cpu_weights,
             cpu_kv_cache: kv_total.scale(1.0 - rc),
             cpu_staging: page * 2 + host_act,
         }
@@ -129,19 +138,41 @@ impl CapacityModel {
     /// change: everything fixed by `(μ, A_g, F_g, r_w, r_c)` and the workload.
     /// [`RowRequirement::at`] adds the batch-dependent ones.
     pub(crate) fn row(&self, policy: &Policy, workload: &WorkloadShape) -> RowRequirement<'_> {
-        let m = &self.model;
-        let rw = policy.weights_gpu_ratio;
-        let (gpu_static_weights, cpu_weights) = self.resident_weights(rw);
+        self.row_from(
+            policy,
+            self.row_weights(policy.ffn_on_gpu, policy.weights_gpu_ratio),
+            self.activations(policy.micro_batch_size, workload),
+            workload,
+        )
+    }
+
+    /// [`Self::row`] of `policy`, given its [`RowWeights`] and its activation
+    /// workspace ([`Self::activations`]).
+    pub(crate) fn row_from(
+        &self,
+        policy: &Policy,
+        weights: RowWeights,
+        gpu_activations: ByteSize,
+        workload: &WorkloadShape,
+    ) -> RowRequirement<'_> {
         RowRequirement {
-            model: m,
+            model: &self.model,
             policy: *policy,
-            kv_bytes_per_token: m.kv_bytes_per_token(),
+            kv_bytes_per_token: self.model.kv_bytes_per_token(),
             max_context: workload.max_context(),
+            weights,
+            gpu_activations,
+        }
+    }
+
+    /// The [`RowWeights`] of the rows at `(F_g, r_w)`.
+    pub(crate) fn row_weights(&self, ffn_on_gpu: bool, rw: f64) -> RowWeights {
+        let (gpu_static_weights, cpu_weights) = self.resident_weights(rw);
+        RowWeights {
             gpu_static_weights,
-            gpu_weight_buffer: self.weight_buffer(policy.ffn_on_gpu, rw),
-            gpu_activations: self.activations(policy.micro_batch_size, workload),
+            gpu_weight_buffer: self.weight_buffer(ffn_on_gpu, rw),
             cpu_weights,
-            streamed_per_layer: self.streamed_per_layer(policy.ffn_on_gpu, rw),
+            streamed_per_layer: self.streamed_per_layer(ffn_on_gpu, rw),
         }
     }
 

@@ -81,8 +81,11 @@ pub enum BottleneckResource {
 
 /// The decode task durations of one micro-batch at one context length: every term
 /// [`CostModel::layer_decode_latency`] sums over micro-batches, for both attention
-/// and FFN placements. The policy search builds one per micro-batch size and
-/// reuses it across every placement, ratio and micro-batch count.
+/// and FFN placements. It is its [`ContextFreeCosts`] plus the decode
+/// attention at the context ([`CostModel::with_context`]). The policy search
+/// keeps the context-free part of each micro-batch size for the optimizer's
+/// life, adds the attention terms once per search, and reuses the record
+/// across every placement, ratio and micro-batch count.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MicroBatchCosts {
     pre_attention_gpu: Seconds,
@@ -97,6 +100,30 @@ pub(crate) struct MicroBatchCosts {
     kv_bytes: ByteSize,
 }
 
+/// The terms of a [`MicroBatchCosts`] that its decode context does not
+/// change: every task but the decode attention, which alone reads the KV
+/// cache. They depend only on the node, the model and the micro-batch size.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ContextFreeCosts {
+    pre_attention_gpu: Seconds,
+    post_attention_gpu: Seconds,
+    post_attention_gpu_without_ffn: Seconds,
+    ffn_cpu: Seconds,
+    qkv_offload: Seconds,
+    hidden_upload: Seconds,
+}
+
+/// What every class bound of one micro-batch size shares: the micro-batch's
+/// task durations, its prefill compute `P_μ` and its generated tokens `μ·g`
+/// (see [`CostModel::class_bound`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MicroBatchBound {
+    costs: MicroBatchCosts,
+    prefill: Seconds,
+    gen_len: f64,
+    generated: f64,
+}
+
 /// The weight-streaming terms of a policy, fixed by `F_g` and `r_w` alone.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WeightStreams {
@@ -104,6 +131,33 @@ pub(crate) struct WeightStreams {
     per_layer: Seconds,
     /// Prefill's one-shot streaming of every non-resident weight.
     prefill: Seconds,
+}
+
+#[cfg(test)]
+impl MicroBatchCosts {
+    /// The bits of every field, in declaration order.
+    pub(crate) fn bits(&self) -> [u64; 9] {
+        let b = |t: Seconds| t.as_secs().to_bits();
+        [
+            b(self.pre_attention_gpu),
+            b(self.post_attention_gpu),
+            b(self.post_attention_gpu_without_ffn),
+            b(self.attention_gpu),
+            b(self.attention_cpu),
+            b(self.ffn_cpu),
+            b(self.qkv_offload),
+            b(self.hidden_upload),
+            self.kv_bytes.as_bytes(),
+        ]
+    }
+}
+
+#[cfg(test)]
+impl WeightStreams {
+    /// The bits of both fields, in declaration order.
+    pub(crate) fn bits(&self) -> [u64; 2] {
+        [self.per_layer, self.prefill].map(|t| t.as_secs().to_bits())
+    }
 }
 
 /// The placement terms that the per-micro-batch lanes of Eq. 12 read: where
@@ -304,20 +358,23 @@ impl CostModel {
     }
 
     /// Every per-micro-batch task duration of one decode layer for a micro-batch of
-    /// `tokens` tokens at context `context_len`, under any placement. Each
+    /// `tokens` tokens at context `context_len`, under any placement.
+    pub(crate) fn micro_batch_costs(&self, tokens: u64, context_len: u64) -> MicroBatchCosts {
+        self.with_context(self.context_free_costs(tokens), tokens, context_len)
+    }
+
+    /// The [`ContextFreeCosts`] of a micro-batch of `tokens` tokens. Each
     /// operator is priced once: the post-attention tasks with and without the
     /// FFN and the CPU FFN share one O projection, router and MoE FFN cost,
     /// combined in the order the per-task functions combine them.
-    pub(crate) fn micro_batch_costs(&self, tokens: u64, context_len: u64) -> MicroBatchCosts {
-        let attention = self.ops.attention_core_decode(tokens, context_len);
-        let attention_bytes = attention.total_bytes();
+    pub(crate) fn context_free_costs(&self, tokens: u64) -> ContextFreeCosts {
         let without_ffn = self
             .ops
             .o_projection(tokens)
             .combine(&self.ops.router(tokens));
         let ffn = self.ops.moe_ffn(tokens);
         let post_attention = without_ffn.combine(&ffn);
-        MicroBatchCosts {
+        ContextFreeCosts {
             pre_attention_gpu: self.pre_attention_gpu(tokens),
             post_attention_gpu: self
                 .hrm
@@ -327,11 +384,32 @@ impl CostModel {
                 .hrm
                 .gpu
                 .time(without_ffn.flops, without_ffn.total_bytes()),
-            attention_gpu: self.hrm.gpu.time(attention.flops, attention_bytes),
-            attention_cpu: self.hrm.cpu.time(attention.flops, attention_bytes),
             ffn_cpu: self.hrm.cpu.time(ffn.flops, ffn.total_bytes()),
             qkv_offload: self.qkv_offload(tokens),
             hidden_upload: self.hidden_upload(tokens),
+        }
+    }
+
+    /// The [`MicroBatchCosts`] of a micro-batch of `tokens` tokens whose
+    /// context-free terms are `free`, at context `context_len`: its decode
+    /// attention on either device and the KV bytes that attention reads.
+    pub(crate) fn with_context(
+        &self,
+        free: ContextFreeCosts,
+        tokens: u64,
+        context_len: u64,
+    ) -> MicroBatchCosts {
+        let attention = self.ops.attention_core_decode(tokens, context_len);
+        let attention_bytes = attention.total_bytes();
+        MicroBatchCosts {
+            pre_attention_gpu: free.pre_attention_gpu,
+            post_attention_gpu: free.post_attention_gpu,
+            post_attention_gpu_without_ffn: free.post_attention_gpu_without_ffn,
+            attention_gpu: self.hrm.gpu.time(attention.flops, attention_bytes),
+            attention_cpu: self.hrm.cpu.time(attention.flops, attention_bytes),
+            ffn_cpu: free.ffn_cpu,
+            qkv_offload: free.qkv_offload,
+            hidden_upload: free.hidden_upload,
             kv_bytes: attention.kv_bytes,
         }
     }
@@ -594,18 +672,72 @@ impl CostModel {
         (policy.batch_size as f64 * workload.gen_len as f64) / total.as_secs()
     }
 
+    /// The [`MicroBatchBound`] of a micro-batch of `micro_batch_size` tokens
+    /// that costs `costs` at the workload's average decode context and whose
+    /// prefill takes `micro_batch_prefill_flops` per layer, for `gen_len`
+    /// generated tokens per request.
+    pub(crate) fn micro_batch_bound(
+        &self,
+        micro_batch_size: u64,
+        costs: MicroBatchCosts,
+        micro_batch_prefill_flops: FlopCount,
+        gen_len: u64,
+    ) -> MicroBatchBound {
+        MicroBatchBound {
+            costs,
+            prefill: self.prefill_compute(micro_batch_prefill_flops),
+            gen_len: gen_len as f64,
+            generated: micro_batch_size as f64 * gen_len as f64,
+        }
+    }
+
+    /// Transfer D4 of the CPU-resident KV fraction `1 − r_c` of the bounded
+    /// micro-batch: the one term of [`Self::class_bound`] that `r_c` moves,
+    /// shared by every GPU-attention class at that `r_c`.
+    pub(crate) fn bound_kv_transfer(&self, bound: &MicroBatchBound, kv_gpu_ratio: f64) -> Seconds {
+        self.kv_bytes_transfer(bound.costs.kv_bytes, 1.0 - kv_gpu_ratio)
+    }
+
     /// An upper bound, `μ·g / (P_μ + g·L·s_μ)`, on
     /// [`Self::generation_throughput_from`] over every batch of `n ≥ 1` full
-    /// micro-batches of `micro_batch_size` tokens under any policy in `class`,
-    /// whatever its weight ratio `r_w`. `costs` is one such micro-batch at the
-    /// workload's average decode context, `micro_batch_prefill_flops` its
-    /// per-layer prefill FLOPs and `gen_len` the generated tokens per request
-    /// (the proof is in the optimizer's module docs). Only the per-micro-batch
+    /// micro-batches of the bounded size under any policy in `class`,
+    /// whatever its weight ratio `r_w` (the proof is in the optimizer's module
+    /// docs). `kv_transfer` is [`Self::bound_kv_transfer`] at the class's
+    /// `r_c`; a CPU-attention class never reads it. Only the per-micro-batch
     /// lane terms enter `s_μ`: the terms paid once per layer, among them the
     /// weight stream and GPU attention's KV write-back, which rounds to the
-    /// byte, are left out, so no lane exceeds the costed one. A NaN or infinite
-    /// bound (zero rates, `g = 0`) is never strictly below an incumbent, so it
-    /// never prunes.
+    /// byte, are left out, so no lane exceeds the costed one. A NaN or
+    /// infinite bound (zero rates, `g = 0`) is never strictly below an
+    /// incumbent, so it never prunes.
+    pub(crate) fn class_bound(
+        &self,
+        bound: &MicroBatchBound,
+        class: LaneClass,
+        kv_transfer: Seconds,
+    ) -> f64 {
+        // The bound and the score each take a few dozen IEEE operations on the
+        // same inputs, so each lies within a relative ~1e-14 of its exact value
+        // (the prefill FLOPs of `μ·n` prompts and `n` times those of `μ` differ
+        // by such a rounding too). The exact score never exceeds the exact
+        // bound, so a 1e-9 slack covers the rounding by five orders of
+        // magnitude and loosens the bound by a negligible amount.
+        const SLACK: f64 = 1.0 + 1e-9;
+        let lanes = LaneCosts {
+            full: bound.costs,
+            last: bound.costs,
+            kv_transfer: (kv_transfer, kv_transfer),
+        };
+        let (h2d, d2h, cpu, gpu) = self.micro_batch_lanes(class, &lanes, |full, _| full);
+        let decode = self
+            .step_latency(h2d.max(d2h).max(cpu).max(gpu))
+            .scale(bound.gen_len);
+        let total = bound.prefill + decode;
+        bound.generated / total.as_secs() * SLACK
+    }
+
+    /// The reference for [`Self::class_bound`]: the bound of `class` priced
+    /// from scratch, its KV transfer and prefill compute included.
+    #[cfg(test)]
     pub(crate) fn class_throughput_bound(
         &self,
         micro_batch_size: u64,
@@ -614,12 +746,6 @@ impl CostModel {
         micro_batch_prefill_flops: FlopCount,
         gen_len: u64,
     ) -> f64 {
-        // The bound and the score each take a few dozen IEEE operations on the
-        // same inputs, so each lies within a relative ~1e-14 of its exact value
-        // (the prefill FLOPs of `μ·n` prompts and `n` times those of `μ` differ
-        // by such a rounding too). The exact score never exceeds the exact
-        // bound, so a 1e-9 slack covers the rounding by five orders of
-        // magnitude and loosens the bound by a negligible amount.
         const SLACK: f64 = 1.0 + 1e-9;
         let lanes = self.lane_costs(class, costs, costs);
         let (h2d, d2h, cpu, gpu) = self.micro_batch_lanes(class, &lanes, |full, _| full);

@@ -35,16 +35,25 @@
 //!   check are skipped. Each candidate keeps its enumeration index, and a tie goes
 //!   to the lower index, so the cut order picks the same policy.
 //! * **Hoisted costs.** Every micro-batch of a grid cell has `μ` tokens, so the
-//!   HRM task durations are built once per `μ`, the KV transfer once per
-//!   `(μ, A_g, F_g, r_c)` class, and the weight streams and the
-//!   batch-independent memory terms once per row. The prefill FLOPs of a batch
-//!   are computed on first use, as FLOPs alone, without the prefill's byte
-//!   counts. Scoring and the memory check go through the same [`CostModel`]
-//!   and [`CapacityModel`] code as [`CostModel::generation_throughput`] and
+//!   HRM task durations are built once per `μ`. What depends only on the
+//!   node, the model and the grid is built once per optimizer, by its first
+//!   search, into its `SearchTables`: the placement classes, the sorted
+//!   micro-batch counts, each `(F_g, r_w)` row's resident and host weights,
+//!   weight buffer, streamed bytes and weight streams, and each `μ`'s
+//!   context-free task durations (every task but the decode attention).
+//!   [`PolicyOptimizer::with_search_space`] drops the tables. A search then
+//!   prices only what the workload moves: each `μ`'s decode attention and
+//!   KV bytes at the workload's decode context, its activation workspace and
+//!   its prefill FLOPs; the KV transfer once per `(μ, r_c)`; and the prefill
+//!   FLOPs of a batch on first use, as FLOPs alone, without the prefill's
+//!   byte counts. The tables are built on the first search rather than in
+//!   [`PolicyOptimizer::new`] because many optimizers never search, or search
+//!   once: an evaluator's set-up should not pay for them. Scoring and the
+//!   memory check go through the same [`CostModel`] and [`CapacityModel`]
+//!   code as [`CostModel::generation_throughput`] and
 //!   [`CapacityModel::requirement`], so the floating-point operations are
-//!   identical. The placement classes are built without heap: a class is its
-//!   lane terms plus the position and stride of its cells, and the cells are
-//!   generated as they are costed.
+//!   identical. A class is its lane terms plus the position and stride of its
+//!   cells, and the cells are generated as they are costed.
 //! * **A class bound, visited best first (branch and bound).** Within a row every
 //!   micro-batch costs the same, so with `n = N/μ` each lane of Eq. 12's layer
 //!   time is at least `n` times its per-micro-batch term `s`, and prefill is at
@@ -54,9 +63,11 @@
 //!   `(μ, A_g, F_g, r_c)` alone: `r_w` enters only the weight stream, which is
 //!   paid once per layer and left out of the bound, and the memory check. So
 //!   one bound covers every `r_w` row of a `(μ, A_g, F_g, r_c)` class, and the
-//!   default grid needs at most 17 × 12 bounds for its 1,632 rows. The classes
-//!   go into a max-heap by bound (Land and Doig's best-first order), a NaN
-//!   bound ordering as +∞. They are popped in decreasing order, and each
+//!   default grid needs at most 17 × 12 bounds for its 1,632 rows. One pass
+//!   bounds every class of a `μ`: `P_μ` once, the KV transfer once per `r_c`,
+//!   then each class's lanes. The classes go into a max-heap as a bound and
+//!   a class index (Land and Doig's best-first order), a NaN bound ordering
+//!   as +∞. They are popped in decreasing order, and each
 //!   expands into its `r_w` rows that pass the memory cut, which go through the
 //!   row cut and the hoisted costs above.
 //!   The search stops at the first bound strictly below the best score found
@@ -72,13 +83,16 @@
 //!   whichever order the candidates are met in: the first maximum of the
 //!   enumeration order, as the exhaustive search keeps it.
 
-use crate::capacity::CapacityModel;
-use crate::cost::{CostModel, LaneClass, RowCosts};
+use crate::capacity::{CapacityModel, RowWeights};
+use crate::cost::{
+    ContextFreeCosts, CostModel, LaneClass, MicroBatchBound, RowCosts, WeightStreams,
+};
 use crate::policy::{Policy, WorkloadShape};
-use moe_hardware::NodeSpec;
+use moe_hardware::{ByteSize, NodeSpec, Seconds};
 use moe_model::MoeModelConfig;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of the search grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,6 +168,7 @@ impl SearchSpace {
                                 ffn_on_gpu,
                                 kv_gpu_ratio,
                             },
+                            kv_pos,
                             first: start + kv_pos,
                             stride: kv_options.len(),
                         })
@@ -176,6 +191,8 @@ impl SearchSpace {
 #[derive(Debug, Clone, Copy)]
 struct ClassCells {
     class: LaneClass,
+    /// The position of the class's `r_c` among the values tried at its `A_g`.
+    kv_pos: usize,
     first: usize,
     stride: usize,
 }
@@ -235,6 +252,9 @@ pub struct PolicyOptimizer {
     cost: CostModel,
     capacity: CapacityModel,
     space: SearchSpace,
+    /// The search's workload-independent terms, built by the first search
+    /// and shared by clones made after it.
+    tables: OnceLock<Arc<SearchTables>>,
 }
 
 impl PolicyOptimizer {
@@ -245,13 +265,23 @@ impl PolicyOptimizer {
             cost: CostModel::new(node.clone(), model.clone()),
             capacity: CapacityModel::new(node, model),
             space: SearchSpace::default(),
+            tables: OnceLock::new(),
         }
     }
 
-    /// Overrides the search space.
+    /// Overrides the search space. Tables an earlier search built for the
+    /// old space are dropped; the next search builds them for this one.
     pub fn with_search_space(mut self, space: SearchSpace) -> Self {
         self.space = space;
+        self.tables = OnceLock::new();
         self
+    }
+
+    /// The [`SearchTables`] of this optimizer's node, model and grid, built on
+    /// first use.
+    fn tables(&self) -> &SearchTables {
+        self.tables
+            .get_or_init(|| Arc::new(SearchTables::new(&self.space, &self.cost, &self.capacity)))
     }
 
     /// The underlying cost model.
@@ -285,19 +315,12 @@ impl PolicyOptimizer {
         workload: &WorkloadShape,
     ) -> (Result<SearchResult, OptimizerError>, SearchWork) {
         let space = &self.space;
+        let tables = self.tables();
         let n_rw = space.weight_ratios.len();
-        let n_classes = space.placement_classes().count();
+        let n_classes = tables.classes.len();
         // The (A_g, F_g, r_w, r_c) cells of every (μ, N/μ).
         let n_cells = n_classes * n_rw;
-        let n_counts = space.micro_batch_counts.len();
-        // Micro-batch counts in ascending value order, each with its grid position.
-        let mut counts: Vec<(usize, u64)> = space
-            .micro_batch_counts
-            .iter()
-            .copied()
-            .enumerate()
-            .collect();
-        counts.sort_by_key(|&(_, n_ub)| n_ub);
+        let n_counts = tables.counts.len();
 
         let mut work = SearchWork {
             rows: space.micro_batch_sizes.len() * n_cells,
@@ -306,40 +329,50 @@ impl PolicyOptimizer {
         // Every row counts as skipped until the memory cut drops it or a popped
         // class expands it.
         work.rows_skipped = work.rows;
-        let floor = RowFloors::new(space, &self.capacity, workload);
+        let floor = RowFloors::new(tables, &space.micro_batch_sizes, &self.capacity, workload);
 
         // Every micro-batch of batch μ·(N/μ) is full, so one record per μ serves
-        // all of them; the bound of each (μ, class) reads it. A μ none of whose
-        // rows fits gets no record, and a (μ, class) none of whose rows fits
-        // never enters the heap.
+        // all of them, and one pass bounds every class of the μ from it. A μ
+        // none of whose rows fits gets no record, and a (μ, class) none of
+        // whose rows fits never enters the heap.
+        let context = workload.avg_decode_context();
         let mut micro_batches = vec![None; space.micro_batch_sizes.len()];
         let mut queue = Vec::with_capacity(micro_batches.len() * n_classes);
+        let mut kv_transfers = Vec::with_capacity(tables.gpu_kv_ratios.len());
         for (mu_pos, &mu) in space.micro_batch_sizes.iter().enumerate() {
-            let mut prefill = None;
-            for cells in space.placement_classes() {
-                let class = cells.class;
-                if !floor.fits(mu_pos, class.ffn_on_gpu).contains(&true) {
+            let fits = [false, true].map(|ffn_on_gpu| floor.any_fits(mu_pos, ffn_on_gpu));
+            for cells in &tables.classes {
+                if !fits[usize::from(cells.class.ffn_on_gpu)] {
                     work.rows_skipped -= n_rw;
                     work.rows_unfit += n_rw;
-                    continue;
                 }
-                let costs = *micro_batches[mu_pos].get_or_insert_with(|| {
-                    self.cost
-                        .micro_batch_costs(mu, workload.avg_decode_context())
-                });
-                let prefill =
-                    *prefill.get_or_insert_with(|| self.cost.prefill_flops_per_layer(mu, workload));
-                let bound =
-                    self.cost
-                        .class_throughput_bound(mu, class, costs, prefill, workload.gen_len);
-                queue.push(Bounded {
-                    // +∞ orders a NaN first and, like NaN, is never strictly
-                    // below an incumbent, so it never prunes.
-                    bound: if bound.is_nan() { f64::INFINITY } else { bound },
-                    mu_pos,
-                    cells,
-                });
             }
+            if fits == [false, false] {
+                continue;
+            }
+            let costs = self
+                .cost
+                .with_context(tables.micro_batches[mu_pos], mu, context);
+            micro_batches[mu_pos] = Some(costs);
+            let prefill = self.cost.prefill_flops_per_layer(mu, workload);
+            let bound = self
+                .cost
+                .micro_batch_bound(mu, costs, prefill, workload.gen_len);
+            let first = mu_pos * n_classes;
+            tables.class_bounds(
+                &self.cost,
+                &bound,
+                fits,
+                &mut kv_transfers,
+                |class_pos, bound| {
+                    queue.push(Bounded {
+                        // +∞ orders a NaN first and, like NaN, is never strictly
+                        // below an incumbent, so it never prunes.
+                        bound: if bound.is_nan() { f64::INFINITY } else { bound },
+                        class: first + class_pos,
+                    });
+                },
+            );
         }
         work.bounds = queue.len();
         let mut queue = BinaryHeap::from(queue);
@@ -348,25 +381,25 @@ impl PolicyOptimizer {
         let mut prefill_flops = vec![None; micro_batches.len() * n_counts];
         // (enumeration index, policy, throughput) of the best candidate so far.
         let mut best: Option<(usize, Policy, f64)> = None;
-        while let Some(Bounded {
-            bound,
-            mu_pos,
-            cells,
-        }) = queue.pop()
-        {
+        while let Some(Bounded { bound, class }) = queue.pop() {
             // Strict: a class that could tie the incumbent might hold a lower
             // enumeration index, so it is costed. Every class left has a bound no
             // higher, so none of them can win either.
             if best.is_some_and(|(_, _, best_score)| bound < best_score) {
                 break;
             }
+            let (mu_pos, class_pos) = (class / n_classes, class % n_classes);
             let mu = space.micro_batch_sizes[mu_pos];
             let costs = micro_batches[mu_pos].expect("a queued μ has its costs");
+            let cells = tables.classes[class_pos];
             let class = cells.class;
             let lanes = self.cost.lane_costs(class, costs, costs);
             work.rows_skipped -= n_rw;
-            let rows = cells.cells(&space.weight_ratios);
-            for ((cell_pos, cell), &fits) in rows.zip(floor.fits(mu_pos, class.ffn_on_gpu)) {
+            let rows = cells
+                .cells(&space.weight_ratios)
+                .zip(tables.rows(class.ffn_on_gpu))
+                .zip(floor.fits(mu_pos, class.ffn_on_gpu));
+            for (((cell_pos, cell), terms), &fits) in rows {
                 if !fits {
                     work.rows_unfit += 1;
                     continue;
@@ -378,10 +411,15 @@ impl PolicyOptimizer {
                 };
                 let row = RowCosts {
                     lanes,
-                    weights: self.cost.weight_streams(&cell),
+                    weights: terms.streams,
                 };
-                let capacity = self.capacity.row(&row_policy, workload);
-                for &(count_pos, n_ub) in &counts {
+                let capacity = self.capacity.row_from(
+                    &row_policy,
+                    terms.memory,
+                    floor.activations[mu_pos],
+                    workload,
+                );
+                for &(count_pos, n_ub) in &tables.counts {
                     let policy = Policy {
                         batch_size: mu * n_ub,
                         ..row_policy
@@ -423,45 +461,167 @@ impl PolicyOptimizer {
     }
 }
 
+/// What a search reads that depends on the node, the model and the grid but
+/// never on the workload, so each optimizer builds it once, as MILP presolve
+/// does its work once before any branching.
+///
+/// An optimizer builds its tables on its first search, not in
+/// [`PolicyOptimizer::new`]: many evaluators are built and never search, or
+/// search once for the one policy a serving replica runs, and building there
+/// would charge every such set-up for terms it may never read. Clones made
+/// after the build share the tables, so a fleet that clones one evaluator
+/// per replica holds them once per node.
+#[derive(Debug)]
+struct SearchTables {
+    /// The placement classes, in enumeration order.
+    classes: Vec<ClassCells>,
+    /// The `r_c` values the GPU-attention classes read, in grid order; empty
+    /// when the grid has no GPU attention.
+    gpu_kv_ratios: Vec<f64>,
+    /// The micro-batch counts in ascending value order, each with its grid
+    /// position.
+    counts: Vec<(usize, u64)>,
+    /// The terms of every `(F_g, r_w)` row, indexed `[F_g][r_w]` by grid
+    /// position.
+    rows: Vec<RowTerms>,
+    /// Each μ's context-free task durations, by grid position.
+    micro_batches: Vec<ContextFreeCosts>,
+}
+
+/// The terms of one `(F_g, r_w)` row that neither `μ`, `A_g`, `r_c`, the batch
+/// nor the workload moves.
+#[derive(Debug, Clone, Copy)]
+struct RowTerms {
+    memory: RowWeights,
+    streams: WeightStreams,
+}
+
+impl SearchTables {
+    fn new(space: &SearchSpace, cost: &CostModel, capacity: &CapacityModel) -> Self {
+        let mut counts: Vec<(usize, u64)> = space
+            .micro_batch_counts
+            .iter()
+            .copied()
+            .enumerate()
+            .collect();
+        counts.sort_by_key(|&(_, n_ub)| n_ub);
+        let rows = [false, true]
+            .into_iter()
+            .flat_map(|ffn_on_gpu| {
+                space.weight_ratios.iter().map(move |&rw| {
+                    let streamed = Policy {
+                        ffn_on_gpu,
+                        weights_gpu_ratio: rw,
+                        ..Policy::offload_default(1, 1)
+                    };
+                    RowTerms {
+                        memory: capacity.row_weights(ffn_on_gpu, rw),
+                        streams: cost.weight_streams(&streamed),
+                    }
+                })
+            })
+            .collect();
+        SearchTables {
+            classes: space.placement_classes().collect(),
+            gpu_kv_ratios: if space.allow_gpu_attention {
+                space.kv_ratios.clone()
+            } else {
+                Vec::new()
+            },
+            counts,
+            rows,
+            micro_batches: space
+                .micro_batch_sizes
+                .iter()
+                .map(|&mu| cost.context_free_costs(mu))
+                .collect(),
+        }
+    }
+
+    /// The terms of the `r_w` rows at `F_g`, in `weight_ratios` order.
+    fn rows(&self, ffn_on_gpu: bool) -> &[RowTerms] {
+        let n_rw = self.rows.len() / 2;
+        let start = usize::from(ffn_on_gpu) * n_rw;
+        &self.rows[start..start + n_rw]
+    }
+
+    /// The throughput bound ([`CostModel::class_bound`]) of every class of the
+    /// bounded micro-batch size whose `F_g` has a row that fits
+    /// (`fits[F_g]`), passed to `emit` with the class's position, in
+    /// enumeration order. One pass: the prefill term is in `bound` already,
+    /// and the KV transfer is priced once per `r_c` into `kv_transfers`,
+    /// not once per class.
+    fn class_bounds(
+        &self,
+        cost: &CostModel,
+        bound: &MicroBatchBound,
+        fits: [bool; 2],
+        kv_transfers: &mut Vec<Seconds>,
+        mut emit: impl FnMut(usize, f64),
+    ) {
+        kv_transfers.clear();
+        kv_transfers.extend(
+            self.gpu_kv_ratios
+                .iter()
+                .map(|&rc| cost.bound_kv_transfer(bound, rc)),
+        );
+        for (class_pos, cells) in self.classes.iter().enumerate() {
+            let class = cells.class;
+            if !fits[usize::from(class.ffn_on_gpu)] {
+                continue;
+            }
+            let kv_transfer = if class.attention_on_gpu {
+                kv_transfers[cells.kv_pos]
+            } else {
+                Seconds::ZERO
+            };
+            emit(class_pos, cost.class_bound(bound, class, kv_transfer));
+        }
+    }
+}
+
 /// Whether the batch-independent memory floor of each `(μ, F_g, r_w)` row of
 /// the grid fits the node ([`CapacityModel::floor_fits`]). A row whose floor
 /// does not fit has no micro-batch count, `A_g` or `r_c` that fits.
 struct RowFloors {
+    /// Each μ's activation workspace, by grid position.
+    activations: Vec<ByteSize>,
     /// Indexed `[μ][F_g][r_w]` by grid position.
     fits: Vec<bool>,
     weight_ratios: usize,
 }
 
 impl RowFloors {
-    /// Checks every row: the weight terms once per `(F_g, r_w)`, the activation
-    /// workspace once per `μ`.
-    fn new(space: &SearchSpace, capacity: &CapacityModel, workload: &WorkloadShape) -> Self {
-        let resident: Vec<_> = space
-            .weight_ratios
+    /// Checks every row: the tables' weight terms of each `(F_g, r_w)`
+    /// against the activation workspace of each `μ`.
+    fn new(
+        tables: &SearchTables,
+        micro_batch_sizes: &[u64],
+        capacity: &CapacityModel,
+        workload: &WorkloadShape,
+    ) -> Self {
+        let activations: Vec<_> = micro_batch_sizes
             .iter()
-            .map(|&rw| capacity.resident_weights(rw))
+            .map(|&mu| capacity.activations(mu, workload))
             .collect();
-        let buffers = [false, true].map(|ffn_on_gpu| {
-            space
-                .weight_ratios
-                .iter()
-                .map(|&rw| capacity.weight_buffer(ffn_on_gpu, rw))
-                .collect::<Vec<_>>()
-        });
-        let mut fits = Vec::with_capacity(space.micro_batch_sizes.len() * 2 * resident.len());
-        for &mu in &space.micro_batch_sizes {
-            let activations = capacity.activations(mu, workload);
-            for buffers in &buffers {
-                fits.extend(resident.iter().zip(buffers).map(
-                    |(&(static_weights, host_weights), &buffer)| {
-                        capacity.floor_fits(static_weights, buffer, activations, host_weights)
-                    },
-                ));
-            }
-        }
+        let fits = activations
+            .iter()
+            .flat_map(|&activations| {
+                tables.rows.iter().map(move |row| {
+                    let m = row.memory;
+                    capacity.floor_fits(
+                        m.gpu_static_weights,
+                        m.gpu_weight_buffer,
+                        activations,
+                        m.cpu_weights,
+                    )
+                })
+            })
+            .collect();
         RowFloors {
+            activations,
             fits,
-            weight_ratios: resident.len(),
+            weight_ratios: tables.rows.len() / 2,
         }
     }
 
@@ -469,6 +629,11 @@ impl RowFloors {
     fn fits(&self, mu_pos: usize, ffn_on_gpu: bool) -> &[bool] {
         let start = (mu_pos * 2 + usize::from(ffn_on_gpu)) * self.weight_ratios;
         &self.fits[start..start + self.weight_ratios]
+    }
+
+    /// Whether any `r_w` row of `(μ, F_g)` fits.
+    fn any_fits(&self, mu_pos: usize, ffn_on_gpu: bool) -> bool {
+        self.fits(mu_pos, ffn_on_gpu).contains(&true)
     }
 }
 
@@ -478,8 +643,9 @@ impl RowFloors {
 #[derive(Debug, Clone, Copy)]
 struct Bounded {
     bound: f64,
-    mu_pos: usize,
-    cells: ClassCells,
+    /// `μ`'s grid position times the number of classes, plus the class's
+    /// position in [`SearchTables::classes`].
+    class: usize,
 }
 
 impl Ord for Bounded {
@@ -503,7 +669,7 @@ impl PartialEq for Bounded {
 impl Eq for Bounded {}
 
 /// How much of the grid one [`PolicyOptimizer::search`] costed.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 struct SearchWork {
     /// `(μ, A_g, F_g, r_w, r_c)` rows in the grid.
     rows: usize,
@@ -699,6 +865,145 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every term the tables hoist and every bound of the one-pass class
+        /// bounding equals its per-call reference, bit for bit, on every
+        /// model preset, a T4, an L4 and a 4×T4 node, random micro-batch
+        /// sizes, contexts, prompts, generation lengths and `r_c`.
+        #[test]
+        fn hoisted_tables_and_one_pass_bounds_equal_the_per_call_reference(
+            (model_index, node_index) in (0usize..4, 0usize..3),
+            micro_batch_sizes in collection::vec(1u64..1024, 1..4),
+            (context_len, prompt, gen_len) in (0u64..8192, 1u64..2048, 0u64..512),
+            (weight_ratios, kv_ratios) in (
+                collection::vec(ratio(), 1..4),
+                collection::vec(0.0f64..=1.0, 1..4),
+            ),
+            (allow_gpu_attention, allow_cpu_ffn) in (any::<bool>(), any::<bool>()),
+        ) {
+            let model = model_preset(model_index);
+            let node = [NodeSpec::t4_single(), NodeSpec::l4_single(), NodeSpec::t4_multi(4)]
+                [node_index]
+                .clone();
+            let opt = PolicyOptimizer::new(node, model).with_search_space(SearchSpace {
+                micro_batch_sizes,
+                micro_batch_counts: vec![1],
+                weight_ratios,
+                kv_ratios,
+                allow_gpu_attention,
+                allow_cpu_ffn,
+            });
+            let (cost, capacity, space, tables) = (&opt.cost, &opt.capacity, &opt.space, opt.tables());
+            let workload = WorkloadShape::new(prompt, gen_len);
+            let floor = RowFloors::new(tables, &space.micro_batch_sizes, capacity, &workload);
+            for (mu_pos, &mu) in space.micro_batch_sizes.iter().enumerate() {
+                // Context-free terms + context terms == the per-call record.
+                let costs = cost.with_context(tables.micro_batches[mu_pos], mu, context_len);
+                let reference = cost.micro_batch_costs(mu, context_len);
+                prop_assert_eq!(costs.bits(), reference.bits(), "μ = {}", mu);
+
+                // One-pass class bounds == the per-class reference.
+                let prefill = cost.prefill_flops_per_layer(mu, &workload);
+                let bound = cost.micro_batch_bound(mu, costs, prefill, gen_len);
+                let mut bounds = Vec::new();
+                tables.class_bounds(cost, &bound, [true, true], &mut Vec::new(), |pos, b| {
+                    bounds.push((pos, b));
+                });
+                prop_assert_eq!(bounds.len(), tables.classes.len());
+                for (class_pos, one_pass) in bounds {
+                    let class = tables.classes[class_pos].class;
+                    let reference =
+                        cost.class_throughput_bound(mu, class, reference, prefill, gen_len);
+                    prop_assert_eq!(one_pass.to_bits(), reference.to_bits(), "{:?}", class);
+                }
+
+                // Hoisted row terms == the per-call row requirement and streams.
+                for cells in &tables.classes {
+                    let class = cells.class;
+                    let rows = cells
+                        .cells(&space.weight_ratios)
+                        .zip(tables.rows(class.ffn_on_gpu))
+                        .zip(floor.fits(mu_pos, class.ffn_on_gpu));
+                    for (((_, cell), terms), &fits) in rows {
+                        let policy = Policy { batch_size: mu, micro_batch_size: mu, ..cell };
+                        let hoisted = capacity.row_from(
+                            &policy,
+                            terms.memory,
+                            floor.activations[mu_pos],
+                            &workload,
+                        );
+                        let reference = capacity.row(&policy, &workload);
+                        for n_ub in [1, 2, 7, 64] {
+                            prop_assert_eq!(hoisted.at(mu * n_ub), reference.at(mu * n_ub));
+                        }
+                        let req = reference.at(mu);
+                        prop_assert_eq!(
+                            fits,
+                            req.gpu_static_weights + req.gpu_weight_buffer + req.gpu_activations
+                                <= capacity.node().total_gpu_memory()
+                                && req.cpu_weights <= capacity.node().cpu_memory()
+                        );
+                        prop_assert_eq!(terms.streams.bits(), cost.weight_streams(&policy).bits());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asserts that two searches return the same policy and throughput, bit
+    /// for bit, after the same work.
+    fn assert_same_search(a: &PolicyOptimizer, b: &PolicyOptimizer, workload: &WorkloadShape) {
+        let ((a, a_work), (b, b_work)) = (a.search_counted(workload), b.search_counted(workload));
+        assert_eq!(a_work, b_work, "{workload:?}");
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.policy, b.policy, "{workload:?}");
+                assert_eq!(
+                    a.throughput.to_bits(),
+                    b.throughput.to_bits(),
+                    "{workload:?}"
+                );
+            }
+            (a, b) => assert_eq!(a, b, "{workload:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The tables live as long as the search space: `with_search_space`
+        /// drops them, so a coarse optimizer made from one that has searched
+        /// searches like a fresh one. Clones taken before and after the first
+        /// search search alike.
+        #[test]
+        fn tables_reset_with_the_search_space_and_survive_clones(
+            (model_index, node_index, cpu_factor) in (0usize..4, 0usize..6, cpu_memory_factor()),
+            workloads in collection::vec(workload(), 1..4),
+        ) {
+            let model = model_preset(model_index);
+            let node = node_preset(node_index, &model, cpu_factor);
+            let opt = PolicyOptimizer::new(node.clone(), model.clone());
+            let before = opt.clone();
+            opt.search(&workloads[0]).ok();
+            prop_assert!(opt.tables.get().is_some() && before.tables.get().is_none());
+            let after = opt.clone();
+            for workload in &workloads {
+                assert_same_search(&before, &opt, workload);
+                assert_same_search(&after, &opt, workload);
+            }
+
+            let coarse = opt.with_search_space(SearchSpace::coarse());
+            prop_assert!(coarse.tables.get().is_none());
+            let fresh = PolicyOptimizer::new(node, model).with_search_space(SearchSpace::coarse());
+            for workload in &workloads {
+                assert_same_search(&coarse, &fresh, workload);
+                assert_matches_exhaustive(&coarse, workload);
+            }
+        }
+    }
+
     #[test]
     fn s1_search_prefers_cpu_attention_and_gpu_ffn() {
         // §4.2: "for our major setting, we always get A_g = 0 and F_g = 1".
@@ -835,9 +1140,11 @@ mod tests {
             let model = model_preset(model_index);
             for (node_index, cpu_factor) in (0..6).flat_map(|n| [(n, 0.95), (n, 2.0)]) {
                 let node = node_preset(node_index, &model, cpu_factor);
-                let capacity = CapacityModel::new(node, model.clone());
+                let opt = PolicyOptimizer::new(node, model.clone());
+                let capacity = &opt.capacity;
                 for workload in [mtbench(128), WorkloadShape::new(1984, 64)] {
-                    let floor = RowFloors::new(&space, &capacity, &workload);
+                    let floor =
+                        RowFloors::new(opt.tables(), &space.micro_batch_sizes, capacity, &workload);
                     for (mu_pos, &mu) in space.micro_batch_sizes.iter().enumerate() {
                         for ffn_on_gpu in [false, true] {
                             let rows = space
@@ -848,7 +1155,7 @@ mod tests {
                                 dropped += 1;
                                 let row = (mu, ffn_on_gpu, rw);
                                 assert_eq!(
-                                    fitting_policy_of_row(&capacity, &space, &workload, row),
+                                    fitting_policy_of_row(capacity, &space, &workload, row),
                                     None,
                                     "model {model_index}, node {node_index} at {cpu_factor}"
                                 );
