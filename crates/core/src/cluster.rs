@@ -37,7 +37,7 @@ use crate::dynamics::{
     AdmissionController, AdmitAll, Autoscaler, AvailabilityReport, FleetAction, FleetTimeline,
     FleetView, ScaleBounds, ScaleDecision,
 };
-use crate::engine::{batching_for, Finished, Lifecycle, ReplicaEngine};
+use crate::engine::{batching_for, EventScratch, Finished, Lifecycle, ReplicaEngine};
 use crate::evaluator::{EngineError, SystemEvaluator};
 use crate::observe::ObsState;
 use crate::serving::{ServingMode, ServingReport};
@@ -785,6 +785,7 @@ impl ClusterEvaluator {
             node_cache,
             disagg: DisaggState::new(pools),
             obs: ObsState::new(spec),
+            scratch: EventScratch::default(),
         };
         if indexed {
             for i in 0..fleet_size {
@@ -1019,6 +1020,9 @@ pub(crate) struct FleetLoop<'a> {
     /// Telemetry sampling cursor and self-profiling accumulators (see
     /// [`crate::observe`]).
     pub(crate) obs: ObsState,
+    /// The buffers every replica step fills: one set per run, not per
+    /// replica, so a large fleet keeps one warm copy.
+    scratch: EventScratch,
 }
 
 /// How many replicas are in each counted lifecycle state (departed ones are
@@ -1285,12 +1289,13 @@ impl FleetLoop<'_> {
         Some((*view, offer.len()))
     }
 
-    /// Delivers what replica `index` released, in order: a handoff starts
-    /// the request's KV migration; a served request fires the router's
-    /// completion callback (at its actual completion instant) and feeds the
-    /// autoscaler's sliding window.
-    fn note_completions(&mut self, index: usize, finished: Vec<Finished>) {
-        for entry in finished {
+    /// Delivers what replica `index` released, in order, and empties the
+    /// released buffer: a handoff starts the request's KV migration; a
+    /// served request fires the router's completion callback (at its actual
+    /// completion instant) and feeds the autoscaler's sliding window.
+    fn note_completions(&mut self, index: usize) {
+        let mut finished = std::mem::take(&mut self.scratch.finished);
+        for entry in finished.drain(..) {
             match entry {
                 Finished::Handoff { request, at } => self.start_migration(request, index, at),
                 Finished::Served(latency) => {
@@ -1306,6 +1311,7 @@ impl FleetLoop<'_> {
                 }
             }
         }
+        self.scratch.finished = finished;
         if self.recent.len() > RECENT_COMPLETION_WINDOW {
             let excess = self.recent.len() - RECENT_COMPLETION_WINDOW;
             self.recent.drain(..excess);
@@ -1524,10 +1530,10 @@ impl FleetLoop<'_> {
     /// The replica is marked dirty *before* delivery: a handoff starts a KV
     /// migration that routes over the index.
     fn step_replica(&mut self, index: usize, t: Seconds) -> Result<bool, EngineError> {
-        let finished = self.engines[index].step_to(t)?;
+        self.engines[index].step_to(t, &mut self.scratch)?;
         self.mark_dirty(index);
-        let had_completions = !finished.is_empty();
-        self.note_completions(index, finished);
+        let had_completions = !self.scratch.finished.is_empty();
+        self.note_completions(index);
         Ok(had_completions)
     }
 

@@ -32,8 +32,8 @@ use moe_hardware::Seconds;
 use moe_policy::{Policy, WorkloadShape};
 use moe_schedule::ScheduleKind;
 use moe_workload::{
-    BatchRunReport, BatchingConfig, BatchingConfigError, PartitionState, QueueOrder, Request,
-    RequestLatency, Scheduler,
+    BackfillResult, BatchRunReport, BatchingConfig, BatchingConfigError, PartitionState,
+    QueueOrder, Request, RequestLatency, Scheduler,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -77,15 +77,26 @@ pub(crate) fn mean_decode_context(prompt_tokens: u64, cache_tokens: u64, request
         .max(1)
 }
 
-/// One in-flight request in a replica's continuous-batching pipeline.
+/// One in-flight request in a replica's continuous-batching pipeline. Its
+/// decode progress lives in the [`Progress`] entry at the same index.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     request: Request,
     partition: usize,
-    remaining: u64,
     first_token: Option<Seconds>,
     decode_start: Seconds,
     wave: usize,
+}
+
+/// How far one in-flight request is from done, against the replica's decode
+/// step counter: it has produced its last token once `decoded` reaches
+/// `finish`. Kept in a dense array parallel to the in-flight set, so the
+/// per-event scans (retirement, the minimum remaining, the longest
+/// generation) read two words per request.
+#[derive(Debug, Clone, Copy)]
+struct Progress {
+    finish: u64,
+    gen_len: u64,
 }
 
 /// A round-to-completion request whose completion instant is already known:
@@ -131,6 +142,18 @@ pub(crate) enum Finished {
     /// A prefill-only entry finished its prompt wave at `at`: `request` is
     /// the original, generation-bearing request, ready for KV migration.
     Handoff { request: Request, at: Seconds },
+}
+
+/// Buffers one fleet run keeps for every replica event, shared by all its
+/// replicas: what [`ReplicaEngine::step_to`] released, and the scheduler's
+/// backfill result. Reusing them keeps an admission pass from allocating
+/// its result vectors anew.
+#[derive(Debug, Default)]
+pub(crate) struct EventScratch {
+    /// Released entries, in release order; the fleet loop drains it after
+    /// each step.
+    pub(crate) finished: Vec<Finished>,
+    fill: BackfillResult,
 }
 
 /// The per-replica serving state machine: both serving modes expressed as an
@@ -181,6 +204,14 @@ pub(crate) struct ReplicaEngine {
     step: Seconds,
     parts: Vec<PartitionState>,
     active: Vec<InFlight>,
+    /// Decode progress per in-flight request, parallel to `active`.
+    progress: Vec<Progress>,
+    /// Decode steps run so far (continuous mode): every in-flight request
+    /// advances with it, so a step touches no per-request state.
+    decoded: u64,
+    /// `active[fresh_from..]` are the requests admitted since the last
+    /// decode step, the ones still waiting for their first token.
+    fresh_from: usize,
     /// Waiting queue, kept in `queue_order` so admission passes can use the
     /// scheduler's presorted fast path ([`Scheduler::backfill_sorted`]).
     /// Arrivals are appended and the order restored lazily (`settle_ready`)
@@ -197,12 +228,17 @@ pub(crate) struct ReplicaEngine {
     ready_gen: u64,
     ready_oldest: Option<Seconds>,
     active_remaining: u64,
-    /// Minimum `remaining` over `active` (continuous mode; meaningless when
-    /// `active` is empty). Decremented in lockstep by `advance_decode` and
-    /// recomputed once per membership change, so `next_event` — called once
-    /// per driver iteration, including every arrival ingest — stays O(1)
-    /// instead of re-scanning the in-flight set.
-    active_min_remaining: u64,
+    /// Minimum `finish` over `progress` (`u64::MAX` when nothing is in
+    /// flight). Lowered at admission and recomputed by the retirement scan,
+    /// so `next_event` — called once per driver iteration, including every
+    /// arrival ingest — stays O(1) instead of re-scanning the in-flight set.
+    active_min_finish: u64,
+    /// Maximum `gen_len` over `progress`, kept the same way: the generation
+    /// length a decode step is priced at.
+    active_max_gen: u64,
+    /// Prompt tokens summed over `active`: the mean prompt a decode step is
+    /// priced at.
+    active_prompt: u64,
     /// The decode-step latency has not been re-derived since the last
     /// membership change: costing is deferred while an admission re-pass is
     /// armed at the current instant, so intermediate wave states are never
@@ -275,6 +311,9 @@ impl ReplicaEngine {
             step: Seconds::ZERO,
             parts,
             active: Vec::new(),
+            progress: Vec::new(),
+            decoded: 0,
+            fresh_from: 0,
             ready: Vec::new(),
             ready_dirty: false,
             queue_order,
@@ -282,7 +321,9 @@ impl ReplicaEngine {
             ready_gen: 0,
             ready_oldest: None,
             active_remaining: 0,
-            active_min_remaining: 0,
+            active_min_finish: u64::MAX,
+            active_max_gen: 0,
+            active_prompt: 0,
             step_stale: false,
             in_round_gen: 0,
             pending_admission: None,
@@ -404,8 +445,12 @@ impl ReplicaEngine {
         match self.mode {
             ServingMode::Continuous => {
                 let active = std::mem::take(&mut self.active);
+                self.progress.clear();
+                self.fresh_from = 0;
                 self.active_remaining = 0;
-                self.active_min_remaining = 0;
+                self.active_min_finish = u64::MAX;
+                self.active_max_gen = 0;
+                self.active_prompt = 0;
                 for a in active {
                     self.parts[a.partition].release(&a.request);
                     self.unwind_admission(a.wave, &a.request);
@@ -576,8 +621,10 @@ impl ReplicaEngine {
     /// Schedulers declaring [`QueueOrder::Unordered`] sort internally and may
     /// hand deferrals back in *their* order, so no invariant is asserted for
     /// them — the engine's queue order is then merely insertion order.
-    fn set_ready(&mut self, ready: Vec<Request>) {
-        self.ready = ready;
+    /// The new queue is swapped in from `ready`, which is left holding the
+    /// old one, so neither vector's storage is dropped.
+    fn set_ready(&mut self, ready: &mut Vec<Request>) {
+        std::mem::swap(&mut self.ready, ready);
         self.ready_dirty = false;
         self.ready_tokens = 0;
         self.ready_gen = 0;
@@ -704,7 +751,8 @@ impl ReplicaEngine {
                 if self.active.is_empty() {
                     None
                 } else {
-                    Some(self.segment_start + self.step.scale(self.active_min_remaining as f64))
+                    let steps = self.active_min_finish - self.decoded;
+                    Some(self.segment_start + self.step.scale(steps as f64))
                 }
             }
         };
@@ -715,29 +763,37 @@ impl ReplicaEngine {
         }
     }
 
-    /// Processes the replica's internal events due at time `t`; returns what
-    /// finished there in release order: served requests' latency records
-    /// (for the router's completion callback and the autoscaler's window)
-    /// and prefill-only handoffs (for KV migration).
+    /// Processes the replica's internal events due at time `t` and appends
+    /// what finished there to `scratch.finished`, in release order: served
+    /// requests' latency records (for the router's completion callback and
+    /// the autoscaler's window) and prefill-only handoffs (for KV
+    /// migration). An admission pass fills `scratch`'s backfill buffer.
     ///
     /// # Errors
     ///
     /// Propagates simulation errors from costing a freshly formed wave.
-    pub(crate) fn step_to(&mut self, t: Seconds) -> Result<Vec<Finished>, EngineError> {
+    pub(crate) fn step_to(
+        &mut self,
+        t: Seconds,
+        scratch: &mut EventScratch,
+    ) -> Result<(), EngineError> {
         match self.mode {
-            ServingMode::RoundToCompletion => self.step_rtc(t),
-            ServingMode::Continuous => self.step_continuous(t),
+            ServingMode::RoundToCompletion => self.step_rtc(t, &mut scratch.finished),
+            ServingMode::Continuous => self.step_continuous(t, scratch),
         }
     }
 
-    fn step_continuous(&mut self, t: Seconds) -> Result<Vec<Finished>, EngineError> {
-        let mut completed: Vec<Finished> = Vec::new();
+    fn step_continuous(
+        &mut self,
+        t: Seconds,
+        scratch: &mut EventScratch,
+    ) -> Result<(), EngineError> {
         if self.active.is_empty() {
             // Idle until the event; idle time is not billed.
             self.clock = self.clock.max(t);
             self.segment_start = self.clock;
         } else if t > self.segment_start {
-            let min_remaining = self.active_min_remaining;
+            let min_remaining = self.active_min_finish - self.decoded;
             let steps = if self.step.as_secs() <= 0.0 {
                 min_remaining
             } else {
@@ -749,50 +805,25 @@ impl ReplicaEngine {
             }
         }
 
-        // Retire completed requests, releasing their KV reservations. The
-        // cached minimum proves the scan unnecessary on admission-only
-        // events: nothing can have completed while it is still positive.
-        let mut i = if self.active_min_remaining > 0 {
-            self.active.len()
-        } else {
-            0
-        };
-        while i < self.active.len() {
-            if self.active[i].remaining > 0 {
-                i += 1;
-                continue;
-            }
-            let done = self.active.swap_remove(i);
-            self.parts[done.partition].release(&done.request);
-            let per_token =
-                (self.clock - done.decode_start).scale(1.0 / done.request.gen_len as f64);
-            let latency = RequestLatency {
-                request: done.request,
-                round: done.wave,
-                ttft: done.first_token.expect("completed requests decoded") - done.request.arrival,
-                per_token,
-                completion_time: self.clock - done.request.arrival,
-            };
-            self.latencies.push(latency);
-            self.totals.per_token_sum += per_token;
-            self.rounds[done.wave].report.per_token_sum += per_token;
-            completed.push(Finished::Served(latency));
+        // Retire completed requests, releasing their KV reservations, and
+        // re-derive the survivors' minimum finish and longest generation in
+        // the same scan. The cached minimum proves the scan unnecessary on
+        // admission-only events: nothing can have completed before it.
+        let mut membership_changed = self.active_min_finish <= self.decoded;
+        if membership_changed {
+            self.retire_finished(&mut scratch.finished);
         }
 
         // Backfill freed slots (or run a due admission) with the waiting queue.
-        let mut membership_changed = !completed.is_empty();
         let due = matches!(self.pending_admission, Some(p) if p <= t);
         if !self.ready.is_empty() && (due || membership_changed) {
             // Any pass consumes the pending admission: deferred requests
             // re-arm on the next completion or enqueue instead of stalling on
             // a stale timestamp.
             self.pending_admission = None;
-            membership_changed |= self.admit_continuous(&mut completed)?;
+            membership_changed |= self.admit_continuous(scratch)?;
         } else if due {
             self.pending_admission = None;
-        }
-        if membership_changed {
-            self.active_min_remaining = self.active.iter().map(|a| a.remaining).min().unwrap_or(0);
         }
         if membership_changed || self.step_stale {
             if self.pending_admission == Some(self.clock) {
@@ -811,17 +842,68 @@ impl ReplicaEngine {
                 self.step_stale = false;
             }
         }
-        Ok(completed)
+        Ok(())
     }
 
-    /// Advances decode by `steps` whole steps from the current segment start.
-    /// Callers cap `steps` at the minimum remaining generation, so the
+    /// Releases every in-flight request whose last token is decoded, in the
+    /// order of a `swap_remove` scan from the front, and recomputes the
+    /// survivors' minimum finish and longest generation. Runs only right
+    /// after a decode step, so no survivor is still waiting for its first
+    /// token.
+    fn retire_finished(&mut self, finished: &mut Vec<Finished>) {
+        debug_assert_eq!(self.fresh_from, self.active.len());
+        let mut min_finish = u64::MAX;
+        let mut max_gen = 0;
+        let mut i = 0;
+        while i < self.progress.len() {
+            let progress = self.progress[i];
+            if progress.finish > self.decoded {
+                min_finish = min_finish.min(progress.finish);
+                max_gen = max_gen.max(progress.gen_len);
+                i += 1;
+                continue;
+            }
+            self.progress.swap_remove(i);
+            let done = self.active.swap_remove(i);
+            self.active_prompt -= done.request.input_len;
+            self.parts[done.partition].release(&done.request);
+            let per_token =
+                (self.clock - done.decode_start).scale(1.0 / done.request.gen_len as f64);
+            let latency = RequestLatency {
+                request: done.request,
+                round: done.wave,
+                ttft: done.first_token.expect("completed requests decoded") - done.request.arrival,
+                per_token,
+                completion_time: self.clock - done.request.arrival,
+            };
+            self.latencies.push(latency);
+            self.totals.per_token_sum += per_token;
+            self.rounds[done.wave].report.per_token_sum += per_token;
+            finished.push(Finished::Served(latency));
+        }
+        self.active_min_finish = min_finish;
+        self.active_max_gen = max_gen;
+        self.fresh_from = self.active.len();
+    }
+
+    /// Advances decode by `steps` whole steps from the current segment start
+    /// and stamps the first token of every request admitted since the last
+    /// step. Callers cap `steps` at the minimum remaining generation, so the
     /// fleet-wide remaining-token aggregate decreases exactly in lockstep.
     fn advance_decode(&mut self, steps: u64) {
+        debug_assert!(
+            self.active[..self.fresh_from]
+                .iter()
+                .all(|a| a.first_token.is_some())
+                && self.active[self.fresh_from..]
+                    .iter()
+                    .all(|a| a.first_token.is_none()),
+            "exactly the requests admitted since the last step lack a first token"
+        );
         self.active_remaining = self
             .active_remaining
             .saturating_sub(steps.saturating_mul(self.active.len() as u64));
-        self.active_min_remaining = self.active_min_remaining.saturating_sub(steps);
+        self.decoded += steps;
         let advance = self.step.scale(steps as f64);
         let first_token_at = self.segment_start + self.step;
         self.clock = self.segment_start + advance;
@@ -830,12 +912,10 @@ impl ReplicaEngine {
         if let Some(last) = self.rounds.last_mut() {
             last.report.decode_time += advance;
         }
-        for a in self.active.iter_mut() {
-            if a.first_token.is_none() {
-                a.first_token = Some(first_token_at);
-            }
-            a.remaining = a.remaining.saturating_sub(steps);
+        for a in &mut self.active[self.fresh_from..] {
+            a.first_token = Some(first_token_at);
         }
+        self.fresh_from = self.active.len();
     }
 
     /// Runs one admission wave over the waiting queue; returns whether
@@ -848,8 +928,8 @@ impl ReplicaEngine {
     /// leaves the pipeline empty again, and a padded scheduler's per-request
     /// KV charge shrinks as the queue shrinks, so the deferred remainder can
     /// be admissible immediately.
-    fn admit_continuous(&mut self, completed: &mut Vec<Finished>) -> Result<bool, EngineError> {
-        let progressed = self.admit_continuous_once(completed)?;
+    fn admit_continuous(&mut self, scratch: &mut EventScratch) -> Result<bool, EngineError> {
+        let progressed = self.admit_continuous_once(scratch)?;
         if progressed && !self.ready.is_empty() {
             self.pending_admission = Some(match self.pending_admission {
                 Some(previous) => previous.min(self.clock),
@@ -865,10 +945,7 @@ impl ReplicaEngine {
     /// overflow the budget) they are re-offered at the next enqueue or
     /// completion, and only classified as aborted when the run ends with them
     /// still waiting ([`Self::into_report`]) or the replica drains/fails.
-    fn admit_continuous_once(
-        &mut self,
-        completed: &mut Vec<Finished>,
-    ) -> Result<bool, EngineError> {
+    fn admit_continuous_once(&mut self, scratch: &mut EventScratch) -> Result<bool, EngineError> {
         // Saturation precheck: when the total-admission cap or every request
         // slot is already exhausted the scheduler cannot admit anything, so
         // skip the pass entirely.
@@ -882,21 +959,21 @@ impl ReplicaEngine {
             return Ok(false);
         }
         self.settle_ready();
+        let EventScratch { finished, fill } = scratch;
         let t0 = self.profile.then(std::time::Instant::now);
-        let fill = self
-            .scheduler
-            .backfill_sorted(&self.ready, &self.batching, &self.parts);
+        self.scheduler
+            .backfill_sorted_into(&self.ready, &self.batching, &self.parts, fill);
         self.note_plan(t0);
         let admitted = fill.admitted();
         if admitted == 0 {
             // Nothing left the queue: same multiset, possibly re-ordered by
             // the scheduler, so the incremental aggregates are still exact
             // and the full recompute in `set_ready` can be skipped.
-            self.ready = fill.deferred;
+            std::mem::swap(&mut self.ready, &mut fill.deferred);
             self.ready_dirty = false;
             return Ok(false);
         }
-        self.set_ready(fill.deferred);
+        self.set_ready(&mut fill.deferred);
         let wave = self.rounds.len();
         let count = admitted as u64;
         let prompt: u64 = fill.assignments.iter().flatten().map(|r| r.input_len).sum();
@@ -929,8 +1006,8 @@ impl ReplicaEngine {
         };
         let admitted_at = self.clock;
         self.clock += prefill;
-        for (partition, requests) in fill.assignments.into_iter().enumerate() {
-            for request in requests {
+        for (partition, requests) in fill.assignments.iter().enumerate() {
+            for &request in requests {
                 self.parts[partition].admit(&request);
                 if request.gen_len == 0 {
                     // Nothing to decode: complete (or hand off) at prefill end.
@@ -942,14 +1019,21 @@ impl ReplicaEngine {
                         per_token: Seconds::ZERO,
                         completion_time: self.clock - request.arrival,
                     };
-                    completed.push(self.release(latency));
+                    finished.push(self.release(latency));
                     continue;
                 }
+                let finish = self.decoded + request.gen_len;
                 self.active_remaining += request.gen_len;
+                self.active_min_finish = self.active_min_finish.min(finish);
+                self.active_max_gen = self.active_max_gen.max(request.gen_len);
+                self.active_prompt += request.input_len;
+                self.progress.push(Progress {
+                    finish,
+                    gen_len: request.gen_len,
+                });
                 self.active.push(InFlight {
                     request,
                     partition,
-                    remaining: request.gen_len,
                     first_token: None,
                     decode_start: self.clock,
                     wave,
@@ -1048,15 +1132,10 @@ impl ReplicaEngine {
             ));
         }
         let total_active = self.active.len() as u64;
-        let prompt_sum: u64 = self.active.iter().map(|a| a.request.input_len).sum();
-        let max_gen = self
-            .active
-            .iter()
-            .map(|a| a.request.gen_len)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let shape = WorkloadShape::new(prompt_sum.div_ceil(total_active).max(1), max_gen);
+        let shape = WorkloadShape::new(
+            self.active_prompt.div_ceil(total_active).max(1),
+            self.active_max_gen.max(1),
+        );
         let policy = self.batch_policy(total_active);
         let step = self.decode_step(&policy, &shape, &occupancy, &contexts, self.clock);
         self.step_occupancy = occupancy;
@@ -1122,8 +1201,8 @@ impl ReplicaEngine {
         }
     }
 
-    fn step_rtc(&mut self, t: Seconds) -> Result<Vec<Finished>, EngineError> {
-        let mut completed: Vec<Finished> = Vec::new();
+    fn step_rtc(&mut self, t: Seconds, finished: &mut Vec<Finished>) -> Result<(), EngineError> {
+        let released_before = finished.len();
         // Release every pending completion due by `t` — each request finishes
         // at its own step, not in bulk at round retirement (its micro-batch
         // slot and KV stay held until the round ends; that is the
@@ -1134,7 +1213,7 @@ impl ReplicaEngine {
             self.in_round_gen = self
                 .in_round_gen
                 .saturating_sub(done.latency.request.gen_len);
-            completed.push(self.release(done.latency));
+            finished.push(self.release(done.latency));
         }
         if let Some(end) = self.round_end {
             if end <= t {
@@ -1147,11 +1226,11 @@ impl ReplicaEngine {
             self.clock = self.clock.max(t);
             let due = matches!(self.pending_admission, Some(p) if p <= t);
             self.pending_admission = None;
-            if !self.ready.is_empty() && (due || !completed.is_empty()) {
+            if !self.ready.is_empty() && (due || finished.len() > released_before) {
                 self.admit_round()?;
             }
         }
-        Ok(completed)
+        Ok(())
     }
 
     /// Forms one round-to-completion round from the waiting queue. Every
@@ -1160,7 +1239,7 @@ impl ReplicaEngine {
     fn admit_round(&mut self) -> Result<(), EngineError> {
         self.settle_ready();
         let t0 = self.profile.then(std::time::Instant::now);
-        let formed = self.scheduler.plan_sorted(&self.ready, &self.batching);
+        let mut formed = self.scheduler.plan_sorted(&self.ready, &self.batching);
         self.note_plan(t0);
         self.take_ready();
         if formed.scheduled_requests() == 0 {
@@ -1285,7 +1364,7 @@ impl ReplicaEngine {
             prompt_token_spread: formed.prompt_token_spread(),
             report,
         });
-        self.set_ready(formed.aborted);
+        self.set_ready(&mut formed.aborted);
         Ok(())
     }
 
@@ -1311,6 +1390,312 @@ impl ReplicaEngine {
             latencies: self.latencies,
             aborted,
             totals: self.totals,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::settings::EvalSetting;
+    use moe_workload::Algorithm2;
+    use proptest::prelude::*;
+
+    const MAX_PROMPT: u64 = 300;
+    const MAX_GEN: u64 = 26;
+
+    /// One harness step: `(kind, gap, (prompt, generation class) per request)`
+    /// (see [`Harness::run`]).
+    type Op = (u8, u64, Vec<(u64, u64)>);
+
+    /// The test-side view of one in-flight request: decode steps still to
+    /// run, counted down by the harness at every event.
+    #[derive(Debug)]
+    struct Countdown {
+        remaining: u64,
+        input_len: u64,
+        gen_len: u64,
+        has_first_token: bool,
+    }
+
+    /// One continuous-mode replica, driven the way the fleet loop drives it,
+    /// with a per-request countdown kept beside it.
+    struct Harness {
+        engine: ReplicaEngine,
+        scratch: EventScratch,
+        model: HashMap<u64, Countdown>,
+        next_id: u64,
+        now: Seconds,
+        served: Vec<u64>,
+        returned: Vec<u64>,
+        /// Events settled at the instant of the event before them.
+        same_instant_events: usize,
+        /// Requests lost to `fail` while decoding.
+        failed_in_flight: usize,
+        /// Served requests that never joined the in-flight set.
+        served_without_decode: usize,
+    }
+
+    impl Harness {
+        fn new() -> Self {
+            let setting = EvalSetting::S1;
+            let policy = Policy::offload_default(16, 4);
+            let batching = batching_for(&policy, &WorkloadShape::new(MAX_PROMPT, MAX_GEN)).unwrap();
+            let engine = ReplicaEngine::new(
+                ReplicaId(0),
+                SystemEvaluator::new(setting.node(), setting.model()),
+                SystemKind::MoeLightning,
+                policy,
+                batching,
+                ServingMode::Continuous,
+                Arc::new(Algorithm2),
+            );
+            Harness {
+                engine,
+                scratch: EventScratch::default(),
+                model: HashMap::new(),
+                next_id: 0,
+                now: Seconds::ZERO,
+                served: Vec::new(),
+                returned: Vec::new(),
+                same_instant_events: 0,
+                failed_in_flight: 0,
+                served_without_decode: 0,
+            }
+        }
+
+        /// Settles every event due by `until`, then lands one request per
+        /// `(prompt, generation)` there.
+        fn arrive(&mut self, until: Seconds, shapes: &[(u64, u64)]) {
+            while self.engine.next_event().is_some_and(|t| t <= until) {
+                self.step();
+            }
+            self.now = self.now.max(until);
+            for &(input_len, gen_len) in shapes {
+                let request = Request {
+                    arrival: self.now,
+                    ..Request::new(self.next_id, input_len, gen_len)
+                };
+                self.next_id += 1;
+                self.engine.enqueue(request, Phase::Full, self.now);
+            }
+            self.check();
+        }
+
+        /// Settles the engine's next event, if it has one.
+        fn step(&mut self) -> bool {
+            let Some(t) = self.engine.next_event() else {
+                return false;
+            };
+            // The steps a per-request countdown runs: whole steps from the
+            // segment start, never past the first completion.
+            let engine = &self.engine;
+            let steps = match self.model.values().map(|c| c.remaining).min() {
+                Some(min) if t > engine.segment_start => {
+                    if engine.step.as_secs() <= 0.0 {
+                        min
+                    } else {
+                        let whole = (t - engine.segment_start).as_secs() / engine.step.as_secs();
+                        (whole.round() as u64).min(min)
+                    }
+                }
+                _ => 0,
+            };
+            let decoded = engine.decoded;
+            if t == self.now {
+                self.same_instant_events += 1;
+            }
+            self.engine.step_to(t, &mut self.scratch).unwrap();
+            self.now = t;
+            assert_eq!(self.engine.decoded - decoded, steps, "decode steps at {t}");
+            for countdown in self.model.values_mut() {
+                countdown.remaining -= steps;
+                countdown.has_first_token |= steps > 0;
+            }
+            for entry in self.scratch.finished.drain(..) {
+                let Finished::Served(latency) = entry else {
+                    panic!("a full-phase request was handed off");
+                };
+                let id = latency.request.id;
+                match self.model.remove(&id) {
+                    Some(countdown) => {
+                        assert_eq!(countdown.remaining, 0, "request {id} released early")
+                    }
+                    None => {
+                        assert_eq!(latency.request.gen_len, 0, "request {id} never decoded");
+                        self.served_without_decode += 1;
+                    }
+                }
+                self.served.push(id);
+            }
+            for a in &self.engine.active {
+                self.model.entry(a.request.id).or_insert(Countdown {
+                    remaining: a.request.gen_len,
+                    input_len: a.request.input_len,
+                    gen_len: a.request.gen_len,
+                    has_first_token: false,
+                });
+            }
+            self.check();
+            true
+        }
+
+        fn fail(&mut self) {
+            self.failed_in_flight += self.model.len();
+            let lost = self.engine.fail(self.now);
+            for id in self.model.keys() {
+                assert!(
+                    lost.iter().any(|r| r.id == *id),
+                    "in-flight {id} not returned"
+                );
+            }
+            self.model.clear();
+            self.returned.extend(lost.iter().map(|r| r.id));
+            self.check();
+        }
+
+        /// The engine's decode bookkeeping equals the countdown's.
+        fn check(&self) {
+            let engine = &self.engine;
+            assert_eq!(engine.active.len(), self.model.len());
+            assert_eq!(engine.progress.len(), engine.active.len());
+            for (a, progress) in engine.active.iter().zip(&engine.progress) {
+                let countdown = &self.model[&a.request.id];
+                assert!(countdown.remaining > 0);
+                assert_eq!(progress.finish - engine.decoded, countdown.remaining);
+                assert_eq!(progress.gen_len, countdown.gen_len);
+                assert_eq!(a.first_token.is_some(), countdown.has_first_token);
+            }
+            assert!(engine.fresh_from <= engine.active.len());
+            assert!(engine.active[..engine.fresh_from]
+                .iter()
+                .all(|a| a.first_token.is_some()));
+            assert!(engine.active[engine.fresh_from..]
+                .iter()
+                .all(|a| a.first_token.is_none()));
+            match self.model.values().map(|c| c.remaining).min() {
+                Some(min) => assert_eq!(engine.active_min_finish - engine.decoded, min),
+                None => assert_eq!(engine.active_min_finish, u64::MAX),
+            }
+            let countdowns = self.model.values();
+            assert_eq!(
+                engine.active_prompt,
+                countdowns.clone().map(|c| c.input_len).sum::<u64>()
+            );
+            assert_eq!(
+                engine.active_max_gen,
+                countdowns.clone().map(|c| c.gen_len).max().unwrap_or(0)
+            );
+            assert_eq!(
+                engine.active_remaining,
+                countdowns.map(|c| c.remaining).sum::<u64>()
+            );
+        }
+
+        /// Runs `ops` — `(kind, gap, shapes)`: kinds 0–4 land the shapes
+        /// after `gap` thirds of a decode step (0: at the current instant),
+        /// 5–8 settle one event, 9 fails the replica — then settles
+        /// everything left and checks that every request was served or
+        /// returned exactly once.
+        fn run(ops: &[Op]) -> Self {
+            let mut harness = Harness::new();
+            for (kind, gap, shapes) in ops {
+                match kind {
+                    0..=4 => {
+                        let third = match harness.engine.step.as_secs() {
+                            s if s > 0.0 => s / 3.0,
+                            _ => 0.5,
+                        };
+                        let until = harness.now + Seconds::from_secs(third * *gap as f64);
+                        let shapes: Vec<(u64, u64)> = shapes
+                            .iter()
+                            .map(|&(input, g)| (input, generation(g)))
+                            .collect();
+                        harness.arrive(until, &shapes);
+                    }
+                    5..=8 => {
+                        harness.step();
+                    }
+                    _ => harness.fail(),
+                }
+            }
+            let mut events = 0;
+            while harness.step() {
+                events += 1;
+                assert!(events < 100_000, "the replica never went idle");
+            }
+            assert!(harness.engine.queued_requests().is_empty());
+            let mut seen: Vec<u64> = harness
+                .served
+                .iter()
+                .chain(&harness.returned)
+                .copied()
+                .collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..harness.next_id).collect::<Vec<_>>());
+            harness
+        }
+    }
+
+    /// A generation class: a third of draws generate nothing, a tenth one
+    /// token, the rest 2–25.
+    fn generation(g: u64) -> u64 {
+        match g {
+            0..=9 => 0,
+            10..=12 => 1,
+            _ => (g - 13) % 24 + 2,
+        }
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            (
+                0u8..10,
+                0u64..7,
+                proptest::collection::vec((16u64..MAX_PROMPT, 0u64..30), 1..8),
+            ),
+            1..40,
+        )
+    }
+
+    #[test]
+    fn a_pinned_sequence_exercises_cascades_zero_generations_and_a_mid_decode_failure() {
+        let burst = |n: u64, g: u64| (0..n).map(|i| (40 + 13 * i, g + i)).collect::<Vec<_>>();
+        let ops = vec![
+            (0, 0, burst(7, 13)),
+            (0, 0, burst(7, 0)),
+            (0, 0, burst(7, 20)),
+            (5, 0, Vec::new()),
+            (0, 2, burst(3, 10)),
+            (5, 0, Vec::new()),
+            (5, 0, Vec::new()),
+            (9, 0, Vec::new()),
+            (0, 1, burst(6, 11)),
+        ];
+        let harness = Harness::run(&ops);
+        assert!(harness.same_instant_events > 0, "no same-instant re-pass");
+        assert!(
+            harness.failed_in_flight > 0,
+            "the failure hit an idle replica"
+        );
+        assert!(
+            harness.served_without_decode > 0,
+            "no zero-generation request"
+        );
+        assert!(harness.served.len() > harness.served_without_decode);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// After every event of a random enqueue/step/fail sequence, each
+        /// in-flight request's remaining steps, the minimum of them, the
+        /// in-flight prompt sum and longest generation, the tokens still to
+        /// decode and the set still waiting for a first token all equal a
+        /// per-request countdown's.
+        #[test]
+        fn the_decode_counter_matches_a_per_request_countdown(ops in ops()) {
+            Harness::run(&ops);
         }
     }
 }

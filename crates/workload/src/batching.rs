@@ -191,8 +191,10 @@ impl PartitionState {
     }
 }
 
-/// Result of backfilling open micro-batch slots from a waiting queue.
-#[derive(Debug, Clone, PartialEq)]
+/// Result of backfilling open micro-batch slots from a waiting queue. The
+/// default is the empty result, a buffer for
+/// [`crate::scheduler::Scheduler::backfill_sorted_into`] to fill.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BackfillResult {
     /// Newly admitted requests per micro-batch (parallel to the input state slice).
     pub assignments: Vec<Vec<Request>>,

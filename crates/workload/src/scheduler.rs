@@ -6,7 +6,9 @@
 //! factored behind a trait: the serving engine (each replica's event machine
 //! in the core crate) calls [`Scheduler::plan`] to form a round from scratch and
 //! [`Scheduler::backfill`] to re-fill partially occupied micro-batches
-//! mid-flight (continuous batching), without knowing which strategy runs.
+//! mid-flight (continuous batching), without knowing which strategy runs. It
+//! takes the presorted forms of both, and re-fills through
+//! [`Scheduler::backfill_sorted_into`], into one result buffer per run.
 //!
 //! Four strategies are provided:
 //!
@@ -28,6 +30,7 @@
 
 use crate::batching::{BackfillResult, BatchingConfig, BatchingResult, PartitionState};
 use crate::spec::Request;
+use std::cell::RefCell;
 use std::fmt;
 
 /// A batch-formation strategy: decides which queued requests are admitted and
@@ -84,6 +87,28 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
         occupied: &[PartitionState],
     ) -> BackfillResult {
         self.backfill(queue, cfg, occupied)
+    }
+
+    /// Like [`Scheduler::backfill_sorted`], but writes the result into `out`
+    /// instead of returning a new one. A serving loop keeps one `out` and
+    /// passes it to every admission pass, so the result's vectors are
+    /// allocated once and then reused: a pass allocates only when it
+    /// outgrows every earlier one.
+    ///
+    /// `out` may hold any earlier result, for any configuration and queue;
+    /// on return it must equal what [`Scheduler::backfill_sorted`] returns,
+    /// field for field. The default implementation calls
+    /// [`Scheduler::backfill_sorted`] and replaces `out`, which is always
+    /// correct; the built-in schedulers clear each of `out`'s vectors,
+    /// keeping its capacity, and write into them.
+    fn backfill_sorted_into(
+        &self,
+        queue: &[Request],
+        cfg: &BatchingConfig,
+        occupied: &[PartitionState],
+        out: &mut BackfillResult,
+    ) {
+        *out = self.backfill_sorted(queue, cfg, occupied);
     }
 
     /// Runs the assignment over micro-batches that may already hold in-flight
@@ -199,8 +224,8 @@ struct Rule {
 }
 
 /// Implements [`Scheduler`] for a built-in strategy from its one [`Rule`]:
-/// `queue_order` reports the rule's order, and `backfill` and
-/// `backfill_sorted` run it with and without the sort.
+/// `queue_order` reports the rule's order, `backfill` runs it after a sort,
+/// and `backfill_sorted` and `backfill_sorted_into` run it without one.
 macro_rules! rule_scheduler {
     ($ty:ty, $name:literal, $rule:expr) => {
         impl $ty {
@@ -222,7 +247,7 @@ macro_rules! rule_scheduler {
                 cfg: &BatchingConfig,
                 occupied: &[PartitionState],
             ) -> BackfillResult {
-                run_assignment(queue, cfg, occupied, Self::RULE, false)
+                assign(queue, cfg, occupied, Self::RULE, false)
             }
 
             fn backfill_sorted(
@@ -231,21 +256,48 @@ macro_rules! rule_scheduler {
                 cfg: &BatchingConfig,
                 occupied: &[PartitionState],
             ) -> BackfillResult {
-                run_assignment(queue, cfg, occupied, Self::RULE, true)
+                assign(queue, cfg, occupied, Self::RULE, true)
+            }
+
+            fn backfill_sorted_into(
+                &self,
+                queue: &[Request],
+                cfg: &BatchingConfig,
+                occupied: &[PartitionState],
+                out: &mut BackfillResult,
+            ) {
+                run_assignment(queue, cfg, occupied, Self::RULE, true, out)
             }
         }
     };
 }
 
+/// The working sets [`run_assignment`] keeps between calls on one thread:
+/// the occupancy it admits into and the open and closed micro-batch index
+/// lists. Reusing them keeps an admission pass from allocating them anew.
+#[derive(Debug, Default)]
+struct AssignmentScratch {
+    state: Vec<PartitionState>,
+    open: Vec<usize>,
+    closed: Vec<usize>,
+}
+
 /// The shared assignment engine behind every built-in [`Scheduler`]:
-/// admits `queue` under `rule`, sorting it first unless `presorted`.
+/// admits `queue` under `rule` into `out`, sorting it first unless
+/// `presorted`. Every vector of `out` is cleared but keeps its capacity, so
+/// a caller that reuses one result across passes allocates only when a pass
+/// outgrows the previous ones.
 fn run_assignment(
     queue: &[Request],
     cfg: &BatchingConfig,
     occupied: &[PartitionState],
     rule: Rule,
     presorted: bool,
-) -> BackfillResult {
+    out: &mut BackfillResult,
+) {
+    thread_local! {
+        static SCRATCH: RefCell<AssignmentScratch> = RefCell::default();
+    }
     let Rule {
         order,
         placement,
@@ -262,10 +314,16 @@ fn run_assignment(
         "need one occupancy entry per micro-batch"
     );
 
-    let mut assignments: Vec<Vec<Request>> = vec![Vec::new(); cfg.num_micro_batches];
-    let mut state: Vec<PartitionState> = occupied.to_vec();
-    let mut filled_order = Vec::new();
-    let mut deferred = Vec::new();
+    let BackfillResult {
+        assignments,
+        deferred,
+        filled_order,
+    } = out;
+    assignments.truncate(cfg.num_micro_batches);
+    assignments.iter_mut().for_each(Vec::clear);
+    assignments.resize_with(cfg.num_micro_batches, Vec::new);
+    deferred.clear();
+    filled_order.clear();
 
     let pad = if padded {
         queue.iter().map(|r| r.input_len).max().unwrap_or(0)
@@ -299,6 +357,15 @@ fn run_assignment(
         }
     };
 
+    let mut scratch = SCRATCH.take();
+    let AssignmentScratch {
+        state,
+        open,
+        closed,
+    } = &mut scratch;
+    state.clear();
+    state.extend_from_slice(occupied);
+
     // The policy sizes `num_micro_batches` for a *full* batch; an underfilled
     // queue opens only as many micro-batches as its work requires — by request
     // slots and by total KV footprint — so small batches run as few, full
@@ -328,25 +395,22 @@ fn run_assignment(
         .max(cache_slots_needed)
         .max(1)
         .min(cfg.num_micro_batches);
-    let mut open: Vec<usize> = (0..cfg.num_micro_batches)
-        .filter(|&i| state[i].requests > 0)
-        .collect();
+    open.clear();
+    open.extend((0..cfg.num_micro_batches).filter(|&i| state[i].requests > 0));
     let empty_needed = target_open.saturating_sub(open.len());
-    let mut closed: std::collections::VecDeque<usize> = (0..cfg.num_micro_batches)
-        .filter(|&i| state[i].requests == 0)
-        .collect();
+    closed.clear();
+    closed.extend((0..cfg.num_micro_batches).filter(|&i| state[i].requests == 0));
     open.extend(closed.drain(..empty_needed.min(closed.len())));
     open.sort_unstable();
 
     let slot_capacity = cfg.num_micro_batches * cfg.max_requests_per_micro_batch;
-    let mut total_requests: usize = state.iter().map(|p| p.requests).sum();
     let mut scheduled = in_flight;
     for (pos, req) in sorted.iter().copied().enumerate() {
         // Once the total-admission cap or every request slot is exhausted,
         // nothing further can ever be admitted — defer the rest in bulk
         // instead of probing each request against a saturated pipeline (the
         // common steady state of a loaded continuous-batching replica).
-        if scheduled >= cfg.max_scheduled_requests || total_requests >= slot_capacity {
+        if scheduled >= cfg.max_scheduled_requests || scheduled >= slot_capacity {
             deferred.extend_from_slice(&sorted[pos..]);
             break;
         }
@@ -380,7 +444,7 @@ fn run_assignment(
             // KV reservations even with no requests in flight.
             None => match closed.iter().position(|&i| fits(i)) {
                 Some(pos) => {
-                    let next = closed.remove(pos).expect("position is in bounds");
+                    let next = closed.remove(pos);
                     open.push(next);
                     open.sort_unstable();
                     next
@@ -396,17 +460,24 @@ fn run_assignment(
         state[idx].cache_tokens += cost;
         assignments[idx].push(req);
         scheduled += 1;
-        total_requests += 1;
         if state[idx].requests == cfg.max_requests_per_micro_batch {
             filled_order.push(idx);
         }
     }
+    SCRATCH.set(scratch);
+}
 
-    BackfillResult {
-        assignments,
-        deferred,
-        filled_order,
-    }
+/// Runs [`run_assignment`] into a fresh result.
+fn assign(
+    queue: &[Request],
+    cfg: &BatchingConfig,
+    occupied: &[PartitionState],
+    rule: Rule,
+    presorted: bool,
+) -> BackfillResult {
+    let mut out = BackfillResult::default();
+    run_assignment(queue, cfg, occupied, rule, presorted, &mut out);
+    out
 }
 
 /// The paper's Algorithm 2 (Appendix A.2): requests sorted by prompt length
@@ -926,6 +997,67 @@ mod proptests {
                 let fast = scheduler.backfill_sorted(&sorted, &cfg, &occupied);
                 let slow = scheduler.backfill(&reqs, &cfg, &occupied);
                 prop_assert_eq!(fast, slow, "{} diverged on the presorted path", scheduler.name());
+            }
+        }
+
+        /// Into-buffer path: `backfill_sorted_into` over a dirty buffer — the
+        /// result of an earlier call with a different micro-batch count and
+        /// queue — equals `backfill_sorted` field for field, for every
+        /// scheduler, the order of `deferred` and `filled_order` included.
+        #[test]
+        fn backfill_sorted_into_a_dirty_buffer_matches_backfill_sorted(
+            (reqs, n_ub, ubs, cache, cap, occupied) in (
+                arbitrary_requests(),
+                1usize..6,
+                1usize..24,
+                1_000u64..40_000,
+                1usize..160,
+            )
+                .prop_flat_map(|(reqs, n_ub, ubs, cache, cap)| {
+                    (
+                        Just(reqs),
+                        Just(n_ub),
+                        Just(ubs),
+                        Just(cache),
+                        Just(cap),
+                        arbitrary_occupancy(n_ub, ubs, cache),
+                    )
+                }),
+            stale_reqs in arbitrary_requests(),
+            shift in 1usize..7,
+        ) {
+            let cfg = BatchingConfig {
+                num_micro_batches: n_ub,
+                max_requests_per_micro_batch: ubs,
+                max_scheduled_requests: cap,
+                cache_tokens_per_micro_batch: cache,
+            };
+            // 1..=8 micro-batches, never `n_ub`: the stale buffer holds more
+            // or fewer assignment vectors than the call that reuses it.
+            let stale_n_ub = (n_ub + shift) % 8 + 1;
+            let stale_cfg = BatchingConfig {
+                num_micro_batches: stale_n_ub,
+                max_requests_per_micro_batch: ubs,
+                max_scheduled_requests: usize::MAX,
+                cache_tokens_per_micro_batch: 1 << 20,
+            };
+            for scheduler in builtin_schedulers() {
+                let order = scheduler.queue_order();
+                let mut stale = stale_reqs.clone();
+                order.sort(&mut stale);
+                let mut out = BackfillResult::default();
+                scheduler.backfill_sorted_into(
+                    &stale,
+                    &stale_cfg,
+                    &vec![PartitionState::default(); stale_n_ub],
+                    &mut out,
+                );
+                prop_assert!(out.admitted() > 0, "the stale buffer must hold admissions");
+                let mut sorted = reqs.clone();
+                order.sort(&mut sorted);
+                scheduler.backfill_sorted_into(&sorted, &cfg, &occupied, &mut out);
+                let expected = scheduler.backfill_sorted(&sorted, &cfg, &occupied);
+                prop_assert_eq!(out, expected, "{} diverged into a reused buffer", scheduler.name());
             }
         }
 
