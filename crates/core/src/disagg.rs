@@ -44,7 +44,7 @@ use moe_workload::Request;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Which phase of serving a replica's pool runs (see [`ReplicaSpec::with_role`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -335,20 +335,17 @@ impl PrefixCache {
 /// go back to the replica that served it (keeping its KV/prefix state hot);
 /// unseen sessions are routed by the wrapped strategy. A session whose home
 /// replica left the fleet is re-homed by the inner router on its next
-/// request.
+/// request. The homes live in the run's [`RouterCtx::homes`], so every run
+/// starts with none.
 #[derive(Debug)]
 pub struct StickySession {
     inner: Arc<dyn Router>,
-    sessions: Mutex<HashMap<u64, ReplicaId>>,
 }
 
 impl StickySession {
     /// Pins sessions over `inner`'s placement decisions.
     pub fn new(inner: Arc<dyn Router>) -> Self {
-        StickySession {
-            inner,
-            sessions: Mutex::new(HashMap::new()),
-        }
+        StickySession { inner }
     }
 }
 
@@ -358,8 +355,7 @@ impl Router for StickySession {
     }
 
     fn route(&self, request: &Request, replicas: &[ReplicaView], ctx: &mut RouterCtx) -> ReplicaId {
-        let mut sessions = self.sessions.lock().expect("sticky-session map poisoned");
-        if let Some(&home) = sessions.get(&request.session_id) {
+        if let Some(&home) = ctx.homes.get(&request.session_id) {
             if replicas.iter().any(|v| v.id == home) {
                 return home;
             }
@@ -370,7 +366,7 @@ impl Router for StickySession {
         } else {
             replicas[0].id
         };
-        sessions.insert(request.session_id, chosen);
+        ctx.homes.insert(request.session_id, chosen);
         chosen
     }
 
@@ -380,8 +376,7 @@ impl Router for StickySession {
         index: &RouterIndex,
         ctx: &mut RouterCtx,
     ) -> Option<ReplicaId> {
-        let mut sessions = self.sessions.lock().expect("sticky-session map poisoned");
-        if let Some(&home) = sessions.get(&request.session_id) {
+        if let Some(&home) = ctx.homes.get(&request.session_id) {
             if index.contains(home) {
                 return Some(home);
             }
@@ -391,7 +386,7 @@ impl Router for StickySession {
         // logic there — both paths record the same placement.
         let chosen = self.inner.route_indexed(request, index, ctx)?;
         if index.contains(chosen) {
-            sessions.insert(request.session_id, chosen);
+            ctx.homes.insert(request.session_id, chosen);
         }
         Some(chosen)
     }
@@ -407,10 +402,7 @@ impl Router for StickySession {
     }
 
     fn on_replica_down(&self, replica: ReplicaId, now: Seconds, ctx: &mut RouterCtx) {
-        self.sessions
-            .lock()
-            .expect("sticky-session map poisoned")
-            .retain(|_, home| *home != replica);
+        ctx.homes.retain(|_, home| *home != replica);
         self.inner.on_replica_down(replica, now, ctx);
     }
 
@@ -446,16 +438,15 @@ fn drain_seconds(view: &ReplicaView) -> f64 {
 /// ([`CacheStats::estimated_hit_tokens`]) outweigh the home's backlog excess
 /// over the fleet's fastest-draining replica; otherwise it is re-homed on
 /// that replica (minimum drain time: outstanding tokens over the measured
-/// EWMA decode rate, not just backlog).
+/// EWMA decode rate, not just backlog). The homes live in the run's
+/// [`RouterCtx::homes`], so every run starts with none.
 #[derive(Debug, Default)]
-pub struct PrefixAware {
-    sessions: Mutex<HashMap<u64, ReplicaId>>,
-}
+pub struct PrefixAware;
 
 impl PrefixAware {
-    /// A fresh router with no session placements.
+    /// The prefix-aware router.
     pub fn new() -> Self {
-        Self::default()
+        PrefixAware
     }
 }
 
@@ -464,13 +455,7 @@ impl Router for PrefixAware {
         "prefix-aware"
     }
 
-    fn route(
-        &self,
-        request: &Request,
-        replicas: &[ReplicaView],
-        _ctx: &mut RouterCtx,
-    ) -> ReplicaId {
-        let mut sessions = self.sessions.lock().expect("prefix-aware map poisoned");
+    fn route(&self, request: &Request, replicas: &[ReplicaView], ctx: &mut RouterCtx) -> ReplicaId {
         let fastest = replicas
             .iter()
             .min_by(|a, b| {
@@ -479,7 +464,8 @@ impl Router for PrefixAware {
                     .then(a.id.cmp(&b.id))
             })
             .expect("route is called with a non-empty view slice");
-        let home = sessions
+        let home = ctx
+            .homes
             .get(&request.session_id)
             .and_then(|home| replicas.iter().find(|v| v.id == *home));
         let chosen = match home {
@@ -496,15 +482,12 @@ impl Router for PrefixAware {
             }
             None => fastest.id,
         };
-        sessions.insert(request.session_id, chosen);
+        ctx.homes.insert(request.session_id, chosen);
         chosen
     }
 
-    fn on_replica_down(&self, replica: ReplicaId, _now: Seconds, _ctx: &mut RouterCtx) {
-        self.sessions
-            .lock()
-            .expect("prefix-aware map poisoned")
-            .retain(|_, home| *home != replica);
+    fn on_replica_down(&self, replica: ReplicaId, _now: Seconds, ctx: &mut RouterCtx) {
+        ctx.homes.retain(|_, home| *home != replica);
     }
 }
 

@@ -18,10 +18,16 @@
 //! records at each request's own completion step. An entry queued as
 //! `Phase::PrefillOnly` runs its prompt wave only and is released as a
 //! `Finished::Handoff` of the original request, never as a latency record.
-//! Both [`crate::ServingMode`]s
-//! are implemented here exactly once; wave costing, KV release, backfill and
-//! latency bookkeeping have no second copy (`tests/self_check.rs` pins the
-//! reports against committed fixtures).
+//!
+//! Both [`crate::ServingMode`]s form their waves through one admission pass:
+//! one [`Scheduler::backfill_sorted_into`] call against the replica's
+//! per-micro-batch partition ledger, one prompt-pass price (cold on an empty
+//! pipeline, a backfill otherwise; a round is always cold) and one booking
+//! step for the wave's [`RoundReport`]. Round-to-completion keeps only what
+//! is its own: one decode step priced per round, the per-request release
+//! list, the round's end and the billing truncation on failure. Wave
+//! costing, KV release, backfill and latency bookkeeping have no second copy
+//! (`tests/self_check.rs` pins the reports against committed fixtures).
 
 use crate::disagg::{PrefixCache, ReplicaRole};
 use crate::evaluator::{EngineError, SystemEvaluator};
@@ -145,8 +151,9 @@ pub(crate) enum Finished {
 }
 
 /// Buffers one fleet run keeps for every replica event, shared by all its
-/// replicas: what [`ReplicaEngine::step_to`] released, and the scheduler's
-/// backfill result. Reusing them keeps an admission pass from allocating
+/// replicas: what [`ReplicaEngine::step_to`] released, the scheduler's
+/// backfill result and the order the admitted wave's partitions are priced
+/// and reported in. Reusing them keeps an admission pass from allocating
 /// its result vectors anew.
 #[derive(Debug, Default)]
 pub(crate) struct EventScratch {
@@ -154,6 +161,15 @@ pub(crate) struct EventScratch {
     /// each step.
     pub(crate) finished: Vec<Finished>,
     fill: BackfillResult,
+    order: Vec<usize>,
+}
+
+/// What one admission pass admitted: the wave's accounting (decode terms
+/// still zero), its admission instant and its longest generation.
+struct Wave {
+    report: BatchRunReport,
+    admitted_at: Seconds,
+    max_gen: u64,
 }
 
 /// The per-replica serving state machine: both serving modes expressed as an
@@ -202,6 +218,9 @@ pub(crate) struct ReplicaEngine {
     clock: Seconds,
     segment_start: Seconds,
     step: Seconds,
+    /// The KV ledger, one entry per micro-batch: the requests decoding in it
+    /// (continuous mode) or the open round's (round-to-completion, reset
+    /// when the round ends or the replica fails).
     parts: Vec<PartitionState>,
     active: Vec<InFlight>,
     /// Decode progress per in-flight request, parallel to `active`.
@@ -222,8 +241,9 @@ pub(crate) struct ReplicaEngine {
     // Incrementally-maintained aggregates that make `view()` O(1): the
     // waiting queue's end-of-generation token projection, its total
     // generation length (the admission controller's TTFT numerator), its
-    // oldest arrival, the tokens still to decode across active requests
-    // (continuous mode) and across in-flight rounds (round-to-completion).
+    // oldest arrival, and the tokens still to decode across active requests
+    // (continuous mode) or the open round's undelivered ones
+    // (round-to-completion).
     ready_tokens: u64,
     ready_gen: u64,
     ready_oldest: Option<Seconds>,
@@ -244,13 +264,10 @@ pub(crate) struct ReplicaEngine {
     /// armed at the current instant, so intermediate wave states are never
     /// simulated.
     step_stale: bool,
-    in_round_gen: u64,
     pending_admission: Option<Seconds>,
-    round_start: Seconds,
     round_end: Option<Seconds>,
-    round_step: Seconds,
+    /// The open round's unreleased completions, latest first.
     in_round: Vec<PendingCompletion>,
-    kv_in_round: u64,
     /// The last computed decode-step latency and the concurrency it was
     /// computed at — the admission controller's TTFT estimator.
     recent_step: Option<(Seconds, u64)>,
@@ -325,13 +342,9 @@ impl ReplicaEngine {
             active_max_gen: 0,
             active_prompt: 0,
             step_stale: false,
-            in_round_gen: 0,
             pending_admission: None,
-            round_start: Seconds::ZERO,
             round_end: None,
-            round_step: Seconds::ZERO,
             in_round: Vec::new(),
-            kv_in_round: 0,
             recent_step: None,
             step_occupancy: Vec::new(),
             step_contexts: Vec::new(),
@@ -442,59 +455,52 @@ impl ReplicaEngine {
     /// lifecycle to departed (it keeps the per-state replica counts).
     pub(crate) fn fail(&mut self, t: Seconds) -> Vec<Request> {
         let mut lost: Vec<Request> = self.take_ready();
-        match self.mode {
-            ServingMode::Continuous => {
-                let active = std::mem::take(&mut self.active);
-                self.progress.clear();
-                self.fresh_from = 0;
-                self.active_remaining = 0;
-                self.active_min_finish = u64::MAX;
-                self.active_max_gen = 0;
-                self.active_prompt = 0;
-                for a in active {
-                    self.parts[a.partition].release(&a.request);
-                    self.unwind_admission(a.wave, &a.request);
-                    lost.push(a.request);
-                }
-                self.step = Seconds::ZERO;
-                self.step_stale = false;
-                self.clock = self.clock.max(t);
-                self.segment_start = self.clock;
-            }
-            ServingMode::RoundToCompletion => {
-                let pending = std::mem::take(&mut self.in_round);
-                self.in_round_gen = 0;
-                if self.round_end.take().is_some() {
-                    let round = self.rounds.len() - 1;
-                    for p in &pending {
-                        self.unwind_admission(round, &p.latency.request);
-                        // The per-token mean was billed for the whole round at
-                        // admission; unfinished requests never decoded to the
-                        // end.
-                        self.rounds[round].report.per_token_sum =
-                            self.rounds[round].report.per_token_sum - self.round_step;
-                        self.totals.per_token_sum = self.totals.per_token_sum - self.round_step;
-                    }
-                    // Truncate the round's billed prefill + decode time to the
-                    // span that actually elapsed before the failure.
-                    let billed = self.rounds[round].report.prefill_time
-                        + self.rounds[round].report.decode_time;
-                    let elapsed = (t - self.round_start).min(billed);
-                    let over = billed - elapsed;
-                    let decode_cut = over.min(self.rounds[round].report.decode_time);
-                    let prefill_cut = over - decode_cut;
-                    self.rounds[round].report.decode_time =
-                        self.rounds[round].report.decode_time - decode_cut;
-                    self.rounds[round].report.prefill_time =
-                        self.rounds[round].report.prefill_time - prefill_cut;
-                    self.totals.decode_time = self.totals.decode_time - decode_cut;
-                    self.totals.prefill_time = self.totals.prefill_time - prefill_cut;
-                    self.kv_in_round = 0;
-                }
-                lost.extend(pending.iter().map(|p| p.latency.request));
-                self.clock = self.clock.max(t);
-            }
+        // Continuous mode loses every decoding request, round-to-completion
+        // the open round's unreleased ones; the other mode's list is empty.
+        for a in std::mem::take(&mut self.active) {
+            self.unwind_admission(a.wave, &a.request);
+            lost.push(a.request);
         }
+        let pending = std::mem::take(&mut self.in_round);
+        if self.round_end.take().is_some() {
+            let round = self.rounds.len() - 1;
+            for p in &pending {
+                self.unwind_admission(round, &p.latency.request);
+                // The per-token mean was billed for the whole round at
+                // admission; unfinished requests never decoded to the end.
+                let report = &mut self.rounds[round].report;
+                report.per_token_sum = report.per_token_sum - p.latency.per_token;
+                self.totals.per_token_sum = self.totals.per_token_sum - p.latency.per_token;
+            }
+            // Truncate the round's billed prefill + decode time to the span
+            // that actually elapsed before the failure.
+            let RoundReport {
+                admitted_at,
+                report,
+                ..
+            } = &mut self.rounds[round];
+            let billed = report.prefill_time + report.decode_time;
+            let elapsed = (t - *admitted_at).min(billed);
+            let over = billed - elapsed;
+            let decode_cut = over.min(report.decode_time);
+            let prefill_cut = over - decode_cut;
+            report.decode_time = report.decode_time - decode_cut;
+            report.prefill_time = report.prefill_time - prefill_cut;
+            self.totals.decode_time = self.totals.decode_time - decode_cut;
+            self.totals.prefill_time = self.totals.prefill_time - prefill_cut;
+        }
+        lost.extend(pending.iter().map(|p| p.latency.request));
+        self.parts.fill(PartitionState::default());
+        self.progress.clear();
+        self.fresh_from = 0;
+        self.active_remaining = 0;
+        self.active_min_finish = u64::MAX;
+        self.active_max_gen = 0;
+        self.active_prompt = 0;
+        self.step = Seconds::ZERO;
+        self.step_stale = false;
+        self.clock = self.clock.max(t);
+        self.segment_start = self.clock;
         self.pending_admission = None;
         lost.sort_by_key(|r| r.id);
         self.return_unserved(&mut lost);
@@ -551,26 +557,19 @@ impl ReplicaEngine {
 
     /// Router-visible snapshot of the replica *as of its last processed
     /// event*: queued work exactly, active work as the tokens still to be
-    /// delivered (continuous mode) or committed to the in-flight round
-    /// (round-to-completion). The view is a pure function of engine state —
-    /// decode progress between events is not interpolated — which is what
-    /// lets the indexed dispatch path cache one view per replica and keep the
-    /// routers' incremental indexes exact.
+    /// delivered and the KV the partition ledger holds. The view is a pure
+    /// function of engine state — decode progress between events is not
+    /// interpolated — which is what lets the indexed dispatch path cache one
+    /// view per replica and keep the routers' incremental indexes exact.
     pub(crate) fn view(&self) -> ReplicaView {
-        let (active_requests, active_tokens, kv_active) = match self.mode {
-            ServingMode::Continuous => {
-                let kv: u64 = self.parts.iter().map(|p| p.cache_tokens).sum();
-                (self.active.len(), self.active_remaining, kv)
-            }
-            ServingMode::RoundToCompletion => {
-                (self.in_round.len(), self.in_round_gen, self.kv_in_round)
-            }
-        };
+        let kv_active: u64 = self.parts.iter().map(|p| p.cache_tokens).sum();
         ReplicaView {
             id: self.id,
             queued_requests: self.ready.len(),
-            active_requests,
-            outstanding_tokens: self.ready_tokens + active_tokens,
+            // At most one of the two is non-empty: continuous mode decodes
+            // `active`, round-to-completion releases `in_round`.
+            active_requests: self.active.len() + self.in_round.len(),
+            outstanding_tokens: self.ready_tokens + self.active_remaining,
             kv_capacity: self.kv_capacity(),
             kv_projected: kv_active + self.ready_tokens + self.kv_migrating_in,
             kv_migrating_in: self.kv_migrating_in,
@@ -778,7 +777,7 @@ impl ReplicaEngine {
         scratch: &mut EventScratch,
     ) -> Result<(), EngineError> {
         match self.mode {
-            ServingMode::RoundToCompletion => self.step_rtc(t, &mut scratch.finished),
+            ServingMode::RoundToCompletion => self.step_round(t, scratch),
             ServingMode::Continuous => self.step_continuous(t, scratch),
         }
     }
@@ -821,7 +820,7 @@ impl ReplicaEngine {
             // re-arm on the next completion or enqueue instead of stalling on
             // a stale timestamp.
             self.pending_admission = None;
-            membership_changed |= self.admit_continuous(scratch)?;
+            membership_changed |= self.admit_continuous(scratch);
         } else if due {
             self.pending_admission = None;
         }
@@ -918,103 +917,34 @@ impl ReplicaEngine {
         self.fresh_from = self.active.len();
     }
 
-    /// Runs one admission wave over the waiting queue; returns whether
-    /// anything was admitted. After a wave that made progress but left
-    /// requests waiting, the pending admission is re-armed at the
-    /// post-prefill clock, so the *next* event is another pass at that
-    /// instant and every arrival that landed during the prefill stall is
-    /// ingested before it (ingest, then backfill). The re-pass matters
-    /// beyond arrivals: a zero-generation wave completes inside the pass and
-    /// leaves the pipeline empty again, and a padded scheduler's per-request
-    /// KV charge shrinks as the queue shrinks, so the deferred remainder can
-    /// be admissible immediately.
-    fn admit_continuous(&mut self, scratch: &mut EventScratch) -> Result<bool, EngineError> {
-        let progressed = self.admit_continuous_once(scratch)?;
-        if progressed && !self.ready.is_empty() {
-            self.pending_admission = Some(match self.pending_admission {
-                Some(previous) => previous.min(self.clock),
-                None => self.clock,
-            });
-        }
-        Ok(progressed)
-    }
-
-    /// One backfill pass over the waiting queue; returns whether anything was
-    /// admitted. Requests the scheduler refuses stay in the waiting queue —
-    /// even on an empty pipeline (a padded scheduler's inflated KV charge can
-    /// overflow the budget) they are re-offered at the next enqueue or
-    /// completion, and only classified as aborted when the run ends with them
-    /// still waiting ([`Self::into_report`]) or the replica drains/fails.
-    fn admit_continuous_once(&mut self, scratch: &mut EventScratch) -> Result<bool, EngineError> {
-        // Saturation precheck: when the total-admission cap or every request
-        // slot is already exhausted the scheduler cannot admit anything, so
-        // skip the pass entirely.
-        let in_flight: usize = self.parts.iter().map(|p| p.requests).sum();
-        if in_flight >= self.batching.max_scheduled_requests
-            || self
-                .parts
-                .iter()
-                .all(|p| p.requests >= self.batching.max_requests_per_micro_batch)
-        {
-            return Ok(false);
-        }
-        self.settle_ready();
-        let EventScratch { finished, fill } = scratch;
-        let t0 = self.profile.then(std::time::Instant::now);
-        self.scheduler
-            .backfill_sorted_into(&self.ready, &self.batching, &self.parts, fill);
-        self.note_plan(t0);
-        let admitted = fill.admitted();
-        if admitted == 0 {
-            // Nothing left the queue: same multiset, possibly re-ordered by
-            // the scheduler, so the incremental aggregates are still exact
-            // and the full recompute in `set_ready` can be skipped.
-            std::mem::swap(&mut self.ready, &mut fill.deferred);
-            self.ready_dirty = false;
-            return Ok(false);
-        }
-        self.set_ready(&mut fill.deferred);
-        let wave = self.rounds.len();
-        let count = admitted as u64;
-        let prompt: u64 = fill.assignments.iter().flatten().map(|r| r.input_len).sum();
-        let generated: u64 = fill.assignments.iter().flatten().map(|r| r.gen_len).sum();
-        let max_gen = fill
-            .assignments
-            .iter()
-            .flatten()
-            .map(|r| r.gen_len)
-            .max()
-            .unwrap_or(0);
-        // Credited tokens (prefix-cache hits, migrated KV) are already
-        // resident and skip the prompt pass; with no credit the shape below
-        // is bit-for-bit the classic full-prefill costing. Decode is
-        // untouched either way — the full context still occupies KV.
-        let credited = self.credit_admitted(fill.assignments.iter().flatten());
-        let to_prefill = prompt.saturating_sub(credited);
-        let mean_prompt = to_prefill.div_ceil(count).max(1);
-        let shape = WorkloadShape::new(mean_prompt, max_gen.max(1));
-        let policy = self.batch_policy(count);
-        let prefill = if credited >= prompt && credited > 0 {
-            // Every admitted prompt is fully resident: no prompt pass runs.
-            Seconds::ZERO
-        } else if self.active.is_empty() {
-            self.evaluator.cost_model().prefill_time(&policy, &shape)
-        } else {
-            self.evaluator
-                .cost_model()
-                .backfill_prefill_time(&policy, &shape)
+    /// Runs one admission wave over the waiting queue and puts what it
+    /// admitted in flight; returns whether anything was admitted. After a
+    /// wave that made progress but left requests waiting, the pending
+    /// admission is re-armed at the post-prefill clock, so the *next* event
+    /// is another pass at that instant and every arrival that landed during
+    /// the prefill stall is ingested before it (ingest, then backfill). The
+    /// re-pass matters beyond arrivals: a zero-generation wave completes
+    /// inside the pass and leaves the pipeline empty again, and a padded
+    /// scheduler's per-request KV charge shrinks as the queue shrinks, so
+    /// the deferred remainder can be admissible immediately.
+    fn admit_continuous(&mut self, scratch: &mut EventScratch) -> bool {
+        let Some(wave) = self.open_wave(scratch) else {
+            return false;
         };
-        let admitted_at = self.clock;
-        self.clock += prefill;
+        let index = self.rounds.len();
+        let EventScratch {
+            finished,
+            fill,
+            order,
+        } = scratch;
         for (partition, requests) in fill.assignments.iter().enumerate() {
             for &request in requests {
-                self.parts[partition].admit(&request);
                 if request.gen_len == 0 {
                     // Nothing to decode: complete (or hand off) at prefill end.
                     self.parts[partition].release(&request);
                     let latency = RequestLatency {
                         request,
-                        round: wave,
+                        round: index,
                         ttft: self.clock - request.arrival,
                         per_token: Seconds::ZERO,
                         completion_time: self.clock - request.arrival,
@@ -1036,42 +966,132 @@ impl ReplicaEngine {
                     partition,
                     first_token: None,
                     decode_start: self.clock,
-                    wave,
+                    wave: index,
                 });
             }
         }
-        let report = BatchRunReport {
-            requests: count,
-            prompt_tokens: prompt,
-            generated_tokens: generated,
-            prefill_time: prefill,
-            decode_time: Seconds::ZERO,
-            per_token_sum: Seconds::ZERO,
+        self.book_wave(wave, order);
+        if !self.ready.is_empty() {
+            self.pending_admission = Some(match self.pending_admission {
+                Some(previous) => previous.min(self.clock),
+                None => self.clock,
+            });
+        }
+        true
+    }
+
+    /// The one admission pass, for both serving modes: one backfill of the
+    /// waiting queue into the partition ledger. Returns `None` when nothing
+    /// was admitted; requests the scheduler refuses stay in the waiting
+    /// queue — even on an empty pipeline, where a padded scheduler's
+    /// inflated KV charge can overflow the budget. Otherwise the pass admits
+    /// the requests into their partitions, consumes their prefill credits,
+    /// prices their prompt pass and advances the clock past it.
+    ///
+    /// It leaves in `scratch.order` the partitions the wave is priced and
+    /// reported over: every partition in index order for a continuous wave;
+    /// for a round, its non-empty micro-batches — the filled ones in fill
+    /// order, then the rest in index order. Credits and prefix-cache inserts
+    /// follow the same order.
+    fn open_wave(&mut self, scratch: &mut EventScratch) -> Option<Wave> {
+        // Saturation precheck: when the total-admission cap or every request
+        // slot is already exhausted the scheduler cannot admit anything, so
+        // skip the pass entirely.
+        let in_flight: usize = self.parts.iter().map(|p| p.requests).sum();
+        if in_flight >= self.batching.max_scheduled_requests
+            || self
+                .parts
+                .iter()
+                .all(|p| p.requests >= self.batching.max_requests_per_micro_batch)
+        {
+            return None;
+        }
+        self.settle_ready();
+        let EventScratch { fill, order, .. } = scratch;
+        let t0 = self.profile.then(std::time::Instant::now);
+        self.scheduler
+            .backfill_sorted_into(&self.ready, &self.batching, &self.parts, fill);
+        self.note_plan(t0);
+        let count = fill.admitted() as u64;
+        if count == 0 {
+            // Nothing left the queue: same multiset, possibly re-ordered by
+            // the scheduler, so the incremental aggregates are still exact
+            // and the full recompute in `set_ready` can be skipped.
+            std::mem::swap(&mut self.ready, &mut fill.deferred);
+            self.ready_dirty = false;
+            return None;
+        }
+        self.set_ready(&mut fill.deferred);
+        order.clear();
+        match self.mode {
+            ServingMode::Continuous => order.extend(0..self.parts.len()),
+            ServingMode::RoundToCompletion => {
+                order.extend_from_slice(&fill.filled_order);
+                order.extend((0..self.parts.len()).filter(|i| {
+                    !fill.assignments[*i].is_empty() && !fill.filled_order.contains(i)
+                }));
+            }
+        }
+        let (mut prompt, mut generated, mut max_gen) = (0, 0, 0);
+        for &i in order.iter() {
+            for request in &fill.assignments[i] {
+                self.parts[i].admit(request);
+                prompt += request.input_len;
+                generated += request.gen_len;
+                max_gen = max_gen.max(request.gen_len);
+            }
+        }
+        // Credited tokens (prefix-cache hits, migrated KV) are already
+        // resident and skip the prompt pass; with no credit the shape below
+        // is bit-for-bit the classic full-prefill costing. Decode is
+        // untouched either way — the full context still occupies KV.
+        let credited = self.credit_admitted(order.iter().flat_map(|&i| &fill.assignments[i]));
+        let to_prefill = prompt.saturating_sub(credited);
+        let shape = WorkloadShape::new(to_prefill.div_ceil(count).max(1), max_gen.max(1));
+        let policy = self.batch_policy(count);
+        let prefill = if credited >= prompt && credited > 0 {
+            // Every admitted prompt is fully resident: no prompt pass runs.
+            Seconds::ZERO
+        } else if self.active.is_empty() {
+            self.evaluator.cost_model().prefill_time(&policy, &shape)
+        } else {
+            self.evaluator
+                .cost_model()
+                .backfill_prefill_time(&policy, &shape)
         };
-        self.totals = self.totals.combine(&report);
-        self.rounds.push(RoundReport {
-            round: wave,
-            admitted_at,
-            occupancy: self.parts.iter().map(|p| p.requests as u64).collect(),
-            kv_reserved: self.parts.iter().map(|p| p.cache_tokens).collect(),
-            prompt_token_spread: {
-                let min = self
-                    .parts
-                    .iter()
-                    .map(|p| p.prompt_tokens)
-                    .min()
-                    .unwrap_or(0);
-                let max = self
-                    .parts
-                    .iter()
-                    .map(|p| p.prompt_tokens)
-                    .max()
-                    .unwrap_or(0);
-                (min, max)
+        let admitted_at = self.clock;
+        self.clock += prefill;
+        Some(Wave {
+            report: BatchRunReport {
+                requests: count,
+                prompt_tokens: prompt,
+                generated_tokens: generated,
+                prefill_time: prefill,
+                ..BatchRunReport::default()
             },
-            report,
-        });
-        Ok(true)
+            admitted_at,
+            max_gen,
+        })
+    }
+
+    /// Books a formed wave: its [`RoundReport`], over the partitions in
+    /// `order` as they stand now, and its share of the run totals.
+    fn book_wave(&mut self, wave: Wave, order: &[usize]) {
+        self.totals = self.totals.combine(&wave.report);
+        let parts = || order.iter().map(|&i| self.parts[i]);
+        let prompts = parts().map(|p| p.prompt_tokens);
+        let booked = RoundReport {
+            round: self.rounds.len(),
+            admitted_at: wave.admitted_at,
+            occupancy: parts().map(|p| p.requests as u64).collect(),
+            kv_reserved: parts().map(|p| p.cache_tokens).collect(),
+            prompt_token_spread: (
+                prompts.clone().min().unwrap_or(0),
+                prompts.max().unwrap_or(0),
+            ),
+            report: wave.report,
+        };
+        self.rounds.push(booked);
     }
 
     /// EWMA weight of the newest observation in the router-visible decode
@@ -1115,15 +1135,42 @@ impl ReplicaEngine {
     /// load, resetting the segment origin.
     fn refresh_step(&mut self) -> Result<(), EngineError> {
         self.segment_start = self.clock;
-        if self.active.is_empty() {
-            self.step = Seconds::ZERO;
-            return Ok(());
-        }
+        self.step = if self.active.is_empty() {
+            Seconds::ZERO
+        } else {
+            self.price_step(
+                0..self.parts.len(),
+                self.active.len() as u64,
+                self.active_prompt,
+                self.active_max_gen,
+            )?
+        };
+        Ok(())
+    }
+
+    /// Costs one decode step starting at the current clock for `requests`
+    /// requests holding `prompt` prompt tokens in all, the longest
+    /// generating `max_gen`, over the partitions `order` names (empty ones
+    /// skipped, the rest in that order), and records it as the replica's
+    /// most recent step.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors, and [`EngineError::ClockStalled`] if a
+    /// positive step does not advance the clock: every later event would
+    /// land on this instant and the run would never finish.
+    fn price_step(
+        &mut self,
+        order: impl Iterator<Item = usize>,
+        requests: u64,
+        prompt: u64,
+        max_gen: u64,
+    ) -> Result<Seconds, EngineError> {
         let mut occupancy = std::mem::take(&mut self.step_occupancy);
         let mut contexts = std::mem::take(&mut self.step_contexts);
         occupancy.clear();
         contexts.clear();
-        for p in self.parts.iter().filter(|p| p.requests > 0) {
+        for p in order.map(|i| self.parts[i]).filter(|p| p.requests > 0) {
             occupancy.push(p.requests as u64);
             contexts.push(mean_decode_context(
                 p.prompt_tokens,
@@ -1131,48 +1178,25 @@ impl ReplicaEngine {
                 p.requests as u64,
             ));
         }
-        let total_active = self.active.len() as u64;
-        let shape = WorkloadShape::new(
-            self.active_prompt.div_ceil(total_active).max(1),
-            self.active_max_gen.max(1),
+        let shape = WorkloadShape::new(prompt.div_ceil(requests).max(1), max_gen.max(1));
+        let step = self.evaluator.decode_step_latency_with_loads(
+            self.schedule,
+            &self.batch_policy(requests),
+            &shape,
+            Some(&occupancy),
+            Some(&contexts),
         );
-        let policy = self.batch_policy(total_active);
-        let step = self.decode_step(&policy, &shape, &occupancy, &contexts, self.clock);
         self.step_occupancy = occupancy;
         self.step_contexts = contexts;
         let step = step?;
-        self.step = step;
-        self.recent_step = Some((step, total_active));
-        self.note_decode_rate(step, total_active);
-        Ok(())
-    }
-
-    /// Costs one decode step for micro-batches of `occupancy` requests at
-    /// mean decode `contexts`, for a batch that starts decoding at `start`.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::ClockStalled`] if a positive step does not advance the
-    /// clock at `start`: every later event would land on `start` itself and
-    /// the run would never finish.
-    fn decode_step(
-        &self,
-        policy: &Policy,
-        shape: &WorkloadShape,
-        occupancy: &[u64],
-        contexts: &[u64],
-        start: Seconds,
-    ) -> Result<Seconds, EngineError> {
-        let step = self.evaluator.decode_step_latency_with_loads(
-            self.schedule,
-            policy,
-            shape,
-            Some(occupancy),
-            Some(contexts),
-        )?;
-        if step.as_secs() > 0.0 && start + step == start {
-            return Err(EngineError::ClockStalled { at: start, step });
+        if step.as_secs() > 0.0 && self.clock + step == self.clock {
+            return Err(EngineError::ClockStalled {
+                at: self.clock,
+                step,
+            });
         }
+        self.recent_step = Some((step, requests));
+        self.note_decode_rate(step, requests);
         Ok(step)
     }
 
@@ -1201,8 +1225,8 @@ impl ReplicaEngine {
         }
     }
 
-    fn step_rtc(&mut self, t: Seconds, finished: &mut Vec<Finished>) -> Result<(), EngineError> {
-        let released_before = finished.len();
+    fn step_round(&mut self, t: Seconds, scratch: &mut EventScratch) -> Result<(), EngineError> {
+        let released_before = scratch.finished.len();
         // Release every pending completion due by `t` — each request finishes
         // at its own step, not in bulk at round retirement (its micro-batch
         // slot and KV stay held until the round ends; that is the
@@ -1210,161 +1234,79 @@ impl ReplicaEngine {
         // due releases pop off the back in chronological order.
         while self.in_round.last().is_some_and(|p| p.at <= t) {
             let done = self.in_round.pop().expect("checked non-empty");
-            self.in_round_gen = self
-                .in_round_gen
+            self.active_remaining = self
+                .active_remaining
                 .saturating_sub(done.latency.request.gen_len);
-            finished.push(self.release(done.latency));
+            scratch.finished.push(self.release(done.latency));
         }
         if let Some(end) = self.round_end {
             if end <= t {
                 self.clock = end;
                 self.round_end = None;
-                self.kv_in_round = 0;
+                self.parts.fill(PartitionState::default());
             }
         }
         if self.round_end.is_none() {
             self.clock = self.clock.max(t);
             let due = matches!(self.pending_admission, Some(p) if p <= t);
             self.pending_admission = None;
-            if !self.ready.is_empty() && (due || finished.len() > released_before) {
-                self.admit_round()?;
+            if !self.ready.is_empty() && (due || scratch.finished.len() > released_before) {
+                self.open_round(scratch)?;
             }
         }
         Ok(())
     }
 
-    /// Forms one round-to-completion round from the waiting queue. Every
-    /// request's first-token and completion instants are fixed here, from one
-    /// decode step costed on the round's full membership.
-    fn admit_round(&mut self) -> Result<(), EngineError> {
-        self.settle_ready();
-        let t0 = self.profile.then(std::time::Instant::now);
-        let mut formed = self.scheduler.plan_sorted(&self.ready, &self.batching);
-        self.note_plan(t0);
-        self.take_ready();
-        if formed.scheduled_requests() == 0 {
-            // No scheduler progress on an empty pipeline (padded KV charge
-            // overflow): abort rather than loop.
-            self.aborted.extend(formed.aborted);
+    /// Forms one round-to-completion round from the waiting queue: one
+    /// admission pass, then one decode step costed on the round's full
+    /// membership, which fixes every request's first-token and completion
+    /// instants. A pass that admits nothing into this empty pipeline (a
+    /// padded KV charge overflows the budget) aborts the queue rather than
+    /// loop.
+    fn open_round(&mut self, scratch: &mut EventScratch) -> Result<(), EngineError> {
+        let Some(mut wave) = self.open_wave(scratch) else {
+            let mut refused = self.take_ready();
+            self.aborted.append(&mut refused);
             return Ok(());
-        }
-        let round = self.rounds.len();
-        let occupancy: Vec<u64> = formed
-            .micro_batches
-            .iter()
-            .map(|mb| mb.len() as u64)
-            .collect();
-        let kv_reserved: Vec<u64> = formed
-            .micro_batches
-            .iter()
-            .map(|mb| mb.max_cache_tokens())
-            .collect();
-        let contexts: Vec<u64> = formed
-            .micro_batches
-            .iter()
-            .map(|mb| {
-                mean_decode_context(mb.prompt_tokens(), mb.max_cache_tokens(), mb.len() as u64)
-            })
-            .collect();
-        let requests: u64 = occupancy.iter().sum();
-        let prompt_tokens: u64 = formed
-            .micro_batches
-            .iter()
-            .map(|mb| mb.prompt_tokens())
-            .sum();
-        let generated_tokens: u64 = formed
-            .micro_batches
-            .iter()
-            .flat_map(|mb| mb.requests.iter())
-            .map(|r| r.gen_len)
-            .sum();
-        let max_gen = formed
-            .micro_batches
-            .iter()
-            .flat_map(|mb| mb.requests.iter())
-            .map(|r| r.gen_len)
-            .max()
-            .unwrap_or(0);
-        let mean_prompt = prompt_tokens.div_ceil(requests).max(1);
-        let shape = WorkloadShape::new(mean_prompt, max_gen.max(1));
-        let policy = self.batch_policy(requests);
-        // Credited tokens skip the prompt pass only; the decode step below
-        // is costed on the full context, which still occupies KV here.
-        let credited = self.credit_admitted(
-            formed
-                .micro_batches
-                .iter()
-                .flat_map(|mb| mb.requests.iter()),
-        );
-        let prefill_time = if credited >= prompt_tokens && credited > 0 {
-            Seconds::ZERO
-        } else if credited == 0 {
-            self.evaluator.cost_model().prefill_time(&policy, &shape)
-        } else {
-            let to_prefill = prompt_tokens - credited;
-            let prefill_shape =
-                WorkloadShape::new(to_prefill.div_ceil(requests).max(1), max_gen.max(1));
-            self.evaluator
-                .cost_model()
-                .prefill_time(&policy, &prefill_shape)
         };
-        let step = self.decode_step(
-            &policy,
-            &shape,
-            &occupancy,
-            &contexts,
-            self.clock + prefill_time,
+        let round = self.rounds.len();
+        let requests = wave.report.requests;
+        let step = self.price_step(
+            scratch.order.iter().copied(),
+            requests,
+            wave.report.prompt_tokens,
+            wave.max_gen,
         )?;
-        let decode_time = step.scale(max_gen as f64);
         // Every request's completion instant is known at admission; each is
         // released (latency recorded, router told) at its own step instead of
         // in bulk when the round retires. Kept sorted latest-first so
-        // [`Self::next_event`] peeks and [`Self::step_rtc`] pops due releases
-        // from the back in O(1) instead of re-scanning the round per event.
-        self.in_round = formed
-            .micro_batches
-            .iter()
-            .flat_map(|mb| mb.requests.iter().copied())
-            .map(|request| PendingCompletion {
+        // [`Self::next_event`] peeks and [`Self::step_round`] pops due
+        // releases from the back in O(1) instead of re-scanning the round
+        // per event.
+        let start = self.clock;
+        let EventScratch { fill, order, .. } = scratch;
+        let admitted = order.iter().flat_map(|&i| &fill.assignments[i]);
+        self.in_round.extend(admitted.map(|&request| {
+            let at = start + step.scale(request.gen_len as f64);
+            PendingCompletion {
                 latency: RequestLatency {
                     request,
                     round,
-                    ttft: self.clock + prefill_time + step - request.arrival,
+                    ttft: start + step - request.arrival,
                     per_token: step,
-                    completion_time: self.clock + prefill_time + step.scale(request.gen_len as f64)
-                        - request.arrival,
+                    completion_time: at - request.arrival,
                 },
-                at: self.clock + prefill_time + step.scale(request.gen_len as f64),
-            })
-            .collect();
+                at,
+            }
+        }));
         self.in_round.sort_unstable_by(|a, b| {
             (b.at.key(), b.latency.request.id).cmp(&(a.at.key(), a.latency.request.id))
         });
-        self.in_round_gen = generated_tokens;
-        self.kv_in_round = kv_reserved.iter().sum();
-        self.round_start = self.clock;
-        self.round_end = Some(self.clock + prefill_time + decode_time);
-        self.round_step = step;
-        self.recent_step = Some((step, requests));
-        self.note_decode_rate(step, requests);
-        let report = BatchRunReport {
-            requests,
-            prompt_tokens,
-            generated_tokens,
-            prefill_time,
-            decode_time,
-            per_token_sum: step.scale(requests as f64),
-        };
-        self.totals = self.totals.combine(&report);
-        self.rounds.push(RoundReport {
-            round,
-            admitted_at: self.round_start,
-            occupancy,
-            kv_reserved,
-            prompt_token_spread: formed.prompt_token_spread(),
-            report,
-        });
-        self.set_ready(&mut formed.aborted);
+        self.active_remaining = wave.report.generated_tokens;
+        wave.report.decode_time = step.scale(wave.max_gen as f64);
+        wave.report.per_token_sum = step.scale(requests as f64);
+        self.round_end = Some(start + wave.report.decode_time);
+        self.book_wave(wave, order);
         Ok(())
     }
 
@@ -1696,6 +1638,104 @@ mod tests {
         #[test]
         fn the_decode_counter_matches_a_per_request_countdown(ops in ops()) {
             Harness::run(&ops);
+        }
+    }
+
+    /// A random queue — zero generations and prompts over a small KV budget
+    /// included — with arrivals in the first second.
+    fn round_queue() -> impl Strategy<Value = Vec<Request>> {
+        proptest::collection::vec((1u64..1_200, 0u64..40, 0u64..1_000), 0..40).prop_map(|shapes| {
+            shapes
+                .into_iter()
+                .enumerate()
+                .map(|(id, (input_len, gen_len, millis))| Request {
+                    arrival: Seconds::from_secs(millis as f64 / 1e3),
+                    ..Request::new(id as u64, input_len, gen_len)
+                })
+                .collect()
+        })
+    }
+
+    fn round_batching() -> impl Strategy<Value = BatchingConfig> {
+        (1usize..6, 1usize..8, 1usize..40, 64u64..4_000).prop_map(
+            |(num_micro_batches, max_requests_per_micro_batch, max_scheduled_requests, cache)| {
+                BatchingConfig {
+                    num_micro_batches,
+                    max_requests_per_micro_batch,
+                    max_scheduled_requests,
+                    cache_tokens_per_micro_batch: cache,
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The round a round-to-completion engine forms from a queue has the
+        /// shape `Scheduler::plan_sorted` forms from it, for every built-in
+        /// scheduler: the same micro-batches in the same order — the order
+        /// the round's decode step is priced in — with the same KV
+        /// reservations, prompt spread and request and token counts, and the
+        /// same requests left waiting (or aborted, when nothing fits).
+        #[test]
+        fn a_round_has_the_shape_plan_sorted_forms(
+            queue in round_queue(),
+            batching in round_batching(),
+        ) {
+            let setting = EvalSetting::S1;
+            let ubs = batching.max_requests_per_micro_batch as u64;
+            let policy = Policy::offload_default(ubs * batching.num_micro_batches as u64, ubs);
+            for scheduler in moe_workload::builtin_schedulers() {
+                let scheduler: Arc<dyn Scheduler> = Arc::from(scheduler);
+                let mut sorted = queue.clone();
+                scheduler.queue_order().sort(&mut sorted);
+                let formed = scheduler.plan_sorted(&sorted, &batching);
+
+                let mut engine = ReplicaEngine::new(
+                    ReplicaId(0),
+                    SystemEvaluator::new(setting.node(), setting.model()),
+                    SystemKind::MoeLightning,
+                    policy,
+                    batching,
+                    ServingMode::RoundToCompletion,
+                    scheduler.clone(),
+                );
+                let now = Seconds::from_secs(1.0);
+                for &request in &queue {
+                    engine.enqueue(request, Phase::Full, now);
+                }
+                if let Some(t) = engine.next_event() {
+                    engine.step_to(t, &mut EventScratch::default()).unwrap();
+                }
+
+                let name = scheduler.name();
+                if formed.scheduled_requests() == 0 {
+                    prop_assert!(engine.rounds.is_empty(), "{}", name);
+                    prop_assert_eq!(&engine.aborted, &formed.aborted, "{}", name);
+                    continue;
+                }
+                prop_assert_eq!(engine.rounds.len(), 1, "{}", name);
+                let round = &engine.rounds[0];
+                let batches = &formed.micro_batches;
+                let occupancy: Vec<u64> = batches.iter().map(|mb| mb.len() as u64).collect();
+                prop_assert_eq!(&round.occupancy, &occupancy, "{}", name);
+                prop_assert_eq!(&engine.step_occupancy, &occupancy, "{}: pricing order", name);
+                let kv: Vec<u64> = batches.iter().map(|mb| mb.max_cache_tokens()).collect();
+                prop_assert_eq!(&round.kv_reserved, &kv, "{}", name);
+                prop_assert_eq!(round.prompt_token_spread, formed.prompt_token_spread(), "{}", name);
+                let admitted = batches.iter().flat_map(|mb| &mb.requests);
+                prop_assert_eq!(round.report.requests, formed.scheduled_requests() as u64);
+                prop_assert_eq!(
+                    round.report.prompt_tokens,
+                    admitted.clone().map(|r| r.input_len).sum::<u64>()
+                );
+                prop_assert_eq!(
+                    round.report.generated_tokens,
+                    admitted.map(|r| r.gen_len).sum::<u64>()
+                );
+                prop_assert_eq!(engine.queued_requests(), &formed.aborted[..], "{}", name);
+            }
         }
     }
 }

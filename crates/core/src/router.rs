@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -86,7 +86,9 @@ impl ReplicaView {
 
 /// Deterministic per-run routing state handed to every [`Router`] call by the
 /// dispatch engine, so stateless strategies can still round-robin or randomize
-/// reproducibly (the RNG is seeded from the cluster spec's seed).
+/// reproducibly (the RNG is seeded from the cluster spec's seed), and
+/// session-affine ones keep their placements per run: a spec run twice
+/// routes the same way both times, however many clones share its router.
 #[derive(Debug)]
 pub struct RouterCtx {
     /// Zero-based index of the routing decision (how many requests the engine
@@ -94,6 +96,9 @@ pub struct RouterCtx {
     pub decision: u64,
     /// Seeded RNG for randomized strategies ([`PowerOfTwoChoices`]).
     pub rng: StdRng,
+    /// Each session's home replica, for session-affine strategies
+    /// ([`crate::StickySession`], [`crate::PrefixAware`]).
+    pub homes: HashMap<u64, ReplicaId>,
 }
 
 impl RouterCtx {
@@ -102,6 +107,7 @@ impl RouterCtx {
         RouterCtx {
             decision: 0,
             rng: StdRng::seed_from_u64(seed),
+            homes: HashMap::new(),
         }
     }
 }

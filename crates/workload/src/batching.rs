@@ -161,9 +161,10 @@ impl BatchingConfig {
 }
 
 /// Occupancy of one micro-batch that already holds in-flight requests, as seen by
-/// [`crate::scheduler::Scheduler::backfill`]. The continuous-batching scheduler
-/// snapshots one entry per micro-batch before re-running Algorithm 2 over the
-/// waiting queue.
+/// [`crate::scheduler::Scheduler::backfill`]. A serving loop keeps one entry per
+/// micro-batch as its KV ledger and hands it over before re-running Algorithm 2
+/// over the waiting queue (all entries empty when it forms a round from
+/// scratch).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionState {
     /// Requests currently decoding in this micro-batch.

@@ -3,12 +3,14 @@
 //!
 //! Batch formation — which waiting requests are admitted, and into which
 //! micro-batch — is the paper's central ablation axis (Tab. 5), so it is
-//! factored behind a trait: the serving engine (each replica's event machine
-//! in the core crate) calls [`Scheduler::plan`] to form a round from scratch and
-//! [`Scheduler::backfill`] to re-fill partially occupied micro-batches
-//! mid-flight (continuous batching), without knowing which strategy runs. It
-//! takes the presorted forms of both, and re-fills through
-//! [`Scheduler::backfill_sorted_into`], into one result buffer per run.
+//! factored behind a trait. The serving engine (each replica's event machine
+//! in the core crate) forms every wave, in both serving modes, with
+//! [`Scheduler::backfill_sorted_into`] into one result buffer per run: a
+//! continuous-batching wave re-fills partially occupied micro-batches
+//! mid-flight, and a round-to-completion round is a backfill into empty
+//! ones. [`Scheduler::plan`] forms one batch from scratch for callers that
+//! want the micro-batches themselves, such as the `mtbench_throughput`
+//! example's packing line.
 //!
 //! Four strategies are provided:
 //!
@@ -93,7 +95,10 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
     /// instead of returning a new one. A serving loop keeps one `out` and
     /// passes it to every admission pass, so the result's vectors are
     /// allocated once and then reused: a pass allocates only when it
-    /// outgrows every earlier one.
+    /// outgrows every earlier one. The core crate's serving engine calls
+    /// this method and no other: for continuous-batching backfills and for
+    /// round-to-completion rounds alike (a round passes empty `occupied`
+    /// micro-batches).
     ///
     /// `out` may hold any earlier result, for any configuration and queue;
     /// on return it must equal what [`Scheduler::backfill_sorted`] returns,
@@ -128,7 +133,10 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
     ) -> BackfillResult;
 
     /// Forms a batch from scratch: full micro-batches first (in fill order),
-    /// then partially filled ones.
+    /// then partially filled ones. For callers that want the micro-batches
+    /// themselves (the `mtbench_throughput` example); the serving engine
+    /// forms a round as a [`Scheduler::backfill_sorted_into`] into empty
+    /// micro-batches, which prices and reports them in this same order.
     ///
     /// # Panics
     ///
@@ -140,7 +148,8 @@ pub trait Scheduler: fmt::Debug + Send + Sync {
 
     /// Like [`Scheduler::plan`], but `queue` is promised to already be in this
     /// scheduler's [`Scheduler::queue_order`] (see
-    /// [`Scheduler::backfill_sorted`]).
+    /// [`Scheduler::backfill_sorted`]). The serving engine's round-shape
+    /// oracle checks its rounds against this method.
     fn plan_sorted(&self, queue: &[Request], cfg: &BatchingConfig) -> BatchingResult {
         let empty = vec![PartitionState::default(); cfg.num_micro_batches];
         self.backfill_sorted(queue, cfg, &empty)

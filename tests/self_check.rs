@@ -524,34 +524,28 @@ fn sticky_slo_spec(mode: ServingMode) -> ClusterSpec {
     .with_timeline(churn_timeline(1, 0))
 }
 
-/// Builds a fresh spec per run: session-affine routers are stateful.
-type SpecBuilder = Box<dyn Fn() -> ClusterSpec>;
-
-/// Every digest-pinned scenario, labelled as in the fixture file.
-fn pinned_scenarios() -> Vec<(String, SpecBuilder)> {
-    let mut scenarios: Vec<(String, SpecBuilder)> = Vec::new();
+/// Every digest-pinned scenario, labelled as in the fixture file. Routers
+/// keep their per-run state (session homes included) in the run, so one
+/// spec can be run any number of times.
+fn pinned_scenarios() -> Vec<(String, ClusterSpec)> {
+    let mut scenarios = Vec::new();
     for mode in MODES {
         for router in builtin_routers() {
             let label = format!("{} [{}]", router.name(), mode.label());
-            scenarios.push((label, Box::new(move || churn_spec(mode, router.clone()))));
+            scenarios.push((label, churn_spec(mode, router)));
         }
     }
     for mode in MODES {
         let m = mode.label();
         scenarios.push((
             format!("split-2p2d least-tokens [{m}]"),
-            Box::new(move || split_churn_spec(mode, Arc::new(LeastOutstandingTokens))),
+            split_churn_spec(mode, Arc::new(LeastOutstandingTokens)),
         ));
         scenarios.push((
             format!("split-2p2d prefix-aware+cache [{m}]"),
-            Box::new(move || {
-                split_churn_spec(mode, Arc::new(PrefixAware::new())).with_prefix_cache(64 * 1024)
-            }),
+            split_churn_spec(mode, Arc::new(PrefixAware::new())).with_prefix_cache(64 * 1024),
         ));
-        scenarios.push((
-            format!("sticky-slo [{m}]"),
-            Box::new(move || sticky_slo_spec(mode)),
-        ));
+        scenarios.push((format!("sticky-slo [{m}]"), sticky_slo_spec(mode)));
     }
     scenarios
 }
@@ -631,11 +625,11 @@ fn churn_scenario_matches_scan_loop_and_pinned_digests() {
             .collect()
     };
     let mut lines = Vec::new();
-    for (label, build) in pinned_scenarios() {
-        let want = scan().run(&build()).unwrap();
+    for (label, spec) in pinned_scenarios() {
+        let want = scan().run(&spec).unwrap();
         let recorder = Arc::new(Recorder::new());
         let got = indexed()
-            .run(&build().with_telemetry(recorder.clone()))
+            .run(&spec.with_telemetry(recorder.clone()))
             .unwrap();
         assert_reports_identical(&want, &got, &label);
         let counters = recorder.counters();
@@ -663,6 +657,19 @@ fn churn_scenario_matches_scan_loop_and_pinned_digests() {
     }
     if regen {
         std::fs::write(fixture_path, lines.join("\n") + "\n").unwrap();
+    }
+}
+
+/// Every pinned scenario run twice from one spec reports the same both
+/// times: the spec's clones share its router by `Arc`, and the
+/// session-affine routers keep each session's home in the run, not in the
+/// router.
+#[test]
+fn every_pinned_scenario_reruns_identically_from_one_spec() {
+    for (label, spec) in pinned_scenarios() {
+        let first = indexed().run(&spec).unwrap();
+        let second = indexed().run(&spec).unwrap();
+        assert_reports_identical(&first, &second, &label);
     }
 }
 
