@@ -1429,13 +1429,15 @@ impl FleetLoop<'_> {
     /// executed within the configured [`ScaleBounds`].
     ///
     /// Cost per observation on the indexed loop: flushing the replicas
-    /// touched since the last flush, then `O(1)` to build the [`FleetView`]
-    /// on a fleet without role pools — its serving views are a borrow of the
-    /// router index's cached slice and the membership counts are kept at
-    /// every lifecycle transition. A fleet with role pools copies the union
-    /// of its two indexes into a reused buffer (`O(fleet)`, no allocation).
-    /// The scan loop builds fresh views and counts the fleet, as the
-    /// reference. The scaler's own reads come on top.
+    /// touched since the last flush, then `O(log fleet)` to build the
+    /// [`FleetView`] on a fleet without role pools — its serving views are a
+    /// borrow of the router index's cached slice, its queued count the
+    /// index's running sum, its oldest queued arrival the index's heap
+    /// minimum, and the membership counts are kept at every lifecycle
+    /// transition. A fleet with role pools copies the union of its two
+    /// indexes into a reused buffer and sums the aggregates from it
+    /// (`O(fleet)`, no allocation). The scan loop builds fresh views and
+    /// counts the fleet, as the reference.
     fn maybe_autoscale(&mut self, t: Seconds) -> Result<(), EngineError> {
         let Some((scaler, bounds)) = self.spec.autoscaler.as_ref() else {
             return Ok(());
@@ -1448,7 +1450,13 @@ impl FleetLoop<'_> {
         }
         self.flush_dirty();
         let fresh: Vec<ReplicaView>;
-        let (replicas, membership): (&[ReplicaView], Membership) = match self.indexes.as_slice() {
+        let membership = if self.indexed {
+            self.membership
+        } else {
+            Membership::count(&self.engines)
+        };
+        let (provisioning, draining) = (membership.provisioning, membership.draining);
+        let fleet = match self.indexes.as_slice() {
             _ if !self.indexed => {
                 fresh = self
                     .engines
@@ -1456,21 +1464,22 @@ impl FleetLoop<'_> {
                     .filter(|e| e.is_serving())
                     .map(|e| e.view())
                     .collect();
-                (&fresh, Membership::count(&self.engines))
+                FleetView::new(t, &fresh, provisioning, draining, &self.recent)
             }
-            [fleet] => (fleet.views(), self.membership),
+            [fleet] => FleetView {
+                now: t,
+                replicas: fleet.views(),
+                queued_requests: fleet.total_queued(),
+                oldest_queued_arrival: fleet.oldest_queued_arrival(),
+                provisioning,
+                draining,
+                recent: &self.recent,
+            },
             [arrivals, migrations] => {
                 union_by_id(arrivals.views(), migrations.views(), &mut self.pooled_views);
-                (&self.pooled_views, self.membership)
+                FleetView::new(t, &self.pooled_views, provisioning, draining, &self.recent)
             }
             _ => unreachable!("a fleet keeps one router index, or one per pool"),
-        };
-        let fleet = FleetView {
-            now: t,
-            replicas,
-            provisioning: membership.provisioning,
-            draining: membership.draining,
-            recent: &self.recent,
         };
         let decision = scaler.observe(&fleet, t);
         let target = membership.serving + membership.provisioning;

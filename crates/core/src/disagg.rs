@@ -423,7 +423,7 @@ const PREFIX_STICKINESS: u64 = 64;
 /// speed; otherwise a deeply-batched replica would look fast purely because
 /// it is busy. Replicas with no measurement yet are scored by raw backlog (a
 /// cold replica has none, so it still looks cheapest).
-fn drain_seconds(view: &ReplicaView) -> f64 {
+pub(crate) fn drain_seconds(view: &ReplicaView) -> f64 {
     let slots = view.active_requests.max(1) as f64;
     let rate = if view.decode_rate > 0.0 {
         view.decode_rate / slots
@@ -433,6 +433,35 @@ fn drain_seconds(view: &ReplicaView) -> f64 {
     view.outstanding_tokens as f64 / rate
 }
 
+/// [`drain_seconds`] as an integer key in `f64::total_cmp` order (the
+/// sign-folded bit pattern), so [`PrefixAware::route`]'s scan and the
+/// [`RouterIndex`] heap behind its fast path rank replicas by one key.
+pub(crate) fn drain_key(view: &ReplicaView) -> u64 {
+    let bits = drain_seconds(view).to_bits() as i64;
+    (bits ^ ((bits >> 63) | i64::MIN)) as u64
+}
+
+/// The session's placement given its home (if the home still serves) and
+/// the fastest-draining replica: stay home while the estimated prefill
+/// tokens its cache would skip, weighted by [`PREFIX_STICKINESS`], cover the
+/// home's backlog excess over the fastest replica.
+fn stay_or_move(request: &Request, home: Option<&ReplicaView>, fastest: &ReplicaView) -> ReplicaId {
+    match home {
+        Some(home) => {
+            let benefit = home.cache_stats.estimated_hit_tokens(request.input_len);
+            let penalty = home
+                .outstanding_tokens
+                .saturating_sub(fastest.outstanding_tokens);
+            if penalty <= benefit.saturating_mul(PREFIX_STICKINESS) {
+                home.id
+            } else {
+                fastest.id
+            }
+        }
+        None => fastest.id,
+    }
+}
+
 /// Prefix-cache- and speed-aware routing: a session goes back to its home
 /// replica while the estimated prefill tokens its cache would skip
 /// ([`CacheStats::estimated_hit_tokens`]) outweigh the home's backlog excess
@@ -440,6 +469,11 @@ fn drain_seconds(view: &ReplicaView) -> f64 {
 /// that replica (minimum drain time: outstanding tokens over the measured
 /// EWMA decode rate, not just backlog). The homes live in the run's
 /// [`RouterCtx::homes`], so every run starts with none.
+///
+/// Its fast path answers every unmasked decision from the [`RouterIndex`]:
+/// the fastest-draining replica is the index's drain-time heap minimum and
+/// the home's view is a lookup, so a decision costs `O(log n)`, not a scan
+/// of the offer.
 #[derive(Debug, Default)]
 pub struct PrefixAware;
 
@@ -458,32 +492,24 @@ impl Router for PrefixAware {
     fn route(&self, request: &Request, replicas: &[ReplicaView], ctx: &mut RouterCtx) -> ReplicaId {
         let fastest = replicas
             .iter()
-            .min_by(|a, b| {
-                drain_seconds(a)
-                    .total_cmp(&drain_seconds(b))
-                    .then(a.id.cmp(&b.id))
-            })
+            .min_by_key(|v| (drain_key(v), v.id))
             .expect("route is called with a non-empty view slice");
-        let home = ctx
-            .homes
-            .get(&request.session_id)
-            .and_then(|home| replicas.iter().find(|v| v.id == *home));
-        let chosen = match home {
-            Some(home) => {
-                let benefit = home.cache_stats.estimated_hit_tokens(request.input_len);
-                let penalty = home
-                    .outstanding_tokens
-                    .saturating_sub(fastest.outstanding_tokens);
-                if penalty <= benefit.saturating_mul(PREFIX_STICKINESS) {
-                    home.id
-                } else {
-                    fastest.id
-                }
-            }
-            None => fastest.id,
-        };
-        ctx.homes.insert(request.session_id, chosen);
-        chosen
+        let home = ctx.homes.entry(request.session_id).or_insert(fastest.id);
+        *home = stay_or_move(request, replicas.iter().find(|v| v.id == *home), fastest);
+        *home
+    }
+
+    fn route_indexed(
+        &self,
+        request: &Request,
+        index: &RouterIndex,
+        ctx: &mut RouterCtx,
+    ) -> Option<ReplicaId> {
+        let fastest = index.view_of(index.fastest_draining());
+        let home = ctx.homes.entry(request.session_id).or_insert(fastest.id);
+        let home_view = index.contains(*home).then(|| index.view_of(*home));
+        *home = stay_or_move(request, home_view, fastest);
+        Some(*home)
     }
 
     fn on_replica_down(&self, replica: ReplicaId, _now: Seconds, ctx: &mut RouterCtx) {

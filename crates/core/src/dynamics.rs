@@ -191,12 +191,15 @@ impl ScaleBounds {
 /// (serving) replicas' router-visible views, in-progress membership changes,
 /// and a sliding window of the fleet's most recent completions.
 ///
-/// Building one is `O(1)` on the indexed fleet loop without role pools:
-/// `replicas` borrows the router index's cached views, and the membership
-/// counts are kept at every lifecycle transition. With role pools the two
-/// indexes are merged by id into a reused buffer (`O(fleet)`, no
-/// allocation); the scan loop builds fresh views. The helpers below that
-/// read `replicas` are `O(fleet)` per call.
+/// Building one is `O(log fleet)` on the indexed fleet loop without role
+/// pools: `replicas` borrows the router index's cached views, the two queue
+/// aggregates come from the index's running sum and oldest-arrival heap,
+/// and the membership counts are kept at every lifecycle transition. With
+/// role pools the two indexes are merged by id into a reused buffer and the
+/// aggregates are summed from it (`O(fleet)`, no allocation); the scan loop
+/// builds fresh views. [`Self::total_queued`], [`Self::mean_queue_depth`]
+/// and [`Self::has_certainly_late_queued`] read the aggregates in `O(1)`;
+/// [`Self::recent_attainment_pct`] scans the completion window.
 #[derive(Debug)]
 pub struct FleetView<'a> {
     /// The global-clock instant of the observation.
@@ -204,6 +207,11 @@ pub struct FleetView<'a> {
     /// Router-visible views of every *serving* replica (draining and
     /// provisioning replicas are excluded), in replica-id order.
     pub replicas: &'a [ReplicaView],
+    /// Sum of `queued_requests` over `replicas`.
+    pub queued_requests: usize,
+    /// The earliest `oldest_queued_arrival` over `replicas` (`None` when
+    /// nothing is queued).
+    pub oldest_queued_arrival: Option<Seconds>,
     /// Replicas provisioned but not yet serving.
     pub provisioning: usize,
     /// Replicas draining (finishing in-flight work, taking no new requests).
@@ -213,10 +221,33 @@ pub struct FleetView<'a> {
     pub recent: &'a [RequestLatency],
 }
 
-impl FleetView<'_> {
+impl<'a> FleetView<'a> {
+    /// A view over `replicas` whose queue aggregates are computed from them
+    /// (`O(fleet)`).
+    pub fn new(
+        now: Seconds,
+        replicas: &'a [ReplicaView],
+        provisioning: usize,
+        draining: usize,
+        recent: &'a [RequestLatency],
+    ) -> Self {
+        FleetView {
+            now,
+            replicas,
+            queued_requests: replicas.iter().map(|v| v.queued_requests).sum(),
+            oldest_queued_arrival: replicas
+                .iter()
+                .filter_map(|v| v.oldest_queued_arrival)
+                .min_by_key(|a| a.key()),
+            provisioning,
+            draining,
+            recent,
+        }
+    }
+
     /// Requests routed to serving replicas but not yet admitted, fleet-wide.
     pub fn total_queued(&self) -> usize {
-        self.replicas.iter().map(|v| v.queued_requests).sum()
+        self.queued_requests
     }
 
     /// Mean queued requests per serving replica (zero for an empty fleet).
@@ -224,7 +255,7 @@ impl FleetView<'_> {
         if self.replicas.is_empty() {
             return 0.0;
         }
-        self.total_queued() as f64 / self.replicas.len() as f64
+        self.queued_requests as f64 / self.replicas.len() as f64
     }
 
     /// Percentage (0–100) of the recent-completion window that attained
@@ -240,12 +271,12 @@ impl FleetView<'_> {
     /// Whether some serving replica holds a queued request whose age already
     /// exceeds `ttft_deadline` — a *certain* SLO miss that no completion
     /// record has reported yet. The completion signal lags a full service
-    /// time behind a capacity loss; queue age does not.
+    /// time behind a capacity loss; queue age does not. The oldest arrival
+    /// alone decides it: a queued request's age `now - arrival` is
+    /// non-increasing in its arrival.
     pub fn has_certainly_late_queued(&self, ttft_deadline: Seconds) -> bool {
-        self.replicas
-            .iter()
-            .filter_map(|v| v.oldest_queued_arrival)
-            .any(|arrival| self.now - arrival > ttft_deadline)
+        self.oldest_queued_arrival
+            .is_some_and(|arrival| self.now - arrival > ttft_deadline)
     }
 }
 
@@ -509,13 +540,7 @@ mod tests {
     }
 
     fn fleet<'a>(replicas: &'a [ReplicaView], recent: &'a [RequestLatency]) -> FleetView<'a> {
-        FleetView {
-            now: Seconds::from_secs(100.0),
-            replicas,
-            provisioning: 0,
-            draining: 0,
-            recent,
-        }
+        FleetView::new(Seconds::from_secs(100.0), replicas, 0, 0, recent)
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! of lives in [`crate::engine`].
 
 use crate::cluster::Pool;
-use crate::disagg::{CacheStats, ReplicaRole};
-use moe_hardware::Seconds;
+use crate::disagg::{drain_key, CacheStats, ReplicaRole};
+use moe_hardware::{Seconds, TimeKey};
 use moe_workload::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,35 +115,74 @@ impl RouterCtx {
 /// Marker for "replica id not present" in [`RouterIndex`] position tables.
 const ABSENT: usize = usize::MAX;
 
-/// Lazily-invalidated min-heap entries: `(key..., replica id, stamp)`.
-type OutHeapEntry = Reverse<(u64, usize, u64)>;
-type KvHeapEntry = Reverse<(u64, u64, usize, u64)>;
-
-fn out_entry(view: &ReplicaView, stamp: u64) -> OutHeapEntry {
-    Reverse((view.outstanding_tokens, view.id.0, stamp))
+/// One lazily built, stamp-checked min-heap over a [`RouterIndex`]'s views:
+/// entries `(key, replica id, stamp)`, so ties on the key break towards the
+/// lower id. A view whose key is `None` has no entry.
+#[derive(Debug)]
+struct LazyHeap<K> {
+    key: fn(&ReplicaView) -> Option<K>,
+    heap: RefCell<Option<BinaryHeap<HeapEntry<K>>>>,
 }
 
-fn kv_entry(view: &ReplicaView, stamp: u64) -> KvHeapEntry {
-    Reverse((
-        u64::MAX - view.kv_headroom(),
-        view.outstanding_tokens,
-        view.id.0,
-        stamp,
-    ))
-}
+/// A [`LazyHeap`] entry: `(key, replica id, stamp)`, reversed into a
+/// min-heap.
+type HeapEntry<K> = Reverse<(K, usize, u64)>;
 
-/// Pushes `entry` into a heap that has been built. A heap that stale
-/// entries have grown past `cap` is dropped instead; its next query rebuilds
-/// it from the cached views in `O(n)`, so heap memory stays bounded through
-/// long stretches without queries.
-fn push_built<T: Ord>(heap: &mut Option<BinaryHeap<T>>, entry: T, cap: usize) {
-    if let Some(built) = heap {
-        built.push(entry);
-        if built.len() > cap {
-            *heap = None;
+impl<K: Ord + Copy> LazyHeap<K> {
+    fn new(key: fn(&ReplicaView) -> Option<K>) -> Self {
+        LazyHeap {
+            key,
+            heap: RefCell::new(None),
         }
     }
+
+    /// The replica with the least fresh entry, building the heap from
+    /// `views` on the first query; `None` when no view has a key. An entry
+    /// is fresh while its stamp equals its replica's current stamp; stale
+    /// entries are popped as they surface.
+    fn min(&self, views: &[ReplicaView], stamps: &[u64]) -> Option<ReplicaId> {
+        let mut heap = self.heap.borrow_mut();
+        let heap = heap.get_or_insert_with(|| {
+            views
+                .iter()
+                .filter_map(|v| Some(Reverse(((self.key)(v)?, v.id.0, stamps[v.id.0]))))
+                .collect()
+        });
+        while let Some(&Reverse((_, id, stamp))) = heap.peek() {
+            if stamps[id] == stamp {
+                return Some(ReplicaId(id));
+            }
+            heap.pop();
+        }
+        None
+    }
+
+    /// Pushes `view`'s entry into a heap that has been built. A heap that
+    /// stale entries have grown past `cap` is dropped instead; its next
+    /// query rebuilds it from the cached views in `O(n)`, so heap memory
+    /// stays bounded through long stretches without queries.
+    fn push(&mut self, view: &ReplicaView, stamp: u64, cap: usize) {
+        let heap = self.heap.get_mut();
+        let Some(built) = heap.as_mut() else {
+            return;
+        };
+        if let Some(key) = (self.key)(view) {
+            built.push(Reverse((key, view.id.0, stamp)));
+            if built.len() > cap {
+                *heap = None;
+            }
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.heap.borrow().as_ref().map_or(0, BinaryHeap::len)
+    }
 }
+
+/// The index keeps a fresh heap entry per serving replica, so an arg-min
+/// query on a non-empty index always answers.
+const NONEMPTY: &str = "the index keeps a fresh heap entry per serving replica";
 
 /// Incrementally-maintained routing index over one pool of the serving
 /// fleet, fed by the indexed dispatch path of
@@ -151,16 +190,23 @@ fn push_built<T: Ord>(heap: &mut Option<BinaryHeap<T>>, entry: T, cap: usize) {
 /// one index for arrivals (prefill and unified replicas) and one for KV
 /// migrations (decode and unified replicas); a fleet without keeps one over
 /// every serving replica. Each index holds one cached [`ReplicaView`] per
-/// replica of its pool (refreshed only when that replica's state changed)
-/// plus two lazily-invalidated min-heaps answering the built-in routers'
-/// arg-min queries in `O(log n)` instead of the reference path's `O(n)`
-/// scan. Routers consume it through [`Router::route_indexed`].
+/// replica of its pool (refreshed only when that replica's state changed),
+/// a running sum of their queued requests, and four lazily built min-heaps
+/// that answer in `O(log n)` what the reference path scans `O(n)` views for:
+///
+/// * the fewest outstanding tokens ([`LeastOutstandingTokens`]);
+/// * the most projected KV headroom ([`KvAware`]);
+/// * the shortest drain time ([`crate::PrefixAware`]);
+/// * the oldest queued arrival (the autoscalers' [`crate::FleetView`]),
+///   over only the replicas that have a queue.
+///
+/// Routers consume it through [`Router::route_indexed`].
 ///
 /// A heap is built from the cached views the first time its query runs and
-/// maintained only from then on, so a router that never asks for it costs
-/// nothing. Staleness is handled by generation stamps: every refresh that
-/// changes a replica's view bumps its stamp and pushes fresh entries into the
-/// built heaps; entries whose stamp no longer matches are dropped when they
+/// maintained only from then on, so a query nobody makes costs nothing.
+/// Staleness is handled by generation stamps: every refresh that changes a
+/// replica's view bumps its stamp and pushes fresh entries into the built
+/// heaps; entries whose stamp no longer matches are dropped when they
 /// surface at a query. A refresh that changes nothing pushes nothing, so the
 /// entry already in a heap stays fresh.
 #[derive(Debug)]
@@ -177,13 +223,20 @@ pub struct RouterIndex {
     /// whose full context fits it is masked nowhere in the pool, so the full
     /// cached slice is the offer.
     pub(crate) min_budget: u64,
-    /// Min-heap on `(outstanding_tokens, id, stamp)`; `None` until the first
-    /// [`Self::least_outstanding`] query.
-    out_heap: RefCell<Option<BinaryHeap<OutHeapEntry>>>,
-    /// Min-heap on `(!kv_headroom, outstanding_tokens, id, stamp)` — i.e. a
-    /// max-heap on headroom with [`KvAware`]'s exact tie-breaks; `None`
-    /// until the first [`Self::most_kv_headroom`] query.
-    kv_heap: RefCell<Option<BinaryHeap<KvHeapEntry>>>,
+    /// Sum of `queued_requests` over the cached views.
+    queued: usize,
+    /// Keyed on `outstanding_tokens` ([`Self::least_outstanding`]).
+    out_heap: LazyHeap<u64>,
+    /// Keyed on `(!kv_headroom, outstanding_tokens)` — a max-heap on
+    /// headroom with [`KvAware`]'s exact tie-breaks
+    /// ([`Self::most_kv_headroom`]).
+    kv_heap: LazyHeap<(u64, u64)>,
+    /// Keyed on [`crate::PrefixAware`]'s drain time
+    /// ([`Self::fastest_draining`]).
+    drain_heap: LazyHeap<u64>,
+    /// Keyed on `oldest_queued_arrival`, with no entry for a replica without
+    /// a queue ([`Self::oldest_queued_arrival`]).
+    oldest_heap: LazyHeap<TimeKey>,
 }
 
 impl RouterIndex {
@@ -194,8 +247,11 @@ impl RouterIndex {
             pos: Vec::new(),
             stamp: Vec::new(),
             min_budget: u64::MAX,
-            out_heap: RefCell::new(None),
-            kv_heap: RefCell::new(None),
+            queued: 0,
+            out_heap: LazyHeap::new(|v| Some(v.outstanding_tokens)),
+            kv_heap: LazyHeap::new(|v| Some((u64::MAX - v.kv_headroom(), v.outstanding_tokens))),
+            drain_heap: LazyHeap::new(|v| Some(drain_key(v))),
+            oldest_heap: LazyHeap::new(|v| v.oldest_queued_arrival.map(Seconds::key)),
         }
     }
 
@@ -238,22 +294,7 @@ impl RouterIndex {
     ///
     /// Panics if the index is empty.
     pub fn least_outstanding(&self) -> ReplicaId {
-        let mut heap = self.out_heap.borrow_mut();
-        let heap = heap.get_or_insert_with(|| {
-            self.views
-                .iter()
-                .map(|v| out_entry(v, self.stamp[v.id.0]))
-                .collect()
-        });
-        loop {
-            let &Reverse((_, id, stamp)) = heap
-                .peek()
-                .expect("the index keeps a fresh heap entry per serving replica");
-            if self.stamp[id] == stamp && self.pos[id] != ABSENT {
-                return ReplicaId(id);
-            }
-            heap.pop();
-        }
+        self.out_heap.min(&self.views, &self.stamp).expect(NONEMPTY)
     }
 
     /// The serving replica with the most projected KV headroom, ties by fewer
@@ -264,26 +305,40 @@ impl RouterIndex {
     ///
     /// Panics if the index is empty.
     pub fn most_kv_headroom(&self) -> ReplicaId {
-        let mut heap = self.kv_heap.borrow_mut();
-        let heap = heap.get_or_insert_with(|| {
-            self.views
-                .iter()
-                .map(|v| kv_entry(v, self.stamp[v.id.0]))
-                .collect()
-        });
-        loop {
-            let &Reverse((_, _, id, stamp)) = heap
-                .peek()
-                .expect("the index keeps a fresh heap entry per serving replica");
-            if self.stamp[id] == stamp && self.pos[id] != ABSENT {
-                return ReplicaId(id);
-            }
-            heap.pop();
-        }
+        self.kv_heap.min(&self.views, &self.stamp).expect(NONEMPTY)
+    }
+
+    /// The serving replica with the shortest estimated drain time
+    /// (outstanding tokens over its per-slot decode speed), ties by lower id
+    /// — [`crate::PrefixAware`]'s fastest replica in `O(log n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index is empty.
+    pub fn fastest_draining(&self) -> ReplicaId {
+        self.drain_heap
+            .min(&self.views, &self.stamp)
+            .expect(NONEMPTY)
+    }
+
+    /// Requests routed to the pool's serving replicas but not yet admitted,
+    /// summed over the pool, in `O(1)`.
+    pub fn total_queued(&self) -> usize {
+        self.queued
+    }
+
+    /// The earliest arrival among the requests queued on the pool's serving
+    /// replicas (`None` when nothing is queued), in `O(log n)`.
+    pub fn oldest_queued_arrival(&self) -> Option<Seconds> {
+        self.oldest_heap
+            .min(&self.views, &self.stamp)
+            .and_then(|id| self.view_of(id).oldest_queued_arrival)
     }
 
     /// Inserts or refreshes one serving replica's view. Refreshing a replica
-    /// with the view, role and budget it already has is a no-op.
+    /// with the view it already has is a no-op. A replica's role and budget
+    /// are fixed before its first upsert (`build_engine`), so a refresh
+    /// compares the view only.
     pub(crate) fn upsert(&mut self, view: ReplicaView, role: ReplicaRole, budget: u64) {
         let id = view.id.0;
         if self.pos.len() <= id {
@@ -301,16 +356,26 @@ impl RouterIndex {
                 self.pos[v.id.0] = p;
             }
             self.min_budget = self.budgets.iter().map(|b| b.1).min().unwrap_or(u64::MAX);
-        } else if self.views[at] == view && self.budgets[at] == (role, budget) {
-            return;
         } else {
+            debug_assert_eq!(
+                self.budgets[at],
+                (role, budget),
+                "a replica's role and budget are fixed before its first upsert"
+            );
+            if self.views[at] == view {
+                return;
+            }
+            self.queued -= self.views[at].queued_requests;
             self.views[at] = view;
         }
+        self.queued += view.queued_requests;
         let stamp = self.stamp[id] + 1;
         self.stamp[id] = stamp;
         let cap = 4 * self.views.len() + 1024;
-        push_built(self.out_heap.get_mut(), out_entry(&view, stamp), cap);
-        push_built(self.kv_heap.get_mut(), kv_entry(&view, stamp), cap);
+        self.out_heap.push(&view, stamp, cap);
+        self.kv_heap.push(&view, stamp, cap);
+        self.drain_heap.push(&view, stamp, cap);
+        self.oldest_heap.push(&view, stamp, cap);
     }
 
     /// Drops a replica that stopped serving (drain, failure, departure).
@@ -321,7 +386,7 @@ impl RouterIndex {
         if at == ABSENT {
             return;
         }
-        self.views.remove(at);
+        self.queued -= self.views.remove(at).queued_requests;
         self.budgets.remove(at);
         self.pos[id] = ABSENT;
         self.stamp[id] += 1;
@@ -543,6 +608,8 @@ pub fn builtin_routers() -> Vec<Arc<dyn Router>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disagg::drain_seconds;
+    use proptest::prelude::*;
 
     fn view(id: usize, outstanding: u64, headroom: u64) -> ReplicaView {
         ReplicaView {
@@ -618,10 +685,7 @@ mod tests {
     }
 
     fn heap_lens(index: &RouterIndex) -> (usize, usize) {
-        (
-            index.out_heap.borrow().as_ref().map_or(0, BinaryHeap::len),
-            index.kv_heap.borrow().as_ref().map_or(0, BinaryHeap::len),
-        )
+        (index.out_heap.len(), index.kv_heap.len())
     }
 
     fn indexed(views: &[ReplicaView]) -> RouterIndex {
@@ -688,6 +752,76 @@ mod tests {
         index.remove(5);
         assert_eq!(Some(index.least_outstanding()), least(&index));
         assert_eq!(Some(index.most_kv_headroom()), roomiest(&index));
+    }
+
+    /// A view drawn from small ranges, so drain times tie often (equal
+    /// backlogs at equal per-slot speeds, and zero backlogs everywhere) and
+    /// queued replicas share arrivals.
+    fn drawn_view(
+        id: usize,
+        (outstanding, rate, active): (u64, usize, usize),
+        (queued, arrival): (usize, u8),
+    ) -> ReplicaView {
+        ReplicaView {
+            queued_requests: queued,
+            active_requests: active,
+            decode_rate: [0.0, 8.0, 16.0][rate],
+            oldest_queued_arrival: (queued > 0).then(|| Seconds::from_secs(f64::from(arrival))),
+            ..view(id, 100 * outstanding, 40 * outstanding)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// After every random upsert and removal, the index answers what a
+        /// scan of its cached views computes: the drain-time arg-min (ties
+        /// by id), the queued sum, the oldest queued arrival, and the other
+        /// two arg-mins. The drain key orders views as `f64::total_cmp` on
+        /// the drain time does.
+        #[test]
+        fn index_aggregates_match_a_scan_of_its_views(
+            ops in collection::vec(
+                ((0u8..4, 0usize..6), (0u64..4, 0usize..3, 0usize..3), (0usize..3, 0u8..4)),
+                1..80,
+            ),
+        ) {
+            let mut index = RouterIndex::new();
+            for ((kind, id), load, queue) in ops {
+                if kind == 0 {
+                    index.remove(id);
+                } else {
+                    index.upsert(drawn_view(id, load, queue), ReplicaRole::Unified, 4_096);
+                }
+                let views = index.views();
+                prop_assert_eq!(
+                    index.total_queued(),
+                    views.iter().map(|v| v.queued_requests).sum::<usize>()
+                );
+                prop_assert_eq!(
+                    index.oldest_queued_arrival(),
+                    views
+                        .iter()
+                        .filter_map(|v| v.oldest_queued_arrival)
+                        .min_by_key(|a| a.key())
+                );
+                for (a, b) in views.iter().zip(views.iter().rev()) {
+                    prop_assert_eq!(
+                        drain_key(a).cmp(&drain_key(b)),
+                        drain_seconds(a).total_cmp(&drain_seconds(b))
+                    );
+                }
+                if let Some(fastest) = views.iter().min_by_key(|v| (drain_key(v), v.id)) {
+                    prop_assert_eq!(index.fastest_draining(), fastest.id);
+                    let least = views.iter().min_by_key(|v| (v.outstanding_tokens, v.id));
+                    prop_assert_eq!(Some(index.least_outstanding()), least.map(|v| v.id));
+                    let roomiest = views
+                        .iter()
+                        .min_by_key(|v| (Reverse(v.kv_headroom()), v.outstanding_tokens, v.id));
+                    prop_assert_eq!(Some(index.most_kv_headroom()), roomiest.map(|v| v.id));
+                }
+            }
+        }
     }
 
     #[test]

@@ -235,13 +235,36 @@ fn indexed_loop_matches_scan_in_disagg_mode() {
     }
 }
 
-/// Counts how each decision reached the router: `route_indexed` (the whole
-/// pool index was the offer) or `route` over a filtered offer.
+/// Counts how each decision reached the router: `route_indexed` calls (the
+/// whole pool index was the offer), the fast-path answers among them
+/// (`Some`), and `route` calls (a filtered offer, or the fallback after a
+/// `None`).
 #[derive(Debug)]
 struct OfferProbe {
     inner: Arc<dyn Router>,
     indexed: AtomicUsize,
-    filtered: AtomicUsize,
+    answered: AtomicUsize,
+    routed: AtomicUsize,
+}
+
+impl OfferProbe {
+    fn new(inner: Arc<dyn Router>) -> Arc<Self> {
+        Arc::new(OfferProbe {
+            inner,
+            indexed: AtomicUsize::new(0),
+            answered: AtomicUsize::new(0),
+            routed: AtomicUsize::new(0),
+        })
+    }
+
+    /// `(route_indexed calls, fast-path answers, route calls)`.
+    fn counts(&self) -> (usize, usize, usize) {
+        (
+            self.indexed.load(AtomicOrdering::Relaxed),
+            self.answered.load(AtomicOrdering::Relaxed),
+            self.routed.load(AtomicOrdering::Relaxed),
+        )
+    }
 }
 
 impl Router for OfferProbe {
@@ -250,7 +273,7 @@ impl Router for OfferProbe {
     }
 
     fn route(&self, request: &Request, replicas: &[ReplicaView], ctx: &mut RouterCtx) -> ReplicaId {
-        self.filtered.fetch_add(1, AtomicOrdering::Relaxed);
+        self.routed.fetch_add(1, AtomicOrdering::Relaxed);
         self.inner.route(request, replicas, ctx)
     }
 
@@ -261,7 +284,15 @@ impl Router for OfferProbe {
         ctx: &mut RouterCtx,
     ) -> Option<ReplicaId> {
         self.indexed.fetch_add(1, AtomicOrdering::Relaxed);
-        self.inner.route_indexed(request, index, ctx)
+        let chosen = self.inner.route_indexed(request, index, ctx);
+        if chosen.is_some() {
+            self.answered.fetch_add(1, AtomicOrdering::Relaxed);
+        }
+        chosen
+    }
+
+    fn on_replica_down(&self, replica: ReplicaId, now: Seconds, ctx: &mut RouterCtx) {
+        self.inner.on_replica_down(replica, now, ctx);
     }
 }
 
@@ -307,22 +338,56 @@ fn indexed_loop_matches_scan_with_budget_masked_requests() {
             );
             assert_eq!(report.served_requests() + report.fleet_aborted.len(), 200);
         }
-        let probe = Arc::new(OfferProbe {
-            inner: Arc::new(LeastOutstandingTokens),
-            indexed: AtomicUsize::new(0),
-            filtered: AtomicUsize::new(0),
-        });
-        evaluator()
-            .run(&mixed_budget_fleet(mode).with_router(probe.clone()))
+        // Both routers answer every whole-index offer from the index, so
+        // only the masked decisions reach `route`.
+        let routers: [Arc<dyn Router>; 2] = [
+            Arc::new(LeastOutstandingTokens),
+            Arc::new(PrefixAware::new()),
+        ];
+        for router in routers {
+            let name = router.name();
+            let probe = OfferProbe::new(router);
+            evaluator()
+                .run(&mixed_budget_fleet(mode).with_router(probe.clone()))
+                .unwrap();
+            let (indexed, answered, routed) = probe.counts();
+            assert!(
+                indexed > 0 && routed > 0,
+                "{name} [{mode}]: both kinds of decision must occur \
+                 (indexed {indexed}, routed {routed})"
+            );
+            assert_eq!(answered, indexed, "{name} [{mode}]: a fast path fell back");
+        }
+    }
+}
+
+/// `PrefixAware` answers every decision of an unmasked unified fleet from
+/// the router index: with prefix caches and a multi-turn session queue,
+/// `route` is never called, in both serving modes.
+#[test]
+fn prefix_aware_routes_every_unmasked_decision_from_the_index() {
+    let queue = session_queue(240, 8, 29);
+    for mode in MODES {
+        let probe = OfferProbe::new(Arc::new(PrefixAware::new()));
+        let report = evaluator()
+            .run(
+                &split_fleet(0, 240, 29, mode)
+                    .with_queue(queue.clone())
+                    .with_prefix_cache(64 * 1024)
+                    .with_router(probe.clone()),
+            )
             .unwrap();
-        let (indexed, filtered) = (
-            probe.indexed.load(AtomicOrdering::Relaxed),
-            probe.filtered.load(AtomicOrdering::Relaxed),
-        );
-        assert!(
-            indexed > 0 && filtered > 0,
-            "[{mode}]: both kinds of decision must occur (indexed {indexed}, filtered {filtered})"
-        );
+        let (indexed, answered, routed) = probe.counts();
+        assert!(indexed >= 240, "[{mode}]: every arrival is a decision");
+        assert_eq!(answered, indexed, "[{mode}]: a fast path fell back");
+        assert_eq!(routed, 0, "[{mode}]: route was called");
+        let hits: u64 = report
+            .replicas
+            .iter()
+            .filter_map(|r| r.cache)
+            .map(|c| c.hits)
+            .sum();
+        assert!(hits > 0, "[{mode}]: the sessions went home to warm caches");
     }
 }
 

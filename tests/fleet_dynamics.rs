@@ -481,11 +481,14 @@ fn slo_attainment_scaler_recovers_goodput_a_static_fleet_cannot() {
     assert_eq!(autoscaled.total_requests(), 600);
 }
 
-/// One [`FleetView`] as an autoscaler saw it, copied out of the borrow.
+/// One [`FleetView`] as an autoscaler saw it, copied out of the borrow,
+/// with the two queue aggregates as its helpers read them.
 #[derive(Debug, Clone, PartialEq)]
 struct Observation {
     now: Seconds,
     replicas: Vec<ReplicaView>,
+    total_queued: usize,
+    oldest_queued_arrival: Option<Seconds>,
     provisioning: usize,
     draining: usize,
     recent: Vec<RequestLatency>,
@@ -517,6 +520,8 @@ impl Autoscaler for RecordingScaler {
         self.seen.lock().unwrap().push(Observation {
             now: fleet.now,
             replicas: fleet.replicas.to_vec(),
+            total_queued: fleet.total_queued(),
+            oldest_queued_arrival: fleet.oldest_queued_arrival,
             provisioning: fleet.provisioning,
             draining: fleet.draining,
             recent: fleet.recent.to_vec(),
@@ -528,7 +533,8 @@ impl Autoscaler for RecordingScaler {
 /// Runs `spec` (built around the given recording scaler) on the scan loop
 /// and on the indexed loop in both serving modes, and asserts the two loops
 /// showed the autoscaler the identical sequence of fleet views, each with
-/// its serving replicas strictly ascending by id. Returns every observation
+/// its serving replicas strictly ascending by id and its queue aggregates
+/// equal to a recomputation from those replicas. Returns every observation
 /// for the caller's coverage checks.
 fn assert_fleet_views_match(
     spec: impl Fn(ServingMode, Arc<RecordingScaler>) -> ClusterSpec,
@@ -558,9 +564,29 @@ fn assert_fleet_views_match(
                 got.replicas.windows(2).all(|w| w[0].id < w[1].id),
                 "{label} [{mode}]: observation {k} is not strictly ascending by id"
             );
+            assert_eq!(
+                got.total_queued,
+                got.replicas
+                    .iter()
+                    .map(|v| v.queued_requests)
+                    .sum::<usize>(),
+                "{label} [{mode}]: observation {k}'s queued count"
+            );
+            assert_eq!(
+                got.oldest_queued_arrival,
+                got.replicas
+                    .iter()
+                    .filter_map(|v| v.oldest_queued_arrival)
+                    .min_by_key(|a| a.key()),
+                "{label} [{mode}]: observation {k}'s oldest queued arrival"
+            );
         }
         all.extend(indexed);
     }
+    assert!(
+        all.iter().any(|o| o.total_queued > 1),
+        "{label}: the scaler never saw a queue"
+    );
     all
 }
 
