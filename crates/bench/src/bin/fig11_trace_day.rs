@@ -13,9 +13,9 @@
 //! within 5% of the full-day run, at ≥10× fewer simulated requests.
 //!
 //! Run with `cargo run --release -p moe-bench --bin fig11_trace_day`.
-//! Knobs: `FIG11_REQUESTS` (expected arrivals, default 24000),
-//! `FIG11_WINDOWS` (default 96), `FIG11_PHASES` (default 8),
-//! `FIG11_LOAD` (fraction of fleet capacity, default 0.65); pass
+//! Knobs: `FIG11_REQUESTS` (expected arrivals, default 24000) and
+//! `FIG11_LOAD` (fraction of fleet capacity, default 0.65); the day is cut
+//! into `WINDOWS` (96) windows grouped into `PHASES` (8) phases. Pass
 //! `--json <path>` (or set `BENCH_JSON`) for machine-readable output.
 //! Pass `--metrics <path>` (or set `BENCH_METRICS`) to export the full-day
 //! run's telemetry time-series, sampled once per phase window — the diurnal
@@ -40,6 +40,11 @@ use moe_lightning::{
 use moe_trace::{estimate_day, sample_phases, DaySpec, PhaseConfig, Trace};
 use moe_workload::WorkloadSpec;
 use std::sync::Arc;
+
+/// Phase-sampler windows the day is cut into.
+const WINDOWS: usize = 96;
+/// Phases the windows are clustered into.
+const PHASES: usize = 8;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -73,8 +78,6 @@ fn day_spec(scenario: &FleetScenario, trace: &Trace) -> ClusterSpec {
 
 fn main() {
     let requests = env_usize("FIG11_REQUESTS", 24_000);
-    let windows = env_usize("FIG11_WINDOWS", 96);
-    let phases = env_usize("FIG11_PHASES", 8);
     let load = env_f64("FIG11_LOAD", 0.65);
 
     let scenario = match FleetScenario::pinned(256) {
@@ -127,7 +130,7 @@ fn main() {
     // the gauges once per phase window so the telemetry series lines up
     // with the sampler's windowing.
     let metrics = metrics_output_path().map(|path| {
-        let interval = (day.duration().as_secs() / windows as f64).max(1e-3);
+        let interval = (day.duration().as_secs() / WINDOWS as f64).max(1e-3);
         (path, Arc::new(Recorder::new().with_interval(interval)))
     });
     let mut full_spec = day_spec(&scenario, &day);
@@ -147,8 +150,8 @@ fn main() {
     let full_attainment = full.slo_attainment_pct(&scenario.slo);
 
     // Phase-sampled estimate: K representative windows stand for the day.
-    let window = Seconds::from_secs(day.duration().as_secs() / windows as f64);
-    let plan = sample_phases(&day, &PhaseConfig::new(window, phases, SEED));
+    let window = Seconds::from_secs(day.duration().as_secs() / WINDOWS as f64);
+    let plan = sample_phases(&day, &PhaseConfig::new(window, PHASES, SEED));
     let sampled_start = std::time::Instant::now();
     let estimate = match estimate_day(&day, &plan, &scenario.slo, |slice| {
         evaluator.run(&day_spec(&scenario, slice))

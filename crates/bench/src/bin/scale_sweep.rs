@@ -1,7 +1,7 @@
 //! Fleet-scale hot-path sweep: wall-clock cost of simulating large fleets
 //! under heavy online load, up to 1000 replicas × 1,000,000 requests, on the
-//! indexed fleet loop (event heap + incremental router indexes, one replica
-//! event settled per iteration) — with a head-to-head against the
+//! indexed fleet loop (one event agenda + incremental router indexes, one
+//! replica event settled per iteration) — with a head-to-head against the
 //! O(fleet)-per-event linear scan loop at the largest fleet size, a
 //! telemetry-overhead leg that re-runs the same scenario with a recording
 //! `TelemetrySink` attached, a disaggregated leg that splits the largest
@@ -31,11 +31,10 @@
 //!   one run decides nothing. The scan loop runs once, as the reference
 //!   every repeat must equal.
 //!
-//! Smoke knobs: `SCALE_SWEEP_MAX_REQUESTS` caps the largest request count
-//! (default 1,000,000), `SCALE_SWEEP_SCAN_REQUESTS` sizes the scan
-//! head-to-head and the disaggregated and autoscaled legs (default 20,000 —
-//! the scan loop
-//! is quadratic-ish in fleet size, so it gets a smaller queue).
+//! Smoke knob: `SCALE_SWEEP_MAX_REQUESTS` caps the largest request count
+//! (default 1,000,000). The scan head-to-head and the disaggregated and
+//! autoscaled legs run `SCAN_REQUESTS` (20,000) requests — the scan loop is
+//! quadratic-ish in fleet size, so it gets a smaller queue.
 //!
 //! Run with `cargo run --release -p moe-bench --bin scale_sweep`;
 //! pass `--json <path>` (or set `BENCH_JSON`) for machine-readable output.
@@ -66,6 +65,9 @@ const MAX_TELEMETRY_OVERHEAD_PCT: f64 = 10.0;
 const RATE_REPEATS: usize = 3;
 /// The least autoscaled-over-static ratio of median simulated req/s.
 const MIN_AUTOSCALED_RATIO: f64 = 0.5;
+/// Requests in the scan head-to-head and the disaggregated and autoscaled
+/// legs.
+const SCAN_REQUESTS: usize = 20_000;
 
 fn evaluator() -> ClusterEvaluator {
     ClusterEvaluator::new(EvalSetting::S1.model())
@@ -164,7 +166,6 @@ fn fleet(spec: ClusterSpec, replicas: usize, count: usize) -> ClusterSpec {
 fn main() {
     let budget_s = env_f64("SCALE_SWEEP_BUDGET_S", 600.0);
     let max_requests = env_usize("SCALE_SWEEP_MAX_REQUESTS", 1_000_000);
-    let scan_requests = env_usize("SCALE_SWEEP_SCAN_REQUESTS", 20_000);
 
     let started = Instant::now();
     let mut json_rows: Vec<JsonValue> = Vec::new();
@@ -238,7 +239,7 @@ fn main() {
     // Head-to-head at the largest fleet: the same pinned scenario on the
     // linear scan loop vs the indexed loop. The scan loop pays O(fleet) per
     // event, so it gets a smaller queue; both sides run it.
-    let (replicas, count) = (grid[grid.len() - 1].0, scan_requests.min(max_requests));
+    let (replicas, count) = (grid[grid.len() - 1].0, SCAN_REQUESTS.min(max_requests));
     println!("\n-- scan vs indexed @ {replicas} replicas, {count} requests --");
     let t0 = Instant::now();
     let scan = evaluator().with_scan_loop().run(&spec(replicas, count));

@@ -32,7 +32,8 @@
 //! outright — see [`crate::dynamics`]. The report's
 //! [`ClusterReport::availability`] section records what churn did to the run.
 
-use crate::disagg::{CacheStats, DisaggState, InterconnectSpec, PrefixCache, ReplicaRole};
+use crate::agenda::{Agenda, Event};
+use crate::disagg::{CacheStats, InterconnectSpec, PrefixCache, ReplicaRole};
 use crate::dynamics::{
     AdmissionController, AdmitAll, Autoscaler, AvailabilityReport, FleetAction, FleetTimeline,
     FleetView, ScaleBounds, ScaleDecision,
@@ -42,7 +43,7 @@ use crate::evaluator::{EngineError, SystemEvaluator};
 use crate::observe::ObsState;
 use crate::serving::{ServingMode, ServingReport};
 use crate::system::SystemKind;
-use moe_hardware::{NodeSpec, Seconds, TimeKey};
+use moe_hardware::{NodeSpec, Seconds};
 use moe_model::MoeModelConfig;
 use moe_policy::Policy;
 use moe_telemetry::{Section, TelemetrySink};
@@ -50,8 +51,6 @@ use moe_workload::{
     Algorithm2, ArrivalProcess, BatchRunReport, GenLens, LatencySummary, Request, RequestLatency,
     Scheduler, WorkloadSpec,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -107,6 +106,10 @@ pub enum ClusterSpecError {
     /// its bandwidth is not positive (zero, negative or NaN) or its latency
     /// is not finite.
     InvalidInterconnect,
+    /// The [`FleetTimeline`] would act at a non-finite instant: an action is
+    /// scheduled at one, or its provisioning delay is not finite, so a join
+    /// would come up at `t = +inf`.
+    InvalidTimeline,
 }
 
 impl fmt::Display for ClusterSpecError {
@@ -131,6 +134,9 @@ impl fmt::Display for ClusterSpecError {
             ClusterSpecError::InvalidInterconnect => {
                 f.write_str("the interconnect needs a positive bandwidth and a finite latency")
             }
+            ClusterSpecError::InvalidTimeline => f.write_str(
+                "the fleet timeline needs finite action instants and a finite provisioning delay",
+            ),
         }
     }
 }
@@ -365,9 +371,10 @@ impl ClusterSpec {
     /// # Errors
     ///
     /// Returns the first violated constraint (empty fleet, zero requests,
-    /// inverted autoscaler bounds, incomplete pools, unusable interconnect,
-    /// a workload that cannot synthesize the queue, arrivals that cannot be
-    /// stamped or are not finite).
+    /// inverted autoscaler bounds, a timeline acting at a non-finite
+    /// instant, incomplete pools, unusable interconnect, a workload that
+    /// cannot synthesize the queue, arrivals that cannot be stamped or are
+    /// not finite).
     pub fn validate(&self) -> Result<(), ClusterSpecError> {
         if self.replicas.is_empty() {
             return Err(ClusterSpecError::NoReplicas);
@@ -379,6 +386,14 @@ impl ClusterSpec {
             if bounds.min_replicas > bounds.max_replicas || bounds.max_replicas == 0 {
                 return Err(ClusterSpecError::InvalidScaleBounds);
             }
+        }
+        // An action or a join landing at `+inf` would settle there, after
+        // every request, and a sampling sink would never reach it.
+        let timeline = &self.timeline;
+        if !timeline.provisioning_delay().as_secs().is_finite()
+            || (timeline.sorted_events().iter()).any(|(at, _)| !at.as_secs().is_finite())
+        {
+            return Err(ClusterSpecError::InvalidTimeline);
         }
         if self.has_role_pools()
             && (!self.replicas.iter().any(|r| r.role.takes_arrivals())
@@ -602,23 +617,27 @@ type NodeCosting = (SystemEvaluator, Option<Policy>);
 /// Evaluates cluster serving scenarios: one shared model, per-replica
 /// [`SystemEvaluator`]s built from each replica's node.
 ///
-/// Two loops produce the identical [`ClusterReport`]. Both settle one event
-/// per iteration through one offer → route → admit path and one replica
-/// step, and differ only in where the next event and the routing offer come
-/// from:
+/// Two loops produce the identical [`ClusterReport`]. Both pick each event
+/// with one selection from one agenda ([`crate::agenda`]: a min-heap keyed
+/// on time, then kind — timeline action, provisioning completion, KV
+/// landing, arrival, replica-internal event — then timeline position,
+/// replica id or migration sequence number, with the sorted arrival queue
+/// merged under the same order) and settle it through one `match`: one
+/// offer → route → admit path, one replica step. They differ only in how
+/// fresh the agenda's replica entries and the routing offers are kept:
 ///
-/// * the **indexed loop** (default) — an indexed min-priority event queue
-///   over the fleet, KV-migration landings from a heap in landing order, and
-///   offers from one [`RouterIndex`] of cached views per pool (arrivals and
-///   migrations on a fleet with role pools, one for the whole fleet
-///   otherwise), refreshed only for replicas whose state changed. A request
-///   that fits every budget in its pool is routed from the whole index (with
+/// * the **indexed loop** (default) — each replica's agenda entry and its
+///   view in one [`RouterIndex`] per pool (arrivals and migrations on a
+///   fleet with role pools, one for the whole fleet otherwise) are
+///   refreshed only for replicas whose state changed. A request that fits
+///   every budget in its pool is routed from the whole index (with
 ///   [`Router::route_indexed`] fast paths); only a request masked for part of
 ///   its pool gets a filtered copy of the cached views;
-/// * the **scan loop** ([`Self::with_scan_loop`]) — a linear scan over every
-///   replica per event, and offers rebuilt from fresh views per routing
-///   decision. `O(fleet)` per event; kept as the test reference the
-///   self-check fixtures and the `scale_sweep` speedup gate measure against.
+/// * the **scan loop** ([`Self::with_scan_loop`]) — every replica's agenda
+///   entry is refreshed before each selection, and offers and autoscaler
+///   observations are rebuilt from fresh views. `O(fleet)` per event; kept
+///   as the test reference the self-check fixtures and the `scale_sweep`
+///   speedup gate measure against.
 #[derive(Debug, Clone)]
 pub struct ClusterEvaluator {
     model: MoeModelConfig,
@@ -753,10 +772,8 @@ impl ClusterEvaluator {
         queue.sort_by_key(|r| (r.arrival.key(), r.id));
 
         let timeline = spec.timeline.sorted_events();
-        let mut cursor = 0usize;
         let fleet_size = engines.len();
         let indexed = !self.scan_loop;
-        let pools = spec.has_role_pools();
         let membership = Membership::count(&engines);
         let mut plane = FleetLoop {
             cluster: self,
@@ -774,8 +791,8 @@ impl ClusterEvaluator {
             recent: Vec::new(),
             last_scale: None,
             indexed,
-            events: EventHeap::default(),
-            indexes: (0..if pools { 2 } else { 1 })
+            agenda: Agenda::new(&timeline),
+            indexes: (0..if spec.has_role_pools() { 2 } else { 1 })
                 .map(|_| RouterIndex::new())
                 .collect(),
             dirty: Vec::new(),
@@ -783,97 +800,58 @@ impl ClusterEvaluator {
             membership,
             pooled_views: Vec::new(),
             node_cache,
-            disagg: DisaggState::new(pools),
             obs: ObsState::new(spec),
             scratch: EventScratch::default(),
         };
-        if indexed {
-            for i in 0..fleet_size {
-                plane.mark_dirty(i);
-            }
+        for i in 0..fleet_size {
+            plane.mark_dirty(i);
         }
 
         let mut next = 0usize;
         loop {
             let prof_select = plane.prof_start();
-            // Bring the event queue and router index up to date with every
-            // replica touched since the last decision (no-op on the scan
-            // loop, which scans instead).
+            // Bring the agenda and router index up to date with every replica
+            // touched since the last decision; the scan loop refreshes every
+            // replica's entry instead.
             plane.flush_dirty();
-            // The earliest pending event across the fleet. Priority at ties:
-            // control events (timeline actions, provisioning completions)
-            // first — a failure at time t must not route the arrival at t to
-            // the dead replica — then arrivals, then replica-internal events,
-            // so a batch of co-timed requests (e.g. the offline
-            // all-at-time-zero queue, or one burst) is fully routed before any
-            // replica forms a round from it (ingest, then schedule).
-            let timeline_next = (cursor < timeline.len()).then(|| timeline[cursor].0);
-            let ready_next = plane.next_provisioning_ready();
-            // Timeline actions win ties (an injected failure at the exact
-            // instant a join lands is applied to the pre-join fleet), and a
-            // KV-migration landing is control-class too — but only strictly
-            // earlier ones, so a failure at the landing instant still kills
-            // the destination first.
-            let mut control: Option<(Seconds, Ctl)> = match (timeline_next, ready_next) {
-                (Some(t), Some((r, _))) if t <= r => Some((t, Ctl::Timeline)),
-                (_, Some((r, i))) => Some((r, Ctl::Ready(i))),
-                (Some(t), None) => Some((t, Ctl::Timeline)),
-                (None, None) => None,
-            };
-            if let Some(m) = plane.disagg.next_migration_at() {
-                if control.is_none_or(|(c, _)| m < c) {
-                    control = Some((m, Ctl::Migration));
+            if !plane.indexed {
+                for (index, engine) in plane.engines.iter().enumerate() {
+                    plane.agenda.refresh(index, engine.agenda_entry());
                 }
             }
-            let arrival = queue.get(next).map(|r| r.arrival);
-            let internal = if plane.indexed {
-                plane.events.peek()
-            } else {
-                plane.next_internal()
-            };
+            let selected = plane.agenda.pop(queue.get(next).map(|r| (r.arrival, next)));
             plane.prof_end(Section::EventSelection, prof_select);
-
-            let le = |a: Seconds, b: Option<Seconds>| b.is_none_or(|b| a <= b);
-            if let Some((t, ctl)) =
-                control.filter(|&(t, _)| le(t, arrival) && le(t, internal.map(|(time, _)| time)))
-            {
-                plane.maybe_sample_to(t);
-                match ctl {
-                    Ctl::Timeline => {
-                        let (_, action) = timeline[cursor].clone();
-                        cursor += 1;
-                        plane.apply_action(t, action)?;
-                    }
-                    Ctl::Ready(index) => plane.finish_provisioning(index, t),
-                    Ctl::Migration => plane.complete_next_migration(t),
-                }
-                // Membership just changed (or a failure re-routed late work):
-                // let the autoscaler react now, not at the next arrival.
-                plane.maybe_autoscale(t)?;
-            } else if let Some(at) = arrival.filter(|&a| le(a, internal.map(|(time, _)| time))) {
-                let request = queue[next];
-                next += 1;
-                plane.maybe_sample_to(at);
-                let prof_route = plane.prof_start();
-                plane.dispatch(request, at, true);
-                plane.prof_end(Section::Routing, prof_route);
-                plane.maybe_autoscale(at)?;
-            } else if let Some((t, index)) = internal {
-                // Sampling first advances the cursor to this event, so every
-                // gauge snapshot is taken from event-exact state.
-                plane.maybe_sample_to(t);
-                let prof_step = plane.prof_start();
-                let had_completions = plane.step_replica(index, t)?;
-                if plane.engines[index].drain_finished() {
-                    plane.depart(index, t);
-                }
-                if had_completions {
-                    plane.maybe_autoscale(t)?;
-                }
-                plane.prof_end(Section::ShardStep, prof_step);
-            } else {
+            let Some((t, event)) = selected else {
                 break;
+            };
+            // Sampling first advances the cursor to this event, so every
+            // gauge snapshot is taken from event-exact state.
+            plane.maybe_sample_to(t);
+            match event {
+                Event::Timeline(position) => plane.apply_action(t, timeline[position].1.clone())?,
+                Event::Ready(index) => plane.finish_provisioning(index, t),
+                Event::Landing((request, dest)) => plane.land_migration(request, dest, t),
+                Event::Arrival(position) => {
+                    next = position + 1;
+                    let prof_route = plane.prof_start();
+                    plane.dispatch(queue[position], t, true);
+                    plane.prof_end(Section::Routing, prof_route);
+                }
+                Event::Internal(index) => {
+                    let prof_step = plane.prof_start();
+                    let had_completions = plane.step_replica(index, t)?;
+                    if plane.engines[index].drain_finished() {
+                        plane.depart(index, t);
+                    }
+                    plane.prof_end(Section::ShardStep, prof_step);
+                    if !had_completions {
+                        continue;
+                    }
+                }
             }
+            // Membership changes (a failure may re-route late work), landings,
+            // arrivals and completions let the autoscaler react now.
+            plane.maybe_autoscale(t)?;
         }
         plane.finish_observation();
 
@@ -895,17 +873,7 @@ impl ClusterEvaluator {
             .fold(BatchRunReport::default(), |acc, r| {
                 acc.combine(&r.report.totals)
             });
-        // Replica-seconds lost: departed capacity, measured to the run's end
-        // (the global makespan over every served request).
-        let end = replica_reports
-            .iter()
-            .flat_map(|r| r.report.latencies.iter())
-            .map(|l| l.request.arrival + l.completion_time)
-            .fold(Seconds::ZERO, Seconds::max);
-        let replica_seconds_lost = departures
-            .iter()
-            .fold(Seconds::ZERO, |acc, (_, at)| acc + (end - *at));
-        Ok(ClusterReport {
+        let mut report = ClusterReport {
             router: spec.router.name().to_owned(),
             mode: spec.mode,
             replicas: replica_reports,
@@ -918,26 +886,23 @@ impl ClusterEvaluator {
                 drains,
                 joins,
                 cancelled_joins,
-                replica_seconds_lost,
+                replica_seconds_lost: Seconds::ZERO,
             },
             totals,
-        })
+        };
+        // Replica-seconds lost: departed capacity, measured to the run's end
+        // (the global makespan over every served request).
+        let end = report.makespan();
+        report.availability.replica_seconds_lost = departures
+            .iter()
+            .fold(Seconds::ZERO, |acc, (_, at)| acc + (end - *at));
+        Ok(report)
     }
 }
 
 /// How many of the fleet's most recent completions the control plane keeps
 /// for [`Autoscaler`] observations.
 const RECENT_COMPLETION_WINDOW: usize = 128;
-
-/// Which control-class event fires next in [`ClusterEvaluator::run`]'s merged
-/// loop: a timeline action, a provisioning completion, or a KV-migration
-/// landing.
-#[derive(Debug, Clone, Copy)]
-enum Ctl {
-    Timeline,
-    Ready(usize),
-    Migration,
-}
 
 /// Which serving replicas a request may be placed on: new arrivals go to
 /// the prefill and unified pools, KV migrations to the decode and unified
@@ -988,12 +953,14 @@ pub(crate) struct FleetLoop<'a> {
     cancelled_joins: u64,
     recent: Vec<RequestLatency>,
     last_scale: Option<Seconds>,
-    /// Whether events and routing offers come from the event heap and router
-    /// index (`true`) or from O(fleet) scans of every engine (`false`, see
+    /// Whether replicas' agenda entries and routing views are refreshed from
+    /// the dirty set (`true`) or rebuilt from every engine (`false`, see
     /// [`ClusterEvaluator::with_scan_loop`]).
     indexed: bool,
-    /// Min-heap over each replica's next internal event (indexed loop only).
-    events: EventHeap,
+    /// Every pending event but the arrivals, in settling order (see
+    /// [`crate::agenda`]): timeline actions, each replica's one entry, and
+    /// the KV migrations on the wire.
+    pub(crate) agenda: Agenda,
     /// Incrementally maintained serving-replica views for routing, one
     /// index per pool (indexed loop only): `[arrivals, migrations]` on a
     /// fleet with role pools, and one index over the whole fleet, which is
@@ -1004,9 +971,7 @@ pub(crate) struct FleetLoop<'a> {
     /// Dedup membership for `dirty`, indexed by replica id.
     is_dirty: Vec<bool>,
     /// Replicas per lifecycle state, kept at every transition by
-    /// [`FleetLoop::set_lifecycle`], so the autoscaler reads the counts and
-    /// the per-iteration provisioning scan is skipped when nothing is coming
-    /// up.
+    /// [`FleetLoop::set_lifecycle`], so the autoscaler reads the counts.
     membership: Membership,
     /// Reused buffer for the autoscaler's serving views on a fleet with role
     /// pools: the id-ordered union of the two router indexes.
@@ -1014,9 +979,6 @@ pub(crate) struct FleetLoop<'a> {
     /// Per-node evaluators and policy searches (see
     /// [`ClusterEvaluator::build_engine`]), shared with joins.
     node_cache: Vec<NodeCosting>,
-    /// Disaggregation bookkeeping: the KV migrations in flight (see
-    /// [`crate::disagg`]).
-    pub(crate) disagg: DisaggState,
     /// Telemetry sampling cursor and self-profiling accumulators (see
     /// [`crate::observe`]).
     pub(crate) obs: ObsState,
@@ -1067,69 +1029,6 @@ impl Membership {
     }
 }
 
-/// Fleet-wide min-priority queue over each replica's next internal event,
-/// with lazy invalidation: a per-replica generation stamp retires stale heap
-/// entries at `peek` time instead of searching the heap on every update.
-///
-/// Ordering is `(TimeKey, replica index)` — identical to the reference scan's
-/// `min_by_key(|&(t, i)| (t.key(), i))`, so ties resolve to the lowest
-/// replica index on both paths.
-#[derive(Debug, Default)]
-struct EventHeap {
-    heap: BinaryHeap<Reverse<(TimeKey, usize, u64)>>,
-    /// Latest stamp per replica; heap entries with an older stamp are stale.
-    stamp: Vec<u64>,
-    /// The authoritative next event per replica (`None`: no pending event).
-    next_at: Vec<Option<Seconds>>,
-}
-
-impl EventHeap {
-    fn grow(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.next_at.resize(n, None);
-        }
-    }
-
-    /// Records that replica `index`'s next internal event is now `next`,
-    /// invalidating any entry previously pushed for it. An unchanged event
-    /// (same [`TimeKey`]) keeps the entry already in the heap.
-    fn refresh(&mut self, index: usize, next: Option<Seconds>) {
-        self.grow(index + 1);
-        if self.next_at[index].map(Seconds::key) == next.map(Seconds::key) {
-            return;
-        }
-        self.stamp[index] += 1;
-        self.next_at[index] = next;
-        if let Some(t) = next {
-            self.heap.push(Reverse((t.key(), index, self.stamp[index])));
-        }
-        // Compact once stale entries dominate, bounding heap memory at
-        // O(fleet) without per-update removal.
-        if self.heap.len() > 2 * self.stamp.len() + 1024 {
-            self.heap.clear();
-            for (i, at) in self.next_at.iter().enumerate() {
-                if let Some(t) = at {
-                    self.heap.push(Reverse((t.key(), i, self.stamp[i])));
-                }
-            }
-        }
-    }
-
-    /// The fleet-wide earliest pending internal event, dropping stale
-    /// entries encountered on the way.
-    fn peek(&mut self) -> Option<(Seconds, usize)> {
-        while let Some(&Reverse((_, index, stamp))) = self.heap.peek() {
-            if self.stamp[index] == stamp {
-                let t = self.next_at[index].expect("fresh heap entries track a pending event");
-                return Some((t, index));
-            }
-            self.heap.pop();
-        }
-        None
-    }
-}
-
 impl FleetLoop<'_> {
     /// Moves replica `index` to lifecycle state `to`, keeping the
     /// per-state counts. The caller marks it dirty and records the
@@ -1140,8 +1039,8 @@ impl FleetLoop<'_> {
         self.membership.enter(to);
     }
 
-    /// Queues replica `index` for re-synchronisation of its event-heap entry
-    /// and router-index view. No-op on the scan loop.
+    /// Queues replica `index` for re-synchronisation of its agenda entry and
+    /// router-index view. No-op on the scan loop.
     pub(crate) fn mark_dirty(&mut self, index: usize) {
         if !self.indexed {
             return;
@@ -1155,19 +1054,14 @@ impl FleetLoop<'_> {
         }
     }
 
-    /// Brings the event heap and the router indexes up to date with every
+    /// Brings the agenda and the router indexes up to date with every
     /// replica marked dirty since the last flush. A serving replica sits in
     /// the index of every pool its role belongs to.
     fn flush_dirty(&mut self) {
         while let Some(index) = self.dirty.pop() {
             self.is_dirty[index] = false;
             let engine = &self.engines[index];
-            let next = if engine.has_events() {
-                engine.next_event()
-            } else {
-                None
-            };
-            self.events.refresh(index, next);
+            self.agenda.refresh(index, engine.agenda_entry());
             let view = engine.is_serving().then(|| engine.view());
             let budget = engine.batching.cache_tokens_per_micro_batch;
             for (pool, router_index) in [Pool::Arrivals, Pool::Migrations]
@@ -1182,32 +1076,6 @@ impl FleetLoop<'_> {
                 }
             }
         }
-    }
-
-    /// The earliest provisioning completion, if any replica is coming up.
-    fn next_provisioning_ready(&self) -> Option<(Seconds, usize)> {
-        if self.membership.provisioning == 0 {
-            return None;
-        }
-        self.engines
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e.lifecycle {
-                Lifecycle::Provisioning { ready_at } => Some((ready_at, i)),
-                _ => None,
-            })
-            .min_by_key(|&(t, i)| (t.key(), i))
-    }
-
-    /// The earliest replica-internal event (completion, round end, pending
-    /// admission) across serving and draining replicas.
-    fn next_internal(&self) -> Option<(Seconds, usize)> {
-        self.engines
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.has_events())
-            .filter_map(|(i, e)| e.next_event().map(|t| (t, i)))
-            .min_by_key(|&(t, i)| (t.key(), i))
     }
 
     /// Routes `request` at time `now`. Arrivals pass through the admission
@@ -1354,7 +1222,7 @@ impl FleetLoop<'_> {
         };
         // Pools are fixed by the spec: a run without them serves every
         // joiner unified.
-        if !self.disagg.enabled {
+        if !self.spec.has_role_pools() {
             engine.role = ReplicaRole::Unified;
         }
         self.membership.enter(engine.lifecycle);
@@ -1622,21 +1490,6 @@ mod tests {
     use moe_workload::SloClass;
 
     #[test]
-    fn an_unchanged_next_event_pushes_nothing() {
-        let mut events = EventHeap::default();
-        let at = Seconds::from_secs(2.5);
-        events.refresh(0, Some(Seconds::from_secs(4.0)));
-        events.refresh(1, Some(at));
-        let (len, stamp) = (events.heap.len(), events.stamp[1]);
-        events.refresh(1, Some(at));
-        assert_eq!(events.heap.len(), len);
-        assert_eq!(events.stamp[1], stamp);
-        assert_eq!(events.peek(), Some((at, 1)));
-        events.refresh(1, None);
-        assert_eq!(events.peek(), Some((Seconds::from_secs(4.0), 0)));
-    }
-
-    #[test]
     fn slo_attainment_requires_both_deadlines() {
         let slo = SloSpec {
             ttft: Seconds::from_secs(10.0),
@@ -1707,6 +1560,44 @@ mod tests {
             }
         ));
         assert!(err.to_string().contains("zero replicas"));
+    }
+
+    /// A timeline acting at `+inf` is a typed error before any search: with
+    /// a sampling sink the loop would sample toward `+inf` forever, and
+    /// without one the report would record a failure or join at `t = inf`.
+    #[test]
+    fn non_finite_timelines_are_invalid_timeline_errors() {
+        let inf = Seconds::from_secs(f64::INFINITY);
+        let fleet = |timeline: FleetTimeline| {
+            ClusterSpec::homogeneous(
+                SystemKind::MoeLightning,
+                WorkloadSpec::mtbench(),
+                &EvalSetting::S1.node(),
+                2,
+            )
+            .with_count(40)
+            .with_timeline(timeline)
+            .with_telemetry(Arc::new(moe_telemetry::Recorder::new().with_interval(1.0)))
+        };
+        let late_failure = fleet(FleetTimeline::new().fail_at(inf, ReplicaId(1)));
+        let endless_join = fleet(
+            FleetTimeline::new()
+                .join_at(
+                    Seconds::from_secs(1.0),
+                    ReplicaSpec::new(EvalSetting::S1.node()),
+                )
+                .with_provisioning_delay(inf),
+        );
+        let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());
+        for spec in [late_failure, endless_join] {
+            assert_eq!(spec.validate(), Err(ClusterSpecError::InvalidTimeline));
+            assert!(matches!(
+                evaluator.run(&spec),
+                Err(EngineError::InvalidClusterSpec {
+                    reason: ClusterSpecError::InvalidTimeline
+                })
+            ));
+        }
     }
 
     #[test]

@@ -31,18 +31,20 @@
 //! Pools are not a dispatch path of their own: arrivals and migration
 //! destinations are placed by the fleet loop's one placement function, whose
 //! offer keeps only the replicas of the request's pool — from that pool's
-//! router index on the indexed loop, from fresh views on the scan loop. The
-//! migration machinery (`DisaggState`, a heap of the migrations in flight in
-//! landing order, and the `FleetLoop` methods below) is `pub(crate)`
-//! plumbing behind [`crate::cluster::ClusterEvaluator`].
+//! router index on the indexed loop, from fresh views on the scan loop. A
+//! migration in flight is an entry of the fleet loop's agenda
+//! ([`crate::agenda`]), which holds its request and destination until it
+//! lands: in landing order, after co-timed timeline actions and provisioning
+//! completions and before co-timed arrivals. The `FleetLoop` methods below
+//! that start, land and lose migrations are `pub(crate)` plumbing behind
+//! [`crate::cluster::ClusterEvaluator`].
 
 use crate::cluster::{ClusterSpec, FleetLoop, Pool, ReplicaSpec};
 use crate::engine::Phase;
 use crate::router::{ReplicaId, ReplicaView, Router, RouterCtx, RouterIndex};
-use moe_hardware::{Bandwidth, Seconds, TimeKey};
+use moe_hardware::{Bandwidth, Seconds};
 use moe_workload::Request;
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -555,107 +557,6 @@ impl ClusterSpec {
     }
 }
 
-/// One KV slice in flight between replicas: the original (generation-bearing)
-/// request, its destination, and the arrival instant on the global clock.
-/// Ordered by landing: `(at, seq)`, so co-timed migrations land in the order
-/// they started.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MigrationInFlight {
-    pub(crate) at: Seconds,
-    pub(crate) seq: u64,
-    pub(crate) request: Request,
-    pub(crate) dest: usize,
-}
-
-impl MigrationInFlight {
-    fn landing(&self) -> (TimeKey, u64) {
-        (self.at.key(), self.seq)
-    }
-}
-
-impl PartialEq for MigrationInFlight {
-    fn eq(&self, other: &Self) -> bool {
-        self.landing() == other.landing()
-    }
-}
-
-impl Eq for MigrationInFlight {}
-
-impl PartialOrd for MigrationInFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MigrationInFlight {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.landing().cmp(&other.landing())
-    }
-}
-
-/// The fleet loop's disaggregation bookkeeping: the KV migrations on the
-/// wire between a prefill replica's handoff and the destination's landing,
-/// in a min-heap on landing order, so the loop reads the next landing in
-/// `O(1)` and lands it in `O(log n)`. Which requests run prefill-only is
-/// decided at dispatch ([`ReplicaRole::phase_for`]) and tracked by the
-/// engine.
-#[derive(Debug, Default)]
-pub(crate) struct DisaggState {
-    /// Whether the run has role pools (any non-unified role).
-    pub(crate) enabled: bool,
-    /// KV transfers currently on the wire, earliest landing on top.
-    pub(crate) migrations: BinaryHeap<Reverse<MigrationInFlight>>,
-    seq: u64,
-}
-
-impl DisaggState {
-    pub(crate) fn new(enabled: bool) -> Self {
-        DisaggState {
-            enabled,
-            ..Self::default()
-        }
-    }
-
-    /// The earliest in-flight migration arrival, if any.
-    pub(crate) fn next_migration_at(&self) -> Option<Seconds> {
-        self.migrations.peek().map(|Reverse(m)| m.at)
-    }
-
-    fn push_migration(&mut self, at: Seconds, request: Request, dest: usize) {
-        self.migrations.push(Reverse(MigrationInFlight {
-            at,
-            seq: self.seq,
-            request,
-            dest,
-        }));
-        self.seq += 1;
-    }
-
-    fn pop_due(&mut self) -> MigrationInFlight {
-        let Reverse(migration) = self
-            .migrations
-            .pop()
-            .expect("a migration event was scheduled");
-        migration
-    }
-
-    /// Drains every in-flight migration headed to `dest` (its KV dies with
-    /// the replica), in request-id order.
-    fn take_migrations_to(&mut self, dest: usize) -> Vec<Request> {
-        let mut lost = Vec::new();
-        self.migrations.retain(|Reverse(m)| {
-            if m.dest == dest {
-                lost.push(m.request);
-                false
-            } else {
-                true
-            }
-        });
-        lost.sort_by_key(|r| r.id);
-        lost
-    }
-}
-
 impl FleetLoop<'_> {
     /// Starts the KV migration of a request handed off by prefill replica
     /// `from` at `t`: places the KV slice on a decode-capable replica of the
@@ -679,24 +580,22 @@ impl FleetLoop<'_> {
         self.engines[dest.0].reserve_migration(origin.max_context());
         self.mark_dirty(dest.0);
         self.note_migration_start(&origin, from, dest.0, t + delay, t);
-        self.disagg.push_migration(t + delay, origin, dest.0);
+        self.agenda.push_landing(t + delay, origin, dest.0);
     }
 
-    /// Lands the earliest in-flight migration at time `t`: the destination
-    /// releases its reservation and admits the request with the migrated
-    /// prefill credited — unless it left the fleet mid-transfer, in which
-    /// case the KV is lost and the request re-enters at the front door.
-    pub(crate) fn complete_next_migration(&mut self, t: Seconds) {
-        let migration = self.disagg.pop_due();
-        let dest = migration.dest;
-        self.engines[dest].release_migration(migration.request.max_context());
+    /// Lands the migration of `request` on replica `dest` at time `t`: the
+    /// destination releases its reservation and admits the request with the
+    /// migrated prefill credited — unless it left the fleet mid-transfer, in
+    /// which case the KV is lost and the request re-enters at the front door.
+    pub(crate) fn land_migration(&mut self, request: Request, dest: usize, t: Seconds) {
+        self.engines[dest].release_migration(request.max_context());
         self.mark_dirty(dest);
         if self.engines[dest].is_serving() {
-            self.note_migration_end(&migration.request, dest, true, t);
-            self.engines[dest].enqueue_prefilled(migration.request, migration.request.input_len, t);
+            self.note_migration_end(&request, dest, true, t);
+            self.engines[dest].enqueue_prefilled(request, request.input_len, t);
         } else {
-            self.note_migration_end(&migration.request, dest, false, t);
-            self.redispatch(migration.request, t);
+            self.note_migration_end(&request, dest, false, t);
+            self.redispatch(request, t);
         }
     }
 
@@ -704,10 +603,7 @@ impl FleetLoop<'_> {
     /// it loses its KV (ROADMAP's "failed decode replica loses in-flight
     /// migrated KV") and re-enters at the front door, paying prefill again.
     pub(crate) fn lose_migrations_to(&mut self, dest: usize, t: Seconds) {
-        if self.disagg.migrations.is_empty() {
-            return;
-        }
-        for request in self.disagg.take_migrations_to(dest) {
+        for request in self.agenda.take_landings_to(dest) {
             self.note_migration_end(&request, dest, false, t);
             self.redispatch(request, t);
         }
@@ -855,16 +751,6 @@ mod tests {
         };
         assert_eq!(measured.estimated_hit_tokens(1_000), 250);
         assert_eq!(measured.hit_rate(), 0.25);
-    }
-
-    /// The earliest in-flight migration by a linear scan — the reference
-    /// the landing-order heap must agree with.
-    fn scan_next(model: &[MigrationInFlight]) -> Option<usize> {
-        model
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, m)| (m.at.key(), m.seq))
-            .map(|(i, _)| i)
     }
 
     /// Index of the reference trie's root (a sentinel holding no tokens).
@@ -1059,52 +945,6 @@ mod tests {
                 // ...and the cache's runs end in exactly those leaves.
                 let leaves: Vec<u64> = cache.lru.iter().map(|&(tick, _)| tick).collect();
                 prop_assert_eq!(leaves, candidates);
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Random pushes onto four instants (so most landings tie), landings
-        /// and destination failures: the heap peeks, lands and drains exactly
-        /// like a `min_by_key` scan over an unordered list.
-        #[test]
-        fn migrations_land_in_the_scan_order(
-            ops in collection::vec((0u8..4, 0u8..4, 0usize..3), 1..120),
-        ) {
-            let mut state = DisaggState::new(true);
-            let mut model: Vec<MigrationInFlight> = Vec::new();
-            for (n, (op, instant, dest)) in ops.into_iter().enumerate() {
-                match op {
-                    0 | 1 => {
-                        // Ids fall as seq rises, so the id sort on a drain
-                        // is not the landing order.
-                        let request = Request::new(1_000 - n as u64, 16, 8);
-                        let at = Seconds::from_secs(f64::from(instant) * 0.5);
-                        model.push(MigrationInFlight { at, seq: state.seq, request, dest });
-                        state.push_migration(at, request, dest);
-                    }
-                    2 => {
-                        if let Some(i) = scan_next(&model) {
-                            let want = model.swap_remove(i);
-                            let got = state.pop_due();
-                            prop_assert_eq!(
-                                (got.seq, got.request.id, got.dest),
-                                (want.seq, want.request.id, want.dest)
-                            );
-                        }
-                    }
-                    _ => {
-                        let mut want: Vec<Request> =
-                            model.iter().filter(|m| m.dest == dest).map(|m| m.request).collect();
-                        want.sort_by_key(|r| r.id);
-                        model.retain(|m| m.dest != dest);
-                        prop_assert_eq!(state.take_migrations_to(dest), want);
-                    }
-                }
-                prop_assert_eq!(state.next_migration_at(), scan_next(&model).map(|i| model[i].at));
-                prop_assert_eq!(state.migrations.len(), model.len());
             }
         }
     }

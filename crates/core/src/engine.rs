@@ -389,15 +389,6 @@ impl ReplicaEngine {
         self.lifecycle == Lifecycle::Serving
     }
 
-    /// Whether the replica still produces internal events (serving or
-    /// draining; provisioning and departed replicas are silent).
-    pub(crate) fn has_events(&self) -> bool {
-        matches!(
-            self.lifecycle,
-            Lifecycle::Serving | Lifecycle::Draining { .. }
-        )
-    }
-
     /// Whether a draining replica has finished its last in-flight request and
     /// should leave the fleet.
     pub(crate) fn drain_finished(&self) -> bool {

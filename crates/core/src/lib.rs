@@ -19,6 +19,8 @@
 //! * [`cluster::ClusterEvaluator`] — serves one fleet-wide request queue on N
 //!   (optionally heterogeneous) replicas behind a pluggable [`cluster::Router`],
 //!   merging per-replica event streams on one global clock.
+//! * [`agenda`] — the crate-private event order of that clock: one stamped
+//!   min-heap with one tie rule for every event the fleet loop settles.
 //! * [`dynamics`] — the fleet control plane: injected failures/drains/joins
 //!   ([`dynamics::FleetTimeline`]), autoscaling ([`dynamics::Autoscaler`]) and
 //!   SLO admission control ([`dynamics::AdmissionController`]) executed mid-run.
@@ -49,6 +51,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod agenda;
 pub mod cluster;
 pub mod disagg;
 pub mod dynamics;

@@ -358,7 +358,7 @@ impl FleetLoop<'_> {
     fn fleet_sample(&self, at: Seconds) -> FleetSample {
         let mut sample = FleetSample {
             at: at.as_secs(),
-            migrations_in_flight: self.disagg.migrations.len(),
+            migrations_in_flight: self.agenda.landings(),
             ..FleetSample::default()
         };
         for engine in &self.engines {

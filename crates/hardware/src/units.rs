@@ -454,7 +454,7 @@ impl Seconds {
 /// On ordinary (non-NaN) durations the order agrees with `<` exactly; NaN
 /// sorts after every finite value and +∞, so a corrupted timestamp lands
 /// deterministically at the *end* of any schedule instead of anywhere the
-/// scan happens to leave it. Shared by the fleet loop's event heap, the
+/// scan happens to leave it. Shared by the fleet loop's agenda, the
 /// router indexes and the workload schedulers' arrival sorts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimeKey(u64);
@@ -470,6 +470,19 @@ impl TimeKey {
         // order — exactly `total_cmp`.
         let folded = bits ^ ((bits >> 63) | i64::MIN);
         TimeKey(folded as u64)
+    }
+
+    /// The instant the key was built from, bit for bit: building the key
+    /// flipped a non-negative float's sign bit and every bit of a negative
+    /// one, and this flips them back.
+    pub fn secs(self) -> Seconds {
+        let folded = self.0 as i64;
+        let bits = if folded < 0 {
+            folded ^ i64::MIN
+        } else {
+            !folded
+        };
+        Seconds(f64::from_bits(bits as u64))
     }
 }
 
@@ -682,6 +695,19 @@ mod tests {
         let nan = Seconds(f64::NAN).key();
         assert!(nan > Seconds::from_secs(f64::INFINITY).key());
         assert_eq!(nan, Seconds(f64::NAN).key(), "NaN keys are stable");
+        // A key gives back its instant bit for bit, signed zeros and NaN too.
+        for x in [
+            0.0,
+            -0.0,
+            1e-300,
+            2.5,
+            -7.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(Seconds(x).key().secs().0.to_bits(), x.to_bits(), "{x}");
+        }
     }
 
     #[test]
