@@ -20,7 +20,7 @@
 
 use moe_bench::fleet::{calibrate, Calibration};
 use moe_bench::{
-    fmt3, json_output_path, obj, print_csv, print_header, print_row, write_rows, JsonValue,
+    env_or, fmt3, json_output_path, obj, print_csv, print_header, print_row, write_rows, JsonValue,
 };
 use moe_lightning::{
     builtin_routers, ClusterEvaluator, ClusterSpec, EvalSetting, Policy, ReplicaSpec, ServeSpec,
@@ -35,23 +35,17 @@ const LATENCY_GEN_LEN: u64 = 128;
 /// Both scheduling modes, reported side by side.
 const MODES: [ServingMode; 2] = [ServingMode::RoundToCompletion, ServingMode::Continuous];
 
-/// Requests per served queue (the paper replicates MTBench to thousands of
-/// requests; 1000 keeps the discrete-event simulation fast while still spanning
-/// multiple serving rounds for the baselines). Overridable for smoke runs.
-fn queue_len() -> usize {
-    std::env::var("FIG07_QUEUE_LEN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000)
-}
-
 fn row_label(system: SystemKind, mode: ServingMode) -> String {
     format!("{} [{}]", system.name(), mode.label())
 }
 
 fn main() {
     let spec = WorkloadSpec::mtbench();
-    let queue_len = queue_len();
+    // Requests per served queue (the paper replicates MTBench to thousands
+    // of requests; 1000 keeps the discrete-event simulation fast while still
+    // spanning multiple serving rounds for the baselines). Overridable for
+    // smoke runs.
+    let queue_len: usize = env_or("FIG07_QUEUE_LEN", 1000);
     let mut json_rows: Vec<JsonValue> = Vec::new();
     let gen_lens = [32u64, 64, 128, 256];
     let settings = [

@@ -30,7 +30,8 @@
 
 use moe_bench::fleet::{FleetScenario, REPLICAS};
 use moe_bench::{
-    fmt3, json_output_path, metrics_output_path, obj, print_csv, print_header, print_row, JsonValue,
+    env_or, fmt3, json_output_path, metrics_output_path, obj, print_csv, print_header, print_row,
+    JsonValue,
 };
 use moe_lightning::{
     ClusterEvaluator, ClusterSpec, EvalSetting, QueueDepthScaler, Recorder, ReplicaId, SloAdmission,
@@ -38,13 +39,6 @@ use moe_lightning::{
 use moe_trace::Trace;
 use moe_workload::ArrivalProcess;
 use std::sync::Arc;
-
-fn queue_len() -> usize {
-    std::env::var("FIG09_QUEUE_LEN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(600)
-}
 
 /// Trace to replay through the grid: `--trace <path>` wins over `FIG09_TRACE`.
 fn trace_path() -> Option<String> {
@@ -56,7 +50,7 @@ fn trace_path() -> Option<String> {
 }
 
 fn main() {
-    let mut count = queue_len();
+    let mut count: usize = env_or("FIG09_QUEUE_LEN", 600);
     let trace = match trace_path() {
         Some(path) => match Trace::load(&path) {
             Ok(t) => {

@@ -31,7 +31,7 @@
 
 use moe_bench::fleet::{FleetScenario, GEN_LEN, REPLICAS, SEED};
 use moe_bench::{
-    fmt3, json_output_path, metrics_output_path, obj, print_csv, print_header, print_row,
+    env_or, fmt3, json_output_path, metrics_output_path, obj, print_csv, print_header, print_row,
 };
 use moe_lightning::{
     ClusterEvaluator, ClusterSpec, EvalSetting, LeastOutstandingTokens, Recorder, ReplicaSpec,
@@ -45,20 +45,6 @@ use std::sync::Arc;
 const WINDOWS: usize = 96;
 /// Phases the windows are clustered into.
 const PHASES: usize = 8;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The fleet the day runs on: the pinned scenario's replicas and policy,
 /// least-outstanding-tokens routing, fed an explicit trace queue.
@@ -77,8 +63,8 @@ fn day_spec(scenario: &FleetScenario, trace: &Trace) -> ClusterSpec {
 }
 
 fn main() {
-    let requests = env_usize("FIG11_REQUESTS", 24_000);
-    let load = env_f64("FIG11_LOAD", 0.65);
+    let requests: usize = env_or("FIG11_REQUESTS", 24_000);
+    let load: f64 = env_or("FIG11_LOAD", 0.65);
 
     let scenario = match FleetScenario::pinned(256) {
         Ok(s) => s,

@@ -27,7 +27,8 @@
 
 use moe_bench::fleet::{self, Calibration};
 use moe_bench::{
-    fmt3, json_output_path, metrics_output_path, obj, print_csv, print_header, print_row, JsonValue,
+    env_or, fmt3, json_output_path, metrics_output_path, obj, print_csv, print_header, print_row,
+    JsonValue,
 };
 use moe_lightning::{
     ClusterEvaluator, ClusterReport, ClusterSpec, EvalSetting, InterconnectSpec,
@@ -43,10 +44,7 @@ const REPLICAS: usize = 4;
 const SEED: u64 = 11;
 /// Offered load as a fraction of the measured aggregate service rate.
 fn load() -> f64 {
-    std::env::var("FIG12_LOAD")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.95)
+    env_or("FIG12_LOAD", 0.95)
 }
 /// The capacity-bound per-replica policy (same shape as the fig09 scenario).
 fn policy() -> Policy {
@@ -58,13 +56,6 @@ fn policy() -> Policy {
 /// longer than the mix's TTFT budget.
 fn starved() -> InterconnectSpec {
     InterconnectSpec::new(0.0015, Seconds::from_micros(10.0))
-}
-
-fn queue_len() -> usize {
-    std::env::var("FIG12_QUEUE_LEN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400)
 }
 
 /// One prompt/generation mix of the sweep.
@@ -216,7 +207,7 @@ fn report_row(
 }
 
 fn main() {
-    let count = queue_len();
+    let count: usize = env_or("FIG12_QUEUE_LEN", 400);
     let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());
     let mut json_rows: Vec<JsonValue> = Vec::new();
     // The metrics export instruments the prefill-heavy 2p+2d fast-link cell:

@@ -37,7 +37,8 @@
 
 use moe_bench::fleet::{FleetScenario, GEN_LEN, REPLICAS, SEED};
 use moe_bench::{
-    fmt3, json_output_path, metrics_output_path, obj, print_csv, print_header, print_row, JsonValue,
+    env_or, fmt3, json_output_path, metrics_output_path, obj, print_csv, print_header, print_row,
+    JsonValue,
 };
 use moe_lightning::{ClusterEvaluator, EvalSetting, Recorder, Seconds, TelemetryEvent};
 use moe_workload::{ArrivalProcess, GenLens, Request, SloClass, WorkloadSpec};
@@ -45,13 +46,6 @@ use std::sync::Arc;
 
 /// Windows the timeline splits the measured makespan into.
 const WINDOWS: usize = 32;
-
-fn queue_len() -> usize {
-    std::env::var("FIG13_QUEUE_LEN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(600)
-}
 
 /// One timeline window, reconstructed from the telemetry stream.
 #[derive(Debug, Clone, Copy, Default)]
@@ -74,7 +68,7 @@ struct Window {
 }
 
 fn main() {
-    let count = queue_len();
+    let count: usize = env_or("FIG13_QUEUE_LEN", 600);
     let mut scenario = match FleetScenario::pinned(count) {
         Ok(s) => s,
         Err(e) => {

@@ -39,7 +39,9 @@
 //! Run with `cargo run --release -p moe-bench --bin scale_sweep`;
 //! pass `--json <path>` (or set `BENCH_JSON`) for machine-readable output.
 
-use moe_bench::{fmt3, json_output_path, obj, print_csv, print_header, print_row, JsonValue};
+use moe_bench::{
+    env_or, fmt3, json_output_path, obj, print_csv, print_header, print_row, JsonValue,
+};
 use moe_lightning::{
     ClusterEvaluator, ClusterReport, ClusterSpec, EngineError, EvalSetting, FleetTimeline,
     LeastOutstandingTokens, NodeSpec, Recorder, ReplicaRole, ReplicaSpec, ScaleBounds, Seconds,
@@ -85,20 +87,6 @@ fn indexed_repeats(spec: &ClusterSpec) -> Result<(Vec<ClusterReport>, f64), Engi
     }
     walls.sort_by(f64::total_cmp);
     Ok((reports, walls[RATE_REPEATS / 2]))
-}
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 fn spec(replicas: usize, count: usize) -> ClusterSpec {
@@ -164,8 +152,8 @@ fn fleet(spec: ClusterSpec, replicas: usize, count: usize) -> ClusterSpec {
 }
 
 fn main() {
-    let budget_s = env_f64("SCALE_SWEEP_BUDGET_S", 600.0);
-    let max_requests = env_usize("SCALE_SWEEP_MAX_REQUESTS", 1_000_000);
+    let budget_s: f64 = env_or("SCALE_SWEEP_BUDGET_S", 600.0);
+    let max_requests: usize = env_or("SCALE_SWEEP_MAX_REQUESTS", 1_000_000);
 
     let started = Instant::now();
     let mut json_rows: Vec<JsonValue> = Vec::new();

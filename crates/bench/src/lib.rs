@@ -12,6 +12,17 @@ pub mod json;
 
 pub use json::{json_output_path, metrics_output_path, obj, write_metrics, write_rows, JsonValue};
 
+use std::str::FromStr;
+
+/// The environment variable `name` parsed as a `T`, or `default` when it is
+/// unset or does not parse: the binaries' and examples' size knobs.
+pub fn env_or<T: FromStr>(name: &str, default: T) -> T {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// Prints a row of a fixed-width table.
 pub fn print_row(cells: &[String], widths: &[usize]) {
     let line: Vec<String> = cells
@@ -60,6 +71,17 @@ mod tests {
         assert_eq!(fmt3(123.456), "123.5");
         assert_eq!(fmt3(12.345), "12.35");
         assert_eq!(fmt3(0.01234), "0.0123");
+    }
+
+    #[test]
+    fn env_or_falls_back_when_unset_or_unparsable() {
+        assert_eq!(env_or("MOE_BENCH_ENV_OR_UNSET", 7usize), 7);
+        // `PATH` is set in any test environment, and it is not a number.
+        assert_eq!(env_or("PATH", 0.5f64), 0.5);
+        assert_eq!(
+            env_or("PATH", String::new()),
+            std::env::var("PATH").unwrap()
+        );
     }
 
     #[test]

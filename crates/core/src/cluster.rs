@@ -110,6 +110,9 @@ pub enum ClusterSpecError {
     /// scheduled at one, or its provisioning delay is not finite, so a join
     /// would come up at `t = +inf`.
     InvalidTimeline,
+    /// The telemetry sink's [`TelemetrySink::sample_interval`] is not finite
+    /// and positive: the sampling cursor would never pass the next event.
+    InvalidSampleInterval,
 }
 
 impl fmt::Display for ClusterSpecError {
@@ -137,6 +140,9 @@ impl fmt::Display for ClusterSpecError {
             ClusterSpecError::InvalidTimeline => f.write_str(
                 "the fleet timeline needs finite action instants and a finite provisioning delay",
             ),
+            ClusterSpecError::InvalidSampleInterval => {
+                f.write_str("the telemetry sampling interval must be finite and positive")
+            }
         }
     }
 }
@@ -372,7 +378,8 @@ impl ClusterSpec {
     ///
     /// Returns the first violated constraint (empty fleet, zero requests,
     /// inverted autoscaler bounds, a timeline acting at a non-finite
-    /// instant, incomplete pools, unusable interconnect, a workload that
+    /// instant, a sampling interval that is not finite and positive,
+    /// incomplete pools, unusable interconnect, a workload that
     /// cannot synthesize the queue, arrivals that cannot be stamped or are
     /// not finite).
     pub fn validate(&self) -> Result<(), ClusterSpecError> {
@@ -394,6 +401,10 @@ impl ClusterSpec {
             || (timeline.sorted_events().iter()).any(|(at, _)| !at.as_secs().is_finite())
         {
             return Err(ClusterSpecError::InvalidTimeline);
+        }
+        let interval = self.telemetry.as_ref().and_then(|s| s.sample_interval());
+        if interval.is_some_and(|s| !(s.is_finite() && s > 0.0)) {
+            return Err(ClusterSpecError::InvalidSampleInterval);
         }
         if self.has_role_pools()
             && (!self.replicas.iter().any(|r| r.role.takes_arrivals())
@@ -728,7 +739,6 @@ impl ClusterEvaluator {
         );
         engine.role = replica.role;
         engine.prefix_cache = spec.prefix_cache.map(PrefixCache::new);
-        engine.profile = spec.telemetry.is_some();
         Ok(engine)
     }
 
@@ -801,7 +811,7 @@ impl ClusterEvaluator {
             pooled_views: Vec::new(),
             node_cache,
             obs: ObsState::new(spec),
-            scratch: EventScratch::default(),
+            scratch: EventScratch::new(spec.telemetry.is_some()),
         };
         for i in 0..fleet_size {
             plane.mark_dirty(i);
@@ -809,7 +819,7 @@ impl ClusterEvaluator {
 
         let mut next = 0usize;
         loop {
-            let prof_select = plane.prof_start();
+            let prof_select = plane.scratch.span_start();
             // Bring the agenda and router index up to date with every replica
             // touched since the last decision; the scan loop refreshes every
             // replica's entry instead.
@@ -820,7 +830,7 @@ impl ClusterEvaluator {
                 }
             }
             let selected = plane.agenda.pop(queue.get(next).map(|r| (r.arrival, next)));
-            plane.prof_end(Section::EventSelection, prof_select);
+            plane.scratch.span_end(Section::EventSelection, prof_select);
             let Some((t, event)) = selected else {
                 break;
             };
@@ -833,17 +843,17 @@ impl ClusterEvaluator {
                 Event::Landing((request, dest)) => plane.land_migration(request, dest, t),
                 Event::Arrival(position) => {
                     next = position + 1;
-                    let prof_route = plane.prof_start();
+                    let prof_route = plane.scratch.span_start();
                     plane.dispatch(queue[position], t, true);
-                    plane.prof_end(Section::Routing, prof_route);
+                    plane.scratch.span_end(Section::Routing, prof_route);
                 }
                 Event::Internal(index) => {
-                    let prof_step = plane.prof_start();
+                    let prof_step = plane.scratch.span_start();
                     let had_completions = plane.step_replica(index, t)?;
                     if plane.engines[index].drain_finished() {
                         plane.depart(index, t);
                     }
-                    plane.prof_end(Section::ShardStep, prof_step);
+                    plane.scratch.span_end(Section::ShardStep, prof_step);
                     if !had_completions {
                         continue;
                     }
@@ -979,12 +989,12 @@ pub(crate) struct FleetLoop<'a> {
     /// Per-node evaluators and policy searches (see
     /// [`ClusterEvaluator::build_engine`]), shared with joins.
     node_cache: Vec<NodeCosting>,
-    /// Telemetry sampling cursor and self-profiling accumulators (see
-    /// [`crate::observe`]).
+    /// Telemetry sampling cursor (see [`crate::observe`]).
     pub(crate) obs: ObsState,
-    /// The buffers every replica step fills: one set per run, not per
-    /// replica, so a large fleet keeps one warm copy.
-    scratch: EventScratch,
+    /// The buffers every replica step fills and the run's self-profile
+    /// ledger: one set per run, not per replica, so a large fleet keeps one
+    /// warm copy.
+    pub(crate) scratch: EventScratch,
 }
 
 /// How many replicas are in each counted lifecycle state (departed ones are
@@ -1030,13 +1040,15 @@ impl Membership {
 }
 
 impl FleetLoop<'_> {
-    /// Moves replica `index` to lifecycle state `to`, keeping the
-    /// per-state counts. The caller marks it dirty and records the
-    /// transition.
-    fn set_lifecycle(&mut self, index: usize, to: Lifecycle) {
+    /// Moves replica `index` to lifecycle state `to` at `at`, keeping the
+    /// per-state counts, marking it dirty and emitting the transition under
+    /// `label` (a replica that fails departs as `failed`).
+    fn set_lifecycle(&mut self, index: usize, to: Lifecycle, label: &'static str, at: Seconds) {
         let from = std::mem::replace(&mut self.engines[index].lifecycle, to);
         self.membership.leave(from);
         self.membership.enter(to);
+        self.mark_dirty(index);
+        self.note_lifecycle(index, label, at);
     }
 
     /// Queues replica `index` for re-synchronisation of its agenda entry and
@@ -1189,10 +1201,8 @@ impl FleetLoop<'_> {
     /// Marks a replica as gone (failure, drain completion, or cancelled join)
     /// and tells the router.
     fn depart(&mut self, index: usize, at: Seconds) {
-        self.set_lifecycle(index, Lifecycle::Departed { at });
-        self.note_lifecycle(index, "departed", at);
+        self.set_lifecycle(index, Lifecycle::Departed { at }, "departed", at);
         self.departures.push((ReplicaId(index), at));
-        self.mark_dirty(index);
         self.spec
             .router
             .on_replica_down(ReplicaId(index), at, &mut self.ctx);
@@ -1201,10 +1211,8 @@ impl FleetLoop<'_> {
     /// A provisioning replica finished coming up: it starts serving and the
     /// router learns about it.
     fn finish_provisioning(&mut self, index: usize, at: Seconds) {
-        self.set_lifecycle(index, Lifecycle::Serving);
-        self.note_lifecycle(index, "serving", at);
+        self.set_lifecycle(index, Lifecycle::Serving, "serving", at);
         self.joins.push((ReplicaId(index), at));
-        self.mark_dirty(index);
         self.spec
             .router
             .on_replica_up(ReplicaId(index), at, &mut self.ctx);
@@ -1245,7 +1253,7 @@ impl FleetLoop<'_> {
                     Lifecycle::Provisioning { .. } => {
                         // Died before it ever served: the join just never
                         // lands.
-                        self.cancel_join(rid.0, t, "failed");
+                        self.set_lifecycle(rid.0, Lifecycle::Departed { at: t }, "failed", t);
                         self.failures.push((rid, t));
                         return Ok(());
                     }
@@ -1255,9 +1263,7 @@ impl FleetLoop<'_> {
                 // kill it: whatever completed by t was delivered.
                 self.step_replica(rid.0, t)?;
                 let lost = self.engines[rid.0].fail(t);
-                self.set_lifecycle(rid.0, Lifecycle::Departed { at: t });
-                self.mark_dirty(rid.0);
-                self.note_lifecycle(rid.0, "failed", t);
+                self.set_lifecycle(rid.0, Lifecycle::Departed { at: t }, "failed", t);
                 self.failures.push((rid, t));
                 self.departures.push((rid, t));
                 self.spec.router.on_replica_down(rid, t, &mut self.ctx);
@@ -1277,7 +1283,7 @@ impl FleetLoop<'_> {
                     Lifecycle::Provisioning { .. } => {
                         // Draining a replica that never came up cancels the
                         // join.
-                        self.cancel_join(rid.0, t, "departed");
+                        self.set_lifecycle(rid.0, Lifecycle::Departed { at: t }, "departed", t);
                         self.cancelled_joins += 1;
                         return Ok(());
                     }
@@ -1354,7 +1360,7 @@ impl FleetLoop<'_> {
         match decision {
             ScaleDecision::Hold => {}
             ScaleDecision::Up if target < bounds.max_replicas => {
-                self.note_scale("up", t);
+                self.note_scale("up", membership.serving, fleet.queued_requests, t);
                 let template = self
                     .spec
                     .scale_template
@@ -1364,7 +1370,7 @@ impl FleetLoop<'_> {
                 self.last_scale = Some(t);
             }
             ScaleDecision::Down if target > bounds.min_replicas => {
-                self.note_scale("down", t);
+                self.note_scale("down", membership.serving, fleet.queued_requests, t);
                 // Cheapest first: cancel the join *furthest* from coming up —
                 // a join about to land carries capacity that is almost paid
                 // for, so it is the most expensive one to throw away.
@@ -1378,7 +1384,7 @@ impl FleetLoop<'_> {
                     })
                     .max_by_key(|&(t, i)| (t.key(), i));
                 if let Some((_, index)) = last_provisioning {
-                    self.cancel_join(index, t, "departed");
+                    self.set_lifecycle(index, Lifecycle::Departed { at: t }, "departed", t);
                     self.cancelled_joins += 1;
                 } else {
                     // Drain the serving replica with the least outstanding
@@ -1417,10 +1423,8 @@ impl FleetLoop<'_> {
     /// Starts draining serving replica `index` at `t`: its queued requests
     /// are re-routed, and it departs at once if nothing is in flight.
     fn drain_replica(&mut self, index: usize, t: Seconds) {
-        self.set_lifecycle(index, Lifecycle::Draining { since: t });
+        self.set_lifecycle(index, Lifecycle::Draining { since: t }, "draining", t);
         let queued = self.engines[index].begin_drain();
-        self.mark_dirty(index);
-        self.note_lifecycle(index, "draining", t);
         self.drains.push((ReplicaId(index), t));
         for request in queued {
             self.redispatch(request, t);
@@ -1428,14 +1432,6 @@ impl FleetLoop<'_> {
         if self.engines[index].drain_finished() {
             self.depart(index, t);
         }
-    }
-
-    /// Cancels the join of provisioning replica `index` at `t`: it departs
-    /// without ever serving, recorded as lifecycle transition `label`.
-    fn cancel_join(&mut self, index: usize, t: Seconds, label: &'static str) {
-        self.set_lifecycle(index, Lifecycle::Departed { at: t });
-        self.note_lifecycle(index, label, t);
-        self.mark_dirty(index);
     }
 }
 
@@ -1595,6 +1591,37 @@ mod tests {
                 evaluator.run(&spec),
                 Err(EngineError::InvalidClusterSpec {
                     reason: ClusterSpecError::InvalidTimeline
+                })
+            ));
+        }
+    }
+
+    /// A sampling interval that is not finite and positive is a typed error
+    /// before any search: the sampling cursor would never pass the next
+    /// event, so the run would not return.
+    #[test]
+    fn invalid_sample_intervals_are_typed_errors() {
+        let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());
+        for interval in [0.0, -1.0, f64::NAN] {
+            let spec = ClusterSpec::homogeneous(
+                SystemKind::MoeLightning,
+                WorkloadSpec::mtbench(),
+                &EvalSetting::S1.node(),
+                2,
+            )
+            .with_count(20)
+            .with_telemetry(Arc::new(
+                moe_telemetry::Recorder::new().with_interval(interval),
+            ));
+            assert_eq!(
+                spec.validate(),
+                Err(ClusterSpecError::InvalidSampleInterval),
+                "{interval}"
+            );
+            assert!(matches!(
+                evaluator.run(&spec),
+                Err(EngineError::InvalidClusterSpec {
+                    reason: ClusterSpecError::InvalidSampleInterval
                 })
             ));
         }

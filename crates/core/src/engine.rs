@@ -37,6 +37,7 @@ use crate::system::SystemKind;
 use moe_hardware::Seconds;
 use moe_policy::{Policy, WorkloadShape};
 use moe_schedule::ScheduleKind;
+use moe_telemetry::{Section, SpanReport};
 use moe_workload::{
     BackfillResult, BatchRunReport, BatchingConfig, BatchingConfigError, PartitionState,
     QueueOrder, Request, RequestLatency, Scheduler,
@@ -151,17 +152,33 @@ pub(crate) enum Finished {
 }
 
 /// Buffers one fleet run keeps for every replica event, shared by all its
-/// replicas: what [`ReplicaEngine::step_to`] released, the scheduler's
-/// backfill result and the order the admitted wave's partitions are priced
-/// and reported in. Reusing them keeps an admission pass from allocating
-/// its result vectors anew.
+/// replicas: what [`ReplicaEngine::step_to`] released, the run's
+/// self-profile, the scheduler's backfill result and the order the admitted
+/// wave's partitions are priced and reported in. Reusing them keeps an
+/// admission pass from allocating its result vectors anew.
 #[derive(Debug, Default)]
 pub(crate) struct EventScratch {
     /// Released entries, in release order; the fleet loop drains it after
     /// each step.
     pub(crate) finished: Vec<Finished>,
+    /// The run's one self-profile ledger, indexed by `section as usize`:
+    /// the fleet loop's sections and every engine's scheduler planning
+    /// write into it. Present only when a telemetry sink is attached, so
+    /// unobserved runs never touch the clock (see [`crate::observe`]).
+    pub(crate) profile: Option<[SpanReport; Section::ALL.len()]>,
     fill: BackfillResult,
     order: Vec<usize>,
+}
+
+impl EventScratch {
+    /// Fresh buffers, with a zeroed self-profile ledger when the run is
+    /// `profiled`.
+    pub(crate) fn new(profiled: bool) -> Self {
+        EventScratch {
+            profile: profiled.then(Default::default),
+            ..EventScratch::default()
+        }
+    }
 }
 
 /// What one admission pass admitted: the wave's accounting (decode terms
@@ -278,14 +295,10 @@ pub(crate) struct ReplicaEngine {
     // Accounting.
     rounds: Vec<RoundReport>,
     latencies: Vec<RequestLatency>,
+    /// Requests refused by a round that admitted nothing into an empty
+    /// pipeline, in refusal order.
     aborted: Vec<Request>,
     totals: BatchRunReport,
-    /// Whether a telemetry sink is attached to the run: gates the wall-clock
-    /// spans around scheduler planning so unobserved runs never touch the
-    /// clock (see [`crate::observe`]).
-    pub(crate) profile: bool,
-    plan_calls: u64,
-    plan_nanos: u64,
 }
 
 impl ReplicaEngine {
@@ -352,9 +365,6 @@ impl ReplicaEngine {
             latencies: Vec::new(),
             aborted: Vec::new(),
             totals: BatchRunReport::default(),
-            profile: false,
-            plan_calls: 0,
-            plan_nanos: 0,
         }
     }
 
@@ -363,24 +373,12 @@ impl ReplicaEngine {
         self.clock
     }
 
-    /// The requests still waiting in the ready queue (the ones
-    /// [`Self::into_report`] will flush as aborted if the run ends here).
-    pub(crate) fn queued_requests(&self) -> &[Request] {
-        &self.ready
-    }
-
-    /// Accumulated scheduler-planning profile: `(calls, wall-clock nanos)`
-    /// across every backfill/plan pass. Zero unless `profile` is set.
-    pub(crate) fn plan_profile(&self) -> (u64, u64) {
-        (self.plan_calls, self.plan_nanos)
-    }
-
-    /// Closes a planning span opened when `profile` is set.
-    fn note_plan(&mut self, t0: Option<std::time::Instant>) {
-        if let Some(t0) = t0 {
-            self.plan_calls += 1;
-            self.plan_nanos += t0.elapsed().as_nanos() as u64;
-        }
+    /// The requests [`Self::into_report`] reports aborted if the run ends
+    /// here: those refused by an empty-pipeline round, then the waiting
+    /// queue in scheduler order (no further event can admit it).
+    pub(crate) fn aborted_requests(&mut self) -> impl Iterator<Item = &Request> {
+        self.settle_ready();
+        self.aborted.iter().chain(&self.ready)
     }
 
     /// Whether the replica is in the routing views (serving, not draining or
@@ -927,6 +925,7 @@ impl ReplicaEngine {
             finished,
             fill,
             order,
+            ..
         } = scratch;
         for (partition, requests) in fill.assignments.iter().enumerate() {
             for &request in requests {
@@ -998,11 +997,15 @@ impl ReplicaEngine {
             return None;
         }
         self.settle_ready();
+        let planning = scratch.span_start();
+        self.scheduler.backfill_sorted_into(
+            &self.ready,
+            &self.batching,
+            &self.parts,
+            &mut scratch.fill,
+        );
+        scratch.span_end(Section::Planning, planning);
         let EventScratch { fill, order, .. } = scratch;
-        let t0 = self.profile.then(std::time::Instant::now);
-        self.scheduler
-            .backfill_sorted_into(&self.ready, &self.batching, &self.parts, fill);
-        self.note_plan(t0);
         let count = fill.admitted() as u64;
         if count == 0 {
             // Nothing left the queue: same multiset, possibly re-ordered by
@@ -1304,14 +1307,11 @@ impl ReplicaEngine {
     /// Consumes the engine into its [`ServingReport`]. Requests still waiting
     /// when the run ends were refused by an empty pipeline (a padded
     /// scheduler's inflated KV charge can overflow the budget) and no further
-    /// event can admit them: they are flushed into the report's aborted list,
-    /// in queue order. Every aborted prefill-only entry is reported as its
-    /// original request.
+    /// event can admit them: the report's aborted list is
+    /// [`Self::aborted_requests`]. Every aborted prefill-only entry is
+    /// reported as its original request.
     pub(crate) fn into_report(mut self) -> ServingReport {
-        self.settle_ready();
-        let mut leftover = self.take_ready();
-        self.aborted.append(&mut leftover);
-        let mut aborted = std::mem::take(&mut self.aborted);
+        let mut aborted: Vec<Request> = self.aborted_requests().copied().collect();
         self.return_unserved(&mut aborted);
         ServingReport {
             system: self.system,
@@ -1557,7 +1557,7 @@ mod tests {
                 events += 1;
                 assert!(events < 100_000, "the replica never went idle");
             }
-            assert!(harness.engine.queued_requests().is_empty());
+            assert!(harness.engine.ready.is_empty());
             let mut seen: Vec<u64> = harness
                 .served
                 .iter()
@@ -1725,7 +1725,7 @@ mod tests {
                     round.report.generated_tokens,
                     admitted.map(|r| r.gen_len).sum::<u64>()
                 );
-                prop_assert_eq!(engine.queued_requests(), &formed.aborted[..], "{}", name);
+                prop_assert_eq!(&engine.ready, &formed.aborted, "{}", name);
             }
         }
     }

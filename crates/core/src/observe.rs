@@ -21,9 +21,19 @@
 //! next event, so gauge snapshots are taken from exact event-ordered state,
 //! and one closing snapshot is always emitted so end-of-run gauges (e.g.
 //! cumulative prefix-cache hits) reconcile with the report.
+//!
+//! Observation reads the loop's own ledgers rather than re-deriving them:
+//!
+//! * the self-profile is one `[SpanReport; 4]` per run, kept in the
+//!   `EventScratch` every replica step receives, so the loop's sections and
+//!   each engine's scheduler planning write into the same array;
+//! * the end-of-run aborts are each engine's `aborted_requests`, the list
+//!   its report is built from;
+//! * a scale event's census is the membership and fleet view the
+//!   autoscaler has just observed.
 
 use crate::cluster::{ClusterSpec, FleetLoop, ReplicaId};
-use crate::engine::Lifecycle;
+use crate::engine::{EventScratch, Lifecycle};
 use moe_hardware::Seconds;
 use moe_telemetry::{FleetSample, ReplicaSample, Section, TelemetryEvent, TelemetrySink};
 use moe_workload::{Request, RequestLatency};
@@ -42,13 +52,12 @@ impl ClusterSpec {
     }
 }
 
-/// Per-run observation state carried by [`FleetLoop`]: the sampling cursor
-/// and the wall-clock self-profiling accumulators (one `(calls, nanos)` slot
-/// per [`Section`], in [`Section::ALL`] order).
+/// The sampling cursor carried by [`FleetLoop`]: the sink's interval
+/// ([`ClusterSpec::validate`] holds it finite and positive) and the next
+/// sample's instant.
 pub(crate) struct ObsState {
     interval: Option<Seconds>,
-    next_sample_at: Option<Seconds>,
-    prof: [(u64, u64); Section::ALL.len()],
+    next_sample_at: Seconds,
 }
 
 impl ObsState {
@@ -57,12 +66,29 @@ impl ObsState {
             .telemetry
             .as_ref()
             .and_then(|sink| sink.sample_interval())
-            .filter(|s| *s > 0.0)
             .map(Seconds::from_secs);
         ObsState {
             interval,
-            next_sample_at: interval,
-            prof: [(0, 0); Section::ALL.len()],
+            next_sample_at: interval.unwrap_or(Seconds::ZERO),
+        }
+    }
+}
+
+impl EventScratch {
+    /// Starts a wall-clock span when the run is profiled (`None`
+    /// otherwise, so unobserved runs never touch the clock).
+    #[inline]
+    pub(crate) fn span_start(&self) -> Option<Instant> {
+        self.profile.as_ref().map(|_| Instant::now())
+    }
+
+    /// Closes a span opened by [`Self::span_start`] into `section`'s slot.
+    #[inline]
+    pub(crate) fn span_end(&mut self, section: Section, start: Option<Instant>) {
+        if let (Some(profile), Some(t0)) = (self.profile.as_mut(), start) {
+            let span = &mut profile[section as usize];
+            span.calls += 1;
+            span.nanos += t0.elapsed().as_nanos() as u64;
         }
     }
 }
@@ -73,15 +99,6 @@ fn lifecycle_label(lifecycle: Lifecycle) -> &'static str {
         Lifecycle::Serving => "serving",
         Lifecycle::Draining { .. } => "draining",
         Lifecycle::Departed { .. } => "departed",
-    }
-}
-
-fn section_slot(section: Section) -> usize {
-    match section {
-        Section::EventSelection => 0,
-        Section::Routing => 1,
-        Section::ShardStep => 2,
-        Section::Planning => 3,
     }
 }
 
@@ -211,21 +228,21 @@ impl FleetLoop<'_> {
         }
     }
 
-    /// The autoscaler acted (`up` / `down`), with the fleet census at the
-    /// decision instant.
-    pub(crate) fn note_scale(&self, decision: &'static str, at: Seconds) {
+    /// The autoscaler acted (`up` / `down`), with the census it observed
+    /// at the decision instant: `serving` replicas, `queued` requests on
+    /// them.
+    pub(crate) fn note_scale(
+        &self,
+        decision: &'static str,
+        serving: usize,
+        queued: usize,
+        at: Seconds,
+    ) {
         let Some(sink) = self.sink() else { return };
-        let serving = self.engines.iter().filter(|e| e.is_serving()).count();
-        let queued: u64 = self
-            .engines
-            .iter()
-            .filter(|e| e.is_serving())
-            .map(|e| e.view().queued_requests as u64)
-            .sum();
         sink.event(&TelemetryEvent::Scale {
             decision,
             serving,
-            queued,
+            queued: queued as u64,
             at: at.as_secs(),
         });
     }
@@ -278,23 +295,6 @@ impl FleetLoop<'_> {
         }
     }
 
-    /// Starts a wall-clock span when a sink is attached (`None` otherwise, so
-    /// unobserved runs never touch the clock).
-    #[inline]
-    pub(crate) fn prof_start(&self) -> Option<Instant> {
-        self.sink().map(|_| Instant::now())
-    }
-
-    /// Closes a span opened by [`Self::prof_start`] into `section`'s slot.
-    #[inline]
-    pub(crate) fn prof_end(&mut self, section: Section, start: Option<Instant>) {
-        if let Some(t0) = start {
-            let slot = &mut self.obs.prof[section_slot(section)];
-            slot.0 += 1;
-            slot.1 += t0.elapsed().as_nanos() as u64;
-        }
-    }
-
     /// Emits every periodic gauge sample due at or before `t` (state as of
     /// the last settled event, which is exact — nothing changes between
     /// events) and advances the sampling cursor past `t`.
@@ -302,22 +302,19 @@ impl FleetLoop<'_> {
         let Some(interval) = self.obs.interval else {
             return;
         };
-        while let Some(next) = self.obs.next_sample_at {
-            if next > t {
-                break;
-            }
+        while self.obs.next_sample_at <= t {
+            let next = self.obs.next_sample_at;
             let sample = self.fleet_sample(next);
             if let Some(sink) = self.sink() {
                 sink.sample(&sample);
             }
-            self.obs.next_sample_at = Some(next + interval);
+            self.obs.next_sample_at = next + interval;
         }
     }
 
-    /// End-of-run observation: flushes leftover-queued aborts (the requests
-    /// `into_report` will classify as aborted), emits the closing gauge
-    /// snapshot, and hands the sink the self-profiling roll-up — including
-    /// the scheduler-planning time each engine accumulated.
+    /// End-of-run observation: emits an abort for each request the
+    /// engines' reports will list aborted, emits the closing gauge snapshot,
+    /// and hands the sink the run's self-profile ledger.
     pub(crate) fn finish_observation(&mut self) {
         let Some(sink) = self.sink().map(Arc::clone) else {
             return;
@@ -327,8 +324,8 @@ impl FleetLoop<'_> {
             .iter()
             .map(|e| e.now())
             .fold(Seconds::ZERO, Seconds::max);
-        for engine in &self.engines {
-            for request in engine.queued_requests() {
+        for engine in &mut self.engines {
+            for request in engine.aborted_requests() {
                 sink.event(&TelemetryEvent::Aborted {
                     id: request.id,
                     at: end.as_secs(),
@@ -337,16 +334,10 @@ impl FleetLoop<'_> {
         }
         self.maybe_sample_to(end);
         sink.sample(&self.fleet_sample(end));
-        let mut prof = self.obs.prof;
-        for engine in &self.engines {
-            let (calls, nanos) = engine.plan_profile();
-            prof[section_slot(Section::Planning)].0 += calls;
-            prof[section_slot(Section::Planning)].1 += nanos;
-        }
-        for section in Section::ALL {
-            let (calls, nanos) = prof[section_slot(section)];
-            if calls > 0 {
-                sink.span(section, calls, nanos);
+        let profile = self.scratch.profile.unwrap_or_default();
+        for (section, span) in Section::ALL.into_iter().zip(profile) {
+            if span.calls > 0 {
+                sink.span(section, span.calls, span.nanos);
             }
         }
     }

@@ -140,7 +140,8 @@ pub enum TelemetryEvent {
         /// Re-dispatch instant.
         at: f64,
     },
-    /// The fleet aborted a request no serving replica could ever hold.
+    /// A request was aborted: no serving replica could hold it, or it was
+    /// still refused or waiting when the run ended.
     Aborted {
         /// Request id.
         id: u64,
@@ -185,7 +186,7 @@ pub enum TelemetryEvent {
         decision: &'static str,
         /// Serving replicas at the decision instant.
         serving: usize,
-        /// Queued requests across the fleet at the decision instant.
+        /// Queued requests on the serving replicas at the decision instant.
         queued: u64,
         /// Decision instant.
         at: f64,
@@ -479,7 +480,8 @@ impl FleetSample {
     }
 }
 
-/// A self-profiled hot section of the simulator.
+/// A self-profiled hot section of the simulator, declared in [`Section::ALL`]
+/// order: `section as usize` indexes a per-section `[SpanReport; 4]` ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Section {
     /// Picking the next due event (heap maintenance + peeks).
@@ -544,7 +546,7 @@ pub struct Counters {
     pub rejected: u64,
     /// Distinct requests re-routed by churn or lost migrations.
     pub rerouted: u64,
-    /// Fleet-level aborts (no serving replica could hold the request).
+    /// Aborted requests (see [`TelemetryEvent::Aborted`]).
     pub aborted: u64,
     /// Completions.
     pub completed: u64,
@@ -644,7 +646,7 @@ struct RecorderState {
     rerouted_ids: HashSet<u64>,
     series: VecDeque<FleetSample>,
     samples_dropped: u64,
-    spans: Vec<(Section, SpanReport)>,
+    spans: [SpanReport; Section::ALL.len()],
 }
 
 /// The batteries-included [`TelemetrySink`]: retains the event log (ring
@@ -676,9 +678,10 @@ impl Recorder {
         Self::default()
     }
 
-    /// Samples the fleet gauges every `interval` simulated seconds.
+    /// Samples the fleet gauges every `interval` simulated seconds (a run
+    /// refuses one that is not finite and positive).
     pub fn with_interval(mut self, interval: f64) -> Self {
-        self.interval = Some(interval.max(f64::MIN_POSITIVE));
+        self.interval = Some(interval);
         self
     }
 
@@ -723,41 +726,29 @@ impl Recorder {
         self.state().samples_dropped
     }
 
-    /// The wall-clock profiling roll-up, in [`Section::ALL`] order.
+    /// The wall-clock profiling roll-up, in [`Section::ALL`] order; a
+    /// section no span reached is left out.
     pub fn profile(&self) -> Vec<(Section, SpanReport)> {
-        let state = self.state();
-        let mut out = Vec::new();
-        for section in Section::ALL {
-            if let Some((_, r)) = state.spans.iter().find(|(s, _)| *s == section) {
-                out.push((section, *r));
-            }
-        }
-        out
+        let spans = Section::ALL.into_iter().zip(self.state().spans);
+        spans.filter(|(_, r)| *r != SpanReport::default()).collect()
     }
 
     /// Everything in one JSON document: counters, profiling roll-up, the
     /// sampled series (with per-replica rows) and the retained events. This
     /// is what the bench bins write for `--metrics <path>`.
     pub fn export_json(&self) -> String {
+        let spans = (self.profile().into_iter())
+            .map(|(s, r)| {
+                obj(vec![
+                    ("section", s.label().into()),
+                    ("calls", r.calls.into()),
+                    ("nanos", r.nanos.into()),
+                ])
+            })
+            .collect();
         let state = self.state();
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"counters\": {},", state.counters.to_json());
-        let spans = Section::ALL
-            .iter()
-            .filter_map(|section| {
-                state
-                    .spans
-                    .iter()
-                    .find(|(s, _)| s == section)
-                    .map(|(s, r)| {
-                        obj(vec![
-                            ("section", s.label().into()),
-                            ("calls", r.calls.into()),
-                            ("nanos", r.nanos.into()),
-                        ])
-                    })
-            })
-            .collect();
         let _ = writeln!(out, "  \"profile\": {},", JsonValue::Arr(spans));
         let _ = write!(
             out,
@@ -841,13 +832,9 @@ impl TelemetrySink for Recorder {
     }
 
     fn span(&self, section: Section, calls: u64, nanos: u64) {
-        let mut state = self.state();
-        if let Some((_, r)) = state.spans.iter_mut().find(|(s, _)| *s == section) {
-            r.calls += calls;
-            r.nanos += nanos;
-        } else {
-            state.spans.push((section, SpanReport { calls, nanos }));
-        }
+        let span = &mut self.state().spans[section as usize];
+        span.calls += calls;
+        span.nanos += nanos;
     }
 
     fn sample_interval(&self) -> Option<f64> {
@@ -992,6 +979,18 @@ mod tests {
         let profile = r.profile();
         assert_eq!(profile.len(), 1);
         assert_eq!(profile[0].1.nanos, 1_500);
+    }
+
+    #[test]
+    fn sections_index_their_ledger_slot_in_export_order() {
+        for (slot, section) in Section::ALL.into_iter().enumerate() {
+            assert_eq!(section as usize, slot, "{section}");
+        }
+        let r = Recorder::new();
+        r.span(Section::Planning, 2, 20);
+        r.span(Section::EventSelection, 1, 10);
+        let sections: Vec<Section> = r.profile().into_iter().map(|(s, _)| s).collect();
+        assert_eq!(sections, [Section::EventSelection, Section::Planning]);
     }
 
     #[test]

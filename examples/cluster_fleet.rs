@@ -13,22 +13,16 @@
 //!
 //! Set `CLUSTER_QUEUE_LEN` (default 240) to shrink the queue for smoke runs.
 
+use moe_bench::env_or;
 use moe_lightning::{
     builtin_routers, ClusterEvaluator, ClusterSpec, EvalSetting, NodeSpec, Policy, ReplicaSpec,
     Seconds, ServingMode, SloSpec, SystemKind,
 };
 use moe_workload::{ArrivalProcess, WorkloadSpec};
 
-fn queue_len() -> usize {
-    std::env::var("CLUSTER_QUEUE_LEN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(240)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = WorkloadSpec::mtbench();
-    let count = queue_len();
+    let count: usize = env_or("CLUSTER_QUEUE_LEN", 240);
     // 64 concurrent requests per replica: small enough that routing, not raw
     // capacity, decides who queues.
     let policy = Policy::offload_default(64, 16);

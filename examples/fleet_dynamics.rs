@@ -13,18 +13,12 @@
 //!
 //! Set `FLEET_QUEUE_LEN` (default 600) to shrink the queue for smoke runs.
 
+use moe_bench::env_or;
 use moe_bench::fleet::FleetScenario;
 use moe_lightning::{ClusterEvaluator, ClusterReport, ClusterSpec, EvalSetting};
 
-fn queue_len() -> usize {
-    std::env::var("FLEET_QUEUE_LEN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(600)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scenario = FleetScenario::pinned(queue_len())?;
+    let scenario = FleetScenario::pinned(env_or("FLEET_QUEUE_LEN", 600))?;
     let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());
     println!(
         "Pinned MTBench fleet: 4x T4, {} requests, Poisson at {:.3} req/s/replica",

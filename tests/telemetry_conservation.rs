@@ -7,12 +7,17 @@
 
 use moe_lightning::{
     builtin_routers, ClusterEvaluator, ClusterSpec, EvalSetting, FleetTimeline,
-    LeastOutstandingTokens, NodeSpec, Policy, Recorder, ReplicaId, ReplicaRole, ReplicaSpec,
-    Router, Seconds, ServeSpec, ServingMode, SloAdmission, SloSpec, StickySession, SystemEvaluator,
-    SystemKind, TelemetryEvent, TelemetrySink,
+    LeastOutstandingTokens, NodeSpec, Policy, QueueDepthScaler, Recorder, ReplicaId, ReplicaRole,
+    ReplicaSpec, Router, ScaleBounds, Seconds, ServeSpec, ServingMode, SloAdmission, SloSpec,
+    StickySession, SystemEvaluator, SystemKind, TelemetryEvent, TelemetrySink,
 };
 use moe_lightning::{NoopSink, Section};
-use moe_workload::{ArrivalProcess, GenLens, Request, WorkloadSpec};
+use moe_trace::{OutcomeKind, TraceRecorder};
+use moe_workload::{
+    Algorithm2, ArrivalProcess, BackfillResult, BatchingConfig, GenLens, PartitionState,
+    QueueOrder, Request, Scheduler, WorkloadSpec,
+};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 const MODES: [ServingMode; 2] = [ServingMode::RoundToCompletion, ServingMode::Continuous];
@@ -367,4 +372,150 @@ fn single_node_serving_reconciles_and_stays_identical() {
     assert_eq!(c.aborted, recorded.aborted.len() as u64);
     assert_eq!(c.completed, recorded.served_requests() as u64);
     assert_eq!(c.completed_tokens, recorded.totals.generated_tokens);
+}
+
+/// A scheduler that defers every request: each admission pass admits
+/// nothing, so a round-to-completion round refuses the whole queue and a
+/// continuous replica leaves it waiting until the run ends.
+#[derive(Debug)]
+struct RefuseAll;
+
+impl Scheduler for RefuseAll {
+    fn name(&self) -> &'static str {
+        "refuse-all"
+    }
+
+    fn backfill(
+        &self,
+        queue: &[Request],
+        _cfg: &BatchingConfig,
+        occupied: &[PartitionState],
+    ) -> BackfillResult {
+        BackfillResult {
+            assignments: vec![Vec::new(); occupied.len()],
+            deferred: queue.to_vec(),
+            filled_order: Vec::new(),
+        }
+    }
+}
+
+/// Both recording sinks on one run: the counters and the trace outcomes
+/// see the same event stream.
+#[derive(Debug)]
+struct Both(Arc<Recorder>, Arc<TraceRecorder>);
+
+impl TelemetrySink for Both {
+    fn event(&self, event: &TelemetryEvent) {
+        self.0.event(event);
+        self.1.event(event);
+    }
+}
+
+/// Requests a scheduler refuses reach the sink as aborts in both serving
+/// modes: a refused round's requests as well as a leftover queue. The
+/// counters reconcile with the report and every request gets exactly one
+/// outcome.
+#[test]
+fn refused_rounds_reach_the_sink_as_aborts_in_both_modes() {
+    for mode in MODES {
+        let recorder = Arc::new(Recorder::new());
+        let trace = Arc::new(TraceRecorder::new());
+        let mut spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_count(10)
+            .with_gen_len(32)
+            .with_mode(mode)
+            .with_telemetry(Arc::new(Both(Arc::clone(&recorder), Arc::clone(&trace))));
+        for _ in 0..2 {
+            spec = spec.with_replica(
+                ReplicaSpec::new(NodeSpec::t4_single()).with_scheduler(Arc::new(RefuseAll)),
+            );
+        }
+        let report = evaluator().run(&spec).unwrap();
+        let label = format!("refuse-all [{mode}]");
+        assert_eq!(report.aborted_requests(), 10, "{label}: nothing is served");
+        assert_counters_reconcile(&recorder, &report, &label);
+        let outcomes = trace.outcomes();
+        let mut ids: Vec<u64> = outcomes.outcomes().iter().map(|o| o.id).collect();
+        ids.sort_unstable();
+        assert_eq!(
+            ids,
+            (0..10).collect::<Vec<u64>>(),
+            "{label}: one outcome each"
+        );
+        assert_eq!(outcomes.count(OutcomeKind::Aborted), 10, "{label}");
+    }
+}
+
+/// [`Algorithm2`], counting the admission passes the engines ask of it.
+#[derive(Debug, Default)]
+struct CountedAlgorithm2 {
+    calls: AtomicU64,
+}
+
+impl Scheduler for CountedAlgorithm2 {
+    fn name(&self) -> &'static str {
+        "counted-algorithm2"
+    }
+
+    fn queue_order(&self) -> QueueOrder {
+        Algorithm2.queue_order()
+    }
+
+    fn backfill(
+        &self,
+        queue: &[Request],
+        cfg: &BatchingConfig,
+        occupied: &[PartitionState],
+    ) -> BackfillResult {
+        Algorithm2.backfill(queue, cfg, occupied)
+    }
+
+    fn backfill_sorted_into(
+        &self,
+        queue: &[Request],
+        cfg: &BatchingConfig,
+        occupied: &[PartitionState],
+        out: &mut BackfillResult,
+    ) {
+        self.calls.fetch_add(1, Relaxed);
+        Algorithm2.backfill_sorted_into(queue, cfg, occupied, out);
+    }
+}
+
+/// The `scheduler-planning` span counts every scheduler call of the run,
+/// on replicas the autoscaler joins as well as the starting ones, in both
+/// serving modes.
+#[test]
+fn the_planning_span_counts_every_scheduler_call() {
+    for mode in MODES {
+        let scheduler = Arc::new(CountedAlgorithm2::default());
+        let replica = ReplicaSpec::new(NodeSpec::t4_single())
+            .with_scheduler(Arc::clone(&scheduler) as Arc<dyn Scheduler>);
+        let recorder = Arc::new(Recorder::new());
+        let spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_replica(replica.clone())
+            .with_replica(replica)
+            .with_count(300)
+            .with_mixed_gen_lens()
+            .with_seed(17)
+            .with_mode(mode)
+            .with_arrivals(ArrivalProcess::Poisson { rate_per_sec: 4.0 })
+            .with_autoscaler(
+                Arc::new(QueueDepthScaler::new(4.0, 0.5)),
+                ScaleBounds::new(2, 4, secs(10.0)),
+            )
+            .with_telemetry(Arc::clone(&recorder) as Arc<dyn TelemetrySink>);
+        let report = evaluator().run(&spec).unwrap();
+        let label = format!("counted [{mode}]");
+        assert!(
+            !report.availability.joins.is_empty(),
+            "{label}: the autoscaler must join a replica"
+        );
+        let (_, planning) = recorder
+            .profile()
+            .into_iter()
+            .find(|(s, _)| *s == Section::Planning)
+            .expect("planning is profiled");
+        assert_eq!(planning.calls, scheduler.calls.load(Relaxed), "{label}");
+    }
 }
