@@ -93,7 +93,8 @@ pub enum ClusterSpecError {
     IncompletePools,
     /// Some arrival stamp would not be finite, or could not be drawn at all:
     /// the synthesized queue's [`ArrivalProcess`] has a Poisson rate that is
-    /// not positive (zero, negative or NaN), a burst of zero requests or a
+    /// not positive (zero, negative or NaN) or so small that the largest
+    /// stamp it can draw overflows, a burst of zero requests or a
     /// non-finite burst period, or an explicit queue
     /// ([`ClusterSpec::with_queue`]) carries a non-finite arrival.
     InvalidArrivals,
@@ -127,8 +128,9 @@ impl fmt::Display for ClusterSpecError {
                 "disaggregated pools need an arrival-taking and a migration-taking replica",
             ),
             ClusterSpecError::InvalidArrivals => f.write_str(
-                "arrivals need finite stamps: a positive Poisson rate, a non-empty burst with a \
-                 finite period, and no non-finite explicit arrival",
+                "arrivals need finite stamps: a positive Poisson rate whose stamps cannot \
+                 overflow, a non-empty burst with a finite period, and no non-finite explicit \
+                 arrival",
             ),
             ClusterSpecError::InvalidWorkload => f.write_str(
                 "the workload needs an average prompt in 1..=max and, for mixed generation \
@@ -434,7 +436,13 @@ impl ClusterSpec {
                 }
                 match self.arrivals {
                     ArrivalProcess::Immediate => true,
-                    ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec > 0.0,
+                    // The stamper's RNG draws 53 bits, so each exponential
+                    // gap is at most `53·ln 2 / rate`: a positive rate small
+                    // enough to overflow the last stamp is rejected too.
+                    ArrivalProcess::Poisson { rate_per_sec } => {
+                        let span = self.count as f64 * 53.0 * std::f64::consts::LN_2;
+                        rate_per_sec > 0.0 && (span / rate_per_sec).is_finite()
+                    }
                     ArrivalProcess::Burst { size, period_secs } => {
                         size > 0 && period_secs.is_finite()
                     }
@@ -642,8 +650,10 @@ type NodeCosting = (SystemEvaluator, Option<Policy>);
 ///   fleet with role pools, one for the whole fleet otherwise) are
 ///   refreshed only for replicas whose state changed. A request that fits
 ///   every budget in its pool is routed from the whole index (with
-///   [`Router::route_indexed`] fast paths); only a request masked for part of
-///   its pool gets a filtered copy of the cached views;
+///   [`Router::route_indexed`] fast paths); a request masked for part of
+///   its pool gets the scan loop's offer of fresh views. Autoscaler
+///   observations read the index on a fleet without role pools and fresh
+///   views on a fleet with them;
 /// * the **scan loop** ([`Self::with_scan_loop`]) — every replica's agenda
 ///   entry is refreshed before each selection, and offers and autoscaler
 ///   observations are rebuilt from fresh views. `O(fleet)` per event; kept
@@ -808,7 +818,6 @@ impl ClusterEvaluator {
             dirty: Vec::new(),
             is_dirty: vec![false; fleet_size],
             membership,
-            pooled_views: Vec::new(),
             node_cache,
             obs: ObsState::new(spec),
             scratch: EventScratch::new(spec.telemetry.is_some()),
@@ -983,9 +992,6 @@ pub(crate) struct FleetLoop<'a> {
     /// Replicas per lifecycle state, kept at every transition by
     /// [`FleetLoop::set_lifecycle`], so the autoscaler reads the counts.
     membership: Membership,
-    /// Reused buffer for the autoscaler's serving views on a fleet with role
-    /// pools: the id-ordered union of the two router indexes.
-    pooled_views: Vec<ReplicaView>,
     /// Per-node evaluators and policy searches (see
     /// [`ClusterEvaluator::build_engine`]), shared with joins.
     node_cache: Vec<NodeCosting>,
@@ -1081,9 +1087,7 @@ impl FleetLoop<'_> {
                 .zip(self.indexes.iter_mut())
             {
                 match view {
-                    Some(view) if pool.takes(engine.role) => {
-                        router_index.upsert(view, engine.role, budget)
-                    }
+                    Some(view) if pool.takes(engine.role) => router_index.upsert(view, budget),
                     _ => router_index.remove(index),
                 }
             }
@@ -1123,12 +1127,12 @@ impl FleetLoop<'_> {
     /// router names a replica outside the offer) with the offer size, or
     /// `None` when no serving replica is eligible.
     ///
-    /// The indexed loop offers the [`RouterIndex`] of the request's pool;
-    /// when the request's full context fits every budget in that pool, the
-    /// whole index is the offer and [`Router::route_indexed`] may answer
-    /// without building one. Only a request some replica of the pool is
-    /// masked for gets a filtered copy of the cached views. The scan loop
-    /// offers fresh views of every engine.
+    /// On the indexed loop, when the request's full context fits every
+    /// budget in its pool, the whole [`RouterIndex`] of that pool is the
+    /// offer and [`Router::route_indexed`] may answer without building one.
+    /// Otherwise — the scan loop, or a request some replica of the pool is
+    /// masked for — the offer is built from fresh views of the eligible
+    /// engines.
     pub(crate) fn place(&mut self, request: &Request, pool: Pool) -> Option<(ReplicaView, usize)> {
         let router = &self.spec.router;
         self.flush_dirty();
@@ -1150,18 +1154,15 @@ impl FleetLoop<'_> {
             };
             return Some((*index.view_of(id), index.len()));
         }
-        let offer: Vec<ReplicaView> = if let Some(index) = index {
-            index.eligible_views(request, pool)
-        } else {
-            self.engines
-                .iter()
-                .filter(|e| {
-                    e.is_serving()
-                        && pool.admits(e.role, e.batching.cache_tokens_per_micro_batch, request)
-                })
-                .map(|e| e.view())
-                .collect()
-        };
+        let offer: Vec<ReplicaView> = self
+            .engines
+            .iter()
+            .filter(|e| {
+                e.is_serving()
+                    && pool.admits(e.role, e.batching.cache_tokens_per_micro_batch, request)
+            })
+            .map(|e| e.view())
+            .collect();
         let first = *offer.first()?;
         let chosen = router.route(request, &offer, &mut self.ctx);
         self.ctx.decision += 1;
@@ -1302,16 +1303,15 @@ impl FleetLoop<'_> {
     /// One autoscaler observation at time `t`, gated by the cooldown and
     /// executed within the configured [`ScaleBounds`].
     ///
-    /// Cost per observation on the indexed loop: flushing the replicas
-    /// touched since the last flush, then `O(log fleet)` to build the
-    /// [`FleetView`] on a fleet without role pools — its serving views are a
-    /// borrow of the router index's cached slice, its queued count the
-    /// index's running sum, its oldest queued arrival the index's heap
-    /// minimum, and the membership counts are kept at every lifecycle
-    /// transition. A fleet with role pools copies the union of its two
-    /// indexes into a reused buffer and sums the aggregates from it
-    /// (`O(fleet)`, no allocation). The scan loop builds fresh views and
-    /// counts the fleet, as the reference.
+    /// Cost per observation on the indexed loop without role pools: flushing
+    /// the replicas touched since the last flush, then `O(log fleet)` to
+    /// build the [`FleetView`] — its serving views are a borrow of the
+    /// router index's cached slice, its queued count the index's running
+    /// sum, its oldest queued arrival the index's heap minimum, and the
+    /// membership counts are kept at every lifecycle transition. A fleet
+    /// with role pools reads fresh views of its serving engines, as the
+    /// scan loop does; the scan loop also counts the fleet, as the
+    /// reference.
     fn maybe_autoscale(&mut self, t: Seconds) -> Result<(), EngineError> {
         let Some((scaler, bounds)) = self.spec.autoscaler.as_ref() else {
             return Ok(());
@@ -1331,16 +1331,7 @@ impl FleetLoop<'_> {
         };
         let (provisioning, draining) = (membership.provisioning, membership.draining);
         let fleet = match self.indexes.as_slice() {
-            _ if !self.indexed => {
-                fresh = self
-                    .engines
-                    .iter()
-                    .filter(|e| e.is_serving())
-                    .map(|e| e.view())
-                    .collect();
-                FleetView::new(t, &fresh, provisioning, draining, &self.recent)
-            }
-            [fleet] => FleetView {
+            [fleet] if self.indexed => FleetView {
                 now: t,
                 replicas: fleet.views(),
                 queued_requests: fleet.total_queued(),
@@ -1349,11 +1340,15 @@ impl FleetLoop<'_> {
                 draining,
                 recent: &self.recent,
             },
-            [arrivals, migrations] => {
-                union_by_id(arrivals.views(), migrations.views(), &mut self.pooled_views);
-                FleetView::new(t, &self.pooled_views, provisioning, draining, &self.recent)
+            _ => {
+                fresh = self
+                    .engines
+                    .iter()
+                    .filter(|e| e.is_serving())
+                    .map(|e| e.view())
+                    .collect();
+                FleetView::new(t, &fresh, provisioning, draining, &self.recent)
             }
-            _ => unreachable!("a fleet keeps one router index, or one per pool"),
         };
         let decision = scaler.observe(&fleet, t);
         let target = membership.serving + membership.provisioning;
@@ -1433,33 +1428,6 @@ impl FleetLoop<'_> {
             self.depart(index, t);
         }
     }
-}
-
-/// Writes the union of two id-ordered view slices into `out`, in id order; a
-/// replica in both (a unified replica of a fleet with role pools) appears
-/// once.
-fn union_by_id(a: &[ReplicaView], b: &[ReplicaView], out: &mut Vec<ReplicaView>) {
-    out.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].id.cmp(&b[j].id) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
 }
 
 /// Wraps a finished engine into its per-replica report, capturing the
@@ -1599,6 +1567,37 @@ mod tests {
     /// A sampling interval that is not finite and positive is a typed error
     /// before any search: the sampling cursor would never pass the next
     /// event, so the run would not return.
+    /// A positive Poisson rate so small that a stamp can overflow to `+inf`
+    /// is an `InvalidArrivals` error from `validate` and `run`: the stamps
+    /// would park requests at `+inf` and stall the clock.
+    #[test]
+    fn poisson_rates_that_overflow_the_stamps_are_invalid_arrivals() {
+        let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());
+        for rate_per_sec in [1e-308, f64::MIN_POSITIVE] {
+            let spec = ClusterSpec::homogeneous(
+                SystemKind::MoeLightning,
+                WorkloadSpec::mtbench(),
+                &NodeSpec::t4_single(),
+                2,
+            )
+            .with_count(20)
+            .with_gen_len(16)
+            .with_seed(3)
+            .with_arrivals(ArrivalProcess::Poisson { rate_per_sec });
+            assert_eq!(
+                spec.validate(),
+                Err(ClusterSpecError::InvalidArrivals),
+                "{rate_per_sec:e}"
+            );
+            assert!(matches!(
+                evaluator.run(&spec),
+                Err(EngineError::InvalidClusterSpec {
+                    reason: ClusterSpecError::InvalidArrivals
+                })
+            ));
+        }
+    }
+
     #[test]
     fn invalid_sample_intervals_are_typed_errors() {
         let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());

@@ -30,8 +30,9 @@
 //!
 //! Pools are not a dispatch path of their own: arrivals and migration
 //! destinations are placed by the fleet loop's one placement function, whose
-//! offer keeps only the replicas of the request's pool — from that pool's
-//! router index on the indexed loop, from fresh views on the scan loop. A
+//! offer keeps only the replicas of the request's pool — that pool's whole
+//! router index on the indexed loop when no replica of the pool is masked
+//! for the request, fresh views of the eligible replicas otherwise. A
 //! migration in flight is an entry of the fleet loop's agenda
 //! ([`crate::agenda`]), which holds its request and destination until it
 //! lands: in landing order, after co-timed timeline actions and provisioning
@@ -339,6 +340,10 @@ impl PrefixCache {
 /// replica left the fleet is re-homed by the inner router on its next
 /// request. The homes live in the run's [`RouterCtx::homes`], so every run
 /// starts with none.
+///
+/// It has no indexed fast path: on the indexed loop it routes through
+/// [`Router::route`] over the index's cached views, as [`crate::RoundRobin`]
+/// does, whatever its inner router.
 #[derive(Debug)]
 pub struct StickySession {
     inner: Arc<dyn Router>,
@@ -370,27 +375,6 @@ impl Router for StickySession {
         };
         ctx.homes.insert(request.session_id, chosen);
         chosen
-    }
-
-    fn route_indexed(
-        &self,
-        request: &Request,
-        index: &RouterIndex,
-        ctx: &mut RouterCtx,
-    ) -> Option<ReplicaId> {
-        if let Some(&home) = ctx.homes.get(&request.session_id) {
-            if index.contains(home) {
-                return Some(home);
-            }
-        }
-        // Inherit the inner router's fast path; an inner `None` falls back to
-        // `route` over the index's cached views, which re-runs the sticky
-        // logic there — both paths record the same placement.
-        let chosen = self.inner.route_indexed(request, index, ctx)?;
-        if index.contains(chosen) {
-            ctx.homes.insert(request.session_id, chosen);
-        }
-        Some(chosen)
     }
 
     fn on_complete(

@@ -195,9 +195,9 @@ impl ScaleBounds {
 /// pools: `replicas` borrows the router index's cached views, the two queue
 /// aggregates come from the index's running sum and oldest-arrival heap,
 /// and the membership counts are kept at every lifecycle transition. With
-/// role pools the two indexes are merged by id into a reused buffer and the
-/// aggregates are summed from it (`O(fleet)`, no allocation); the scan loop
-/// builds fresh views. [`Self::total_queued`], [`Self::mean_queue_depth`]
+/// role pools, and on the scan loop, `replicas` are fresh views of the
+/// serving engines and the aggregates are summed from them (`O(fleet)`).
+/// [`Self::total_queued`], [`Self::mean_queue_depth`]
 /// and [`Self::has_certainly_late_queued`] read the aggregates in `O(1)`;
 /// [`Self::recent_attainment_pct`] scans the completion window.
 #[derive(Debug)]

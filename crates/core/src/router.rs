@@ -10,8 +10,7 @@
 //! lives in [`crate::cluster`]; the per-replica state the views are snapshots
 //! of lives in [`crate::engine`].
 
-use crate::cluster::Pool;
-use crate::disagg::{drain_key, CacheStats, ReplicaRole};
+use crate::disagg::{drain_key, CacheStats};
 use moe_hardware::{Seconds, TimeKey};
 use moe_workload::Request;
 use rand::rngs::StdRng;
@@ -191,16 +190,17 @@ const NONEMPTY: &str = "the index keeps a fresh heap entry per serving replica";
 /// migrations (decode and unified replicas); a fleet without keeps one over
 /// every serving replica. Each index holds one cached [`ReplicaView`] per
 /// replica of its pool (refreshed only when that replica's state changed),
-/// a running sum of their queued requests, and four lazily built min-heaps
-/// that answer in `O(log n)` what the reference path scans `O(n)` views for:
+/// a running sum of their queued requests, and three lazily built min-heaps
+/// that answer in `O(log n)` what the reference path scans `O(n)` views for.
+/// Each serves a benchmark workload:
 ///
 /// * the fewest outstanding tokens ([`LeastOutstandingTokens`]);
-/// * the most projected KV headroom ([`KvAware`]);
 /// * the shortest drain time ([`crate::PrefixAware`]);
 /// * the oldest queued arrival (the autoscalers' [`crate::FleetView`]),
 ///   over only the replicas that have a queue.
 ///
-/// Routers consume it through [`Router::route_indexed`].
+/// Routers consume it through [`Router::route_indexed`]; only those two
+/// routers answer from it.
 ///
 /// A heap is built from the cached views the first time its query runs and
 /// maintained only from then on, so a query nobody makes costs nothing.
@@ -213,8 +213,8 @@ const NONEMPTY: &str = "the index keeps a fresh heap entry per serving replica";
 pub struct RouterIndex {
     /// Cached views of the pool's serving replicas, ascending by replica id.
     views: Vec<ReplicaView>,
-    /// Pool role and per-micro-batch KV budget, parallel to `views`.
-    budgets: Vec<(ReplicaRole, u64)>,
+    /// Per-micro-batch KV budget, parallel to `views`.
+    budgets: Vec<u64>,
     /// Replica id → position in `views` ([`ABSENT`] when not serving).
     pos: Vec<usize>,
     /// Replica id → generation stamp for lazy heap invalidation.
@@ -227,10 +227,6 @@ pub struct RouterIndex {
     queued: usize,
     /// Keyed on `outstanding_tokens` ([`Self::least_outstanding`]).
     out_heap: LazyHeap<u64>,
-    /// Keyed on `(!kv_headroom, outstanding_tokens)` — a max-heap on
-    /// headroom with [`KvAware`]'s exact tie-breaks
-    /// ([`Self::most_kv_headroom`]).
-    kv_heap: LazyHeap<(u64, u64)>,
     /// Keyed on [`crate::PrefixAware`]'s drain time
     /// ([`Self::fastest_draining`]).
     drain_heap: LazyHeap<u64>,
@@ -249,7 +245,6 @@ impl RouterIndex {
             min_budget: u64::MAX,
             queued: 0,
             out_heap: LazyHeap::new(|v| Some(v.outstanding_tokens)),
-            kv_heap: LazyHeap::new(|v| Some((u64::MAX - v.kv_headroom(), v.outstanding_tokens))),
             drain_heap: LazyHeap::new(|v| Some(drain_key(v))),
             oldest_heap: LazyHeap::new(|v| v.oldest_queued_arrival.map(Seconds::key)),
         }
@@ -297,17 +292,6 @@ impl RouterIndex {
         self.out_heap.min(&self.views, &self.stamp).expect(NONEMPTY)
     }
 
-    /// The serving replica with the most projected KV headroom, ties by fewer
-    /// outstanding tokens then lower id — [`KvAware`]'s arg-min in
-    /// `O(log n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is empty.
-    pub fn most_kv_headroom(&self) -> ReplicaId {
-        self.kv_heap.min(&self.views, &self.stamp).expect(NONEMPTY)
-    }
-
     /// The serving replica with the shortest estimated drain time
     /// (outstanding tokens over its per-slot decode speed), ties by lower id
     /// — [`crate::PrefixAware`]'s fastest replica in `O(log n)`.
@@ -336,10 +320,10 @@ impl RouterIndex {
     }
 
     /// Inserts or refreshes one serving replica's view. Refreshing a replica
-    /// with the view it already has is a no-op. A replica's role and budget
-    /// are fixed before its first upsert (`build_engine`), so a refresh
-    /// compares the view only.
-    pub(crate) fn upsert(&mut self, view: ReplicaView, role: ReplicaRole, budget: u64) {
+    /// with the view it already has is a no-op. A replica's budget is fixed
+    /// before its first upsert (`build_engine`), so a refresh compares the
+    /// view only.
+    pub(crate) fn upsert(&mut self, view: ReplicaView, budget: u64) {
         let id = view.id.0;
         if self.pos.len() <= id {
             self.pos.resize(id + 1, ABSENT);
@@ -351,16 +335,15 @@ impl RouterIndex {
             // provisioning can finish out of id order, hence the search.
             let at = self.views.partition_point(|v| v.id.0 < id);
             self.views.insert(at, view);
-            self.budgets.insert(at, (role, budget));
+            self.budgets.insert(at, budget);
             for (p, v) in self.views.iter().enumerate().skip(at) {
                 self.pos[v.id.0] = p;
             }
-            self.min_budget = self.budgets.iter().map(|b| b.1).min().unwrap_or(u64::MAX);
+            self.min_budget = self.budgets.iter().copied().min().unwrap_or(u64::MAX);
         } else {
             debug_assert_eq!(
-                self.budgets[at],
-                (role, budget),
-                "a replica's role and budget are fixed before its first upsert"
+                self.budgets[at], budget,
+                "a replica's budget is fixed before its first upsert"
             );
             if self.views[at] == view {
                 return;
@@ -373,7 +356,6 @@ impl RouterIndex {
         self.stamp[id] = stamp;
         let cap = 4 * self.views.len() + 1024;
         self.out_heap.push(&view, stamp, cap);
-        self.kv_heap.push(&view, stamp, cap);
         self.drain_heap.push(&view, stamp, cap);
         self.oldest_heap.push(&view, stamp, cap);
     }
@@ -393,18 +375,7 @@ impl RouterIndex {
         for (p, v) in self.views.iter().enumerate().skip(at) {
             self.pos[v.id.0] = p;
         }
-        self.min_budget = self.budgets.iter().map(|b| b.1).min().unwrap_or(u64::MAX);
-    }
-
-    /// The offer for a request some replicas are masked for: every serving
-    /// replica `pool` admits it to.
-    pub(crate) fn eligible_views(&self, request: &Request, pool: Pool) -> Vec<ReplicaView> {
-        self.views
-            .iter()
-            .zip(&self.budgets)
-            .filter(|(_, &(role, budget))| pool.admits(role, budget, request))
-            .map(|(view, _)| *view)
-            .collect()
+        self.min_budget = self.budgets.iter().copied().min().unwrap_or(u64::MAX);
     }
 }
 
@@ -441,6 +412,11 @@ pub trait Router: fmt::Debug + Send + Sync {
     /// index's cached views — which is still allocation-free, just a linear
     /// scan for strategies that need one. Returning a non-serving id falls
     /// back to the first offered view, exactly like `route`.
+    ///
+    /// Only [`LeastOutstandingTokens`] and [`crate::PrefixAware`] answer
+    /// here, the two routers a benchmark workload runs at fleet scale; a
+    /// fast path for another router comes with the workload that measures
+    /// its gain.
     fn route_indexed(
         &self,
         _request: &Request,
@@ -584,15 +560,6 @@ impl Router for KvAware {
             .expect("route is called with a non-empty view slice")
             .id
     }
-
-    fn route_indexed(
-        &self,
-        _request: &Request,
-        index: &RouterIndex,
-        _ctx: &mut RouterCtx,
-    ) -> Option<ReplicaId> {
-        Some(index.most_kv_headroom())
-    }
 }
 
 /// All built-in routers, in the order used by the fig. 7 router ablation.
@@ -608,7 +575,7 @@ pub fn builtin_routers() -> Vec<Arc<dyn Router>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disagg::drain_seconds;
+    use crate::disagg::{drain_seconds, PrefixAware, StickySession};
     use proptest::prelude::*;
 
     fn view(id: usize, outstanding: u64, headroom: u64) -> ReplicaView {
@@ -685,13 +652,13 @@ mod tests {
     }
 
     fn heap_lens(index: &RouterIndex) -> (usize, usize) {
-        (index.out_heap.len(), index.kv_heap.len())
+        (index.out_heap.len(), index.drain_heap.len())
     }
 
     fn indexed(views: &[ReplicaView]) -> RouterIndex {
         let mut index = RouterIndex::new();
         for v in views {
-            index.upsert(*v, ReplicaRole::Unified, 4_096);
+            index.upsert(*v, 4_096);
         }
         index
     }
@@ -701,13 +668,13 @@ mod tests {
         let views = [view(0, 50, 10), view(1, 20, 900), view(2, 20, 30)];
         let mut index = indexed(&views);
         assert_eq!(index.least_outstanding(), ReplicaId(1));
-        assert_eq!(index.most_kv_headroom(), ReplicaId(1));
+        assert_eq!(index.fastest_draining(), ReplicaId(1));
         let (lens, stamp) = (heap_lens(&index), index.stamp[1]);
-        index.upsert(views[1], ReplicaRole::Unified, 4_096);
+        index.upsert(views[1], 4_096);
         assert_eq!(heap_lens(&index), lens);
         assert_eq!(index.stamp[1], stamp);
         // A changed view is a refresh: a new stamp and one push per heap.
-        index.upsert(view(1, 21, 900), ReplicaRole::Unified, 4_096);
+        index.upsert(view(1, 21, 900), 4_096);
         assert_eq!(heap_lens(&index), (lens.0 + 1, lens.1 + 1));
         assert_eq!(index.stamp[1], stamp + 1);
         assert_eq!(index.least_outstanding(), ReplicaId(2));
@@ -723,11 +690,7 @@ mod tests {
         ];
         let mut index = indexed(&views);
         for (i, v) in views.iter().enumerate() {
-            index.upsert(
-                view(v.id.0, v.outstanding_tokens + i as u64, 300),
-                ReplicaRole::Unified,
-                4_096,
-            );
+            index.upsert(view(v.id.0, v.outstanding_tokens + i as u64, 300), 4_096);
         }
         assert_eq!(heap_lens(&index), (0, 0), "no query, no heap");
         let least = |index: &RouterIndex| {
@@ -739,19 +702,19 @@ mod tests {
         };
         assert_eq!(Some(index.least_outstanding()), least(&index));
         assert_eq!(heap_lens(&index), (views.len(), 0), "only the queried heap");
-        let roomiest = |index: &RouterIndex| {
+        let fastest = |index: &RouterIndex| {
             index
                 .views()
                 .iter()
-                .min_by_key(|v| (Reverse(v.kv_headroom()), v.outstanding_tokens, v.id))
+                .min_by_key(|v| (drain_key(v), v.id))
                 .map(|v| v.id)
         };
-        assert_eq!(Some(index.most_kv_headroom()), roomiest(&index));
+        assert_eq!(Some(index.fastest_draining()), fastest(&index));
         // Both heaps answer the scans through later refreshes and removals.
-        index.upsert(view(1, 10, 50), ReplicaRole::Unified, 4_096);
+        index.upsert(view(1, 10, 50), 4_096);
         index.remove(5);
         assert_eq!(Some(index.least_outstanding()), least(&index));
-        assert_eq!(Some(index.most_kv_headroom()), roomiest(&index));
+        assert_eq!(Some(index.fastest_draining()), fastest(&index));
     }
 
     /// A view drawn from small ranges, so drain times tie often (equal
@@ -776,9 +739,9 @@ mod tests {
 
         /// After every random upsert and removal, the index answers what a
         /// scan of its cached views computes: the drain-time arg-min (ties
-        /// by id), the queued sum, the oldest queued arrival, and the other
-        /// two arg-mins. The drain key orders views as `f64::total_cmp` on
-        /// the drain time does.
+        /// by id), the queued sum, the oldest queued arrival, and the
+        /// outstanding-token arg-min. The drain key orders views as
+        /// `f64::total_cmp` on the drain time does.
         #[test]
         fn index_aggregates_match_a_scan_of_its_views(
             ops in collection::vec(
@@ -791,7 +754,7 @@ mod tests {
                 if kind == 0 {
                     index.remove(id);
                 } else {
-                    index.upsert(drawn_view(id, load, queue), ReplicaRole::Unified, 4_096);
+                    index.upsert(drawn_view(id, load, queue), 4_096);
                 }
                 let views = index.views();
                 prop_assert_eq!(
@@ -815,12 +778,31 @@ mod tests {
                     prop_assert_eq!(index.fastest_draining(), fastest.id);
                     let least = views.iter().min_by_key(|v| (v.outstanding_tokens, v.id));
                     prop_assert_eq!(Some(index.least_outstanding()), least.map(|v| v.id));
-                    let roomiest = views
-                        .iter()
-                        .min_by_key(|v| (Reverse(v.kv_headroom()), v.outstanding_tokens, v.id));
-                    prop_assert_eq!(Some(index.most_kv_headroom()), roomiest.map(|v| v.id));
                 }
             }
+        }
+    }
+
+    /// The routers with an indexed fast path are exactly the two a
+    /// benchmark workload runs at fleet scale: offered one unmasked index,
+    /// `LeastOutstandingTokens` and `PrefixAware` answer and every other
+    /// router defers to `route` over the offer.
+    #[test]
+    fn only_measured_routers_answer_from_the_index() {
+        let index = indexed(&[view(0, 50, 10), view(1, 20, 900), view(2, 30, 30)]);
+        let request = Request::new(0, 10, 10);
+        let mut routers = builtin_routers();
+        routers.push(Arc::new(PrefixAware::new()));
+        routers.push(Arc::new(StickySession::new(Arc::new(
+            LeastOutstandingTokens,
+        ))));
+        for router in routers {
+            let name = router.name();
+            let answered = router
+                .route_indexed(&request, &index, &mut RouterCtx::new(0))
+                .is_some();
+            let fast = matches!(name, "least-tokens" | "prefix-aware");
+            assert_eq!(answered, fast, "{name}");
         }
     }
 

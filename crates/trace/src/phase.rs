@@ -25,6 +25,9 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 /// Number of features describing one window.
 pub const FEATURES: usize = 6;
 
+/// Lloyd-iteration cap of the k-means clustering.
+const MAX_ITERS: usize = 50;
+
 /// How to window and cluster a trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseConfig {
@@ -34,19 +37,12 @@ pub struct PhaseConfig {
     pub k: usize,
     /// Seed for k-means++ initialization (the plan is deterministic in it).
     pub seed: u64,
-    /// Lloyd-iteration cap.
-    pub max_iters: usize,
 }
 
 impl PhaseConfig {
-    /// A config with the default iteration cap.
+    /// A config windowing the trace by `window` into `k` phases.
     pub fn new(window: Seconds, k: usize, seed: u64) -> Self {
-        PhaseConfig {
-            window,
-            k,
-            seed,
-            max_iters: 50,
-        }
+        PhaseConfig { window, k, seed }
     }
 }
 
@@ -125,7 +121,7 @@ pub fn sample_phases(trace: &Trace, config: &PhaseConfig) -> PhasePlan {
     let windows = featurize(trace, config.window);
     let points = normalize(&windows);
     let k = config.k.min(points.len());
-    let assignment = kmeans(&points, k, config.seed, config.max_iters);
+    let assignment = kmeans(&points, k, config.seed);
 
     let mut slices = Vec::with_capacity(k);
     for cluster in 0..k {
@@ -246,7 +242,7 @@ struct KmeansResult {
 
 /// Seeded k-means++ initialization followed by Lloyd iterations. Ties break
 /// toward the lowest index everywhere, so the result is deterministic.
-fn kmeans(points: &[[f64; FEATURES]], k: usize, seed: u64, max_iters: usize) -> KmeansResult {
+fn kmeans(points: &[[f64; FEATURES]], k: usize, seed: u64) -> KmeansResult {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut centroids: Vec<[f64; FEATURES]> = Vec::with_capacity(k);
     centroids.push(points[rng.gen_range(0..points.len())]);
@@ -280,7 +276,7 @@ fn kmeans(points: &[[f64; FEATURES]], k: usize, seed: u64, max_iters: usize) -> 
     }
 
     let mut labels = vec![0usize; points.len()];
-    for _ in 0..max_iters {
+    for _ in 0..MAX_ITERS {
         let mut changed = false;
         for (i, p) in points.iter().enumerate() {
             let nearest = (0..k)

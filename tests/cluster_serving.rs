@@ -5,9 +5,10 @@
 //! out-of-crate routers plug in through the trait.
 
 use moe_lightning::{
-    builtin_routers, ClusterEvaluator, ClusterSpec, ClusterSpecError, EngineError, EvalSetting,
-    KvAware, LeastOutstandingTokens, NodeSpec, ReplicaId, ReplicaSpec, ReplicaView, RoundRobin,
-    Router, RouterCtx, ServeSpec, ServingMode, SloSpec, SystemEvaluator, SystemKind,
+    builtin_routers, ClusterEvaluator, ClusterReport, ClusterSpec, ClusterSpecError, EngineError,
+    EvalSetting, InterconnectSpec, KvAware, LeastOutstandingTokens, NodeSpec, ReplicaId,
+    ReplicaRole, ReplicaSpec, ReplicaView, RoundRobin, Router, RouterCtx, Seconds, ServeSpec,
+    ServingMode, SloSpec, SystemEvaluator, SystemKind,
 };
 use moe_workload::{ArrivalProcess, Request, WorkloadSpec};
 use std::sync::Arc;
@@ -385,4 +386,97 @@ fn invalid_arrival_processes_surface_as_typed_errors() {
         .run(&serve().with_arrivals(negative).with_queue(queue))
         .unwrap();
     assert_eq!(served.served_requests(), 16);
+}
+
+/// Every request id of `report` that was served, aborted or rejected, in
+/// ascending order: each request appears once when none is lost or
+/// counted twice.
+fn terminal_ids(report: &ClusterReport) -> Vec<u64> {
+    let mut ids: Vec<u64> = report
+        .replicas
+        .iter()
+        .flat_map(|r| {
+            (r.report.latencies.iter().map(|l| l.request.id))
+                .chain(r.report.aborted.iter().map(|req| req.id))
+        })
+        .chain(report.fleet_aborted.iter().map(|req| req.id))
+        .chain(report.availability.rejected.iter().map(|req| req.id))
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// The limits of the arrival process and the interconnect: a Poisson rate of
+/// `+inf` lands every request at `t = 0` on a unified fleet, and an
+/// infinite-bandwidth, zero-latency link lands every KV migration the
+/// instant it starts on a split fleet. In both serving modes, every request
+/// is served, aborted or rejected exactly once, and the indexed loop
+/// reports what the scan loop does.
+#[test]
+fn infinite_arrival_rates_and_free_links_conserve_every_request_on_both_loops() {
+    const COUNT: usize = 60;
+    let base = |mode| {
+        ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_count(COUNT)
+            .with_mixed_gen_lens()
+            .with_seed(5)
+            .with_mode(mode)
+    };
+    let unified_at_once = |mode| {
+        (0..3).fold(
+            base(mode).with_arrivals(ArrivalProcess::Poisson {
+                rate_per_sec: f64::INFINITY,
+            }),
+            |spec, _| spec.with_replica(ReplicaSpec::new(NodeSpec::t4_single())),
+        )
+    };
+    let split_on_a_free_link = |mode| {
+        [
+            ReplicaRole::Prefill,
+            ReplicaRole::Decode,
+            ReplicaRole::Decode,
+        ]
+        .into_iter()
+        .fold(
+            base(mode)
+                .with_arrivals(ArrivalProcess::Poisson { rate_per_sec: 2.0 })
+                .with_interconnect(InterconnectSpec::new(f64::INFINITY, Seconds::ZERO)),
+            |spec, role| spec.with_replica(ReplicaSpec::new(NodeSpec::t4_single()).with_role(role)),
+        )
+    };
+    let scenarios: [(&str, &dyn Fn(ServingMode) -> ClusterSpec); 2] = [
+        ("unified, rate +inf", &unified_at_once),
+        ("split, free link", &split_on_a_free_link),
+    ];
+    for mode in MODES {
+        for (label, spec) in scenarios {
+            let spec = spec(mode);
+            assert_eq!(spec.validate(), Ok(()), "{label} [{mode}]");
+            let want = cluster_evaluator().with_scan_loop().run(&spec).unwrap();
+            let got = cluster_evaluator().run(&spec).unwrap();
+            assert_eq!(
+                terminal_ids(&got),
+                (0..COUNT as u64).collect::<Vec<u64>>(),
+                "{label} [{mode}]: served + aborted + rejected must equal arrived, exactly once"
+            );
+            assert_eq!(want, got, "{label} [{mode}]: the two loops diverged");
+        }
+    }
+    // Every request of the unified run arrived at t = 0, and the split
+    // run's decode replicas served the migrated requests.
+    let unified = cluster_evaluator()
+        .run(&unified_at_once(ServingMode::Continuous))
+        .unwrap();
+    assert!(unified
+        .replicas
+        .iter()
+        .flat_map(|r| r.report.latencies.iter())
+        .all(|l| l.request.arrival == Seconds::ZERO));
+    let split = cluster_evaluator()
+        .run(&split_on_a_free_link(ServingMode::Continuous))
+        .unwrap();
+    let decoded: usize = (split.replicas[1..].iter())
+        .map(|r| r.report.latencies.len())
+        .sum();
+    assert_eq!(decoded, COUNT, "every request migrates to a decode replica");
 }

@@ -184,8 +184,10 @@ fn a_failed_prefill_replica_returns_original_requests() {
 
 /// Every router the disaggregated scan-vs-indexed oracle covers, built
 /// fresh per run because the session maps are stateful: the built-ins, then
-/// the session-affine ones, one sticky router over an inner router with an
-/// indexed fast path and one over an inner router without.
+/// the session-affine ones. Of these only `LeastOutstandingTokens` and
+/// `PrefixAware` answer from the index; the rest, both sticky routers
+/// included (one over an inner router with an indexed fast path, one over
+/// an inner router without), route over the index's cached views.
 fn oracle_routers() -> Vec<Arc<dyn Router>> {
     let mut routers = builtin_routers();
     routers.push(Arc::new(PrefixAware::new()));

@@ -737,8 +737,9 @@ fn indexed_loop_matches_scan_with_an_autoscaler() {
 }
 
 /// A heterogeneous fleet (different KV budgets per replica) exercises the
-/// indexed dispatch's eligible-subset fallback; the chosen replicas must
-/// still match the scan-loop filter scan.
+/// masked-offer path: a request some replica's budget masks gets the scan
+/// loop's offer of fresh views on the indexed loop too, so the chosen
+/// replicas must match the scan loop's.
 #[test]
 fn indexed_loop_matches_scan_on_heterogeneous_budgets() {
     for mode in MODES {
