@@ -52,6 +52,7 @@ use moe_workload::{
     Scheduler, WorkloadSpec,
 };
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 pub use crate::router::{
@@ -114,6 +115,12 @@ pub enum ClusterSpecError {
     /// The telemetry sink's [`TelemetrySink::sample_interval`] is not finite
     /// and positive: the sampling cursor would never pass the next event.
     InvalidSampleInterval,
+    /// A policy override ([`ReplicaSpec::with_policy`], on a replica, the
+    /// scale template or a timeline join, or [`crate::ServeSpec::with_policy`])
+    /// fails [`Policy::validate`]: a zero batch or micro-batch, a
+    /// micro-batch larger than the batch, or a GPU ratio outside `[0, 1]`
+    /// (NaN included).
+    InvalidPolicy,
 }
 
 impl fmt::Display for ClusterSpecError {
@@ -145,6 +152,10 @@ impl fmt::Display for ClusterSpecError {
             ClusterSpecError::InvalidSampleInterval => {
                 f.write_str("the telemetry sampling interval must be finite and positive")
             }
+            ClusterSpecError::InvalidPolicy => f.write_str(
+                "a policy override needs a positive batch no smaller than its micro-batch and \
+                 GPU ratios in [0, 1]",
+            ),
         }
     }
 }
@@ -175,6 +186,7 @@ impl ReplicaSpec {
     }
 
     /// Overrides the policy instead of searching one for the replica's node.
+    /// [`ClusterSpec::validate`] checks it with [`Policy::validate`].
     pub fn with_policy(mut self, policy: Policy) -> Self {
         self.policy = Some(policy);
         self
@@ -380,10 +392,11 @@ impl ClusterSpec {
     ///
     /// Returns the first violated constraint (empty fleet, zero requests,
     /// inverted autoscaler bounds, a timeline acting at a non-finite
-    /// instant, a sampling interval that is not finite and positive,
-    /// incomplete pools, unusable interconnect, a workload that
-    /// cannot synthesize the queue, arrivals that cannot be stamped or are
-    /// not finite).
+    /// instant, a policy override on a replica, the scale template or a
+    /// timeline join that [`Policy::validate`] rejects, a sampling interval
+    /// that is not finite and positive, incomplete pools, unusable
+    /// interconnect, a workload that cannot synthesize the queue, arrivals
+    /// that cannot be stamped or are not finite).
     pub fn validate(&self) -> Result<(), ClusterSpecError> {
         if self.replicas.is_empty() {
             return Err(ClusterSpecError::NoReplicas);
@@ -398,11 +411,20 @@ impl ClusterSpec {
         }
         // An action or a join landing at `+inf` would settle there, after
         // every request, and a sampling sink would never reach it.
-        let timeline = &self.timeline;
-        if !timeline.provisioning_delay().as_secs().is_finite()
-            || (timeline.sorted_events().iter()).any(|(at, _)| !at.as_secs().is_finite())
+        let events = self.timeline.sorted_events();
+        if !self.timeline.provisioning_delay().as_secs().is_finite()
+            || events.iter().any(|(at, _)| !at.as_secs().is_finite())
         {
             return Err(ClusterSpecError::InvalidTimeline);
+        }
+        let joins = events.iter().filter_map(|(_, action)| match action {
+            FleetAction::Join(replica) => Some(&**replica),
+            _ => None,
+        });
+        let templates = self.scale_template.iter().chain(joins);
+        let replicas = self.replicas.iter().chain(templates);
+        if (replicas.filter_map(|r| r.policy)).any(|policy| policy.validate().is_err()) {
+            return Err(ClusterSpecError::InvalidPolicy);
         }
         let interval = self.telemetry.as_ref().and_then(|s| s.sample_interval());
         if interval.is_some_and(|s| !(s.is_finite() && s > 0.0)) {
@@ -630,11 +652,12 @@ impl ClusterReport {
 }
 
 /// One distinct node's evaluator and, once searched, its policy: every
-/// replica of the node gets a clone of the evaluator.
-type NodeCosting = (SystemEvaluator, Option<Policy>);
+/// replica of the node holds the same evaluator (the loop runs on one
+/// thread, so an `Rc` shares it).
+type NodeCosting = (Rc<SystemEvaluator>, Option<Policy>);
 
-/// Evaluates cluster serving scenarios: one shared model, per-replica
-/// [`SystemEvaluator`]s built from each replica's node.
+/// Evaluates cluster serving scenarios: one shared model and, per run, one
+/// [`SystemEvaluator`] per distinct node, held by every replica of it.
 ///
 /// Two loops produce the identical [`ClusterReport`]. Both pick each event
 /// with one selection from one agenda ([`crate::agenda`]: a min-heap keyed
@@ -708,7 +731,7 @@ impl ClusterEvaluator {
         index: usize,
         node_cache: &mut Vec<NodeCosting>,
     ) -> Result<ReplicaEngine, EngineError> {
-        // Replicas of one node share its evaluator, so their steps are priced
+        // Replicas of one node hold one evaluator, so their steps are priced
         // by one cost model and share its token-keyed price memo.
         let at = match node_cache
             .iter()
@@ -717,7 +740,7 @@ impl ClusterEvaluator {
             Some(at) => at,
             None => {
                 let evaluator = SystemEvaluator::new(replica.node.clone(), self.model.clone());
-                node_cache.push((evaluator, None));
+                node_cache.push((Rc::new(evaluator), None));
                 node_cache.len() - 1
             }
         };
@@ -735,7 +758,7 @@ impl ClusterEvaluator {
             (Some(policy), _) | (None, Some(policy)) => policy,
             (None, None) => *searched.insert(evaluator.policy_for(spec.system, &shape)?),
         };
-        let evaluator = evaluator.clone();
+        let evaluator = Rc::clone(evaluator);
         let batching = batching_for(&policy, &shape)
             .map_err(|reason| EngineError::InvalidBatchingConfig { reason })?;
         let mut engine = ReplicaEngine::new(
@@ -793,7 +816,6 @@ impl ClusterEvaluator {
 
         let timeline = spec.timeline.sorted_events();
         let fleet_size = engines.len();
-        let indexed = !self.scan_loop;
         let membership = Membership::count(&engines);
         let mut plane = FleetLoop {
             cluster: self,
@@ -801,16 +823,10 @@ impl ClusterEvaluator {
             engines,
             ctx: RouterCtx::new(spec.seed.wrapping_mul(0x9e37_79b9).wrapping_add(0x7f4a)),
             fleet_aborted: Vec::new(),
-            rejected: Vec::new(),
-            rerouted: std::collections::BTreeSet::new(),
-            failures: Vec::new(),
-            drains: Vec::new(),
-            joins: Vec::new(),
+            availability: AvailabilityReport::default(),
             departures: Vec::new(),
-            cancelled_joins: 0,
             recent: Vec::new(),
             last_scale: None,
-            indexed,
             agenda: Agenda::new(&timeline),
             indexes: (0..if spec.has_role_pools() { 2 } else { 1 })
                 .map(|_| RouterIndex::new())
@@ -833,7 +849,7 @@ impl ClusterEvaluator {
             // touched since the last decision; the scan loop refreshes every
             // replica's entry instead.
             plane.flush_dirty();
-            if !plane.indexed {
+            if self.scan_loop {
                 for (index, engine) in plane.engines.iter().enumerate() {
                     plane.agenda.refresh(index, engine.agenda_entry());
                 }
@@ -877,15 +893,12 @@ impl ClusterEvaluator {
         let FleetLoop {
             engines,
             fleet_aborted,
-            rejected,
-            rerouted,
-            failures,
-            drains,
-            joins,
+            mut availability,
             departures,
-            cancelled_joins,
             ..
         } = plane;
+        availability.rerouted.sort_unstable();
+        availability.rerouted.dedup();
         let replica_reports: Vec<ReplicaReport> = engines.into_iter().map(replica_report).collect();
         let totals = replica_reports
             .iter()
@@ -898,15 +911,7 @@ impl ClusterEvaluator {
             replicas: replica_reports,
             fleet_aborted,
             slo: spec.slo,
-            availability: AvailabilityReport {
-                rejected,
-                rerouted: rerouted.into_iter().collect(),
-                failures,
-                drains,
-                joins,
-                cancelled_joins,
-                replica_seconds_lost: Seconds::ZERO,
-            },
+            availability,
             totals,
         };
         // Replica-seconds lost: departed capacity, measured to the run's end
@@ -956,26 +961,22 @@ impl Pool {
 
 /// The mutable state of one [`ClusterEvaluator::run`] invocation: the replica
 /// event machines plus the control plane's bookkeeping (membership, admission,
-/// autoscaling, availability accounting).
+/// autoscaling, availability accounting). Whether it runs the indexed or the
+/// scan loop is the evaluator's `scan_loop` switch.
 pub(crate) struct FleetLoop<'a> {
     cluster: &'a ClusterEvaluator,
     pub(crate) spec: &'a ClusterSpec,
     pub(crate) engines: Vec<ReplicaEngine>,
     pub(crate) ctx: RouterCtx,
     pub(crate) fleet_aborted: Vec<Request>,
-    pub(crate) rejected: Vec<Request>,
-    pub(crate) rerouted: std::collections::BTreeSet<u64>,
-    failures: Vec<(ReplicaId, Seconds)>,
-    drains: Vec<(ReplicaId, Seconds)>,
-    joins: Vec<(ReplicaId, Seconds)>,
+    /// The report's availability section, written as churn, rejections and
+    /// re-routes happen. Re-routed ids are pushed once per re-route and
+    /// sorted and deduplicated when the run ends; `replica_seconds_lost` is
+    /// filled in then, from `departures`.
+    pub(crate) availability: AvailabilityReport,
     departures: Vec<(ReplicaId, Seconds)>,
-    cancelled_joins: u64,
     recent: Vec<RequestLatency>,
     last_scale: Option<Seconds>,
-    /// Whether replicas' agenda entries and routing views are refreshed from
-    /// the dirty set (`true`) or rebuilt from every engine (`false`, see
-    /// [`ClusterEvaluator::with_scan_loop`]).
-    indexed: bool,
     /// Every pending event but the arrivals, in settling order (see
     /// [`crate::agenda`]): timeline actions, each replica's one entry, and
     /// the KV migrations on the wire.
@@ -1060,7 +1061,7 @@ impl FleetLoop<'_> {
     /// Queues replica `index` for re-synchronisation of its agenda entry and
     /// router-index view. No-op on the scan loop.
     pub(crate) fn mark_dirty(&mut self, index: usize) {
-        if !self.indexed {
+        if self.cluster.scan_loop {
             return;
         }
         if self.is_dirty.len() <= index {
@@ -1137,7 +1138,7 @@ impl FleetLoop<'_> {
         let router = &self.spec.router;
         self.flush_dirty();
         let index = match pool {
-            _ if !self.indexed => None,
+            _ if self.cluster.scan_loop => None,
             Pool::Arrivals => self.indexes.first(),
             Pool::Migrations => self.indexes.last(),
         };
@@ -1213,7 +1214,7 @@ impl FleetLoop<'_> {
     /// router learns about it.
     fn finish_provisioning(&mut self, index: usize, at: Seconds) {
         self.set_lifecycle(index, Lifecycle::Serving, "serving", at);
-        self.joins.push((ReplicaId(index), at));
+        self.availability.joins.push((ReplicaId(index), at));
         self.spec
             .router
             .on_replica_up(ReplicaId(index), at, &mut self.ctx);
@@ -1255,7 +1256,7 @@ impl FleetLoop<'_> {
                         // Died before it ever served: the join just never
                         // lands.
                         self.set_lifecycle(rid.0, Lifecycle::Departed { at: t }, "failed", t);
-                        self.failures.push((rid, t));
+                        self.availability.failures.push((rid, t));
                         return Ok(());
                     }
                     Lifecycle::Serving | Lifecycle::Draining { .. } => {}
@@ -1265,7 +1266,7 @@ impl FleetLoop<'_> {
                 self.step_replica(rid.0, t)?;
                 let lost = self.engines[rid.0].fail(t);
                 self.set_lifecycle(rid.0, Lifecycle::Departed { at: t }, "failed", t);
-                self.failures.push((rid, t));
+                self.availability.failures.push((rid, t));
                 self.departures.push((rid, t));
                 self.spec.router.on_replica_down(rid, t, &mut self.ctx);
                 for request in lost {
@@ -1285,7 +1286,7 @@ impl FleetLoop<'_> {
                         // Draining a replica that never came up cancels the
                         // join.
                         self.set_lifecycle(rid.0, Lifecycle::Departed { at: t }, "departed", t);
-                        self.cancelled_joins += 1;
+                        self.availability.cancelled_joins += 1;
                         return Ok(());
                     }
                     Lifecycle::Serving => {}
@@ -1324,14 +1325,14 @@ impl FleetLoop<'_> {
         }
         self.flush_dirty();
         let fresh: Vec<ReplicaView>;
-        let membership = if self.indexed {
-            self.membership
-        } else {
+        let membership = if self.cluster.scan_loop {
             Membership::count(&self.engines)
+        } else {
+            self.membership
         };
         let (provisioning, draining) = (membership.provisioning, membership.draining);
         let fleet = match self.indexes.as_slice() {
-            [fleet] if self.indexed => FleetView {
+            [fleet] if !self.cluster.scan_loop => FleetView {
                 now: t,
                 replicas: fleet.views(),
                 queued_requests: fleet.total_queued(),
@@ -1380,7 +1381,7 @@ impl FleetLoop<'_> {
                     .max_by_key(|&(t, i)| (t.key(), i));
                 if let Some((_, index)) = last_provisioning {
                     self.set_lifecycle(index, Lifecycle::Departed { at: t }, "departed", t);
-                    self.cancelled_joins += 1;
+                    self.availability.cancelled_joins += 1;
                 } else {
                     // Drain the serving replica with the least outstanding
                     // work.
@@ -1420,7 +1421,7 @@ impl FleetLoop<'_> {
     fn drain_replica(&mut self, index: usize, t: Seconds) {
         self.set_lifecycle(index, Lifecycle::Draining { since: t }, "draining", t);
         let queued = self.engines[index].begin_drain();
-        self.drains.push((ReplicaId(index), t));
+        self.availability.drains.push((ReplicaId(index), t));
         for request in queued {
             self.redispatch(request, t);
         }
@@ -1435,7 +1436,7 @@ impl FleetLoop<'_> {
 /// consumed into it.
 fn replica_report(engine: ReplicaEngine) -> ReplicaReport {
     let id = engine.id;
-    let node = engine.node_desc.clone();
+    let node = engine.evaluator.node().describe();
     let kv_budget_per_micro_batch = engine.batching.cache_tokens_per_micro_batch;
     let cache = engine.prefix_cache.as_ref().map(|c| c.stats());
     ReplicaReport {
@@ -1626,6 +1627,69 @@ mod tests {
         }
     }
 
+    /// Every policy override is checked before any search: on a replica,
+    /// on the scale template and in a timeline join, a policy
+    /// `Policy::validate` rejects is an `InvalidPolicy` error from
+    /// `validate` and `run` (a zero batch used to panic dividing by zero in
+    /// `batching_for`, and the other four ran to a report).
+    #[test]
+    fn invalid_policy_overrides_are_typed_errors() {
+        let base = Policy::offload_default(16, 8);
+        let invalid = [
+            Policy::offload_default(0, 1),
+            Policy {
+                weights_gpu_ratio: f64::NAN,
+                ..base
+            },
+            Policy {
+                weights_gpu_ratio: 1.5,
+                ..base
+            },
+            Policy {
+                kv_gpu_ratio: f64::NAN,
+                ..base
+            },
+            Policy::offload_default(16, 64),
+        ];
+        let fleet = || {
+            ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+                .with_count(8)
+                .with_gen_len(8)
+                .with_mode(ServingMode::Continuous)
+        };
+        let replica = |policy| ReplicaSpec::new(EvalSetting::S1.node()).with_policy(policy);
+        let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());
+        for policy in invalid {
+            let at = Seconds::from_secs(1.0);
+            let specs = [
+                fleet().with_replica(replica(policy)),
+                (fleet().with_node(EvalSetting::S1.node())).with_scale_template(replica(policy)),
+                (fleet().with_node(EvalSetting::S1.node()))
+                    .with_timeline(FleetTimeline::new().join_at(at, replica(policy))),
+            ];
+            for (i, spec) in specs.into_iter().enumerate() {
+                let case = format!("{policy:?}, case {i}");
+                assert_eq!(
+                    spec.validate(),
+                    Err(ClusterSpecError::InvalidPolicy),
+                    "{case}"
+                );
+                assert!(
+                    matches!(
+                        evaluator.run(&spec),
+                        Err(EngineError::InvalidClusterSpec {
+                            reason: ClusterSpecError::InvalidPolicy
+                        })
+                    ),
+                    "{case}"
+                );
+            }
+        }
+        // A valid override still runs.
+        let report = evaluator.run(&fleet().with_replica(replica(base))).unwrap();
+        assert_eq!(report.served_requests(), 8);
+    }
+
     #[test]
     fn replicas_of_one_node_share_its_cost_model() {
         let spec = ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
@@ -1634,15 +1698,18 @@ mod tests {
             .with_node(NodeSpec::t4_single());
         let cluster = ClusterEvaluator::new(EvalSetting::S1.model());
         let mut node_cache = Vec::new();
-        let ids: Vec<u64> = (spec.replicas.iter().enumerate())
+        let engines: Vec<ReplicaEngine> = (spec.replicas.iter().enumerate())
             .map(|(index, replica)| {
-                let engine = cluster
-                    .build_engine(&spec, replica, index, &mut node_cache)
-                    .unwrap();
-                engine.evaluator.cost_model().pricing_id()
+                (cluster.build_engine(&spec, replica, index, &mut node_cache)).unwrap()
             })
             .collect();
-        // One price memo serves both T4 replicas; the L4 prices apart.
+        let ids: Vec<u64> = (engines.iter())
+            .map(|engine| engine.evaluator.cost_model().pricing_id())
+            .collect();
+        // Both T4 replicas hold the one T4 evaluator, so one price memo
+        // serves them; the L4 prices apart.
+        assert!(Rc::ptr_eq(&engines[0].evaluator, &engines[2].evaluator));
+        assert!(!Rc::ptr_eq(&engines[0].evaluator, &engines[1].evaluator));
         assert_eq!(ids[0], ids[2]);
         assert_ne!(ids[0], ids[1]);
         assert_eq!(node_cache.len(), 2);

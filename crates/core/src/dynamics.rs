@@ -392,8 +392,8 @@ impl Autoscaler for SloAttainmentScaler {
         if fleet.recent.len() < self.min_samples {
             return ScaleDecision::Hold;
         }
-        let attainment = self
-            .recent_attainment(fleet)
+        let attainment = fleet
+            .recent_attainment_pct(&self.slo)
             .expect("window checked non-empty");
         if attainment < self.target_pct {
             ScaleDecision::Up
@@ -406,12 +406,6 @@ impl Autoscaler for SloAttainmentScaler {
         } else {
             ScaleDecision::Hold
         }
-    }
-}
-
-impl SloAttainmentScaler {
-    fn recent_attainment(&self, fleet: &FleetView<'_>) -> Option<f64> {
-        fleet.recent_attainment_pct(&self.slo)
     }
 }
 
@@ -483,9 +477,9 @@ pub struct AvailabilityReport {
     /// Requests the admission controller rejected (never queued), in arrival
     /// order. Rejections count as SLO misses in attainment percentages.
     pub rejected: Vec<Request>,
-    /// Ids of requests re-routed at least once by a failure or drain (their
-    /// prefill was re-charged on the new replica; latency still counts from
-    /// the original arrival).
+    /// Ids of requests re-routed at least once by a failure or drain, in
+    /// ascending order, each once (their prefill was re-charged on the new
+    /// replica; latency still counts from the original arrival).
     pub rerouted: Vec<u64>,
     /// `(replica, time)` of every failure executed.
     pub failures: Vec<(ReplicaId, Seconds)>,

@@ -36,13 +36,13 @@ use crate::serving::{RoundReport, ServingMode, ServingReport};
 use crate::system::SystemKind;
 use moe_hardware::Seconds;
 use moe_policy::{Policy, WorkloadShape};
-use moe_schedule::ScheduleKind;
 use moe_telemetry::{Section, SpanReport};
 use moe_workload::{
     BackfillResult, BatchRunReport, BatchingConfig, BatchingConfigError, PartitionState,
     QueueOrder, Request, RequestLatency, Scheduler,
 };
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// The Algorithm 2 batching limits a policy implies for a workload shape.
@@ -153,9 +153,10 @@ pub(crate) enum Finished {
 
 /// Buffers one fleet run keeps for every replica event, shared by all its
 /// replicas: what [`ReplicaEngine::step_to`] released, the run's
-/// self-profile, the scheduler's backfill result and the order the admitted
-/// wave's partitions are priced and reported in. Reusing them keeps an
-/// admission pass from allocating its result vectors anew.
+/// self-profile, the scheduler's backfill result, the order the admitted
+/// wave's partitions are priced and reported in, and the per-micro-batch
+/// occupancies and mean contexts a decode step is priced at. Reusing them
+/// keeps an admission pass or a step pricing from allocating anew.
 #[derive(Debug, Default)]
 pub(crate) struct EventScratch {
     /// Released entries, in release order; the fleet loop drains it after
@@ -168,6 +169,8 @@ pub(crate) struct EventScratch {
     pub(crate) profile: Option<[SpanReport; Section::ALL.len()]>,
     fill: BackfillResult,
     order: Vec<usize>,
+    occupancy: Vec<u64>,
+    contexts: Vec<u64>,
 }
 
 impl EventScratch {
@@ -195,14 +198,14 @@ struct Wave {
 /// clock.
 pub(crate) struct ReplicaEngine {
     pub(crate) id: ReplicaId,
-    pub(crate) evaluator: SystemEvaluator,
+    /// The costing stack of the replica's node, shared by every replica of
+    /// that node in the run.
+    pub(crate) evaluator: Rc<SystemEvaluator>,
     pub(crate) system: SystemKind,
-    pub(crate) schedule: ScheduleKind,
     pub(crate) scheduler: Arc<dyn Scheduler>,
     pub(crate) policy: Policy,
     pub(crate) batching: BatchingConfig,
     pub(crate) mode: ServingMode,
-    pub(crate) node_desc: String,
     pub(crate) lifecycle: Lifecycle,
     /// The disaggregated pool this replica serves in ([`ReplicaRole::Unified`]
     /// outside disaggregated runs). The engine itself is role-oblivious — the
@@ -273,9 +276,6 @@ pub(crate) struct ReplicaEngine {
     /// Maximum `gen_len` over `progress`, kept the same way: the generation
     /// length a decode step is priced at.
     active_max_gen: u64,
-    /// Prompt tokens summed over `active`: the mean prompt a decode step is
-    /// priced at.
-    active_prompt: u64,
     /// The decode-step latency has not been re-derived since the last
     /// membership change: costing is deferred while an admission re-pass is
     /// armed at the current instant, so intermediate wave states are never
@@ -285,13 +285,11 @@ pub(crate) struct ReplicaEngine {
     round_end: Option<Seconds>,
     /// The open round's unreleased completions, latest first.
     in_round: Vec<PendingCompletion>,
-    /// The last computed decode-step latency and the concurrency it was
-    /// computed at — the admission controller's TTFT estimator.
-    recent_step: Option<(Seconds, u64)>,
-    /// The per-micro-batch occupancies and mean contexts `refresh_step`
-    /// fills, kept so that pricing a step allocates nothing.
-    step_occupancy: Vec<u64>,
-    step_contexts: Vec<u64>,
+    /// The last priced decode step's rate in tokens/s (its concurrency over
+    /// its latency; `None` before the first step and after a step with no
+    /// request or no positive latency): the admission controller's TTFT
+    /// estimator and the newest sample of `decode_rate`.
+    recent_rate: Option<f64>,
     // Accounting.
     rounds: Vec<RoundReport>,
     latencies: Vec<RequestLatency>,
@@ -309,26 +307,23 @@ impl ReplicaEngine {
     /// with an empty queue.
     pub(crate) fn new(
         id: ReplicaId,
-        evaluator: SystemEvaluator,
+        evaluator: Rc<SystemEvaluator>,
         system: SystemKind,
         policy: Policy,
         batching: BatchingConfig,
         mode: ServingMode,
         scheduler: Arc<dyn Scheduler>,
     ) -> Self {
-        let node_desc = evaluator.node().describe();
         let parts = vec![PartitionState::default(); batching.num_micro_batches];
         let queue_order = scheduler.queue_order();
         ReplicaEngine {
             id,
             evaluator,
             system,
-            schedule: system.schedule(),
             scheduler,
             policy,
             batching,
             mode,
-            node_desc,
             lifecycle: Lifecycle::Serving,
             role: ReplicaRole::Unified,
             prefix_cache: None,
@@ -353,14 +348,11 @@ impl ReplicaEngine {
             active_remaining: 0,
             active_min_finish: u64::MAX,
             active_max_gen: 0,
-            active_prompt: 0,
             step_stale: false,
             pending_admission: None,
             round_end: None,
             in_round: Vec::new(),
-            recent_step: None,
-            step_occupancy: Vec::new(),
-            step_contexts: Vec::new(),
+            recent_rate: None,
             rounds: Vec::new(),
             latencies: Vec::new(),
             aborted: Vec::new(),
@@ -405,7 +397,7 @@ impl ReplicaEngine {
     /// of it in *slot* terms. Every completion frees the slot the queue head
     /// takes, so a request behind `k` queued requests waits for roughly their
     /// generation tokens to be produced at the decode rate of the last
-    /// computed step (`recent_step`: concurrency / step latency). Requests
+    /// priced step (`recent_rate`: concurrency / step latency). Requests
     /// already decoding drain in parallel and are not ahead of it in the slot
     /// queue. Optimistically zero for a cold replica with no step history —
     /// admission control should not reject into an idle fleet.
@@ -414,12 +406,9 @@ impl ReplicaEngine {
         if queued_gen == 0 {
             return Seconds::ZERO;
         }
-        match self.recent_step {
-            Some((step, concurrent)) if concurrent > 0 && step.as_secs() > 0.0 => {
-                let rate = concurrent as f64 / step.as_secs();
-                Seconds::from_secs(queued_gen as f64 / rate)
-            }
-            _ => Seconds::ZERO,
+        match self.recent_rate {
+            Some(rate) => Seconds::from_secs(queued_gen as f64 / rate),
+            None => Seconds::ZERO,
         }
     }
 
@@ -485,7 +474,6 @@ impl ReplicaEngine {
         self.active_remaining = 0;
         self.active_min_finish = u64::MAX;
         self.active_max_gen = 0;
-        self.active_prompt = 0;
         self.step = Seconds::ZERO;
         self.step_stale = false;
         self.clock = self.clock.max(t);
@@ -826,7 +814,7 @@ impl ReplicaEngine {
                 self.step_stale = true;
                 self.segment_start = self.clock;
             } else {
-                self.refresh_step()?;
+                self.refresh_step(scratch)?;
                 self.step_stale = false;
             }
         }
@@ -853,7 +841,6 @@ impl ReplicaEngine {
             }
             self.progress.swap_remove(i);
             let done = self.active.swap_remove(i);
-            self.active_prompt -= done.request.input_len;
             self.parts[done.partition].release(&done.request);
             let per_token =
                 (self.clock - done.decode_start).scale(1.0 / done.request.gen_len as f64);
@@ -946,7 +933,6 @@ impl ReplicaEngine {
                 self.active_remaining += request.gen_len;
                 self.active_min_finish = self.active_min_finish.min(finish);
                 self.active_max_gen = self.active_max_gen.max(request.gen_len);
-                self.active_prompt += request.input_len;
                 self.progress.push(Progress {
                     finish,
                     gen_len: request.gen_len,
@@ -1092,13 +1078,12 @@ impl ReplicaEngine {
     /// rate.
     const DECODE_RATE_ALPHA: f64 = 0.3;
 
-    /// Folds one decode-step observation (`concurrent` requests each
-    /// producing a token per `step`) into the router-visible EWMA rate.
-    fn note_decode_rate(&mut self, step: Seconds, concurrent: u64) {
-        if concurrent == 0 || step.as_secs() <= 0.0 {
+    /// Folds the last priced step's rate (`recent_rate`) into the
+    /// router-visible EWMA rate.
+    fn note_decode_rate(&mut self) {
+        let Some(inst) = self.recent_rate else {
             return;
-        }
-        let inst = concurrent as f64 / step.as_secs();
+        };
         self.decode_rate = if self.decode_rate > 0.0 {
             Self::DECODE_RATE_ALPHA * inst + (1.0 - Self::DECODE_RATE_ALPHA) * self.decode_rate
         } else {
@@ -1127,26 +1112,24 @@ impl ReplicaEngine {
 
     /// Re-derives the decode-step latency for the current occupancy and KV
     /// load, resetting the segment origin.
-    fn refresh_step(&mut self) -> Result<(), EngineError> {
+    fn refresh_step(&mut self, scratch: &mut EventScratch) -> Result<(), EngineError> {
         self.segment_start = self.clock;
         self.step = if self.active.is_empty() {
             Seconds::ZERO
         } else {
-            self.price_step(
-                0..self.parts.len(),
-                self.active.len() as u64,
-                self.active_prompt,
-                self.active_max_gen,
-            )?
+            let (order, max_gen) = (0..self.parts.len(), self.active_max_gen);
+            let (occupancy, contexts) = (&mut scratch.occupancy, &mut scratch.contexts);
+            self.price_step(order, max_gen, occupancy, contexts)?
         };
         Ok(())
     }
 
-    /// Costs one decode step starting at the current clock for `requests`
-    /// requests holding `prompt` prompt tokens in all, the longest
-    /// generating `max_gen`, over the partitions `order` names (empty ones
-    /// skipped, the rest in that order), and records it as the replica's
-    /// most recent step.
+    /// Costs one decode step starting at the current clock over the
+    /// partitions `order` names (empty ones skipped, the rest in that
+    /// order), the longest request generating `max_gen`, and records it as
+    /// the replica's most recent step. The step's request count and mean
+    /// prompt are the ledger's: summed over the same partitions, whose
+    /// occupancies and mean contexts fill `occupancy` and `contexts`.
     ///
     /// # Errors
     ///
@@ -1156,15 +1139,16 @@ impl ReplicaEngine {
     fn price_step(
         &mut self,
         order: impl Iterator<Item = usize>,
-        requests: u64,
-        prompt: u64,
         max_gen: u64,
+        occupancy: &mut Vec<u64>,
+        contexts: &mut Vec<u64>,
     ) -> Result<Seconds, EngineError> {
-        let mut occupancy = std::mem::take(&mut self.step_occupancy);
-        let mut contexts = std::mem::take(&mut self.step_contexts);
         occupancy.clear();
         contexts.clear();
+        let (mut requests, mut prompt) = (0, 0);
         for p in order.map(|i| self.parts[i]).filter(|p| p.requests > 0) {
+            requests += p.requests as u64;
+            prompt += p.prompt_tokens;
             occupancy.push(p.requests as u64);
             contexts.push(mean_decode_context(
                 p.prompt_tokens,
@@ -1174,23 +1158,21 @@ impl ReplicaEngine {
         }
         let shape = WorkloadShape::new(prompt.div_ceil(requests).max(1), max_gen.max(1));
         let step = self.evaluator.decode_step_latency_with_loads(
-            self.schedule,
+            self.system.schedule(),
             &self.batch_policy(requests),
             &shape,
-            Some(&occupancy),
-            Some(&contexts),
-        );
-        self.step_occupancy = occupancy;
-        self.step_contexts = contexts;
-        let step = step?;
+            Some(occupancy.as_slice()),
+            Some(contexts.as_slice()),
+        )?;
         if step.as_secs() > 0.0 && self.clock + step == self.clock {
             return Err(EngineError::ClockStalled {
                 at: self.clock,
                 step,
             });
         }
-        self.recent_step = Some((step, requests));
-        self.note_decode_rate(step, requests);
+        self.recent_rate =
+            (requests > 0 && step.as_secs() > 0.0).then(|| requests as f64 / step.as_secs());
+        self.note_decode_rate();
         Ok(step)
     }
 
@@ -1265,12 +1247,14 @@ impl ReplicaEngine {
         };
         let round = self.rounds.len();
         let requests = wave.report.requests;
-        let step = self.price_step(
-            scratch.order.iter().copied(),
-            requests,
-            wave.report.prompt_tokens,
-            wave.max_gen,
-        )?;
+        let EventScratch {
+            fill,
+            order,
+            occupancy,
+            contexts,
+            ..
+        } = scratch;
+        let step = self.price_step(order.iter().copied(), wave.max_gen, occupancy, contexts)?;
         // Every request's completion instant is known at admission; each is
         // released (latency recorded, router told) at its own step instead of
         // in bulk when the round retires. Kept sorted latest-first so
@@ -1278,7 +1262,6 @@ impl ReplicaEngine {
         // releases from the back in O(1) instead of re-scanning the round
         // per event.
         let start = self.clock;
-        let EventScratch { fill, order, .. } = scratch;
         let admitted = order.iter().flat_map(|&i| &fill.assignments[i]);
         self.in_round.extend(admitted.map(|&request| {
             let at = start + step.scale(request.gen_len as f64);
@@ -1318,7 +1301,7 @@ impl ReplicaEngine {
             mode: self.mode,
             scheduler: self.scheduler.name().to_owned(),
             policy: self.policy,
-            schedule: self.schedule,
+            schedule: self.system.schedule(),
             rounds: self.rounds,
             latencies: self.latencies,
             aborted,
@@ -1376,7 +1359,7 @@ mod tests {
             let batching = batching_for(&policy, &WorkloadShape::new(MAX_PROMPT, MAX_GEN)).unwrap();
             let engine = ReplicaEngine::new(
                 ReplicaId(0),
-                SystemEvaluator::new(setting.node(), setting.model()),
+                Rc::new(SystemEvaluator::new(setting.node(), setting.model())),
                 SystemKind::MoeLightning,
                 policy,
                 batching,
@@ -1512,7 +1495,7 @@ mod tests {
             }
             let countdowns = self.model.values();
             assert_eq!(
-                engine.active_prompt,
+                engine.parts.iter().map(|p| p.prompt_tokens).sum::<u64>(),
                 countdowns.clone().map(|c| c.input_len).sum::<u64>()
             );
             assert_eq!(
@@ -1623,7 +1606,7 @@ mod tests {
 
         /// After every event of a random enqueue/step/fail sequence, each
         /// in-flight request's remaining steps, the minimum of them, the
-        /// in-flight prompt sum and longest generation, the tokens still to
+        /// partition ledger's prompt total, the longest generation, the tokens still to
         /// decode and the set still waiting for a first token all equal a
         /// per-request countdown's.
         #[test]
@@ -1685,7 +1668,7 @@ mod tests {
 
                 let mut engine = ReplicaEngine::new(
                     ReplicaId(0),
-                    SystemEvaluator::new(setting.node(), setting.model()),
+                    Rc::new(SystemEvaluator::new(setting.node(), setting.model())),
                     SystemKind::MoeLightning,
                     policy,
                     batching,
@@ -1696,8 +1679,9 @@ mod tests {
                 for &request in &queue {
                     engine.enqueue(request, Phase::Full, now);
                 }
+                let mut scratch = EventScratch::default();
                 if let Some(t) = engine.next_event() {
-                    engine.step_to(t, &mut EventScratch::default()).unwrap();
+                    engine.step_to(t, &mut scratch).unwrap();
                 }
 
                 let name = scheduler.name();
@@ -1711,7 +1695,7 @@ mod tests {
                 let batches = &formed.micro_batches;
                 let occupancy: Vec<u64> = batches.iter().map(|mb| mb.len() as u64).collect();
                 prop_assert_eq!(&round.occupancy, &occupancy, "{}", name);
-                prop_assert_eq!(&engine.step_occupancy, &occupancy, "{}: pricing order", name);
+                prop_assert_eq!(&scratch.occupancy, &occupancy, "{}: pricing order", name);
                 let kv: Vec<u64> = batches.iter().map(|mb| mb.max_cache_tokens()).collect();
                 prop_assert_eq!(&round.kv_reserved, &kv, "{}", name);
                 prop_assert_eq!(round.prompt_token_spread, formed.prompt_token_spread(), "{}", name);

@@ -392,10 +392,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Fleets share one evaluator per node by cloning it. The policy
-        /// search builds its tables on its first search, so a clone taken
-        /// before that search and one taken after evaluate like the
-        /// original, bit for bit.
+        /// A clone of an evaluator evaluates like it. The policy search
+        /// builds its tables on its first search, so a clone taken before
+        /// that search and one taken after evaluate like the original, bit
+        /// for bit.
         #[test]
         fn clones_before_and_after_the_first_search_evaluate_alike(
             setting in 0usize..6,

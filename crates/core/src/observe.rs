@@ -170,7 +170,7 @@ impl FleetLoop<'_> {
                 at: at.as_secs(),
             });
         }
-        self.rejected.push(request);
+        self.availability.rejected.push(request);
     }
 
     /// Records a fleet-level abort (event + the report's aborted list).
@@ -188,7 +188,7 @@ impl FleetLoop<'_> {
     /// re-routed, emits the event, and sends it back through dispatch without
     /// re-screening.
     pub(crate) fn redispatch(&mut self, request: Request, at: Seconds) {
-        self.rerouted.insert(request.id);
+        self.availability.rerouted.push(request.id);
         if let Some(sink) = self.sink() {
             sink.event(&TelemetryEvent::Rerouted {
                 id: request.id,

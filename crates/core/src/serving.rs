@@ -285,7 +285,10 @@ impl ServeSpec {
     }
 
     /// Overrides the policy instead of searching one for the system (the Tab. 5
-    /// ablation mixes schedules and policies this way).
+    /// ablation mixes schedules and policies this way). It becomes the
+    /// replica's override in [`Self::into_cluster`], so a policy
+    /// [`Policy::validate`] rejects is a
+    /// [`crate::ClusterSpecError::InvalidPolicy`] error.
     pub fn with_policy(mut self, policy: Policy) -> Self {
         self.policy = Some(policy);
         self
@@ -348,11 +351,12 @@ impl SystemEvaluator {
     /// [`EngineError::InvalidClusterSpec`] if the queue is empty
     /// ([`crate::ClusterSpecError::ZeroRequests`], an empty explicit queue
     /// included), the workload cannot sample it
-    /// ([`crate::ClusterSpecError::InvalidWorkload`]), or its arrivals cannot
+    /// ([`crate::ClusterSpecError::InvalidWorkload`]), its arrivals cannot
     /// be stamped or are not finite
-    /// ([`crate::ClusterSpecError::InvalidArrivals`]). Then an error if no
-    /// policy fits, the batching configuration is invalid, or the simulation
-    /// fails.
+    /// ([`crate::ClusterSpecError::InvalidArrivals`]), or its policy
+    /// override is invalid ([`crate::ClusterSpecError::InvalidPolicy`]).
+    /// Then an error if no policy fits, the batching configuration is
+    /// invalid, or the simulation fails.
     pub fn run(&self, spec: &ServeSpec) -> Result<ServingReport, EngineError> {
         let ClusterReport {
             mut replicas,

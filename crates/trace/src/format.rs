@@ -243,46 +243,9 @@ impl Trace {
     /// bad header, [`TraceError::Corrupt`] for a malformed or out-of-order
     /// record, or one whose total token count does not fit a `u64`.
     pub fn parse(text: &str) -> Result<Trace, TraceError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or_else(|| TraceError::BadMagic {
-            found: String::new(),
-        })?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some(TRACE_MAGIC) {
-            return Err(TraceError::BadMagic {
-                found: header.to_owned(),
-            });
-        }
-        let version: u32 =
-            parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| TraceError::BadMagic {
-                    found: header.to_owned(),
-                })?;
-        if version != TRACE_VERSION {
-            return Err(TraceError::UnsupportedVersion { found: version });
-        }
-
         let mut requests = Vec::new();
         let mut last_arrival = Seconds::ZERO;
-        for (index, line) in lines {
-            let line_no = index + 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let fields: Vec<&str> = trimmed.split_whitespace().collect();
-            if fields.len() != 5 {
-                return Err(TraceError::Corrupt {
-                    line: line_no,
-                    reason: format!("expected 5 fields, found {}", fields.len()),
-                });
-            }
-            let corrupt = |reason: String| TraceError::Corrupt {
-                line: line_no,
-                reason,
-            };
+        read_records(text, TRACE_MAGIC, |fields: [&str; 5], corrupt| {
             let arrival_secs: f64 = fields[0]
                 .parse()
                 .map_err(|_| corrupt(format!("bad arrival `{}`", fields[0])))?;
@@ -321,7 +284,8 @@ impl Trace {
                 .with_slo_class(slo_class);
             request.arrival = arrival;
             requests.push(request);
-        }
+            Ok(())
+        })?;
         Ok(Trace { requests })
     }
 
@@ -344,4 +308,62 @@ impl Trace {
     pub fn load(path: impl AsRef<Path>) -> Result<Trace, TraceError> {
         Trace::parse(&std::fs::read_to_string(path)?)
     }
+}
+
+/// The one reader behind [`Trace::parse`] and
+/// [`crate::OutcomeLog::parse`]: checks the `<magic> <version>` header,
+/// skips blank and `#` lines, and hands each record's `N`
+/// whitespace-separated fields to `record`, with the constructor of its
+/// line's [`TraceError::Corrupt`].
+///
+/// # Errors
+///
+/// [`TraceError::BadMagic`] / [`TraceError::UnsupportedVersion`] for a bad
+/// header, [`TraceError::Corrupt`] for a record without exactly `N` fields,
+/// and whatever `record` returns.
+pub(crate) fn read_records<const N: usize>(
+    text: &str,
+    magic: &str,
+    mut record: impl FnMut([&str; N], &dyn Fn(String) -> TraceError) -> Result<(), TraceError>,
+) -> Result<(), TraceError> {
+    let mut lines = text.lines().enumerate();
+    let (_, header) = lines.next().ok_or_else(|| TraceError::BadMagic {
+        found: String::new(),
+    })?;
+    let bad_magic = || TraceError::BadMagic {
+        found: header.to_owned(),
+    };
+    let mut parts = header.split_whitespace();
+    if parts.next() != Some(magic) {
+        return Err(bad_magic());
+    }
+    let version: u32 = (parts.next())
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(bad_magic)?;
+    if version != TRACE_VERSION {
+        return Err(TraceError::UnsupportedVersion { found: version });
+    }
+    for (index, line) in lines {
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            continue;
+        }
+        let corrupt = |reason: String| TraceError::Corrupt {
+            line: index + 1,
+            reason,
+        };
+        let mut fields = [""; N];
+        let mut found = 0;
+        for field in trimmed.split_whitespace() {
+            if let Some(slot) = fields.get_mut(found) {
+                *slot = field;
+            }
+            found += 1;
+        }
+        if found != N {
+            return Err(corrupt(format!("expected {N} fields, found {found}")));
+        }
+        record(fields, &corrupt)?;
+    }
+    Ok(())
 }

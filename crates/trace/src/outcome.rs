@@ -21,7 +21,7 @@
 //! instant otherwise. Replaying a recorded trace through the originating spec must
 //! reproduce the outcome log exactly — `tests/trace_roundtrip.rs` pins that.
 
-use crate::format::{TraceError, TRACE_VERSION};
+use crate::format::{read_records, TraceError, TRACE_VERSION};
 use std::fmt;
 use std::path::Path;
 
@@ -148,45 +148,8 @@ impl OutcomeLog {
     /// [`TraceError::BadMagic`] / [`TraceError::UnsupportedVersion`] for a
     /// bad header, [`TraceError::Corrupt`] for a malformed record.
     pub fn parse(text: &str) -> Result<OutcomeLog, TraceError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or_else(|| TraceError::BadMagic {
-            found: String::new(),
-        })?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some(OUTCOME_MAGIC) {
-            return Err(TraceError::BadMagic {
-                found: header.to_owned(),
-            });
-        }
-        let version: u32 =
-            parts
-                .next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| TraceError::BadMagic {
-                    found: header.to_owned(),
-                })?;
-        if version != TRACE_VERSION {
-            return Err(TraceError::UnsupportedVersion { found: version });
-        }
-
         let mut outcomes = Vec::new();
-        for (index, line) in lines {
-            let line_no = index + 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let fields: Vec<&str> = trimmed.split_whitespace().collect();
-            if fields.len() != 3 {
-                return Err(TraceError::Corrupt {
-                    line: line_no,
-                    reason: format!("expected 3 fields, found {}", fields.len()),
-                });
-            }
-            let corrupt = |reason: String| TraceError::Corrupt {
-                line: line_no,
-                reason,
-            };
+        read_records(text, OUTCOME_MAGIC, |fields: [&str; 3], corrupt| {
             let id: u64 = fields[0]
                 .parse()
                 .map_err(|_| corrupt(format!("bad request id `{}`", fields[0])))?;
@@ -205,7 +168,8 @@ impl OutcomeLog {
                 kind,
                 finish_secs,
             });
-        }
+            Ok(())
+        })?;
         Ok(OutcomeLog::new(outcomes))
     }
 

@@ -233,8 +233,9 @@ struct Rule {
 }
 
 /// Implements [`Scheduler`] for a built-in strategy from its one [`Rule`]:
-/// `queue_order` reports the rule's order, `backfill` runs it after a sort,
-/// and `backfill_sorted` and `backfill_sorted_into` run it without one.
+/// `queue_order` reports the rule's order, `backfill` runs it on a copy of
+/// the queue sorted in that order, and `backfill_sorted` and
+/// `backfill_sorted_into` run it on the queue as given.
 macro_rules! rule_scheduler {
     ($ty:ty, $name:literal, $rule:expr) => {
         impl $ty {
@@ -256,7 +257,9 @@ macro_rules! rule_scheduler {
                 cfg: &BatchingConfig,
                 occupied: &[PartitionState],
             ) -> BackfillResult {
-                assign(queue, cfg, occupied, Self::RULE, false)
+                let mut sorted = queue.to_vec();
+                Self::RULE.order.sort(&mut sorted);
+                assign(&sorted, cfg, occupied, Self::RULE)
             }
 
             fn backfill_sorted(
@@ -265,7 +268,7 @@ macro_rules! rule_scheduler {
                 cfg: &BatchingConfig,
                 occupied: &[PartitionState],
             ) -> BackfillResult {
-                assign(queue, cfg, occupied, Self::RULE, true)
+                assign(queue, cfg, occupied, Self::RULE)
             }
 
             fn backfill_sorted_into(
@@ -275,7 +278,7 @@ macro_rules! rule_scheduler {
                 occupied: &[PartitionState],
                 out: &mut BackfillResult,
             ) {
-                run_assignment(queue, cfg, occupied, Self::RULE, true, out)
+                run_assignment(queue, cfg, occupied, Self::RULE, out)
             }
         }
     };
@@ -292,16 +295,15 @@ struct AssignmentScratch {
 }
 
 /// The shared assignment engine behind every built-in [`Scheduler`]:
-/// admits `queue` under `rule` into `out`, sorting it first unless
-/// `presorted`. Every vector of `out` is cleared but keeps its capacity, so
-/// a caller that reuses one result across passes allocates only when a pass
+/// admits `queue`, already sorted in `rule`'s order, under `rule` into
+/// `out`. Every vector of `out` is cleared but keeps its capacity, so a
+/// caller that reuses one result across passes allocates only when a pass
 /// outgrows the previous ones.
 fn run_assignment(
     queue: &[Request],
     cfg: &BatchingConfig,
     occupied: &[PartitionState],
     rule: Rule,
-    presorted: bool,
     out: &mut BackfillResult,
 ) {
     thread_local! {
@@ -340,23 +342,10 @@ fn run_assignment(
         0
     };
 
-    // The incremental path: a caller that kept its queue in admission order
-    // skips the O(n log n) re-sort every scheduling event pays otherwise.
-    let owned: Vec<Request>;
-    let sorted: &[Request] = if presorted {
-        debug_assert!(
-            queue.windows(2).all(|w| order.cmp(&w[0], &w[1]).is_lt()),
-            "caller promised a queue sorted in {order:?} order"
-        );
-        queue
-    } else {
-        owned = {
-            let mut q = queue.to_vec();
-            order.sort(&mut q);
-            q
-        };
-        &owned
-    };
+    debug_assert!(
+        queue.windows(2).all(|w| order.cmp(&w[0], &w[1]).is_lt()),
+        "caller promised a queue sorted in {order:?} order"
+    );
 
     let kv_cost = |r: &Request| {
         if padded {
@@ -389,12 +378,12 @@ fn run_assignment(
     // Only the requests the total cap can still admit count towards the sizing
     // (in admission order); sizing on the full queue would re-open the whole
     // pipeline for work that cannot be scheduled this round.
-    let admissible = sorted
+    let admissible = queue
         .len()
         .min(cfg.max_scheduled_requests.saturating_sub(in_flight));
     let slots_needed = (in_flight + admissible).div_ceil(cfg.max_requests_per_micro_batch);
     let kv_needed: u64 = state.iter().map(|p| p.cache_tokens).sum::<u64>()
-        + sorted[..admissible].iter().map(kv_cost).sum::<u64>();
+        + queue[..admissible].iter().map(kv_cost).sum::<u64>();
     let cache_slots_needed = if cfg.cache_tokens_per_micro_batch == 0 {
         cfg.num_micro_batches
     } else {
@@ -414,13 +403,13 @@ fn run_assignment(
 
     let slot_capacity = cfg.num_micro_batches * cfg.max_requests_per_micro_batch;
     let mut scheduled = in_flight;
-    for (pos, req) in sorted.iter().copied().enumerate() {
+    for (pos, req) in queue.iter().copied().enumerate() {
         // Once the total-admission cap or every request slot is exhausted,
         // nothing further can ever be admitted — defer the rest in bulk
         // instead of probing each request against a saturated pipeline (the
         // common steady state of a loaded continuous-batching replica).
         if scheduled >= cfg.max_scheduled_requests || scheduled >= slot_capacity {
-            deferred.extend_from_slice(&sorted[pos..]);
+            deferred.extend_from_slice(&queue[pos..]);
             break;
         }
         let cost = kv_cost(&req);
@@ -482,10 +471,9 @@ fn assign(
     cfg: &BatchingConfig,
     occupied: &[PartitionState],
     rule: Rule,
-    presorted: bool,
 ) -> BackfillResult {
     let mut out = BackfillResult::default();
-    run_assignment(queue, cfg, occupied, rule, presorted, &mut out);
+    run_assignment(queue, cfg, occupied, rule, &mut out);
     out
 }
 

@@ -8,10 +8,10 @@
 use moe_bench::fleet::FleetScenario;
 use moe_lightning::{
     builtin_routers, Autoscaler, ClusterEvaluator, ClusterReport, ClusterSpec, ClusterSpecError,
-    EngineError, EvalSetting, FleetTimeline, FleetView, GenLens, NodeSpec, Policy, PrefixAware,
-    QueueDepthScaler, ReplicaId, ReplicaRole, ReplicaSpec, ReplicaView, Router, RouterCtx,
-    ScaleBounds, ScaleDecision, Seconds, ServingMode, SloAdmission, SloAttainmentScaler, SloSpec,
-    SystemEvaluator, SystemKind,
+    EngineError, EvalSetting, FleetTimeline, FleetView, GenLens, LeastOutstandingTokens, NodeSpec,
+    Policy, PrefixAware, QueueDepthScaler, Recorder, ReplicaId, ReplicaRole, ReplicaSpec,
+    ReplicaView, Router, RouterCtx, ScaleBounds, ScaleDecision, Seconds, ServingMode, SloAdmission,
+    SloAttainmentScaler, SloSpec, SystemEvaluator, SystemKind, TelemetryEvent,
 };
 use moe_workload::{ArrivalProcess, Request, RequestLatency, WorkloadSpec};
 use std::sync::{Arc, Mutex};
@@ -696,4 +696,58 @@ fn fleet_views_match_across_loops_on_a_pooled_fleet() {
         seen.iter().any(|o| o.replicas.len() > 4),
         "a unified joiner must serve in both pools and appear once"
     );
+}
+
+/// A request re-routed twice is listed once, in ascending order: three
+/// replicas under a capacity-bound policy take a deep queue at t = 0, then
+/// two of them fail in a row, so requests displaced by the first failure sit
+/// queued on the second when it fails. On both loops and in both modes the
+/// report's `rerouted` ids are strictly ascending and equal the distinct ids
+/// of the `Rerouted` events a recorder saw, and some id was re-routed twice.
+#[test]
+fn a_request_rerouted_twice_is_listed_once_in_ascending_order() {
+    let policy = Policy::offload_default(16, 8);
+    let spec = |mode: ServingMode, recorder: Arc<Recorder>| {
+        ClusterSpec::new(SystemKind::MoeLightning, WorkloadSpec::mtbench())
+            .with_replica(ReplicaSpec::new(NodeSpec::t4_single()).with_policy(policy))
+            .with_replica(ReplicaSpec::new(NodeSpec::t4_single()).with_policy(policy))
+            .with_replica(ReplicaSpec::new(NodeSpec::t4_single()).with_policy(policy))
+            .with_count(150)
+            .with_gen_len(32)
+            .with_seed(5)
+            .with_mode(mode)
+            .with_router(Arc::new(LeastOutstandingTokens))
+            .with_timeline(
+                FleetTimeline::new()
+                    .fail_at(secs(1.0), ReplicaId(0))
+                    .fail_at(secs(2.0), ReplicaId(1)),
+            )
+            .with_telemetry(recorder)
+    };
+    for mode in MODES {
+        let mut reports = Vec::new();
+        for evaluator in [cluster_evaluator().with_scan_loop(), cluster_evaluator()] {
+            let recorder = Arc::new(Recorder::new());
+            let report = evaluator.run(&spec(mode, recorder.clone())).unwrap();
+            let mut events: Vec<u64> = (recorder.events().into_iter())
+                .filter_map(|event| match event {
+                    TelemetryEvent::Rerouted { id, .. } => Some(id),
+                    _ => None,
+                })
+                .collect();
+            events.sort_unstable();
+            let moved_twice = events.windows(2).any(|w| w[0] == w[1]);
+            assert!(moved_twice, "[{mode}]: no request was re-routed twice");
+            events.dedup();
+            let rerouted = &report.availability.rerouted;
+            assert!(
+                rerouted.windows(2).all(|w| w[0] < w[1]),
+                "[{mode}]: re-routed ids are not strictly ascending"
+            );
+            assert_eq!(rerouted, &events, "[{mode}]: re-routed ids != events");
+            assert_eq!(report.total_requests(), 150, "[{mode}]");
+            reports.push(report);
+        }
+        assert_eq!(reports[0], reports[1], "[{mode}]: scan and indexed loops");
+    }
 }
