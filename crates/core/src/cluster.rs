@@ -924,8 +924,9 @@ impl ClusterEvaluator {
     }
 }
 
-/// How many of the fleet's most recent completions the control plane keeps
-/// for [`Autoscaler`] observations.
+/// How many of the fleet's most recent completions an [`Autoscaler`]
+/// observes. The loop keeps up to twice as many, so that it trims its list
+/// once per window's worth of completions rather than on every step.
 const RECENT_COMPLETION_WINDOW: usize = 128;
 
 /// Which serving replicas a request may be placed on: new arrivals go to
@@ -975,6 +976,8 @@ pub(crate) struct FleetLoop<'a> {
     /// filled in then, from `departures`.
     pub(crate) availability: AvailabilityReport,
     departures: Vec<(ReplicaId, Seconds)>,
+    /// Served requests, oldest first: at least the last
+    /// `RECENT_COMPLETION_WINDOW` of them, and at most twice that many.
     recent: Vec<RequestLatency>,
     last_scale: Option<Seconds>,
     /// Every pending event but the arrivals, in settling order (see
@@ -1194,10 +1197,16 @@ impl FleetLoop<'_> {
             }
         }
         self.scratch.finished = finished;
-        if self.recent.len() > RECENT_COMPLETION_WINDOW {
+        if self.recent.len() > 2 * RECENT_COMPLETION_WINDOW {
             let excess = self.recent.len() - RECENT_COMPLETION_WINDOW;
             self.recent.drain(..excess);
         }
+    }
+
+    /// The fleet's most recent completions, oldest first: the window an
+    /// autoscaler observes.
+    fn recent_window(&self) -> &[RequestLatency] {
+        &self.recent[self.recent.len().saturating_sub(RECENT_COMPLETION_WINDOW)..]
     }
 
     /// Marks a replica as gone (failure, drain completion, or cancelled join)
@@ -1339,7 +1348,7 @@ impl FleetLoop<'_> {
                 oldest_queued_arrival: fleet.oldest_queued_arrival(),
                 provisioning,
                 draining,
-                recent: &self.recent,
+                recent: self.recent_window(),
             },
             _ => {
                 fresh = self
@@ -1348,7 +1357,7 @@ impl FleetLoop<'_> {
                     .filter(|e| e.is_serving())
                     .map(|e| e.view())
                     .collect();
-                FleetView::new(t, &fresh, provisioning, draining, &self.recent)
+                FleetView::new(t, &fresh, provisioning, draining, self.recent_window())
             }
         };
         let decision = scaler.observe(&fleet, t);

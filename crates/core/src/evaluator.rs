@@ -219,8 +219,12 @@ impl SystemEvaluator {
     /// pipeline sees both kinds of imbalance a batch-formation strategy can
     /// produce: sequence-count skew and token-load skew. `None` falls back to
     /// the policy's uniform split and the workload's uniform average context.
-    /// It prices in buffers kept per thread, so it allocates nothing once
-    /// they are warm.
+    /// It prices in one [`StepBuffers`] kept per thread, so it allocates
+    /// nothing once they are warm. There a step with the structure of the
+    /// last one priced with as many micro-batches (modulo the buffers' few
+    /// template slots) refills that layer template instead of rebuilding it,
+    /// and from its third pricing on runs a program compiled from it: a
+    /// serving engine's steps repeat a few structures with new loads.
     ///
     /// # Errors
     ///

@@ -270,9 +270,9 @@ impl<'a> DecodeScheduleBuilder<'a> {
     /// (see [`Self::with_micro_batch_tokens`]).
     pub fn build(&self, kind: ScheduleKind) -> Result<TaskGraph, SimError> {
         let mut buffers = StepBuffers::default();
-        self.fill_template(kind, &mut buffers)?;
+        let slot = self.fill_template(kind, &mut buffers)?;
         let mut graph = TaskGraph::new();
-        buffers.template.unroll(self.num_layers, &mut graph)?;
+        slot.template.unroll(self.num_layers, &mut graph)?;
         Ok(graph)
     }
 
@@ -288,9 +288,14 @@ impl<'a> DecodeScheduleBuilder<'a> {
 
     /// Plays one decode step under `kind` from its layer template and returns
     /// its makespan, without building a graph. It equals
-    /// [`moe_sim::simulate`]`(&self.build(kind)?).makespan` bit for bit. Once
-    /// `buffers` has priced a step with as many micro-batches, it allocates
-    /// nothing.
+    /// [`moe_sim::simulate`]`(&self.build(kind)?).makespan` bit for bit.
+    ///
+    /// `buffers` keeps a template per micro-batch count (modulo a few
+    /// slots), refilled rather than rebuilt while a step repeats the last
+    /// structure priced there. The first pricing of a structure replays its
+    /// template, the second compiles it and later ones run the compiled
+    /// program (see [`moe_sim::TemplatePlayer`]). Once `buffers` has priced
+    /// a step of that structure, it allocates nothing.
     ///
     /// # Errors
     ///
@@ -300,28 +305,35 @@ impl<'a> DecodeScheduleBuilder<'a> {
         kind: ScheduleKind,
         buffers: &mut StepBuffers,
     ) -> Result<Seconds, SimError> {
-        self.fill_template(kind, buffers)?;
-        buffers.player.play(&buffers.template, self.num_layers)
+        let slot = self.fill_template(kind, buffers)?;
+        slot.player.play(&slot.template, self.num_layers)
     }
 
-    /// Prices one layer of `kind` into `buffers.template`.
-    fn fill_template(&self, kind: ScheduleKind, buffers: &mut StepBuffers) -> Result<(), SimError> {
+    /// Prices one layer of `kind` into the template slot of its micro-batch
+    /// count, and returns that slot.
+    fn fill_template<'b>(
+        &self,
+        kind: ScheduleKind,
+        buffers: &'b mut StepBuffers,
+    ) -> Result<&'b mut TemplateSlot, SimError> {
         self.check_loads()?;
+        let n_ub = self.num_micro_batches() as usize;
+        let slot = n_ub % TEMPLATE_SLOTS;
+        let template = &mut buffers.slots[slot].template;
         // At most six tasks per micro-batch and a whole-layer transfer.
-        buffers
-            .template
-            .clear_for(6 * self.num_micro_batches() as usize + 1);
+        template.refill(6 * n_ub + 1);
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
         if !streamed.is_zero() && kind != ScheduleKind::LayerStreaming {
-            buffers
-                .template
-                .set_prologue(self.cost.weight_transfer(streamed));
+            template.set_prologue(self.cost.weight_transfer(streamed));
         }
         match kind {
-            ScheduleKind::FlexGenGpuAttention => self.gpu_attention_layer(buffers),
-            ScheduleKind::LayerStreaming => self.layer_streaming_layer(&mut buffers.template),
-            cpu_attention => self.cpu_attention_layer(cpu_attention, buffers),
+            ScheduleKind::FlexGenGpuAttention => self.gpu_attention_layer(buffers, slot)?,
+            ScheduleKind::LayerStreaming => {
+                self.layer_streaming_layer(&mut buffers.slots[slot].template)?
+            }
+            cpu_attention => self.cpu_attention_layer(cpu_attention, buffers, slot)?,
         }
+        Ok(&mut buffers.slots[slot])
     }
 
     /// One layer of a CPU-attention pipeline (CGOPipe, S2, S3). CGOPipe and
@@ -340,6 +352,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
         &self,
         kind: ScheduleKind,
         buffers: &mut StepBuffers,
+        slot: usize,
     ) -> Result<(), SimError> {
         let (two_ahead, weight_order) = match kind {
             ScheduleKind::CgoPipe => (true, WeightOrder::Interleaved),
@@ -365,7 +378,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
             },
             |tokens, ctx| [self.cost.attention_cpu(tokens, ctx), Seconds::ZERO],
         );
-        let (prices, t) = (&buffers.prices, &mut buffers.template);
+        let (prices, t) = (&buffers.prices, &mut buffers.slots[slot].template);
         let whole = !streamed.is_zero();
         let whole_at_start = weight_order == WeightOrder::WholeAtStart && whole;
         let whole_at_end = weight_order == WeightOrder::WholeAtEnd && whole;
@@ -507,7 +520,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
     /// weights, the S4 H2D ordering of Fig. 6 — then each micro-batch's fused
     /// GPU layer and the write-back of its new KV entries to the CPU-resident
     /// cache.
-    fn gpu_attention_layer(&self, buffers: &mut StepBuffers) -> Result<(), SimError> {
+    fn gpu_attention_layer(&self, buffers: &mut StepBuffers, slot: usize) -> Result<(), SimError> {
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
         let kv_cpu_fraction = 1.0 - self.policy.kv_gpu_ratio;
         self.price_micro_batches(
@@ -534,7 +547,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
                 ]
             },
         );
-        let (prices, t) = (&buffers.prices, &mut buffers.template);
+        let (prices, t) = (&buffers.prices, &mut buffers.slots[slot].template);
         let prefetched = |p: &Priced| !p.by_context[0].is_zero() && kv_cpu_fraction > 0.0;
         for (j, priced) in prices.iter().enumerate() {
             if prefetched(priced) {
@@ -671,18 +684,52 @@ impl Default for TokenPrices {
     }
 }
 
-/// The buffers one step pricing works in: the layer template, the player's
-/// finish times, the per-micro-batch prices and a memo of the prices that
-/// depend only on a micro-batch's tokens. Keep one and pass it to every
-/// [`DecodeScheduleBuilder::decode_step_makespan_in`], for any cost model,
-/// kind or policy; once it has priced a step with as many micro-batches, a
-/// pricing allocates nothing.
+/// Template slots a [`StepBuffers`] keeps: a step's micro-batch count picks
+/// slot `count % TEMPLATE_SLOTS`. A serving engine's steps move among a few
+/// counts, and each keeps its structure in its own slot.
+const TEMPLATE_SLOTS: usize = 8;
+
+/// One layer template and the player that prices it.
 #[derive(Debug, Clone, Default)]
-pub struct StepBuffers {
+struct TemplateSlot {
     template: LayerTemplate,
     player: TemplatePlayer,
+}
+
+/// The buffers one step pricing works in: a few layer templates with their
+/// players, the per-micro-batch prices and a memo of the prices that depend
+/// only on a micro-batch's tokens. Keep one and pass it to every
+/// [`DecodeScheduleBuilder::decode_step_makespan_in`], for any cost model,
+/// kind or policy.
+///
+/// A step's micro-batch count picks its template slot. There a step that
+/// repeats the last structure priced in the slot — the same tasks on the same
+/// lanes after the same inputs, whatever their durations — refills the
+/// template instead of rebuilding it, and from the third such pricing on is
+/// played by a program compiled from it. Once a slot has priced a structure,
+/// pricing it again allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct StepBuffers {
+    slots: [TemplateSlot; TEMPLATE_SLOTS],
     prices: Vec<Priced>,
     by_token: TokenPrices,
+}
+
+#[cfg(test)]
+impl StepBuffers {
+    /// Work done in every slot so far: templates built, structures
+    /// replayed, programs compiled and programs run.
+    fn work(&self) -> [u64; 4] {
+        self.slots.iter().fold([0; 4], |[b, r, c, p], slot| {
+            let played = slot.player.work();
+            [
+                b + slot.template.builds(),
+                r + played.replays,
+                c + played.compiles,
+                p + played.programs,
+            ]
+        })
+    }
 }
 
 /// Placement of the next layer's weight transfer on the H2D lane.
@@ -704,6 +751,7 @@ mod tests {
     use moe_model::MoeModelConfig;
     use moe_sim::{simulate, TaskId, TaskLabel};
     use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
 
     fn cost() -> CostModel {
         CostModel::new(NodeSpec::t4_single(), MoeModelConfig::mixtral_8x7b())
@@ -1034,6 +1082,105 @@ mod tests {
                          KV on GPU {kv_gpu_ratio}",
                         kind.name()
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_structures_build_replay_and_compile_once() {
+        // One structure, loads that change every step: the template is built
+        // once, replayed once and compiled once, and the program runs for
+        // every later step.
+        let cost = cost();
+        let mut buffers = StepBuffers::default();
+        for step in 0..100u64 {
+            let tokens = [16, 16 - step % 5, 9 + step % 3, 12];
+            let contexts = [90 + step, 120 + 2 * step, 77, 300 - step];
+            builder(&cost)
+                .with_micro_batch_tokens(&tokens)
+                .with_micro_batch_contexts(&contexts)
+                .decode_step_makespan_in(ScheduleKind::CgoPipe, &mut buffers)
+                .unwrap();
+        }
+        assert_eq!(buffers.work(), [1, 1, 1, 98]);
+        // A structure priced once compiles nothing.
+        let mut buffers = StepBuffers::default();
+        builder(&cost)
+            .decode_step_makespan_in(ScheduleKind::FlexGenGpuAttention, &mut buffers)
+            .unwrap();
+        assert_eq!(buffers.work(), [1, 1, 0, 0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A sequence of pricings through one `StepBuffers` equals fresh
+        /// pricings bit for bit, and each refilled template unrolls to the
+        /// freshly built graph. Steps switch kind, cost model (S1, L4, and S1
+        /// over a latency-free link, where a tiny CPU KV share makes some
+        /// micro-batches' KV transfers zero bytes), 1–16 micro-batches (so
+        /// structures share template slots), weight and KV placement (so the
+        /// prologue, weight pages and S4's prefetches and write-backs come
+        /// and go) and loads, and some fail with a zero or a missing
+        /// context. Each is priced up to four times with fresh loads, so
+        /// structures are replayed, compiled and run as programs.
+        #[test]
+        fn a_reused_buffer_prices_any_sequence_of_steps_like_fresh_ones(
+            steps in collection::vec(
+                (0usize..5, 0usize..3, 1usize..=16, (0u8..3, 0u8..3, any::<bool>()), 1u32..=4),
+                1..24,
+            ),
+            repeats in collection::vec(1usize..=4, 24),
+            seed in any::<u64>(),
+        ) {
+            let mixtral = MoeModelConfig::mixtral_8x7b();
+            let mut free_link = NodeSpec::t4_single();
+            free_link.link.latency_us = 0.0;
+            let costs = [
+                CostModel::new(NodeSpec::t4_single(), mixtral.clone()),
+                CostModel::new(NodeSpec::l4_single(), mixtral.clone()),
+                CostModel::new(free_link, mixtral),
+            ];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut buffers = StepBuffers::default();
+            for (&(kind, c, n_ub, (w, kv, ffn_on_gpu), layers), &repeat) in steps.iter().zip(&repeats) {
+                let kind = ScheduleKind::all()[kind];
+                let policy = Policy {
+                    ffn_on_gpu,
+                    weights_gpu_ratio: [0.0, 0.5, 1.0][usize::from(w)],
+                    kv_gpu_ratio: [0.0, 1.0, 1.0 - 1e-6][usize::from(kv)],
+                    ..Policy::offload_default(16 * n_ub as u64, 16)
+                };
+                for _ in 0..repeat {
+                    let tokens: Vec<u64> = (0..n_ub).map(|_| rng.gen_range(1..=16)).collect();
+                    let mut contexts: Vec<u64> =
+                        (0..n_ub).map(|_| rng.gen_range(1..4000)).collect();
+                    match rng.gen_range(0..10) {
+                        0 => contexts[rng.gen_range(0..n_ub)] = 0,
+                        1 => contexts.push(1),
+                        _ => {}
+                    }
+                    let b = DecodeScheduleBuilder::new(&costs[c], policy, WorkloadShape::new(77, 128))
+                        .with_layers(layers)
+                        .with_micro_batch_tokens(&tokens)
+                        .with_micro_batch_contexts(&contexts);
+                    let bits = |m: Result<Seconds, SimError>| m.map(|m| m.as_secs().to_bits());
+                    let reused = bits(b.decode_step_makespan_in(kind, &mut buffers));
+                    prop_assert_eq!(
+                        reused.clone(),
+                        bits(b.decode_step_makespan(kind)),
+                        "{} on cost model {}, {:?} at {:?}", kind.name(), c, tokens, contexts
+                    );
+                    if reused.is_ok() {
+                        let mut refilled = TaskGraph::new();
+                        buffers.slots[n_ub % TEMPLATE_SLOTS]
+                            .template
+                            .unroll(layers, &mut refilled)
+                            .unwrap();
+                        let same = same_stream(&refilled, &b.build(kind).unwrap());
+                        prop_assert!(same.is_ok(), "{}: {:?}", kind.name(), same);
+                    }
                 }
             }
         }

@@ -10,9 +10,12 @@
 //! a [`TaskGraph`] that keeps every task so that [`simulate`] can report the
 //! makespan, per-lane utilization and the pipeline bubbles that Fig. 6 of the
 //! paper visualizes. A [`TemplatePlayer`] plays the template into finish times
-//! alone, in a buffer it reuses: pricing a step that way allocates nothing once
-//! the buffer is warm, and its makespan equals [`simulate`]'s on the unrolled
-//! graph bit for bit, since both apply one lane rule.
+//! alone, in buffers it reuses: pricing a step that way allocates nothing once
+//! the buffers are warm, and its makespan equals [`simulate`]'s on the unrolled
+//! graph bit for bit, since both apply one lane rule. Steps that repeat a
+//! structure with new durations refill the template
+//! ([`LayerTemplate::refill`]) and are played from a program the player
+//! compiles on the structure's second play.
 //!
 //! # Examples
 //!
@@ -107,37 +110,82 @@ mod proptests {
     /// three inputs per task: an earlier task of its block, any task up to
     /// four blocks back, or its layer's weight slot.
     fn random_template(seed: u64, width: usize) -> LayerTemplate {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let lanes = Lane::all();
-        let mut t = LayerTemplate::default();
-        if rng.gen_range(0..2) == 0 {
-            t.set_prologue(Seconds::from_micros(rng.gen_range(1.0..500.0)));
+        random_template_into(seed, seed, width, width, &mut LayerTemplate::default())
+    }
+
+    /// Pushes the first `len` tasks of the random template of structure
+    /// seed `structure` and width `width` into `t`, with durations drawn
+    /// from `durations`, and returns the same template built fresh.
+    fn random_template_into(
+        structure: u64,
+        durations: u64,
+        len: usize,
+        width: usize,
+        t: &mut LayerTemplate,
+    ) -> LayerTemplate {
+        let mut rng = StdRng::seed_from_u64(durations);
+        let mut duration = || Seconds::from_micros(rng.gen_range(0.0..500.0));
+        let mut fresh = LayerTemplate::default();
+        if structure.is_multiple_of(2) {
+            let prologue = duration();
+            t.set_prologue(prologue);
+            fresh.set_prologue(prologue);
         }
-        for k in 0..width {
-            let lane = lanes[rng.gen_range(0..lanes.len())];
-            let kind = if rng.gen_range(0..3) == 0 {
-                TaskKind::WeightTransfer
-            } else {
-                TaskKind::Other
-            };
-            let label = TemplateLabel::micro_batch("t", rng.gen_range(-1i8..=1), k as u64);
-            let deps: Vec<Dep> = (0..rng.gen_range(0..=3))
-                .map(|_| match rng.gen_range(0..3) {
-                    0 if k > 0 => Dep::Task {
-                        back: 0,
-                        index: rng.gen_range(0..k) as u16,
-                    },
-                    1 => Dep::Task {
-                        back: rng.gen_range(1..=4),
-                        index: rng.gen_range(0..width) as u16,
-                    },
-                    _ => Dep::Weights,
-                })
-                .collect();
-            let duration = Seconds::from_micros(rng.gen_range(0.0..500.0));
+        for k in 0..len {
+            let (lane, kind, label, deps) = random_task(structure, k, width);
+            let duration = duration();
             t.push(lane, duration, kind, label, &deps).unwrap();
+            fresh.push(lane, duration, kind, label, &deps).unwrap();
         }
-        t
+        fresh
+    }
+
+    /// Task `k` of the random template of structure seed `structure`: a
+    /// random lane, label offset, kind (some weight transfers) and up to
+    /// three inputs: an earlier task of its block, any task up to four
+    /// blocks back, or its layer's weight slot. Structure seeds below 4
+    /// share their first `3 * structure` tasks with seed 0.
+    fn random_task(
+        structure: u64,
+        k: usize,
+        width: usize,
+    ) -> (Lane, TaskKind, TemplateLabel, Vec<Dep>) {
+        let seed = if structure < 4 && (k as u64) < 3 * structure {
+            0
+        } else {
+            structure
+        };
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(1 << 20) + k as u64);
+        let lanes = Lane::all();
+        let lane = lanes[rng.gen_range(0..lanes.len())];
+        let kind = if rng.gen_range(0..3) == 0 {
+            TaskKind::WeightTransfer
+        } else {
+            TaskKind::Other
+        };
+        let label = TemplateLabel::micro_batch("t", rng.gen_range(-1i8..=1), k as u64);
+        let deps = (0..rng.gen_range(0..=3))
+            .map(|_| match rng.gen_range(0..3) {
+                0 if k > 0 => Dep::Task {
+                    back: 0,
+                    index: rng.gen_range(0..k) as u16,
+                },
+                1 => Dep::Task {
+                    back: rng.gen_range(1..=4),
+                    index: rng.gen_range(0..width) as u16,
+                },
+                _ => Dep::Weights,
+            })
+            .collect();
+        (lane, kind, label, deps)
+    }
+
+    /// The bits of `simulate`'s makespan on `t` unrolled over `layers`, or
+    /// the unroll's error.
+    fn simulated(t: &LayerTemplate, layers: u32) -> Result<u64, SimError> {
+        let mut graph = TaskGraph::new();
+        t.unroll(layers, &mut graph)?;
+        Ok(simulate(&graph).makespan.as_secs().to_bits())
     }
 
     /// Tasks bound to `lane`, in enqueue (FIFO) order.
@@ -225,9 +273,55 @@ mod proptests {
             t.unroll(layers, &mut graph).unwrap();
             let bits = simulate(&graph).makespan.as_secs().to_bits();
             prop_assert_eq!(bits, round_robin_makespan(&graph).as_secs().to_bits());
+            // Replayed, compiled, then run as a program.
             let mut player = TemplatePlayer::default();
-            for _ in 0..2 {
+            for _ in 0..3 {
                 prop_assert_eq!(player.play(&t, layers).unwrap().as_secs().to_bits(), bits);
+            }
+        }
+
+        /// A refilled template is the template built fresh from the same
+        /// pushes, and one player prices it like `simulate` on the unrolled
+        /// graph, or fails like the unroll: refills that repeat the stored
+        /// structure with new durations, leave it at a random task, stop
+        /// short of its end or name a task past the new end. A clone taken
+        /// in the middle of a fill and filled differently from there on is
+        /// priced as its own structure.
+        #[test]
+        fn refilled_templates_play_like_fresh_ones(
+            fills in collection::vec((0u64..4, 0u64..10_000, 1usize..24), 1..12),
+            width in 1usize..24,
+            layers in 1u32..6,
+            cut in 0usize..24,
+        ) {
+            let mut refilled = LayerTemplate::default();
+            let mut player = TemplatePlayer::default();
+            for (structure, durations, len) in fills {
+                refilled.refill(width);
+                let fresh =
+                    random_template_into(structure, durations, len.min(width), width, &mut refilled);
+                prop_assert!(refilled == fresh);
+                for _ in 0..3 {
+                    let played = player.play(&refilled, layers).map(|m| m.as_secs().to_bits());
+                    prop_assert_eq!(played, simulated(&fresh, layers));
+                }
+            }
+            let (mut a, cut) = (LayerTemplate::default(), cut.min(width));
+            random_template_into(0, 1, cut, width, &mut a);
+            let mut b = a.clone();
+            for (t, structure) in [(&mut a, 1), (&mut b, 2)] {
+                for k in cut..width {
+                    let (lane, kind, label, deps) = random_task(structure, k, width);
+                    t.push(lane, Seconds::from_micros(k as f64), kind, label, &deps).unwrap();
+                }
+            }
+            for _ in 0..3 {
+                for t in [&a, &b] {
+                    for _ in 0..2 {
+                        let played = player.play(t, layers).map(|m| m.as_secs().to_bits());
+                        prop_assert_eq!(played, simulated(t, layers));
+                    }
+                }
             }
         }
 

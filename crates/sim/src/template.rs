@@ -4,14 +4,28 @@
 //! so a schedule is one layer's tasks — a [`LayerTemplate`] — replayed once
 //! per layer. A template task names its inputs relative to its own layer: a
 //! task of the same or an earlier layer's block, or the weight slot of the
-//! layer it computes. A [`TemplatePlayer`] replays it into finish times
-//! alone, in a buffer it reuses, while [`LayerTemplate::unroll`] emits the
-//! same tasks into any [`TaskSink`] for a full timeline. Both replay the
-//! template the same way, so their makespans agree bit for bit.
+//! layer it computes. [`LayerTemplate::unroll`] emits the step into any
+//! [`TaskSink`] for a full timeline, and a [`TemplatePlayer`] plays it into
+//! finish times alone, in buffers it reuses.
+//!
+//! A step is a max-plus linear system: which task waits for which, and on
+//! which lane, follows from the schedule kind and the micro-batch count, and
+//! only the durations change from step to step. So a template is refilled
+//! rather than rebuilt ([`LayerTemplate::refill`]): a push that repeats the
+//! stored task at its index only overwrites the duration, and the first that
+//! does not rebuilds the template from there on. A player keys its work by
+//! the stored structure. It replays a structure the first time it sees it;
+//! the second time it also compiles it into a flat program, each emitted
+//! task's duration slot and the finish-time slots of its lane predecessor
+//! and inputs resolved once; after that it runs the program. All three
+//! apply the same lane rule with the same arithmetic in the same order, so
+//! every makespan agrees with [`crate::simulate`] on the unrolled graph bit
+//! for bit.
 
 use crate::engine::{later, occupy};
 use crate::task::{Lane, SimError, TaskId, TaskKind, TaskLabel, TaskSink};
 use moe_hardware::Seconds;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Inputs one template task may wait for.
 const MAX_DEPS: usize = 3;
@@ -22,6 +36,10 @@ const MAX_DEPS: usize = 3;
 const NOWHERE: u16 = 0;
 const WEIGHT_SLOT: u16 = 1;
 const FIRST_TASK: u16 = 2;
+
+/// The duration slot of the `W(0)` prologue; a template task's slot is its
+/// local index, which stays below it.
+const PROLOGUE: u16 = u16::MAX;
 
 /// Where a template task finds one of its inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,8 +71,11 @@ pub enum Dep {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TemplateLabel {
     tag: &'static str,
+    /// The micro-batch index, if `has_micro_batch`, else 0: kept apart from
+    /// its flag so that a label stays small.
+    micro_batch: u64,
+    has_micro_batch: bool,
     offset: i8,
-    micro_batch: Option<u64>,
 }
 
 impl TemplateLabel {
@@ -62,8 +83,9 @@ impl TemplateLabel {
     pub const fn layer(tag: &'static str, offset: i8) -> Self {
         TemplateLabel {
             tag,
+            micro_batch: 0,
+            has_micro_batch: false,
             offset,
-            micro_batch: None,
         }
     }
 
@@ -72,20 +94,22 @@ impl TemplateLabel {
     pub const fn micro_batch(tag: &'static str, offset: i8, micro_batch: u64) -> Self {
         TemplateLabel {
             tag,
+            micro_batch,
+            has_micro_batch: true,
             offset,
-            micro_batch: Some(micro_batch),
         }
     }
 
     fn at(self, layer: u64) -> TaskLabel {
-        match self.micro_batch {
-            Some(j) => TaskLabel::micro_batch(self.tag, layer, j),
-            None => TaskLabel::layer(self.tag, layer),
+        if self.has_micro_batch {
+            TaskLabel::micro_batch(self.tag, layer, self.micro_batch)
+        } else {
+            TaskLabel::layer(self.tag, layer)
         }
     }
 }
 
-/// One task of a [`LayerTemplate`].
+/// One task of a [`LayerTemplate`], as a replay reads it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct TemplateTask {
     lane: Lane,
@@ -98,42 +122,126 @@ struct TemplateTask {
     deps: [(i16, u16); MAX_DEPS],
 }
 
-/// The tasks of one layer, in lane (FIFO) order, plus the step's first-layer
-/// rule: layer 0's weights, if streamed, arrive in a prologue transfer
-/// `W(0)`. Build it with [`Self::push`]; reuse it across steps with
-/// [`Self::clear_for`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LayerTemplate {
-    tasks: Vec<TemplateTask>,
-    /// Each task's label, apart so that a play's tasks stay small.
-    labels: Vec<TemplateLabel>,
-    prologue: Option<Seconds>,
+/// A template task's label and what a replay needs to know of it and the
+/// tasks before it, apart so that a play's tasks stay small.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Shape {
+    label: TemplateLabel,
+    reach: Reach,
+}
+
+/// What a replay needs to know of a template's tasks before it plays them.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Reach {
     /// Whether any task is carried over from the previous layer, so the
     /// replay needs one extra block after the last layer.
     carries: bool,
     /// The largest local index a dependency on an earlier block names, and
-    /// the task naming it: checked against the finished template once per
-    /// replay, since a row's cells run into the next row's.
-    max_back: Option<(u16, u16)>,
+    /// the task naming it, as `index << 16 | task` plus one, or zero if there
+    /// is none: checked against the finished template once per replay, since
+    /// a row's cells run into the next row's.
+    max_back: u32,
+}
+
+impl TemplateLabel {
+    /// `self == other`, without comparing the tags' bytes when both are the
+    /// same literal, as a refill's are.
+    fn same(&self, other: TemplateLabel) -> bool {
+        (self.micro_batch, self.has_micro_batch, self.offset)
+            == (other.micro_batch, other.has_micro_batch, other.offset)
+            && (std::ptr::eq(self.tag, other.tag) || self.tag == other.tag)
+    }
+}
+
+/// `deps` of a task labelled with layer offset `offset`, packed into the
+/// cells a replay reads them from, unused ones `NOWHERE`, if there are at
+/// most three. A dependency index is below `u16::MAX - FIRST_TASK` once
+/// checked, so checked inputs pack to distinct cells, none of them
+/// `NOWHERE`.
+fn cells(deps: &[Dep], offset: i8) -> Option<[(i16, u16); MAX_DEPS]> {
+    let mut packed = [(0, NOWHERE); MAX_DEPS];
+    if deps.len() > MAX_DEPS {
+        return None;
+    }
+    for (slot, &dep) in packed.iter_mut().zip(deps) {
+        *slot = match dep {
+            Dep::Task { back, index } => (i16::from(back), index.saturating_add(FIRST_TASK)),
+            // The weight slot of layer `b + offset` is in the row of block
+            // `b + offset`.
+            Dep::Weights => (-i16::from(offset), WEIGHT_SLOT),
+        };
+    }
+    Some(packed)
+}
+
+/// Hands out structure ids: a template takes a fresh one whenever a push
+/// changes what it stores, so no two templates hold one id for different
+/// tasks.
+static NEXT_STRUCTURE: AtomicU64 = AtomicU64::new(1);
+
+/// The tasks of one layer, in lane (FIFO) order, plus the step's first-layer
+/// rule: layer 0's weights, if streamed, arrive in a prologue transfer
+/// `W(0)`. Build it with [`Self::push`]; reuse it across steps with
+/// [`Self::refill`].
+#[derive(Debug, Default)]
+pub struct LayerTemplate {
+    /// The stored tasks and their shapes. The template is the first `len`;
+    /// the rest are kept from an earlier fill, for a refill to match.
+    tasks: Vec<TemplateTask>,
+    shapes: Vec<Shape>,
+    len: usize,
+    prologue: Option<Seconds>,
+    /// Names the stored tasks' lanes, kinds, labels and inputs. The first
+    /// push of a fill that changes them takes a fresh id; clones share it
+    /// until then.
+    structure: u64,
+    /// Whether this fill has taken its fresh id.
+    renamed: bool,
+    /// Structure ids taken, for tests.
+    builds: u64,
+}
+
+/// A clone keeps the structure id but takes a fresh one at its first push
+/// that changes what it stores, even in the middle of a fill.
+impl Clone for LayerTemplate {
+    fn clone(&self) -> Self {
+        LayerTemplate {
+            tasks: self.tasks.clone(),
+            shapes: self.shapes.clone(),
+            renamed: false,
+            ..*self
+        }
+    }
+}
+
+/// Two templates are equal if they describe the same step: the same tasks,
+/// durations included, and the same prologue.
+impl PartialEq for LayerTemplate {
+    fn eq(&self, other: &Self) -> bool {
+        self.tasks[..self.len] == other.tasks[..other.len]
+            && self.shapes[..self.len] == other.shapes[..other.len]
+            && self.prologue == other.prologue
+    }
 }
 
 impl LayerTemplate {
-    /// Empties the template, keeping its storage, with room for `tasks`
-    /// tasks before it reallocates.
-    pub fn clear_for(&mut self, tasks: usize) {
-        self.tasks.clear();
-        self.tasks.reserve(tasks);
-        self.labels.clear();
-        self.labels.reserve(tasks);
+    /// Starts filling the template again, with room for `tasks` tasks before
+    /// it reallocates. The pushes that follow rebuild it, reusing what it
+    /// stores: a push that repeats the stored task at its index — lane, kind,
+    /// label and inputs — only overwrites its duration, and the first that
+    /// does not, or that fails, drops the stored tasks from there on.
+    pub fn refill(&mut self, tasks: usize) {
+        self.tasks.reserve(tasks.saturating_sub(self.tasks.len()));
+        self.shapes.reserve(tasks.saturating_sub(self.shapes.len()));
+        self.len = 0;
         self.prologue = None;
-        self.carries = false;
-        self.max_back = None;
+        self.renamed = false;
     }
 
     /// The local index the next pushed task gets, so that a task can name
     /// itself one block back.
     pub fn next_index(&self) -> u16 {
-        u16::try_from(self.tasks.len()).unwrap_or(u16::MAX)
+        u16::try_from(self.len).unwrap_or(u16::MAX)
     }
 
     /// Sets the duration of the `W(0)` prologue that brings layer 0's weights
@@ -147,8 +255,9 @@ impl LayerTemplate {
     /// # Errors
     ///
     /// [`SimError::TemplateDependency`] if the task has more than three
-    /// inputs, one of them names a task not yet pushed to its own block, or
-    /// its label's layer offset is outside `-1..=1`;
+    /// inputs, one of them names a task not yet pushed to its own block or
+    /// an index no template reaches (`u16::MAX - 2` or more), or its label's
+    /// layer offset is outside `-1..=1`;
     /// [`SimError::InvalidDuration`] if its duration is NaN.
     pub fn push(
         &mut self,
@@ -158,7 +267,63 @@ impl LayerTemplate {
         label: TemplateLabel,
         deps: &[Dep],
     ) -> Result<u16, SimError> {
-        let task = self.tasks.len();
+        let task = self.len;
+        // A stored task passed every check at this index, and checked
+        // inputs pack to distinct cells, so a repeat needs only its duration
+        // checked.
+        if let (Some(stored), Some(shape)) = (self.tasks.get_mut(task), self.shapes.get(task)) {
+            if (stored.lane, stored.kind) == (lane, kind)
+                && shape.label.same(label)
+                && cells(deps, label.offset) == Some(stored.deps)
+                && !duration.as_secs().is_nan()
+            {
+                stored.duration = duration;
+                self.len += 1;
+                return Ok(task as u16);
+            }
+        }
+        self.append(lane, duration, kind, label, deps)
+    }
+
+    /// [`Self::push`] of a task that does not repeat the one stored at its
+    /// index: drops the stored tasks from there on, then checks and stores
+    /// it.
+    fn append(
+        &mut self,
+        lane: Lane,
+        duration: Seconds,
+        kind: TaskKind,
+        label: TemplateLabel,
+        deps: &[Dep],
+    ) -> Result<u16, SimError> {
+        let task = self.len;
+        self.diverge();
+        let mut reach = self
+            .shapes
+            .last()
+            .map_or(Reach::default(), |last| last.reach);
+        let packed = Self::pack(task, duration, label, deps, &mut reach)?;
+        self.tasks.push(TemplateTask {
+            lane,
+            duration,
+            kind,
+            offset: label.offset,
+            deps: packed,
+        });
+        self.shapes.push(Shape { label, reach });
+        self.len += 1;
+        Ok(task as u16)
+    }
+
+    /// Checks task `task`'s duration, label and inputs, and packs the inputs
+    /// into cells; adds the task to `reach`, that of the tasks before it.
+    fn pack(
+        task: usize,
+        duration: Seconds,
+        label: TemplateLabel,
+        deps: &[Dep],
+        reach: &mut Reach,
+    ) -> Result<[(i16, u16); MAX_DEPS], SimError> {
         let invalid = SimError::TemplateDependency { task };
         let index = match u16::try_from(task) {
             Ok(index) if index < u16::MAX - FIRST_TASK => index,
@@ -170,34 +335,43 @@ impl LayerTemplate {
         if duration.as_secs().is_nan() {
             return Err(SimError::InvalidDuration { task });
         }
-        let mut packed = [(0, NOWHERE); MAX_DEPS];
-        let mut max_back = self.max_back;
-        for (slot, &dep) in packed.iter_mut().zip(deps) {
-            *slot = match dep {
+        for &dep in deps {
+            match dep {
+                // No template reaches this far.
+                Dep::Task { index: i, .. } if i >= u16::MAX - FIRST_TASK => return Err(invalid),
                 Dep::Task { back: 0, index: i } if i >= index => return Err(invalid),
-                Dep::Task { back, index: i } => {
-                    if back > 0 {
-                        max_back = max_back.max(Some((i, index)));
-                    }
-                    // Past the end only if `i` is, which a replay rejects.
-                    (i16::from(back), i.saturating_add(FIRST_TASK))
+                // Past the end only if `i` is, which a replay rejects.
+                Dep::Task { back, index: i } if back > 0 => {
+                    let named = (u32::from(i) << 16 | u32::from(index)) + 1;
+                    reach.max_back = reach.max_back.max(named);
                 }
-                // The weight slot of layer `b + offset` is in the row of
-                // block `b + offset`.
-                Dep::Weights => (-i16::from(label.offset), WEIGHT_SLOT),
-            };
+                _ => {}
+            }
         }
-        self.max_back = max_back;
-        self.carries |= label.offset < 0;
-        self.labels.push(label);
-        self.tasks.push(TemplateTask {
-            lane,
-            duration,
-            kind,
-            offset: label.offset,
-            deps: packed,
-        });
-        Ok(index)
+        let packed = cells(deps, label.offset).ok_or(invalid)?;
+        reach.carries |= label.offset < 0;
+        Ok(packed)
+    }
+
+    /// Drops the stored tasks from the next index on; the first time in a
+    /// fill, the structure left takes a fresh id.
+    fn diverge(&mut self) {
+        if self.len < self.tasks.len() {
+            self.tasks.truncate(self.len);
+            self.shapes.truncate(self.len);
+        }
+        if !self.renamed {
+            self.structure = NEXT_STRUCTURE.fetch_add(1, Ordering::Relaxed);
+            self.renamed = true;
+            self.builds += 1;
+        }
+    }
+
+    /// How many times the template has taken a fresh structure id: once per
+    /// fill that changed its stored structure.
+    #[doc(hidden)]
+    pub fn builds(&self) -> u64 {
+        self.builds
     }
 
     /// Emits the step this template describes over `layers` layers into
@@ -221,17 +395,20 @@ impl LayerTemplate {
         replay: &mut R,
         rows: &mut Vec<R::Handle>,
     ) -> Result<(), SimError> {
-        let width = self.tasks.len() + usize::from(FIRST_TASK);
-        if let Some((_, task)) = self
-            .max_back
-            .filter(|&(i, _)| usize::from(i) >= self.tasks.len())
-        {
-            return Err(SimError::TemplateDependency {
-                task: usize::from(task),
-            });
+        let tasks = &self.tasks[..self.len];
+        let width = tasks.len() + usize::from(FIRST_TASK);
+        let reach = self.shapes[..self.len]
+            .last()
+            .map_or(Reach::default(), |last| last.reach);
+        if let Some(named) = reach.max_back.checked_sub(1) {
+            if (named >> 16) as usize >= tasks.len() {
+                return Err(SimError::TemplateDependency {
+                    task: (named & 0xffff) as usize,
+                });
+            }
         }
+        let blocks = u64::from(layers) + u64::from(reach.carries);
         let absent = R::absent();
-        let blocks = u64::from(layers) + u64::from(self.carries);
         rows.clear();
         rows.resize(blocks as usize * width, absent);
         let weight_slot = |row: u64| row as usize * width + usize::from(WEIGHT_SLOT);
@@ -244,7 +421,8 @@ impl LayerTemplate {
                 deps: [(0, NOWHERE); MAX_DEPS],
             };
             let label = || TemplateLabel::layer("W", 0);
-            rows[weight_slot(0)] = replay.task(&prologue, label, 0, [absent; MAX_DEPS])?;
+            rows[weight_slot(0)] =
+                replay.task(&prologue, PROLOGUE, label, 0, [absent; MAX_DEPS])?;
         }
         let layers = i64::from(layers);
         for block in 0..blocks as i64 {
@@ -252,18 +430,20 @@ impl LayerTemplate {
             // first, none ahead of the last, only carried ones after it.
             let lowest = if block == 0 { 0 } else { -1 };
             let highest = (layers - 1 - block).min(1);
-            for (k, task) in self.tasks.iter().enumerate() {
+            for (k, task) in tasks.iter().enumerate() {
                 let offset = i64::from(task.offset);
                 if !(lowest..=highest).contains(&offset) {
                     continue;
                 }
                 // An input in a block before the first is absent.
-                let deps = task.deps.map(|(back, at)| match block - i64::from(back) {
+                let input = |(back, at): (i16, u16)| match block - i64::from(back) {
                     row if row < 0 => absent,
                     row => rows[row as usize * width + usize::from(at)],
-                });
+                };
+                let [a, b, c] = task.deps;
+                let deps = [input(a), input(b), input(c)];
                 let layer = (block + offset) as u64;
-                let handle = replay.task(task, || self.labels[k], layer, deps)?;
+                let handle = replay.task(task, k as u16, || self.shapes[k].label, layer, deps)?;
                 rows[block as usize * width + usize::from(FIRST_TASK) + k] = handle;
                 if task.kind == TaskKind::WeightTransfer {
                     rows[weight_slot(layer)] = handle;
@@ -283,11 +463,13 @@ trait Replay {
     /// The handle of an input that does not exist.
     fn absent() -> Self::Handle;
 
-    /// Emits `task`, labelled `label()`, as a task of `layer` after `deps`,
+    /// Emits `task`, whose duration is in `slot` (its local index, or
+    /// `PROLOGUE`), labelled `label()`, as a task of `layer` after `deps`,
     /// absent ones included.
     fn task(
         &mut self,
         task: &TemplateTask,
+        slot: u16,
         label: impl FnOnce() -> TemplateLabel,
         layer: u64,
         deps: [Self::Handle; MAX_DEPS],
@@ -307,6 +489,7 @@ impl<S: TaskSink> Replay for Unroll<'_, S> {
     fn task(
         &mut self,
         task: &TemplateTask,
+        _slot: u16,
         label: impl FnOnce() -> TemplateLabel,
         layer: u64,
         deps: [Self::Handle; MAX_DEPS],
@@ -328,6 +511,14 @@ impl<S: TaskSink> Replay for Unroll<'_, S> {
 /// The four lane clocks of a replay that keeps finish times.
 struct Clocks([Seconds; 4]);
 
+impl Clocks {
+    /// The step's makespan: a lane's clock is its last finish, the latest on
+    /// that lane.
+    fn makespan(&self) -> Seconds {
+        self.0.into_iter().fold(Seconds::ZERO, Seconds::max)
+    }
+}
+
 impl Replay for Clocks {
     type Handle = Seconds;
 
@@ -339,6 +530,7 @@ impl Replay for Clocks {
     fn task(
         &mut self,
         task: &TemplateTask,
+        _slot: u16,
         _label: impl FnOnce() -> TemplateLabel,
         _layer: u64,
         [a, b, c]: [Seconds; MAX_DEPS],
@@ -349,13 +541,112 @@ impl Replay for Clocks {
     }
 }
 
+/// One emitted task of a compiled step but the prologue: its duration slot
+/// (its template task) and the finish-time slots it starts after, resolved
+/// once: the task before it on its lane, then its three inputs. Slot 0 of a
+/// run's finish times holds zero, which the first task of a lane and an
+/// absent input read, as a replay's lane clocks and absent inputs do.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    slot: u16,
+    after: [u16; 1 + MAX_DEPS],
+}
+
+impl Step {
+    /// When the step finishes, given the finish times so far: the lane rule
+    /// of a replay's [`Clocks`], in the same order.
+    fn end(&self, finish: &[Seconds], duration: Seconds) -> Seconds {
+        let [lane, a, b, c] = self.after;
+        let at = |slot: u16| finish[slot as usize];
+        later(at(lane), later(later(at(a), at(b)), at(c))) + duration
+    }
+}
+
+/// Replays a template into finish times while recording it as a program:
+/// a handle is the slot a run keeps the task's finish time in.
+struct Compile<'a> {
+    program: &'a mut Vec<Step>,
+    finish: &'a mut Vec<Seconds>,
+    /// The slot of the last task on each lane so far.
+    lane_ends: [u16; 4],
+}
+
+impl Replay for Compile<'_> {
+    type Handle = u16;
+
+    fn absent() -> u16 {
+        0
+    }
+
+    fn task(
+        &mut self,
+        task: &TemplateTask,
+        slot: u16,
+        _label: impl FnOnce() -> TemplateLabel,
+        _layer: u64,
+        [a, b, c]: [u16; MAX_DEPS],
+    ) -> Result<u16, SimError> {
+        let lane_end = &mut self.lane_ends[task.lane as usize];
+        let step = Step {
+            slot,
+            after: [*lane_end, a, b, c],
+        };
+        // The prologue, if any, comes first, and a run plays it before the
+        // program.
+        if slot != PROLOGUE {
+            self.program.push(step);
+        }
+        *lane_end = self.finish.len() as u16;
+        self.finish.push(step.end(self.finish, task.duration));
+        Ok(*lane_end)
+    }
+}
+
+/// The structure a player last played: the template's structure id, how
+/// many of its stored tasks it held and whether it had a prologue, and the
+/// layers played.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Sighting {
+    structure: u64,
+    len: usize,
+    prologue: bool,
+    layers: u32,
+}
+
+/// How a [`TemplatePlayer`] has played so far, for tests: first sightings
+/// replayed, second sightings compiled, and plays that ran a program.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlayWork {
+    /// Plays of a structure seen for the first time.
+    pub replays: u64,
+    /// Plays that compiled the structure just seen.
+    pub compiles: u64,
+    /// Plays that ran a compiled program.
+    pub programs: u64,
+}
+
 /// Plays a [`LayerTemplate`] with the lane rule of [`crate::simulate`] and
-/// returns the step's makespan, keeping only finish times, in a buffer it
+/// returns the step's makespan, keeping only finish times, in buffers it
 /// reuses: after the first play of a step as large, a play allocates
 /// nothing.
+///
+/// It replays a structure it has not just played, compiles it the second
+/// time in a row, and runs the compiled program from then on, with the
+/// template's current durations.
 #[derive(Debug, Clone, Default)]
 pub struct TemplatePlayer {
     finish: Vec<Seconds>,
+    /// A compiling replay's rows of finish-time slots.
+    slots: Vec<u16>,
+    /// The structure last played, and whether `program` is compiled from
+    /// it.
+    last: Option<Sighting>,
+    compiled: bool,
+    program: Vec<Step>,
+    /// The program's last finish-time slot on each lane.
+    lane_ends: [u16; 4],
+    work: PlayWork,
 }
 
 impl TemplatePlayer {
@@ -368,10 +659,86 @@ impl TemplatePlayer {
     /// [`SimError::TemplateDependency`] if a dependency names a task past the
     /// template's end.
     pub fn play(&mut self, template: &LayerTemplate, layers: u32) -> Result<Seconds, SimError> {
+        let seen = Sighting {
+            structure: template.structure,
+            len: template.len,
+            prologue: template.prologue.is_some(),
+            layers,
+        };
+        if self.last != Some(seen) {
+            return self.replay(template, layers, seen);
+        }
+        if self.compiled {
+            self.work.programs += 1;
+            return Ok(self.run(template));
+        }
+        self.work.compiles += 1;
+        self.program.clear();
+        self.finish.clear();
+        self.finish.push(Seconds::ZERO);
+        let mut compile = Compile {
+            program: &mut self.program,
+            finish: &mut self.finish,
+            lane_ends: [0; 4],
+        };
+        template.replay(layers, &mut compile, &mut self.slots)?;
+        self.lane_ends = compile.lane_ends;
+        self.compiled = true;
+        Ok(self.makespan())
+    }
+
+    /// Plays a structure seen for the first time, and reserves what
+    /// compiling it will need: the rows' length bounds both the program and
+    /// its finish times. A structure with more rows than a 16-bit slot can
+    /// name is replayed every time.
+    fn replay(
+        &mut self,
+        template: &LayerTemplate,
+        layers: u32,
+        seen: Sighting,
+    ) -> Result<Seconds, SimError> {
+        self.work.replays += 1;
+        self.last = None;
+        self.compiled = false;
         let mut clocks = Clocks([Seconds::ZERO; 4]);
         template.replay(layers, &mut clocks, &mut self.finish)?;
-        // A lane's clock is its last finish, the latest on that lane.
-        Ok(clocks.0.into_iter().fold(Seconds::ZERO, Seconds::max))
+        let rows = self.finish.len();
+        if u16::try_from(rows).is_ok() {
+            self.slots.reserve(rows.saturating_sub(self.slots.len()));
+            self.program.clear();
+            self.program.reserve(rows);
+            self.last = Some(seen);
+        }
+        Ok(clocks.makespan())
+    }
+
+    /// Runs the compiled program on `template`'s durations: the replay's
+    /// arithmetic, task for task, with every handle resolved.
+    fn run(&mut self, template: &LayerTemplate) -> Seconds {
+        let finish = &mut self.finish;
+        finish.clear();
+        finish.push(Seconds::ZERO);
+        if let Some(duration) = template.prologue {
+            finish.push(Seconds::ZERO + duration);
+        }
+        let tasks = &template.tasks[..template.len];
+        for step in &self.program {
+            finish.push(step.end(finish, tasks[usize::from(step.slot)].duration));
+        }
+        self.makespan()
+    }
+
+    /// The makespan of the step whose finish times `finish` holds.
+    fn makespan(&self) -> Seconds {
+        let [a, b, c, d] = self.lane_ends;
+        let at = |slot: u16| self.finish[slot as usize];
+        Clocks([at(a), at(b), at(c), at(d)]).makespan()
+    }
+
+    /// How this player has played so far.
+    #[doc(hidden)]
+    pub fn work(&self) -> PlayWork {
+        self.work
     }
 }
 
@@ -474,6 +841,15 @@ mod tests {
         );
         assert_eq!(
             push(&mut t, x, &[Dep::Weights; 4]),
+            Err(SimError::TemplateDependency { task: 0 })
+        );
+        // No template has this many tasks, so no block's task has this index.
+        let past_any_end = Dep::Task {
+            back: 1,
+            index: u16::MAX - 2,
+        };
+        assert_eq!(
+            push(&mut t, x, &[past_any_end]),
             Err(SimError::TemplateDependency { task: 0 })
         );
         let nan =

@@ -180,6 +180,49 @@ fn step_pricing_allocates_nothing_after_one_warm_up_step() {
     }
 }
 
+/// Step pricing across structure changes makes no heap allocation either.
+/// On every schedule kind, once 1, 4 and 16 micro-batches have each been
+/// priced once, cycling 1 → 4 → 16 → 4 → 1 with fresh contexts allocates
+/// nothing: each count keeps its own template, the second pricing of a
+/// structure compiles it into buffers its first pricing reserved, and later
+/// ones run the compiled program.
+#[test]
+fn step_pricing_allocates_nothing_across_structure_changes() {
+    let evaluator = SystemEvaluator::new(EvalSetting::S1.node(), EvalSetting::S1.model());
+    let workload = WorkloadShape::new(77, 64);
+    for kind in ScheduleKind::all() {
+        let price = |n_ub: u64, step: u64| {
+            let policy = Policy::offload_default(16 * n_ub, 16);
+            let occupancy: Vec<u64> = (0..n_ub).map(|j| 16 - j % 5).collect();
+            let contexts: Vec<u64> = (0..n_ub).map(|j| 90 + 37 * j + step).collect();
+            let before = allocations();
+            evaluator
+                .decode_step_latency_with_loads(
+                    kind,
+                    &policy,
+                    &workload,
+                    Some(&occupancy),
+                    Some(&contexts),
+                )
+                .unwrap();
+            // The load vectors above are made before the count starts.
+            allocations() - before
+        };
+        for n_ub in [1, 4, 16] {
+            price(n_ub, 0);
+        }
+        for (step, n_ub) in (1..).zip([1, 4, 16, 4, 1]) {
+            let made = price(n_ub, step);
+            assert_eq!(
+                made,
+                0,
+                "{} at {n_ub} micro-batches, cycle step {step}: {made} allocations",
+                kind.name()
+            );
+        }
+    }
+}
+
 /// The most allocations one offered request may cost on a static fleet
 /// (routing, stepping, reporting), per serving mode. Continuous serving
 /// reads 2.40: admission into fresh result vectors and a fresh

@@ -6,12 +6,13 @@
 //! seed-11 MTBench scenario, where a static fleet does not.
 
 use moe_bench::fleet::FleetScenario;
+use moe_lightning::router::RouterIndex;
 use moe_lightning::{
     builtin_routers, Autoscaler, ClusterEvaluator, ClusterReport, ClusterSpec, ClusterSpecError,
     EngineError, EvalSetting, FleetTimeline, FleetView, GenLens, LeastOutstandingTokens, NodeSpec,
     Policy, PrefixAware, QueueDepthScaler, Recorder, ReplicaId, ReplicaRole, ReplicaSpec,
-    ReplicaView, Router, RouterCtx, ScaleBounds, ScaleDecision, Seconds, ServingMode, SloAdmission,
-    SloAttainmentScaler, SloSpec, SystemEvaluator, SystemKind, TelemetryEvent,
+    ReplicaView, RoundRobin, Router, RouterCtx, ScaleBounds, ScaleDecision, Seconds, ServingMode,
+    SloAdmission, SloAttainmentScaler, SloSpec, SystemEvaluator, SystemKind, TelemetryEvent,
 };
 use moe_workload::{ArrivalProcess, Request, RequestLatency, WorkloadSpec};
 use std::sync::{Arc, Mutex};
@@ -482,7 +483,8 @@ fn slo_attainment_scaler_recovers_goodput_a_static_fleet_cannot() {
 }
 
 /// One [`FleetView`] as an autoscaler saw it, copied out of the borrow,
-/// with the two queue aggregates as its helpers read them.
+/// with the two queue aggregates as its helpers read them, and the
+/// completions the router had heard of by then.
 #[derive(Debug, Clone, PartialEq)]
 struct Observation {
     now: Seconds,
@@ -492,14 +494,20 @@ struct Observation {
     provisioning: usize,
     draining: usize,
     recent: Vec<RequestLatency>,
+    completed: Vec<u64>,
 }
 
+/// How many of the latest completions an autoscaler observes.
+const RECENT_WINDOW: usize = 128;
+
 /// An autoscaler that records every observation and decides like the
-/// wrapped one.
+/// wrapped one. Its [`Self::logging`] router notes every completion, so an
+/// observation can be checked against the completions before it.
 #[derive(Debug)]
 struct RecordingScaler {
     inner: Arc<dyn Autoscaler>,
     seen: Mutex<Vec<Observation>>,
+    completions: Arc<Mutex<Vec<u64>>>,
 }
 
 impl RecordingScaler {
@@ -507,7 +515,62 @@ impl RecordingScaler {
         Arc::new(RecordingScaler {
             inner,
             seen: Mutex::new(Vec::new()),
+            completions: Arc::default(),
         })
+    }
+
+    /// `inner`, noting the id of every completed request in this scaler's
+    /// log, in completion-callback order.
+    fn logging(&self, inner: Arc<dyn Router>) -> Arc<dyn Router> {
+        Arc::new(CompletionLog {
+            inner,
+            log: self.completions.clone(),
+        })
+    }
+}
+
+/// A router that routes like the wrapped one and logs each completion.
+#[derive(Debug)]
+struct CompletionLog {
+    inner: Arc<dyn Router>,
+    log: Arc<Mutex<Vec<u64>>>,
+}
+
+impl Router for CompletionLog {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn route(&self, request: &Request, replicas: &[ReplicaView], ctx: &mut RouterCtx) -> ReplicaId {
+        self.inner.route(request, replicas, ctx)
+    }
+
+    fn route_indexed(
+        &self,
+        request: &Request,
+        index: &RouterIndex,
+        ctx: &mut RouterCtx,
+    ) -> Option<ReplicaId> {
+        self.inner.route_indexed(request, index, ctx)
+    }
+
+    fn on_complete(
+        &self,
+        request: &Request,
+        replica: ReplicaId,
+        now: Seconds,
+        ctx: &mut RouterCtx,
+    ) {
+        self.log.lock().unwrap().push(request.id);
+        self.inner.on_complete(request, replica, now, ctx);
+    }
+
+    fn on_replica_down(&self, replica: ReplicaId, now: Seconds, ctx: &mut RouterCtx) {
+        self.inner.on_replica_down(replica, now, ctx);
+    }
+
+    fn on_replica_up(&self, replica: ReplicaId, now: Seconds, ctx: &mut RouterCtx) {
+        self.inner.on_replica_up(replica, now, ctx);
     }
 }
 
@@ -525,6 +588,7 @@ impl Autoscaler for RecordingScaler {
             provisioning: fleet.provisioning,
             draining: fleet.draining,
             recent: fleet.recent.to_vec(),
+            completed: self.completions.lock().unwrap().clone(),
         });
         self.inner.observe(fleet, now)
     }
@@ -547,6 +611,16 @@ fn assert_fleet_views_match(
         for evaluator in [cluster_evaluator().with_scan_loop(), cluster_evaluator()] {
             let scaler = RecordingScaler::new(inner());
             let report = evaluator.run(&spec(mode, scaler.clone())).unwrap();
+            // Each observation sees exactly the latest completions, in order.
+            for (k, o) in scaler.seen.lock().unwrap().iter().enumerate() {
+                let n = o.completed.len();
+                let window = &o.completed[n.saturating_sub(RECENT_WINDOW)..];
+                let recent: Vec<u64> = o.recent.iter().map(|l| l.request.id).collect();
+                assert_eq!(
+                    recent, window,
+                    "{label} [{mode}]: observation {k}'s recent window"
+                );
+            }
             let seen = std::mem::take(&mut *scaler.seen.lock().unwrap());
             runs.push((report, seen));
         }
@@ -590,6 +664,15 @@ fn assert_fleet_views_match(
     all
 }
 
+/// The recent-completion window a pinned-scenario autoscaler saw past
+/// `completions` completions, on both loops.
+fn assert_window_filled(seen: &[Observation], completions: usize, label: &str) {
+    assert!(
+        seen.iter().any(|o| o.completed.len() >= completions),
+        "{label}: no observation after {completions} completions"
+    );
+}
+
 /// The scan-loop session queue re-stamped into `turns`-turn conversations.
 fn session_queue(count: usize, rate_per_sec: f64, turns: u64) -> Vec<Request> {
     WorkloadSpec::mtbench()
@@ -625,7 +708,7 @@ fn fleet_views_match_across_loops_on_a_fleet_day_shaped_scenario() {
             .with_mode(mode)
             .with_queue(queue.clone())
             .with_prefix_cache(8192)
-            .with_router(Arc::new(PrefixAware::new()))
+            .with_router(scaler.logging(Arc::new(PrefixAware::new())))
             .with_slo(scenario.slo)
             .with_admission(Arc::new(SloAdmission::new(scenario.slo)))
             .with_autoscaler(
@@ -656,6 +739,7 @@ fn fleet_views_match_across_loops_on_a_fleet_day_shaped_scenario() {
     assert!(seen
         .iter()
         .any(|o| o.replicas.iter().any(|v| v.cache_stats.hits > 0)));
+    assert_window_filled(&seen, 300, "fleet-day shaped");
 }
 
 /// The same oracle on a fleet with role pools: 2 prefill + 2 decode
@@ -675,6 +759,7 @@ fn fleet_views_match_across_loops_on_a_pooled_fleet() {
             .with_arrivals(ArrivalProcess::Poisson { rate_per_sec: rate })
             .with_slo(scenario.slo)
             .with_scale_template(ReplicaSpec::new(node.clone()).with_policy(scenario.policy))
+            .with_router(scaler.logging(Arc::new(RoundRobin)))
             .with_autoscaler(scaler, ScaleBounds::new(4, 8, secs(1.0)));
         for role in [
             ReplicaRole::Prefill,
