@@ -222,8 +222,9 @@ impl SystemEvaluator {
     /// It prices in one [`StepBuffers`] kept per thread, so it allocates
     /// nothing once they are warm. There a step with the structure of the
     /// last one priced with as many micro-batches (modulo the buffers' few
-    /// template slots) refills that layer template instead of rebuilding it,
-    /// and from its third pricing on runs a program compiled from it: a
+    /// template slots) refills that layer template instead of rebuilding it.
+    /// The template compiles itself on the structure's second pricing and
+    /// runs that program from the third on, until a push changes it: a
     /// serving engine's steps repeat a few structures with new loads.
     ///
     /// # Errors

@@ -4,18 +4,16 @@
 //! discrete-event simulator, with task durations taken from the HRM cost model.
 //! Every layer of a step is the same, so each schedule kind describes one layer
 //! once, as a [`LayerTemplate`]; the step is that template replayed once per
-//! layer, unrolled into a [`TaskGraph`] for the Fig. 6 timeline or played by a
-//! [`TemplatePlayer`] that prices a decode step from finish times alone. The
-//! schedules differ only in *ordering and granularity* — which is
+//! layer, unrolled into a [`TaskGraph`] for the Fig. 6 timeline or played
+//! ([`LayerTemplate::play`]) to price a decode step from finish times alone.
+//! The schedules differ only in *ordering and granularity* — which is
 //! exactly the paper's point: CGOPipe's paged-weight interleaving and two-ahead
 //! pre-attention remove the bubbles the baseline orderings leave on the GPU and
 //! PCIe lanes.
 
 use moe_hardware::{ByteSize, Seconds};
 use moe_policy::{CostModel, Policy, WorkloadShape};
-use moe_sim::{
-    Dep, Lane, LayerTemplate, SimError, TaskGraph, TaskKind, TemplateLabel, TemplatePlayer,
-};
+use moe_sim::{Dep, Lane, LayerTemplate, SimError, TaskGraph, TaskKind, TemplateLabel};
 
 #[cfg(test)]
 mod reference;
@@ -270,9 +268,9 @@ impl<'a> DecodeScheduleBuilder<'a> {
     /// (see [`Self::with_micro_batch_tokens`]).
     pub fn build(&self, kind: ScheduleKind) -> Result<TaskGraph, SimError> {
         let mut buffers = StepBuffers::default();
-        let slot = self.fill_template(kind, &mut buffers)?;
+        let template = self.fill_template(kind, &mut buffers)?;
         let mut graph = TaskGraph::new();
-        slot.template.unroll(self.num_layers, &mut graph)?;
+        template.unroll(self.num_layers, &mut graph)?;
         Ok(graph)
     }
 
@@ -294,8 +292,8 @@ impl<'a> DecodeScheduleBuilder<'a> {
     /// slots), refilled rather than rebuilt while a step repeats the last
     /// structure priced there. The first pricing of a structure replays its
     /// template, the second compiles it and later ones run the compiled
-    /// program (see [`moe_sim::TemplatePlayer`]). Once `buffers` has priced
-    /// a step of that structure, it allocates nothing.
+    /// program (see [`LayerTemplate::play`]). Once `buffers` has priced a
+    /// step of that structure, it allocates nothing.
     ///
     /// # Errors
     ///
@@ -305,21 +303,20 @@ impl<'a> DecodeScheduleBuilder<'a> {
         kind: ScheduleKind,
         buffers: &mut StepBuffers,
     ) -> Result<Seconds, SimError> {
-        let slot = self.fill_template(kind, buffers)?;
-        slot.player.play(&slot.template, self.num_layers)
+        self.fill_template(kind, buffers)?.play(self.num_layers)
     }
 
     /// Prices one layer of `kind` into the template slot of its micro-batch
-    /// count, and returns that slot.
+    /// count, and returns that template.
     fn fill_template<'b>(
         &self,
         kind: ScheduleKind,
         buffers: &'b mut StepBuffers,
-    ) -> Result<&'b mut TemplateSlot, SimError> {
+    ) -> Result<&'b mut LayerTemplate, SimError> {
         self.check_loads()?;
         let n_ub = self.num_micro_batches() as usize;
         let slot = n_ub % TEMPLATE_SLOTS;
-        let template = &mut buffers.slots[slot].template;
+        let template = &mut buffers.slots[slot];
         // At most six tasks per micro-batch and a whole-layer transfer.
         template.refill(6 * n_ub + 1);
         let streamed = self.cost.streamed_layer_bytes(&self.policy);
@@ -328,9 +325,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
         }
         match kind {
             ScheduleKind::FlexGenGpuAttention => self.gpu_attention_layer(buffers, slot)?,
-            ScheduleKind::LayerStreaming => {
-                self.layer_streaming_layer(&mut buffers.slots[slot].template)?
-            }
+            ScheduleKind::LayerStreaming => self.layer_streaming_layer(&mut buffers.slots[slot])?,
             cpu_attention => self.cpu_attention_layer(cpu_attention, buffers, slot)?,
         }
         Ok(&mut buffers.slots[slot])
@@ -378,7 +373,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
             },
             |tokens, ctx| [self.cost.attention_cpu(tokens, ctx), Seconds::ZERO],
         );
-        let (prices, t) = (&buffers.prices, &mut buffers.slots[slot].template);
+        let (prices, t) = (&buffers.prices, &mut buffers.slots[slot]);
         let whole = !streamed.is_zero();
         let whole_at_start = weight_order == WeightOrder::WholeAtStart && whole;
         let whole_at_end = weight_order == WeightOrder::WholeAtEnd && whole;
@@ -547,7 +542,7 @@ impl<'a> DecodeScheduleBuilder<'a> {
                 ]
             },
         );
-        let (prices, t) = (&buffers.prices, &mut buffers.slots[slot].template);
+        let (prices, t) = (&buffers.prices, &mut buffers.slots[slot]);
         let prefetched = |p: &Priced| !p.by_context[0].is_zero() && kv_cpu_fraction > 0.0;
         for (j, priced) in prices.iter().enumerate() {
             if prefetched(priced) {
@@ -689,16 +684,9 @@ impl Default for TokenPrices {
 /// counts, and each keeps its structure in its own slot.
 const TEMPLATE_SLOTS: usize = 8;
 
-/// One layer template and the player that prices it.
-#[derive(Debug, Clone, Default)]
-struct TemplateSlot {
-    template: LayerTemplate,
-    player: TemplatePlayer,
-}
-
-/// The buffers one step pricing works in: a few layer templates with their
-/// players, the per-micro-batch prices and a memo of the prices that depend
-/// only on a micro-batch's tokens. Keep one and pass it to every
+/// The buffers one step pricing works in: a few layer templates, each with
+/// what its plays keep, the per-micro-batch prices and a memo of the prices
+/// that depend only on a micro-batch's tokens. Keep one and pass it to every
 /// [`DecodeScheduleBuilder::decode_step_makespan_in`], for any cost model,
 /// kind or policy.
 ///
@@ -710,24 +698,19 @@ struct TemplateSlot {
 /// pricing it again allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct StepBuffers {
-    slots: [TemplateSlot; TEMPLATE_SLOTS],
+    slots: [LayerTemplate; TEMPLATE_SLOTS],
     prices: Vec<Priced>,
     by_token: TokenPrices,
 }
 
 #[cfg(test)]
 impl StepBuffers {
-    /// Work done in every slot so far: templates built, structures
-    /// replayed, programs compiled and programs run.
+    /// Work done in every slot so far: structures built, plays replayed,
+    /// programs compiled and programs run.
     fn work(&self) -> [u64; 4] {
         self.slots.iter().fold([0; 4], |[b, r, c, p], slot| {
-            let played = slot.player.work();
-            [
-                b + slot.template.builds(),
-                r + played.replays,
-                c + played.compiles,
-                p + played.programs,
-            ]
+            let w = slot.work();
+            [b + w.builds, r + w.replays, c + w.compiles, p + w.programs]
         })
     }
 }
@@ -1094,6 +1077,14 @@ mod tests {
         // every later step.
         let cost = cost();
         let mut buffers = StepBuffers::default();
+        let price = |buffers: &mut StepBuffers, tokens: &[u64], layers: u32| {
+            builder(&cost)
+                .with_layers(layers)
+                .with_micro_batch_tokens(tokens)
+                .decode_step_makespan_in(ScheduleKind::CgoPipe, buffers)
+                .unwrap();
+        };
+        let layers = builder(&cost).num_layers;
         for step in 0..100u64 {
             let tokens = [16, 16 - step % 5, 9 + step % 3, 12];
             let contexts = [90 + step, 120 + 2 * step, 77, 300 - step];
@@ -1104,6 +1095,21 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(buffers.work(), [1, 1, 1, 98]);
+        // Twelve micro-batches share the slot of four: the new structure is
+        // built and replayed, and so is the old one on its return, which
+        // compiles on its next pricing.
+        assert_eq!(4 % TEMPLATE_SLOTS, 12 % TEMPLATE_SLOTS);
+        price(&mut buffers, &[8; 12], layers);
+        assert_eq!(buffers.work(), [2, 2, 1, 98]);
+        price(&mut buffers, &[16, 12, 9, 12], layers);
+        assert_eq!(buffers.work(), [3, 3, 1, 98]);
+        price(&mut buffers, &[16, 14, 10, 12], layers);
+        assert_eq!(buffers.work(), [3, 3, 2, 98]);
+        price(&mut buffers, &[16, 15, 11, 12], layers);
+        assert_eq!(buffers.work(), [3, 3, 2, 99]);
+        // The same template over another layer count is replayed, not built.
+        price(&mut buffers, &[16, 15, 11, 12], layers - 1);
+        assert_eq!(buffers.work(), [3, 4, 2, 99]);
         // A structure priced once compiles nothing.
         let mut buffers = StepBuffers::default();
         builder(&cost)
@@ -1175,7 +1181,6 @@ mod tests {
                     if reused.is_ok() {
                         let mut refilled = TaskGraph::new();
                         buffers.slots[n_ub % TEMPLATE_SLOTS]
-                            .template
                             .unroll(layers, &mut refilled)
                             .unwrap();
                         let same = same_stream(&refilled, &b.build(kind).unwrap());
@@ -1252,7 +1257,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The layer template is the pre-template emitters' stream, task for
-        /// task, and its player is the Fig. 6 graph played in full, bit for
+        /// task, and its play is the Fig. 6 graph played in full, bit for
         /// bit: random placements, ratios, ragged last micro-batches, 1–16
         /// micro-batches with occupancy and context skew, every depth of the
         /// model and both model presets, under every schedule kind.

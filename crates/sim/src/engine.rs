@@ -71,9 +71,9 @@ impl SimulationResult {
 /// paper's runtime relies on). Dependencies only point backwards, so by the
 /// time a task comes up its lane predecessor and its dependencies have all been
 /// played: one pass in insertion order is the whole simulation. Pricing a
-/// decode step plays its layer template instead, with a
-/// [`TemplatePlayer`](crate::TemplatePlayer) that applies the same lane rule
-/// to finish times alone.
+/// decode step plays its layer template instead
+/// ([`LayerTemplate::play`](crate::LayerTemplate::play)), which applies the
+/// same lane rule to finish times alone.
 pub fn simulate(graph: &TaskGraph) -> SimulationResult {
     let mut lane_free = [Seconds::ZERO; 4];
     let mut finish: Vec<Seconds> = Vec::with_capacity(graph.len());

@@ -9,21 +9,19 @@
 //! [`LayerTemplate::unroll`] emits the whole step into any [`TaskSink`], such as
 //! a [`TaskGraph`] that keeps every task so that [`simulate`] can report the
 //! makespan, per-lane utilization and the pipeline bubbles that Fig. 6 of the
-//! paper visualizes. A [`TemplatePlayer`] plays the template into finish times
-//! alone, in buffers it reuses: pricing a step that way allocates nothing once
-//! the buffers are warm, and its makespan equals [`simulate`]'s on the unrolled
-//! graph bit for bit, since both apply one lane rule. Steps that repeat a
-//! structure with new durations refill the template
-//! ([`LayerTemplate::refill`]) and are played from a program the player
-//! compiles on the structure's second play.
+//! paper visualizes. [`LayerTemplate::play`] plays the template into finish
+//! times alone, in buffers the template keeps: pricing a step that way
+//! allocates nothing once the buffers are warm, and its makespan equals
+//! [`simulate`]'s on the unrolled graph bit for bit, since both apply one
+//! lane rule. Steps that repeat a structure with new durations refill the
+//! template ([`LayerTemplate::refill`]), which compiles the structure on its
+//! second play in a row and runs the program after.
 //!
 //! # Examples
 //!
 //! ```
 //! use moe_hardware::Seconds;
-//! use moe_sim::{
-//!     simulate, Dep, Lane, LayerTemplate, TaskGraph, TaskKind, TemplateLabel, TemplatePlayer,
-//! };
+//! use moe_sim::{simulate, Dep, Lane, LayerTemplate, TaskGraph, TaskKind, TemplateLabel};
 //!
 //! # fn main() -> Result<(), moe_sim::SimError> {
 //! // One layer: its FFN waits for its weights and the previous layer's FFN,
@@ -53,8 +51,7 @@
 //! let result = simulate(&graph);
 //! assert_eq!(result.makespan.as_secs(), 27.0);
 //!
-//! let mut player = TemplatePlayer::default();
-//! assert_eq!(player.play(&layer, 3)?, result.makespan);
+//! assert_eq!(layer.play(3)?, result.makespan);
 //! # Ok(())
 //! # }
 //! ```
@@ -68,7 +65,7 @@ pub mod template;
 
 pub use engine::{simulate, LaneStats, SimulationResult, TimelineEntry};
 pub use task::{Lane, SimError, Task, TaskGraph, TaskId, TaskKind, TaskLabel, TaskSink};
-pub use template::{Dep, LayerTemplate, TemplateLabel, TemplatePlayer};
+pub use template::{Dep, LayerTemplate, TemplateLabel};
 
 #[cfg(test)]
 mod proptests {
@@ -268,25 +265,25 @@ mod proptests {
             width in 1usize..24,
             layers in 1u32..9,
         ) {
-            let t = random_template(seed, width);
+            let mut t = random_template(seed, width);
             let mut graph = TaskGraph::new();
             t.unroll(layers, &mut graph).unwrap();
             let bits = simulate(&graph).makespan.as_secs().to_bits();
             prop_assert_eq!(bits, round_robin_makespan(&graph).as_secs().to_bits());
             // Replayed, compiled, then run as a program.
-            let mut player = TemplatePlayer::default();
             for _ in 0..3 {
-                prop_assert_eq!(player.play(&t, layers).unwrap().as_secs().to_bits(), bits);
+                prop_assert_eq!(t.play(layers).unwrap().as_secs().to_bits(), bits);
             }
         }
 
         /// A refilled template is the template built fresh from the same
-        /// pushes, and one player prices it like `simulate` on the unrolled
-        /// graph, or fails like the unroll: refills that repeat the stored
+        /// pushes, and its plays price it like `simulate` on the unrolled
+        /// graph, or fail like the unroll: refills that repeat the stored
         /// structure with new durations, leave it at a random task, stop
         /// short of its end or name a task past the new end. A clone taken
-        /// in the middle of a fill and filled differently from there on is
-        /// priced as its own structure.
+        /// in the middle of a fill carries the program compiled before it,
+        /// and each copy filled differently from there on is priced as its
+        /// own structure.
         #[test]
         fn refilled_templates_play_like_fresh_ones(
             fills in collection::vec((0u64..4, 0u64..10_000, 1usize..24), 1..12),
@@ -295,18 +292,23 @@ mod proptests {
             cut in 0usize..24,
         ) {
             let mut refilled = LayerTemplate::default();
-            let mut player = TemplatePlayer::default();
             for (structure, durations, len) in fills {
                 refilled.refill(width);
                 let fresh =
                     random_template_into(structure, durations, len.min(width), width, &mut refilled);
                 prop_assert!(refilled == fresh);
                 for _ in 0..3 {
-                    let played = player.play(&refilled, layers).map(|m| m.as_secs().to_bits());
+                    let played = refilled.play(layers).map(|m| m.as_secs().to_bits());
                     prop_assert_eq!(played, simulated(&fresh, layers));
                 }
             }
             let (mut a, cut) = (LayerTemplate::default(), cut.min(width));
+            random_template_into(0, 1, width, width, &mut a);
+            for _ in 0..2 {
+                let played = a.play(layers).map(|m| m.as_secs().to_bits());
+                prop_assert_eq!(played, simulated(&a, layers));
+            }
+            a.refill(width);
             random_template_into(0, 1, cut, width, &mut a);
             let mut b = a.clone();
             for (t, structure) in [(&mut a, 1), (&mut b, 2)] {
@@ -316,9 +318,9 @@ mod proptests {
                 }
             }
             for _ in 0..3 {
-                for t in [&a, &b] {
+                for t in [&mut a, &mut b] {
                     for _ in 0..2 {
-                        let played = player.play(t, layers).map(|m| m.as_secs().to_bits());
+                        let played = t.play(layers).map(|m| m.as_secs().to_bits());
                         prop_assert_eq!(played, simulated(t, layers));
                     }
                 }

@@ -5,27 +5,26 @@
 //! per layer. A template task names its inputs relative to its own layer: a
 //! task of the same or an earlier layer's block, or the weight slot of the
 //! layer it computes. [`LayerTemplate::unroll`] emits the step into any
-//! [`TaskSink`] for a full timeline, and a [`TemplatePlayer`] plays it into
-//! finish times alone, in buffers it reuses.
+//! [`TaskSink`] for a full timeline, and [`LayerTemplate::play`] plays it
+//! into finish times alone, in buffers the template keeps.
 //!
 //! A step is a max-plus linear system: which task waits for which, and on
 //! which lane, follows from the schedule kind and the micro-batch count, and
 //! only the durations change from step to step. So a template is refilled
 //! rather than rebuilt ([`LayerTemplate::refill`]): a push that repeats the
 //! stored task at its index only overwrites the duration, and the first that
-//! does not rebuilds the template from there on. A player keys its work by
-//! the stored structure. It replays a structure the first time it sees it;
-//! the second time it also compiles it into a flat program, each emitted
-//! task's duration slot and the finish-time slots of its lane predecessor
-//! and inputs resolved once; after that it runs the program. All three
-//! apply the same lane rule with the same arithmetic in the same order, so
-//! every makespan agrees with [`crate::simulate`] on the unrolled graph bit
-//! for bit.
+//! does not rebuilds the template from there on and drops what the template
+//! knew of the old structure. A play replays a structure the first time; the
+//! second time in a row it also compiles it into a flat program, each
+//! emitted task's duration slot and the finish-time slots of its lane
+//! predecessor and inputs resolved once; after that it runs the program. All
+//! three apply the same lane rule with the same arithmetic in the same
+//! order, so every makespan agrees with [`crate::simulate`] on the unrolled
+//! graph bit for bit.
 
 use crate::engine::{later, occupy};
 use crate::task::{Lane, SimError, TaskId, TaskKind, TaskLabel, TaskSink};
 use moe_hardware::Seconds;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Inputs one template task may wait for.
 const MAX_DEPS: usize = 3;
@@ -174,16 +173,15 @@ fn cells(deps: &[Dep], offset: i8) -> Option<[(i16, u16); MAX_DEPS]> {
     Some(packed)
 }
 
-/// Hands out structure ids: a template takes a fresh one whenever a push
-/// changes what it stores, so no two templates hold one id for different
-/// tasks.
-static NEXT_STRUCTURE: AtomicU64 = AtomicU64::new(1);
-
 /// The tasks of one layer, in lane (FIFO) order, plus the step's first-layer
 /// rule: layer 0's weights, if streamed, arrive in a prologue transfer
 /// `W(0)`. Build it with [`Self::push`]; reuse it across steps with
-/// [`Self::refill`].
-#[derive(Debug, Default)]
+/// [`Self::refill`]; price a step with [`Self::play`].
+///
+/// The template keeps what its plays need beside its tasks: after the first
+/// play of a step as large, a play allocates nothing. A clone carries its
+/// own copy of both.
+#[derive(Debug, Clone, Default)]
 pub struct LayerTemplate {
     /// The stored tasks and their shapes. The template is the first `len`;
     /// the rest are kept from an earlier fill, for a refill to match.
@@ -191,27 +189,20 @@ pub struct LayerTemplate {
     shapes: Vec<Shape>,
     len: usize,
     prologue: Option<Seconds>,
-    /// Names the stored tasks' lanes, kinds, labels and inputs. The first
-    /// push of a fill that changes them takes a fresh id; clones share it
-    /// until then.
-    structure: u64,
-    /// Whether this fill has taken its fresh id.
-    renamed: bool,
-    /// Structure ids taken, for tests.
-    builds: u64,
-}
-
-/// A clone keeps the structure id but takes a fresh one at its first push
-/// that changes what it stores, even in the middle of a fill.
-impl Clone for LayerTemplate {
-    fn clone(&self) -> Self {
-        LayerTemplate {
-            tasks: self.tasks.clone(),
-            shapes: self.shapes.clone(),
-            renamed: false,
-            ..*self
-        }
-    }
+    /// The live length, prologue presence and layers of the last play, if
+    /// no push has changed the stored tasks since: a push that does clears
+    /// it.
+    played: Option<(usize, bool, u32)>,
+    /// Whether `program` is compiled from the structure `played` names.
+    compiled: bool,
+    /// A play's finish times; a replay's rows of them.
+    finish: Vec<Seconds>,
+    /// A compiling replay's rows of finish-time slots.
+    slots: Vec<u16>,
+    program: Vec<Step>,
+    /// The program's last finish-time slot on each lane.
+    lane_ends: [u16; 4],
+    work: PlayWork,
 }
 
 /// Two templates are equal if they describe the same step: the same tasks,
@@ -235,7 +226,6 @@ impl LayerTemplate {
         self.shapes.reserve(tasks.saturating_sub(self.shapes.len()));
         self.len = 0;
         self.prologue = None;
-        self.renamed = false;
     }
 
     /// The local index the next pushed task gets, so that a task can name
@@ -353,25 +343,14 @@ impl LayerTemplate {
         Ok(packed)
     }
 
-    /// Drops the stored tasks from the next index on; the first time in a
-    /// fill, the structure left takes a fresh id.
+    /// Drops the stored tasks from the next index on, and the last play's
+    /// structure with them.
     fn diverge(&mut self) {
         if self.len < self.tasks.len() {
             self.tasks.truncate(self.len);
             self.shapes.truncate(self.len);
         }
-        if !self.renamed {
-            self.structure = NEXT_STRUCTURE.fetch_add(1, Ordering::Relaxed);
-            self.renamed = true;
-            self.builds += 1;
-        }
-    }
-
-    /// How many times the template has taken a fresh structure id: once per
-    /// fill that changed its stored structure.
-    #[doc(hidden)]
-    pub fn builds(&self) -> u64 {
-        self.builds
+        self.played = None;
     }
 
     /// Emits the step this template describes over `layers` layers into
@@ -384,74 +363,197 @@ impl LayerTemplate {
     /// names a task past the template's end; otherwise whatever the sink
     /// returns.
     pub fn unroll<S: TaskSink>(&self, layers: u32, sink: &mut S) -> Result<(), SimError> {
-        self.replay(layers, &mut Unroll(sink), &mut Vec::new())
+        let (tasks, shapes) = (&self.tasks[..self.len], &self.shapes[..self.len]);
+        replay(
+            tasks,
+            shapes,
+            self.prologue,
+            layers,
+            &mut Unroll(sink),
+            &mut Vec::new(),
+        )
     }
 
-    /// Replays the template over `layers` layers into `replay`, keeping each
-    /// task's handle in `rows`, one row per block.
-    fn replay<R: Replay>(
-        &self,
-        layers: u32,
-        replay: &mut R,
-        rows: &mut Vec<R::Handle>,
-    ) -> Result<(), SimError> {
-        let tasks = &self.tasks[..self.len];
-        let width = tasks.len() + usize::from(FIRST_TASK);
-        let reach = self.shapes[..self.len]
-            .last()
-            .map_or(Reach::default(), |last| last.reach);
-        if let Some(named) = reach.max_back.checked_sub(1) {
-            if (named >> 16) as usize >= tasks.len() {
-                return Err(SimError::TemplateDependency {
-                    task: (named & 0xffff) as usize,
-                });
-            }
+    /// The makespan of the step this template describes over `layers`
+    /// layers, played with the lane rule of [`crate::simulate`] into finish
+    /// times alone. It equals [`crate::simulate`] on the [`Self::unroll`]ed
+    /// graph bit for bit.
+    ///
+    /// A play replays a structure it did not just play, compiles it the
+    /// second time in a row, and runs the compiled program from then on,
+    /// with the template's current durations. A structure is the live
+    /// length, whether there is a prologue and `layers`, as long as no push
+    /// changes the stored tasks.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::TemplateDependency`] if a dependency names a task past the
+    /// template's end.
+    pub fn play(&mut self, layers: u32) -> Result<Seconds, SimError> {
+        let key = (self.len, self.prologue.is_some(), layers);
+        if self.played != Some(key) {
+            return self.replay_clocks(layers, key);
         }
-        let blocks = u64::from(layers) + u64::from(reach.carries);
-        let absent = R::absent();
-        rows.clear();
-        rows.resize(blocks as usize * width, absent);
-        let weight_slot = |row: u64| row as usize * width + usize::from(WEIGHT_SLOT);
-        if let Some(duration) = self.prologue {
-            let prologue = TemplateTask {
-                lane: Lane::HostToDevice,
-                duration,
-                kind: TaskKind::WeightTransfer,
-                offset: 0,
-                deps: [(0, NOWHERE); MAX_DEPS],
-            };
-            let label = || TemplateLabel::layer("W", 0);
-            rows[weight_slot(0)] =
-                replay.task(&prologue, PROLOGUE, label, 0, [absent; MAX_DEPS])?;
+        if self.compiled {
+            self.work.programs += 1;
+            return Ok(self.run());
         }
-        let layers = i64::from(layers);
-        for block in 0..blocks as i64 {
-            // The label offsets this block emits: none carried into the
-            // first, none ahead of the last, only carried ones after it.
-            let lowest = if block == 0 { 0 } else { -1 };
-            let highest = (layers - 1 - block).min(1);
-            for (k, task) in tasks.iter().enumerate() {
-                let offset = i64::from(task.offset);
-                if !(lowest..=highest).contains(&offset) {
-                    continue;
-                }
-                // An input in a block before the first is absent.
-                let input = |(back, at): (i16, u16)| match block - i64::from(back) {
-                    row if row < 0 => absent,
-                    row => rows[row as usize * width + usize::from(at)],
-                };
-                let [a, b, c] = task.deps;
-                let deps = [input(a), input(b), input(c)];
-                let layer = (block + offset) as u64;
-                let handle = replay.task(task, k as u16, || self.shapes[k].label, layer, deps)?;
-                rows[block as usize * width + usize::from(FIRST_TASK) + k] = handle;
-                if task.kind == TaskKind::WeightTransfer {
-                    rows[weight_slot(layer)] = handle;
-                }
-            }
+        // A structure with more replay cells than a 16-bit slot can name is
+        // replayed every time; `finish` holds the last replay's cells.
+        if u16::try_from(self.finish.len()).is_err() {
+            return self.replay_clocks(layers, key);
         }
-        Ok(())
+        self.work.compiles += 1;
+        self.program.clear();
+        self.finish.clear();
+        self.finish.push(Seconds::ZERO);
+        let mut compile = Compile {
+            program: &mut self.program,
+            finish: &mut self.finish,
+            lane_ends: [0; 4],
+        };
+        let (tasks, shapes) = (&self.tasks[..self.len], &self.shapes[..self.len]);
+        replay(
+            tasks,
+            shapes,
+            self.prologue,
+            layers,
+            &mut compile,
+            &mut self.slots,
+        )?;
+        self.lane_ends = compile.lane_ends;
+        self.compiled = true;
+        Ok(self.makespan())
     }
+
+    /// Plays a structure not just played, and reserves what compiling it
+    /// will need: the rows' length bounds both the program and its finish
+    /// times.
+    ///
+    /// This tier is kept, rather than compiling every structure on sight:
+    /// paper-sweep meets a new structure on 58% of its plays, and a
+    /// prototype that compiled on first sighting (with 32-bit finish slots)
+    /// lost paper-sweep `host_items_per_s` in 10 of 10 alternating 10 s
+    /// pairs on a 2-vCPU VM, median 145.0k → 128.6k (−11.3%), while traced
+    /// `stepcost.us_per_call` rose from 3.11–3.27 µs to 3.62–5.80 µs.
+    fn replay_clocks(&mut self, layers: u32, key: (usize, bool, u32)) -> Result<Seconds, SimError> {
+        self.work.builds += u64::from(self.played.is_none());
+        self.work.replays += 1;
+        self.played = None;
+        self.compiled = false;
+        let mut clocks = Clocks([Seconds::ZERO; 4]);
+        let (tasks, shapes) = (&self.tasks[..self.len], &self.shapes[..self.len]);
+        replay(
+            tasks,
+            shapes,
+            self.prologue,
+            layers,
+            &mut clocks,
+            &mut self.finish,
+        )?;
+        let rows = self.finish.len();
+        if u16::try_from(rows).is_ok() {
+            self.slots.reserve(rows.saturating_sub(self.slots.len()));
+            self.program.clear();
+            self.program.reserve(rows);
+        }
+        self.played = Some(key);
+        Ok(clocks.makespan())
+    }
+
+    /// Runs the compiled program on the template's durations: the replay's
+    /// arithmetic, task for task, with every handle resolved.
+    fn run(&mut self) -> Seconds {
+        let finish = &mut self.finish;
+        finish.clear();
+        finish.push(Seconds::ZERO);
+        if let Some(duration) = self.prologue {
+            finish.push(Seconds::ZERO + duration);
+        }
+        let tasks = &self.tasks[..self.len];
+        for step in &self.program {
+            finish.push(step.end(finish, tasks[usize::from(step.slot)].duration));
+        }
+        self.makespan()
+    }
+
+    /// The makespan of the step whose finish times `finish` holds.
+    fn makespan(&self) -> Seconds {
+        let [a, b, c, d] = self.lane_ends;
+        let at = |slot: u16| self.finish[slot as usize];
+        Clocks([at(a), at(b), at(c), at(d)]).makespan()
+    }
+
+    /// How the template has been played so far.
+    #[doc(hidden)]
+    pub fn work(&self) -> PlayWork {
+        self.work
+    }
+}
+
+/// Replays the template of live tasks `tasks`, their shapes `shapes` and
+/// prologue `prologue` over `layers` layers into `into`, keeping each task's
+/// handle in `rows`, one row per block.
+fn replay<R: Replay>(
+    tasks: &[TemplateTask],
+    shapes: &[Shape],
+    prologue: Option<Seconds>,
+    layers: u32,
+    into: &mut R,
+    rows: &mut Vec<R::Handle>,
+) -> Result<(), SimError> {
+    let width = tasks.len() + usize::from(FIRST_TASK);
+    let reach = shapes.last().map_or(Reach::default(), |last| last.reach);
+    if let Some(named) = reach.max_back.checked_sub(1) {
+        if (named >> 16) as usize >= tasks.len() {
+            return Err(SimError::TemplateDependency {
+                task: (named & 0xffff) as usize,
+            });
+        }
+    }
+    let blocks = u64::from(layers) + u64::from(reach.carries);
+    let absent = R::absent();
+    rows.clear();
+    rows.resize(blocks as usize * width, absent);
+    let weight_slot = |row: u64| row as usize * width + usize::from(WEIGHT_SLOT);
+    if let Some(duration) = prologue {
+        let prologue = TemplateTask {
+            lane: Lane::HostToDevice,
+            duration,
+            kind: TaskKind::WeightTransfer,
+            offset: 0,
+            deps: [(0, NOWHERE); MAX_DEPS],
+        };
+        let label = || TemplateLabel::layer("W", 0);
+        rows[weight_slot(0)] = into.task(&prologue, PROLOGUE, label, 0, [absent; MAX_DEPS])?;
+    }
+    let layers = i64::from(layers);
+    for block in 0..blocks as i64 {
+        // The label offsets this block emits: none carried into the
+        // first, none ahead of the last, only carried ones after it.
+        let lowest = if block == 0 { 0 } else { -1 };
+        let highest = (layers - 1 - block).min(1);
+        for (k, task) in tasks.iter().enumerate() {
+            let offset = i64::from(task.offset);
+            if !(lowest..=highest).contains(&offset) {
+                continue;
+            }
+            // An input in a block before the first is absent.
+            let input = |(back, at): (i16, u16)| match block - i64::from(back) {
+                row if row < 0 => absent,
+                row => rows[row as usize * width + usize::from(at)],
+            };
+            let [a, b, c] = task.deps;
+            let deps = [input(a), input(b), input(c)];
+            let layer = (block + offset) as u64;
+            let handle = into.task(task, k as u16, || shapes[k].label, layer, deps)?;
+            rows[block as usize * width + usize::from(FIRST_TASK) + k] = handle;
+            if task.kind == TaskKind::WeightTransfer {
+                rows[weight_slot(layer)] = handle;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// A consumer of a replayed template: each task emitted yields a handle the
@@ -602,23 +704,16 @@ impl Replay for Compile<'_> {
     }
 }
 
-/// The structure a player last played: the template's structure id, how
-/// many of its stored tasks it held and whether it had a prologue, and the
-/// layers played.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Sighting {
-    structure: u64,
-    len: usize,
-    prologue: bool,
-    layers: u32,
-}
-
-/// How a [`TemplatePlayer`] has played so far, for tests: first sightings
-/// replayed, second sightings compiled, and plays that ran a program.
+/// How a [`LayerTemplate`] has been played so far, for tests: structures
+/// built, plays replayed, programs compiled and programs run.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlayWork {
-    /// Plays of a structure seen for the first time.
+    /// Replays of a structure that pushes built since the play before: the
+    /// first play, and the first after a push changed the stored tasks.
+    pub builds: u64,
+    /// Plays of a structure other than the one just played, and of one too
+    /// large to compile.
     pub replays: u64,
     /// Plays that compiled the structure just seen.
     pub compiles: u64,
@@ -626,126 +721,10 @@ pub struct PlayWork {
     pub programs: u64,
 }
 
-/// Plays a [`LayerTemplate`] with the lane rule of [`crate::simulate`] and
-/// returns the step's makespan, keeping only finish times, in buffers it
-/// reuses: after the first play of a step as large, a play allocates
-/// nothing.
-///
-/// It replays a structure it has not just played, compiles it the second
-/// time in a row, and runs the compiled program from then on, with the
-/// template's current durations.
-#[derive(Debug, Clone, Default)]
-pub struct TemplatePlayer {
-    finish: Vec<Seconds>,
-    /// A compiling replay's rows of finish-time slots.
-    slots: Vec<u16>,
-    /// The structure last played, and whether `program` is compiled from
-    /// it.
-    last: Option<Sighting>,
-    compiled: bool,
-    program: Vec<Step>,
-    /// The program's last finish-time slot on each lane.
-    lane_ends: [u16; 4],
-    work: PlayWork,
-}
-
-impl TemplatePlayer {
-    /// The makespan of `template` unrolled over `layers` layers. It equals
-    /// [`crate::simulate`] on the [`LayerTemplate::unroll`]ed graph bit for
-    /// bit.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::TemplateDependency`] if a dependency names a task past the
-    /// template's end.
-    pub fn play(&mut self, template: &LayerTemplate, layers: u32) -> Result<Seconds, SimError> {
-        let seen = Sighting {
-            structure: template.structure,
-            len: template.len,
-            prologue: template.prologue.is_some(),
-            layers,
-        };
-        if self.last != Some(seen) {
-            return self.replay(template, layers, seen);
-        }
-        if self.compiled {
-            self.work.programs += 1;
-            return Ok(self.run(template));
-        }
-        self.work.compiles += 1;
-        self.program.clear();
-        self.finish.clear();
-        self.finish.push(Seconds::ZERO);
-        let mut compile = Compile {
-            program: &mut self.program,
-            finish: &mut self.finish,
-            lane_ends: [0; 4],
-        };
-        template.replay(layers, &mut compile, &mut self.slots)?;
-        self.lane_ends = compile.lane_ends;
-        self.compiled = true;
-        Ok(self.makespan())
-    }
-
-    /// Plays a structure seen for the first time, and reserves what
-    /// compiling it will need: the rows' length bounds both the program and
-    /// its finish times. A structure with more rows than a 16-bit slot can
-    /// name is replayed every time.
-    fn replay(
-        &mut self,
-        template: &LayerTemplate,
-        layers: u32,
-        seen: Sighting,
-    ) -> Result<Seconds, SimError> {
-        self.work.replays += 1;
-        self.last = None;
-        self.compiled = false;
-        let mut clocks = Clocks([Seconds::ZERO; 4]);
-        template.replay(layers, &mut clocks, &mut self.finish)?;
-        let rows = self.finish.len();
-        if u16::try_from(rows).is_ok() {
-            self.slots.reserve(rows.saturating_sub(self.slots.len()));
-            self.program.clear();
-            self.program.reserve(rows);
-            self.last = Some(seen);
-        }
-        Ok(clocks.makespan())
-    }
-
-    /// Runs the compiled program on `template`'s durations: the replay's
-    /// arithmetic, task for task, with every handle resolved.
-    fn run(&mut self, template: &LayerTemplate) -> Seconds {
-        let finish = &mut self.finish;
-        finish.clear();
-        finish.push(Seconds::ZERO);
-        if let Some(duration) = template.prologue {
-            finish.push(Seconds::ZERO + duration);
-        }
-        let tasks = &template.tasks[..template.len];
-        for step in &self.program {
-            finish.push(step.end(finish, tasks[usize::from(step.slot)].duration));
-        }
-        self.makespan()
-    }
-
-    /// The makespan of the step whose finish times `finish` holds.
-    fn makespan(&self) -> Seconds {
-        let [a, b, c, d] = self.lane_ends;
-        let at = |slot: u16| self.finish[slot as usize];
-        Clocks([at(a), at(b), at(c), at(d)]).makespan()
-    }
-
-    /// How this player has played so far.
-    #[doc(hidden)]
-    pub fn work(&self) -> PlayWork {
-        self.work
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TaskGraph;
+    use crate::{simulate, TaskGraph};
     use moe_hardware::{ComputeRate, FlopCount};
 
     fn secs(v: f64) -> Seconds {
@@ -863,7 +842,47 @@ mod tests {
         assert_eq!(push(&mut t, x, &[]), Ok(0));
         push(&mut t, x, &[Dep::Task { back: 1, index: 5 }]).unwrap();
         let err = SimError::TemplateDependency { task: 1 };
-        assert_eq!(TemplatePlayer::default().play(&t, 2), Err(err.clone()));
+        assert_eq!(t.play(2), Err(err.clone()));
         assert_eq!(t.unroll(2, &mut TaskGraph::new()), Err(err));
+    }
+
+    #[test]
+    fn a_structure_too_large_for_16_bit_slots_is_replayed_every_time() {
+        // 300 tasks over 250 layers: 302 replay cells a block, 75,500 in
+        // all, more than a 16-bit finish-time slot can name.
+        let (tasks, layers) = (300u16, 250);
+        let mut t = LayerTemplate::default();
+        t.set_prologue(secs(2.0));
+        for k in 0..tasks {
+            let kind = if k % 7 == 0 {
+                TaskKind::WeightTransfer
+            } else {
+                TaskKind::Other
+            };
+            // The task before it, itself one layer back, its layer's weights.
+            let (back, index) = if k == 0 { (1, tasks - 1) } else { (0, k - 1) };
+            let deps = [
+                Dep::Task { back, index },
+                Dep::Task { back: 1, index: k },
+                Dep::Weights,
+            ];
+            let label = TemplateLabel::micro_batch("t", 0, u64::from(k));
+            let duration = secs(0.5 + f64::from(k % 13) * 0.25);
+            let lane = Lane::all()[usize::from(k % 4)];
+            t.push(lane, duration, kind, label, &deps).unwrap();
+        }
+        let mut graph = TaskGraph::new();
+        t.unroll(layers, &mut graph).unwrap();
+        let bits = simulate(&graph).makespan.as_secs().to_bits();
+        for _ in 0..3 {
+            assert_eq!(t.play(layers).unwrap().as_secs().to_bits(), bits);
+        }
+        let work = PlayWork {
+            builds: 1,
+            replays: 3,
+            compiles: 0,
+            programs: 0,
+        };
+        assert_eq!(t.work(), work);
     }
 }
