@@ -77,6 +77,13 @@ impl SloSpec {
     }
 }
 
+/// The most sampling intervals a run's last arrival or timeline instant may
+/// lie in. A sampling sink takes a snapshot per interval up to there: 20
+/// requests at a Poisson rate of 1e-6 (about 2·10^7 intervals of 1 s) took
+/// 2.6–3.0 s on a 2-vCPU VM, so the budget bounds that work to well under a
+/// minute.
+const SAMPLE_BUDGET: f64 = 1e8;
+
 /// Why a [`ClusterSpec`] is unusable (see [`ClusterSpec::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -115,6 +122,13 @@ pub enum ClusterSpecError {
     /// The telemetry sink's [`TelemetrySink::sample_interval`] is not finite
     /// and positive: the sampling cursor would never pass the next event.
     InvalidSampleInterval,
+    /// The last arrival or the timeline's last instant (a timeline join's
+    /// provisioning included) lies more than `SAMPLE_BUDGET` (10^8) sampling
+    /// intervals in: the sink would take a snapshot per interval up to it,
+    /// and the run would not return in any useful time. Checked on the
+    /// realized queue by [`ClusterEvaluator::run`], and on an explicit queue
+    /// and the timeline by [`ClusterSpec::validate`].
+    ExceedsSampleBudget,
     /// A policy override ([`ReplicaSpec::with_policy`], on a replica, the
     /// scale template or a timeline join, or [`crate::ServeSpec::with_policy`])
     /// fails [`Policy::validate`]: a zero batch or micro-batch, a
@@ -152,6 +166,9 @@ impl fmt::Display for ClusterSpecError {
             ClusterSpecError::InvalidSampleInterval => {
                 f.write_str("the telemetry sampling interval must be finite and positive")
             }
+            ClusterSpecError::ExceedsSampleBudget => f.write_str(
+                "the last arrival or timeline instant lies more than 10^8 sampling intervals in",
+            ),
             ClusterSpecError::InvalidPolicy => f.write_str(
                 "a policy override needs a positive batch no smaller than its micro-batch and \
                  GPU ratios in [0, 1]",
@@ -396,7 +413,8 @@ impl ClusterSpec {
     /// timeline join that [`Policy::validate`] rejects, a sampling interval
     /// that is not finite and positive, incomplete pools, unusable
     /// interconnect, a workload that cannot synthesize the queue, arrivals
-    /// that cannot be stamped or are not finite).
+    /// that cannot be stamped or are not finite, an explicit queue or a
+    /// timeline reaching past the sample budget).
     pub fn validate(&self) -> Result<(), ClusterSpecError> {
         if self.replicas.is_empty() {
             return Err(ClusterSpecError::NoReplicas);
@@ -473,6 +491,30 @@ impl ClusterSpec {
         };
         if !arrivals_ok {
             return Err(ClusterSpecError::InvalidArrivals);
+        }
+        let explicit = self.queue.iter().flat_map(|queue| queue.iter());
+        self.check_sample_budget(explicit.map(|r| r.arrival), &events)
+    }
+
+    /// [`ClusterSpecError::ExceedsSampleBudget`] if the sink samples and the
+    /// last of `arrivals` or of the sorted timeline `events` lies more than
+    /// `SAMPLE_BUDGET` of its intervals in.
+    fn check_sample_budget(
+        &self,
+        arrivals: impl Iterator<Item = Seconds>,
+        events: &[(Seconds, FleetAction)],
+    ) -> Result<(), ClusterSpecError> {
+        let Some(interval) = self.telemetry.as_ref().and_then(|s| s.sample_interval()) else {
+            return Ok(());
+        };
+        let delay = self.timeline.provisioning_delay();
+        let instants = events.iter().map(|(at, action)| match action {
+            FleetAction::Join(_) => *at + delay,
+            _ => *at,
+        });
+        let last = arrivals.chain(instants).fold(Seconds::ZERO, Seconds::max);
+        if last.as_secs() / interval > SAMPLE_BUDGET {
+            return Err(ClusterSpecError::ExceedsSampleBudget);
         }
         Ok(())
     }
@@ -786,18 +828,14 @@ impl ClusterEvaluator {
     /// # Errors
     ///
     /// Spec errors come first: [`EngineError::InvalidClusterSpec`] for any
-    /// constraint [`ClusterSpec::validate`] rejects, before any policy
+    /// constraint [`ClusterSpec::validate`] rejects, and for a realized
+    /// queue past the sample budget
+    /// ([`ClusterSpecError::ExceedsSampleBudget`]), before any policy
     /// search. Then [`EngineError::NoFeasiblePolicy`] if some replica cannot
     /// run at all, and batching/simulation errors.
     pub fn run(&self, spec: &ClusterSpec) -> Result<ClusterReport, EngineError> {
-        spec.validate()
-            .map_err(|reason| EngineError::InvalidClusterSpec { reason })?;
-        // The per-node costing `build_engine` fills; joins share it.
-        let mut node_cache: Vec<NodeCosting> = Vec::new();
-        let mut engines: Vec<ReplicaEngine> = Vec::with_capacity(spec.replicas.len());
-        for (index, replica) in spec.replicas.iter().enumerate() {
-            engines.push(self.build_engine(spec, replica, index, &mut node_cache)?);
-        }
+        let invalid = |reason| EngineError::InvalidClusterSpec { reason };
+        spec.validate().map_err(invalid)?;
 
         // One fleet-wide queue: arrivals are sampled once, not per replica.
         // An explicit queue is already a realized arrival stream, so its
@@ -813,8 +851,19 @@ impl ClusterEvaluator {
             ),
         };
         queue.sort_by_key(|r| (r.arrival.key(), r.id));
-
         let timeline = spec.timeline.sorted_events();
+        // Only now is a synthesized queue's last arrival known.
+        let last_arrival = queue.last().map(|r| r.arrival);
+        spec.check_sample_budget(last_arrival.into_iter(), &timeline)
+            .map_err(invalid)?;
+
+        // The per-node costing `build_engine` fills; joins share it.
+        let mut node_cache: Vec<NodeCosting> = Vec::new();
+        let mut engines: Vec<ReplicaEngine> = Vec::with_capacity(spec.replicas.len());
+        for (index, replica) in spec.replicas.iter().enumerate() {
+            engines.push(self.build_engine(spec, replica, index, &mut node_cache)?);
+        }
+
         let fleet_size = engines.len();
         let membership = Membership::count(&engines);
         let mut plane = FleetLoop {
@@ -1574,9 +1623,6 @@ mod tests {
         }
     }
 
-    /// A sampling interval that is not finite and positive is a typed error
-    /// before any search: the sampling cursor would never pass the next
-    /// event, so the run would not return.
     /// A positive Poisson rate so small that a stamp can overflow to `+inf`
     /// is an `InvalidArrivals` error from `validate` and `run`: the stamps
     /// would park requests at `+inf` and stall the clock.
@@ -1608,32 +1654,50 @@ mod tests {
         }
     }
 
+    /// A sampling interval that is not finite and positive is a typed error
+    /// before any search: the sampling cursor would never pass the next
+    /// event, so the run would not return. So is a 1 s interval over an
+    /// astronomical span, on both loops, where one sample per interval would
+    /// not return either: Poisson rates of 1e-12 and 1e-300 (found by `run`
+    /// on the synthesized queue) and an explicit queue or a timeline action
+    /// 10^9 s in (found by `validate` too).
     #[test]
     fn invalid_sample_intervals_are_typed_errors() {
-        let evaluator = ClusterEvaluator::new(EvalSetting::S1.model());
-        for interval in [0.0, -1.0, f64::NAN] {
-            let spec = ClusterSpec::homogeneous(
+        let spec = |interval| {
+            ClusterSpec::homogeneous(
                 SystemKind::MoeLightning,
                 WorkloadSpec::mtbench(),
-                &EvalSetting::S1.node(),
+                &NodeSpec::t4_single(),
                 2,
             )
             .with_count(20)
             .with_telemetry(Arc::new(
                 moe_telemetry::Recorder::new().with_interval(interval),
-            ));
-            assert_eq!(
-                spec.validate(),
-                Err(ClusterSpecError::InvalidSampleInterval),
-                "{interval}"
-            );
-            assert!(matches!(
-                evaluator.run(&spec),
-                Err(EngineError::InvalidClusterSpec {
-                    reason: ClusterSpecError::InvalidSampleInterval
-                })
-            ));
+            ))
+        };
+        let check = |spec: &ClusterSpec, validated: bool, reason| {
+            assert_eq!(spec.validate(), validated.then_some(()).ok_or(reason));
+            let indexed = ClusterEvaluator::new(EvalSetting::S1.model());
+            for evaluator in [indexed.clone(), indexed.with_scan_loop()] {
+                let run = evaluator.run(spec).map(|_| ());
+                assert_eq!(run, Err(EngineError::InvalidClusterSpec { reason }));
+            }
+        };
+        use ClusterSpecError::{ExceedsSampleBudget as Budget, InvalidSampleInterval};
+        for interval in [0.0, -1.0, f64::NAN] {
+            check(&spec(interval), false, InvalidSampleInterval);
         }
+        for rate_per_sec in [1e-12, 1e-300] {
+            let poisson = spec(1.0).with_arrivals(ArrivalProcess::Poisson { rate_per_sec });
+            check(&poisson, true, Budget);
+        }
+        let late = Request {
+            arrival: Seconds::from_secs(1e9),
+            ..Request::new(0, 10, 10)
+        };
+        check(&spec(1.0).with_queue(vec![late]), false, Budget);
+        let timeline = FleetTimeline::new().fail_at(Seconds::from_secs(1e9), ReplicaId(0));
+        check(&spec(1.0).with_timeline(timeline), false, Budget);
     }
 
     /// Every policy override is checked before any search: on a replica,

@@ -220,12 +220,14 @@ impl SystemEvaluator {
     /// produce: sequence-count skew and token-load skew. `None` falls back to
     /// the policy's uniform split and the workload's uniform average context.
     /// It prices in one [`StepBuffers`] kept per thread, so it allocates
-    /// nothing once they are warm. There a step with the structure of the
-    /// last one priced with as many micro-batches (modulo the buffers' few
-    /// template slots) refills that layer template instead of rebuilding it.
-    /// The template compiles itself on the structure's second pricing and
-    /// runs that program from the third on, until a push changes it: a
-    /// serving engine's steps repeat a few structures with new loads.
+    /// nothing once they are warm. There a step prices its operators into a
+    /// flat duration table and plays the layer template of its shape (the
+    /// kind, the micro-batch count, the weight transfers and S4's KV
+    /// prefetches and write-backs), kept per micro-batch count modulo the
+    /// buffers' few template slots: the layer emitter runs only when the
+    /// shape there changes. The template compiles itself on the shape's
+    /// second pricing and runs that program from the third on: a serving
+    /// engine's steps repeat a few shapes with new loads.
     ///
     /// # Errors
     ///

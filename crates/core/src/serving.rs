@@ -353,8 +353,11 @@ impl SystemEvaluator {
     /// included), the workload cannot sample it
     /// ([`crate::ClusterSpecError::InvalidWorkload`]), its arrivals cannot
     /// be stamped or are not finite
-    /// ([`crate::ClusterSpecError::InvalidArrivals`]), or its policy
-    /// override is invalid ([`crate::ClusterSpecError::InvalidPolicy`]).
+    /// ([`crate::ClusterSpecError::InvalidArrivals`]), a sampling sink's
+    /// interval is not finite and positive or its last arrival lies more
+    /// than 10^8 intervals in ([`crate::ClusterSpecError::ExceedsSampleBudget`]),
+    /// or its policy override is invalid
+    /// ([`crate::ClusterSpecError::InvalidPolicy`]).
     /// Then an error if no policy fits, the batching configuration is
     /// invalid, or the simulation fails.
     pub fn run(&self, spec: &ServeSpec) -> Result<ServingReport, EngineError> {

@@ -209,20 +209,139 @@ impl<'a> DecodeScheduleBuilder<'a> {
         Ok(())
     }
 
-    /// Prices every micro-batch of a `kind` step into `buffers.prices`, each
-    /// operator keyed by the inputs it reads: `by_tokens` once per token
-    /// count for as long as `buffers` prices this kind on this cost model and
-    /// placement, `by_context` once per run of equal (tokens, context) pairs.
+    /// Prices every operator of a `kind` step into `buffers.table` (see
+    /// [`entry`]) and describes the step's shape in `buffers.shape`.
+    fn price(&self, kind: ScheduleKind, buffers: &mut StepBuffers) {
+        let streamed = self.cost.streamed_layer_bytes(&self.policy);
+        let streams = !streamed.is_zero();
+        let n_ub = self.num_micro_batches() as usize;
+        let StepBuffers {
+            table,
+            shape,
+            by_token,
+            ..
+        } = buffers;
+        table.clear();
+        table.push(if streams {
+            self.cost.weight_transfer(streamed)
+        } else {
+            Seconds::ZERO
+        });
+        // Every field set here, so that no field of the last step's shape
+        // survives; the prefetch vector keeps its allocation.
+        *shape = StepShape {
+            kind,
+            micro_batches: n_ub,
+            prologue: streams && kind != ScheduleKind::LayerStreaming,
+            whole_layer: streams && kind != ScheduleKind::CgoPipe,
+            pages: 0,
+            writes_back: false,
+            prefetch: std::mem::take(&mut shape.prefetch),
+        };
+        shape.prefetch.0.clear();
+        match kind {
+            ScheduleKind::LayerStreaming => {
+                // One batch of all the step's tokens at the workload's
+                // average context.
+                let (tokens, ctx) = (self.total_tokens(), self.ctx());
+                let mut ops = [Seconds::ZERO; STRIDE];
+                ops[FUSED] = self.cost.pre_attention_gpu(tokens)
+                    + self.cost.attention_gpu(tokens, ctx)
+                    + self.cost.post_attention_gpu(tokens);
+                table.extend_from_slice(&ops);
+                shape.micro_batches = 1;
+            }
+            ScheduleKind::FlexGenGpuAttention => {
+                let kv_cpu_fraction = 1.0 - self.policy.kv_gpu_ratio;
+                self.price_micro_batches(
+                    kind,
+                    (table, by_token),
+                    |tokens| {
+                        let append = self
+                            .cost
+                            .model()
+                            .kv_bytes_per_token_per_layer()
+                            .scale(kv_cpu_fraction)
+                            * tokens;
+                        [
+                            self.cost.pre_attention_gpu(tokens),
+                            self.cost.kv_offload(append),
+                            Seconds::ZERO,
+                            self.cost.post_attention_gpu(tokens),
+                        ]
+                    },
+                    |tokens, ctx| {
+                        [
+                            self.cost.attention_gpu(tokens, ctx),
+                            self.cost.kv_transfer(tokens, ctx, kv_cpu_fraction),
+                        ]
+                    },
+                );
+                shape.writes_back = kv_cpu_fraction > 0.0;
+                // Each micro-batch's durations, past the whole layer's.
+                for ops in table[1..].chunks_exact_mut(STRIDE) {
+                    ops[FUSED] = ops[PRE] + ops[ATTENTION] + ops[POST];
+                    let prefetched = !ops[KV].is_zero() && kv_cpu_fraction > 0.0;
+                    shape.prefetch.0.push(prefetched);
+                }
+            }
+            cpu_attention => {
+                self.price_micro_batches(
+                    cpu_attention,
+                    (table, by_token),
+                    |tokens| {
+                        [
+                            self.cost.pre_attention_gpu(tokens),
+                            self.cost.qkv_offload(tokens),
+                            self.cost.hidden_upload(tokens),
+                            if self.policy.ffn_on_gpu {
+                                self.cost.post_attention_gpu(tokens)
+                            } else {
+                                self.cost.post_attention_gpu_without_ffn(tokens)
+                            },
+                        ]
+                    },
+                    |tokens, ctx| [self.cost.attention_cpu(tokens, ctx), Seconds::ZERO],
+                );
+                if cpu_attention == ScheduleKind::CgoPipe {
+                    shape.pages = self.price_pages(streamed, table);
+                }
+            }
+        }
+    }
+
+    /// Prices CGOPipe's weight pages into `table` and returns how many there
+    /// are. The next layer's weights, `streamed`, split into one page per
+    /// micro-batch; the first `bytes % n_ub` are a byte larger, and with
+    /// fewer bytes than micro-batches the rest are empty and not sent.
+    fn price_pages(&self, streamed: ByteSize, table: &mut [Seconds]) -> usize {
+        let n_ub = self.num_micro_batches() as usize;
+        let (base, larger) = (
+            streamed.as_bytes() / n_ub as u64,
+            (streamed.as_bytes() % n_ub as u64) as usize,
+        );
+        let pages = if base > 0 { n_ub } else { larger };
+        let [larger_page, page] =
+            [base + 1, base].map(|bytes| self.cost.weight_transfer(ByteSize::from_bytes(bytes)));
+        for j in 0..pages {
+            table[entry(j, PAGE) as usize] = if j < larger { larger_page } else { page };
+        }
+        pages
+    }
+
+    /// Appends every micro-batch's operators of a `kind` step to `table`,
+    /// each operator keyed by the inputs it reads: `by_tokens` once per token
+    /// count for as long as `by_token` prices this kind on this cost model
+    /// and placement, `by_context` once per run of equal (tokens, context)
+    /// pairs. The two give a micro-batch's operators in stride order: `PRE`,
+    /// `OFFLOAD`, `UPLOAD` and `POST`, then `ATTENTION` and `KV`.
     fn price_micro_batches(
         &self,
         kind: ScheduleKind,
-        buffers: &mut StepBuffers,
+        (table, by_token): (&mut Vec<Seconds>, &mut TokenPrices),
         by_tokens: impl Fn(u64) -> [Seconds; 4],
         by_context: impl Fn(u64, u64) -> [Seconds; 2],
     ) {
-        let StepBuffers {
-            prices, by_token, ..
-        } = buffers;
         let key = (
             self.cost.pricing_id(),
             kind,
@@ -234,28 +353,26 @@ impl<'a> DecodeScheduleBuilder<'a> {
             by_token.generation += 1;
         }
         let generation = by_token.generation;
-        prices.clear();
-        prices.reserve(self.num_micro_batches() as usize);
+        let mut last = None;
         for j in 0..self.num_micro_batches() {
-            let (tokens, context) = (self.micro_batch_tokens(j), self.ctx_of(j));
+            let loads = (self.micro_batch_tokens(j), self.ctx_of(j));
+            let tokens = loads.0;
             let slot = &mut by_token.slots[tokens as usize % TOKEN_SLOTS];
-            let by_tokens = match *slot {
+            let [pre, offload, upload, post] = match *slot {
                 (seen, at, priced) if (seen, at) == (generation, tokens) => priced,
                 _ => {
                     *slot = (generation, tokens, by_tokens(tokens));
                     slot.2
                 }
             };
-            let by_context = match prices.last() {
-                Some(p) if (p.tokens, p.context) == (tokens, context) => p.by_context,
-                _ => by_context(tokens, context),
+            let [attention, kv] = match last {
+                Some((seen, priced)) if seen == loads => priced,
+                _ => by_context(tokens, loads.1),
             };
-            prices.push(Priced {
-                tokens,
-                context,
-                by_tokens,
-                by_context,
-            });
+            last = Some((loads, [attention, kv]));
+            // Set afterwards by the kinds that send pages or fuse a layer.
+            let (page, fused) = (Seconds::ZERO, Seconds::ZERO);
+            table.extend_from_slice(&[pre, offload, upload, post, attention, kv, page, fused]);
         }
     }
 
@@ -268,9 +385,9 @@ impl<'a> DecodeScheduleBuilder<'a> {
     /// (see [`Self::with_micro_batch_tokens`]).
     pub fn build(&self, kind: ScheduleKind) -> Result<TaskGraph, SimError> {
         let mut buffers = StepBuffers::default();
-        let template = self.fill_template(kind, &mut buffers)?;
+        let (template, table) = self.fill_template(kind, &mut buffers)?;
         let mut graph = TaskGraph::new();
-        template.unroll(self.num_layers, &mut graph)?;
+        template.unroll(self.num_layers, table, &mut graph)?;
         Ok(graph)
     }
 
@@ -288,12 +405,17 @@ impl<'a> DecodeScheduleBuilder<'a> {
     /// its makespan, without building a graph. It equals
     /// [`moe_sim::simulate`]`(&self.build(kind)?).makespan` bit for bit.
     ///
-    /// `buffers` keeps a template per micro-batch count (modulo a few
-    /// slots), refilled rather than rebuilt while a step repeats the last
-    /// structure priced there. The first pricing of a structure replays its
-    /// template, the second compiles it and later ones run the compiled
+    /// The step's operators are priced into a flat duration table, and its
+    /// shape picks the template: `buffers` keeps one per micro-batch count
+    /// (modulo a few slots), and the layer emitter runs only when a step's
+    /// shape differs from the last one emitted there. The shape is all the
+    /// emitter reads — the kind, the micro-batch count, the prologue, the
+    /// whole-layer transfer, CGOPipe's page count and S4's prefetches and
+    /// write-backs — so a kept template is the one a fresh emit would give.
+    /// The template is played with the table: the first pricing of a shape
+    /// replays it, the second compiles it and later ones run the compiled
     /// program (see [`LayerTemplate::play`]). Once `buffers` has priced a
-    /// step of that structure, it allocates nothing.
+    /// step of that shape, it allocates nothing.
     ///
     /// # Errors
     ///
@@ -303,351 +425,310 @@ impl<'a> DecodeScheduleBuilder<'a> {
         kind: ScheduleKind,
         buffers: &mut StepBuffers,
     ) -> Result<Seconds, SimError> {
-        self.fill_template(kind, buffers)?.play(self.num_layers)
+        let (template, table) = self.fill_template(kind, buffers)?;
+        template.play(self.num_layers, table)
     }
 
-    /// Prices one layer of `kind` into the template slot of its micro-batch
-    /// count, and returns that template.
+    /// Prices one step of `kind` into the buffers' table, and returns the
+    /// template of its shape, emitted into the slot of its micro-batch count
+    /// unless that slot last emitted the same shape, with the table.
     fn fill_template<'b>(
         &self,
         kind: ScheduleKind,
         buffers: &'b mut StepBuffers,
-    ) -> Result<&'b mut LayerTemplate, SimError> {
+    ) -> Result<(&'b mut LayerTemplate, &'b [Seconds]), SimError> {
         self.check_loads()?;
-        let n_ub = self.num_micro_batches() as usize;
-        let slot = n_ub % TEMPLATE_SLOTS;
-        let template = &mut buffers.slots[slot];
-        // At most six tasks per micro-batch and a whole-layer transfer.
-        template.refill(6 * n_ub + 1);
-        let streamed = self.cost.streamed_layer_bytes(&self.policy);
-        if !streamed.is_zero() && kind != ScheduleKind::LayerStreaming {
-            template.set_prologue(self.cost.weight_transfer(streamed));
+        self.price(kind, buffers);
+        let StepBuffers {
+            slots,
+            table,
+            shape,
+            emits,
+            ..
+        } = buffers;
+        let slot = &mut slots[self.num_micro_batches() as usize % TEMPLATE_SLOTS];
+        if slot.shape != *shape {
+            *emits += 1;
+            slot.template.clear();
+            if let Err(e) = emit(shape, &mut slot.template) {
+                slot.shape = StepShape::default();
+                return Err(e);
+            }
+            slot.shape.clone_from(shape);
         }
-        match kind {
-            ScheduleKind::FlexGenGpuAttention => self.gpu_attention_layer(buffers, slot)?,
-            ScheduleKind::LayerStreaming => self.layer_streaming_layer(&mut buffers.slots[slot])?,
-            cpu_attention => self.cpu_attention_layer(cpu_attention, buffers, slot)?,
-        }
-        Ok(&mut buffers.slots[slot])
+        Ok((&mut slot.template, table))
     }
+}
 
-    /// One layer of a CPU-attention pipeline (CGOPipe, S2, S3). CGOPipe and
-    /// S2 use the pre-attention stagger; the kind also selects how the next
-    /// layer's weights are placed on the H2D lane.
-    ///
-    /// Each micro-batch `j` contributes pre-attention `A`, QKV offload, CPU
-    /// attention `B`, hidden upload `H` and post-attention `C`, in that lane
-    /// order except under the stagger. CGOPipe launches pre-attention two
-    /// micro-batches ahead of the corresponding post-attention (Algorithm 1):
-    /// the GPU lane order becomes `A(0) A(1) C(0) A(2) C(1) A(3) ...`, which
-    /// keeps the GPU busy while the CPU attends the in-flight micro-batches.
-    /// So micro-batch `j`'s group opens with the post-attention of micro-batch
-    /// `j − 2`, and the first two groups carry the previous layer's last two.
-    fn cpu_attention_layer(
-        &self,
-        kind: ScheduleKind,
-        buffers: &mut StepBuffers,
-        slot: usize,
-    ) -> Result<(), SimError> {
-        let (two_ahead, weight_order) = match kind {
-            ScheduleKind::CgoPipe => (true, WeightOrder::Interleaved),
-            ScheduleKind::FastDecodeOverlap => (true, WeightOrder::WholeAtStart),
-            _ => (false, WeightOrder::WholeAtEnd),
+/// The layer emitter: one layer of the step `shape` describes, pushed into
+/// `t`, each task's duration read from the step's table at [`entry`]. The
+/// shape is all it reads, so one template serves every step of a shape.
+fn emit(shape: &StepShape, t: &mut LayerTemplate) -> Result<(), SimError> {
+    if shape.prologue {
+        t.set_prologue(WHOLE_LAYER);
+    }
+    match shape.kind {
+        ScheduleKind::FlexGenGpuAttention => gpu_attention_layer(shape, t),
+        ScheduleKind::LayerStreaming => layer_streaming_layer(shape, t),
+        _ => cpu_attention_layer(shape, t),
+    }
+}
+
+/// One layer of a CPU-attention pipeline (CGOPipe, S2, S3). CGOPipe and S2
+/// use the pre-attention stagger; the kind also selects how the next layer's
+/// weights are placed on the H2D lane.
+///
+/// Each micro-batch `j` contributes pre-attention `A`, QKV offload, CPU
+/// attention `B`, hidden upload `H` and post-attention `C`, in that lane
+/// order except under the stagger. CGOPipe launches pre-attention two
+/// micro-batches ahead of the corresponding post-attention (Algorithm 1):
+/// the GPU lane order becomes `A(0) A(1) C(0) A(2) C(1) A(3) ...`, which
+/// keeps the GPU busy while the CPU attends the in-flight micro-batches. So
+/// micro-batch `j`'s group opens with the post-attention of micro-batch
+/// `j − 2`, and the first two groups carry the previous layer's last two.
+fn cpu_attention_layer(shape: &StepShape, t: &mut LayerTemplate) -> Result<(), SimError> {
+    let (kind, n_ub, pages) = (shape.kind, shape.micro_batches, shape.pages);
+    let two_ahead = kind != ScheduleKind::FlexGenCpuAttention;
+    // The next layer's weights: CGOPipe's pages, interleaved with the hidden
+    // uploads; S2's whole layer before them and S3's after them.
+    let whole_at_start = shape.whole_layer && kind == ScheduleKind::FastDecodeOverlap;
+    let whole_at_end = shape.whole_layer && kind == ScheduleKind::FlexGenCpuAttention;
+    let stagger = if two_ahead && n_ub >= 2 { 2 } else { 0 };
+    // Local indices of micro-batch j's post-attention, pre-attention and
+    // hidden upload: five tasks per micro-batch, plus the whole-layer
+    // transfer before the first micro-batch's pre-attention and after the
+    // last one's upload, and a page after each of the first `pages` uploads.
+    let at = |j: usize| {
+        let start = 5 * j + usize::from(whole_at_start && j > 0) + j.min(pages);
+        let pre = start + usize::from(stagger > 0) + usize::from(whole_at_start && j == 0);
+        let post = if stagger > 0 {
+            start
+        } else {
+            pre + 4 + usize::from(j < pages) + usize::from(whole_at_end && j + 1 == n_ub)
         };
-        let n_ub = self.num_micro_batches() as usize;
-        let streamed = self.cost.streamed_layer_bytes(&self.policy);
-        self.price_micro_batches(
-            kind,
-            buffers,
-            |tokens| {
-                [
-                    self.cost.pre_attention_gpu(tokens),
-                    self.cost.qkv_offload(tokens),
-                    self.cost.hidden_upload(tokens),
-                    if self.policy.ffn_on_gpu {
-                        self.cost.post_attention_gpu(tokens)
-                    } else {
-                        self.cost.post_attention_gpu_without_ffn(tokens)
-                    },
-                ]
-            },
-            |tokens, ctx| [self.cost.attention_cpu(tokens, ctx), Seconds::ZERO],
-        );
-        let (prices, t) = (&buffers.prices, &mut buffers.slots[slot]);
-        let whole = !streamed.is_zero();
-        let whole_at_start = weight_order == WeightOrder::WholeAtStart && whole;
-        let whole_at_end = weight_order == WeightOrder::WholeAtEnd && whole;
-        // CGOPipe splits the next layer's weights into one page per
-        // micro-batch; the first `bytes % n_ub` are a byte larger, and with
-        // fewer bytes than micro-batches the rest are empty and not sent.
-        let paged = weight_order == WeightOrder::Interleaved;
-        let (base, larger) = (
-            streamed.as_bytes() / n_ub as u64,
-            (streamed.as_bytes() % n_ub as u64) as usize,
-        );
-        let pages = if base > 0 { n_ub } else { larger };
-        let [larger_page, page] =
-            [base + 1, base].map(|bytes| self.cost.weight_transfer(ByteSize::from_bytes(bytes)));
-        let stagger = if two_ahead && n_ub >= 2 { 2 } else { 0 };
-        // Local indices of micro-batch j's post-attention, pre-attention and
-        // hidden upload: five tasks per micro-batch, plus the whole-layer
-        // transfer before the first micro-batch's pre-attention and after the
-        // last one's upload, and a page after each of the first `pages`
-        // uploads.
-        let at = |j: usize| {
-            let start =
-                5 * j + usize::from(whole_at_start && j > 0) + if paged { j.min(pages) } else { 0 };
-            let pre = start + usize::from(stagger > 0) + usize::from(whole_at_start && j == 0);
-            let post = if stagger > 0 {
-                start
-            } else {
-                pre + 4
-                    + usize::from(paged && j < pages)
-                    + usize::from(whole_at_end && j + 1 == n_ub)
+        (post as u16, pre as u16, pre as u16 + 3)
+    };
+    // Pre-attention of micro-batch j follows the previous layer's
+    // post-attention of j: one block back, or, carried over, in this one.
+    let prev_post = |j: usize| match j + stagger {
+        group if group < n_ub => Dep::Task {
+            back: 1,
+            index: at(group).0,
+        },
+        group => Dep::Task {
+            back: 0,
+            index: at(group - n_ub).0,
+        },
+    };
+    let next_weights = |t: &mut LayerTemplate| {
+        t.push(
+            Lane::HostToDevice,
+            WHOLE_LAYER,
+            TaskKind::WeightTransfer,
+            TemplateLabel::layer("W", 1),
+            &[],
+        )
+    };
+    let post = |t: &mut LayerTemplate, k: usize, offset: i8| {
+        let hidden = Dep::Task {
+            back: u8::from(offset < 0),
+            index: at(k).2,
+        };
+        t.push(
+            Lane::GpuCompute,
+            entry(k, POST),
+            TaskKind::PostAttention,
+            TemplateLabel::micro_batch("C", offset, k as u64),
+            &[hidden, Dep::Weights],
+        )
+    };
+    for j in 0..n_ub {
+        let mb = j as u64;
+        if stagger > 0 {
+            // With the stagger, post-attention of step g − 2 is enqueued on
+            // the GPU lane before pre-attention of step g.
+            match j.checked_sub(stagger) {
+                Some(k) => post(t, k, 0)?,
+                None => post(t, n_ub - stagger + j, -1)?,
             };
-            (post as u16, pre as u16, pre as u16 + 3)
-        };
-        // Pre-attention of micro-batch j follows the previous layer's
-        // post-attention of j: one block back, or, carried over, in this one.
-        let prev_post = |j: usize| match j + stagger {
-            group if group < n_ub => Dep::Task {
-                back: 1,
-                index: at(group).0,
-            },
-            group => Dep::Task {
+        }
+        if whole_at_start && j == 0 {
+            next_weights(t)?;
+        }
+        let a = t.push(
+            Lane::GpuCompute,
+            entry(j, PRE),
+            TaskKind::PreAttention,
+            TemplateLabel::micro_batch("A", 0, mb),
+            &[prev_post(j), Dep::Weights],
+        )?;
+        debug_assert_eq!(a, at(j).1);
+        let qkv = t.push(
+            Lane::DeviceToHost,
+            entry(j, OFFLOAD),
+            TaskKind::QkvOffload,
+            TemplateLabel::micro_batch("QKV", 0, mb),
+            &[Dep::Task { back: 0, index: a }],
+        )?;
+        let attention = t.push(
+            Lane::CpuCompute,
+            entry(j, ATTENTION),
+            TaskKind::Attention,
+            TemplateLabel::micro_batch("B", 0, mb),
+            &[Dep::Task {
                 back: 0,
-                index: at(group - n_ub).0,
-            },
-        };
-        let whole_layer = self.cost.weight_transfer(streamed);
-        let next_weights = |t: &mut LayerTemplate| {
-            t.push(
-                Lane::HostToDevice,
-                whole_layer,
-                TaskKind::WeightTransfer,
-                TemplateLabel::layer("W", 1),
-                &[],
-            )
-        };
-        let post = |t: &mut LayerTemplate, k: usize, offset: i8| {
-            let hidden = Dep::Task {
-                back: u8::from(offset < 0),
-                index: at(k).2,
-            };
-            t.push(
-                Lane::GpuCompute,
-                prices[k].by_tokens[3],
-                TaskKind::PostAttention,
-                TemplateLabel::micro_batch("C", offset, k as u64),
-                &[hidden, Dep::Weights],
-            )
-        };
-        for (j, priced) in prices.iter().enumerate() {
-            let [pre, qkv, upload, _] = priced.by_tokens;
-            let mb = j as u64;
-            if stagger > 0 {
-                // With the stagger, post-attention of step g − 2 is enqueued
-                // on the GPU lane before pre-attention of step g.
-                match j.checked_sub(stagger) {
-                    Some(k) => post(t, k, 0)?,
-                    None => post(t, n_ub - stagger + j, -1)?,
-                };
-            }
-            if whole_at_start && j == 0 {
-                next_weights(t)?;
-            }
-            let a = t.push(
-                Lane::GpuCompute,
-                pre,
-                TaskKind::PreAttention,
-                TemplateLabel::micro_batch("A", 0, mb),
-                &[prev_post(j), Dep::Weights],
-            )?;
-            debug_assert_eq!(a, at(j).1);
-            let qkv = t.push(
-                Lane::DeviceToHost,
-                qkv,
-                TaskKind::QkvOffload,
-                TemplateLabel::micro_batch("QKV", 0, mb),
-                &[Dep::Task { back: 0, index: a }],
-            )?;
-            let attention = t.push(
-                Lane::CpuCompute,
-                priced.by_context[0],
-                TaskKind::Attention,
-                TemplateLabel::micro_batch("B", 0, mb),
-                &[Dep::Task {
-                    back: 0,
-                    index: qkv,
-                }],
-            )?;
-            t.push(
-                Lane::HostToDevice,
-                upload,
-                TaskKind::HiddenTransfer,
-                TemplateLabel::micro_batch("H", 0, mb),
-                &[Dep::Task {
-                    back: 0,
-                    index: attention,
-                }],
-            )?;
-            if paged && j < pages {
-                t.push(
-                    Lane::HostToDevice,
-                    if j < larger { larger_page } else { page },
-                    TaskKind::WeightTransfer,
-                    TemplateLabel::micro_batch("Wp", 1, mb),
-                    &[],
-                )?;
-            }
-            if whole_at_end && j + 1 == n_ub {
-                next_weights(t)?;
-            }
-            if stagger == 0 {
-                post(t, j, 0)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// One layer of S4: GPU attention with per-micro-batch KV prefetch over
-    /// PCIe — every micro-batch's prefetch, then the next layer's (un-paged)
-    /// weights, the S4 H2D ordering of Fig. 6 — then each micro-batch's fused
-    /// GPU layer and the write-back of its new KV entries to the CPU-resident
-    /// cache.
-    fn gpu_attention_layer(&self, buffers: &mut StepBuffers, slot: usize) -> Result<(), SimError> {
-        let streamed = self.cost.streamed_layer_bytes(&self.policy);
-        let kv_cpu_fraction = 1.0 - self.policy.kv_gpu_ratio;
-        self.price_micro_batches(
-            ScheduleKind::FlexGenGpuAttention,
-            buffers,
-            |tokens| {
-                let append = self
-                    .cost
-                    .model()
-                    .kv_bytes_per_token_per_layer()
-                    .scale(kv_cpu_fraction)
-                    * tokens;
-                [
-                    self.cost.pre_attention_gpu(tokens),
-                    self.cost.post_attention_gpu(tokens),
-                    self.cost.kv_offload(append),
-                    Seconds::ZERO,
-                ]
-            },
-            |tokens, ctx| {
-                [
-                    self.cost.kv_transfer(tokens, ctx, kv_cpu_fraction),
-                    self.cost.attention_gpu(tokens, ctx),
-                ]
-            },
-        );
-        let (prices, t) = (&buffers.prices, &mut buffers.slots[slot]);
-        let prefetched = |p: &Priced| !p.by_context[0].is_zero() && kv_cpu_fraction > 0.0;
-        for (j, priced) in prices.iter().enumerate() {
-            if prefetched(priced) {
-                t.push(
-                    Lane::HostToDevice,
-                    priced.by_context[0],
-                    TaskKind::KvTransfer,
-                    TemplateLabel::micro_batch("KV", 0, j as u64),
-                    &[],
-                )?;
-            }
-        }
-        if !streamed.is_zero() {
-            t.push(
-                Lane::HostToDevice,
-                self.cost.weight_transfer(streamed),
-                TaskKind::WeightTransfer,
-                TemplateLabel::layer("W", 1),
-                &[],
-            )?;
-        }
-        // The prefetches are the block's first tasks, in micro-batch order.
-        let mut next_kv = 0;
-        for (j, priced) in prices.iter().enumerate() {
-            let [pre, post, append, _] = priced.by_tokens;
-            // The same micro-batch's layer one block back sits at this index.
-            let prev = Dep::Task {
-                back: 1,
-                index: t.next_index(),
-            };
-            let kv_ready = Dep::Task {
+                index: qkv,
+            }],
+        )?;
+        t.push(
+            Lane::HostToDevice,
+            entry(j, UPLOAD),
+            TaskKind::HiddenTransfer,
+            TemplateLabel::micro_batch("H", 0, mb),
+            &[Dep::Task {
                 back: 0,
-                index: next_kv,
-            };
-            let deps: &[Dep] = if prefetched(priced) {
-                next_kv += 1;
-                &[Dep::Weights, kv_ready, prev]
-            } else {
-                &[Dep::Weights, prev]
-            };
-            let compute = t.push(
-                Lane::GpuCompute,
-                pre + priced.by_context[1] + post,
-                TaskKind::PostAttention,
-                TemplateLabel::micro_batch("L", 0, j as u64),
-                deps,
-            )?;
-            if kv_cpu_fraction > 0.0 {
-                t.push(
-                    Lane::DeviceToHost,
-                    append,
-                    TaskKind::QkvOffload,
-                    TemplateLabel::micro_batch("KVout", 0, j as u64),
-                    &[Dep::Task {
-                        back: 0,
-                        index: compute,
-                    }],
-                )?;
-            }
-        }
-        Ok(())
-    }
-
-    /// One layer of DeepSpeed-style layer streaming: a single batch, GPU
-    /// attention, KV resident on the GPU, the layer's whole weights streamed
-    /// in ahead of its compute.
-    fn layer_streaming_layer(&self, t: &mut LayerTemplate) -> Result<(), SimError> {
-        let tokens = self.total_tokens();
-        let ctx = self.ctx();
-        let streamed = self.cost.streamed_layer_bytes(&self.policy);
-        if !streamed.is_zero() {
+                index: attention,
+            }],
+        )?;
+        if j < pages {
             t.push(
                 Lane::HostToDevice,
-                self.cost.weight_transfer(streamed),
+                entry(j, PAGE),
                 TaskKind::WeightTransfer,
-                TemplateLabel::layer("W", 0),
+                TemplateLabel::micro_batch("Wp", 1, mb),
                 &[],
             )?;
         }
+        if whole_at_end && j + 1 == n_ub {
+            next_weights(t)?;
+        }
+        if stagger == 0 {
+            post(t, j, 0)?;
+        }
+    }
+    Ok(())
+}
+
+/// One layer of S4: GPU attention with per-micro-batch KV prefetch over PCIe
+/// — every prefetching micro-batch's prefetch, then the next layer's
+/// (un-paged) weights, the S4 H2D ordering of Fig. 6 — then each
+/// micro-batch's fused GPU layer and the write-back of its new KV entries
+/// to the CPU-resident cache.
+fn gpu_attention_layer(shape: &StepShape, t: &mut LayerTemplate) -> Result<(), SimError> {
+    let prefetch = &shape.prefetch.0;
+    for (j, _) in prefetch.iter().enumerate().filter(|(_, &kv)| kv) {
+        t.push(
+            Lane::HostToDevice,
+            entry(j, KV),
+            TaskKind::KvTransfer,
+            TemplateLabel::micro_batch("KV", 0, j as u64),
+            &[],
+        )?;
+    }
+    if shape.whole_layer {
+        t.push(
+            Lane::HostToDevice,
+            WHOLE_LAYER,
+            TaskKind::WeightTransfer,
+            TemplateLabel::layer("W", 1),
+            &[],
+        )?;
+    }
+    // The prefetches are the block's first tasks, in micro-batch order.
+    let mut next_kv = 0;
+    for (j, &prefetched) in prefetch.iter().enumerate() {
+        // The same micro-batch's layer one block back sits at this index.
         let prev = Dep::Task {
             back: 1,
             index: t.next_index(),
         };
-        t.push(
+        let kv_ready = Dep::Task {
+            back: 0,
+            index: next_kv,
+        };
+        let deps: &[Dep] = if prefetched {
+            next_kv += 1;
+            &[Dep::Weights, kv_ready, prev]
+        } else {
+            &[Dep::Weights, prev]
+        };
+        let compute = t.push(
             Lane::GpuCompute,
-            self.cost.pre_attention_gpu(tokens)
-                + self.cost.attention_gpu(tokens, ctx)
-                + self.cost.post_attention_gpu(tokens),
+            entry(j, FUSED),
             TaskKind::PostAttention,
-            TemplateLabel::layer("L", 0),
-            &[Dep::Weights, prev],
+            TemplateLabel::micro_batch("L", 0, j as u64),
+            deps,
         )?;
-        Ok(())
+        if shape.writes_back {
+            t.push(
+                Lane::DeviceToHost,
+                entry(j, OFFLOAD),
+                TaskKind::QkvOffload,
+                TemplateLabel::micro_batch("KVout", 0, j as u64),
+                &[Dep::Task {
+                    back: 0,
+                    index: compute,
+                }],
+            )?;
+        }
     }
+    Ok(())
 }
 
-/// The priced operators of one micro-batch and the inputs they read.
-#[derive(Debug, Clone, Copy)]
-struct Priced {
-    tokens: u64,
-    context: u64,
-    /// Operators that read only the micro-batch's tokens.
-    by_tokens: [Seconds; 4],
-    /// Operators that read its tokens and mean context.
-    by_context: [Seconds; 2],
+/// One layer of DeepSpeed-style layer streaming: a single batch, GPU
+/// attention, KV resident on the GPU, the layer's whole weights streamed in
+/// ahead of its compute.
+fn layer_streaming_layer(shape: &StepShape, t: &mut LayerTemplate) -> Result<(), SimError> {
+    if shape.whole_layer {
+        t.push(
+            Lane::HostToDevice,
+            WHOLE_LAYER,
+            TaskKind::WeightTransfer,
+            TemplateLabel::layer("W", 0),
+            &[],
+        )?;
+    }
+    let prev = Dep::Task {
+        back: 1,
+        index: t.next_index(),
+    };
+    t.push(
+        Lane::GpuCompute,
+        entry(0, FUSED),
+        TaskKind::PostAttention,
+        TemplateLabel::layer("L", 0),
+        &[Dep::Weights, prev],
+    )?;
+    Ok(())
+}
+
+/// A step's duration table holds the whole layer's streamed weights (the
+/// prologue and every whole-layer transfer read it) at `WHOLE_LAYER`, then
+/// `STRIDE` durations per micro-batch, in the order of the offsets below.
+/// Layer streaming prices its one batch as micro-batch 0.
+const WHOLE_LAYER: u32 = 0;
+const STRIDE: usize = 8;
+/// Pre-attention.
+const PRE: usize = 0;
+/// The offload of QKV (CPU attention) or of new KV entries (S4).
+const OFFLOAD: usize = 1;
+/// The hidden upload (CPU attention).
+const UPLOAD: usize = 2;
+/// Post-attention.
+const POST: usize = 3;
+/// Attention, on the CPU or the GPU.
+const ATTENTION: usize = 4;
+/// S4's KV prefetch.
+const KV: usize = 5;
+/// CGOPipe's weight page (zero where no page is sent).
+const PAGE: usize = 6;
+/// S4's and layer streaming's fused GPU layer: pre-attention, attention and
+/// post-attention, added in that order.
+const FUSED: usize = 7;
+
+/// The table entry of micro-batch `j`'s duration `op`.
+fn entry(j: usize, op: usize) -> u32 {
+    (1 + STRIDE * j + op) as u32
 }
 
 /// Slots of the token-keyed price memo: a token count shares its slot with
@@ -679,51 +760,104 @@ impl Default for TokenPrices {
     }
 }
 
+/// Everything the layer emitter reads: the structure of a step, which its
+/// durations do not change.
+#[derive(Debug, Clone, PartialEq)]
+struct StepShape {
+    kind: ScheduleKind,
+    /// Micro-batches: one under layer streaming, which runs the batch as
+    /// one, and none in a slot that has emitted nothing yet.
+    micro_batches: usize,
+    /// Whether layer 0's weights arrive in a `W(0)` prologue.
+    prologue: bool,
+    /// Whether a whole layer's weights stream in as one transfer: the next
+    /// layer's under S2, S3 and S4, the layer's own under layer streaming.
+    whole_layer: bool,
+    /// CGOPipe's weight pages: one per micro-batch, or fewer when fewer
+    /// bytes stream than there are micro-batches; none under other kinds.
+    pages: usize,
+    /// S4: whether each micro-batch writes its new KV entries back.
+    writes_back: bool,
+    /// S4: which micro-batches prefetch their KV cache; a zero-duration
+    /// prefetch is not sent.
+    prefetch: Mask,
+}
+
+/// The default shape has no micro-batches, which no step has.
+impl Default for StepShape {
+    fn default() -> Self {
+        StepShape {
+            kind: ScheduleKind::CgoPipe,
+            micro_batches: 0,
+            prologue: false,
+            whole_layer: false,
+            pages: 0,
+            writes_back: false,
+            prefetch: Mask::default(),
+        }
+    }
+}
+
+/// A mask over a step's micro-batches, compared element by element: on the
+/// few micro-batches of a serving step that costs less than the `memcmp`
+/// call of a slice comparison.
+#[derive(Debug, Clone, Default)]
+struct Mask(Vec<bool>);
+
+impl PartialEq for Mask {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.iter().eq(&other.0)
+    }
+}
+
+/// A template slot: the shape last emitted there and its template.
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    shape: StepShape,
+    template: LayerTemplate,
+}
+
 /// Template slots a [`StepBuffers`] keeps: a step's micro-batch count picks
 /// slot `count % TEMPLATE_SLOTS`. A serving engine's steps move among a few
-/// counts, and each keeps its structure in its own slot.
+/// counts, and each keeps its shape in its own slot.
 const TEMPLATE_SLOTS: usize = 8;
 
 /// The buffers one step pricing works in: a few layer templates, each with
-/// what its plays keep, the per-micro-batch prices and a memo of the prices
-/// that depend only on a micro-batch's tokens. Keep one and pass it to every
+/// the shape it was emitted for and what its plays keep, the step's duration
+/// table, and a memo of the prices that depend only on a micro-batch's
+/// tokens. Keep one and pass it to every
 /// [`DecodeScheduleBuilder::decode_step_makespan_in`], for any cost model,
 /// kind or policy.
 ///
-/// A step's micro-batch count picks its template slot. There a step that
-/// repeats the last structure priced in the slot — the same tasks on the same
-/// lanes after the same inputs, whatever their durations — refills the
-/// template instead of rebuilding it, and from the third such pricing on is
-/// played by a program compiled from it. Once a slot has priced a structure,
-/// pricing it again allocates nothing.
+/// A step's micro-batch count picks its template slot. The layer emitter
+/// runs there only when the step's shape — everything the emitter reads —
+/// differs from the last shape emitted in the slot. Steps of the same shape
+/// only price their operators into the table and play the kept template
+/// with it, from the third such pricing on by a program compiled from it.
+/// Once a slot has priced a shape, pricing it again allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct StepBuffers {
-    slots: [LayerTemplate; TEMPLATE_SLOTS],
-    prices: Vec<Priced>,
+    slots: [Slot; TEMPLATE_SLOTS],
+    table: Vec<Seconds>,
+    /// The shape of the step being priced.
+    shape: StepShape,
     by_token: TokenPrices,
+    /// Layer emitter runs so far.
+    emits: u64,
 }
 
 #[cfg(test)]
 impl StepBuffers {
-    /// Work done in every slot so far: structures built, plays replayed,
+    /// Work done in every slot so far: layer emitter runs, plays replayed,
     /// programs compiled and programs run.
     fn work(&self) -> [u64; 4] {
-        self.slots.iter().fold([0; 4], |[b, r, c, p], slot| {
-            let w = slot.work();
-            [b + w.builds, r + w.replays, c + w.compiles, p + w.programs]
-        })
+        self.slots
+            .iter()
+            .fold([self.emits, 0, 0, 0], |[e, r, c, p], slot| {
+                let w = slot.template.work();
+                [e, r + w.replays, c + w.compiles, p + w.programs]
+            })
     }
-}
-
-/// Placement of the next layer's weight transfer on the H2D lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WeightOrder {
-    /// Pages interleaved with hidden uploads (CGOPipe).
-    Interleaved,
-    /// One whole-layer transfer issued before the layer's hidden uploads (S2).
-    WholeAtStart,
-    /// One whole-layer transfer issued after the layer's hidden uploads (S3).
-    WholeAtEnd,
 }
 
 #[cfg(test)]
@@ -1070,11 +1204,23 @@ mod tests {
         }
     }
 
+    /// `policy` with the GPU weight ratio that streams only `bytes` of each
+    /// layer's weights under `cost`.
+    fn streaming_bytes(cost: &CostModel, policy: Policy, bytes: u64) -> Policy {
+        let layer = cost.streamed_layer_bytes(&policy).as_bytes();
+        let policy = Policy {
+            weights_gpu_ratio: 1.0 - bytes as f64 / layer as f64,
+            ..policy
+        };
+        assert_eq!(cost.streamed_layer_bytes(&policy).as_bytes(), bytes);
+        policy
+    }
+
     #[test]
     fn repeated_structures_build_replay_and_compile_once() {
-        // One structure, loads that change every step: the template is built
-        // once, replayed once and compiled once, and the program runs for
-        // every later step.
+        // One shape, loads that change every step: the layer emitter runs
+        // once, the template is replayed once and compiled once, and the
+        // program runs for every later step.
         let cost = cost();
         let mut buffers = StepBuffers::default();
         let price = |buffers: &mut StepBuffers, tokens: &[u64], layers: u32| {
@@ -1095,8 +1241,8 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(buffers.work(), [1, 1, 1, 98]);
-        // Twelve micro-batches share the slot of four: the new structure is
-        // built and replayed, and so is the old one on its return, which
+        // Twelve micro-batches share the slot of four: the new shape is
+        // emitted and replayed, and so is the old one on its return, which
         // compiles on its next pricing.
         assert_eq!(4 % TEMPLATE_SLOTS, 12 % TEMPLATE_SLOTS);
         price(&mut buffers, &[8; 12], layers);
@@ -1110,7 +1256,20 @@ mod tests {
         // The same template over another layer count is replayed, not built.
         price(&mut buffers, &[16, 15, 11, 12], layers - 1);
         assert_eq!(buffers.work(), [3, 4, 2, 99]);
-        // A structure priced once compiles nothing.
+        // Three streamed bytes over four micro-batches make three weight
+        // pages, not four: another shape at the same count, so the emitter
+        // runs again, and again on the way back.
+        let few_pages = streaming_bytes(&cost, *builder(&cost).policy(), 3);
+        let tokens = [16, 15, 11, 12];
+        DecodeScheduleBuilder::new(&cost, few_pages, WorkloadShape::new(77, 128))
+            .with_layers(layers)
+            .with_micro_batch_tokens(&tokens)
+            .decode_step_makespan_in(ScheduleKind::CgoPipe, &mut buffers)
+            .unwrap();
+        assert_eq!(buffers.work(), [4, 5, 2, 99]);
+        price(&mut buffers, &tokens, layers);
+        assert_eq!(buffers.work(), [5, 6, 2, 99]);
+        // A shape priced once compiles nothing.
         let mut buffers = StepBuffers::default();
         builder(&cost)
             .decode_step_makespan_in(ScheduleKind::FlexGenGpuAttention, &mut buffers)
@@ -1118,11 +1277,101 @@ mod tests {
         assert_eq!(buffers.work(), [1, 1, 0, 0]);
     }
 
+    /// The shape-completeness oracle. A shape that left out something the
+    /// emitter reads would price a step on the template of another step
+    /// with the same micro-batch count, so every case changes the shape at
+    /// one count, through one reused `StepBuffers`, and checks each step
+    /// against fresh pricing and `simulate(build())` bit for bit: CGOPipe
+    /// with fewer streamed bytes than micro-batches (so only `bytes % n_ub`
+    /// pages exist), then the usual one page per micro-batch, then no
+    /// streamed weights at all; and S4 over a latency-free link, where a
+    /// tiny CPU KV share makes a small micro-batch's prefetch zero bytes,
+    /// so its prefetch mask flips as the loads move between micro-batches.
+    #[test]
+    fn shape_changes_at_one_micro_batch_count_price_like_fresh_ones() {
+        let cost = cost();
+        let mut free_link = NodeSpec::t4_single();
+        free_link.link.latency_us = 0.0;
+        let free_link = CostModel::new(free_link, MoeModelConfig::mixtral_8x7b());
+        let cpu = Policy::offload_default(64, 16);
+        let gpu = Policy {
+            attention_on_gpu: true,
+            kv_gpu_ratio: 1.0 - 1e-6,
+            ..cpu
+        };
+        let tokens = [16, 9, 16, 3];
+        let (small, large) = ([1, 1, 1, 1], [4000, 3000, 3500, 2000]);
+        let flipped = [1, 3000, 1, 2000];
+        let steps = [
+            (
+                &cost,
+                streaming_bytes(&cost, cpu, 3),
+                ScheduleKind::CgoPipe,
+                &large,
+            ),
+            (
+                &cost,
+                streaming_bytes(&cost, cpu, 1),
+                ScheduleKind::CgoPipe,
+                &small,
+            ),
+            (&cost, cpu, ScheduleKind::CgoPipe, &large),
+            (
+                &cost,
+                streaming_bytes(&cost, cpu, 2),
+                ScheduleKind::CgoPipe,
+                &large,
+            ),
+            (
+                &cost,
+                Policy {
+                    weights_gpu_ratio: 1.0,
+                    ..cpu
+                },
+                ScheduleKind::CgoPipe,
+                &small,
+            ),
+            (&free_link, gpu, ScheduleKind::FlexGenGpuAttention, &large),
+            (&free_link, gpu, ScheduleKind::FlexGenGpuAttention, &flipped),
+            (&free_link, gpu, ScheduleKind::FlexGenGpuAttention, &small),
+            (&free_link, gpu, ScheduleKind::FlexGenGpuAttention, &large),
+        ];
+        let mut buffers = StepBuffers::default();
+        let mut emits = 0;
+        for (cost, policy, kind, contexts) in steps {
+            let b = DecodeScheduleBuilder::new(cost, policy, WorkloadShape::new(77, 128))
+                .with_layers(4)
+                .with_micro_batch_tokens(&tokens)
+                .with_micro_batch_contexts(contexts);
+            let bits = |m: Seconds| m.as_secs().to_bits();
+            let reused = bits(b.decode_step_makespan_in(kind, &mut buffers).unwrap());
+            let what = format!(
+                "{} at {contexts:?}, r_w {}",
+                kind.name(),
+                policy.weights_gpu_ratio
+            );
+            assert_eq!(
+                reused,
+                bits(b.decode_step_makespan(kind).unwrap()),
+                "{what}"
+            );
+            let built = b.build(kind).unwrap();
+            assert_eq!(reused, bits(simulate(&built).makespan), "{what}");
+            let mut kept = TaskGraph::new();
+            let slot = &buffers.slots[tokens.len() % TEMPLATE_SLOTS];
+            slot.template.unroll(4, &buffers.table, &mut kept).unwrap();
+            assert_eq!(same_stream(&kept, &built), Ok(()), "{what}");
+            // Each step is a shape the slot did not hold before it.
+            emits += 1;
+            assert_eq!(buffers.work()[0], emits, "{what}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// A sequence of pricings through one `StepBuffers` equals fresh
-        /// pricings bit for bit, and each refilled template unrolls to the
+        /// pricings bit for bit, and each kept template unrolls to the
         /// freshly built graph. Steps switch kind, cost model (S1, L4, and S1
         /// over a latency-free link, where a tiny CPU KV share makes some
         /// micro-batches' KV transfers zero bytes), 1–16 micro-batches (so
@@ -1179,11 +1428,12 @@ mod tests {
                         "{} on cost model {}, {:?} at {:?}", kind.name(), c, tokens, contexts
                     );
                     if reused.is_ok() {
-                        let mut refilled = TaskGraph::new();
+                        let mut kept = TaskGraph::new();
                         buffers.slots[n_ub % TEMPLATE_SLOTS]
-                            .unroll(layers, &mut refilled)
+                            .template
+                            .unroll(layers, &buffers.table, &mut kept)
                             .unwrap();
-                        let same = same_stream(&refilled, &b.build(kind).unwrap());
+                        let same = same_stream(&kept, &b.build(kind).unwrap());
                         prop_assert!(same.is_ok(), "{}: {:?}", kind.name(), same);
                     }
                 }

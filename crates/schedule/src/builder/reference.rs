@@ -3,10 +3,21 @@
 //! the ids of earlier tasks. Kept only as the oracle the template is checked
 //! against, task for task.
 
-use super::{DecodeScheduleBuilder, ScheduleKind, WeightOrder};
+use super::{DecodeScheduleBuilder, ScheduleKind};
 use moe_hardware::Seconds;
 use moe_memory::pages::split_into_pages;
 use moe_sim::{Lane, SimError, TaskId, TaskKind, TaskLabel, TaskSink};
+
+/// Placement of the next layer's weight transfer on the H2D lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WeightOrder {
+    /// Pages interleaved with hidden uploads (CGOPipe).
+    Interleaved,
+    /// One whole-layer transfer issued before the layer's hidden uploads (S2).
+    WholeAtStart,
+    /// One whole-layer transfer issued after the layer's hidden uploads (S3).
+    WholeAtEnd,
+}
 
 impl DecodeScheduleBuilder<'_> {
     /// Emits the tasks of one decode step under `kind` into `sink`, in lane

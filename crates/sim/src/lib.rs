@@ -5,17 +5,19 @@
 //! CPU compute, host→device and device→host copies — played with CUDA-stream
 //! (FIFO per lane, cross-lane dependency) semantics. A decode step repeats one
 //! layer's tasks once per layer, so a schedule is described once, as a
-//! [`LayerTemplate`] whose tasks name their inputs relative to their own layer.
-//! [`LayerTemplate::unroll`] emits the whole step into any [`TaskSink`], such as
-//! a [`TaskGraph`] that keeps every task so that [`simulate`] can report the
-//! makespan, per-lane utilization and the pipeline bubbles that Fig. 6 of the
-//! paper visualizes. [`LayerTemplate::play`] plays the template into finish
-//! times alone, in buffers the template keeps: pricing a step that way
-//! allocates nothing once the buffers are warm, and its makespan equals
-//! [`simulate`]'s on the unrolled graph bit for bit, since both apply one
-//! lane rule. Steps that repeat a structure with new durations refill the
-//! template ([`LayerTemplate::refill`]), which compiles the structure on its
-//! second play in a row and runs the program after.
+//! [`LayerTemplate`] whose tasks name their inputs relative to their own layer
+//! and their durations by an entry of a table of durations.
+//! [`LayerTemplate::unroll`] emits the whole step, with one table's durations,
+//! into any [`TaskSink`], such as a [`TaskGraph`] that keeps every task so that
+//! [`simulate`] can report the makespan, per-lane utilization and the pipeline
+//! bubbles that Fig. 6 of the paper visualizes. [`LayerTemplate::play`] plays
+//! the template with a table into finish times alone, in buffers the template
+//! keeps: pricing a step that way allocates nothing once the buffers are warm,
+//! and its makespan equals [`simulate`]'s on the unrolled graph bit for bit,
+//! since both apply one lane rule. A step's structure repeats while its
+//! durations change, so a template is built once and played with each step's
+//! table: it compiles the structure on its second play in a row and runs the
+//! program after.
 //!
 //! # Examples
 //!
@@ -25,12 +27,13 @@
 //!
 //! # fn main() -> Result<(), moe_sim::SimError> {
 //! // One layer: its FFN waits for its weights and the previous layer's FFN,
-//! // while the next layer's weights stream in; layer 0's arrive first.
+//! // while the next layer's weights stream in; layer 0's arrive first. Each
+//! // task reads its duration from a table: the weights, then the FFN.
 //! let mut layer = LayerTemplate::default();
-//! layer.set_prologue(Seconds::from_secs(8.0));
+//! layer.set_prologue(0);
 //! let ffn = layer.push(
 //!     Lane::GpuCompute,
-//!     Seconds::from_secs(3.0),
+//!     1,
 //!     TaskKind::PostAttention,
 //!     TemplateLabel::layer("FFN", 0),
 //!     &[Dep::Weights, Dep::Task { back: 1, index: 0 }],
@@ -38,20 +41,24 @@
 //! assert_eq!(ffn, 0);
 //! layer.push(
 //!     Lane::HostToDevice,
-//!     Seconds::from_secs(8.0),
+//!     0,
 //!     TaskKind::WeightTransfer,
 //!     TemplateLabel::layer("W", 1),
 //!     &[],
 //! )?;
 //!
+//! let table = [Seconds::from_secs(8.0), Seconds::from_secs(3.0)];
 //! let mut graph = TaskGraph::new();
-//! layer.unroll(3, &mut graph)?;
+//! layer.unroll(3, &table, &mut graph)?;
 //! let labels: Vec<String> = graph.tasks().iter().map(|t| t.label.to_string()).collect();
 //! assert_eq!(labels, ["W(0)", "FFN(0)", "W(1)", "FFN(1)", "W(2)", "FFN(2)"]);
 //! let result = simulate(&graph);
 //! assert_eq!(result.makespan.as_secs(), 27.0);
+//! assert_eq!(layer.play(3, &table)?, result.makespan);
 //!
-//! assert_eq!(layer.play(3)?, result.makespan);
+//! // The next step: the same structure with new durations.
+//! let table = [Seconds::from_secs(2.0), Seconds::from_secs(3.0)];
+//! assert_eq!(layer.play(3, &table)?.as_secs(), 11.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -102,51 +109,48 @@ mod proptests {
         g
     }
 
-    /// Builds a random layer template: random lanes, durations and label
+    /// Builds a random layer template: random lanes, table entries, label
     /// offsets, some weight transfers, with or without a prologue, and up to
     /// three inputs per task: an earlier task of its block, any task up to
     /// four blocks back, or its layer's weight slot.
     fn random_template(seed: u64, width: usize) -> LayerTemplate {
-        random_template_into(seed, seed, width, width, &mut LayerTemplate::default())
+        let mut t = LayerTemplate::default();
+        random_template_into(seed, width, width, &mut t);
+        t
     }
 
     /// Pushes the first `len` tasks of the random template of structure
-    /// seed `structure` and width `width` into `t`, with durations drawn
-    /// from `durations`, and returns the same template built fresh.
-    fn random_template_into(
-        structure: u64,
-        durations: u64,
-        len: usize,
-        width: usize,
-        t: &mut LayerTemplate,
-    ) -> LayerTemplate {
-        let mut rng = StdRng::seed_from_u64(durations);
-        let mut duration = || Seconds::from_micros(rng.gen_range(0.0..500.0));
-        let mut fresh = LayerTemplate::default();
+    /// seed `structure` and width `width` into `t`.
+    fn random_template_into(structure: u64, len: usize, width: usize, t: &mut LayerTemplate) {
         if structure.is_multiple_of(2) {
-            let prologue = duration();
-            t.set_prologue(prologue);
-            fresh.set_prologue(prologue);
+            t.set_prologue(width as u32);
         }
         for k in 0..len {
-            let (lane, kind, label, deps) = random_task(structure, k, width);
-            let duration = duration();
-            t.push(lane, duration, kind, label, &deps).unwrap();
-            fresh.push(lane, duration, kind, label, &deps).unwrap();
+            let (lane, entry, kind, label, deps) = random_task(structure, k, width);
+            t.push(lane, entry, kind, label, &deps).unwrap();
         }
-        fresh
+    }
+
+    /// A random duration table for templates of width `width`: one entry per
+    /// task, then the prologue's.
+    fn random_table(durations: u64, width: usize) -> Vec<Seconds> {
+        let mut rng = StdRng::seed_from_u64(durations);
+        (0..=width)
+            .map(|_| Seconds::from_micros(rng.gen_range(0.0..500.0)))
+            .collect()
     }
 
     /// Task `k` of the random template of structure seed `structure`: a
-    /// random lane, label offset, kind (some weight transfers) and up to
-    /// three inputs: an earlier task of its block, any task up to four
-    /// blocks back, or its layer's weight slot. Structure seeds below 4
-    /// share their first `3 * structure` tasks with seed 0.
+    /// random lane, its own table entry or, shared, a random one, a label
+    /// offset, a kind (some weight transfers) and up to three inputs:
+    /// an earlier task of its block, any task up to four blocks back, or its
+    /// layer's weight slot. Structure seeds below 4 share their first
+    /// `3 * structure` tasks with seed 0.
     fn random_task(
         structure: u64,
         k: usize,
         width: usize,
-    ) -> (Lane, TaskKind, TemplateLabel, Vec<Dep>) {
+    ) -> (Lane, u32, TaskKind, TemplateLabel, Vec<Dep>) {
         let seed = if structure < 4 && (k as u64) < 3 * structure {
             0
         } else {
@@ -155,6 +159,10 @@ mod proptests {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(1 << 20) + k as u64);
         let lanes = Lane::all();
         let lane = lanes[rng.gen_range(0..lanes.len())];
+        let entry = match rng.gen_range(0..=width) {
+            0 => rng.gen_range(0..=width),
+            _ => k,
+        } as u32;
         let kind = if rng.gen_range(0..3) == 0 {
             TaskKind::WeightTransfer
         } else {
@@ -174,14 +182,14 @@ mod proptests {
                 _ => Dep::Weights,
             })
             .collect();
-        (lane, kind, label, deps)
+        (lane, entry, kind, label, deps)
     }
 
-    /// The bits of `simulate`'s makespan on `t` unrolled over `layers`, or
-    /// the unroll's error.
-    fn simulated(t: &LayerTemplate, layers: u32) -> Result<u64, SimError> {
+    /// The bits of `simulate`'s makespan on `t` unrolled over `layers` with
+    /// durations from `table`, or the unroll's error.
+    fn simulated(t: &LayerTemplate, layers: u32, table: &[Seconds]) -> Result<u64, SimError> {
         let mut graph = TaskGraph::new();
-        t.unroll(layers, &mut graph)?;
+        t.unroll(layers, table, &mut graph)?;
         Ok(simulate(&graph).makespan.as_secs().to_bits())
     }
 
@@ -266,62 +274,66 @@ mod proptests {
             layers in 1u32..9,
         ) {
             let mut t = random_template(seed, width);
+            let table = random_table(seed, width);
             let mut graph = TaskGraph::new();
-            t.unroll(layers, &mut graph).unwrap();
+            t.unroll(layers, &table, &mut graph).unwrap();
             let bits = simulate(&graph).makespan.as_secs().to_bits();
             prop_assert_eq!(bits, round_robin_makespan(&graph).as_secs().to_bits());
             // Replayed, compiled, then run as a program.
             for _ in 0..3 {
-                prop_assert_eq!(t.play(layers).unwrap().as_secs().to_bits(), bits);
+                prop_assert_eq!(t.play(layers, &table).unwrap().as_secs().to_bits(), bits);
             }
         }
 
-        /// A refilled template is the template built fresh from the same
-        /// pushes, and its plays price it like `simulate` on the unrolled
-        /// graph, or fail like the unroll: refills that repeat the stored
-        /// structure with new durations, leave it at a random task, stop
-        /// short of its end or name a task past the new end. A clone taken
-        /// in the middle of a fill carries the program compiled before it,
-        /// and each copy filled differently from there on is priced as its
-        /// own structure.
+        /// A template kept across steps plays each step's table like a
+        /// template built fresh for it, played like `simulate` on the
+        /// unrolled graph, or fails like the unroll: steps that repeat the
+        /// last structure with a new table, and steps that clear the
+        /// template and push another structure, one that shares a prefix
+        /// with the last, stops short of its end or names a task past the
+        /// new end. A clone of a compiled template carries its program, and
+        /// a copy pushed further from there is priced as its own structure.
         #[test]
-        fn refilled_templates_play_like_fresh_ones(
+        fn kept_templates_play_new_tables_like_fresh_ones(
             fills in collection::vec((0u64..4, 0u64..10_000, 1usize..24), 1..12),
             width in 1usize..24,
             layers in 1u32..6,
             cut in 0usize..24,
         ) {
-            let mut refilled = LayerTemplate::default();
+            let (mut kept, mut last) = (LayerTemplate::default(), None);
             for (structure, durations, len) in fills {
-                refilled.refill(width);
-                let fresh =
-                    random_template_into(structure, durations, len.min(width), width, &mut refilled);
-                prop_assert!(refilled == fresh);
+                let len = len.min(width);
+                if last != Some((structure, len)) {
+                    kept.clear();
+                    random_template_into(structure, len, width, &mut kept);
+                    last = Some((structure, len));
+                }
+                let mut fresh = LayerTemplate::default();
+                random_template_into(structure, len, width, &mut fresh);
+                let table = random_table(durations, width);
                 for _ in 0..3 {
-                    let played = refilled.play(layers).map(|m| m.as_secs().to_bits());
-                    prop_assert_eq!(played, simulated(&fresh, layers));
+                    let played = kept.play(layers, &table).map(|m| m.as_secs().to_bits());
+                    prop_assert_eq!(played, simulated(&fresh, layers, &table));
                 }
             }
             let (mut a, cut) = (LayerTemplate::default(), cut.min(width));
-            random_template_into(0, 1, width, width, &mut a);
+            random_template_into(0, cut, width, &mut a);
+            let table = random_table(1, width);
             for _ in 0..2 {
-                let played = a.play(layers).map(|m| m.as_secs().to_bits());
-                prop_assert_eq!(played, simulated(&a, layers));
+                let played = a.play(layers, &table).map(|m| m.as_secs().to_bits());
+                prop_assert_eq!(played, simulated(&a, layers, &table));
             }
-            a.refill(width);
-            random_template_into(0, 1, cut, width, &mut a);
             let mut b = a.clone();
-            for (t, structure) in [(&mut a, 1), (&mut b, 2)] {
-                for k in cut..width {
-                    let (lane, kind, label, deps) = random_task(structure, k, width);
-                    t.push(lane, Seconds::from_micros(k as f64), kind, label, &deps).unwrap();
-                }
+            for k in cut..width {
+                let (lane, entry, kind, label, deps) = random_task(2, k, width);
+                b.push(lane, entry, kind, label, &deps).unwrap();
             }
-            for _ in 0..3 {
+            for durations in 2..5 {
+                let table = random_table(durations, width);
                 for t in [&mut a, &mut b] {
                     for _ in 0..2 {
-                        let played = t.play(layers).map(|m| m.as_secs().to_bits());
-                        prop_assert_eq!(played, simulated(t, layers));
+                        let played = t.play(layers, &table).map(|m| m.as_secs().to_bits());
+                        prop_assert_eq!(played, simulated(t, layers, &table));
                     }
                 }
             }

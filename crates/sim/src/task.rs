@@ -194,7 +194,16 @@ pub enum SimError {
     },
     /// A task has a NaN duration.
     InvalidDuration {
-        /// The task's id, or its local index in a layer template.
+        /// The task's id, or its local index in a layer template, where the
+        /// `W(0)` prologue counts as the task after the last.
+        task: usize,
+    },
+    /// A layer-template task reads its duration from an entry past the end
+    /// of the table it is played or unrolled with (see
+    /// [`LayerTemplate::play`](crate::LayerTemplate::play)).
+    MissingDuration {
+        /// Local index of the task, the prologue counted as the task after
+        /// the last.
         task: usize,
     },
     /// A decode step was given no micro-batches.
@@ -229,6 +238,12 @@ impl fmt::Display for SimError {
                 write!(f, "layer-template task {task} names an unreachable input")
             }
             SimError::InvalidDuration { task } => write!(f, "task {task} has a NaN duration"),
+            SimError::MissingDuration { task } => {
+                write!(
+                    f,
+                    "layer-template task {task} reads past its duration table"
+                )
+            }
             SimError::NoMicroBatches => f.write_str("a decode step needs at least one micro-batch"),
             SimError::ZeroOccupancy { micro_batch } => write!(
                 f,

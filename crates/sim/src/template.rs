@@ -4,23 +4,22 @@
 //! so a schedule is one layer's tasks — a [`LayerTemplate`] — replayed once
 //! per layer. A template task names its inputs relative to its own layer: a
 //! task of the same or an earlier layer's block, or the weight slot of the
-//! layer it computes. [`LayerTemplate::unroll`] emits the step into any
-//! [`TaskSink`] for a full timeline, and [`LayerTemplate::play`] plays it
-//! into finish times alone, in buffers the template keeps.
+//! layer it computes. It names its duration by where to read it: an entry
+//! of the duration table each unroll or play is given.
+//! [`LayerTemplate::unroll`] emits the step into any [`TaskSink`] for a full
+//! timeline, and [`LayerTemplate::play`] plays it into finish times alone,
+//! in buffers the template keeps.
 //!
 //! A step is a max-plus linear system: which task waits for which, and on
-//! which lane, follows from the schedule kind and the micro-batch count, and
-//! only the durations change from step to step. So a template is refilled
-//! rather than rebuilt ([`LayerTemplate::refill`]): a push that repeats the
-//! stored task at its index only overwrites the duration, and the first that
-//! does not rebuilds the template from there on and drops what the template
-//! knew of the old structure. A play replays a structure the first time; the
-//! second time in a row it also compiles it into a flat program, each
-//! emitted task's duration slot and the finish-time slots of its lane
-//! predecessor and inputs resolved once; after that it runs the program. All
-//! three apply the same lane rule with the same arithmetic in the same
-//! order, so every makespan agrees with [`crate::simulate`] on the unrolled
-//! graph bit for bit.
+//! which lane, is the template, and only the durations change from step to
+//! step. So a template is built once per structure and played with each
+//! step's table. A play replays a structure the first time; the second time
+//! in a row it also compiles it into a flat program, each emitted task's
+//! table entry and the finish-time slots of its lane predecessor and inputs
+//! resolved once; after that it runs the program on the table. All three
+//! apply the same lane rule with the same arithmetic in the same order, so
+//! every makespan agrees with [`crate::simulate`] on the unrolled graph bit
+//! for bit.
 
 use crate::engine::{later, occupy};
 use crate::task::{Lane, SimError, TaskId, TaskKind, TaskLabel, TaskSink};
@@ -35,10 +34,6 @@ const MAX_DEPS: usize = 3;
 const NOWHERE: u16 = 0;
 const WEIGHT_SLOT: u16 = 1;
 const FIRST_TASK: u16 = 2;
-
-/// The duration slot of the `W(0)` prologue; a template task's slot is its
-/// local index, which stays below it.
-const PROLOGUE: u16 = u16::MAX;
 
 /// Where a template task finds one of its inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,21 +107,14 @@ impl TemplateLabel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct TemplateTask {
     lane: Lane,
-    duration: Seconds,
+    /// The duration table entry it reads its duration from.
+    entry: u32,
     kind: TaskKind,
     /// The label's layer offset.
     offset: i8,
     /// Each input as (rows back, cell), unused ones `NOWHERE`; a weight slot
     /// of a task for the next layer is a row ahead.
     deps: [(i16, u16); MAX_DEPS],
-}
-
-/// A template task's label and what a replay needs to know of it and the
-/// tasks before it, apart so that a play's tasks stay small.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Shape {
-    label: TemplateLabel,
-    reach: Reach,
 }
 
 /// What a replay needs to know of a template's tasks before it plays them.
@@ -140,16 +128,6 @@ struct Reach {
     /// is none: checked against the finished template once per replay, since
     /// a row's cells run into the next row's.
     max_back: u32,
-}
-
-impl TemplateLabel {
-    /// `self == other`, without comparing the tags' bytes when both are the
-    /// same literal, as a refill's are.
-    fn same(&self, other: TemplateLabel) -> bool {
-        (self.micro_batch, self.has_micro_batch, self.offset)
-            == (other.micro_batch, other.has_micro_batch, other.offset)
-            && (std::ptr::eq(self.tag, other.tag) || self.tag == other.tag)
-    }
 }
 
 /// `deps` of a task labelled with layer offset `offset`, packed into the
@@ -173,27 +151,64 @@ fn cells(deps: &[Dep], offset: i8) -> Option<[(i16, u16); MAX_DEPS]> {
     Some(packed)
 }
 
+/// A template's structure: its tasks, their labels (apart, so that a
+/// replay's tasks stay small), what a replay needs to know of them, and the
+/// `W(0)` prologue as a task of its own, if there is one.
+#[derive(Debug, Clone, Default)]
+struct Structure {
+    tasks: Vec<TemplateTask>,
+    labels: Vec<TemplateLabel>,
+    reach: Reach,
+    prologue: Option<TemplateTask>,
+    /// One past the largest table entry a task or the prologue reads.
+    entries: usize,
+}
+
+impl Structure {
+    /// Checks that `table` holds a duration that is not NaN for every task
+    /// and the prologue.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MissingDuration`] if a task reads an entry past the
+    /// table's end, [`SimError::InvalidDuration`] if it reads a NaN: the
+    /// first such task, the prologue counted as the task after the last.
+    fn check(&self, table: &[Seconds]) -> Result<(), SimError> {
+        // Branch-free, so that the scan of a table without NaNs vectorizes.
+        let nan = table
+            .iter()
+            .fold(false, |nan, d| nan | d.as_secs().is_nan());
+        if table.len() >= self.entries && !nan {
+            return Ok(());
+        }
+        let tasks = self.tasks.iter().chain(&self.prologue);
+        for (task, t) in tasks.enumerate() {
+            match table.get(t.entry as usize) {
+                None => return Err(SimError::MissingDuration { task }),
+                Some(d) if d.as_secs().is_nan() => return Err(SimError::InvalidDuration { task }),
+                Some(_) => {}
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The tasks of one layer, in lane (FIFO) order, plus the step's first-layer
 /// rule: layer 0's weights, if streamed, arrive in a prologue transfer
-/// `W(0)`. Build it with [`Self::push`]; reuse it across steps with
-/// [`Self::refill`]; price a step with [`Self::play`].
+/// `W(0)`. Build it with [`Self::push`], start over with [`Self::clear`],
+/// and price a step with [`Self::play`] on that step's duration table.
 ///
 /// The template keeps what its plays need beside its tasks: after the first
 /// play of a step as large, a play allocates nothing. A clone carries its
 /// own copy of both.
 #[derive(Debug, Clone, Default)]
 pub struct LayerTemplate {
-    /// The stored tasks and their shapes. The template is the first `len`;
-    /// the rest are kept from an earlier fill, for a refill to match.
-    tasks: Vec<TemplateTask>,
-    shapes: Vec<Shape>,
-    len: usize,
-    prologue: Option<Seconds>,
-    /// The live length, prologue presence and layers of the last play, if
-    /// no push has changed the stored tasks since: a push that does clears
-    /// it.
-    played: Option<(usize, bool, u32)>,
-    /// Whether `program` is compiled from the structure `played` names.
+    structure: Structure,
+    /// The layers of the last play, if no push has changed the structure
+    /// since: a push that does clears it.
+    played: Option<u32>,
+    /// Whether `program` is compiled from the structure and layers `played`
+    /// names.
     compiled: bool,
     /// A play's finish times; a replay's rows of them.
     finish: Vec<Seconds>,
@@ -205,111 +220,80 @@ pub struct LayerTemplate {
     work: PlayWork,
 }
 
-/// Two templates are equal if they describe the same step: the same tasks,
-/// durations included, and the same prologue.
-impl PartialEq for LayerTemplate {
-    fn eq(&self, other: &Self) -> bool {
-        self.tasks[..self.len] == other.tasks[..other.len]
-            && self.shapes[..self.len] == other.shapes[..other.len]
-            && self.prologue == other.prologue
-    }
-}
-
 impl LayerTemplate {
-    /// Starts filling the template again, with room for `tasks` tasks before
-    /// it reallocates. The pushes that follow rebuild it, reusing what it
-    /// stores: a push that repeats the stored task at its index — lane, kind,
-    /// label and inputs — only overwrites its duration, and the first that
-    /// does not, or that fails, drops the stored tasks from there on.
-    pub fn refill(&mut self, tasks: usize) {
-        self.tasks.reserve(tasks.saturating_sub(self.tasks.len()));
-        self.shapes.reserve(tasks.saturating_sub(self.shapes.len()));
-        self.len = 0;
-        self.prologue = None;
+    /// Empties the template, keeping what it has allocated, for the pushes
+    /// of another structure.
+    pub fn clear(&mut self) {
+        let structure = &mut self.structure;
+        structure.tasks.clear();
+        structure.labels.clear();
+        structure.reach = Reach::default();
+        structure.prologue = None;
+        structure.entries = 0;
+        self.played = None;
     }
 
     /// The local index the next pushed task gets, so that a task can name
     /// itself one block back.
     pub fn next_index(&self) -> u16 {
-        u16::try_from(self.len).unwrap_or(u16::MAX)
+        u16::try_from(self.structure.tasks.len()).unwrap_or(u16::MAX)
     }
 
-    /// Sets the duration of the `W(0)` prologue that brings layer 0's weights
-    /// in before the first layer.
-    pub fn set_prologue(&mut self, duration: Seconds) {
-        self.prologue = Some(duration);
+    /// Adds the `W(0)` prologue that brings layer 0's weights in before the
+    /// first layer, its duration read from table entry `entry`.
+    pub fn set_prologue(&mut self, entry: u32) {
+        let structure = &mut self.structure;
+        structure.prologue = Some(TemplateTask {
+            lane: Lane::HostToDevice,
+            entry,
+            kind: TaskKind::WeightTransfer,
+            offset: 0,
+            deps: [(0, NOWHERE); MAX_DEPS],
+        });
+        structure.entries = structure.entries.max(entry as usize + 1);
+        self.played = None;
     }
 
-    /// Appends a task to the layer and returns its local index.
+    /// Appends a task to the layer, its duration read from table entry
+    /// `entry`, and returns its local index.
     ///
     /// # Errors
     ///
     /// [`SimError::TemplateDependency`] if the task has more than three
     /// inputs, one of them names a task not yet pushed to its own block or
     /// an index no template reaches (`u16::MAX - 2` or more), or its label's
-    /// layer offset is outside `-1..=1`;
-    /// [`SimError::InvalidDuration`] if its duration is NaN.
+    /// layer offset is outside `-1..=1`. A rejected task leaves the template
+    /// as it was.
     pub fn push(
         &mut self,
         lane: Lane,
-        duration: Seconds,
+        entry: u32,
         kind: TaskKind,
         label: TemplateLabel,
         deps: &[Dep],
     ) -> Result<u16, SimError> {
-        let task = self.len;
-        // A stored task passed every check at this index, and checked
-        // inputs pack to distinct cells, so a repeat needs only its duration
-        // checked.
-        if let (Some(stored), Some(shape)) = (self.tasks.get_mut(task), self.shapes.get(task)) {
-            if (stored.lane, stored.kind) == (lane, kind)
-                && shape.label.same(label)
-                && cells(deps, label.offset) == Some(stored.deps)
-                && !duration.as_secs().is_nan()
-            {
-                stored.duration = duration;
-                self.len += 1;
-                return Ok(task as u16);
-            }
-        }
-        self.append(lane, duration, kind, label, deps)
-    }
-
-    /// [`Self::push`] of a task that does not repeat the one stored at its
-    /// index: drops the stored tasks from there on, then checks and stores
-    /// it.
-    fn append(
-        &mut self,
-        lane: Lane,
-        duration: Seconds,
-        kind: TaskKind,
-        label: TemplateLabel,
-        deps: &[Dep],
-    ) -> Result<u16, SimError> {
-        let task = self.len;
-        self.diverge();
-        let mut reach = self
-            .shapes
-            .last()
-            .map_or(Reach::default(), |last| last.reach);
-        let packed = Self::pack(task, duration, label, deps, &mut reach)?;
-        self.tasks.push(TemplateTask {
+        let structure = &mut self.structure;
+        let task = structure.tasks.len();
+        let mut reach = structure.reach;
+        let deps = Self::pack(task, label, deps, &mut reach)?;
+        structure.entries = structure.entries.max(entry as usize + 1);
+        structure.tasks.push(TemplateTask {
             lane,
-            duration,
+            entry,
             kind,
             offset: label.offset,
-            deps: packed,
+            deps,
         });
-        self.shapes.push(Shape { label, reach });
-        self.len += 1;
+        structure.labels.push(label);
+        structure.reach = reach;
+        self.played = None;
         Ok(task as u16)
     }
 
-    /// Checks task `task`'s duration, label and inputs, and packs the inputs
-    /// into cells; adds the task to `reach`, that of the tasks before it.
+    /// Checks task `task`'s label and inputs, and packs the inputs into
+    /// cells; adds the task to `reach`, that of the tasks before it.
     fn pack(
         task: usize,
-        duration: Seconds,
         label: TemplateLabel,
         deps: &[Dep],
         reach: &mut Reach,
@@ -321,9 +305,6 @@ impl LayerTemplate {
         };
         if deps.len() > MAX_DEPS || !(-1..=1).contains(&label.offset) {
             return Err(invalid);
-        }
-        if duration.as_secs().is_nan() {
-            return Err(SimError::InvalidDuration { task });
         }
         for &dep in deps {
             match dep {
@@ -343,31 +324,24 @@ impl LayerTemplate {
         Ok(packed)
     }
 
-    /// Drops the stored tasks from the next index on, and the last play's
-    /// structure with them.
-    fn diverge(&mut self) {
-        if self.len < self.tasks.len() {
-            self.tasks.truncate(self.len);
-            self.shapes.truncate(self.len);
-        }
-        self.played = None;
-    }
-
-    /// Emits the step this template describes over `layers` layers into
-    /// `sink`, task by task in lane order, with every dependency resolved to
-    /// the [`TaskId`] the sink returned for it.
+    /// Emits the step this template describes over `layers` layers, with
+    /// durations read from `table`, into `sink`, task by task in lane order,
+    /// with every dependency resolved to the [`TaskId`] the sink returned
+    /// for it.
     ///
     /// # Errors
     ///
-    /// [`SimError::TemplateDependency`] if a dependency on an earlier block
-    /// names a task past the template's end; otherwise whatever the sink
-    /// returns.
-    pub fn unroll<S: TaskSink>(&self, layers: u32, sink: &mut S) -> Result<(), SimError> {
-        let (tasks, shapes) = (&self.tasks[..self.len], &self.shapes[..self.len]);
+    /// As [`Self::play`]; otherwise whatever the sink returns.
+    pub fn unroll<S: TaskSink>(
+        &self,
+        layers: u32,
+        table: &[Seconds],
+        sink: &mut S,
+    ) -> Result<(), SimError> {
+        self.structure.check(table)?;
         replay(
-            tasks,
-            shapes,
-            self.prologue,
+            &self.structure,
+            table,
             layers,
             &mut Unroll(sink),
             &mut Vec::new(),
@@ -375,33 +349,35 @@ impl LayerTemplate {
     }
 
     /// The makespan of the step this template describes over `layers`
-    /// layers, played with the lane rule of [`crate::simulate`] into finish
-    /// times alone. It equals [`crate::simulate`] on the [`Self::unroll`]ed
-    /// graph bit for bit.
+    /// layers, with durations read from `table`, played with the lane rule
+    /// of [`crate::simulate`] into finish times alone. It equals
+    /// [`crate::simulate`] on the [`Self::unroll`]ed graph bit for bit.
     ///
     /// A play replays a structure it did not just play, compiles it the
-    /// second time in a row, and runs the compiled program from then on,
-    /// with the template's current durations. A structure is the live
-    /// length, whether there is a prologue and `layers`, as long as no push
-    /// changes the stored tasks.
+    /// second time in a row, and runs the compiled program from then on. A
+    /// structure is the template's tasks and prologue, as long as no push
+    /// changes them, and `layers`.
     ///
     /// # Errors
     ///
-    /// [`SimError::TemplateDependency`] if a dependency names a task past the
-    /// template's end.
-    pub fn play(&mut self, layers: u32) -> Result<Seconds, SimError> {
-        let key = (self.len, self.prologue.is_some(), layers);
-        if self.played != Some(key) {
-            return self.replay_clocks(layers, key);
+    /// [`SimError::MissingDuration`] if a task reads an entry past the
+    /// table's end, [`SimError::InvalidDuration`] if it reads a NaN (the
+    /// prologue counts as the task after the last), and
+    /// [`SimError::TemplateDependency`] if a dependency names a task past
+    /// the template's end.
+    pub fn play(&mut self, layers: u32, table: &[Seconds]) -> Result<Seconds, SimError> {
+        self.structure.check(table)?;
+        if self.played != Some(layers) {
+            return self.replay_clocks(layers, table);
         }
         if self.compiled {
             self.work.programs += 1;
-            return Ok(self.run());
+            return Ok(self.run(table));
         }
         // A structure with more replay cells than a 16-bit slot can name is
         // replayed every time; `finish` holds the last replay's cells.
         if u16::try_from(self.finish.len()).is_err() {
-            return self.replay_clocks(layers, key);
+            return self.replay_clocks(layers, table);
         }
         self.work.compiles += 1;
         self.program.clear();
@@ -412,11 +388,9 @@ impl LayerTemplate {
             finish: &mut self.finish,
             lane_ends: [0; 4],
         };
-        let (tasks, shapes) = (&self.tasks[..self.len], &self.shapes[..self.len]);
         replay(
-            tasks,
-            shapes,
-            self.prologue,
+            &self.structure,
+            table,
             layers,
             &mut compile,
             &mut self.slots,
@@ -436,17 +410,14 @@ impl LayerTemplate {
     /// lost paper-sweep `host_items_per_s` in 10 of 10 alternating 10 s
     /// pairs on a 2-vCPU VM, median 145.0k → 128.6k (−11.3%), while traced
     /// `stepcost.us_per_call` rose from 3.11–3.27 µs to 3.62–5.80 µs.
-    fn replay_clocks(&mut self, layers: u32, key: (usize, bool, u32)) -> Result<Seconds, SimError> {
-        self.work.builds += u64::from(self.played.is_none());
+    fn replay_clocks(&mut self, layers: u32, table: &[Seconds]) -> Result<Seconds, SimError> {
         self.work.replays += 1;
         self.played = None;
         self.compiled = false;
         let mut clocks = Clocks([Seconds::ZERO; 4]);
-        let (tasks, shapes) = (&self.tasks[..self.len], &self.shapes[..self.len]);
         replay(
-            tasks,
-            shapes,
-            self.prologue,
+            &self.structure,
+            table,
             layers,
             &mut clocks,
             &mut self.finish,
@@ -457,22 +428,18 @@ impl LayerTemplate {
             self.program.clear();
             self.program.reserve(rows);
         }
-        self.played = Some(key);
+        self.played = Some(layers);
         Ok(clocks.makespan())
     }
 
-    /// Runs the compiled program on the template's durations: the replay's
+    /// Runs the compiled program on the durations in `table`: the replay's
     /// arithmetic, task for task, with every handle resolved.
-    fn run(&mut self) -> Seconds {
+    fn run(&mut self, table: &[Seconds]) -> Seconds {
         let finish = &mut self.finish;
         finish.clear();
         finish.push(Seconds::ZERO);
-        if let Some(duration) = self.prologue {
-            finish.push(Seconds::ZERO + duration);
-        }
-        let tasks = &self.tasks[..self.len];
         for step in &self.program {
-            finish.push(step.end(finish, tasks[usize::from(step.slot)].duration));
+            finish.push(step.end(finish, table[step.entry as usize]));
         }
         self.makespan()
     }
@@ -491,41 +458,34 @@ impl LayerTemplate {
     }
 }
 
-/// Replays the template of live tasks `tasks`, their shapes `shapes` and
-/// prologue `prologue` over `layers` layers into `into`, keeping each task's
-/// handle in `rows`, one row per block.
+/// Replays `structure` over `layers` layers into `into`, with durations
+/// from `table`, keeping each task's handle in `rows`, one row per block.
 fn replay<R: Replay>(
-    tasks: &[TemplateTask],
-    shapes: &[Shape],
-    prologue: Option<Seconds>,
+    structure: &Structure,
+    table: &[Seconds],
     layers: u32,
     into: &mut R,
     rows: &mut Vec<R::Handle>,
 ) -> Result<(), SimError> {
+    let tasks = &structure.tasks;
     let width = tasks.len() + usize::from(FIRST_TASK);
-    let reach = shapes.last().map_or(Reach::default(), |last| last.reach);
-    if let Some(named) = reach.max_back.checked_sub(1) {
+    if let Some(named) = structure.reach.max_back.checked_sub(1) {
         if (named >> 16) as usize >= tasks.len() {
             return Err(SimError::TemplateDependency {
                 task: (named & 0xffff) as usize,
             });
         }
     }
-    let blocks = u64::from(layers) + u64::from(reach.carries);
+    let blocks = u64::from(layers) + u64::from(structure.reach.carries);
     let absent = R::absent();
     rows.clear();
     rows.resize(blocks as usize * width, absent);
     let weight_slot = |row: u64| row as usize * width + usize::from(WEIGHT_SLOT);
-    if let Some(duration) = prologue {
-        let prologue = TemplateTask {
-            lane: Lane::HostToDevice,
-            duration,
-            kind: TaskKind::WeightTransfer,
-            offset: 0,
-            deps: [(0, NOWHERE); MAX_DEPS],
-        };
+    let duration = |task: &TemplateTask| table[task.entry as usize];
+    if let Some(prologue) = &structure.prologue {
         let label = || TemplateLabel::layer("W", 0);
-        rows[weight_slot(0)] = into.task(&prologue, PROLOGUE, label, 0, [absent; MAX_DEPS])?;
+        let deps = [absent; MAX_DEPS];
+        rows[weight_slot(0)] = into.task(prologue, duration(prologue), label, 0, deps)?;
     }
     let layers = i64::from(layers);
     for block in 0..blocks as i64 {
@@ -546,7 +506,8 @@ fn replay<R: Replay>(
             let [a, b, c] = task.deps;
             let deps = [input(a), input(b), input(c)];
             let layer = (block + offset) as u64;
-            let handle = into.task(task, k as u16, || shapes[k].label, layer, deps)?;
+            let label = || structure.labels[k];
+            let handle = into.task(task, duration(task), label, layer, deps)?;
             rows[block as usize * width + usize::from(FIRST_TASK) + k] = handle;
             if task.kind == TaskKind::WeightTransfer {
                 rows[weight_slot(layer)] = handle;
@@ -565,13 +526,13 @@ trait Replay {
     /// The handle of an input that does not exist.
     fn absent() -> Self::Handle;
 
-    /// Emits `task`, whose duration is in `slot` (its local index, or
-    /// `PROLOGUE`), labelled `label()`, as a task of `layer` after `deps`,
-    /// absent ones included.
+    /// Emits `task`, of duration `duration` (read from its table entry),
+    /// labelled `label()`, as a task of `layer` after `deps`, absent ones
+    /// included.
     fn task(
         &mut self,
         task: &TemplateTask,
-        slot: u16,
+        duration: Seconds,
         label: impl FnOnce() -> TemplateLabel,
         layer: u64,
         deps: [Self::Handle; MAX_DEPS],
@@ -591,7 +552,7 @@ impl<S: TaskSink> Replay for Unroll<'_, S> {
     fn task(
         &mut self,
         task: &TemplateTask,
-        _slot: u16,
+        duration: Seconds,
         label: impl FnOnce() -> TemplateLabel,
         layer: u64,
         deps: [Self::Handle; MAX_DEPS],
@@ -605,7 +566,7 @@ impl<S: TaskSink> Replay for Unroll<'_, S> {
         let label = label().at(layer);
         let id = self
             .0
-            .add_task(task.lane, task.duration, task.kind, label, &ids[..n])?;
+            .add_task(task.lane, duration, task.kind, label, &ids[..n])?;
         Ok(Some(id))
     }
 }
@@ -632,25 +593,25 @@ impl Replay for Clocks {
     fn task(
         &mut self,
         task: &TemplateTask,
-        _slot: u16,
+        duration: Seconds,
         _label: impl FnOnce() -> TemplateLabel,
         _layer: u64,
         [a, b, c]: [Seconds; MAX_DEPS],
     ) -> Result<Seconds, SimError> {
         let ready = later(later(a, b), c);
-        let (_, end) = occupy(&mut self.0[task.lane as usize], ready, task.duration);
+        let (_, end) = occupy(&mut self.0[task.lane as usize], ready, duration);
         Ok(end)
     }
 }
 
-/// One emitted task of a compiled step but the prologue: its duration slot
-/// (its template task) and the finish-time slots it starts after, resolved
-/// once: the task before it on its lane, then its three inputs. Slot 0 of a
-/// run's finish times holds zero, which the first task of a lane and an
-/// absent input read, as a replay's lane clocks and absent inputs do.
+/// One emitted task of a compiled step: its duration's table entry and the
+/// finish-time slots it starts after, resolved once: the task before it on
+/// its lane, then its three inputs. Slot 0 of a run's finish times holds
+/// zero, which the first task of a lane and an absent input read, as a
+/// replay's lane clocks and absent inputs do.
 #[derive(Debug, Clone, Copy)]
 struct Step {
-    slot: u16,
+    entry: u32,
     after: [u16; 1 + MAX_DEPS],
 }
 
@@ -683,35 +644,28 @@ impl Replay for Compile<'_> {
     fn task(
         &mut self,
         task: &TemplateTask,
-        slot: u16,
+        duration: Seconds,
         _label: impl FnOnce() -> TemplateLabel,
         _layer: u64,
         [a, b, c]: [u16; MAX_DEPS],
     ) -> Result<u16, SimError> {
         let lane_end = &mut self.lane_ends[task.lane as usize];
         let step = Step {
-            slot,
+            entry: task.entry,
             after: [*lane_end, a, b, c],
         };
-        // The prologue, if any, comes first, and a run plays it before the
-        // program.
-        if slot != PROLOGUE {
-            self.program.push(step);
-        }
+        self.program.push(step);
         *lane_end = self.finish.len() as u16;
-        self.finish.push(step.end(self.finish, task.duration));
+        self.finish.push(step.end(self.finish, duration));
         Ok(*lane_end)
     }
 }
 
-/// How a [`LayerTemplate`] has been played so far, for tests: structures
-/// built, plays replayed, programs compiled and programs run.
+/// How a [`LayerTemplate`] has been played so far, for tests: plays
+/// replayed, programs compiled and programs run.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlayWork {
-    /// Replays of a structure that pushes built since the play before: the
-    /// first play, and the first after a push changed the stored tasks.
-    pub builds: u64,
     /// Plays of a structure other than the one just played, and of one too
     /// large to compile.
     pub replays: u64,
@@ -731,15 +685,20 @@ mod tests {
         Seconds::from_secs(v)
     }
 
+    /// The duration table of [`streaming`]: weights, then compute.
+    fn streaming_table() -> [Seconds; 2] {
+        [secs(4.0), secs(3.0)]
+    }
+
     /// A two-lane layer: weights for the next layer, and compute that waits
     /// for its own layer's weights and the previous layer's compute.
     fn streaming() -> LayerTemplate {
         let mut t = LayerTemplate::default();
-        t.set_prologue(secs(4.0));
+        t.set_prologue(0);
         let c = t
             .push(
                 Lane::GpuCompute,
-                secs(3.0),
+                1,
                 TaskKind::PostAttention,
                 TemplateLabel::layer("L", 0),
                 &[Dep::Weights, Dep::Task { back: 1, index: 0 }],
@@ -748,7 +707,7 @@ mod tests {
         assert_eq!(c, 0);
         t.push(
             Lane::HostToDevice,
-            secs(4.0),
+            0,
             TaskKind::WeightTransfer,
             TemplateLabel::layer("W", 1),
             &[],
@@ -760,7 +719,9 @@ mod tests {
     #[test]
     fn unroll_applies_the_first_and_last_layer_rules() {
         let mut graph = TaskGraph::new();
-        streaming().unroll(3, &mut graph).unwrap();
+        streaming()
+            .unroll(3, &streaming_table(), &mut graph)
+            .unwrap();
         let labels: Vec<String> = graph.tasks().iter().map(|t| t.label.to_string()).collect();
         assert_eq!(labels, ["W(0)", "L(0)", "W(1)", "L(1)", "W(2)", "L(2)"]);
         let deps: Vec<Vec<usize>> = graph
@@ -772,6 +733,8 @@ mod tests {
             deps,
             [vec![], vec![0], vec![], vec![2, 1], vec![], vec![4, 3]]
         );
+        let durations: Vec<f64> = graph.tasks().iter().map(|t| t.duration.as_secs()).collect();
+        assert_eq!(durations, [4.0, 3.0, 4.0, 3.0, 4.0, 3.0]);
     }
 
     #[test]
@@ -780,7 +743,7 @@ mod tests {
         let a = t
             .push(
                 Lane::CpuCompute,
-                secs(1.0),
+                0,
                 TaskKind::Attention,
                 TemplateLabel::layer("B", 0),
                 &[],
@@ -788,14 +751,14 @@ mod tests {
             .unwrap();
         t.push(
             Lane::GpuCompute,
-            secs(1.0),
+            0,
             TaskKind::PostAttention,
             TemplateLabel::layer("C", -1),
             &[Dep::Task { back: 1, index: a }],
         )
         .unwrap();
         let mut graph = TaskGraph::new();
-        t.unroll(2, &mut graph).unwrap();
+        t.unroll(2, &[secs(1.0)], &mut graph).unwrap();
         let labels: Vec<String> = graph.tasks().iter().map(|t| t.label.to_string()).collect();
         assert_eq!(labels, ["B(0)", "B(1)", "C(0)", "C(1)"]);
         assert_eq!(graph.deps(&graph.tasks()[3]), &[TaskId(1)]);
@@ -805,7 +768,7 @@ mod tests {
     fn unreachable_dependencies_are_rejected_when_pushed_or_played() {
         let mut t = LayerTemplate::default();
         let push = |t: &mut LayerTemplate, label, deps: &[Dep]| {
-            t.push(Lane::GpuCompute, secs(1.0), TaskKind::Other, label, deps)
+            t.push(Lane::GpuCompute, 0, TaskKind::Other, label, deps)
         };
         let x = TemplateLabel::layer("x", 0);
         let own = [Dep::Task { back: 0, index: 0 }];
@@ -831,19 +794,41 @@ mod tests {
             push(&mut t, x, &[past_any_end]),
             Err(SimError::TemplateDependency { task: 0 })
         );
-        let nan =
-            FlopCount::from_flops(f64::INFINITY) / ComputeRate::from_flops_per_sec(f64::INFINITY);
-        assert_eq!(
-            t.push(Lane::GpuCompute, nan, TaskKind::Other, x, &[]),
-            Err(SimError::InvalidDuration { task: 0 })
-        );
         // No rejected task was pushed. A previous block's task past the end
         // is caught when played.
         assert_eq!(push(&mut t, x, &[]), Ok(0));
         push(&mut t, x, &[Dep::Task { back: 1, index: 5 }]).unwrap();
         let err = SimError::TemplateDependency { task: 1 };
-        assert_eq!(t.play(2), Err(err.clone()));
-        assert_eq!(t.unroll(2, &mut TaskGraph::new()), Err(err));
+        assert_eq!(t.play(2, &[secs(1.0)]), Err(err.clone()));
+        assert_eq!(t.unroll(2, &[secs(1.0)], &mut TaskGraph::new()), Err(err));
+    }
+
+    #[test]
+    fn missing_and_nan_durations_are_rejected_when_played() {
+        let nan =
+            FlopCount::from_flops(f64::INFINITY) / ComputeRate::from_flops_per_sec(f64::INFINITY);
+        let mut t = streaming();
+        // The compute task reads entry 1; the prologue counts as the task
+        // after the last.
+        let cases = [
+            (vec![secs(4.0)], SimError::MissingDuration { task: 0 }),
+            (vec![secs(4.0), nan], SimError::InvalidDuration { task: 0 }),
+            (vec![nan, secs(3.0)], SimError::InvalidDuration { task: 1 }),
+        ];
+        for (table, err) in cases {
+            assert_eq!(t.play(3, &table), Err(err.clone()));
+            assert_eq!(t.unroll(3, &table, &mut TaskGraph::new()), Err(err));
+        }
+        let mut late_prologue = streaming();
+        late_prologue.set_prologue(2);
+        let err = SimError::MissingDuration { task: 2 };
+        assert_eq!(late_prologue.play(3, &streaming_table()), Err(err));
+        // Only entries a task reads must hold a duration.
+        let mut table = streaming_table().to_vec();
+        table.push(nan);
+        let mut graph = TaskGraph::new();
+        t.unroll(3, &table, &mut graph).unwrap();
+        assert_eq!(t.play(3, &table), Ok(simulate(&graph).makespan));
     }
 
     #[test]
@@ -851,8 +836,9 @@ mod tests {
         // 300 tasks over 250 layers: 302 replay cells a block, 75,500 in
         // all, more than a 16-bit finish-time slot can name.
         let (tasks, layers) = (300u16, 250);
+        let table: Vec<Seconds> = (0..13).map(|k| secs(0.5 + f64::from(k) * 0.25)).collect();
         let mut t = LayerTemplate::default();
-        t.set_prologue(secs(2.0));
+        t.set_prologue(6);
         for k in 0..tasks {
             let kind = if k % 7 == 0 {
                 TaskKind::WeightTransfer
@@ -867,18 +853,16 @@ mod tests {
                 Dep::Weights,
             ];
             let label = TemplateLabel::micro_batch("t", 0, u64::from(k));
-            let duration = secs(0.5 + f64::from(k % 13) * 0.25);
             let lane = Lane::all()[usize::from(k % 4)];
-            t.push(lane, duration, kind, label, &deps).unwrap();
+            t.push(lane, u32::from(k % 13), kind, label, &deps).unwrap();
         }
         let mut graph = TaskGraph::new();
-        t.unroll(layers, &mut graph).unwrap();
+        t.unroll(layers, &table, &mut graph).unwrap();
         let bits = simulate(&graph).makespan.as_secs().to_bits();
         for _ in 0..3 {
-            assert_eq!(t.play(layers).unwrap().as_secs().to_bits(), bits);
+            assert_eq!(t.play(layers, &table).unwrap().as_secs().to_bits(), bits);
         }
         let work = PlayWork {
-            builds: 1,
             replays: 3,
             compiles: 0,
             programs: 0,

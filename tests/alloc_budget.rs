@@ -182,17 +182,29 @@ fn step_pricing_allocates_nothing_after_one_warm_up_step() {
 
 /// Step pricing across structure changes makes no heap allocation either.
 /// On every schedule kind, once 1, 4 and 16 micro-batches have each been
-/// priced once, cycling 1 → 4 → 16 → 4 → 1 with fresh contexts allocates
-/// nothing: each count keeps its own template, the second pricing of a
-/// structure compiles it into buffers its first pricing reserved, and later
-/// ones run the compiled program.
+/// priced once, and 4 once more with only 3 streamed bytes a layer (3
+/// CGOPipe weight pages, not 4: another shape at the same count), cycling
+/// through them with fresh contexts allocates nothing: each count keeps its
+/// own template, a shape change at one count re-emits the template into
+/// what it has allocated, the second pricing of a shape compiles it into
+/// buffers its first pricing reserved, and later ones run the compiled
+/// program.
 #[test]
 fn step_pricing_allocates_nothing_across_structure_changes() {
     let evaluator = SystemEvaluator::new(EvalSetting::S1.node(), EvalSetting::S1.model());
     let workload = WorkloadShape::new(77, 64);
+    let layer_bytes = evaluator
+        .cost_model()
+        .streamed_layer_bytes(&Policy::offload_default(16, 16))
+        .as_bytes();
     for kind in ScheduleKind::all() {
-        let price = |n_ub: u64, step: u64| {
-            let policy = Policy::offload_default(16 * n_ub, 16);
+        let price = |(n_ub, few_pages): (u64, bool), step: u64| {
+            let mut policy = Policy::offload_default(16 * n_ub, 16);
+            if few_pages {
+                policy.weights_gpu_ratio = 1.0 - 3.0 / layer_bytes as f64;
+                let streamed = evaluator.cost_model().streamed_layer_bytes(&policy);
+                assert_eq!(streamed.as_bytes(), 3);
+            }
             let occupancy: Vec<u64> = (0..n_ub).map(|j| 16 - j % 5).collect();
             let contexts: Vec<u64> = (0..n_ub).map(|j| 90 + 37 * j + step).collect();
             let before = allocations();
@@ -208,15 +220,18 @@ fn step_pricing_allocates_nothing_across_structure_changes() {
             // The load vectors above are made before the count starts.
             allocations() - before
         };
-        for n_ub in [1, 4, 16] {
-            price(n_ub, 0);
+        let shapes = [(1, false), (4, false), (16, false), (4, true)];
+        for shape in shapes {
+            price(shape, 0);
         }
-        for (step, n_ub) in (1..).zip([1, 4, 16, 4, 1]) {
-            let made = price(n_ub, step);
+        let cycle = [(4, false), (16, false), (4, true), (4, false), (4, true)];
+        for (step, shape) in (1..).zip(shapes.into_iter().chain(cycle)) {
+            let made = price(shape, step);
             assert_eq!(
                 made,
                 0,
-                "{} at {n_ub} micro-batches, cycle step {step}: {made} allocations",
+                "{} at {shape:?} (micro-batches, 3 streamed bytes), cycle step {step}: \
+                 {made} allocations",
                 kind.name()
             );
         }
