@@ -354,9 +354,11 @@ impl SystemEvaluator {
     /// ([`crate::ClusterSpecError::InvalidWorkload`]), its arrivals cannot
     /// be stamped or are not finite
     /// ([`crate::ClusterSpecError::InvalidArrivals`]), a sampling sink's
-    /// interval is not finite and positive or its last arrival lies more
-    /// than 10^8 intervals in ([`crate::ClusterSpecError::ExceedsSampleBudget`]),
-    /// or its policy override is invalid
+    /// interval is not finite and positive
+    /// ([`crate::ClusterSpecError::InvalidSampleInterval`]), the last
+    /// arrival lies more than 10^8 sampling intervals in
+    /// ([`crate::ClusterSpecError::ExceedsSampleBudget`]), or its policy
+    /// override is invalid
     /// ([`crate::ClusterSpecError::InvalidPolicy`]).
     /// Then an error if no policy fits, the batching configuration is
     /// invalid, or the simulation fails.

@@ -182,13 +182,14 @@ fn step_pricing_allocates_nothing_after_one_warm_up_step() {
 
 /// Step pricing across structure changes makes no heap allocation either.
 /// On every schedule kind, once 1, 4 and 16 micro-batches have each been
-/// priced once, and 4 once more with only 3 streamed bytes a layer (3
-/// CGOPipe weight pages, not 4: another shape at the same count), cycling
-/// through them with fresh contexts allocates nothing: each count keeps its
-/// own template, a shape change at one count re-emits the template into
-/// what it has allocated, the second pricing of a shape compiles it into
-/// buffers its first pricing reserved, and later ones run the compiled
-/// program.
+/// priced once, cycling 1 → 4 → 16 → 4 → 1 with fresh contexts allocates
+/// nothing: each count keeps its own template, the second pricing of a
+/// structure compiles it into buffers its first pricing reserved, and later
+/// ones run the compiled program. Then 4 micro-batches with only 3 streamed
+/// bytes a layer (3 CGOPipe weight pages, not 4: another shape at the same
+/// count) three times and the full 4 pages three times allocate nothing
+/// either: under CGOPipe each change re-emits the template into what it has
+/// allocated, and each shape then replays, compiles and runs its program.
 #[test]
 fn step_pricing_allocates_nothing_across_structure_changes() {
     let evaluator = SystemEvaluator::new(EvalSetting::S1.node(), EvalSetting::S1.model());
@@ -220,12 +221,12 @@ fn step_pricing_allocates_nothing_across_structure_changes() {
             // The load vectors above are made before the count starts.
             allocations() - before
         };
-        let shapes = [(1, false), (4, false), (16, false), (4, true)];
-        for shape in shapes {
-            price(shape, 0);
+        for n_ub in [1, 4, 16] {
+            price((n_ub, false), 0);
         }
-        let cycle = [(4, false), (16, false), (4, true), (4, false), (4, true)];
-        for (step, shape) in (1..).zip(shapes.into_iter().chain(cycle)) {
+        let cycle = [1, 4, 16, 4, 1].map(|n_ub| (n_ub, false));
+        let same_count = [true, true, true, false, false, false].map(|few_pages| (4, few_pages));
+        for (step, shape) in (1..).zip(cycle.into_iter().chain(same_count)) {
             let made = price(shape, step);
             assert_eq!(
                 made,
