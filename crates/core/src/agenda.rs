@@ -1,4 +1,4 @@
-//! The fleet loop's agenda: one stamped min-heap that orders every event
+//! The fleet loop's agenda: orders every event
 //! [`crate::cluster::ClusterEvaluator::run`] settles, keyed
 //! `(TimeKey, kind, tiebreak)`.
 //!
@@ -11,15 +11,19 @@
 //! the migration sequence number.
 //!
 //! Each replica owns at most one entry, by lifecycle: its provisioning
-//! completion, or its next internal event while it serves or drains. A
-//! refresh that changes it bumps the replica's stamp, retiring the old entry
-//! lazily. Timeline actions and KV landings are entries of their own; a
-//! landing's request and destination wait in a slot the entry names, so
-//! every entry stays four words. Arrivals stay in their sorted queue:
-//! `Agenda::pop` compares its cursor with the heap's top.
+//! completion, or its next internal event while it serves or drains. That
+//! entry is the replica's leaf in one min-tree over replicas
+//! (`MinTree`), ranked `TimeKey bits << 64 | internal << 63 | replica`, so
+//! a refresh overwrites it in place in `O(log n)` and the root is the
+//! earliest; an unchanged refresh touches nothing. Timeline actions and KV
+//! landings sit in a binary min-heap; a landing's request and destination
+//! wait in a slot the entry names, so every heap entry stays four words.
+//! Arrivals stay in their sorted queue: `Agenda::pop` takes the least of
+//! the heap's top, the tree's root and the arrival cursor.
 
 use crate::dynamics::FleetAction;
 use crate::engine::{Lifecycle, ReplicaEngine};
+use crate::min_tree::MinTree;
 use moe_hardware::{Seconds, TimeKey};
 use moe_workload::Request;
 use std::cmp::Reverse;
@@ -45,22 +49,18 @@ pub(crate) enum Event<L = (Request, usize)> {
     Internal(usize),
 }
 
-/// A heap entry: `(time, event, stamp)`. A replica's entry is live while
-/// its stamp is the replica's current one; a landing's stamp is its slot.
+/// A heap entry: `(time, event, slot)`, a landing's slot in
+/// [`Agenda::landings`] (0 for a timeline action).
 type Entry = Reverse<(TimeKey, Event<u64>, u64)>;
-
-/// A replica's current stamp and the `(time, event)` of its entry in the
-/// heap (`None`: it has none).
-type Slot = (u64, Option<(TimeKey, Event<u64>)>);
 
 /// Every pending event of one run but the arrivals, earliest first (see the
 /// module docs).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Agenda {
+    /// Timeline actions and KV landings.
     heap: BinaryHeap<Entry>,
-    replicas: Vec<Slot>,
-    /// Superseded replica entries still in the heap.
-    stale: usize,
+    /// Each replica's one entry, by replica id ([`rank`]).
+    replicas: MinTree,
     /// The KV migrations on the wire, by slot: request and destination.
     landings: Vec<Option<(Request, usize)>>,
     /// Empty slots of `landings`.
@@ -80,32 +80,11 @@ impl Agenda {
         agenda
     }
 
-    /// Makes `next` replica `replica`'s one entry, superseding the one it
-    /// had. An unchanged entry keeps its place and pushes nothing.
+    /// Makes `next` replica `replica`'s one entry, in place of the one it
+    /// had. An unchanged entry changes nothing.
     pub(crate) fn refresh(&mut self, replica: usize, next: Option<(Seconds, Event<u64>)>) {
-        if self.replicas.len() <= replica {
-            self.replicas.resize(replica + 1, (0, None));
-        }
-        let (stamp, slot) = &mut self.replicas[replica];
-        let next = next.map(|(at, event)| (at.key(), event));
-        if *slot == next {
-            return;
-        }
-        if slot.is_some() {
-            self.stale += 1;
-        }
-        *stamp += 1;
-        *slot = next;
-        if let Some((at, event)) = next {
-            self.heap.push(Reverse((at, event, *stamp)));
-        }
-        // Compact once stale entries outnumber live ones, bounding the heap
-        // at twice its live size without a removal per update.
-        if self.stale > self.heap.len() - self.stale + 1024 {
-            let replicas = &self.replicas;
-            self.heap.retain(|entry| is_live(replicas, entry));
-            self.stale = 0;
-        }
+        let rank = next.map_or(MinTree::NONE, |(at, event)| rank(at.key(), event));
+        self.replicas.set(replica, rank);
     }
 
     /// Puts the KV migration of `request` to replica `dest` on the wire,
@@ -146,50 +125,71 @@ impl Agenda {
         lost
     }
 
-    /// Removes and returns the next event with its instant: the heap's top,
-    /// or the arrival at queue position `arrival.1`, due at `arrival.0`,
-    /// when that sorts first. A replica's entry leaves with it, so the
-    /// replica's next refresh pushes its successor even if unchanged.
+    /// Removes and returns the next event with its instant: the least of
+    /// the heap's top, the tree's root and the arrival at queue position
+    /// `arrival.1`, due at `arrival.0`. A replica's entry leaves with it,
+    /// so the replica's next refresh sets its successor even if unchanged.
     pub(crate) fn pop(&mut self, arrival: Option<(Seconds, usize)>) -> Option<(Seconds, Event)> {
-        while (self.heap.peek()).is_some_and(|top| !is_live(&self.replicas, top)) {
-            self.heap.pop();
-            self.stale -= 1;
-        }
-        let arrival = arrival.map(|(at, position)| (at.key(), Event::Arrival(position), 0));
-        let top_first = match (self.heap.peek(), arrival) {
-            (Some(Reverse(top)), Some(arrival)) => *top < arrival,
-            (top, _) => top.is_some(),
+        let mut next = (self.heap.peek()).map(|&Reverse((at, event, _))| (at, event));
+        let mut consider = |candidate| {
+            if next.is_none_or(|n| candidate < n) {
+                next = Some(candidate);
+            }
         };
-        let (at, event, stamp) = if top_first {
-            self.heap.pop()?.0
-        } else {
-            arrival?
-        };
-        if let Event::Ready(replica) | Event::Internal(replica) = event {
-            self.replicas[replica].1 = None;
+        if let Some(rank) = self.replicas.min() {
+            consider(unrank(rank));
         }
+        if let Some((at, position)) = arrival {
+            consider((at.key(), Event::Arrival(position)));
+        }
+        let (at, event) = next?;
         let event = match event {
-            Event::Timeline(position) => Event::Timeline(position),
-            Event::Ready(replica) => Event::Ready(replica),
+            Event::Timeline(position) => {
+                self.heap.pop();
+                Event::Timeline(position)
+            }
+            Event::Ready(replica) => {
+                self.replicas.set(replica, MinTree::NONE);
+                Event::Ready(replica)
+            }
             Event::Landing(_) => {
-                let slot = stamp as usize;
+                let Reverse((.., slot)) = self.heap.pop().expect("the landing is the heap's top");
+                let slot = slot as usize;
                 self.free.push(slot);
                 Event::Landing(self.landings[slot].take().expect("a landing owns its slot"))
             }
             Event::Arrival(position) => Event::Arrival(position),
-            Event::Internal(replica) => Event::Internal(replica),
+            Event::Internal(replica) => {
+                self.replicas.set(replica, MinTree::NONE);
+                Event::Internal(replica)
+            }
         };
         Some((at.secs(), event))
     }
 }
 
-/// Whether `entry` is still due: a replica's superseded entries are not.
-fn is_live(replicas: &[Slot], entry: &Entry) -> bool {
-    let Reverse((_, event, stamp)) = *entry;
-    match event {
-        Event::Ready(replica) | Event::Internal(replica) => replicas[replica].0 == stamp,
-        _ => true,
-    }
+/// The tree rank of a replica's entry: its time in the high word, then the
+/// kind (provisioning completion before internal event, as [`Event`]
+/// orders them), then the replica id.
+fn rank(at: TimeKey, event: Event<u64>) -> u128 {
+    let (internal, replica) = match event {
+        Event::Ready(replica) => (0, replica),
+        Event::Internal(replica) => (1, replica),
+        _ => unreachable!("a replica's entry is its provisioning completion or next event"),
+    };
+    debug_assert!(replica < 1 << 63, "a replica id fits below the kind bit");
+    u128::from(at.bits()) << 64 | internal << 63 | replica as u128
+}
+
+/// The `(time, event)` a [`rank`] packs.
+fn unrank(rank: u128) -> (TimeKey, Event<u64>) {
+    let replica = (rank as u64 & (u64::MAX >> 1)) as usize;
+    let event = if rank >> 63 & 1 == 1 {
+        Event::Internal(replica)
+    } else {
+        Event::Ready(replica)
+    };
+    (TimeKey::from_bits((rank >> 64) as u64), event)
 }
 
 impl ReplicaEngine {
@@ -349,14 +349,14 @@ mod tests {
         Seconds::from_secs(f64::from(i) * 0.5)
     }
 
-    /// A replica refreshed to a new instant thousands of times leaves at
-    /// most 1,026 superseded entries behind, and only its last entry is due.
+    /// A replica refreshed to a new instant thousands of times keeps one
+    /// entry, its last, and the heap holds none of them.
     #[test]
-    fn superseded_entries_are_compacted() {
+    fn a_refreshed_replica_keeps_one_entry() {
         let mut agenda = Agenda::new(&[]);
         for n in 0..5_000u32 {
             agenda.refresh(0, Some((instant((n % 4) as u8), Event::Internal(0))));
-            assert!(agenda.heap.len() <= 1_027, "{} entries", agenda.heap.len());
+            assert!(agenda.heap.is_empty());
         }
         assert_eq!(agenda.pop(None), Some((instant(3), Event::Internal(0))));
         assert_eq!(agenda.pop(None), None);
@@ -371,8 +371,10 @@ mod tests {
         /// operation, draining a copy of the agenda settles exactly what
         /// the old five-way merge would, in its order, and settling one
         /// event at a time agrees too. A refresh to an unchanged entry
-        /// pushes nothing and keeps the stamp; a destination failure
-        /// returns exactly the lost requests, in id order.
+        /// leaves the tree and the heap unchanged; the heap holds exactly
+        /// the unsettled timeline actions and the landings on the wire; a
+        /// destination failure returns exactly the lost requests, in id
+        /// order.
         #[test]
         fn the_agenda_settles_events_in_the_old_merge_order(
             timeline in collection::vec(0u8..4, 0..6),
@@ -412,14 +414,13 @@ mod tests {
                             2 => ReplicaState::Provisioning(at),
                             _ => ReplicaState::Silent,
                         };
-                        let unchanged = agenda.replicas.get(replica).and_then(|r| r.1)
-                            == state.entry(replica).map(|(t, e)| (t.key(), e));
-                        let stamp = |agenda: &Agenda| agenda.replicas.get(replica).map_or(0, |r| r.0);
-                        let before = (agenda.heap.len(), stamp(&agenda));
+                        let unchanged = model.replicas[replica] == state;
+                        let before = (agenda.replicas.clone(), agenda.heap.as_slice().to_vec());
                         model.replicas[replica] = state;
                         agenda.refresh(replica, state.entry(replica));
                         if unchanged {
-                            prop_assert_eq!((agenda.heap.len(), stamp(&agenda)), before);
+                            prop_assert_eq!(&agenda.replicas, &before.0);
+                            prop_assert_eq!(agenda.heap.as_slice(), &before.1[..]);
                         }
                     }
                     4 => {
@@ -440,6 +441,16 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(agenda.landings(), model.migrations.len());
+                // The heap holds exactly the unsettled timeline actions and
+                // the landings on the wire: no replica entry, nothing stale.
+                let mut held: Vec<Event<u64>> = agenda.heap.iter().map(|e| e.0 .1).collect();
+                held.sort();
+                let mut want: Vec<Event<u64>> = (model.cursor..model.timeline.len())
+                    .map(Event::Timeline)
+                    .chain(model.migrations.iter().map(|m| Event::Landing(m.seq)))
+                    .collect();
+                want.sort();
+                prop_assert_eq!(held, want);
                 drain_agrees(agenda.clone(), model.clone());
             }
         }

@@ -595,10 +595,12 @@ impl ClusterReport {
 
     /// Every served request's latency record, across all replicas.
     pub fn latencies(&self) -> Vec<RequestLatency> {
-        self.replicas
-            .iter()
-            .flat_map(|r| r.report.latencies.iter().copied())
-            .collect()
+        let len = self.replicas.iter().map(|r| r.report.latencies.len()).sum();
+        let mut all = Vec::with_capacity(len);
+        for replica in &self.replicas {
+            all.extend_from_slice(&replica.report.latencies);
+        }
+        all
     }
 
     /// Global makespan: the latest absolute completion instant (arrival +
@@ -702,13 +704,14 @@ type NodeCosting = (Rc<SystemEvaluator>, Option<Policy>);
 /// [`SystemEvaluator`] per distinct node, held by every replica of it.
 ///
 /// Two loops produce the identical [`ClusterReport`]. Both pick each event
-/// with one selection from one agenda ([`crate::agenda`]: a min-heap keyed
-/// on time, then kind — timeline action, provisioning completion, KV
-/// landing, arrival, replica-internal event — then timeline position,
-/// replica id or migration sequence number, with the sorted arrival queue
-/// merged under the same order) and settle it through one `match`: one
-/// offer → route → admit path, one replica step. They differ only in how
-/// fresh the agenda's replica entries and the routing offers are kept:
+/// with one selection from one agenda ([`crate::agenda`]: a min-tree over
+/// replicas and a min-heap, keyed on time, then kind — timeline action,
+/// provisioning completion, KV landing, arrival, replica-internal event —
+/// then timeline position, replica id or migration sequence number, with
+/// the sorted arrival queue merged under the same order) and settle it
+/// through one `match`: one offer → route → admit path, one replica step.
+/// They differ only in how fresh the agenda's replica entries and the
+/// routing offers are kept:
 ///
 /// * the **indexed loop** (default) — each replica's agenda entry and its
 ///   view in one [`RouterIndex`] per pool (arrivals and migrations on a

@@ -421,7 +421,7 @@ pub(crate) fn drain_seconds(view: &ReplicaView) -> f64 {
 
 /// [`drain_seconds`] as an integer key in `f64::total_cmp` order (the
 /// sign-folded bit pattern), so [`PrefixAware::route`]'s scan and the
-/// [`RouterIndex`] heap behind its fast path rank replicas by one key.
+/// [`RouterIndex`] tree behind its fast path rank replicas by one key.
 pub(crate) fn drain_key(view: &ReplicaView) -> u64 {
     let bits = drain_seconds(view).to_bits() as i64;
     (bits ^ ((bits >> 63) | i64::MIN)) as u64

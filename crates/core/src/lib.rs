@@ -19,8 +19,10 @@
 //! * [`cluster::ClusterEvaluator`] — serves one fleet-wide request queue on N
 //!   (optionally heterogeneous) replicas behind a pluggable [`cluster::Router`],
 //!   merging per-replica event streams on one global clock.
-//! * [`agenda`] — the crate-private event order of that clock: one stamped
-//!   min-heap with one tie rule for every event the fleet loop settles.
+//! * [`agenda`] — the crate-private event order of that clock, with one tie
+//!   rule for every event the fleet loop settles: each replica's one entry in
+//!   a min-tree over replicas, timeline actions and KV landings in a
+//!   min-heap, arrivals in their sorted queue.
 //! * [`dynamics`] — the fleet control plane: injected failures/drains/joins
 //!   ([`dynamics::FleetTimeline`]), autoscaling ([`dynamics::Autoscaler`]) and
 //!   SLO admission control ([`dynamics::AdmissionController`]) executed mid-run.
@@ -57,6 +59,7 @@ pub mod disagg;
 pub mod dynamics;
 pub mod engine;
 pub mod evaluator;
+mod min_tree;
 pub mod observe;
 pub mod router;
 pub mod serving;

@@ -11,13 +11,14 @@
 //! of lives in [`crate::engine`].
 
 use crate::disagg::{drain_key, CacheStats};
-use moe_hardware::{Seconds, TimeKey};
+use crate::min_tree::MinTree;
+use moe_hardware::Seconds;
 use moe_workload::Request;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -114,74 +115,56 @@ impl RouterCtx {
 /// Marker for "replica id not present" in [`RouterIndex`] position tables.
 const ABSENT: usize = usize::MAX;
 
-/// One lazily built, stamp-checked min-heap over a [`RouterIndex`]'s views:
-/// entries `(key, replica id, stamp)`, so ties on the key break towards the
-/// lower id. A view whose key is `None` has no entry.
+/// One lazily built [`MinTree`] over a [`RouterIndex`]'s views, keyed by
+/// replica id and ranked `key << 64 | id`, so ties on the key break towards
+/// the lower id. A view whose key is `None` has no entry.
 #[derive(Debug)]
-struct LazyHeap<K> {
-    key: fn(&ReplicaView) -> Option<K>,
-    heap: RefCell<Option<BinaryHeap<HeapEntry<K>>>>,
+struct LazyTree {
+    key: fn(&ReplicaView) -> Option<u64>,
+    tree: OnceCell<MinTree>,
 }
 
-/// A [`LazyHeap`] entry: `(key, replica id, stamp)`, reversed into a
-/// min-heap.
-type HeapEntry<K> = Reverse<(K, usize, u64)>;
-
-impl<K: Ord + Copy> LazyHeap<K> {
-    fn new(key: fn(&ReplicaView) -> Option<K>) -> Self {
-        LazyHeap {
+impl LazyTree {
+    fn new(key: fn(&ReplicaView) -> Option<u64>) -> Self {
+        LazyTree {
             key,
-            heap: RefCell::new(None),
+            tree: OnceCell::new(),
         }
     }
 
-    /// The replica with the least fresh entry, building the heap from
-    /// `views` on the first query; `None` when no view has a key. An entry
-    /// is fresh while its stamp equals its replica's current stamp; stale
-    /// entries are popped as they surface.
-    fn min(&self, views: &[ReplicaView], stamps: &[u64]) -> Option<ReplicaId> {
-        let mut heap = self.heap.borrow_mut();
-        let heap = heap.get_or_insert_with(|| {
-            views
-                .iter()
-                .filter_map(|v| Some(Reverse(((self.key)(v)?, v.id.0, stamps[v.id.0]))))
-                .collect()
-        });
-        while let Some(&Reverse((_, id, stamp))) = heap.peek() {
-            if stamps[id] == stamp {
-                return Some(ReplicaId(id));
-            }
-            heap.pop();
-        }
-        None
+    /// The replica with the least rank, building the tree from `views` on
+    /// the first query; `None` when no view has a key.
+    fn min(&self, views: &[ReplicaView]) -> Option<ReplicaId> {
+        let tree =
+            (self.tree).get_or_init(|| views.iter().map(|v| (v.id.0, rank(self.key, v))).collect());
+        tree.min().map(|rank| ReplicaId(rank as u64 as usize))
     }
 
-    /// Pushes `view`'s entry into a heap that has been built. A heap that
-    /// stale entries have grown past `cap` is dropped instead; its next
-    /// query rebuilds it from the cached views in `O(n)`, so heap memory
-    /// stays bounded through long stretches without queries.
-    fn push(&mut self, view: &ReplicaView, stamp: u64, cap: usize) {
-        let heap = self.heap.get_mut();
-        let Some(built) = heap.as_mut() else {
-            return;
-        };
-        if let Some(key) = (self.key)(view) {
-            built.push(Reverse((key, view.id.0, stamp)));
-            if built.len() > cap {
-                *heap = None;
-            }
+    /// Gives `view`'s replica its rank in a tree that has been built.
+    fn refresh(&mut self, view: &ReplicaView) {
+        if let Some(tree) = self.tree.get_mut() {
+            tree.set(view.id.0, rank(self.key, view));
         }
     }
 
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.heap.borrow().as_ref().map_or(0, BinaryHeap::len)
+    /// Drops replica `id`'s entry from a tree that has been built.
+    fn clear(&mut self, id: usize) {
+        if let Some(tree) = self.tree.get_mut() {
+            tree.set(id, MinTree::NONE);
+        }
     }
 }
 
-/// The index keeps a fresh heap entry per serving replica, so an arg-min
-/// query on a non-empty index always answers.
-const NONEMPTY: &str = "the index keeps a fresh heap entry per serving replica";
+/// `view`'s rank under `key`, [`MinTree::NONE`] when it has no key.
+fn rank(key: fn(&ReplicaView) -> Option<u64>, view: &ReplicaView) -> u128 {
+    key(view).map_or(MinTree::NONE, |key| {
+        u128::from(key) << 64 | view.id.0 as u128
+    })
+}
+
+/// The index keeps an entry per serving replica in every tree it has
+/// built, so an arg-min query on a non-empty index always answers.
+const NONEMPTY: &str = "the index keeps an entry per serving replica";
 
 /// Incrementally-maintained routing index over one pool of the serving
 /// fleet, fed by the indexed dispatch path of
@@ -190,9 +173,9 @@ const NONEMPTY: &str = "the index keeps a fresh heap entry per serving replica";
 /// migrations (decode and unified replicas); a fleet without keeps one over
 /// every serving replica. Each index holds one cached [`ReplicaView`] per
 /// replica of its pool (refreshed only when that replica's state changed),
-/// a running sum of their queued requests, and three lazily built min-heaps
-/// that answer in `O(log n)` what the reference path scans `O(n)` views for.
-/// Each serves a benchmark workload:
+/// a running sum of their queued requests, and three lazily built min-trees
+/// keyed by replica id that answer in `O(1)` what the reference path scans
+/// `O(n)` views for. Each serves a benchmark workload:
 ///
 /// * the fewest outstanding tokens ([`LeastOutstandingTokens`]);
 /// * the shortest drain time ([`crate::PrefixAware`]);
@@ -202,13 +185,12 @@ const NONEMPTY: &str = "the index keeps a fresh heap entry per serving replica";
 /// Routers consume it through [`Router::route_indexed`]; only those two
 /// routers answer from it.
 ///
-/// A heap is built from the cached views the first time its query runs and
+/// A tree is built from the cached views the first time its query runs and
 /// maintained only from then on, so a query nobody makes costs nothing.
-/// Staleness is handled by generation stamps: every refresh that changes a
-/// replica's view bumps its stamp and pushes fresh entries into the built
-/// heaps; entries whose stamp no longer matches are dropped when they
-/// surface at a query. A refresh that changes nothing pushes nothing, so the
-/// entry already in a heap stays fresh.
+/// Each tree holds one leaf per replica, so a refresh that changes a view
+/// overwrites that replica's leaves in place in `O(log n)` and a removal
+/// clears them: there are no stamps and no superseded entries. A refresh
+/// that changes nothing touches no tree.
 #[derive(Debug)]
 pub struct RouterIndex {
     /// Cached views of the pool's serving replicas, ascending by replica id.
@@ -217,8 +199,6 @@ pub struct RouterIndex {
     budgets: Vec<u64>,
     /// Replica id → position in `views` ([`ABSENT`] when not serving).
     pos: Vec<usize>,
-    /// Replica id → generation stamp for lazy heap invalidation.
-    stamp: Vec<u64>,
     /// The tightest per-micro-batch KV budget across the pool: a request
     /// whose full context fits it is masked nowhere in the pool, so the full
     /// cached slice is the offer.
@@ -226,13 +206,13 @@ pub struct RouterIndex {
     /// Sum of `queued_requests` over the cached views.
     queued: usize,
     /// Keyed on `outstanding_tokens` ([`Self::least_outstanding`]).
-    out_heap: LazyHeap<u64>,
+    out_tree: LazyTree,
     /// Keyed on [`crate::PrefixAware`]'s drain time
     /// ([`Self::fastest_draining`]).
-    drain_heap: LazyHeap<u64>,
+    drain_tree: LazyTree,
     /// Keyed on `oldest_queued_arrival`, with no entry for a replica without
     /// a queue ([`Self::oldest_queued_arrival`]).
-    oldest_heap: LazyHeap<TimeKey>,
+    oldest_tree: LazyTree,
 }
 
 impl RouterIndex {
@@ -241,12 +221,11 @@ impl RouterIndex {
             views: Vec::new(),
             budgets: Vec::new(),
             pos: Vec::new(),
-            stamp: Vec::new(),
             min_budget: u64::MAX,
             queued: 0,
-            out_heap: LazyHeap::new(|v| Some(v.outstanding_tokens)),
-            drain_heap: LazyHeap::new(|v| Some(drain_key(v))),
-            oldest_heap: LazyHeap::new(|v| v.oldest_queued_arrival.map(Seconds::key)),
+            out_tree: LazyTree::new(|v| Some(v.outstanding_tokens)),
+            drain_tree: LazyTree::new(|v| Some(drain_key(v))),
+            oldest_tree: LazyTree::new(|v| v.oldest_queued_arrival.map(|a| a.key().bits())),
         }
     }
 
@@ -283,26 +262,24 @@ impl RouterIndex {
     }
 
     /// The serving replica with the fewest outstanding tokens, ties by lower
-    /// id — [`LeastOutstandingTokens`]'s arg-min in `O(log n)`.
+    /// id — [`LeastOutstandingTokens`]'s arg-min in `O(1)`.
     ///
     /// # Panics
     ///
     /// Panics if the index is empty.
     pub fn least_outstanding(&self) -> ReplicaId {
-        self.out_heap.min(&self.views, &self.stamp).expect(NONEMPTY)
+        self.out_tree.min(&self.views).expect(NONEMPTY)
     }
 
     /// The serving replica with the shortest estimated drain time
     /// (outstanding tokens over its per-slot decode speed), ties by lower id
-    /// — [`crate::PrefixAware`]'s fastest replica in `O(log n)`.
+    /// — [`crate::PrefixAware`]'s fastest replica in `O(1)`.
     ///
     /// # Panics
     ///
     /// Panics if the index is empty.
     pub fn fastest_draining(&self) -> ReplicaId {
-        self.drain_heap
-            .min(&self.views, &self.stamp)
-            .expect(NONEMPTY)
+        self.drain_tree.min(&self.views).expect(NONEMPTY)
     }
 
     /// Requests routed to the pool's serving replicas but not yet admitted,
@@ -312,10 +289,10 @@ impl RouterIndex {
     }
 
     /// The earliest arrival among the requests queued on the pool's serving
-    /// replicas (`None` when nothing is queued), in `O(log n)`.
+    /// replicas (`None` when nothing is queued), in `O(1)`.
     pub fn oldest_queued_arrival(&self) -> Option<Seconds> {
-        self.oldest_heap
-            .min(&self.views, &self.stamp)
+        self.oldest_tree
+            .min(&self.views)
             .and_then(|id| self.view_of(id).oldest_queued_arrival)
     }
 
@@ -327,7 +304,6 @@ impl RouterIndex {
         let id = view.id.0;
         if self.pos.len() <= id {
             self.pos.resize(id + 1, ABSENT);
-            self.stamp.resize(id + 1, 0);
         }
         let at = self.pos[id];
         if at == ABSENT {
@@ -352,12 +328,13 @@ impl RouterIndex {
             self.views[at] = view;
         }
         self.queued += view.queued_requests;
-        let stamp = self.stamp[id] + 1;
-        self.stamp[id] = stamp;
-        let cap = 4 * self.views.len() + 1024;
-        self.out_heap.push(&view, stamp, cap);
-        self.drain_heap.push(&view, stamp, cap);
-        self.oldest_heap.push(&view, stamp, cap);
+        for tree in [
+            &mut self.out_tree,
+            &mut self.drain_tree,
+            &mut self.oldest_tree,
+        ] {
+            tree.refresh(&view);
+        }
     }
 
     /// Drops a replica that stopped serving (drain, failure, departure).
@@ -371,7 +348,13 @@ impl RouterIndex {
         self.queued -= self.views.remove(at).queued_requests;
         self.budgets.remove(at);
         self.pos[id] = ABSENT;
-        self.stamp[id] += 1;
+        for tree in [
+            &mut self.out_tree,
+            &mut self.drain_tree,
+            &mut self.oldest_tree,
+        ] {
+            tree.clear(id);
+        }
         for (p, v) in self.views.iter().enumerate().skip(at) {
             self.pos[v.id.0] = p;
         }
@@ -406,11 +389,12 @@ pub trait Router: fmt::Debug + Send + Sync {
     /// dispatch engine maintains a [`RouterIndex`] per pool and no replica in
     /// the request's pool is masked for it (every serving replica of the
     /// pool could take it; on a fleet with role pools, `index` holds only
-    /// that pool's replicas). Return
-    /// `Some(id)` to decide from the index's incremental aggregates in
-    /// `O(log n)`, or `None` (the default) to fall back to `route` over the
-    /// index's cached views — which is still allocation-free, just a linear
-    /// scan for strategies that need one. Returning a non-serving id falls
+    /// that pool's replicas). Return `Some(id)` to decide from the index's
+    /// incremental aggregates (an `O(1)` arg-min query, each kept by an
+    /// `O(log n)` update per changed view, with no stamps), or `None` (the
+    /// default) to fall back to `route` over the index's cached views —
+    /// which is still allocation-free, just a linear scan for strategies
+    /// that need one. Returning a non-serving id falls
     /// back to the first offered view, exactly like `route`.
     ///
     /// Only [`LeastOutstandingTokens`] and [`crate::PrefixAware`] answer
@@ -651,8 +635,10 @@ mod tests {
         );
     }
 
-    fn heap_lens(index: &RouterIndex) -> (usize, usize) {
-        (index.out_heap.len(), index.drain_heap.len())
+    /// The built trees of `index`: outstanding tokens, drain time, oldest
+    /// queued arrival (`None` while unbuilt).
+    fn built(index: &RouterIndex) -> [Option<MinTree>; 3] {
+        [&index.out_tree, &index.drain_tree, &index.oldest_tree].map(|t| t.tree.get().cloned())
     }
 
     fn indexed(views: &[ReplicaView]) -> RouterIndex {
@@ -664,24 +650,27 @@ mod tests {
     }
 
     #[test]
-    fn an_identical_upsert_pushes_nothing_and_keeps_the_stamp() {
+    fn an_identical_upsert_leaves_every_built_tree_unchanged() {
         let views = [view(0, 50, 10), view(1, 20, 900), view(2, 20, 30)];
         let mut index = indexed(&views);
         assert_eq!(index.least_outstanding(), ReplicaId(1));
         assert_eq!(index.fastest_draining(), ReplicaId(1));
-        let (lens, stamp) = (heap_lens(&index), index.stamp[1]);
+        assert_eq!(index.oldest_queued_arrival(), None);
+        let trees = built(&index);
+        assert!(trees.iter().all(Option::is_some));
         index.upsert(views[1], 4_096);
-        assert_eq!(heap_lens(&index), lens);
-        assert_eq!(index.stamp[1], stamp);
-        // A changed view is a refresh: a new stamp and one push per heap.
+        assert_eq!(built(&index), trees);
+        // A changed view is a refresh: its keyed trees change in place.
         index.upsert(view(1, 21, 900), 4_096);
-        assert_eq!(heap_lens(&index), (lens.0 + 1, lens.1 + 1));
-        assert_eq!(index.stamp[1], stamp + 1);
+        let [out, drain, oldest] = built(&index);
+        assert_ne!(out, trees[0]);
+        assert_ne!(drain, trees[1]);
+        assert_eq!(oldest, trees[2], "no queue, no entry");
         assert_eq!(index.least_outstanding(), ReplicaId(2));
     }
 
     #[test]
-    fn router_heaps_are_built_on_their_first_query() {
+    fn router_trees_are_built_on_their_first_query() {
         let views = [
             view(3, 70, 500),
             view(0, 40, 100),
@@ -692,7 +681,7 @@ mod tests {
         for (i, v) in views.iter().enumerate() {
             index.upsert(view(v.id.0, v.outstanding_tokens + i as u64, 300), 4_096);
         }
-        assert_eq!(heap_lens(&index), (0, 0), "no query, no heap");
+        assert_eq!(built(&index), [None, None, None], "no query, no tree");
         let least = |index: &RouterIndex| {
             index
                 .views()
@@ -701,7 +690,8 @@ mod tests {
                 .map(|v| v.id)
         };
         assert_eq!(Some(index.least_outstanding()), least(&index));
-        assert_eq!(heap_lens(&index), (views.len(), 0), "only the queried heap");
+        let is_built = built(&index).map(|t| t.is_some());
+        assert_eq!(is_built, [true, false, false], "only the queried tree");
         let fastest = |index: &RouterIndex| {
             index
                 .views()
@@ -710,7 +700,7 @@ mod tests {
                 .map(|v| v.id)
         };
         assert_eq!(Some(index.fastest_draining()), fastest(&index));
-        // Both heaps answer the scans through later refreshes and removals.
+        // Both trees answer the scans through later refreshes and removals.
         index.upsert(view(1, 10, 50), 4_096);
         index.remove(5);
         assert_eq!(Some(index.least_outstanding()), least(&index));

@@ -472,6 +472,17 @@ impl TimeKey {
         TimeKey(folded as u64)
     }
 
+    /// The key's bits: unsigned order on them is the key's order, so a
+    /// packed rank can carry the key in its high word.
+    pub const fn bits(self) -> u64 {
+        self.0
+    }
+
+    /// The key whose [`Self::bits`] are `bits`.
+    pub const fn from_bits(bits: u64) -> Self {
+        TimeKey(bits)
+    }
+
     /// The instant the key was built from, bit for bit: building the key
     /// flipped a non-negative float's sign bit and every bit of a negative
     /// one, and this flips them back.
@@ -707,6 +718,12 @@ mod tests {
             f64::NAN,
         ] {
             assert_eq!(Seconds(x).key().secs().0.to_bits(), x.to_bits(), "{x}");
+            let key = Seconds(x).key();
+            assert_eq!(TimeKey::from_bits(key.bits()), key, "{x}");
+        }
+        // Unsigned order on the bits is the key's order.
+        for w in times.windows(2) {
+            assert!(Seconds(w[0]).key().bits() < Seconds(w[1]).key().bits());
         }
     }
 

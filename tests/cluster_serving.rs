@@ -75,6 +75,29 @@ fn every_router_serves_every_request_exactly_once_in_both_modes() {
     }
 }
 
+/// `ClusterReport::latencies` is every replica's list in replica-id order,
+/// as the chained per-replica iterator reads them, in one allocation.
+#[test]
+fn fleet_latencies_concatenate_the_replica_lists_in_order() {
+    let eval = cluster_evaluator();
+    let spec = homogeneous_scenario(ServingMode::Continuous, Arc::new(RoundRobin));
+    let report = eval.run(&spec).unwrap();
+    let chained: Vec<_> = (report.replicas.iter())
+        .flat_map(|r| r.report.latencies.iter().copied())
+        .collect();
+    let all = report.latencies();
+    assert!(
+        report
+            .replicas
+            .iter()
+            .filter(|r| !r.report.latencies.is_empty())
+            .count()
+            > 1
+    );
+    assert_eq!(all, chained);
+    assert_eq!(all.capacity(), all.len(), "reserved once, exactly");
+}
+
 #[test]
 fn every_replica_respects_its_kv_budget_at_every_event_for_every_router() {
     let eval = cluster_evaluator();
