@@ -19,7 +19,10 @@
 //! landings sit in a binary min-heap; a landing's request and destination
 //! wait in a slot the entry names, so every heap entry stays four words.
 //! Arrivals stay in their sorted queue: `Agenda::pop` takes the least of
-//! the heap's top, the tree's root and the arrival cursor.
+//! the heap's top, the tree's root and the arrival cursor. The agenda also
+//! owns the KV on the wire: each replica's inbound KV, the `max_context`
+//! sum over its landings until `Agenda::land` takes them off, which every
+//! replica view reads.
 
 use crate::dynamics::FleetAction;
 use crate::engine::{Lifecycle, ReplicaEngine};
@@ -33,9 +36,9 @@ use std::collections::BinaryHeap;
 /// variant first (they are declared in tie order), then the payload — the
 /// timeline position, the replica id, the landing's `L`, the queue position.
 /// In the heap a landing is its migration sequence number (`L = u64`);
-/// [`Agenda::pop`] hands out its request and destination instead.
+/// [`Agenda::pop`] hands out its slot instead, for [`Agenda::land`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Event<L = (Request, usize)> {
+pub(crate) enum Event<L = usize> {
     /// The action at this position of the sorted timeline.
     Timeline(usize),
     /// The replica finishes provisioning and starts serving.
@@ -67,6 +70,9 @@ pub(crate) struct Agenda {
     free: Vec<usize>,
     /// The next landing's sequence number.
     seq: u64,
+    /// Each replica's KV on the wire, by replica id: the `max_context` sum
+    /// over its landings.
+    inbound: Vec<u64>,
 }
 
 impl Agenda {
@@ -97,6 +103,8 @@ impl Agenda {
         self.landings[slot] = Some((request, dest));
         (self.heap).push(Reverse((at.key(), Event::Landing(self.seq), slot as u64)));
         self.seq += 1;
+        self.inbound.resize(self.inbound.len().max(dest + 1), 0);
+        self.inbound[dest] += request.max_context();
     }
 
     /// How many KV migrations are on the wire.
@@ -104,23 +112,25 @@ impl Agenda {
         self.landings.len() - self.free.len()
     }
 
+    /// The KV tokens on the wire to replica `dest`.
+    pub(crate) fn inbound(&self, dest: usize) -> u64 {
+        self.inbound.get(dest).copied().unwrap_or(0)
+    }
+
     /// Drops every landing headed to `dest` (its KV dies with the replica)
     /// and returns their requests in id order.
     pub(crate) fn take_landings_to(&mut self, dest: usize) -> Vec<Request> {
-        let mut lost = Vec::new();
-        let (landings, free) = (&mut self.landings, &mut self.free);
+        let (landings, mut slots) = (&self.landings, Vec::new());
         self.heap.retain(|&Reverse((_, event, slot))| {
             let slot = slot as usize;
-            match (event, landings.get(slot)) {
-                (Event::Landing(_), Some(&Some((request, to)))) if to == dest => {
-                    lost.push(request);
-                    landings[slot] = None;
-                    free.push(slot);
-                    false
-                }
-                _ => true,
+            let lost = matches!(event, Event::Landing(_))
+                && landings[slot].is_some_and(|(_, to)| to == dest);
+            if lost {
+                slots.push(slot);
             }
+            !lost
         });
+        let mut lost: Vec<Request> = slots.into_iter().map(|slot| self.land(slot).0).collect();
         lost.sort_by_key(|r| r.id);
         lost
     }
@@ -128,7 +138,8 @@ impl Agenda {
     /// Removes and returns the next event with its instant: the least of
     /// the heap's top, the tree's root and the arrival at queue position
     /// `arrival.1`, due at `arrival.0`. A replica's entry leaves with it,
-    /// so the replica's next refresh sets its successor even if unchanged.
+    /// so the replica's next refresh sets its successor even if unchanged;
+    /// a landing stays on the wire until [`Self::land`] takes it off.
     pub(crate) fn pop(&mut self, arrival: Option<(Seconds, usize)>) -> Option<(Seconds, Event)> {
         let mut next = (self.heap.peek()).map(|&Reverse((at, event, _))| (at, event));
         let mut consider = |candidate| {
@@ -154,9 +165,7 @@ impl Agenda {
             }
             Event::Landing(_) => {
                 let Reverse((.., slot)) = self.heap.pop().expect("the landing is the heap's top");
-                let slot = slot as usize;
-                self.free.push(slot);
-                Event::Landing(self.landings[slot].take().expect("a landing owns its slot"))
+                Event::Landing(slot as usize)
             }
             Event::Arrival(position) => Event::Arrival(position),
             Event::Internal(replica) => {
@@ -165,6 +174,15 @@ impl Agenda {
             }
         };
         Some((at.secs(), event))
+    }
+
+    /// Takes the landing [`Self::pop`] handed out as `slot` off the wire and
+    /// returns its request and destination.
+    pub(crate) fn land(&mut self, slot: usize) -> (Request, usize) {
+        let (request, dest) = self.landings[slot].take().expect("a landing owns its slot");
+        self.free.push(slot);
+        self.inbound[dest] -= request.max_context();
+        (request, dest)
     }
 }
 
@@ -268,7 +286,7 @@ mod tests {
 
         /// The fleet loop's five-way merge before the agenda: the `Ctl`
         /// selection with its `le` filters and the `min_by_key` scans.
-        fn reference_next(&self) -> Option<(Seconds, Event)> {
+        fn reference_next(&self) -> Option<(Seconds, Event<(Request, usize)>)> {
             let scan = |pick: fn(ReplicaState) -> Option<Seconds>| {
                 (self.replicas.iter().enumerate())
                     .filter_map(|(i, &s)| pick(s).map(|t| (t, i)))
@@ -319,7 +337,7 @@ mod tests {
         /// Consumes a settled event the way the fleet loop does: the cursors
         /// advance, a landing leaves the wire, and a replica's state is used
         /// up until its next refresh.
-        fn settle(&mut self, event: Event) {
+        fn settle(&mut self, event: Event<(Request, usize)>) {
             match event {
                 Event::Timeline(_) => self.cursor += 1,
                 Event::Arrival(_) => self.next += 1,
@@ -329,13 +347,31 @@ mod tests {
         }
     }
 
+    /// Pops `agenda`'s next event and lands it if it is a landing, naming
+    /// the landing by its request and destination as the reference does.
+    fn pop_landed(
+        agenda: &mut Agenda,
+        arrival: Option<(Seconds, usize)>,
+    ) -> Option<(Seconds, Event<(Request, usize)>)> {
+        let (at, event) = agenda.pop(arrival)?;
+        let event = match event {
+            Event::Timeline(position) => Event::Timeline(position),
+            Event::Ready(replica) => Event::Ready(replica),
+            Event::Landing(slot) => Event::Landing(agenda.land(slot)),
+            Event::Arrival(position) => Event::Arrival(position),
+            Event::Internal(replica) => Event::Internal(replica),
+        };
+        Some((at, event))
+    }
+
     /// Settles everything left in `agenda` and `model` with no further
     /// refresh and asserts that they agree event for event.
     fn drain_agrees(mut agenda: Agenda, mut model: Model) {
         loop {
             let want = model.reference_next();
-            assert_eq!(agenda.pop(model.arrival()), want);
+            assert_eq!(pop_landed(&mut agenda, model.arrival()), want);
             let Some((_, event)) = want else {
+                assert!((0..REPLICAS).all(|d| agenda.inbound(d) == 0));
                 return;
             };
             model.settle(event);
@@ -374,7 +410,8 @@ mod tests {
         /// leaves the tree and the heap unchanged; the heap holds exactly
         /// the unsettled timeline actions and the landings on the wire; a
         /// destination failure returns exactly the lost requests, in id
-        /// order.
+        /// order; and each replica's inbound KV is the `max_context` sum
+        /// over the migrations on the wire to it.
         #[test]
         fn the_agenda_settles_events_in_the_old_merge_order(
             timeline in collection::vec(0u8..4, 0..6),
@@ -402,8 +439,9 @@ mod tests {
                 match op {
                     0 => {
                         // Ids fall as seq rises, so the id sort on a loss is
-                        // not the landing order.
-                        let request = Request::new(1_000 - n as u64, 16, 8);
+                        // not the landing order; sizes differ, so inbound KV
+                        // counts each landing's own.
+                        let request = Request::new(1_000 - n as u64, 16 + n as u64, 8);
                         model.migrations.push(Migration { at, seq: agenda.seq, request, dest: replica });
                         agenda.push_landing(at, request, replica);
                     }
@@ -434,13 +472,20 @@ mod tests {
                     }
                     _ => {
                         let want = model.reference_next();
-                        prop_assert_eq!(agenda.pop(model.arrival()), want);
+                        prop_assert_eq!(pop_landed(&mut agenda, model.arrival()), want);
                         if let Some((_, event)) = want {
                             model.settle(event);
                         }
                     }
                 }
                 prop_assert_eq!(agenda.landings(), model.migrations.len());
+                for d in 0..REPLICAS {
+                    let want: u64 = (model.migrations.iter())
+                        .filter(|m| m.dest == d)
+                        .map(|m| m.request.max_context())
+                        .sum();
+                    prop_assert_eq!(agenda.inbound(d), want);
+                }
                 // The heap holds exactly the unsettled timeline actions and
                 // the landings on the wire: no replica entry, nothing stale.
                 let mut held: Vec<Event<u64>> = agenda.heap.iter().map(|e| e.0 .1).collect();

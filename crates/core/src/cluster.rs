@@ -917,7 +917,7 @@ impl ClusterEvaluator {
             match event {
                 Event::Timeline(position) => plane.apply_action(t, timeline[position].1.clone())?,
                 Event::Ready(index) => plane.finish_provisioning(index, t),
-                Event::Landing((request, dest)) => plane.land_migration(request, dest, t),
+                Event::Landing(slot) => plane.land_migration(slot, t),
                 Event::Arrival(position) => {
                     next = position + 1;
                     let prof_route = plane.scratch.span_start();
@@ -1128,6 +1128,11 @@ impl FleetLoop<'_> {
         }
     }
 
+    /// Replica `index`'s view, with the KV the agenda holds on the wire to it.
+    pub(crate) fn view(&self, index: usize) -> ReplicaView {
+        self.engines[index].view(self.agenda.inbound(index))
+    }
+
     /// Brings the agenda and the router indexes up to date with every
     /// replica marked dirty since the last flush. A serving replica sits in
     /// the index of every pool its role belongs to.
@@ -1136,7 +1141,7 @@ impl FleetLoop<'_> {
             self.is_dirty[index] = false;
             let engine = &self.engines[index];
             self.agenda.refresh(index, engine.agenda_entry());
-            let view = engine.is_serving().then(|| engine.view());
+            let view = engine.is_serving().then(|| self.view(index));
             let budget = engine.batching.cache_tokens_per_micro_batch;
             for (pool, router_index) in [Pool::Arrivals, Pool::Migrations]
                 .into_iter()
@@ -1217,7 +1222,7 @@ impl FleetLoop<'_> {
                 e.is_serving()
                     && pool.admits(e.role, e.batching.cache_tokens_per_micro_batch, request)
             })
-            .map(|e| e.view())
+            .map(|e| self.view(e.id.0))
             .collect();
         let first = *offer.first()?;
         let chosen = router.route(request, &offer, &mut self.ctx);
@@ -1369,7 +1374,7 @@ impl FleetLoop<'_> {
     /// the replicas touched since the last flush, then `O(log fleet)` to
     /// build the [`FleetView`] — its serving views are a borrow of the
     /// router index's cached slice, its queued count the index's running
-    /// sum, its oldest queued arrival the index's heap minimum, and the
+    /// sum, its oldest queued arrival the index's tree root, and the
     /// membership counts are kept at every lifecycle transition. A fleet
     /// with role pools reads fresh views of its serving engines, as the
     /// scan loop does; the scan loop also counts the fleet, as the
@@ -1407,7 +1412,7 @@ impl FleetLoop<'_> {
                     .engines
                     .iter()
                     .filter(|e| e.is_serving())
-                    .map(|e| e.view())
+                    .map(|e| self.view(e.id.0))
                     .collect();
                 FleetView::new(t, &fresh, provisioning, draining, self.recent_window())
             }
@@ -1451,7 +1456,7 @@ impl FleetLoop<'_> {
                         .iter()
                         .enumerate()
                         .filter(|(_, e)| e.is_serving())
-                        .min_by_key(|(i, e)| (e.view().outstanding_tokens, *i))
+                        .min_by_key(|&(i, _)| (self.view(i).outstanding_tokens, i))
                         .map(|(i, _)| i);
                     let Some(index) = victim else {
                         return Ok(());

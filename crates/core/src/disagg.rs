@@ -11,13 +11,13 @@
 //! record. The fleet loop turns that handoff into a KV migration to a
 //! [`ReplicaRole::Decode`] (or [`ReplicaRole::Unified`]) replica over the
 //! fleet's [`InterconnectSpec`]: a priced, latency-modeled event
-//! (`CostModel::kv_migrate`) on the global clock. The destination reserves
-//! headroom for the in-flight KV ([`crate::ReplicaView::kv_migrating_in`])
-//! the moment the transfer starts and admits the request with its prefill
-//! already credited when it lands. A destination that fails mid-transfer
-//! loses the KV: the request re-enters at the front door and pays its
-//! prefill again. The request keeps its identity throughout — churn on a
-//! prefill replica returns it, not a copy.
+//! (`CostModel::kv_migrate`) on the global clock. Its KV holds headroom on
+//! the destination ([`crate::ReplicaView::kv_migrating_in`]) for the whole
+//! flight; on landing it is queued as decode-only work, its whole prompt
+//! credited. A destination that fails mid-transfer loses the KV: the
+//! request re-enters at the front door and pays its prefill again. The
+//! request keeps its identity throughout — churn on a prefill replica
+//! returns it, not a copy.
 //!
 //! Orthogonally, every replica may carry a [`PrefixCache`] — per-session runs
 //! of cached blocks with a token capacity and LRU eviction, modeling
@@ -34,9 +34,10 @@
 //! router index on the indexed loop when no replica of the pool is masked
 //! for the request, fresh views of the eligible replicas otherwise. A
 //! migration in flight is an entry of the fleet loop's agenda
-//! ([`crate::agenda`]), which holds its request and destination until it
-//! lands: in landing order, after co-timed timeline actions and provisioning
-//! completions and before co-timed arrivals. The `FleetLoop` methods below
+//! ([`crate::agenda`]), the one owner of its request, destination and KV
+//! until it lands: in landing order, after co-timed timeline actions and
+//! provisioning completions and before co-timed arrivals. The engines keep
+//! no copy of it. The `FleetLoop` methods below
 //! that start, land and lose migrations are `pub(crate)` plumbing behind
 //! [`crate::cluster::ClusterEvaluator`].
 
@@ -419,12 +420,11 @@ pub(crate) fn drain_seconds(view: &ReplicaView) -> f64 {
     view.outstanding_tokens as f64 / rate
 }
 
-/// [`drain_seconds`] as an integer key in `f64::total_cmp` order (the
-/// sign-folded bit pattern), so [`PrefixAware::route`]'s scan and the
-/// [`RouterIndex`] tree behind its fast path rank replicas by one key.
+/// [`drain_seconds`] (never negative or NaN) as its `TimeKey` bits, so
+/// [`PrefixAware::route`]'s scan and the [`RouterIndex`] tree behind its
+/// fast path rank replicas by one key in `f64::total_cmp` order.
 pub(crate) fn drain_key(view: &ReplicaView) -> u64 {
-    let bits = drain_seconds(view).to_bits() as i64;
-    (bits ^ ((bits >> 63) | i64::MIN)) as u64
+    Seconds::from_secs(drain_seconds(view)).key().bits()
 }
 
 /// The session's placement given its home (if the home still serves) and
@@ -457,8 +457,8 @@ fn stay_or_move(request: &Request, home: Option<&ReplicaView>, fastest: &Replica
 /// [`RouterCtx::homes`], so every run starts with none.
 ///
 /// Its fast path answers every unmasked decision from the [`RouterIndex`]:
-/// the fastest-draining replica is the index's drain-time heap minimum and
-/// the home's view is a lookup, so a decision costs `O(log n)`, not a scan
+/// the fastest-draining replica is the root of the index's drain-time tree
+/// and the home's view is a lookup, so a decision costs `O(1)`, not a scan
 /// of the offer.
 #[derive(Debug, Default)]
 pub struct PrefixAware;
@@ -545,8 +545,8 @@ impl FleetLoop<'_> {
     /// Starts the KV migration of a request handed off by prefill replica
     /// `from` at `t`: places the KV slice on a decode-capable replica of the
     /// migration pool and puts it on the wire. The transfer is priced by the
-    /// source replica's cost model over the fleet interconnect, and the
-    /// destination reserves `max_context` KV headroom for the whole flight.
+    /// source replica's cost model over the fleet interconnect; the agenda
+    /// holds its `max_context` KV against the destination for the flight.
     pub(crate) fn start_migration(&mut self, origin: Request, from: usize, t: Seconds) {
         let Some((dest, _)) = self.place(&origin, Pool::Migrations) else {
             // No decode-capable replica is alive: the prefill was wasted work
@@ -561,22 +561,21 @@ impl FleetLoop<'_> {
             interconnect.bandwidth(),
             interconnect.latency(),
         );
-        self.engines[dest.0].reserve_migration(origin.max_context());
+        self.agenda.push_landing(t + delay, origin, dest.0);
         self.mark_dirty(dest.0);
         self.note_migration_start(&origin, from, dest.0, t + delay, t);
-        self.agenda.push_landing(t + delay, origin, dest.0);
     }
 
-    /// Lands the migration of `request` on replica `dest` at time `t`: the
-    /// destination releases its reservation and admits the request with the
-    /// migrated prefill credited — unless it left the fleet mid-transfer, in
+    /// Lands the migration in agenda slot `slot` at time `t`: the agenda
+    /// takes it off the wire and its destination queues the request as
+    /// [`Phase::DecodeOnly`] work — unless it left the fleet mid-transfer, in
     /// which case the KV is lost and the request re-enters at the front door.
-    pub(crate) fn land_migration(&mut self, request: Request, dest: usize, t: Seconds) {
-        self.engines[dest].release_migration(request.max_context());
+    pub(crate) fn land_migration(&mut self, slot: usize, t: Seconds) {
+        let (request, dest) = self.agenda.land(slot);
         self.mark_dirty(dest);
         if self.engines[dest].is_serving() {
             self.note_migration_end(&request, dest, true, t);
-            self.engines[dest].enqueue_prefilled(request, request.input_len, t);
+            self.engines[dest].enqueue(request, Phase::DecodeOnly, t);
         } else {
             self.note_migration_end(&request, dest, false, t);
             self.redispatch(request, t);

@@ -193,7 +193,7 @@ impl ScaleBounds {
 ///
 /// Building one is `O(log fleet)` on the indexed fleet loop without role
 /// pools: `replicas` borrows the router index's cached views, the two queue
-/// aggregates come from the index's running sum and oldest-arrival heap,
+/// aggregates come from the index's running sum and oldest-arrival tree,
 /// and the membership counts are kept at every lifecycle transition. With
 /// role pools, and on the scan loop, `replicas` are fresh views of the
 /// serving engines and the aggregates are summed from them (`O(fleet)`).
@@ -411,9 +411,9 @@ impl Autoscaler for SloAttainmentScaler {
 
 /// Decides, per arriving request, whether the chosen replica should queue it
 /// at all. `projected_ttft` is the control plane's queue-aware estimate of the
-/// request's time-to-first-token on `replica`: the replica's outstanding token
-/// backlog divided by the decode rate of its last computed step
-/// (optimistically zero for a cold replica with no step history).
+/// request's time-to-first-token on `replica`: the generation tokens queued
+/// there over the decode rate of its last priced step (optimistically zero
+/// for a cold replica with no step history).
 ///
 /// Rejected requests never occupy queue or KV space; they are recorded in the
 /// report's [`AvailabilityReport::rejected`] and count as SLO misses.

@@ -8,8 +8,9 @@
 //! engine is built by the loop's one private constructor, for the initial
 //! fleet and for joiners alike.
 //!
-//! The engine exposes serving as a discrete-event interface: `enqueue`
-//! accepts a routed request and arms the next admission instant,
+//! The engine exposes serving as a discrete-event interface: `enqueue`, the
+//! one way to queue work, accepts a routed request or a landed KV migration
+//! in its `Phase` and arms the next admission instant,
 //! `next_event` reports the earliest pending internal event (a per-request
 //! completion, a round retirement or a due admission), and `step_to`
 //! settles everything due at that instant —
@@ -18,6 +19,7 @@
 //! records at each request's own completion step. An entry queued as
 //! `Phase::PrefillOnly` runs its prompt wave only and is released as a
 //! `Finished::Handoff` of the original request, never as a latency record.
+//! The engine keeps no copy of the KV on the wire to it: the agenda does.
 //!
 //! Both [`crate::ServingMode`]s form their waves through one admission pass:
 //! one [`Scheduler::backfill_sorted_into`] call against the replica's
@@ -139,6 +141,8 @@ pub(crate) enum Phase {
     /// Prompt wave only: the scheduler and the costing see the request with
     /// no generation, and its end is a [`Finished::Handoff`].
     PrefillOnly,
+    /// A landed migration: the whole prompt is credited, no cache lookup.
+    DecodeOnly,
 }
 
 /// One entry released by [`ReplicaEngine::step_to`], in release order.
@@ -214,9 +218,9 @@ pub(crate) struct ReplicaEngine {
     /// which [`Phase`].
     pub(crate) role: ReplicaRole,
     /// Per-replica prefix cache, when the cluster enables one. Consulted at
-    /// [`Self::enqueue`] (a hit credits the matched tokens) and fed at
-    /// admission; `None` keeps the costing bit-for-bit the classic
-    /// full-prefill path.
+    /// [`Self::enqueue`] but for [`Phase::DecodeOnly`] (a hit credits the
+    /// matched tokens) and fed at admission; `None` keeps the costing
+    /// bit-for-bit the classic full-prefill path.
     pub(crate) prefix_cache: Option<PrefixCache>,
     /// Prefill tokens already resident per queued request id — from a prefix
     /// cache hit or a completed KV migration. Consumed (removed) at
@@ -228,9 +232,6 @@ pub(crate) struct ReplicaEngine {
     /// entry (whose engine-side copy carries no generation), until the entry
     /// is handed off or leaves unserved: no other copy ever leaves.
     prefill_only: HashMap<u64, Request>,
-    /// KV tokens reserved for migrations in flight to this replica; held in
-    /// the router-visible projection so nobody over-commits the headroom.
-    kv_migrating_in: u64,
     /// EWMA of the replica's decode rate in tokens/s (zero until the first
     /// decode step) — the router-visible speed signal.
     decode_rate: f64,
@@ -329,7 +330,6 @@ impl ReplicaEngine {
             prefix_cache: None,
             prefill_credit: HashMap::new(),
             prefill_only: HashMap::new(),
-            kv_migrating_in: 0,
             decode_rate: 0.0,
             clock: Seconds::ZERO,
             segment_start: Seconds::ZERO,
@@ -517,28 +517,18 @@ impl ReplicaEngine {
         returned
     }
 
-    /// Reserves KV headroom for a migration in flight to this replica: the
-    /// tokens appear in the router-visible projection for the whole transfer.
-    pub(crate) fn reserve_migration(&mut self, tokens: u64) {
-        self.kv_migrating_in += tokens;
-    }
-
-    /// Releases a migration reservation (the transfer landed or was lost).
-    pub(crate) fn release_migration(&mut self, tokens: u64) {
-        self.kv_migrating_in = self.kv_migrating_in.saturating_sub(tokens);
-    }
-
     fn kv_capacity(&self) -> u64 {
         self.batching.cache_tokens_per_micro_batch * self.batching.num_micro_batches as u64
     }
 
     /// Router-visible snapshot of the replica *as of its last processed
     /// event*: queued work exactly, active work as the tokens still to be
-    /// delivered and the KV the partition ledger holds. The view is a pure
-    /// function of engine state — decode progress between events is not
-    /// interpolated — which is what lets the indexed dispatch path cache one
-    /// view per replica and keep the routers' incremental indexes exact.
-    pub(crate) fn view(&self) -> ReplicaView {
+    /// delivered, the KV the partition ledger holds and the agenda's
+    /// `kv_migrating_in`. The view is a pure function of those — decode
+    /// progress between events is not interpolated — which is what lets the
+    /// indexed dispatch path cache one view per replica and keep the routers'
+    /// incremental indexes exact.
+    pub(crate) fn view(&self, kv_migrating_in: u64) -> ReplicaView {
         let kv_active: u64 = self.parts.iter().map(|p| p.cache_tokens).sum();
         ReplicaView {
             id: self.id,
@@ -548,8 +538,8 @@ impl ReplicaEngine {
             active_requests: self.active.len() + self.in_round.len(),
             outstanding_tokens: self.ready_tokens + self.active_remaining,
             kv_capacity: self.kv_capacity(),
-            kv_projected: kv_active + self.ready_tokens + self.kv_migrating_in,
-            kv_migrating_in: self.kv_migrating_in,
+            kv_projected: kv_active + self.ready_tokens + kv_migrating_in,
+            kv_migrating_in,
             decode_rate: self.decode_rate,
             cache_stats: self
                 .prefix_cache
@@ -631,22 +621,24 @@ impl ReplicaEngine {
         std::mem::take(&mut self.ready)
     }
 
-    /// Accepts a routed request at time `now`, arming the next admission
+    /// Queues a request in `phase` at time `now`, arming the next admission
     /// event: immediately when the pipeline is idle, at the next
     /// decode-step boundary mid-flight (continuous mode), or at the current
-    /// round's retirement (round-to-completion). When the replica carries a
-    /// prefix cache, the request's longest cached session prefix is credited
-    /// here — those tokens are skipped at prefill costing. A
+    /// round's retirement (round-to-completion). The prompt tokens credited
+    /// here are skipped at prefill costing: all of a [`Phase::DecodeOnly`]
+    /// entry's, otherwise its longest cached session prefix. A
     /// [`Phase::PrefillOnly`] entry is queued without its generation.
     pub(crate) fn enqueue(&mut self, request: Request, phase: Phase, now: Seconds) {
-        if let Some(cache) = self.prefix_cache.as_mut() {
-            let credit = cache.lookup(request.session_id, request.input_len);
-            if credit > 0 {
-                self.prefill_credit.insert(request.id, credit);
-            }
+        let credit = match (phase, self.prefix_cache.as_mut()) {
+            (Phase::DecodeOnly, _) => request.input_len,
+            (_, Some(cache)) => cache.lookup(request.session_id, request.input_len),
+            (_, None) => 0,
+        };
+        if credit > 0 {
+            self.prefill_credit.insert(request.id, credit);
         }
         let entry = match phase {
-            Phase::Full => request,
+            Phase::Full | Phase::DecodeOnly => request,
             Phase::PrefillOnly => {
                 self.prefill_only.insert(request.id, request);
                 Request {
@@ -655,23 +647,7 @@ impl ReplicaEngine {
                 }
             }
         };
-        self.enqueue_uncredited(entry, now);
-    }
-
-    /// Accepts a request whose first `credit` prompt tokens are already
-    /// resident here (a completed KV migration): they are skipped at prefill
-    /// costing, on top of nothing — a migrated request never double-credits
-    /// through the prefix cache.
-    pub(crate) fn enqueue_prefilled(&mut self, request: Request, credit: u64, now: Seconds) {
-        let credit = credit.min(request.input_len);
-        if credit > 0 {
-            self.prefill_credit.insert(request.id, credit);
-        }
-        self.enqueue_uncredited(request, now);
-    }
-
-    fn enqueue_uncredited(&mut self, request: Request, now: Seconds) {
-        self.push_ready(request);
+        self.push_ready(entry);
         let effective = now.max(self.clock);
         let at = match self.mode {
             ServingMode::RoundToCompletion => {

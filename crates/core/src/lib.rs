@@ -22,7 +22,7 @@
 //! * [`agenda`] — the crate-private event order of that clock, with one tie
 //!   rule for every event the fleet loop settles: each replica's one entry in
 //!   a min-tree over replicas, timeline actions and KV landings in a
-//!   min-heap, arrivals in their sorted queue.
+//!   min-heap (it owns each replica's inbound KV), arrivals in their queue.
 //! * [`dynamics`] — the fleet control plane: injected failures/drains/joins
 //!   ([`dynamics::FleetTimeline`]), autoscaling ([`dynamics::Autoscaler`]) and
 //!   SLO admission control ([`dynamics::AdmissionController`]) executed mid-run.

@@ -353,7 +353,7 @@ impl FleetLoop<'_> {
             ..FleetSample::default()
         };
         for engine in &self.engines {
-            let view = engine.view();
+            let view = self.view(engine.id.0);
             match engine.lifecycle {
                 Lifecycle::Provisioning { .. } => sample.provisioning += 1,
                 Lifecycle::Serving => sample.serving += 1,

@@ -54,10 +54,10 @@ pub struct ReplicaView {
     /// projection of everything queued — including headroom held for KV
     /// slices currently migrating in ([`Self::kv_migrating_in`]).
     pub kv_projected: u64,
-    /// KV tokens reserved for in-flight migrations headed here (disaggregated
-    /// serving): the destination holds headroom from the moment the transfer
-    /// starts, so routers never over-commit a replica that is about to
-    /// receive migrated context. Zero outside disaggregated runs.
+    /// KV tokens of the migrations in flight here, as the fleet loop's agenda
+    /// counts them: held from a transfer's start until it lands or is lost,
+    /// so routers never over-commit a replica about to receive migrated
+    /// context. Zero outside disaggregated runs.
     pub kv_migrating_in: u64,
     /// Measured decode rate in tokens per second — an EWMA over the replica's
     /// recent decode steps, zero until the first step completes. The

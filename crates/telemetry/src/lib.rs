@@ -388,7 +388,7 @@ pub struct ReplicaSample {
     pub outstanding_tokens: u64,
     /// Projected KV tokens (active context plus reservations).
     pub kv_projected: u64,
-    /// KV token capacity per micro-batch.
+    /// KV token capacity, summed over every micro-batch.
     pub kv_capacity: u64,
     /// KV tokens reserved for migrations still in flight to this replica.
     pub kv_migrating_in: u64,
@@ -484,7 +484,8 @@ impl FleetSample {
 /// order: `section as usize` indexes a per-section `[SpanReport; 4]` ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Section {
-    /// Picking the next due event (heap maintenance + peeks).
+    /// Picking the next due event (agenda and router-index refreshes + the
+    /// agenda's pop).
     EventSelection,
     /// Routing + admission over the fleet (dispatch).
     Routing,

@@ -393,39 +393,46 @@ fn prefix_aware_routes_every_unmasked_decision_from_the_index() {
     }
 }
 
-/// A decode replica fails while KV migrations to it are on the wire (a slow
-/// link keeps each one in flight for over a second, and the failure lands
-/// midway through one): the lost migrations re-enter at the front door
-/// identically on both loops, for every router in both modes.
+/// The 2p+2d fleet of 200 requests over a slow link (each migration is in
+/// flight for over a second) with decode replica 3 failing midway through
+/// its first migration to start at or after 20 s. Returns the spec and the
+/// failure instant.
+fn decode_failure_mid_migration(mode: ServingMode) -> (ClusterSpec, Seconds) {
+    let base =
+        split_fleet(2, 200, 13, mode).with_interconnect(InterconnectSpec::new(0.05, secs(1.0)));
+    // Events before the failure do not depend on it, so a migration in
+    // flight at this instant without the failure is in flight with it.
+    let recorder = Arc::new(Recorder::new());
+    evaluator()
+        .run(&base.clone().with_telemetry(recorder.clone()))
+        .unwrap();
+    let fail_at = recorder
+        .events()
+        .iter()
+        .find_map(|e| match *e {
+            TelemetryEvent::MigrationStart {
+                to: 3, eta_s, at, ..
+            } if at >= 20.0 => Some(secs((at + eta_s) / 2.0)),
+            _ => None,
+        })
+        .expect("replica 3 receives migrations");
+    let spec = base.with_timeline(FleetTimeline::new().fail_at(fail_at, ReplicaId(3)));
+    (spec, fail_at)
+}
+
+/// A decode replica fails while KV migrations to it are on the wire: the
+/// lost migrations re-enter at the front door identically on both loops,
+/// for every router in both modes.
 #[test]
 fn indexed_loop_matches_scan_when_a_decode_replica_fails_mid_migration() {
-    let base = |mode| {
-        split_fleet(2, 200, 13, mode).with_interconnect(InterconnectSpec::new(0.05, secs(1.0)))
-    };
     for mode in MODES {
-        // Events before the failure do not depend on it, so a migration in
-        // flight at this instant without the failure is in flight with it.
-        let recorder = Arc::new(Recorder::new());
-        evaluator()
-            .run(&base(mode).with_telemetry(recorder.clone()))
-            .unwrap();
-        let fail_at = recorder
-            .events()
-            .iter()
-            .find_map(|e| match *e {
-                TelemetryEvent::MigrationStart {
-                    to: 3, eta_s, at, ..
-                } if at >= 20.0 => Some(secs((at + eta_s) / 2.0)),
-                _ => None,
-            })
-            .expect("replica 3 receives migrations");
-        let spec = || base(mode).with_timeline(FleetTimeline::new().fail_at(fail_at, ReplicaId(3)));
+        let (spec, fail_at) = decode_failure_mid_migration(mode);
         for k in 0..oracle_routers().len() {
-            assert_loops_agree(spec, k, &format!("[{mode}] decode failure"));
+            assert_loops_agree(|| spec.clone(), k, &format!("[{mode}] decode failure"));
         }
         let recorder = Arc::new(Recorder::new());
         evaluator()
-            .run(&spec().with_telemetry(recorder.clone()))
+            .run(&spec.with_telemetry(recorder.clone()))
             .unwrap();
         assert!(
             recorder.events().iter().any(|e| matches!(
@@ -434,6 +441,45 @@ fn indexed_loop_matches_scan_when_a_decode_replica_fails_mid_migration() {
             )),
             "[{mode}]: the failure must catch migrations in flight"
         );
+    }
+}
+
+/// The KV on the wire to a decode replica is lost with it, and so is its
+/// place in the replica's projection: from the failure on, no sample shows
+/// inbound KV on the departed replica, and the closing sample shows none
+/// fleet-wide and no migration in flight, on both loops in both modes.
+#[test]
+fn a_lost_migration_leaves_no_inbound_kv_behind() {
+    for mode in MODES {
+        let (spec, fail_at) = decode_failure_mid_migration(mode);
+        for (name, eval) in [("scan", scan()), ("indexed", evaluator())] {
+            let label = format!("[{mode}] {name} loop");
+            // The run spans thousands of seconds: a 10 s interval keeps
+            // every sample in the recorder's ring.
+            let recorder = Arc::new(Recorder::new().with_interval(10.0));
+            eval.run(&spec.clone().with_telemetry(recorder.clone()))
+                .unwrap();
+            assert_eq!(recorder.samples_dropped(), 0, "{label}");
+            let series = recorder.series();
+            let after: Vec<_> = series.iter().filter(|s| s.at > fail_at.as_secs()).collect();
+            assert!(after.len() > 1, "{label}: the run samples past the failure");
+            for sample in after {
+                let dead = (sample.replicas.iter())
+                    .find(|r| r.replica == 3)
+                    .expect("every replica is sampled");
+                assert_eq!(
+                    dead.kv_migrating_in, 0,
+                    "{label}: departed replica 3 holds inbound KV at {}",
+                    sample.at
+                );
+            }
+            let last = series.last().expect("the run closes with a sample");
+            assert_eq!(
+                (last.kv_migrating_in, last.migrations_in_flight),
+                (0, 0),
+                "{label}: the closing sample shows KV on the wire"
+            );
+        }
     }
 }
 
@@ -751,6 +797,36 @@ fn prefix_caches_hit_under_session_affine_routing() {
             report.totals.generated_tokens, uncached.totals.generated_tokens,
             "{name}: cached prefill skips prompt tokens, never generated ones"
         );
+    }
+}
+
+/// A landed migration is queued with its whole prompt credited and never
+/// consults the destination's prefix cache: on a split fleet with caches,
+/// each decode replica's cache takes the prompts it admits but records no
+/// lookup, while the prefill replicas' caches are looked up.
+#[test]
+fn a_landed_migration_never_consults_the_prefix_cache() {
+    let queue = session_queue(240, 8, 29);
+    for mode in MODES {
+        let spec = split_fleet(2, 240, 29, mode)
+            .with_queue(queue.clone())
+            .with_prefix_cache(64 * 1024);
+        let report = evaluator().run(&spec).unwrap();
+        for replica in &report.replicas {
+            let stats = replica.cache.expect("every replica carries a cache");
+            let id = replica.id.0;
+            if id < 2 {
+                assert!(
+                    stats.lookups() > 0,
+                    "[{mode}] prefill replica {id}: {stats:?}"
+                );
+            } else {
+                assert!(
+                    stats.lookups() == 0 && stats.resident_tokens > 0,
+                    "[{mode}] decode replica {id}: {stats:?}"
+                );
+            }
+        }
     }
 }
 
